@@ -1,26 +1,28 @@
 //! Micro-benchmarks of the compute-intensive edge loops ("the majority
 //! of the computations made in EUL3D are in loops over the edges of the
 //! mesh", §3.1): convective flux, the two dissipation passes, spectral
-//! radii, and residual-averaging accumulation.
-
-// Benchmarks the deprecated AoS entry points on purpose: they are the
-// baseline the SoA kernels are compared against.
-#![allow(deprecated)]
+//! radii, and residual-averaging accumulation — the plane-major
+//! `eul3d_kernels` entry points every solver backend executes. (The
+//! AoS-vs-SoA comparison is the `kernels` bin's job.)
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
-use eul3d_core::counters::FlopCounter;
-use eul3d_core::dissipation::{dissipation_pass, laplacian_pass, sensor_from_accumulators};
-use eul3d_core::flux::{compute_pressures, conv_residual_edges};
 use eul3d_core::gas::{GAMMA, NVAR};
-use eul3d_core::smooth::smooth_accumulate;
-use eul3d_core::timestep::radii_edges;
-use eul3d_core::SolverConfig;
+use eul3d_core::{SoaState, SolverConfig};
+use eul3d_kernels::{EdgeSpan, ScatterAccess};
 use eul3d_mesh::gen::{bump_channel, BumpSpec};
 use eul3d_mesh::TetMesh;
 
-fn workload() -> (TetMesh, Vec<f64>, Vec<f64>) {
+/// Run a kernel body with scatter access to `targets`.
+///
+/// SAFETY (every `unsafe` kernel call in this file): single-threaded, one
+/// span over all edges, and every array is sized by the same mesh.
+fn scatter(targets: &mut [&mut [f64]], f: impl FnOnce(&ScatterAccess)) {
+    f(&ScatterAccess::new(targets));
+}
+
+fn workload() -> (TetMesh, SoaState, Vec<f64>) {
     let mesh = bump_channel(&BumpSpec {
         nx: 24,
         ny: 10,
@@ -31,101 +33,100 @@ fn workload() -> (TetMesh, Vec<f64>, Vec<f64>) {
     let cfg = SolverConfig::default();
     let fs = cfg.freestream();
     let n = mesh.nverts();
-    let mut w = vec![0.0; n * NVAR];
+    let mut w = SoaState::new(n, NVAR);
     for (i, c) in mesh.coords.iter().enumerate() {
         let s = 1.0 + 0.05 * (c.x * 3.0).sin() * (c.y * 5.0).cos();
-        for k in 0..NVAR {
-            w[i * NVAR + k] = fs.w[k] * s;
-        }
+        w.set5(i, &fs.w.map(|x| x * s));
     }
     let mut p = vec![0.0; n];
-    let mut counter = FlopCounter::default();
-    compute_pressures(GAMMA, &w, &mut p, &mut counter);
+    scatter(&mut [&mut p], |s| unsafe {
+        eul3d_kernels::pressure_verts(0..n, GAMMA, w.flat(), n, s)
+    });
     (mesh, w, p)
 }
 
 fn bench_edges(c: &mut Criterion) {
     let (mesh, w, p) = workload();
+    let (edges, coef) = (&mesh.edges[..], &mesh.edge_coef[..]);
     let n = mesh.nverts();
-    let ne = mesh.nedges() as u64;
+    let lanes = SolverConfig::default().lanes;
+    let span = EdgeSpan::Range(0..edges.len());
     let mut group = c.benchmark_group("edge_kernels");
-    group.throughput(Throughput::Elements(ne));
+    group.throughput(Throughput::Elements(edges.len() as u64));
     group.sample_size(20);
 
     group.bench_function("convective_flux", |b| {
         let mut q = vec![0.0; n * NVAR];
-        let mut counter = FlopCounter::default();
         b.iter(|| {
-            q.iter_mut().for_each(|x| *x = 0.0);
-            conv_residual_edges(&mesh.edges, &mesh.edge_coef, &w, &p, &mut q, &mut counter);
+            q.fill(0.0);
+            scatter(&mut [&mut q], |s| unsafe {
+                eul3d_kernels::conv_flux_edges(&span, edges, coef, w.flat(), &p, n, s, lanes)
+            });
             black_box(&q);
         });
     });
 
+    // Pass-1 accumulators, also the operands of the pass-2 bench.
+    let mut lapl = vec![0.0; n * NVAR];
+    let mut sens = vec![0.0; n * 2];
     group.bench_function("dissipation_pass1_laplacian", |b| {
-        let mut lapl = vec![0.0; n * NVAR];
-        let mut sens = vec![0.0; n * 2];
-        let mut counter = FlopCounter::default();
         b.iter(|| {
-            lapl.iter_mut().for_each(|x| *x = 0.0);
-            sens.iter_mut().for_each(|x| *x = 0.0);
-            laplacian_pass(&mesh.edges, &w, &p, &mut lapl, &mut sens, &mut counter);
+            lapl.fill(0.0);
+            sens.fill(0.0);
+            scatter(&mut [&mut lapl, &mut sens], |s| unsafe {
+                eul3d_kernels::jst_pass1_edges(&span, edges, w.flat(), &p, n, s, lanes)
+            });
             black_box(&lapl);
         });
     });
 
     group.bench_function("dissipation_pass2_blend", |b| {
-        let mut lapl = vec![0.0; n * NVAR];
-        let mut sens = vec![0.0; n * 2];
         let mut nu = vec![0.0; n];
-        let mut counter = FlopCounter::default();
-        laplacian_pass(&mesh.edges, &w, &p, &mut lapl, &mut sens, &mut counter);
-        sensor_from_accumulators(&sens, &mut nu);
+        scatter(&mut [&mut nu], |s| unsafe {
+            eul3d_kernels::sensor_verts(0..n, &sens, n, s)
+        });
         let mut diss = vec![0.0; n * NVAR];
         b.iter(|| {
-            diss.iter_mut().for_each(|x| *x = 0.0);
-            dissipation_pass(
-                &mesh.edges,
-                &mesh.edge_coef,
-                &w,
-                &p,
-                &lapl,
-                &nu,
-                GAMMA,
-                0.5,
-                1.0 / 16.0,
-                &mut diss,
-                &mut counter,
-            );
+            diss.fill(0.0);
+            scatter(&mut [&mut diss], |s| unsafe {
+                eul3d_kernels::jst_pass2_edges(
+                    &span,
+                    edges,
+                    coef,
+                    GAMMA,
+                    0.5,
+                    1.0 / 16.0,
+                    w.flat(),
+                    &p,
+                    &lapl,
+                    &nu,
+                    n,
+                    s,
+                    lanes,
+                )
+            });
             black_box(&diss);
         });
     });
 
     group.bench_function("spectral_radii", |b| {
         let mut lam = vec![0.0; n];
-        let mut counter = FlopCounter::default();
         b.iter(|| {
-            lam.iter_mut().for_each(|x| *x = 0.0);
-            radii_edges(
-                &mesh.edges,
-                &mesh.edge_coef,
-                &w,
-                &p,
-                GAMMA,
-                &mut lam,
-                &mut counter,
-            );
+            lam.fill(0.0);
+            scatter(&mut [&mut lam], |s| unsafe {
+                eul3d_kernels::radii_edges_soa(&span, edges, coef, GAMMA, w.flat(), &p, n, s, lanes)
+            });
             black_box(&lam);
         });
     });
 
     group.bench_function("smooth_accumulate", |b| {
-        let res = w.clone();
         let mut acc = vec![0.0; n * NVAR];
-        let mut counter = FlopCounter::default();
         b.iter(|| {
-            acc.iter_mut().for_each(|x| *x = 0.0);
-            smooth_accumulate(&mesh.edges, &res, &mut acc, &mut counter);
+            acc.fill(0.0);
+            scatter(&mut [&mut acc], |s| unsafe {
+                eul3d_kernels::smooth_accumulate_edges(&span, edges, w.flat(), n, s, lanes)
+            });
             black_box(&acc);
         });
     });

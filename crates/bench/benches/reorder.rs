@@ -3,32 +3,25 @@
 //! rate by a factor of two" on the i860's small cache; modern caches are
 //! kinder, but the ordered variant must still win measurably.
 
-// Benchmarks the deprecated AoS entry points on purpose: they are the
-// baseline the SoA kernels are compared against.
-#![allow(deprecated)]
-
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
-use eul3d_core::counters::FlopCounter;
-use eul3d_core::flux::{compute_pressures, conv_residual_edges};
 use eul3d_core::gas::{GAMMA, NVAR};
-use eul3d_core::SolverConfig;
+use eul3d_core::{SoaState, SolverConfig};
+use eul3d_kernels::{EdgeSpan, ScatterAccess};
 use eul3d_mesh::gen::{bump_channel, BumpSpec};
 use eul3d_mesh::TetMesh;
 use eul3d_partition::reorder::{apply_vertex_order, rcm_order, shuffle_edges, shuffle_vertices};
 
-fn state_for(mesh: &TetMesh) -> (Vec<f64>, Vec<f64>) {
-    let cfg = SolverConfig::default();
-    let fs = cfg.freestream();
+fn state_for(mesh: &TetMesh) -> (SoaState, Vec<f64>) {
+    let fs = SolverConfig::default().freestream();
     let n = mesh.nverts();
-    let mut w = vec![0.0; n * NVAR];
-    for i in 0..n {
-        w[i * NVAR..i * NVAR + NVAR].copy_from_slice(&fs.w);
-    }
+    let mut w = SoaState::new(n, NVAR);
+    w.fill_rows(&fs.w);
     let mut p = vec![0.0; n];
-    let mut counter = FlopCounter::default();
-    compute_pressures(GAMMA, &w, &mut p, &mut counter);
+    let s = ScatterAccess::new(&mut [&mut p]);
+    // SAFETY: single-threaded; `w` holds 5n values, `p` holds n.
+    unsafe { eul3d_kernels::pressure_verts(0..n, GAMMA, w.flat(), n, &s) };
     (w, p)
 }
 
@@ -61,12 +54,26 @@ fn bench_reorder(c: &mut Criterion) {
     ] {
         let (w, p) = state_for(mesh);
         let n = mesh.nverts();
+        let lanes = SolverConfig::default().lanes;
+        let span = EdgeSpan::Range(0..mesh.nedges());
         group.bench_function(name, |b| {
             let mut q = vec![0.0; n * NVAR];
-            let mut counter = FlopCounter::default();
             b.iter(|| {
-                q.iter_mut().for_each(|x| *x = 0.0);
-                conv_residual_edges(&mesh.edges, &mesh.edge_coef, &w, &p, &mut q, &mut counter);
+                q.fill(0.0);
+                let s = ScatterAccess::new(&mut [&mut q]);
+                // SAFETY: single-threaded; arrays sized by the mesh.
+                unsafe {
+                    eul3d_kernels::conv_flux_edges(
+                        &span,
+                        &mesh.edges,
+                        &mesh.edge_coef,
+                        w.flat(),
+                        &p,
+                        n,
+                        &s,
+                        lanes,
+                    )
+                };
                 black_box(&q);
             });
         });

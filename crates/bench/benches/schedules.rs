@@ -48,9 +48,9 @@ fn bench_schedules(c: &mut Criterion) {
                 let sched = localize(r, &trans, &g, &s, 100, CommClass::Halo);
                 let mut data = vec![r.id as f64; (OWNED + 64) * 5];
                 for _ in 0..100 {
-                    sched.gather(r, &mut data, 5);
+                    sched.gather_planes(r, &mut data, 5);
                 }
-                black_box(data[OWNED * 5])
+                black_box(data[OWNED])
             })
         });
     });
@@ -63,7 +63,7 @@ fn bench_schedules(c: &mut Criterion) {
                 let sched = localize(r, &trans, &g, &s, 100, CommClass::Halo);
                 let mut data = vec![1.0; (OWNED + 64) * 5];
                 for _ in 0..100 {
-                    sched.scatter_add(r, &mut data, 5);
+                    sched.scatter_add_planes(r, &mut data, 5);
                 }
                 black_box(data[0])
             })

@@ -1,9 +1,10 @@
 //! `comm` — communication-layer microbenchmark emitting `BENCH_comm.json`.
 //!
-//! Times the PARTI executors (gather / scatter_add over a ring halo) and
-//! the four `Rank` collectives on the simulated Delta, and records the
-//! pool behaviour the tentpole guarantees: fresh buffer allocations
-//! happen during warm-up only, steady-state rounds are allocation-free.
+//! Times the plane-major PARTI executors the solver runs
+//! (`gather_planes` / `scatter_add_planes` over a ring halo) and the four
+//! `Rank` collectives on the simulated Delta, and records the pool
+//! behaviour the tentpole guarantees: fresh buffer allocations happen
+//! during warm-up only, steady-state rounds are allocation-free.
 //!
 //! | Variable | Meaning | Default |
 //! |---|---|---|
@@ -125,7 +126,7 @@ fn main() {
             rounds,
             halo_setup,
             |rank, (sched, data): &mut (Schedule, Vec<f64>), _| {
-                sched.gather(rank, data, NC);
+                sched.gather_planes(rank, data, NC);
             },
         ),
         section(
@@ -133,7 +134,7 @@ fn main() {
             rounds,
             halo_setup,
             |rank, (sched, data): &mut (Schedule, Vec<f64>), _| {
-                sched.scatter_add(rank, data, NC);
+                sched.scatter_add_planes(rank, data, NC);
             },
         ),
         section("all_reduce_sum", rounds, coll_setup, |rank, vals, _| {

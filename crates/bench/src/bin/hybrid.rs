@@ -1,4 +1,4 @@
-//! `hybrid` — true-parallel HybridExecutor benchmark emitting
+//! `hybrid` — true-parallel hybrid-backend benchmark emitting
 //! `BENCH_hybrid.json`.
 //!
 //! Sweeps the same distributed V-cycle workload over 1/2/4 hybrid

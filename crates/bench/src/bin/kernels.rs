@@ -1,10 +1,11 @@
 //! `kernels` — SoA edge-kernel benchmark emitting `BENCH_kernels.json`.
 //!
-//! Times every vectorized plane-major edge kernel against the retained
-//! interleaved-AoS baseline on the same mesh and state, asserts the two
-//! layouts produce **bit-identical** accumulations before timing them,
-//! and reports per-kernel GFLOP/s, modeled bandwidth, and the aggregate
-//! (time-weighted) speedup through [`eul3d_perf::kernels`].
+//! Times every vectorized plane-major edge kernel against the
+//! interleaved-AoS baseline ([`eul3d_bench::aos_ref`]) on the same mesh
+//! and state, asserts the two layouts produce **bit-identical**
+//! accumulations before timing them, and reports per-kernel GFLOP/s,
+//! modeled bandwidth, and the aggregate (time-weighted) speedup through
+//! [`eul3d_perf::kernels`].
 //!
 //! | Variable | Meaning | Default |
 //! |---|---|---|
@@ -15,20 +16,18 @@
 //! exits nonzero unless the aggregate SoA speedup is at least `R`
 //! (CI runs `--gate 1.2`).
 
-#![allow(deprecated)] // the AoS baselines are the deprecated shims, on purpose
-
 use std::time::Instant;
 
+use eul3d_bench::aos_ref::{
+    compute_pressures, conv_residual_edges, dissipation_first_order, dissipation_pass,
+    laplacian_pass, radii_edges, roe_dissipation_edges, sensor_from_accumulators,
+    smooth_accumulate,
+};
 use eul3d_core::counters::{
-    FlopCounter, FLOPS_CONV_EDGE, FLOPS_DISS_FO_EDGE, FLOPS_DISS_P1_EDGE, FLOPS_DISS_P2_EDGE,
+    FLOPS_CONV_EDGE, FLOPS_DISS_FO_EDGE, FLOPS_DISS_P1_EDGE, FLOPS_DISS_P2_EDGE,
     FLOPS_DISS_ROE_EDGE, FLOPS_RADII_EDGE, FLOPS_SMOOTH_EDGE,
 };
-use eul3d_core::dissipation::{dissipation_first_order, dissipation_pass, laplacian_pass};
-use eul3d_core::flux::{compute_pressures, conv_residual_edges};
 use eul3d_core::gas::{GAMMA, NVAR};
-use eul3d_core::roe::roe_dissipation_edges;
-use eul3d_core::smooth::smooth_accumulate;
-use eul3d_core::timestep::radii_edges;
 use eul3d_core::{SoaState, SolverConfig};
 use eul3d_kernels::{EdgeSpan, ScatterAccess};
 use eul3d_mesh::gen::{bump_channel, BumpSpec};
@@ -82,23 +81,15 @@ fn workload(smoke: bool) -> Workload {
     }
     let w_soa = SoaState::from_aos(&w_aos, NVAR);
     let mut p = vec![0.0; n];
-    let mut counter = FlopCounter::default();
-    compute_pressures(GAMMA, &w_aos, &mut p, &mut counter);
+    compute_pressures(GAMMA, &w_aos, &mut p);
 
     // Pass-1 accumulators feed the pass-2 kernels.
     let mut lapl_aos = vec![0.0; n * NVAR];
     let mut sens = vec![0.0; n * 2];
-    laplacian_pass(
-        &mesh.edges,
-        &w_aos,
-        &p,
-        &mut lapl_aos,
-        &mut sens,
-        &mut counter,
-    );
+    laplacian_pass(&mesh.edges, &w_aos, &p, &mut lapl_aos, &mut sens);
     let lapl_soa = SoaState::from_aos(&lapl_aos, NVAR);
     let mut nu = vec![0.0; n];
-    eul3d_core::dissipation::sensor_from_accumulators(&sens, &mut nu);
+    sensor_from_accumulators(&sens, &mut nu);
 
     Workload {
         mesh,
@@ -218,7 +209,6 @@ fn main() {
     let ne = wl.mesh.nedges();
     let lanes = SolverConfig::default().lanes;
     let span = EdgeSpan::Range(0..ne);
-    let sink = FlopCounter::default();
     println!(
         "kernel benchmark: {} vertices, {} edges, lane width {}, {} rounds{}",
         n,
@@ -244,7 +234,6 @@ fn main() {
                     &wl.w_aos,
                     &wl.p,
                     &mut b[0],
-                    &mut sink.clone(),
                 )
             },
             |b| {
@@ -271,14 +260,7 @@ fn main() {
             &[(n, NVAR), (n, 2)],
             |b| {
                 let (lapl, sens) = b.split_at_mut(1);
-                laplacian_pass(
-                    &wl.mesh.edges,
-                    &wl.w_aos,
-                    &wl.p,
-                    &mut lapl[0],
-                    &mut sens[0],
-                    &mut sink.clone(),
-                )
+                laplacian_pass(&wl.mesh.edges, &wl.w_aos, &wl.p, &mut lapl[0], &mut sens[0])
             },
             |b| {
                 with_access(b, |s| unsafe {
@@ -313,7 +295,6 @@ fn main() {
                     wl.k2,
                     wl.k4,
                     &mut b[0],
-                    &mut sink.clone(),
                 )
             },
             |b| {
@@ -352,7 +333,6 @@ fn main() {
                     GAMMA,
                     wl.coarse_k2,
                     &mut b[0],
-                    &mut sink.clone(),
                 )
             },
             |b| {
@@ -387,7 +367,6 @@ fn main() {
                     &wl.p,
                     GAMMA,
                     &mut b[0],
-                    &mut sink.clone(),
                 )
             },
             |b| {
@@ -421,7 +400,6 @@ fn main() {
                     &wl.p,
                     GAMMA,
                     &mut b[0],
-                    &mut sink.clone(),
                 )
             },
             |b| {
@@ -447,7 +425,7 @@ fn main() {
             ne,
             rounds,
             &[(n, NVAR)],
-            |b| smooth_accumulate(&wl.mesh.edges, &wl.w_aos, &mut b[0], &mut sink.clone()),
+            |b| smooth_accumulate(&wl.mesh.edges, &wl.w_aos, &mut b[0]),
             |b| {
                 with_access(b, |s| unsafe {
                     eul3d_kernels::smooth_accumulate_edges(

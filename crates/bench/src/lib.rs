@@ -12,6 +12,8 @@
 //! | `EUL3D_MACH` | freestream Mach number | 0.675 |
 //! | `EUL3D_OUT` | output directory for CSV/VTK | `target/experiments` |
 
+pub mod aos_ref;
+
 use std::path::PathBuf;
 
 use eul3d_core::SolverConfig;

@@ -688,10 +688,15 @@ pub fn distributed(a: &Args) -> Result<(), String> {
         b.mflops,
         b.comm_to_comp()
     );
-    if hybrid {
+    if r.transport == DistBackend::Hybrid {
         println!(
             "hybrid wall time: {:.3}s on {nranks} threads (vs {:.2}s modeled Delta)",
             r.wall_seconds, b.total_seconds
+        );
+    } else if hybrid {
+        println!(
+            "hybrid backend fell back to the channel transport \
+             (fault plans and mid-run repartitioning need it); times above are modeled"
         );
     }
     if rc.trace.enabled {

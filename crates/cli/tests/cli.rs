@@ -443,8 +443,10 @@ fn fault_recovery_traces_are_byte_identical_across_reruns() {
     let dir = std::env::temp_dir().join("eul3d_cli_trace_det");
     std::fs::create_dir_all(&dir).unwrap();
     let mut traces = Vec::new();
-    for n in 0..2 {
-        let path = dir.join(format!("fault_{n}.json"));
+    // A fault plan keeps a hybrid run on the channel transport, so it
+    // must stay on the modeled clock and export the very same trace.
+    for backend in ["delta", "delta", "hybrid", "hybrid"] {
+        let path = dir.join(format!("fault_{backend}_{}.json", traces.len()));
         let path_s = path.to_str().unwrap();
         let (ok, stdout, stderr) = eul3d(
             &[
@@ -453,6 +455,8 @@ fn fault_recovery_traces_are_byte_identical_across_reruns() {
                 &[
                     "--ranks",
                     "4",
+                    "--backend",
+                    backend,
                     "--guard",
                     "--cfl-backoff",
                     "0.25",
@@ -470,13 +474,24 @@ fn fault_recovery_traces_are_byte_identical_across_reruns() {
         );
         assert!(ok, "{stderr}");
         assert!(stdout.contains("recovery epoch"), "{stdout}");
+        assert!(
+            !stdout.contains("hybrid wall time"),
+            "a run on channels must not be labelled hybrid: {stdout}"
+        );
+        assert_eq!(
+            stdout.contains("fell back to the channel transport"),
+            backend == "hybrid",
+            "{stdout}"
+        );
         traces.push(std::fs::read_to_string(&path).unwrap());
         std::fs::remove_file(&path).ok();
     }
-    assert_eq!(
-        traces[0], traces[1],
-        "guarded fault-injected runs must export byte-identical traces"
-    );
+    for t in &traces[1..] {
+        assert_eq!(
+            t, &traces[0],
+            "guarded fault-injected runs must export byte-identical traces"
+        );
+    }
     assert!(traces[0].contains("\"recovery\""), "recovery epoch lane");
     assert!(traces[0].contains("\"cfl-change\""), "CFL backoff marker");
     assert!(traces[0].contains("(adopted by"), "replica lane present");

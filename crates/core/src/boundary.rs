@@ -4,8 +4,6 @@
 use eul3d_mesh::{BcKind, BoundaryFace, Vec3};
 
 use crate::counters::{FlopCounter, FLOPS_FARFIELD_FACE, FLOPS_WALL_FACE};
-#[allow(deprecated)]
-use crate::gas::get5;
 use crate::gas::{flux_dot, sound_speed, Freestream, NVAR};
 use crate::soa::SoaState;
 
@@ -65,9 +63,8 @@ pub fn farfield_state(gamma: f64, wi: &[f64; 5], pi: f64, fs: &Freestream, n: Ve
 /// each vertex's own pressure through its third of the face normal;
 /// far-field faces solve the characteristic state from the face-averaged
 /// interior state and push the resulting flux through `S/3` per vertex.
-/// Faces are processed in array order, so per-vertex accumulation order
-/// — and therefore every bit of the result — matches the deprecated AoS
-/// loop.
+/// Faces are processed in array order, which fixes the per-vertex
+/// accumulation order and therefore every bit of the result.
 pub fn boundary_residual_soa(
     bfaces: &[BoundaryFace],
     w: &SoaState,
@@ -125,79 +122,16 @@ pub fn boundary_residual_soa(
     }
 }
 
-/// Interleaved-AoS twin of [`boundary_residual_soa`].
-#[deprecated(note = "use boundary_residual_soa on plane-major state")]
-#[allow(deprecated)]
-pub fn boundary_residual(
-    bfaces: &[BoundaryFace],
-    w: &[f64],
-    p: &[f64],
-    fs: &Freestream,
-    gamma: f64,
-    q: &mut [f64],
-    counter: &mut FlopCounter,
-) {
-    let mut nwall = 0usize;
-    let mut nfar = 0usize;
-    for face in bfaces {
-        match face.kind {
-            BcKind::Wall | BcKind::Symmetry => {
-                nwall += 1;
-                let third = face.normal / 3.0;
-                for &v in &face.v {
-                    let v = v as usize;
-                    q[v * NVAR + 1] += p[v] * third.x;
-                    q[v * NVAR + 2] += p[v] * third.y;
-                    q[v * NVAR + 3] += p[v] * third.z;
-                }
-            }
-            BcKind::FarField => {
-                nfar += 1;
-                // Face-averaged interior state.
-                let mut wf = [0.0; NVAR];
-                for &v in &face.v {
-                    let wv = get5(w, v as usize);
-                    for c in 0..NVAR {
-                        wf[c] += wv[c] / 3.0;
-                    }
-                }
-                let pf = crate::gas::pressure(gamma, &wf);
-                let n_unit = match face.normal.normalized() {
-                    Some(n) => n,
-                    None => continue, // degenerate sliver face: no area, no flux
-                };
-                let wb = farfield_state(gamma, &wf, pf, fs, n_unit);
-                let pb = crate::gas::pressure(gamma, &wb);
-                let f = flux_dot(&wb, pb, face.normal / 3.0);
-                for &v in &face.v {
-                    for c in 0..NVAR {
-                        q[v as usize * NVAR + c] += f[c];
-                    }
-                }
-            }
-        }
-    }
-    if nwall > 0 {
-        counter.add(nwall, FLOPS_WALL_FACE);
-    }
-    if nfar > 0 {
-        counter.add(nfar, FLOPS_FARFIELD_FACE);
-    }
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use crate::flux::{compute_pressures, conv_residual_edges};
+    use crate::executor::{Executor, SerialExecutor};
     use crate::gas::GAMMA;
     use eul3d_mesh::gen::unit_box;
 
-    fn uniform_state(n: usize, fs: &Freestream) -> Vec<f64> {
-        let mut w = vec![0.0; n * NVAR];
-        for i in 0..n {
-            w[i * NVAR..i * NVAR + NVAR].copy_from_slice(&fs.w);
-        }
+    fn uniform_state(n: usize, fs: &Freestream) -> SoaState {
+        let mut w = SoaState::new(n, NVAR);
+        w.fill_rows(&fs.w);
         w
     }
 
@@ -238,15 +172,33 @@ mod tests {
         // all-far-field jittered box must produce an exactly zero
         // convective residual (dual-surface closure).
         let m = unit_box(4, 0.2, 9);
+        let n = m.nverts();
         let fs = Freestream::new(GAMMA, 0.675, 1.5);
-        let w = uniform_state(m.nverts(), &fs);
-        let mut p = vec![0.0; m.nverts()];
+        let w = uniform_state(n, &fs);
+        let mut p = vec![0.0; n];
+        SerialExecutor.for_vertex_spans(n, &mut [&mut p], |r, s| {
+            // SAFETY: single-threaded; `w` holds 5n values, `p` holds n.
+            unsafe { eul3d_kernels::pressure_verts(r, GAMMA, w.flat(), n, s) }
+        });
+        let mut q = SoaState::new(n, NVAR);
+        SerialExecutor.for_edge_spans(m.nedges(), &mut [q.flat_mut()], |span, s| {
+            // SAFETY: single-threaded; arrays sized by the mesh.
+            unsafe {
+                eul3d_kernels::conv_flux_edges(
+                    span,
+                    &m.edges,
+                    &m.edge_coef,
+                    w.flat(),
+                    &p,
+                    n,
+                    s,
+                    eul3d_kernels::DEFAULT_LANES,
+                )
+            }
+        });
         let mut counter = FlopCounter::default();
-        compute_pressures(GAMMA, &w, &mut p, &mut counter);
-        let mut q = vec![0.0; m.nverts() * NVAR];
-        conv_residual_edges(&m.edges, &m.edge_coef, &w, &p, &mut q, &mut counter);
-        boundary_residual(&m.bfaces, &w, &p, &fs, GAMMA, &mut q, &mut counter);
-        let max = q.iter().fold(0.0f64, |m, &x| m.max(x.abs()));
+        boundary_residual_soa(&m.bfaces, &w, &p, &fs, GAMMA, &mut q, &mut counter);
+        let max = q.flat().iter().fold(0.0f64, |m, &x| m.max(x.abs()));
         assert!(
             max < 1e-11,
             "freestream must be preserved, max residual {max}"
@@ -265,13 +217,13 @@ mod tests {
             normal: Vec3::new(0.0, 0.3, 0.0),
             kind: BcKind::Wall,
         };
-        let mut q = vec![0.0; 3 * NVAR];
+        let mut q = SoaState::new(3, NVAR);
         let mut counter = FlopCounter::default();
-        boundary_residual(&[face], &w, &p, &fs, GAMMA, &mut q, &mut counter);
+        boundary_residual_soa(&[face], &w, &p, &fs, GAMMA, &mut q, &mut counter);
         for v in 0..3 {
-            assert_eq!(q[v * NVAR], 0.0, "no mass through a wall");
-            assert_eq!(q[v * NVAR + 4], 0.0, "no energy through a wall");
-            assert!(q[v * NVAR + 2] > 0.0, "pressure pushes on the wall");
+            assert_eq!(q.get(v, 0), 0.0, "no mass through a wall");
+            assert_eq!(q.get(v, 4), 0.0, "no energy through a wall");
+            assert!(q.get(v, 2) > 0.0, "pressure pushes on the wall");
         }
     }
 }

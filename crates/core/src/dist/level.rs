@@ -16,8 +16,6 @@ use crate::gas::NVAR;
 use crate::level::LevelState;
 use crate::soa::SoaState;
 
-use super::hybrid::HybridExecutor;
-
 /// Execution options for the distributed path.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DistExecOptions {
@@ -31,6 +29,20 @@ pub struct DistExecOptions {
 /// loops run sequentially on the rank (the Delta nodes are scalar);
 /// ghost coherence is PARTI gather/scatter-add, with the traffic charged
 /// to the phase that requested it.
+///
+/// The halo **transport** is read off the rank, not configured: a rank
+/// carrying a shared-memory window registry ([`Rank::install_windows`] —
+/// the hybrid backend, ranks as real OS threads) publishes its send
+/// regions into the peers' windows in [`Executor::exchange_begin`] and
+/// consumes theirs in [`Executor::exchange_finish`], so the interior
+/// kernels the solver runs in between overlap the exchange; any other
+/// rank sends channel messages, does the whole exchange in `begin`, and
+/// `finish` is a no-op. Either way every send charges the same modeled
+/// wire cost and packs the same bytes in the same order, so the two
+/// transports are bit-equivalent. Setup traffic, collectives
+/// ([`Executor::reduce_sum`]), transfers and checkpoint shipping always
+/// use the channels — windows carry only the steady-state halo streams
+/// the schedules pre-negotiated.
 pub struct DistExecutor<'a> {
     pub rank: &'a mut Rank,
     pub halo: &'a Schedule,
@@ -78,10 +90,13 @@ impl Executor for DistExecutor<'_> {
 
     fn refetch(&mut self, w: &mut SoaState, counters: &mut PhaseCounters) {
         if self.refetch_per_loop {
-            let halo = self.halo;
-            self.charged(Phase::Exchange, counters, |rank| {
-                halo.gather_planes(rank, w.flat_mut(), NVAR)
-            });
+            self.exchange_halo(
+                Phase::Exchange,
+                HaloOp::Gather,
+                w.flat_mut(),
+                NVAR,
+                counters,
+            );
         }
     }
 
@@ -101,6 +116,9 @@ impl Executor for DistExecutor<'_> {
         f(0..nverts, &access);
     }
 
+    /// On windows a full exchange is begin + finish back to back:
+    /// publishing every send before waiting on any receipt is what keeps
+    /// the machine deadlock-free (see `eul3d_delta::shm`).
     fn exchange_halo(
         &mut self,
         phase: Phase,
@@ -109,10 +127,52 @@ impl Executor for DistExecutor<'_> {
         stride: usize,
         counters: &mut PhaseCounters,
     ) {
+        let (halo, shm) = (self.halo, self.rank.has_windows());
+        self.charged(phase, counters, |rank| {
+            if shm {
+                shm_begin(halo, rank, op, data, stride);
+                shm_finish(halo, rank, op, data, stride);
+            } else {
+                match op {
+                    HaloOp::Gather => halo.gather_planes(rank, data, stride),
+                    HaloOp::ScatterAdd => halo.scatter_add_planes(rank, data, stride),
+                }
+            }
+        });
+    }
+
+    fn exchange_begin(
+        &mut self,
+        phase: Phase,
+        op: HaloOp,
+        data: &mut [f64],
+        stride: usize,
+        counters: &mut PhaseCounters,
+    ) {
+        if !self.rank.has_windows() {
+            return self.exchange_halo(phase, op, data, stride, counters);
+        }
         let halo = self.halo;
-        self.charged(phase, counters, |rank| match op {
-            HaloOp::Gather => halo.gather_planes(rank, data, stride),
-            HaloOp::ScatterAdd => halo.scatter_add_planes(rank, data, stride),
+        self.charged(phase, counters, |rank| {
+            shm_begin(halo, rank, op, data, stride)
+        });
+    }
+
+    fn exchange_finish(
+        &mut self,
+        phase: Phase,
+        op: HaloOp,
+        data: &mut [f64],
+        stride: usize,
+        counters: &mut PhaseCounters,
+    ) {
+        // Channels finished the exchange in `begin`: no work, no span.
+        if !self.rank.has_windows() {
+            return;
+        }
+        let halo = self.halo;
+        self.charged(phase, counters, |rank| {
+            shm_finish(halo, rank, op, data, stride)
         });
     }
 
@@ -122,6 +182,22 @@ impl Executor for DistExecutor<'_> {
 
     fn reduce_sum(&mut self, phase: Phase, vals: &mut [f64], counters: &mut PhaseCounters) {
         self.charged(phase, counters, |rank| rank.all_reduce_sum_in_place(vals));
+    }
+}
+
+/// Publish this rank's half of a window exchange.
+fn shm_begin(halo: &Schedule, rank: &mut Rank, op: HaloOp, data: &mut [f64], stride: usize) {
+    match op {
+        HaloOp::Gather => halo.gather_planes_shm_begin(rank, data, stride),
+        HaloOp::ScatterAdd => halo.scatter_add_planes_shm_begin(rank, data, stride),
+    }
+}
+
+/// Consume the peers' half of a window exchange.
+fn shm_finish(halo: &Schedule, rank: &mut Rank, op: HaloOp, data: &mut [f64], stride: usize) {
+    match op {
+        HaloOp::Gather => halo.gather_planes_shm_finish(rank, data, stride),
+        HaloOp::ScatterAdd => halo.scatter_add_planes_shm_finish(rank, data, stride),
     }
 }
 
@@ -162,7 +238,7 @@ impl DistLevel {
         // degrees (from the rank-local edge list); one setup scatter-add
         // completes them.
         let mut st = LevelState::new(&rm, cfg);
-        halo.scatter_add(rank, &mut st.deg, 1);
+        halo.scatter_add_planes(rank, &mut st.deg, 1);
 
         DistLevel {
             trans,
@@ -180,15 +256,8 @@ impl DistLevel {
         self.rm.n_local()
     }
 
-    /// Gather ghost copies of the flow variables.
-    pub fn fetch_w(&mut self, rank: &mut Rank) {
-        self.halo.gather_planes(rank, self.st.w.flat_mut(), NVAR);
-    }
-
     /// One distributed five-stage time step — the *same* stage loop as
-    /// every other backend, driven through [`DistExecutor`] (or the
-    /// window-backed [`HybridExecutor`] when the rank carries a shared-
-    /// memory window registry).
+    /// every other backend, driven through [`DistExecutor`].
     pub fn time_step(
         &mut self,
         rank: &mut Rank,
@@ -197,16 +266,6 @@ impl DistLevel {
         opts: &DistExecOptions,
         counters: &mut PhaseCounters,
     ) {
-        if rank.has_windows() {
-            let mut exec = HybridExecutor {
-                rank,
-                halo: &self.halo,
-                n_owned: self.rm.n_owned(),
-                refetch_per_loop: opts.refetch_per_loop,
-            };
-            crate::level::time_step(&self.rm, &mut self.st, cfg, is_coarse, &mut exec, counters);
-            return;
-        }
         let mut exec = DistExecutor {
             rank,
             halo: &self.halo,
@@ -225,23 +284,6 @@ impl DistLevel {
         opts: &DistExecOptions,
         counters: &mut PhaseCounters,
     ) {
-        if rank.has_windows() {
-            let mut exec = HybridExecutor {
-                rank,
-                halo: &self.halo,
-                n_owned: self.rm.n_owned(),
-                refetch_per_loop: opts.refetch_per_loop,
-            };
-            crate::level::eval_total_residual(
-                &self.rm,
-                &mut self.st,
-                cfg,
-                is_coarse,
-                &mut exec,
-                counters,
-            );
-            return;
-        }
         let mut exec = DistExecutor {
             rank,
             halo: &self.halo,

@@ -9,14 +9,12 @@
 //! variant); edge-loop partial sums destined for off-rank vertices
 //! accumulate in ghost slots and are flushed by `scatter_add`.
 
-mod hybrid;
 mod level;
 mod recover;
 mod setup;
 mod solver;
 mod transfer;
 
-pub use hybrid::HybridExecutor;
 pub use level::{DistExecOptions, DistExecutor, DistLevel};
 pub use recover::{run_distributed_guarded, run_distributed_with_faults, FaultOptions};
 pub use setup::{partition_options, partitioner_of, DistSetup};

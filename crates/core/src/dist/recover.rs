@@ -67,7 +67,8 @@ use crate::multigrid::Strategy;
 
 use super::setup::{partitioner_of, DistSetup};
 use super::solver::{
-    AdoptedOutput, DistOptions, DistRunResult, DistSolver, RankFate, RankOutput, RepartitionPolicy,
+    AdoptedOutput, DistBackend, DistOptions, DistRunResult, DistSolver, RankFate, RankOutput,
+    RepartitionPolicy,
 };
 
 /// Fault-injection and recovery options of a distributed run. The
@@ -1205,6 +1206,33 @@ fn run_with_ctx(
     fopts: &FaultOptions,
     guard: Option<GuardConfig>,
 ) -> DistRunResult {
+    // The hybrid backend's shared-memory windows carry only fault-free
+    // halo streams: fault injection lives in the channel transport, so a
+    // non-empty plan — or a repartition policy, whose migrations reuse
+    // the same epoch machinery — keeps everything on the channels (the
+    // recovery machinery then works unchanged). The result records which
+    // transport ran.
+    let transport = if opts.backend == DistBackend::Hybrid
+        && fopts.plan.is_empty()
+        && opts.repartition.is_none()
+    {
+        DistBackend::Hybrid
+    } else {
+        DistBackend::Delta
+    };
+    let windows = (transport == DistBackend::Hybrid).then(|| {
+        let timeout = opts
+            .wedge_timeout_ms
+            .map(Duration::from_millis)
+            .unwrap_or(eul3d_delta::DEFAULT_WEDGE_TIMEOUT);
+        eul3d_delta::WindowRegistry::with_timeout(setup.nranks, timeout)
+    });
+    // Wall-clock stamps belong to runs that overlap for real; a channel
+    // run keeps the modeled clock so its traces stay byte-identical.
+    let opts = DistOptions {
+        real_time_lanes: opts.real_time_lanes && transport == DistBackend::Hybrid,
+        ..opts
+    };
     let ctx = Ctx {
         setup,
         cfg,
@@ -1214,26 +1242,6 @@ fn run_with_ctx(
         fopts,
         guard,
         plans: PlanCache::default(),
-    };
-    // The hybrid backend's shared-memory windows carry only fault-free
-    // halo streams: fault injection lives in the channel transport, so a
-    // non-empty plan — or a repartition policy, whose migrations reuse
-    // the same epoch machinery — silently keeps everything on the
-    // channels (the recovery machinery then works unchanged).
-    let windows = match opts.backend {
-        super::solver::DistBackend::Hybrid
-            if fopts.plan.is_empty() && opts.repartition.is_none() =>
-        {
-            let timeout = opts
-                .wedge_timeout_ms
-                .map(Duration::from_millis)
-                .unwrap_or(eul3d_delta::DEFAULT_WEDGE_TIMEOUT);
-            Some(eul3d_delta::WindowRegistry::with_timeout(
-                setup.nranks,
-                timeout,
-            ))
-        }
-        _ => None,
     };
     let t0 = std::time::Instant::now();
     let run = run_spmd(setup.nranks, |rank| {
@@ -1259,5 +1267,9 @@ fn run_with_ctx(
         out
     });
     let wall_seconds = t0.elapsed().as_secs_f64();
-    DistRunResult { run, wall_seconds }
+    DistRunResult {
+        run,
+        wall_seconds,
+        transport,
+    }
 }

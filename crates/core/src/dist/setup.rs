@@ -28,8 +28,7 @@ pub struct DistSetup {
 
 impl DistSetup {
     /// Partition all levels of `seq` over `nranks` ranks with flat RSB
-    /// (the historical default; bit-identical to the old
-    /// `rsb_partition` path).
+    /// (the paper's partitioner and the default).
     pub fn new(seq: MeshSequence, nranks: usize, lanczos_iters: usize, seed: u64) -> DistSetup {
         let opts = PartitionOptions::new(nranks)
             .lanczos_iters(lanczos_iters)
@@ -126,19 +125,6 @@ mod tests {
             assert_eq!(pm.nparts, 4);
             let owned: usize = pm.ranks.iter().map(|r| r.n_owned()).sum();
             assert_eq!(owned, mesh.nverts());
-        }
-    }
-
-    #[test]
-    fn new_matches_the_historic_flat_rsb_assignment() {
-        // DistSetup::new must stay bit-identical to the deprecated
-        // rsb_partition path it replaced.
-        let seq = MeshSequence::box_sequence(5, 2, 0.1, 2);
-        let setup = DistSetup::new(seq, 4, 30, 9);
-        #[allow(deprecated)]
-        for (pm, mesh) in setup.pms.iter().zip(&setup.seq.meshes) {
-            let old = eul3d_partition::rsb_partition(mesh.nverts(), &mesh.edges, 4, 30, 9);
-            assert_eq!(pm.owner, old);
         }
     }
 

@@ -31,8 +31,9 @@ pub enum DistBackend {
     /// True-parallel shared memory: ranks are still one OS thread each,
     /// but halo data moves through epoch-stamped shared-memory windows
     /// with real overlap, and the driver reports wall time alongside the
-    /// modeled clock. Falls back to `Delta` when a fault plan is active
-    /// (injection intercepts the channel transport).
+    /// modeled clock. Falls back to `Delta` when a fault plan or a
+    /// repartition policy is active (both live in the channel transport);
+    /// [`DistRunResult::transport`] records what actually ran.
     Hybrid,
 }
 
@@ -105,9 +106,11 @@ pub struct DistOptions {
     /// Halo transport (see [`DistBackend`]).
     pub backend: DistBackend,
     /// Stamp traced lanes with real wall time instead of the modeled
-    /// clock (hybrid runs only — shows measured overlap in the trace;
-    /// stamps are not reproducible across runs, so goldens keep this
-    /// off).
+    /// clock — shows measured overlap in the trace; stamps are not
+    /// reproducible across runs, so goldens keep this off. Honoured only
+    /// when the run really is on shared-memory windows: a run that fell
+    /// back to channels keeps the modeled clock and its byte-identical
+    /// traces.
     pub real_time_lanes: bool,
     /// Wedge timeout (ms) for the hybrid backend's shared-memory halo
     /// windows; a stalled window surfaces as a typed
@@ -201,6 +204,10 @@ pub struct DistRunResult {
     /// modeled Delta clock; on the channel backend it mostly measures
     /// the simulator.
     pub wall_seconds: f64,
+    /// The halo transport the driver actually used: `Hybrid` only when
+    /// it installed shared-memory windows, `Delta` otherwise — including
+    /// a requested hybrid run that fell back to channels.
+    pub transport: DistBackend,
 }
 
 impl DistRunResult {
@@ -451,7 +458,7 @@ impl DistSolver {
                 .iter_mut()
                 .for_each(|x| *x = 0.0);
         }
-        // restrict_residual reads owned fine residuals only.
+        // restrict_residual_planes reads owned fine residuals only.
         link.restrict_residual_planes(
             rank,
             fine.st.res.flat(),

@@ -137,105 +137,9 @@ impl TransferLink {
     }
 
     /// Interpolate a fine array onto owned coarse vertices (state moves
-    /// down): `coarse_out[cv] = Σ w_k fine[addr_k]`.
-    pub fn restrict_state(
-        &self,
-        rank: &mut Rank,
-        fine: &[f64],
-        coarse_out: &mut [f64],
-        nc: usize,
-        counter: &mut FlopCounter,
-    ) {
-        let mut buf = rank.take_f64(self.fine_buf_len * nc);
-        buf.resize(self.fine_buf_len * nc, 0.0);
-        for &(b, l) in &self.fine_local {
-            let (b, l) = (b as usize * nc, l as usize * nc);
-            buf[b..b + nc].copy_from_slice(&fine[l..l + nc]);
-        }
-        self.fine_sched.gather_into(rank, fine, &mut buf, nc);
-        for &(cv, idxs, w) in &self.state_terms {
-            let base = cv as usize * nc;
-            for c in 0..nc {
-                let mut acc = 0.0;
-                for k in 0..4 {
-                    acc += w[k] * buf[idxs[k] as usize * nc + c];
-                }
-                coarse_out[base + c] = acc;
-            }
-        }
-        rank.recycle_f64(buf);
-        counter.add(self.state_terms.len(), FLOPS_TRANSFER_VERT);
-    }
-
-    /// Conservatively scatter owned fine values to coarse owners
-    /// (residuals move down): `coarse_out[addr_k] += w_k fine[fv]`,
-    /// accumulating into `coarse_out` (not zeroed here).
-    pub fn restrict_residual(
-        &self,
-        rank: &mut Rank,
-        fine: &[f64],
-        coarse_out: &mut [f64],
-        nc: usize,
-        counter: &mut FlopCounter,
-    ) {
-        let mut buf = rank.take_f64(self.coarse_buf_len * nc);
-        buf.resize(self.coarse_buf_len * nc, 0.0);
-        for &(fv, idxs, w) in &self.resid_terms {
-            let base = fv as usize * nc;
-            for k in 0..4 {
-                let bb = idxs[k] as usize * nc;
-                for c in 0..nc {
-                    buf[bb + c] += w[k] * fine[base + c];
-                }
-            }
-        }
-        for &(b, l) in &self.coarse_local {
-            let (b, l) = (b as usize * nc, l as usize * nc);
-            for c in 0..nc {
-                coarse_out[l + c] += buf[b + c];
-            }
-        }
-        self.coarse_sched
-            .scatter_add_into(rank, &mut buf, coarse_out, nc);
-        rank.recycle_f64(buf);
-        counter.add(self.resid_terms.len(), FLOPS_TRANSFER_VERT);
-    }
-
-    /// Interpolate a coarse array onto owned fine vertices (corrections
-    /// move up): `fine_out[fv] = Σ w_k coarse[addr_k]`.
-    pub fn prolong(
-        &self,
-        rank: &mut Rank,
-        coarse: &[f64],
-        fine_out: &mut [f64],
-        nc: usize,
-        counter: &mut FlopCounter,
-    ) {
-        let mut buf = rank.take_f64(self.coarse_buf_len * nc);
-        buf.resize(self.coarse_buf_len * nc, 0.0);
-        for &(b, l) in &self.coarse_local {
-            let (b, l) = (b as usize * nc, l as usize * nc);
-            buf[b..b + nc].copy_from_slice(&coarse[l..l + nc]);
-        }
-        self.coarse_sched.gather_into(rank, coarse, &mut buf, nc);
-        for &(fv, idxs, w) in &self.resid_terms {
-            let base = fv as usize * nc;
-            for c in 0..nc {
-                let mut acc = 0.0;
-                for k in 0..4 {
-                    acc += w[k] * buf[idxs[k] as usize * nc + c];
-                }
-                fine_out[base + c] = acc;
-            }
-        }
-        rank.recycle_f64(buf);
-        counter.add(self.resid_terms.len(), FLOPS_TRANSFER_VERT);
-    }
-
-    /// Plane-major twin of [`TransferLink::restrict_state`]: `fine` and
-    /// `coarse_out` hold `nc` contiguous planes. The staging buffer and
-    /// every message keep the historical vertex-major layout, so bytes on
-    /// the wire are unchanged.
+    /// down): `coarse_out[cv] = Σ w_k fine[addr_k]`. `fine` and
+    /// `coarse_out` hold `nc` contiguous planes; the staging buffer and
+    /// every message are vertex-major (`nc` values per record).
     pub fn restrict_state_planes(
         &self,
         rank: &mut Rank,
@@ -269,9 +173,10 @@ impl TransferLink {
         counter.add(self.state_terms.len(), FLOPS_TRANSFER_VERT);
     }
 
-    /// Plane-major twin of [`TransferLink::restrict_residual`]; per-slot
-    /// accumulation order (terms, then local pairs, then remote flush)
-    /// is unchanged.
+    /// Conservatively scatter owned fine values to coarse owners
+    /// (residuals move down): `coarse_out[addr_k] += w_k fine[fv]`,
+    /// accumulating into `coarse_out` (not zeroed here). Per-slot
+    /// accumulation order: terms, then local pairs, then remote flush.
     pub fn restrict_residual_planes(
         &self,
         rank: &mut Rank,
@@ -306,7 +211,8 @@ impl TransferLink {
         counter.add(self.resid_terms.len(), FLOPS_TRANSFER_VERT);
     }
 
-    /// Plane-major twin of [`TransferLink::prolong`].
+    /// Interpolate a coarse array onto owned fine vertices (corrections
+    /// move up): `fine_out[fv] = Σ w_k coarse[addr_k]`.
     pub fn prolong_planes(
         &self,
         rank: &mut Rank,

@@ -17,16 +17,14 @@
 //!   address space, a PARTI gather/scatter-add on the distributed path);
 //! * [`Executor::reduce_sum`] — a global reduction for monitoring.
 //!
-//! The pre-SoA per-edge entry points ([`Executor::for_edges_scatter`],
-//! [`Executor::for_vertices`]) survive as thin deprecated shims routed
-//! through the span methods.
-//!
 //! Backends:
 //! * [`SerialExecutor`] — plain loops (the sequential reference);
 //! * [`crate::shared::SharedExecutor`] — §3 edge-coloured groups
 //!   work-shared over a rayon pool (the Cray autotasking analogue);
-//! * [`crate::dist::DistExecutor`] — §4 PARTI schedules over the
-//!   simulated Delta, one instance per rank.
+//! * [`crate::dist::DistExecutor`] — §4 PARTI schedules, one instance
+//!   per rank, over whichever halo transport the rank carries: channel
+//!   mailboxes on the simulated Delta, or shared-memory windows with
+//!   real overlap when ranks run as OS threads (the hybrid backend).
 
 use std::ops::Range;
 
@@ -194,32 +192,6 @@ pub trait Executor {
     where
         F: Fn(Range<usize>, &ScatterAccess) + Sync;
 
-    /// Pre-SoA edge loop: `f(e, scatter)` per edge index.
-    #[deprecated(note = "use for_edge_spans with the SoA lane kernels")]
-    fn for_edges_scatter<F>(&mut self, nedges: usize, targets: &mut [&mut [f64]], f: F)
-    where
-        F: Fn(usize, &ScatterAccess) + Sync,
-    {
-        self.for_edge_spans(nedges, targets, |span, s| span.for_each(|e| f(e, s)));
-    }
-
-    /// Pre-SoA strided vertex map: `f(i, row)` for every `stride`-wide
-    /// interleaved row of `data`.
-    #[deprecated(note = "use for_vertex_spans with plane-major targets")]
-    fn for_vertices<F>(&mut self, data: &mut [f64], stride: usize, f: F)
-    where
-        F: Fn(usize, &mut [f64]) + Sync,
-    {
-        let nverts = data.len() / stride;
-        self.for_vertex_spans(nverts, &mut [data], |range, s| {
-            for i in range {
-                // SAFETY: ranges are disjoint, so rows are too.
-                let row = unsafe { s.row_mut(0, i * stride, stride) };
-                f(i, row);
-            }
-        });
-    }
-
     /// Ghost exchange on a plane-major per-vertex array (`stride`
     /// planes of `data.len() / stride` values each; `stride == 1` for
     /// scalars). No-op in a single address space; PARTI gather /
@@ -240,9 +212,9 @@ pub trait Executor {
     /// can legally overlap; backends without split communication (the
     /// default) simply perform the whole exchange here, making finish a
     /// no-op — values, counters, and traces are then identical to a
-    /// plain [`Executor::exchange_halo`] call. The hybrid backend
-    /// overrides the pair to publish shared-memory windows in `begin`
-    /// and consume them in `finish`.
+    /// plain [`Executor::exchange_halo`] call. The distributed backend
+    /// on shared-memory windows publishes in `begin` and consumes in
+    /// `finish`.
     ///
     /// For [`HaloOp::Gather`], `begin` must not modify owned entries and
     /// `finish` fills ghost slots; for [`HaloOp::ScatterAdd`], `begin`
@@ -407,23 +379,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_edge_shim_matches_span_loop() {
-        let edges = [[0u32, 1], [1, 2], [0, 2]];
-        let mut acc = vec![0.0; 3];
-        let mut exec = SerialExecutor;
-        exec.for_edges_scatter(edges.len(), &mut [&mut acc], |e, s| {
-            let [a, b] = edges[e];
-            // SAFETY: single-threaded execution.
-            unsafe {
-                s.add(0, a as usize, 1.0);
-                s.add(0, b as usize, 1.0);
-            }
-        });
-        assert_eq!(acc, vec![2.0, 2.0, 2.0]);
-    }
-
-    #[test]
     fn serial_executor_vertex_spans_cover_range() {
         let mut plane = vec![0.0; 3];
         SerialExecutor.for_vertex_spans(3, &mut [&mut plane], |range, s| {
@@ -433,17 +388,6 @@ mod tests {
             }
         });
         assert_eq!(plane, vec![0.0, 1.0, 2.0]);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_vertex_shim_hands_out_interleaved_rows() {
-        let mut data = vec![0.0; 6];
-        SerialExecutor.for_vertices(&mut data, 2, |i, row| {
-            row[0] = i as f64;
-            row[1] = 10.0 * i as f64;
-        });
-        assert_eq!(data, vec![0.0, 0.0, 1.0, 10.0, 2.0, 20.0]);
     }
 
     #[test]

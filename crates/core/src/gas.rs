@@ -15,15 +15,6 @@ pub const NVAR: usize = 5;
 /// Ratio of specific heats for air.
 pub const GAMMA: f64 = 1.4;
 
-/// Copy the 5 conserved variables of vertex `i` out of an interleaved
-/// AoS array.
-#[deprecated(note = "hot state is plane-major now; use SoaState::get5")]
-#[inline(always)]
-pub fn get5(w: &[f64], i: usize) -> [f64; 5] {
-    let b = i * NVAR;
-    [w[b], w[b + 1], w[b + 2], w[b + 3], w[b + 4]]
-}
-
 /// Freestream definition: Mach number and angle of attack (degrees, in
 /// the x–y plane), in the standard nondimensionalization `ρ∞ = 1`,
 /// `c∞ = 1` (so `p∞ = 1/γ` and `|u∞| = M∞`).
@@ -193,12 +184,5 @@ mod tests {
         );
         assert!((pr - 1.0).abs() < 1e-3);
         assert!((m2 - 2.0).abs() < 1e-2);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn get5_reads_strided() {
-        let w: Vec<f64> = (0..10).map(|x| x as f64).collect();
-        assert_eq!(get5(&w, 1), [5.0, 6.0, 7.0, 8.0, 9.0]);
     }
 }

@@ -37,11 +37,9 @@ pub mod checkpoint;
 pub mod ckstore;
 pub mod config;
 pub mod counters;
-pub mod dissipation;
 pub mod dist;
 pub mod error;
 pub mod executor;
-pub mod flux;
 pub mod gas;
 pub mod health;
 pub mod history;

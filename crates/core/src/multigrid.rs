@@ -266,7 +266,7 @@ impl MultigridSolver {
             // Prolong the full state (not a correction) onto level l.
             let (fine, coarse) = self.levels.split_at_mut(l + 1);
             for c in 0..NVAR {
-                self.seq.to_fine[l].interpolate(coarse[0].w.plane(c), fine[l].w.plane_mut(c), 1);
+                self.seq.to_fine[l].interpolate(coarse[0].w.plane(c), fine[l].w.plane_mut(c));
             }
             count_vertex_loop(
                 &mut self.counter,
@@ -343,24 +343,10 @@ impl MultigridSolver {
         // restriction below it, a second visit would just re-step the
         // same problem. Classic W recursion applies γ at interior levels.
         let visits = if l + 2 == self.nlevels() { 1 } else { gamma };
-        for v in 0..visits {
-            if v > 0 {
-                // Re-entering the coarse level: refresh its forcing from
-                // the (unchanged) fine residual baseline is not needed —
-                // FAS recursion continues from the coarse state directly.
-                self.step_into_again(l + 1, gamma);
-            } else {
-                self.recurse(l + 1, gamma);
-            }
+        for _ in 0..visits {
+            self.recurse(l + 1, gamma);
         }
         self.prolong_up(l);
-    }
-
-    /// Second (and later) W-cycle visits to a coarse level: another full
-    /// sub-cycle from that level downward, without re-restricting from
-    /// the fine grid above it.
-    fn step_into_again(&mut self, l: usize, gamma: usize) {
-        self.recurse(l, gamma);
     }
 
     /// Restrict state and residuals from level `l` to `l + 1` and set the
@@ -377,10 +363,9 @@ impl MultigridSolver {
         let coarse = &mut coarse[0];
 
         // State moves down by direct interpolation onto coarse vertices,
-        // one component plane at a time (per-slot arithmetic identical to
-        // the interleaved pass; components are independent).
+        // one component plane at a time.
         for c in 0..NVAR {
-            self.seq.to_coarse[l].interpolate(fine.w.plane(c), coarse.w.plane_mut(c), 1);
+            self.seq.to_coarse[l].interpolate(fine.w.plane(c), coarse.w.plane_mut(c));
         }
         coarse.w_ref.copy_from(&coarse.w);
         count_vertex_loop(
@@ -393,7 +378,7 @@ impl MultigridSolver {
         // Residuals move down conservatively: transpose of prolongation.
         coarse.corr.fill(0.0);
         for c in 0..NVAR {
-            self.seq.to_fine[l].restrict_transpose(fine.res.plane(c), coarse.corr.plane_mut(c), 1);
+            self.seq.to_fine[l].restrict_transpose(fine.res.plane(c), coarse.corr.plane_mut(c));
         }
         count_vertex_loop(
             &mut self.counter,
@@ -452,7 +437,7 @@ impl MultigridSolver {
             *d = a - b;
         }
         for c in 0..NVAR {
-            self.seq.to_fine[l].interpolate(coarse.corr.plane(c), fine.corr.plane_mut(c), 1);
+            self.seq.to_fine[l].interpolate(coarse.corr.plane(c), fine.corr.plane_mut(c));
         }
         for (w, &c) in fine.w.flat_mut().iter_mut().zip(fine.corr.flat()) {
             *w += c;

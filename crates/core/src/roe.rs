@@ -1,56 +1,27 @@
 //! Roe flux-difference-splitting dissipation — an *upwind* alternative
 //! to the paper's central + JST formulation (the direction EUL3D's
 //! descendants took). With the central edge flux `½(F_a + F_b)·η` already
-//! assembled by [`crate::flux`], the Roe scheme is exactly the central
-//! scheme plus the matrix dissipation `d_ab = ½ |Â| (w_b − w_a) |η|`,
-//! which this module evaluates by wave decomposition at the Roe-averaged
-//! state with a Harten entropy fix.
+//! assembled by the convective edge loop, the Roe scheme is exactly the
+//! central scheme plus the matrix dissipation
+//! `d_ab = ½ |Â| (w_b − w_a) |η|`, evaluated by wave decomposition at the
+//! Roe-averaged state with a Harten entropy fix.
 //!
 //! Operationally it slots into the same "dissipation operator" stage as
 //! JST, but needs **no second pass and no sensor** — on the distributed
 //! path that removes the Laplacian/ν ghost exchanges entirely, an
 //! interesting communication ablation in its own right.
 
-use eul3d_mesh::Vec3;
-
-use crate::counters::{FlopCounter, FLOPS_DISS_ROE_EDGE};
-#[allow(deprecated)]
-use crate::gas::get5;
-use crate::gas::NVAR;
-
 /// The per-edge wave decomposition lives in [`eul3d_kernels::gas`] —
 /// the single source of truth shared with the SoA lane kernel.
 pub use eul3d_kernels::gas::roe_dissipation_flux;
 
-/// Serial AoS edge loop: accumulate the Roe dissipation into `diss` (+
-/// at `a`, − at `b`; zeroed by the caller).
-#[deprecated(note = "use eul3d_kernels::roe_diss_edges on plane-major state")]
-#[allow(deprecated)]
-pub fn roe_dissipation_edges(
-    edges: &[[u32; 2]],
-    coef: &[Vec3],
-    w: &[f64],
-    p: &[f64],
-    gamma: f64,
-    diss: &mut [f64],
-    counter: &mut FlopCounter,
-) {
-    for (e, &[a, b]) in edges.iter().enumerate() {
-        let (a, b) = (a as usize, b as usize);
-        let d = roe_dissipation_flux(gamma, &get5(w, a), &get5(w, b), p[a], p[b], coef[e]);
-        for c in 0..NVAR {
-            diss[a * NVAR + c] += d[c];
-            diss[b * NVAR + c] -= d[c];
-        }
-    }
-    counter.add(edges.len(), FLOPS_DISS_ROE_EDGE);
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use crate::gas::{pressure, Freestream, GAMMA};
+    use crate::executor::{Executor, SerialExecutor};
+    use crate::gas::{pressure, Freestream, GAMMA, NVAR};
+    use crate::soa::SoaState;
+    use eul3d_mesh::Vec3;
 
     #[test]
     fn zero_jump_means_zero_dissipation() {
@@ -123,29 +94,35 @@ mod tests {
         let m = unit_box(3, 0.15, 8);
         let n = m.nverts();
         let fs = Freestream::new(GAMMA, 0.6, 0.0);
-        let mut w = vec![0.0; n * NVAR];
-        for i in 0..n {
-            for c in 0..NVAR {
-                w[i * NVAR + c] = fs.w[c] * (1.0 + 0.05 * ((i * 7 + c) % 11) as f64 / 11.0);
-            }
-        }
+        let mut w = SoaState::new(n, NVAR);
         let mut p = vec![0.0; n];
-        let mut counter = FlopCounter::default();
-        crate::flux::compute_pressures(GAMMA, &w, &mut p, &mut counter);
-        let mut diss = vec![0.0; n * NVAR];
-        roe_dissipation_edges(
-            &m.edges,
-            &m.edge_coef,
-            &w,
-            &p,
-            GAMMA,
-            &mut diss,
-            &mut counter,
-        );
+        for (i, pi) in p.iter_mut().enumerate() {
+            let row: [f64; 5] =
+                std::array::from_fn(|c| fs.w[c] * (1.0 + 0.05 * ((i * 7 + c) % 11) as f64 / 11.0));
+            w.set5(i, &row);
+            *pi = pressure(GAMMA, &row);
+        }
+        let mut diss = SoaState::new(n, NVAR);
+        SerialExecutor.for_edge_spans(m.nedges(), &mut [diss.flat_mut()], |span, s| {
+            // SAFETY: single-threaded; arrays sized by the mesh.
+            unsafe {
+                eul3d_kernels::roe_diss_edges(
+                    span,
+                    &m.edges,
+                    &m.edge_coef,
+                    GAMMA,
+                    w.flat(),
+                    &p,
+                    n,
+                    s,
+                    eul3d_kernels::DEFAULT_LANES,
+                )
+            }
+        });
         for c in 0..NVAR {
-            let total: f64 = (0..n).map(|i| diss[i * NVAR + c]).sum();
+            let total: f64 = diss.plane(c).iter().sum();
             assert!(total.abs() < 1e-10, "component {c}: {total}");
         }
-        assert!(diss.iter().any(|&x| x != 0.0));
+        assert!(diss.flat().iter().any(|&x| x != 0.0));
     }
 }

@@ -308,36 +308,6 @@ impl RunConfig {
             self.nranks
         }
     }
-
-    /// Deprecated pre-builder constructor, kept so downstream callers
-    /// that assembled configurations positionally keep compiling.
-    #[deprecated(note = "use `RunConfig::builder()` and `build()` for validation")]
-    pub fn from_parts(
-        solver: SolverConfig,
-        strategy: Strategy,
-        levels: usize,
-        cycles: usize,
-    ) -> RunConfig {
-        RunConfig {
-            solver,
-            strategy,
-            levels,
-            cycles,
-            ..RunConfig::default()
-        }
-    }
-}
-
-/// Deprecated free-function constructor mirroring the old CLI path that
-/// built a [`SolverConfig`] field-by-field; forwards to the builder's
-/// defaults without validation.
-#[deprecated(note = "use `RunConfig::builder().solver(..)` instead")]
-pub fn run_config(solver: SolverConfig, strategy: Strategy) -> RunConfig {
-    RunConfig {
-        solver,
-        strategy,
-        ..RunConfig::default()
-    }
 }
 
 /// Validating builder for [`RunConfig`]. Every setter is chainable;
@@ -1159,15 +1129,5 @@ mod tests {
             ..RunConfig::default()
         };
         assert_ne!(plain.canonical_hash(), armed.canonical_hash());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_forward() {
-        let rc = RunConfig::from_parts(SolverConfig::paper_case(), Strategy::VCycle, 2, 9);
-        assert_eq!(rc.levels, 2);
-        assert_eq!(rc.cycles, 9);
-        let rc2 = run_config(SolverConfig::default(), Strategy::SingleGrid);
-        assert_eq!(rc2.strategy, Strategy::SingleGrid);
     }
 }

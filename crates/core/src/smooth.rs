@@ -10,7 +10,6 @@
 //! gather/scatter on the distributed path.
 
 use crate::counters::{FlopCounter, FLOPS_SMOOTH_EDGE, FLOPS_SMOOTH_VERT};
-use crate::gas::NVAR;
 use crate::soa::SoaState;
 use eul3d_kernels::{EdgeSpan, ScatterAccess, DEFAULT_LANES};
 
@@ -24,71 +23,6 @@ pub fn degrees_from_edges(edges: &[[u32; 2]], n: usize) -> Vec<f64> {
         deg[b as usize] += 1.0;
     }
     deg
-}
-
-/// Edge-loop neighbour accumulation: `acc_a += r̄_b`, `acc_b += r̄_a`.
-/// `acc` must be zeroed by the caller.
-#[deprecated(note = "use eul3d_kernels::smooth_accumulate_edges on plane-major state")]
-pub fn smooth_accumulate(
-    edges: &[[u32; 2]],
-    rbar: &[f64],
-    acc: &mut [f64],
-    counter: &mut FlopCounter,
-) {
-    for &[a, b] in edges {
-        let (a, b) = (a as usize, b as usize);
-        for c in 0..NVAR {
-            acc[a * NVAR + c] += rbar[b * NVAR + c];
-            acc[b * NVAR + c] += rbar[a * NVAR + c];
-        }
-    }
-    counter.add(edges.len(), FLOPS_SMOOTH_EDGE);
-}
-
-/// Jacobi update for `n` owned vertices.
-#[deprecated(note = "use eul3d_kernels::smooth_update_verts on plane-major state")]
-pub fn smooth_update(
-    n: usize,
-    r0: &[f64],
-    acc: &[f64],
-    deg: &[f64],
-    eps: f64,
-    rbar: &mut [f64],
-    counter: &mut FlopCounter,
-) {
-    for i in 0..n {
-        let inv = 1.0 / (1.0 + eps * deg[i]);
-        for c in 0..NVAR {
-            rbar[i * NVAR + c] = (r0[i * NVAR + c] + eps * acc[i * NVAR + c]) * inv;
-        }
-    }
-    counter.add(n, FLOPS_SMOOTH_VERT);
-}
-
-/// Full sequential residual averaging: `passes` Jacobi sweeps in place
-/// over `res` (n×5), using `tmp`/`acc` as scratch.
-#[deprecated(note = "use the SoA smoothing path in crate::level")]
-#[allow(deprecated)]
-#[allow(clippy::too_many_arguments)]
-pub fn smooth_residual_serial(
-    edges: &[[u32; 2]],
-    n: usize,
-    deg: &[f64],
-    eps: f64,
-    passes: usize,
-    res: &mut [f64],
-    acc: &mut [f64],
-    counter: &mut FlopCounter,
-) {
-    if passes == 0 || eps == 0.0 {
-        return;
-    }
-    let r0 = res.to_vec();
-    for _ in 0..passes {
-        acc.iter_mut().for_each(|x| *x = 0.0);
-        smooth_accumulate(edges, res, acc, counter);
-        smooth_update(n, &r0, acc, deg, eps, res, counter);
-    }
 }
 
 /// Sequential Jacobi sweeps over a plane-major field: `passes` in-place
@@ -150,10 +84,21 @@ pub fn smooth_residual_serial_soa(
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::gas::NVAR;
     use eul3d_mesh::gen::unit_box;
+    use eul3d_mesh::TetMesh;
+
+    /// `passes` sweeps at `eps` over `res` on `m`; returns the flops charged.
+    fn smooth(m: &TetMesh, eps: f64, passes: usize, res: &mut SoaState) -> f64 {
+        let n = m.nverts();
+        let deg = degrees_from_edges(&m.edges, n);
+        let mut acc = SoaState::new(n, NVAR);
+        let mut counter = FlopCounter::default();
+        smooth_residual_serial_soa(&m.edges, n, &deg, eps, passes, res, &mut acc, &mut counter);
+        counter.flops
+    }
 
     #[test]
     fn degrees_match_adjacency() {
@@ -167,13 +112,10 @@ mod tests {
     #[test]
     fn constant_residual_is_a_fixed_point() {
         let m = unit_box(3, 0.1, 2);
-        let n = m.nverts();
-        let deg = degrees_from_edges(&m.edges, n);
-        let mut res = vec![2.5; n * NVAR];
-        let mut acc = vec![0.0; n * NVAR];
-        let mut counter = FlopCounter::default();
-        smooth_residual_serial(&m.edges, n, &deg, 0.6, 3, &mut res, &mut acc, &mut counter);
-        for x in &res {
+        let mut res = SoaState::new(m.nverts(), NVAR);
+        res.fill(2.5);
+        smooth(&m, 0.6, 3, &mut res);
+        for x in res.flat() {
             assert!((x - 2.5).abs() < 1e-12, "constants must be preserved");
         }
     }
@@ -182,56 +124,29 @@ mod tests {
     fn smoothing_damps_oscillations() {
         // A checkerboard-ish residual must shrink in amplitude.
         let m = unit_box(4, 0.0, 0);
-        let n = m.nverts();
-        let deg = degrees_from_edges(&m.edges, n);
-        let mut res = vec![0.0; n * NVAR];
-        for (i, c) in m.coords.iter().enumerate() {
+        let mut res = SoaState::new(m.nverts(), NVAR);
+        for (r, c) in res.plane_mut(0).iter_mut().zip(&m.coords) {
             let s = ((c.x * 4.0) as i64 + (c.y * 4.0) as i64 + (c.z * 4.0) as i64) % 2;
-            res[i * NVAR] = if s == 0 { 1.0f64 } else { -1.0 };
+            *r = if s == 0 { 1.0 } else { -1.0 };
         }
-        let amp0 = res.iter().fold(0.0f64, |m, &x| m.max(x.abs()));
-        let mut acc = vec![0.0; n * NVAR];
-        let mut counter = FlopCounter::default();
-        smooth_residual_serial(&m.edges, n, &deg, 0.6, 2, &mut res, &mut acc, &mut counter);
-        let amp1 = res.iter().fold(0.0f64, |m, &x| m.max(x.abs()));
+        let amp = |r: &SoaState| r.flat().iter().fold(0.0f64, |m, &x| m.max(x.abs()));
+        let amp0 = amp(&res);
+        smooth(&m, 0.6, 2, &mut res);
+        let amp1 = amp(&res);
         assert!(amp1 < 0.7 * amp0, "oscillation {amp0} -> {amp1}");
-    }
-
-    #[test]
-    fn soa_serial_smoothing_matches_aos_bitwise() {
-        let m = unit_box(3, 0.1, 5);
-        let n = m.nverts();
-        let deg = degrees_from_edges(&m.edges, n);
-        let mut res = vec![0.0; n * NVAR];
-        for (i, x) in res.iter_mut().enumerate() {
-            *x = ((i * 37 % 19) as f64 - 9.0) * 0.1;
-        }
-        let mut soa = SoaState::from_aos(&res, NVAR);
-        let mut soa_acc = SoaState::new(n, NVAR);
-        let mut acc = vec![0.0; n * NVAR];
-        let (mut c1, mut c2) = (FlopCounter::default(), FlopCounter::default());
-        smooth_residual_serial(&m.edges, n, &deg, 0.6, 3, &mut res, &mut acc, &mut c1);
-        smooth_residual_serial_soa(&m.edges, n, &deg, 0.6, 3, &mut soa, &mut soa_acc, &mut c2);
-        assert_eq!(
-            soa.to_aos(),
-            res,
-            "plane-major sweeps must match AoS bitwise"
-        );
-        assert_eq!(c1.flops, c2.flops);
     }
 
     #[test]
     fn zero_passes_is_identity() {
         let m = unit_box(2, 0.0, 0);
-        let n = m.nverts();
-        let deg = degrees_from_edges(&m.edges, n);
-        let orig: Vec<f64> = (0..n * NVAR).map(|i| i as f64).collect();
-        let mut res = orig.clone();
-        let mut acc = vec![0.0; n * NVAR];
-        let mut counter = FlopCounter::default();
-        smooth_residual_serial(&m.edges, n, &deg, 0.6, 0, &mut res, &mut acc, &mut counter);
+        let mut res = SoaState::new(m.nverts(), NVAR);
+        for (i, x) in res.flat_mut().iter_mut().enumerate() {
+            *x = i as f64;
+        }
+        let orig = res.clone();
+        let flops = smooth(&m, 0.6, 0, &mut res);
         assert_eq!(res, orig);
-        assert_eq!(counter.flops, 0.0);
+        assert_eq!(flops, 0.0);
     }
 
     #[test]
@@ -240,16 +155,13 @@ mod tests {
         // approximately per sweep; check it stays close (regular interior).
         let m = unit_box(4, 0.0, 0);
         let n = m.nverts();
-        let deg = degrees_from_edges(&m.edges, n);
-        let mut res = vec![0.0; n * NVAR];
-        res[(n / 2) * NVAR] = 1.0; // point source
-        let before: f64 = (0..n).map(|i| res[i * NVAR]).sum();
-        let mut acc = vec![0.0; n * NVAR];
-        let mut counter = FlopCounter::default();
-        smooth_residual_serial(&m.edges, n, &deg, 0.5, 2, &mut res, &mut acc, &mut counter);
-        let after: f64 = (0..n).map(|i| res[i * NVAR]).sum();
+        let mut res = SoaState::new(n, NVAR);
+        res.set(n / 2, 0, 1.0); // point source
+        let before: f64 = res.plane(0).iter().sum();
+        smooth(&m, 0.5, 2, &mut res);
+        let after: f64 = res.plane(0).iter().sum();
         // The point value must have spread to neighbours.
-        assert!(res[(n / 2) * NVAR] < 1.0);
+        assert!(res.get(n / 2, 0) < 1.0);
         assert!(after > 0.2 * before, "mass should not vanish");
     }
 }

@@ -54,7 +54,7 @@ impl SoaState {
     }
 
     /// Export to an interleaved AoS array (`out[i * nc + c]`) — the
-    /// checkpoint file format and the deprecated AoS entry points.
+    /// checkpoint file format.
     pub fn to_aos(&self) -> Vec<f64> {
         let mut out = vec![0.0; self.n * self.nc];
         for i in 0..self.n {
@@ -120,8 +120,7 @@ impl SoaState {
         self.data[c * self.n + i] += v;
     }
 
-    /// The 5 conserved variables of vertex `i` (requires `nc == 5`) —
-    /// the SoA successor of the deprecated `gas::get5`.
+    /// The 5 conserved variables of vertex `i` (requires `nc == 5`).
     #[inline(always)]
     pub fn get5(&self, i: usize) -> [f64; 5] {
         debug_assert_eq!(self.nc, NVAR);
@@ -179,8 +178,7 @@ impl SoaState {
     }
 
     /// Copy the owned prefix (`n_owned` vertices of every plane) from a
-    /// same-shape field — the SoA form of the old
-    /// `dst[..n_owned * nc].copy_from_slice(..)` on interleaved arrays.
+    /// same-shape field.
     pub fn copy_owned_from(&mut self, src: &SoaState, n_owned: usize) {
         assert!(self.n == src.n && self.nc == src.nc, "shape mismatch");
         assert!(n_owned <= self.n);

@@ -2,37 +2,11 @@
 //! advances with `Δt_i = CFL · V_i / Λ_i`, where `Λ_i` is the sum of the
 //! convective spectral radii over the faces of its dual control volume.
 
-use eul3d_mesh::{BoundaryFace, Vec3};
+use eul3d_mesh::BoundaryFace;
 
-use crate::counters::{FlopCounter, FLOPS_DT_VERT, FLOPS_RADII_EDGE};
-#[allow(deprecated)]
-use crate::gas::get5;
+use crate::counters::{FlopCounter, FLOPS_RADII_EDGE};
 use crate::gas::spectral_radius;
 use crate::soa::SoaState;
-
-/// Accumulate spectral radii over edges into `lam` (zeroed by caller):
-/// `Λ_a += λ_ab`, `Λ_b += λ_ab`.
-#[deprecated(note = "use eul3d_kernels::radii_edges_soa on plane-major state")]
-#[allow(deprecated)]
-pub fn radii_edges(
-    edges: &[[u32; 2]],
-    coef: &[Vec3],
-    w: &[f64],
-    p: &[f64],
-    gamma: f64,
-    lam: &mut [f64],
-    counter: &mut FlopCounter,
-) {
-    for (e, &[a, b]) in edges.iter().enumerate() {
-        let (a, b) = (a as usize, b as usize);
-        let l = 0.5
-            * (spectral_radius(gamma, &get5(w, a), p[a], coef[e])
-                + spectral_radius(gamma, &get5(w, b), p[b], coef[e]));
-        lam[a] += l;
-        lam[b] += l;
-    }
-    counter.add(edges.len(), FLOPS_RADII_EDGE);
-}
 
 /// Add the boundary-face contribution (each vertex gets the radius
 /// through its third of the face), reading plane-major state.
@@ -54,64 +28,60 @@ pub fn radii_bfaces_soa(
     counter.add(bfaces.len(), FLOPS_RADII_EDGE);
 }
 
-/// Interleaved-AoS twin of [`radii_bfaces_soa`].
-#[deprecated(note = "use radii_bfaces_soa on plane-major state")]
-#[allow(deprecated)]
-pub fn radii_bfaces(
-    bfaces: &[BoundaryFace],
-    w: &[f64],
-    p: &[f64],
-    gamma: f64,
-    lam: &mut [f64],
-    counter: &mut FlopCounter,
-) {
-    for face in bfaces {
-        let third = face.normal / 3.0;
-        for &v in &face.v {
-            let v = v as usize;
-            lam[v] += spectral_radius(gamma, &get5(w, v), p[v], third);
-        }
-    }
-    counter.add(bfaces.len(), FLOPS_RADII_EDGE);
-}
-
-/// `dt_i = CFL · V_i / Λ_i` for the `vol.len()` owned vertices.
-#[deprecated(note = "use eul3d_kernels::local_dt_verts")]
-pub fn local_dt(cfl: f64, vol: &[f64], lam: &[f64], dt: &mut [f64], counter: &mut FlopCounter) {
-    for i in 0..vol.len() {
-        dt[i] = cfl * vol[i] / lam[i].max(1e-300);
-    }
-    counter.add(vol.len(), FLOPS_DT_VERT);
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::executor::{Executor, SerialExecutor};
     use crate::gas::{Freestream, GAMMA, NVAR};
+    use eul3d_kernels as kn;
     use eul3d_mesh::gen::unit_box;
+    use eul3d_mesh::TetMesh;
+
+    /// Local time steps (CFL 1) of uniform flow at `mach` on `m`.
+    fn uniform_flow_dt(m: &TetMesh, mach: f64) -> Vec<f64> {
+        let n = m.nverts();
+        let fs = Freestream::new(GAMMA, mach, 0.0);
+        let mut w = SoaState::new(n, NVAR);
+        w.fill_rows(&fs.w);
+        let p = vec![fs.p; n];
+        let mut lam = vec![0.0; n];
+        SerialExecutor.for_edge_spans(m.nedges(), &mut [&mut lam], |span, s| {
+            // SAFETY: single-threaded; arrays sized by the mesh.
+            unsafe {
+                kn::radii_edges_soa(
+                    span,
+                    &m.edges,
+                    &m.edge_coef,
+                    GAMMA,
+                    w.flat(),
+                    &p,
+                    n,
+                    s,
+                    kn::DEFAULT_LANES,
+                )
+            }
+        });
+        radii_bfaces_soa(
+            &m.bfaces,
+            &w,
+            &p,
+            GAMMA,
+            &mut lam,
+            &mut FlopCounter::default(),
+        );
+        let mut dt = vec![0.0; n];
+        SerialExecutor.for_vertex_spans(n, &mut [&mut dt], |r, s| {
+            // SAFETY: single-threaded; `vol`, `lam`, `dt` hold n values.
+            unsafe { kn::local_dt_verts(r, 1.0, &m.vol, &lam, s) }
+        });
+        dt
+    }
 
     #[test]
     fn dt_scales_inversely_with_wavespeed() {
         let m = unit_box(3, 0.1, 1);
-        let nv = m.nverts();
-        let make = |mach: f64| -> Vec<f64> {
-            let fs = Freestream::new(GAMMA, mach, 0.0);
-            let mut w = vec![0.0; nv * NVAR];
-            for i in 0..nv {
-                w[i * NVAR..i * NVAR + NVAR].copy_from_slice(&fs.w);
-            }
-            let p = vec![fs.p; nv];
-            let mut lam = vec![0.0; nv];
-            let mut c = FlopCounter::default();
-            radii_edges(&m.edges, &m.edge_coef, &w, &p, GAMMA, &mut lam, &mut c);
-            radii_bfaces(&m.bfaces, &w, &p, GAMMA, &mut lam, &mut c);
-            let mut dt = vec![0.0; nv];
-            local_dt(1.0, &m.vol, &lam, &mut dt, &mut c);
-            dt
-        };
-        let slow = make(0.2);
-        let fast = make(2.0);
+        let slow = uniform_flow_dt(&m, 0.2);
+        let fast = uniform_flow_dt(&m, 2.0);
         for (s, f) in slow.iter().zip(&fast) {
             assert!(*s > 0.0 && *f > 0.0);
             assert!(f < s, "faster flow must reduce the permissible step");
@@ -123,24 +93,11 @@ mod tests {
         // "the permissible time step is much greater, since it is
         // proportional to the cell size" (§2.3): a coarser mesh of the
         // same domain gets larger steps.
-        let fs = Freestream::new(GAMMA, 0.675, 0.0);
-        let dt_of = |n: usize| -> f64 {
-            let m = unit_box(n, 0.0, 0);
-            let nv = m.nverts();
-            let mut w = vec![0.0; nv * NVAR];
-            for i in 0..nv {
-                w[i * NVAR..i * NVAR + NVAR].copy_from_slice(&fs.w);
-            }
-            let p = vec![fs.p; nv];
-            let mut lam = vec![0.0; nv];
-            let mut c = FlopCounter::default();
-            radii_edges(&m.edges, &m.edge_coef, &w, &p, GAMMA, &mut lam, &mut c);
-            radii_bfaces(&m.bfaces, &w, &p, GAMMA, &mut lam, &mut c);
-            let mut dt = vec![0.0; nv];
-            local_dt(1.0, &m.vol, &lam, &mut dt, &mut c);
-            dt.iter().sum::<f64>() / nv as f64
+        let mean_dt = |cells: usize| -> f64 {
+            let m = unit_box(cells, 0.0, 0);
+            uniform_flow_dt(&m, 0.675).iter().sum::<f64>() / m.nverts() as f64
         };
-        let ratio = dt_of(3) / dt_of(6);
+        let ratio = mean_dt(3) / mean_dt(6);
         assert!(
             ratio > 1.5 && ratio < 3.0,
             "halving h should roughly halve dt, got ratio {ratio}"

@@ -1,7 +1,7 @@
 //! Property tests of the plane-major [`SoaState`] layout: the
 //! SoA↔AoS transpose must be a bitwise involution for every shape and
-//! every representable value, since checkpoints, halo wire frames and
-//! the deprecated AoS shims all rely on lossless conversion.
+//! every representable value, since checkpoints and halo wire frames
+//! rely on lossless conversion.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 

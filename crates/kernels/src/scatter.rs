@@ -70,21 +70,6 @@ impl<'a> ScatterAccess<'a> {
         unsafe { *self.ptrs[t].0.add(i) = v }
     }
 
-    /// Reborrow `len` consecutive slots of target `t` starting at flat
-    /// index `start` as a mutable row (the deprecated AoS vertex-map
-    /// shim uses this to hand out interleaved rows).
-    ///
-    /// # Safety
-    /// The row must be in bounds and not concurrently accessed by any
-    /// other kernel invocation (disjointness contract).
-    #[inline(always)]
-    #[allow(clippy::mut_from_ref)] // raw-pointer reborrow; disjointness is the caller contract
-    pub unsafe fn row_mut(&self, t: usize, start: usize, len: usize) -> &'a mut [f64] {
-        debug_assert!(t < self.ntargets);
-        debug_assert!(start + len <= self.ptrs[t].1);
-        unsafe { std::slice::from_raw_parts_mut(self.ptrs[t].0.add(start), len) }
-    }
-
     /// Length of target `t` (for caller-side debug assertions).
     #[inline(always)]
     pub fn len_of(&self, t: usize) -> usize {

@@ -156,7 +156,7 @@ mod tests {
         let coarse = &seq.meshes[1];
         let src: Vec<f64> = coarse.coords.iter().map(|p| p.x * 2.0 - p.y).collect();
         let mut out = vec![0.0; seq.meshes[0].nverts()];
-        ops.interpolate(&src, &mut out, 1);
+        ops.interpolate(&src, &mut out);
         for (v, p) in seq.meshes[0].coords.iter().enumerate() {
             assert!((out[v] - (p.x * 2.0 - p.y)).abs() < 1e-9);
         }

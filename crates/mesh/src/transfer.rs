@@ -56,72 +56,32 @@ impl InterpOps {
         self.addr.len()
     }
 
-    /// Interpolate a multi-component field (stride `nc`) from source to
-    /// destination: `out[v] = Σₖ w[v][k] · src[addr[v][k]]`.
-    pub fn interpolate(&self, src: &[f64], out: &mut [f64], nc: usize) {
-        assert_eq!(src.len(), self.nsrc * nc);
-        assert_eq!(out.len(), self.ndst() * nc);
-        for v in 0..self.ndst() {
-            let a = self.addr[v];
-            let w = self.w[v];
-            for c in 0..nc {
-                let mut acc = 0.0;
-                for k in 0..4 {
-                    acc += w[k] * src[a[k] as usize * nc + c];
-                }
-                out[v * nc + c] = acc;
-            }
-        }
-    }
-
-    /// Transpose-interpolate (restrict): scatter each destination value to
-    /// its four source addresses with the same weights, *accumulating*
-    /// into `out` (callers zero it when appropriate). This is the
-    /// conservative residual-collection operator of the FAS scheme.
-    pub fn restrict_transpose(&self, dstv: &[f64], out: &mut [f64], nc: usize) {
-        assert_eq!(dstv.len(), self.ndst() * nc);
-        assert_eq!(out.len(), self.nsrc * nc);
-        for v in 0..self.ndst() {
-            let a = self.addr[v];
-            let w = self.w[v];
-            for c in 0..nc {
-                let val = dstv[v * nc + c];
-                for k in 0..4 {
-                    out[a[k] as usize * nc + c] += w[k] * val;
-                }
-            }
-        }
-    }
-
-    /// Row sums of the transpose operator per source vertex: the total
-    /// weight each source vertex receives. Used to normalize restricted
-    /// *states* (as opposed to residuals, which stay conservative).
-    pub fn transpose_weight_sums(&self) -> Vec<f64> {
-        let mut s = vec![0.0; self.nsrc];
-        for v in 0..self.ndst() {
+    /// Interpolate one scalar plane from source to destination:
+    /// `out[v] = Σₖ w[v][k] · src[addr[v][k]]`. Plane-major fields call
+    /// this once per component.
+    pub fn interpolate(&self, src: &[f64], out: &mut [f64]) {
+        assert_eq!(src.len(), self.nsrc);
+        assert_eq!(out.len(), self.ndst());
+        for ((o, a), w) in out.iter_mut().zip(&self.addr).zip(&self.w) {
+            let mut acc = 0.0;
             for k in 0..4 {
-                s[self.addr[v][k] as usize] += self.w[v][k];
+                acc += w[k] * src[a[k] as usize];
             }
+            *o = acc;
         }
-        s
     }
 
-    /// Restrict a *state* field: transpose-scatter then divide by the
-    /// weight sums so constants are reproduced where coverage exists;
-    /// uncovered source vertices (weight sum ~ 0) fall back to `fallback`
-    /// per component.
-    pub fn restrict_state(&self, dstv: &[f64], out: &mut [f64], nc: usize, fallback: &[f64]) {
-        assert_eq!(fallback.len(), nc);
-        out.iter_mut().for_each(|x| *x = 0.0);
-        self.restrict_transpose(dstv, out, nc);
-        let sums = self.transpose_weight_sums();
-        for (v, &s) in sums.iter().enumerate() {
-            if s > 1e-12 {
-                for c in 0..nc {
-                    out[v * nc + c] /= s;
-                }
-            } else {
-                out[v * nc..v * nc + nc].copy_from_slice(fallback);
+    /// Transpose-interpolate (restrict) one scalar plane: scatter each
+    /// destination value to its four source addresses with the same
+    /// weights, *accumulating* into `out` (callers zero it when
+    /// appropriate). This is the conservative residual-collection
+    /// operator of the FAS scheme.
+    pub fn restrict_transpose(&self, dstv: &[f64], out: &mut [f64]) {
+        assert_eq!(dstv.len(), self.ndst());
+        assert_eq!(out.len(), self.nsrc);
+        for ((&val, a), w) in dstv.iter().zip(&self.addr).zip(&self.w) {
+            for k in 0..4 {
+                out[a[k] as usize] += w[k] * val;
             }
         }
     }
@@ -142,7 +102,7 @@ mod tests {
         let f = |p: crate::vec3::Vec3| 2.0 * p.x - 3.0 * p.y + p.z + 0.5;
         let src: Vec<f64> = coarse.coords.iter().map(|&p| f(p)).collect();
         let mut out = vec![0.0; fine.nverts()];
-        ops.interpolate(&src, &mut out, 1);
+        ops.interpolate(&src, &mut out);
         for (v, &p) in fine.coords.iter().enumerate() {
             assert!(
                 (out[v] - f(p)).abs() < 1e-9,
@@ -158,46 +118,10 @@ mod tests {
         let ops = InterpOps::build(&coarse, &fine);
         let dstv: Vec<f64> = (0..fine.nverts()).map(|i| (i % 7) as f64 - 3.0).collect();
         let mut out = vec![0.0; coarse.nverts()];
-        ops.restrict_transpose(&dstv, &mut out, 1);
+        ops.restrict_transpose(&dstv, &mut out);
         let total_in: f64 = dstv.iter().sum();
         let total_out: f64 = out.iter().sum();
         // Weights sum to 1 per destination vertex, so totals match exactly.
         assert!((total_in - total_out).abs() < 1e-9 * total_in.abs().max(1.0));
-    }
-
-    #[test]
-    fn restrict_state_reproduces_constants() {
-        let coarse = unit_box(3, 0.1, 5);
-        let fine = unit_box(6, 0.1, 6);
-        let ops = InterpOps::build(&coarse, &fine);
-        let dstv = vec![4.25; fine.nverts() * 2];
-        let mut out = vec![0.0; coarse.nverts() * 2];
-        ops.restrict_state(&dstv, &mut out, 2, &[4.25, 4.25]);
-        for &x in &out {
-            assert!(
-                (x - 4.25).abs() < 1e-9,
-                "constant state must restrict to itself"
-            );
-        }
-    }
-
-    #[test]
-    fn multicomponent_interpolation_strides() {
-        let coarse = unit_box(2, 0.0, 0);
-        let fine = unit_box(4, 0.0, 0);
-        let ops = InterpOps::build(&coarse, &fine);
-        let mut src = vec![0.0; coarse.nverts() * 3];
-        for (v, &p) in coarse.coords.iter().enumerate() {
-            src[v * 3] = p.x;
-            src[v * 3 + 1] = p.y;
-            src[v * 3 + 2] = p.z;
-        }
-        let mut out = vec![0.0; fine.nverts() * 3];
-        ops.interpolate(&src, &mut out, 3);
-        for (v, &p) in fine.coords.iter().enumerate() {
-            assert!((out[v * 3] - p.x).abs() < 1e-10);
-            assert!((out[v * 3 + 1] - p.y).abs() < 1e-10);
-            assert!((out[v * 3 + 2] - p.z).abs() < 1e-10);
-        }
     }
 }

@@ -120,7 +120,7 @@ mod tests {
             let sched = localize(r, &trans, &required, &[4, 5], 100, CommClass::Halo);
             let mut data: Vec<f64> = (0..4).map(|l| (r.id * 100 + l) as f64).collect();
             data.extend([0.0, 0.0]);
-            sched.gather(r, &mut data, 1);
+            sched.gather_planes(r, &mut data, 1);
             data
         });
         assert_eq!(&run.results[0][4..], &[100.0, 101.0]);
@@ -151,7 +151,7 @@ mod tests {
             let trans = Translation::from_parts(&parts, 3);
             let sched = localize(r, &trans, &[], &[], 100, CommClass::Halo);
             let mut data = vec![r.id as f64];
-            sched.gather(r, &mut data, 1);
+            sched.gather_planes(r, &mut data, 1);
             (sched.nghosts(), data[0])
         });
         for (id, &(g, d)) in run.results.iter().enumerate() {
@@ -168,7 +168,7 @@ mod tests {
             let sched = localize(r, &trans, &required, &[4], 100, CommClass::Halo);
             // Accumulate 2.5 into the ghost, flush to owner.
             let mut data = vec![1.0, 1.0, 1.0, 1.0, 2.5];
-            sched.scatter_add(r, &mut data, 1);
+            sched.scatter_add_planes(r, &mut data, 1);
             data
         });
         // Rank 0's local 3 (global 3) received rank 1's ghost 2.5.
@@ -223,7 +223,7 @@ mod tests {
             let sched = localize(r, &trans, &required, &slots, 100, CommClass::Halo);
             let mut data = vec![r.id as f64; 3];
             data.extend([f64::NAN; 3]);
-            sched.gather(r, &mut data, 1);
+            sched.gather_planes(r, &mut data, 1);
             data[3..].to_vec()
         });
         for (id, ghosts) in run.results.iter().enumerate() {

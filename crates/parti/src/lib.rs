@@ -7,9 +7,12 @@
 //! the inspector ([`localize`]) scans the off-processor references a rank
 //! will make, deduplicates them with hash tables, and builds a
 //! [`Schedule`] — a reusable communication pattern. The executor then
-//! calls [`Schedule::gather`] to fetch off-processor data into ghost
-//! slots before a loop, and [`Schedule::scatter_add`] to flush partial
-//! sums accumulated in ghost slots back to their owners after a loop.
+//! calls [`Schedule::gather_planes`] to fetch off-processor data into
+//! ghost slots before a loop, and [`Schedule::scatter_add_planes`] to
+//! flush partial sums accumulated in ghost slots back to their owners
+//! after a loop. Per-vertex fields are plane-major (`nplanes`
+//! contiguous planes); the `_shm_` begin/finish halves move the same
+//! bytes through shared-memory windows instead of channel mailboxes.
 //!
 //! The §4.3 communication optimizations are implemented too:
 //! * **incremental schedules** ([`GhostRegistry`]) fetch only the
@@ -30,7 +33,7 @@
 //!     let required = [if rank.id == 0 { 4 } else { 0 }];
 //!     let sched = localize(rank, &trans, &required, &[4], 100, CommClass::Halo);
 //!     let mut data = vec![rank.id as f64; 5]; // 4 owned + 1 ghost slot
-//!     sched.gather(rank, &mut data, 1);
+//!     sched.gather_planes(rank, &mut data, 1);
 //!     data[4]
 //! });
 //! assert_eq!(run.results, vec![1.0, 0.0]); // each side sees the peer's value

@@ -44,8 +44,11 @@ impl Schedule {
     }
 
     /// **Gather executor**: fetch off-processor data into ghost slots.
-    /// `data` is a flat per-vertex array with `nc` components per entry;
-    /// both owned and ghost slots live in the same array.
+    /// `data` holds `nplanes` contiguous planes of `data.len() / nplanes`
+    /// vertices each (component `c` of vertex `i` at `c * plane_len + i`);
+    /// owned and ghost slots live in the same array. Packing strides
+    /// across the planes per vertex, so a message is a run of per-vertex
+    /// records.
     ///
     /// Pack buffers come from the rank's [`CommBuffers`] pool via the
     /// persistent-send-buffer protocol: the receiver hands each consumed
@@ -59,62 +62,6 @@ impl Schedule {
     /// relies on strict data/return alternation per `(peer, tag)` stream.
     ///
     /// [`CommBuffers`]: eul3d_delta::CommBuffers
-    pub fn gather(&self, rank: &mut Rank, data: &mut [f64], nc: usize) {
-        for (peer, idxs) in &self.sends {
-            let mut buf = rank.take_pack_f64(*peer, self.tag, idxs.len() * nc);
-            for &i in idxs {
-                let base = i as usize * nc;
-                buf.extend_from_slice(&data[base..base + nc]);
-            }
-            rank.send_packed_f64(*peer, self.tag, buf, self.class);
-        }
-        for (peer, slots) in &self.recvs {
-            let buf = rank.recv_f64(*peer, self.tag);
-            assert_eq!(buf.len(), slots.len() * nc, "gather buffer size mismatch");
-            for (k, &s) in slots.iter().enumerate() {
-                let base = s as usize * nc;
-                data[base..base + nc].copy_from_slice(&buf[k * nc..k * nc + nc]);
-            }
-            rank.return_packed_f64(*peer, self.tag, buf);
-        }
-    }
-
-    /// **Scatter-add executor**: flush partial sums accumulated in ghost
-    /// slots back to their owners, *adding* into the owners' entries, and
-    /// zero the ghost slots afterwards (they are accumulators).
-    pub fn scatter_add(&self, rank: &mut Rank, data: &mut [f64], nc: usize) {
-        // Reverse direction: ghosts (recvs side) are packed and sent to
-        // owners; owners (sends side) receive and accumulate.
-        let tag = self.tag + 1;
-        for (peer, slots) in &self.recvs {
-            let mut buf = rank.take_pack_f64(*peer, tag, slots.len() * nc);
-            for &s in slots {
-                let base = s as usize * nc;
-                buf.extend_from_slice(&data[base..base + nc]);
-                data[base..base + nc].iter_mut().for_each(|x| *x = 0.0);
-            }
-            rank.send_packed_f64(*peer, tag, buf, self.class);
-        }
-        for (peer, idxs) in &self.sends {
-            let buf = rank.recv_f64(*peer, tag);
-            assert_eq!(buf.len(), idxs.len() * nc, "scatter buffer size mismatch");
-            for (k, &i) in idxs.iter().enumerate() {
-                let base = i as usize * nc;
-                for c in 0..nc {
-                    data[base + c] += buf[k * nc + c];
-                }
-            }
-            rank.return_packed_f64(*peer, tag, buf);
-        }
-    }
-
-    /// Plane-major twin of [`Schedule::gather`]: `data` holds `nplanes`
-    /// contiguous planes of `data.len() / nplanes` vertices each
-    /// (component `c` of vertex `i` at `c * plane_len + i`). Packing
-    /// strides across the planes per vertex, so the **wire format is
-    /// byte-identical** to the interleaved gather — same per-vertex
-    /// records, same message sizes, same pooled buffers — and recorded
-    /// traces do not change across the layout switch.
     pub fn gather_planes(&self, rank: &mut Rank, data: &mut [f64], nplanes: usize) {
         debug_assert!(nplanes > 0 && data.len().is_multiple_of(nplanes));
         let plane = data.len() / nplanes;
@@ -143,9 +90,11 @@ impl Schedule {
         }
     }
 
-    /// Plane-major twin of [`Schedule::scatter_add`]: ghost accumulators
-    /// are packed per vertex across the planes (wire format identical to
-    /// the interleaved scatter), flushed to owners, and zeroed.
+    /// **Scatter-add executor**: flush partial sums accumulated in ghost
+    /// slots back to their owners, *adding* into the owners' entries, and
+    /// zero the ghost slots afterwards (they are accumulators). Reverse
+    /// direction of the gather: ghosts (recvs side) are packed per vertex
+    /// across the planes and sent; owners (sends side) accumulate.
     pub fn scatter_add_planes(&self, rank: &mut Rank, data: &mut [f64], nplanes: usize) {
         debug_assert!(nplanes > 0 && data.len().is_multiple_of(nplanes));
         let plane = data.len() / nplanes;
@@ -269,73 +218,12 @@ impl Schedule {
         }
     }
 
-    /// Like [`Schedule::gather`] but with distinct source and destination
-    /// arrays: owners pack from `src` (owner-local indices), receivers
-    /// fill `dst` (buffer slots). Used by the inter-grid transfer
-    /// executors, where fetched data lands in a compact staging buffer
-    /// instead of ghost slots of the same array.
-    pub fn gather_into(&self, rank: &mut Rank, src: &[f64], dst: &mut [f64], nc: usize) {
-        for (peer, idxs) in &self.sends {
-            let mut buf = rank.take_pack_f64(*peer, self.tag, idxs.len() * nc);
-            for &i in idxs {
-                let base = i as usize * nc;
-                buf.extend_from_slice(&src[base..base + nc]);
-            }
-            rank.send_packed_f64(*peer, self.tag, buf, self.class);
-        }
-        for (peer, slots) in &self.recvs {
-            let buf = rank.recv_f64(*peer, self.tag);
-            assert_eq!(
-                buf.len(),
-                slots.len() * nc,
-                "gather_into buffer size mismatch"
-            );
-            for (k, &s) in slots.iter().enumerate() {
-                let base = s as usize * nc;
-                dst[base..base + nc].copy_from_slice(&buf[k * nc..k * nc + nc]);
-            }
-            rank.return_packed_f64(*peer, self.tag, buf);
-        }
-    }
-
-    /// Like [`Schedule::scatter_add`] but with distinct arrays: staged
-    /// partial sums in `ghost_src` (buffer slots, zeroed after sending)
-    /// are flushed to owners, who accumulate into `dst` (owner-local
-    /// indices). Used to push restricted residuals to coarse-grid owners.
-    pub fn scatter_add_into(
-        &self,
-        rank: &mut Rank,
-        ghost_src: &mut [f64],
-        dst: &mut [f64],
-        nc: usize,
-    ) {
-        let tag = self.tag + 1;
-        for (peer, slots) in &self.recvs {
-            let mut buf = rank.take_pack_f64(*peer, tag, slots.len() * nc);
-            for &s in slots {
-                let base = s as usize * nc;
-                buf.extend_from_slice(&ghost_src[base..base + nc]);
-                ghost_src[base..base + nc].iter_mut().for_each(|x| *x = 0.0);
-            }
-            rank.send_packed_f64(*peer, tag, buf, self.class);
-        }
-        for (peer, idxs) in &self.sends {
-            let buf = rank.recv_f64(*peer, tag);
-            assert_eq!(buf.len(), idxs.len() * nc, "scatter_add_into size mismatch");
-            for (k, &i) in idxs.iter().enumerate() {
-                let base = i as usize * nc;
-                for c in 0..nc {
-                    dst[base + c] += buf[k * nc + c];
-                }
-            }
-            rank.return_packed_f64(*peer, tag, buf);
-        }
-    }
-
-    /// Plane-major-source twin of [`Schedule::gather_into`]: owners pack
-    /// from the plane-major `src`, receivers fill the **vertex-major**
-    /// staging buffer `dst` (the wire and staging layouts are unchanged —
-    /// only the local source layout differs).
+    /// Like [`Schedule::gather_planes`] but with distinct source and
+    /// destination arrays: owners pack from the plane-major `src`
+    /// (owner-local indices), receivers fill the **vertex-major** staging
+    /// buffer `dst` (buffer slots, `nplanes` values per slot). Used by
+    /// the inter-grid transfer executors, where fetched data lands in a
+    /// compact staging buffer instead of ghost slots of the same array.
     pub fn gather_planes_into(
         &self,
         rank: &mut Rank,
@@ -369,10 +257,11 @@ impl Schedule {
         }
     }
 
-    /// Plane-major-destination twin of [`Schedule::scatter_add_into`]:
+    /// Like [`Schedule::scatter_add_planes`] but with distinct arrays:
     /// staged partial sums in the **vertex-major** buffer `ghost_src`
-    /// (zeroed after sending) are flushed to owners, who accumulate into
-    /// the plane-major `dst`.
+    /// (buffer slots, zeroed after sending) are flushed to owners, who
+    /// accumulate into the plane-major `dst` (owner-local indices). Used
+    /// to push restricted residuals to coarse-grid owners.
     pub fn scatter_add_planes_into(
         &self,
         rank: &mut Rank,
@@ -456,77 +345,19 @@ mod tests {
     fn gather_fills_ghosts() {
         let run = run_spmd(2, |r| {
             let sched = mirror_schedule(r.id);
-            let mut data = vec![r.id as f64 * 10.0, r.id as f64 * 10.0 + 1.0, -1.0];
-            sched.gather(r, &mut data, 1);
+            // 3 vertices × 2 planes; ghost vertex 2 starts at -1.
+            let base = r.id as f64 * 100.0;
+            let mut data = vec![base, base + 1.0, -1.0, base + 10.0, base + 11.0, -1.0];
+            sched.gather_planes(r, &mut data, 2);
             data
         });
-        // Rank 0's ghost = rank 1's entry 1 = 11; rank 1's ghost = 1.
-        assert_eq!(run.results[0][2], 11.0);
-        assert_eq!(run.results[1][2], 1.0);
+        // Each ghost mirrors both planes of the peer's vertex 1.
+        assert_eq!(run.results[0], vec![0.0, 1.0, 101.0, 10.0, 11.0, 111.0]);
+        assert_eq!(run.results[1], vec![100.0, 101.0, 1.0, 110.0, 111.0, 11.0]);
     }
 
     #[test]
     fn scatter_add_flushes_and_zeros_ghosts() {
-        let run = run_spmd(2, |r| {
-            let sched = mirror_schedule(r.id);
-            // Owned entries start at 100; ghost accumulator holds 5+id.
-            let mut data = vec![100.0, 100.0, 5.0 + r.id as f64];
-            sched.scatter_add(r, &mut data, 1);
-            data
-        });
-        // Rank 0's entry 1 += rank 1's ghost (6); ghost zeroed.
-        assert_eq!(run.results[0], vec![100.0, 106.0, 0.0]);
-        assert_eq!(run.results[1], vec![100.0, 105.0, 0.0]);
-    }
-
-    #[test]
-    fn gather_multicomponent() {
-        let run = run_spmd(2, |r| {
-            let sched = mirror_schedule(r.id);
-            let base = r.id as f64 * 100.0;
-            let mut data = vec![base, base + 1.0, base + 10.0, base + 11.0, 0.0, 0.0];
-            sched.gather(r, &mut data, 2);
-            data
-        });
-        assert_eq!(&run.results[0][4..], &[110.0, 111.0]);
-        assert_eq!(&run.results[1][4..], &[10.0, 11.0]);
-    }
-
-    #[test]
-    fn plane_major_gather_matches_interleaved_wire_and_values() {
-        let interleaved = run_spmd(2, |r| {
-            let sched = mirror_schedule(r.id);
-            let base = r.id as f64 * 100.0;
-            let mut data = vec![base, base + 1.0, base + 10.0, base + 11.0, 0.0, 0.0];
-            sched.gather(r, &mut data, 2);
-            data
-        });
-        let planar = run_spmd(2, |r| {
-            let sched = mirror_schedule(r.id);
-            let base = r.id as f64 * 100.0;
-            // The same 3 vertices × 2 components, plane-major.
-            let mut data = vec![base, base + 10.0, 0.0, base + 1.0, base + 11.0, 0.0];
-            sched.gather_planes(r, &mut data, 2);
-            data
-        });
-        for rank in 0..2 {
-            // Ghost vertex 2: components at flat 4,5 (AoS) vs 2,5 (planes).
-            assert_eq!(planar.results[rank][2], interleaved.results[rank][4]);
-            assert_eq!(planar.results[rank][5], interleaved.results[rank][5]);
-            assert_eq!(
-                planar.counters[rank].total_bytes(),
-                interleaved.counters[rank].total_bytes(),
-                "wire format must not change with the layout"
-            );
-            assert_eq!(
-                planar.counters[rank].total_messages(),
-                interleaved.counters[rank].total_messages()
-            );
-        }
-    }
-
-    #[test]
-    fn plane_major_scatter_add_flushes_and_zeros() {
         let run = run_spmd(2, |r| {
             let sched = mirror_schedule(r.id);
             // 3 vertices × 2 planes; ghost accumulator at vertex 2.
@@ -541,25 +372,33 @@ mod tests {
     }
 
     #[test]
-    fn plane_executors_are_allocation_free_after_warm_up() {
+    fn executors_are_allocation_free_after_warm_up() {
         let run = run_spmd(2, |r| {
             let sched = mirror_schedule(r.id);
             let mut data = vec![1.0, 2.0, 0.0, 4.0, 5.0, 0.0];
-            sched.gather_planes(r, &mut data, 2);
-            sched.scatter_add_planes(r, &mut data, 2);
-            let warm = r.counters.comm_allocs;
-            for _ in 0..20 {
+            let src = vec![4.0, 5.0];
+            let mut into = vec![0.0; 3];
+            let mut staged = vec![0.0, 0.0, 3.0];
+            let mut dst = vec![0.0, 0.0];
+            // One round warms the pool: each executor's send buffer comes
+            // back as the peer's recycled receive buffer.
+            let mut round = |r: &mut Rank| {
                 sched.gather_planes(r, &mut data, 2);
                 sched.scatter_add_planes(r, &mut data, 2);
+                sched.gather_planes_into(r, &src, &mut into, 1);
+                staged[2] = 3.0;
+                sched.scatter_add_planes_into(r, &mut staged, &mut dst, 1);
+            };
+            round(r);
+            let warm = r.counters.comm_allocs;
+            for _ in 0..20 {
+                round(r);
             }
             (warm, r.counters.comm_allocs)
         });
         for &(warm, steady) in &run.results {
             assert!(warm > 0, "warm-up must populate the pool");
-            assert_eq!(
-                steady, warm,
-                "steady-state plane executors must not allocate"
-            );
+            assert_eq!(steady, warm, "steady-state executors must not allocate");
         }
     }
 
@@ -601,8 +440,8 @@ mod tests {
             let s1 = sched_pair(r.id, 20, 2, 0);
             let s2 = sched_pair(r.id, 30, 3, 1);
             let mut data = vec![1.0, 2.0, 0.0, 0.0];
-            s1.gather(r, &mut data, 1);
-            s2.gather(r, &mut data, 1);
+            s1.gather_planes(r, &mut data, 1);
+            s2.gather_planes(r, &mut data, 1);
             data
         });
         let merged = run_spmd(2, |r| {
@@ -610,7 +449,7 @@ mod tests {
             let s2 = sched_pair(r.id, 30, 3, 1);
             let m = Schedule::merge(&[&s1, &s2], 40, CommClass::Halo);
             let mut data = vec![1.0, 2.0, 0.0, 0.0];
-            m.gather(r, &mut data, 1);
+            m.gather_planes(r, &mut data, 1);
             data
         });
         assert_eq!(separate.results, merged.results, "same data either way");
@@ -623,12 +462,12 @@ mod tests {
     }
 
     #[test]
-    fn gather_into_separate_arrays() {
+    fn gather_planes_into_separate_arrays() {
         let run = run_spmd(2, |r| {
             let sched = mirror_schedule(r.id);
             let src = vec![r.id as f64 * 10.0, r.id as f64 * 10.0 + 1.0];
             let mut dst = vec![0.0; 3];
-            sched.gather_into(r, &src, &mut dst, 1);
+            sched.gather_planes_into(r, &src, &mut dst, 1);
             dst
         });
         assert_eq!(run.results[0][2], 11.0);
@@ -636,12 +475,12 @@ mod tests {
     }
 
     #[test]
-    fn scatter_add_into_separate_arrays() {
+    fn scatter_add_planes_into_separate_arrays() {
         let run = run_spmd(2, |r| {
             let sched = mirror_schedule(r.id);
             let mut staged = vec![0.0, 0.0, 7.0 + r.id as f64];
             let mut dst = vec![100.0, 100.0];
-            sched.scatter_add_into(r, &mut staged, &mut dst, 1);
+            sched.scatter_add_planes_into(r, &mut staged, &mut dst, 1);
             (staged, dst)
         });
         // Rank 0's dst[1] += rank 1's staged (8); staging buffer zeroed.
@@ -651,43 +490,12 @@ mod tests {
     }
 
     #[test]
-    fn executors_are_allocation_free_after_warm_up() {
-        let run = run_spmd(2, |r| {
-            let sched = mirror_schedule(r.id);
-            let mut data = vec![1.0, 2.0, 0.0];
-            let src = vec![4.0, 5.0];
-            let mut into = vec![0.0; 3];
-            let mut staged = vec![0.0, 0.0, 3.0];
-            let mut dst = vec![0.0, 0.0];
-            // One round warms the pool: each executor's send buffer comes
-            // back as the peer's recycled receive buffer.
-            sched.gather(r, &mut data, 1);
-            sched.scatter_add(r, &mut data, 1);
-            sched.gather_into(r, &src, &mut into, 1);
-            sched.scatter_add_into(r, &mut staged, &mut dst, 1);
-            let warm = r.counters.comm_allocs;
-            for _ in 0..20 {
-                sched.gather(r, &mut data, 1);
-                sched.scatter_add(r, &mut data, 1);
-                sched.gather_into(r, &src, &mut into, 1);
-                staged[2] = 3.0;
-                sched.scatter_add_into(r, &mut staged, &mut dst, 1);
-            }
-            (warm, r.counters.comm_allocs)
-        });
-        for &(warm, steady) in &run.results {
-            assert!(warm > 0, "warm-up must populate the pool");
-            assert_eq!(steady, warm, "steady-state executors must not allocate");
-        }
-    }
-
-    #[test]
     fn empty_schedule_is_a_noop() {
         let run = run_spmd(2, |r| {
             let s = Schedule::empty(5, CommClass::Halo);
             let mut data = vec![1.0, 2.0];
-            s.gather(r, &mut data, 1);
-            s.scatter_add(r, &mut data, 1);
+            s.gather_planes(r, &mut data, 1);
+            s.scatter_add_planes(r, &mut data, 1);
             data
         });
         assert_eq!(run.results[0], vec![1.0, 2.0]);

@@ -51,7 +51,7 @@ proptest! {
                     data[trans.local_of(g) as usize] = g as f64;
                 }
             }
-            sched.gather(r, &mut data, 1);
+            sched.gather_planes(r, &mut data, 1);
             // Check every ghost got its global's value.
             required
                 .iter()
@@ -93,7 +93,7 @@ proptest! {
                 data[n_owned + k] = ghost_vals[g as usize] * (r.id as f64 + 1.0);
             }
             let ghost_total: f64 = data[n_owned..].iter().sum();
-            sched.scatter_add(r, &mut data, 1);
+            sched.scatter_add_planes(r, &mut data, 1);
             let owned_total: f64 = data[..n_owned].iter().sum();
             let ghost_after: f64 = data[n_owned..].iter().sum();
             (ghost_total, owned_total, ghost_after)
@@ -174,10 +174,10 @@ fn merged_schedule_equals_sequential_schedules() {
                 }
             }
             if mode == 0 {
-                s1.gather(r, &mut data, 1);
-                s2.gather(r, &mut data, 1);
+                s1.gather_planes(r, &mut data, 1);
+                s2.gather_planes(r, &mut data, 1);
             } else {
-                merged.gather(r, &mut data, 1);
+                merged.gather_planes(r, &mut data, 1);
             }
             data
         };

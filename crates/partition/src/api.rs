@@ -3,12 +3,8 @@
 //! assignment together with its quality accounting (edge-cut, comm
 //! volume, balance, hop-weighted volume, Fiedler iterations).
 //!
-//! This replaces the positional free function `rsb_partition(nverts,
-//! edges, nparts, lanczos_iters, seed)` — still compiled as a
-//! `#[deprecated]` shim — the same migration pattern the RunConfig
-//! builder used for its positional constructor. Two implementations
-//! exist: [`FlatRsb`] (the paper's 1992 algorithm, bit-compatible with
-//! the old entry point at default options) and [`MultilevelRsb`]
+//! Two implementations exist: [`FlatRsb`] (the paper's 1992 algorithm;
+//! the `table2` golden pins its assignment) and [`MultilevelRsb`]
 //! (coarsen → coarse Fiedler → refine, the parRSB recipe).
 
 use std::fmt;
@@ -259,9 +255,7 @@ pub trait Partitioner {
 }
 
 /// The paper's 1992 flat recursive spectral bisection: Lanczos on the
-/// full induced subgraph at every recursion level. With default options
-/// (`lanczos_iters` 40, `tolerance` 0.0) the assignment is
-/// byte-identical to the deprecated `rsb_partition` free function.
+/// full induced subgraph at every recursion level.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FlatRsb;
 
@@ -386,23 +380,6 @@ impl Partitioner for MultilevelRsb {
 mod tests {
     use super::*;
     use eul3d_mesh::gen::unit_box;
-
-    #[test]
-    #[allow(deprecated)]
-    fn flat_rsb_matches_the_deprecated_free_function() {
-        let m = unit_box(5, 0.15, 3);
-        for (nparts, seed) in [(4usize, 1u64), (3, 9), (7, 2)] {
-            let old = crate::rsb_partition(m.nverts(), &m.edges, nparts, 40, seed);
-            let plan = FlatRsb
-                .partition(
-                    m.nverts(),
-                    &m.edges,
-                    &PartitionOptions::new(nparts).seed(seed),
-                )
-                .unwrap();
-            assert_eq!(plan.assignment, old, "nparts={nparts} seed={seed}");
-        }
-    }
 
     #[test]
     fn plans_are_deterministic() {

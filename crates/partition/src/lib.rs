@@ -58,8 +58,6 @@ pub use parallel::parallel_rcb;
 pub use partitioned::{PartitionedMesh, RankMesh};
 pub use quality::PartitionQuality;
 pub use rcb::rcb_partition;
-#[allow(deprecated)]
-pub use rsb::rsb_partition;
 pub use spectral::{fiedler_vector, fiedler_vector_tol, FiedlerSolve};
 
 use rand::rngs::StdRng;

@@ -10,26 +10,10 @@
 
 use crate::spectral::{fiedler_vector_tol, Graph};
 
-/// Partition `nverts` vertices connected by `edges` into `nparts` pieces
-/// by recursive spectral bisection. Returns the part id of every vertex.
-#[deprecated(
-    note = "use the `Partitioner` trait: `FlatRsb.partition(nverts, edges, &PartitionOptions::new(nparts))`"
-)]
-pub fn rsb_partition(
-    nverts: usize,
-    edges: &[[u32; 2]],
-    nparts: usize,
-    lanczos_iters: usize,
-    seed: u64,
-) -> Vec<u32> {
-    rsb_with_stats(nverts, edges, nparts, lanczos_iters, 0.0, seed).0
-}
-
-/// The flat-RSB driver behind both the deprecated free function and the
-/// [`crate::FlatRsb`] partitioner: recursion over induced subgraphs,
-/// with the per-bisection Lanczos iteration counts summed for the plan.
-/// With `tol == 0.0` and the same `lanczos_iters`/`seed`, the assignment
-/// is byte-identical to the historical `rsb_partition`.
+/// The flat-RSB driver behind the [`crate::FlatRsb`] partitioner:
+/// recursion over induced subgraphs, with the per-bisection Lanczos
+/// iteration counts summed for the plan. Returns the part id of every
+/// vertex and that sum.
 pub(crate) fn rsb_with_stats(
     nverts: usize,
     edges: &[[u32; 2]],

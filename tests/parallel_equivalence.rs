@@ -7,7 +7,7 @@
 
 use eul3d::mesh::gen::BumpSpec;
 use eul3d::mesh::MeshSequence;
-use eul3d::solver::dist::{run_distributed, DistOptions, DistSetup};
+use eul3d::solver::dist::{run_distributed, DistBackend, DistOptions, DistSetup};
 use eul3d::solver::shared::SharedSingleGridSolver;
 use eul3d::solver::{MultigridSolver, Scheme, SingleGridSolver, SolverConfig, Strategy};
 
@@ -166,24 +166,38 @@ fn distributed_w_cycle_matches_serial_multigrid() {
     );
     let hs = serial.solve(cycles);
 
-    let setup = DistSetup::new(MeshSequence::bump_sequence(&spec(), 3), 5, 25, 11);
-    let dist = run_distributed(
-        &setup,
-        cfg,
-        Strategy::WCycle,
-        cycles,
-        DistOptions::default(),
-    );
-
-    for (a, b) in hs.iter().zip(dist.history()) {
+    // One executor drives both halo transports: channels (Delta) and
+    // shared-memory windows (Hybrid) must each match the serial solver.
+    let run = |nranks: usize, backend: DistBackend| -> Vec<f64> {
+        let setup = DistSetup::new(MeshSequence::bump_sequence(&spec(), 3), nranks, 25, 11);
+        let opts = DistOptions {
+            backend,
+            ..DistOptions::default()
+        };
+        let dist = run_distributed(&setup, cfg, Strategy::WCycle, cycles, opts);
+        assert_eq!(dist.transport, backend, "the transport asked for must run");
+        for (a, b) in hs.iter().zip(dist.history()) {
+            assert!(
+                (a - b).abs() < 1e-8 * a.max(1e-30),
+                "residual history on {nranks} {backend:?} ranks: serial {a} vs dist {b}"
+            );
+        }
+        let wd = dist.global_state(setup.seq.meshes[0].nverts());
+        let d = max_dev(&serial.state().to_aos(), &wd);
         assert!(
-            (a - b).abs() < 1e-8 * a.max(1e-30),
-            "residual history: serial {a} vs dist {b}"
+            d < 1e-8,
+            "W-cycle states on {nranks} {backend:?} ranks: {d:.3e}"
         );
-    }
-    let wd = dist.global_state(setup.seq.meshes[0].nverts());
-    let d = max_dev(&serial.state().to_aos(), &wd);
-    assert!(d < 1e-8, "W-cycle states: {d:.3e}");
+        dist.history().to_vec()
+    };
+    run(5, DistBackend::Delta);
+    // ... and, on the same partition, agree with each other to the bit.
+    let bits = |h: Vec<f64>| h.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+    assert_eq!(
+        bits(run(2, DistBackend::Delta)),
+        bits(run(2, DistBackend::Hybrid)),
+        "hybrid vs delta residual history"
+    );
 }
 
 #[test]

@@ -107,7 +107,7 @@ proptest! {
         let f = |p: eul3d::mesh::Vec3| cx * p.x + cy * p.y + cz * p.z + 0.7;
         let sv: Vec<f64> = src.coords.iter().map(|&p| f(p)).collect();
         let mut dv = vec![0.0; dst.nverts()];
-        ops.interpolate(&sv, &mut dv, 1);
+        ops.interpolate(&sv, &mut dv);
         for (v, &p) in dst.coords.iter().enumerate() {
             prop_assert!((dv[v] - f(p)).abs() < 1e-9);
         }
