@@ -9,10 +9,7 @@ use eul3d_core::runconfig::{
     parse_backend, parse_partition_method, parse_scheme, parse_strategy, partition_method_name,
     BackendKind,
 };
-use eul3d_core::shared::SharedSingleGridSolver;
-use eul3d_core::{
-    ConvergenceHistory, Eul3dError, MultigridSolver, Phase, RunConfig, Strategy, TraceConfig,
-};
+use eul3d_core::{ConvergenceHistory, Eul3dError, MultigridSolver, Phase, RunConfig, TraceConfig};
 use eul3d_delta::CostModel;
 use eul3d_mesh::gen::BumpSpec;
 use eul3d_mesh::stats::MeshStats;
@@ -373,14 +370,6 @@ pub fn solve(a: &Args) -> Result<(), String> {
     let (spec, levels, cycles) = (rc.mesh.clone(), rc.levels, rc.cycles);
     let (strategy, cfg, guard) = (rc.strategy, rc.solver, rc.guard);
 
-    if threads > 0 && strategy != Strategy::SingleGrid && guard.is_none() {
-        return Err(
-            "--threads (shared-memory executor) currently drives the single-grid strategy; \
-                    use --strategy sg with --threads, or add --guard for the \
-                    guarded multigrid path"
-                .into(),
-        );
-    }
     if guard.is_some() && (agglo || restart.is_some() || fmg) {
         return Err("the health guard is incompatible with --coarse agglo/--restart/--fmg".into());
     }
@@ -445,64 +434,30 @@ pub fn solve(a: &Args) -> Result<(), String> {
         t0.elapsed().as_secs_f64()
     );
 
-    let (hist, w, nverts, flops, mesh0) = if let Some(g) = &guard {
-        let mut mg = if threads > 0 {
-            MultigridSolver::new_shared(seq, cfg, strategy, threads)
-                .map_err(|e| format!("shared executor: {e}"))?
-        } else {
-            MultigridSolver::new(seq, cfg, strategy)
-        };
-        let (hist, outcome) = mg.solve_guarded(cycles, g).map_err(|e| e.to_string())?;
-        print_guard_summary(&outcome);
-        let n = mg.levels[0].n;
-        let w = mg.levels[0].w.clone();
-        let mesh0 = mg
-            .seq
-            .meshes
-            .into_iter()
-            .next()
-            .ok_or("mesh sequence is empty")?;
-        (hist, w, n, mg.counter.flops(), mesh0)
-    } else if threads > 0 {
-        let mesh = seq
-            .meshes
-            .into_iter()
-            .next()
-            .ok_or("mesh sequence is empty")?;
-        let mut s = SharedSingleGridSolver::new(mesh, cfg, threads)
-            .map_err(|e| format!("shared executor: {e}"))?;
-        if let Some(path) = &restart {
-            let ck = Checkpoint::load(PathBuf::from(path).as_path())
-                .map_err(|e| format!("restart: {e}"))?;
-            ck.restore_into_state(&mut s.st.w)
-                .map_err(|e| format!("restart: {e}"))?;
-            println!("restarted from {path} ({} cycles done)", ck.cycles_done);
-        }
-        let hist = s.solve(cycles);
-        let n = s.st.n;
-        (hist, s.st.w.clone(), n, s.counter.flops(), s.mesh)
+    let mut mg = if threads > 0 {
+        MultigridSolver::new_shared(seq, cfg, strategy, threads)
+            .map_err(|e| format!("shared executor: {e}"))?
     } else {
-        let mut mg = MultigridSolver::new(seq, cfg, strategy);
-        if let Some(path) = &restart {
-            let ck = Checkpoint::load(PathBuf::from(path).as_path())
-                .map_err(|e| format!("restart: {e}"))?;
-            ck.restore_into_state(&mut mg.levels[0].w)
-                .map_err(|e| format!("restart: {e}"))?;
-            println!("restarted from {path} ({} cycles done)", ck.cycles_done);
-        } else if fmg {
-            mg.fmg_init(cycles.min(20));
-        }
-        let hist = mg.solve(cycles);
-        let n = mg.levels[0].n;
-        let w = mg.levels[0].w.clone();
-        let mesh0 = mg
-            .seq
-            .meshes
-            .into_iter()
-            .next()
-            .ok_or("mesh sequence is empty")?;
-        (hist, w, n, mg.counter.flops(), mesh0)
+        MultigridSolver::new(seq, cfg, strategy)
     };
+    if let Some(path) = &restart {
+        let ck =
+            Checkpoint::load(PathBuf::from(path).as_path()).map_err(|e| format!("restart: {e}"))?;
+        ck.restore_into_state(&mut mg.levels[0].w)
+            .map_err(|e| format!("restart: {e}"))?;
+        println!("restarted from {path} ({} cycles done)", ck.cycles_done);
+    } else if fmg {
+        mg.fmg_init(cycles.min(20));
+    }
+    let hist = match &guard {
+        Some(g) => {
+            let (hist, outcome) = mg.solve_guarded(cycles, g).map_err(|e| e.to_string())?;
+            print_guard_summary(&outcome);
+            hist
+        }
+        None => mg.solve(cycles),
+    };
+    let (w, nverts, flops) = (&mg.levels[0].w, mg.levels[0].n, mg.counter.flops());
     // Export before the divergence check so a failing run still leaves
     // its trace behind for inspection.
     finish_driver_trace(&rc.trace)?;
@@ -531,18 +486,18 @@ pub fn solve(a: &Args) -> Result<(), String> {
     }
 
     if let Some(path) = checkpoint {
-        Checkpoint::from_state(&w, cycles as u64, cfg.mach, cfg.alpha_deg)
+        Checkpoint::from_state(w, cycles as u64, cfg.mach, cfg.alpha_deg)
             .save(PathBuf::from(&path).as_path())
             .map_err(|e| format!("checkpoint: {e}"))?;
         println!("checkpointed to {path}");
     }
     if let Some(path) = vtk {
-        let mach = mach_field(cfg.gamma, &w, nverts);
-        let p = pressure_field(cfg.gamma, &w, nverts);
-        let cp = cp_field(cfg.gamma, cfg.mach, &w, nverts);
+        let mach = mach_field(cfg.gamma, w, nverts);
+        let p = pressure_field(cfg.gamma, w, nverts);
+        let cp = cp_field(cfg.gamma, cfg.mach, w, nverts);
         write_vtk_file(
             PathBuf::from(&path).as_path(),
-            &mesh0,
+            &mg.seq.meshes[0],
             &[("mach", &mach), ("pressure", &p), ("cp", &cp)],
         )
         .map_err(|e| format!("vtk export: {e}"))?;
@@ -553,8 +508,8 @@ pub fn solve(a: &Args) -> Result<(), String> {
 
 pub fn distributed(a: &Args) -> Result<(), String> {
     use eul3d_core::dist::{
-        run_distributed, run_distributed_guarded, run_distributed_with_faults, DistBackend,
-        DistOptions, DistSetup, FaultOptions, RankFate,
+        run_distributed_guarded, run_distributed_with_faults, DistBackend, DistOptions, DistSetup,
+        FaultOptions, RankFate, RepartitionPolicy,
     };
     let rc = run_config_of(a, 3, 25, true)?;
     let no_incr = a.has("no-incremental");
@@ -563,39 +518,36 @@ pub fn distributed(a: &Args) -> Result<(), String> {
     let nranks = rc.effective_nranks();
     let (spec, levels, cycles) = (rc.mesh.clone(), rc.levels, rc.cycles);
     let (strategy, cfg, guard) = (rc.strategy, rc.solver, rc.guard);
-    let fopts = match &rc.faults {
-        Some(spec) => Some(FaultOptions {
-            plan: std::sync::Arc::new(
-                eul3d_delta::FaultPlan::parse(spec, nranks)
-                    .map_err(|e| format!("--faults: {e}"))?,
-            ),
-            checkpoint_every: rc.checkpoint_every,
-            recv_timeout_ms: rc.fault_timeout_ms,
-            ..FaultOptions::default()
-        }),
-        // The guarded driver needs a fault context for its rollback
-        // checkpoints even when nothing is killed.
-        None if guard.is_some() => Some(FaultOptions {
-            checkpoint_every: rc.checkpoint_every,
-            recv_timeout_ms: rc.fault_timeout_ms,
-            ..FaultOptions::default()
-        }),
-        None => None,
+    let fopts = FaultOptions::for_run(&rc, nranks).map_err(|e| format!("--faults: {e}"))?;
+    let pseed = eul3d_core::env_seed(7);
+    let opts = DistOptions {
+        refetch_per_loop: no_incr,
+        trace_capacity: rc.trace.enabled.then_some(rc.trace.capacity),
+        backend: if hybrid {
+            DistBackend::Hybrid
+        } else {
+            DistBackend::Delta
+        },
+        real_time_lanes: hybrid && rc.trace.enabled,
+        repartition: rc
+            .partition
+            .as_ref()
+            .and_then(|p| RepartitionPolicy::from_config(p, 40, pseed)),
+        ..DistOptions::default()
     };
 
     println!(
         "distributed: nx={} levels={levels} {} cycles={cycles} on {nranks} {}",
         spec.nx,
         strategy.label(),
-        if hybrid {
-            "hybrid threads (shared-memory windows)"
-        } else {
-            "simulated ranks"
+        match (opts.transport(&fopts), hybrid) {
+            (DistBackend::Hybrid, _) => "hybrid threads (shared-memory windows)",
+            (DistBackend::Delta, false) => "simulated ranks",
+            (DistBackend::Delta, true) => "simulated ranks (hybrid falls back to channels)",
         }
     );
     let seq = MeshSequence::bump_sequence(&spec, levels);
     let t0 = std::time::Instant::now();
-    let pseed = eul3d_core::env_seed(7);
     let (setup, method_label) = match &rc.partition {
         Some(p) => (
             DistSetup::from_policy(seq, nranks, 40, pseed, p),
@@ -608,35 +560,18 @@ pub fn distributed(a: &Args) -> Result<(), String> {
         t0.elapsed().as_secs_f64()
     );
 
-    let repartition = rc
-        .partition
-        .as_ref()
-        .and_then(|p| eul3d_core::dist::RepartitionPolicy::from_config(p, 40, pseed));
-    if let Some(pol) = &repartition {
+    if let Some(pol) = &opts.repartition {
         println!(
             "mid-run repartition every {} cycles ({method_label}, {} mapping)",
             pol.every,
             pol.mapping.label()
         );
     }
-    let opts = DistOptions {
-        refetch_per_loop: no_incr,
-        trace_capacity: rc.trace.enabled.then_some(rc.trace.capacity),
-        backend: if hybrid {
-            DistBackend::Hybrid
-        } else {
-            DistBackend::Delta
-        },
-        real_time_lanes: hybrid && rc.trace.enabled,
-        repartition,
-        ..DistOptions::default()
-    };
     let t1 = std::time::Instant::now();
-    let r = match (&guard, &fopts) {
-        (Some(g), Some(f)) => run_distributed_guarded(&setup, cfg, strategy, cycles, opts, f, g)
+    let r = match &guard {
+        Some(g) => run_distributed_guarded(&setup, cfg, strategy, cycles, opts, &fopts, g)
             .map_err(|e| e.to_string())?,
-        (None, Some(f)) => run_distributed_with_faults(&setup, cfg, strategy, cycles, opts, f),
-        _ => run_distributed(&setup, cfg, strategy, cycles, opts),
+        None => run_distributed_with_faults(&setup, cfg, strategy, cycles, opts, &fopts),
     };
     if let Some(o) = r.guard_outcome() {
         print_guard_summary(o);

@@ -42,6 +42,9 @@
 //! `--trace-summary` (human table), `--trace-capacity N` (ring events
 //! per lane), and `--trace-top N` (summary rows).
 //!
+//! `solve --threads N` runs any strategy (and `--fmg`, `--guard`)
+//! through the coloured shared-memory executor on `N` workers.
+//!
 //! `--backend hybrid` runs the distributed solve with ranks as real OS
 //! threads exchanging halos through shared-memory windows (`--threads N`
 //! sets the thread count, default one per `--ranks`); the modeled Delta

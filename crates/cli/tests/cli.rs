@@ -141,6 +141,32 @@ fn solve_roundtrip_with_checkpoint() {
 }
 
 #[test]
+fn solve_threads_runs_the_full_cycle_on_the_shared_executor() {
+    // The paper's C90 configuration: every strategy under --threads,
+    // agreeing with the serial run on the printed residuals and flops.
+    for strategy in ["sg", "v", "w"] {
+        let run = |extra: &[&str]| {
+            let base = [
+                "solve",
+                "--nx",
+                "8",
+                "--levels",
+                "2",
+                "--cycles",
+                "4",
+                "--strategy",
+                strategy,
+            ];
+            let (ok, stdout, stderr) = eul3d(&[&base[..], extra].concat());
+            assert!(ok, "--strategy {strategy} {extra:?}: {stderr}");
+            let line = stdout.lines().find(|l| l.contains("orders")).unwrap();
+            line.split_once("host: ").unwrap().1.to_owned()
+        };
+        assert_eq!(run(&[]), run(&["--threads", "2"]), "--strategy {strategy}");
+    }
+}
+
+#[test]
 fn distributed_command_runs() {
     let (ok, stdout, stderr) = eul3d(&[
         "distributed",
@@ -482,6 +508,16 @@ fn fault_recovery_traces_are_byte_identical_across_reruns() {
             stdout.contains("fell back to the channel transport"),
             backend == "hybrid",
             "{stdout}"
+        );
+        // The pre-run header names the transport that will run, not the
+        // one that was asked for.
+        let header = stdout.lines().next().unwrap_or_default();
+        assert!(header.contains("on 4 simulated ranks"), "{header}");
+        assert!(!header.contains("shared-memory windows"), "{header}");
+        assert_eq!(
+            header.contains("hybrid falls back to channels"),
+            backend == "hybrid",
+            "{header}"
         );
         traces.push(std::fs::read_to_string(&path).unwrap());
         std::fs::remove_file(&path).ok();

@@ -18,7 +18,9 @@
 //! no point-location search). Transfers are trivially local: residual
 //! restriction sums over members, state restriction volume-averages,
 //! prolongation injects (piecewise constant) followed by an optional
-//! Jacobi smoothing of the corrections on the fine grid.
+//! Jacobi smoothing of the corrections on the fine grid. Those three
+//! operators are all this module adds to the cycle: [`AggloMultigrid`]
+//! is a [`Hierarchy`] for the one FAS recursion in [`crate::fas`].
 
 use std::collections::HashMap;
 
@@ -27,6 +29,7 @@ use eul3d_mesh::{BcKind, BoundaryFace, TetMesh, Vec3};
 use crate::config::SolverConfig;
 use crate::counters::{PhaseCounters, FLOPS_TRANSFER_VERT};
 use crate::executor::{count_vertex_loop, Phase, SerialExecutor};
+use crate::fas::{self, Hierarchy};
 use crate::gas::NVAR;
 use crate::level::{eval_total_residual, time_step, LevelState, SolverGrid};
 use crate::multigrid::Strategy;
@@ -229,84 +232,69 @@ impl AggloMultigrid {
     }
 
     pub fn cycle(&mut self) -> f64 {
-        match self.strategy {
-            Strategy::SingleGrid => self.step(0),
-            _ => self.recurse(0, self.strategy.gamma()),
-        }
+        fas::cycle(self, self.strategy, 0, None);
         self.states[0].density_residual_norm(&self.mesh.vol)
     }
 
     pub fn solve(&mut self, n: usize) -> Vec<f64> {
         (0..n).map(|_| self.cycle()).collect()
     }
+}
 
-    fn step(&mut self, l: usize) {
-        if l == 0 {
-            time_step(
-                &self.mesh,
-                &mut self.states[0],
-                &self.cfg,
-                false,
-                &mut SerialExecutor,
-                &mut self.counter,
-            );
-        } else {
-            time_step(
-                &self.coarse[l - 1],
-                &mut self.states[l],
-                &self.cfg,
-                true,
-                &mut SerialExecutor,
-                &mut self.counter,
-            );
-        }
+/// The grid level `l` time-steps on: the mesh itself, or the
+/// agglomerated cells of `coarse[l - 1]`.
+fn grid_of<'a>(mesh: &'a TetMesh, coarse: &'a [AggloLevel], l: usize) -> &'a dyn SolverGrid {
+    match l {
+        0 => mesh,
+        _ => &coarse[l - 1],
+    }
+}
+
+/// The agglomerated [`Hierarchy`]: transfers are trivially local —
+/// `coarse[l].assign` maps every level-`l` entity to its level-`l + 1`
+/// cell.
+impl Hierarchy for AggloMultigrid {
+    fn nlevels(&self) -> usize {
+        self.states.len()
     }
 
-    fn recurse(&mut self, l: usize, gamma: usize) {
-        self.step(l);
-        if l + 1 == self.nlevels() {
-            return;
-        }
-        self.transfer_down(l);
-        let visits = if l + 2 == self.nlevels() { 1 } else { gamma };
-        for _ in 0..visits {
-            self.recurse(l + 1, gamma);
-        }
-        self.prolong_up(l);
+    fn owned(&self, l: usize) -> usize {
+        self.states[l].n
     }
 
-    fn transfer_down(&mut self, l: usize) {
-        if l == 0 {
-            eval_total_residual(
-                &self.mesh,
-                &mut self.states[0],
-                &self.cfg,
-                false,
-                &mut SerialExecutor,
-                &mut self.counter,
-            );
-        } else {
-            eval_total_residual(
-                &self.coarse[l - 1],
-                &mut self.states[l],
-                &self.cfg,
-                true,
-                &mut SerialExecutor,
-                &mut self.counter,
-            );
-        }
-        let agg = &self.coarse[l]; // maps level l entities -> level l+1 cells
-        let (fine_states, coarse_states) = self.states.split_at_mut(l + 1);
-        let fine = &mut fine_states[l];
-        let coarse = &mut coarse_states[0];
+    fn state(&mut self, l: usize) -> &mut LevelState {
+        &mut self.states[l]
+    }
 
-        // State: volume-weighted average over members.
+    fn time_step(&mut self, l: usize) {
+        time_step(
+            grid_of(&self.mesh, &self.coarse, l),
+            &mut self.states[l],
+            &self.cfg,
+            l > 0,
+            &mut SerialExecutor,
+            &mut self.counter,
+        );
+    }
+
+    fn eval_total_residual(&mut self, l: usize) {
+        eval_total_residual(
+            grid_of(&self.mesh, &self.coarse, l),
+            &mut self.states[l],
+            &self.cfg,
+            l > 0,
+            &mut SerialExecutor,
+            &mut self.counter,
+        );
+    }
+
+    /// Volume-weighted average over members.
+    fn restrict_state(&mut self, l: usize) {
+        let agg = &self.coarse[l];
+        let fine_vol = grid_of(&self.mesh, &self.coarse, l).grid_vol();
+        let (fine, coarse) = self.states.split_at_mut(l + 1);
+        let (fine, coarse) = (&fine[l], &mut coarse[0]);
         coarse.w.fill(0.0);
-        let fine_vol: &[f64] = if l == 0 {
-            &self.mesh.vol
-        } else {
-            &self.coarse[l - 1].vol
-        };
         for (v, &c) in agg.assign.iter().enumerate() {
             let wgt = fine_vol[v];
             for k in 0..NVAR {
@@ -319,70 +307,38 @@ impl AggloMultigrid {
                 coarse.w.set(c, k, x / cv);
             }
         }
-        coarse.w_ref.copy_from(&coarse.w);
         count_vertex_loop(
             &mut self.counter,
             Phase::Transfer,
             fine.n,
             FLOPS_TRANSFER_VERT,
         );
+    }
 
-        // Residuals: conservative member sum.
-        coarse.corr.fill(0.0);
+    /// Conservative member sum.
+    fn restrict_residual(&mut self, l: usize) {
+        let agg = &self.coarse[l];
+        let (fine, coarse) = self.states.split_at_mut(l + 1);
         for (v, &c) in agg.assign.iter().enumerate() {
             for k in 0..NVAR {
-                coarse.corr.add(c as usize, k, fine.res.get(v, k));
+                coarse[0].corr.add(c as usize, k, fine[l].res.get(v, k));
             }
-        }
-
-        // Forcing P = R' − R(w').
-        coarse.forcing.fill(0.0);
-        eval_total_residual(
-            agg,
-            coarse,
-            &self.cfg,
-            true,
-            &mut SerialExecutor,
-            &mut self.counter,
-        );
-        for ((f, &c), &r) in coarse
-            .forcing
-            .flat_mut()
-            .iter_mut()
-            .zip(coarse.corr.flat())
-            .zip(coarse.res.flat())
-        {
-            *f = c - r;
         }
     }
 
-    fn prolong_up(&mut self, l: usize) {
+    /// Piecewise-constant injection, then Jacobi smoothing of the
+    /// correction on the receiving level.
+    fn prolong_correction(&mut self, l: usize) {
         let agg = &self.coarse[l];
-        let (fine_states, coarse_states) = self.states.split_at_mut(l + 1);
-        let fine = &mut fine_states[l];
-        let coarse = &mut coarse_states[0];
-        for ((d, &a), &b) in coarse
-            .corr
-            .flat_mut()
-            .iter_mut()
-            .zip(coarse.w.flat())
-            .zip(coarse.w_ref.flat())
-        {
-            *d = a - b;
-        }
-        // Piecewise-constant injection...
+        let fine_edges = grid_of(&self.mesh, &self.coarse, l).grid_edges();
+        let (fine, coarse) = self.states.split_at_mut(l + 1);
+        let (fine, coarse) = (&mut fine[l], &coarse[0]);
         for (v, &c) in agg.assign.iter().enumerate() {
             for k in 0..NVAR {
                 fine.corr.set(v, k, coarse.corr.get(c as usize, k));
             }
         }
-        // ...then smooth the correction on the receiving level.
         if self.correction_smoothing > 0 {
-            let fine_edges: &[[u32; 2]] = if l == 0 {
-                &self.mesh.edges
-            } else {
-                &self.coarse[l - 1].edges
-            };
             smooth_residual_serial_soa(
                 fine_edges,
                 fine.n,
@@ -393,9 +349,6 @@ impl AggloMultigrid {
                 &mut fine.acc,
                 self.counter.phase(Phase::Transfer),
             );
-        }
-        for (w, &c) in fine.w.flat_mut().iter_mut().zip(fine.corr.flat()) {
-            *w += c;
         }
         count_vertex_loop(
             &mut self.counter,

@@ -97,6 +97,26 @@ impl Default for PhaseCounters {
     }
 }
 
+/// A rank's cumulative message/byte/allocation totals at one instant:
+/// the opening half of a communication bracket, closed by
+/// [`PhaseCounters::add_comm_since`].
+#[derive(Debug, Clone, Copy)]
+pub struct CommMark {
+    msgs: u64,
+    bytes: u64,
+    allocs: u64,
+}
+
+impl CommMark {
+    pub fn of(rank: &eul3d_delta::Rank) -> CommMark {
+        CommMark {
+            msgs: rank.counters.total_messages(),
+            bytes: rank.counters.total_bytes(),
+            allocs: rank.counters.comm_allocs,
+        }
+    }
+}
+
 /// One reporting row of [`PhaseCounters::rows`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseRow {
@@ -122,6 +142,23 @@ impl PhaseCounters {
         self.comm_msgs[p.index()] += msgs;
         self.comm_bytes[p.index()] += bytes;
         self.comm_allocs[p.index()] += allocs;
+    }
+
+    /// Charge to `p` everything `rank` has sent (and freshly allocated
+    /// for sending) since `mark`.
+    pub fn add_comm_since(
+        &mut self,
+        p: crate::executor::Phase,
+        rank: &eul3d_delta::Rank,
+        mark: CommMark,
+    ) {
+        let now = CommMark::of(rank);
+        self.add_comm(
+            p,
+            now.msgs - mark.msgs,
+            now.bytes - mark.bytes,
+            now.allocs - mark.allocs,
+        );
     }
 
     /// Total flops across all phases.

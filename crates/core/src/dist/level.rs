@@ -10,19 +10,11 @@ use eul3d_partition::{PartitionedMesh, RankMesh};
 use std::ops::Range;
 
 use crate::config::SolverConfig;
-use crate::counters::PhaseCounters;
+use crate::counters::{CommMark, PhaseCounters};
 use crate::executor::{EdgeSpan, Executor, HaloOp, Phase, ScatterAccess};
 use crate::gas::NVAR;
 use crate::level::LevelState;
 use crate::soa::SoaState;
-
-/// Execution options for the distributed path.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DistExecOptions {
-    /// Disable the §4.3 fetch-once optimization: re-gather the flow
-    /// variables before *every* edge loop instead of once per stage.
-    pub refetch_per_loop: bool,
-}
 
 /// The distributed [`Executor`]: one instance per rank, borrowing the
 /// rank's machine endpoint and the level's halo schedule. Edge and vertex
@@ -47,6 +39,8 @@ pub struct DistExecutor<'a> {
     pub rank: &'a mut Rank,
     pub halo: &'a Schedule,
     pub n_owned: usize,
+    /// Disable the §4.3 fetch-once optimization: re-gather the flow
+    /// variables before *every* edge loop instead of once per stage.
     pub refetch_per_loop: bool,
 }
 
@@ -61,11 +55,7 @@ impl DistExecutor<'_> {
         counters: &mut PhaseCounters,
         f: impl FnOnce(&mut Rank) -> R,
     ) -> R {
-        let (m0, b0, a0) = (
-            self.rank.counters.total_messages(),
-            self.rank.counters.total_bytes(),
-            self.rank.counters.comm_allocs,
-        );
+        let mark = CommMark::of(self.rank);
         obs::emit(obs::Event::PhaseBegin {
             phase: phase.index() as u8,
         });
@@ -73,12 +63,7 @@ impl DistExecutor<'_> {
         obs::emit(obs::Event::PhaseEnd {
             phase: phase.index() as u8,
         });
-        let (m1, b1, a1) = (
-            self.rank.counters.total_messages(),
-            self.rank.counters.total_bytes(),
-            self.rank.counters.comm_allocs,
-        );
-        counters.add_comm(phase, m1 - m0, b1 - b0, a1 - a0);
+        counters.add_comm_since(phase, self.rank, mark);
         out
     }
 }
@@ -256,48 +241,20 @@ impl DistLevel {
         self.rm.n_local()
     }
 
-    /// One distributed five-stage time step — the *same* stage loop as
-    /// every other backend, driven through [`DistExecutor`].
-    pub fn time_step(
-        &mut self,
-        rank: &mut Rank,
-        cfg: &SolverConfig,
-        is_coarse: bool,
-        opts: &DistExecOptions,
-        counters: &mut PhaseCounters,
-    ) {
-        let mut exec = DistExecutor {
+    /// This level's grid and working arrays next to `rank`'s executor
+    /// over its halo — what the generic [`crate::level`] routines take.
+    pub fn parts<'a>(
+        &'a mut self,
+        rank: &'a mut Rank,
+        refetch_per_loop: bool,
+    ) -> (&'a RankMesh, &'a mut LevelState, DistExecutor<'a>) {
+        let exec = DistExecutor {
             rank,
             halo: &self.halo,
             n_owned: self.rm.n_owned(),
-            refetch_per_loop: opts.refetch_per_loop,
+            refetch_per_loop,
         };
-        crate::level::time_step(&self.rm, &mut self.st, cfg, is_coarse, &mut exec, counters);
-    }
-
-    /// Full fresh residual evaluation (for transfers/monitoring).
-    pub fn eval_total_residual(
-        &mut self,
-        rank: &mut Rank,
-        cfg: &SolverConfig,
-        is_coarse: bool,
-        opts: &DistExecOptions,
-        counters: &mut PhaseCounters,
-    ) {
-        let mut exec = DistExecutor {
-            rank,
-            halo: &self.halo,
-            n_owned: self.rm.n_owned(),
-            refetch_per_loop: opts.refetch_per_loop,
-        };
-        crate::level::eval_total_residual(
-            &self.rm,
-            &mut self.st,
-            cfg,
-            is_coarse,
-            &mut exec,
-            counters,
-        );
+        (&self.rm, &mut self.st, exec)
     }
 
     /// Squared density-residual sum and count for the global norm.

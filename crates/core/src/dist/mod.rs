@@ -15,7 +15,7 @@ mod setup;
 mod solver;
 mod transfer;
 
-pub use level::{DistExecOptions, DistExecutor, DistLevel};
+pub use level::{DistExecutor, DistLevel};
 pub use recover::{run_distributed_guarded, run_distributed_with_faults, FaultOptions};
 pub use setup::{partition_options, partitioner_of, DistSetup};
 pub use solver::{

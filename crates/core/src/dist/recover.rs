@@ -51,12 +51,12 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::Scope;
 use std::time::Duration;
 
-use eul3d_delta::{run_spmd, CommClass, FaultPlan, FaultSignal, Rank, RankCounters};
+use eul3d_delta::{run_spmd, CommClass, DeltaError, FaultPlan, FaultSignal, Rank, RankCounters};
 use eul3d_obs as obs;
 use eul3d_partition::PartitionOptions;
 
 use crate::config::SolverConfig;
-use crate::counters::{PhaseCounters, FLOPS_GUARD_VERT};
+use crate::counters::{CommMark, PhaseCounters, FLOPS_GUARD_VERT};
 use crate::error::SolverError;
 use crate::executor::{count_vertex_loop, Phase};
 use crate::gas::NVAR;
@@ -64,6 +64,7 @@ use crate::health::{
     check_state, GuardConfig, GuardOutcome, GuardState, HealthMonitor, HealthVerdict, RetryEvent,
 };
 use crate::multigrid::Strategy;
+use crate::runconfig::RunConfig;
 
 use super::setup::{partitioner_of, DistSetup};
 use super::solver::{
@@ -100,6 +101,28 @@ impl Default for FaultOptions {
             recv_timeout_ms: 1500,
             max_recoveries: 8,
         }
+    }
+}
+
+impl FaultOptions {
+    /// The fault context of a configured run on `nranks` ranks: its
+    /// parsed fault plan, checkpoint cadence and receive timeout. A run
+    /// with neither a plan nor a guard never rolls back, so it keeps the
+    /// fault-free default and takes no checkpoints; the guarded driver
+    /// needs the cadence for its rollback checkpoints even when nothing
+    /// is killed.
+    pub fn for_run(rc: &RunConfig, nranks: usize) -> Result<FaultOptions, DeltaError> {
+        let plan = match &rc.faults {
+            Some(spec) => FaultPlan::parse(spec, nranks)?,
+            None if rc.guard.is_some() => FaultPlan::none(),
+            None => return Ok(FaultOptions::default()),
+        };
+        Ok(FaultOptions {
+            plan: Arc::new(plan),
+            checkpoint_every: rc.checkpoint_every,
+            recv_timeout_ms: rc.fault_timeout_ms,
+            ..FaultOptions::default()
+        })
     }
 }
 
@@ -401,14 +424,6 @@ fn collect_trace(out: &mut RankOutput) {
     }
 }
 
-fn comm_snap(rank: &Rank) -> (u64, u64, u64) {
-    (
-        rank.counters.total_messages(),
-        rank.counters.total_bytes(),
-        rank.counters.comm_allocs,
-    )
-}
-
 /// The adopting buddy of dead rank `d`: the first live virtual id after
 /// it, scanning cyclically. Every instance computes the same answer from
 /// the (epoch-consistent) dead set, so no negotiation is needed.
@@ -465,7 +480,7 @@ fn take_checkpoint(rank: &mut Rank, ctx: &Ctx, st: &mut LoopState, cycle: usize)
     let Some(s) = solver.as_mut() else {
         unreachable!("checkpoint without a solver")
     };
-    let (m0, b0, a0) = comm_snap(rank);
+    let mark = CommMark::of(rank);
     // Mark the lane *before* the checkpoint span: a rollback to this
     // snapshot rewinds the trace here and the replay re-records the
     // (re-taken) checkpoint.
@@ -516,9 +531,7 @@ fn take_checkpoint(rank: &mut Rank, ctx: &Ctx, st: &mut LoopState, cycle: usize)
     obs::emit(obs::Event::CheckpointEnd {
         cycle: cycle as u64,
     });
-    let (m1, b1, a1) = comm_snap(rank);
-    s.counter
-        .add_comm(Phase::Checkpoint, m1 - m0, b1 - b0, a1 - a0);
+    s.counter.add_comm_since(Phase::Checkpoint, rank, mark);
 }
 
 /// One solver cycle, preceded by its due checkpoint, followed by the
@@ -563,12 +576,10 @@ fn do_step(rank: &mut Rank, ctx: &Ctx, st: &mut LoopState) -> StepAction {
     }
     let (sum, n) = s.cycle(rank);
     let r = if ctx.opts.monitor_residual {
-        let (m0, b0, a0) = comm_snap(rank);
+        let mark = CommMark::of(rank);
         let mut parts = [sum, n];
         rank.all_reduce_sum_in_place(&mut parts);
-        let (m1, b1, a1) = comm_snap(rank);
-        s.counter
-            .add_comm(Phase::Monitor, m1 - m0, b1 - b0, a1 - a0);
+        s.counter.add_comm_since(Phase::Monitor, rank, mark);
         (parts[0] / parts[1]).sqrt()
     } else {
         f64::NAN
@@ -586,11 +597,10 @@ fn do_step(rank: &mut Rank, ctx: &Ctx, st: &mut LoopState) -> StepAction {
         // One pooled reduction agrees on the machine-wide worst verdict:
         // an element-wise max over the encodings is the encoding of the
         // worst (severity-major) verdict.
-        let (m0, b0, a0) = comm_snap(rank);
+        let mark = CommMark::of(rank);
         let mut enc = local.encode();
         rank.all_reduce_max_in_place(&mut enc);
-        let (m1, b1, a1) = comm_snap(rank);
-        s.counter.add_comm(Phase::Guard, m1 - m0, b1 - b0, a1 - a0);
+        s.counter.add_comm_since(Phase::Guard, rank, mark);
         let agreed = HealthVerdict::decode(enc);
         if agreed.is_bad() {
             obs::emit(obs::Event::GuardVerdict {
@@ -642,7 +652,7 @@ fn do_repartition(
     // own traffic to `Phase::Checkpoint`; the migration bracket below
     // starts after it so nothing is double-counted.
     take_checkpoint(rank, ctx, st, c);
-    let (m0, b0, a0) = comm_snap(rank);
+    let mark = CommMark::of(rank);
     obs::emit(obs::Event::RepartitionBegin { cycle: c as u64 });
     rank.advance_epoch(rank.epoch() + 1);
     if let Some(s) = st.solver.take() {
@@ -660,9 +670,7 @@ fn do_repartition(
     // A later fault rollback to this slot replays from after the
     // migration markers, keeping them on the committed timeline.
     st.cks.set_mark(c, obs::mark());
-    let (m1, b1, a1) = comm_snap(rank);
-    s.counter
-        .add_comm(Phase::Recovery, m1 - m0, b1 - b0, a1 - a0);
+    s.counter.add_comm_since(Phase::Recovery, rank, mark);
     st.solver = Some(s);
 }
 
@@ -722,7 +730,7 @@ fn do_recover<'scope, 'env>(
     scope: &'scope Scope<'scope, 'env>,
     collector: &'scope Mutex<Vec<AdoptedOutput>>,
 ) {
-    let (m0, b0, a0) = comm_snap(rank);
+    let mark = CommMark::of(rank);
     // Recording pauses for the whole protocol: this instance's clock and
     // event stream diverged at a thread-timing-dependent point (a peer's
     // abort lands wherever this rank happened to be), so nothing between
@@ -864,9 +872,7 @@ fn do_recover<'scope, 'env>(
     if agreed.is_finite() {
         st.cks.set_mark(agreed as usize, obs::mark());
     }
-    let (m1, b1, a1) = comm_snap(rank);
-    s.counter
-        .add_comm(Phase::Recovery, m1 - m0, b1 - b0, a1 - a0);
+    s.counter.add_comm_since(Phase::Recovery, rank, mark);
     st.solver = Some(s);
 }
 
@@ -893,7 +899,7 @@ fn emit_guard_markers(st: &LoopState, numeric: Option<(usize, HealthVerdict)>) {
 /// part in the rollback agreement without constraining it, and receive
 /// the agreed checkpoint and history from the hosting buddy.
 fn do_join(rank: &mut Rank, ctx: &Ctx, st: &mut LoopState, host: usize) {
-    let (m0, b0, a0) = comm_snap(rank);
+    let mark = CommMark::of(rank);
     // Same pause discipline as `do_recover`: the join protocol runs on a
     // clock base that depends on when this replica was spawned, so the
     // lane starts recording from its origin only once the agreed state
@@ -986,9 +992,7 @@ fn do_join(rank: &mut Rank, ctx: &Ctx, st: &mut LoopState, host: usize) {
     if agreed.is_finite() {
         st.cks.set_mark(agreed as usize, obs::mark());
     }
-    let (m1, b1, a1) = comm_snap(rank);
-    s.counter
-        .add_comm(Phase::Recovery, m1 - m0, b1 - b0, a1 - a0);
+    s.counter.add_comm_since(Phase::Recovery, rank, mark);
     st.solver = Some(s);
 }
 
@@ -1206,20 +1210,7 @@ fn run_with_ctx(
     fopts: &FaultOptions,
     guard: Option<GuardConfig>,
 ) -> DistRunResult {
-    // The hybrid backend's shared-memory windows carry only fault-free
-    // halo streams: fault injection lives in the channel transport, so a
-    // non-empty plan — or a repartition policy, whose migrations reuse
-    // the same epoch machinery — keeps everything on the channels (the
-    // recovery machinery then works unchanged). The result records which
-    // transport ran.
-    let transport = if opts.backend == DistBackend::Hybrid
-        && fopts.plan.is_empty()
-        && opts.repartition.is_none()
-    {
-        DistBackend::Hybrid
-    } else {
-        DistBackend::Delta
-    };
+    let transport = opts.transport(fopts);
     let windows = (transport == DistBackend::Hybrid).then(|| {
         let timeout = opts
             .wedge_timeout_ms

@@ -1,5 +1,6 @@
-//! The distributed solve driver: SPMD body construction, the distributed
-//! multigrid recursion, and the top-level [`run_distributed`] entry.
+//! The distributed solve driver: SPMD body construction, one rank's
+//! levels and transfer links as a [`Hierarchy`] for the one FAS cycle in
+//! [`crate::fas`], and the top-level [`run_distributed`] entry.
 
 use eul3d_delta::{MachineRun, Rank, RankCounters};
 use eul3d_obs as obs;
@@ -8,14 +9,17 @@ use eul3d_parti::TagAllocator;
 use eul3d_partition::RankMapping;
 
 use crate::config::SolverConfig;
-use crate::counters::PhaseCounters;
+use crate::counters::{CommMark, PhaseCounters};
 use crate::executor::Phase;
+use crate::fas::{self, Hierarchy};
 use crate::gas::NVAR;
 use crate::health::GuardOutcome;
+use crate::level::{eval_total_residual, time_step, LevelState};
 use crate::multigrid::Strategy;
 use crate::runconfig::{PartitionConfig, PartitionMethod};
 
-use super::level::{DistExecOptions, DistLevel};
+use super::level::DistLevel;
+use super::recover::{run_distributed_with_faults, FaultOptions};
 use super::setup::DistSetup;
 use super::transfer::TransferLink;
 
@@ -135,6 +139,26 @@ impl Default for DistOptions {
             real_time_lanes: false,
             wedge_timeout_ms: None,
             repartition: None,
+        }
+    }
+}
+
+impl DistOptions {
+    /// The halo transport a run with these options and fault context
+    /// really uses. The hybrid backend's shared-memory windows carry
+    /// only fault-free halo streams: fault injection lives in the
+    /// channel transport, so a non-empty plan — or a repartition policy,
+    /// whose migrations reuse the same epoch machinery — keeps
+    /// everything on the channels (the recovery machinery then works
+    /// unchanged).
+    pub fn transport(&self, fopts: &FaultOptions) -> DistBackend {
+        if self.backend == DistBackend::Hybrid
+            && fopts.plan.is_empty()
+            && self.repartition.is_none()
+        {
+            DistBackend::Hybrid
+        } else {
+            DistBackend::Delta
         }
     }
 }
@@ -328,7 +352,9 @@ pub struct DistSolver {
     pub links: Vec<TransferLink>,
     pub cfg: SolverConfig,
     pub strategy: Strategy,
-    pub opts: DistExecOptions,
+    /// Re-gather flow variables before every loop (see
+    /// [`DistOptions::refetch_per_loop`]).
+    pub refetch_per_loop: bool,
     pub counter: PhaseCounters,
     /// Reserved tag pair for recovery traffic (checkpoint shipping to
     /// adopted ranks); epoch-shifted like every schedule tag.
@@ -394,9 +420,7 @@ impl DistSolver {
             links,
             cfg,
             strategy,
-            opts: DistExecOptions {
-                refetch_per_loop: opts.refetch_per_loop,
-            },
+            refetch_per_loop: opts.refetch_per_loop,
             counter: PhaseCounters::default(),
             ck_tag,
         }
@@ -404,134 +428,76 @@ impl DistSolver {
 
     /// One cycle; returns the local residual-norm parts (sum, count).
     pub fn cycle(&mut self, rank: &mut Rank) -> (f64, f64) {
-        match self.strategy {
-            Strategy::SingleGrid => {
-                let cfg = self.cfg;
-                let opts = self.opts;
-                self.levels[0].time_step(rank, &cfg, false, &opts, &mut self.counter);
-            }
-            _ => self.recurse(rank, 0, self.strategy.gamma()),
-        }
+        let strategy = self.strategy;
+        fas::cycle(&mut self.hierarchy(rank), strategy, 0, None);
         self.levels[0].residual_norm_parts()
     }
 
-    fn recurse(&mut self, rank: &mut Rank, l: usize, gamma: usize) {
-        let cfg = self.cfg;
-        let opts = self.opts;
-        self.levels[l].time_step(rank, &cfg, l > 0, &opts, &mut self.counter);
-        if l + 1 == self.levels.len() {
-            return;
-        }
-        self.transfer_down(rank, l);
-        let visits = if l + 2 == self.levels.len() { 1 } else { gamma };
-        for _ in 0..visits {
-            self.recurse(rank, l + 1, gamma);
-        }
-        self.prolong_up(rank, l);
+    /// This rank's levels and links as a [`Hierarchy`] over `rank`.
+    pub(crate) fn hierarchy<'a>(&'a mut self, rank: &'a mut Rank) -> DistHierarchy<'a> {
+        DistHierarchy { s: self, rank }
+    }
+}
+
+/// The distributed [`Hierarchy`]: one rank's share of every level, with
+/// [`TransferLink`] schedules moving the off-rank transfer operands and
+/// the traffic charged to [`Phase::Transfer`].
+pub(crate) struct DistHierarchy<'a> {
+    s: &'a mut DistSolver,
+    rank: &'a mut Rank,
+}
+
+impl Hierarchy for DistHierarchy<'_> {
+    fn nlevels(&self) -> usize {
+        self.s.levels.len()
     }
 
-    fn transfer_down(&mut self, rank: &mut Rank, l: usize) {
-        let cfg = self.cfg;
-        let opts = self.opts;
-        // Fresh fine residual (with its forcing).
-        self.levels[l].eval_total_residual(rank, &cfg, l > 0, &opts, &mut self.counter);
-
-        let (fine, coarse) = self.levels.split_at_mut(l + 1);
-        let fine = &mut fine[l];
-        let coarse = &mut coarse[0];
-        let link = &self.links[l];
-        let nc_owned = coarse.n_owned();
-        let (m0, b0, a0) = (
-            rank.counters.total_messages(),
-            rank.counters.total_bytes(),
-            rank.counters.comm_allocs,
-        );
-        let xfer = self.counter.phase(Phase::Transfer);
-
-        // State down (owned coarse entries set directly).
-        link.restrict_state_planes(rank, fine.st.w.flat(), coarse.st.w.flat_mut(), NVAR, xfer);
-        coarse.st.w_ref.copy_owned_from(&coarse.st.w, nc_owned);
-
-        // Residuals down, conservatively, into coarse.st.corr (owned).
-        for c in 0..NVAR {
-            coarse.st.corr.plane_mut(c)[..nc_owned]
-                .iter_mut()
-                .for_each(|x| *x = 0.0);
-        }
-        // restrict_residual_planes reads owned fine residuals only.
-        link.restrict_residual_planes(
-            rank,
-            fine.st.res.flat(),
-            coarse.st.corr.flat_mut(),
-            NVAR,
-            xfer,
-        );
-        let (m1, b1, a1) = (
-            rank.counters.total_messages(),
-            rank.counters.total_bytes(),
-            rank.counters.comm_allocs,
-        );
-        self.counter
-            .add_comm(Phase::Transfer, m1 - m0, b1 - b0, a1 - a0);
-
-        // Forcing P = R' − R(w').
-        coarse.st.forcing.fill(0.0);
-        coarse.eval_total_residual(rank, &cfg, true, &opts, &mut self.counter);
-        for c in 0..NVAR {
-            for ((f, &cr), &r) in coarse.st.forcing.plane_mut(c)[..nc_owned]
-                .iter_mut()
-                .zip(&coarse.st.corr.plane(c)[..nc_owned])
-                .zip(&coarse.st.res.plane(c)[..nc_owned])
-            {
-                *f = cr - r;
-            }
-        }
+    fn owned(&self, l: usize) -> usize {
+        self.s.levels[l].n_owned()
     }
 
-    fn prolong_up(&mut self, rank: &mut Rank, l: usize) {
-        let (fine, coarse) = self.levels.split_at_mut(l + 1);
-        let fine = &mut fine[l];
-        let coarse = &mut coarse[0];
-        let link = &self.links[l];
-        let nc_owned = coarse.n_owned();
-        for c in 0..NVAR {
-            for ((d, &a), &b) in coarse.st.corr.plane_mut(c)[..nc_owned]
-                .iter_mut()
-                .zip(&coarse.st.w.plane(c)[..nc_owned])
-                .zip(&coarse.st.w_ref.plane(c)[..nc_owned])
-            {
-                *d = a - b;
-            }
-        }
-        let (m0, b0, a0) = (
-            rank.counters.total_messages(),
-            rank.counters.total_bytes(),
-            rank.counters.comm_allocs,
-        );
-        let xfer = self.counter.phase(Phase::Transfer);
-        link.prolong_planes(
-            rank,
-            coarse.st.corr.flat(),
-            fine.st.corr.flat_mut(),
-            NVAR,
-            xfer,
-        );
-        let (m1, b1, a1) = (
-            rank.counters.total_messages(),
-            rank.counters.total_bytes(),
-            rank.counters.comm_allocs,
-        );
-        self.counter
-            .add_comm(Phase::Transfer, m1 - m0, b1 - b0, a1 - a0);
-        let nf_owned = fine.n_owned();
-        for c in 0..NVAR {
-            for (w, &d) in fine.st.w.plane_mut(c)[..nf_owned]
-                .iter_mut()
-                .zip(&fine.st.corr.plane(c)[..nf_owned])
-            {
-                *w += d;
-            }
-        }
+    fn state(&mut self, l: usize) -> &mut LevelState {
+        &mut self.s.levels[l].st
+    }
+
+    fn time_step(&mut self, l: usize) {
+        let s = &mut *self.s;
+        let (grid, st, mut exec) = s.levels[l].parts(self.rank, s.refetch_per_loop);
+        time_step(grid, st, &s.cfg, l > 0, &mut exec, &mut s.counter);
+    }
+
+    fn eval_total_residual(&mut self, l: usize) {
+        let s = &mut *self.s;
+        let (grid, st, mut exec) = s.levels[l].parts(self.rank, s.refetch_per_loop);
+        eval_total_residual(grid, st, &s.cfg, l > 0, &mut exec, &mut s.counter);
+    }
+
+    fn restrict_state(&mut self, l: usize) {
+        let (s, mark) = (&mut *self.s, CommMark::of(self.rank));
+        let (fine, coarse) = s.levels.split_at_mut(l + 1);
+        let (src, dst) = (fine[l].st.w.flat(), coarse[0].st.w.flat_mut());
+        let xfer = s.counter.phase(Phase::Transfer);
+        s.links[l].restrict_state_planes(self.rank, src, dst, NVAR, xfer);
+        s.counter.add_comm_since(Phase::Transfer, self.rank, mark);
+    }
+
+    /// Reads owned fine residuals only.
+    fn restrict_residual(&mut self, l: usize) {
+        let (s, mark) = (&mut *self.s, CommMark::of(self.rank));
+        let (fine, coarse) = s.levels.split_at_mut(l + 1);
+        let (src, dst) = (fine[l].st.res.flat(), coarse[0].st.corr.flat_mut());
+        let xfer = s.counter.phase(Phase::Transfer);
+        s.links[l].restrict_residual_planes(self.rank, src, dst, NVAR, xfer);
+        s.counter.add_comm_since(Phase::Transfer, self.rank, mark);
+    }
+
+    fn prolong_correction(&mut self, l: usize) {
+        let (s, mark) = (&mut *self.s, CommMark::of(self.rank));
+        let (fine, coarse) = s.levels.split_at_mut(l + 1);
+        let (src, dst) = (coarse[0].st.corr.flat(), fine[l].st.corr.flat_mut());
+        let xfer = s.counter.phase(Phase::Transfer);
+        s.links[l].prolong_planes(self.rank, src, dst, NVAR, xfer);
+        s.counter.add_comm_since(Phase::Transfer, self.rank, mark);
     }
 }
 
@@ -545,12 +511,5 @@ pub fn run_distributed(
     cycles: usize,
     opts: DistOptions,
 ) -> DistRunResult {
-    super::recover::run_distributed_with_faults(
-        setup,
-        cfg,
-        strategy,
-        cycles,
-        opts,
-        &super::recover::FaultOptions::default(),
-    )
+    run_distributed_with_faults(setup, cfg, strategy, cycles, opts, &FaultOptions::default())
 }

@@ -891,7 +891,6 @@ mod hybrid {
         run_distributed_guarded, run_distributed_with_faults, DistBackend, FaultOptions, RankFate,
     };
     use crate::health::GuardConfig;
-    use crate::shared::SharedSingleGridSolver;
 
     fn hybrid_opts() -> DistOptions {
         DistOptions {
@@ -938,7 +937,7 @@ mod hybrid {
         let mut serial = SingleGridSolver::new(seq.meshes[0].clone(), cfg);
         let hs = serial.solve(cycles);
 
-        let mut shared = SharedSingleGridSolver::new(seq.meshes[0].clone(), cfg, 3)
+        let mut shared = MultigridSolver::new_shared(small_seq(1), cfg, Strategy::SingleGrid, 3)
             .expect("shared solver builds");
         let hsh = shared.solve(cycles);
 

@@ -24,8 +24,8 @@ use eul3d_obs as obs;
 
 use crate::ckstore::{DurabilitySink, JobCheckpoint};
 use crate::dist::{
-    run_distributed, run_distributed_guarded, run_distributed_with_faults, DistBackend,
-    DistOptions, DistSetup, FaultOptions,
+    run_distributed_guarded, run_distributed_with_faults, DistBackend, DistOptions, DistSetup,
+    FaultOptions,
 };
 use crate::error::{Eul3dError, SolverError};
 use crate::health::GuardOutcome;
@@ -387,22 +387,7 @@ fn run_dist_job(
     };
     cancel.check();
 
-    let fopts = match &rc.faults {
-        Some(spec) => Some(FaultOptions {
-            plan: Arc::new(eul3d_delta::FaultPlan::parse(spec, nranks).map_err(Eul3dError::Delta)?),
-            checkpoint_every: rc.checkpoint_every,
-            recv_timeout_ms: rc.fault_timeout_ms,
-            ..FaultOptions::default()
-        }),
-        // The guarded driver needs a fault context for its rollback
-        // checkpoints even when nothing is killed.
-        None if rc.guard.is_some() => Some(FaultOptions {
-            checkpoint_every: rc.checkpoint_every,
-            recv_timeout_ms: rc.fault_timeout_ms,
-            ..FaultOptions::default()
-        }),
-        None => None,
-    };
+    let fopts = FaultOptions::for_run(rc, nranks).map_err(Eul3dError::Delta)?;
     let opts = DistOptions {
         trace_capacity: rc.trace.enabled.then_some(rc.trace.capacity),
         backend: if hybrid {
@@ -424,32 +409,25 @@ fn run_dist_job(
     // taxonomy here; anything else keeps unwinding unchanged.
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
         || -> Result<crate::dist::DistRunResult, Eul3dError> {
-            match (&rc.guard, &fopts) {
-                (Some(g), Some(f)) => Ok(run_distributed_guarded(
+            Ok(match &rc.guard {
+                Some(g) => run_distributed_guarded(
                     &setup,
                     rc.solver,
                     rc.strategy,
                     rc.cycles,
                     opts,
-                    f,
+                    &fopts,
                     g,
-                )?),
-                (None, Some(f)) => Ok(run_distributed_with_faults(
+                )?,
+                None => run_distributed_with_faults(
                     &setup,
                     rc.solver,
                     rc.strategy,
                     rc.cycles,
                     opts,
-                    f,
-                )),
-                _ => Ok(run_distributed(
-                    &setup,
-                    rc.solver,
-                    rc.strategy,
-                    rc.cycles,
-                    opts,
-                )),
-            }
+                    &fopts,
+                ),
+            })
         },
     ));
     let r = match run {

@@ -5,13 +5,15 @@
 //! dissipation, local time steps, implicit residual averaging, and FAS
 //! multigrid on sequences of *unrelated* meshes (V and W cycles).
 //!
-//! Three executors share the same kernels:
+//! One time step ([`level`]) and one multigrid cycle ([`fas`]) run on
+//! three executors:
 //!
-//! * [`solver::SingleGridSolver`] / [`multigrid::MultigridSolver`] — the
-//!   sequential reference implementation;
-//! * [`shared`] — the shared-memory path of §3: edge-coloured groups
-//!   work-shared across threads (rayon), the analogue of Cray
-//!   autotasking over colour subgroups;
+//! * [`solver::SingleGridSolver`] / [`multigrid::MultigridSolver::new`] —
+//!   the sequential reference implementation;
+//! * [`multigrid::MultigridSolver::new_shared`] over [`shared`] — the
+//!   shared-memory path of §3: edge-coloured groups work-shared across
+//!   threads (rayon), the analogue of Cray autotasking over colour
+//!   subgroups;
 //! * [`dist`] — the distributed-memory path of §4: each rank runs the
 //!   same cycle on its partition with PARTI gather/scatter keeping ghost
 //!   data coherent, on the simulated Delta machine.
@@ -40,6 +42,7 @@ pub mod counters;
 pub mod dist;
 pub mod error;
 pub mod executor;
+pub mod fas;
 pub mod gas;
 pub mod health;
 pub mod history;

@@ -1,7 +1,8 @@
-//! The FAS multigrid solver on *unrelated* meshes (§2.3): time stepping
-//! on each level, residual collection to the coarse grids through the
-//! transpose of the interpolation operator, the forcing function
-//! `P = R' − R(w')`, and correction prolongation — in V or W cycles.
+//! The FAS multigrid solver on *unrelated* meshes (§2.3): the mesh
+//! sequence as a [`Hierarchy`] for the one cycle in [`crate::fas`] —
+//! state down by direct interpolation, residuals down through the
+//! transpose of the prolongation operator, corrections up by
+//! interpolation — plus the guarded and full-multigrid drivers around it.
 
 use eul3d_mesh::MeshSequence;
 use eul3d_obs as obs;
@@ -9,7 +10,8 @@ use eul3d_obs as obs;
 use crate::config::SolverConfig;
 use crate::counters::{PhaseCounters, FLOPS_GUARD_VERT, FLOPS_TRANSFER_VERT};
 use crate::error::SolverError;
-use crate::executor::{count_vertex_loop, Phase, SerialExecutor};
+use crate::executor::{count_vertex_loop, Executor, Phase, SerialExecutor};
+use crate::fas::{self, Hierarchy};
 use crate::gas::NVAR;
 use crate::health::{
     check_state, GuardConfig, GuardOutcome, GuardState, HealthMonitor, RetryEvent,
@@ -71,8 +73,6 @@ pub struct MultigridSolver {
     /// When present, time steps run through the coloured shared-memory
     /// executors (one per level) — the paper's actual C90 configuration,
     /// which ran the full multigrid cycle under autotasking (§3.2).
-    /// Inter-grid transfers stay serial (they are a small fraction of
-    /// the work, and the paper's tables fold them into the cycle).
     shared: Option<Vec<SharedExecutor>>,
 }
 
@@ -96,8 +96,9 @@ impl MultigridSolver {
     }
 
     /// Multigrid with every level's edge loops executed through the
-    /// coloured shared-memory path on `ncpus` workers. Fails if any
-    /// level's edge colouring does not validate.
+    /// coloured shared-memory path on `ncpus` workers (with
+    /// `cfg.edge_reorder`, each colour group sorted for gather locality).
+    /// Fails if any level's edge colouring does not validate.
     pub fn new_shared(
         seq: MeshSequence,
         cfg: SolverConfig,
@@ -107,8 +108,14 @@ impl MultigridSolver {
         let execs = seq
             .meshes
             .iter()
-            .map(|m| SharedExecutor::new(m, ncpus))
-            .collect::<Result<Vec<_>, _>>()?;
+            .map(|m| {
+                let mut exec = SharedExecutor::new(m, ncpus)?;
+                if cfg.edge_reorder {
+                    exec.reorder_within_colors(&m.edges);
+                }
+                Ok(exec)
+            })
+            .collect::<Result<Vec<_>, String>>()?;
         let mut mg = MultigridSolver::new(seq, cfg, strategy);
         mg.shared = Some(execs);
         Ok(mg)
@@ -123,12 +130,7 @@ impl MultigridSolver {
     /// density-residual norm.
     pub fn cycle(&mut self) -> f64 {
         self.events.clear();
-        match self.strategy {
-            Strategy::SingleGrid => {
-                self.step(0);
-            }
-            _ => self.recurse(0, self.strategy.gamma()),
-        }
+        self.drive(None);
         self.levels[0].density_residual_norm(&self.seq.meshes[0].vol)
     }
 
@@ -257,197 +259,160 @@ impl MultigridSolver {
     /// instead of an impulsive freestream, which removes most of the
     /// startup transient.
     pub fn fmg_init(&mut self, cycles_per_level: usize) {
+        self.drive(Some(cycles_per_level));
+    }
+
+    /// Run one cycle — or, given `fmg` cycles per level, the FMG start-up
+    /// — on this solver's hierarchy. The only place the executor family
+    /// is chosen; everything below is generic over it.
+    fn drive(&mut self, fmg: Option<usize>) {
+        let strategy = self.strategy;
+        let events = self.record_events.then_some(&mut self.events);
+        let (seq, cfg, counter) = (&self.seq, &self.cfg, &mut self.counter);
+        let levels = &mut self.levels[..];
+        match &mut self.shared {
+            Some(execs) => SeqHierarchy {
+                seq,
+                cfg,
+                levels,
+                counter,
+                execs,
+            }
+            .run(strategy, fmg, events),
+            None => SeqHierarchy {
+                seq,
+                cfg,
+                levels,
+                counter,
+                execs: &mut vec![SerialExecutor; seq.levels()],
+            }
+            .run(strategy, fmg, events),
+        }
+    }
+}
+
+/// The mesh-sequence [`Hierarchy`]: a [`MultigridSolver`]'s levels, each
+/// driven through its own executor, with the 4-address/4-weight
+/// interpolation operators of §2.4 between them. Inter-grid transfers
+/// run serially on every backend (they are a small fraction of the work,
+/// and the paper's tables fold them into the cycle).
+struct SeqHierarchy<'a, E> {
+    seq: &'a MeshSequence,
+    cfg: &'a SolverConfig,
+    levels: &'a mut [LevelState],
+    counter: &'a mut PhaseCounters,
+    /// One executor per level.
+    execs: &'a mut [E],
+}
+
+impl<E: Executor> SeqHierarchy<'_, E> {
+    fn run(
+        &mut self,
+        strategy: Strategy,
+        fmg: Option<usize>,
+        events: Option<&mut Vec<CycleEvent>>,
+    ) {
+        match fmg {
+            Some(cycles_per_level) => self.fmg(strategy, cycles_per_level, events),
+            None => fas::cycle(self, strategy, 0, events),
+        }
+    }
+
+    fn fmg(
+        &mut self,
+        strategy: Strategy,
+        cycles_per_level: usize,
+        mut events: Option<&mut Vec<CycleEvent>>,
+    ) {
         let last = self.nlevels() - 1;
-        // The coarsest level relaxes alone (its forcing is zero).
-        for _ in 0..cycles_per_level {
-            self.step(last);
-        }
-        for l in (0..last).rev() {
-            // Prolong the full state (not a correction) onto level l.
-            let (fine, coarse) = self.levels.split_at_mut(l + 1);
-            for c in 0..NVAR {
-                self.seq.to_fine[l].interpolate(coarse[0].w.plane(c), fine[l].w.plane_mut(c));
+        for l in (0..=last).rev() {
+            // The coarsest level relaxes alone (its forcing is zero);
+            // every finer one starts from the full state (not a
+            // correction) of the level below and drives its own
+            // sub-hierarchy.
+            if l < last {
+                self.transfer(l, l, |seq, fine, coarse, c| {
+                    seq.to_fine[l].interpolate(coarse.w.plane(c), fine.w.plane_mut(c))
+                });
+                self.levels[l].forcing.fill(0.0);
             }
-            count_vertex_loop(
-                &mut self.counter,
-                Phase::Transfer,
-                fine[l].n,
-                FLOPS_TRANSFER_VERT,
-            );
-            // Level l now drives its own sub-hierarchy.
-            self.levels[l].forcing.fill(0.0);
-            let gamma = self.strategy.gamma();
             for _ in 0..cycles_per_level {
-                match self.strategy {
-                    Strategy::SingleGrid => self.step(l),
-                    _ => self.recurse(l, gamma),
-                }
+                fas::cycle(self, strategy, l, events.as_deref_mut());
             }
         }
     }
 
-    fn step(&mut self, l: usize) {
-        if self.record_events {
-            self.events.push(CycleEvent::Step(l));
-        }
-        match &mut self.shared {
-            Some(execs) => time_step(
-                &self.seq.meshes[l],
-                &mut self.levels[l],
-                &self.cfg,
-                l > 0,
-                &mut execs[l],
-                &mut self.counter,
-            ),
-            None => time_step(
-                &self.seq.meshes[l],
-                &mut self.levels[l],
-                &self.cfg,
-                l > 0,
-                &mut SerialExecutor,
-                &mut self.counter,
-            ),
-        }
-    }
-
-    /// Fresh residual evaluation on level `l` through that level's
-    /// executor.
-    fn eval_resid(&mut self, l: usize) {
-        match &mut self.shared {
-            Some(execs) => eval_total_residual(
-                &self.seq.meshes[l],
-                &mut self.levels[l],
-                &self.cfg,
-                l > 0,
-                &mut execs[l],
-                &mut self.counter,
-            ),
-            None => eval_total_residual(
-                &self.seq.meshes[l],
-                &mut self.levels[l],
-                &self.cfg,
-                l > 0,
-                &mut SerialExecutor,
-                &mut self.counter,
-            ),
-        }
-    }
-
-    fn recurse(&mut self, l: usize, gamma: usize) {
-        self.step(l);
-        if l + 1 == self.nlevels() {
-            return;
-        }
-        self.transfer_down(l);
-        // The coarsest level needs no repeat visits: without a further
-        // restriction below it, a second visit would just re-step the
-        // same problem. Classic W recursion applies γ at interior levels.
-        let visits = if l + 2 == self.nlevels() { 1 } else { gamma };
-        for _ in 0..visits {
-            self.recurse(l + 1, gamma);
-        }
-        self.prolong_up(l);
-    }
-
-    /// Restrict state and residuals from level `l` to `l + 1` and set the
-    /// coarse forcing `P = R' − R(w')`.
-    fn transfer_down(&mut self, l: usize) {
-        if self.record_events {
-            self.events.push(CycleEvent::Restrict(l));
-        }
-        // Fresh fine-level residual (includes the fine forcing).
-        self.eval_resid(l);
-
+    /// Apply `op(seq, fine, coarse, plane)` to every component plane of
+    /// levels `l` and `l + 1`, charged as one transfer loop over level
+    /// `counted`'s vertices.
+    fn transfer(
+        &mut self,
+        l: usize,
+        counted: usize,
+        op: impl Fn(&MeshSequence, &mut LevelState, &mut LevelState, usize),
+    ) {
         let (fine, coarse) = self.levels.split_at_mut(l + 1);
-        let fine = &mut fine[l];
-        let coarse = &mut coarse[0];
-
-        // State moves down by direct interpolation onto coarse vertices,
-        // one component plane at a time.
         for c in 0..NVAR {
-            self.seq.to_coarse[l].interpolate(fine.w.plane(c), coarse.w.plane_mut(c));
+            op(self.seq, &mut fine[l], &mut coarse[0], c);
         }
-        coarse.w_ref.copy_from(&coarse.w);
-        count_vertex_loop(
-            &mut self.counter,
-            Phase::Transfer,
-            coarse.n,
-            FLOPS_TRANSFER_VERT,
-        );
+        let n = self.levels[counted].n;
+        count_vertex_loop(self.counter, Phase::Transfer, n, FLOPS_TRANSFER_VERT);
+    }
+}
 
-        // Residuals move down conservatively: transpose of prolongation.
-        coarse.corr.fill(0.0);
-        for c in 0..NVAR {
-            self.seq.to_fine[l].restrict_transpose(fine.res.plane(c), coarse.corr.plane_mut(c));
-        }
-        count_vertex_loop(
-            &mut self.counter,
-            Phase::Transfer,
-            fine.n,
-            FLOPS_TRANSFER_VERT,
-        );
-
-        // Forcing: P = R' − R(w') with R evaluated at the restricted
-        // state *without* any forcing.
-        coarse.forcing.fill(0.0);
-        match &mut self.shared {
-            Some(execs) => eval_total_residual(
-                &self.seq.meshes[l + 1],
-                coarse,
-                &self.cfg,
-                true,
-                &mut execs[l + 1],
-                &mut self.counter,
-            ),
-            None => eval_total_residual(
-                &self.seq.meshes[l + 1],
-                coarse,
-                &self.cfg,
-                true,
-                &mut SerialExecutor,
-                &mut self.counter,
-            ),
-        }
-        for ((f, &c), &r) in coarse
-            .forcing
-            .flat_mut()
-            .iter_mut()
-            .zip(coarse.corr.flat())
-            .zip(coarse.res.flat())
-        {
-            *f = c - r;
-        }
+impl<E: Executor> Hierarchy for SeqHierarchy<'_, E> {
+    fn nlevels(&self) -> usize {
+        self.levels.len()
     }
 
-    /// Interpolate the coarse-grid correction `w − w'` back to level `l`.
-    fn prolong_up(&mut self, l: usize) {
-        if self.record_events {
-            self.events.push(CycleEvent::Prolong(l));
-        }
-        let (fine, coarse) = self.levels.split_at_mut(l + 1);
-        let fine = &mut fine[l];
-        let coarse = &mut coarse[0];
-        for ((d, &a), &b) in coarse
-            .corr
-            .flat_mut()
-            .iter_mut()
-            .zip(coarse.w.flat())
-            .zip(coarse.w_ref.flat())
-        {
-            *d = a - b;
-        }
-        for c in 0..NVAR {
-            self.seq.to_fine[l].interpolate(coarse.corr.plane(c), fine.corr.plane_mut(c));
-        }
-        for (w, &c) in fine.w.flat_mut().iter_mut().zip(fine.corr.flat()) {
-            *w += c;
-        }
-        count_vertex_loop(
-            &mut self.counter,
-            Phase::Transfer,
-            fine.n,
-            FLOPS_TRANSFER_VERT,
+    fn owned(&self, l: usize) -> usize {
+        self.levels[l].n
+    }
+
+    fn state(&mut self, l: usize) -> &mut LevelState {
+        &mut self.levels[l]
+    }
+
+    fn time_step(&mut self, l: usize) {
+        time_step(
+            &self.seq.meshes[l],
+            &mut self.levels[l],
+            self.cfg,
+            l > 0,
+            &mut self.execs[l],
+            self.counter,
         );
+    }
+
+    fn eval_total_residual(&mut self, l: usize) {
+        eval_total_residual(
+            &self.seq.meshes[l],
+            &mut self.levels[l],
+            self.cfg,
+            l > 0,
+            &mut self.execs[l],
+            self.counter,
+        );
+    }
+
+    /// Direct interpolation onto coarse vertices.
+    fn restrict_state(&mut self, l: usize) {
+        self.transfer(l, l + 1, |seq, fine, coarse, c| {
+            seq.to_coarse[l].interpolate(fine.w.plane(c), coarse.w.plane_mut(c))
+        });
+    }
+
+    /// Transpose of prolongation.
+    fn restrict_residual(&mut self, l: usize) {
+        self.transfer(l, l, |seq, fine, coarse, c| {
+            seq.to_fine[l].restrict_transpose(fine.res.plane(c), coarse.corr.plane_mut(c))
+        });
+    }
+
+    fn prolong_correction(&mut self, l: usize) {
+        self.transfer(l, l, |seq, fine, coarse, c| {
+            seq.to_fine[l].interpolate(coarse.corr.plane(c), fine.corr.plane_mut(c))
+        });
     }
 }
 
@@ -506,54 +471,6 @@ mod tests {
     }
 
     #[test]
-    fn w_cycle_event_schedule_matches_figure_1() {
-        // 3 levels, W-cycle: E0 R0 E1 R1 E2 P1 E1 R1 E2 P1 P0
-        let seq = MeshSequence::box_sequence(4, 3, 0.1, 2);
-        let mut mg = MultigridSolver::new(seq, SolverConfig::default(), Strategy::WCycle);
-        mg.record_events = true;
-        mg.cycle();
-        use CycleEvent::*;
-        assert_eq!(
-            mg.events,
-            vec![
-                Step(0),
-                Restrict(0),
-                Step(1),
-                Restrict(1),
-                Step(2),
-                Prolong(1),
-                Step(1),
-                Restrict(1),
-                Step(2),
-                Prolong(1),
-                Prolong(0)
-            ]
-        );
-    }
-
-    #[test]
-    fn v_cycle_event_schedule_matches_figure_1() {
-        // 3 levels, V-cycle: one step per level down, then corrections up.
-        let seq = MeshSequence::box_sequence(4, 3, 0.1, 2);
-        let mut mg = MultigridSolver::new(seq, SolverConfig::default(), Strategy::VCycle);
-        mg.record_events = true;
-        mg.cycle();
-        use CycleEvent::*;
-        assert_eq!(
-            mg.events,
-            vec![
-                Step(0),
-                Restrict(0),
-                Step(1),
-                Restrict(1),
-                Step(2),
-                Prolong(1),
-                Prolong(0)
-            ]
-        );
-    }
-
-    #[test]
     fn w_cycle_does_more_work_per_cycle_than_v() {
         let mut mg_v = MultigridSolver::new(
             MeshSequence::box_sequence(6, 3, 0.1, 3),
@@ -602,6 +519,51 @@ mod tests {
         assert!(max < 1e-9, "states diverge: {max:.3e}");
         // Flop accounting is backend-independent: identical, not close.
         assert_eq!(serial.counter.flops(), shared.counter.flops());
+    }
+
+    #[test]
+    fn edge_reorder_keeps_every_level_valid_and_the_history() {
+        // The within-colour locality sort permutes edges inside groups
+        // whose endpoints are disjoint: the colouring must stay valid on
+        // every level and the answer must not move.
+        let cfg = SolverConfig {
+            mach: 0.5,
+            ..SolverConfig::default()
+        };
+        let sorted_cfg = SolverConfig {
+            edge_reorder: true,
+            ..cfg
+        };
+        // Generated meshes list their edges in endpoint order already;
+        // shuffle them so the sort has something to do.
+        let shuffled_seq = || {
+            let mut seq = bump_seq(3);
+            for m in &mut seq.meshes {
+                eul3d_partition::reorder::shuffle_edges(m, 5);
+            }
+            seq
+        };
+        let mut plain =
+            MultigridSolver::new_shared(shuffled_seq(), cfg, Strategy::WCycle, 3).unwrap();
+        let mut sorted =
+            MultigridSolver::new_shared(shuffled_seq(), sorted_cfg, Strategy::WCycle, 3).unwrap();
+        let (plain_execs, sorted_execs) = (
+            plain.shared.as_ref().unwrap(),
+            sorted.shared.as_ref().unwrap(),
+        );
+        assert!(
+            plain_execs
+                .iter()
+                .zip(sorted_execs)
+                .any(|(a, b)| a.coloring.groups != b.coloring.groups),
+            "the flag must reach the executors"
+        );
+        for (mesh, exec) in sorted.seq.meshes.iter().zip(sorted_execs) {
+            eul3d_partition::validate_coloring(mesh, &exec.coloring).expect("still a colouring");
+        }
+        for (a, b) in plain.solve(4).iter().zip(&sorted.solve(4)) {
+            assert!((a - b).abs() < 1e-9 * a.max(1e-30), "{a} vs {b}");
+        }
     }
 
     #[test]

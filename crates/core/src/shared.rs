@@ -7,16 +7,15 @@
 //!
 //! This module only provides the [`Executor`] backend; the solver kernels
 //! themselves live in [`crate::level`] and are shared verbatim with the
-//! sequential and distributed paths.
+//! sequential and distributed paths, and the driver is
+//! [`crate::MultigridSolver::new_shared`] for every strategy.
 
 use eul3d_mesh::TetMesh;
 use eul3d_partition::{color_edges, validate_coloring, EdgeColoring};
 use rayon::prelude::*;
 
-use crate::config::SolverConfig;
 use crate::counters::PhaseCounters;
 use crate::executor::{EdgeSpan, Executor, HaloOp, Phase, ScatterAccess};
-use crate::level::{time_step, LevelState};
 
 /// The shared-memory execution context: a validated edge colouring plus
 /// a dedicated thread pool of `ncpus` workers.
@@ -160,58 +159,15 @@ impl Executor for SharedExecutor {
     }
 }
 
-/// A shared-memory single-grid solver: [`crate::SingleGridSolver`] with
-/// the coloured/rayon executor.
-pub struct SharedSingleGridSolver {
-    pub mesh: TetMesh,
-    pub cfg: SolverConfig,
-    pub st: LevelState,
-    pub exec: SharedExecutor,
-    pub counter: PhaseCounters,
-}
-
-impl SharedSingleGridSolver {
-    pub fn new(
-        mesh: TetMesh,
-        cfg: SolverConfig,
-        ncpus: usize,
-    ) -> Result<SharedSingleGridSolver, String> {
-        let mut exec = SharedExecutor::new(&mesh, ncpus)?;
-        if cfg.edge_reorder {
-            exec.reorder_within_colors(&mesh.edges);
-        }
-        let st = LevelState::new(&mesh, &cfg);
-        Ok(SharedSingleGridSolver {
-            mesh,
-            cfg,
-            st,
-            exec,
-            counter: PhaseCounters::default(),
-        })
-    }
-
-    pub fn cycle(&mut self) -> f64 {
-        time_step(
-            &self.mesh,
-            &mut self.st,
-            &self.cfg,
-            false,
-            &mut self.exec,
-            &mut self.counter,
-        );
-        self.st.density_residual_norm(&self.mesh.vol)
-    }
-
-    pub fn solve(&mut self, n: usize) -> Vec<f64> {
-        (0..n).map(|_| self.cycle()).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SolverConfig;
     use crate::executor::SerialExecutor;
+    use crate::level::{time_step, LevelState};
+    use crate::{MultigridSolver, Strategy};
     use eul3d_mesh::gen::{bump_channel, unit_box, BumpSpec};
+    use eul3d_mesh::MeshSequence;
 
     fn perturbed_state(mesh: &TetMesh, cfg: &SolverConfig) -> LevelState {
         let mut st = LevelState::new(mesh, cfg);
@@ -274,7 +230,8 @@ mod tests {
         };
 
         let mut serial = crate::SingleGridSolver::new(mesh.clone(), cfg);
-        let mut shared = SharedSingleGridSolver::new(mesh, cfg, 3).unwrap();
+        let seq = MeshSequence::from_meshes(vec![mesh]);
+        let mut shared = MultigridSolver::new_shared(seq, cfg, Strategy::SingleGrid, 3).unwrap();
         let hs = serial.solve(10);
         let hp = shared.solve(10);
         for (a, b) in hs.iter().zip(&hp) {

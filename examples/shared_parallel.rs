@@ -8,9 +8,9 @@
 //! ```
 
 use eul3d::mesh::gen::{bump_channel, BumpSpec};
+use eul3d::mesh::MeshSequence;
 use eul3d::partition::color_edges;
-use eul3d::solver::shared::SharedSingleGridSolver;
-use eul3d::solver::{SingleGridSolver, SolverConfig};
+use eul3d::solver::{MultigridSolver, SingleGridSolver, SolverConfig, Strategy};
 
 fn main() {
     let spec = BumpSpec {
@@ -45,8 +45,9 @@ fn main() {
     let hs = serial.solve(20);
 
     // Coloured/rayon executor.
-    let mut shared =
-        SharedSingleGridSolver::new(mesh, cfg, ncpus).expect("edge colouring must validate");
+    let seq = MeshSequence::from_meshes(vec![mesh]);
+    let mut shared = MultigridSolver::new_shared(seq, cfg, Strategy::SingleGrid, ncpus)
+        .expect("edge colouring must validate");
     let t0 = std::time::Instant::now();
     let hp = shared.solve(20);
     println!(

@@ -5,7 +5,7 @@ use eul3d::mesh::gen::{bump_channel, BumpSpec};
 use eul3d::mesh::MeshSequence;
 use eul3d::solver::agglo::AggloMultigrid;
 use eul3d::solver::postproc::wall_pressure_force;
-use eul3d::solver::{MultigridSolver, SolverConfig, Strategy};
+use eul3d::solver::{MultigridSolver, SingleGridSolver, SolverConfig, Strategy};
 
 fn spec() -> BumpSpec {
     BumpSpec {
@@ -64,6 +64,26 @@ fn agglomeration_mg_transient_stays_physical() {
         assert!(r.is_finite());
         for i in 0..mg.mesh.nverts() {
             assert!(mg.state().get(i, 0) > 0.05, "density positive");
+        }
+    }
+}
+
+#[test]
+fn single_grid_strategy_is_the_single_grid_solver_on_every_hierarchy() {
+    // One cycle serves every hierarchy, so its single-grid shortcut must
+    // be the base solver itself — same bits — whether the coarse levels
+    // underneath are agglomerated cells or independent meshes.
+    let cfg = SolverConfig {
+        mach: 0.5,
+        ..SolverConfig::default()
+    };
+    let reference = SingleGridSolver::new(bump_channel(&spec()), cfg).solve(6);
+    let agglo = AggloMultigrid::new(bump_channel(&spec()), cfg, Strategy::SingleGrid, 3).solve(6);
+    let seq = MeshSequence::bump_sequence(&spec(), 3);
+    let mesh_seq = MultigridSolver::new(seq, cfg, Strategy::SingleGrid).solve(6);
+    for (what, hist) in [("agglomerated", agglo), ("mesh sequence", mesh_seq)] {
+        for (a, b) in reference.iter().zip(&hist) {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}: {a:e} vs {b:e}");
         }
     }
 }

@@ -8,7 +8,6 @@
 use eul3d::mesh::gen::BumpSpec;
 use eul3d::mesh::MeshSequence;
 use eul3d::solver::dist::{run_distributed, DistBackend, DistOptions, DistSetup};
-use eul3d::solver::shared::SharedSingleGridSolver;
 use eul3d::solver::{MultigridSolver, Scheme, SingleGridSolver, SolverConfig, Strategy};
 
 fn spec() -> BumpSpec {
@@ -43,10 +42,29 @@ fn three_way_single_grid(scheme: Scheme) {
     let mesh = seq.meshes[0].clone();
 
     let mut serial = SingleGridSolver::new(mesh.clone(), cfg);
-    serial.solve(cycles);
+    let hs = serial.solve(cycles);
 
-    let mut shared = SharedSingleGridSolver::new(mesh, cfg, 3).expect("valid colouring");
-    shared.solve(cycles);
+    // The single-grid strategy of the one multigrid driver *is* the
+    // single-grid solver: same bits, not merely close.
+    let one_level = || MeshSequence::from_meshes(vec![mesh.clone()]);
+    let mut mg = MultigridSolver::new(one_level(), cfg, Strategy::SingleGrid);
+    let hm = mg.solve(cycles);
+    for (a, b) in hs.iter().zip(&hm) {
+        assert_eq!(a.to_bits(), b.to_bits(), "{scheme:?}: {a:e} vs {b:e}");
+    }
+    for (a, b) in serial.state().flat().iter().zip(mg.state().flat()) {
+        assert_eq!(a.to_bits(), b.to_bits(), "{scheme:?}: state");
+    }
+
+    let mut shared = MultigridSolver::new_shared(one_level(), cfg, Strategy::SingleGrid, 3)
+        .expect("valid colouring");
+    let hp = shared.solve(cycles);
+    for (a, b) in hs.iter().zip(&hp) {
+        assert!(
+            (a - b).abs() < 1e-8 * a.abs().max(1e-30) + 1e-13,
+            "{scheme:?} residual histories diverge: {a} vs {b}"
+        );
+    }
 
     let setup = DistSetup::new(seq, 6, 25, 11);
     let dist = run_distributed(
@@ -58,7 +76,7 @@ fn three_way_single_grid(scheme: Scheme) {
     );
     let wd = dist.global_state(setup.seq.meshes[0].nverts());
 
-    let d1 = max_dev(serial.state().flat(), shared.st.w.flat());
+    let d1 = max_dev(serial.state().flat(), shared.state().flat());
     let d2 = max_dev(&serial.state().to_aos(), &wd);
     assert!(d1 < 1e-10, "{scheme:?} serial vs shared: {d1:.3e}");
     assert!(d2 < 1e-9, "{scheme:?} serial vs distributed: {d2:.3e}");
