@@ -20,7 +20,7 @@
 //! Backends:
 //! * [`SerialExecutor`] — plain loops (the sequential reference);
 //! * [`crate::shared::SharedExecutor`] — §3 edge-coloured groups
-//!   work-shared over a rayon pool (the Cray autotasking analogue);
+//!   walked by a resident rayon team (the Cray autotasking analogue);
 //! * [`crate::dist::DistExecutor`] — §4 PARTI schedules, one instance
 //!   per rank, over whichever halo transport the rank carries: channel
 //!   mailboxes on the simulated Delta, or shared-memory windows with

@@ -6,6 +6,7 @@
 
 use eul3d_mesh::MeshSequence;
 use eul3d_obs as obs;
+use eul3d_partition::color_edges;
 
 use crate::config::SolverConfig;
 use crate::counters::{PhaseCounters, FLOPS_GUARD_VERT, FLOPS_TRANSFER_VERT};
@@ -17,7 +18,7 @@ use crate::health::{
     check_state, GuardConfig, GuardOutcome, GuardState, HealthMonitor, RetryEvent,
 };
 use crate::level::{eval_total_residual, time_step, LevelState};
-use crate::shared::SharedExecutor;
+use crate::shared::{self, SharedExecutor};
 
 /// Solution strategy, as compared throughout the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,11 +106,14 @@ impl MultigridSolver {
         strategy: Strategy,
         ncpus: usize,
     ) -> Result<MultigridSolver, String> {
+        // One resident team for the whole solver: the levels run one
+        // after another, never at once.
+        let team = shared::build_team(ncpus)?;
         let execs = seq
             .meshes
             .iter()
             .map(|m| {
-                let mut exec = SharedExecutor::new(m, ncpus)?;
+                let mut exec = SharedExecutor::with_team(m, color_edges(m), team.clone())?;
                 if cfg.edge_reorder {
                     exec.reorder_within_colors(&m.edges);
                 }

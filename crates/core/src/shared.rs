@@ -1,35 +1,50 @@
 //! The shared-memory executor (§3): the edge loops are divided into
 //! recurrence-free **colour groups**; within a group the edges are split
 //! into subgroups distributed over the CPUs — exactly the Cray
-//! autotasking decomposition, with rayon playing the autotasking
-//! compiler. Groups run one after another (each `install` is a barrier),
-//! so no two concurrently-processed edges ever touch the same vertex.
+//! autotasking decomposition, with a resident rayon team playing the
+//! CPUs autotasking keeps running. One edge sweep is one dispatch to the
+//! team: every member walks the colour groups in order, takes its
+//! subgroup of each, and meets the others at a [`ColorBarrier`] before
+//! the next colour, so no two concurrently-processed edges ever touch
+//! the same vertex. A kernel panic on any member breaks the barrier,
+//! the sweep ends early on every member, and the panic resumes on the
+//! calling thread.
 //!
 //! This module only provides the [`Executor`] backend; the solver kernels
 //! themselves live in [`crate::level`] and are shared verbatim with the
 //! sequential and distributed paths, and the driver is
 //! [`crate::MultigridSolver::new_shared`] for every strategy.
 
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
+
 use eul3d_mesh::TetMesh;
 use eul3d_partition::{color_edges, validate_coloring, EdgeColoring};
-use rayon::prelude::*;
 
 use crate::counters::PhaseCounters;
 use crate::executor::{EdgeSpan, Executor, HaloOp, Phase, ScatterAccess};
 
 /// The shared-memory execution context: a validated edge colouring plus
-/// a dedicated thread pool of `ncpus` workers.
+/// a resident team of `ncpus` members (the calling thread is one).
 pub struct SharedExecutor {
     pub coloring: EdgeColoring,
+    /// Members of the team; never 0.
     pub ncpus: usize,
-    pool: rayon::ThreadPool,
-    /// Worker-block indices `0..ncpus`, prebuilt so vertex loops carve
-    /// their ranges without per-call allocation.
-    blocks: Vec<u32>,
+    team: Arc<rayon::ThreadPool>,
+}
+
+/// A resident team of `ncpus` members (0: available parallelism).
+pub(crate) fn build_team(ncpus: usize) -> Result<Arc<rayon::ThreadPool>, String> {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(ncpus)
+        .build()
+        .map(Arc::new)
+        .map_err(|e| e.to_string())
 }
 
 impl SharedExecutor {
-    /// Colour `mesh`'s edges and build the worker pool. The colouring is
+    /// Colour `mesh`'s edges and build a private team. The colouring is
     /// validated unconditionally — an invalid grouping would make the
     /// scatter loops racy, which is not a debug-only concern.
     pub fn new(mesh: &TetMesh, ncpus: usize) -> Result<SharedExecutor, String> {
@@ -42,23 +57,21 @@ impl SharedExecutor {
         coloring: EdgeColoring,
         ncpus: usize,
     ) -> Result<SharedExecutor, String> {
-        validate_coloring(mesh, &coloring).map_err(|e| format!("invalid edge colouring: {e}"))?;
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(ncpus)
-            .build()
-            .map_err(|e| format!("failed to build thread pool: {e}"))?;
-        Ok(SharedExecutor {
-            coloring,
-            ncpus,
-            pool,
-            blocks: (0..ncpus.max(1) as u32).collect(),
-        })
+        Self::with_team(mesh, coloring, build_team(ncpus)?)
     }
 
-    /// Subgroup length: each colour group divided over the CPUs, as in
-    /// §3.1 ("further divide the colorized groups into subgroups").
-    fn subgroup_len(&self, group_len: usize) -> usize {
-        group_len.div_ceil(self.ncpus).max(1)
+    /// Build on an existing team (one per solver, shared by its levels).
+    pub(crate) fn with_team(
+        mesh: &TetMesh,
+        coloring: EdgeColoring,
+        team: Arc<rayon::ThreadPool>,
+    ) -> Result<SharedExecutor, String> {
+        validate_coloring(mesh, &coloring).map_err(|e| format!("invalid edge colouring: {e}"))?;
+        Ok(SharedExecutor {
+            coloring,
+            ncpus: team.current_num_threads(),
+            team,
+        })
     }
 
     /// Sort the edge ids inside every colour group for gather locality
@@ -70,6 +83,94 @@ impl SharedExecutor {
     /// too.
     pub fn reorder_within_colors(&mut self, edges: &[[u32; 2]]) {
         eul3d_partition::reorder::sort_groups_for_locality(&mut self.coloring, edges);
+    }
+
+    /// One dispatch of a vertex loop: member `t` maps block `t` of
+    /// `range` split into `ncpus` near-equal blocks.
+    fn vertex_blocks<F>(&self, range: Range<usize>, targets: &mut [&mut [f64]], f: F)
+    where
+        F: Fn(Range<usize>, &ScatterAccess) + Sync,
+    {
+        if range.is_empty() {
+            return;
+        }
+        let access = ScatterAccess::new(targets);
+        let sub = subgroup_len(range.len(), self.ncpus);
+        self.team.broadcast(|member| {
+            let lo = range.start + member.index() * sub;
+            if lo < range.end {
+                f(lo..(lo + sub).min(range.end), &access);
+            }
+        });
+    }
+}
+
+/// Subgroup length: each colour group divided over the CPUs, as in
+/// §3.1 ("further divide the colorized groups into subgroups").
+fn subgroup_len(group_len: usize, ncpus: usize) -> usize {
+    group_len.div_ceil(ncpus).max(1)
+}
+
+/// Sense-reversing barrier between the colour groups of one sweep. Each
+/// member keeps its own `sense`, flipped on every crossing; the last
+/// arriver resets the count and publishes the new sense.
+struct ColorBarrier {
+    members: usize,
+    arrived: AtomicUsize,
+    sense: AtomicBool,
+    /// Set when a member unwinds out of the sweep: it will never
+    /// arrive, so the others must stop waiting for it.
+    broken: AtomicBool,
+}
+
+/// Busy-wait iterations before a barrier wait starts yielding (the
+/// policy of `vendor/rayon` and `delta::shm`: a waiter that holds its
+/// core keeps a descheduled member from arriving).
+const BARRIER_SPINS: u32 = 200;
+
+impl ColorBarrier {
+    fn new(members: usize) -> ColorBarrier {
+        ColorBarrier {
+            members,
+            arrived: AtomicUsize::new(0),
+            sense: AtomicBool::new(false),
+            broken: AtomicBool::new(false),
+        }
+    }
+
+    /// Wait for every member; `false` if the barrier broke instead.
+    ///
+    /// Each arrival is an `AcqRel` increment, so the last arriver has
+    /// acquired every earlier member's writes when its `Release` store
+    /// of the sense hands them to the waiters' `Acquire` loads.
+    fn wait(&self, sense: &mut bool) -> bool {
+        *sense = !*sense;
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.members {
+            self.arrived.store(0, Ordering::Relaxed);
+            self.sense.store(*sense, Ordering::Release);
+        }
+        let mut step = 0u32;
+        while self.sense.load(Ordering::Acquire) != *sense {
+            if self.broken.load(Ordering::Relaxed) {
+                return false;
+            }
+            step += 1;
+            if step <= BARRIER_SPINS {
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+        true
+    }
+}
+
+/// Breaks the barrier unless the member reaches the end of its sweep.
+struct BreakOnUnwind<'a>(&'a ColorBarrier);
+
+impl Drop for BreakOnUnwind<'_> {
+    fn drop(&mut self) {
+        self.0.broken.store(true, Ordering::Relaxed);
     }
 }
 
@@ -88,59 +189,40 @@ impl Executor for SharedExecutor {
             "edge loop does not match the colouring's edge list"
         );
         let access = ScatterAccess::new(targets);
-        for group in &self.coloring.groups {
-            let sub = self.subgroup_len(group.len());
-            self.pool.install(|| {
-                group.par_chunks(sub).for_each(|chunk| {
-                    f(&EdgeSpan::Ids(chunk), &access);
-                });
-            });
-        }
+        let groups = &self.coloring.groups;
+        let ncpus = self.ncpus;
+        let barrier = ColorBarrier::new(ncpus);
+        self.team.broadcast(|member| {
+            let t = member.index();
+            let guard = BreakOnUnwind(&barrier);
+            let mut sense = false;
+            for (color, group) in groups.iter().enumerate() {
+                if color > 0 && !barrier.wait(&mut sense) {
+                    return;
+                }
+                let sub = subgroup_len(group.len(), ncpus);
+                let lo = (t * sub).min(group.len());
+                let hi = (lo + sub).min(group.len());
+                if lo < hi {
+                    f(&EdgeSpan::Ids(&group[lo..hi]), &access);
+                }
+            }
+            std::mem::forget(guard);
+        });
     }
 
     fn for_vertex_spans<F>(&mut self, nverts: usize, targets: &mut [&mut [f64]], f: F)
     where
-        F: Fn(std::ops::Range<usize>, &ScatterAccess) + Sync,
+        F: Fn(Range<usize>, &ScatterAccess) + Sync,
     {
-        if nverts == 0 {
-            return;
-        }
-        let access = ScatterAccess::new(targets);
-        let sub = self.subgroup_len(nverts);
-        // sub = ceil(nverts / ncpus), so at most ncpus blocks.
-        let nblocks = nverts.div_ceil(sub);
-        let blocks = &self.blocks[..nblocks];
-        self.pool.install(|| {
-            blocks.par_chunks(1).for_each(|blk| {
-                let lo = blk[0] as usize * sub;
-                f(lo..(lo + sub).min(nverts), &access);
-            });
-        });
+        self.vertex_blocks(0..nverts, targets, f);
     }
 
-    fn for_vertex_range<F>(
-        &mut self,
-        range: std::ops::Range<usize>,
-        targets: &mut [&mut [f64]],
-        f: F,
-    ) where
-        F: Fn(std::ops::Range<usize>, &ScatterAccess) + Sync,
+    fn for_vertex_range<F>(&mut self, range: Range<usize>, targets: &mut [&mut [f64]], f: F)
+    where
+        F: Fn(Range<usize>, &ScatterAccess) + Sync,
     {
-        let n = range.len();
-        if n == 0 {
-            return;
-        }
-        let base = range.start;
-        let access = ScatterAccess::new(targets);
-        let sub = self.subgroup_len(n);
-        let nblocks = n.div_ceil(sub);
-        let blocks = &self.blocks[..nblocks];
-        self.pool.install(|| {
-            blocks.par_chunks(1).for_each(|blk| {
-                let lo = base + blk[0] as usize * sub;
-                f(lo..(lo + sub).min(range.end), &access);
-            });
-        });
+        self.vertex_blocks(range, targets, f);
     }
 
     fn exchange_halo(
@@ -243,17 +325,80 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_does_not_change_the_answer_much() {
+    fn thread_count_does_not_change_a_bit() {
+        // Endpoints are disjoint within a colour, colours run in order
+        // and vertex loops are pure maps: the member count only decides
+        // who computes a value, never which value.
         let mesh = unit_box(4, 0.2, 21);
         let cfg = SolverConfig::default();
-        let mut st1 = perturbed_state(&mesh, &cfg);
-        let mut st4 = st1.clone();
-        let mut e1 = SharedExecutor::new(&mesh, 1).unwrap();
-        let mut e4 = SharedExecutor::new(&mesh, 4).unwrap();
+        let start = perturbed_state(&mesh, &cfg);
+        let step_on = |ncpus: usize| {
+            let mut st = start.clone();
+            let mut exec = SharedExecutor::new(&mesh, ncpus).unwrap();
+            assert!(exec.ncpus >= 1 && (ncpus == 0 || exec.ncpus == ncpus));
+            time_step(
+                &mesh,
+                &mut st,
+                &cfg,
+                false,
+                &mut exec,
+                &mut PhaseCounters::default(),
+            );
+            st.w.flat()
+                .iter()
+                .map(|x| x.to_bits())
+                .collect::<Vec<u64>>()
+        };
+        let one = step_on(1);
+        // 0 asks for the host's parallelism, whatever that is.
+        for ncpus in [0, 2, 3, 8] {
+            assert_eq!(step_on(ncpus), one, "ncpus = {ncpus}");
+        }
+    }
+
+    #[test]
+    fn kernel_panic_reaches_the_caller_and_the_executor_survives() {
+        let mesh = unit_box(4, 0.15, 9);
+        let mut exec = SharedExecutor::new(&mesh, 3).unwrap();
+        // The first edge of member 1's subgroup of the second colour:
+        // members 0 and 2 are inside or past that group when it fails.
+        let group = &exec.coloring.groups[1];
+        let bad_edge = group[subgroup_len(group.len(), 3)];
+        let swept = AtomicUsize::new(0);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            exec.for_edge_spans(mesh.nedges(), &mut [], |span, _| {
+                let EdgeSpan::Ids(ids) = span else {
+                    unreachable!("the coloured path hands out id slices")
+                };
+                if ids.contains(&bad_edge) {
+                    panic!("kernel failed on edge {bad_edge}");
+                }
+                swept.fetch_add(ids.len(), Ordering::Relaxed);
+            });
+        }));
+        let payload = caught.expect_err("the kernel's panic must reach the caller");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some(format!("kernel failed on edge {bad_edge}").as_str())
+        );
+        // The sweep stopped at the broken barrier instead of finishing.
+        assert!(swept.load(Ordering::Relaxed) < mesh.nedges());
+
+        // Same executor, same team: the next step is the serial answer.
+        let cfg = SolverConfig::default();
+        let mut st_serial = perturbed_state(&mesh, &cfg);
+        let mut st_shared = st_serial.clone();
         let mut c = PhaseCounters::default();
-        time_step(&mesh, &mut st1, &cfg, false, &mut e1, &mut c);
-        time_step(&mesh, &mut st4, &cfg, false, &mut e4, &mut c);
-        for (a, b) in st1.w.flat().iter().zip(st4.w.flat()) {
+        time_step(
+            &mesh,
+            &mut st_serial,
+            &cfg,
+            false,
+            &mut SerialExecutor,
+            &mut c,
+        );
+        time_step(&mesh, &mut st_shared, &cfg, false, &mut exec, &mut c);
+        for (a, b) in st_serial.w.flat().iter().zip(st_shared.w.flat()) {
             assert!((a - b).abs() < 1e-11);
         }
     }

@@ -288,3 +288,31 @@ fn partitioner_choice_does_not_change_the_answer() {
         "flop totals are partition-independent"
     );
 }
+
+#[test]
+fn oversubscribed_team_gives_the_two_member_history() {
+    // Four members per core: whenever a member waits — for a sweep, at
+    // a colour barrier, for check-in — the one it waits for is probably
+    // descheduled. A wait that held its core would turn this run from
+    // seconds into minutes; the bits must not depend on the member count
+    // either way.
+    let cfg = SolverConfig {
+        mach: 0.55,
+        ..SolverConfig::default()
+    };
+    let history = |ncpus: usize| -> Vec<u64> {
+        MultigridSolver::new_shared(
+            MeshSequence::bump_sequence(&spec(), 3),
+            cfg,
+            Strategy::WCycle,
+            ncpus,
+        )
+        .expect("valid colourings")
+        .solve(4)
+        .iter()
+        .map(|r| r.to_bits())
+        .collect()
+    };
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert_eq!(history(4 * cores), history(2));
+}
