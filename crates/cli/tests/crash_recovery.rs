@@ -95,7 +95,8 @@ fn tmp(name: &str) -> PathBuf {
 }
 
 fn journal_text(state: &Path) -> String {
-    std::fs::read_to_string(state.join("journal.ndjson")).unwrap_or_default()
+    String::from_utf8_lossy(&std::fs::read(state.join("journal.log")).unwrap_or_default())
+        .into_owned()
 }
 
 /// Block until the journal holds at least `n` checkpointed records for

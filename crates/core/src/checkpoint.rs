@@ -184,23 +184,10 @@ impl Checkpoint {
         Checkpoint::read_from(&mut f)
     }
 
-    /// Install the state into a solver-level array. Fails with a typed
-    /// error if the checkpoint belongs to a different-sized mesh instead
-    /// of truncating or panicking.
-    pub fn restore_into(&self, w: &mut [f64]) -> Result<(), CheckpointError> {
-        if w.len() != self.w.len() {
-            return Err(CheckpointError::SizeMismatch {
-                checkpoint: self.w.len(),
-                target: w.len(),
-            });
-        }
-        w.copy_from_slice(&self.w);
-        Ok(())
-    }
-
     /// Install the state into a plane-major solver field, converting from
-    /// the interleaved file layout. Same typed size check as
-    /// [`Checkpoint::restore_into`].
+    /// the interleaved file layout. Fails with a typed error if the
+    /// checkpoint belongs to a different-sized mesh instead of truncating
+    /// or panicking.
     pub fn restore_into_state(&self, w: &mut crate::soa::SoaState) -> Result<(), CheckpointError> {
         if w.n() * w.nc() != self.w.len() || w.nc() != NVAR {
             return Err(CheckpointError::SizeMismatch {

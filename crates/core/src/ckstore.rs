@@ -1,73 +1,28 @@
 //! Disk-backed, crash-safe checkpoint logs for resumable jobs.
 //!
-//! A [`CheckpointLog`] is an append-only file of CRC-framed
-//! [`JobCheckpoint`] frames behind a versioned header. The format is
-//! designed so that a `kill -9` at *any* byte boundary loses at most
-//! the frame being written:
+//! A [`CheckpointLog`] is a [`crate::framed::Log`] (magic `EUL3DLOG`,
+//! version 1) whose frames are [`JobCheckpoint`]s — the frame format and
+//! the longest-valid-prefix recovery are documented there. A corrupted
+//! or truncated tail costs one checkpoint interval of recompute, never
+//! the run; an append is synced before it returns, so a frame is durable
+//! before the caller's own write-ahead record points at it.
 //!
 //! ```text
-//! header:  magic "EUL3DLOG" (8) | version u32 LE (4)
-//! frame:   len u32 LE | crc32(payload) u32 LE | payload (len bytes)
 //! payload: cycles_done u64 | nhist u64 | hist f64× | nw u64 | w f64×
 //! ```
-//!
-//! Opening a log scans frames from the front and keeps the **longest
-//! valid prefix**: the first frame whose length field runs past the end
-//! of the file or whose CRC mismatches ends the scan, the file is
-//! truncated back to the last valid frame boundary, and a
-//! [`TailReport`] says how many frames and bytes were dropped. A
-//! corrupted or truncated tail therefore costs one checkpoint interval
-//! of recompute, never the run. Appends go through `write` +
-//! `sync_data` so a frame is durable before the caller's own
-//! write-ahead record points at it.
 //!
 //! Every float is stored as its little-endian bit pattern, so a resumed
 //! run reproduces the interrupted run's residual history and final
 //! state **bit for bit** (the crash-recovery harness asserts exactly
 //! that across a `SIGKILL`).
 
-use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io;
 use std::path::{Path, PathBuf};
+
+use crate::framed::{ByteReader, ByteWriter, FramedError, Log, TailReport};
 
 const MAGIC: &[u8; 8] = b"EUL3DLOG";
 const VERSION: u32 = 1;
-const HEADER_LEN: u64 = 12;
-/// Sanity cap on one frame (a fine-grid state of ~30M f64s); a length
-/// field beyond this is treated as corruption, not an allocation.
-const MAX_FRAME_LEN: u32 = 1 << 28;
-
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the classic
-/// zlib/gzip checksum, computed bytewise from a lazily built table.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    fn table() -> [u32; 256] {
-        let mut t = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            t[i] = c;
-            i += 1;
-        }
-        t
-    }
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let t = TABLE.get_or_init(table);
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = t[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
 
 /// One durable resume point of a running job: everything needed to
 /// continue the solve *and* reproduce its observable output exactly.
@@ -86,95 +41,23 @@ pub struct JobCheckpoint {
 
 impl JobCheckpoint {
     fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(24 + 8 * (self.history.len() + self.w.len()));
-        out.extend_from_slice(&self.cycles_done.to_le_bytes());
-        out.extend_from_slice(&(self.history.len() as u64).to_le_bytes());
-        for &r in &self.history {
-            out.extend_from_slice(&r.to_bits().to_le_bytes());
-        }
-        out.extend_from_slice(&(self.w.len() as u64).to_le_bytes());
-        for &x in &self.w {
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        out
+        let cap = 24 + 8 * (self.history.len() + self.w.len());
+        let mut e = ByteWriter(Vec::with_capacity(cap));
+        e.u64(self.cycles_done);
+        e.f64s(&self.history);
+        e.f64s(&self.w);
+        e.0
     }
 
     fn decode(payload: &[u8]) -> Option<JobCheckpoint> {
-        let mut at = 0usize;
-        let mut u64_at = |bytes: &[u8]| -> Option<u64> {
-            let v = u64::from_le_bytes(bytes.get(at..at + 8)?.try_into().ok()?);
-            at += 8;
-            Some(v)
+        let mut d = ByteReader(payload);
+        let ck = JobCheckpoint {
+            cycles_done: d.u64()?,
+            history: d.f64s()?,
+            w: d.f64s()?,
         };
-        let cycles_done = u64_at(payload)?;
-        let nhist = u64_at(payload)? as usize;
-        if nhist > payload.len() / 8 {
-            return None;
-        }
-        let mut history = Vec::with_capacity(nhist);
-        for _ in 0..nhist {
-            history.push(f64::from_bits(u64_at(payload)?));
-        }
-        let nw = u64_at(payload)? as usize;
-        if nw > payload.len() / 8 {
-            return None;
-        }
-        let mut w = Vec::with_capacity(nw);
-        for _ in 0..nw {
-            w.push(f64::from_bits(u64_at(payload)?));
-        }
-        if at != payload.len() {
-            return None; // trailing garbage inside a framed payload
-        }
-        Some(JobCheckpoint {
-            cycles_done,
-            history,
-            w,
-        })
-    }
-}
-
-/// What opening a log dropped while recovering the longest valid
-/// prefix.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TailReport {
-    /// Torn or corrupt frames discarded from the tail.
-    pub dropped_frames: usize,
-    /// Bytes truncated from the file.
-    pub dropped_bytes: u64,
-}
-
-impl TailReport {
-    /// Whether anything was dropped.
-    pub fn clean(&self) -> bool {
-        self.dropped_frames == 0 && self.dropped_bytes == 0
-    }
-}
-
-/// A checkpoint-log open/append failure (I/O or an unrecognized
-/// header — tail damage is *not* an error, it is a [`TailReport`]).
-#[derive(Debug)]
-pub enum CkStoreError {
-    /// The file exists but does not start with the log magic/version.
-    BadHeader,
-    /// Underlying I/O failure.
-    Io(io::Error),
-}
-
-impl fmt::Display for CkStoreError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CkStoreError::BadHeader => write!(f, "not a EUL3D checkpoint log (bad header)"),
-            CkStoreError::Io(e) => write!(f, "checkpoint log I/O error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for CkStoreError {}
-
-impl From<io::Error> for CkStoreError {
-    fn from(e: io::Error) -> CkStoreError {
-        CkStoreError::Io(e)
+        // Trailing bytes inside a framed payload are damage.
+        d.0.is_empty().then_some(ck)
     }
 }
 
@@ -184,7 +67,7 @@ impl From<io::Error> for CkStoreError {
 #[derive(Debug)]
 pub struct CheckpointLog {
     path: PathBuf,
-    file: File,
+    log: Log,
     /// The latest valid checkpoint (recovered on open, updated on
     /// append).
     latest: Option<JobCheckpoint>,
@@ -195,135 +78,32 @@ impl CheckpointLog {
     /// Open (or create) the log at `path`, recover the longest valid
     /// frame prefix, and truncate any torn/corrupt tail. Returns the
     /// log and what the recovery dropped.
-    pub fn open(path: &Path) -> Result<(CheckpointLog, TailReport), CkStoreError> {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(path)?;
-        let total = file.seek(SeekFrom::End(0))?;
-        file.seek(SeekFrom::Start(0))?;
-        if total == 0 {
-            file.write_all(MAGIC)?;
-            file.write_all(&VERSION.to_le_bytes())?;
-            file.sync_data()?;
-            return Ok((
-                CheckpointLog {
-                    path: path.to_path_buf(),
-                    file,
-                    latest: None,
-                    frames: 0,
-                },
-                TailReport::default(),
-            ));
-        }
-        let mut header = [0u8; HEADER_LEN as usize];
-        if total < HEADER_LEN {
-            // A crash can tear even the header of a brand-new log; an
-            // incomplete header is tail damage, not a foreign file.
-            file.set_len(0)?;
-            file.seek(SeekFrom::Start(0))?;
-            file.write_all(MAGIC)?;
-            file.write_all(&VERSION.to_le_bytes())?;
-            file.sync_data()?;
-            return Ok((
-                CheckpointLog {
-                    path: path.to_path_buf(),
-                    file,
-                    latest: None,
-                    frames: 0,
-                },
-                TailReport {
-                    dropped_frames: 0,
-                    dropped_bytes: total,
-                },
-            ));
-        }
-        file.read_exact(&mut header)?;
-        if &header[..8] != MAGIC
-            || u32::from_le_bytes([header[8], header[9], header[10], header[11]]) != VERSION
-        {
-            return Err(CkStoreError::BadHeader);
-        }
-        // Scan frames, remembering the last offset after a valid one.
-        let mut rest = Vec::with_capacity((total - HEADER_LEN) as usize);
-        file.read_to_end(&mut rest)?;
-        let mut at = 0usize;
-        let mut valid_end = 0usize;
-        let mut latest = None;
-        let mut frames = 0usize;
-        let mut dropped_frames = 0usize;
-        while at + 8 <= rest.len() {
-            let len = u32::from_le_bytes([rest[at], rest[at + 1], rest[at + 2], rest[at + 3]]);
-            let crc = u32::from_le_bytes([rest[at + 4], rest[at + 5], rest[at + 6], rest[at + 7]]);
-            if len > MAX_FRAME_LEN {
-                dropped_frames = 1;
-                break;
-            }
-            let (start, end) = (at + 8, at + 8 + len as usize);
-            if end > rest.len() {
-                dropped_frames = 1; // torn tail frame
-                break;
-            }
-            let payload = &rest[start..end];
-            if crc32(payload) != crc {
-                dropped_frames = 1;
-                break;
-            }
-            match JobCheckpoint::decode(payload) {
-                Some(ck) => latest = Some(ck),
-                None => {
-                    // CRC-valid but undecodable: corruption that
-                    // happened before the CRC was computed, or a future
-                    // payload revision. Stop here too.
-                    dropped_frames = 1;
-                    break;
-                }
-            }
+    pub fn open(path: &Path) -> Result<(CheckpointLog, TailReport), FramedError> {
+        let (mut latest, mut frames) = (None, 0);
+        // A CRC-valid frame that does not decode (damage older than its
+        // checksum, or a future payload revision) ends the prefix too.
+        let (log, tail) = Log::open(path, MAGIC, VERSION, |payload| {
+            let Some(ck) = JobCheckpoint::decode(payload) else {
+                return false;
+            };
+            latest = Some(ck);
             frames += 1;
-            at = end;
-            valid_end = end;
-        }
-        // Anything between valid_end and EOF is a damaged or trailing
-        // region: count partial leftovers as a dropped frame and
-        // truncate so future appends land on a clean boundary.
-        if valid_end < rest.len() && dropped_frames == 0 {
-            dropped_frames = 1;
-        }
-        let dropped_bytes = (rest.len() - valid_end) as u64;
-        if dropped_bytes > 0 {
-            file.set_len(HEADER_LEN + valid_end as u64)?;
-            file.sync_data()?;
-        }
-        file.seek(SeekFrom::End(0))?;
-        Ok((
-            CheckpointLog {
-                path: path.to_path_buf(),
-                file,
-                latest,
-                frames,
-            },
-            TailReport {
-                dropped_frames,
-                dropped_bytes,
-            },
-        ))
+            true
+        })?;
+        let opened = CheckpointLog {
+            path: path.to_path_buf(),
+            log,
+            latest,
+            frames,
+        };
+        Ok((opened, tail))
     }
 
     /// Append one checkpoint frame; durable (`sync_data`) when this
     /// returns.
-    pub fn append(&mut self, ck: &JobCheckpoint) -> Result<(), CkStoreError> {
-        let payload = ck.encode();
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        self.file.write_all(&frame)?;
-        self.file.sync_data()?;
+    pub fn append(&mut self, ck: &JobCheckpoint) -> Result<(), FramedError> {
+        self.log.append(&ck.encode())?;
+        self.log.sync()?;
         self.latest = Some(ck.clone());
         self.frames += 1;
         Ok(())
@@ -347,7 +127,7 @@ impl CheckpointLog {
     /// Delete the log file (the job completed; its resume point is
     /// garbage now). Consumes the log.
     pub fn remove(self) -> io::Result<()> {
-        drop(self.file);
+        drop(self.log);
         match std::fs::remove_file(&self.path) {
             Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
             _ => Ok(()),
@@ -389,13 +169,6 @@ impl DurabilitySink for CheckpointLog {
 mod tests {
     use super::*;
 
-    fn tmp(name: &str) -> PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("eul3d-ckstore-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_file(&p);
-        p
-    }
-
     fn ck(cycle: u64) -> JobCheckpoint {
         JobCheckpoint {
             cycles_done: cycle,
@@ -405,21 +178,13 @@ mod tests {
     }
 
     #[test]
-    fn crc32_matches_known_vectors() {
-        // Standard IEEE test vectors (zlib crc32).
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(
-            crc32(b"The quick brown fox jumps over the lazy dog"),
-            0x414F_A339
-        );
-    }
-
-    #[test]
     fn append_reopen_round_trips_latest() {
-        let p = tmp("rt");
+        let mut p = std::env::temp_dir();
+        p.push(format!("eul3d-ckstore-rt-{}", std::process::id()));
+        let _ = std::fs::remove_file(&p);
         let (mut log, rep) = CheckpointLog::open(&p).unwrap();
         assert!(rep.clean());
+        assert_eq!(log.path(), p);
         assert!(log.latest().is_none());
         log.append(&ck(2)).unwrap();
         log.append(&ck(4)).unwrap();
@@ -433,94 +198,17 @@ mod tests {
     }
 
     #[test]
-    fn torn_tail_truncates_to_longest_valid_prefix() {
-        let p = tmp("torn");
-        let (mut log, _) = CheckpointLog::open(&p).unwrap();
-        log.append(&ck(2)).unwrap();
-        log.append(&ck(4)).unwrap();
-        drop(log);
-        let full = std::fs::metadata(&p).unwrap().len();
-        // Cut the file at every byte position inside the last frame: the
-        // first frame must always survive.
-        let bytes = std::fs::read(&p).unwrap();
-        let first_end = {
-            let len = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as u64;
-            HEADER_LEN + 8 + len
-        };
-        for cut in [first_end + 1, first_end + 9, full - 1] {
-            std::fs::write(&p, &bytes[..cut as usize]).unwrap();
-            let (log, rep) = CheckpointLog::open(&p).unwrap();
-            assert_eq!(log.latest(), Some(&ck(2)), "cut at {cut}");
-            assert_eq!(rep.dropped_frames, 1, "cut at {cut}");
-            assert_eq!(rep.dropped_bytes, cut - first_end, "cut at {cut}");
-            assert_eq!(
-                std::fs::metadata(&p).unwrap().len(),
-                first_end,
-                "tail truncated at {cut}"
-            );
-        }
-    }
-
-    #[test]
-    fn corrupt_tail_byte_drops_only_the_damaged_frame() {
-        let p = tmp("corrupt");
-        let (mut log, _) = CheckpointLog::open(&p).unwrap();
-        log.append(&ck(2)).unwrap();
-        log.append(&ck(4)).unwrap();
-        drop(log);
-        let mut bytes = std::fs::read(&p).unwrap();
-        let last = bytes.len() - 3;
-        bytes[last] ^= 0x40; // flip a bit inside the second payload
-        std::fs::write(&p, &bytes).unwrap();
-        let (mut log, rep) = CheckpointLog::open(&p).unwrap();
-        assert_eq!(log.latest(), Some(&ck(2)));
-        assert_eq!(rep.dropped_frames, 1);
-        assert!(rep.dropped_bytes > 0);
-        // The log stays appendable after recovery.
-        log.append(&ck(6)).unwrap();
-        drop(log);
-        let (log, rep) = CheckpointLog::open(&p).unwrap();
-        assert!(rep.clean());
-        assert_eq!(log.latest(), Some(&ck(6)));
-        log.remove().unwrap();
-    }
-
-    #[test]
-    fn foreign_file_is_a_typed_header_error() {
-        let p = tmp("foreign");
-        std::fs::write(&p, b"definitely not a checkpoint log").unwrap();
-        match CheckpointLog::open(&p) {
-            Err(CkStoreError::BadHeader) => {}
-            other => panic!("expected BadHeader, got {other:?}"),
-        }
-        std::fs::remove_file(&p).ok();
-    }
-
-    #[test]
-    fn torn_header_recovers_as_empty_log() {
-        let p = tmp("tornhdr");
-        std::fs::write(&p, &MAGIC[..5]).unwrap();
-        let (log, rep) = CheckpointLog::open(&p).unwrap();
-        assert!(log.latest().is_none());
-        assert_eq!(rep.dropped_bytes, 5);
-        log.remove().unwrap();
-    }
-
-    #[test]
-    fn absurd_length_field_is_corruption_not_allocation() {
-        let p = tmp("absurd");
-        let (mut log, _) = CheckpointLog::open(&p).unwrap();
-        log.append(&ck(2)).unwrap();
-        drop(log);
-        let mut bytes = std::fs::read(&p).unwrap();
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&u32::MAX.to_le_bytes());
-        frame.extend_from_slice(&0u32.to_le_bytes());
-        bytes.extend_from_slice(&frame);
-        std::fs::write(&p, &bytes).unwrap();
-        let (log, rep) = CheckpointLog::open(&p).unwrap();
-        assert_eq!(log.latest(), Some(&ck(2)));
-        assert_eq!(rep.dropped_frames, 1);
-        log.remove().unwrap();
+    fn payload_with_trailing_or_missing_bytes_does_not_decode() {
+        let good = ck(3).encode();
+        assert_eq!(JobCheckpoint::decode(&good), Some(ck(3)));
+        assert!(JobCheckpoint::decode(&good[..good.len() - 1]).is_none());
+        let mut long = good.clone();
+        long.push(0);
+        assert!(JobCheckpoint::decode(&long).is_none());
+        // A count that the remaining bytes cannot back is refused before
+        // any allocation.
+        let mut absurd = good;
+        absurd[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(JobCheckpoint::decode(&absurd).is_none());
     }
 }

@@ -43,6 +43,7 @@ pub mod dist;
 pub mod error;
 pub mod executor;
 pub mod fas;
+pub mod framed;
 pub mod gas;
 pub mod health;
 pub mod history;
@@ -60,17 +61,18 @@ pub mod solver;
 pub mod timestep;
 
 pub use checkpoint::{Checkpoint, CheckpointError};
-pub use ckstore::{CheckpointLog, CkStoreError, DurabilitySink, JobCheckpoint, TailReport};
+pub use ckstore::{CheckpointLog, DurabilitySink, JobCheckpoint};
 pub use config::{Scheme, SolverConfig};
 pub use counters::{FlopCounter, PhaseCounters};
 pub use error::{Eul3dError, SolverError};
 pub use executor::{Executor, Phase, SerialExecutor};
+pub use framed::{FramedError, TailReport};
 pub use gas::{Freestream, NVAR};
 pub use health::{GuardConfig, GuardOutcome, HealthVerdict, RetryEvent};
 pub use history::ConvergenceHistory;
 pub use job::{run_job, run_job_durable, CancelToken, JobArtifacts, JobMode};
 pub use multigrid::{MultigridSolver, Strategy};
-pub use runconfig::{fnv1a_128, RunConfig, RunConfigBuilder, TraceConfig};
+pub use runconfig::{fnv1a_128, RunConfig, TraceConfig};
 pub use soa::SoaState;
 pub use solver::SingleGridSolver;
 

@@ -1,6 +1,6 @@
 //! The curated public surface of EUL3D: one `use eul3d_core::prelude::*`
-//! pulls in everything a driver needs — configuration (the [`RunConfig`]
-//! builder), the solvers and their executors, the health guard, the
+//! pulls in everything a driver needs — configuration ([`RunConfig`]),
+//! the solvers and their executors, the health guard, the
 //! error taxonomy, and the observability layer. Items re-exported here
 //! are the supported API; reaching into submodules works but tracks
 //! internals that may move.
@@ -18,7 +18,7 @@ pub use crate::gas::{Freestream, NVAR};
 pub use crate::health::{GuardConfig, GuardOutcome, HealthVerdict, RetryEvent};
 pub use crate::history::ConvergenceHistory;
 pub use crate::multigrid::{MultigridSolver, Strategy};
-pub use crate::runconfig::{RunConfig, RunConfigBuilder, TraceConfig};
+pub use crate::runconfig::{RunConfig, TraceConfig};
 pub use crate::solver::SingleGridSolver;
 
 pub use eul3d_obs::{Event, Lane, MetricsRegistry, NullTracer, RingTracer, Stamped, Tracer};

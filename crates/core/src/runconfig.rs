@@ -1,24 +1,24 @@
 //! The consolidated run configuration: everything a full EUL3D run needs
 //! — scheme tunables, multigrid strategy, mesh family, machine size,
-//! health guard, fault plan, checkpoint cadence, and tracing — behind
-//! one validating builder, plus a dependency-free TOML codec for
-//! `--config run.toml` files.
+//! health guard, fault plan, checkpoint cadence, and tracing — in one
+//! struct, plus a dependency-free TOML codec for `--config run.toml`
+//! files.
 //!
-//! The builder validates on [`RunConfigBuilder::build`], returning typed
-//! [`Eul3dError`]s, so every entry point (CLI flags, config files,
-//! library callers) rejects exactly the same inputs:
+//! [`RunConfig::validate`] returns typed [`Eul3dError`]s and every entry
+//! point (CLI flags, config files, library callers) goes through it, so
+//! all of them reject exactly the same inputs:
 //!
 //! ```
 //! use eul3d_core::runconfig::RunConfig;
 //! use eul3d_core::health::GuardConfig;
 //!
-//! let rc = RunConfig::builder()
-//!     .mach(0.675)
-//!     .cycles(12)
-//!     .guard(GuardConfig::default())
-//!     .build()
-//!     .expect("valid configuration");
-//! assert_eq!(rc.solver.mach, 0.675);
+//! let rc = RunConfig {
+//!     cycles: 12,
+//!     guard: Some(GuardConfig::default()),
+//!     ..RunConfig::default()
+//! };
+//! rc.validate().expect("valid configuration");
+//! assert_eq!(rc.cycles, 12);
 //! ```
 //!
 //! The TOML subset is exactly what [`RunConfig::to_toml`] emits:
@@ -138,10 +138,9 @@ pub enum BackendKind {
     Hybrid,
 }
 
-/// The full description of one EUL3D run. Construct through
-/// [`RunConfig::builder`] (validating) or deserialize with
-/// [`RunConfig::from_toml`]; field access is public so drivers read it
-/// directly.
+/// The full description of one EUL3D run. Fill the public fields over
+/// [`RunConfig::default`] and call [`RunConfig::validate`], or
+/// deserialize with [`RunConfig::from_toml`] (which validates).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunConfig {
     /// Scheme tunables (Mach, CFL, dissipation, RK stages).
@@ -207,15 +206,8 @@ fn range_err(field: &'static str, value: f64, expected: &'static str) -> Eul3dEr
 }
 
 impl RunConfig {
-    /// Start a builder from the defaults.
-    pub fn builder() -> RunConfigBuilder {
-        RunConfigBuilder {
-            cfg: RunConfig::default(),
-        }
-    }
-
-    /// Validate every field (the builder calls this; config-file and
-    /// flag paths reuse it so all entry points reject the same inputs).
+    /// Validate every field (config-file, flag and library paths all
+    /// call this, so every entry point rejects the same inputs).
     pub fn validate(&self) -> Result<(), Eul3dError> {
         let s = &self.solver;
         // `is_finite` first so NaN (and ±inf) always fails validation.
@@ -307,144 +299,6 @@ impl RunConfig {
         } else {
             self.nranks
         }
-    }
-}
-
-/// Validating builder for [`RunConfig`]. Every setter is chainable;
-/// [`RunConfigBuilder::build`] runs [`RunConfig::validate`].
-#[derive(Debug, Clone)]
-pub struct RunConfigBuilder {
-    cfg: RunConfig,
-}
-
-impl RunConfigBuilder {
-    /// Replace the whole solver-scheme block.
-    pub fn solver(mut self, s: SolverConfig) -> Self {
-        self.cfg.solver = s;
-        self
-    }
-
-    /// Freestream Mach number.
-    pub fn mach(mut self, m: f64) -> Self {
-        self.cfg.solver.mach = m;
-        self
-    }
-
-    /// Angle of attack in degrees.
-    pub fn alpha_deg(mut self, a: f64) -> Self {
-        self.cfg.solver.alpha_deg = a;
-        self
-    }
-
-    /// CFL number.
-    pub fn cfl(mut self, c: f64) -> Self {
-        self.cfg.solver.cfl = c;
-        self
-    }
-
-    /// Dissipation scheme.
-    pub fn scheme(mut self, s: Scheme) -> Self {
-        self.cfg.solver.scheme = s;
-        self
-    }
-
-    /// Lane width of the chunked SoA edge kernels (1..=16; validated at
-    /// build). Bit-identical for every width — a vectorization tunable.
-    pub fn lanes(mut self, n: usize) -> Self {
-        self.cfg.solver.lanes = n;
-        self
-    }
-
-    /// Enable within-colour edge reordering for gather locality on the
-    /// shared-memory path (bit-identical; off by default).
-    pub fn edge_reorder(mut self, on: bool) -> Self {
-        self.cfg.solver.edge_reorder = on;
-        self
-    }
-
-    /// Multigrid strategy.
-    pub fn strategy(mut self, s: Strategy) -> Self {
-        self.cfg.strategy = s;
-        self
-    }
-
-    /// Mesh levels.
-    pub fn levels(mut self, n: usize) -> Self {
-        self.cfg.levels = n;
-        self
-    }
-
-    /// Cycles to run.
-    pub fn cycles(mut self, n: usize) -> Self {
-        self.cfg.cycles = n;
-        self
-    }
-
-    /// The mesh family.
-    pub fn mesh(mut self, m: BumpSpec) -> Self {
-        self.cfg.mesh = m;
-        self
-    }
-
-    /// Simulated ranks (distributed path).
-    pub fn nranks(mut self, n: usize) -> Self {
-        self.cfg.nranks = n;
-        self
-    }
-
-    /// Distributed transport backend.
-    pub fn backend(mut self, b: BackendKind) -> Self {
-        self.cfg.backend = b;
-        self
-    }
-
-    /// Hybrid worker threads (0 = one per rank).
-    pub fn threads(mut self, n: usize) -> Self {
-        self.cfg.threads = n;
-        self
-    }
-
-    /// Arm the solver-health guard.
-    pub fn guard(mut self, g: GuardConfig) -> Self {
-        self.cfg.guard = Some(g);
-        self
-    }
-
-    /// Distributed checkpoint cadence (cycles, 0 = never).
-    pub fn checkpoint_every(mut self, k: usize) -> Self {
-        self.cfg.checkpoint_every = k;
-        self
-    }
-
-    /// Install a fault plan (the `--faults` grammar; validated against
-    /// `nranks` at build time).
-    pub fn faults(mut self, spec: impl Into<String>) -> Self {
-        self.cfg.faults = Some(spec.into());
-        self
-    }
-
-    /// Bounded-receive fault-detection window in milliseconds.
-    pub fn fault_timeout_ms(mut self, ms: u64) -> Self {
-        self.cfg.fault_timeout_ms = ms;
-        self
-    }
-
-    /// Install a partitioning policy.
-    pub fn partition(mut self, p: PartitionConfig) -> Self {
-        self.cfg.partition = Some(p);
-        self
-    }
-
-    /// Observability configuration.
-    pub fn trace(mut self, t: TraceConfig) -> Self {
-        self.cfg.trace = t;
-        self
-    }
-
-    /// Validate and return the configuration.
-    pub fn build(self) -> Result<RunConfig, Eul3dError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
     }
 }
 
@@ -883,48 +737,55 @@ fn apply_entry(
 mod tests {
     use super::*;
 
+    fn with_solver(edit: impl FnOnce(&mut SolverConfig)) -> RunConfig {
+        let mut rc = RunConfig::default();
+        edit(&mut rc.solver);
+        rc
+    }
+
     #[test]
-    fn builder_validates() {
-        let rc = RunConfig::builder()
-            .mach(0.675)
-            .cfl(3.0)
-            .guard(GuardConfig::default())
-            .trace(TraceConfig {
+    fn validate_checks_every_section() {
+        let rc = RunConfig {
+            guard: Some(GuardConfig::default()),
+            trace: TraceConfig {
                 enabled: true,
                 ..TraceConfig::default()
-            })
-            .build()
-            .unwrap();
+            },
+            ..with_solver(|s| (s.mach, s.cfl) = (0.675, 3.0))
+        };
+        rc.validate().unwrap();
         assert_eq!(rc.solver.cfl, 3.0);
         assert!(rc.guard.is_some());
         assert!(rc.trace.enabled);
 
-        let err = RunConfig::builder().mach(-1.0).build().unwrap_err();
+        let err = with_solver(|s| s.mach = -1.0).validate().unwrap_err();
         assert!(err.to_string().contains("solver.mach"), "{err}");
-        let err = RunConfig::builder().cycles(0).build().unwrap_err();
+        let rc = RunConfig {
+            cycles: 0,
+            ..RunConfig::default()
+        };
+        let err = rc.validate().unwrap_err();
         assert!(err.to_string().contains("cycles"), "{err}");
-        let err = RunConfig::builder()
-            .guard(GuardConfig {
+        let rc = RunConfig {
+            guard: Some(GuardConfig {
                 cfl_backoff: 1.5,
                 ..GuardConfig::default()
-            })
-            .build()
-            .unwrap_err();
+            }),
+            ..RunConfig::default()
+        };
+        let err = rc.validate().unwrap_err();
         assert!(err.to_string().contains("cfl-backoff"), "{err}");
     }
 
     #[test]
-    fn builder_validates_lane_width() {
+    fn validate_checks_lane_width() {
         for bad in [0usize, eul3d_kernels::MAX_LANES + 1, 1000] {
-            let err = RunConfig::builder().lanes(bad).build().unwrap_err();
+            let err = with_solver(|s| s.lanes = bad).validate().unwrap_err();
             assert!(err.to_string().contains("solver.lanes"), "{bad}: {err}");
         }
         for good in [1usize, 4, eul3d_kernels::MAX_LANES] {
-            let rc = RunConfig::builder()
-                .lanes(good)
-                .edge_reorder(true)
-                .build()
-                .unwrap();
+            let rc = with_solver(|s| (s.lanes, s.edge_reorder) = (good, true));
+            rc.validate().unwrap();
             assert_eq!(rc.solver.lanes, good);
             assert!(rc.solver.edge_reorder);
         }
@@ -932,11 +793,8 @@ mod tests {
 
     #[test]
     fn lanes_and_reorder_survive_the_toml_codec() {
-        let rc = RunConfig::builder()
-            .lanes(4)
-            .edge_reorder(true)
-            .build()
-            .unwrap();
+        let rc = with_solver(|s| (s.lanes, s.edge_reorder) = (4, true));
+        rc.validate().unwrap();
         let back = RunConfig::from_toml(&rc.to_toml()).unwrap();
         assert_eq!(back.solver.lanes, 4);
         assert!(back.solver.edge_reorder);
@@ -945,29 +803,31 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates_fault_plan_against_nranks() {
-        let err = RunConfig::builder()
-            .nranks(2)
-            .faults("kill:7@3")
-            .build()
-            .unwrap_err();
+    fn validate_checks_fault_plan_against_nranks() {
+        let rc = RunConfig {
+            nranks: 2,
+            faults: Some("kill:7@3".to_string()),
+            ..RunConfig::default()
+        };
+        let err = rc.validate().unwrap_err();
         assert!(matches!(err, Eul3dError::Delta(_)), "{err}");
-        assert!(RunConfig::builder()
-            .nranks(8)
-            .faults("kill:7@3")
-            .checkpoint_every(2)
-            .build()
-            .is_ok());
+        let rc = RunConfig {
+            nranks: 8,
+            checkpoint_every: 2,
+            ..rc
+        };
+        assert!(rc.validate().is_ok());
     }
 
     #[test]
     fn backend_and_threads_validate_and_round_trip() {
-        let rc = RunConfig::builder()
-            .backend(BackendKind::Hybrid)
-            .threads(4)
-            .nranks(32)
-            .build()
-            .unwrap();
+        let rc = RunConfig {
+            backend: BackendKind::Hybrid,
+            threads: 4,
+            nranks: 32,
+            ..RunConfig::default()
+        };
+        rc.validate().unwrap();
         assert_eq!(
             rc.effective_nranks(),
             4,
@@ -977,7 +837,11 @@ mod tests {
         assert_eq!(back.backend, BackendKind::Hybrid);
         assert_eq!(back.threads, 4);
 
-        let delta = RunConfig::builder().threads(4).build().unwrap();
+        let delta = RunConfig {
+            threads: 4,
+            ..RunConfig::default()
+        };
+        delta.validate().unwrap();
         assert_eq!(
             delta.effective_nranks(),
             delta.nranks,
@@ -988,45 +852,44 @@ mod tests {
         assert!(err.to_string().contains("delta|hybrid"), "{err}");
 
         // Rank/thread counts funnel through the machine-wide cap.
-        let err = RunConfig::builder()
-            .nranks(eul3d_delta::MAX_RANKS + 1)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, Eul3dError::Delta(_)), "{err}");
-        let err = RunConfig::builder()
-            .threads(eul3d_delta::MAX_RANKS + 1)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, Eul3dError::Delta(_)), "{err}");
-        let err = RunConfig::builder().nranks(0).build().unwrap_err();
-        assert!(matches!(err, Eul3dError::Delta(_)), "{err}");
+        for (nranks, threads) in [
+            (eul3d_delta::MAX_RANKS + 1, 0),
+            (32, eul3d_delta::MAX_RANKS + 1),
+            (0, 0),
+        ] {
+            let rc = RunConfig {
+                nranks,
+                threads,
+                ..RunConfig::default()
+            };
+            let err = rc.validate().unwrap_err();
+            assert!(matches!(err, Eul3dError::Delta(_)), "{err}");
+        }
     }
 
     #[test]
     fn toml_round_trips_exactly() {
-        let rc = RunConfig::builder()
-            .mach(0.768)
-            .alpha_deg(1.116)
-            .cfl(2.8)
-            .strategy(Strategy::VCycle)
-            .levels(3)
-            .cycles(12)
-            .nranks(4)
-            .guard(GuardConfig {
+        let rc = RunConfig {
+            strategy: Strategy::VCycle,
+            levels: 3,
+            cycles: 12,
+            nranks: 4,
+            guard: Some(GuardConfig {
                 cfl_backoff: 0.25,
                 ..GuardConfig::default()
-            })
-            .checkpoint_every(2)
-            .faults("kill:1@2+5")
-            .trace(TraceConfig {
+            }),
+            checkpoint_every: 2,
+            faults: Some("kill:1@2+5".to_string()),
+            trace: TraceConfig {
                 enabled: true,
                 capacity: 4096,
                 out: Some("trace.json".to_string()),
                 summary: true,
                 top_n: 5,
-            })
-            .build()
-            .unwrap();
+            },
+            ..with_solver(|s| (s.mach, s.alpha_deg, s.cfl) = (0.768, 1.116, 2.8))
+        };
+        rc.validate().unwrap();
         let text = rc.to_toml();
         let back = RunConfig::from_toml(&text).unwrap();
         assert_eq!(rc, back, "RunConfig -> TOML -> RunConfig must be lossless");
@@ -1064,17 +927,18 @@ mod tests {
 
     #[test]
     fn partition_section_round_trips_and_validates() {
-        let rc = RunConfig::builder()
-            .cycles(40)
-            .partition(PartitionConfig {
+        let rc = RunConfig {
+            cycles: 40,
+            partition: Some(PartitionConfig {
                 method: PartitionMethod::Multilevel,
                 coarsen_target: 32,
                 refine_passes: 6,
                 mapping: RankMapping::Topology,
                 repartition_every: 10,
-            })
-            .build()
-            .unwrap();
+            }),
+            ..RunConfig::default()
+        };
+        rc.validate().unwrap();
         let text = rc.to_toml();
         assert!(text.contains("[partition]"), "{text}");
         assert!(text.contains("method = \"multilevel\""), "{text}");
@@ -1102,22 +966,24 @@ mod tests {
         assert!(err.to_string().contains("identity|topology"), "{err}");
 
         // Range validation.
-        let err = RunConfig::builder()
-            .partition(PartitionConfig {
+        let rc = RunConfig {
+            partition: Some(PartitionConfig {
                 coarsen_target: 1,
                 ..PartitionConfig::default()
-            })
-            .build()
-            .unwrap_err();
+            }),
+            ..RunConfig::default()
+        };
+        let err = rc.validate().unwrap_err();
         assert!(err.to_string().contains("coarsen_target"), "{err}");
-        let err = RunConfig::builder()
-            .cycles(10)
-            .partition(PartitionConfig {
+        let rc = RunConfig {
+            cycles: 10,
+            partition: Some(PartitionConfig {
                 repartition_every: 10,
                 ..PartitionConfig::default()
-            })
-            .build()
-            .unwrap_err();
+            }),
+            ..RunConfig::default()
+        };
+        let err = rc.validate().unwrap_err();
         assert!(err.to_string().contains("repartition_every"), "{err}");
     }
 

@@ -78,12 +78,6 @@ impl FaultPlan {
         self.kills.is_empty() && self.msg_faults.is_empty()
     }
 
-    /// True if the plan contains message tampering (which may require
-    /// timeout-based detection, unlike kills which are announced).
-    pub fn has_msg_faults(&self) -> bool {
-        !self.msg_faults.is_empty()
-    }
-
     /// True if the plan can silently lose a message. Only [`FaultAction::Drop`]
     /// can leave a receiver blocked forever with nothing on the wire:
     /// duplication and corruption still deliver, delays only add modeled

@@ -173,11 +173,6 @@ impl Rank {
         }
     }
 
-    /// Replace the cost model pricing this rank's modeled wire time.
-    pub fn set_cost_model(&mut self, m: CostModel) {
-        self.cost = m;
-    }
-
     /// The cost model pricing this rank's modeled wire time.
     pub fn cost_model(&self) -> CostModel {
         self.cost

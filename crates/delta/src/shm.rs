@@ -194,11 +194,6 @@ impl WindowRegistry {
         self.nranks
     }
 
-    /// The wedge timeout the registry's windows are created with.
-    pub fn wedge_timeout(&self) -> Duration {
-        self.timeout
-    }
-
     /// Get or create the window for directed stream `(src, dst, tag)`.
     pub fn stream(&self, src: usize, dst: usize, tag: u32) -> Arc<Window> {
         assert!(src < self.nranks && dst < self.nranks && src != dst);

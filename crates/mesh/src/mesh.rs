@@ -148,17 +148,6 @@ impl TetMesh {
         self.vol.iter().sum()
     }
 
-    /// Axis-aligned bounding box `(min, max)`.
-    pub fn bounding_box(&self) -> (Vec3, Vec3) {
-        let mut lo = Vec3::new(f64::INFINITY, f64::INFINITY, f64::INFINITY);
-        let mut hi = -lo;
-        for &p in &self.coords {
-            lo = lo.min(p);
-            hi = hi.max(p);
-        }
-        (lo, hi)
-    }
-
     /// Neighbour vertices of `i` (derived from the incident edge list).
     pub fn vertex_neighbors<'a>(&'a self, i: u32) -> impl Iterator<Item = u32> + 'a {
         self.v2e.row(i as usize).iter().map(move |&e| {

@@ -59,7 +59,7 @@ pub struct EngineConfig {
     /// job ahead of the rejected one.
     pub retry_after_ms_per_queued: u64,
     /// Durable state directory. When set, the engine journals every job
-    /// lifecycle to `<dir>/journal.ndjson`, persists results under
+    /// lifecycle to `<dir>/journal.log`, persists results under
     /// `<dir>/results/`, checkpoints running solve jobs under
     /// `<dir>/ck/`, and on start replays the journal — resubmitting
     /// interrupted jobs, which resume from their last durable
@@ -373,7 +373,20 @@ impl JobEngine {
         let durable = match &cfg.state_dir {
             None => None,
             Some(dir) => {
-                let (journal, replay) = Journal::open(dir)?;
+                // Tail damage is recovered inside `Journal::open`. A
+                // damaged *header* (`InvalidData`) leaves nothing to
+                // trust: set the file aside for the operator and start
+                // empty rather than refuse to start, like the
+                // checkpoint-log fallback in `worker_loop`.
+                let (journal, replay) = match Journal::open(dir) {
+                    Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+                        let path = dir.join("journal.log");
+                        eprintln!("eul3d-serve: {}: {e}; moved to journal.bad", path.display());
+                        std::fs::rename(&path, path.with_extension("bad"))?;
+                        Journal::open(dir)?
+                    }
+                    opened => opened?,
+                };
                 let store = ResultStore::open(dir)?;
                 let ck_dir = dir.join("ck");
                 std::fs::create_dir_all(&ck_dir)?;

@@ -1,41 +1,39 @@
-//! The write-ahead job journal: an append-only NDJSON file at
-//! `<state_dir>/journal.ndjson` recording every job's lifecycle —
-//! `submitted`, `started`, `checkpointed`, `resumed`, `done`,
-//! `cancelled`, `failed` — so a server restart can rebuild its queue
-//! and resubmit work that was interrupted mid-run.
+//! The write-ahead job journal: a [`framed::Log`] (magic `EUL3DJNL`,
+//! version 1; frame format and recovery are documented there) at
+//! `<state_dir>/journal.log` whose frames are [`JournalRecord::to_line`]
+//! texts, recording every job's lifecycle — `submitted`, `started`,
+//! `checkpointed`, `resumed`, `done`, `cancelled`, `failed` — so a
+//! server restart can rebuild its queue and resubmit work that was
+//! interrupted mid-run.
 //!
-//! ## Durability policy
-//!
-//! `submitted` and the terminal records (`done` / `cancelled` /
-//! `failed`) are `sync_data`'d before the append returns: losing a
-//! submission would silently drop a job, and losing a terminal record
+//! **Durability policy.** `submitted` and the terminal records (`done` /
+//! `cancelled` / `failed`) are synced before the append returns: losing
+//! a submission would silently drop a job, and losing a terminal record
 //! would re-run one. Progress records (`started`, `checkpointed`,
-//! `resumed`) are written but not individually fsynced — they are
-//! observability and kill-point markers, and the checkpoint *data*
-//! they refer to lives in the per-job checkpoint log, which carries its
-//! own `sync_data`. A lost progress record therefore costs nothing.
+//! `resumed`) are written but not synced — they are observability and
+//! kill-point markers; the checkpoint *data* lives in the per-job
+//! checkpoint log, which syncs itself.
 //!
-//! ## Replay
-//!
-//! [`Journal::open`] reads the existing file line by line and keeps the
-//! **longest valid prefix**: the first unparseable line (a torn write
-//! from the crash, or corruption) ends the replay, the file is
-//! truncated back to the last good line boundary, and the
-//! [`JournalReplay`] reports what was dropped. Jobs with a `submitted`
-//! record but no terminal record are the interrupted ones — the engine
-//! resubmits them internally, where they either hit the restored result
-//! store or resume from their checkpoint log.
+//! **Replay.** [`Journal::open`] replays the valid prefix; a record that
+//! fails its checksum or does not parse ends it, so a damaged journal
+//! can only forget records, never invent or alter one. Jobs with a
+//! `submitted` record but no terminal record are the interrupted ones —
+//! the engine resubmits them internally, where they either hit the
+//! restored result store or resume from their checkpoint log.
 
-use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
+use eul3d_core::framed::{self, TailReport};
 use eul3d_core::JobMode;
 
 use crate::cache::CacheKey;
 use crate::json::{escape, JObj};
 
-/// One journal line.
+const MAGIC: &[u8; 8] = b"EUL3DJNL";
+const VERSION: u32 = 1;
+
+/// One journal record.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JournalRecord {
     /// A job was accepted into the queue. Carries everything needed to
@@ -93,7 +91,7 @@ impl JournalRecord {
         matches!(self, JournalRecord::Submitted { .. }) || self.is_terminal()
     }
 
-    /// One NDJSON line, without the trailing newline.
+    /// The record as one flat-JSON line — the frame payload.
     pub fn to_line(&self) -> String {
         match self {
             JournalRecord::Submitted {
@@ -187,10 +185,8 @@ pub struct PendingJob {
 pub struct JournalReplay {
     /// Every record in the valid prefix, in order.
     pub records: Vec<JournalRecord>,
-    /// Torn/corrupt lines dropped from the tail.
-    pub dropped_lines: usize,
-    /// Bytes truncated from the file.
-    pub dropped_bytes: u64,
+    /// What recovery dropped behind it.
+    pub tail: TailReport,
 }
 
 impl JournalReplay {
@@ -242,73 +238,32 @@ impl JournalReplay {
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
-    file: File,
+    log: framed::Log,
 }
 
-/// The journal's file name under the state directory.
-pub const JOURNAL_FILE: &str = "journal.ndjson";
-
 impl Journal {
-    /// Open (creating) `<state_dir>/journal.ndjson`, replay the valid
+    /// Open (creating) `<state_dir>/journal.log`, replay the valid
     /// prefix, and truncate any damaged tail so subsequent appends land
-    /// on a clean line boundary.
+    /// on a clean frame boundary.
     pub fn open(state_dir: &Path) -> io::Result<(Journal, JournalReplay)> {
-        std::fs::create_dir_all(state_dir)?;
-        let path = state_dir.join(JOURNAL_FILE);
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&path)?;
-        let mut text = Vec::new();
-        file.read_to_end(&mut text)?;
-        let mut replay = JournalReplay::default();
-        let mut valid_end = 0usize;
-        let mut at = 0usize;
-        while at < text.len() {
-            let nl = match text[at..].iter().position(|&b| b == b'\n') {
-                Some(off) => at + off,
-                None => {
-                    // No newline: a torn final line.
-                    replay.dropped_lines += 1;
-                    break;
-                }
+        let mut records = Vec::new();
+        let path = state_dir.join("journal.log");
+        let (log, tail) = framed::Log::open(&path, MAGIC, VERSION, |payload| {
+            let text = std::str::from_utf8(payload).ok();
+            let Some(rec) = text.and_then(JournalRecord::parse) else {
+                return false;
             };
-            let parsed = std::str::from_utf8(&text[at..nl])
-                .ok()
-                .and_then(JournalRecord::parse);
-            match parsed {
-                Some(rec) => {
-                    replay.records.push(rec);
-                    at = nl + 1;
-                    valid_end = at;
-                }
-                None => {
-                    // First bad line ends the valid prefix; everything
-                    // from here is dropped.
-                    replay.dropped_lines +=
-                        text[at..].iter().filter(|&&b| b == b'\n').count().max(1);
-                    break;
-                }
-            }
-        }
-        replay.dropped_bytes = (text.len() - valid_end) as u64;
-        if replay.dropped_bytes > 0 {
-            file.set_len(valid_end as u64)?;
-            file.sync_data()?;
-        }
-        file.seek(SeekFrom::End(0))?;
-        Ok((Journal { path, file }, replay))
+            records.push(rec);
+            true
+        })?;
+        Ok((Journal { path, log }, JournalReplay { records, tail }))
     }
 
-    /// Append one record; fsynced per the durability policy.
+    /// Append one record; synced per the durability policy.
     pub fn append(&mut self, rec: &JournalRecord) -> io::Result<()> {
-        let mut line = rec.to_line();
-        line.push('\n');
-        self.file.write_all(line.as_bytes())?;
+        self.log.append(rec.to_line().as_bytes())?;
         if rec.is_durable() {
-            self.file.sync_data()?;
+            self.log.sync()?;
         }
         Ok(())
     }
@@ -323,7 +278,7 @@ impl Journal {
 mod tests {
     use super::*;
 
-    fn dir(name: &str) -> PathBuf {
+    fn dir(name: &str) -> std::path::PathBuf {
         let p = std::env::temp_dir().join(format!("eul3d-journal-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&p);
         p
@@ -375,14 +330,14 @@ mod tests {
         let d = dir("replay");
         let (mut j, rep) = Journal::open(&d).unwrap();
         assert!(rep.records.is_empty());
+        assert_eq!(j.path(), d.join("journal.log"));
         for rec in sample_records() {
             j.append(&rec).unwrap();
         }
         drop(j);
         let (_, rep) = Journal::open(&d).unwrap();
         assert_eq!(rep.records, sample_records());
-        assert_eq!(rep.dropped_lines, 0);
-        assert_eq!(rep.dropped_bytes, 0);
+        assert!(rep.tail.clean());
         assert_eq!(rep.max_job_id(), 3);
         std::fs::remove_dir_all(&d).ok();
     }
@@ -413,67 +368,6 @@ mod tests {
         assert_eq!(pending[0].job, 4);
         assert_eq!(pending[0].key, CacheKey(44));
         assert_eq!(pending[0].last_checkpoint, Some(6));
-        std::fs::remove_dir_all(&d).ok();
-    }
-
-    #[test]
-    fn torn_tail_line_is_truncated_and_reported() {
-        let d = dir("torn");
-        let (mut j, _) = Journal::open(&d).unwrap();
-        let recs = sample_records();
-        for rec in &recs {
-            j.append(rec).unwrap();
-        }
-        drop(j);
-        let path = d.join(JOURNAL_FILE);
-        let clean = std::fs::read(&path).unwrap();
-        let clean_len = clean.len();
-        // Tear the final line at several byte offsets.
-        for cut in [clean_len - 1, clean_len - 10, clean_len - 2] {
-            std::fs::write(&path, &clean[..cut]).unwrap();
-            let (_, rep) = Journal::open(path.parent().unwrap()).unwrap();
-            assert_eq!(rep.records.len(), recs.len() - 1, "cut at {cut}");
-            assert_eq!(rep.records, recs[..recs.len() - 1]);
-            assert!(rep.dropped_lines >= 1);
-            assert!(rep.dropped_bytes > 0);
-            // The truncation leaves a clean boundary: reopen is clean.
-            let (_, rep2) = Journal::open(path.parent().unwrap()).unwrap();
-            assert_eq!(rep2.dropped_bytes, 0);
-            assert_eq!(rep2.records, recs[..recs.len() - 1]);
-        }
-        std::fs::remove_dir_all(&d).ok();
-    }
-
-    #[test]
-    fn corrupt_middle_line_ends_the_valid_prefix() {
-        let d = dir("midcorrupt");
-        let (mut j, _) = Journal::open(&d).unwrap();
-        let recs = sample_records();
-        for rec in &recs {
-            j.append(rec).unwrap();
-        }
-        drop(j);
-        let path = d.join(JOURNAL_FILE);
-        let mut bytes = std::fs::read(&path).unwrap();
-        // Corrupt a byte inside the third line.
-        let third_start = bytes
-            .iter()
-            .enumerate()
-            .filter(|(_, &b)| b == b'\n')
-            .map(|(i, _)| i + 1)
-            .nth(1)
-            .unwrap();
-        bytes[third_start + 2] = 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        let (mut j, rep) = Journal::open(&d).unwrap();
-        assert_eq!(rep.records, recs[..2]);
-        assert!(rep.dropped_lines >= 1);
-        // Appends after recovery extend the valid prefix.
-        j.append(&JournalRecord::Started { job: 9 }).unwrap();
-        drop(j);
-        let (_, rep) = Journal::open(&d).unwrap();
-        assert_eq!(rep.records.len(), 3);
-        assert_eq!(rep.records[2], JournalRecord::Started { job: 9 });
         std::fs::remove_dir_all(&d).ok();
     }
 }

@@ -22,8 +22,9 @@
 //! With a `state_dir` configured the engine is additionally
 //! **crash-safe**: submissions go through a write-ahead journal
 //! ([`journal`]), completed results persist in a content-addressed disk
-//! store ([`store`]), and running solve jobs append CRC-framed
-//! checkpoints through [`eul3d_core::ckstore`] — so a `kill -9` at any
+//! store ([`store`]), and running solve jobs append checkpoints through
+//! [`eul3d_core::ckstore`] — three record types over the one CRC-framed
+//! file format of [`eul3d_core::framed`] — so a `kill -9` at any
 //! instant loses at most one checkpoint interval of compute, and a
 //! restarted server resumes interrupted jobs to byte-identical results
 //! (DESIGN.md §12; proven by the crash-injection harness in
@@ -33,7 +34,7 @@
 //! * [`engine`] — the worker pool, queue, lifecycle state machine;
 //! * [`cache`] — [`cache::CacheKey`] and the byte-budgeted FIFO
 //!   [`cache::ResultCache`];
-//! * [`journal`] — the write-ahead NDJSON job journal and its replay;
+//! * [`journal`] — the write-ahead job journal and its replay;
 //! * [`store`] — the durable content-addressed result store;
 //! * [`protocol`] — request parsing and event-line builders;
 //! * [`server`] — the Unix-socket accept loop ([`server::spawn`]);

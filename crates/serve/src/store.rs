@@ -1,24 +1,23 @@
 //! Durable content-addressed result store: one file per completed job
-//! under `<state_dir>/results/<cache-key>.res`, written atomically
-//! (temp + rename) and CRC-framed, so a server restart rebuilds its
-//! result cache from disk and a resubmitted finished job is a disk read,
-//! not a recompute.
+//! under `<state_dir>/results/<cache-key>.res`, each a single
+//! [`framed`] record (magic `EUL3DRES`, version 2) written atomically,
+//! so a server restart rebuilds its result cache from disk and a
+//! resubmitted finished job is a disk read, not a recompute.
 //!
 //! The payload serializes the *complete* [`JobArtifacts`] bundle —
 //! history bits, residual table, optional Chrome trace, the stamped
 //! event stream (via the `obs::wire` line codec), VTK, guard outcome,
 //! and the result hash — so a blob served from the store is
 //! byte-identical to the blob the original run streamed. Any damage
-//! (torn rename never shows one, but a corrupted disk can) fails the
-//! CRC or decode and reads as "not cached": corruption costs a
-//! recompute, never a wrong answer.
+//! (torn rename never shows one, but a corrupted disk can) — and any
+//! file of an older version — fails the header, CRC or decode and reads
+//! as "not cached": corruption costs a recompute, never a wrong answer.
 
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use eul3d_core::ckstore::crc32;
+use eul3d_core::framed::{self, ByteReader, ByteWriter};
 use eul3d_core::health::{GuardOutcome, HealthVerdict, RetryEvent};
 use eul3d_core::JobArtifacts;
 use eul3d_obs as obs;
@@ -26,7 +25,7 @@ use eul3d_obs as obs;
 use crate::cache::{CacheKey, JobBlob};
 
 const MAGIC: &[u8; 8] = b"EUL3DRES";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// The directory holding one `.res` file per completed job, keyed by
 /// the 32-hex-digit cache key.
@@ -48,47 +47,28 @@ impl ResultStore {
     }
 
     /// Persist `blob` under `key`, atomically: the file either does not
-    /// exist or holds one complete CRC-valid result. Durable
-    /// (`sync_data` before rename) when this returns `Ok`.
+    /// exist or holds one complete CRC-valid result. Durable when this
+    /// returns `Ok`.
     pub fn put(&self, key: CacheKey, blob: &JobBlob) -> std::io::Result<()> {
-        let payload = encode_artifacts(&blob.artifacts);
-        let tmp = self.dir.join(format!("{key}.tmp"));
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(MAGIC)?;
-            f.write_all(&VERSION.to_le_bytes())?;
-            f.write_all(&(payload.len() as u64).to_le_bytes())?;
-            f.write_all(&crc32(&payload).to_le_bytes())?;
-            f.write_all(&payload)?;
-            f.sync_data()?;
-        }
-        fs::rename(&tmp, self.path_of(key))
+        let (path, payload) = (self.path_of(key), encode_artifacts(&blob.artifacts));
+        Ok(framed::write_atomic(&path, MAGIC, VERSION, &payload)?)
     }
 
     /// Load the result stored under `key`, or `None` when it is absent
     /// or fails any integrity check.
     pub fn get(&self, key: CacheKey) -> Option<Arc<JobBlob>> {
-        let bytes = fs::read(self.path_of(key)).ok()?;
-        let artifacts = decode_file(&bytes)?;
+        let payload = framed::read_one(&self.path_of(key), MAGIC, VERSION)?;
+        let artifacts = decode_artifacts(&payload)?;
         Some(Arc::new(JobBlob { artifacts }))
     }
 
     /// Every key with a stored result, in deterministic (sorted) order —
     /// the startup scan that reseeds the in-memory cache index.
     pub fn keys(&self) -> Vec<CacheKey> {
-        let mut keys = Vec::new();
-        let Ok(entries) = fs::read_dir(&self.dir) else {
-            return keys;
-        };
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if let Some(stem) = name.strip_suffix(".res") {
-                if let Some(key) = CacheKey::parse(stem) {
-                    keys.push(key);
-                }
-            }
-        }
+        let entries = fs::read_dir(&self.dir).into_iter().flatten().flatten();
+        let mut keys: Vec<CacheKey> = entries
+            .filter_map(|e| CacheKey::parse(e.file_name().to_str()?.strip_suffix(".res")?))
+            .collect();
         keys.sort_by_key(|k| k.0);
         keys
     }
@@ -102,238 +82,120 @@ impl ResultStore {
     }
 }
 
-fn decode_file(bytes: &[u8]) -> Option<JobArtifacts> {
-    if bytes.len() < 24 || &bytes[..8] != MAGIC {
-        return None;
-    }
-    if u32::from_le_bytes(bytes[8..12].try_into().ok()?) != VERSION {
-        return None;
-    }
-    let len = u64::from_le_bytes(bytes[12..20].try_into().ok()?) as usize;
-    let crc = u32::from_le_bytes(bytes[20..24].try_into().ok()?);
-    let payload = bytes.get(24..24 + len)?;
-    if bytes.len() != 24 + len || crc32(payload) != crc {
-        return None;
-    }
-    decode_artifacts(payload)
-}
-
 // ---- payload codec -------------------------------------------------------
-//
-// Flat length-prefixed little-endian layout; every float travels as its
-// bit pattern so the decode is the exact inverse of the encode.
 
-struct Enc(Vec<u8>);
-
-impl Enc {
-    fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn bytes(&mut self, b: &[u8]) {
-        self.u64(b.len() as u64);
-        self.0.extend_from_slice(b);
-    }
-    fn opt_str(&mut self, s: Option<&str>) {
-        match s {
-            Some(s) => {
-                self.u8(1);
-                self.bytes(s.as_bytes());
-            }
-            None => self.u8(0),
-        }
-    }
-    fn verdict(&mut self, v: HealthVerdict) {
-        self.u8(v.severity());
-        match v {
-            HealthVerdict::Healthy => self.u64(0),
-            HealthVerdict::Diverging { ratio } => self.f64(ratio),
-            HealthVerdict::NegativePressure { vertex }
-            | HealthVerdict::NegativeDensity { vertex }
-            | HealthVerdict::NonFinite { vertex } => self.u64(vertex as u64),
-        }
+/// A presence byte, then the value.
+fn put_opt<T>(e: &mut ByteWriter, v: Option<T>, put: impl FnOnce(&mut ByteWriter, T)) {
+    e.u8(u8::from(v.is_some()));
+    if let Some(v) = v {
+        put(e, v);
     }
 }
 
-struct Dec<'a> {
-    b: &'a [u8],
-    at: usize,
+fn get_opt<T>(
+    d: &mut ByteReader,
+    get: impl FnOnce(&mut ByteReader) -> Option<T>,
+) -> Option<Option<T>> {
+    match d.u8()? {
+        0 => Some(None),
+        1 => get(d).map(Some),
+        _ => None,
+    }
 }
 
-impl<'a> Dec<'a> {
-    fn u8(&mut self) -> Option<u8> {
-        let v = *self.b.get(self.at)?;
-        self.at += 1;
-        Some(v)
+fn put_verdict(e: &mut ByteWriter, v: HealthVerdict) {
+    e.u8(v.severity());
+    match v {
+        HealthVerdict::Healthy => e.u64(0),
+        HealthVerdict::Diverging { ratio } => e.f64(ratio),
+        HealthVerdict::NegativePressure { vertex }
+        | HealthVerdict::NegativeDensity { vertex }
+        | HealthVerdict::NonFinite { vertex } => e.u64(vertex as u64),
     }
-    fn u64(&mut self) -> Option<u64> {
-        let v = u64::from_le_bytes(self.b.get(self.at..self.at + 8)?.try_into().ok()?);
-        self.at += 8;
-        Some(v)
-    }
-    fn f64(&mut self) -> Option<f64> {
-        Some(f64::from_bits(self.u64()?))
-    }
-    fn bytes(&mut self) -> Option<&'a [u8]> {
-        let len = self.u64()? as usize;
-        let b = self.b.get(self.at..self.at.checked_add(len)?)?;
-        self.at += len;
-        Some(b)
-    }
-    fn string(&mut self) -> Option<String> {
-        std::str::from_utf8(self.bytes()?).ok().map(str::to_string)
-    }
-    fn verdict(&mut self) -> Option<HealthVerdict> {
-        let tag = self.u8()?;
-        Some(match tag {
-            0 => {
-                self.u64()?;
-                HealthVerdict::Healthy
-            }
-            1 => HealthVerdict::Diverging { ratio: self.f64()? },
-            2 => HealthVerdict::NegativePressure {
-                vertex: self.u64()? as usize,
-            },
-            3 => HealthVerdict::NegativeDensity {
-                vertex: self.u64()? as usize,
-            },
-            4 => HealthVerdict::NonFinite {
-                vertex: self.u64()? as usize,
-            },
-            _ => return None,
-        })
-    }
+}
+
+fn get_verdict(d: &mut ByteReader) -> Option<HealthVerdict> {
+    let (tag, arg) = (d.u8()?, d.u64()?);
+    let vertex = arg as usize;
+    Some(match tag {
+        0 => HealthVerdict::Healthy,
+        1 => HealthVerdict::Diverging {
+            ratio: f64::from_bits(arg),
+        },
+        2 => HealthVerdict::NegativePressure { vertex },
+        3 => HealthVerdict::NegativeDensity { vertex },
+        4 => HealthVerdict::NonFinite { vertex },
+        _ => return None,
+    })
 }
 
 fn encode_artifacts(a: &JobArtifacts) -> Vec<u8> {
-    let mut e = Enc(Vec::with_capacity(
-        64 + a.history.len() * 8 + a.table.len() + a.vtk.len(),
-    ));
-    e.0.extend_from_slice(&a.result_hash.to_le_bytes());
-    e.u64(a.history.len() as u64);
-    for &r in &a.history {
-        e.f64(r);
-    }
+    let cap = 64 + a.history.len() * 8 + a.table.len() + a.vtk.len();
+    let mut e = ByteWriter(Vec::with_capacity(cap));
+    e.u128(a.result_hash);
+    e.f64s(&a.history);
     e.bytes(a.table.as_bytes());
-    e.opt_str(a.trace_json.as_deref());
+    put_opt(&mut e, a.trace_json.as_deref(), |e, s| {
+        e.bytes(s.as_bytes())
+    });
     e.u64(a.events.len() as u64);
     for ev in &a.events {
         e.bytes(obs::wire::encode(ev).as_bytes());
     }
     e.bytes(a.vtk.as_bytes());
-    match &a.guard {
-        None => e.u8(0),
-        Some(g) => {
-            e.u8(1);
-            e.u64(g.transcript.len() as u64);
-            for r in &g.transcript {
-                e.u64(r.cycle as u64);
-                match r.rollback_to {
-                    None => e.u8(0),
-                    Some(c) => {
-                        e.u8(1);
-                        e.u64(c as u64);
-                    }
-                }
-                e.verdict(r.verdict);
-                e.f64(r.cfl_before);
-                e.f64(r.cfl_after);
-            }
-            e.f64(g.final_cfl);
-            e.f64(g.target_cfl);
-            match g.exhausted {
-                None => e.u8(0),
-                Some((cycle, v)) => {
-                    e.u8(1);
-                    e.u64(cycle as u64);
-                    e.verdict(v);
-                }
-            }
+    put_opt(&mut e, a.guard.as_ref(), |e, g| {
+        e.u64(g.transcript.len() as u64);
+        for r in &g.transcript {
+            e.u64(r.cycle as u64);
+            put_opt(e, r.rollback_to, |e, c| e.u64(c as u64));
+            put_verdict(e, r.verdict);
+            e.f64(r.cfl_before);
+            e.f64(r.cfl_after);
         }
-    }
+        e.f64(g.final_cfl);
+        e.f64(g.target_cfl);
+        put_opt(e, g.exhausted, |e, (cycle, v)| {
+            e.u64(cycle as u64);
+            put_verdict(e, v);
+        });
+    });
     e.0
 }
 
 fn decode_artifacts(payload: &[u8]) -> Option<JobArtifacts> {
-    let mut d = Dec { b: payload, at: 0 };
-    let result_hash = u128::from_le_bytes(d.b.get(0..16)?.try_into().ok()?);
-    d.at = 16;
-    let nhist = d.u64()? as usize;
-    if nhist > payload.len() / 8 {
-        return None;
-    }
-    let mut history = Vec::with_capacity(nhist);
-    for _ in 0..nhist {
-        history.push(d.f64()?);
-    }
-    let table = d.string()?;
-    let trace_json = match d.u8()? {
-        0 => None,
-        1 => Some(d.string()?),
-        _ => return None,
-    };
-    let nev = d.u64()? as usize;
-    if nev > payload.len() {
-        return None;
-    }
+    let mut d = ByteReader(payload);
+    let result_hash = d.u128()?;
+    let history = d.f64s()?;
+    let table = d.str()?.to_string();
+    let trace_json = get_opt(&mut d, |d| d.str().map(str::to_string))?;
+    // Every event and retry record is at least its own length prefix.
+    let nev = d.count(8)?;
     let mut events = Vec::with_capacity(nev);
     for _ in 0..nev {
-        let line = std::str::from_utf8(d.bytes()?).ok()?;
-        events.push(obs::wire::decode(line)?);
+        events.push(obs::wire::decode(d.str()?)?);
     }
-    let vtk = d.string()?;
-    let guard = match d.u8()? {
-        0 => None,
-        1 => {
-            let nretries = d.u64()? as usize;
-            if nretries > payload.len() {
-                return None;
-            }
-            let mut transcript = Vec::with_capacity(nretries);
-            for _ in 0..nretries {
-                let cycle = d.u64()? as usize;
-                let rollback_to = match d.u8()? {
-                    0 => None,
-                    1 => Some(d.u64()? as usize),
-                    _ => return None,
-                };
-                let verdict = d.verdict()?;
-                let cfl_before = d.f64()?;
-                let cfl_after = d.f64()?;
-                transcript.push(RetryEvent {
-                    cycle,
-                    rollback_to,
-                    verdict,
-                    cfl_before,
-                    cfl_after,
-                });
-            }
-            let final_cfl = d.f64()?;
-            let target_cfl = d.f64()?;
-            let exhausted = match d.u8()? {
-                0 => None,
-                1 => {
-                    let cycle = d.u64()? as usize;
-                    Some((cycle, d.verdict()?))
-                }
-                _ => return None,
-            };
-            Some(GuardOutcome {
-                transcript,
-                final_cfl,
-                target_cfl,
-                exhausted,
-            })
+    let vtk = d.str()?.to_string();
+    let guard = get_opt(&mut d, |d| {
+        let nretries = d.count(8)?;
+        let mut transcript = Vec::with_capacity(nretries);
+        for _ in 0..nretries {
+            transcript.push(RetryEvent {
+                cycle: d.u64()? as usize,
+                rollback_to: get_opt(d, |d| d.u64().map(|c| c as usize))?,
+                verdict: get_verdict(d)?,
+                cfl_before: d.f64()?,
+                cfl_after: d.f64()?,
+            });
         }
-        _ => return None,
-    };
-    if d.at != payload.len() {
-        return None;
+        Some(GuardOutcome {
+            transcript,
+            final_cfl: d.f64()?,
+            target_cfl: d.f64()?,
+            exhausted: get_opt(d, |d| Some((d.u64()? as usize, get_verdict(d)?)))?,
+        })
+    })?;
+    if !d.0.is_empty() {
+        return None; // trailing bytes inside a framed payload are damage
     }
     Some(JobArtifacts {
         history,
@@ -469,40 +331,6 @@ mod tests {
             .unwrap();
         let back = store.get(CacheKey(1)).unwrap();
         assert_artifacts_eq(&min, &back.artifacts);
-        fs::remove_dir_all(&d).ok();
-    }
-
-    #[test]
-    fn any_single_corrupt_byte_reads_as_absent() {
-        let d = dir("corrupt");
-        let store = ResultStore::open(&d).unwrap();
-        let key = CacheKey(7);
-        store
-            .put(
-                key,
-                &JobBlob {
-                    artifacts: artifacts(),
-                },
-            )
-            .unwrap();
-        let path = d.join("results").join(format!("{key}.res"));
-        let clean = fs::read(&path).unwrap();
-        // Flip one byte in every region: magic, version, length, crc,
-        // and several payload offsets.
-        for at in [0usize, 9, 13, 21, 30, clean.len() / 2, clean.len() - 1] {
-            let mut bad = clean.clone();
-            bad[at] ^= 0x5A;
-            fs::write(&path, &bad).unwrap();
-            assert!(
-                store.get(key).is_none(),
-                "corrupt byte at {at} must not decode"
-            );
-        }
-        // Truncation likewise.
-        fs::write(&path, &clean[..clean.len() - 4]).unwrap();
-        assert!(store.get(key).is_none());
-        fs::write(&path, &clean).unwrap();
-        assert!(store.get(key).is_some());
         fs::remove_dir_all(&d).ok();
     }
 

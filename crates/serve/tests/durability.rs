@@ -69,7 +69,8 @@ fn wait_done(eng: &JobEngine, n: u64) {
 }
 
 fn journal_text(dir: &Path) -> String {
-    std::fs::read_to_string(dir.join("journal.ndjson")).unwrap_or_default()
+    String::from_utf8_lossy(&std::fs::read(dir.join("journal.log")).unwrap_or_default())
+        .into_owned()
 }
 
 /// A sink that records every checkpoint the solver offers.
