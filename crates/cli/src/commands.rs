@@ -168,10 +168,6 @@ fn run_config_of(a: &Args, levels: usize, cycles: usize, dist: bool) -> Result<R
     Ok(rc)
 }
 
-fn phase_labels() -> Vec<&'static str> {
-    Phase::ALL.iter().map(|p| p.label()).collect()
-}
-
 /// Arm the driver thread with a ring tracer when tracing is enabled
 /// (the distributed path instead arms each simulated rank's thread).
 fn arm_driver_trace(t: &TraceConfig) {
@@ -186,22 +182,16 @@ fn finish_driver_trace(t: &TraceConfig) -> Result<(), String> {
     if !t.enabled {
         return Ok(());
     }
-    let Some(tr) = obs::take() else {
-        return Ok(());
-    };
-    let lane = obs::Lane {
-        id: 0,
-        name: "driver".to_string(),
-        events: tr.snapshot(),
-        dropped: tr.dropped(),
-    };
-    export_trace(&[lane], t)
+    match obs::Lane::take_driver() {
+        Some(lane) => export_trace(&[lane], t),
+        None => Ok(()),
+    }
 }
 
 /// Write the Chrome `trace_event` JSON and/or print the summary table,
 /// per the trace configuration.
 fn export_trace(lanes: &[obs::Lane], t: &TraceConfig) -> Result<(), String> {
-    let labels = phase_labels();
+    let labels = Phase::labels();
     if let Some(path) = &t.out {
         std::fs::write(path, obs::chrome_trace(lanes, &labels))
             .map_err(|e| format!("--trace {path}: {e}"))?;
@@ -509,7 +499,7 @@ pub fn solve(a: &Args) -> Result<(), String> {
 pub fn distributed(a: &Args) -> Result<(), String> {
     use eul3d_core::dist::{
         run_distributed_guarded, run_distributed_with_faults, DistBackend, DistOptions, DistSetup,
-        FaultOptions, RankFate, RepartitionPolicy,
+        FaultOptions, RankFate,
     };
     let rc = run_config_of(a, 3, 25, true)?;
     let no_incr = a.has("no-incremental");
@@ -522,18 +512,8 @@ pub fn distributed(a: &Args) -> Result<(), String> {
     let pseed = eul3d_core::env_seed(7);
     let opts = DistOptions {
         refetch_per_loop: no_incr,
-        trace_capacity: rc.trace.enabled.then_some(rc.trace.capacity),
-        backend: if hybrid {
-            DistBackend::Hybrid
-        } else {
-            DistBackend::Delta
-        },
         real_time_lanes: hybrid && rc.trace.enabled,
-        repartition: rc
-            .partition
-            .as_ref()
-            .and_then(|p| RepartitionPolicy::from_config(p, 40, pseed)),
-        ..DistOptions::default()
+        ..DistOptions::for_run(&rc, pseed)
     };
 
     println!(
@@ -548,13 +528,11 @@ pub fn distributed(a: &Args) -> Result<(), String> {
     );
     let seq = MeshSequence::bump_sequence(&spec, levels);
     let t0 = std::time::Instant::now();
-    let (setup, method_label) = match &rc.partition {
-        Some(p) => (
-            DistSetup::from_policy(seq, nranks, 40, pseed, p),
-            partition_method_name(p.method),
-        ),
-        None => (DistSetup::new(seq, nranks, 40, pseed), "flat-rsb"),
-    };
+    let setup = DistSetup::for_run(seq, &rc, pseed);
+    let method_label = rc
+        .partition
+        .as_ref()
+        .map_or("flat-rsb", |p| partition_method_name(p.method));
     println!(
         "{method_label} partitioning of all levels: {:.2}s",
         t0.elapsed().as_secs_f64()

@@ -119,11 +119,6 @@ impl CheckpointLog {
         self.frames
     }
 
-    /// The log's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Delete the log file (the job completed; its resume point is
     /// garbage now). Consumes the log.
     pub fn remove(self) -> io::Result<()> {
@@ -183,14 +178,13 @@ mod tests {
         p.push(format!("eul3d-ckstore-rt-{}", std::process::id()));
         let _ = std::fs::remove_file(&p);
         let (mut log, rep) = CheckpointLog::open(&p).unwrap();
-        assert!(rep.clean());
-        assert_eq!(log.path(), p);
+        assert_eq!(rep, TailReport::default());
         assert!(log.latest().is_none());
         log.append(&ck(2)).unwrap();
         log.append(&ck(4)).unwrap();
         drop(log);
         let (log, rep) = CheckpointLog::open(&p).unwrap();
-        assert!(rep.clean());
+        assert_eq!(rep, TailReport::default());
         assert_eq!(log.frames(), 2);
         assert_eq!(log.latest(), Some(&ck(4)));
         log.remove().unwrap();

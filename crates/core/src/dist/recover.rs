@@ -708,6 +708,50 @@ fn spawn_replica<'scope, 'env>(
     }
 }
 
+/// The collective core of a recovery epoch, run identically by survivors
+/// ([`do_recover`]) and freshly adopted replicas ([`do_join`]): max-reduce
+/// this instance's contribution `v` (element 0 the negated newest
+/// restorable cycle, elements 1..5 the piggybacked numeric verdict) and
+/// rebuild every schedule in the epoch's tag space. Returns the rebuilt
+/// solver, the agreed rollback cycle (as `f64`; non-finite = restart from
+/// initial conditions) and the agreed numeric verdict, if any.
+///
+/// With repartitioning armed, the agreement must run BEFORE the
+/// rebuild: the agreed cycle selects which migration era's plan every
+/// instance rebuilds against. Without it, keep the historical
+/// build-then-agree order so fault-only runs are byte-identical to
+/// before. The policy is a run-wide constant, so every instance picks
+/// the same order and the epoch's collective sequence stays
+/// machine-consistent.
+fn agree_and_rebuild(
+    rank: &mut Rank,
+    ctx: &Ctx,
+    st: &mut LoopState,
+    mut v: [f64; 5],
+) -> (DistSolver, f64, Option<(usize, HealthVerdict)>) {
+    let build = |rank: &mut Rank, setup: &DistSetup| {
+        DistSolver::build_epoch(rank, setup, ctx.cfg, ctx.strategy, ctx.opts, rank.epoch())
+    };
+    let s = if let Some(pol) = ctx.opts.repartition {
+        rank.all_reduce_max_in_place(&mut v);
+        let target = if v[0].is_finite() {
+            pol.era_of(-v[0] as usize)
+        } else {
+            0
+        };
+        if target != st.era {
+            enter_era(ctx, st, &pol, target);
+        }
+        build(rank, st.era_setup.as_deref().unwrap_or(ctx.setup))
+    } else {
+        let s = build(rank, ctx.setup);
+        rank.all_reduce_max_in_place(&mut v);
+        s
+    };
+    let numeric = (v[1] > 0.0).then(|| (v[2] as usize, HealthVerdict::decode([v[3], v[4]])));
+    (s, -v[0], numeric)
+}
+
 /// Enter recovery epoch `e`: abort peers, adopt newly dead partitions
 /// this instance is buddy for, rebuild every schedule in the epoch's tag
 /// space, agree on the rollback target, restore, and ship the agreed
@@ -773,40 +817,7 @@ fn do_recover<'scope, 'env>(
         v[3] = enc[0];
         v[4] = enc[1];
     }
-    // With repartitioning armed, the rollback agreement must run BEFORE
-    // the rebuild: the agreed cycle selects which migration era's plan
-    // every instance rebuilds against. Without it, keep the historical
-    // build-then-agree order so fault-only runs are byte-identical to
-    // before. The policy is a run-wide constant, so every instance picks
-    // the same order and the epoch's collective sequence stays
-    // machine-consistent.
-    let mut s = if let Some(pol) = ctx.opts.repartition {
-        rank.all_reduce_max_in_place(&mut v);
-        let target = if v[0].is_finite() {
-            pol.era_of(-v[0] as usize)
-        } else {
-            0
-        };
-        if target != st.era {
-            enter_era(ctx, st, &pol, target);
-        }
-        let era_setup = st.era_setup.clone();
-        let setup = era_setup.as_deref().unwrap_or(ctx.setup);
-        DistSolver::build_epoch(rank, setup, ctx.cfg, ctx.strategy, ctx.opts, rank.epoch())
-    } else {
-        let s = DistSolver::build_epoch(
-            rank,
-            ctx.setup,
-            ctx.cfg,
-            ctx.strategy,
-            ctx.opts,
-            rank.epoch(),
-        );
-        rank.all_reduce_max_in_place(&mut v);
-        s
-    };
-    let agreed = -v[0];
-    let numeric = (v[1] > 0.0).then(|| (v[2] as usize, HealthVerdict::decode([v[3], v[4]])));
+    let (mut s, agreed, numeric) = agree_and_rebuild(rank, ctx, st, v);
     let mut rewind_to = obs::TraceMark::default();
     if agreed.is_finite() {
         let c = agreed as usize;
@@ -905,37 +916,9 @@ fn do_join(rank: &mut Rank, ctx: &Ctx, st: &mut LoopState, host: usize) {
     // lane starts recording from its origin only once the agreed state
     // is installed.
     obs::pause();
-    // Mirror of `do_recover`'s ordering rule: with repartitioning armed
-    // the (unconstraining) agreement runs first so this replica rebuilds
-    // against the same era plan as the survivors.
-    let mut v = [f64::NEG_INFINITY; 5];
-    let mut s = if let Some(pol) = ctx.opts.repartition {
-        rank.all_reduce_max_in_place(&mut v);
-        let target = if v[0].is_finite() {
-            pol.era_of(-v[0] as usize)
-        } else {
-            0
-        };
-        if target != st.era {
-            enter_era(ctx, st, &pol, target);
-        }
-        let era_setup = st.era_setup.clone();
-        let setup = era_setup.as_deref().unwrap_or(ctx.setup);
-        DistSolver::build_epoch(rank, setup, ctx.cfg, ctx.strategy, ctx.opts, rank.epoch())
-    } else {
-        let s = DistSolver::build_epoch(
-            rank,
-            ctx.setup,
-            ctx.cfg,
-            ctx.strategy,
-            ctx.opts,
-            rank.epoch(),
-        );
-        rank.all_reduce_max_in_place(&mut v);
-        s
-    };
-    let agreed = -v[0];
-    let numeric = (v[1] > 0.0).then(|| (v[2] as usize, HealthVerdict::decode([v[3], v[4]])));
+    // The replica's contribution constrains nothing: it takes whatever
+    // rollback target and verdict the survivors agree on.
+    let (mut s, agreed, numeric) = agree_and_rebuild(rank, ctx, st, [f64::NEG_INFINITY; 5]);
     if agreed.is_finite() {
         let c = agreed as usize;
         let w = rank.recv_f64(host, s.ck_tag);
@@ -1211,13 +1194,8 @@ fn run_with_ctx(
     guard: Option<GuardConfig>,
 ) -> DistRunResult {
     let transport = opts.transport(fopts);
-    let windows = (transport == DistBackend::Hybrid).then(|| {
-        let timeout = opts
-            .wedge_timeout_ms
-            .map(Duration::from_millis)
-            .unwrap_or(eul3d_delta::DEFAULT_WEDGE_TIMEOUT);
-        eul3d_delta::WindowRegistry::with_timeout(setup.nranks, timeout)
-    });
+    let windows =
+        (transport == DistBackend::Hybrid).then(|| eul3d_delta::WindowRegistry::new(setup.nranks));
     // Wall-clock stamps belong to runs that overlap for real; a channel
     // run keeps the modeled clock so its traces stay byte-identical.
     let opts = DistOptions {

@@ -8,7 +8,11 @@ use std::sync::Arc;
 use eul3d_mesh::MeshSequence;
 use eul3d_partition::{FlatRsb, MultilevelRsb, PartitionOptions, PartitionedMesh, Partitioner};
 
-use crate::runconfig::{PartitionConfig, PartitionMethod};
+use crate::runconfig::{PartitionConfig, PartitionMethod, RunConfig};
+
+/// Lanczos iteration cap per Fiedler solve of a configured run (the
+/// partitioner's historical default).
+pub(super) const LANCZOS_ITERS: usize = 40;
 
 /// The statically-dispatched partitioner for a configured method.
 pub fn partitioner_of(method: PartitionMethod) -> &'static dyn Partitioner {
@@ -36,17 +40,19 @@ impl DistSetup {
         Self::from_arc(Arc::new(seq), nranks, &FlatRsb, &opts)
     }
 
-    /// Partition all levels with a configured [`PartitionConfig`] policy
-    /// (method, multilevel knobs, rank mapping).
-    pub fn from_policy(
-        seq: MeshSequence,
-        nranks: usize,
-        lanczos_iters: usize,
-        seed: u64,
-        policy: &PartitionConfig,
-    ) -> DistSetup {
-        let opts = partition_options(nranks, lanczos_iters, seed, policy);
-        Self::from_arc(Arc::new(seq), nranks, partitioner_of(policy.method), &opts)
+    /// Partition all levels for a configured run over its
+    /// [`RunConfig::effective_nranks`]: by its [`PartitionConfig`] policy
+    /// (method, multilevel knobs, rank mapping) when it has one, else
+    /// with flat RSB.
+    pub fn for_run(seq: MeshSequence, rc: &RunConfig, seed: u64) -> DistSetup {
+        let nranks = rc.effective_nranks();
+        match &rc.partition {
+            Some(policy) => {
+                let opts = partition_options(nranks, LANCZOS_ITERS, seed, policy);
+                Self::from_arc(Arc::new(seq), nranks, partitioner_of(policy.method), &opts)
+            }
+            None => Self::new(seq, nranks, LANCZOS_ITERS, seed),
+        }
     }
 
     /// Partition all levels of an already-shared mesh sequence with an
@@ -137,7 +143,12 @@ mod tests {
             mapping: RankMapping::Topology,
             ..PartitionConfig::default()
         };
-        let setup = DistSetup::from_policy(seq, 4, 30, 7, &policy);
+        let rc = RunConfig {
+            nranks: 4,
+            partition: Some(policy),
+            ..RunConfig::default()
+        };
+        let setup = DistSetup::for_run(seq, &rc, 7);
         assert_eq!(setup.pms.len(), 2);
         for (pm, mesh) in setup.pms.iter().zip(&setup.seq.meshes) {
             assert_eq!(pm.nparts, 4);

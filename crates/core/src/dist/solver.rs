@@ -16,11 +16,11 @@ use crate::gas::NVAR;
 use crate::health::GuardOutcome;
 use crate::level::{eval_total_residual, time_step, LevelState};
 use crate::multigrid::Strategy;
-use crate::runconfig::{PartitionConfig, PartitionMethod};
+use crate::runconfig::{BackendKind, PartitionConfig, PartitionMethod, RunConfig};
 
 use super::level::DistLevel;
 use super::recover::{run_distributed_with_faults, FaultOptions};
-use super::setup::DistSetup;
+use super::setup::{DistSetup, LANCZOS_ITERS};
 use super::transfer::TransferLink;
 
 /// Which transport carries the per-cycle halo streams of a distributed
@@ -116,11 +116,6 @@ pub struct DistOptions {
     /// back to channels keeps the modeled clock and its byte-identical
     /// traces.
     pub real_time_lanes: bool,
-    /// Wedge timeout (ms) for the hybrid backend's shared-memory halo
-    /// windows; a stalled window surfaces as a typed
-    /// [`eul3d_delta::DeltaError::WindowWedged`] after this long.
-    /// `None` uses [`eul3d_delta::DEFAULT_WEDGE_TIMEOUT`] (30 s).
-    pub wedge_timeout_ms: Option<u64>,
     /// Mid-run repartition-and-migrate policy (`None` = the partition is
     /// fixed for the whole run, the historical behaviour). Arming this
     /// forces the channel transport for halo streams, like a fault plan
@@ -137,13 +132,30 @@ impl Default for DistOptions {
             trace_capacity: None,
             backend: DistBackend::Delta,
             real_time_lanes: false,
-            wedge_timeout_ms: None,
             repartition: None,
         }
     }
 }
 
 impl DistOptions {
+    /// The options a configured run asks for: its backend, trace arming
+    /// and mid-run repartition policy (era plans seeded from `seed`, the
+    /// run's partition seed). Traced lanes stay on the modeled clock.
+    pub fn for_run(rc: &RunConfig, seed: u64) -> DistOptions {
+        DistOptions {
+            trace_capacity: rc.trace.enabled.then_some(rc.trace.capacity),
+            backend: match rc.backend {
+                BackendKind::Hybrid => DistBackend::Hybrid,
+                BackendKind::Delta => DistBackend::Delta,
+            },
+            repartition: rc
+                .partition
+                .as_ref()
+                .and_then(|p| RepartitionPolicy::from_config(p, LANCZOS_ITERS, seed)),
+            ..DistOptions::default()
+        }
+    }
+
     /// The halo transport a run with these options and fault context
     /// really uses. The hybrid backend's shared-memory windows carry
     /// only fault-free halo streams: fault injection lives in the

@@ -113,6 +113,12 @@ impl Phase {
         }
     }
 
+    /// Every phase's [`label`](Phase::label), indexed by
+    /// [`Phase::index`] — the span names the trace exporters take.
+    pub fn labels() -> Vec<&'static str> {
+        Phase::ALL.iter().map(|p| p.label()).collect()
+    }
+
     /// Human-readable label.
     pub fn label(self) -> &'static str {
         match self {

@@ -130,13 +130,6 @@ pub struct TailReport {
     pub dropped_bytes: u64,
 }
 
-impl TailReport {
-    /// Whether nothing was dropped.
-    pub fn clean(&self) -> bool {
-        *self == TailReport::default()
-    }
-}
-
 fn header(magic: &[u8; 8], version: u32) -> Vec<u8> {
     [&magic[..], &version.to_le_bytes()].concat()
 }

@@ -24,13 +24,12 @@ use eul3d_obs as obs;
 
 use crate::ckstore::{DurabilitySink, JobCheckpoint};
 use crate::dist::{
-    run_distributed_guarded, run_distributed_with_faults, DistBackend, DistOptions, DistSetup,
-    FaultOptions,
+    run_distributed_guarded, run_distributed_with_faults, DistOptions, DistSetup, FaultOptions,
 };
 use crate::error::{Eul3dError, SolverError};
 use crate::health::GuardOutcome;
 use crate::postproc::mach_field;
-use crate::runconfig::{fnv1a_128, BackendKind};
+use crate::runconfig::fnv1a_128;
 use crate::{MultigridSolver, Phase, RunConfig};
 
 /// Cooperative cancellation handle for one job. Cloneable; any clone's
@@ -174,10 +173,6 @@ fn hash_f64s(vals: &[f64]) -> u128 {
         bytes.extend_from_slice(&v.to_bits().to_le_bytes());
     }
     fnv1a_128(&bytes)
-}
-
-fn phase_labels() -> Vec<&'static str> {
-    Phase::ALL.iter().map(|p| p.label()).collect()
 }
 
 fn render_vtk(
@@ -335,15 +330,9 @@ fn run_solve_job(
         }
     };
     let (events, trace_json) = if rc.trace.enabled {
-        match obs::take() {
-            Some(tr) => {
-                let lane = obs::Lane {
-                    id: 0,
-                    name: "driver".to_string(),
-                    events: tr.snapshot(),
-                    dropped: tr.dropped(),
-                };
-                let json = obs::chrome_trace(std::slice::from_ref(&lane), &phase_labels());
+        match obs::Lane::take_driver() {
+            Some(lane) => {
+                let json = obs::chrome_trace(std::slice::from_ref(&lane), &Phase::labels());
                 (lane.events, Some(json))
             }
             None => (Vec::new(), None),
@@ -377,33 +366,15 @@ fn run_dist_job(
     cancel: &CancelToken,
     on_cycle: &mut dyn FnMut(u64, f64),
 ) -> Result<JobArtifacts, Eul3dError> {
-    let hybrid = rc.backend == BackendKind::Hybrid;
-    let nranks = rc.effective_nranks();
     let seq = MeshSequence::bump_sequence(&rc.mesh, rc.levels);
     cancel.check();
-    let setup = match &rc.partition {
-        Some(p) => DistSetup::from_policy(seq, nranks, 40, partition_seed, p),
-        None => DistSetup::new(seq, nranks, 40, partition_seed),
-    };
+    let setup = DistSetup::for_run(seq, rc, partition_seed);
     cancel.check();
 
-    let fopts = FaultOptions::for_run(rc, nranks).map_err(Eul3dError::Delta)?;
-    let opts = DistOptions {
-        trace_capacity: rc.trace.enabled.then_some(rc.trace.capacity),
-        backend: if hybrid {
-            DistBackend::Hybrid
-        } else {
-            DistBackend::Delta
-        },
-        // Real-time lanes would break byte-identity; job traces always
-        // ride the modeled clock, even on the hybrid backend.
-        real_time_lanes: false,
-        repartition: rc
-            .partition
-            .as_ref()
-            .and_then(|p| crate::dist::RepartitionPolicy::from_config(p, 40, partition_seed)),
-        ..DistOptions::default()
-    };
+    let fopts = FaultOptions::for_run(rc, setup.nranks).map_err(Eul3dError::Delta)?;
+    // Real-time lanes would break byte-identity; job traces always ride
+    // the modeled clock (`for_run`'s default), even on the hybrid backend.
+    let opts = DistOptions::for_run(rc, partition_seed);
     // The SPMD region re-raises rank panics. A typed DeltaError payload
     // (e.g. a wedged shared-memory window) is lifted back into the error
     // taxonomy here; anything else keeps unwinding unchanged.
@@ -444,7 +415,7 @@ fn run_dist_job(
     let guard = r.guard_outcome().cloned();
     let (events, trace_json) = if rc.trace.enabled {
         let lanes = r.lanes();
-        let json = obs::chrome_trace(&lanes, &phase_labels());
+        let json = obs::chrome_trace(&lanes, &Phase::labels());
         let ev0 = r.instance(0).map(|o| o.trace.clone()).unwrap_or_default();
         (ev0, Some(json))
     } else {

@@ -4,8 +4,8 @@
 //! float formatting are fine here. All output is a pure function of the
 //! recorded events, so identical runs export byte-identical artifacts.
 
-use crate::metrics::{json_f64, json_string};
-use crate::tracer::{Event, Stamped};
+use crate::json::JOut;
+use crate::tracer::{Event, Shape, Stamped};
 
 /// One trace lane: a rank (distributed) or the driver thread
 /// (serial/shared), with the events its tracer retained.
@@ -22,64 +22,81 @@ pub struct Lane {
     pub dropped: u64,
 }
 
+impl Lane {
+    /// The lane of a serial/shared run: take the calling thread's
+    /// tracer (armed by [`crate::install`]) and wrap what it retained as
+    /// lane 0, `"driver"`. `None` when no tracer was installed.
+    pub fn take_driver() -> Option<Lane> {
+        let tr = crate::take()?;
+        Some(Lane {
+            id: 0,
+            name: "driver".to_string(),
+            events: tr.snapshot(),
+            dropped: tr.dropped(),
+        })
+    }
+}
+
 /// Microsecond timestamp with fixed 3-digit nanosecond fraction —
 /// integer formatting only, so exports never depend on float printing.
 fn ts_us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1000, ns % 1000)
 }
 
-fn push_event(out: &mut String, tid: u32, s: &Stamped, phase_names: &[&str]) {
-    let ts = ts_us(s.ts_ns);
-    let line = match s.ev {
-        Event::PhaseBegin { phase } => format!(
-            "{{\"name\": {}, \"cat\": \"phase\", \"ph\": \"B\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}}}",
-            json_string(phase_name(phase, phase_names)),
-        ),
-        Event::PhaseEnd { phase } => format!(
-            "{{\"name\": {}, \"cat\": \"phase\", \"ph\": \"E\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}}}",
-            json_string(phase_name(phase, phase_names)),
-        ),
-        Event::MsgSend { peer, tag, bytes } => format!(
-            "{{\"name\": \"send\", \"cat\": \"msg\", \"ph\": \"i\", \"s\": \"t\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \"args\": {{\"peer\": {peer}, \"tag\": {tag}, \"bytes\": {bytes}}}}}",
-        ),
-        Event::MsgRecv { peer, tag, bytes } => format!(
-            "{{\"name\": \"recv\", \"cat\": \"msg\", \"ph\": \"i\", \"s\": \"t\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \"args\": {{\"peer\": {peer}, \"tag\": {tag}, \"bytes\": {bytes}}}}}",
-        ),
-        Event::PoolAlloc { bytes } => format!(
-            "{{\"name\": \"pool-alloc\", \"cat\": \"alloc\", \"ph\": \"i\", \"s\": \"t\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \"args\": {{\"bytes\": {bytes}}}}}",
-        ),
-        Event::CheckpointBegin { cycle } => format!(
-            "{{\"name\": \"checkpoint\", \"cat\": \"ckpt\", \"ph\": \"B\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \"args\": {{\"cycle\": {cycle}}}}}",
-        ),
-        Event::CheckpointEnd { cycle } => format!(
-            "{{\"name\": \"checkpoint\", \"cat\": \"ckpt\", \"ph\": \"E\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \"args\": {{\"cycle\": {cycle}}}}}",
-        ),
-        Event::RecoveryBegin { epoch } => format!(
-            "{{\"name\": \"recovery\", \"cat\": \"recovery\", \"ph\": \"B\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \"args\": {{\"epoch\": {epoch}}}}}",
-        ),
-        Event::RecoveryEnd { epoch } => format!(
-            "{{\"name\": \"recovery\", \"cat\": \"recovery\", \"ph\": \"E\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \"args\": {{\"epoch\": {epoch}}}}}",
-        ),
-        Event::RepartitionBegin { cycle } => format!(
-            "{{\"name\": \"repartition\", \"cat\": \"repart\", \"ph\": \"B\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \"args\": {{\"cycle\": {cycle}}}}}",
-        ),
-        Event::RepartitionEnd { cycle } => format!(
-            "{{\"name\": \"repartition\", \"cat\": \"repart\", \"ph\": \"E\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \"args\": {{\"cycle\": {cycle}}}}}",
-        ),
-        Event::GuardVerdict { cycle, severity } => format!(
-            "{{\"name\": \"guard-verdict\", \"cat\": \"guard\", \"ph\": \"i\", \"s\": \"t\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \"args\": {{\"cycle\": {cycle}, \"severity\": {severity}}}}}",
-        ),
-        Event::CflChange { from_bits, to_bits } => format!(
-            "{{\"name\": \"cfl-change\", \"cat\": \"guard\", \"ph\": \"i\", \"s\": \"t\", \"pid\": 0, \"tid\": {tid}, \"ts\": {ts}, \"args\": {{\"from\": {}, \"to\": {}}}}}",
-            json_f64(f64::from_bits(from_bits)),
-            json_f64(f64::from_bits(to_bits)),
-        ),
-    };
-    out.push_str(&line);
+/// The opening fields every Chrome event on lane `tid` shares; `cat` is
+/// absent on metadata (`ph` `M`) records, and instants are
+/// thread-scoped.
+fn chrome_head(name: &str, cat: Option<&str>, ph: &str, tid: u32) -> JOut {
+    let mut o = JOut::spaced().str("name", name);
+    if let Some(cat) = cat {
+        o = o.str("cat", cat);
+    }
+    o = o.str("ph", ph);
+    if ph == "i" {
+        o = o.str("s", "t");
+    }
+    o.u64("pid", 0).u64("tid", tid.into())
+}
+
+/// One stamped event as a Chrome record, straight from its vocabulary
+/// row: a phase span is named by its label and needs no `args`; every
+/// other event carries its fields as `args`, `*_bits` payloads shown as
+/// the floats they encode.
+fn chrome_event(tid: u32, s: &Stamped, phase_names: &[&str]) -> String {
+    s.ev.describe(|row, fields| {
+        let ph = match row.shape {
+            Shape::Begin => "B",
+            Shape::End => "E",
+            Shape::Instant => "i",
+        };
+        let head = |name| chrome_head(name, Some(row.cat), ph, tid).raw("ts", &ts_us(s.ts_ns));
+        if let Some(phase) = phase_of(s.ev) {
+            return head(phase_name(phase, phase_names)).finish();
+        }
+        let mut args = JOut::spaced();
+        for &(name, value) in fields {
+            args = match name.strip_suffix("_bits") {
+                Some(float) => args.f64(float, f64::from_bits(value)),
+                None => args.u64(name, value),
+            };
+        }
+        head(row.name).raw("args", &args.finish()).finish()
+    })
+}
+
+/// The phase index of a phase-span event; `None` for every other event.
+fn phase_of(ev: Event) -> Option<u8> {
+    match ev {
+        Event::PhaseBegin { phase } | Event::PhaseEnd { phase } => Some(phase),
+        _ => None,
+    }
 }
 
 fn phase_name<'a>(phase: u8, phase_names: &[&'a str]) -> &'a str {
-    phase_names.get(phase as usize).copied().unwrap_or("phase?")
+    phase_names
+        .get(usize::from(phase))
+        .copied()
+        .unwrap_or("phase?")
 }
 
 /// Render `lanes` as Chrome `trace_event` JSON (object form), one
@@ -87,43 +104,43 @@ fn phase_name<'a>(phase: u8, phase_names: &[&'a str]) -> &'a str {
 /// `chrome://tracing`. `phase_names` maps dense phase indices to span
 /// names (pass the core `Phase::ALL` labels).
 pub fn chrome_trace(lanes: &[Lane], phase_names: &[&str]) -> String {
-    let mut out = String::from("{\"traceEvents\": [\n");
-    let mut first = true;
+    let mut records: Vec<String> = Vec::new();
     for lane in lanes {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        out.push_str(&format!(
-            "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": {}, \"args\": {{\"name\": {}}}}}",
-            lane.id,
-            json_string(&lane.name)
+        let meta = |name: &str, args: JOut| {
+            chrome_head(name, None, "M", lane.id)
+                .raw("args", &args.finish())
+                .finish()
+        };
+        records.push(meta("thread_name", JOut::spaced().str("name", &lane.name)));
+        records.push(meta(
+            "thread_sort_index",
+            JOut::spaced().u64("sort_index", lane.id.into()),
         ));
-        out.push_str(&format!(
-            ",\n{{\"name\": \"thread_sort_index\", \"ph\": \"M\", \"pid\": 0, \"tid\": {}, \"args\": {{\"sort_index\": {}}}}}",
-            lane.id, lane.id
-        ));
-        for s in &lane.events {
-            out.push_str(",\n");
-            push_event(&mut out, lane.id, s, phase_names);
-        }
+        records.extend(
+            lane.events
+                .iter()
+                .map(|s| chrome_event(lane.id, s, phase_names)),
+        );
         if lane.dropped > 0 {
             let last_ts = lane.events.last().map_or(0, |s| s.ts_ns);
-            out.push_str(&format!(
-                ",\n{{\"name\": \"dropped-events\", \"cat\": \"meta\", \"ph\": \"i\", \"s\": \"t\", \"pid\": 0, \"tid\": {}, \"ts\": {}, \"args\": {{\"count\": {}}}}}",
-                lane.id,
-                ts_us(last_ts),
-                lane.dropped
-            ));
+            records.push(
+                chrome_head("dropped-events", Some("meta"), "i", lane.id)
+                    .raw("ts", &ts_us(last_ts))
+                    .raw("args", &JOut::spaced().u64("count", lane.dropped).finish())
+                    .finish(),
+            );
         }
     }
-    out.push_str("\n], \"displayTimeUnit\": \"ms\"}\n");
-    out
+    format!(
+        "{{\"traceEvents\": [\n{}\n], \"displayTimeUnit\": \"ms\"}}\n",
+        records.join(",\n")
+    )
 }
 
 /// One completed span, for ranking.
 struct SpanRec {
     lane: usize,
+    /// Span name from the vocabulary; a phase span also keeps its index.
     name: &'static str,
     phase: Option<u8>,
     begin_ns: u64,
@@ -145,64 +162,32 @@ pub fn summary_table(lanes: &[Lane], phase_names: &[&str], top_n: usize) -> Stri
     let ndropped: u64 = lanes.iter().map(|l| l.dropped).sum();
 
     for (li, lane) in lanes.iter().enumerate() {
-        // Open-span stacks: one per phase index, plus
-        // checkpoint/recovery/repartition.
-        let mut open: Vec<Vec<u64>> = vec![Vec::new(); phase_names.len().max(16) + 3];
-        let ck = open.len() - 3;
-        let rec = open.len() - 2;
-        let rep = open.len() - 1;
+        // Open spans as (key, begin stamp), innermost last; a span's key
+        // is its name — plus the phase index for phase spans, which pair
+        // up per phase.
+        let mut open: Vec<((&'static str, u8), u64)> = Vec::new();
         for s in &lane.events {
-            match s.ev {
-                Event::PhaseBegin { phase } => open[phase as usize].push(s.ts_ns),
-                Event::PhaseEnd { phase } => {
-                    if let Some(b) = open[phase as usize].pop() {
+            let (name, shape) = s.ev.describe(|row, _| (row.name, row.shape));
+            let phase = phase_of(s.ev);
+            let key = (name, phase.unwrap_or(0));
+            match (shape, s.ev) {
+                (Shape::Begin, _) => open.push((key, s.ts_ns)),
+                (Shape::End, _) => {
+                    if let Some(at) = open.iter().rposition(|(k, _)| *k == key) {
+                        let (_, begin_ns) = open.remove(at);
                         spans.push(SpanRec {
                             lane: li,
-                            name: "",
-                            phase: Some(phase),
-                            begin_ns: b,
-                            dur_ns: s.ts_ns - b,
+                            name: key.0,
+                            phase,
+                            begin_ns,
+                            dur_ns: s.ts_ns - begin_ns,
                         });
-                        busy_ns[li] += s.ts_ns - b;
+                        if phase.is_some() {
+                            busy_ns[li] += s.ts_ns - begin_ns;
+                        }
                     }
                 }
-                Event::CheckpointBegin { .. } => open[ck].push(s.ts_ns),
-                Event::CheckpointEnd { .. } => {
-                    if let Some(b) = open[ck].pop() {
-                        spans.push(SpanRec {
-                            lane: li,
-                            name: "checkpoint",
-                            phase: None,
-                            begin_ns: b,
-                            dur_ns: s.ts_ns - b,
-                        });
-                    }
-                }
-                Event::RecoveryBegin { .. } => open[rec].push(s.ts_ns),
-                Event::RecoveryEnd { .. } => {
-                    if let Some(b) = open[rec].pop() {
-                        spans.push(SpanRec {
-                            lane: li,
-                            name: "recovery",
-                            phase: None,
-                            begin_ns: b,
-                            dur_ns: s.ts_ns - b,
-                        });
-                    }
-                }
-                Event::RepartitionBegin { .. } => open[rep].push(s.ts_ns),
-                Event::RepartitionEnd { .. } => {
-                    if let Some(b) = open[rep].pop() {
-                        spans.push(SpanRec {
-                            lane: li,
-                            name: "repartition",
-                            phase: None,
-                            begin_ns: b,
-                            dur_ns: s.ts_ns - b,
-                        });
-                    }
-                }
-                Event::MsgSend { tag, bytes, .. } => {
+                (Shape::Instant, Event::MsgSend { tag, bytes, .. }) => {
                     match by_tag.iter_mut().find(|(t, _, _)| *t == tag) {
                         Some(e) => {
                             e.1 += bytes;
@@ -211,7 +196,7 @@ pub fn summary_table(lanes: &[Lane], phase_names: &[&str], top_n: usize) -> Stri
                         None => by_tag.push((tag, bytes, 1)),
                     }
                 }
-                _ => {}
+                (Shape::Instant, _) => {}
             }
         }
     }
@@ -234,10 +219,7 @@ pub fn summary_table(lanes: &[Lane], phase_names: &[&str], top_n: usize) -> Stri
         top_n.min(spans.len())
     ));
     for s in spans.iter().take(top_n) {
-        let name = match s.phase {
-            Some(p) => phase_name(p, phase_names),
-            None => s.name,
-        };
+        let name = s.phase.map_or(s.name, |p| phase_name(p, phase_names));
         out.push_str(&format!(
             "    {:<10} {:<12} {:>12.3} ms  @ {:.3} ms\n",
             lanes[s.lane].name,

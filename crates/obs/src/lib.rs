@@ -37,6 +37,7 @@
 
 pub mod ctx;
 pub mod export;
+pub mod json;
 pub mod metrics;
 pub mod tracer;
 pub mod wire;

@@ -8,6 +8,8 @@
 //! holds values with bit length *k*), so observation is a `leading_zeros`
 //! and an increment.
 
+use crate::json::JOut;
+
 /// Number of histogram buckets: bucket `k` counts values `v` with
 /// `bit_length(v) == k` (bucket 0 counts `v == 0`), covering all of
 /// `u64`.
@@ -182,79 +184,32 @@ impl MetricsRegistry {
     /// the shape the `BENCH_*.json` artifacts embed. Histogram buckets
     /// are emitted sparsely as `"bitlen_K": count`. Export path only.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"counters\": {");
-        for (k, (name, v)) in self.counters.iter().enumerate() {
-            if k > 0 {
-                s.push_str(", ");
+        let mut counters = JOut::spaced();
+        for (name, v) in &self.counters {
+            counters = counters.u64(name, *v);
+        }
+        let mut gauges = JOut::spaced();
+        for (name, v) in &self.gauges {
+            gauges = gauges.f64(name, *v);
+        }
+        let mut histograms = JOut::spaced();
+        for (name, h) in &self.histograms {
+            let mut buckets = JOut::spaced();
+            for (bit, n) in h.buckets.iter().enumerate().filter(|(_, n)| **n > 0) {
+                buckets = buckets.u64(&format!("bitlen_{bit}"), *n);
             }
-            s.push_str(&format!("{}: {v}", json_string(name)));
+            let hist = JOut::spaced()
+                .u64("count", h.count)
+                .u64("sum", h.sum)
+                .u64("max", h.max)
+                .raw("buckets", &buckets.finish());
+            histograms = histograms.raw(name, &hist.finish());
         }
-        s.push_str("}, \"gauges\": {");
-        for (k, (name, v)) in self.gauges.iter().enumerate() {
-            if k > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("{}: {}", json_string(name), json_f64(*v)));
-        }
-        s.push_str("}, \"histograms\": {");
-        for (k, (name, h)) in self.histograms.iter().enumerate() {
-            if k > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!(
-                "{}: {{\"count\": {}, \"sum\": {}, \"max\": {}, \"buckets\": {{",
-                json_string(name),
-                h.count,
-                h.sum,
-                h.max
-            ));
-            let mut first = true;
-            for (bit, n) in h.buckets.iter().enumerate() {
-                if *n > 0 {
-                    if !first {
-                        s.push_str(", ");
-                    }
-                    s.push_str(&format!("\"bitlen_{bit}\": {n}"));
-                    first = false;
-                }
-            }
-            s.push_str("}}");
-        }
-        s.push_str("}}");
-        s
-    }
-}
-
-/// JSON string literal with the escapes the exporters need.
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// A JSON number for `v`. Rust's shortest-round-trip float formatting is
-/// deterministic, and this runs only at export time — never on the hot
-/// path. Non-finite values (not valid JSON) become `null`.
-pub(crate) fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        if s.contains('.') || s.contains('e') {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "null".to_string()
+        JOut::spaced()
+            .raw("counters", &counters.finish())
+            .raw("gauges", &gauges.finish())
+            .raw("histograms", &histograms.finish())
+            .finish()
     }
 }
 
@@ -327,7 +282,12 @@ mod tests {
         assert!(j.contains("\"msgs \\\"halo\\\"\": 7"));
         assert!(j.contains("\"imbalance\": 1.5"));
         assert!(j.contains("\"bitlen_2\": 1"));
-        assert_eq!(json_f64(2.0), "2.0", "gauges stay JSON numbers");
-        assert_eq!(json_f64(f64::NAN), "null");
+        m.set_gauge(g, 2.0);
+        assert!(
+            m.to_json().contains("\"imbalance\": 2.0"),
+            "gauges stay floats"
+        );
+        m.set_gauge(g, f64::NAN);
+        assert!(m.to_json().contains("\"imbalance\": null"));
     }
 }

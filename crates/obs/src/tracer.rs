@@ -95,6 +95,86 @@ pub enum Event {
     },
 }
 
+/// Whether an [`Event`] opens a span, closes one, or stands alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Shape {
+    Begin,
+    End,
+    Instant,
+}
+
+/// The fixed columns of an [`Event`]'s row in the vocabulary table.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EventRow {
+    /// Wire kind, kebab-case (`"msg-send"`).
+    pub kind: &'static str,
+    /// Display name; a begin/end pair shares it (`"checkpoint"`).
+    pub name: &'static str,
+    /// Chrome `trace_event` category.
+    pub cat: &'static str,
+    pub shape: Shape,
+}
+
+/// The vocabulary, written once: per variant its wire kind, display
+/// name, Chrome category, shape and fields (wire field names are the
+/// Rust field names). Expands to the only two variant-by-variant
+/// matches over [`Event`] that any text form needs: [`crate::wire`]
+/// writes `kind` and the fields, the Chrome export writes
+/// `name`/`cat`/`shape` with the fields as `args`, and the summary table
+/// pairs spans by `name`.
+macro_rules! vocabulary {
+    ($($variant:ident $kind:literal $name:literal $cat:literal $shape:ident { $($field:ident),+ })+) => {
+        impl Event {
+            /// Encode direction: hand `f` this event's table row and its
+            /// named integer fields in wire order. A field named
+            /// `*_bits` carries an `f64::to_bits` payload.
+            pub(crate) fn describe<R>(
+                &self,
+                f: impl FnOnce(EventRow, &[(&'static str, u64)]) -> R,
+            ) -> R {
+                match *self {
+                    $(Event::$variant { $($field),+ } => f(
+                        EventRow { kind: $kind, name: $name, cat: $cat, shape: Shape::$shape },
+                        &[$((stringify!($field), u64::from($field))),+],
+                    ),)+
+                }
+            }
+
+            /// Decode direction: the event of wire kind `kind` whose
+            /// fields `get` supplies by name. `None` for an unknown
+            /// kind, a missing field, or a value beyond the field's
+            /// integer width.
+            pub(crate) fn from_fields(
+                kind: &str,
+                get: impl Fn(&str) -> Option<u64>,
+            ) -> Option<Event> {
+                match kind {
+                    $($kind => Some(Event::$variant {
+                        $($field: get(stringify!($field))?.try_into().ok()?),+
+                    }),)+
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+vocabulary! {
+    PhaseBegin       "phase-begin"       "phase"         "phase"    Begin   { phase }
+    PhaseEnd         "phase-end"         "phase"         "phase"    End     { phase }
+    MsgSend          "msg-send"          "send"          "msg"      Instant { peer, tag, bytes }
+    MsgRecv          "msg-recv"          "recv"          "msg"      Instant { peer, tag, bytes }
+    PoolAlloc        "pool-alloc"        "pool-alloc"    "alloc"    Instant { bytes }
+    CheckpointBegin  "checkpoint-begin"  "checkpoint"    "ckpt"     Begin   { cycle }
+    CheckpointEnd    "checkpoint-end"    "checkpoint"    "ckpt"     End     { cycle }
+    RecoveryBegin    "recovery-begin"    "recovery"      "recovery" Begin   { epoch }
+    RecoveryEnd      "recovery-end"      "recovery"      "recovery" End     { epoch }
+    RepartitionBegin "repartition-begin" "repartition"   "repart"   Begin   { cycle }
+    RepartitionEnd   "repartition-end"   "repartition"   "repart"   End     { cycle }
+    GuardVerdict     "guard-verdict"     "guard-verdict" "guard"    Instant { cycle, severity }
+    CflChange        "cfl-change"        "cfl-change"    "guard"    Instant { from_bits, to_bits }
+}
+
 /// An [`Event`] stamped with the lane-local deterministic clock
 /// (nanoseconds; see [`crate::ctx`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

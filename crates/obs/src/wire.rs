@@ -3,183 +3,89 @@
 //! line-delimited protocol and decodes back losslessly.
 //!
 //! The encoding is deliberately flat — every field is an unsigned
-//! integer and the event kind is a kebab-case string — so both ends
-//! hand-roll it (the workspace vendors no serde) and external consumers
-//! (`jq`, log shippers) read it directly:
+//! integer and the event kind is a kebab-case string — so external
+//! consumers (`jq`, log shippers) read it directly:
 //!
 //! ```text
 //! {"ts":1200,"ev":"msg-send","peer":1,"tag":7,"bytes":4096}
 //! ```
 //!
-//! [`encode`] ∘ [`decode`] is the identity on every event variant (see
-//! the round-trip test), and the output for a given stream is
-//! byte-stable: field order is fixed, integers carry no padding, floats
-//! never appear (CFL values travel as `f64::to_bits`, exactly as they
-//! are stamped).
+//! Kinds and field names come from the [`Event`] vocabulary table
+//! (`Event::describe` / `Event::from_fields`); the text itself is written
+//! and read by the shared codec ([`crate::json`]). [`encode`] ∘
+//! [`decode`] is the identity on every event variant (see the
+//! round-trip test), and the output for a given stream is byte-stable:
+//! field order is fixed, integers carry no padding, floats never appear
+//! (CFL values travel as `f64::to_bits`, exactly as they are stamped).
 
+use crate::json::{JObj, JOut};
 use crate::tracer::{Event, Stamped};
 
 /// Encode one stamped event as a single JSON line (no trailing newline).
 pub fn encode(s: &Stamped) -> String {
-    let ts = s.ts_ns;
-    match s.ev {
-        Event::PhaseBegin { phase } => {
-            format!("{{\"ts\":{ts},\"ev\":\"phase-begin\",\"phase\":{phase}}}")
+    s.ev.describe(|row, fields| {
+        let mut out = JOut::line().u64("ts", s.ts_ns).str("ev", row.kind);
+        for &(name, value) in fields {
+            out = out.u64(name, value);
         }
-        Event::PhaseEnd { phase } => {
-            format!("{{\"ts\":{ts},\"ev\":\"phase-end\",\"phase\":{phase}}}")
-        }
-        Event::MsgSend { peer, tag, bytes } => format!(
-            "{{\"ts\":{ts},\"ev\":\"msg-send\",\"peer\":{peer},\"tag\":{tag},\"bytes\":{bytes}}}"
-        ),
-        Event::MsgRecv { peer, tag, bytes } => format!(
-            "{{\"ts\":{ts},\"ev\":\"msg-recv\",\"peer\":{peer},\"tag\":{tag},\"bytes\":{bytes}}}"
-        ),
-        Event::PoolAlloc { bytes } => {
-            format!("{{\"ts\":{ts},\"ev\":\"pool-alloc\",\"bytes\":{bytes}}}")
-        }
-        Event::CheckpointBegin { cycle } => {
-            format!("{{\"ts\":{ts},\"ev\":\"checkpoint-begin\",\"cycle\":{cycle}}}")
-        }
-        Event::CheckpointEnd { cycle } => {
-            format!("{{\"ts\":{ts},\"ev\":\"checkpoint-end\",\"cycle\":{cycle}}}")
-        }
-        Event::RecoveryBegin { epoch } => {
-            format!("{{\"ts\":{ts},\"ev\":\"recovery-begin\",\"epoch\":{epoch}}}")
-        }
-        Event::RecoveryEnd { epoch } => {
-            format!("{{\"ts\":{ts},\"ev\":\"recovery-end\",\"epoch\":{epoch}}}")
-        }
-        Event::RepartitionBegin { cycle } => {
-            format!("{{\"ts\":{ts},\"ev\":\"repartition-begin\",\"cycle\":{cycle}}}")
-        }
-        Event::RepartitionEnd { cycle } => {
-            format!("{{\"ts\":{ts},\"ev\":\"repartition-end\",\"cycle\":{cycle}}}")
-        }
-        Event::GuardVerdict { cycle, severity } => format!(
-            "{{\"ts\":{ts},\"ev\":\"guard-verdict\",\"cycle\":{cycle},\"severity\":{severity}}}"
-        ),
-        Event::CflChange { from_bits, to_bits } => format!(
-            "{{\"ts\":{ts},\"ev\":\"cfl-change\",\"from_bits\":{from_bits},\"to_bits\":{to_bits}}}"
-        ),
-    }
-}
-
-/// Pull the unsigned-integer value of `"key":` out of a flat JSON line.
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Pull the string value of `"key":"..."` out of a flat JSON line
-/// (values in this encoding never contain escapes).
-fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":\"");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    rest.split('"').next()
+        out.finish()
+    })
 }
 
 /// Decode one line produced by [`encode`]. Returns `None` for anything
-/// malformed — an unknown kind, a missing field, a non-integer value —
-/// so a stream reader can skip foreign lines without failing.
+/// else — not one flat JSON object, an unknown kind, a missing field, a
+/// value that is not a plain in-range unsigned integer — so a stream
+/// reader can skip foreign lines without failing.
 pub fn decode(line: &str) -> Option<Stamped> {
-    let ts_ns = field_u64(line, "ts")?;
-    let kind = field_str(line, "ev")?;
-    let ev = match kind {
-        "phase-begin" => Event::PhaseBegin {
-            phase: field_u64(line, "phase")?.try_into().ok()?,
-        },
-        "phase-end" => Event::PhaseEnd {
-            phase: field_u64(line, "phase")?.try_into().ok()?,
-        },
-        "msg-send" => Event::MsgSend {
-            peer: field_u64(line, "peer")?.try_into().ok()?,
-            tag: field_u64(line, "tag")?.try_into().ok()?,
-            bytes: field_u64(line, "bytes")?,
-        },
-        "msg-recv" => Event::MsgRecv {
-            peer: field_u64(line, "peer")?.try_into().ok()?,
-            tag: field_u64(line, "tag")?.try_into().ok()?,
-            bytes: field_u64(line, "bytes")?,
-        },
-        "pool-alloc" => Event::PoolAlloc {
-            bytes: field_u64(line, "bytes")?,
-        },
-        "checkpoint-begin" => Event::CheckpointBegin {
-            cycle: field_u64(line, "cycle")?,
-        },
-        "checkpoint-end" => Event::CheckpointEnd {
-            cycle: field_u64(line, "cycle")?,
-        },
-        "recovery-begin" => Event::RecoveryBegin {
-            epoch: field_u64(line, "epoch")?.try_into().ok()?,
-        },
-        "recovery-end" => Event::RecoveryEnd {
-            epoch: field_u64(line, "epoch")?.try_into().ok()?,
-        },
-        "repartition-begin" => Event::RepartitionBegin {
-            cycle: field_u64(line, "cycle")?,
-        },
-        "repartition-end" => Event::RepartitionEnd {
-            cycle: field_u64(line, "cycle")?,
-        },
-        "guard-verdict" => Event::GuardVerdict {
-            cycle: field_u64(line, "cycle")?,
-            severity: field_u64(line, "severity")?.try_into().ok()?,
-        },
-        "cfl-change" => Event::CflChange {
-            from_bits: field_u64(line, "from_bits")?,
-            to_bits: field_u64(line, "to_bits")?,
-        },
-        _ => return None,
-    };
-    Some(Stamped { ts_ns, ev })
+    let o = JObj::parse(line).ok()?;
+    let ev = Event::from_fields(o.str_of("ev")?, |name| o.u64_of(name))?;
+    Some(Stamped {
+        ts_ns: o.u64_of("ts")?,
+        ev,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// One event per variant, every field at its type's maximum — past
+    /// the 2^53 where a float-typed reader starts rounding.
     fn every_variant() -> Vec<Stamped> {
+        let (b, w, q) = (u8::MAX, u32::MAX, u64::MAX);
         let evs = [
-            Event::PhaseBegin { phase: 3 },
-            Event::PhaseEnd { phase: 3 },
+            Event::PhaseBegin { phase: b },
+            Event::PhaseEnd { phase: b },
             Event::MsgSend {
-                peer: 7,
-                tag: 1044,
-                bytes: 40960,
+                peer: w,
+                tag: w,
+                bytes: q,
             },
             Event::MsgRecv {
-                peer: 0,
-                tag: u32::MAX,
-                bytes: u64::MAX,
+                peer: w,
+                tag: w,
+                bytes: q,
             },
-            Event::PoolAlloc { bytes: 0 },
-            Event::CheckpointBegin { cycle: 12 },
-            Event::CheckpointEnd { cycle: 12 },
-            Event::RecoveryBegin { epoch: 2 },
-            Event::RecoveryEnd { epoch: 2 },
-            Event::RepartitionBegin { cycle: 40 },
-            Event::RepartitionEnd { cycle: 40 },
+            Event::PoolAlloc { bytes: q },
+            Event::CheckpointBegin { cycle: q },
+            Event::CheckpointEnd { cycle: q },
+            Event::RecoveryBegin { epoch: w },
+            Event::RecoveryEnd { epoch: w },
+            Event::RepartitionBegin { cycle: q },
+            Event::RepartitionEnd { cycle: q },
             Event::GuardVerdict {
-                cycle: 9,
-                severity: 255,
+                cycle: q,
+                severity: b,
             },
             Event::CflChange {
-                from_bits: 30.0_f64.to_bits(),
-                to_bits: 7.5_f64.to_bits(),
+                from_bits: q,
+                to_bits: q - 1,
             },
         ];
         evs.iter()
             .enumerate()
             .map(|(k, &ev)| Stamped {
-                ts_ns: k as u64 * 1_000 + 17,
+                ts_ns: q - k as u64,
                 ev,
             })
             .collect()
@@ -191,37 +97,6 @@ mod tests {
             let line = encode(&s);
             let back = decode(&line).unwrap_or_else(|| panic!("decode failed for {line}"));
             assert_eq!(s, back, "{line}");
-        }
-    }
-
-    #[test]
-    fn encoding_is_byte_stable_and_jsonish() {
-        let s = Stamped {
-            ts_ns: 1200,
-            ev: Event::MsgSend {
-                peer: 1,
-                tag: 7,
-                bytes: 4096,
-            },
-        };
-        assert_eq!(
-            encode(&s),
-            "{\"ts\":1200,\"ev\":\"msg-send\",\"peer\":1,\"tag\":7,\"bytes\":4096}"
-        );
-    }
-
-    #[test]
-    fn malformed_lines_decode_to_none() {
-        for bad in [
-            "",
-            "{}",
-            "{\"ts\":5}",
-            "{\"ts\":5,\"ev\":\"warp-drive\"}",
-            "{\"ts\":5,\"ev\":\"pool-alloc\"}",
-            "{\"ts\":x,\"ev\":\"pool-alloc\",\"bytes\":1}",
-            "{\"ts\":5,\"ev\":\"phase-begin\",\"phase\":900}",
-        ] {
-            assert!(decode(bad).is_none(), "{bad}");
         }
     }
 

@@ -22,13 +22,13 @@
 //! restored result store or resume from their checkpoint log.
 
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use eul3d_core::framed::{self, TailReport};
 use eul3d_core::JobMode;
 
 use crate::cache::CacheKey;
-use crate::json::{escape, JObj};
+use crate::json::{JObj, JOut};
 
 const MAGIC: &[u8; 8] = b"EUL3DJNL";
 const VERSION: u32 = 1;
@@ -93,38 +93,29 @@ impl JournalRecord {
 
     /// The record as one flat-JSON line — the frame payload.
     pub fn to_line(&self) -> String {
+        let rec = |name: &str| JOut::line().str("rec", name).u64("job", self.job());
         match self {
             JournalRecord::Submitted {
-                job,
                 key,
                 mode,
                 force,
                 config,
-            } => format!(
-                "{{\"rec\":\"submitted\",\"job\":{job},\"key\":\"{key}\",\"mode\":\"{}\",\"force\":{force},\"config\":\"{}\"}}",
-                mode.name(),
-                escape(config)
-            ),
-            // Numeric fields ride the shared flat-JSON codec, whose
-            // numbers are f64: exact for job ids and cycle counts below
-            // 2^53, which real engines never approach (job ids are
-            // sequential, cycles are bounded by the run config).
-            JournalRecord::Started { job } => format!("{{\"rec\":\"started\",\"job\":{job}}}"),
-            JournalRecord::Checkpointed { job, cycle } => {
-                format!("{{\"rec\":\"checkpointed\",\"job\":{job},\"cycle\":{cycle}}}")
+                ..
+            } => rec("submitted")
+                .str("key", &key.to_string())
+                .str("mode", mode.name())
+                .bool("force", *force)
+                .str("config", config),
+            JournalRecord::Started { .. } => rec("started"),
+            JournalRecord::Checkpointed { cycle, .. } => rec("checkpointed").u64("cycle", *cycle),
+            JournalRecord::Resumed { cycle, .. } => rec("resumed").u64("cycle", *cycle),
+            JournalRecord::Done { result_hash, .. } => {
+                rec("done").str("result_hash", &format!("{result_hash:032x}"))
             }
-            JournalRecord::Resumed { job, cycle } => {
-                format!("{{\"rec\":\"resumed\",\"job\":{job},\"cycle\":{cycle}}}")
-            }
-            JournalRecord::Done { job, result_hash } => {
-                format!("{{\"rec\":\"done\",\"job\":{job},\"result_hash\":\"{result_hash:032x}\"}}")
-            }
-            JournalRecord::Cancelled { job } => format!("{{\"rec\":\"cancelled\",\"job\":{job}}}"),
-            JournalRecord::Failed { job, error } => format!(
-                "{{\"rec\":\"failed\",\"job\":{job},\"error\":\"{}\"}}",
-                escape(error)
-            ),
+            JournalRecord::Cancelled { .. } => rec("cancelled"),
+            JournalRecord::Failed { error, .. } => rec("failed").str("error", error),
         }
+        .finish()
     }
 
     /// Parse one line; `None` for anything malformed.
@@ -175,9 +166,6 @@ pub struct PendingJob {
     pub force: bool,
     /// Canonical config TOML as journaled at submission.
     pub config: String,
-    /// Highest cycle the journal saw checkpointed, if any (informational
-    /// — the authoritative resume point is the job's checkpoint log).
-    pub last_checkpoint: Option<u64>,
 }
 
 /// What [`Journal::open`] recovered.
@@ -207,13 +195,7 @@ impl JournalReplay {
                     mode: *mode,
                     force: *force,
                     config: config.clone(),
-                    last_checkpoint: None,
                 }),
-                JournalRecord::Checkpointed { job, cycle } => {
-                    if let Some(p) = pending.iter_mut().find(|p| p.job == *job) {
-                        p.last_checkpoint = Some(*cycle);
-                    }
-                }
                 r if r.is_terminal() => pending.retain(|p| p.job != r.job()),
                 _ => {}
             }
@@ -237,7 +219,6 @@ impl JournalReplay {
 /// lock (the journal is owned by the engine, not shared).
 #[derive(Debug)]
 pub struct Journal {
-    path: PathBuf,
     log: framed::Log,
 }
 
@@ -256,7 +237,7 @@ impl Journal {
             records.push(rec);
             true
         })?;
-        Ok((Journal { path, log }, JournalReplay { records, tail }))
+        Ok((Journal { log }, JournalReplay { records, tail }))
     }
 
     /// Append one record; synced per the durability policy.
@@ -266,11 +247,6 @@ impl Journal {
             self.log.sync()?;
         }
         Ok(())
-    }
-
-    /// The journal's path (the crash harness polls it for kill points).
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
@@ -330,14 +306,13 @@ mod tests {
         let d = dir("replay");
         let (mut j, rep) = Journal::open(&d).unwrap();
         assert!(rep.records.is_empty());
-        assert_eq!(j.path(), d.join("journal.log"));
         for rec in sample_records() {
             j.append(&rec).unwrap();
         }
         drop(j);
         let (_, rep) = Journal::open(&d).unwrap();
         assert_eq!(rep.records, sample_records());
-        assert!(rep.tail.clean());
+        assert_eq!(rep.tail, TailReport::default());
         assert_eq!(rep.max_job_id(), 3);
         std::fs::remove_dir_all(&d).ok();
     }
@@ -367,7 +342,6 @@ mod tests {
         assert_eq!(pending.len(), 1);
         assert_eq!(pending[0].job, 4);
         assert_eq!(pending[0].key, CacheKey(44));
-        assert_eq!(pending[0].last_checkpoint, Some(6));
         std::fs::remove_dir_all(&d).ok();
     }
 }

@@ -40,7 +40,8 @@
 //! * [`server`] — the Unix-socket accept loop ([`server::spawn`]);
 //! * [`client`] — helpers used by the CLI, tests, and benchmarks, with
 //!   timeout/retry resilience for flaky or restarting servers;
-//! * [`json`] — the dependency-free flat-JSON codec underneath it all.
+//! * [`json`] — the workspace's flat-JSON codec underneath it all
+//!   (`eul3d_obs::json`, re-exported).
 
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
@@ -48,10 +49,13 @@ pub mod cache;
 pub mod client;
 pub mod engine;
 pub mod journal;
-pub mod json;
 pub mod protocol;
 pub mod server;
 pub mod store;
+
+/// The workspace's one flat-JSON codec, under the path clients of this
+/// crate have always imported it from.
+pub use eul3d_obs::json;
 
 pub use cache::{CacheKey, JobBlob, ResultCache};
 pub use client::{submit_resilient, ClientConfig};

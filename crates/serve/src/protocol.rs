@@ -17,16 +17,23 @@
 //! `jq 'select(.event)'` / `jq 'select(.ev)'` therefore split a
 //! captured stream without any framing beyond newlines.
 //!
-//! Float fields (`residual`, `final_residual`) are emitted with Rust's
+//! Every line is written by the workspace codec's [`JOut`] and read by
+//! its [`JObj`] ([`eul3d_obs::json`]). Float fields (`residual`,
+//! `final_residual`, `guard_final_cfl`) are emitted with Rust's
 //! shortest-round-trip formatting, which `f64` parsing recovers
 //! bit-exactly — the determinism e2e suite relies on this to compare
-//! streamed residuals against recomputed ones without tolerances.
+//! streamed residuals against recomputed ones without tolerances. A
+//! non-finite float is not a JSON number and is emitted as `null`, so a
+//! run whose residual went NaN still streams lines every client parses.
+//! Integer fields (`job`, `cycle`, …) are read only from plain digit
+//! tokens within `u64`: `3.0`, `3e0`, `-1` and anything past `u64::MAX`
+//! are refused rather than rounded to a neighbouring id.
 
 use eul3d_core::JobMode;
 
 use crate::cache::{CacheKey, JobBlob};
 use crate::engine::{CancelOutcome, EngineStats, JobState};
-use crate::json::{escape, JObj};
+use crate::json::{JObj, JOut};
 
 /// A parsed client request.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,7 +86,7 @@ impl Request {
             Some("cancel") => Ok(Request::Cancel {
                 job: o
                     .u64_of("job")
-                    .ok_or("cancel requires a numeric 'job' field")?,
+                    .ok_or("cancel requires an integer 'job' field (0..=u64::MAX)")?,
             }),
             Some("stats") => Ok(Request::Stats),
             Some("shutdown") => Ok(Request::Shutdown),
@@ -98,44 +105,59 @@ impl Request {
                 mode,
                 force,
                 artifacts,
-            } => format!(
-                "{{\"op\":\"submit\",\"mode\":\"{}\",\"force\":{force},\"artifacts\":{artifacts},\"config\":\"{}\"}}",
-                mode.name(),
-                escape(config)
-            ),
-            Request::Cancel { job } => format!("{{\"op\":\"cancel\",\"job\":{job}}}"),
-            Request::Stats => "{\"op\":\"stats\"}".to_string(),
-            Request::Shutdown => "{\"op\":\"shutdown\"}".to_string(),
+            } => JOut::line()
+                .str("op", "submit")
+                .str("mode", mode.name())
+                .bool("force", *force)
+                .bool("artifacts", *artifacts)
+                .str("config", config),
+            Request::Cancel { job } => JOut::line().str("op", "cancel").u64("job", *job),
+            Request::Stats => JOut::line().str("op", "stats"),
+            Request::Shutdown => JOut::line().str("op", "shutdown"),
         }
+        .finish()
     }
+}
+
+/// The opening of every lifecycle event line.
+fn event(name: &str) -> JOut {
+    JOut::line().str("event", name)
 }
 
 /// `accepted`: the submission has an id and a content key.
 pub fn ev_accepted(job: u64, key: CacheKey) -> String {
-    format!("{{\"event\":\"accepted\",\"job\":{job},\"key\":\"{key}\"}}")
+    event("accepted")
+        .u64("job", job)
+        .str("key", &key.to_string())
+        .finish()
 }
 
 /// `rejected`: backpressure bounced the submission; retry after the
 /// hinted delay.
 pub fn ev_rejected(retry_after_ms: u64) -> String {
-    format!(
-        "{{\"event\":\"rejected\",\"reason\":\"queue-full\",\"retry_after_ms\":{retry_after_ms}}}"
-    )
+    event("rejected")
+        .str("reason", "queue-full")
+        .u64("retry_after_ms", retry_after_ms)
+        .finish()
 }
 
 /// `error`: the request itself was invalid (parse/validation error).
 pub fn ev_error(msg: &str) -> String {
-    format!("{{\"event\":\"error\",\"msg\":\"{}\"}}", escape(msg))
+    event("error").str("msg", msg).finish()
 }
 
 /// `started`: the job left the queue and is on a worker.
 pub fn ev_started(job: u64) -> String {
-    format!("{{\"event\":\"started\",\"job\":{job}}}")
+    event("started").u64("job", job).finish()
 }
 
 /// `progress`: one committed multigrid cycle.
 pub fn ev_progress(job: u64, cycle: u64, residual: f64) -> String {
-    format!("{{\"event\":\"progress\",\"job\":{job},\"cycle\":{cycle},\"residual\":{residual}}}")
+    event("progress")
+        .u64("job", job)
+        .u64("cycle", cycle)
+        .f64("residual", residual)
+        .finish()
 }
 
 /// `done`: terminal success. `cache` says whether the artifacts came
@@ -145,61 +167,56 @@ pub fn ev_progress(job: u64, cycle: u64, residual: f64) -> String {
 /// JSON, and VTK export are inlined as escaped strings.
 pub fn ev_done(job: u64, cache_hit: bool, blob: &JobBlob, artifacts: bool) -> String {
     let a = &blob.artifacts;
-    let mut line = format!(
-        "{{\"event\":\"done\",\"job\":{job},\"cache\":\"{}\",\"result_hash\":\"{:032x}\",\"cycles\":{},\"final_residual\":{}",
-        if cache_hit { "hit" } else { "miss" },
-        a.result_hash,
-        a.history.len(),
-        a.history.last().copied().unwrap_or(f64::NAN),
-    );
+    let mut line = event("done")
+        .u64("job", job)
+        .str("cache", if cache_hit { "hit" } else { "miss" })
+        .str("result_hash", &format!("{:032x}", a.result_hash))
+        .u64("cycles", a.history.len() as u64)
+        .f64(
+            "final_residual",
+            a.history.last().copied().unwrap_or(f64::NAN),
+        );
     if let Some(g) = &a.guard {
-        line.push_str(&format!(
-            ",\"guard_backoffs\":{},\"guard_final_cfl\":{}",
-            g.transcript.len(),
-            g.final_cfl
-        ));
+        line = line
+            .u64("guard_backoffs", g.transcript.len() as u64)
+            .f64("guard_final_cfl", g.final_cfl);
     }
     if artifacts {
-        line.push_str(&format!(",\"table\":\"{}\"", escape(&a.table)));
+        line = line.str("table", &a.table);
         if let Some(t) = &a.trace_json {
-            line.push_str(&format!(",\"trace\":\"{}\"", escape(t)));
+            line = line.str("trace", t);
         }
-        line.push_str(&format!(",\"vtk\":\"{}\"", escape(&a.vtk)));
+        line = line.str("vtk", &a.vtk);
     }
-    line.push('}');
-    line
+    line.finish()
 }
 
 /// `cancelled`: terminal, the job was cancelled.
 pub fn ev_cancelled(job: u64) -> String {
-    format!("{{\"event\":\"cancelled\",\"job\":{job}}}")
+    event("cancelled").u64("job", job).finish()
 }
 
 /// `failed`: terminal, the solver returned an error.
 pub fn ev_failed(job: u64, msg: &str) -> String {
-    format!(
-        "{{\"event\":\"failed\",\"job\":{job},\"msg\":\"{}\"}}",
-        escape(msg)
-    )
+    event("failed").u64("job", job).str("msg", msg).finish()
 }
 
 /// `stats`: aggregate engine counters.
 pub fn ev_stats(s: &EngineStats) -> String {
-    format!(
-        "{{\"event\":\"stats\",\"submitted\":{},\"rejected\":{},\"done\":{},\"cancelled\":{},\"failed\":{},\"queued\":{},\"running\":{},\"cache_hits\":{},\"cache_misses\":{},\"cache_len\":{},\"cache_bytes\":{},\"cache_evicted_bytes\":{}}}",
-        s.submitted,
-        s.rejected,
-        s.done,
-        s.cancelled,
-        s.failed,
-        s.queued,
-        s.running,
-        s.cache_hits,
-        s.cache_misses,
-        s.cache_len,
-        s.cache_bytes,
-        s.cache_evicted_bytes
-    )
+    event("stats")
+        .u64("submitted", s.submitted)
+        .u64("rejected", s.rejected)
+        .u64("done", s.done)
+        .u64("cancelled", s.cancelled)
+        .u64("failed", s.failed)
+        .u64("queued", s.queued as u64)
+        .u64("running", s.running as u64)
+        .u64("cache_hits", s.cache_hits)
+        .u64("cache_misses", s.cache_misses)
+        .u64("cache_len", s.cache_len as u64)
+        .u64("cache_bytes", s.cache_bytes as u64)
+        .u64("cache_evicted_bytes", s.cache_evicted_bytes)
+        .finish()
 }
 
 /// `cancel`: acknowledgement of a cancel request. `ok` is true when the
@@ -218,12 +235,16 @@ pub fn ev_cancel_ack(job: u64, outcome: CancelOutcome, state: Option<JobState>) 
         (_, Some(JobState::Failed)) => "failed",
         (_, None) => "unknown",
     };
-    format!("{{\"event\":\"cancel\",\"job\":{job},\"ok\":{ok},\"state\":\"{state}\"}}")
+    event("cancel")
+        .u64("job", job)
+        .bool("ok", ok)
+        .str("state", state)
+        .finish()
 }
 
 /// `shutdown`: acknowledgement that the server is stopping.
 pub fn ev_shutdown_ack() -> String {
-    "{\"event\":\"shutdown\",\"ok\":true}".to_string()
+    event("shutdown").bool("ok", true).finish()
 }
 
 #[cfg(test)]
@@ -266,27 +287,6 @@ mod tests {
         assert!(Request::parse("{\"op\":\"nope\"}").is_err());
         assert!(Request::parse("{}").is_err());
         assert!(Request::parse("not json").is_err());
-    }
-
-    #[test]
-    fn event_lines_parse_back_as_flat_json() {
-        let stats = EngineStats::default();
-        for line in [
-            ev_accepted(1, crate::cache::CacheKey(0xabc)),
-            ev_rejected(300),
-            ev_error("bad \"config\""),
-            ev_started(1),
-            ev_progress(1, 0, 0.125),
-            ev_cancelled(1),
-            ev_failed(1, "solver.mach must be positive"),
-            ev_stats(&stats),
-            ev_cancel_ack(1, CancelOutcome::WasRunning, Some(JobState::Running)),
-            ev_cancel_ack(7, CancelOutcome::Unknown, None),
-            ev_shutdown_ack(),
-        ] {
-            let o = JObj::parse(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
-            assert!(o.str_of("event").is_some(), "{line}");
-        }
     }
 
     #[test]

@@ -61,25 +61,6 @@ impl ResultStore {
         let artifacts = decode_artifacts(&payload)?;
         Some(Arc::new(JobBlob { artifacts }))
     }
-
-    /// Every key with a stored result, in deterministic (sorted) order —
-    /// the startup scan that reseeds the in-memory cache index.
-    pub fn keys(&self) -> Vec<CacheKey> {
-        let entries = fs::read_dir(&self.dir).into_iter().flatten().flatten();
-        let mut keys: Vec<CacheKey> = entries
-            .filter_map(|e| CacheKey::parse(e.file_name().to_str()?.strip_suffix(".res")?))
-            .collect();
-        keys.sort_by_key(|k| k.0);
-        keys
-    }
-
-    /// Drop the stored result for `key`, if any.
-    pub fn remove(&self, key: CacheKey) -> std::io::Result<()> {
-        match fs::remove_file(self.path_of(key)) {
-            Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e),
-            _ => Ok(()),
-        }
-    }
 }
 
 // ---- payload codec -------------------------------------------------------
@@ -302,9 +283,6 @@ mod tests {
             .unwrap();
         let back = store.get(key).unwrap();
         assert_artifacts_eq(&artifacts(), &back.artifacts);
-        assert_eq!(store.keys(), vec![key]);
-        store.remove(key).unwrap();
-        assert!(store.get(key).is_none());
         fs::remove_dir_all(&d).ok();
     }
 
@@ -331,24 +309,6 @@ mod tests {
             .unwrap();
         let back = store.get(CacheKey(1)).unwrap();
         assert_artifacts_eq(&min, &back.artifacts);
-        fs::remove_dir_all(&d).ok();
-    }
-
-    #[test]
-    fn keys_scan_ignores_foreign_files() {
-        let d = dir("scan");
-        let store = ResultStore::open(&d).unwrap();
-        store
-            .put(
-                CacheKey(9),
-                &JobBlob {
-                    artifacts: artifacts(),
-                },
-            )
-            .unwrap();
-        fs::write(d.join("results").join("notakey.res"), b"junk").unwrap();
-        fs::write(d.join("results").join("README"), b"hi").unwrap();
-        assert_eq!(store.keys(), vec![CacheKey(9)]);
         fs::remove_dir_all(&d).ok();
     }
 }
