@@ -2,8 +2,10 @@
 //! of the computations made in EUL3D are in loops over the edges of the
 //! mesh", §3.1): convective flux, the two dissipation passes, spectral
 //! radii, and residual-averaging accumulation — the plane-major
-//! `eul3d_kernels` entry points every solver backend executes. (The
-//! AoS-vs-SoA comparison is the `kernels` bin's job.)
+//! `eul3d_kernels` entry points every solver backend executes (the two
+//! pure neighbour sums, dissipation pass 1 and the smoothing
+//! accumulation, as the vertex gathers the solver runs them as). The
+//! AoS-vs-SoA comparison is the `kernels` bin's job.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -12,12 +14,14 @@ use eul3d_core::gas::{GAMMA, NVAR};
 use eul3d_core::{SoaState, SolverConfig};
 use eul3d_kernels::{EdgeSpan, ScatterAccess};
 use eul3d_mesh::gen::{bump_channel, BumpSpec};
+use eul3d_mesh::topology::vertex_vertex_adjacency;
 use eul3d_mesh::TetMesh;
 
 /// Run a kernel body with scatter access to `targets`.
 ///
 /// SAFETY (every `unsafe` kernel call in this file): single-threaded, one
-/// span over all edges, and every array is sized by the same mesh.
+/// span over all edges or vertices, and every array (and the adjacency)
+/// is sized by the same mesh.
 fn scatter(targets: &mut [&mut [f64]], f: impl FnOnce(&ScatterAccess)) {
     f(&ScatterAccess::new(targets));
 }
@@ -51,6 +55,7 @@ fn bench_edges(c: &mut Criterion) {
     let n = mesh.nverts();
     let lanes = SolverConfig::default().lanes;
     let span = EdgeSpan::Range(0..edges.len());
+    let adj = vertex_vertex_adjacency(n, edges);
     let mut group = c.benchmark_group("edge_kernels");
     group.throughput(Throughput::Elements(edges.len() as u64));
     group.sample_size(20);
@@ -71,10 +76,8 @@ fn bench_edges(c: &mut Criterion) {
     let mut sens = vec![0.0; n * 2];
     group.bench_function("dissipation_pass1_laplacian", |b| {
         b.iter(|| {
-            lapl.fill(0.0);
-            sens.fill(0.0);
             scatter(&mut [&mut lapl, &mut sens], |s| unsafe {
-                eul3d_kernels::jst_pass1_edges(&span, edges, w.flat(), &p, n, s, lanes)
+                eul3d_kernels::jst_gather_verts(0..n, &adj, w.flat(), &p, n, s)
             });
             black_box(&lapl);
         });
@@ -123,9 +126,8 @@ fn bench_edges(c: &mut Criterion) {
     group.bench_function("smooth_accumulate", |b| {
         let mut acc = vec![0.0; n * NVAR];
         b.iter(|| {
-            acc.fill(0.0);
             scatter(&mut [&mut acc], |s| unsafe {
-                eul3d_kernels::smooth_accumulate_edges(&span, edges, w.flat(), n, s, lanes)
+                eul3d_kernels::neighbour_sum_verts(0..n, &adj, w.flat(), n, s)
             });
             black_box(&acc);
         });

@@ -14,7 +14,7 @@
 //! 8. coarse-level construction: unrelated meshes (the paper) vs
 //!    refinement-nested vs agglomerated dual volumes.
 
-use eul3d_bench::CaseSpec;
+use eul3d_bench::{finite_or_exit, CaseSpec};
 use eul3d_core::dist::{run_distributed, DistOptions, DistSetup};
 use eul3d_core::{ConvergenceHistory, MultigridSolver, SolverConfig, Strategy};
 use eul3d_delta::{CommClass, CostModel};
@@ -41,6 +41,11 @@ fn main() {
     let cfg: SolverConfig = case.config();
     let model = CostModel::delta_i860();
     let nranks = 32;
+    // Every solve below reports only a finite history.
+    let checked = |history: Vec<f64>, what: &str| {
+        finite_or_exit(&history, what);
+        history
+    };
     println!(
         "ablations: bump nx={}, M={}, {} cycles where applicable\n",
         case.nx / 2,
@@ -61,6 +66,7 @@ fn main() {
             ..DistOptions::default()
         };
         let r = run_distributed(&setup, cfg, Strategy::SingleGrid, 10, opts);
+        finite_or_exit(r.history(), &format!("ablations 1 {name}"));
         let cyc = r.cycle_counters();
         let b = model.evaluate(&cyc);
         let halo_mb: f64 = cyc
@@ -110,6 +116,7 @@ fn main() {
             |_m: &TetMesh| parts.clone(),
         );
         let r = run_distributed(&setup, cfg, Strategy::SingleGrid, 5, DistOptions::default());
+        finite_or_exit(r.history(), &format!("ablations 2 {name}"));
         let b = model.evaluate(&r.cycle_counters());
         rows.row(&[
             name.into(),
@@ -130,7 +137,7 @@ fn main() {
             seq.meshes.iter().map(|m| m.nverts()).collect::<Vec<_>>()
         );
         let mut mg = MultigridSolver::new(seq, cfg, Strategy::WCycle);
-        let h = ConvergenceHistory::from_residuals(mg.solve(40));
+        let h = ConvergenceHistory::from_residuals(checked(mg.solve(40), "ablations 3 unrelated"));
         rows.row(&[
             "unrelated".into(),
             sizes,
@@ -151,7 +158,7 @@ fn main() {
             seq.meshes.iter().map(|m| m.nverts()).collect::<Vec<_>>()
         );
         let mut mg = MultigridSolver::new(seq, cfg, Strategy::WCycle);
-        let h = ConvergenceHistory::from_residuals(mg.solve(40));
+        let h = ConvergenceHistory::from_residuals(checked(mg.solve(40), "ablations 3 nested"));
         rows.row(&["nested".into(), sizes, format!("{:.2}", h.orders_reduced())]);
     }
     println!("{}", rows.render());
@@ -165,7 +172,7 @@ fn main() {
             cfg,
             Strategy::WCycle,
         );
-        let h = mg.solve(20);
+        let h = checked(mg.solve(20), "ablations 4 impulsive");
         rows.row(&[
             "impulsive".into(),
             format!("{:.2e}", mg.counter.flops()),
@@ -179,7 +186,7 @@ fn main() {
             Strategy::WCycle,
         );
         mg.fmg_init(8);
-        let h = mg.solve(20);
+        let h = checked(mg.solve(20), "ablations 4 FMG(8)");
         rows.row(&[
             "FMG(8)".into(),
             format!("{:.2e}", mg.counter.flops()),
@@ -201,7 +208,10 @@ fn main() {
             cfg2,
             Strategy::WCycle,
         );
-        let h = ConvergenceHistory::from_residuals(mg.solve(40));
+        let h = ConvergenceHistory::from_residuals(checked(
+            mg.solve(40),
+            "ablations 5 coarse dissipation",
+        ));
         rows.row(&[
             name.into(),
             format!("{:.2}", h.orders_reduced()),
@@ -216,7 +226,7 @@ fn main() {
     for strategy in [Strategy::SingleGrid, Strategy::VCycle, Strategy::WCycle] {
         let mut mg =
             MultigridSolver::new(MeshSequence::bump_sequence(&spec(&case), 3), cfg, strategy);
-        let h = ConvergenceHistory::from_residuals(mg.solve(40));
+        let h = ConvergenceHistory::from_residuals(checked(mg.solve(40), "ablations 6 strategies"));
         rows.row(&[
             strategy.label().into(),
             format!("{:.2}", h.orders_reduced()),
@@ -233,7 +243,7 @@ fn main() {
         let seq = MeshSequence::bump_sequence(&spec(&case), levels);
         let coarsest = seq.meshes.last().unwrap().nverts();
         let mut mg = MultigridSolver::new(seq, cfg, Strategy::WCycle);
-        let h = ConvergenceHistory::from_residuals(mg.solve(30));
+        let h = ConvergenceHistory::from_residuals(checked(mg.solve(30), "ablations 7 depth"));
         rows.row(&[
             levels.to_string(),
             coarsest.to_string(),
@@ -254,7 +264,7 @@ fn main() {
             seq.meshes.iter().map(|m| m.nverts()).collect::<Vec<_>>()
         );
         let mut mg = MultigridSolver::new(seq, cfg, Strategy::WCycle);
-        let h = ConvergenceHistory::from_residuals(mg.solve(40));
+        let h = ConvergenceHistory::from_residuals(checked(mg.solve(40), "ablations 8 unrelated"));
         rows.row(&[
             "unrelated meshes (paper)".into(),
             sizes,
@@ -267,7 +277,8 @@ fn main() {
         let mesh = eul3d_mesh::gen::bump_channel(&spec(&case));
         let mut mg = AggloMultigrid::new(mesh, cfg, Strategy::WCycle, 3);
         let sizes = format!("{:?}", mg.level_sizes());
-        let h = ConvergenceHistory::from_residuals(mg.solve(40));
+        let h =
+            ConvergenceHistory::from_residuals(checked(mg.solve(40), "ablations 8 agglomerated"));
         rows.row(&[
             "agglomerated dual volumes".into(),
             sizes,

@@ -7,7 +7,7 @@
 //! insensitive to strategy. Also reports the §4.2 reordering ablation
 //! via the cost model's unordered node rate.
 
-use eul3d_bench::CaseSpec;
+use eul3d_bench::{finite_or_exit, CaseSpec};
 use eul3d_core::dist::{run_distributed, DistOptions, DistSetup};
 use eul3d_core::{MultigridSolver, Strategy};
 use eul3d_delta::CostModel;
@@ -40,12 +40,17 @@ fn main() {
         // the C90 model (launches = colour-group loop starts).
         let mut mg = MultigridSolver::new_shared(case.sequence(), cfg, strategy, 2)
             .expect("edge colourings must validate");
-        mg.solve(case.cycles);
+        let hist = mg.solve(case.cycles);
+        finite_or_exit(&hist, &format!("compare {} shared", strategy.label()));
         let c90 = cray.evaluate(mg.counter.flops(), mg.counter.launches(), 16);
 
         // Distributed side: simulated Delta.
         let setup = DistSetup::new(case.sequence(), nranks, 40, 7);
         let result = run_distributed(&setup, cfg, strategy, case.cycles, DistOptions::default());
+        finite_or_exit(
+            result.history(),
+            &format!("compare {} on {nranks} ranks", strategy.label()),
+        );
         let b = delta.evaluate(&result.cycle_counters());
 
         let cmp = Comparison {

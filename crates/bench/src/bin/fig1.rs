@@ -5,6 +5,7 @@
 //! 5-level sequences, which can be checked visually against the paper's
 //! diagrams.
 
+use eul3d_bench::finite_or_exit;
 use eul3d_core::multigrid::CycleEvent;
 use eul3d_core::{MultigridSolver, SolverConfig, Strategy};
 use eul3d_mesh::MeshSequence;
@@ -44,7 +45,11 @@ fn main() {
             let seq = MeshSequence::box_sequence(2usize.pow(levels as u32), levels, 0.0, 0);
             let mut mg = MultigridSolver::new(seq, SolverConfig::default(), strategy);
             mg.record_events = true;
-            mg.cycle();
+            let residual = mg.cycle();
+            finite_or_exit(
+                &[residual],
+                &format!("fig1 {levels} levels {}", strategy.label()),
+            );
             println!("=== {} levels, {} ===", levels, strategy.label());
             println!("{}", render(&mg.events, levels));
         }

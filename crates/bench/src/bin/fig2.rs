@@ -7,7 +7,7 @@
 //! and prints a summary of orders-of-magnitude reduction and the
 //! single-grid/multigrid speed ratio.
 
-use eul3d_bench::{cycles_to_orders, write_csv, CaseSpec};
+use eul3d_bench::{cycles_to_orders, finite_or_exit, write_csv, CaseSpec};
 use eul3d_core::{MultigridSolver, SolverConfig, Strategy};
 
 fn main() {
@@ -38,6 +38,7 @@ fn main() {
         let t0 = std::time::Instant::now();
         let hist = mg.solve(cycles);
         let dt = t0.elapsed().as_secs_f64();
+        finite_or_exit(&hist, &format!("fig2 {}", strategy.label()));
         println!(
             "  {:12} {:4} cycles: residual {:.3e} -> {:.3e} ({:.2} orders), {:.2e} flops, {:.1}s host",
             strategy.label(),

@@ -7,7 +7,7 @@
 //! supersonic pocket, and the floor-line Mach distribution whose sharp
 //! drop is the captured shock.
 
-use eul3d_bench::CaseSpec;
+use eul3d_bench::{finite_or_exit, CaseSpec};
 use eul3d_core::postproc::{band_histogram, crosses, mach_field, probe_line};
 use eul3d_core::{MultigridSolver, Strategy};
 use eul3d_mesh::vtk::write_vtk_file;
@@ -23,6 +23,7 @@ fn main() {
     let seq = case.sequence();
     let mut mg = MultigridSolver::new(seq, cfg, Strategy::WCycle);
     let hist = mg.solve(case.cycles);
+    finite_or_exit(&hist, "fig4 W-cycle");
     println!(
         "converged {:.2} orders (residual {:.3e} -> {:.3e})",
         (hist[0] / hist.last().unwrap()).log10(),

@@ -1,11 +1,14 @@
 //! `kernels` — SoA edge-kernel benchmark emitting `BENCH_kernels.json`.
 //!
-//! Times every vectorized plane-major edge kernel against the
+//! Times every plane-major kernel the solver runs per edge against the
 //! interleaved-AoS baseline ([`eul3d_bench::aos_ref`]) on the same mesh
-//! and state, asserts the two layouts produce **bit-identical**
-//! accumulations before timing them, and reports per-kernel GFLOP/s,
-//! modeled bandwidth, and the aggregate (time-weighted) speedup through
-//! [`eul3d_perf::kernels`].
+//! and state, asserts the two produce **bit-identical** accumulations
+//! before timing them, and reports per-kernel GFLOP/s, modeled
+//! bandwidth, and the aggregate (time-weighted) speedup through
+//! [`eul3d_perf::kernels`]. The two pure neighbour sums (`jst_pass1`,
+//! `smooth_accumulate`) time the vertex-gather kernels the solver runs
+//! since PR 19 — which need no zero-fill — against an AoS edge
+//! scatter that keeps its fill inside the timed region.
 //!
 //! | Variable | Meaning | Default |
 //! |---|---|---|
@@ -31,6 +34,7 @@ use eul3d_core::gas::{GAMMA, NVAR};
 use eul3d_core::{SoaState, SolverConfig};
 use eul3d_kernels::{EdgeSpan, ScatterAccess};
 use eul3d_mesh::gen::{bump_channel, BumpSpec};
+use eul3d_mesh::topology::vertex_vertex_adjacency;
 use eul3d_mesh::TetMesh;
 use eul3d_perf::kernels::{aggregate_speedup, kernels_report_json, KernelSample};
 
@@ -105,8 +109,30 @@ fn workload(smoke: bool) -> Workload {
     }
 }
 
-/// Time one kernel in both layouts. `aos` and `soa` must accumulate the
-/// same edge loop into their (zeroed) target buffers; the outputs are
+/// What happens to a side's target buffers before each timed call.
+#[derive(Clone, Copy, PartialEq)]
+enum Fill {
+    /// Zeroed outside the timed region.
+    Untimed,
+    /// Zeroed inside the timed region.
+    Timed,
+    /// Left as the previous round wrote them.
+    Skipped,
+}
+
+/// `(AoS, SoA)` fills of a row where both sides are edge scatters
+/// accumulating into zeroed targets: zeroing is identical work, outside
+/// both timed regions.
+const SCATTER: (Fill, Fill) = (Fill::Untimed, Fill::Untimed);
+
+/// `(AoS, SoA)` fills of a row whose SoA side is a vertex gather
+/// overwriting every slot: it gets no zero-fill at all (the identity
+/// check starts it from NaN to prove it needs none), and the AoS
+/// scatter it replaces is timed with the fill it cannot do without.
+const GATHER: (Fill, Fill) = (Fill::Timed, Fill::Skipped);
+
+/// Time one kernel in both layouts. `aos` and `soa` must produce the
+/// same per-vertex sums in their target buffers; the outputs are
 /// asserted bit-identical before the timed rounds, so a fast-but-wrong
 /// kernel can't pass the gate.
 #[allow(clippy::too_many_arguments)]
@@ -119,6 +145,7 @@ fn sample<A, S>(
     targets: &[(usize, usize)],
     aos: A,
     soa: S,
+    (aos_fill, soa_fill): (Fill, Fill),
     flops_per_item: f64,
     f64s_per_item: f64,
 ) -> KernelSample
@@ -126,11 +153,19 @@ where
     A: Fn(&mut [Vec<f64>]),
     S: Fn(&mut [Vec<f64>]),
 {
+    let soa_init = if soa_fill == Fill::Skipped {
+        f64::NAN
+    } else {
+        0.0
+    };
     let mut bufs_aos: Vec<Vec<f64>> = targets.iter().map(|&(n, nc)| vec![0.0; n * nc]).collect();
-    let mut bufs_soa: Vec<Vec<f64>> = targets.iter().map(|&(n, nc)| vec![0.0; n * nc]).collect();
+    let mut bufs_soa: Vec<Vec<f64>> = targets
+        .iter()
+        .map(|&(n, nc)| vec![soa_init; n * nc])
+        .collect();
 
-    // Bit-identity check: one zero-initialized application of each, with
-    // the interleaved baseline transposed into planes for the compare.
+    // Bit-identity check: one application of each, with the interleaved
+    // baseline transposed into planes for the compare.
     aos(&mut bufs_aos);
     soa(&mut bufs_soa);
     for (t, ((a, s), &(_, nc))) in bufs_aos.iter().zip(&bufs_soa).zip(targets).enumerate() {
@@ -144,29 +179,28 @@ where
 
     // Report min-of-rounds × rounds: on a single-core host any OS
     // preemption lands inside some round, so the per-round minimum is
-    // the jitter-robust estimate of true kernel time. Target zeroing is
-    // outside the timed region — it is identical for both layouts.
+    // the jitter-robust estimate of true kernel time.
     let warm = (rounds / 10).max(2);
-    let time = |f: &dyn Fn(&mut [Vec<f64>]), bufs: &mut [Vec<f64>]| -> f64 {
-        for _ in 0..warm {
-            for b in bufs.iter_mut() {
-                b.iter_mut().for_each(|x| *x = 0.0);
-            }
-            f(bufs);
-        }
+    let zero = |bufs: &mut [Vec<f64>]| bufs.iter_mut().for_each(|b| b.fill(0.0));
+    let time = |f: &dyn Fn(&mut [Vec<f64>]), bufs: &mut [Vec<f64>], fill: Fill| -> f64 {
         let mut best = f64::INFINITY;
-        for _ in 0..rounds {
-            for b in bufs.iter_mut() {
-                b.iter_mut().for_each(|x| *x = 0.0);
+        for round in 0..warm + rounds {
+            if fill == Fill::Untimed {
+                zero(bufs);
             }
             let t0 = Instant::now();
+            if fill == Fill::Timed {
+                zero(bufs);
+            }
             f(bufs);
-            best = best.min(t0.elapsed().as_secs_f64());
+            if round >= warm {
+                best = best.min(t0.elapsed().as_secs_f64());
+            }
         }
         best * rounds as f64
     };
-    let aos_seconds = time(&aos, &mut bufs_aos);
-    let soa_seconds = time(&soa, &mut bufs_soa);
+    let aos_seconds = time(&aos, &mut bufs_aos, aos_fill);
+    let soa_seconds = time(&soa, &mut bufs_soa, soa_fill);
 
     KernelSample {
         name: name.to_string(),
@@ -209,6 +243,7 @@ fn main() {
     let ne = wl.mesh.nedges();
     let lanes = SolverConfig::default().lanes;
     let span = EdgeSpan::Range(0..ne);
+    let adj = vertex_vertex_adjacency(n, &wl.mesh.edges);
     println!(
         "kernel benchmark: {} vertices, {} edges, lane width {}, {} rounds{}",
         n,
@@ -220,7 +255,11 @@ fn main() {
 
     // Per-edge f64 traffic models (reads + 2× scatter slots), documented
     // in eul3d_perf::kernels. AoS and SoA touch the same slot count —
-    // the layouts differ in locality, not volume.
+    // the layouts differ in locality, not volume. The two gather rows
+    // are modeled as what they move per edge instead: both directions'
+    // gathered operands (2 × 5, 2 × 6), two u32 neighbour ids, and the
+    // per-vertex own reads, stores and row offset spread over ≈ 6.2
+    // edges per vertex.
     let samples = vec![
         sample(
             "conv_flux",
@@ -250,6 +289,7 @@ fn main() {
                     )
                 })
             },
+            SCATTER,
             FLOPS_CONV_EDGE,
             35.0,
         ),
@@ -264,19 +304,12 @@ fn main() {
             },
             |b| {
                 with_access(b, |s| unsafe {
-                    eul3d_kernels::jst_pass1_edges(
-                        &span,
-                        &wl.mesh.edges,
-                        wl.w_soa.flat(),
-                        &wl.p,
-                        n,
-                        s,
-                        lanes,
-                    )
+                    eul3d_kernels::jst_gather_verts(0..n, &adj, wl.w_soa.flat(), &wl.p, n, s)
                 })
             },
+            GATHER,
             FLOPS_DISS_P1_EDGE,
-            40.0,
+            15.0,
         ),
         sample(
             "jst_pass2",
@@ -316,6 +349,7 @@ fn main() {
                     )
                 })
             },
+            SCATTER,
             FLOPS_DISS_P2_EDGE,
             47.0,
         ),
@@ -351,6 +385,7 @@ fn main() {
                     )
                 })
             },
+            SCATTER,
             FLOPS_DISS_FO_EDGE,
             35.0,
         ),
@@ -384,6 +419,7 @@ fn main() {
                     )
                 })
             },
+            SCATTER,
             FLOPS_DISS_ROE_EDGE,
             35.0,
         ),
@@ -417,6 +453,7 @@ fn main() {
                     )
                 })
             },
+            SCATTER,
             FLOPS_RADII_EDGE,
             19.0,
         ),
@@ -428,18 +465,12 @@ fn main() {
             |b| smooth_accumulate(&wl.mesh.edges, &wl.w_aos, &mut b[0]),
             |b| {
                 with_access(b, |s| unsafe {
-                    eul3d_kernels::smooth_accumulate_edges(
-                        &span,
-                        &wl.mesh.edges,
-                        wl.w_soa.flat(),
-                        n,
-                        s,
-                        lanes,
-                    )
+                    eul3d_kernels::neighbour_sum_verts(0..n, &adj, wl.w_soa.flat(), n, s)
                 })
             },
+            GATHER,
             FLOPS_SMOOTH_EDGE,
-            30.0,
+            12.0,
         ),
     ];
 

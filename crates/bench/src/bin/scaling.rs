@@ -7,7 +7,7 @@
 //! reports modeled comm/comp/total seconds, MFlops, parallel efficiency
 //! and the comm/comp ratio; writes `scaling.csv`.
 
-use eul3d_bench::{write_csv, CaseSpec};
+use eul3d_bench::{finite_or_exit, write_csv, CaseSpec};
 use eul3d_core::dist::{run_distributed, DistOptions, DistSetup};
 use eul3d_core::Strategy;
 use eul3d_delta::CostModel;
@@ -46,6 +46,7 @@ fn main() {
         let seq = case.sequence();
         let setup = DistSetup::new(seq, nranks, 40, 7);
         let r = run_distributed(&setup, cfg, strategy, case.cycles, DistOptions::default());
+        finite_or_exit(r.history(), &format!("scaling on {nranks} ranks"));
         let b = model.evaluate(&r.cycle_counters());
         let (n0, t0) = *base.get_or_insert((nranks, b.total_seconds));
         let efficiency = 100.0 * (t0 * n0 as f64) / (b.total_seconds * nranks as f64);

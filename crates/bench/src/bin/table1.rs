@@ -18,7 +18,7 @@
 //!   ~15-20% at 16 CPUs, wall clock drops ~12x (>99% parallel), all
 //!   three strategies reach similar MFlops.
 
-use eul3d_bench::{write_csv, CaseSpec};
+use eul3d_bench::{finite_or_exit, write_csv, CaseSpec};
 use eul3d_core::{MultigridSolver, Strategy};
 use eul3d_perf::{CrayC90Model, TextTable};
 
@@ -88,6 +88,7 @@ fn main() {
         let t0 = std::time::Instant::now();
         let hist = mg.solve(case.cycles);
         let host = t0.elapsed().as_secs_f64();
+        finite_or_exit(&hist, &format!("table1 {label}"));
         // Normalize to 100 cycles like the paper's tables.
         let norm = 100.0 / case.cycles as f64;
         let flops = mg.counter.flops() * norm;

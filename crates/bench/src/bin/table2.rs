@@ -14,7 +14,7 @@
 //! loop (disables the §4.3 optimization); `EUL3D_PART=rsb|rcb|random|rsb+kl|prcb`
 //! selects the partitioner (default rsb).
 
-use eul3d_bench::{write_csv, CaseSpec};
+use eul3d_bench::{finite_or_exit, write_csv, CaseSpec};
 use eul3d_core::dist::{run_distributed, DistOptions, DistSetup};
 use eul3d_core::Strategy;
 use eul3d_delta::{CommClass, CostModel};
@@ -103,6 +103,10 @@ fn main() {
             let t0 = std::time::Instant::now();
             let result = run_distributed(&setup, cfg, strategy, case.cycles, opts);
             let host = t0.elapsed().as_secs_f64();
+            finite_or_exit(
+                result.history(),
+                &format!("table2 {} on {nranks} ranks", strategy.label()),
+            );
 
             let cyc = result.cycle_counters();
             let b = model.evaluate(&cyc);

@@ -100,6 +100,28 @@ pub fn write_csv(path: &std::path::Path, header: &[&str], rows: &[Vec<String>]) 
     }
 }
 
+/// Index of the first non-finite entry of a residual history.
+fn first_non_finite(history: &[f64]) -> Option<usize> {
+    history.iter().position(|r| !r.is_finite())
+}
+
+/// A harness reports a run only if its residual history is finite: a
+/// diverged solve does NaN arithmetic at a different speed and produces
+/// no number worth printing next to the paper's. Exits with status 2,
+/// naming the run and the (1-based) cycle, instead of returning.
+pub fn finite_or_exit(history: &[f64], what: &str) {
+    if let Some(i) = first_non_finite(history) {
+        eprintln!(
+            "{what}: residual is {} at cycle {} of {} — the run diverged; not reporting it \
+             (ROADMAP item 1: the mesh sequence does not converge above NX≈90)",
+            history[i],
+            i + 1,
+            history.len()
+        );
+        std::process::exit(2);
+    }
+}
+
 /// Cycles needed to reduce the residual by `orders` decades relative to
 /// the first entry (linear interpolation in log space); `None` if the
 /// history never gets there.
@@ -129,6 +151,14 @@ mod tests {
         assert!((cycles_to_orders(&h, 2.0).unwrap() - 2.0).abs() < 1e-12);
         assert!((cycles_to_orders(&h, 1.5).unwrap() - 1.5).abs() < 1e-12);
         assert!(cycles_to_orders(&h, 5.0).is_none());
+    }
+
+    #[test]
+    fn first_non_finite_names_the_cycle() {
+        assert_eq!(first_non_finite(&[1.0, 0.5, 0.25]), None);
+        assert_eq!(first_non_finite(&[]), None);
+        assert_eq!(first_non_finite(&[1.0, f64::NAN, 0.25]), Some(1));
+        assert_eq!(first_non_finite(&[1.0, 2.0, f64::INFINITY]), Some(2));
     }
 
     #[test]

@@ -330,7 +330,6 @@ impl Hierarchy for AggloMultigrid {
     /// correction on the receiving level.
     fn prolong_correction(&mut self, l: usize) {
         let agg = &self.coarse[l];
-        let fine_edges = grid_of(&self.mesh, &self.coarse, l).grid_edges();
         let (fine, coarse) = self.states.split_at_mut(l + 1);
         let (fine, coarse) = (&mut fine[l], &coarse[0]);
         for (v, &c) in agg.assign.iter().enumerate() {
@@ -340,12 +339,13 @@ impl Hierarchy for AggloMultigrid {
         }
         if self.correction_smoothing > 0 {
             smooth_residual_serial_soa(
-                fine_edges,
+                &fine.adj,
                 fine.n,
                 &fine.deg,
                 0.5,
                 self.correction_smoothing,
                 &mut fine.corr,
+                &mut fine.r0,
                 &mut fine.acc,
                 self.counter.phase(Phase::Transfer),
             );

@@ -10,12 +10,21 @@
 //! architectural claim, made literal.
 //!
 //! The hot per-vertex fields live in plane-major [`SoaState`] arrays and
-//! the loops call the lane-chunked kernels of [`eul3d_kernels`] — see
-//! that crate's docs for the bit-equivalence contract that keeps all
-//! three backends producing the exact bits of the old interleaved path.
+//! the loops call the kernels of [`eul3d_kernels`]: lane-chunked edge
+//! scatters through [`Executor::for_edge_spans`] where an edge quantity
+//! is computed once and used twice, vertex gathers through
+//! [`Executor::for_vertex_spans`] and the level's adjacency
+//! ([`LevelState::adj`]) for the two pure neighbour sums (residual
+//! averaging, JST pass 1) — see that crate's docs for the
+//! bit-equivalence contract that keeps all three backends producing the
+//! exact bits of the old interleaved path. The gathers are still
+//! *charged* as the edge loops of the paper ([`count_edge_loop`]: same
+//! flops per edge, same launches per colour), because [`PhaseCounters`]
+//! feeds the C90 and i860 machine models, not the host.
 
 use eul3d_kernels as kn;
-use eul3d_mesh::{BoundaryFace, TetMesh, Vec3};
+use eul3d_mesh::topology::vertex_vertex_adjacency;
+use eul3d_mesh::{BoundaryFace, Csr, TetMesh, Vec3};
 use eul3d_partition::RankMesh;
 
 use crate::boundary::boundary_residual_soa;
@@ -122,6 +131,10 @@ pub struct LevelState {
     /// edge list, so rank-local states hold *partial* degrees until the
     /// one-time setup scatter-add.
     pub deg: Vec<f64>,
+    /// Vertex → neighbour-vertex adjacency over all `n` local slots,
+    /// rows in ascending local-edge order: what the two neighbour-sum
+    /// loops (residual averaging, JST pass 1) gather through.
+    pub adj: Csr,
     /// Multigrid forcing function `P` (5 planes); zero on the finest
     /// level.
     pub forcing: SoaState,
@@ -154,6 +167,7 @@ impl LevelState {
             lam: vec![0.0; n],
             dt: vec![0.0; n],
             deg: degrees_from_edges(mesh.grid_edges(), n),
+            adj: vertex_vertex_adjacency(n, mesh.grid_edges()),
             forcing: SoaState::new(n, NVAR),
             w_ref: SoaState::new(n, NVAR),
             corr: SoaState::new(n, NVAR),
@@ -374,21 +388,19 @@ fn eval_dissipation_begin<G: SolverGrid + ?Sized, E: Executor + ?Sized>(
         return;
     }
 
-    // JST pass 1: undivided Laplacian + pressure-sensor accumulators.
-    st.lapl.fill(0.0);
-    st.sens.fill(0.0);
+    // JST pass 1: undivided Laplacian + pressure-sensor accumulators,
+    // gathered per vertex over every local slot (ghost slots hold the
+    // partial sums of the rank-local edges, exactly as the edge loop
+    // left them). Charged below as the edge loop the paper's machines
+    // run.
     {
-        let (w, p) = (&st.w, &st.p);
+        let (w, p, adj) = (&st.w, &st.p, &st.adj);
         let (lapl, sens) = (&mut st.lapl, &mut st.sens);
-        exec.for_edge_spans(
-            edges.len(),
-            &mut [lapl.flat_mut(), sens.flat_mut()],
-            |span, s| {
-                // SAFETY: endpoint-only writes (executor conflict
-                // contract).
-                unsafe { kn::jst_pass1_edges(span, edges, w.flat(), p, n, s, lanes) }
-            },
-        );
+        exec.for_vertex_spans(n, &mut [lapl.flat_mut(), sens.flat_mut()], |range, s| {
+            // SAFETY: disjoint ranges (executor contract); `adj` was
+            // built over these `n` slots from the level's edge list.
+            unsafe { kn::jst_gather_verts(range, adj, w.flat(), p, n, s) }
+        });
     }
     count_edge_loop(
         counters,
@@ -579,8 +591,11 @@ pub fn smooth_residual<G: SolverGrid + ?Sized, E: Executor + ?Sized>(
     st.r0.copy_owned_from(&st.res, owned);
     let edges = mesh.grid_edges();
     let eps = cfg.smooth_eps;
-    let (n, lanes) = (st.n, cfg.lanes);
+    let n = st.n;
     for _ in 0..cfg.smooth_passes {
+        // A begin/finish pair, not one `exchange_halo`: the window
+        // transport emits a span for each and traces are pinned to
+        // that; the gather needs every ghost, so nothing overlaps.
         exec.exchange_begin(
             Phase::Smooth,
             HaloOp::Gather,
@@ -588,7 +603,6 @@ pub fn smooth_residual<G: SolverGrid + ?Sized, E: Executor + ?Sized>(
             NVAR,
             counters,
         );
-        st.acc.fill(0.0);
         exec.exchange_finish(
             Phase::Smooth,
             HaloOp::Gather,
@@ -596,12 +610,15 @@ pub fn smooth_residual<G: SolverGrid + ?Sized, E: Executor + ?Sized>(
             NVAR,
             counters,
         );
+        // Neighbour sums over every local slot (ghost slots collect the
+        // rank-local partial sums the scatter-add below flushes),
+        // charged as the edge loop the paper's machines run.
         {
-            let res = &st.res;
-            exec.for_edge_spans(edges.len(), &mut [st.acc.flat_mut()], |span, s| {
-                // SAFETY: endpoint-only writes (executor conflict
-                // contract).
-                unsafe { kn::smooth_accumulate_edges(span, edges, res.flat(), n, s, lanes) }
+            let (res, adj) = (&st.res, &st.adj);
+            exec.for_vertex_spans(n, &mut [st.acc.flat_mut()], |range, s| {
+                // SAFETY: disjoint ranges (executor contract); `adj` was
+                // built over these `n` slots from the level's edge list.
+                unsafe { kn::neighbour_sum_verts(range, adj, res.flat(), n, s) }
             });
         }
         count_edge_loop(

@@ -5,13 +5,17 @@
 //!   R̄_i ← (R_i + ε Σ_{j ∈ N(i)} R̄_j) / (1 + ε deg_i)
 //! ```
 //!
-//! expressed edge-based (the neighbour sum is an edge-loop accumulation),
-//! so the same kernel runs coloured on the shared path and with
-//! gather/scatter on the distributed path.
+//! The neighbour sum is a per-vertex gather through the level's
+//! adjacency (`eul3d_kernels::neighbour_sum_verts`) on every backend:
+//! the shared path splits the vertex range over its team, the
+//! distributed path gathers over owned and ghost slots alike and
+//! scatter-adds the ghost partial sums to their owners.
+
+use eul3d_kernels::ScatterAccess;
+use eul3d_mesh::Csr;
 
 use crate::counters::{FlopCounter, FLOPS_SMOOTH_EDGE, FLOPS_SMOOTH_VERT};
 use crate::soa::SoaState;
-use eul3d_kernels::{EdgeSpan, ScatterAccess, DEFAULT_LANES};
 
 /// Vertex degrees (incident-edge counts) as f64, accumulated from an
 /// edge list. For a rank-local edge list this yields *partial* degrees
@@ -26,18 +30,20 @@ pub fn degrees_from_edges(edges: &[[u32; 2]], n: usize) -> Vec<f64> {
 }
 
 /// Sequential Jacobi sweeps over a plane-major field: `passes` in-place
-/// sweeps on the first `n_owned` rows of `res`, with `acc` as scratch.
-/// Same math and accumulation order as the executor-driven smoothing in
-/// [`crate::level`], used where no `Executor` is in play (agglomerated
-/// correction smoothing).
+/// sweeps on the first `n_owned` rows of `res`, with the level's `r0`
+/// and `acc` planes as scratch and its adjacency `adj` for the
+/// neighbour sums. Same math and accumulation order as the
+/// executor-driven smoothing in [`crate::level`], used where no
+/// `Executor` is in play (agglomerated correction smoothing).
 #[allow(clippy::too_many_arguments)]
 pub fn smooth_residual_serial_soa(
-    edges: &[[u32; 2]],
+    adj: &Csr,
     n_owned: usize,
     deg: &[f64],
     eps: f64,
     passes: usize,
     res: &mut SoaState,
+    r0: &mut SoaState,
     acc: &mut SoaState,
     counter: &mut FlopCounter,
 ) {
@@ -45,28 +51,19 @@ pub fn smooth_residual_serial_soa(
         return;
     }
     let n = res.n();
-    let r0 = res.clone();
-    let span = EdgeSpan::Range(0..edges.len());
+    assert!(adj.len() == n && r0.n() == n && acc.n() == n && deg.len() >= n_owned);
+    r0.copy_owned_from(res, n_owned);
     for _ in 0..passes {
-        acc.fill(0.0);
         {
-            let mut targets = [acc.flat_mut()];
-            let s = ScatterAccess::new(&mut targets);
-            unsafe {
-                eul3d_kernels::smooth_accumulate_edges(
-                    &span,
-                    edges,
-                    res.flat(),
-                    n,
-                    &s,
-                    DEFAULT_LANES,
-                )
-            };
+            let s = ScatterAccess::new(&mut [acc.flat_mut()]);
+            // SAFETY: one serial span over all `n` rows of an adjacency
+            // built over `n` slots; planes are `5n` (checked above).
+            unsafe { eul3d_kernels::neighbour_sum_verts(0..n, adj, res.flat(), n, &s) };
         }
-        counter.add(edges.len(), FLOPS_SMOOTH_EDGE);
+        counter.add(adj.items.len() / 2, FLOPS_SMOOTH_EDGE);
         {
-            let mut targets = [res.flat_mut()];
-            let s = ScatterAccess::new(&mut targets);
+            let s = ScatterAccess::new(&mut [res.flat_mut()]);
+            // SAFETY: one serial span; plane sizes checked above.
             unsafe {
                 eul3d_kernels::smooth_update_verts(
                     0..n_owned,
@@ -88,15 +85,27 @@ mod tests {
     use super::*;
     use crate::gas::NVAR;
     use eul3d_mesh::gen::unit_box;
+    use eul3d_mesh::topology::vertex_vertex_adjacency;
     use eul3d_mesh::TetMesh;
 
     /// `passes` sweeps at `eps` over `res` on `m`; returns the flops charged.
     fn smooth(m: &TetMesh, eps: f64, passes: usize, res: &mut SoaState) -> f64 {
         let n = m.nverts();
         let deg = degrees_from_edges(&m.edges, n);
-        let mut acc = SoaState::new(n, NVAR);
+        let adj = vertex_vertex_adjacency(n, &m.edges);
+        let (mut r0, mut acc) = (SoaState::new(n, NVAR), SoaState::new(n, NVAR));
         let mut counter = FlopCounter::default();
-        smooth_residual_serial_soa(&m.edges, n, &deg, eps, passes, res, &mut acc, &mut counter);
+        smooth_residual_serial_soa(
+            &adj,
+            n,
+            &deg,
+            eps,
+            passes,
+            res,
+            &mut r0,
+            &mut acc,
+            &mut counter,
+        );
         counter.flops
     }
 
@@ -104,8 +113,9 @@ mod tests {
     fn degrees_match_adjacency() {
         let m = unit_box(3, 0.1, 1);
         let deg = degrees_from_edges(&m.edges, m.nverts());
+        let adj = vertex_vertex_adjacency(m.nverts(), &m.edges);
         for (i, d) in deg.iter().enumerate() {
-            assert_eq!(*d as usize, m.v2e.degree(i));
+            assert_eq!(*d as usize, adj.degree(i));
         }
     }
 

@@ -3,7 +3,8 @@
 //! operator `Q(w)` ("computed in a single loop over the edges", §2.2)
 //! and the JST / first-order artificial dissipation `D(w)` ("a blend of
 //! Laplacian and biharmonic operators … assembled in a two-pass loop
-//! over the edges").
+//! over the edges" — pass 1, a pure neighbour sum, runs as a vertex
+//! gather here).
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -11,6 +12,7 @@ use eul3d_core::gas::{pressure, Freestream, GAMMA, NVAR};
 use eul3d_core::{Executor, SerialExecutor, SoaState};
 use eul3d_kernels as kn;
 use eul3d_mesh::gen::unit_box;
+use eul3d_mesh::topology::vertex_vertex_adjacency;
 use eul3d_mesh::{TetMesh, Vec3};
 
 const LANES: usize = kn::DEFAULT_LANES;
@@ -52,11 +54,10 @@ fn laplacian_and_sensor(m: &TetMesh, w: &SoaState, p: &[f64]) -> (SoaState, Vec<
     let n = w.n();
     let mut lapl = SoaState::new(n, NVAR);
     let mut sens = SoaState::new(n, 2);
-    SerialExecutor.for_edge_spans(
-        m.nedges(),
-        &mut [lapl.flat_mut(), sens.flat_mut()],
-        |span, s| unsafe { kn::jst_pass1_edges(span, &m.edges, w.flat(), p, n, s, LANES) },
-    );
+    let adj = vertex_vertex_adjacency(n, &m.edges);
+    SerialExecutor.for_vertex_spans(n, &mut [lapl.flat_mut(), sens.flat_mut()], |r, s| unsafe {
+        kn::jst_gather_verts(r, &adj, w.flat(), p, n, s)
+    });
     let mut nu = vec![0.0; n];
     SerialExecutor.for_vertex_spans(n, &mut [&mut nu], |r, s| unsafe {
         kn::sensor_verts(r, sens.flat(), n, s)

@@ -439,9 +439,14 @@ pub unsafe fn radii_edges_soa(
     }
 }
 
-/// JST pass 1: undivided Laplacian of `w` into target 0 (`lapl`,
-/// plane-major `5n`) and pressure-sensor accumulators into target 1
-/// (`sens`, plane-major `2n`: plane 0 `Σ(p_j−p_i)`, plane 1 `Σ(p_j+p_i)`).
+/// JST pass 1 as an edge scatter: undivided Laplacian of `w` into
+/// target 0 (`lapl`, plane-major `5n`) and pressure-sensor accumulators
+/// into target 1 (`sens`, plane-major `2n`: plane 0 `Σ(p_j−p_i)`,
+/// plane 1 `Σ(p_j+p_i)`).
+///
+/// **Reference oracle + referee probe target, not on the solver path**:
+/// the solver runs [`crate::jst_gather_verts`], which this kernel
+/// defines bit for bit over `EdgeSpan::Range(0..nedges)`.
 ///
 /// # Safety
 /// See the module contract. Target 0 `≥ 5n`, target 1 `≥ 2n`.
@@ -587,6 +592,10 @@ pub unsafe fn roe_diss_edges(
 /// Residual-averaging neighbour accumulation `acc_a += r̄_b`,
 /// `acc_b += r̄_a` into target 0 (`acc`, plane-major `5n`), reading the
 /// plane-major residual `res`. Pure data movement — no vector body.
+///
+/// **Reference oracle + referee probe target, not on the solver path**:
+/// the solver runs [`crate::neighbour_sum_verts`], which this kernel
+/// defines bit for bit over `EdgeSpan::Range(0..nedges)`.
 ///
 /// # Safety
 /// See the module contract. `res` `≥ 5n`, target 0 `≥ 5n`.

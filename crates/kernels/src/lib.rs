@@ -5,11 +5,31 @@
 //!
 //! Per-vertex fields are stored *plane-major*: component `c` of vertex
 //! `i` of an `n`-vertex, `nc`-component field lives at flat index
-//! `c * n + i`. Edge loops are processed in **fixed-lane-width chunks**:
-//! gather the endpoint data of up to [`MAX_LANES`] edges into stack-local
-//! lane arrays, run the flux arithmetic as straight-line loops over the
-//! lanes (autovectorizer-friendly: no `[f64; 5]` strided loads, no
-//! bounds checks), then scatter the results in edge order.
+//! `c * n + i`.
+//!
+//! # Two loop shapes
+//! The paper writes every loop of EUL3D as an edge loop, because a C90
+//! vector pipe wants long stride-1 groups. On a cache machine the shape
+//! follows what the edge *carries*:
+//!
+//! * **Edge scatter** where a per-edge quantity is computed once and
+//!   used at both endpoints — the convective flux, the spectral radius,
+//!   JST pass 2, the first-order and Roe dissipation. These are
+//!   processed in **fixed-lane-width chunks**: gather the endpoint data
+//!   of up to [`MAX_LANES`] edges into stack-local lane arrays, run the
+//!   flux arithmetic as straight-line loops over the lanes
+//!   (autovectorizer-friendly: no `[f64; 5]` strided loads, no bounds
+//!   checks), then scatter `±` the result in edge order.
+//! * **Vertex gather** where the edge carries nothing — the two pure
+//!   neighbour sums, residual-averaging accumulation and JST pass 1
+//!   ([`neighbour_sum_verts`], [`jst_gather_verts`]). Routing `Σ_j x_j`
+//!   through edges only adds a zero-fill pass, two read-modify-write
+//!   stores per edge and, on the shared executor, a barrier per colour;
+//!   a gather over a vertex→neighbour CSR keeps the sum in registers and
+//!   stores each slot once. The edge versions of these two
+//!   ([`smooth_accumulate_edges`], [`jst_pass1_edges`]) remain as the
+//!   **reference oracle and the referee's probe target — they are not
+//!   on the solver path.**
 //!
 //! # Bit-equivalence contract
 //! Every kernel reproduces the scalar AoS reference arithmetic
@@ -18,7 +38,12 @@
 //! in ascending edge order within each span, so every memory slot sees
 //! the same accumulation order as the reference loop. Chunk width
 //! (`lanes`) therefore cannot change any result bit — only how many
-//! edges are staged per gather.
+//! edges are staged per gather. The vertex gathers visit a slot's
+//! neighbours in ascending edge order too (the CSR rows are built that
+//! way), so they reproduce the edge loops they replaced bit for bit;
+//! the `verts` module docs give the argument, including the one place
+//! it needs care (`−(x − y)` against `y − x` at `x == y`), and
+//! `tests/gather_equivalence.rs` checks it.
 //!
 //! # Crate hygiene
 //! This crate is kept free of panicking slice indexing on purpose: a
@@ -40,8 +65,8 @@ pub use edges::{
 };
 pub use scatter::{EdgeSpan, ScatterAccess, MAX_SCATTER_TARGETS};
 pub use verts::{
-    assemble_verts, local_dt_verts, pressure_verts, rk_update_verts, sensor_verts,
-    smooth_update_verts,
+    assemble_verts, jst_gather_verts, local_dt_verts, neighbour_sum_verts, pressure_verts,
+    rk_update_verts, sensor_verts, smooth_update_verts,
 };
 
 /// Number of conserved variables per vertex.

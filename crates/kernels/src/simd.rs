@@ -335,7 +335,9 @@ unsafe fn radii_chunk(
     }
 }
 
-/// AVX2 body of `jst_pass1_edges`.
+/// AVX2 body of `jst_pass1_edges` — like it, a reference oracle and
+/// referee probe target, not on the solver path (the solver gathers
+/// through `jst_gather_verts`).
 ///
 /// # Safety
 /// Same contract as `jst_pass1_edges`; requires AVX2.

@@ -73,9 +73,16 @@ fn release_kernels_have_no_bounds_check_panics() {
     // Sanity: the kernels we are guarding must actually be in the
     // disassembly, or the check would pass vacuously.
     #[cfg(target_arch = "x86_64")]
-    let required_mods = ["eul3d_kernels::edges::", "eul3d_kernels::simd::"];
+    let required_mods = [
+        "eul3d_kernels::edges::",
+        "eul3d_kernels::simd::",
+        "eul3d_kernels::verts::jst_gather_verts",
+    ];
     #[cfg(not(target_arch = "x86_64"))]
-    let required_mods = ["eul3d_kernels::edges::"];
+    let required_mods = [
+        "eul3d_kernels::edges::",
+        "eul3d_kernels::verts::jst_gather_verts",
+    ];
     for required in required_mods {
         assert!(
             asm.contains(required),

@@ -3,8 +3,8 @@
 
 use crate::dual::{closure_residual, dual_volumes, edge_coefficients};
 use crate::error::MeshError;
-use crate::topology::{boundary_faces, extract_edges, vertex_edge_adjacency};
-use crate::types::{BcKind, BoundaryFace, Csr};
+use crate::topology::{boundary_faces, extract_edges, vertex_degrees};
+use crate::types::{BcKind, BoundaryFace};
 use crate::vec3::{tet_volume, tri_area_vec, Vec3};
 
 /// An unstructured tetrahedral mesh in the edge-based representation used
@@ -25,8 +25,6 @@ pub struct TetMesh {
     pub bfaces: Vec<BoundaryFace>,
     /// Median-dual control volume per vertex.
     pub vol: Vec<f64>,
-    /// Vertex → incident-edge adjacency.
-    pub v2e: Csr,
 }
 
 impl TetMesh {
@@ -70,9 +68,9 @@ impl TetMesh {
         let edges = extract_edges(&tets);
         let edge_coef = edge_coefficients(&coords, &tets, &edges)?;
         let vol = dual_volumes(&coords, &tets, coords.len());
-        let v2e = vertex_edge_adjacency(coords.len(), &edges);
         if !tets.is_empty() {
-            if let Some(orphan) = (0..coords.len()).find(|&i| v2e.degree(i) == 0) {
+            let deg = vertex_degrees(coords.len(), &edges);
+            if let Some(orphan) = deg.iter().position(|&d| d == 0) {
                 return Err(MeshError::OrphanVertex { vertex: orphan });
             }
         }
@@ -101,7 +99,6 @@ impl TetMesh {
             edge_coef,
             bfaces,
             vol,
-            v2e,
         })
     }
 
@@ -148,24 +145,12 @@ impl TetMesh {
         self.vol.iter().sum()
     }
 
-    /// Neighbour vertices of `i` (derived from the incident edge list).
-    pub fn vertex_neighbors<'a>(&'a self, i: u32) -> impl Iterator<Item = u32> + 'a {
-        self.v2e.row(i as usize).iter().map(move |&e| {
-            let [a, b] = self.edges[e as usize];
-            if a == i {
-                b
-            } else {
-                a
-            }
-        })
-    }
-
     /// The maximum vertex degree (number of incident edges).
     pub fn max_degree(&self) -> usize {
-        (0..self.nverts())
-            .map(|i| self.v2e.degree(i))
+        vertex_degrees(self.nverts(), &self.edges)
+            .into_iter()
             .max()
-            .unwrap_or(0)
+            .unwrap_or(0) as usize
     }
 }
 
@@ -281,7 +266,7 @@ mod tests {
     }
 
     #[test]
-    fn vertex_neighbors_of_tet() {
+    fn max_degree_of_tet() {
         let coords = vec![
             Vec3::ZERO,
             Vec3::new(1.0, 0.0, 0.0),
@@ -289,9 +274,6 @@ mod tests {
             Vec3::new(0.0, 0.0, 1.0),
         ];
         let mesh = TetMesh::from_tets(coords, vec![[0, 1, 2, 3]], far).expect("valid mesh");
-        let mut nbrs: Vec<u32> = mesh.vertex_neighbors(0).collect();
-        nbrs.sort_unstable();
-        assert_eq!(nbrs, vec![1, 2, 3]);
         assert_eq!(mesh.max_degree(), 3);
     }
 

@@ -1,5 +1,5 @@
-//! Topology extraction: unique edge lists, vertex–edge adjacency, tet face
-//! neighbours, and boundary-face discovery.
+//! Topology extraction: unique edge lists, vertex–vertex adjacency, tet
+//! face neighbours, and boundary-face discovery.
 
 use std::collections::HashMap;
 
@@ -50,14 +50,26 @@ pub fn find_edge(edges: &[[u32; 2]], a: u32, b: u32) -> Option<usize> {
     edges.binary_search(&key).ok()
 }
 
-/// Vertex → incident-edge CSR adjacency.
-pub fn vertex_edge_adjacency(nverts: usize, edges: &[[u32; 2]]) -> Csr {
-    let pairs = edges
-        .iter()
-        .enumerate()
-        .flat_map(|(e, &[a, b])| [(a, e as u32), (b, e as u32)]);
+/// Vertex → neighbour-vertex CSR adjacency: row `i` lists the other
+/// endpoint of every edge incident to `i`, **in ascending edge order**
+/// ([`Csr::from_pairs`] keeps input order within a row). A gather over
+/// row `i` therefore visits `i`'s neighbours in exactly the order an
+/// edge loop over `edges` would have scattered into slot `i` — the
+/// property the solver's vertex-gather kernels rely on to reproduce the
+/// edge loops bit for bit.
+pub fn vertex_vertex_adjacency(nverts: usize, edges: &[[u32; 2]]) -> Csr {
     // `flat_map` of a clonable closure over a slice iterator is Clone.
-    Csr::from_pairs(nverts, pairs)
+    Csr::from_pairs(nverts, edges.iter().flat_map(|&[a, b]| [(a, b), (b, a)]))
+}
+
+/// Incident-edge count of every vertex.
+pub fn vertex_degrees(nverts: usize, edges: &[[u32; 2]]) -> Vec<u32> {
+    let mut deg = vec![0u32; nverts];
+    for &[a, b] in edges {
+        deg[a as usize] += 1;
+        deg[b as usize] += 1;
+    }
+    deg
 }
 
 /// Key identifying a face independent of winding: the sorted vertex triple.
@@ -140,14 +152,23 @@ mod tests {
     }
 
     #[test]
-    fn vertex_adjacency_degrees() {
+    fn vertex_adjacency_rows_follow_edge_order() {
         let edges = extract_edges(&two_tets());
-        let adj = vertex_edge_adjacency(5, &edges);
-        assert_eq!(adj.degree(0), 3); // 0 connects to 1,2,3
-        assert_eq!(adj.degree(1), 4); // 1 connects to 0,2,3,4
-        assert_eq!(adj.degree(4), 3); // 4 connects to 1,2,3
-                                      // every edge appears exactly twice across all rows
+        let adj = vertex_vertex_adjacency(5, &edges);
+        assert_eq!(adj.row(0), &[1, 2, 3]);
+        assert_eq!(adj.row(1), &[0, 2, 3, 4]);
+        assert_eq!(adj.row(4), &[1, 2, 3]);
+        // every edge appears exactly twice across all rows
         assert_eq!(adj.items.len(), edges.len() * 2);
+        let deg = vertex_degrees(5, &edges);
+        for (i, &d) in deg.iter().enumerate() {
+            assert_eq!(adj.degree(i), d as usize);
+        }
+        // A shuffled, unsorted edge list: rows keep the list's order,
+        // not the neighbour ids' order.
+        let adj = vertex_vertex_adjacency(4, &[[3, 0], [0, 2], [1, 0]]);
+        assert_eq!(adj.row(0), &[3, 2, 1]);
+        assert_eq!(adj.row(3), &[0]);
     }
 
     #[test]

@@ -65,22 +65,28 @@ impl Csr {
 
     /// Build a CSR from `(row, item)` pairs with `nrows` rows using a
     /// counting sort; pair order within a row follows input order.
+    /// Allocates the two result arrays and nothing else: the offsets
+    /// double as the fill cursors, shifted by one row.
     pub fn from_pairs(nrows: usize, pairs: impl Iterator<Item = (u32, u32)> + Clone) -> Csr {
-        let mut counts = vec![0u32; nrows + 1];
+        // Count row `r` into slot `r + 2`; after the prefix sum slot
+        // `r + 1` holds the start of row `r`.
+        let mut offsets = vec![0u32; nrows + 2];
         for (r, _) in pairs.clone() {
-            counts[r as usize + 1] += 1;
+            offsets[r as usize + 2] += 1;
         }
-        for i in 0..nrows {
-            counts[i + 1] += counts[i];
+        for i in 2..nrows + 2 {
+            offsets[i] += offsets[i - 1];
         }
-        let offsets = counts.clone();
-        let mut items = vec![0u32; offsets[nrows] as usize];
-        let mut cursor = offsets.clone();
+        let mut items = vec![0u32; offsets[nrows + 1] as usize];
+        // Filling row `r` advances slot `r + 1` from the row's start to
+        // its end — the start of row `r + 1`, which is what slot `r + 1`
+        // of a CSR holds. Slot 0 stays 0; the last slot is spare.
         for (r, it) in pairs {
-            let c = &mut cursor[r as usize];
+            let c = &mut offsets[r as usize + 1];
             items[*c as usize] = it;
             *c += 1;
         }
+        offsets.truncate(nrows + 1);
         Csr { offsets, items }
     }
 }

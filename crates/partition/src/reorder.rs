@@ -118,8 +118,6 @@ pub fn shuffle_edges(mesh: &mut TetMesh, seed: u64) {
     perm.shuffle(&mut StdRng::seed_from_u64(seed));
     mesh.edges = perm.iter().map(|&e| mesh.edges[e]).collect();
     mesh.edge_coef = perm.iter().map(|&e| mesh.edge_coef[e]).collect();
-    // v2e refers to edge ids; rebuild it.
-    mesh.v2e = eul3d_mesh::topology::vertex_edge_adjacency(mesh.nverts(), &mesh.edges);
 }
 
 /// Renumber vertices randomly: the "no locality" starting point the

@@ -3,12 +3,21 @@
 //! (§4) must produce the same flow solution on the same mesh — for the
 //! central/JST scheme, the Roe upwind scheme, and the first-order coarse
 //! dissipation path — and, since the kernels are written once over the
-//! [`Executor`] trait, report *identical* total flop counts.
+//! [`Executor`] trait, report *identical* total flop counts. The two
+//! neighbour-sum loops (residual averaging, JST pass 1) run as vertex
+//! gathers on every backend: the shared executor gives the serial
+//! **bits** there, and the serial and distributed histories are pinned
+//! to the values the edge-scatter loops produced.
 
 use eul3d::mesh::gen::BumpSpec;
 use eul3d::mesh::MeshSequence;
 use eul3d::solver::dist::{run_distributed, DistBackend, DistOptions, DistSetup};
-use eul3d::solver::{MultigridSolver, Scheme, SingleGridSolver, SolverConfig, Strategy};
+use eul3d::solver::level::{eval_dissipation, smooth_residual, time_step, LevelState};
+use eul3d::solver::shared::SharedExecutor;
+use eul3d::solver::{
+    fnv1a_128, MultigridSolver, PhaseCounters, Scheme, SerialExecutor, SingleGridSolver,
+    SolverConfig, Strategy,
+};
 
 fn spec() -> BumpSpec {
     BumpSpec {
@@ -315,4 +324,109 @@ fn oversubscribed_team_gives_the_two_member_history() {
     };
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     assert_eq!(history(4 * cores), history(2));
+}
+
+/// The workspace's FNV-1a over the bit patterns of a residual history.
+fn history_fnv(history: &[f64]) -> u128 {
+    let bytes: Vec<u8> = history
+        .iter()
+        .flat_map(|r| r.to_bits().to_le_bytes())
+        .collect();
+    fnv1a_128(&bytes)
+}
+
+#[test]
+fn gathered_neighbour_sums_keep_the_edge_loop_histories() {
+    // 10 W-cycles on 3 levels at NX=16, serial and on 2 Delta ranks.
+    // Each constant is what the commit *before* the neighbour sums left
+    // the edge-scatter path printed for the same run: the gathers must
+    // not move a bit of either history, for either scheme.
+    let spec = BumpSpec {
+        nx: 16,
+        ny: 6,
+        nz: 5,
+        jitter: 0.1,
+        seed: 19,
+        ..BumpSpec::default()
+    };
+    for (scheme, serial_fnv, delta_fnv) in [
+        (Scheme::CentralJst, SERIAL_JST_FNV, DELTA_JST_FNV),
+        (Scheme::RoeUpwind, SERIAL_ROE_FNV, DELTA_ROE_FNV),
+    ] {
+        let cfg = SolverConfig {
+            mach: 0.55,
+            scheme,
+            ..SolverConfig::default()
+        };
+        let seq = || MeshSequence::bump_sequence(&spec, 3);
+        let hs = MultigridSolver::new(seq(), cfg, Strategy::WCycle).solve(10);
+        assert!(hs.iter().all(|r| r.is_finite()), "{scheme:?}: {hs:?}");
+        assert_eq!(
+            history_fnv(&hs),
+            serial_fnv,
+            "{scheme:?} serial: {:#034x}",
+            history_fnv(&hs)
+        );
+        let setup = DistSetup::new(seq(), 2, 25, 11);
+        let dist = run_distributed(&setup, cfg, Strategy::WCycle, 10, DistOptions::default());
+        assert_eq!(
+            history_fnv(dist.history()),
+            delta_fnv,
+            "{scheme:?} delta: {:#034x}",
+            history_fnv(dist.history())
+        );
+    }
+}
+
+const SERIAL_JST_FNV: u128 = 0xfceb_aed0_9cdd_ae47_ac32_983a_e1e4_24a6;
+const DELTA_JST_FNV: u128 = 0xa958_8c52_8a97_50fe_d611_8b3c_aa53_87b2;
+const SERIAL_ROE_FNV: u128 = 0xf12d_88ad_c853_7dfb_2ce8_be6f_434c_1c02;
+const DELTA_ROE_FNV: u128 = 0x1251_42a4_7130_a139_3e3a_3e7b_6138_77d6;
+
+#[test]
+fn shared_neighbour_sums_are_the_serial_bits() {
+    // A gather writes each slot from one member, in row order: no
+    // colouring, no accumulation-order freedom. `smooth_residual` and
+    // JST pass 1 under the team are therefore the serial bits for any
+    // member count (pass 2 still scatters by colour, so `diss` and the
+    // whole step keep their round-off tolerance).
+    let mesh = MeshSequence::bump_sequence(&spec(), 1).meshes.remove(0);
+    let cfg = SolverConfig {
+        mach: 0.55,
+        ..SolverConfig::default()
+    };
+    // A developed, non-uniform state with a residual in place.
+    let mut start = LevelState::new(&mesh, &cfg);
+    let mut c = PhaseCounters::default();
+    for _ in 0..2 {
+        time_step(&mesh, &mut start, &cfg, false, &mut SerialExecutor, &mut c);
+    }
+    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+    let run = |exec: &mut dyn FnMut(&mut LevelState, &mut PhaseCounters)| {
+        let mut st = start.clone();
+        exec(&mut st, &mut PhaseCounters::default());
+        (
+            bits(st.res.flat()),
+            bits(st.lapl.flat()),
+            bits(st.sens.flat()),
+            st.diss,
+        )
+    };
+    let serial = run(&mut |st, c| {
+        eval_dissipation(&mesh, st, &cfg, false, &mut SerialExecutor, c);
+        smooth_residual(&mesh, st, &cfg, &mut SerialExecutor, c);
+    });
+    assert!(serial.0.iter().any(|&b| b != 0) && serial.1.iter().any(|&b| b != 0));
+    for ncpus in [1, 2, 3] {
+        let mut exec = SharedExecutor::new(&mesh, ncpus).expect("valid colouring");
+        let shared = run(&mut |st, c| {
+            eval_dissipation(&mesh, st, &cfg, false, &mut exec, c);
+            smooth_residual(&mesh, st, &cfg, &mut exec, c);
+        });
+        assert_eq!(shared.0, serial.0, "res, {ncpus} members");
+        assert_eq!(shared.1, serial.1, "lapl, {ncpus} members");
+        assert_eq!(shared.2, serial.2, "sens, {ncpus} members");
+        let d = max_dev(shared.3.flat(), serial.3.flat());
+        assert!(d < 1e-11, "diss, {ncpus} members: {d:.3e}");
+    }
 }
