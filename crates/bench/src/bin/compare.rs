@@ -36,7 +36,7 @@ fn main() {
     let mut w_comparison = None;
     let mut w_phases = None;
     for strategy in [Strategy::SingleGrid, Strategy::VCycle, Strategy::WCycle] {
-        // Shared-memory side: the real coloured executor's work through
+        // Shared-memory side: the real shared executor's work through
         // the C90 model (launches = colour-group loop starts).
         let mut mg = MultigridSolver::new_shared(case.sequence(), cfg, strategy, 2)
             .expect("edge colourings must validate");

@@ -3,9 +3,9 @@
 //! seconds, MFlops.
 //!
 //! The decomposition is real: the run below executes the actual solver
-//! (and the coloured shared-memory executor that embodies the §3.1
-//! autotasking decomposition), counting operations and colour-group loop
-//! launches. The C90 machine model prices that measured work at
+//! (on the shared-memory executor, which validates the §3.1 colouring
+//! and charges every edge loop as that autotasking decomposition),
+//! counting operations and colour-group loop launches. The C90 machine model prices that measured work at
 //! calibrated 1992 rates twice:
 //!
 //! * **at measured scale** — our CI-size mesh as-is (short vectors, so
@@ -78,11 +78,11 @@ fn main() {
         let fine_edges = seq.meshes[0].nedges();
         let ncolors = eul3d_core::shared::SharedExecutor::new(&seq.meshes[0], 2)
             .expect("edge colouring must validate")
-            .coloring
-            .ncolors();
+            .ncolors;
 
-        // Run the real coloured/rayon multigrid (§3.2): launch counts come
-        // straight from the executor (one launch per colour group).
+        // Run the real shared-memory multigrid (§3.2): launch counts come
+        // straight from the executor, which charges the paper's coloured
+        // sweep (one launch per colour group).
         let mut mg = MultigridSolver::new_shared(seq, cfg, strategy, 2)
             .expect("edge colourings must validate");
         let t0 = std::time::Instant::now();

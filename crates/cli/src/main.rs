@@ -43,7 +43,7 @@
 //! per lane), and `--trace-top N` (summary rows).
 //!
 //! `solve --threads N` runs any strategy (and `--fmg`, `--guard`)
-//! through the coloured shared-memory executor on `N` workers.
+//! through the shared-memory executor on a team of `N` threads.
 //!
 //! `--backend hybrid` runs the distributed solve with ranks as real OS
 //! threads exchanging halos through shared-memory windows (`--threads N`

@@ -4,6 +4,7 @@
 use eul3d_mesh::{BcKind, BoundaryFace, Vec3};
 
 use crate::counters::{FlopCounter, FLOPS_FARFIELD_FACE, FLOPS_WALL_FACE};
+use crate::executor::{EdgeSpan, ScatterAccess};
 use crate::gas::{flux_dot, sound_speed, Freestream, NVAR};
 use crate::soa::SoaState;
 
@@ -56,40 +57,50 @@ pub fn farfield_state(gamma: f64, wi: &[f64; 5], pi: f64, fs: &Freestream, n: Ve
     ]
 }
 
-/// Accumulate boundary-face fluxes into the plane-major convective
-/// residual `q`.
+/// Accumulate the boundary-face fluxes of the faces in `span` into the
+/// plane-major convective residual (target 0 of `q`, `5n`), at the face
+/// vertices `q` owns.
 ///
 /// Slip walls and symmetry planes contribute pure pressure flux using
 /// each vertex's own pressure through its third of the face normal;
 /// far-field faces solve the characteristic state from the face-averaged
 /// interior state and push the resulting flux through `S/3` per vertex.
-/// Faces are processed in array order, which fixes the per-vertex
-/// accumulation order and therefore every bit of the result.
-pub fn boundary_residual_soa(
+/// Faces are processed in ascending order, which fixes the per-vertex
+/// accumulation order and therefore every bit of the result — for one
+/// span over all faces and for per-owner spans alike.
+///
+/// # Safety
+/// `span` ids index `bfaces`, every face vertex is `< w.n()`, target 0
+/// of `q` holds `5 * w.n()` slots, and no concurrently running call
+/// owns the same vertex (the [`ScatterAccess`] conflict contract).
+pub unsafe fn boundary_residual_soa(
+    span: &EdgeSpan<'_>,
     bfaces: &[BoundaryFace],
     w: &SoaState,
     p: &[f64],
     fs: &Freestream,
     gamma: f64,
-    q: &mut SoaState,
-    counter: &mut FlopCounter,
+    q: &ScatterAccess,
 ) {
-    let mut nwall = 0usize;
-    let mut nfar = 0usize;
-    for face in bfaces {
+    let n = w.n();
+    debug_assert!(q.len_of(0) >= NVAR * n);
+    span.for_each(|i| {
+        let face = &bfaces[i];
         match face.kind {
             BcKind::Wall | BcKind::Symmetry => {
-                nwall += 1;
                 let third = face.normal / 3.0;
-                for &v in &face.v {
-                    let v = v as usize;
-                    q.add(v, 1, p[v] * third.x);
-                    q.add(v, 2, p[v] * third.y);
-                    q.add(v, 3, p[v] * third.z);
+                for v in face.v.map(|v| v as usize) {
+                    if q.owns(v) {
+                        // SAFETY: `v < n` and owned (caller contract).
+                        unsafe {
+                            q.add(0, n + v, p[v] * third.x);
+                            q.add(0, 2 * n + v, p[v] * third.y);
+                            q.add(0, 3 * n + v, p[v] * third.z);
+                        }
+                    }
                 }
             }
             BcKind::FarField => {
-                nfar += 1;
                 // Face-averaged interior state.
                 let mut wf = [0.0; NVAR];
                 for &v in &face.v {
@@ -101,19 +112,35 @@ pub fn boundary_residual_soa(
                 let pf = crate::gas::pressure(gamma, &wf);
                 let n_unit = match face.normal.normalized() {
                     Some(n) => n,
-                    None => continue, // degenerate sliver face: no area, no flux
+                    None => return, // degenerate sliver face: no area, no flux
                 };
                 let wb = farfield_state(gamma, &wf, pf, fs, n_unit);
                 let pb = crate::gas::pressure(gamma, &wb);
                 let f = flux_dot(&wb, pb, face.normal / 3.0);
-                for &v in &face.v {
-                    for (c, &fc) in f.iter().enumerate() {
-                        q.add(v as usize, c, fc);
+                for v in face.v.map(|v| v as usize) {
+                    if q.owns(v) {
+                        for (c, &fc) in f.iter().enumerate() {
+                            // SAFETY: `v < n` and owned (caller contract).
+                            unsafe { q.add(0, c * n + v, fc) }
+                        }
                     }
                 }
             }
         }
-    }
+    });
+}
+
+/// `bfaces` by kind, `(wall or symmetry, far field)`: what one pass of
+/// [`boundary_residual_soa`] over them is charged
+/// ([`charge_boundary_faces`]). Taken once per level, not per pass.
+pub fn boundary_face_counts(bfaces: &[BoundaryFace]) -> (usize, usize) {
+    let nfar = bfaces.iter().filter(|f| f.kind == BcKind::FarField).count();
+    (bfaces.len() - nfar, nfar)
+}
+
+/// Charge one pass over a level's boundary faces to `counter`: one
+/// launch per face kind present.
+pub fn charge_boundary_faces((nwall, nfar): (usize, usize), counter: &mut FlopCounter) {
     if nwall > 0 {
         counter.add(nwall, FLOPS_WALL_FACE);
     }
@@ -196,8 +223,10 @@ mod tests {
                 )
             }
         });
-        let mut counter = FlopCounter::default();
-        boundary_residual_soa(&m.bfaces, &w, &p, &fs, GAMMA, &mut q, &mut counter);
+        SerialExecutor.for_face_spans(m.bfaces.len(), &mut [q.flat_mut()], |span, s| {
+            // SAFETY: single-threaded; arrays sized by the mesh.
+            unsafe { boundary_residual_soa(span, &m.bfaces, &w, &p, &fs, GAMMA, s) }
+        });
         let max = q.flat().iter().fold(0.0f64, |m, &x| m.max(x.abs()));
         assert!(
             max < 1e-11,
@@ -218,8 +247,14 @@ mod tests {
             kind: BcKind::Wall,
         };
         let mut q = SoaState::new(3, NVAR);
+        SerialExecutor.for_face_spans(1, &mut [q.flat_mut()], |span, s| {
+            // SAFETY: single-threaded; three vertices, 5 planes of 3.
+            unsafe { boundary_residual_soa(span, &[face], &w, &p, &fs, GAMMA, s) }
+        });
         let mut counter = FlopCounter::default();
-        boundary_residual_soa(&[face], &w, &p, &fs, GAMMA, &mut q, &mut counter);
+        assert_eq!(boundary_face_counts(&[face]), (1, 0));
+        charge_boundary_faces((1, 0), &mut counter);
+        assert_eq!((counter.flops, counter.launches), (FLOPS_WALL_FACE, 1));
         for v in 0..3 {
             assert_eq!(q.get(v, 0), 0.0, "no mass through a wall");
             assert_eq!(q.get(v, 4), 0.0, "no energy through a wall");

@@ -49,11 +49,6 @@ pub struct SolverConfig {
     /// `1..=eul3d_kernels::MAX_LANES` at use sites). Any value produces
     /// bit-identical results; this only tunes vectorization.
     pub lanes: usize,
-    /// Sort edge ids inside every colour group by ascending endpoints
-    /// (gather locality) on the shared-memory path. Off by default; the
-    /// pass is bit-identical because within a colour group the edge
-    /// endpoints are disjoint.
-    pub edge_reorder: bool,
 }
 
 impl Default for SolverConfig {
@@ -72,7 +67,6 @@ impl Default for SolverConfig {
             scheme: Scheme::CentralJst,
             rk_alpha: [0.25, 1.0 / 6.0, 0.375, 0.5, 1.0],
             lanes: eul3d_kernels::DEFAULT_LANES,
-            edge_reorder: false,
         }
     }
 }

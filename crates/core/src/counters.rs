@@ -43,9 +43,10 @@ pub const FLOPS_GUARD_VERT: f64 = 12.0;
 
 /// Accumulates flops and parallel-loop launches for one executor.
 ///
-/// `launches` counts vectorizable loop invocations (per colour group on
-/// the shared-memory path), which the Cray model charges a start-up cost
-/// for.
+/// `launches` counts vectorizable loop invocations (on the
+/// shared-memory path an edge loop is charged one per colour group, the
+/// sweep the paper's C90 ran), which the Cray model charges a start-up
+/// cost for.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FlopCounter {
     pub flops: f64,

@@ -8,9 +8,11 @@
 //! generic over an [`Executor`] that provides the four capabilities the
 //! kernels actually need:
 //!
-//! * [`Executor::for_edge_spans`] — a conflict-managed edge loop handing
-//!   each kernel invocation an [`EdgeSpan`] (a contiguous range, or one
-//!   colour-group slice) plus scatter-add access to per-vertex planes;
+//! * [`Executor::for_edge_spans`] — an ownership-managed edge loop
+//!   handing each kernel invocation an [`EdgeSpan`] (a contiguous range,
+//!   or the list of edges touching one owner's vertex block) plus
+//!   scatter-add access to the per-vertex planes it owns
+//!   ([`Executor::for_face_spans`]: the same for boundary faces);
 //! * [`Executor::for_vertex_spans`] — an owned-index-range vertex map
 //!   over plane-major targets;
 //! * [`Executor::exchange_halo`] — ghost coherence (a no-op in a single
@@ -19,8 +21,9 @@
 //!
 //! Backends:
 //! * [`SerialExecutor`] — plain loops (the sequential reference);
-//! * [`crate::shared::SharedExecutor`] — §3 edge-coloured groups
-//!   walked by a resident rayon team (the Cray autotasking analogue);
+//! * [`crate::shared::SharedExecutor`] — a resident rayon team over
+//!   block ownership, charged as the §3 edge-coloured sweep the Cray
+//!   autotasking model prices;
 //! * [`crate::dist::DistExecutor`] — §4 PARTI schedules, one instance
 //!   per rank, over whichever halo transport the rank carries: channel
 //!   mailboxes on the simulated Delta, or shared-memory windows with
@@ -167,8 +170,8 @@ pub trait Executor {
     }
 
     /// Parallel-loop launches one edge loop costs (the Cray model charges
-    /// a start-up per launch). 1 except on the coloured shared path,
-    /// where each colour group is a separate launch.
+    /// a start-up per launch). 1 except on the shared path, which
+    /// charges the paper's coloured sweep: one launch per colour group.
     fn edge_launches(&self) -> u64 {
         1
     }
@@ -177,17 +180,35 @@ pub trait Executor {
     /// refetch before every loop (the §4.3 ablation). Default: no-op.
     fn refetch(&mut self, _w: &mut SoaState, _counters: &mut PhaseCounters) {}
 
-    /// Conflict-managed edge loop over [`EdgeSpan`]s: call
-    /// `f(span, scatter)` for one or more spans that together cover
-    /// `0..nedges` exactly once. The serial and distributed backends
-    /// hand `f` a single contiguous [`EdgeSpan::Range`]; the coloured
-    /// shared backend hands one [`EdgeSpan::Ids`] sub-slice per worker
-    /// per colour group (disjoint endpoints within a group). `f`
-    /// accumulates into `targets` through the [`ScatterAccess`] and must
-    /// write only endpoint data of the edges in its span.
+    /// Ownership-managed edge loop over [`EdgeSpan`]s: call
+    /// `f(span, scatter)` for one or more spans such that every endpoint
+    /// of every edge in `0..nedges` is written by exactly one call — the
+    /// call whose [`ScatterAccess`] owns it. The serial and distributed
+    /// backends hand `f` a single contiguous [`EdgeSpan::Range`] and a
+    /// view that owns everything; the shared backend hands each member
+    /// the ascending [`EdgeSpan::Ids`] of the edges touching its vertex
+    /// block and a view restricted to that block (an edge cut by a
+    /// block boundary is in both neighbours' lists). `f` accumulates
+    /// into `targets` through the ownership-tested epilogue of the
+    /// [`eul3d_kernels`] edge kernels and must write nothing else.
     fn for_edge_spans<F>(&mut self, nedges: usize, targets: &mut [&mut [f64]], f: F)
     where
         F: Fn(&EdgeSpan<'_>, &ScatterAccess) + Sync;
+
+    /// Boundary-face loop: call `f(span, scatter)` for one or more face
+    /// spans such that every vertex of every face in `0..nfaces` is
+    /// written by exactly one call — the call whose [`ScatterAccess`]
+    /// owns it. Default: one span owning everything (serial,
+    /// distributed). The shared backend hands each member the ascending
+    /// list of faces touching its vertex block; `f` must test
+    /// [`ScatterAccess::owns`] per face vertex.
+    fn for_face_spans<F>(&mut self, nfaces: usize, targets: &mut [&mut [f64]], f: F)
+    where
+        F: Fn(&EdgeSpan<'_>, &ScatterAccess) + Sync,
+    {
+        let access = ScatterAccess::new(targets);
+        f(&EdgeSpan::Range(0..nfaces), &access);
+    }
 
     /// Vertex map over owned index ranges: call `f(range, scatter)` for
     /// one or more disjoint sub-ranges that together cover `0..nverts`

@@ -4,7 +4,7 @@
 //! residuals and corrections move between neighbouring levels.
 //!
 //! Three hierarchies drive it: the paper's sequence of unrelated meshes
-//! ([`crate::multigrid::MultigridSolver`], serial or coloured-shared),
+//! ([`crate::multigrid::MultigridSolver`], serial or shared),
 //! agglomerated coarse levels ([`crate::agglo::AggloMultigrid`]), and
 //! one rank's share of a partitioned sequence
 //! ([`crate::dist::DistSolver`]). Everything else — the γ recursion, the

@@ -185,7 +185,13 @@ fn render_vtk(
     let mut buf = Vec::new();
     write_vtk(&mut buf, mesh, &[("mach", &mach)])
         .map_err(|e| config_err(&format!("vtk export failed: {e}")))?;
-    String::from_utf8(buf).map_err(|_| config_err("vtk export produced non-UTF-8 output"))
+    let mut vtk =
+        String::from_utf8(buf).map_err(|_| config_err("vtk export produced non-UTF-8 output"))?;
+    // The text outlives the job in the service's result cache: give the
+    // buffer's growth slack (up to as much again as the text) back now.
+    // Kept, it was the whole run-to-run swing of the service's peak RSS.
+    vtk.shrink_to_fit();
+    Ok(vtk)
 }
 
 /// Run one job to completion on the calling thread.
@@ -497,6 +503,8 @@ mod tests {
         assert_eq!(seen.len(), 4);
         assert_eq!(seen[2].1, a.history[2].to_owned());
         assert!(a.table.contains("state_fnv128"));
+        // A cached result must not pin its render buffer's growth slack.
+        assert_eq!(a.vtk.capacity(), a.vtk.len());
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //!
 //! Every routine here is written once, generic over an
 //! [`Executor`](crate::executor::Executor): the sequential reference, the
-//! coloured shared-memory path and the PARTI distributed path all run
-//! this exact code, differing only in how the edge loops are scheduled
-//! and how ghost data is kept coherent. This is the paper's central
+//! shared-memory team and the PARTI distributed path all run this exact
+//! code, differing only in how the edge loops are scheduled and how
+//! ghost data is kept coherent. This is the paper's central
 //! architectural claim, made literal.
 //!
 //! The hot per-vertex fields live in plane-major [`SoaState`] arrays and
@@ -27,12 +27,12 @@ use eul3d_mesh::topology::vertex_vertex_adjacency;
 use eul3d_mesh::{BoundaryFace, Csr, TetMesh, Vec3};
 use eul3d_partition::RankMesh;
 
-use crate::boundary::boundary_residual_soa;
+use crate::boundary::{boundary_face_counts, boundary_residual_soa, charge_boundary_faces};
 use crate::config::SolverConfig;
 use crate::counters::{
-    FlopCounter, PhaseCounters, FLOPS_ASSEMBLE_VERT, FLOPS_CONV_EDGE, FLOPS_DISS_FO_EDGE,
-    FLOPS_DISS_P1_EDGE, FLOPS_DISS_P2_EDGE, FLOPS_DISS_ROE_EDGE, FLOPS_DT_VERT,
-    FLOPS_PRESSURE_VERT, FLOPS_RADII_EDGE, FLOPS_SMOOTH_EDGE, FLOPS_SMOOTH_VERT, FLOPS_UPDATE_VERT,
+    PhaseCounters, FLOPS_ASSEMBLE_VERT, FLOPS_CONV_EDGE, FLOPS_DISS_FO_EDGE, FLOPS_DISS_P1_EDGE,
+    FLOPS_DISS_P2_EDGE, FLOPS_DISS_ROE_EDGE, FLOPS_DT_VERT, FLOPS_PRESSURE_VERT, FLOPS_RADII_EDGE,
+    FLOPS_SMOOTH_EDGE, FLOPS_SMOOTH_VERT, FLOPS_UPDATE_VERT,
 };
 use crate::executor::{
     count_edge_loop, count_vertex_loop, count_vertex_loop_with, Executor, HaloOp, Phase,
@@ -135,6 +135,9 @@ pub struct LevelState {
     /// rows in ascending local-edge order: what the two neighbour-sum
     /// loops (residual averaging, JST pass 1) gather through.
     pub adj: Csr,
+    /// The level's boundary faces by kind, `(wall or symmetry, far
+    /// field)`: what one boundary-flux pass is charged.
+    pub bface_counts: (usize, usize),
     /// Multigrid forcing function `P` (5 planes); zero on the finest
     /// level.
     pub forcing: SoaState,
@@ -168,6 +171,7 @@ impl LevelState {
             dt: vec![0.0; n],
             deg: degrees_from_edges(mesh.grid_edges(), n),
             adj: vertex_vertex_adjacency(n, mesh.grid_edges()),
+            bface_counts: boundary_face_counts(mesh.grid_bfaces()),
             forcing: SoaState::new(n, NVAR),
             w_ref: SoaState::new(n, NVAR),
             corr: SoaState::new(n, NVAR),
@@ -486,9 +490,10 @@ fn eval_dissipation_begin<G: SolverGrid + ?Sized, E: Executor + ?Sized>(
 }
 
 /// Evaluate the convective operator into `st.q` (fresh), including
-/// boundary fluxes. Boundary faces run sequentially within each
-/// participant: each face is computed by exactly one rank, so the
-/// rank-summed face counts still match the serial reference.
+/// boundary fluxes. Boundary faces follow the edge sweep under the same
+/// ownership rule; each face is *charged* once (by exactly one rank on
+/// the distributed path), so the rank-summed face counts still match
+/// the serial reference.
 pub fn eval_convection<G: SolverGrid + ?Sized, E: Executor + ?Sized>(
     mesh: &G,
     st: &mut LevelState,
@@ -534,17 +539,16 @@ fn eval_convection_inner<G: SolverGrid + ?Sized, E: Executor + ?Sized>(
     );
 
     let fs = cfg.freestream();
-    let mut scratch = FlopCounter::default();
-    boundary_residual_soa(
-        mesh.grid_bfaces(),
-        &st.w,
-        &st.p,
-        &fs,
-        cfg.gamma,
-        &mut st.q,
-        &mut scratch,
-    );
-    counters.phase(Phase::Boundary).merge(&scratch);
+    let bfaces = mesh.grid_bfaces();
+    {
+        let (w, p, gamma) = (&st.w, &st.p, cfg.gamma);
+        exec.for_face_spans(bfaces.len(), &mut [st.q.flat_mut()], |span, s| {
+            // SAFETY: owned face vertices only (executor conflict
+            // contract); faces and planes sized by the level layout.
+            unsafe { boundary_residual_soa(span, bfaces, w, p, &fs, gamma, s) }
+        });
+    }
+    charge_boundary_faces(st.bface_counts, counters.phase(Phase::Boundary));
 
     if finish_diss {
         finish_dissipation_scatter(st, exec, counters);
@@ -706,18 +710,18 @@ pub fn time_step<G: SolverGrid + ?Sized, E: Executor + ?Sized>(
                 });
             }
             count_edge_loop(counters, Phase::Radii, exec, edges.len(), FLOPS_RADII_EDGE);
+            let bfaces = mesh.grid_bfaces();
             {
-                let mut scratch = FlopCounter::default();
-                radii_bfaces_soa(
-                    mesh.grid_bfaces(),
-                    &st.w,
-                    &st.p,
-                    gamma,
-                    &mut st.lam,
-                    &mut scratch,
-                );
-                counters.phase(Phase::Radii).merge(&scratch);
+                let (w, p) = (&st.w, &st.p);
+                exec.for_face_spans(bfaces.len(), &mut [&mut st.lam[..]], |span, s| {
+                    // SAFETY: owned face vertices only (executor
+                    // conflict contract).
+                    unsafe { radii_bfaces_soa(span, bfaces, w, p, gamma, s) }
+                });
             }
+            counters
+                .phase(Phase::Radii)
+                .add(bfaces.len(), FLOPS_RADII_EDGE);
             exec.exchange_halo(Phase::Radii, HaloOp::ScatterAdd, &mut st.lam, 1, counters);
             {
                 let vol = mesh.grid_vol();

@@ -11,9 +11,9 @@
 //! * [`solver::SingleGridSolver`] / [`multigrid::MultigridSolver::new`] —
 //!   the sequential reference implementation;
 //! * [`multigrid::MultigridSolver::new_shared`] over [`shared`] — the
-//!   shared-memory path of §3: edge-coloured groups work-shared across
-//!   threads (rayon), the analogue of Cray autotasking over colour
-//!   subgroups;
+//!   shared-memory path: a resident team (rayon) in which each member
+//!   owns a block of the vertices, charged to the machine model as the
+//!   §3 edge-coloured sweep Cray autotasking ran;
 //! * [`dist`] — the distributed-memory path of §4: each rank runs the
 //!   same cycle on its partition with PARTI gather/scatter keeping ghost
 //!   data coherent, on the simulated Delta machine.

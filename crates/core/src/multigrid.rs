@@ -71,8 +71,8 @@ pub struct MultigridSolver {
     /// When set, every cycle appends its event schedule here.
     pub record_events: bool,
     pub events: Vec<CycleEvent>,
-    /// When present, time steps run through the coloured shared-memory
-    /// executors (one per level) — the paper's actual C90 configuration,
+    /// When present, time steps run through the shared-memory executors
+    /// (one per level) — the paper's actual C90 configuration,
     /// which ran the full multigrid cycle under autotasking (§3.2).
     shared: Option<Vec<SharedExecutor>>,
 }
@@ -96,10 +96,9 @@ impl MultigridSolver {
         }
     }
 
-    /// Multigrid with every level's edge loops executed through the
-    /// coloured shared-memory path on `ncpus` workers (with
-    /// `cfg.edge_reorder`, each colour group sorted for gather locality).
-    /// Fails if any level's edge colouring does not validate.
+    /// Multigrid with every level's loops executed through the
+    /// shared-memory path on a team of `ncpus` members. Fails if any
+    /// level's edge colouring does not validate.
     pub fn new_shared(
         seq: MeshSequence,
         cfg: SolverConfig,
@@ -112,13 +111,7 @@ impl MultigridSolver {
         let execs = seq
             .meshes
             .iter()
-            .map(|m| {
-                let mut exec = SharedExecutor::with_team(m, color_edges(m), team.clone())?;
-                if cfg.edge_reorder {
-                    exec.reorder_within_colors(&m.edges);
-                }
-                Ok(exec)
-            })
+            .map(|m| SharedExecutor::with_team(m, color_edges(m), team.clone()))
             .collect::<Result<Vec<_>, String>>()?;
         let mut mg = MultigridSolver::new(seq, cfg, strategy);
         mg.shared = Some(execs);
@@ -499,8 +492,8 @@ mod tests {
     #[test]
     fn shared_multigrid_matches_serial_multigrid() {
         // The paper's C90 configuration: the whole W-cycle under the
-        // coloured executor. Must agree with the serial recursion to
-        // accumulation-order round-off.
+        // team. Block ownership keeps every accumulation order, so it
+        // is the serial recursion bit for bit.
         let cfg = SolverConfig {
             mach: 0.5,
             ..SolverConfig::default()
@@ -511,63 +504,13 @@ mod tests {
             MultigridSolver::new_shared(bump_seq(3), cfg, Strategy::WCycle, 3).unwrap();
         let hp = shared.solve(4);
         for (a, b) in hs.iter().zip(&hp) {
-            assert!(
-                (a - b).abs() < 1e-9 * a.max(1e-30),
-                "residual histories diverge: {a} vs {b}"
-            );
+            assert_eq!(a.to_bits(), b.to_bits(), "residual histories: {a} vs {b}");
         }
-        let mut max = 0.0f64;
         for (x, y) in serial.state().flat().iter().zip(shared.state().flat()) {
-            max = max.max((x - y).abs());
+            assert_eq!(x.to_bits(), y.to_bits(), "states diverge");
         }
-        assert!(max < 1e-9, "states diverge: {max:.3e}");
         // Flop accounting is backend-independent: identical, not close.
         assert_eq!(serial.counter.flops(), shared.counter.flops());
-    }
-
-    #[test]
-    fn edge_reorder_keeps_every_level_valid_and_the_history() {
-        // The within-colour locality sort permutes edges inside groups
-        // whose endpoints are disjoint: the colouring must stay valid on
-        // every level and the answer must not move.
-        let cfg = SolverConfig {
-            mach: 0.5,
-            ..SolverConfig::default()
-        };
-        let sorted_cfg = SolverConfig {
-            edge_reorder: true,
-            ..cfg
-        };
-        // Generated meshes list their edges in endpoint order already;
-        // shuffle them so the sort has something to do.
-        let shuffled_seq = || {
-            let mut seq = bump_seq(3);
-            for m in &mut seq.meshes {
-                eul3d_partition::reorder::shuffle_edges(m, 5);
-            }
-            seq
-        };
-        let mut plain =
-            MultigridSolver::new_shared(shuffled_seq(), cfg, Strategy::WCycle, 3).unwrap();
-        let mut sorted =
-            MultigridSolver::new_shared(shuffled_seq(), sorted_cfg, Strategy::WCycle, 3).unwrap();
-        let (plain_execs, sorted_execs) = (
-            plain.shared.as_ref().unwrap(),
-            sorted.shared.as_ref().unwrap(),
-        );
-        assert!(
-            plain_execs
-                .iter()
-                .zip(sorted_execs)
-                .any(|(a, b)| a.coloring.groups != b.coloring.groups),
-            "the flag must reach the executors"
-        );
-        for (mesh, exec) in sorted.seq.meshes.iter().zip(sorted_execs) {
-            eul3d_partition::validate_coloring(mesh, &exec.coloring).expect("still a colouring");
-        }
-        for (a, b) in plain.solve(4).iter().zip(&sorted.solve(4)) {
-            assert!((a - b).abs() < 1e-9 * a.max(1e-30), "{a} vs {b}");
-        }
     }
 
     #[test]

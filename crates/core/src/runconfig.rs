@@ -388,7 +388,6 @@ impl RunConfig {
         let rk: Vec<String> = s.rk_alpha.iter().map(|&a| toml_f64(a)).collect();
         out.push_str(&format!("rk_alpha = [{}]\n", rk.join(", ")));
         out.push_str(&format!("lanes = {}\n", s.lanes));
-        out.push_str(&format!("edge_reorder = {}\n", s.edge_reorder));
 
         out.push_str("\n[run]\n");
         out.push_str(&format!(
@@ -664,7 +663,11 @@ fn apply_entry(
         }
         ("solver", "rk_alpha") => rc.solver.rk_alpha = toml_f64_array(val, line)?,
         ("solver", "lanes") => rc.solver.lanes = toml_num(val, line)?,
-        ("solver", "edge_reorder") => rc.solver.edge_reorder = toml_bool(val, line)?,
+        // Removed with the coloured sweep it tuned; run files and job
+        // journals written by earlier builds still carry the line.
+        ("solver", "edge_reorder") => {
+            toml_bool(val, line)?;
+        }
         ("run", "strategy") => {
             let name = toml_str(val, line)?;
             rc.strategy = parse_strategy(&name).ok_or_else(|| {
@@ -784,20 +787,27 @@ mod tests {
             assert!(err.to_string().contains("solver.lanes"), "{bad}: {err}");
         }
         for good in [1usize, 4, eul3d_kernels::MAX_LANES] {
-            let rc = with_solver(|s| (s.lanes, s.edge_reorder) = (good, true));
+            let rc = with_solver(|s| s.lanes = good);
             rc.validate().unwrap();
             assert_eq!(rc.solver.lanes, good);
-            assert!(rc.solver.edge_reorder);
         }
     }
 
     #[test]
-    fn lanes_and_reorder_survive_the_toml_codec() {
-        let rc = with_solver(|s| (s.lanes, s.edge_reorder) = (4, true));
+    fn lanes_survive_the_toml_codec_and_a_retired_key_still_reads() {
+        let rc = with_solver(|s| s.lanes = 4);
         rc.validate().unwrap();
         let back = RunConfig::from_toml(&rc.to_toml()).unwrap();
         assert_eq!(back.solver.lanes, 4);
-        assert!(back.solver.edge_reorder);
+        // `edge_reorder` went with the coloured sweep: no longer
+        // written, still accepted (earlier builds' journals carry it)
+        // and without effect on the configuration's identity.
+        assert!(!rc.to_toml().contains("edge_reorder"));
+        let old = rc
+            .to_toml()
+            .replace("lanes = 4\n", "lanes = 4\nedge_reorder = true\n");
+        assert_eq!(RunConfig::from_toml(&old).unwrap().to_toml(), rc.to_toml());
+        assert!(RunConfig::from_toml("[solver]\nedge_reorder = 3\n").is_err());
         let err = RunConfig::from_toml("[solver]\nlanes = 0\n").unwrap_err();
         assert!(err.to_string().contains("solver.lanes"), "{err}");
     }

@@ -4,28 +4,38 @@
 
 use eul3d_mesh::BoundaryFace;
 
-use crate::counters::{FlopCounter, FLOPS_RADII_EDGE};
+use crate::executor::{EdgeSpan, ScatterAccess};
 use crate::gas::spectral_radius;
 use crate::soa::SoaState;
 
-/// Add the boundary-face contribution (each vertex gets the radius
-/// through its third of the face), reading plane-major state.
-pub fn radii_bfaces_soa(
+/// Add the boundary-face contribution of the faces in `span` (each
+/// vertex gets the radius through its third of the face) into target 0
+/// of `lam` (`n`), at the face vertices `lam` owns, reading plane-major
+/// state. The caller charges `bfaces.len() × FLOPS_RADII_EDGE`.
+///
+/// # Safety
+/// `span` ids index `bfaces`, every face vertex is `< w.n()`, target 0
+/// of `lam` holds `w.n()` slots, and no concurrently running call owns
+/// the same vertex (the [`ScatterAccess`] conflict contract).
+pub unsafe fn radii_bfaces_soa(
+    span: &EdgeSpan<'_>,
     bfaces: &[BoundaryFace],
     w: &SoaState,
     p: &[f64],
     gamma: f64,
-    lam: &mut [f64],
-    counter: &mut FlopCounter,
+    lam: &ScatterAccess,
 ) {
-    for face in bfaces {
+    debug_assert!(lam.len_of(0) >= w.n());
+    span.for_each(|i| {
+        let face = &bfaces[i];
         let third = face.normal / 3.0;
-        for &v in &face.v {
-            let v = v as usize;
-            lam[v] += spectral_radius(gamma, &w.get5(v), p[v], third);
+        for v in face.v.map(|v| v as usize) {
+            if lam.owns(v) {
+                // SAFETY: `v < n` and owned (caller contract).
+                unsafe { lam.add(0, v, spectral_radius(gamma, &w.get5(v), p[v], third)) }
+            }
         }
-    }
-    counter.add(bfaces.len(), FLOPS_RADII_EDGE);
+    });
 }
 
 #[cfg(test)]
@@ -61,14 +71,10 @@ mod tests {
                 )
             }
         });
-        radii_bfaces_soa(
-            &m.bfaces,
-            &w,
-            &p,
-            GAMMA,
-            &mut lam,
-            &mut FlopCounter::default(),
-        );
+        SerialExecutor.for_face_spans(m.bfaces.len(), &mut [&mut lam], |span, s| {
+            // SAFETY: single-threaded; arrays sized by the mesh.
+            unsafe { radii_bfaces_soa(span, &m.bfaces, &w, &p, GAMMA, s) }
+        });
         let mut dt = vec![0.0; n];
         SerialExecutor.for_vertex_spans(n, &mut [&mut dt], |r, s| {
             // SAFETY: single-threaded; `vol`, `lam`, `dt` hold n values.

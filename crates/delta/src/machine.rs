@@ -46,8 +46,9 @@ impl<T> MachineRun<T> {
 
 /// Run `body` on `nranks` simulated ranks and wait for completion.
 ///
-/// Hundreds of ranks are fine on a single-core host: threads block on
-/// channel receives, so the scheduler interleaves them; determinism comes
+/// Hundreds of ranks are fine on a single-core host: a receive spins
+/// briefly, yields its time slice and then blocks on the channel, so the
+/// scheduler interleaves them; determinism comes
 /// from fully-addressed receives, not timing. Stacks default to 4 MiB —
 /// rank bodies keep their big arrays on the heap.
 pub fn run_spmd<T, F>(nranks: usize, body: F) -> MachineRun<T>
@@ -185,6 +186,21 @@ mod tests {
         }
         let run2 = run_spmd(16, |r| r.all_reduce_sum(&[r.id as f64, 1.0]));
         assert_eq!(run1.results, run2.results, "bitwise deterministic");
+    }
+
+    #[test]
+    fn oversubscribed_all_reduce_loop_finishes() {
+        // Four ranks per core on the reference host, every one of them
+        // waiting on a mailbox most of the time: a receive that held its
+        // core instead of yielding it would starve the rank it waits for.
+        let run = run_spmd(8, |r| {
+            let mut acc = [r.id as f64, 1.0];
+            for _ in 0..400 {
+                acc = [r.all_reduce_sum(&acc)[0] / 8.0, 1.0];
+            }
+            acc[0]
+        });
+        assert!(run.results.iter().all(|&v| v == 3.5), "{:?}", run.results);
     }
 
     #[test]

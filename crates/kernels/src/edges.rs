@@ -15,6 +15,19 @@
 //! path produce bit-identical results, which the solver's
 //! lane-invariance test asserts.
 //!
+//! # Writes
+//! Every kernel ends in the one epilogue of [`crate::scatter`]
+//! (`Epilogue::add_pair` / `add_sub`): the per-edge result goes to the
+//! endpoints **the view owns** and nowhere else. Each public kernel is
+//! compiled once per ownership mode (`by_ownership!`): the sweep of a
+//! view that owns every vertex is the plain edge loop with no test in
+//! it; the sweep of a restricted view tests each endpoint against the
+//! owner's window. A slot's contributions still arrive in ascending
+//! span order, so a sweep split among owners — each walking the
+//! ascending list of edges touching its block — is bit-identical to
+//! `EdgeSpan::Range(0..nedges)` through an unrestricted view
+//! (`tests/ownership_equivalence.rs`).
+//!
 //! # Safety
 //! All kernels are `unsafe fn`: the caller must guarantee
 //!
@@ -24,13 +37,15 @@
 //! * input planes are at least `nc * n` long (`w`, `lapl`: `5n`; `p`,
 //!   `nu`, `res` scalar reads per their documented widths);
 //! * the scatter targets are sized as documented per kernel;
-//! * the [`ScatterAccess`] disjointness contract holds for the span
-//!   (serial span, or a colour-group slice with disjoint endpoints).
+//! * the [`ScatterAccess`] conflict contract holds: no concurrently
+//!   executing kernel owns a vertex this call's view owns (one serial
+//!   span through an unrestricted view, or per-owner spans through
+//!   views restricted to disjoint blocks).
 
 use eul3d_mesh::Vec3;
 
 use crate::gas::roe_dissipation_flux;
-use crate::scatter::{EdgeSpan, ScatterAccess};
+use crate::scatter::{by_ownership, EdgeSpan, Epilogue, ScatterAccess};
 use crate::{MAX_LANES, NVAR};
 
 /// Drive `chunk` over `span` in chunks of at most `lanes` edge ids.
@@ -74,14 +89,14 @@ pub(crate) mod one {
     /// Module contract of [`super`]; pointers must cover the documented
     /// plane extents.
     #[inline(always)]
-    pub(crate) unsafe fn conv_flux(
+    pub(crate) unsafe fn conv_flux<const M: bool>(
         e: usize,
         edges: &[[u32; 2]],
         coef: &[Vec3],
         wp: *const f64,
         pp: *const f64,
         n: usize,
-        s: &ScatterAccess,
+        s: Epilogue<'_, '_, M>,
     ) {
         unsafe {
             let [a, b] = *edges.get_unchecked(e);
@@ -127,16 +142,7 @@ pub(crate) mod one {
             let f2 = 0.5 * (fa2 + fb2);
             let f3 = 0.5 * (fa3 + fb3);
             let f4 = 0.5 * (fa4 + fb4);
-            s.add(0, a, f0);
-            s.add(0, b, -f0);
-            s.add(0, n + a, f1);
-            s.add(0, n + b, -f1);
-            s.add(0, 2 * n + a, f2);
-            s.add(0, 2 * n + b, -f2);
-            s.add(0, 3 * n + a, f3);
-            s.add(0, 3 * n + b, -f3);
-            s.add(0, 4 * n + a, f4);
-            s.add(0, 4 * n + b, -f4);
+            s.add_sub(0, n, a, b, [f0, f1, f2, f3, f4]);
         }
     }
 
@@ -175,7 +181,7 @@ pub(crate) mod one {
     /// Module contract of [`super`].
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    pub(crate) unsafe fn radii(
+    pub(crate) unsafe fn radii<const M: bool>(
         e: usize,
         edges: &[[u32; 2]],
         coef: &[Vec3],
@@ -183,27 +189,26 @@ pub(crate) mod one {
         wp: *const f64,
         pp: *const f64,
         n: usize,
-        s: &ScatterAccess,
+        s: Epilogue<'_, '_, M>,
     ) {
         unsafe {
             let [a, b] = *edges.get_unchecked(e);
             let (a, b) = (a as usize, b as usize);
             let l = edge_lambda(a, b, *coef.get_unchecked(e), gamma, wp, pp, n);
-            s.add(0, a, l);
-            s.add(0, b, l);
+            s.add_pair(0, n, a, b, [l], [l]);
         }
     }
 
     /// # Safety
     /// Module contract of [`super`].
     #[inline(always)]
-    pub(crate) unsafe fn jst_pass1(
+    pub(crate) unsafe fn jst_pass1<const M: bool>(
         e: usize,
         edges: &[[u32; 2]],
         wp: *const f64,
         pp: *const f64,
         n: usize,
-        s: &ScatterAccess,
+        s: Epilogue<'_, '_, M>,
     ) {
         unsafe {
             let [a, b] = *edges.get_unchecked(e);
@@ -215,20 +220,8 @@ pub(crate) mod one {
             let d4 = *wp.add(4 * n + b) - *wp.add(4 * n + a);
             let dp = *pp.add(b) - *pp.add(a);
             let sp = *pp.add(b) + *pp.add(a);
-            s.add(0, a, d0);
-            s.add(0, b, -d0);
-            s.add(0, n + a, d1);
-            s.add(0, n + b, -d1);
-            s.add(0, 2 * n + a, d2);
-            s.add(0, 2 * n + b, -d2);
-            s.add(0, 3 * n + a, d3);
-            s.add(0, 3 * n + b, -d3);
-            s.add(0, 4 * n + a, d4);
-            s.add(0, 4 * n + b, -d4);
-            s.add(1, a, dp);
-            s.add(1, n + a, sp);
-            s.add(1, b, -dp);
-            s.add(1, n + b, sp);
+            s.add_sub(0, n, a, b, [d0, d1, d2, d3, d4]);
+            s.add_pair(1, n, a, b, [dp, sp], [-dp, sp]);
         }
     }
 
@@ -236,7 +229,7 @@ pub(crate) mod one {
     /// Module contract of [`super`].
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    pub(crate) unsafe fn jst_pass2(
+    pub(crate) unsafe fn jst_pass2<const M: bool>(
         e: usize,
         edges: &[[u32; 2]],
         coef: &[Vec3],
@@ -248,7 +241,7 @@ pub(crate) mod one {
         lp: *const f64,
         np: *const f64,
         n: usize,
-        s: &ScatterAccess,
+        s: Epilogue<'_, '_, M>,
     ) {
         unsafe {
             let [a, b] = *edges.get_unchecked(e);
@@ -269,16 +262,7 @@ pub(crate) mod one {
             let d4 = lam
                 * (eps2 * (*wp.add(4 * n + b) - *wp.add(4 * n + a))
                     - eps4 * (*lp.add(4 * n + b) - *lp.add(4 * n + a)));
-            s.add(0, a, d0);
-            s.add(0, b, -d0);
-            s.add(0, n + a, d1);
-            s.add(0, n + b, -d1);
-            s.add(0, 2 * n + a, d2);
-            s.add(0, 2 * n + b, -d2);
-            s.add(0, 3 * n + a, d3);
-            s.add(0, 3 * n + b, -d3);
-            s.add(0, 4 * n + a, d4);
-            s.add(0, 4 * n + b, -d4);
+            s.add_sub(0, n, a, b, [d0, d1, d2, d3, d4]);
         }
     }
 
@@ -286,7 +270,7 @@ pub(crate) mod one {
     /// Module contract of [`super`].
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    pub(crate) unsafe fn first_order(
+    pub(crate) unsafe fn first_order<const M: bool>(
         e: usize,
         edges: &[[u32; 2]],
         coef: &[Vec3],
@@ -295,7 +279,7 @@ pub(crate) mod one {
         wp: *const f64,
         pp: *const f64,
         n: usize,
-        s: &ScatterAccess,
+        s: Epilogue<'_, '_, M>,
     ) {
         unsafe {
             let [a, b] = *edges.get_unchecked(e);
@@ -306,16 +290,7 @@ pub(crate) mod one {
             let d2 = kl * (*wp.add(2 * n + b) - *wp.add(2 * n + a));
             let d3 = kl * (*wp.add(3 * n + b) - *wp.add(3 * n + a));
             let d4 = kl * (*wp.add(4 * n + b) - *wp.add(4 * n + a));
-            s.add(0, a, d0);
-            s.add(0, b, -d0);
-            s.add(0, n + a, d1);
-            s.add(0, n + b, -d1);
-            s.add(0, 2 * n + a, d2);
-            s.add(0, 2 * n + b, -d2);
-            s.add(0, 3 * n + a, d3);
-            s.add(0, 3 * n + b, -d3);
-            s.add(0, 4 * n + a, d4);
-            s.add(0, 4 * n + b, -d4);
+            s.add_sub(0, n, a, b, [d0, d1, d2, d3, d4]);
         }
     }
 
@@ -327,7 +302,7 @@ pub(crate) mod one {
     /// Module contract of [`super`].
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    pub(crate) unsafe fn roe(
+    pub(crate) unsafe fn roe<const M: bool>(
         e: usize,
         edges: &[[u32; 2]],
         coef: &[Vec3],
@@ -335,7 +310,7 @@ pub(crate) mod one {
         wp: *const f64,
         pp: *const f64,
         n: usize,
-        s: &ScatterAccess,
+        s: Epilogue<'_, '_, M>,
     ) {
         unsafe {
             let [a, b] = *edges.get_unchecked(e);
@@ -362,16 +337,7 @@ pub(crate) mod one {
                 *pp.add(b),
                 *coef.get_unchecked(e),
             );
-            s.add(0, a, d[0]);
-            s.add(0, b, -d[0]);
-            s.add(0, n + a, d[1]);
-            s.add(0, n + b, -d[1]);
-            s.add(0, 2 * n + a, d[2]);
-            s.add(0, 2 * n + b, -d[2]);
-            s.add(0, 3 * n + a, d[3]);
-            s.add(0, 3 * n + b, -d[3]);
-            s.add(0, 4 * n + a, d[4]);
-            s.add(0, 4 * n + b, -d[4]);
+            s.add_sub(0, n, a, b, d);
         }
     }
 }
@@ -394,17 +360,19 @@ pub unsafe fn conv_flux_edges(
 ) {
     debug_assert!(w.len() >= NVAR * n && p.len() >= n && s.len_of(0) >= NVAR * n);
     let (wp, pp) = (w.as_ptr(), p.as_ptr());
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::avx2() {
-        return unsafe { crate::simd::conv_flux_span(span, edges, coef, wp, pp, n, s, lanes) };
-    }
-    unsafe {
-        drive(span, lanes, |ids| {
-            for &e in ids {
-                one::conv_flux(e as usize, edges, coef, wp, pp, n, s);
-            }
-        });
-    }
+    by_ownership!(s => {
+        #[cfg(target_arch = "x86_64")]
+        if crate::simd::avx2() {
+            return unsafe { crate::simd::conv_flux_span(span, edges, coef, wp, pp, n, s, lanes) };
+        }
+        unsafe {
+            drive(span, lanes, |ids| {
+                for &e in ids {
+                    one::conv_flux(e as usize, edges, coef, wp, pp, n, s);
+                }
+            });
+        }
+    })
 }
 
 /// Spectral-radius accumulation `Λ_a += λ_ab`, `Λ_b += λ_ab` into target
@@ -426,17 +394,19 @@ pub unsafe fn radii_edges_soa(
 ) {
     debug_assert!(w.len() >= NVAR * n && p.len() >= n && s.len_of(0) >= n);
     let (wp, pp) = (w.as_ptr(), p.as_ptr());
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::avx2() {
-        return unsafe { crate::simd::radii_span(span, edges, coef, gamma, wp, pp, n, s, lanes) };
-    }
-    unsafe {
-        drive(span, lanes, |ids| {
-            for &e in ids {
-                one::radii(e as usize, edges, coef, gamma, wp, pp, n, s);
-            }
-        });
-    }
+    by_ownership!(s => {
+        #[cfg(target_arch = "x86_64")]
+        if crate::simd::avx2() {
+            return unsafe { crate::simd::radii_span(span, edges, coef, gamma, wp, pp, n, s, lanes) };
+        }
+        unsafe {
+            drive(span, lanes, |ids| {
+                for &e in ids {
+                    one::radii(e as usize, edges, coef, gamma, wp, pp, n, s);
+                }
+            });
+        }
+    })
 }
 
 /// JST pass 1 as an edge scatter: undivided Laplacian of `w` into
@@ -462,17 +432,19 @@ pub unsafe fn jst_pass1_edges(
     debug_assert!(w.len() >= NVAR * n && p.len() >= n);
     debug_assert!(s.len_of(0) >= NVAR * n && s.len_of(1) >= 2 * n);
     let (wp, pp) = (w.as_ptr(), p.as_ptr());
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::avx2() {
-        return unsafe { crate::simd::jst_pass1_span(span, edges, wp, pp, n, s, lanes) };
-    }
-    unsafe {
-        drive(span, lanes, |ids| {
-            for &e in ids {
-                one::jst_pass1(e as usize, edges, wp, pp, n, s);
-            }
-        });
-    }
+    by_ownership!(s => {
+        #[cfg(target_arch = "x86_64")]
+        if crate::simd::avx2() {
+            return unsafe { crate::simd::jst_pass1_span(span, edges, wp, pp, n, s, lanes) };
+        }
+        unsafe {
+            drive(span, lanes, |ids| {
+                for &e in ids {
+                    one::jst_pass1(e as usize, edges, wp, pp, n, s);
+                }
+            });
+        }
+    })
 }
 
 /// JST pass 2: switched Laplacian/biharmonic blend
@@ -500,21 +472,23 @@ pub unsafe fn jst_pass2_edges(
     debug_assert!(w.len() >= NVAR * n && lapl.len() >= NVAR * n);
     debug_assert!(p.len() >= n && nu.len() >= n && s.len_of(0) >= NVAR * n);
     let (wp, pp, lp, np) = (w.as_ptr(), p.as_ptr(), lapl.as_ptr(), nu.as_ptr());
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::avx2() {
-        return unsafe {
-            crate::simd::jst_pass2_span(
-                span, edges, coef, gamma, k2, k4, wp, pp, lp, np, n, s, lanes,
-            )
-        };
-    }
-    unsafe {
-        drive(span, lanes, |ids| {
-            for &e in ids {
-                one::jst_pass2(e as usize, edges, coef, gamma, k2, k4, wp, pp, lp, np, n, s);
-            }
-        });
-    }
+    by_ownership!(s => {
+        #[cfg(target_arch = "x86_64")]
+        if crate::simd::avx2() {
+            return unsafe {
+                crate::simd::jst_pass2_span(
+                    span, edges, coef, gamma, k2, k4, wp, pp, lp, np, n, s, lanes,
+                )
+            };
+        }
+        unsafe {
+            drive(span, lanes, |ids| {
+                for &e in ids {
+                    one::jst_pass2(e as usize, edges, coef, gamma, k2, k4, wp, pp, lp, np, n, s);
+                }
+            });
+        }
+    })
 }
 
 /// First-order coarse-level dissipation `d = k λ (w_b − w_a)` into
@@ -537,19 +511,21 @@ pub unsafe fn first_order_diss_edges(
 ) {
     debug_assert!(w.len() >= NVAR * n && p.len() >= n && s.len_of(0) >= NVAR * n);
     let (wp, pp) = (w.as_ptr(), p.as_ptr());
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::avx2() {
-        return unsafe {
-            crate::simd::first_order_span(span, edges, coef, gamma, kdiss, wp, pp, n, s, lanes)
-        };
-    }
-    unsafe {
-        drive(span, lanes, |ids| {
-            for &e in ids {
-                one::first_order(e as usize, edges, coef, gamma, kdiss, wp, pp, n, s);
-            }
-        });
-    }
+    by_ownership!(s => {
+        #[cfg(target_arch = "x86_64")]
+        if crate::simd::avx2() {
+            return unsafe {
+                crate::simd::first_order_span(span, edges, coef, gamma, kdiss, wp, pp, n, s, lanes)
+            };
+        }
+        unsafe {
+            drive(span, lanes, |ids| {
+                for &e in ids {
+                    one::first_order(e as usize, edges, coef, gamma, kdiss, wp, pp, n, s);
+                }
+            });
+        }
+    })
 }
 
 /// Roe matrix dissipation `½|Â|(w_b − w_a)|η|` into target 0 (`diss`,
@@ -574,19 +550,21 @@ pub unsafe fn roe_diss_edges(
 ) {
     debug_assert!(w.len() >= NVAR * n && p.len() >= n && s.len_of(0) >= NVAR * n);
     let (wp, pp) = (w.as_ptr(), p.as_ptr());
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::avx2() {
-        return unsafe {
-            crate::simd::roe_diss_span(span, edges, coef, gamma, wp, pp, n, s, lanes)
-        };
-    }
-    unsafe {
-        drive(span, lanes, |ids| {
-            for &e in ids {
-                one::roe(e as usize, edges, coef, gamma, wp, pp, n, s);
-            }
-        });
-    }
+    by_ownership!(s => {
+        #[cfg(target_arch = "x86_64")]
+        if crate::simd::avx2() {
+            return unsafe {
+                crate::simd::roe_diss_span(span, edges, coef, gamma, wp, pp, n, s, lanes)
+            };
+        }
+        unsafe {
+            drive(span, lanes, |ids| {
+                for &e in ids {
+                    one::roe(e as usize, edges, coef, gamma, wp, pp, n, s);
+                }
+            });
+        }
+    })
 }
 
 /// Residual-averaging neighbour accumulation `acc_a += r̄_b`,
@@ -609,23 +587,17 @@ pub unsafe fn smooth_accumulate_edges(
 ) {
     debug_assert!(res.len() >= NVAR * n && s.len_of(0) >= NVAR * n);
     let rp = res.as_ptr();
-    unsafe {
-        drive(span, lanes, |ids| {
-            for &e in ids {
-                let e = e as usize;
-                let [a, b] = *edges.get_unchecked(e);
-                let (a, b) = (a as usize, b as usize);
-                s.add(0, a, *rp.add(b));
-                s.add(0, b, *rp.add(a));
-                s.add(0, n + a, *rp.add(n + b));
-                s.add(0, n + b, *rp.add(n + a));
-                s.add(0, 2 * n + a, *rp.add(2 * n + b));
-                s.add(0, 2 * n + b, *rp.add(2 * n + a));
-                s.add(0, 3 * n + a, *rp.add(3 * n + b));
-                s.add(0, 3 * n + b, *rp.add(3 * n + a));
-                s.add(0, 4 * n + a, *rp.add(4 * n + b));
-                s.add(0, 4 * n + b, *rp.add(4 * n + a));
-            }
-        });
-    }
+    by_ownership!(s => {
+        unsafe {
+            drive(span, lanes, |ids| {
+                for &e in ids {
+                    let e = e as usize;
+                    let [a, b] = *edges.get_unchecked(e);
+                    let (a, b) = (a as usize, b as usize);
+                    let at = |v: usize| [0, 1, 2, 3, 4].map(|k| *rp.add(k * n + v));
+                    s.add_pair(0, n, a, b, at(b), at(a));
+                }
+            });
+        }
+    })
 }

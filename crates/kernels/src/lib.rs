@@ -23,10 +23,10 @@
 //! * **Vertex gather** where the edge carries nothing — the two pure
 //!   neighbour sums, residual-averaging accumulation and JST pass 1
 //!   ([`neighbour_sum_verts`], [`jst_gather_verts`]). Routing `Σ_j x_j`
-//!   through edges only adds a zero-fill pass, two read-modify-write
-//!   stores per edge and, on the shared executor, a barrier per colour;
-//!   a gather over a vertex→neighbour CSR keeps the sum in registers and
-//!   stores each slot once. The edge versions of these two
+//!   through edges only adds a zero-fill pass and two
+//!   read-modify-write stores per edge; a gather over a
+//!   vertex→neighbour CSR keeps the sum in registers and stores each
+//!   slot once. The edge versions of these two
 //!   ([`smooth_accumulate_edges`], [`jst_pass1_edges`]) remain as the
 //!   **reference oracle and the referee's probe target — they are not
 //!   on the solver path.**
@@ -44,6 +44,15 @@
 //! the `verts` module docs give the argument, including the one place
 //! it needs care (`−(x − y)` against `y − x` at `x == y`), and
 //! `tests/gather_equivalence.rs` checks it.
+//!
+//! # Who writes what
+//! Edge kernels write through one ownership-tested epilogue
+//! ([`ScatterAccess`]'s module docs): an unrestricted view owns every
+//! vertex (serial, distributed); the shared executor gives each team
+//! member a view restricted to its vertex block and the ascending list
+//! of edges touching it. Each slot still sees its contributions in
+//! ascending edge order, so the result is the serial sweep's, bit for
+//! bit, for any split.
 //!
 //! # Crate hygiene
 //! This crate is kept free of panicking slice indexing on purpose: a

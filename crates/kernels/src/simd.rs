@@ -27,7 +27,7 @@ use core::arch::x86_64::*;
 use eul3d_mesh::Vec3;
 
 use crate::edges::{drive, one};
-use crate::scatter::{EdgeSpan, ScatterAccess};
+use crate::scatter::{EdgeSpan, Epilogue};
 
 /// Runtime AVX2 check (result is cached by `std`).
 #[inline(always)]
@@ -168,14 +168,14 @@ fn sigma4(
 /// # Safety
 /// Same contract as `conv_flux_edges`; requires AVX2 (checked by the
 /// dispatching kernel).
-pub(crate) unsafe fn conv_flux_span(
+pub(crate) unsafe fn conv_flux_span<const M: bool>(
     span: &EdgeSpan<'_>,
     edges: &[[u32; 2]],
     coef: &[Vec3],
     wp: *const f64,
     pp: *const f64,
     n: usize,
-    s: &ScatterAccess,
+    s: Epilogue<'_, '_, M>,
     lanes: usize,
 ) {
     unsafe {
@@ -186,14 +186,14 @@ pub(crate) unsafe fn conv_flux_span(
 }
 
 #[target_feature(enable = "avx2")]
-unsafe fn conv_flux_chunk(
+unsafe fn conv_flux_chunk<const M: bool>(
     ids: &[u32],
     edges: &[[u32; 2]],
     coef: &[Vec3],
     wp: *const f64,
     pp: *const f64,
     n: usize,
-    s: &ScatterAccess,
+    s: Epilogue<'_, '_, M>,
 ) {
     unsafe {
         let half = _mm256_set1_pd(0.5);
@@ -243,16 +243,7 @@ unsafe fn conv_flux_chunk(
             let f4 = lanes_of(_mm256_mul_pd(half, _mm256_add_pd(fa4, fb4)));
             for j in 0..4 {
                 let (a, b) = (g.ai[j], g.bi[j]);
-                s.add(0, a, f0[j]);
-                s.add(0, b, -f0[j]);
-                s.add(0, n + a, f1[j]);
-                s.add(0, n + b, -f1[j]);
-                s.add(0, 2 * n + a, f2[j]);
-                s.add(0, 2 * n + b, -f2[j]);
-                s.add(0, 3 * n + a, f3[j]);
-                s.add(0, 3 * n + b, -f3[j]);
-                s.add(0, 4 * n + a, f4[j]);
-                s.add(0, 4 * n + b, -f4[j]);
+                s.add_sub(0, n, a, b, [f0[j], f1[j], f2[j], f3[j], f4[j]]);
             }
             k += 4;
         }
@@ -266,7 +257,7 @@ unsafe fn conv_flux_chunk(
 ///
 /// # Safety
 /// Same contract as `radii_edges_soa`; requires AVX2.
-pub(crate) unsafe fn radii_span(
+pub(crate) unsafe fn radii_span<const M: bool>(
     span: &EdgeSpan<'_>,
     edges: &[[u32; 2]],
     coef: &[Vec3],
@@ -274,7 +265,7 @@ pub(crate) unsafe fn radii_span(
     wp: *const f64,
     pp: *const f64,
     n: usize,
-    s: &ScatterAccess,
+    s: Epilogue<'_, '_, M>,
     lanes: usize,
 ) {
     unsafe {
@@ -285,7 +276,7 @@ pub(crate) unsafe fn radii_span(
 }
 
 #[target_feature(enable = "avx2")]
-unsafe fn radii_chunk(
+unsafe fn radii_chunk<const M: bool>(
     ids: &[u32],
     edges: &[[u32; 2]],
     coef: &[Vec3],
@@ -293,7 +284,7 @@ unsafe fn radii_chunk(
     wp: *const f64,
     pp: *const f64,
     n: usize,
-    s: &ScatterAccess,
+    s: Epilogue<'_, '_, M>,
 ) {
     unsafe {
         let gv = _mm256_set1_pd(gamma);
@@ -324,8 +315,7 @@ unsafe fn radii_chunk(
             );
             let l = lanes_of(_mm256_mul_pd(half, _mm256_add_pd(sa, sb)));
             for (j, &lam) in l.iter().enumerate() {
-                s.add(0, g.ai[j], lam);
-                s.add(0, g.bi[j], lam);
+                s.add_pair(0, n, g.ai[j], g.bi[j], [lam], [lam]);
             }
             k += 4;
         }
@@ -341,13 +331,13 @@ unsafe fn radii_chunk(
 ///
 /// # Safety
 /// Same contract as `jst_pass1_edges`; requires AVX2.
-pub(crate) unsafe fn jst_pass1_span(
+pub(crate) unsafe fn jst_pass1_span<const M: bool>(
     span: &EdgeSpan<'_>,
     edges: &[[u32; 2]],
     wp: *const f64,
     pp: *const f64,
     n: usize,
-    s: &ScatterAccess,
+    s: Epilogue<'_, '_, M>,
     lanes: usize,
 ) {
     unsafe {
@@ -358,13 +348,13 @@ pub(crate) unsafe fn jst_pass1_span(
 }
 
 #[target_feature(enable = "avx2")]
-unsafe fn jst_pass1_chunk(
+unsafe fn jst_pass1_chunk<const M: bool>(
     ids: &[u32],
     edges: &[[u32; 2]],
     wp: *const f64,
     pp: *const f64,
     n: usize,
-    s: &ScatterAccess,
+    s: Epilogue<'_, '_, M>,
 ) {
     unsafe {
         let mut k = 0;
@@ -400,20 +390,8 @@ unsafe fn jst_pass1_chunk(
             let sp = lanes_of(_mm256_add_pd(pb, pa));
             for j in 0..4 {
                 let (a, b) = (ai[j], bi[j]);
-                s.add(0, a, d0[j]);
-                s.add(0, b, -d0[j]);
-                s.add(0, n + a, d1[j]);
-                s.add(0, n + b, -d1[j]);
-                s.add(0, 2 * n + a, d2[j]);
-                s.add(0, 2 * n + b, -d2[j]);
-                s.add(0, 3 * n + a, d3[j]);
-                s.add(0, 3 * n + b, -d3[j]);
-                s.add(0, 4 * n + a, d4[j]);
-                s.add(0, 4 * n + b, -d4[j]);
-                s.add(1, a, dp[j]);
-                s.add(1, n + a, sp[j]);
-                s.add(1, b, -dp[j]);
-                s.add(1, n + b, sp[j]);
+                s.add_sub(0, n, a, b, [d0[j], d1[j], d2[j], d3[j], d4[j]]);
+                s.add_pair(1, n, a, b, [dp[j], sp[j]], [-dp[j], sp[j]]);
             }
             k += 4;
         }
@@ -427,7 +405,7 @@ unsafe fn jst_pass1_chunk(
 ///
 /// # Safety
 /// Same contract as `jst_pass2_edges`; requires AVX2.
-pub(crate) unsafe fn jst_pass2_span(
+pub(crate) unsafe fn jst_pass2_span<const M: bool>(
     span: &EdgeSpan<'_>,
     edges: &[[u32; 2]],
     coef: &[Vec3],
@@ -439,7 +417,7 @@ pub(crate) unsafe fn jst_pass2_span(
     lp: *const f64,
     np: *const f64,
     n: usize,
-    s: &ScatterAccess,
+    s: Epilogue<'_, '_, M>,
     lanes: usize,
 ) {
     unsafe {
@@ -450,7 +428,7 @@ pub(crate) unsafe fn jst_pass2_span(
 }
 
 #[target_feature(enable = "avx2")]
-unsafe fn jst_pass2_chunk(
+unsafe fn jst_pass2_chunk<const M: bool>(
     ids: &[u32],
     edges: &[[u32; 2]],
     coef: &[Vec3],
@@ -462,7 +440,7 @@ unsafe fn jst_pass2_chunk(
     lp: *const f64,
     np: *const f64,
     n: usize,
-    s: &ScatterAccess,
+    s: Epilogue<'_, '_, M>,
 ) {
     unsafe {
         let gv = _mm256_set1_pd(gamma);
@@ -540,16 +518,7 @@ unsafe fn jst_pass2_chunk(
             ));
             for j in 0..4 {
                 let (a, b) = (g.ai[j], g.bi[j]);
-                s.add(0, a, d0[j]);
-                s.add(0, b, -d0[j]);
-                s.add(0, n + a, d1[j]);
-                s.add(0, n + b, -d1[j]);
-                s.add(0, 2 * n + a, d2[j]);
-                s.add(0, 2 * n + b, -d2[j]);
-                s.add(0, 3 * n + a, d3[j]);
-                s.add(0, 3 * n + b, -d3[j]);
-                s.add(0, 4 * n + a, d4[j]);
-                s.add(0, 4 * n + b, -d4[j]);
+                s.add_sub(0, n, a, b, [d0[j], d1[j], d2[j], d3[j], d4[j]]);
             }
             k += 4;
         }
@@ -563,7 +532,7 @@ unsafe fn jst_pass2_chunk(
 ///
 /// # Safety
 /// Same contract as `first_order_diss_edges`; requires AVX2.
-pub(crate) unsafe fn first_order_span(
+pub(crate) unsafe fn first_order_span<const M: bool>(
     span: &EdgeSpan<'_>,
     edges: &[[u32; 2]],
     coef: &[Vec3],
@@ -572,7 +541,7 @@ pub(crate) unsafe fn first_order_span(
     wp: *const f64,
     pp: *const f64,
     n: usize,
-    s: &ScatterAccess,
+    s: Epilogue<'_, '_, M>,
     lanes: usize,
 ) {
     unsafe {
@@ -583,7 +552,7 @@ pub(crate) unsafe fn first_order_span(
 }
 
 #[target_feature(enable = "avx2")]
-unsafe fn first_order_chunk(
+unsafe fn first_order_chunk<const M: bool>(
     ids: &[u32],
     edges: &[[u32; 2]],
     coef: &[Vec3],
@@ -592,7 +561,7 @@ unsafe fn first_order_chunk(
     wp: *const f64,
     pp: *const f64,
     n: usize,
-    s: &ScatterAccess,
+    s: Epilogue<'_, '_, M>,
 ) {
     unsafe {
         let gv = _mm256_set1_pd(gamma);
@@ -622,16 +591,7 @@ unsafe fn first_order_chunk(
             let d4 = lanes_of(_mm256_mul_pd(kl, _mm256_sub_pd(wb4, wa4)));
             for j in 0..4 {
                 let (a, b) = (g.ai[j], g.bi[j]);
-                s.add(0, a, d0[j]);
-                s.add(0, b, -d0[j]);
-                s.add(0, n + a, d1[j]);
-                s.add(0, n + b, -d1[j]);
-                s.add(0, 2 * n + a, d2[j]);
-                s.add(0, 2 * n + b, -d2[j]);
-                s.add(0, 3 * n + a, d3[j]);
-                s.add(0, 3 * n + b, -d3[j]);
-                s.add(0, 4 * n + a, d4[j]);
-                s.add(0, 4 * n + b, -d4[j]);
+                s.add_sub(0, n, a, b, [d0[j], d1[j], d2[j], d3[j], d4[j]]);
             }
             k += 4;
         }
@@ -645,7 +605,7 @@ unsafe fn first_order_chunk(
 ///
 /// # Safety
 /// Same contract as `roe_diss_edges`; requires AVX2.
-pub(crate) unsafe fn roe_diss_span(
+pub(crate) unsafe fn roe_diss_span<const M: bool>(
     span: &EdgeSpan<'_>,
     edges: &[[u32; 2]],
     coef: &[Vec3],
@@ -653,7 +613,7 @@ pub(crate) unsafe fn roe_diss_span(
     wp: *const f64,
     pp: *const f64,
     n: usize,
-    s: &ScatterAccess,
+    s: Epilogue<'_, '_, M>,
     lanes: usize,
 ) {
     unsafe {
@@ -681,7 +641,7 @@ fn fix4(lam: __m256d, delta: __m256d, half: __m256d) -> __m256d {
 }
 
 #[target_feature(enable = "avx2")]
-unsafe fn roe_diss_chunk(
+unsafe fn roe_diss_chunk<const M: bool>(
     ids: &[u32],
     edges: &[[u32; 2]],
     coef: &[Vec3],
@@ -689,7 +649,7 @@ unsafe fn roe_diss_chunk(
     wp: *const f64,
     pp: *const f64,
     n: usize,
-    s: &ScatterAccess,
+    s: Epilogue<'_, '_, M>,
 ) {
     unsafe {
         let half = _mm256_set1_pd(0.5);
@@ -845,16 +805,7 @@ unsafe fn roe_diss_chunk(
             let f4 = lanes_of(_mm256_mul_pd(d4, sc));
             for j in 0..4 {
                 let (a, b) = (g.ai[j], g.bi[j]);
-                s.add(0, a, f0[j]);
-                s.add(0, b, -f0[j]);
-                s.add(0, n + a, f1[j]);
-                s.add(0, n + b, -f1[j]);
-                s.add(0, 2 * n + a, f2[j]);
-                s.add(0, 2 * n + b, -f2[j]);
-                s.add(0, 3 * n + a, f3[j]);
-                s.add(0, 3 * n + b, -f3[j]);
-                s.add(0, 4 * n + a, f4[j]);
-                s.add(0, 4 * n + b, -f4[j]);
+                s.add_sub(0, n, a, b, [f0[j], f1[j], f2[j], f3[j], f4[j]]);
             }
             k += 4;
         }

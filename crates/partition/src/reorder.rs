@@ -140,80 +140,11 @@ pub fn mean_edge_span(edges: &[[u32; 2]]) -> f64 {
     edges.iter().map(|&[a, b]| (b - a) as f64).sum::<f64>() / edges.len() as f64
 }
 
-/// Sort the edge ids inside every colour group by ascending endpoints
-/// (`(a, b)` lexicographic), so consecutive edges of a group gather from
-/// nearby vertex planes — the within-colour locality pass that rides on
-/// top of mesh-level cache reordering.
-///
-/// Only the grouping's *iteration order* changes: the mesh edge array
-/// (and therefore the serial/distributed accumulation order) is
-/// untouched, and within a group the endpoints are disjoint by
-/// construction, so results on the coloured shared path stay
-/// bit-identical.
-pub fn sort_groups_for_locality(coloring: &mut crate::EdgeColoring, edges: &[[u32; 2]]) {
-    for group in &mut coloring.groups {
-        group.sort_unstable_by_key(|&e| edges[e as usize]);
-    }
-}
-
-/// Mean within-group gather span: average |a(e_k+1) - a(e_k)| between
-/// consecutive edges of each colour group, the locality metric
-/// [`sort_groups_for_locality`] improves.
-pub fn mean_group_gather_span(coloring: &crate::EdgeColoring, edges: &[[u32; 2]]) -> f64 {
-    let mut sum = 0.0;
-    let mut count = 0usize;
-    for group in &coloring.groups {
-        for pair in group.windows(2) {
-            let a0 = edges[pair[0] as usize][0] as f64;
-            let a1 = edges[pair[1] as usize][0] as f64;
-            sum += (a1 - a0).abs();
-            count += 1;
-        }
-    }
-    if count == 0 {
-        0.0
-    } else {
-        sum / count as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use eul3d_mesh::gen::{bump_channel, unit_box, BumpSpec};
     use eul3d_mesh::stats::MeshStats;
-
-    #[test]
-    fn within_colour_sort_improves_gather_locality() {
-        let m = unit_box(4, 0.15, 7);
-        let mut coloring = crate::color_edges(&m);
-        // Scramble each group first so the baseline is honestly bad.
-        let mut rng = StdRng::seed_from_u64(11);
-        for g in &mut coloring.groups {
-            g.shuffle(&mut rng);
-        }
-        let before = mean_group_gather_span(&coloring, &m.edges);
-        let shapes: Vec<usize> = coloring.groups.iter().map(Vec::len).collect();
-        let mut members: Vec<Vec<u32>> = coloring.groups.clone();
-        sort_groups_for_locality(&mut coloring, &m.edges);
-        let after = mean_group_gather_span(&coloring, &m.edges);
-        assert!(
-            after < before,
-            "sorting must tighten spans: {before} -> {after}"
-        );
-        // Same groups, same members — only the order inside changed.
-        assert_eq!(
-            shapes,
-            coloring.groups.iter().map(Vec::len).collect::<Vec<_>>()
-        );
-        for (orig, sorted) in members.iter_mut().zip(&coloring.groups) {
-            orig.sort_unstable();
-            let mut s = sorted.clone();
-            s.sort_unstable();
-            assert_eq!(*orig, s);
-        }
-        assert!(crate::validate_coloring(&m, &coloring).is_ok());
-    }
 
     #[test]
     fn rcm_is_a_permutation() {

@@ -215,6 +215,43 @@ fn completed_results_survive_restart_as_store_hits() {
 }
 
 #[test]
+fn a_journal_from_a_build_that_wrote_edge_reorder_still_replays() {
+    // Builds up to PR 19 wrote `edge_reorder` into every canonical
+    // config; the key went with the coloured sweep it tuned, but the
+    // journal is a durable format: an interrupted job journaled by such
+    // a build must resume on this one, to the bits of a fresh run.
+    let dir = tmpdir("old-key");
+    let rc = RunConfig::from_toml(CFG).unwrap();
+    let old_config = rc
+        .canonical_toml()
+        .replace("\nlanes = ", "\nedge_reorder = false\nlanes = ");
+    assert!(old_config.contains("edge_reorder") && !rc.canonical_toml().contains("edge_reorder"));
+    let key = CacheKey::of(&rc, JobMode::Solve, SEED);
+    {
+        let (mut journal, _) = Journal::open(&dir).unwrap();
+        journal
+            .append(&JournalRecord::Submitted {
+                job: 1,
+                key,
+                mode: JobMode::Solve,
+                force: false,
+                config: old_config,
+            })
+            .unwrap();
+        journal.append(&JournalRecord::Started { job: 1 }).unwrap();
+    }
+    let eng = JobEngine::try_start(engine_cfg(&dir)).unwrap();
+    wait_done(&eng, 1);
+    assert_eq!(eng.stats().failed, 0, "{}", journal_text(&dir));
+    let replayed = ResultStore::open(&dir).unwrap().get(key).expect("stored");
+    eng.shutdown();
+    let fresh_dir = tmpdir("old-key-fresh");
+    let fresh = JobEngine::try_start(engine_cfg(&fresh_dir)).unwrap();
+    assert_identical(&replayed, &run_to_done(&fresh, spec()), "replayed vs fresh");
+    fresh.shutdown();
+}
+
+#[test]
 fn cancelled_jobs_do_not_resume_on_restart() {
     let dir = tmpdir("cancelled");
     let rc = RunConfig::from_toml(CFG).unwrap();

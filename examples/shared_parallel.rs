@@ -1,7 +1,7 @@
 //! The shared-memory workflow of §3: colour the edge loops into
-//! recurrence-free groups, work-share each group across threads (the
-//! autotasking analogue), and verify the parallel executor agrees with
-//! the sequential solver.
+//! recurrence-free groups (what the C90 model prices), run the solve on
+//! a thread team in which each member owns a block of the vertices, and
+//! verify the team computes the sequential solver's bits.
 //!
 //! ```sh
 //! cargo run --release --example shared_parallel
@@ -26,7 +26,8 @@ fn main() {
         ..SolverConfig::default()
     };
 
-    // The §3.1 decomposition: colour groups with no data recurrences.
+    // The §3.1 decomposition the machine model charges: colour groups
+    // with no data recurrences.
     let coloring = color_edges(&mesh);
     println!(
         "{} edges in {} colour groups (paper: 'typically 20 to 30'); smallest group {} edges",
@@ -44,7 +45,7 @@ fn main() {
     let mut serial = SingleGridSolver::new(mesh.clone(), cfg);
     let hs = serial.solve(20);
 
-    // Coloured/rayon executor.
+    // The resident team (block ownership).
     let seq = MeshSequence::from_meshes(vec![mesh]);
     let mut shared = MultigridSolver::new_shared(seq, cfg, Strategy::SingleGrid, ncpus)
         .expect("edge colouring must validate");
@@ -56,14 +57,13 @@ fn main() {
     );
 
     // "The solution and convergence rates obtained were, of course,
-    // identical" — up to accumulation-order round-off.
+    // identical" — here literally: every slot is added into in the
+    // serial loop's edge order.
     let mut worst: f64 = 0.0;
     for (a, b) in hs.iter().zip(&hp) {
         worst = worst.max((a - b).abs() / a.max(1e-30));
     }
-    println!(
-        "max relative residual-history deviation serial vs shared: {worst:.2e} (round-off only)"
-    );
+    println!("max relative residual-history deviation serial vs shared: {worst:.2e} (same bits)");
     println!(
         "final residual: serial {:.6e}, shared {:.6e}",
         hs.last().unwrap(),

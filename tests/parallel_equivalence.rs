@@ -1,13 +1,14 @@
-//! Cross-executor equivalence: the sequential reference, the coloured
+//! Cross-executor equivalence: the sequential reference, the
 //! shared-memory executor (§3), and the PARTI/Delta distributed executor
 //! (§4) must produce the same flow solution on the same mesh — for the
 //! central/JST scheme, the Roe upwind scheme, and the first-order coarse
 //! dissipation path — and, since the kernels are written once over the
-//! [`Executor`] trait, report *identical* total flop counts. The two
-//! neighbour-sum loops (residual averaging, JST pass 1) run as vertex
-//! gathers on every backend: the shared executor gives the serial
-//! **bits** there, and the serial and distributed histories are pinned
-//! to the values the edge-scatter loops produced.
+//! [`Executor`] trait, report *identical* total flop counts. The shared
+//! executor (block ownership: every slot added into in the serial
+//! loop's order) gives the serial **bits** for any team size, and the
+//! serial and distributed histories are pinned to the values the
+//! edge-scatter loops produced before the two neighbour sums became
+//! vertex gathers.
 
 use eul3d::mesh::gen::BumpSpec;
 use eul3d::mesh::MeshSequence;
@@ -69,9 +70,10 @@ fn three_way_single_grid(scheme: Scheme) {
         .expect("valid colouring");
     let hp = shared.solve(cycles);
     for (a, b) in hs.iter().zip(&hp) {
-        assert!(
-            (a - b).abs() < 1e-8 * a.abs().max(1e-30) + 1e-13,
-            "{scheme:?} residual histories diverge: {a} vs {b}"
+        assert_eq!(
+            a.to_bits(),
+            b.to_bits(),
+            "{scheme:?} shared: {a:e} vs {b:e}"
         );
     }
 
@@ -85,9 +87,10 @@ fn three_way_single_grid(scheme: Scheme) {
     );
     let wd = dist.global_state(setup.seq.meshes[0].nverts());
 
-    let d1 = max_dev(serial.state().flat(), shared.state().flat());
+    for (a, b) in serial.state().flat().iter().zip(shared.state().flat()) {
+        assert_eq!(a.to_bits(), b.to_bits(), "{scheme:?}: shared state");
+    }
     let d2 = max_dev(&serial.state().to_aos(), &wd);
-    assert!(d1 < 1e-10, "{scheme:?} serial vs shared: {d1:.3e}");
     assert!(d2 < 1e-9, "{scheme:?} serial vs distributed: {d2:.3e}");
 
     // Flop accounting lives in the executor layer and counts the global
@@ -156,10 +159,7 @@ fn coarse_first_order_dissipation_matches_across_executors() {
     );
 
     for (a, b) in hs.iter().zip(&hp) {
-        assert!(
-            (a - b).abs() < 1e-8 * a.max(1e-30),
-            "serial {a} vs shared {b}"
-        );
+        assert_eq!(a.to_bits(), b.to_bits(), "serial {a:e} vs shared {b:e}");
     }
     for (a, b) in hs.iter().zip(dist.history()) {
         assert!(
@@ -170,7 +170,7 @@ fn coarse_first_order_dissipation_matches_across_executors() {
     let wd = dist.global_state(setup.seq.meshes[0].nverts());
     let ds = max_dev(serial.state().flat(), shared.state().flat());
     let dd = max_dev(&serial.state().to_aos(), &wd);
-    assert!(ds < 1e-9, "FO coarse, serial vs shared state: {ds:.3e}");
+    assert_eq!(ds, 0.0, "FO coarse, serial vs shared state");
     assert!(dd < 1e-8, "FO coarse, serial vs dist state: {dd:.3e}");
 
     // Time-stepping flops are identical between the serial and shared
@@ -300,9 +300,8 @@ fn partitioner_choice_does_not_change_the_answer() {
 
 #[test]
 fn oversubscribed_team_gives_the_two_member_history() {
-    // Four members per core: whenever a member waits — for a sweep, at
-    // a colour barrier, for check-in — the one it waits for is probably
-    // descheduled. A wait that held its core would turn this run from
+    // Four members per core: whenever a member waits — for a sweep,
+    // for check-in — the one it waits for is probably descheduled. A wait that held its core would turn this run from
     // seconds into minutes; the bits must not depend on the member count
     // either way.
     let cfg = SolverConfig {
@@ -375,6 +374,19 @@ fn gathered_neighbour_sums_keep_the_edge_loop_histories() {
             "{scheme:?} delta: {:#034x}",
             history_fnv(dist.history())
         );
+        // Block ownership keeps every slot's ascending edge order: the
+        // team's history is the serial one, whatever its size.
+        for ncpus in [1, 2, 3] {
+            let hp = MultigridSolver::new_shared(seq(), cfg, Strategy::WCycle, ncpus)
+                .expect("valid colourings")
+                .solve(10);
+            assert_eq!(
+                history_fnv(&hp),
+                serial_fnv,
+                "{scheme:?} shared, {ncpus} members: {:#034x}",
+                history_fnv(&hp)
+            );
+        }
     }
 }
 
@@ -385,11 +397,11 @@ const DELTA_ROE_FNV: u128 = 0x1251_42a4_7130_a139_3e3a_3e7b_6138_77d6;
 
 #[test]
 fn shared_neighbour_sums_are_the_serial_bits() {
-    // A gather writes each slot from one member, in row order: no
-    // colouring, no accumulation-order freedom. `smooth_residual` and
-    // JST pass 1 under the team are therefore the serial bits for any
-    // member count (pass 2 still scatters by colour, so `diss` and the
-    // whole step keep their round-off tolerance).
+    // A gather writes each slot from one member, in row order, and an
+    // owner-writes edge sweep adds into each slot in ascending edge
+    // order: no accumulation-order freedom anywhere. `smooth_residual`
+    // and both JST passes under the team are the serial bits for any
+    // member count.
     let mesh = MeshSequence::bump_sequence(&spec(), 1).meshes.remove(0);
     let cfg = SolverConfig {
         mach: 0.55,
@@ -409,7 +421,7 @@ fn shared_neighbour_sums_are_the_serial_bits() {
             bits(st.res.flat()),
             bits(st.lapl.flat()),
             bits(st.sens.flat()),
-            st.diss,
+            bits(st.diss.flat()),
         )
     };
     let serial = run(&mut |st, c| {
@@ -426,7 +438,6 @@ fn shared_neighbour_sums_are_the_serial_bits() {
         assert_eq!(shared.0, serial.0, "res, {ncpus} members");
         assert_eq!(shared.1, serial.1, "lapl, {ncpus} members");
         assert_eq!(shared.2, serial.2, "sens, {ncpus} members");
-        let d = max_dev(shared.3.flat(), serial.3.flat());
-        assert!(d < 1e-11, "diss, {ncpus} members: {d:.3e}");
+        assert_eq!(shared.3, serial.3, "diss, {ncpus} members");
     }
 }
