@@ -7,7 +7,6 @@ use eul3d_core::health::GuardOutcome;
 use eul3d_core::postproc::{cp_field, mach_field, pressure_field};
 use eul3d_core::runconfig::{
     parse_backend, parse_partition_method, parse_scheme, parse_strategy, partition_method_name,
-    BackendKind,
 };
 use eul3d_core::{ConvergenceHistory, Eul3dError, MultigridSolver, Phase, RunConfig, TraceConfig};
 use eul3d_delta::CostModel;
@@ -504,7 +503,7 @@ pub fn distributed(a: &Args) -> Result<(), String> {
     let rc = run_config_of(a, 3, 25, true)?;
     let no_incr = a.has("no-incremental");
     a.check_unknown()?;
-    let hybrid = rc.backend == BackendKind::Hybrid;
+    let hybrid = rc.backend == DistBackend::Hybrid;
     let nranks = rc.effective_nranks();
     let (spec, levels, cycles) = (rc.mesh.clone(), rc.levels, rc.cycles);
     let (strategy, cfg, guard) = (rc.strategy, rc.solver, rc.guard);

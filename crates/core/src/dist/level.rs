@@ -22,19 +22,17 @@ use crate::soa::SoaState;
 /// ghost coherence is PARTI gather/scatter-add, with the traffic charged
 /// to the phase that requested it.
 ///
-/// The halo **transport** is read off the rank, not configured: a rank
-/// carrying a shared-memory window registry ([`Rank::install_windows`] —
-/// the hybrid backend, ranks as real OS threads) publishes its send
-/// regions into the peers' windows in [`Executor::exchange_begin`] and
-/// consumes theirs in [`Executor::exchange_finish`], so the interior
-/// kernels the solver runs in between overlap the exchange; any other
-/// rank sends channel messages, does the whole exchange in `begin`, and
-/// `finish` is a no-op. Either way every send charges the same modeled
-/// wire cost and packs the same bytes in the same order, so the two
-/// transports are bit-equivalent. Setup traffic, collectives
-/// ([`Executor::reduce_sum`]), transfers and checkpoint shipping always
-/// use the channels — windows carry only the steady-state halo streams
-/// the schedules pre-negotiated.
+/// The executor never picks a transport: the schedule's begin/finish
+/// halves go through the rank's own record streams, shared-memory
+/// windows on a rank carrying a registry ([`Rank::install_windows`], the
+/// hybrid backend) and channel mailboxes otherwise — the same bytes in
+/// the same order at the same modeled cost, so the two are
+/// bit-equivalent. What the transport decides is only how the split is
+/// used: a windowed rank publishes in [`Executor::exchange_begin`] and
+/// consumes in [`Executor::exchange_finish`], so the interior kernels the
+/// solver runs in between overlap the exchange; a channel rank finishes
+/// the exchange inside `begin` (one span, as its pinned modeled traces
+/// record it) and `finish` is a no-op.
 pub struct DistExecutor<'a> {
     pub rank: &'a mut Rank,
     pub halo: &'a Schedule,
@@ -101,9 +99,6 @@ impl Executor for DistExecutor<'_> {
         f(0..nverts, &access);
     }
 
-    /// On windows a full exchange is begin + finish back to back:
-    /// publishing every send before waiting on any receipt is what keeps
-    /// the machine deadlock-free (see `eul3d_delta::shm`).
     fn exchange_halo(
         &mut self,
         phase: Phase,
@@ -112,17 +107,10 @@ impl Executor for DistExecutor<'_> {
         stride: usize,
         counters: &mut PhaseCounters,
     ) {
-        let (halo, shm) = (self.halo, self.rank.has_windows());
-        self.charged(phase, counters, |rank| {
-            if shm {
-                shm_begin(halo, rank, op, data, stride);
-                shm_finish(halo, rank, op, data, stride);
-            } else {
-                match op {
-                    HaloOp::Gather => halo.gather_planes(rank, data, stride),
-                    HaloOp::ScatterAdd => halo.scatter_add_planes(rank, data, stride),
-                }
-            }
+        let halo = self.halo;
+        self.charged(phase, counters, |rank| match op {
+            HaloOp::Gather => halo.gather_planes(rank, data, stride),
+            HaloOp::ScatterAdd => halo.scatter_add_planes(rank, data, stride),
         });
     }
 
@@ -137,9 +125,10 @@ impl Executor for DistExecutor<'_> {
         if !self.rank.has_windows() {
             return self.exchange_halo(phase, op, data, stride, counters);
         }
-        let halo = self.halo;
-        self.charged(phase, counters, |rank| {
-            shm_begin(halo, rank, op, data, stride)
+        let (halo, at) = (self.halo, (1, data.len() / stride));
+        self.charged(phase, counters, |rank| match op {
+            HaloOp::Gather => halo.gather_begin(rank, data, stride, at),
+            HaloOp::ScatterAdd => halo.scatter_add_begin(rank, data, stride, at),
         });
     }
 
@@ -151,13 +140,13 @@ impl Executor for DistExecutor<'_> {
         stride: usize,
         counters: &mut PhaseCounters,
     ) {
-        // Channels finished the exchange in `begin`: no work, no span.
         if !self.rank.has_windows() {
             return;
         }
-        let halo = self.halo;
-        self.charged(phase, counters, |rank| {
-            shm_finish(halo, rank, op, data, stride)
+        let (halo, at) = (self.halo, (1, data.len() / stride));
+        self.charged(phase, counters, |rank| match op {
+            HaloOp::Gather => halo.gather_finish(rank, data, stride, at),
+            HaloOp::ScatterAdd => halo.scatter_add_finish(rank, data, stride, at),
         });
     }
 
@@ -167,22 +156,6 @@ impl Executor for DistExecutor<'_> {
 
     fn reduce_sum(&mut self, phase: Phase, vals: &mut [f64], counters: &mut PhaseCounters) {
         self.charged(phase, counters, |rank| rank.all_reduce_sum_in_place(vals));
-    }
-}
-
-/// Publish this rank's half of a window exchange.
-fn shm_begin(halo: &Schedule, rank: &mut Rank, op: HaloOp, data: &mut [f64], stride: usize) {
-    match op {
-        HaloOp::Gather => halo.gather_planes_shm_begin(rank, data, stride),
-        HaloOp::ScatterAdd => halo.scatter_add_planes_shm_begin(rank, data, stride),
-    }
-}
-
-/// Consume the peers' half of a window exchange.
-fn shm_finish(halo: &Schedule, rank: &mut Rank, op: HaloOp, data: &mut [f64], stride: usize) {
-    match op {
-        HaloOp::Gather => halo.gather_planes_shm_finish(rank, data, stride),
-        HaloOp::ScatterAdd => halo.scatter_add_planes_shm_finish(rank, data, stride),
     }
 }
 

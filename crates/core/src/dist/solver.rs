@@ -16,7 +16,7 @@ use crate::gas::NVAR;
 use crate::health::GuardOutcome;
 use crate::level::{eval_total_residual, time_step, LevelState};
 use crate::multigrid::Strategy;
-use crate::runconfig::{BackendKind, PartitionConfig, PartitionMethod, RunConfig};
+use crate::runconfig::{PartitionConfig, PartitionMethod, RunConfig};
 
 use super::level::DistLevel;
 use super::recover::{run_distributed_with_faults, FaultOptions};
@@ -144,10 +144,7 @@ impl DistOptions {
     pub fn for_run(rc: &RunConfig, seed: u64) -> DistOptions {
         DistOptions {
             trace_capacity: rc.trace.enabled.then_some(rc.trace.capacity),
-            backend: match rc.backend {
-                BackendKind::Hybrid => DistBackend::Hybrid,
-                BackendKind::Delta => DistBackend::Delta,
-            },
+            backend: rc.backend,
             repartition: rc
                 .partition
                 .as_ref()

@@ -2,7 +2,9 @@
 //! 4-address/4-weight interpolation of §2.4, with PARTI schedules moving
 //! the off-rank source values (charged to [`CommClass::Transfer`] — the
 //! traffic the paper found to be "a small fraction of the total
-//! communication costs").
+//! communication costs") over the rank's transport, windows included.
+//! Owners pack from plane-major fields; the receiving side stages
+//! vertex-major records (`nc` values per buffer slot).
 
 use std::collections::BTreeMap;
 
@@ -159,7 +161,8 @@ impl TransferLink {
                 buf[b + c] = fine[c * fplane + l];
             }
         }
-        self.fine_sched.gather_planes_into(rank, fine, &mut buf, nc);
+        self.fine_sched.gather_begin(rank, fine, nc, (1, fplane));
+        self.fine_sched.gather_finish(rank, &mut buf, nc, (nc, 1));
         for &(cv, idxs, w) in &self.state_terms {
             for c in 0..nc {
                 let mut acc = 0.0;
@@ -206,7 +209,9 @@ impl TransferLink {
             }
         }
         self.coarse_sched
-            .scatter_add_planes_into(rank, &mut buf, coarse_out, nc);
+            .scatter_add_begin(rank, &mut buf, nc, (nc, 1));
+        self.coarse_sched
+            .scatter_add_finish(rank, coarse_out, nc, (1, cplane));
         rank.recycle_f64(buf);
         counter.add(self.resid_terms.len(), FLOPS_TRANSFER_VERT);
     }
@@ -233,7 +238,8 @@ impl TransferLink {
             }
         }
         self.coarse_sched
-            .gather_planes_into(rank, coarse, &mut buf, nc);
+            .gather_begin(rank, coarse, nc, (1, cplane));
+        self.coarse_sched.gather_finish(rank, &mut buf, nc, (nc, 1));
         for &(fv, idxs, w) in &self.resid_terms {
             let fv = fv as usize;
             for c in 0..nc {

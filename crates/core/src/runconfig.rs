@@ -32,6 +32,7 @@ use eul3d_obs::DEFAULT_RING_CAPACITY;
 use eul3d_partition::RankMapping;
 
 use crate::config::{Scheme, SolverConfig};
+use crate::dist::DistBackend;
 use crate::error::{Eul3dError, SolverError};
 use crate::health::GuardConfig;
 use crate::multigrid::Strategy;
@@ -125,19 +126,6 @@ impl Default for PartitionConfig {
     }
 }
 
-/// Which transport backs the distributed path of a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BackendKind {
-    /// Modeled-clock Delta: SPMD ranks with channel halo exchange and
-    /// simulated wire time.
-    #[default]
-    Delta,
-    /// True-parallel hybrid: ranks are OS threads and halo exchange goes
-    /// through shared-memory windows; the modeled clock still runs so one
-    /// run reports both simulated and wall time.
-    Hybrid,
-}
-
 /// The full description of one EUL3D run. Fill the public fields over
 /// [`RunConfig::default`] and call [`RunConfig::validate`], or
 /// deserialize with [`RunConfig::from_toml`] (which validates).
@@ -156,10 +144,10 @@ pub struct RunConfig {
     /// Simulated ranks for the distributed path.
     pub nranks: usize,
     /// Distributed transport backend.
-    pub backend: BackendKind,
+    pub backend: DistBackend,
     /// Worker threads for the hybrid backend (0 = one per rank). The
     /// hybrid path maps ranks onto OS threads one-to-one, so a nonzero
-    /// value overrides `nranks` when the backend is [`BackendKind::Hybrid`].
+    /// value overrides `nranks` when the backend is [`DistBackend::Hybrid`].
     pub threads: usize,
     /// Solver-health guard (`None` = unguarded).
     pub guard: Option<GuardConfig>,
@@ -185,7 +173,7 @@ impl Default for RunConfig {
             cycles: 100,
             mesh: BumpSpec::default(),
             nranks: 32,
-            backend: BackendKind::Delta,
+            backend: DistBackend::Delta,
             threads: 0,
             guard: None,
             checkpoint_every: 0,
@@ -294,7 +282,7 @@ impl RunConfig {
     /// actually uses: on the hybrid backend a nonzero `threads` overrides
     /// `nranks` (one rank per OS thread).
     pub fn effective_nranks(&self) -> usize {
-        if self.backend == BackendKind::Hybrid && self.threads != 0 {
+        if self.backend == DistBackend::Hybrid && self.threads != 0 {
             self.threads
         } else {
             self.nranks
@@ -324,18 +312,18 @@ pub fn parse_strategy(s: &str) -> Option<Strategy> {
     }
 }
 
-fn backend_name(b: BackendKind) -> &'static str {
+fn backend_name(b: DistBackend) -> &'static str {
     match b {
-        BackendKind::Delta => "delta",
-        BackendKind::Hybrid => "hybrid",
+        DistBackend::Delta => "delta",
+        DistBackend::Hybrid => "hybrid",
     }
 }
 
 /// Parse a backend name (the CLI's `--backend` grammar).
-pub fn parse_backend(s: &str) -> Option<BackendKind> {
+pub fn parse_backend(s: &str) -> Option<DistBackend> {
     match s {
-        "delta" | "sim" => Some(BackendKind::Delta),
-        "hybrid" => Some(BackendKind::Hybrid),
+        "delta" | "sim" => Some(DistBackend::Delta),
+        "hybrid" => Some(DistBackend::Hybrid),
         _ => None,
     }
 }
@@ -832,7 +820,7 @@ mod tests {
     #[test]
     fn backend_and_threads_validate_and_round_trip() {
         let rc = RunConfig {
-            backend: BackendKind::Hybrid,
+            backend: DistBackend::Hybrid,
             threads: 4,
             nranks: 32,
             ..RunConfig::default()
@@ -844,7 +832,7 @@ mod tests {
             "threads override nranks on hybrid"
         );
         let back = RunConfig::from_toml(&rc.to_toml()).unwrap();
-        assert_eq!(back.backend, BackendKind::Hybrid);
+        assert_eq!(back.backend, DistBackend::Hybrid);
         assert_eq!(back.threads, 4);
 
         let delta = RunConfig {

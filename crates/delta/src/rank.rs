@@ -178,10 +178,10 @@ impl Rank {
         self.cost
     }
 
-    /// Attach the shared-memory window registry (hybrid backend). Halo
-    /// schedules on a windowed rank move their per-cycle streams onto
-    /// in-place shared-memory publishes; everything else stays on the
-    /// channels.
+    /// Attach the shared-memory window registry (hybrid backend). Every
+    /// record stream ([`Rank::publish_f64`] / [`Rank::consume_f64`]) then
+    /// moves through in-place shared-memory publishes; setup messages,
+    /// collectives and checkpoint shipping stay on the channels.
     pub fn install_windows(&mut self, reg: Arc<WindowRegistry>) {
         assert_eq!(
             reg.nranks(),
@@ -191,16 +191,52 @@ impl Rank {
         self.windows = Some(reg);
     }
 
-    /// Does this rank exchange halos through shared-memory windows?
+    /// Do this rank's record streams ride shared-memory windows (where
+    /// work between publish and consume really overlaps)?
     pub fn has_windows(&self) -> bool {
         self.windows.is_some()
+    }
+
+    /// Publish one record buffer to `dst` on the repeating stream
+    /// `(dst, tag)`; `fill` packs it in place (`cap` values expected).
+    /// The transport is the rank's: its shared-memory window when a
+    /// registry is installed, else the persistent-buffer channel protocol
+    /// ([`Rank::take_pack_f64`] + [`Rank::send_packed_f64`]). Both charge
+    /// the same counters, trace events and modeled wire time, and both
+    /// block only while the stream's previous record is unread, so
+    /// callers never ask which one runs. Pair with [`Rank::consume_f64`]
+    /// on `dst`; every rank publishes all of an exchange's records before
+    /// consuming any (see [`crate::shm`] for why that cannot deadlock).
+    pub fn publish_f64<F>(&mut self, dst: usize, tag: u32, class: CommClass, cap: usize, fill: F)
+    where
+        F: FnOnce(&mut Vec<f64>),
+    {
+        if self.windows.is_some() {
+            return self.window_publish_f64(dst, tag, class, fill);
+        }
+        let mut buf = self.take_pack_f64(dst, tag, cap);
+        fill(&mut buf);
+        self.send_packed_f64(dst, tag, buf, class);
+    }
+
+    /// Read the next record `src` published on stream `(me, tag)`, in
+    /// place, and hand its storage back to the sender (the window's
+    /// epoch bump, or [`Rank::return_packed_f64`] on channels).
+    pub fn consume_f64<R>(&mut self, src: usize, tag: u32, read: impl FnOnce(&[f64]) -> R) -> R {
+        if self.windows.is_some() {
+            return self.window_consume_f64(src, tag, read);
+        }
+        let buf = self.recv_f64(src, tag);
+        let r = read(&buf);
+        self.return_packed_f64(src, tag, buf);
+        r
     }
 
     /// The cached window for directed stream `(src, dst, tag)`.
     fn window(&mut self, src: usize, dst: usize, tag: u32) -> Arc<Window> {
         let reg = match self.windows.as_ref() {
             Some(r) => r,
-            None => panic!("rank {}: window traffic without a registry", self.id),
+            None => unreachable!("window traffic only on a windowed rank"),
         };
         self.window_cache
             .entry((src, dst, tag))
@@ -208,12 +244,11 @@ impl Rank {
             .clone()
     }
 
-    /// Publish a packed buffer to `dst` on this stream's shared-memory
-    /// window; `fill` packs into the window buffer in place (no message
-    /// copy). Charged exactly like the channel send path — same
-    /// counters, same trace events, same modeled wire time — so a hybrid
-    /// run reports the identical simulated-Delta cost.
-    pub fn window_publish_f64<F>(&mut self, dst: usize, tag: u32, class: CommClass, fill: F)
+    /// The window transport of [`Rank::publish_f64`]: `fill` packs into
+    /// the window buffer in place (no message copy), charged exactly
+    /// like the channel send — same counters, same trace events, same
+    /// modeled wire time.
+    fn window_publish_f64<F>(&mut self, dst: usize, tag: u32, class: CommClass, fill: F)
     where
         F: FnOnce(&mut Vec<f64>),
     {
@@ -246,13 +281,10 @@ impl Rank {
         obs::advance_ns(self.cost.send_ns(bytes, hops));
     }
 
-    /// Consume the next epoch published by `src` on this stream's
-    /// window, reading it in place. Receives are sender-priced (as on
-    /// the channel path), so only the event is recorded.
-    pub fn window_consume_f64<R, F>(&mut self, src: usize, tag: u32, read: F) -> R
-    where
-        F: FnOnce(&[f64]) -> R,
-    {
+    /// The window transport of [`Rank::consume_f64`]. Receives are
+    /// sender-priced (as on the channel path), so only the event is
+    /// recorded.
+    fn window_consume_f64<R>(&mut self, src: usize, tag: u32, read: impl FnOnce(&[f64]) -> R) -> R {
         assert!(src < self.nranks, "consume from rank {src} out of range");
         let win = self.window(src, self.id, tag);
         let (bytes, r) = match win.consume_with(|buf| (8 * buf.len() as u64, read(buf))) {
@@ -318,15 +350,15 @@ impl Rank {
     }
 
     /// Take a pack buffer for a *repeating* point-to-point stream
-    /// `(dst, tag)` — the schedule-executor protocol. If a buffer lent on
-    /// this stream is still outstanding, block until the receiver returns
-    /// it (it does so right after unpacking, so per-pair FIFO order makes
-    /// data and returned buffers alternate strictly on the stream) and
-    /// recycle it; then take from the pool. After the first execution the
-    /// same buffer ping-pongs forever: zero steady-state allocation even
-    /// for one-directional streams. Models PARTI's persistent send
-    /// buffers; pair with [`Rank::send_packed_f64`] /
-    /// [`Rank::return_packed_f64`].
+    /// `(dst, tag)` — the channel side of [`Rank::publish_f64`], and what
+    /// checkpoint shipping uses directly. If a buffer lent on this stream
+    /// is still outstanding, block until the receiver returns it (it does
+    /// so right after unpacking, so per-pair FIFO order makes data and
+    /// returned buffers alternate strictly on the stream) and recycle it;
+    /// then take from the pool. After the first execution the same
+    /// buffer ping-pongs forever: zero steady-state allocation even for
+    /// one-directional streams. Models PARTI's persistent send buffers;
+    /// pair with [`Rank::send_packed_f64`] / [`Rank::return_packed_f64`].
     pub fn take_pack_f64(&mut self, dst: usize, tag: u32, cap: usize) -> Vec<f64> {
         if self.outstanding.remove(&(dst, tag)) {
             let returned = self.recv_payload(dst, tag).into_f64();

@@ -27,10 +27,13 @@
 //! *current* one — so every wait points at a peer strictly earlier in
 //! the program, and the least-progressed rank is always runnable.
 //!
-//! Windows carry only the per-cycle halo streams of a fault-free run;
-//! setup traffic, collectives, checkpoints, and every fault-injected run
-//! stay on the modeled message channels (fault injection acts on the
-//! modeled wire, which a shared-memory load bypasses by construction).
+//! Windows carry every schedule record stream of a fault-free run —
+//! halo exchanges, inter-grid transfers and the set-up degree scatter,
+//! all through [`crate::Rank::publish_f64`] / [`crate::Rank::consume_f64`];
+//! the inspector's index messages, collectives, checkpoints, and every
+//! fault-injected run stay on the modeled message channels (fault
+//! injection acts on the modeled wire, which a shared-memory load
+//! bypasses by construction).
 
 use std::cell::UnsafeCell;
 use std::collections::HashMap;

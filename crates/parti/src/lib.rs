@@ -7,12 +7,16 @@
 //! the inspector ([`localize`]) scans the off-processor references a rank
 //! will make, deduplicates them with hash tables, and builds a
 //! [`Schedule`] — a reusable communication pattern. The executor then
-//! calls [`Schedule::gather_planes`] to fetch off-processor data into
-//! ghost slots before a loop, and [`Schedule::scatter_add_planes`] to
-//! flush partial sums accumulated in ghost slots back to their owners
-//! after a loop. Per-vertex fields are plane-major (`nplanes`
-//! contiguous planes); the `_shm_` begin/finish halves move the same
-//! bytes through shared-memory windows instead of channel mailboxes.
+//! fetches off-processor data into ghost slots before a loop
+//! ([`Schedule::gather_begin`] / [`Schedule::gather_finish`]) and
+//! flushes partial sums accumulated in ghost slots back to their owners
+//! after it ([`Schedule::scatter_add_begin`] /
+//! [`Schedule::scatter_add_finish`]); `gather_planes` and
+//! `scatter_add_planes` run both halves on one plane-major field. One
+//! pack loop and one unpack loop serve plane-major fields and
+//! vertex-major staging buffers alike, and the bytes move over whichever
+//! transport the rank carries (channel mailboxes, or shared-memory
+//! windows on the hybrid backend) — the schedule never asks which.
 //!
 //! The §4.3 communication optimizations are implemented too:
 //! * **incremental schedules** ([`GhostRegistry`]) fetch only the

@@ -27,13 +27,20 @@ pub struct EventStream {
 }
 
 impl EventStream {
-    /// The next reply line, trimmed, or `None` at end of stream.
+    /// The next reply line, trimmed, or `None` at end of stream (a read
+    /// error ends the stream too).
     pub fn next_line(&mut self) -> Option<String> {
+        self.try_next_line().ok().flatten()
+    }
+
+    /// [`EventStream::next_line`] that reports a read error (a timeout,
+    /// a reset) instead of treating it as a clean end of stream.
+    fn try_next_line(&mut self) -> std::io::Result<Option<String>> {
         let mut line = String::new();
-        match self.reader.read_line(&mut line) {
-            Ok(0) | Err(_) => None,
-            Ok(_) => Some(line.trim_end().to_string()),
-        }
+        Ok(match self.reader.read_line(&mut line)? {
+            0 => None,
+            _ => Some(line.trim_end().to_string()),
+        })
     }
 }
 
@@ -81,22 +88,24 @@ pub fn submit_and_collect(
     force: bool,
     artifacts: bool,
 ) -> std::io::Result<Vec<String>> {
+    raw_request(path, &submit_line(config, mode, force, artifacts)?)
+}
+
+/// The `submit` request line, or `InvalidInput` for an unknown mode.
+fn submit_line(config: &str, mode: &str, force: bool, artifacts: bool) -> std::io::Result<String> {
     let mode = eul3d_core::JobMode::parse(mode).ok_or_else(|| {
         std::io::Error::new(
             std::io::ErrorKind::InvalidInput,
             format!("bad mode '{mode}'"),
         )
     })?;
-    raw_request(
-        path,
-        &Request::Submit {
-            config: config.to_string(),
-            mode,
-            force,
-            artifacts,
-        }
-        .to_line(),
-    )
+    Ok(Request::Submit {
+        config: config.to_string(),
+        mode,
+        force,
+        artifacts,
+    }
+    .to_line())
 }
 
 /// Resilience policy for [`submit_resilient`].
@@ -162,23 +171,11 @@ pub fn submit_resilient(
     artifacts: bool,
     cfg: &ClientConfig,
 ) -> std::io::Result<Vec<String>> {
-    let mode = eul3d_core::JobMode::parse(mode).ok_or_else(|| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            format!("bad mode '{mode}'"),
-        )
-    })?;
-    let line = Request::Submit {
-        config: config.to_string(),
-        mode,
-        force,
-        artifacts,
-    }
-    .to_line();
+    let line = submit_line(config, mode, force, artifacts)?;
     let mut rng = cfg.seed;
     let mut last_err: Option<std::io::Error> = None;
     for attempt in 0..=cfg.retries {
-        match submit_once(path, &line, cfg.read_timeout) {
+        match submit_once(path, &line, cfg.read_timeout).unwrap_or_else(Attempt::Broken) {
             Attempt::Terminal(lines) => return Ok(lines),
             Attempt::Rejected { retry_after_ms } => {
                 if attempt == cfg.retries {
@@ -216,47 +213,25 @@ fn jittered(base_ms: u64, rng: &mut u64) -> Duration {
     Duration::from_millis(base_ms + jitter)
 }
 
-fn submit_once(path: &Path, line: &str, read_timeout: Option<Duration>) -> Attempt {
-    let stream = match UnixStream::connect(path) {
-        Ok(s) => s,
-        Err(e) => return Attempt::Broken(e),
-    };
-    if stream.set_read_timeout(read_timeout).is_err() {
-        return Attempt::Broken(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            "cannot set read timeout",
-        ));
-    }
-    let mut writer = match stream.try_clone() {
-        Ok(s) => s,
-        Err(e) => return Attempt::Broken(e),
-    };
-    if let Err(e) = writer
-        .write_all(line.as_bytes())
-        .and_then(|()| writer.write_all(b"\n"))
-        .and_then(|()| writer.flush())
-    {
-        return Attempt::Broken(e);
-    }
-    let mut reader = BufReader::new(stream);
+/// One submission: `Err` when connecting, writing or reading fails
+/// (the caller's [`Attempt::Broken`]).
+fn submit_once(
+    path: &Path,
+    line: &str,
+    read_timeout: Option<Duration>,
+) -> std::io::Result<Attempt> {
+    let mut stream = open(path, line)?;
+    stream.reader.get_ref().set_read_timeout(read_timeout)?;
     let mut out = Vec::new();
-    loop {
-        let mut l = String::new();
-        match reader.read_line(&mut l) {
-            Ok(0) => break,
-            Ok(_) => {
-                let l = l.trim_end().to_string();
-                if let Ok(o) = JObj::parse(&l) {
-                    if o.str_of("event") == Some("rejected") {
-                        return Attempt::Rejected {
-                            retry_after_ms: o.u64_of("retry_after_ms"),
-                        };
-                    }
-                }
-                out.push(l);
+    while let Some(l) = stream.try_next_line()? {
+        if let Ok(o) = JObj::parse(&l) {
+            if o.str_of("event") == Some("rejected") {
+                return Ok(Attempt::Rejected {
+                    retry_after_ms: o.u64_of("retry_after_ms"),
+                });
             }
-            Err(e) => return Attempt::Broken(e),
         }
+        out.push(l);
     }
     let terminal = out.iter().rev().any(|l| {
         JObj::parse(l).ok().is_some_and(|o| {
@@ -266,12 +241,12 @@ fn submit_once(path: &Path, line: &str, read_timeout: Option<Duration>) -> Attem
             )
         })
     });
-    if terminal {
+    Ok(if terminal {
         Attempt::Terminal(out)
     } else {
         Attempt::Broken(std::io::Error::new(
             std::io::ErrorKind::UnexpectedEof,
             "stream ended before a terminal event",
         ))
-    }
+    })
 }

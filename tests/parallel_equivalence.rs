@@ -366,14 +366,28 @@ fn gathered_neighbour_sums_keep_the_edge_loop_histories() {
             "{scheme:?} serial: {:#034x}",
             history_fnv(&hs)
         );
+        // Delta channels and hybrid windows: one transport-agnostic
+        // exchange path, so the same bits and the same modeled traffic.
         let setup = DistSetup::new(seq(), 2, 25, 11);
-        let dist = run_distributed(&setup, cfg, Strategy::WCycle, 10, DistOptions::default());
-        assert_eq!(
-            history_fnv(dist.history()),
-            delta_fnv,
-            "{scheme:?} delta: {:#034x}",
-            history_fnv(dist.history())
-        );
+        let runs = [DistBackend::Delta, DistBackend::Hybrid].map(|backend| {
+            let opts = DistOptions {
+                backend,
+                ..DistOptions::default()
+            };
+            let dist = run_distributed(&setup, cfg, Strategy::WCycle, 10, opts);
+            assert_eq!(dist.transport, backend, "{scheme:?}: no fallback");
+            assert_eq!(
+                history_fnv(dist.history()),
+                delta_fnv,
+                "{scheme:?} {backend:?}: {:#034x}",
+                history_fnv(dist.history())
+            );
+            dist.cycle_counters()
+        });
+        for (d, h) in runs[0].iter().zip(&runs[1]) {
+            assert_eq!(d.sent, h.sent, "{scheme:?}: per-class traffic");
+            assert_eq!(d.hops, h.hops, "{scheme:?}: hops");
+        }
         // Block ownership keeps every slot's ascending edge order: the
         // team's history is the serial one, whatever its size.
         for ncpus in [1, 2, 3] {
