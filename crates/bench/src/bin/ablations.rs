@@ -12,19 +12,69 @@
 //!    architecture-dependent);
 //! 7. multigrid depth: convergence per cycle vs number of levels;
 //! 8. coarse-level construction: unrelated meshes (the paper) vs
-//!    refinement-nested vs agglomerated dual volumes.
+//!    refinement-nested vs agglomerated dual volumes;
+//! 9. §4.2 node and edge reordering: one convective-flux edge sweep on
+//!    RCM, generator, random-node and random-edge orderings of one mesh
+//!    (the paper: reordering "improved the single node computational rate
+//!    by a factor of two" on the i860's small cache).
+
+use std::hint::black_box;
+use std::time::Instant;
 
 use eul3d_bench::{finite_or_exit, CaseSpec};
 use eul3d_core::dist::{run_distributed, DistOptions, DistSetup};
-use eul3d_core::{ConvergenceHistory, MultigridSolver, SolverConfig, Strategy};
+use eul3d_core::gas::{GAMMA, NVAR};
+use eul3d_core::{ConvergenceHistory, MultigridSolver, SoaState, SolverConfig, Strategy};
 use eul3d_delta::{CommClass, CostModel};
+use eul3d_kernels::{EdgeSpan, ScatterAccess};
 use eul3d_mesh::gen::BumpSpec;
 use eul3d_mesh::{MeshSequence, TetMesh};
+use eul3d_partition::reorder::{apply_vertex_order, rcm_order, shuffle_edges, shuffle_vertices};
 use eul3d_partition::{
     kl_refine, random_partition, rcb_partition, FlatRsb, MultilevelRsb, PartitionOptions,
     PartitionQuality, Partitioner,
 };
 use eul3d_perf::TextTable;
+
+/// Timed sweeps per ordering in study 9; the minimum is reported.
+const REORDER_SWEEPS: usize = 50;
+
+/// Min-of-[`REORDER_SWEEPS`] wall time of one `conv_flux_edges` sweep
+/// over `mesh` on a uniform freestream state.
+fn conv_flux_seconds(mesh: &TetMesh, cfg: &SolverConfig) -> f64 {
+    let n = mesh.nverts();
+    let mut w = SoaState::new(n, NVAR);
+    w.fill_rows(&cfg.freestream().w);
+    let mut p = vec![0.0; n];
+    // SAFETY: single-threaded; `w` holds 5n values, `p` holds n.
+    unsafe {
+        eul3d_kernels::pressure_verts(0..n, GAMMA, w.flat(), n, &ScatterAccess::new(&mut [&mut p]))
+    };
+    let span = EdgeSpan::Range(0..mesh.nedges());
+    let mut q = vec![0.0; n * NVAR];
+    let mut best = f64::INFINITY;
+    for _ in 0..REORDER_SWEEPS {
+        q.fill(0.0);
+        let s = ScatterAccess::new(&mut [&mut q]);
+        let t0 = Instant::now();
+        // SAFETY: single-threaded; arrays sized by the mesh.
+        unsafe {
+            eul3d_kernels::conv_flux_edges(
+                &span,
+                &mesh.edges,
+                &mesh.edge_coef,
+                w.flat(),
+                &p,
+                n,
+                &s,
+                cfg.lanes,
+            )
+        };
+        best = best.min(t0.elapsed().as_secs_f64());
+    }
+    black_box(&q);
+    best
+}
 
 fn spec(case: &CaseSpec) -> BumpSpec {
     BumpSpec {
@@ -289,4 +339,48 @@ fn main() {
     println!("{}", rows.render());
     println!("(agglomeration needs no coarse meshing or inter-grid search — the");
     println!(" §2.4 preprocessing bottleneck disappears, at some convergence cost)");
+
+    // ---- 9. §4.2 node and edge reordering -------------------------------
+    // A fixed mesh, large enough that the vertex arrays exceed L1/L2 on
+    // most hosts: the gain is a cache effect, so it needs cache misses.
+    let base = eul3d_mesh::gen::bump_channel(&BumpSpec {
+        nx: 40,
+        ny: 16,
+        nz: 14,
+        jitter: 0.15,
+        ..Default::default()
+    });
+    let random_nodes = shuffle_vertices(&base, 99);
+    let rcm = apply_vertex_order(
+        &random_nodes,
+        &rcm_order(random_nodes.nverts(), &random_nodes.edges),
+    );
+    let mut random_edges = rcm.clone();
+    shuffle_edges(&mut random_edges, 7);
+    println!(
+        "\n9) §4.2 node+edge reordering ({} verts, {} edges; conv_flux_edges, min of {REORDER_SWEEPS} sweeps):",
+        base.nverts(),
+        base.nedges()
+    );
+    let mut rows = TextTable::new(&["ordering", "ms/sweep", "Medges/s", "time vs rcm"]);
+    let orderings = [
+        ("rcm", &rcm),
+        ("generator order", &base),
+        ("random nodes", &random_nodes),
+        ("random edges", &random_edges),
+    ];
+    let times: Vec<f64> = orderings
+        .iter()
+        .map(|(_, mesh)| conv_flux_seconds(mesh, &cfg))
+        .collect();
+    for ((name, mesh), t) in orderings.iter().zip(&times) {
+        rows.row(&[
+            name.to_string(),
+            format!("{:.3}", t * 1e3),
+            format!("{:.1}", mesh.nedges() as f64 / t / 1e6),
+            format!("{:.2}x", t / times[0]),
+        ]);
+    }
+    println!("{}", rows.render());
+    println!("(the paper's i860 rate doubled; a modern cache hides part of the miss cost)");
 }

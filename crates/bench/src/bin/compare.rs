@@ -115,6 +115,6 @@ fn main() {
         delta.mflops_per_rank
     );
     println!(
-        "run `cargo bench -p eul3d-bench --bench reorder` for the measured host-cache analogue."
+        "run `cargo run --release -p eul3d-bench --bin ablations` (study 9) for the measured host-cache analogue."
     );
 }

@@ -22,7 +22,7 @@
 
 use std::time::Instant;
 
-use eul3d_bench::CaseSpec;
+use eul3d_bench::{gate_arg, CaseSpec};
 use eul3d_core::dist::{run_distributed, DistOptions, DistSetup};
 use eul3d_core::Strategy;
 use eul3d_obs as obs;
@@ -81,10 +81,7 @@ fn emit_ns(tracer: Box<dyn Tracer>) -> f64 {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let gate: Option<f64> = args
-        .iter()
-        .position(|a| a == "--gate")
-        .map(|i| args[i + 1].parse().expect("--gate takes a percentage"));
+    let gate = gate_arg(&args, "--gate");
     let repeats: usize = std::env::var("EUL3D_BENCH_REPEATS")
         .ok()
         .and_then(|v| v.parse().ok())

@@ -23,6 +23,7 @@
 
 use std::time::Instant;
 
+use eul3d_bench::gate_arg;
 use eul3d_mesh::gen::{bump_channel, BumpSpec};
 use eul3d_partition::{
     FlatRsb, MultilevelRsb, PartitionOptions, PartitionPlan, Partitioner, RankMapping,
@@ -31,16 +32,6 @@ use eul3d_partition::{
 /// Edge-cut gate: multilevel must match or beat flat RSB's cut at every
 /// size (the sweep is deterministic, so an exact bound is safe).
 const CUT_TOLERANCE: f64 = 1.0;
-
-fn spec(nx: usize) -> BumpSpec {
-    BumpSpec {
-        nx,
-        ny: (nx * 7 / 20).max(4),
-        nz: (nx * 3 / 10).max(3),
-        jitter: 0.12,
-        ..BumpSpec::default()
-    }
-}
 
 /// Min-of-repeats partition time plus the (deterministic) plan.
 fn time_method(
@@ -72,10 +63,7 @@ fn method_json(name: &str, seconds: f64, plan: &PartitionPlan) -> String {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let gate: Option<f64> = args
-        .iter()
-        .position(|a| a == "--gate")
-        .map(|i| args[i + 1].parse().expect("--gate takes a speedup factor"));
+    let gate = gate_arg(&args, "--gate");
     let repeats: usize = std::env::var("EUL3D_BENCH_REPEATS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -94,7 +82,7 @@ fn main() {
     let mut cut_ok = true;
     let mut last_speedup = 0.0f64;
     for &nx in sizes {
-        let mesh = bump_channel(&spec(nx));
+        let mesh = bump_channel(&BumpSpec::channel(nx));
         let (nverts, edges) = (mesh.nverts(), &mesh.edges);
         let flat_opts = PartitionOptions::new(nparts).lanczos_iters(40).seed(seed);
         let ml_opts = PartitionOptions::new(nparts)

@@ -24,6 +24,7 @@
 use std::path::Path;
 use std::time::Instant;
 
+use eul3d_bench::gate_arg;
 use eul3d_serve::engine::EngineConfig;
 use eul3d_serve::json::JObj;
 use eul3d_serve::{client, server};
@@ -56,14 +57,8 @@ fn timed_submit(sock: &Path, config: &str, force: bool) -> (f64, bool) {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let gate: Option<f64> = args
-        .iter()
-        .position(|a| a == "--gate")
-        .map(|i| args[i + 1].parse().expect("--gate takes a ratio"));
-    let gate_journal: Option<f64> = args
-        .iter()
-        .position(|a| a == "--gate-journal")
-        .map(|i| args[i + 1].parse().expect("--gate-journal takes a percent"));
+    let gate = gate_arg(&args, "--gate");
+    let gate_journal = gate_arg(&args, "--gate-journal");
     let rounds: usize = std::env::var("EUL3D_BENCH_REPEATS")
         .ok()
         .and_then(|v| v.parse().ok())

@@ -12,8 +12,6 @@
 //! | `EUL3D_MACH` | freestream Mach number | 0.675 |
 //! | `EUL3D_OUT` | output directory for CSV/VTK | `target/experiments` |
 
-pub mod aos_ref;
-
 use std::path::PathBuf;
 
 use eul3d_core::SolverConfig;
@@ -55,21 +53,10 @@ impl CaseSpec {
         }
     }
 
-    /// The bump-channel spec of the fine grid.
-    pub fn bump_spec(&self) -> BumpSpec {
-        BumpSpec {
-            nx: self.nx,
-            ny: (self.nx * 7 / 20).max(4),
-            nz: (self.nx * 3 / 10).max(3),
-            jitter: 0.12,
-            ..BumpSpec::default()
-        }
-    }
-
     /// Generate the multigrid sequence (includes the §2.4 preprocessing:
     /// inter-grid search).
     pub fn sequence(&self) -> MeshSequence {
-        MeshSequence::bump_sequence(&self.bump_spec(), self.levels)
+        MeshSequence::bump_sequence(&BumpSpec::channel(self.nx), self.levels)
     }
 
     /// Solver configuration for this case.
@@ -97,6 +84,20 @@ pub fn write_csv(path: &std::path::Path, header: &[&str], rows: &[Vec<String>]) 
     writeln!(f, "{}", header.join(",")).unwrap();
     for row in rows {
         writeln!(f, "{}", row.join(",")).unwrap();
+    }
+}
+
+/// The number after `flag` (`--gate`, `--gate-journal`) on the command
+/// line, or `None` when the flag is absent. A missing or unparsable
+/// value exits with status 2 instead of panicking.
+pub fn gate_arg(args: &[String], flag: &str) -> Option<f64> {
+    let i = args.iter().position(|a| a == flag)?;
+    match args.get(i + 1).and_then(|v| v.parse().ok()) {
+        Some(v) => Some(v),
+        None => {
+            eprintln!("{flag} takes a number");
+            std::process::exit(2);
+        }
     }
 }
 
@@ -167,7 +168,5 @@ mod tests {
         assert!(c.nx >= 4);
         assert!(c.levels >= 1);
         assert_eq!(c.alpha_deg, 0.0);
-        let spec = c.bump_spec();
-        assert!(spec.ny >= 4 && spec.nz >= 3);
     }
 }

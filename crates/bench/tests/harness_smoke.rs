@@ -78,12 +78,13 @@ fn table2_partitioner_env_is_honoured() {
 }
 
 #[test]
-fn faults_sweep_is_bit_identical_everywhere() {
-    let (ok, out) = run(env!("CARGO_BIN_EXE_faults"), &[("EUL3D_CYCLES", "6")]);
-    assert!(ok, "{out}");
-    assert!(out.contains("kill+corrupt+drop"), "{out}");
-    assert!(out.contains("faults_sweep.csv"), "{out}");
-    assert!(!out.contains("NO"), "a scenario diverged:\n{out}");
+fn a_gate_without_its_number_exits_2() {
+    let out = Command::new(env!("CARGO_BIN_EXE_partition"))
+        .arg("--gate")
+        .output()
+        .expect("failed to run harness");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--gate takes a number"));
 }
 
 #[test]

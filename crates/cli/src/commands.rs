@@ -25,15 +25,15 @@ use eul3d_perf::TextTable;
 use crate::args::Args;
 
 fn bump_spec(a: &Args) -> Result<BumpSpec, String> {
-    let nx: usize = a.get("nx", 24)?;
+    let d = BumpSpec::channel(a.get("nx", 24)?);
     Ok(BumpSpec {
-        nx,
-        ny: a.get("ny", (nx * 7 / 20).max(4))?,
-        nz: a.get("nz", (nx * 3 / 10).max(3))?,
-        bump_height: a.get("bump", 0.10)?,
-        taper: a.get("taper", 0.0)?,
-        jitter: a.get("jitter", 0.12)?,
-        seed: a.get("seed", 42u64)?,
+        ny: a.get("ny", d.ny)?,
+        nz: a.get("nz", d.nz)?,
+        bump_height: a.get("bump", d.bump_height)?,
+        taper: a.get("taper", d.taper)?,
+        jitter: a.get("jitter", d.jitter)?,
+        seed: a.get("seed", d.seed)?,
+        ..d
     })
 }
 

@@ -232,6 +232,20 @@ impl Default for BumpSpec {
 }
 
 impl BumpSpec {
+    /// The channel every harness and the CLI size from one number: `nx`
+    /// cells along the flow, a cross-section scaled to keep the cells
+    /// near-isotropic (`ny = max(7nx/20, 4)`, `nz = max(3nx/10, 3)`),
+    /// and 12 % interior jitter.
+    pub fn channel(nx: usize) -> BumpSpec {
+        BumpSpec {
+            nx,
+            ny: (nx * 7 / 20).max(4),
+            nz: (nx * 3 / 10).max(3),
+            jitter: 0.12,
+            ..BumpSpec::default()
+        }
+    }
+
     /// Halve the resolution (used to build coarse multigrid levels), with
     /// a different seed so the coarse mesh is unrelated to the fine one.
     pub fn coarsened(&self) -> BumpSpec {
@@ -553,5 +567,21 @@ mod tests {
         let c = s.coarsened();
         assert_eq!(c.nx, s.nx / 2);
         assert_ne!(c.seed, s.seed);
+    }
+
+    #[test]
+    fn channel_sizes_the_cross_section_from_nx() {
+        for (nx, ny, nz) in [
+            (4, 4, 3),
+            (10, 4, 3),
+            (24, 8, 7),
+            (40, 14, 12),
+            (64, 22, 19),
+            (96, 33, 28),
+        ] {
+            let s = BumpSpec::channel(nx);
+            assert_eq!((s.nx, s.ny, s.nz, s.jitter), (nx, ny, nz, 0.12), "nx={nx}");
+            assert_eq!(s.seed, BumpSpec::default().seed);
+        }
     }
 }

@@ -21,10 +21,8 @@
 
 pub mod compare;
 pub mod cray;
-pub mod kernels;
 pub mod tables;
 
 pub use compare::Comparison;
 pub use cray::{C90Row, CrayC90Model};
-pub use kernels::{aggregate_speedup, kernels_report_json, KernelSample};
 pub use tables::TextTable;
