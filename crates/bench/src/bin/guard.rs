@@ -26,8 +26,8 @@ use std::time::Instant;
 use eul3d_bench::CaseSpec;
 use eul3d_core::dist::{run_distributed_guarded, DistOptions, DistSetup, FaultOptions};
 use eul3d_core::executor::Phase;
-use eul3d_core::health::GuardConfig;
-use eul3d_core::{MultigridSolver, SolverConfig, Strategy};
+use eul3d_core::health::{GuardConfig, GuardOutcome};
+use eul3d_core::{MultigridSolver, RunPlan, SolverConfig, SolverError, Strategy};
 use eul3d_delta::CostModel;
 use eul3d_mesh::gen::BumpSpec;
 use eul3d_mesh::MeshSequence;
@@ -64,6 +64,20 @@ fn sweep_guard() -> GuardConfig {
     }
 }
 
+/// `cycles` committed cycles of `mg` under `guard`.
+fn guarded(
+    mg: &mut MultigridSolver,
+    cycles: usize,
+    guard: &GuardConfig,
+) -> Result<(Vec<f64>, GuardOutcome), SolverError> {
+    let plan = RunPlan {
+        guard: Some(guard),
+        ..RunPlan::cycles(cycles)
+    };
+    let (history, outcome) = mg.run(plan, &mut |_, _| {})?;
+    Ok((history, outcome.expect("an armed guard reports")))
+}
+
 struct CflPoint {
     target_cfl: f64,
     recovered: bool,
@@ -95,10 +109,9 @@ fn main() {
     let h_bare = bare.solve(case.cycles);
     let bare_s = t0.elapsed().as_secs_f64();
 
-    let mut guarded = MultigridSolver::new(case.sequence(), cfg, Strategy::VCycle);
+    let mut mg_guarded = MultigridSolver::new(case.sequence(), cfg, Strategy::VCycle);
     let t1 = Instant::now();
-    let (h_guard, outcome) = guarded
-        .solve_guarded(case.cycles, &GuardConfig::default())
+    let (h_guard, outcome) = guarded(&mut mg_guarded, case.cycles, &GuardConfig::default())
         .expect("the healthy case must not trip the guard");
     let guarded_s = t1.elapsed().as_secs_f64();
     assert!(
@@ -108,8 +121,8 @@ fn main() {
     );
     assert_eq!(h_bare.len(), h_guard.len());
 
-    let total_flops = guarded.counter.flops();
-    let guard_flops = guarded.counter.comp[Phase::Guard.index()].flops;
+    let total_flops = mg_guarded.counter.flops();
+    let guard_flops = mg_guarded.counter.comp[Phase::Guard.index()].flops;
     let overhead_pct = 100.0 * (guarded_s / bare_s - 1.0);
     let flop_pct = 100.0 * guard_flops / total_flops;
     println!(
@@ -123,7 +136,7 @@ fn main() {
     for cfl in [2.8, 10.0, 30.0, 60.0] {
         let mut mg = MultigridSolver::new(stretched_seq(), stretched_cfg(cfl), Strategy::VCycle);
         let t = Instant::now();
-        let res = mg.solve_guarded(sweep_cycles, &guard);
+        let res = guarded(&mut mg, sweep_cycles, &guard);
         let seconds = t.elapsed().as_secs_f64();
         let p = match res {
             Ok((_, o)) => CflPoint {

@@ -11,13 +11,22 @@
 
 use eul3d_core::gas::oblique_shock;
 use eul3d_core::postproc::{entropy_error_field, l2_norm, pressure_field};
-use eul3d_core::{Scheme, SingleGridSolver, SolverConfig};
+use eul3d_core::{MultigridSolver, Scheme, SolverConfig, Strategy};
 use eul3d_mesh::gen::{bump_channel, wedge_channel, BumpSpec, WedgeSpec};
 use eul3d_mesh::refine::refine_uniform;
-use eul3d_mesh::Vec3;
+use eul3d_mesh::{MeshSequence, TetMesh, Vec3};
 use eul3d_perf::TextTable;
 
-fn nearest(mesh: &eul3d_mesh::TetMesh, pt: Vec3) -> usize {
+/// The paper's base solver: the single-grid strategy on one mesh.
+fn single_grid(mesh: TetMesh, cfg: SolverConfig) -> MultigridSolver {
+    MultigridSolver::new(
+        MeshSequence::from_meshes(vec![mesh]),
+        cfg,
+        Strategy::SingleGrid,
+    )
+}
+
+fn nearest(mesh: &TetMesh, pt: Vec3) -> usize {
     mesh.coords
         .iter()
         .enumerate()
@@ -39,7 +48,7 @@ fn main() {
             alpha_deg: 3.0,
             ..SolverConfig::default()
         };
-        let mut s = SingleGridSolver::new(mesh, cfg);
+        let mut s = single_grid(mesh, cfg);
         let r = s.cycle();
         let ok = r < 1e-12;
         println!(
@@ -66,16 +75,16 @@ fn main() {
             ..WedgeSpec::default()
         };
         let mesh = wedge_channel(&spec);
-        let mut s = SingleGridSolver::new(mesh, cfg);
+        let mut s = single_grid(mesh, cfg);
         let hist = s.solve(300);
         println!("   converged to {:.2e}", hist.last().unwrap());
         let (beta, pr_exact, m2) = oblique_shock(cfg.gamma, 2.0, spec.angle_deg).unwrap();
-        let p = pressure_field(cfg.gamma, s.state(), s.st.n);
+        let p = pressure_field(cfg.gamma, s.state(), s.levels[0].n);
         let p_inf = 1.0 / cfg.gamma;
         let mut t = TextTable::new(&["probe", "p/p∞ measured", "p/p∞ exact", "err %"]);
         let mut worst: f64 = 0.0;
         for (x, y) in [(0.7, 0.25), (0.9, 0.30), (1.1, 0.35)] {
-            let pr = p[nearest(&s.mesh, Vec3::new(x, y, 0.2))] / p_inf;
+            let pr = p[nearest(&s.seq.meshes[0], Vec3::new(x, y, 0.2))] / p_inf;
             let err = 100.0 * (pr / pr_exact - 1.0);
             worst = worst.max(err.abs());
             t.row(&[
@@ -85,7 +94,7 @@ fn main() {
                 format!("{err:+.1}"),
             ]);
         }
-        let pr_pre = p[nearest(&s.mesh, Vec3::new(-0.3, 0.5, 0.2))] / p_inf;
+        let pr_pre = p[nearest(&s.seq.meshes[0], Vec3::new(-0.3, 0.5, 0.2))] / p_inf;
         t.row(&[
             "(-0.3,0.50) ahead of shock".into(),
             format!("{pr_pre:.4}"),
@@ -128,17 +137,17 @@ fn main() {
         let mut orders = Vec::new();
         for (k, mesh) in meshes.into_iter().enumerate() {
             let cycles = 300 * (k + 1); // finer meshes need more cycles
-            let mut s = SingleGridSolver::new(mesh, cfg);
+            let mut s = single_grid(mesh, cfg);
             s.solve(cycles);
-            let ent = entropy_error_field(cfg.gamma, s.state(), s.st.n);
-            let err = l2_norm(&ent, &s.mesh.vol);
+            let ent = entropy_error_field(cfg.gamma, s.state(), s.levels[0].n);
+            let err = l2_norm(&ent, &s.seq.meshes[0].vol);
             let order = prev.map(|p: f64| (p / err).log2());
             if let Some(o) = order {
                 orders.push(o);
             }
             t.row(&[
                 format!("1/{}", 1 << k),
-                s.st.n.to_string(),
+                s.levels[0].n.to_string(),
                 format!("{err:.3e}"),
                 order
                     .map(|o| format!("{o:.2}"))

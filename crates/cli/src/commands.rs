@@ -1,14 +1,16 @@
 //! Subcommand implementations.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use eul3d_core::checkpoint::Checkpoint;
 use eul3d_core::health::GuardOutcome;
 use eul3d_core::postproc::{cp_field, mach_field, pressure_field};
 use eul3d_core::runconfig::{
     parse_backend, parse_partition_method, parse_scheme, parse_strategy, partition_method_name,
 };
-use eul3d_core::{ConvergenceHistory, Eul3dError, MultigridSolver, Phase, RunConfig, TraceConfig};
+use eul3d_core::{
+    ConvergenceHistory, Eul3dError, JobCheckpoint, MultigridSolver, Phase, RunConfig, RunPlan,
+    SoaState, TraceConfig,
+};
 use eul3d_delta::CostModel;
 use eul3d_mesh::gen::BumpSpec;
 use eul3d_mesh::stats::MeshStats;
@@ -359,8 +361,11 @@ pub fn solve(a: &Args) -> Result<(), String> {
     let (spec, levels, cycles) = (rc.mesh.clone(), rc.levels, rc.cycles);
     let (strategy, cfg, guard) = (rc.strategy, rc.solver, rc.guard);
 
-    if guard.is_some() && (agglo || restart.is_some() || fmg) {
-        return Err("the health guard is incompatible with --coarse agglo/--restart/--fmg".into());
+    if restart.is_some() && fmg {
+        return Err("--restart and --fmg both set the start state; pass one".into());
+    }
+    if guard.is_some() && agglo {
+        return Err("the health guard is incompatible with --coarse agglo".into());
     }
 
     println!(
@@ -386,7 +391,7 @@ pub fn solve(a: &Args) -> Result<(), String> {
         let mut mg = eul3d_core::agglo::AggloMultigrid::new(mesh, cfg, strategy, levels);
         println!("agglomerated levels: {:?} cells", mg.level_sizes());
         let hist = mg.solve(cycles);
-        let h = ConvergenceHistory::from_residuals(hist);
+        let h = ConvergenceHistory::from_residuals(hist.clone());
         let last = h
             .residuals
             .last()
@@ -401,10 +406,7 @@ pub fn solve(a: &Args) -> Result<(), String> {
             h.orders_reduced()
         );
         if let Some(path) = checkpoint {
-            Checkpoint::from_state(mg.state(), cycles as u64, cfg.mach, cfg.alpha_deg)
-                .save(PathBuf::from(&path).as_path())
-                .map_err(|e| format!("checkpoint: {e}"))?;
-            println!("checkpointed to {path}");
+            save_checkpoint(&path, hist, mg.state())?;
         }
         if let Some(path) = vtk {
             let n = mg.mesh.nverts();
@@ -429,29 +431,37 @@ pub fn solve(a: &Args) -> Result<(), String> {
     } else {
         MultigridSolver::new(seq, cfg, strategy)
     };
+    // Restart and FMG only set the start state; the run loop is the same.
+    let mut resume = None;
     if let Some(path) = &restart {
-        let ck =
-            Checkpoint::load(PathBuf::from(path).as_path()).map_err(|e| format!("restart: {e}"))?;
-        ck.restore_into_state(&mut mg.levels[0].w)
-            .map_err(|e| format!("restart: {e}"))?;
+        let ck = JobCheckpoint::load(Path::new(path))
+            .ok_or_else(|| format!("restart: {path} is missing, cut short, damaged or foreign"))?;
+        ck.fit(mg.levels[0].n, ck.history.len() + cycles)
+            .map_err(|e| format!("restart: {path}: {e}"))?;
         println!("restarted from {path} ({} cycles done)", ck.cycles_done);
-    } else if fmg {
+        resume = Some(ck);
+    }
+    if fmg {
         mg.fmg_init(cycles.min(20));
     }
-    let hist = match &guard {
-        Some(g) => {
-            let (hist, outcome) = mg.solve_guarded(cycles, g).map_err(|e| e.to_string())?;
-            print_guard_summary(&outcome);
-            hist
-        }
-        None => mg.solve(cycles),
+    let start = resume.as_ref().map_or(0, |ck| ck.history.len());
+    let plan = RunPlan {
+        cycles: start + cycles,
+        guard: guard.as_ref(),
+        resume,
+        durability: None,
     };
+    let (hist, outcome) = mg.run(plan, &mut |_, _| {}).map_err(|e| e.to_string())?;
+    if let Some(o) = &outcome {
+        print_guard_summary(o);
+    }
     let (w, nverts, flops) = (&mg.levels[0].w, mg.levels[0].n, mg.counter.flops());
     // Export before the divergence check so a failing run still leaves
     // its trace behind for inspection.
     finish_driver_trace(&rc.trace)?;
 
-    let h = ConvergenceHistory::from_residuals(hist);
+    // This invocation's cycles; the checkpoint keeps the whole history.
+    let h = ConvergenceHistory::from_residuals(hist[start..].to_vec());
     let last = h
         .residuals
         .last()
@@ -475,10 +485,7 @@ pub fn solve(a: &Args) -> Result<(), String> {
     }
 
     if let Some(path) = checkpoint {
-        Checkpoint::from_state(w, cycles as u64, cfg.mach, cfg.alpha_deg)
-            .save(PathBuf::from(&path).as_path())
-            .map_err(|e| format!("checkpoint: {e}"))?;
-        println!("checkpointed to {path}");
+        save_checkpoint(&path, hist, w)?;
     }
     if let Some(path) = vtk {
         let mach = mach_field(cfg.gamma, w, nverts);
@@ -492,6 +499,16 @@ pub fn solve(a: &Args) -> Result<(), String> {
         .map_err(|e| format!("vtk export: {e}"))?;
         println!("wrote {path}");
     }
+    Ok(())
+}
+
+/// `--checkpoint`: the committed history and the fine state as one
+/// atomically written frame, the file `--restart` continues from.
+fn save_checkpoint(path: &str, history: Vec<f64>, w: &SoaState) -> Result<(), String> {
+    JobCheckpoint::new(history, w)
+        .save(Path::new(path))
+        .map_err(|e| format!("checkpoint: {e}"))?;
+    println!("checkpointed to {path}");
     Ok(())
 }
 

@@ -140,6 +140,91 @@ fn solve_roundtrip_with_checkpoint() {
     std::fs::remove_file(&ck).ok();
 }
 
+/// A fresh scratch directory for one test.
+fn scratch(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("eul3d_cli_{name}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+const SMALL_W: &[&str] = &["solve", "--nx", "8", "--levels", "2", "--strategy", "w"];
+
+#[test]
+fn restart_continues_a_checkpointed_run_byte_for_byte() {
+    let dir = scratch("restart");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_owned();
+    let run = |extra: &[&str]| {
+        let (ok, stdout, stderr) = eul3d(&[SMALL_W, extra].concat());
+        assert!(ok, "{extra:?}: {stderr}");
+        stdout
+    };
+    run(&["--cycles", "10", "--checkpoint", &path("a")]);
+    run(&["--cycles", "5", "--checkpoint", &path("b")]);
+    let out = run(&[
+        "--cycles",
+        "5",
+        "--restart",
+        &path("b"),
+        "--checkpoint",
+        &path("c"),
+    ]);
+    assert!(out.contains("restarted from"), "{out}");
+    let a = std::fs::read(path("a")).unwrap();
+    assert_eq!(a, std::fs::read(path("c")).unwrap(), "10 cycles = 5 + 5");
+    assert!(!dir.join("c.tmp").exists(), "the atomic write cleans up");
+
+    // Refused, never half-restored: another mesh's checkpoint, a cut
+    // file, and a file that is not a checkpoint at all.
+    let (ok, _, stderr) = eul3d(&[
+        "solve",
+        "--nx",
+        "10",
+        "--levels",
+        "2",
+        "--cycles",
+        "1",
+        "--checkpoint",
+        &path("other_mesh"),
+    ]);
+    assert!(ok, "{stderr}");
+    std::fs::write(path("cut"), &a[..a.len() - 9]).unwrap();
+    std::fs::write(path("foreign"), b"# not a checkpoint\n").unwrap();
+    for bad in ["other_mesh", "cut", "foreign"] {
+        let (ok, _, stderr) =
+            eul3d(&[SMALL_W, &["--cycles", "2", "--restart", &path(bad)]].concat());
+        assert!(!ok, "restart from {bad} must fail");
+        assert!(stderr.contains("error: restart:"), "{bad}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{bad}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn restart_and_fmg_are_one_start_state_too_many() {
+    let (ok, _, stderr) = eul3d(&[SMALL_W, &["--cycles", "2", "--restart", "x", "--fmg"]].concat());
+    assert!(
+        !ok,
+        "--restart with --fmg must be refused, not half-honoured"
+    );
+    assert!(stderr.contains("--restart and --fmg"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn the_guard_runs_on_from_a_restart() {
+    let dir = scratch("guard_restart");
+    let ck = dir.join("ck").to_str().unwrap().to_owned();
+    let (ok, _, stderr) = eul3d(&[SMALL_W, &["--cycles", "3", "--checkpoint", &ck]].concat());
+    assert!(ok, "{stderr}");
+    let (ok, stdout, stderr) =
+        eul3d(&[SMALL_W, &["--cycles", "3", "--guard", "--restart", &ck]].concat());
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("restarted from"), "{stdout}");
+    assert!(stdout.contains("health guard:"), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn solve_threads_runs_the_full_cycle_on_the_shared_executor() {
     // The paper's C90 configuration: every strategy under --threads,

@@ -1,11 +1,15 @@
-//! Disk-backed, crash-safe checkpoint logs for resumable jobs.
+//! Disk-backed, crash-safe checkpoints of a sequential solve, in two
+//! shapes of the one [`crate::framed`] format (magic `EUL3DLOG`, version
+//! 1), both holding [`JobCheckpoint`]s:
 //!
-//! A [`CheckpointLog`] is a [`crate::framed::Log`] (magic `EUL3DLOG`,
-//! version 1) whose frames are [`JobCheckpoint`]s — the frame format and
-//! the longest-valid-prefix recovery are documented there. A corrupted
-//! or truncated tail costs one checkpoint interval of recompute, never
-//! the run; an append is synced before it returns, so a frame is durable
-//! before the caller's own write-ahead record points at it.
+//! * a [`CheckpointLog`] is an append-only [`crate::framed::Log`], the
+//!   service's per-job resume log. A corrupted or truncated tail costs
+//!   one checkpoint interval of recompute, never the run; an append is
+//!   synced before it returns, so a frame is durable before the caller's
+//!   own write-ahead record points at it;
+//! * [`JobCheckpoint::save`] / [`JobCheckpoint::load`] are the one-frame
+//!   file of `eul3d solve --checkpoint` / `--restart`: written
+//!   temp-then-rename, read back only if it is exactly one valid frame.
 //!
 //! ```text
 //! payload: cycles_done u64 | nhist u64 | hist f64× | nw u64 | w f64×
@@ -19,7 +23,9 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::framed::{ByteReader, ByteWriter, FramedError, Log, TailReport};
+use crate::framed::{self, ByteReader, ByteWriter, FramedError, Log, TailReport};
+use crate::gas::NVAR;
+use crate::soa::SoaState;
 
 const MAGIC: &[u8; 8] = b"EUL3DLOG";
 const VERSION: u32 = 1;
@@ -40,6 +46,57 @@ pub struct JobCheckpoint {
 }
 
 impl JobCheckpoint {
+    /// The resume point after the committed `history`, with fine-grid
+    /// state `w`.
+    pub fn new(history: Vec<f64>, w: &SoaState) -> JobCheckpoint {
+        JobCheckpoint {
+            cycles_done: history.len() as u64,
+            history,
+            w: w.to_aos(),
+        }
+    }
+
+    /// Whether this checkpoint can resume a run of `cycles` committed
+    /// cycles on a fine mesh of `nverts` vertices; the reason if not.
+    pub fn fit(&self, nverts: usize, cycles: usize) -> Result<(), String> {
+        if self.w.len() != nverts * NVAR {
+            return Err(format!(
+                "checkpoint holds {} state entries but the mesh needs {} ({nverts} vertices)",
+                self.w.len(),
+                nverts * NVAR
+            ));
+        }
+        if self.history.len() as u64 != self.cycles_done {
+            return Err(format!(
+                "checkpoint records {} cycles but carries {} residuals",
+                self.cycles_done,
+                self.history.len()
+            ));
+        }
+        if self.history.len() > cycles {
+            return Err(format!(
+                "checkpoint is {} cycles into a {cycles}-cycle run",
+                self.cycles_done
+            ));
+        }
+        if !self.w.iter().chain(&self.history).all(|x| x.is_finite()) {
+            return Err("checkpoint holds a non-finite value".into());
+        }
+        Ok(())
+    }
+
+    /// Write as a one-frame file, atomically (temp, fsync, rename): a
+    /// crash mid-save leaves the previous file whole.
+    pub fn save(&self, path: &Path) -> Result<(), FramedError> {
+        framed::write_atomic(path, MAGIC, VERSION, &self.encode())
+    }
+
+    /// Read a file [`JobCheckpoint::save`] wrote: `None` unless it is
+    /// exactly one valid frame whose payload decodes.
+    pub fn load(path: &Path) -> Option<JobCheckpoint> {
+        JobCheckpoint::decode(&framed::read_one(path, MAGIC, VERSION)?)
+    }
+
     fn encode(&self) -> Vec<u8> {
         let cap = 24 + 8 * (self.history.len() + self.w.len());
         let mut e = ByteWriter(Vec::with_capacity(cap));
@@ -130,11 +187,11 @@ impl CheckpointLog {
     }
 }
 
-/// How a resumable job talks to its durability layer. The solve loop
-/// calls [`DurabilitySink::resume_point`] once at start and
-/// [`DurabilitySink::checkpoint`] at every committed checkpoint
-/// interval; implementations must make the checkpoint durable before
-/// returning.
+/// How a resumable job talks to its durability layer.
+/// [`crate::MultigridSolver::run`] calls [`DurabilitySink::resume_point`]
+/// once at start and [`DurabilitySink::checkpoint`] at every committed
+/// checkpoint interval; implementations must make the checkpoint durable
+/// before returning.
 pub trait DurabilitySink {
     /// The resume point to continue from, if any.
     fn resume_point(&mut self) -> Option<JobCheckpoint>;

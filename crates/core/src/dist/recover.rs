@@ -61,7 +61,7 @@ use crate::error::SolverError;
 use crate::executor::{count_vertex_loop, Phase};
 use crate::gas::NVAR;
 use crate::health::{
-    check_state, GuardConfig, GuardOutcome, GuardState, HealthMonitor, HealthVerdict, RetryEvent,
+    check_state, GuardConfig, GuardOutcome, GuardState, HealthMonitor, HealthVerdict,
 };
 use crate::multigrid::Strategy;
 use crate::runconfig::RunConfig;
@@ -356,15 +356,7 @@ fn rebuild_guard(
         for _ in rollback.unwrap_or(0)..detect {
             gl.gs.ctl.on_clean();
         }
-        let cfl_before = gl.gs.ctl.current;
-        gl.gs.ctl.back_off();
-        gl.gs.transcript.push(RetryEvent {
-            cycle: detect,
-            rollback_to: rollback,
-            verdict: vd,
-            cfl_before,
-            cfl_after: gl.gs.ctl.current,
-        });
+        gl.gs.back_off(detect, rollback, vd);
     }
     gl.monitor.rebuild(history);
 }

@@ -10,8 +10,13 @@ use eul3d_mesh::MeshSequence;
 use crate::config::SolverConfig;
 use crate::dist::{run_distributed, DistOptions, DistSetup};
 use crate::gas::NVAR;
-use crate::multigrid::{MultigridSolver, Strategy};
-use crate::solver::SingleGridSolver;
+use crate::multigrid::{MultigridSolver, RunPlan, Strategy};
+
+/// The serial reference: the paper's base solver on `seq`'s fine mesh.
+fn single_grid(seq: &MeshSequence, cfg: SolverConfig) -> MultigridSolver {
+    let one_level = MeshSequence::from_meshes(vec![seq.meshes[0].clone()]);
+    MultigridSolver::new(one_level, cfg, Strategy::SingleGrid)
+}
 
 fn small_seq(levels: usize) -> MeshSequence {
     let spec = BumpSpec {
@@ -49,7 +54,7 @@ fn distributed_single_grid_matches_serial() {
         mach: 0.5,
         ..SolverConfig::default()
     };
-    let mut serial = SingleGridSolver::new(seq.meshes[0].clone(), cfg);
+    let mut serial = single_grid(&seq, cfg);
     let hs = serial.solve(4);
 
     let setup = DistSetup::new(seq, 4, 20, pseed());
@@ -95,7 +100,7 @@ fn distributed_multigrid_matches_serial() {
 fn single_rank_distributed_matches_serial_exactly_shaped() {
     let seq = small_seq(1);
     let cfg = SolverConfig::default();
-    let mut serial = SingleGridSolver::new(seq.meshes[0].clone(), cfg);
+    let mut serial = single_grid(&seq, cfg);
     let hs = serial.solve(2);
     let setup = DistSetup::new(seq, 1, 10, 0);
     let result = run_distributed(&setup, cfg, Strategy::SingleGrid, 2, DistOptions::default());
@@ -198,7 +203,7 @@ fn roe_scheme_distributed_matches_serial_and_cuts_messages() {
             scheme,
             ..SolverConfig::default()
         };
-        let mut serial = SingleGridSolver::new(seq.meshes[0].clone(), cfg);
+        let mut serial = single_grid(&seq, cfg);
         let hs = serial.solve(3);
         let setup = DistSetup::new(seq, 4, 20, pseed());
         let r = run_distributed(&setup, cfg, Strategy::SingleGrid, 3, DistOptions::default());
@@ -592,9 +597,14 @@ mod guard {
         let cycles = 12;
 
         let mut serial = MultigridSolver::new(stretched_seq(), cfg, Strategy::VCycle);
+        let plan = RunPlan {
+            guard: Some(&guard),
+            ..RunPlan::cycles(cycles)
+        };
         let (hs, os) = serial
-            .solve_guarded(cycles, &guard)
+            .run(plan, &mut |_, _| {})
             .expect("serial guarded run completes");
+        let os = os.expect("an armed guard reports");
         assert!(
             !os.transcript.is_empty(),
             "the CFL-30 case must trigger at least one backoff epoch"
@@ -934,7 +944,7 @@ mod hybrid {
         let seq = small_seq(1);
         let nverts = seq.meshes[0].nverts();
 
-        let mut serial = SingleGridSolver::new(seq.meshes[0].clone(), cfg);
+        let mut serial = single_grid(&seq, cfg);
         let hs = serial.solve(cycles);
 
         let mut shared = MultigridSolver::new_shared(small_seq(1), cfg, Strategy::SingleGrid, 3)

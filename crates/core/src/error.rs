@@ -10,7 +10,6 @@
 
 use std::fmt;
 
-use crate::checkpoint::CheckpointError;
 use crate::health::{HealthVerdict, RetryEvent};
 use eul3d_delta::DeltaError;
 use eul3d_mesh::MeshError;
@@ -129,7 +128,6 @@ pub enum Eul3dError {
     Parti(PartiError),
     Delta(DeltaError),
     Solver(SolverError),
-    Checkpoint(CheckpointError),
 }
 
 impl fmt::Display for Eul3dError {
@@ -139,7 +137,6 @@ impl fmt::Display for Eul3dError {
             Eul3dError::Parti(e) => write!(f, "parti: {e}"),
             Eul3dError::Delta(e) => write!(f, "delta: {e}"),
             Eul3dError::Solver(e) => write!(f, "solver: {e}"),
-            Eul3dError::Checkpoint(e) => write!(f, "checkpoint: {e}"),
         }
     }
 }
@@ -151,7 +148,6 @@ impl std::error::Error for Eul3dError {
             Eul3dError::Parti(e) => Some(e),
             Eul3dError::Delta(e) => Some(e),
             Eul3dError::Solver(e) => Some(e),
-            Eul3dError::Checkpoint(e) => Some(e),
         }
     }
 }
@@ -180,12 +176,6 @@ impl From<SolverError> for Eul3dError {
     }
 }
 
-impl From<CheckpointError> for Eul3dError {
-    fn from(e: CheckpointError) -> Eul3dError {
-        Eul3dError::Checkpoint(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,8 +186,6 @@ mod tests {
         assert!(m.to_string().contains("mesh:"));
         let s: Eul3dError = SolverError::GuardZeroRetries.into();
         assert!(s.to_string().contains("--max-retries"));
-        let c: Eul3dError = CheckpointError::BadMagic.into();
-        assert!(c.to_string().contains("checkpoint:"));
         assert!(std::error::Error::source(&s).is_some());
     }
 

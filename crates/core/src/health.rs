@@ -18,9 +18,10 @@
 //! * [`check_state`] — the finite/positivity scan over conserved
 //!   variables.
 //!
-//! Drivers live elsewhere: [`crate::multigrid::MultigridSolver::solve_guarded`]
-//! for the serial/shared backends and
-//! [`crate::dist::run_distributed_guarded`] for the distributed one.
+//! Drivers live elsewhere: [`crate::multigrid::MultigridSolver::run`]
+//! (with [`crate::multigrid::RunPlan::guard`] set) for the serial/shared
+//! backends and [`crate::dist::run_distributed_guarded`] for the
+//! distributed one.
 
 use eul3d_obs as obs;
 
@@ -425,6 +426,20 @@ impl GuardState {
         self.transcript.len()
     }
 
+    /// Back the CFL off after the bad `verdict` of `cycle` and record
+    /// the retry, which rolls the state back to `rollback_to`.
+    pub fn back_off(&mut self, cycle: usize, rollback_to: Option<usize>, verdict: HealthVerdict) {
+        let cfl_before = self.ctl.current;
+        self.ctl.back_off();
+        self.transcript.push(RetryEvent {
+            cycle,
+            rollback_to,
+            verdict,
+            cfl_before,
+            cfl_after: self.ctl.current,
+        });
+    }
+
     /// Append the flat wire form to `out`:
     /// `[target, current, clean, n, {cycle, rollback_to|-1, sev, ratio,
     /// before, after} × n]`.
@@ -623,21 +638,12 @@ mod tests {
     fn guard_state_wire_round_trip() {
         let cfg = GuardConfig::default();
         let mut g = GuardState::new(30.0, &cfg);
-        g.ctl.back_off();
-        g.transcript.push(RetryEvent {
-            cycle: 7,
-            rollback_to: Some(5),
-            verdict: HealthVerdict::NonFinite { vertex: 3 },
-            cfl_before: 30.0,
-            cfl_after: 15.0,
-        });
-        g.transcript.push(RetryEvent {
-            cycle: 9,
-            rollback_to: None,
-            verdict: HealthVerdict::Diverging { ratio: 77.0 },
-            cfl_before: 15.0,
-            cfl_after: 7.5,
-        });
+        g.back_off(7, Some(5), HealthVerdict::NonFinite { vertex: 3 });
+        g.back_off(9, None, HealthVerdict::Diverging { ratio: 77.0 });
+        assert_eq!(
+            (g.transcript[1].cfl_before, g.transcript[1].cfl_after),
+            (15.0, 7.5)
+        );
         let mut blob = Vec::new();
         g.encode_into(&mut blob);
         assert_eq!(blob.len(), g.encoded_len());

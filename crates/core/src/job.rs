@@ -22,12 +22,13 @@ use eul3d_mesh::vtk::write_vtk;
 use eul3d_mesh::MeshSequence;
 use eul3d_obs as obs;
 
-use crate::ckstore::{DurabilitySink, JobCheckpoint};
+use crate::ckstore::DurabilitySink;
 use crate::dist::{
     run_distributed_guarded, run_distributed_with_faults, DistOptions, DistSetup, FaultOptions,
 };
 use crate::error::{Eul3dError, SolverError};
 use crate::health::GuardOutcome;
+use crate::multigrid::RunPlan;
 use crate::postproc::mach_field;
 use crate::runconfig::fnv1a_128;
 use crate::{MultigridSolver, Phase, RunConfig};
@@ -219,10 +220,11 @@ pub fn run_job(
     run_job_durable(rc, mode, partition_seed, cancel, on_cycle, None)
 }
 
-/// [`run_job`] with a durability sink: the solve driver consults
-/// `durability` for a resume point before the first cycle and persists a
-/// [`JobCheckpoint`] through it at every `checkpoint_every` committed
-/// cycles (never at the final one — completion is the terminal record).
+/// [`run_job`] with a durability sink: the solve path's
+/// [`MultigridSolver::run`] takes its resume point from `durability`
+/// before the first cycle and persists a [`crate::JobCheckpoint`]
+/// through it at every `checkpoint_every` committed cycles (never at the
+/// final one — completion is the terminal record).
 ///
 /// Resume is **bit-exact**: the checkpoint carries the committed history
 /// and the fine-grid state, and every coarse multigrid level is rebuilt
@@ -231,14 +233,14 @@ pub fn run_job(
 /// one. `on_cycle` is replayed for the committed prefix so progress
 /// streaming is seamless across the resume.
 ///
-/// The sink is only consulted on the solve path with tracing disabled
-/// and no guard armed: a Chrome trace rides the modeled clock from cycle
-/// 0 (a resumed trace could not be byte-identical) and guard retry state
-/// is not serialized. In those configurations — and on the distributed
-/// path — the job simply runs from scratch and writes no checkpoints.
-/// Resume points that do not fit the config (wrong mesh size,
-/// out-of-range cycle count, non-finite state) are ignored, not errors:
-/// a damaged resume point costs recompute, never the job.
+/// The sink is only used on the solve path with tracing disabled and no
+/// guard armed: a Chrome trace rides the modeled clock from cycle 0 (a
+/// resumed trace could not be byte-identical) and guard retry state is
+/// not serialized. In those configurations — and on the distributed
+/// path — the job simply runs from scratch and writes no checkpoints. A
+/// resume point that does not [fit](crate::JobCheckpoint::fit) the
+/// config is ignored, not an error: a damaged resume point costs
+/// recompute, never the job.
 pub fn run_job_durable(
     rc: &RunConfig,
     mode: JobMode,
@@ -259,7 +261,7 @@ fn run_solve_job(
     rc: &RunConfig,
     cancel: &CancelToken,
     on_cycle: &mut dyn FnMut(u64, f64),
-    mut durability: Option<&mut dyn DurabilitySink>,
+    durability: Option<&mut dyn DurabilitySink>,
 ) -> Result<JobArtifacts, Eul3dError> {
     if rc.faults.is_some() {
         return Err(config_err(
@@ -272,69 +274,19 @@ fn run_solve_job(
         obs::install(Box::new(obs::RingTracer::new(rc.trace.capacity)));
     }
     let mut mg = MultigridSolver::new(seq, rc.solver, rc.strategy);
-    let (history, guard) = match &rc.guard {
-        Some(g) => {
-            let (hist, outcome) = mg.solve_guarded_hooked(rc.cycles, g, &mut |c, r| {
-                cancel.check();
-                on_cycle(c as u64, r);
-            })?;
-            (hist, Some(outcome))
-        }
-        None => {
-            let mut hist = Vec::with_capacity(rc.cycles);
-            let durable = !rc.trace.enabled;
-            let nverts = mg.levels[0].n;
-            let mut start = 0usize;
-            if durable {
-                if let Some(sink) = durability.as_mut() {
-                    if let Some(ck) = sink.resume_point() {
-                        let fits = ck.w.len() == nverts * crate::NVAR
-                            && ck.history.len() == ck.cycles_done as usize
-                            && (ck.cycles_done as usize) <= rc.cycles
-                            && ck.w.iter().all(|x| x.is_finite())
-                            && ck.history.iter().all(|x| x.is_finite());
-                        if fits {
-                            for i in 0..nverts {
-                                mg.levels[0]
-                                    .w
-                                    .set_row(i, &ck.w[i * crate::NVAR..(i + 1) * crate::NVAR]);
-                            }
-                            for (c, &r) in ck.history.iter().enumerate() {
-                                on_cycle(c as u64, r);
-                            }
-                            hist.extend_from_slice(&ck.history);
-                            start = ck.cycles_done as usize;
-                            sink.resumed(ck.cycles_done);
-                        }
-                    }
-                }
-            }
-            for c in start..rc.cycles {
-                cancel.check();
-                let r = mg.cycle();
-                hist.push(r);
-                // Persist before announcing the cycle: once a caller has
-                // observed `on_cycle(c)`, cycle c is durable — the serve
-                // layer's journal relies on exactly that ordering.
-                if durable && rc.checkpoint_every > 0 {
-                    let done = c + 1;
-                    if done % rc.checkpoint_every == 0 && done < rc.cycles {
-                        if let Some(sink) = durability.as_mut() {
-                            let mut aos = mg.levels[0].w.to_aos();
-                            aos.truncate(nverts * crate::NVAR);
-                            sink.checkpoint(&JobCheckpoint {
-                                cycles_done: done as u64,
-                                history: hist.clone(),
-                                w: aos,
-                            });
-                        }
-                    }
-                }
-                on_cycle(c as u64, r);
-            }
-            (hist, None)
-        }
+    let plan = RunPlan {
+        cycles: rc.cycles,
+        guard: rc.guard.as_ref(),
+        resume: None,
+        // The one policy: no sink under a guard or a trace.
+        durability: durability
+            .filter(|_| rc.guard.is_none() && !rc.trace.enabled)
+            .map(|sink| (sink as &mut dyn DurabilitySink, rc.checkpoint_every)),
     };
+    let (history, guard) = mg.run(plan, &mut |c, r| {
+        on_cycle(c as u64, r);
+        cancel.check();
+    })?;
     let (events, trace_json) = if rc.trace.enabled {
         match obs::Lane::take_driver() {
             Some(lane) => {
@@ -348,8 +300,7 @@ fn run_solve_job(
     };
     let nverts = mg.levels[0].n;
     let w = &mg.levels[0].w;
-    let mut aos = w.to_aos();
-    aos.truncate(nverts * crate::NVAR);
+    let aos = w.to_aos();
     let mesh0 = mg
         .seq
         .meshes

@@ -8,8 +8,10 @@
 //! One time step ([`level`]) and one multigrid cycle ([`fas`]) run on
 //! three executors:
 //!
-//! * [`solver::SingleGridSolver`] / [`multigrid::MultigridSolver::new`] —
-//!   the sequential reference implementation;
+//! * [`multigrid::MultigridSolver::new`] — the sequential reference
+//!   implementation, whose [`Strategy::SingleGrid`] is the paper's base
+//!   solver and whose [`multigrid::MultigridSolver::run`] is the one run
+//!   loop (guard, resume, durability);
 //! * [`multigrid::MultigridSolver::new_shared`] over [`shared`] — the
 //!   shared-memory path: a resident team (rayon) in which each member
 //!   owns a block of the vertices, charged to the machine model as the
@@ -35,7 +37,6 @@
 
 pub mod agglo;
 pub mod boundary;
-pub mod checkpoint;
 pub mod ckstore;
 pub mod config;
 pub mod counters;
@@ -57,10 +58,8 @@ pub mod runconfig;
 pub mod shared;
 pub mod smooth;
 pub mod soa;
-pub mod solver;
 pub mod timestep;
 
-pub use checkpoint::{Checkpoint, CheckpointError};
 pub use ckstore::{CheckpointLog, DurabilitySink, JobCheckpoint};
 pub use config::{Scheme, SolverConfig};
 pub use counters::{FlopCounter, PhaseCounters};
@@ -71,10 +70,9 @@ pub use gas::{Freestream, NVAR};
 pub use health::{GuardConfig, GuardOutcome, HealthVerdict, RetryEvent};
 pub use history::ConvergenceHistory;
 pub use job::{run_job, run_job_durable, CancelToken, JobArtifacts, JobMode};
-pub use multigrid::{MultigridSolver, Strategy};
+pub use multigrid::{MultigridSolver, RunPlan, Strategy};
 pub use runconfig::{fnv1a_128, RunConfig, TraceConfig};
 pub use soa::SoaState;
-pub use solver::SingleGridSolver;
 
 /// Deterministic seed for randomized setup (mesh jitter, partitioner
 /// starts): the `EUL3D_SEED` environment variable when set to a valid

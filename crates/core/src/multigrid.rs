@@ -2,23 +2,24 @@
 //! sequence as a [`Hierarchy`] for the one cycle in [`crate::fas`] —
 //! state down by direct interpolation, residuals down through the
 //! transpose of the prolongation operator, corrections up by
-//! interpolation — plus the guarded and full-multigrid drivers around it.
+//! interpolation — plus the one run loop ([`MultigridSolver::run`]: guard,
+//! resume, durability) and the full-multigrid start-up around it.
 
 use eul3d_mesh::MeshSequence;
 use eul3d_obs as obs;
 use eul3d_partition::color_edges;
 
+use crate::ckstore::{DurabilitySink, JobCheckpoint};
 use crate::config::SolverConfig;
 use crate::counters::{PhaseCounters, FLOPS_GUARD_VERT, FLOPS_TRANSFER_VERT};
 use crate::error::SolverError;
 use crate::executor::{count_vertex_loop, Executor, Phase, SerialExecutor};
 use crate::fas::{self, Hierarchy};
 use crate::gas::NVAR;
-use crate::health::{
-    check_state, GuardConfig, GuardOutcome, GuardState, HealthMonitor, RetryEvent,
-};
+use crate::health::{check_state, GuardConfig, GuardOutcome, GuardState, HealthMonitor};
 use crate::level::{eval_total_residual, time_step, LevelState};
 use crate::shared::{self, SharedExecutor};
+use crate::soa::SoaState;
 
 /// Solution strategy, as compared throughout the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,6 +60,40 @@ pub enum CycleEvent {
     Restrict(usize),
     /// Interpolation of corrections from `to + 1` back to `to` (I).
     Prolong(usize),
+}
+
+/// What one [`MultigridSolver::run`] arms besides cycling. Everything
+/// but the cycle count is optional: [`RunPlan::cycles`] is the plain
+/// solve.
+#[derive(Default)]
+pub struct RunPlan<'a> {
+    /// Committed cycles the run ends at, a resumed prefix included.
+    pub cycles: usize,
+    /// The solver-health guard: after every cycle the fine state is
+    /// scanned for non-finite / non-physical entries and the residual
+    /// checked for divergence; a bad verdict rolls the fine state back
+    /// to the last snapshot (every `snapshot_every` cycles) and backs
+    /// the CFL off by `cfl_backoff`, up to `max_retries` times. After
+    /// `reramp_after` clean cycles the CFL steps back toward the target.
+    pub guard: Option<&'a GuardConfig>,
+    /// Continue from this committed prefix instead of the current
+    /// state; without one, the sink's resume point. Either is used only
+    /// if it passes [`JobCheckpoint::fit`] — a misfit runs from the
+    /// current state (callers that must refuse one check it first).
+    pub resume: Option<JobCheckpoint>,
+    /// Persist a [`JobCheckpoint`] through the sink every `.1`
+    /// committed cycles (0 = never).
+    pub durability: Option<(&'a mut dyn DurabilitySink, usize)>,
+}
+
+impl RunPlan<'_> {
+    /// `n` plain cycles.
+    pub fn cycles(n: usize) -> Self {
+        RunPlan {
+            cycles: n,
+            ..RunPlan::default()
+        }
+    }
 }
 
 /// The multigrid EUL3D solver.
@@ -136,108 +171,126 @@ impl MultigridSolver {
         (0..n).map(|_| self.cycle()).collect()
     }
 
-    /// Run `n` cycles under the solver-health guard: after every cycle
-    /// the fine-grid state is scanned for non-finite / non-physical
-    /// entries and the monitored residual is checked for divergence. On
-    /// a bad verdict the fine state rolls back to the last snapshot, the
-    /// CFL backs off by `guard.cfl_backoff`, and the run retries — up to
-    /// `guard.max_retries` times, after which the typed error carries
-    /// the full retry transcript. After `guard.reramp_after` consecutive
-    /// clean cycles the CFL steps back toward the configured target.
+    /// The one run loop: cycles until `plan.cycles` are committed, with
+    /// whatever `plan` arms. `on_cycle(cycle, residual)` fires once per
+    /// committed cycle — first for a resumed prefix, then live — and
+    /// never for a cycle the guard rejects; when a later verdict rolls
+    /// the run back, the replayed cycles report again (the hook mirrors
+    /// what actually executed). The service streams progress from it and
+    /// checks cancellation inside it: the hook may unwind (e.g. via
+    /// `FaultSignal`) and the solver stays coherent, because the cycle
+    /// it interrupts is already committed.
     ///
-    /// The fine-level `w` is the only state that persists between
-    /// cycles (every coarse level is rebuilt from it by restriction), so
-    /// one snapshot of it makes rollback exact.
-    pub fn solve_guarded(
+    /// Returns the committed history (a resumed prefix included) and,
+    /// when the guard was armed, its outcome. Only the guard fails:
+    /// [`SolverError::RetriesExhausted`] once `max_retries` backoffs did
+    /// not save the run. The configured CFL is restored either way.
+    pub fn run(
         &mut self,
-        n: usize,
-        guard: &GuardConfig,
-    ) -> Result<(Vec<f64>, GuardOutcome), SolverError> {
-        self.solve_guarded_hooked(n, guard, &mut |_, _| {})
-    }
-
-    /// [`MultigridSolver::solve_guarded`] with a per-cycle observer:
-    /// `on_cycle(cycle, residual)` fires after each cycle the guard
-    /// passes, never for the bad cycle itself; when a later verdict
-    /// rolls the run back, the re-run of the replayed cycles reports
-    /// again (the hook mirrors what actually executed). The service
-    /// layer streams live progress from it and checks job cancellation
-    /// inside it — the hook may unwind (e.g. via `FaultSignal`) and the
-    /// solver state stays coherent: the cycle it interrupts is already
-    /// committed.
-    pub fn solve_guarded_hooked(
-        &mut self,
-        n: usize,
-        guard: &GuardConfig,
+        plan: RunPlan<'_>,
         on_cycle: &mut dyn FnMut(usize, f64),
-    ) -> Result<(Vec<f64>, GuardOutcome), SolverError> {
-        guard.validate()?;
+    ) -> Result<(Vec<f64>, Option<GuardOutcome>), SolverError> {
+        let RunPlan {
+            cycles: n,
+            guard,
+            resume,
+            mut durability,
+        } = plan;
+        if let Some(g) = guard {
+            g.validate()?;
+        }
+        let mut history = Vec::with_capacity(n);
+        let resume = resume
+            .or_else(|| {
+                durability
+                    .as_mut()
+                    .and_then(|(sink, _)| sink.resume_point())
+            })
+            .filter(|ck| ck.fit(self.levels[0].n, n).is_ok());
+        if let Some(ck) = resume {
+            self.levels[0].w = SoaState::from_aos(&ck.w, NVAR);
+            for (c, &r) in ck.history.iter().enumerate() {
+                on_cycle(c, r);
+            }
+            history.extend_from_slice(&ck.history);
+            if let Some((sink, _)) = durability.as_mut() {
+                sink.resumed(ck.cycles_done);
+            }
+        }
         let target_cfl = self.cfg.cfl;
-        let mut gs = GuardState::new(target_cfl, guard);
-        let mut monitor = HealthMonitor::new(guard);
-        let mut history: Vec<f64> = Vec::with_capacity(n);
-        let mut snap_w = self.levels[0].w.clone();
-        let mut snap_cycle = 0usize;
+        // The fine-level `w` is the only state that persists between
+        // cycles (every coarse level is rebuilt from it by restriction),
+        // so one snapshot of it makes a guard rollback exact — and an
+        // unguarded run allocates none.
+        let mut guarded = guard.map(|g| {
+            let mut monitor = HealthMonitor::new(g);
+            monitor.rebuild(&history);
+            let snap = (self.levels[0].w.clone(), history.len());
+            (g, GuardState::new(target_cfl, g), monitor, snap)
+        });
         while history.len() < n {
             let c = history.len();
-            if c.is_multiple_of(guard.snapshot_every) {
-                snap_w.copy_from(&self.levels[0].w);
-                snap_cycle = c;
-            }
-            self.cfg.cfl = gs.ctl.current;
-            let r = self.cycle();
-            let verdict = check_state(self.cfg.gamma, &self.levels[0].w, self.levels[0].n)
-                .worse(monitor.check(r));
-            count_vertex_loop(
-                &mut self.counter,
-                Phase::Guard,
-                self.levels[0].n,
-                FLOPS_GUARD_VERT,
-            );
-            if verdict.is_bad() {
-                obs::emit(obs::Event::GuardVerdict {
-                    cycle: c as u64,
-                    severity: verdict.severity(),
-                });
-                if gs.retries_used() >= guard.max_retries {
-                    self.cfg.cfl = target_cfl;
-                    return Err(SolverError::RetriesExhausted {
-                        cycle: c,
-                        verdict,
-                        transcript: gs.transcript,
-                        max_retries: guard.max_retries,
-                    });
+            if let Some((g, gs, _, (snap_w, snap_cycle))) = &mut guarded {
+                if c.is_multiple_of(g.snapshot_every) {
+                    snap_w.copy_from(&self.levels[0].w);
+                    *snap_cycle = c;
                 }
-                let cfl_before = gs.ctl.current;
-                gs.ctl.back_off();
-                gs.transcript.push(RetryEvent {
-                    cycle: c,
-                    rollback_to: Some(snap_cycle),
-                    verdict,
-                    cfl_before,
-                    cfl_after: gs.ctl.current,
-                });
-                self.levels[0].w.copy_from(&snap_w);
-                history.truncate(snap_cycle);
-                monitor.rebuild(&history);
-                continue;
+                self.cfg.cfl = gs.ctl.current;
+            }
+            let r = self.cycle();
+            if let Some((g, gs, monitor, (snap_w, snap_cycle))) = &mut guarded {
+                let verdict = check_state(self.cfg.gamma, &self.levels[0].w, self.levels[0].n)
+                    .worse(monitor.check(r));
+                count_vertex_loop(
+                    &mut self.counter,
+                    Phase::Guard,
+                    self.levels[0].n,
+                    FLOPS_GUARD_VERT,
+                );
+                if verdict.is_bad() {
+                    obs::emit(obs::Event::GuardVerdict {
+                        cycle: c as u64,
+                        severity: verdict.severity(),
+                    });
+                    if gs.retries_used() >= g.max_retries {
+                        self.cfg.cfl = target_cfl;
+                        return Err(SolverError::RetriesExhausted {
+                            cycle: c,
+                            verdict,
+                            transcript: std::mem::take(&mut gs.transcript),
+                            max_retries: g.max_retries,
+                        });
+                    }
+                    gs.back_off(c, Some(*snap_cycle), verdict);
+                    self.levels[0].w.copy_from(snap_w);
+                    history.truncate(*snap_cycle);
+                    monitor.rebuild(&history);
+                    continue;
+                }
+                monitor.push(r);
+                gs.ctl.on_clean();
             }
             history.push(r);
-            monitor.push(r);
-            gs.ctl.on_clean();
-            on_cycle(history.len() - 1, r);
+            // Persist before announcing the cycle: once a caller has
+            // observed `on_cycle(c)`, cycle c is durable — the service's
+            // journal relies on exactly that ordering. The final cycle is
+            // never checkpointed (completion is the terminal record).
+            if let Some((sink, every)) = durability.as_mut() {
+                let done = c + 1;
+                if *every > 0 && done.is_multiple_of(*every) && done < n {
+                    sink.checkpoint(&JobCheckpoint::new(history.clone(), &self.levels[0].w));
+                }
+            }
+            on_cycle(c, r);
         }
-        let final_cfl = gs.ctl.current;
         self.cfg.cfl = target_cfl;
-        Ok((
-            history,
-            GuardOutcome {
-                transcript: gs.transcript,
-                final_cfl,
-                target_cfl,
-                exhausted: None,
-            },
-        ))
+        let outcome = guarded.map(|(_, gs, ..)| GuardOutcome {
+            final_cfl: gs.ctl.current,
+            transcript: gs.transcript,
+            target_cfl,
+            exhausted: None,
+        });
+        Ok((history, outcome))
     }
 
     /// Fine-grid conserved state (plane-major).
@@ -622,6 +675,20 @@ mod tests {
         }
     }
 
+    /// [`MultigridSolver::run`] with only the guard armed.
+    fn guarded(
+        mg: &mut MultigridSolver,
+        cycles: usize,
+        guard: &GuardConfig,
+    ) -> Result<(Vec<f64>, GuardOutcome), SolverError> {
+        let plan = RunPlan {
+            guard: Some(guard),
+            ..RunPlan::cycles(cycles)
+        };
+        let (history, outcome) = mg.run(plan, &mut |_, _| {})?;
+        Ok((history, outcome.expect("an armed guard reports")))
+    }
+
     #[test]
     fn guard_recovers_where_the_unguarded_run_diverges() {
         let cycles = 12;
@@ -640,9 +707,7 @@ mod tests {
             ..GuardConfig::default()
         };
         let mut mg = MultigridSolver::new(stretched_seq(), aggressive_cfg(), Strategy::VCycle);
-        let (hist, outcome) = mg
-            .solve_guarded(cycles, &guard)
-            .expect("guard must recover");
+        let (hist, outcome) = guarded(&mut mg, cycles, &guard).expect("guard must recover");
         assert_eq!(hist.len(), cycles);
         assert!(hist.iter().all(|x| x.is_finite()), "{hist:?}");
         assert!(
@@ -672,7 +737,7 @@ mod tests {
             ..GuardConfig::default()
         };
         let mut mg = MultigridSolver::new(stretched_seq(), aggressive_cfg(), Strategy::VCycle);
-        let err = mg.solve_guarded(20, &guard).expect_err("must exhaust");
+        let err = guarded(&mut mg, 20, &guard).expect_err("must exhaust");
         match err {
             SolverError::RetriesExhausted {
                 verdict,
@@ -702,15 +767,11 @@ mod tests {
         };
         let cycles = 12;
         let mut serial = MultigridSolver::new(stretched_seq(), aggressive_cfg(), Strategy::VCycle);
-        let (hs, os) = serial
-            .solve_guarded(cycles, &guard)
-            .expect("serial recovers");
+        let (hs, os) = guarded(&mut serial, cycles, &guard).expect("serial recovers");
         let mut shared =
             MultigridSolver::new_shared(stretched_seq(), aggressive_cfg(), Strategy::VCycle, 3)
                 .expect("colouring validates");
-        let (hp, op) = shared
-            .solve_guarded(cycles, &guard)
-            .expect("shared recovers");
+        let (hp, op) = guarded(&mut shared, cycles, &guard).expect("shared recovers");
 
         assert_eq!(os.transcript.len(), op.transcript.len());
         for (a, b) in os.transcript.iter().zip(&op.transcript) {
@@ -741,10 +802,8 @@ mod tests {
         };
         let mut bare = MultigridSolver::new(bump_seq(2), cfg, Strategy::VCycle);
         let hb = bare.solve(6);
-        let mut guarded = MultigridSolver::new(bump_seq(2), cfg, Strategy::VCycle);
-        let (hg, outcome) = guarded
-            .solve_guarded(6, &GuardConfig::default())
-            .expect("healthy run");
+        let mut mg = MultigridSolver::new(bump_seq(2), cfg, Strategy::VCycle);
+        let (hg, outcome) = guarded(&mut mg, 6, &GuardConfig::default()).expect("healthy run");
         assert!(outcome.transcript.is_empty());
         assert_eq!(outcome.final_cfl.to_bits(), outcome.target_cfl.to_bits());
         for (a, b) in hb.iter().zip(&hg) {
@@ -766,7 +825,7 @@ mod tests {
         // CFL trajectory: final CFL must sit strictly above the first
         // backoff floor.
         let mut mg = MultigridSolver::new(stretched_seq(), aggressive_cfg(), Strategy::VCycle);
-        let (_, outcome) = mg.solve_guarded(10, &guard).expect("recovers");
+        let (_, outcome) = guarded(&mut mg, 10, &guard).expect("recovers");
         let floor = outcome
             .transcript
             .iter()
@@ -777,5 +836,165 @@ mod tests {
             "re-ramp must lift the CFL above the deepest backoff ({floor}) by the end: {}",
             outcome.final_cfl
         );
+    }
+
+    fn single_grid(mesh: eul3d_mesh::TetMesh, cfg: SolverConfig) -> MultigridSolver {
+        MultigridSolver::new(
+            MeshSequence::from_meshes(vec![mesh]),
+            cfg,
+            Strategy::SingleGrid,
+        )
+    }
+
+    #[test]
+    fn single_grid_converges_on_subsonic_bump() {
+        let spec = BumpSpec {
+            nx: 16,
+            ny: 6,
+            nz: 4,
+            jitter: 0.12,
+            ..BumpSpec::default()
+        };
+        let cfg = SolverConfig {
+            mach: 0.5,
+            ..SolverConfig::default()
+        };
+        let mut solver = single_grid(eul3d_mesh::gen::bump_channel(&spec), cfg);
+        let hist = solver.solve(120);
+        let start = hist[..3].iter().cloned().fold(0.0f64, f64::max);
+        let end = hist.last().copied().unwrap();
+        assert!(
+            end < 0.1 * start,
+            "residual must fall on the bump case: {start:.3e} -> {end:.3e}"
+        );
+        // Physicality of the converged-ish state.
+        for i in 0..solver.levels[0].n {
+            assert!(solver.state().get(i, 0) > 0.1, "density stays positive");
+        }
+    }
+
+    /// A unit box whose density is disturbed so there is a transient to
+    /// converge.
+    fn disturbed_box(refine: usize, seed: u64, cfg: SolverConfig) -> MultigridSolver {
+        let mut solver = single_grid(eul3d_mesh::gen::unit_box(refine, 0.15, seed), cfg);
+        let w = &mut solver.levels[0].w;
+        for i in 0..w.n() {
+            w.set(i, 0, w.get(i, 0) * (1.0 + 0.01 * ((i % 7) as f64 - 3.0)));
+        }
+        solver
+    }
+
+    #[test]
+    fn residual_history_is_finite_and_decreasing_overall() {
+        let cfg = SolverConfig {
+            mach: 0.4,
+            ..SolverConfig::default()
+        };
+        let hist = disturbed_box(4, 7, cfg).solve(40);
+        assert!(hist.iter().all(|r| r.is_finite()));
+        assert!(hist.last().unwrap() < &hist[0]);
+    }
+
+    #[test]
+    fn flop_counter_grows_linearly_with_cycles() {
+        let mesh = eul3d_mesh::gen::unit_box(3, 0.1, 1);
+        let mut solver = single_grid(mesh, SolverConfig::default());
+        solver.cycle();
+        let one = solver.counter.flops();
+        solver.cycle();
+        let two = solver.counter.flops();
+        assert!((two - 2.0 * one).abs() < 1e-6 * one);
+    }
+
+    #[test]
+    fn resume_continues_the_run_exactly() {
+        // 10 uninterrupted cycles against 5, a checkpoint, and 5 more
+        // from it on a fresh solver: the same history and state, bit for
+        // bit, on one level and on a W-cycle (whose coarse levels the
+        // checkpoint does not carry).
+        let cfg = SolverConfig {
+            mach: 0.5,
+            ..SolverConfig::default()
+        };
+        let fresh: [&dyn Fn() -> MultigridSolver; 2] = [&|| disturbed_box(4, 3, cfg), &|| {
+            MultigridSolver::new(bump_seq(3), cfg, Strategy::WCycle)
+        }];
+        for make in fresh {
+            let mut whole = make();
+            let reference = whole.solve(10);
+
+            let mut first = make();
+            let h5 = first.solve(5);
+            let ck = JobCheckpoint::new(h5, first.state());
+            let mut second = make();
+            // A disturbed start must not leak in: the checkpoint replaces it.
+            second.levels[0].w.set(0, 0, 7.0);
+            let mut seen = Vec::new();
+            let plan = RunPlan {
+                resume: Some(ck),
+                ..RunPlan::cycles(10)
+            };
+            let (history, outcome) = second.run(plan, &mut |c, r| seen.push((c, r))).unwrap();
+            assert!(outcome.is_none());
+            let bits = |h: &[f64]| h.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&history), bits(&reference));
+            assert_eq!(seen.len(), 10, "the prefix replays, then the live cycles");
+            assert!(seen.iter().enumerate().all(|(k, &(c, _))| c == k));
+            assert_eq!(bits(whole.state().flat()), bits(second.state().flat()));
+        }
+    }
+
+    #[test]
+    fn a_misfit_resume_point_is_ignored() {
+        let cfg = SolverConfig::default();
+        let reference = disturbed_box(3, 3, cfg).solve(3);
+        let ck = |w: Vec<f64>, history: Vec<f64>| JobCheckpoint {
+            cycles_done: history.len() as u64,
+            history,
+            w,
+        };
+        let n = disturbed_box(3, 3, cfg).levels[0].n;
+        for (bad, why) in [
+            (ck(vec![1.0; 7], vec![1.0]), "wrong mesh"),
+            (ck(vec![1.0; n * NVAR], vec![1.0; 4]), "past the run's end"),
+            (ck(vec![f64::NAN; n * NVAR], vec![1.0]), "non-finite"),
+        ] {
+            assert!(bad.fit(n, 3).is_err(), "{why}");
+            let mut mg = disturbed_box(3, 3, cfg);
+            let plan = RunPlan {
+                resume: Some(bad),
+                ..RunPlan::cycles(3)
+            };
+            let (history, _) = mg.run(plan, &mut |_, _| {}).unwrap();
+            assert_eq!(history, reference, "{why}: runs from the current state");
+        }
+    }
+
+    #[test]
+    fn guard_runs_on_from_a_resumed_prefix() {
+        // The start state is all a resume point sets: the guard snapshots
+        // it, never rolls back past it, and keeps the prefix.
+        let guard = GuardConfig {
+            cfl_backoff: 0.25,
+            reramp_after: 100,
+            ..GuardConfig::default()
+        };
+        let mut first = MultigridSolver::new(stretched_seq(), aggressive_cfg(), Strategy::VCycle);
+        let (h3, _) = guarded(&mut first, 3, &guard).unwrap();
+        let ck = JobCheckpoint::new(h3.clone(), first.state());
+        let mut mg = MultigridSolver::new(stretched_seq(), aggressive_cfg(), Strategy::VCycle);
+        let plan = RunPlan {
+            guard: Some(&guard),
+            resume: Some(ck),
+            ..RunPlan::cycles(12)
+        };
+        let (history, outcome) = mg.run(plan, &mut |_, _| {}).expect("guard must recover");
+        let outcome = outcome.unwrap();
+        assert_eq!(history.len(), 12);
+        assert_eq!(history[..3], h3[..]);
+        assert!(history.iter().all(|x| x.is_finite()), "{history:?}");
+        assert!(!outcome.transcript.is_empty());
+        assert!(outcome.transcript.iter().all(|e| e.rollback_to >= Some(3)));
+        assert_eq!(mg.cfg.cfl, 30.0);
     }
 }

@@ -9,7 +9,7 @@
 //! surface without documentation.
 #![deny(missing_docs)]
 
-pub use crate::checkpoint::{Checkpoint, CheckpointError};
+pub use crate::ckstore::JobCheckpoint;
 pub use crate::config::{Scheme, SolverConfig};
 pub use crate::counters::{FlopCounter, PhaseCounters};
 pub use crate::error::{Eul3dError, SolverError};
@@ -17,8 +17,7 @@ pub use crate::executor::{Executor, Phase, SerialExecutor};
 pub use crate::gas::{Freestream, NVAR};
 pub use crate::health::{GuardConfig, GuardOutcome, HealthVerdict, RetryEvent};
 pub use crate::history::ConvergenceHistory;
-pub use crate::multigrid::{MultigridSolver, Strategy};
+pub use crate::multigrid::{MultigridSolver, RunPlan, Strategy};
 pub use crate::runconfig::{RunConfig, TraceConfig};
-pub use crate::solver::SingleGridSolver;
 
 pub use eul3d_obs::{Event, Lane, MetricsRegistry, NullTracer, RingTracer, Stamped, Tracer};

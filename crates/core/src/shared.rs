@@ -342,9 +342,10 @@ mod tests {
             ..SolverConfig::default()
         };
 
-        let mut serial = crate::SingleGridSolver::new(mesh.clone(), cfg);
-        let seq = MeshSequence::from_meshes(vec![mesh]);
-        let mut shared = MultigridSolver::new_shared(seq, cfg, Strategy::SingleGrid, 3).unwrap();
+        let one_level = || MeshSequence::from_meshes(vec![mesh.clone()]);
+        let mut serial = MultigridSolver::new(one_level(), cfg, Strategy::SingleGrid);
+        let mut shared =
+            MultigridSolver::new_shared(one_level(), cfg, Strategy::SingleGrid, 3).unwrap();
         let hs = serial.solve(10);
         let hp = shared.solve(10);
         for (a, b) in hs.iter().zip(&hp) {

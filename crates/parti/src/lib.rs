@@ -18,12 +18,11 @@
 //! transport the rank carries (channel mailboxes, or shared-memory
 //! windows on the hybrid backend) — the schedule never asks which.
 //!
-//! The §4.3 communication optimizations are implemented too:
-//! * **incremental schedules** ([`GhostRegistry`]) fetch only the
-//!   off-processor data *not already covered* by existing schedules;
-//! * **message aggregation** ([`Schedule::merge`]) combines several
-//!   schedules so each destination receives one large message instead of
-//!   several small ones, paying the Delta's latency once.
+//! §4.3's fetch-once behaviour is not a primitive here: a rank's
+//! `DistLevel` (in `eul3d-core`) gathers the flow variables through one
+//! halo schedule once per stage and reuses them in every edge loop of
+//! that stage; its `refetch_per_loop` option is the ablation that
+//! gathers before every loop instead.
 
 //! ```
 //! use eul3d_delta::{run_spmd, CommClass};
@@ -47,14 +46,12 @@
 
 pub mod error;
 pub mod inspector;
-pub mod registry;
 pub mod schedule;
 pub mod tags;
 pub mod translation;
 
 pub use error::PartiError;
 pub use inspector::localize;
-pub use registry::GhostRegistry;
 pub use schedule::Schedule;
 pub use tags::{TagAllocator, EPOCH_STRIDE};
 pub use translation::Translation;

@@ -50,29 +50,6 @@ impl Schedule {
         self.sends.iter().map(|(_, s)| s.len()).sum()
     }
 
-    /// **Message aggregation across loops** (§4.3): combine several
-    /// schedules into one whose executor sends a single message per peer.
-    /// The inputs must address disjoint ghost slots (which incremental
-    /// construction guarantees).
-    pub fn merge(parts: &[&Schedule], tag: u32, class: CommClass) -> Schedule {
-        let mut sends: std::collections::BTreeMap<usize, Vec<u32>> = Default::default();
-        let mut recvs: std::collections::BTreeMap<usize, Vec<u32>> = Default::default();
-        for s in parts {
-            for (peer, idxs) in &s.sends {
-                sends.entry(*peer).or_default().extend_from_slice(idxs);
-            }
-            for (peer, slots) in &s.recvs {
-                recvs.entry(*peer).or_default().extend_from_slice(slots);
-            }
-        }
-        Schedule {
-            tag,
-            class,
-            sends: sends.into_iter().collect(),
-            recvs: recvs.into_iter().collect(),
-        }
-    }
-
     /// **Gather executor, begin half**: pack the owned entries of `src`
     /// (strides `at`) each peer ghosts and publish them as one buffer of
     /// per-entry records, `nplanes` values each. The transport is the
@@ -306,65 +283,6 @@ mod tests {
                 assert_eq!(steady, warm, "steady-state executors must not allocate");
             }
         }
-    }
-
-    #[test]
-    fn merge_aggregates_per_peer() {
-        let a = Schedule {
-            tag: 1,
-            class: CommClass::Halo,
-            sends: vec![(1, vec![0])],
-            recvs: vec![(1, vec![4])],
-        };
-        let b = Schedule {
-            tag: 2,
-            class: CommClass::Halo,
-            sends: vec![(1, vec![2]), (2, vec![3])],
-            recvs: vec![(2, vec![5])],
-        };
-        let m = Schedule::merge(&[&a, &b], 7, CommClass::Halo);
-        assert_eq!(m.sends, vec![(1, vec![0, 2]), (2, vec![3])]);
-        assert_eq!(m.recvs, vec![(1, vec![4]), (2, vec![5])]);
-        assert_eq!(m.nexports(), 3);
-        assert_eq!(m.nghosts(), 2);
-    }
-
-    #[test]
-    fn merged_schedule_sends_fewer_messages() {
-        // Two separate gathers vs one merged gather: same bytes moved,
-        // half the messages (the aggregation win the cost model prices).
-        let sched_pair = |me: usize, tag: u32, ghost: u32, own: u32| {
-            let other = 1 - me;
-            Schedule {
-                tag,
-                class: CommClass::Halo,
-                sends: vec![(other, vec![own])],
-                recvs: vec![(other, vec![ghost])],
-            }
-        };
-        let separate = run_spmd(2, |r| {
-            let s1 = sched_pair(r.id, 20, 2, 0);
-            let s2 = sched_pair(r.id, 30, 3, 1);
-            let mut data = vec![1.0, 2.0, 0.0, 0.0];
-            s1.gather_planes(r, &mut data, 1);
-            s2.gather_planes(r, &mut data, 1);
-            data
-        });
-        let merged = run_spmd(2, |r| {
-            let s1 = sched_pair(r.id, 20, 2, 0);
-            let s2 = sched_pair(r.id, 30, 3, 1);
-            let m = Schedule::merge(&[&s1, &s2], 40, CommClass::Halo);
-            let mut data = vec![1.0, 2.0, 0.0, 0.0];
-            m.gather_planes(r, &mut data, 1);
-            data
-        });
-        assert_eq!(separate.results, merged.results, "same data either way");
-        assert_eq!(separate.counters[0].total_messages(), 2);
-        assert_eq!(merged.counters[0].total_messages(), 1);
-        assert_eq!(
-            separate.counters[0].total_bytes(),
-            merged.counters[0].total_bytes()
-        );
     }
 
     #[test]

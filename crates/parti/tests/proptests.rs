@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use eul3d_delta::{run_spmd, CommClass};
-use eul3d_parti::{localize, GhostRegistry, Schedule, Translation};
+use eul3d_parti::{localize, Translation};
 
 /// Strategy: a random ownership map of `n` globals over `nranks` ranks
 /// (every rank guaranteed at least one global by round-robin seeding).
@@ -104,88 +104,5 @@ proptest! {
         for &(_, _, after) in &run.results {
             prop_assert_eq!(after, 0.0, "ghost slots must be zeroed");
         }
-    }
-
-    /// The registry + merge pipeline never duplicates a ghost and covers
-    /// everything requested.
-    #[test]
-    fn incremental_merge_covers_exactly(
-        first in proptest::collection::vec(0u32..40, 1..15),
-        second in proptest::collection::vec(0u32..40, 1..15),
-    ) {
-        let mut reg = GhostRegistry::new();
-        let mut slot = 0u32;
-        let mut assigned: std::collections::HashMap<u32, u32> = Default::default();
-        let mut slots_for = |gs: &[u32], reg: &GhostRegistry| -> Vec<u32> {
-            gs.iter()
-                .map(|g| {
-                    reg.slot_of(*g).unwrap_or_else(|| {
-                        *assigned.entry(*g).or_insert_with(|| {
-                            slot += 1;
-                            slot - 1 + 1000
-                        })
-                    })
-                })
-                .collect()
-        };
-        let s1 = slots_for(&first, &reg);
-        let (g1, sl1) = reg.filter_new(&first, &s1);
-        let s2 = slots_for(&second, &reg);
-        let (g2, _sl2) = reg.filter_new(&second, &s2);
-
-        // No global appears in both incremental sets.
-        for g in &g2 {
-            prop_assert!(!g1.contains(g), "{g} fetched twice");
-        }
-        // Union covers both request lists.
-        for g in first.iter().chain(&second) {
-            prop_assert!(reg.slot_of(*g).is_some());
-        }
-        prop_assert_eq!(sl1.len(), g1.len());
-    }
-}
-
-#[test]
-fn merged_schedule_equals_sequential_schedules() {
-    // Deterministic (non-proptest) end-to-end check on 3 ranks: executing
-    // two schedules separately or merged yields identical ghost data.
-    let parts: Vec<u32> = (0..12).map(|g| (g % 3) as u32).collect();
-    let run = run_spmd(3, |r| {
-        let trans = Translation::from_parts(&parts, 3);
-        let n_owned = 4;
-        let req1: Vec<u32> = (0..12)
-            .filter(|g| trans.owner_of(*g) != r.id && g % 2 == 0)
-            .collect();
-        let req2: Vec<u32> = (0..12)
-            .filter(|g| trans.owner_of(*g) != r.id && g % 2 == 1)
-            .collect();
-        let slots1: Vec<u32> = (0..req1.len() as u32).map(|k| n_owned + k).collect();
-        let base2 = n_owned + req1.len() as u32;
-        let slots2: Vec<u32> = (0..req2.len() as u32).map(|k| base2 + k).collect();
-        let s1 = localize(r, &trans, &req1, &slots1, 100, CommClass::Halo);
-        let s2 = localize(r, &trans, &req2, &slots2, 200, CommClass::Halo);
-        let merged = Schedule::merge(&[&s1, &s2], 300, CommClass::Halo);
-
-        let fill = |r: &mut eul3d_delta::Rank, mode: u8| -> Vec<f64> {
-            let mut data = vec![0.0; 4 + req1.len() + req2.len()];
-            for g in 0..12u32 {
-                if trans.owner_of(g) == r.id {
-                    data[trans.local_of(g) as usize] = 100.0 + g as f64;
-                }
-            }
-            if mode == 0 {
-                s1.gather_planes(r, &mut data, 1);
-                s2.gather_planes(r, &mut data, 1);
-            } else {
-                merged.gather_planes(r, &mut data, 1);
-            }
-            data
-        };
-        let a = fill(r, 0);
-        let b = fill(r, 1);
-        (a, b)
-    });
-    for (a, b) in &run.results {
-        assert_eq!(a, b, "merged execution must equal sequential execution");
     }
 }

@@ -1,13 +1,15 @@
 //! Quickstart: solve subsonic flow over a bump in a channel with the
-//! sequential single-grid EUL3D solver.
+//! sequential EUL3D solver on one grid (the single-grid strategy of the
+//! multigrid driver, with no coarse meshes).
 //!
 //! ```sh
 //! cargo run --release --example quickstart
 //! ```
 
 use eul3d::mesh::gen::{bump_channel, BumpSpec};
+use eul3d::mesh::MeshSequence;
 use eul3d::solver::postproc::mach_field;
-use eul3d::solver::{SingleGridSolver, SolverConfig};
+use eul3d::solver::{MultigridSolver, SolverConfig, Strategy};
 
 fn main() {
     // 1. Generate an unstructured tetrahedral mesh (a jittered split-hex
@@ -35,7 +37,8 @@ fn main() {
     };
 
     // 3. Time-march to steady state with the five-stage scheme.
-    let mut solver = SingleGridSolver::new(mesh, cfg);
+    let one_level = MeshSequence::from_meshes(vec![mesh]);
+    let mut solver = MultigridSolver::new(one_level, cfg, Strategy::SingleGrid);
     let history = solver.solve(150);
     println!(
         "residual: {:.3e} -> {:.3e} ({:.2} orders in {} cycles)",
@@ -46,7 +49,7 @@ fn main() {
     );
 
     // 4. Post-process: peak Mach number over the bump.
-    let mach = mach_field(cfg.gamma, solver.state(), solver.st.n);
+    let mach = mach_field(cfg.gamma, solver.state(), solver.levels[0].n);
     let peak = mach.iter().cloned().fold(0.0f64, f64::max);
     println!(
         "peak local Mach number: {peak:.3} (freestream {})",

@@ -10,7 +10,7 @@
 use eul3d::mesh::gen::{bump_channel, BumpSpec};
 use eul3d::mesh::MeshSequence;
 use eul3d::partition::color_edges;
-use eul3d::solver::{MultigridSolver, SingleGridSolver, SolverConfig, Strategy};
+use eul3d::solver::{MultigridSolver, SolverConfig, Strategy};
 
 fn main() {
     let spec = BumpSpec {
@@ -41,13 +41,13 @@ fn main() {
         mesh.nedges() / coloring.ncolors() / ncpus
     );
 
-    // Sequential reference.
-    let mut serial = SingleGridSolver::new(mesh.clone(), cfg);
+    // Sequential reference: the single-grid strategy on the one mesh.
+    let one_level = || MeshSequence::from_meshes(vec![mesh.clone()]);
+    let mut serial = MultigridSolver::new(one_level(), cfg, Strategy::SingleGrid);
     let hs = serial.solve(20);
 
     // The resident team (block ownership).
-    let seq = MeshSequence::from_meshes(vec![mesh]);
-    let mut shared = MultigridSolver::new_shared(seq, cfg, Strategy::SingleGrid, ncpus)
+    let mut shared = MultigridSolver::new_shared(one_level(), cfg, Strategy::SingleGrid, ncpus)
         .expect("edge colouring must validate");
     let t0 = std::time::Instant::now();
     let hp = shared.solve(20);

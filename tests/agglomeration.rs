@@ -5,7 +5,7 @@ use eul3d::mesh::gen::{bump_channel, BumpSpec};
 use eul3d::mesh::MeshSequence;
 use eul3d::solver::agglo::AggloMultigrid;
 use eul3d::solver::postproc::wall_pressure_force;
-use eul3d::solver::{MultigridSolver, SingleGridSolver, SolverConfig, Strategy};
+use eul3d::solver::{MultigridSolver, SolverConfig, Strategy};
 
 fn spec() -> BumpSpec {
     BumpSpec {
@@ -71,13 +71,15 @@ fn agglomeration_mg_transient_stays_physical() {
 #[test]
 fn single_grid_strategy_is_the_single_grid_solver_on_every_hierarchy() {
     // One cycle serves every hierarchy, so its single-grid shortcut must
-    // be the base solver itself — same bits — whether the coarse levels
-    // underneath are agglomerated cells or independent meshes.
+    // be the base solver on the lone fine mesh — same bits — whether the
+    // coarse levels underneath are agglomerated cells or independent
+    // meshes.
     let cfg = SolverConfig {
         mach: 0.5,
         ..SolverConfig::default()
     };
-    let reference = SingleGridSolver::new(bump_channel(&spec()), cfg).solve(6);
+    let one_level = MeshSequence::from_meshes(vec![bump_channel(&spec())]);
+    let reference = MultigridSolver::new(one_level, cfg, Strategy::SingleGrid).solve(6);
     let agglo = AggloMultigrid::new(bump_channel(&spec()), cfg, Strategy::SingleGrid, 3).solve(6);
     let seq = MeshSequence::bump_sequence(&spec(), 3);
     let mesh_seq = MultigridSolver::new(seq, cfg, Strategy::SingleGrid).solve(6);

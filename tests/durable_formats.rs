@@ -1,6 +1,6 @@
-//! The crash-consistency contract of the three durable files — the
-//! checkpoint log, the job journal and the result store — checked once,
-//! through their public APIs: whatever a crash or a bad disk does to a
+//! The crash-consistency contract of the four durable files — the
+//! checkpoint log, the job journal, the result store and the
+//! `solve --checkpoint` file — checked once, through their public APIs: whatever a crash or a bad disk does to a
 //! file (a cut at any byte offset, any byte flipped), reopening never
 //! panics, recovers exactly the longest valid prefix of what was written
 //! or reads "absent", says what it dropped, and leaves a file that takes
@@ -271,6 +271,67 @@ fn result_store_reads_any_damaged_file_as_absent() {
     let back = store.get(key).expect("the clean file decodes");
     assert_eq!(back.artifacts.result_hash, blob().artifacts.result_hash);
     assert_eq!(back.artifacts.table, blob().artifacts.table);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The `solve --checkpoint` file `--restart` reads: any cut, any flip
+/// and a trailing byte read as absent, so a restart is refused whole
+/// rather than resumed from part of a state.
+#[test]
+fn restart_file_reads_any_damaged_file_as_absent() {
+    let dir = scratch("restart");
+    let path = dir.join("state.ck");
+    let ck = JobCheckpoint {
+        cycles_done: 3,
+        history: vec![0.5, 0.25, 0.125],
+        w: vec![1.25, -0.0, f64::MIN_POSITIVE, 2.0, 3.5],
+    };
+    ck.save(&path).expect("save");
+    assert!(!dir.join("state.tmp").exists(), "the temp file is renamed");
+    assert_eq!(JobCheckpoint::load(&path), Some(ck.clone()));
+    let clean = fs::read(&path).expect("clean file");
+    let absent = |image: &[u8], what: &str| {
+        fs::write(&path, image).expect("plant damage");
+        assert_eq!(JobCheckpoint::load(&path), None, "{what} must not load");
+    };
+    for cut in 0..clean.len() {
+        absent(&clean[..cut], &format!("cut at {cut}"));
+    }
+    for pos in 0..clean.len() {
+        for mask in MASKS {
+            let mut image = clean.clone();
+            image[pos] ^= mask;
+            absent(&image, &format!("byte {pos} ^ {mask:#04x}"));
+        }
+    }
+    absent(&[&clean[..], b"\0"].concat(), "a trailing byte");
+    absent(b"", "an empty file");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The `--checkpoint` file is the checkpoint log's header and exactly
+/// one of its frames: a one-frame `.cklog` and a restart file are the
+/// same bytes.
+#[test]
+fn restart_file_bytes_are_the_log_header_and_one_frame() {
+    let dir = scratch("restart-golden");
+    let path = dir.join("state.ck");
+    let ck = JobCheckpoint {
+        cycles_done: 2,
+        history: vec![0.5],
+        w: vec![1.0, -2.5],
+    };
+    ck.save(&path).expect("save");
+    let hex: String = fs::read(&path)
+        .expect("file bytes")
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect();
+    let one_frame = 2 * (HEADER_LEN + 8 + 0x30);
+    assert_eq!(hex, GOLDEN_CKLOG[..one_frame]);
+    let (log, tail) = CheckpointLog::open(&path).expect("it opens as a log");
+    assert_eq!((log.frames(), tail), (1, TailReport::default()));
+    assert_eq!(log.latest(), Some(&ck));
     let _ = fs::remove_dir_all(&dir);
 }
 

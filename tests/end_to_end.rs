@@ -6,7 +6,7 @@
 use eul3d::mesh::gen::{bump_channel, BumpSpec};
 use eul3d::mesh::MeshSequence;
 use eul3d::solver::postproc::{mach_field, wall_pressure_force};
-use eul3d::solver::{MultigridSolver, SingleGridSolver, SolverConfig, Strategy};
+use eul3d::solver::{MultigridSolver, SolverConfig, Strategy};
 
 fn spec() -> BumpSpec {
     BumpSpec {
@@ -25,7 +25,8 @@ fn multigrid_and_single_grid_agree_at_convergence() {
         ..SolverConfig::default()
     };
 
-    let mut sg = SingleGridSolver::new(bump_channel(&spec()), cfg);
+    let one_level = MeshSequence::from_meshes(vec![bump_channel(&spec())]);
+    let mut sg = MultigridSolver::new(one_level, cfg, Strategy::SingleGrid);
     sg.solve(500);
 
     let seq = MeshSequence::bump_sequence(&spec(), 3);
@@ -45,7 +46,7 @@ fn multigrid_and_single_grid_agree_at_convergence() {
     );
 
     // Integrated wall force agrees even more tightly.
-    let fa = wall_pressure_force(&sg.mesh, cfg.gamma, a);
+    let fa = wall_pressure_force(&sg.seq.meshes[0], cfg.gamma, a);
     let fb = wall_pressure_force(&mg.seq.meshes[0], cfg.gamma, b);
     assert!((fa - fb).norm() < 5e-3, "wall force {fa:?} vs {fb:?}");
 }

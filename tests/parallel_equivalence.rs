@@ -16,8 +16,7 @@ use eul3d::solver::dist::{run_distributed, DistBackend, DistOptions, DistSetup};
 use eul3d::solver::level::{eval_dissipation, smooth_residual, time_step, LevelState};
 use eul3d::solver::shared::SharedExecutor;
 use eul3d::solver::{
-    fnv1a_128, MultigridSolver, PhaseCounters, Scheme, SerialExecutor, SingleGridSolver,
-    SolverConfig, Strategy,
+    fnv1a_128, MultigridSolver, PhaseCounters, Scheme, SerialExecutor, SolverConfig, Strategy,
 };
 
 fn spec() -> BumpSpec {
@@ -51,20 +50,11 @@ fn three_way_single_grid(scheme: Scheme) {
     let seq = MeshSequence::bump_sequence(&spec(), 1);
     let mesh = seq.meshes[0].clone();
 
-    let mut serial = SingleGridSolver::new(mesh.clone(), cfg);
-    let hs = serial.solve(cycles);
-
-    // The single-grid strategy of the one multigrid driver *is* the
-    // single-grid solver: same bits, not merely close.
+    // The sequential reference: the single-grid strategy of the one
+    // multigrid driver on the lone fine mesh.
     let one_level = || MeshSequence::from_meshes(vec![mesh.clone()]);
-    let mut mg = MultigridSolver::new(one_level(), cfg, Strategy::SingleGrid);
-    let hm = mg.solve(cycles);
-    for (a, b) in hs.iter().zip(&hm) {
-        assert_eq!(a.to_bits(), b.to_bits(), "{scheme:?}: {a:e} vs {b:e}");
-    }
-    for (a, b) in serial.state().flat().iter().zip(mg.state().flat()) {
-        assert_eq!(a.to_bits(), b.to_bits(), "{scheme:?}: state");
-    }
+    let mut serial = MultigridSolver::new(one_level(), cfg, Strategy::SingleGrid);
+    let hs = serial.solve(cycles);
 
     let mut shared = MultigridSolver::new_shared(one_level(), cfg, Strategy::SingleGrid, 3)
         .expect("valid colouring");

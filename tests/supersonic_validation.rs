@@ -5,11 +5,20 @@
 
 use eul3d::mesh::gen::{wedge_channel, WedgeSpec};
 use eul3d::mesh::Vec3;
+use eul3d::mesh::{MeshSequence, TetMesh};
 use eul3d::solver::gas::oblique_shock;
 use eul3d::solver::postproc::pressure_field;
-use eul3d::solver::{SingleGridSolver, SolverConfig};
+use eul3d::solver::{MultigridSolver, SolverConfig, Strategy};
 
-fn nearest(mesh: &eul3d::mesh::TetMesh, pt: Vec3) -> usize {
+fn single_grid(mesh: TetMesh, cfg: SolverConfig) -> MultigridSolver {
+    MultigridSolver::new(
+        MeshSequence::from_meshes(vec![mesh]),
+        cfg,
+        Strategy::SingleGrid,
+    )
+}
+
+fn nearest(mesh: &TetMesh, pt: Vec3) -> usize {
     mesh.coords
         .iter()
         .enumerate()
@@ -33,7 +42,7 @@ fn oblique_shock_pressure_ratio_matches_theory() {
         ..WedgeSpec::default()
     };
     let mesh = wedge_channel(&spec);
-    let mut s = SingleGridSolver::new(mesh, cfg);
+    let mut s = single_grid(mesh, cfg);
     let hist = s.solve(250);
     assert!(
         hist.last().unwrap() < &(hist[0] * 1e-2),
@@ -42,12 +51,12 @@ fn oblique_shock_pressure_ratio_matches_theory() {
     );
 
     let (_beta, pr_exact, _m2) = oblique_shock(cfg.gamma, 2.0, spec.angle_deg).unwrap();
-    let p = pressure_field(cfg.gamma, s.state(), s.st.n);
+    let p = pressure_field(cfg.gamma, s.state(), s.levels[0].n);
     let p_inf = 1.0 / cfg.gamma;
 
     // Behind the shock the pressure ratio must match theory within a few
     // percent even on this coarse mesh.
-    let behind = p[nearest(&s.mesh, Vec3::new(0.9, 0.3, 0.2))] / p_inf;
+    let behind = p[nearest(&s.seq.meshes[0], Vec3::new(0.9, 0.3, 0.2))] / p_inf;
     assert!(
         (behind / pr_exact - 1.0).abs() < 0.05,
         "post-shock p/p∞ {behind:.4} vs exact {pr_exact:.4}"
@@ -55,7 +64,7 @@ fn oblique_shock_pressure_ratio_matches_theory() {
 
     // Ahead of the shock the flow is undisturbed (supersonic upstream
     // influence is impossible).
-    let ahead = p[nearest(&s.mesh, Vec3::new(-0.3, 0.5, 0.2))] / p_inf;
+    let ahead = p[nearest(&s.seq.meshes[0], Vec3::new(-0.3, 0.5, 0.2))] / p_inf;
     assert!(
         (ahead - 1.0).abs() < 0.02,
         "pre-shock p/p∞ {ahead:.4} must stay freestream"
@@ -80,7 +89,7 @@ fn supersonic_outflow_is_one_sided() {
         ..WedgeSpec::default()
     };
     let mesh = wedge_channel(&spec); // 0° ramp = straight duct
-    let mut s = SingleGridSolver::new(mesh, cfg);
+    let mut s = single_grid(mesh, cfg);
     let r = s.cycle();
     assert!(
         r < 1e-12,
