@@ -24,7 +24,7 @@
 use std::time::Instant;
 
 use eul3d_bench::CaseSpec;
-use eul3d_core::dist::{run_distributed_guarded, DistOptions, DistSetup, FaultOptions};
+use eul3d_core::dist::{run_distributed_with_faults, DistOptions, DistSetup, FaultOptions};
 use eul3d_core::executor::Phase;
 use eul3d_core::health::{GuardConfig, GuardOutcome};
 use eul3d_core::{MultigridSolver, RunPlan, SolverConfig, SolverError, Strategy};
@@ -175,17 +175,17 @@ fn main() {
     let setup = DistSetup::new(stretched_seq(), nranks, 20, eul3d_core::env_seed(7));
     let fopts = FaultOptions {
         recv_timeout_ms: 60_000,
+        guard: Some(guard),
         ..FaultOptions::default()
     };
     let t2 = Instant::now();
-    let r = run_distributed_guarded(
+    let r = run_distributed_with_faults(
         &setup,
         stretched_cfg(30.0),
         Strategy::VCycle,
         sweep_cycles,
         DistOptions::default(),
         &fopts,
-        &guard,
     )
     .expect("the distributed guard must recover the CFL-30 case");
     let dist_s = t2.elapsed().as_secs_f64();

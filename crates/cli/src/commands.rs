@@ -514,8 +514,7 @@ fn save_checkpoint(path: &str, history: Vec<f64>, w: &SoaState) -> Result<(), St
 
 pub fn distributed(a: &Args) -> Result<(), String> {
     use eul3d_core::dist::{
-        run_distributed_guarded, run_distributed_with_faults, DistBackend, DistOptions, DistSetup,
-        FaultOptions, RankFate,
+        run_distributed_with_faults, DistBackend, DistOptions, DistSetup, FaultOptions, RankFate,
     };
     let rc = run_config_of(a, 3, 25, true)?;
     let no_incr = a.has("no-incremental");
@@ -523,8 +522,8 @@ pub fn distributed(a: &Args) -> Result<(), String> {
     let hybrid = rc.backend == DistBackend::Hybrid;
     let nranks = rc.effective_nranks();
     let (spec, levels, cycles) = (rc.mesh.clone(), rc.levels, rc.cycles);
-    let (strategy, cfg, guard) = (rc.strategy, rc.solver, rc.guard);
-    let fopts = FaultOptions::for_run(&rc, nranks).map_err(|e| format!("--faults: {e}"))?;
+    let (strategy, cfg) = (rc.strategy, rc.solver);
+    let fopts = FaultOptions::for_run(&rc).map_err(|e| format!("--faults: {e}"))?;
     let pseed = eul3d_core::env_seed(7);
     let opts = DistOptions {
         refetch_per_loop: no_incr,
@@ -562,11 +561,8 @@ pub fn distributed(a: &Args) -> Result<(), String> {
         );
     }
     let t1 = std::time::Instant::now();
-    let r = match &guard {
-        Some(g) => run_distributed_guarded(&setup, cfg, strategy, cycles, opts, &fopts, g)
-            .map_err(|e| e.to_string())?,
-        None => run_distributed_with_faults(&setup, cfg, strategy, cycles, opts, &fopts),
-    };
+    let r = run_distributed_with_faults(&setup, cfg, strategy, cycles, opts, &fopts)
+        .map_err(|e| e.to_string())?;
     if let Some(o) = r.guard_outcome() {
         print_guard_summary(o);
     }
@@ -625,7 +621,7 @@ pub fn distributed(a: &Args) -> Result<(), String> {
     } else if hybrid {
         println!(
             "hybrid backend fell back to the channel transport \
-             (fault plans and mid-run repartitioning need it); times above are modeled"
+             (fault plans need it); times above are modeled"
         );
     }
     if rc.trace.enabled {

@@ -270,33 +270,46 @@ fn distributed_command_runs() {
 
 #[test]
 fn distributed_with_mid_run_repartitioning() {
-    let (ok, stdout, stderr) = eul3d(&[
-        "distributed",
-        "--nx",
-        "8",
-        "--levels",
-        "2",
-        "--ranks",
-        "4",
-        "--cycles",
-        "6",
-        "--partition-method",
-        "multilevel",
-        "--partition-mapping",
-        "topology",
-        "--repartition-every",
-        "3",
-    ]);
-    assert!(ok, "{stderr}");
-    assert!(
-        stdout.contains("multilevel partitioning of all levels"),
-        "{stdout}"
-    );
-    assert!(
-        stdout.contains("mid-run repartition every 3 cycles (multilevel, topology mapping)"),
-        "{stdout}"
-    );
-    assert!(stdout.contains("modeled Delta cost"), "{stdout}");
+    // Migrations ride the hybrid backend's windows: no fallback.
+    for backend in ["delta", "hybrid"] {
+        let (ok, stdout, stderr) = eul3d(&[
+            "distributed",
+            "--nx",
+            "8",
+            "--levels",
+            "2",
+            "--ranks",
+            "4",
+            "--cycles",
+            "6",
+            "--backend",
+            backend,
+            "--partition-method",
+            "multilevel",
+            "--partition-mapping",
+            "topology",
+            "--repartition-every",
+            "3",
+        ]);
+        assert!(ok, "{stderr}");
+        assert!(
+            stdout.contains("multilevel partitioning of all levels"),
+            "{stdout}"
+        );
+        assert!(
+            stdout.contains("mid-run repartition every 3 cycles (multilevel, topology mapping)"),
+            "{stdout}"
+        );
+        assert!(stdout.contains("modeled Delta cost"), "{stdout}");
+        let windows = backend == "hybrid";
+        assert_eq!(
+            stdout.contains("shared-memory windows"),
+            windows,
+            "{stdout}"
+        );
+        assert_eq!(stdout.contains("hybrid wall time"), windows, "{stdout}");
+        assert!(!stdout.contains("fell back"), "{stdout}");
+    }
 
     let (ok, _, stderr) = eul3d(&["distributed", "--nx", "8", "--partition-method", "scotch"]);
     assert!(!ok, "unknown partition method must be rejected");
@@ -361,18 +374,21 @@ fn distributed_with_faults_recovers_and_reports() {
 
 #[test]
 fn malformed_fault_spec_is_a_clean_error() {
-    let (ok, _, stderr) = eul3d(&[
-        "distributed",
-        "--nx",
-        "8",
-        "--ranks",
-        "4",
-        "--faults",
-        "explode:everything",
-    ]);
-    assert!(!ok);
-    assert!(stderr.contains("error: --faults:"), "{stderr}");
-    assert!(!stderr.contains("panicked"), "must not panic: {stderr}");
+    // A seeded plan needs two ranks to tamper between.
+    for (ranks, spec) in [("4", "explode:everything"), ("1", "seeded:1#2@3")] {
+        let (ok, _, stderr) = eul3d(&[
+            "distributed",
+            "--nx",
+            "8",
+            "--ranks",
+            ranks,
+            "--faults",
+            spec,
+        ]);
+        assert!(!ok);
+        assert!(stderr.contains("error: --faults:"), "{stderr}");
+        assert!(!stderr.contains("panicked"), "must not panic: {stderr}");
+    }
 }
 
 #[test]

@@ -16,7 +16,7 @@ mod solver;
 mod transfer;
 
 pub use level::{DistExecutor, DistLevel};
-pub use recover::{run_distributed_guarded, run_distributed_with_faults, FaultOptions};
+pub use recover::{run_distributed_with_faults, FaultOptions};
 pub use setup::{partition_options, partitioner_of, DistSetup};
 pub use solver::{
     run_distributed, AdoptedOutput, DistBackend, DistOptions, DistRunResult, DistSolver, RankFate,

@@ -56,13 +56,11 @@ use eul3d_obs as obs;
 use eul3d_partition::PartitionOptions;
 
 use crate::config::SolverConfig;
-use crate::counters::{CommMark, PhaseCounters, FLOPS_GUARD_VERT};
-use crate::error::SolverError;
-use crate::executor::{count_vertex_loop, Phase};
+use crate::counters::{CommMark, PhaseCounters};
+use crate::error::{Eul3dError, SolverError};
+use crate::executor::Phase;
 use crate::gas::NVAR;
-use crate::health::{
-    check_state, GuardConfig, GuardOutcome, GuardState, HealthMonitor, HealthVerdict,
-};
+use crate::health::{GuardConfig, GuardLoop, GuardState, HealthVerdict};
 use crate::multigrid::Strategy;
 use crate::runconfig::RunConfig;
 
@@ -72,15 +70,17 @@ use super::solver::{
     RepartitionPolicy,
 };
 
-/// Fault-injection and recovery options of a distributed run. The
-/// default is fault-free: empty plan, no checkpoints, and the
-/// communication layer stays on its blocking (timeout-free) fast path.
+/// Fault-injection, recovery and guard options of a distributed run. The
+/// default is fault-free and unguarded: empty plan, no checkpoints, and
+/// the communication layer stays on its blocking (timeout-free) fast
+/// path.
 #[derive(Debug, Clone)]
 pub struct FaultOptions {
     /// The machine-wide fault plan (shared; each rank evaluates only the
     /// events it originates).
     pub plan: Arc<FaultPlan>,
-    /// Checkpoint cadence in cycles (0 = never). A cadence of `k` also
+    /// Checkpoint cadence in cycles (0 = never, or the guard's
+    /// `snapshot_every` on a guarded run). A cadence of `k` also
     /// snapshots the initial state before cycle 1, so there is always a
     /// rollback target once the first commit lands.
     pub checkpoint_every: usize,
@@ -88,9 +88,11 @@ pub struct FaultOptions {
     /// Simulation wall-clock, not cost-model time; only armed when the
     /// plan is non-empty.
     pub recv_timeout_ms: u64,
-    /// Abort the run (loud panic) if any rank enters more than this many
-    /// recovery epochs — a backstop against livelock on a hostile plan.
-    pub max_recoveries: u32,
+    /// The solver-health guard (`None` = unguarded): every cycle ends
+    /// with a state/residual check and one pooled verdict agreement, and
+    /// a bad verdict backs the CFL off and rolls every rank back through
+    /// the recovery epochs faults use.
+    pub guard: Option<GuardConfig>,
 }
 
 impl Default for FaultOptions {
@@ -99,21 +101,21 @@ impl Default for FaultOptions {
             plan: Arc::new(FaultPlan::none()),
             checkpoint_every: 0,
             recv_timeout_ms: 1500,
-            max_recoveries: 8,
+            guard: None,
         }
     }
 }
 
 impl FaultOptions {
-    /// The fault context of a configured run on `nranks` ranks: its
-    /// parsed fault plan, checkpoint cadence and receive timeout. A run
-    /// with neither a plan nor a guard never rolls back, so it keeps the
-    /// fault-free default and takes no checkpoints; the guarded driver
-    /// needs the cadence for its rollback checkpoints even when nothing
-    /// is killed.
-    pub fn for_run(rc: &RunConfig, nranks: usize) -> Result<FaultOptions, DeltaError> {
+    /// The fault context of a configured run: its fault plan (parsed for
+    /// [`RunConfig::effective_nranks`]), checkpoint cadence, receive
+    /// timeout and guard. A run with neither a plan nor a guard never
+    /// rolls back, so it keeps the fault-free default and takes no
+    /// checkpoints; a guarded run needs the cadence for its rollback
+    /// checkpoints even when nothing is killed.
+    pub fn for_run(rc: &RunConfig) -> Result<FaultOptions, DeltaError> {
         let plan = match &rc.faults {
-            Some(spec) => FaultPlan::parse(spec, nranks)?,
+            Some(spec) => FaultPlan::parse(spec, rc.effective_nranks())?,
             None if rc.guard.is_some() => FaultPlan::none(),
             None => return Ok(FaultOptions::default()),
         };
@@ -121,7 +123,7 @@ impl FaultOptions {
             plan: Arc::new(plan),
             checkpoint_every: rc.checkpoint_every,
             recv_timeout_ms: rc.fault_timeout_ms,
-            ..FaultOptions::default()
+            guard: rc.guard,
         })
     }
 }
@@ -133,7 +135,8 @@ struct Ctx<'a> {
     strategy: Strategy,
     cycles: usize,
     opts: DistOptions,
-    fopts: &'a FaultOptions,
+    /// Checkpoint cadence in cycles (0 = never).
+    checkpoint_every: usize,
     /// Solver-health guard configuration (`None` = unguarded run).
     guard: Option<GuardConfig>,
     /// Lazily-built per-era partition plans for mid-run repartitioning,
@@ -207,20 +210,9 @@ impl CkStore {
         self.slots.iter().filter_map(|s| s.cycle).max()
     }
 
-    fn get(&self, cycle: usize) -> Option<&[f64]> {
-        self.slots
-            .iter()
-            .find(|s| s.cycle == Some(cycle))
-            .map(|s| s.w.as_slice())
-    }
-
-    /// Wire-encoded guard state committed with checkpoint `cycle`
-    /// (empty on unguarded runs).
-    fn get_guard(&self, cycle: usize) -> Option<&[f64]> {
-        self.slots
-            .iter()
-            .find(|s| s.cycle == Some(cycle))
-            .map(|s| s.guard.as_slice())
+    /// The committed generation at `cycle`.
+    fn get(&self, cycle: usize) -> Option<&CkSnap> {
+        self.slots.iter().find(|s| s.cycle == Some(cycle))
     }
 
     /// Drop any committed generation at exactly `cycle`. A numeric
@@ -265,24 +257,15 @@ impl CkStore {
         &mut self.slots[i]
     }
 
-    /// Install a received (shipped) checkpoint as a committed slot.
+    /// Install a received (shipped) checkpoint as a committed slot; its
+    /// trace mark is the lane origin the receiving replica starts from.
     fn install(&mut self, cycle: usize, w: Vec<f64>, guard: Vec<f64>) {
         self.invalidate(cycle);
         let s = self.begin_write();
         s.w = w;
         s.guard = guard;
+        s.mark = obs::TraceMark::default();
         s.cycle = Some(cycle);
-    }
-
-    /// Trace mark of the committed checkpoint at `cycle` (the lane
-    /// origin when the slot is unknown — restart-from-initial rewinds to
-    /// an empty trace).
-    fn mark_of(&self, cycle: usize) -> obs::TraceMark {
-        self.slots
-            .iter()
-            .find(|s| s.cycle == Some(cycle))
-            .map(|s| s.mark)
-            .unwrap_or_default()
     }
 
     /// Update the trace mark of the committed checkpoint at `cycle` —
@@ -297,68 +280,18 @@ impl CkStore {
     }
 }
 
-/// Per-instance guard runtime: the replicated controller + transcript
-/// and the (never-snapshotted, always rebuilt) divergence monitor.
-struct GuardLoop {
-    gs: GuardState,
-    monitor: HealthMonitor,
-}
-
-impl GuardLoop {
-    fn new(target_cfl: f64, cfg: &GuardConfig) -> GuardLoop {
-        GuardLoop {
-            gs: GuardState::new(target_cfl, cfg),
-            monitor: HealthMonitor::new(cfg),
-        }
-    }
-}
-
 /// What one `virtual_loop` iteration decided.
 enum StepAction {
     /// Keep cycling.
     Continue,
     /// The guard agreed on a bad verdict at this cycle: enter a
     /// numeric-rollback recovery epoch. The backoff itself is applied
-    /// inside the epoch's rollback agreement (see [`rebuild_guard`]), so
+    /// inside the epoch's rollback agreement (see [`commit_epoch`]), so
     /// the detection cycle and verdict travel with the transition.
     Numeric(usize, HealthVerdict),
     /// Done — the run completed, or the guard exhausted its retries
     /// (recorded in `LoopState::exhausted`; every rank agrees).
     Stop,
-}
-
-/// Rebuild the guard's control state after a rollback agreement: decode
-/// the checkpoint-time state, replay the `on_clean` progression of the
-/// clean cycles between the checkpoint and the detection point, and —
-/// when the epoch carries an agreed bad verdict — apply the backoff and
-/// record the retry event. Every instance runs this identically no
-/// matter how it entered the epoch (its own verdict, a peer's abort
-/// arriving first, or a fresh adoption), which is what keeps the CFL
-/// schedule machine-wide uniform under any interleaving of numeric and
-/// fault recoveries.
-fn rebuild_guard(
-    gl: &mut GuardLoop,
-    gcfg: &GuardConfig,
-    target_cfl: f64,
-    blob: Option<&[f64]>,
-    rollback: Option<usize>,
-    verdict: Option<(usize, HealthVerdict)>,
-    history: &[f64],
-) {
-    gl.gs = blob
-        .and_then(|b| GuardState::decode(b, gcfg))
-        .unwrap_or_else(|| GuardState::new(target_cfl, gcfg));
-    if let Some((detect, vd)) = verdict {
-        // The checkpoint predates the detection by `detect - rollback`
-        // clean cycles; replaying their `on_clean` steps reproduces the
-        // exact controller state (re-ramp progress included) the serial
-        // guard backs off from.
-        for _ in rollback.unwrap_or(0)..detect {
-            gl.gs.ctl.on_clean();
-        }
-        gl.gs.back_off(detect, rollback, vd);
-    }
-    gl.monitor.rebuild(history);
 }
 
 /// Mutable state of one virtual rank's cycle loop.
@@ -547,7 +480,7 @@ fn do_step(rank: &mut Rank, ctx: &Ctx, st: &mut LoopState) -> StepAction {
             repartitioned = true;
         }
     }
-    let k = ctx.fopts.checkpoint_every;
+    let k = ctx.checkpoint_every;
     if k > 0 && c.is_multiple_of(k) && !repartitioned {
         take_checkpoint(rank, ctx, st, c);
     }
@@ -567,25 +500,14 @@ fn do_step(rank: &mut Rank, ctx: &Ctx, st: &mut LoopState) -> StepAction {
         s.cfg.cfl = gl.gs.ctl.current;
     }
     let (sum, n) = s.cycle(rank);
-    let r = if ctx.opts.monitor_residual {
-        let mark = CommMark::of(rank);
-        let mut parts = [sum, n];
-        rank.all_reduce_sum_in_place(&mut parts);
-        s.counter.add_comm_since(Phase::Monitor, rank, mark);
-        (parts[0] / parts[1]).sqrt()
-    } else {
-        f64::NAN
-    };
-    if let (Some(gcfg), Some(gl)) = (&ctx.guard, guard.as_mut()) {
+    let mark = CommMark::of(rank);
+    let mut parts = [sum, n];
+    rank.all_reduce_sum_in_place(&mut parts);
+    s.counter.add_comm_since(Phase::Monitor, rank, mark);
+    let r = (parts[0] / parts[1]).sqrt();
+    if let Some(gl) = guard.as_mut() {
         let fine = &s.levels[0];
-        let local =
-            check_state(ctx.cfg.gamma, &fine.st.w, fine.n_owned()).worse(gl.monitor.check(r));
-        count_vertex_loop(
-            &mut s.counter,
-            Phase::Guard,
-            fine.n_owned(),
-            FLOPS_GUARD_VERT,
-        );
+        let local = gl.score(ctx.cfg.gamma, &fine.st.w, fine.n_owned(), r, &mut s.counter);
         // One pooled reduction agrees on the machine-wide worst verdict:
         // an element-wise max over the encodings is the encoding of the
         // worst (severity-major) verdict.
@@ -605,14 +527,13 @@ fn do_step(rank: &mut Rank, ctx: &Ctx, st: &mut LoopState) -> StepAction {
             // epoch through an abort instead of this return value must
             // end up with the identical guard state, so the application
             // is deferred to the epoch's rollback agreement.
-            if gl.gs.retries_used() >= gcfg.max_retries {
+            if gl.spent() {
                 *exhausted = Some((c, agreed));
                 return StepAction::Stop;
             }
             return StepAction::Numeric(c, agreed);
         }
-        gl.monitor.push(r);
-        gl.gs.ctl.on_clean();
+        gl.keep(r);
     }
     history.push(r);
     cycle_allocs.push(rank.counters.comm_allocs);
@@ -654,10 +575,10 @@ fn do_repartition(
     let era_setup = st.era_setup.clone();
     let setup = era_setup.as_deref().unwrap_or(ctx.setup);
     let mut s = DistSolver::build_epoch(rank, setup, ctx.cfg, ctx.strategy, ctx.opts, rank.epoch());
-    let Some(w0) = st.cks.get(c) else {
+    let Some(ck) = st.cks.get(c) else {
         unreachable!("repartition checkpoint committed just above")
     };
-    restore_from(&mut s, w0);
+    restore_from(&mut s, &ck.w);
     obs::emit(obs::Event::RepartitionEnd { cycle: c as u64 });
     // A later fault rollback to this slot replays from after the
     // migration markers, keeping them on the committed timeline.
@@ -705,8 +626,8 @@ fn spawn_replica<'scope, 'env>(
 /// this instance's contribution `v` (element 0 the negated newest
 /// restorable cycle, elements 1..5 the piggybacked numeric verdict) and
 /// rebuild every schedule in the epoch's tag space. Returns the rebuilt
-/// solver, the agreed rollback cycle (as `f64`; non-finite = restart from
-/// initial conditions) and the agreed numeric verdict, if any.
+/// solver, the agreed rollback cycle (`None` = restart from initial
+/// conditions) and the agreed numeric verdict, if any.
 ///
 /// With repartitioning armed, the agreement must run BEFORE the
 /// rebuild: the agreed cycle selects which migration era's plan every
@@ -720,7 +641,7 @@ fn agree_and_rebuild(
     ctx: &Ctx,
     st: &mut LoopState,
     mut v: [f64; 5],
-) -> (DistSolver, f64, Option<(usize, HealthVerdict)>) {
+) -> (DistSolver, Option<usize>, Option<(usize, HealthVerdict)>) {
     let build = |rank: &mut Rank, setup: &DistSetup| {
         DistSolver::build_epoch(rank, setup, ctx.cfg, ctx.strategy, ctx.opts, rank.epoch())
     };
@@ -741,7 +662,7 @@ fn agree_and_rebuild(
         s
     };
     let numeric = (v[1] > 0.0).then(|| (v[2] as usize, HealthVerdict::decode([v[3], v[4]])));
-    (s, -v[0], numeric)
+    (s, v[0].is_finite().then(|| -v[0] as usize), numeric)
 }
 
 /// Enter recovery epoch `e`: abort peers, adopt newly dead partitions
@@ -809,36 +730,18 @@ fn do_recover<'scope, 'env>(
         v[3] = enc[0];
         v[4] = enc[1];
     }
-    let (mut s, agreed, numeric) = agree_and_rebuild(rank, ctx, st, v);
-    let mut rewind_to = obs::TraceMark::default();
-    if agreed.is_finite() {
-        let c = agreed as usize;
-        rewind_to = st.cks.mark_of(c);
-        let Some(w0) = st.cks.get(c) else {
-            unreachable!("agreed rollback target missing from this instance's store")
-        };
-        restore_from(&mut s, w0);
-        st.cycle = c;
-        st.history.truncate(c);
-        st.cycle_allocs.truncate(c);
-        st.cks.rollback_to(Some(c));
-        if let (Some(gcfg), Some(gl)) = (&ctx.guard, st.guard.as_mut()) {
-            rebuild_guard(
-                gl,
-                gcfg,
-                ctx.cfg.cfl,
-                st.cks.get_guard(c),
-                Some(c),
-                numeric,
-                &st.history,
-            );
-        }
+    let (s, rollback, numeric) = agree_and_rebuild(rank, ctx, st, v);
+    // Without a usable checkpoint anywhere the (deterministic) run
+    // restarts from the freshly built initial state.
+    let c = rollback.unwrap_or(0);
+    st.cycle = c;
+    st.history.truncate(c);
+    st.cycle_allocs.truncate(c);
+    st.cks.rollback_to(rollback);
+    if let Some(ck) = rollback.and_then(|c| st.cks.get(c)) {
         for &d in &shipped {
-            let Some(w) = st.cks.get(c) else {
-                unreachable!("just restored from it")
-            };
-            let mut buf = rank.take_f64(w.len());
-            buf.extend_from_slice(w);
+            let mut buf = rank.take_f64(ck.w.len());
+            buf.extend_from_slice(&ck.w);
             rank.send_f64(d, s.ck_tag, buf, CommClass::Recovery);
             let mut h = rank.take_f64(st.history.len());
             h.extend_from_slice(&st.history);
@@ -847,54 +750,13 @@ fn do_recover<'scope, 'env>(
                 // Second message on the ck_tag stream (FIFO after `w`):
                 // the checkpoint's guard state, so the replica replays
                 // the identical CFL schedule.
-                let blob = st.cks.get_guard(c).unwrap_or(&[]);
-                let mut g = rank.take_f64(blob.len());
-                g.extend_from_slice(blob);
+                let mut g = rank.take_f64(ck.guard.len());
+                g.extend_from_slice(&ck.guard);
                 rank.send_f64(d, s.ck_tag, g, CommClass::Recovery);
             }
         }
-    } else {
-        // Nobody has a usable checkpoint: restart the (deterministic)
-        // run from the freshly built initial state.
-        st.cycle = 0;
-        st.history.clear();
-        st.cycle_allocs.clear();
-        st.cks.rollback_to(None);
-        if let (Some(gcfg), Some(gl)) = (&ctx.guard, st.guard.as_mut()) {
-            rebuild_guard(gl, gcfg, ctx.cfg.cfl, None, None, numeric, &[]);
-        }
     }
-    if let Some(gl) = st.guard.as_ref() {
-        s.cfg.cfl = gl.gs.ctl.current;
-    }
-    obs::rewind(rewind_to);
-    obs::resume();
-    obs::emit(obs::Event::RecoveryBegin { epoch: e });
-    emit_guard_markers(st, numeric);
-    obs::emit(obs::Event::RecoveryEnd { epoch: e });
-    if agreed.is_finite() {
-        st.cks.set_mark(agreed as usize, obs::mark());
-    }
-    s.counter.add_comm_since(Phase::Recovery, rank, mark);
-    st.solver = Some(s);
-}
-
-/// Re-emit the guard markers a numeric epoch carries — the agreed
-/// verdict and the backoff's CFL change. Their original emissions sat in
-/// rewound (discarded) work or happened while recording was paused, so
-/// the committed timeline re-records them inside the recovery span.
-fn emit_guard_markers(st: &LoopState, numeric: Option<(usize, HealthVerdict)>) {
-    let Some((c, vd)) = numeric else { return };
-    obs::emit(obs::Event::GuardVerdict {
-        cycle: c as u64,
-        severity: vd.severity(),
-    });
-    if let Some(ev) = st.guard.as_ref().and_then(|gl| gl.gs.transcript.last()) {
-        obs::emit(obs::Event::CflChange {
-            from_bits: ev.cfl_before.to_bits(),
-            to_bits: ev.cfl_after.to_bits(),
-        });
-    }
+    commit_epoch(rank, st, s, rollback, numeric, mark);
 }
 
 /// A freshly adopted replica joins the recovery epoch in progress:
@@ -910,12 +772,11 @@ fn do_join(rank: &mut Rank, ctx: &Ctx, st: &mut LoopState, host: usize) {
     obs::pause();
     // The replica's contribution constrains nothing: it takes whatever
     // rollback target and verdict the survivors agree on.
-    let (mut s, agreed, numeric) = agree_and_rebuild(rank, ctx, st, [f64::NEG_INFINITY; 5]);
-    if agreed.is_finite() {
-        let c = agreed as usize;
+    let (s, rollback, numeric) = agree_and_rebuild(rank, ctx, st, [f64::NEG_INFINITY; 5]);
+    st.history.clear();
+    if let Some(c) = rollback {
         let w = rank.recv_f64(host, s.ck_tag);
         let h = rank.recv_f64(host, s.ck_tag + 1);
-        st.history.clear();
         st.history.extend_from_slice(&h);
         rank.recycle_f64(h);
         let gblob = if st.guard.is_some() {
@@ -923,49 +784,80 @@ fn do_join(rank: &mut Rank, ctx: &Ctx, st: &mut LoopState, host: usize) {
         } else {
             Vec::new()
         };
-        if let (Some(gcfg), Some(gl)) = (&ctx.guard, st.guard.as_mut()) {
-            rebuild_guard(
-                gl,
-                gcfg,
-                ctx.cfg.cfl,
-                Some(&gblob),
-                Some(c),
-                numeric,
-                &st.history,
-            );
-        }
         st.cks.install(c, w, gblob);
-        let Some(w0) = st.cks.get(c) else {
-            unreachable!("just installed")
-        };
-        restore_from(&mut s, w0);
-        st.cycle = c;
-    } else {
-        st.cycle = 0;
-        st.history.clear();
-        if let (Some(gcfg), Some(gl)) = (&ctx.guard, st.guard.as_mut()) {
-            rebuild_guard(gl, gcfg, ctx.cfg.cfl, None, None, numeric, &[]);
-        }
     }
+    st.cycle = rollback.unwrap_or(0);
     // The replica has no alloc record of the cycles it skipped past;
     // pad with the current counter so tail deltas stay meaningful.
     st.cycle_allocs.clear();
     st.cycle_allocs.resize(st.cycle, rank.counters.comm_allocs);
     st.setup_counters = Some(rank.counters.clone());
-    if let Some(gl) = st.guard.as_ref() {
+    commit_epoch(rank, st, s, rollback, numeric, mark);
+}
+
+/// The tail of every recovery epoch, survivor's or replica's, once the
+/// rollback cycle is agreed: restore the rebuilt solver from its
+/// checkpoint, rebuild the guard and put the solver on the guard's CFL,
+/// rewind the paused lane to the checkpoint's mark (the origin without
+/// one) and record the epoch on the committed timeline, charge the
+/// epoch's traffic since `mark`, and install the solver.
+///
+/// The guard is rebuilt from the rollback checkpoint's blob, replaying
+/// the `on_clean` progression of the clean cycles between checkpoint and
+/// detection and — when the epoch carries an agreed bad verdict —
+/// applying the backoff. Every instance does this identically however it
+/// entered the epoch (its own verdict, a peer's abort arriving first, or
+/// a fresh adoption), which keeps the CFL schedule machine-wide uniform
+/// under any interleaving of numeric and fault recoveries.
+fn commit_epoch(
+    rank: &mut Rank,
+    st: &mut LoopState,
+    mut s: DistSolver,
+    rollback: Option<usize>,
+    numeric: Option<(usize, HealthVerdict)>,
+    mark: CommMark,
+) {
+    let ck = rollback.map(|c| {
+        let Some(ck) = st.cks.get(c) else {
+            unreachable!("agreed rollback target missing from this instance's store")
+        };
+        restore_from(&mut s, &ck.w);
+        ck
+    });
+    if let Some(gl) = st.guard.as_mut() {
+        gl.gs = ck
+            .and_then(|ck| GuardState::decode(&ck.guard, &gl.cfg))
+            .unwrap_or_else(|| GuardState::new(gl.gs.ctl.target, &gl.cfg));
+        if let Some((detect, vd)) = numeric {
+            for _ in rollback.unwrap_or(0)..detect {
+                gl.gs.ctl.on_clean();
+            }
+            gl.gs.back_off(detect, rollback, vd);
+        }
+        gl.monitor.rebuild(&st.history);
         s.cfg.cfl = gl.gs.ctl.current;
     }
-    obs::rewind(obs::TraceMark::default());
+    obs::rewind(ck.map_or_else(obs::TraceMark::default, |ck| ck.mark));
     obs::resume();
-    obs::emit(obs::Event::RecoveryBegin {
-        epoch: rank.epoch(),
-    });
-    emit_guard_markers(st, numeric);
-    obs::emit(obs::Event::RecoveryEnd {
-        epoch: rank.epoch(),
-    });
-    if agreed.is_finite() {
-        st.cks.set_mark(agreed as usize, obs::mark());
+    let epoch = rank.epoch();
+    obs::emit(obs::Event::RecoveryBegin { epoch });
+    // A numeric epoch's verdict and CFL change were first emitted in
+    // rewound work or while recording was paused: record them again.
+    if let Some((c, vd)) = numeric {
+        obs::emit(obs::Event::GuardVerdict {
+            cycle: c as u64,
+            severity: vd.severity(),
+        });
+        if let Some(ev) = st.guard.as_ref().and_then(|gl| gl.gs.transcript.last()) {
+            obs::emit(obs::Event::CflChange {
+                from_bits: ev.cfl_before.to_bits(),
+                to_bits: ev.cfl_after.to_bits(),
+            });
+        }
+    }
+    obs::emit(obs::Event::RecoveryEnd { epoch });
+    if let Some(c) = rollback {
+        st.cks.set_mark(c, obs::mark());
     }
     s.counter.add_comm_since(Phase::Recovery, rank, mark);
     st.solver = Some(s);
@@ -1008,11 +900,16 @@ fn virtual_loop<'scope, 'env>(
     // a numeric (guard-initiated) rollback rather than a fault recovery.
     let mut pending: Option<(u32, Option<(usize, HealthVerdict)>)> = None;
     let mut join = join_from;
+    // Recovery epochs before a fault plan counts as livelocking; numeric
+    // rollbacks consume epochs too, so the guard's retries come on top.
+    let backstop = ctx
+        .guard
+        .map_or(8, |g| (g.max_retries as u64).saturating_add(8));
     loop {
-        if pending.is_some() && rank.counters.recoveries >= u64::from(ctx.fopts.max_recoveries) {
+        if pending.is_some() && rank.counters.recoveries >= backstop {
             panic!(
-                "virtual rank {} exceeded max_recoveries ({}): fault plan livelocks",
-                rank.id, ctx.fopts.max_recoveries
+                "virtual rank {} exceeded {backstop} recovery epochs: fault plan livelocks",
+                rank.id
             );
         }
         let res = catch_unwind(AssertUnwindSafe(|| {
@@ -1088,12 +985,7 @@ fn virtual_loop<'scope, 'env>(
     phases.merge(&solver.counter);
     rank.add_flops(phases.flops());
     let fine = &solver.levels[0];
-    let guard = st.guard.take().map(|gl| GuardOutcome {
-        final_cfl: gl.gs.ctl.current,
-        target_cfl: ctx.cfg.cfl,
-        exhausted: st.exhausted,
-        transcript: gl.gs.transcript,
-    });
+    let guard = st.guard.take().map(|gl| gl.outcome(st.exhausted));
     RankOutput {
         history: st.history,
         cycle_allocs: st.cycle_allocs,
@@ -1109,12 +1001,22 @@ fn virtual_loop<'scope, 'env>(
     }
 }
 
-/// Run a distributed solve under a fault plan. With the default
-/// (fault-free) options this reduces to the plain cycle loop of
-/// [`super::solver::run_distributed`]; with faults, ranks detect
-/// failures, roll back to the last replicated checkpoint, rebuild their
-/// schedules, and converge to the bit-identical residual history of the
-/// fault-free run.
+/// Run a distributed solve: the one SPMD entry, for plain, faulted,
+/// guarded and migrating runs alike. With the default [`FaultOptions`]
+/// this is the plain cycle loop of [`super::solver::run_distributed`].
+/// Under a fault plan, ranks detect failures, roll back to the last
+/// replicated checkpoint, rebuild their schedules, and converge to the
+/// bit-identical residual history of the fault-free run. Under a guard
+/// ([`FaultOptions::guard`]), every cycle ends with a state/residual
+/// health check and one pooled verdict agreement; a bad verdict backs the
+/// CFL off and rolls every rank back through the same recovery epochs. A
+/// guarded run with no checkpoint cadence takes the guard's
+/// `snapshot_every`, so there is always a rollback target.
+///
+/// Fails on an invalid guard, on exhausted guard retries
+/// ([`SolverError::RetriesExhausted`], transcript included) and on a
+/// typed rank failure such as a wedged shared-memory window
+/// ([`Eul3dError::Delta`]); any other rank panic keeps unwinding.
 pub fn run_distributed_with_faults(
     setup: &DistSetup,
     cfg: SolverConfig,
@@ -1122,69 +1024,14 @@ pub fn run_distributed_with_faults(
     cycles: usize,
     opts: DistOptions,
     fopts: &FaultOptions,
-) -> DistRunResult {
-    run_with_ctx(setup, cfg, strategy, cycles, opts, fopts, None)
-}
-
-/// Run a distributed solve under the solver-health guard (and,
-/// optionally, a fault plan): every cycle ends with a state/residual
-/// health check and one pooled verdict agreement; a bad verdict backs
-/// the CFL off and rolls every rank back through the same epoch-shifted
-/// recovery path faults use. Exhausted retries surface as
-/// [`SolverError::RetriesExhausted`] carrying the full transcript.
-///
-/// The guard needs the per-cycle residual, so `opts.monitor_residual`
-/// must be on; a `checkpoint_every` of 0 is promoted to the guard's
-/// snapshot cadence so there is always a rollback target.
-pub fn run_distributed_guarded(
-    setup: &DistSetup,
-    cfg: SolverConfig,
-    strategy: Strategy,
-    cycles: usize,
-    opts: DistOptions,
-    fopts: &FaultOptions,
-    guard: &GuardConfig,
-) -> Result<DistRunResult, SolverError> {
-    guard.validate()?;
-    if !opts.monitor_residual {
-        return Err(SolverError::GuardRequiresMonitoring);
+) -> Result<DistRunResult, Eul3dError> {
+    let mut checkpoint_every = fopts.checkpoint_every;
+    if let Some(g) = &fopts.guard {
+        g.validate()?;
+        if checkpoint_every == 0 {
+            checkpoint_every = g.snapshot_every;
+        }
     }
-    let mut fopts = fopts.clone();
-    if fopts.checkpoint_every == 0 {
-        fopts.checkpoint_every = guard.snapshot_every;
-    }
-    // Numeric rollbacks consume recovery epochs too; keep the livelock
-    // backstop above the guard's own retry budget.
-    fopts.max_recoveries = fopts.max_recoveries.max(
-        u32::try_from(guard.max_retries)
-            .unwrap_or(u32::MAX)
-            .saturating_add(8),
-    );
-    let res = run_with_ctx(setup, cfg, strategy, cycles, opts, &fopts, Some(*guard));
-    if let Some((cycle, verdict)) = res.guard_outcome().and_then(|g| g.exhausted) {
-        let transcript = res
-            .guard_outcome()
-            .map(|g| g.transcript.clone())
-            .unwrap_or_default();
-        return Err(SolverError::RetriesExhausted {
-            cycle,
-            verdict,
-            transcript,
-            max_retries: guard.max_retries,
-        });
-    }
-    Ok(res)
-}
-
-fn run_with_ctx(
-    setup: &DistSetup,
-    cfg: SolverConfig,
-    strategy: Strategy,
-    cycles: usize,
-    opts: DistOptions,
-    fopts: &FaultOptions,
-    guard: Option<GuardConfig>,
-) -> DistRunResult {
     let transport = opts.transport(fopts);
     let windows =
         (transport == DistBackend::Hybrid).then(|| eul3d_delta::WindowRegistry::new(setup.nranks));
@@ -1200,12 +1047,11 @@ fn run_with_ctx(
         strategy,
         cycles,
         opts,
-        fopts,
-        guard,
+        checkpoint_every,
+        guard: fopts.guard,
         plans: PlanCache::default(),
     };
-    let t0 = std::time::Instant::now();
-    let run = run_spmd(setup.nranks, |rank| {
+    let body = |rank: &mut Rank| {
         rank.install_faults(
             fopts.plan.clone(),
             Some(Duration::from_millis(fopts.recv_timeout_ms)),
@@ -1226,11 +1072,34 @@ fn run_with_ctx(
             out.adopted.push(a);
         }
         out
-    });
+    };
+    let t0 = std::time::Instant::now();
+    // The SPMD region re-raises rank panics: a typed `DeltaError` payload
+    // comes back as an error, anything else keeps unwinding.
+    let spmd = catch_unwind(AssertUnwindSafe(|| run_spmd(setup.nranks, body)));
     let wall_seconds = t0.elapsed().as_secs_f64();
-    DistRunResult {
+    let run = match spmd {
+        Ok(run) => run,
+        Err(payload) => match payload.downcast::<DeltaError>() {
+            Ok(e) => return Err(Eul3dError::Delta(*e)),
+            Err(payload) => resume_unwind(payload),
+        },
+    };
+    let res = DistRunResult {
         run,
         wall_seconds,
         transport,
+    };
+    if let (Some(g), Some(o)) = (fopts.guard, res.guard_outcome()) {
+        if let Some((cycle, verdict)) = o.exhausted {
+            return Err(SolverError::RetriesExhausted {
+                cycle,
+                verdict,
+                transcript: o.transcript.clone(),
+                max_retries: g.max_retries,
+            }
+            .into());
+        }
     }
+    Ok(res)
 }

@@ -35,9 +35,9 @@ pub enum DistBackend {
     /// True-parallel shared memory: ranks are still one OS thread each,
     /// but halo data moves through epoch-stamped shared-memory windows
     /// with real overlap, and the driver reports wall time alongside the
-    /// modeled clock. Falls back to `Delta` when a fault plan or a
-    /// repartition policy is active (both live in the channel transport);
-    /// [`DistRunResult::transport`] records what actually ran.
+    /// modeled clock. Migrations rebuild their schedules on fresh windows;
+    /// a fault plan keeps halo streams on channels (faults are injected
+    /// there), and [`DistRunResult::transport`] records what actually ran.
     Hybrid,
 }
 
@@ -99,9 +99,6 @@ impl RepartitionPolicy {
 pub struct DistOptions {
     /// Re-gather flow variables before every loop (ablation of §4.3).
     pub refetch_per_loop: bool,
-    /// All-reduce the residual norm every cycle (the paper's convergence
-    /// monitoring, included in its timings).
-    pub monitor_residual: bool,
     /// Arm every virtual-rank instance (primaries and adopted replicas)
     /// with a [`eul3d_obs::RingTracer`] of this capacity; the per-lane
     /// streams come back in [`RankOutput::trace`]. `None` leaves tracing
@@ -117,10 +114,9 @@ pub struct DistOptions {
     /// traces.
     pub real_time_lanes: bool,
     /// Mid-run repartition-and-migrate policy (`None` = the partition is
-    /// fixed for the whole run, the historical behaviour). Arming this
-    /// forces the channel transport for halo streams, like a fault plan
-    /// does — migration rebuilds schedules mid-run, which the hybrid
-    /// windows' fixed layout cannot follow.
+    /// fixed for the whole run, the historical behaviour). On the hybrid
+    /// backend each era's rebuilt schedules ride fresh windows: the epoch
+    /// bump shifts every tag, and windows are keyed by tag.
     pub repartition: Option<RepartitionPolicy>,
 }
 
@@ -128,7 +124,6 @@ impl Default for DistOptions {
     fn default() -> Self {
         DistOptions {
             refetch_per_loop: false,
-            monitor_residual: true,
             trace_capacity: None,
             backend: DistBackend::Delta,
             real_time_lanes: false,
@@ -156,15 +151,10 @@ impl DistOptions {
     /// The halo transport a run with these options and fault context
     /// really uses. The hybrid backend's shared-memory windows carry
     /// only fault-free halo streams: fault injection lives in the
-    /// channel transport, so a non-empty plan — or a repartition policy,
-    /// whose migrations reuse the same epoch machinery — keeps
-    /// everything on the channels (the recovery machinery then works
-    /// unchanged).
+    /// channel transport, so a non-empty plan keeps everything on the
+    /// channels (the recovery machinery then works unchanged).
     pub fn transport(&self, fopts: &FaultOptions) -> DistBackend {
-        if self.backend == DistBackend::Hybrid
-            && fopts.plan.is_empty()
-            && self.repartition.is_none()
-        {
+        if self.backend == DistBackend::Hybrid && fopts.plan.is_empty() {
             DistBackend::Hybrid
         } else {
             DistBackend::Delta
@@ -197,8 +187,7 @@ pub struct AdoptedOutput {
 /// What each rank returns from the SPMD body.
 #[derive(Debug, Clone)]
 pub struct RankOutput {
-    /// Residual history (identical on every rank when monitoring; rank 0
-    /// authoritative).
+    /// Residual history (identical on every rank; rank 0 authoritative).
     pub history: Vec<f64>,
     /// Owned fine-grid state, for global reassembly.
     pub w_owned: Vec<f64>,
@@ -510,9 +499,9 @@ impl Hierarchy for DistHierarchy<'_> {
     }
 }
 
-/// Run a full distributed solve on the simulated machine. Fault-free:
-/// delegates to the recovery-capable driver with an empty fault plan,
-/// which reduces to the plain cycle loop.
+/// Run a full distributed solve on the simulated machine: the one entry,
+/// [`run_distributed_with_faults`], fault-free and unguarded. Its one
+/// failure left, a wedged shared-memory window, panics.
 pub fn run_distributed(
     setup: &DistSetup,
     cfg: SolverConfig,
@@ -521,4 +510,5 @@ pub fn run_distributed(
     opts: DistOptions,
 ) -> DistRunResult {
     run_distributed_with_faults(setup, cfg, strategy, cycles, opts, &FaultOptions::default())
+        .unwrap_or_else(|e| panic!("{e}"))
 }

@@ -173,27 +173,6 @@ fn transfer_traffic_is_small_fraction() {
 }
 
 #[test]
-fn monitoring_off_skips_collectives() {
-    let setup = DistSetup::new(small_seq(1), 3, 20, pseed());
-    let opts = DistOptions {
-        monitor_residual: false,
-        ..DistOptions::default()
-    };
-    let r = run_distributed(
-        &setup,
-        SolverConfig::default(),
-        Strategy::SingleGrid,
-        2,
-        opts,
-    );
-    let cc = r.cycle_counters();
-    for c in &cc {
-        assert_eq!(c.sent[CommClass::Collective as usize].messages, 0);
-    }
-    assert!(r.history().iter().all(|x| x.is_nan()));
-}
-
-#[test]
 fn roe_scheme_distributed_matches_serial_and_cuts_messages() {
     use crate::config::Scheme;
     let run_scheme = |scheme: Scheme| {
@@ -352,7 +331,8 @@ mod faults {
             cycles,
             DistOptions::default(),
             &fopts,
-        );
+        )
+        .expect("faulted run completes");
 
         assert_bit_identical(&clean, &faulted, nverts);
 
@@ -405,7 +385,8 @@ mod faults {
             cycles,
             DistOptions::default(),
             &fopts,
-        );
+        )
+        .expect("faulted run completes");
         assert_bit_identical(&clean, &faulted, nverts);
         assert!(matches!(faulted.run.results[1].fate, RankFate::Died { .. }));
         assert!(
@@ -442,7 +423,8 @@ mod faults {
             cycles,
             DistOptions::default(),
             &fopts,
-        );
+        )
+        .expect("faulted run completes");
         assert!(matches!(r.run.results[1].fate, RankFate::Died { .. }));
         let mut completed = 0;
         for (vid, out) in r.instances() {
@@ -497,7 +479,8 @@ mod faults {
             3,
             DistOptions::default(),
             &fopts,
-        );
+        )
+        .expect("faulted run completes");
         assert_bit_identical(&clean, &faulted, nverts);
         assert!(faulted.run.counters.iter().all(|c| c.recoveries == 0));
         let ticks: u64 = faulted.run.counters.iter().map(|c| c.fault_ticks).sum();
@@ -536,8 +519,8 @@ mod guard {
     use eul3d_delta::FaultPlan;
 
     use super::*;
-    use crate::dist::{run_distributed_guarded, FaultOptions, RankFate};
-    use crate::error::SolverError;
+    use crate::dist::{run_distributed_with_faults, DistRunResult, FaultOptions, RankFate};
+    use crate::error::{Eul3dError, SolverError};
     use crate::health::GuardConfig;
 
     /// The issue's seeded diverging case: a stretched (tapered) bump
@@ -573,11 +556,13 @@ mod guard {
         }
     }
 
-    /// Fault-free fault options with a receive window large enough that
-    /// detection rests purely on death notices — no timeout epochs.
+    /// Fault-free, guarded options with a receive window large enough
+    /// that detection rests purely on death notices — no timeout epochs.
+    /// No checkpoint cadence: the guard's `snapshot_every` takes over.
     fn quiet_faults() -> FaultOptions {
         FaultOptions {
             recv_timeout_ms: 60_000,
+            guard: Some(guard_cfg()),
             ..FaultOptions::default()
         }
     }
@@ -585,9 +570,14 @@ mod guard {
     fn killing_faults(spec: &str, nranks: usize) -> FaultOptions {
         FaultOptions {
             plan: Arc::new(FaultPlan::parse(spec, nranks).expect("valid fault spec")),
-            recv_timeout_ms: 60_000,
-            ..FaultOptions::default()
+            ..quiet_faults()
         }
+    }
+
+    /// The stretched case on `setup` under `fopts`, 12 V-cycles at CFL 30.
+    fn guarded(setup: &DistSetup, fopts: &FaultOptions) -> Result<DistRunResult, Eul3dError> {
+        let opts = DistOptions::default();
+        run_distributed_with_faults(setup, aggressive_cfg(), Strategy::VCycle, 12, opts, fopts)
     }
 
     #[test]
@@ -611,16 +601,7 @@ mod guard {
         );
 
         let setup = DistSetup::new(stretched_seq(), 4, 20, pseed());
-        let r = run_distributed_guarded(
-            &setup,
-            cfg,
-            Strategy::VCycle,
-            cycles,
-            DistOptions::default(),
-            &quiet_faults(),
-            &guard,
-        )
-        .expect("distributed guarded run completes");
+        let r = guarded(&setup, &quiet_faults()).expect("distributed guarded run completes");
         let od = r.guard_outcome().expect("guarded run records an outcome");
 
         // Decision-for-decision agreement: same retry cycles, same
@@ -676,23 +657,11 @@ mod guard {
         //  * kill at cycle 7, after the backoff epoch — the cycle-5
         //    checkpoint's guard blob (carrying the retry event and the
         //    backed-off CFL) must survive the fault rollback.
-        let cfg = aggressive_cfg();
-        let guard = guard_cfg();
-        let cycles = 12;
         let seq = stretched_seq();
         let nverts = seq.meshes[0].nverts();
         let setup = DistSetup::new(seq, 4, 20, pseed());
 
-        let clean = run_distributed_guarded(
-            &setup,
-            cfg,
-            Strategy::VCycle,
-            cycles,
-            DistOptions::default(),
-            &quiet_faults(),
-            &guard,
-        )
-        .expect("guarded fault-free run completes");
+        let clean = guarded(&setup, &quiet_faults()).expect("guarded fault-free run completes");
         let oc = clean.guard_outcome().expect("outcome");
         assert_eq!(oc.transcript.len(), 1, "exactly one backoff epoch");
         for c in &clean.run.counters {
@@ -706,16 +675,8 @@ mod guard {
             ("kill:2@2+9", 2usize, 3u64, "kill before the guard trips"),
             ("kill:1@7+9", 1usize, 2u64, "kill after the backoff epoch"),
         ] {
-            let faulted = run_distributed_guarded(
-                &setup,
-                cfg,
-                Strategy::VCycle,
-                cycles,
-                DistOptions::default(),
-                &killing_faults(spec, 4),
-                &guard,
-            )
-            .unwrap_or_else(|e| panic!("{order}: guarded faulted run fails: {e}"));
+            let faulted = guarded(&setup, &killing_faults(spec, 4))
+                .unwrap_or_else(|e| panic!("{order}: guarded faulted run fails: {e}"));
 
             assert!(
                 matches!(faulted.run.results[victim].fate, RankFate::Died { .. }),
@@ -756,6 +717,11 @@ mod guard {
                 }
                 assert_eq!(g.final_cfl.to_bits(), oc.final_cfl.to_bits());
             }
+            assert_eq!(
+                faulted.guard_outcome(),
+                Some(oc),
+                "{order}: the same outcome, to the bit"
+            );
 
             // Survivors see both epochs: the numeric rollback and the
             // fault recovery. The buddy hosting the replica (first live
@@ -778,8 +744,6 @@ mod guard {
         // recovery kinds: after the numeric rollback (clean run) and
         // after numeric + fault recovery (killed run), the per-cycle
         // allocation trace is flat over the tail of the run.
-        let cfg = aggressive_cfg();
-        let guard = guard_cfg();
         let cycles = 12;
         let setup = DistSetup::new(stretched_seq(), 4, 20, pseed());
 
@@ -787,16 +751,7 @@ mod guard {
             (quiet_faults(), "numeric rollback only"),
             (killing_faults("kill:1@7+9", 4), "numeric + fault recovery"),
         ] {
-            let r = run_distributed_guarded(
-                &setup,
-                cfg,
-                Strategy::VCycle,
-                cycles,
-                DistOptions::default(),
-                &fopts,
-                &guard,
-            )
-            .unwrap_or_else(|e| panic!("{label}: run fails: {e}"));
+            let r = guarded(&setup, &fopts).unwrap_or_else(|e| panic!("{label}: run fails: {e}"));
             let mut completed = 0;
             for (vid, out) in r.instances() {
                 if out.fate != RankFate::Completed {
@@ -824,7 +779,6 @@ mod guard {
         // and every rank stops deterministically; the driver converts
         // the agreed exhaustion into the same typed error the serial
         // guard returns, transcript included.
-        let cfg = aggressive_cfg();
         let guard = GuardConfig {
             cfl_backoff: 0.95,
             max_retries: 2,
@@ -832,25 +786,20 @@ mod guard {
             ..GuardConfig::default()
         };
         let setup = DistSetup::new(stretched_seq(), 4, 20, pseed());
-        let res = run_distributed_guarded(
-            &setup,
-            cfg,
-            Strategy::VCycle,
-            12,
-            DistOptions::default(),
-            &quiet_faults(),
-            &guard,
-        );
-        let Err(err) = res else {
+        let fopts = FaultOptions {
+            guard: Some(guard),
+            ..quiet_faults()
+        };
+        let Err(err) = guarded(&setup, &fopts) else {
             panic!("a 0.95 backoff cannot save CFL 30")
         };
         match err {
-            SolverError::RetriesExhausted {
+            Eul3dError::Solver(SolverError::RetriesExhausted {
                 cycle,
                 transcript,
                 max_retries,
                 ..
-            } => {
+            }) => {
                 assert_eq!(max_retries, 2);
                 assert_eq!(transcript.len(), 2, "one event per spent retry");
                 assert!(
@@ -864,24 +813,24 @@ mod guard {
     }
 
     #[test]
-    fn guard_refuses_to_run_blind() {
-        // The guard's divergence detector needs the monitored residual;
-        // asking for a guarded run without it is a typed setup error.
+    fn the_entry_validates_the_guard() {
+        // A guard that cannot make progress is refused before any rank
+        // starts, with the serial driver's typed error.
         let setup = DistSetup::new(stretched_seq(), 2, 20, pseed());
-        let opts = DistOptions {
-            monitor_residual: false,
-            ..DistOptions::default()
+        let fopts = FaultOptions {
+            guard: Some(GuardConfig {
+                cfl_backoff: 1.0,
+                ..guard_cfg()
+            }),
+            ..quiet_faults()
         };
-        let err = run_distributed_guarded(
-            &setup,
-            aggressive_cfg(),
-            Strategy::VCycle,
-            2,
-            opts,
-            &quiet_faults(),
-            &guard_cfg(),
-        );
-        assert!(matches!(err, Err(SolverError::GuardRequiresMonitoring)));
+        let err = guarded(&setup, &fopts).err();
+        assert!(matches!(
+            err,
+            Some(Eul3dError::Solver(
+                SolverError::GuardBackoffOutOfRange { .. }
+            ))
+        ));
     }
 }
 
@@ -890,16 +839,20 @@ mod hybrid {
     //! different transport. Bit-identical to the channel backend — and
     //! therefore transitively to the serial/shared solvers within their
     //! established tolerances — plus the wall-clock and fallback
-    //! behaviours that distinguish it.
+    //! behaviours that distinguish it. Migrations ride the windows too:
+    //! each era's schedules get fresh ones.
 
     use std::sync::Arc;
 
     use eul3d_delta::FaultPlan;
+    use eul3d_obs as obs;
 
+    use super::repartition::policy;
     use super::*;
     use crate::dist::{
-        run_distributed_guarded, run_distributed_with_faults, DistBackend, FaultOptions, RankFate,
+        run_distributed_with_faults, DistBackend, DistRunResult, FaultOptions, RankFate,
     };
+    use crate::executor::Phase;
     use crate::health::GuardConfig;
 
     fn hybrid_opts() -> DistOptions {
@@ -1038,9 +991,10 @@ mod hybrid {
 
     #[test]
     fn hybrid_guard_composes_bit_identically() {
-        // Guard × hybrid (fault-free plan → windows stay on): the
-        // numeric rollback path must reproduce the channel backend's
-        // guarded run decision-for-decision and bit-for-bit.
+        // Guard × hybrid (fault-free plan → windows stay on), with and
+        // without migrations: the numeric rollback path must reproduce
+        // the channel backend's guarded run decision-for-decision and
+        // bit-for-bit.
         let spec = BumpSpec {
             nx: 10,
             ny: 4,
@@ -1063,29 +1017,109 @@ mod hybrid {
         };
         let fopts = FaultOptions {
             recv_timeout_ms: 60_000,
+            guard: Some(guard),
             ..FaultOptions::default()
         };
         let setup = DistSetup::new(seq, 4, 20, pseed());
         let run = |opts: DistOptions| {
-            run_distributed_guarded(&setup, cfg, Strategy::VCycle, 12, opts, &fopts, &guard)
+            run_distributed_with_faults(&setup, cfg, Strategy::VCycle, 12, opts, &fopts)
                 .expect("guarded run completes")
         };
-        let delta = run(DistOptions::default());
-        let hybrid = run(hybrid_opts());
-        assert_runs_bit_identical(&delta, &hybrid, nverts, "guarded hybrid vs delta");
+        for repartition in [None, Some(policy(3))] {
+            let what = format!("guarded hybrid vs delta, repartition {repartition:?}");
+            let delta = run(DistOptions {
+                repartition,
+                ..DistOptions::default()
+            });
+            let hybrid = run(DistOptions {
+                repartition,
+                ..hybrid_opts()
+            });
+            assert_eq!(hybrid.transport, DistBackend::Hybrid, "{what}");
+            assert_runs_bit_identical(&delta, &hybrid, nverts, &what);
 
-        let (od, oh) = (
-            delta.guard_outcome().expect("outcome"),
-            hybrid.guard_outcome().expect("outcome"),
-        );
-        assert!(!od.transcript.is_empty(), "the CFL-30 case must back off");
-        assert_eq!(od.transcript.len(), oh.transcript.len(), "retry count");
-        for (a, b) in od.transcript.iter().zip(&oh.transcript) {
-            assert_eq!(a.cycle, b.cycle);
-            assert_eq!(a.rollback_to, b.rollback_to);
-            assert_eq!(a.cfl_after.to_bits(), b.cfl_after.to_bits());
+            let (od, oh) = (
+                delta.guard_outcome().expect("outcome"),
+                hybrid.guard_outcome().expect("outcome"),
+            );
+            assert!(!od.transcript.is_empty(), "the CFL-30 case must back off");
+            assert_eq!(
+                od.transcript.len(),
+                oh.transcript.len(),
+                "{what}: retry count"
+            );
+            for (a, b) in od.transcript.iter().zip(&oh.transcript) {
+                assert_eq!(a.cycle, b.cycle, "{what}");
+                assert_eq!(a.rollback_to, b.rollback_to, "{what}");
+                assert_eq!(a.cfl_after.to_bits(), b.cfl_after.to_bits(), "{what}");
+            }
+            assert_eq!(od.final_cfl.to_bits(), oh.final_cfl.to_bits(), "{what}");
         }
-        assert_eq!(od.final_cfl.to_bits(), oh.final_cfl.to_bits());
+    }
+
+    #[test]
+    fn migrations_ride_the_windows_with_the_channel_bits_and_traffic() {
+        // The epoch bump of a migration shifts every schedule tag, so
+        // each era's rebuilt schedules get fresh windows: same bits,
+        // same per-rank cycle traffic, same flops as on channels.
+        let cfg = SolverConfig {
+            mach: 0.5,
+            ..SolverConfig::default()
+        };
+        let seq = small_seq(2);
+        let nverts = seq.meshes[0].nverts();
+        let setup = DistSetup::new(seq, 4, 20, pseed());
+        let flops =
+            |r: &DistRunResult| -> f64 { r.phase_counters().iter().map(|p| p.flops()).sum() };
+        for every in [2, 3] {
+            let run = |backend| {
+                let opts = DistOptions {
+                    backend,
+                    repartition: Some(policy(every)),
+                    ..DistOptions::default()
+                };
+                run_distributed(&setup, cfg, Strategy::WCycle, 9, opts)
+            };
+            let (delta, hybrid) = (run(DistBackend::Delta), run(DistBackend::Hybrid));
+            let what = format!("every {every}");
+            assert_eq!(hybrid.transport, DistBackend::Hybrid, "{what}: no fallback");
+            assert_runs_bit_identical(&delta, &hybrid, nverts, &what);
+            let (cd, ch) = (delta.cycle_counters(), hybrid.cycle_counters());
+            for (vid, (d, h)) in cd.iter().zip(&ch).enumerate() {
+                assert_eq!(d.total_messages(), h.total_messages(), "{what}: rank {vid}");
+                assert_eq!(d.total_bytes(), h.total_bytes(), "{what}: rank {vid}");
+            }
+            assert_eq!(flops(&delta), flops(&hybrid), "{what}: flops");
+        }
+    }
+
+    #[test]
+    fn migrated_hybrid_traces_are_byte_identical_across_reruns() {
+        let cfg = SolverConfig {
+            mach: 0.5,
+            ..SolverConfig::default()
+        };
+        let setup = DistSetup::new(small_seq(2), 4, 20, pseed());
+        let opts = DistOptions {
+            trace_capacity: Some(1 << 15),
+            repartition: Some(policy(3)),
+            ..hybrid_opts()
+        };
+        let labels: Vec<&str> = Phase::ALL.iter().map(|p| p.label()).collect();
+        let trace = || {
+            let r = run_distributed(&setup, cfg, Strategy::WCycle, 9, opts);
+            assert_eq!(r.transport, DistBackend::Hybrid);
+            obs::chrome_trace(&r.lanes(), &labels)
+        };
+        let first = trace();
+        assert!(first.contains("\"repartition\""), "migration spans");
+        for _ in 0..3 {
+            assert_eq!(
+                trace(),
+                first,
+                "migrated hybrid traces must be byte-identical"
+            );
+        }
     }
 
     #[test]
@@ -1118,6 +1152,12 @@ mod hybrid {
             cycles,
             hybrid_opts(),
             &fopts,
+        )
+        .expect("faulted run completes");
+        assert_eq!(
+            faulted.transport,
+            DistBackend::Delta,
+            "a fault plan falls back"
         );
         assert_runs_bit_identical(&clean, &faulted, nverts, "hybrid faulted vs clean");
         assert!(matches!(faulted.run.results[2].fate, RankFate::Died { .. }));
@@ -1170,7 +1210,7 @@ mod trace {
     use eul3d_obs as obs;
 
     use super::*;
-    use crate::dist::{run_distributed_guarded, DistSolver, RankFate};
+    use crate::dist::{run_distributed_with_faults, DistSolver, RankFate};
     use crate::executor::Phase;
 
     fn traced(cap: usize) -> DistOptions {
@@ -1287,19 +1327,11 @@ mod trace {
             ),
             checkpoint_every: 2,
             recv_timeout_ms: 60_000,
-            ..crate::dist::FaultOptions::default()
+            guard: Some(guard),
         };
         let run = |cap| {
-            run_distributed_guarded(
-                &setup,
-                cfg,
-                Strategy::VCycle,
-                12,
-                traced(cap),
-                &fopts,
-                &guard,
-            )
-            .expect("guarded fault run completes")
+            run_distributed_with_faults(&setup, cfg, Strategy::VCycle, 12, traced(cap), &fopts)
+                .expect("guarded fault run completes")
         };
         let a = run(1 << 15);
         let b = run(1 << 15);
@@ -1351,7 +1383,7 @@ mod repartition {
     use crate::dist::{run_distributed_with_faults, FaultOptions, RankFate, RepartitionPolicy};
     use crate::runconfig::PartitionMethod;
 
-    fn policy(every: usize) -> RepartitionPolicy {
+    pub(super) fn policy(every: usize) -> RepartitionPolicy {
         RepartitionPolicy {
             every,
             method: PartitionMethod::Multilevel,
@@ -1466,7 +1498,8 @@ mod repartition {
             cycles,
             repart_opts(4),
             &fopts,
-        );
+        )
+        .expect("faulted run completes");
 
         assert!(matches!(faulted.run.results[1].fate, RankFate::Died { .. }));
         let replica = faulted.instance(1).expect("vid 1 must complete somewhere");

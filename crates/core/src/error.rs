@@ -30,8 +30,6 @@ pub enum SolverError {
     GuardZeroWindow,
     /// Divergence ratio must exceed 1.
     GuardBadRatio { value: f64 },
-    /// The guarded distributed driver needs residual monitoring on.
-    GuardRequiresMonitoring,
     /// A [`crate::runconfig::RunConfig`] field failed range validation.
     ConfigOutOfRange {
         /// Dotted field path (e.g. `"solver.mach"`).
@@ -81,10 +79,6 @@ impl fmt::Display for SolverError {
             SolverError::GuardBadRatio { value } => {
                 write!(f, "divergence ratio must exceed 1, got {value}")
             }
-            SolverError::GuardRequiresMonitoring => write!(
-                f,
-                "the guarded distributed driver requires residual monitoring (monitor_residual)"
-            ),
             SolverError::ConfigOutOfRange {
                 field,
                 value,

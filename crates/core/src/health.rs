@@ -16,16 +16,21 @@
 //! * [`GuardState`] — controller + retry transcript, with a flat `f64`
 //!   wire encoding so replicas and checkpoints can carry it;
 //! * [`check_state`] — the finite/positivity scan over conserved
-//!   variables.
+//!   variables;
+//! * `GuardLoop` — guard state + monitor as both cycle loops drive them:
+//!   score a finished cycle, keep a clean one.
 //!
 //! Drivers live elsewhere: [`crate::multigrid::MultigridSolver::run`]
 //! (with [`crate::multigrid::RunPlan::guard`] set) for the serial/shared
-//! backends and [`crate::dist::run_distributed_guarded`] for the
-//! distributed one.
+//! backends and [`crate::dist::run_distributed_with_faults`] (with
+//! [`crate::dist::FaultOptions::guard`] set) for the distributed one.
 
 use eul3d_obs as obs;
 
+use crate::counters::{PhaseCounters, FLOPS_GUARD_VERT};
 use crate::error::SolverError;
+use crate::executor::{count_vertex_loop, Phase};
+use crate::soa::SoaState;
 
 /// Sentinel vertex index meaning "not attributable to a local vertex"
 /// (a remote rank detected it, or the verdict was decoded from the
@@ -170,8 +175,9 @@ pub struct GuardConfig {
     /// Consecutive clean cycles before one re-ramp step toward the
     /// target CFL.
     pub reramp_after: usize,
-    /// Rollback-snapshot cadence for the serial/shared drivers (the
-    /// distributed driver reuses its fault-checkpoint cadence).
+    /// Rollback-snapshot cadence for the serial/shared drivers; the
+    /// distributed driver's checkpoint cadence when its fault options
+    /// set none.
     pub snapshot_every: usize,
 }
 
@@ -217,7 +223,7 @@ impl GuardConfig {
 /// index of that severity. Vertices are visited in ascending order so
 /// the verdict (and its blamed vertex) is identical to the historical
 /// interleaved scan.
-pub fn check_state(gamma: f64, w: &crate::soa::SoaState, nverts: usize) -> HealthVerdict {
+pub fn check_state(gamma: f64, w: &SoaState, nverts: usize) -> HealthVerdict {
     let mut worst = HealthVerdict::Healthy;
     for i in 0..nverts {
         let row = w.get5(i);
@@ -507,6 +513,64 @@ pub struct GuardOutcome {
     /// records it here so every rank can stop deterministically and the
     /// caller converts it to the same typed error.
     pub exhausted: Option<(usize, HealthVerdict)>,
+}
+
+/// The guard as every cycle loop runs it: configuration, the replicated
+/// controller + transcript, and the (never-snapshotted, always rebuilt)
+/// divergence monitor.
+#[derive(Debug, Clone)]
+pub(crate) struct GuardLoop {
+    pub(crate) cfg: GuardConfig,
+    pub(crate) gs: GuardState,
+    pub(crate) monitor: HealthMonitor,
+}
+
+impl GuardLoop {
+    pub(crate) fn new(target_cfl: f64, cfg: &GuardConfig) -> GuardLoop {
+        GuardLoop {
+            cfg: *cfg,
+            gs: GuardState::new(target_cfl, cfg),
+            monitor: HealthMonitor::new(cfg),
+        }
+    }
+
+    /// Score a finished cycle: the scan of the `n_owned` owned vertices
+    /// of `w` joined with the divergence check of its residual `r`, the
+    /// scan charged to [`Phase::Guard`].
+    pub(crate) fn score(
+        &self,
+        gamma: f64,
+        w: &SoaState,
+        n_owned: usize,
+        r: f64,
+        counter: &mut PhaseCounters,
+    ) -> HealthVerdict {
+        let verdict = check_state(gamma, w, n_owned).worse(self.monitor.check(r));
+        count_vertex_loop(counter, Phase::Guard, n_owned, FLOPS_GUARD_VERT);
+        verdict
+    }
+
+    /// Keep a clean cycle: record its residual and count it toward the
+    /// next re-ramp.
+    pub(crate) fn keep(&mut self, r: f64) {
+        self.monitor.push(r);
+        self.gs.ctl.on_clean();
+    }
+
+    /// Whether every retry is spent, so the next bad verdict ends the run.
+    pub(crate) fn spent(&self) -> bool {
+        self.gs.retries_used() >= self.cfg.max_retries
+    }
+
+    /// What the run reports; `exhausted` is the failure it gave up on.
+    pub(crate) fn outcome(self, exhausted: Option<(usize, HealthVerdict)>) -> GuardOutcome {
+        GuardOutcome {
+            final_cfl: self.gs.ctl.current,
+            target_cfl: self.gs.ctl.target,
+            exhausted,
+            transcript: self.gs.transcript,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -23,9 +23,7 @@ use eul3d_mesh::MeshSequence;
 use eul3d_obs as obs;
 
 use crate::ckstore::DurabilitySink;
-use crate::dist::{
-    run_distributed_guarded, run_distributed_with_faults, DistOptions, DistSetup, FaultOptions,
-};
+use crate::dist::{run_distributed_with_faults, DistOptions, DistSetup, FaultOptions};
 use crate::error::{Eul3dError, SolverError};
 use crate::health::GuardOutcome;
 use crate::multigrid::RunPlan;
@@ -328,43 +326,11 @@ fn run_dist_job(
     let setup = DistSetup::for_run(seq, rc, partition_seed);
     cancel.check();
 
-    let fopts = FaultOptions::for_run(rc, setup.nranks).map_err(Eul3dError::Delta)?;
+    let fopts = FaultOptions::for_run(rc)?;
     // Real-time lanes would break byte-identity; job traces always ride
     // the modeled clock (`for_run`'s default), even on the hybrid backend.
     let opts = DistOptions::for_run(rc, partition_seed);
-    // The SPMD region re-raises rank panics. A typed DeltaError payload
-    // (e.g. a wedged shared-memory window) is lifted back into the error
-    // taxonomy here; anything else keeps unwinding unchanged.
-    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-        || -> Result<crate::dist::DistRunResult, Eul3dError> {
-            Ok(match &rc.guard {
-                Some(g) => run_distributed_guarded(
-                    &setup,
-                    rc.solver,
-                    rc.strategy,
-                    rc.cycles,
-                    opts,
-                    &fopts,
-                    g,
-                )?,
-                None => run_distributed_with_faults(
-                    &setup,
-                    rc.solver,
-                    rc.strategy,
-                    rc.cycles,
-                    opts,
-                    &fopts,
-                ),
-            })
-        },
-    ));
-    let r = match run {
-        Ok(res) => res?,
-        Err(payload) => match payload.downcast::<eul3d_delta::DeltaError>() {
-            Ok(e) => return Err(Eul3dError::Delta(*e)),
-            Err(payload) => std::panic::resume_unwind(payload),
-        },
-    };
+    let r = run_distributed_with_faults(&setup, rc.solver, rc.strategy, rc.cycles, opts, &fopts)?;
     let history = r.history().to_vec();
     for (c, &res) in history.iter().enumerate() {
         on_cycle(c as u64, res);

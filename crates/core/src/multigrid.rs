@@ -11,12 +11,12 @@ use eul3d_partition::color_edges;
 
 use crate::ckstore::{DurabilitySink, JobCheckpoint};
 use crate::config::SolverConfig;
-use crate::counters::{PhaseCounters, FLOPS_GUARD_VERT, FLOPS_TRANSFER_VERT};
+use crate::counters::{PhaseCounters, FLOPS_TRANSFER_VERT};
 use crate::error::SolverError;
 use crate::executor::{count_vertex_loop, Executor, Phase, SerialExecutor};
 use crate::fas::{self, Hierarchy};
 use crate::gas::NVAR;
-use crate::health::{check_state, GuardConfig, GuardOutcome, GuardState, HealthMonitor};
+use crate::health::{GuardConfig, GuardLoop, GuardOutcome};
 use crate::level::{eval_total_residual, time_step, LevelState};
 use crate::shared::{self, SharedExecutor};
 use crate::soa::SoaState;
@@ -223,52 +223,44 @@ impl MultigridSolver {
         // so one snapshot of it makes a guard rollback exact — and an
         // unguarded run allocates none.
         let mut guarded = guard.map(|g| {
-            let mut monitor = HealthMonitor::new(g);
-            monitor.rebuild(&history);
-            let snap = (self.levels[0].w.clone(), history.len());
-            (g, GuardState::new(target_cfl, g), monitor, snap)
+            let mut gl = GuardLoop::new(target_cfl, g);
+            gl.monitor.rebuild(&history);
+            (gl, (self.levels[0].w.clone(), history.len()))
         });
         while history.len() < n {
             let c = history.len();
-            if let Some((g, gs, _, (snap_w, snap_cycle))) = &mut guarded {
-                if c.is_multiple_of(g.snapshot_every) {
+            if let Some((gl, (snap_w, snap_cycle))) = &mut guarded {
+                if c.is_multiple_of(gl.cfg.snapshot_every) {
                     snap_w.copy_from(&self.levels[0].w);
                     *snap_cycle = c;
                 }
-                self.cfg.cfl = gs.ctl.current;
+                self.cfg.cfl = gl.gs.ctl.current;
             }
             let r = self.cycle();
-            if let Some((g, gs, monitor, (snap_w, snap_cycle))) = &mut guarded {
-                let verdict = check_state(self.cfg.gamma, &self.levels[0].w, self.levels[0].n)
-                    .worse(monitor.check(r));
-                count_vertex_loop(
-                    &mut self.counter,
-                    Phase::Guard,
-                    self.levels[0].n,
-                    FLOPS_GUARD_VERT,
-                );
+            if let Some((gl, (snap_w, snap_cycle))) = &mut guarded {
+                let fine = &self.levels[0];
+                let verdict = gl.score(self.cfg.gamma, &fine.w, fine.n, r, &mut self.counter);
                 if verdict.is_bad() {
                     obs::emit(obs::Event::GuardVerdict {
                         cycle: c as u64,
                         severity: verdict.severity(),
                     });
-                    if gs.retries_used() >= g.max_retries {
+                    if gl.spent() {
                         self.cfg.cfl = target_cfl;
                         return Err(SolverError::RetriesExhausted {
                             cycle: c,
                             verdict,
-                            transcript: std::mem::take(&mut gs.transcript),
-                            max_retries: g.max_retries,
+                            transcript: std::mem::take(&mut gl.gs.transcript),
+                            max_retries: gl.cfg.max_retries,
                         });
                     }
-                    gs.back_off(c, Some(*snap_cycle), verdict);
+                    gl.gs.back_off(c, Some(*snap_cycle), verdict);
                     self.levels[0].w.copy_from(snap_w);
                     history.truncate(*snap_cycle);
-                    monitor.rebuild(&history);
+                    gl.monitor.rebuild(&history);
                     continue;
                 }
-                monitor.push(r);
-                gs.ctl.on_clean();
+                gl.keep(r);
             }
             history.push(r);
             // Persist before announcing the cycle: once a caller has
@@ -284,13 +276,7 @@ impl MultigridSolver {
             on_cycle(c, r);
         }
         self.cfg.cfl = target_cfl;
-        let outcome = guarded.map(|(_, gs, ..)| GuardOutcome {
-            final_cfl: gs.ctl.current,
-            transcript: gs.transcript,
-            target_cfl,
-            exhausted: None,
-        });
-        Ok((history, outcome))
+        Ok((history, guarded.map(|(gl, _)| gl.outcome(None))))
     }
 
     /// Fine-grid conserved state (plane-major).
@@ -718,7 +704,7 @@ mod tests {
         assert_eq!(outcome.target_cfl, 30.0);
         assert_eq!(outcome.exhausted, None);
         assert_eq!(
-            check_state(aggressive_cfg().gamma, &mg.levels[0].w, mg.levels[0].n),
+            crate::health::check_state(aggressive_cfg().gamma, &mg.levels[0].w, mg.levels[0].n),
             crate::health::HealthVerdict::Healthy
         );
         // The user-visible config is restored to the requested target.

@@ -250,7 +250,8 @@ impl RunConfig {
             g.validate()?;
         }
         if let Some(spec) = &self.faults {
-            eul3d_delta::FaultPlan::parse(spec, self.nranks).map_err(Eul3dError::Delta)?;
+            eul3d_delta::FaultPlan::parse(spec, self.effective_nranks())
+                .map_err(Eul3dError::Delta)?;
         }
         if let Some(p) = &self.partition {
             if p.coarsen_target < 2 {
@@ -815,6 +816,32 @@ mod tests {
             ..rc
         };
         assert!(rc.validate().is_ok());
+
+        // The plan is checked against the ranks that will run: hybrid
+        // threads override nranks, in both directions.
+        let few_threads = RunConfig {
+            backend: DistBackend::Hybrid,
+            threads: 2,
+            nranks: 32,
+            faults: Some("kill:5@3".to_string()),
+            ..RunConfig::default()
+        };
+        let err = few_threads.validate().unwrap_err();
+        assert!(matches!(err, Eul3dError::Delta(_)), "{err}");
+        let many_threads = RunConfig {
+            threads: 8,
+            nranks: 2,
+            ..few_threads
+        };
+        many_threads.validate().unwrap();
+    }
+
+    #[test]
+    fn a_one_rank_seeded_fault_plan_is_an_error() {
+        let err =
+            RunConfig::from_toml("[run]\nnranks = 1\nfaults = \"seeded:1#2@3\"\n").unwrap_err();
+        assert!(matches!(err, Eul3dError::Delta(_)), "{err}");
+        assert!(err.to_string().contains("two ranks"), "{err}");
     }
 
     #[test]

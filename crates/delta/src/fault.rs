@@ -155,6 +155,11 @@ impl FaultPlan {
                     let maxc: u64 = maxc
                         .parse()
                         .map_err(|_| format!("seeded '{rest}': bad cycle bound"))?;
+                    if nranks < 2 {
+                        return Err(format!(
+                            "seeded '{rest}': message faults need at least two ranks (nranks={nranks})"
+                        ));
+                    }
                     let sub = FaultPlan::seeded(seed, nranks, n, maxc);
                     plan.msg_faults.extend(sub.msg_faults);
                 }
@@ -166,7 +171,8 @@ impl FaultPlan {
 
     /// Generate `n` pseudo-random message faults over `nranks` ranks in
     /// cycles `[1, max_cycle]`, fully determined by `seed` (splitmix64).
-    /// Kills are never generated — add them explicitly.
+    /// Kills are never generated — add them explicitly. Panics below two
+    /// ranks; [`FaultPlan::parse`] reports that as a bad spec instead.
     pub fn seeded(seed: u64, nranks: usize, n: usize, max_cycle: u64) -> FaultPlan {
         assert!(nranks >= 2, "message faults need at least two ranks");
         let mut state = seed;
@@ -460,6 +466,11 @@ mod tests {
         assert!(FaultPlan::parse("explode:1@2", 4).is_err(), "unknown kind");
         assert!(FaultPlan::parse("drop:1>0", 4).is_err(), "missing index");
         assert!(FaultPlan::parse("delay:1>0#0", 4).is_err(), "missing ticks");
+        // A seeded plan needs a stream to tamper with: an error, not the
+        // generator's assert.
+        let err = FaultPlan::parse("seeded:1#2@3", 1).unwrap_err();
+        assert!(matches!(err, DeltaError::BadFaultSpec { .. }), "{err}");
+        assert!(err.to_string().contains("two ranks"), "{err}");
     }
 
     #[test]

@@ -29,11 +29,12 @@
 //!
 //! Windows carry every schedule record stream of a fault-free run —
 //! halo exchanges, inter-grid transfers and the set-up degree scatter,
-//! all through [`crate::Rank::publish_f64`] / [`crate::Rank::consume_f64`];
-//! the inspector's index messages, collectives, checkpoints, and every
-//! fault-injected run stay on the modeled message channels (fault
-//! injection acts on the modeled wire, which a shared-memory load
-//! bypasses by construction).
+//! all through [`crate::Rank::publish_f64`] / [`crate::Rank::consume_f64`],
+//! across mid-run migrations too (an epoch bump shifts every tag, so a
+//! rebuilt schedule gets fresh windows); the inspector's index messages,
+//! collectives, checkpoints, and every fault-injected run stay on the
+//! modeled message channels (fault injection acts on the modeled wire,
+//! which a shared-memory load bypasses by construction).
 
 use std::cell::UnsafeCell;
 use std::collections::HashMap;

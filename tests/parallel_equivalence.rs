@@ -12,11 +12,16 @@
 
 use eul3d::mesh::gen::BumpSpec;
 use eul3d::mesh::MeshSequence;
-use eul3d::solver::dist::{run_distributed, DistBackend, DistOptions, DistSetup};
+use eul3d::solver::dist::{
+    run_distributed, run_distributed_with_faults, DistBackend, DistOptions, DistSetup,
+    FaultOptions, RepartitionPolicy,
+};
 use eul3d::solver::level::{eval_dissipation, smooth_residual, time_step, LevelState};
+use eul3d::solver::runconfig::PartitionMethod;
 use eul3d::solver::shared::SharedExecutor;
 use eul3d::solver::{
-    fnv1a_128, MultigridSolver, PhaseCounters, Scheme, SerialExecutor, SolverConfig, Strategy,
+    fnv1a_128, GuardConfig, MultigridSolver, PhaseCounters, Scheme, SerialExecutor, SolverConfig,
+    Strategy,
 };
 
 fn spec() -> BumpSpec {
@@ -214,6 +219,61 @@ fn distributed_w_cycle_matches_serial_multigrid() {
         bits(run(2, DistBackend::Delta)),
         bits(run(2, DistBackend::Hybrid)),
         "hybrid vs delta residual history"
+    );
+}
+
+#[test]
+fn guarded_migrating_hybrid_run_gives_the_channel_bits_and_transcript() {
+    // Windows × migration × guard: a CFL-30 case that the guard must
+    // back off, repartitioned every 3 cycles, on shared-memory windows
+    // and on channels — one history to the bit, one transcript.
+    let spec = BumpSpec {
+        nx: 10,
+        ny: 4,
+        nz: 3,
+        taper: 0.6,
+        ..spec()
+    };
+    let cfg = SolverConfig {
+        mach: 0.5,
+        cfl: 30.0,
+        ..SolverConfig::default()
+    };
+    let setup = DistSetup::new(MeshSequence::bump_sequence(&spec, 2), 4, 20, 7);
+    let fopts = FaultOptions {
+        recv_timeout_ms: 60_000,
+        guard: Some(GuardConfig {
+            cfl_backoff: 0.25,
+            reramp_after: 100,
+            ..GuardConfig::default()
+        }),
+        ..FaultOptions::default()
+    };
+    let run = |backend: DistBackend| {
+        let opts = DistOptions {
+            backend,
+            repartition: Some(RepartitionPolicy {
+                every: 3,
+                method: PartitionMethod::Multilevel,
+                coarsen_target: 16,
+                refine_passes: 4,
+                mapping: eul3d::partition::RankMapping::Topology,
+                lanczos_iters: 20,
+                seed: 7,
+            }),
+            ..DistOptions::default()
+        };
+        let r = run_distributed_with_faults(&setup, cfg, Strategy::VCycle, 12, opts, &fopts)
+            .expect("the guard recovers the CFL-30 case");
+        assert_eq!(r.transport, backend, "the transport asked for must run");
+        let bits: Vec<u64> = r.history().iter().map(|x| x.to_bits()).collect();
+        (bits, r.guard_outcome().cloned().expect("guarded"))
+    };
+    let (delta, hybrid) = (run(DistBackend::Delta), run(DistBackend::Hybrid));
+    assert!(!delta.1.transcript.is_empty(), "the guard must back off");
+    assert_eq!(
+        delta, hybrid,
+        "hybrid vs delta: history bits and guard outcome"
     );
 }
 
