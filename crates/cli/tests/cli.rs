@@ -392,6 +392,18 @@ fn malformed_fault_spec_is_a_clean_error() {
 }
 
 #[test]
+fn zero_ranks_is_a_rank_count_error_not_a_fault_spec_error() {
+    let (ok, _, stderr) = eul3d(&["distributed", "--nx", "8", "--ranks", "0"]);
+    assert!(!ok, "zero ranks must be rejected");
+    assert!(stderr.contains("ranks = 0"), "{stderr}");
+    assert!(
+        !stderr.contains("--faults"),
+        "no fault plan was given: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "must not panic: {stderr}");
+}
+
+#[test]
 fn missing_restart_file_is_a_clean_error() {
     let bogus = std::env::temp_dir().join("eul3d_no_such_checkpoint.ck");
     std::fs::remove_file(&bogus).ok();

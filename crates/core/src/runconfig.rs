@@ -228,9 +228,12 @@ impl RunConfig {
         if self.cycles == 0 {
             return Err(range_err("cycles", 0.0, "need at least one cycle"));
         }
-        eul3d_delta::check_nranks(self.nranks).map_err(Eul3dError::Delta)?;
+        const RANKS: &str = "need at least one rank and at most 2^20";
+        eul3d_delta::check_nranks(self.nranks)
+            .map_err(|_| range_err("ranks", self.nranks as f64, RANKS))?;
         if self.threads != 0 {
-            eul3d_delta::check_nranks(self.threads).map_err(Eul3dError::Delta)?;
+            eul3d_delta::check_nranks(self.threads)
+                .map_err(|_| range_err("threads", self.threads as f64, RANKS))?;
         }
         if self.mesh.nx < 2 || self.mesh.ny < 2 || self.mesh.nz < 2 {
             return Err(range_err(
@@ -876,11 +879,12 @@ mod tests {
         let err = RunConfig::from_toml("[run]\nbackend = \"mpi\"\n").unwrap_err();
         assert!(err.to_string().contains("delta|hybrid"), "{err}");
 
-        // Rank/thread counts funnel through the machine-wide cap.
-        for (nranks, threads) in [
-            (eul3d_delta::MAX_RANKS + 1, 0),
-            (32, eul3d_delta::MAX_RANKS + 1),
-            (0, 0),
+        // Rank/thread counts funnel through the machine-wide cap and are
+        // reported against their own field, not as a machine error.
+        for (nranks, threads, field) in [
+            (eul3d_delta::MAX_RANKS + 1, 0, "ranks"),
+            (32, eul3d_delta::MAX_RANKS + 1, "threads"),
+            (0, 0, "ranks"),
         ] {
             let rc = RunConfig {
                 nranks,
@@ -888,7 +892,13 @@ mod tests {
                 ..RunConfig::default()
             };
             let err = rc.validate().unwrap_err();
-            assert!(matches!(err, Eul3dError::Delta(_)), "{err}");
+            assert!(
+                matches!(
+                    err,
+                    Eul3dError::Solver(SolverError::ConfigOutOfRange { field: f, .. }) if f == field
+                ),
+                "{err}"
+            );
         }
     }
 

@@ -105,6 +105,12 @@ impl FaultPlan {
     /// ...#N@C         count only messages sent during cycle C
     /// seeded:SEED#N@C N pseudo-random message faults in cycles [1, C]
     /// ```
+    ///
+    /// `#N` counts every message the sender posts on the stream, the
+    /// uncharged buffer returns of the persistent exchange protocol
+    /// included. A return travels empty, so a `corrupt:` that lands on one
+    /// (or on any empty payload) has no bit to flip: it misses, and no
+    /// recovery follows.
     pub fn parse(spec: &str, nranks: usize) -> Result<FaultPlan, DeltaError> {
         FaultPlan::parse_inner(spec, nranks).map_err(|reason| DeltaError::BadFaultSpec {
             spec: spec.to_string(),

@@ -62,34 +62,37 @@ impl Payload {
     }
 }
 
-/// FNV-1a checksum over the payload bits; 0 for control payloads (they
-/// are never corrupted — corruption models data-plane bit errors).
+/// Word-wise FNV-1a checksum over the payload bits; 0 for control
+/// payloads (they are never corrupted — corruption models data-plane bit
+/// errors). Each word (an f64's bit pattern, or a u32 widened to 64
+/// bits) is one xor-multiply step on one of four interleaved lanes, and
+/// the length and the lanes are folded the same way at the end. Every
+/// step is a bijection of the running hash (the prime is odd), so any
+/// change confined to one word — every single-bit flip included — is
+/// detected with certainty.
 pub fn checksum(payload: &Payload) -> u64 {
+    match payload {
+        Payload::F64(v) => fnv_words(v, f64::to_bits),
+        Payload::U32(v) => fnv_words(v, u64::from),
+        _ => 0,
+    }
+}
+
+fn fnv_words<T: Copy>(v: &[T], word: impl Fn(T) -> u64) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |byte: u8| {
-        h ^= byte as u64;
-        h = h.wrapping_mul(PRIME);
-    };
-    match payload {
-        Payload::F64(v) => {
-            for x in v {
-                for b in x.to_bits().to_le_bytes() {
-                    eat(b);
-                }
-            }
+    let step = |h: u64, w: u64| (h ^ w).wrapping_mul(PRIME);
+    let mut lanes = [OFFSET; 4];
+    let mut quads = v.chunks_exact(4);
+    for q in &mut quads {
+        for (lane, &x) in lanes.iter_mut().zip(q) {
+            *lane = step(*lane, word(x));
         }
-        Payload::U32(v) => {
-            for x in v {
-                for b in x.to_le_bytes() {
-                    eat(b);
-                }
-            }
-        }
-        _ => return 0,
     }
-    h
+    for (lane, &x) in lanes.iter_mut().zip(quads.remainder()) {
+        *lane = step(*lane, word(x));
+    }
+    lanes.into_iter().fold(step(OFFSET, v.len() as u64), step)
 }
 
 /// An in-flight message. Data messages carry a recovery `epoch`, a
@@ -271,6 +274,55 @@ mod tests {
         assert_eq!(checksum(&a), checksum(&Payload::F64(vec![1.0, 2.0, 3.0])));
         assert_eq!(checksum(&Payload::Dead { epoch: 7 }), 0);
     }
+
+    #[test]
+    fn checksum_contract_one_word_changes_lengths_and_order() {
+        let f64s = |v: &[f64]| checksum(&Payload::F64(v.to_vec()));
+        let u32s = |v: &[u32]| checksum(&Payload::U32(v.to_vec()));
+        // Every bit of every word, over lengths that leave every
+        // four-lane remainder.
+        for n in 1..=9 {
+            let base: Vec<f64> = (0..n).map(|i| 0.5 + 1.25 * i as f64).collect();
+            let ints: Vec<u32> = (0..n as u32).map(|i| 7 + 3 * i).collect();
+            for i in 0..n {
+                for bit in 0..64 {
+                    let mut v = base.clone();
+                    v[i] = f64::from_bits(v[i].to_bits() ^ (1 << bit));
+                    assert_ne!(f64s(&v), f64s(&base), "F64 len {n} word {i} bit {bit}");
+                }
+                for bit in 0..32 {
+                    let mut v = ints.clone();
+                    v[i] ^= 1 << bit;
+                    assert_ne!(u32s(&v), u32s(&ints), "U32 len {n} word {i} bit {bit}");
+                }
+            }
+        }
+        // Zero words still count.
+        let (e, one, two) = (f64s(&[]), f64s(&[0.0]), f64s(&[0.0, 0.0]));
+        assert!(e != one && e != two && one != two);
+        // So does order, across lanes and within one.
+        assert_ne!(f64s(&[1.0, 2.0, 3.0]), f64s(&[2.0, 1.0, 3.0]));
+        assert_ne!(
+            f64s(&[1.0, 0.0, 0.0, 0.0, 2.0]),
+            f64s(&[2.0, 0.0, 0.0, 0.0, 1.0])
+        );
+        for control in [
+            Payload::Poison,
+            Payload::Dead { epoch: 3 },
+            Payload::Abort {
+                epoch: 4,
+                dead: vec![1, 2],
+            },
+        ] {
+            assert_eq!(checksum(&control), 0);
+        }
+        // Known answers: a change to the function must be deliberate.
+        assert_eq!(f64s(&[1.0, -2.5, 0.1, 1e300, 0.0]), KNOWN_F64);
+        assert_eq!(u32s(&[0, 1, u32::MAX]), KNOWN_U32);
+    }
+
+    const KNOWN_F64: u64 = 0xbadc_805d_15c3_70dc;
+    const KNOWN_U32: u64 = 0x3663_bdd6_4791_e828;
 
     #[test]
     fn payload_round_trip() {

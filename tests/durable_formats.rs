@@ -18,8 +18,19 @@ const HEADER_LEN: usize = 12;
 /// Every single-bit flip, and all bits at once.
 const MASKS: [u8; 9] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0xFF];
 
+/// A fresh directory for one test. It lives on tmpfs (`/dev/shm`) where
+/// there is one. The formats fsync on every recovering open, and these
+/// properties reopen a file thousands of times. On a busy disk those
+/// fsyncs take minutes. What is checked is the bytes a reopen leaves
+/// behind, and tmpfs stores them just as a disk does.
 fn scratch(name: &str) -> PathBuf {
-    let p = std::env::temp_dir().join(format!("eul3d-durable-{name}-{}", std::process::id()));
+    let shm = Path::new("/dev/shm");
+    let root = if shm.is_dir() {
+        shm.to_path_buf()
+    } else {
+        std::env::temp_dir()
+    };
+    let p = root.join(format!("eul3d-durable-{name}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&p);
     fs::create_dir_all(&p).expect("scratch dir");
     p

@@ -10,6 +10,9 @@
 //! edge-scatter loops produced before the two neighbour sums became
 //! vertex gathers.
 
+use std::sync::Arc;
+
+use eul3d::delta::FaultPlan;
 use eul3d::mesh::gen::BumpSpec;
 use eul3d::mesh::MeshSequence;
 use eul3d::solver::dist::{
@@ -274,6 +277,67 @@ fn guarded_migrating_hybrid_run_gives_the_channel_bits_and_transcript() {
     assert_eq!(
         delta, hybrid,
         "hybrid vs delta: history bits and guard outcome"
+    );
+}
+
+#[test]
+fn corrupted_dropped_and_duplicated_messages_recover_to_the_clean_bits() {
+    // The tier-1 slice of the fault layer: every message fault the plan
+    // names must fire on the channel transport, and the recovered run
+    // must still give the fault-free history and state, bit for bit.
+    let spec = BumpSpec {
+        nx: 8,
+        ny: 4,
+        nz: 3,
+        ..spec()
+    };
+    let cfg = SolverConfig {
+        mach: 0.5,
+        ..SolverConfig::default()
+    };
+    let setup = DistSetup::new(MeshSequence::bump_sequence(&spec, 2), 4, 20, 7);
+    let nverts = setup.seq.meshes[0].nverts();
+    let cycles = 6;
+    let clean = run_distributed(
+        &setup,
+        cfg,
+        Strategy::WCycle,
+        cycles,
+        DistOptions::default(),
+    );
+    let fopts = FaultOptions {
+        plan: Arc::new(
+            FaultPlan::parse("corrupt:1>0#0@2,drop:2>3#0@3,dup:0>1#0@4", 4)
+                .expect("valid fault spec"),
+        ),
+        checkpoint_every: 2,
+        ..FaultOptions::default()
+    };
+    let faulted = run_distributed_with_faults(
+        &setup,
+        cfg,
+        Strategy::WCycle,
+        cycles,
+        DistOptions::default(),
+        &fopts,
+    )
+    .expect("the faulted run recovers");
+    assert_eq!(faulted.transport, DistBackend::Delta);
+    // The corrupt (checksum) and the drop (sequence gap) each force one
+    // recovery epoch on every rank; the duplicate is absorbed by the
+    // receiver's sequence filter.
+    for (vid, c) in faulted.run.counters.iter().enumerate() {
+        assert_eq!(c.recoveries, 2, "rank {vid}: recovery epochs");
+    }
+    let dups: u64 = faulted.run.counters.iter().map(|c| c.dup_discards).sum();
+    assert_eq!(dups, 1, "the duplicate must be discarded once");
+    assert!(clean.run.counters.iter().all(|c| c.recoveries == 0));
+    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+    assert_eq!(bits(faulted.history()), bits(clean.history()), "history");
+    assert_eq!(
+        bits(&faulted.global_state(nverts)),
+        bits(&clean.global_state(nverts)),
+        "final state"
     );
 }
 
