@@ -4,9 +4,6 @@ use std::path::{Path, PathBuf};
 
 use eul3d_core::health::GuardOutcome;
 use eul3d_core::postproc::{cp_field, mach_field, pressure_field};
-use eul3d_core::runconfig::{
-    parse_backend, parse_partition_method, parse_scheme, parse_strategy, partition_method_name,
-};
 use eul3d_core::{
     ConvergenceHistory, Eul3dError, JobCheckpoint, MultigridSolver, Phase, RunConfig, RunPlan,
     SoaState, TraceConfig,
@@ -24,125 +21,45 @@ use eul3d_partition::{
 };
 use eul3d_perf::TextTable;
 
-use crate::args::Args;
+use crate::args::{Args, Scope};
 
-fn bump_spec(a: &Args) -> Result<BumpSpec, String> {
-    let d = BumpSpec::channel(a.get("nx", 24)?);
-    Ok(BumpSpec {
-        ny: a.get("ny", d.ny)?,
-        nz: a.get("nz", d.nz)?,
-        bump_height: a.get("bump", d.bump_height)?,
-        taper: a.get("taper", d.taper)?,
-        jitter: a.get("jitter", d.jitter)?,
-        seed: a.get("seed", d.seed)?,
-        ..d
-    })
+/// Apply the configuration flags `scope` reads, and every `--set`, to
+/// `rc`: each is one [`RunConfig::set`], after the `--config` file.
+fn apply_flags(a: &Args, scope: Scope, rc: &mut RunConfig) -> Result<(), String> {
+    let rows = a.settings(scope)?;
+    let entries: Vec<(&str, &str)> = rows
+        .iter()
+        .map(|(_, k, v)| (k.as_str(), v.as_str()))
+        .collect();
+    rc.set_all(&entries)
+        .map_err(|(i, e)| format!("--{}: {e}", rows[i].0))
 }
 
-/// Override `slot` from `--key` when the flag was passed (and note the
-/// flag as seen either way, for unknown-flag reporting).
-fn over<T: std::str::FromStr>(a: &Args, key: &str, slot: &mut T) -> Result<(), String> {
-    if let Some(v) = a.get_str(key) {
-        *slot = v
-            .parse()
-            .map_err(|_| format!("--{key}: cannot parse '{v}'"))?;
-    }
-    Ok(())
+/// The mesh of a `mesh` or `partition` command line: the default
+/// channel under the mesh flags.
+fn mesh_spec(a: &Args) -> Result<BumpSpec, String> {
+    let mut rc = RunConfig::default();
+    apply_flags(a, Scope::Mesh, &mut rc)?;
+    Ok(rc.mesh)
 }
 
-/// Assemble the consolidated [`RunConfig`] for a solve: a `--config
-/// run.toml` file (when given) supplies the base, individual CLI flags
-/// override file values, and the result passes through the same
-/// [`RunConfig::validate`] as library callers — so every entry point
-/// rejects exactly the same inputs. `dist` gates the distributed-only
-/// flags, keeping `solve --ranks N` an unknown-flag error as before.
-fn run_config_of(a: &Args, levels: usize, cycles: usize, dist: bool) -> Result<RunConfig, String> {
-    let config_path = a.get_str("config");
-    let mut rc = match &config_path {
+/// Assemble the [`RunConfig`] for a solve: [`RunConfig::default`], then
+/// a `--config run.toml` file when given, then the flags. The result
+/// passes through the same [`RunConfig::validate`] as library callers,
+/// so every entry point rejects exactly the same inputs.
+fn run_config_of(a: &Args, scope: Scope) -> Result<RunConfig, String> {
+    let mut rc = match a.get_str("config") {
         Some(path) => {
             let text =
-                std::fs::read_to_string(path).map_err(|e| format!("--config {path}: {e}"))?;
+                std::fs::read_to_string(&path).map_err(|e| format!("--config {path}: {e}"))?;
             RunConfig::from_toml(&text).map_err(|e| format!("--config {path}: {e}"))?
         }
-        None => RunConfig {
-            levels,
-            cycles,
-            mesh: bump_spec(a)?,
-            ..RunConfig::default()
-        },
+        None => RunConfig::default(),
     };
-    if config_path.is_some() {
-        // With a file base, mesh flags override field-by-field (the
-        // flag-only path above derives ny/nz from nx in `bump_spec`).
-        over(a, "nx", &mut rc.mesh.nx)?;
-        over(a, "ny", &mut rc.mesh.ny)?;
-        over(a, "nz", &mut rc.mesh.nz)?;
-        over(a, "bump", &mut rc.mesh.bump_height)?;
-        over(a, "taper", &mut rc.mesh.taper)?;
-        over(a, "jitter", &mut rc.mesh.jitter)?;
-        over(a, "seed", &mut rc.mesh.seed)?;
+    apply_flags(a, scope, &mut rc)?;
+    if a.has("guard") {
+        rc.arm("guard").map_err(|e| e.to_string())?;
     }
-    over(a, "levels", &mut rc.levels)?;
-    over(a, "cycles", &mut rc.cycles)?;
-    if let Some(s) = a.get_str("strategy") {
-        rc.strategy =
-            parse_strategy(&s).ok_or_else(|| format!("--strategy must be sg|v|w, got '{s}'"))?;
-    }
-    if let Some(s) = a.get_str("scheme") {
-        rc.solver.scheme =
-            parse_scheme(&s).ok_or_else(|| format!("--scheme must be jst|roe, got '{s}'"))?;
-    }
-    over(a, "mach", &mut rc.solver.mach)?;
-    over(a, "alpha", &mut rc.solver.alpha_deg)?;
-    over(a, "cfl", &mut rc.solver.cfl)?;
-
-    // Health guard: a file `[guard]` section arms it, as does `--guard`
-    // or any explicit guard parameter; flags override file values.
-    let armed = rc.guard.is_some()
-        || a.has("guard")
-        || a.get_str("max-retries").is_some()
-        || a.get_str("cfl-backoff").is_some()
-        || a.get_str("health-window").is_some();
-    let mut g = rc.guard.take().unwrap_or_default();
-    over(a, "max-retries", &mut g.max_retries)?;
-    over(a, "cfl-backoff", &mut g.cfl_backoff)?;
-    over(a, "health-window", &mut g.window)?;
-    rc.guard = armed.then_some(g);
-
-    if dist {
-        over(a, "ranks", &mut rc.nranks)?;
-        if let Some(s) = a.get_str("backend") {
-            rc.backend = parse_backend(&s)
-                .ok_or_else(|| format!("--backend must be delta|hybrid, got '{s}'"))?;
-        }
-        over(a, "threads", &mut rc.threads)?;
-        over(a, "checkpoint-every", &mut rc.checkpoint_every)?;
-        over(a, "fault-timeout-ms", &mut rc.fault_timeout_ms)?;
-        if let Some(spec) = a.get_str("faults") {
-            rc.faults = Some(spec);
-        }
-
-        // Partitioning policy: a file `[partition]` section arms it, as
-        // does any explicit partition flag; flags override file values.
-        let armed = rc.partition.is_some()
-            || a.get_str("partition-method").is_some()
-            || a.get_str("partition-mapping").is_some()
-            || a.get_str("repartition-every").is_some();
-        let mut p = rc.partition.take().unwrap_or_default();
-        if let Some(s) = a.get_str("partition-method") {
-            p.method = parse_partition_method(&s).ok_or_else(|| {
-                format!("--partition-method must be flat-rsb|multilevel, got '{s}'")
-            })?;
-        }
-        if let Some(s) = a.get_str("partition-mapping") {
-            p.mapping = eul3d_partition::RankMapping::parse(&s).ok_or_else(|| {
-                format!("--partition-mapping must be identity|topology, got '{s}'")
-            })?;
-        }
-        over(a, "repartition-every", &mut p.repartition_every)?;
-        rc.partition = armed.then_some(p);
-    }
-
     // Tracing: `--trace out.json` writes the Chrome trace there,
     // `--trace-summary` prints the human table; either arms the ring.
     if let Some(path) = a.get_str("trace") {
@@ -154,12 +71,6 @@ fn run_config_of(a: &Args, levels: usize, cycles: usize, dist: bool) -> Result<R
     if a.has("trace-summary") {
         rc.trace.enabled = true;
         rc.trace.summary = true;
-    }
-    over(a, "trace-capacity", &mut rc.trace.capacity)?;
-    over(a, "trace-top", &mut rc.trace.top_n)?;
-
-    if rc.cycles == 0 {
-        return Err("--cycles must be at least 1".into());
     }
     rc.validate().map_err(|e| match e {
         // The only Delta error `validate` raises is the fault plan's.
@@ -227,7 +138,7 @@ fn print_guard_summary(o: &GuardOutcome) {
 }
 
 pub fn mesh(a: &Args) -> Result<(), String> {
-    let spec = bump_spec(a)?;
+    let spec = mesh_spec(a)?;
     let levels: usize = a.get("levels", 1)?;
     let vtk = a.get_str("vtk");
     a.check_unknown()?;
@@ -255,7 +166,7 @@ pub fn mesh(a: &Args) -> Result<(), String> {
 }
 
 pub fn partition(a: &Args) -> Result<(), String> {
-    let spec = bump_spec(a)?;
+    let spec = mesh_spec(a)?;
     let parts_n: usize = a.get("parts", 16)?;
     let method = a.get_str("method").unwrap_or_else(|| "flat-rsb".into());
     let mapping_s = a.get_str("mapping").unwrap_or_else(|| "identity".into());
@@ -350,7 +261,7 @@ pub fn partition(a: &Args) -> Result<(), String> {
 }
 
 pub fn solve(a: &Args) -> Result<(), String> {
-    let rc = run_config_of(a, 4, 100, false)?;
+    let rc = run_config_of(a, Scope::Solve)?;
     let fmg = a.has("fmg");
     let agglo = a.get_str("coarse").as_deref() == Some("agglo");
     let threads: usize = a.get("threads", 0)?;
@@ -369,7 +280,7 @@ pub fn solve(a: &Args) -> Result<(), String> {
     }
 
     println!(
-        "solve: nx={} levels={levels} {} cycles={cycles} M={} α={}°{}{}",
+        "solve: nx={} levels={levels} {} cycles={cycles} M={} α={}°{}{} config {:016x}",
         spec.nx,
         strategy.label(),
         cfg.mach,
@@ -379,7 +290,8 @@ pub fn solve(a: &Args) -> Result<(), String> {
             " [agglomerated coarse levels]"
         } else {
             ""
-        }
+        },
+        rc.canonical_hash() >> 64
     );
     let t0 = std::time::Instant::now();
     arm_driver_trace(&rc.trace);
@@ -516,7 +428,7 @@ pub fn distributed(a: &Args) -> Result<(), String> {
     use eul3d_core::dist::{
         run_distributed_with_faults, DistBackend, DistOptions, DistSetup, FaultOptions, RankFate,
     };
-    let rc = run_config_of(a, 3, 25, true)?;
+    let rc = run_config_of(a, Scope::Distributed)?;
     let no_incr = a.has("no-incremental");
     a.check_unknown()?;
     let hybrid = rc.backend == DistBackend::Hybrid;
@@ -532,22 +444,23 @@ pub fn distributed(a: &Args) -> Result<(), String> {
     };
 
     println!(
-        "distributed: nx={} levels={levels} {} cycles={cycles} on {nranks} {}",
+        "distributed: nx={} levels={levels} {} cycles={cycles} on {nranks} {} config {:016x}",
         spec.nx,
         strategy.label(),
         match (opts.transport(&fopts), hybrid) {
             (DistBackend::Hybrid, _) => "hybrid threads (shared-memory windows)",
             (DistBackend::Delta, false) => "simulated ranks",
             (DistBackend::Delta, true) => "simulated ranks (hybrid falls back to channels)",
-        }
+        },
+        rc.canonical_hash() >> 64
     );
     let seq = MeshSequence::bump_sequence(&spec, levels);
     let t0 = std::time::Instant::now();
     let setup = DistSetup::for_run(seq, &rc, pseed);
-    let method_label = rc
-        .partition
-        .as_ref()
-        .map_or("flat-rsb", |p| partition_method_name(p.method));
+    let method = rc.get("partition.method");
+    let method_label = method
+        .as_deref()
+        .map_or("flat-rsb", |m| m.trim_matches('"'));
     println!(
         "{method_label} partitioning of all levels: {:.2}s",
         t0.elapsed().as_secs_f64()

@@ -8,8 +8,8 @@
 //! eul3d solve      --nx 24 --levels 4 [--strategy sg|v|w] [--scheme jst|roe]
 //!                  [--cycles 100] [--mach 0.675] [--alpha 0.0] [--fmg] [--threads N]
 //!                  [--restart ck] [--checkpoint ck] [--vtk out.vtk]
-//! eul3d distributed --nx 24 --levels 3 --ranks 32 [--strategy sg|v|w]
-//!                  [--cycles 25] [--no-incremental]
+//! eul3d distributed --nx 24 --levels 4 --ranks 32 [--strategy sg|v|w]
+//!                  [--cycles 100] [--no-incremental]
 //!                  [--backend delta|hybrid] [--threads N]
 //!                  [--faults SPEC] [--checkpoint-every N] [--fault-timeout-ms MS]
 //!                  [--partition-method flat-rsb|multilevel]
@@ -35,9 +35,12 @@
 //! still unfinished resumes on the next start.
 //!
 //! `solve` and `distributed` additionally take the consolidated
-//! run-configuration flags: `--config run.toml` loads a config file
-//! (individual flags override its values; see `examples/run.toml`), and
-//! the tracing flags `--trace out.json` (Chrome `trace_event` JSON, one
+//! run-configuration flags: `--config run.toml` loads a config file (see
+//! `examples/run.toml`), and repeatable `--set section.key=value` sets
+//! any of its keys. Each configuration flag is an alias of one key
+//! (`args::ALIASES`); flags apply after the file, and a key given twice
+//! on the command line is an error. The header ends with `config <hash>`
+//! (16 hex digits of the canonical hash). Then the tracing flags `--trace out.json` (Chrome `trace_event` JSON, one
 //! lane per rank — open in Perfetto or `chrome://tracing`),
 //! `--trace-summary` (human table), `--trace-capacity N` (ring events
 //! per lane), and `--trace-top N` (summary rows).

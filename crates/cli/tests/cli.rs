@@ -427,7 +427,7 @@ fn missing_restart_file_is_a_clean_error() {
 fn zero_cycles_is_rejected() {
     let (ok, _, stderr) = eul3d(&["solve", "--nx", "8", "--levels", "1", "--cycles", "0"]);
     assert!(!ok);
-    assert!(stderr.contains("--cycles must be at least 1"), "{stderr}");
+    assert!(stderr.contains("cycles = 0 out of range"), "{stderr}");
 }
 
 #[test]
@@ -524,7 +524,7 @@ fn guard_flags_are_validated() {
     ]);
     assert!(!ok);
     assert!(
-        stderr.contains("--cfl-backoff must be in (0, 1)"),
+        stderr.contains("guard.cfl_backoff = 1.5 out of range"),
         "{stderr}"
     );
 
@@ -539,7 +539,10 @@ fn guard_flags_are_validated() {
         "0",
     ]);
     assert!(!ok);
-    assert!(stderr.contains("--max-retries must be >= 1"), "{stderr}");
+    assert!(
+        stderr.contains("guard.max_retries = 0 out of range"),
+        "{stderr}"
+    );
 }
 
 #[test]
@@ -665,7 +668,7 @@ fn config_file_loads_and_flags_override_it() {
     // A flag overrides the file: forcing zero cycles must now fail.
     let (ok, _, stderr) = eul3d(&["solve", "--config", path_s, "--cycles", "0"]);
     assert!(!ok);
-    assert!(stderr.contains("--cycles must be at least 1"), "{stderr}");
+    assert!(stderr.contains("cycles = 0 out of range"), "{stderr}");
 
     // A malformed file is a clean, line-numbered error.
     std::fs::write(&path, "[mesh]\nnx = what\n").unwrap();
@@ -699,4 +702,146 @@ fn distributed_guard_reports_the_same_recovery() {
     assert!(stdout.contains("backoff epochs 1"), "{stdout}");
     assert!(stdout.contains("cfl 30.000 -> 7.500"), "{stdout}");
     assert!(stdout.contains("modeled Delta cost"), "{stdout}");
+}
+
+/// The first output line of a run, which names its configuration hash.
+fn header(args: &[&str]) -> String {
+    let (ok, stdout, stderr) = eul3d(args);
+    assert!(ok, "{args:?}: {stderr}");
+    stdout.lines().next().unwrap_or_default().to_owned()
+}
+
+#[test]
+fn a_config_file_is_the_same_run_as_the_flags() {
+    let dir = scratch("config_identity");
+    let empty = dir.join("empty.toml");
+    std::fs::write(&empty, "").unwrap();
+    let empty = empty.to_str().unwrap();
+    let run = |extra: &[&str]| {
+        let args = [
+            &["solve", "--nx", "8", "--levels", "2", "--cycles", "2"],
+            extra,
+        ]
+        .concat();
+        let (ok, stdout, stderr) = eul3d(&args);
+        assert!(ok, "{extra:?}: {stderr}");
+        let head = stdout.lines().next().unwrap_or_default().to_owned();
+        let line = stdout
+            .lines()
+            .find(|l| l.contains("orders"))
+            .unwrap_or_default();
+        let residuals = line.split_once("host: ").map(|p| p.1.to_owned());
+        (head, residuals)
+    };
+    let plain = run(&[]);
+    assert!(plain.0.contains(" config "), "{}", plain.0);
+    assert_eq!(
+        plain,
+        run(&["--config", empty]),
+        "an empty file changes nothing"
+    );
+    let lever = run(&["--set", "solver.coarse_k2=0.25"]);
+    assert_ne!(lever.0, plain.0, "another setting, another hash");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_alias_flag_is_its_key_on_the_command_line_and_in_a_file() {
+    // (command, flag, key, value); each row also runs over a base that
+    // leaves its own flag out.
+    const ROWS: &[(&str, &str, &str, &str)] = &[
+        ("solve", "nx", "mesh.nx", "7"),
+        ("solve", "ny", "mesh.ny", "3"),
+        ("solve", "nz", "mesh.nz", "4"),
+        ("solve", "bump", "mesh.bump_height", "0.08"),
+        ("solve", "taper", "mesh.taper", "0.3"),
+        ("solve", "jitter", "mesh.jitter", "0.05"),
+        ("solve", "seed", "mesh.seed", "9"),
+        ("solve", "levels", "run.levels", "1"),
+        ("solve", "cycles", "run.cycles", "2"),
+        ("solve", "strategy", "run.strategy", "v"),
+        ("solve", "scheme", "solver.scheme", "roe"),
+        ("solve", "mach", "solver.mach", "0.5"),
+        ("solve", "alpha", "solver.alpha_deg", "1.25"),
+        ("solve", "cfl", "solver.cfl", "2"),
+        ("solve", "max-retries", "guard.max_retries", "3"),
+        ("solve", "cfl-backoff", "guard.cfl_backoff", "0.25"),
+        ("solve", "health-window", "guard.window", "6"),
+        ("solve", "trace-capacity", "trace.capacity", "512"),
+        ("solve", "trace-top", "trace.top_n", "3"),
+        ("distributed", "ranks", "run.nranks", "3"),
+        ("distributed", "backend", "run.backend", "hybrid"),
+        ("distributed", "threads", "run.threads", "2"),
+        (
+            "distributed",
+            "checkpoint-every",
+            "run.checkpoint_every",
+            "1",
+        ),
+        (
+            "distributed",
+            "fault-timeout-ms",
+            "run.fault_timeout_ms",
+            "60000",
+        ),
+        ("distributed", "faults", "run.faults", "kill:1@2"),
+        (
+            "distributed",
+            "partition-method",
+            "partition.method",
+            "multilevel",
+        ),
+        (
+            "distributed",
+            "partition-mapping",
+            "partition.mapping",
+            "topology",
+        ),
+        (
+            "distributed",
+            "repartition-every",
+            "partition.repartition_every",
+            "1",
+        ),
+    ];
+    let base: &[(&str, &str)] = &[
+        ("nx", "6"),
+        ("levels", "2"),
+        ("cycles", "3"),
+        ("ranks", "2"),
+    ];
+    let dir = scratch("aliases");
+    let file = dir.join("one_key.toml");
+    let file_s = file.to_str().unwrap();
+    for &(cmd, flag, key, value) in ROWS {
+        let mut args = vec![cmd.to_owned()];
+        for (f, v) in base {
+            if *f != flag && (cmd == "distributed" || *f != "ranks") {
+                args.extend([format!("--{f}"), v.to_string()]);
+            }
+        }
+        let args: Vec<&str> = args.iter().map(String::as_str).collect();
+        let (section, name) = key.split_once('.').unwrap();
+        let quoted = value.parse::<f64>().is_err();
+        let entry = if quoted {
+            format!("\"{value}\"")
+        } else {
+            value.to_owned()
+        };
+        std::fs::write(&file, format!("[{section}]\n{name} = {entry}\n")).unwrap();
+        let by_flag = header(&[&args[..], &[&format!("--{flag}"), value]].concat());
+        let setting = format!("{key}={value}");
+        let by_set = header(&[&args[..], &["--set", &setting]].concat());
+        let by_file = header(&[&args[..], &["--config", file_s]].concat());
+        assert_eq!(by_flag, by_set, "--{flag} vs --set {setting}");
+        assert_eq!(by_flag, by_file, "--{flag} vs [{section}] {name}");
+        if key != "trace.top_n" {
+            assert_ne!(
+                by_flag,
+                header(&args),
+                "--{flag} {value} must change the run"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -827,9 +827,10 @@ mod guard {
         let err = guarded(&setup, &fopts).err();
         assert!(matches!(
             err,
-            Some(Eul3dError::Solver(
-                SolverError::GuardBackoffOutOfRange { .. }
-            ))
+            Some(Eul3dError::Solver(SolverError::ConfigOutOfRange {
+                field: "guard.cfl_backoff",
+                ..
+            }))
         ));
     }
 }

@@ -22,14 +22,6 @@ pub enum SolverError {
     Coloring(String),
     /// A mesh sequence with no levels was supplied.
     EmptyMeshSequence,
-    /// `--cfl-backoff` outside `(0, 1)`.
-    GuardBackoffOutOfRange { value: f64 },
-    /// `--max-retries 0` with the guard enabled.
-    GuardZeroRetries,
-    /// Zero-length health window, snapshot cadence, or re-ramp count.
-    GuardZeroWindow,
-    /// Divergence ratio must exceed 1.
-    GuardBadRatio { value: f64 },
     /// A [`crate::runconfig::RunConfig`] field failed range validation.
     ConfigOutOfRange {
         /// Dotted field path (e.g. `"solver.mach"`).
@@ -65,20 +57,6 @@ impl fmt::Display for SolverError {
         match self {
             SolverError::Coloring(msg) => write!(f, "edge colouring invalid: {msg}"),
             SolverError::EmptyMeshSequence => write!(f, "mesh sequence has no levels"),
-            SolverError::GuardBackoffOutOfRange { value } => write!(
-                f,
-                "--cfl-backoff must be in (0, 1), got {value} (a factor >= 1 never reduces the CFL)"
-            ),
-            SolverError::GuardZeroRetries => {
-                write!(f, "--max-retries must be >= 1 when the guard is enabled")
-            }
-            SolverError::GuardZeroWindow => write!(
-                f,
-                "guard window, snapshot cadence, and re-ramp count must be >= 1"
-            ),
-            SolverError::GuardBadRatio { value } => {
-                write!(f, "divergence ratio must exceed 1, got {value}")
-            }
             SolverError::ConfigOutOfRange {
                 field,
                 value,
@@ -178,8 +156,13 @@ mod tests {
     fn umbrella_wraps_and_displays_every_source() {
         let m: Eul3dError = MeshError::DegenerateTet { tet: [0, 1, 2, 3] }.into();
         assert!(m.to_string().contains("mesh:"));
-        let s: Eul3dError = SolverError::GuardZeroRetries.into();
-        assert!(s.to_string().contains("--max-retries"));
+        let s: Eul3dError = SolverError::ConfigOutOfRange {
+            field: "guard.max_retries",
+            value: 0.0,
+            expected: "must be at least 1",
+        }
+        .into();
+        assert!(s.to_string().contains("guard.max_retries = 0 out of range"));
         assert!(std::error::Error::source(&s).is_some());
     }
 

@@ -195,23 +195,36 @@ impl Default for GuardConfig {
 }
 
 impl GuardConfig {
-    /// Reject configurations that cannot make progress.
+    /// Reject configurations that cannot make progress, naming the
+    /// offending `guard.*` key.
     pub fn validate(&self) -> Result<(), SolverError> {
+        let bad = |field, value, expected| {
+            Err(SolverError::ConfigOutOfRange {
+                field,
+                value,
+                expected,
+            })
+        };
         if !(self.cfl_backoff > 0.0 && self.cfl_backoff < 1.0) {
-            return Err(SolverError::GuardBackoffOutOfRange {
-                value: self.cfl_backoff,
-            });
+            let why = "must be in (0, 1): a factor >= 1 never reduces the CFL";
+            return bad("guard.cfl_backoff", self.cfl_backoff, why);
         }
-        if self.max_retries == 0 {
-            return Err(SolverError::GuardZeroRetries);
-        }
-        if self.window == 0 || self.snapshot_every == 0 || self.reramp_after == 0 {
-            return Err(SolverError::GuardZeroWindow);
+        for (field, n) in [
+            ("guard.max_retries", self.max_retries),
+            ("guard.window", self.window),
+            ("guard.snapshot_every", self.snapshot_every),
+            ("guard.reramp_after", self.reramp_after),
+        ] {
+            if n == 0 {
+                return bad(field, 0.0, "must be at least 1");
+            }
         }
         if self.divergence_ratio <= 1.0 {
-            return Err(SolverError::GuardBadRatio {
-                value: self.divergence_ratio,
-            });
+            return bad(
+                "guard.divergence_ratio",
+                self.divergence_ratio,
+                "must exceed 1",
+            );
         }
         Ok(())
     }
@@ -730,31 +743,52 @@ mod tests {
     fn guard_config_validation_rejects_nonsense() {
         use crate::error::SolverError;
         assert!(GuardConfig::default().validate().is_ok());
-        let bad = GuardConfig {
-            cfl_backoff: 1.0,
-            ..Default::default()
-        };
-        assert!(matches!(
-            bad.validate(),
-            Err(SolverError::GuardBackoffOutOfRange { .. })
-        ));
-        let bad = GuardConfig {
-            max_retries: 0,
-            ..Default::default()
-        };
-        assert!(matches!(bad.validate(), Err(SolverError::GuardZeroRetries)));
-        let bad = GuardConfig {
-            window: 0,
-            ..Default::default()
-        };
-        assert!(matches!(bad.validate(), Err(SolverError::GuardZeroWindow)));
-        let bad = GuardConfig {
-            divergence_ratio: 1.0,
-            ..Default::default()
-        };
-        assert!(matches!(
-            bad.validate(),
-            Err(SolverError::GuardBadRatio { .. })
-        ));
+        let d = GuardConfig::default();
+        for (bad, key) in [
+            (
+                GuardConfig {
+                    cfl_backoff: 1.0,
+                    ..d
+                },
+                "guard.cfl_backoff",
+            ),
+            (
+                GuardConfig {
+                    max_retries: 0,
+                    ..d
+                },
+                "guard.max_retries",
+            ),
+            (GuardConfig { window: 0, ..d }, "guard.window"),
+            (
+                GuardConfig {
+                    snapshot_every: 0,
+                    ..d
+                },
+                "guard.snapshot_every",
+            ),
+            (
+                GuardConfig {
+                    reramp_after: 0,
+                    ..d
+                },
+                "guard.reramp_after",
+            ),
+            (
+                GuardConfig {
+                    divergence_ratio: 1.0,
+                    ..d
+                },
+                "guard.divergence_ratio",
+            ),
+        ] {
+            assert!(
+                matches!(
+                    bad.validate(),
+                    Err(SolverError::ConfigOutOfRange { field, .. }) if field == key
+                ),
+                "{key}"
+            );
+        }
     }
 }

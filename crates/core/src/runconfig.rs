@@ -25,7 +25,18 @@
 //! `[section]` headers, `key = value` entries with integer, float,
 //! boolean, quoted-string, and float-array values, and `#` comments.
 //! Floats are written with Rust's shortest-round-trip formatting, so
-//! `RunConfig → TOML → RunConfig` is lossless.
+//! `RunConfig → TOML → RunConfig` is lossless. One table of keys drives
+//! the writer, the reader and [`RunConfig::set`], the setter the CLI's
+//! flags and `--set section.key=value` go through as well:
+//!
+//! ```
+//! use eul3d_core::runconfig::RunConfig;
+//!
+//! let mut rc = RunConfig::default();
+//! rc.set("solver.coarse_k2", "0.25").unwrap();
+//! assert_eq!(rc.get("solver.coarse_k2").as_deref(), Some("0.25"));
+//! assert_eq!(rc, RunConfig::from_toml("[solver]\ncoarse_k2 = 0.25\n").unwrap());
+//! ```
 
 use eul3d_mesh::gen::BumpSpec;
 use eul3d_obs::DEFAULT_RING_CAPACITY;
@@ -74,24 +85,6 @@ pub enum PartitionMethod {
     /// Multilevel RSB: coarsen by heavy-edge matching, bisect the small
     /// graph spectrally, project back with boundary refinement.
     Multilevel,
-}
-
-/// The canonical spelling of a partition method (inverse of
-/// [`parse_partition_method`]).
-pub fn partition_method_name(m: PartitionMethod) -> &'static str {
-    match m {
-        PartitionMethod::FlatRsb => "flat-rsb",
-        PartitionMethod::Multilevel => "multilevel",
-    }
-}
-
-/// Parse a partition method name (the CLI's `--method` grammar).
-pub fn parse_partition_method(s: &str) -> Option<PartitionMethod> {
-    match s {
-        "flat-rsb" | "flat" => Some(PartitionMethod::FlatRsb),
-        "multilevel" | "ml" => Some(PartitionMethod::Multilevel),
-        _ => None,
-    }
 }
 
 /// Partitioning policy of a run: which partitioner cuts the mesh, its
@@ -298,56 +291,6 @@ impl RunConfig {
 // TOML codec (hand-rolled: the workspace vendors no serde).
 // ---------------------------------------------------------------------
 
-fn strategy_name(s: Strategy) -> &'static str {
-    match s {
-        Strategy::SingleGrid => "sg",
-        Strategy::VCycle => "v",
-        Strategy::WCycle => "w",
-    }
-}
-
-/// Parse a strategy name (the CLI's `--strategy` grammar).
-pub fn parse_strategy(s: &str) -> Option<Strategy> {
-    match s {
-        "sg" | "single" => Some(Strategy::SingleGrid),
-        "v" => Some(Strategy::VCycle),
-        "w" => Some(Strategy::WCycle),
-        _ => None,
-    }
-}
-
-fn backend_name(b: DistBackend) -> &'static str {
-    match b {
-        DistBackend::Delta => "delta",
-        DistBackend::Hybrid => "hybrid",
-    }
-}
-
-/// Parse a backend name (the CLI's `--backend` grammar).
-pub fn parse_backend(s: &str) -> Option<DistBackend> {
-    match s {
-        "delta" | "sim" => Some(DistBackend::Delta),
-        "hybrid" => Some(DistBackend::Hybrid),
-        _ => None,
-    }
-}
-
-fn scheme_name(s: Scheme) -> &'static str {
-    match s {
-        Scheme::CentralJst => "jst",
-        Scheme::RoeUpwind => "roe",
-    }
-}
-
-/// Parse a scheme name (the CLI's `--scheme` grammar).
-pub fn parse_scheme(s: &str) -> Option<Scheme> {
-    match s {
-        "jst" => Some(Scheme::CentralJst),
-        "roe" => Some(Scheme::RoeUpwind),
-        _ => None,
-    }
-}
-
 /// Shortest-round-trip float literal (always with a decimal point or
 /// exponent so it reads back as a float).
 fn toml_f64(v: f64) -> String {
@@ -359,88 +302,290 @@ fn toml_f64(v: f64) -> String {
     }
 }
 
+/// A value as a `run.toml` entry writes it and as [`RunConfig::set`]
+/// reads it.
+trait TomlValue: Sized {
+    /// The entry's text; `None` leaves the entry out.
+    fn show(&self) -> Option<String>;
+    fn read(v: &str) -> Result<Self, String>;
+}
+
+macro_rules! parsed {
+    ($($t:ty: $show:expr),+) => {$(
+        impl TomlValue for $t {
+            fn show(&self) -> Option<String> {
+                Some($show(*self))
+            }
+            fn read(v: &str) -> Result<$t, String> {
+                v.parse().map_err(|_| format!("cannot parse '{v}' as {}", stringify!($t)))
+            }
+        }
+    )+};
+}
+parsed!(f64: toml_f64, usize: |n: usize| n.to_string(), u64: |n: u64| n.to_string(),
+        bool: |b: bool| b.to_string());
+
+impl<const N: usize> TomlValue for [f64; N] {
+    fn show(&self) -> Option<String> {
+        let items: Vec<String> = self.iter().map(|&a| toml_f64(a)).collect();
+        Some(format!("[{}]", items.join(", ")))
+    }
+    fn read(v: &str) -> Result<[f64; N], String> {
+        let inner = v.strip_prefix('[').and_then(|v| v.strip_suffix(']'));
+        let items = inner.ok_or("expected a [..] array")?.split(',');
+        let items: Vec<f64> = items
+            .map(|p| f64::read(p.trim()))
+            .collect::<Result<_, _>>()?;
+        let n = items.len();
+        items
+            .try_into()
+            .map_err(|_| format!("expected {N} elements, got {n}"))
+    }
+}
+
+/// A string: double-quoted as `to_toml` writes it, or bare as on a
+/// command line.
+fn unquote(v: &str) -> Result<String, String> {
+    let Some(body) = v.strip_prefix('"') else {
+        return Ok(v.to_string());
+    };
+    let Some((inner, rest)) = body.split_once('"') else {
+        return Err("unterminated string".into());
+    };
+    let rest = rest.trim();
+    if !rest.is_empty() && !rest.starts_with('#') {
+        return Err("trailing content after string value".into());
+    }
+    Ok(inner.to_string())
+}
+
+impl TomlValue for Option<String> {
+    fn show(&self) -> Option<String> {
+        self.as_ref().map(|s| format!("\"{s}\""))
+    }
+    fn read(v: &str) -> Result<Option<String>, String> {
+        unquote(v).map(Some)
+    }
+}
+
+/// Enums travel as strings: written under the first spelling of their
+/// variant, read from any.
+macro_rules! named {
+    ($($t:ident, $alts:literal: $($v:ident = $name:literal $(| $alias:literal)*),+;)+) => {$(
+        impl TomlValue for $t {
+            fn show(&self) -> Option<String> {
+                Some(format!("\"{}\"", match self { $($t::$v => $name,)+ }))
+            }
+            fn read(v: &str) -> Result<$t, String> {
+                match unquote(v)?.as_str() {
+                    $($name $(| $alias)* => Ok($t::$v),)+
+                    s => Err(format!("must be {}, got '{s}'", $alts)),
+                }
+            }
+        }
+    )+};
+}
+named! {
+    Strategy, "sg|v|w": SingleGrid = "sg" | "single", VCycle = "v", WCycle = "w";
+    Scheme, "jst|roe": CentralJst = "jst", RoeUpwind = "roe";
+    DistBackend, "delta|hybrid": Delta = "delta" | "sim", Hybrid = "hybrid";
+    PartitionMethod, "flat-rsb|multilevel":
+        FlatRsb = "flat-rsb" | "flat", Multilevel = "multilevel" | "ml";
+}
+
+impl TomlValue for RankMapping {
+    fn show(&self) -> Option<String> {
+        Some(format!("\"{}\"", self.label()))
+    }
+    fn read(v: &str) -> Result<RankMapping, String> {
+        let s = unquote(v)?;
+        RankMapping::parse(&s).ok_or_else(|| format!("must be identity|topology, got '{s}'"))
+    }
+}
+
+/// One configuration key: its `section.key` name, its entry text and
+/// its setter from that text.
+struct Key {
+    name: &'static str,
+    get: fn(&RunConfig) -> Option<String>,
+    set: fn(&mut RunConfig, &str) -> Result<(), String>,
+}
+
+/// A [`Key`] on a field path. `opt?.field` is a field of an optional
+/// section, which [`RunConfig::set`] arms before the setter runs.
+macro_rules! key {
+    ($name:literal, $opt:ident ? . $f:ident) => {
+        Key {
+            name: $name,
+            get: |rc| rc.$opt.as_ref().and_then(|s| s.$f.show()),
+            set: |rc, v| {
+                if let Some(s) = &mut rc.$opt {
+                    s.$f = TomlValue::read(v)?;
+                }
+                Ok(())
+            },
+        }
+    };
+    ($name:literal, $($f:ident).+) => {
+        Key {
+            name: $name,
+            get: |rc| rc.$($f).+.show(),
+            set: |rc, v| {
+                rc.$($f).+ = TomlValue::read(v)?;
+                Ok(())
+            },
+        }
+    };
+}
+
+/// Every key, in file order. This one table is the file format: it
+/// drives [`RunConfig::to_toml`], [`RunConfig::from_toml`] and
+/// [`RunConfig::set`], and so the CLI's flags and `--set` too.
+const KEYS: &[Key] = &[
+    key!("solver.gamma", solver.gamma),
+    key!("solver.mach", solver.mach),
+    key!("solver.alpha_deg", solver.alpha_deg),
+    key!("solver.cfl", solver.cfl),
+    key!("solver.k2", solver.k2),
+    key!("solver.k4", solver.k4),
+    key!("solver.smooth_eps", solver.smooth_eps),
+    key!("solver.smooth_passes", solver.smooth_passes),
+    key!("solver.coarse_first_order", solver.coarse_first_order),
+    key!("solver.coarse_k2", solver.coarse_k2),
+    key!("solver.scheme", solver.scheme),
+    key!("solver.rk_alpha", solver.rk_alpha),
+    key!("solver.lanes", solver.lanes),
+    key!("run.strategy", strategy),
+    key!("run.levels", levels),
+    key!("run.cycles", cycles),
+    key!("run.nranks", nranks),
+    key!("run.backend", backend),
+    key!("run.threads", threads),
+    key!("run.checkpoint_every", checkpoint_every),
+    key!("run.fault_timeout_ms", fault_timeout_ms),
+    key!("run.faults", faults),
+    Key {
+        name: "mesh.nx",
+        get: |rc| rc.mesh.nx.show(),
+        set: |rc, v| {
+            rc.mesh.set_nx(TomlValue::read(v)?);
+            Ok(())
+        },
+    },
+    key!("mesh.ny", mesh.ny),
+    key!("mesh.nz", mesh.nz),
+    key!("mesh.bump_height", mesh.bump_height),
+    key!("mesh.taper", mesh.taper),
+    key!("mesh.jitter", mesh.jitter),
+    key!("mesh.seed", mesh.seed),
+    key!("guard.max_retries", guard?.max_retries),
+    key!("guard.cfl_backoff", guard?.cfl_backoff),
+    key!("guard.window", guard?.window),
+    key!("guard.divergence_ratio", guard?.divergence_ratio),
+    key!("guard.reramp_after", guard?.reramp_after),
+    key!("guard.snapshot_every", guard?.snapshot_every),
+    key!("partition.method", partition?.method),
+    key!("partition.coarsen_target", partition?.coarsen_target),
+    key!("partition.refine_passes", partition?.refine_passes),
+    key!("partition.mapping", partition?.mapping),
+    key!("partition.repartition_every", partition?.repartition_every),
+    key!("trace.enabled", trace.enabled),
+    key!("trace.capacity", trace.capacity),
+    key!("trace.out", trace.out),
+    key!("trace.summary", trace.summary),
+    key!("trace.top_n", trace.top_n),
+];
+
+fn section_of(key: &str) -> &str {
+    key.split_once('.').map_or("", |(s, _)| s)
+}
+
 impl RunConfig {
+    /// Every `section.key` of the file format, in file order.
+    pub fn keys() -> impl Iterator<Item = &'static str> {
+        KEYS.iter().map(|k| k.name)
+    }
+
+    /// One key's value as [`RunConfig::to_toml`] writes it; `None` for
+    /// an unknown key or an entry the file leaves out (an unarmed
+    /// section, an unset optional string).
+    pub fn get(&self, key: &str) -> Option<String> {
+        KEYS.iter()
+            .find(|k| k.name == key)
+            .and_then(|k| (k.get)(self))
+    }
+
+    /// Set one `section.key` from its value text: the spelling
+    /// [`RunConfig::to_toml`] writes, or a bare string. Setting any
+    /// `guard.*` or `partition.*` key arms that section, and setting
+    /// `mesh.nx` resizes a derived cross-section
+    /// ([`BumpSpec::set_nx`]). Unknown keys and malformed values are
+    /// [`SolverError::ConfigParse`] errors; ranges are
+    /// [`RunConfig::validate`]'s business.
+    pub fn set(&mut self, key: &str, value: &str) -> Result<(), Eul3dError> {
+        let value = value.trim();
+        let fail = |e: String| parse_err(0, &format!("{key}: {e}"));
+        // Removed with the coloured sweep it tuned; run files and job
+        // journals written by earlier builds still carry the line.
+        if key == "solver.edge_reorder" {
+            return <bool as TomlValue>::read(value).map(drop).map_err(fail);
+        }
+        let k = KEYS
+            .iter()
+            .find(|k| k.name == key)
+            .ok_or_else(|| parse_err(0, &format!("unknown key '{key}'")))?;
+        self.arm(section_of(key))?;
+        (k.set)(self, value).map_err(fail)
+    }
+
+    /// [`RunConfig::set`] over `(key, value)` entries, `mesh.nx` first
+    /// so that the order of the entries cannot change the result. A
+    /// failure carries the index of its entry.
+    pub fn set_all(&mut self, entries: &[(&str, &str)]) -> Result<(), (usize, Eul3dError)> {
+        let mut order: Vec<usize> = (0..entries.len()).collect();
+        order.sort_by_key(|&i| entries[i].0 != "mesh.nx");
+        for i in order {
+            let (key, value) = entries[i];
+            self.set(key, value).map_err(|e| (i, e))?;
+        }
+        Ok(())
+    }
+
+    /// Switch `section` on. `guard` and `partition` are optional: arming
+    /// one gives it its defaults unless it is already on. A file's
+    /// section header, the CLI's `--guard` and [`RunConfig::set`] of any
+    /// key of the section all arm it here.
+    pub fn arm(&mut self, section: &str) -> Result<(), Eul3dError> {
+        match section {
+            "guard" => {
+                self.guard.get_or_insert_with(GuardConfig::default);
+            }
+            "partition" => {
+                self.partition.get_or_insert_with(PartitionConfig::default);
+            }
+            s if KEYS.iter().any(|k| section_of(k.name) == s) => {}
+            other => return Err(parse_err(0, &format!("unknown section [{other}]"))),
+        }
+        Ok(())
+    }
+
     /// Serialize as a `run.toml` document. [`RunConfig::from_toml`]
     /// reads this back losslessly.
     pub fn to_toml(&self) -> String {
-        let s = &self.solver;
         let mut out = String::from("# EUL3D run configuration (see `eul3d --help` for the flags\n");
-        out.push_str("# each key mirrors; CLI flags override file values).\n\n[solver]\n");
-        out.push_str(&format!("gamma = {}\n", toml_f64(s.gamma)));
-        out.push_str(&format!("mach = {}\n", toml_f64(s.mach)));
-        out.push_str(&format!("alpha_deg = {}\n", toml_f64(s.alpha_deg)));
-        out.push_str(&format!("cfl = {}\n", toml_f64(s.cfl)));
-        out.push_str(&format!("k2 = {}\n", toml_f64(s.k2)));
-        out.push_str(&format!("k4 = {}\n", toml_f64(s.k4)));
-        out.push_str(&format!("smooth_eps = {}\n", toml_f64(s.smooth_eps)));
-        out.push_str(&format!("smooth_passes = {}\n", s.smooth_passes));
-        out.push_str(&format!("coarse_first_order = {}\n", s.coarse_first_order));
-        out.push_str(&format!("coarse_k2 = {}\n", toml_f64(s.coarse_k2)));
-        out.push_str(&format!("scheme = \"{}\"\n", scheme_name(s.scheme)));
-        let rk: Vec<String> = s.rk_alpha.iter().map(|&a| toml_f64(a)).collect();
-        out.push_str(&format!("rk_alpha = [{}]\n", rk.join(", ")));
-        out.push_str(&format!("lanes = {}\n", s.lanes));
-
-        out.push_str("\n[run]\n");
-        out.push_str(&format!(
-            "strategy = \"{}\"\n",
-            strategy_name(self.strategy)
-        ));
-        out.push_str(&format!("levels = {}\n", self.levels));
-        out.push_str(&format!("cycles = {}\n", self.cycles));
-        out.push_str(&format!("nranks = {}\n", self.nranks));
-        out.push_str(&format!("backend = \"{}\"\n", backend_name(self.backend)));
-        out.push_str(&format!("threads = {}\n", self.threads));
-        out.push_str(&format!("checkpoint_every = {}\n", self.checkpoint_every));
-        out.push_str(&format!("fault_timeout_ms = {}\n", self.fault_timeout_ms));
-        if let Some(fp) = &self.faults {
-            out.push_str(&format!("faults = \"{fp}\"\n"));
+        out.push_str("# each key mirrors; CLI flags override file values).\n");
+        let mut open = "";
+        for k in KEYS {
+            let Some(v) = (k.get)(self) else {
+                continue;
+            };
+            let (section, name) = k.name.split_once('.').unwrap_or_default();
+            if section != open {
+                out.push_str(&format!("\n[{section}]\n"));
+                open = section;
+            }
+            out.push_str(&format!("{name} = {v}\n"));
         }
-
-        let m = &self.mesh;
-        out.push_str("\n[mesh]\n");
-        out.push_str(&format!("nx = {}\n", m.nx));
-        out.push_str(&format!("ny = {}\n", m.ny));
-        out.push_str(&format!("nz = {}\n", m.nz));
-        out.push_str(&format!("bump_height = {}\n", toml_f64(m.bump_height)));
-        out.push_str(&format!("taper = {}\n", toml_f64(m.taper)));
-        out.push_str(&format!("jitter = {}\n", toml_f64(m.jitter)));
-        out.push_str(&format!("seed = {}\n", m.seed));
-
-        if let Some(g) = &self.guard {
-            out.push_str("\n[guard]\n");
-            out.push_str(&format!("max_retries = {}\n", g.max_retries));
-            out.push_str(&format!("cfl_backoff = {}\n", toml_f64(g.cfl_backoff)));
-            out.push_str(&format!("window = {}\n", g.window));
-            out.push_str(&format!(
-                "divergence_ratio = {}\n",
-                toml_f64(g.divergence_ratio)
-            ));
-            out.push_str(&format!("reramp_after = {}\n", g.reramp_after));
-            out.push_str(&format!("snapshot_every = {}\n", g.snapshot_every));
-        }
-
-        if let Some(p) = &self.partition {
-            out.push_str("\n[partition]\n");
-            out.push_str(&format!(
-                "method = \"{}\"\n",
-                partition_method_name(p.method)
-            ));
-            out.push_str(&format!("coarsen_target = {}\n", p.coarsen_target));
-            out.push_str(&format!("refine_passes = {}\n", p.refine_passes));
-            out.push_str(&format!("mapping = \"{}\"\n", p.mapping.label()));
-            out.push_str(&format!("repartition_every = {}\n", p.repartition_every));
-        }
-
-        let t = &self.trace;
-        out.push_str("\n[trace]\n");
-        out.push_str(&format!("enabled = {}\n", t.enabled));
-        out.push_str(&format!("capacity = {}\n", t.capacity));
-        if let Some(p) = &t.out {
-            out.push_str(&format!("out = \"{p}\"\n"));
-        }
-        out.push_str(&format!("summary = {}\n", t.summary));
-        out.push_str(&format!("top_n = {}\n", t.top_n));
         out
     }
 
@@ -449,20 +594,18 @@ impl RunConfig {
     /// parse errors, as are malformed values and duplicate keys or
     /// reopened sections (TOML forbids both; silently last-winning would
     /// let two visually different files alias one canonical hash, so
-    /// they are line-numbered errors instead). Fields absent from the
-    /// file keep their defaults; a `[guard]` header (even empty) arms
-    /// the guard with defaults for unset keys. The result is validated.
+    /// they are line-numbered errors instead). Each entry goes through
+    /// [`RunConfig::set_all`] over [`RunConfig::default`]: absent keys
+    /// keep their defaults, `mesh.nx` applies first, and a `[guard]` or
+    /// `[partition]` header (even empty) arms that section. The result
+    /// is validated.
     pub fn from_toml(text: &str) -> Result<RunConfig, Eul3dError> {
         let mut rc = RunConfig::default();
-        let mut guard = GuardConfig::default();
-        let mut has_guard = false;
-        let mut part = PartitionConfig::default();
-        let mut has_partition = false;
-        let mut section = String::new();
-        // (section, key) -> first-definition line, for duplicate
-        // detection; section headers are stored under an empty key.
-        let mut seen: std::collections::HashMap<(String, String), usize> =
-            std::collections::HashMap::new();
+        let mut section = "";
+        // `[section]` or `section.key` -> first-definition line, for
+        // duplicate detection.
+        let mut seen: std::collections::HashMap<String, usize> = std::collections::HashMap::new();
+        let (mut entries, mut lines) = (Vec::new(), Vec::new());
 
         for (k, raw_line) in text.lines().enumerate() {
             let lineno = k + 1;
@@ -475,53 +618,48 @@ impl RunConfig {
                     .strip_suffix(']')
                     .ok_or_else(|| parse_err(lineno, "unterminated section header"))?
                     .trim();
-                if let Some(first) = seen.insert((name.to_string(), String::new()), lineno) {
+                if let Some(first) = seen.insert(format!("[{name}]"), lineno) {
                     return Err(parse_err(
                         lineno,
                         &format!("section [{name}] reopened (first defined at line {first})"),
                     ));
                 }
-                match name {
-                    "solver" | "run" | "mesh" | "trace" => section = name.to_string(),
-                    "guard" => {
-                        section = name.to_string();
-                        has_guard = true;
-                    }
-                    "partition" => {
-                        section = name.to_string();
-                        has_partition = true;
-                    }
-                    other => {
-                        return Err(parse_err(lineno, &format!("unknown section [{other}]")));
-                    }
-                }
+                rc.arm(name).map_err(|e| at_line(e, lineno))?;
+                section = name;
                 continue;
             }
             let (key, val) = line
                 .split_once('=')
                 .ok_or_else(|| parse_err(lineno, "expected `key = value`"))?;
+            if section.is_empty() {
+                return Err(parse_err(lineno, "entry before the first [section] header"));
+            }
             let key = key.trim();
-            if let Some(first) = seen.insert((section.clone(), key.to_string()), lineno) {
+            if let Some(first) = seen.insert(format!("{section}.{key}"), lineno) {
                 return Err(parse_err(
                     lineno,
                     &format!("duplicate key '{key}' in [{section}] (first set at line {first})"),
                 ));
             }
-            // Strip a trailing comment from unquoted values.
+            // Strip a trailing comment from unquoted values, which TOML
+            // allows to be numbers and booleans only (a command line may
+            // leave a string bare; a file may not).
             let val = val.trim();
             let val = if val.starts_with('"') || val.starts_with('[') {
                 val
             } else {
-                val.split('#').next().unwrap_or("").trim()
+                let v = val.split('#').next().unwrap_or("").trim();
+                if v.parse::<f64>().is_err() && v.parse::<bool>().is_err() {
+                    let msg = format!("'{v}' is not a number or true/false (quote a string)");
+                    return Err(parse_err(lineno, &msg));
+                }
+                v
             };
-            apply_entry(&mut rc, &mut guard, &mut part, &section, key, val, lineno)?;
+            entries.push((format!("{section}.{key}"), val));
+            lines.push(lineno);
         }
-        if has_guard {
-            rc.guard = Some(guard);
-        }
-        if has_partition {
-            rc.partition = Some(part);
-        }
+        let pairs: Vec<(&str, &str)> = entries.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+        rc.set_all(&pairs).map_err(|(i, e)| at_line(e, lines[i]))?;
         rc.validate()?;
         Ok(rc)
     }
@@ -579,153 +717,12 @@ fn parse_err(line: usize, msg: &str) -> Eul3dError {
     })
 }
 
-fn toml_str(val: &str, line: usize) -> Result<String, Eul3dError> {
-    let body = val
-        .strip_prefix('"')
-        .ok_or_else(|| parse_err(line, "expected a double-quoted string"))?;
-    let Some((inner, rest)) = body.split_once('"') else {
-        return Err(parse_err(line, "unterminated string"));
-    };
-    let rest = rest.trim();
-    if !rest.is_empty() && !rest.starts_with('#') {
-        return Err(parse_err(line, "trailing content after string value"));
+/// Move a [`RunConfig::set`] error to its line of the file.
+fn at_line(e: Eul3dError, line: usize) -> Eul3dError {
+    match e {
+        Eul3dError::Solver(SolverError::ConfigParse { msg, .. }) => parse_err(line, &msg),
+        other => other,
     }
-    Ok(inner.to_string())
-}
-
-fn toml_num<T: std::str::FromStr>(val: &str, line: usize) -> Result<T, Eul3dError> {
-    val.parse()
-        .map_err(|_| parse_err(line, &format!("cannot parse '{val}' as a number")))
-}
-
-fn toml_bool(val: &str, line: usize) -> Result<bool, Eul3dError> {
-    match val {
-        "true" => Ok(true),
-        "false" => Ok(false),
-        _ => Err(parse_err(
-            line,
-            &format!("expected true/false, got '{val}'"),
-        )),
-    }
-}
-
-fn toml_f64_array<const N: usize>(val: &str, line: usize) -> Result<[f64; N], Eul3dError> {
-    let inner = val
-        .strip_prefix('[')
-        .and_then(|v| v.strip_suffix(']'))
-        .ok_or_else(|| parse_err(line, "expected a [..] array"))?;
-    let parts: Vec<&str> = inner.split(',').map(str::trim).collect();
-    if parts.len() != N {
-        return Err(parse_err(
-            line,
-            &format!("expected {N} elements, got {}", parts.len()),
-        ));
-    }
-    let mut out = [0.0; N];
-    for (slot, p) in out.iter_mut().zip(&parts) {
-        *slot = toml_num(p, line)?;
-    }
-    Ok(out)
-}
-
-fn apply_entry(
-    rc: &mut RunConfig,
-    guard: &mut GuardConfig,
-    part: &mut PartitionConfig,
-    section: &str,
-    key: &str,
-    val: &str,
-    line: usize,
-) -> Result<(), Eul3dError> {
-    match (section, key) {
-        ("solver", "gamma") => rc.solver.gamma = toml_num(val, line)?,
-        ("solver", "mach") => rc.solver.mach = toml_num(val, line)?,
-        ("solver", "alpha_deg") => rc.solver.alpha_deg = toml_num(val, line)?,
-        ("solver", "cfl") => rc.solver.cfl = toml_num(val, line)?,
-        ("solver", "k2") => rc.solver.k2 = toml_num(val, line)?,
-        ("solver", "k4") => rc.solver.k4 = toml_num(val, line)?,
-        ("solver", "smooth_eps") => rc.solver.smooth_eps = toml_num(val, line)?,
-        ("solver", "smooth_passes") => rc.solver.smooth_passes = toml_num(val, line)?,
-        ("solver", "coarse_first_order") => rc.solver.coarse_first_order = toml_bool(val, line)?,
-        ("solver", "coarse_k2") => rc.solver.coarse_k2 = toml_num(val, line)?,
-        ("solver", "scheme") => {
-            let name = toml_str(val, line)?;
-            rc.solver.scheme = parse_scheme(&name)
-                .ok_or_else(|| parse_err(line, &format!("scheme must be jst|roe, got '{name}'")))?;
-        }
-        ("solver", "rk_alpha") => rc.solver.rk_alpha = toml_f64_array(val, line)?,
-        ("solver", "lanes") => rc.solver.lanes = toml_num(val, line)?,
-        // Removed with the coloured sweep it tuned; run files and job
-        // journals written by earlier builds still carry the line.
-        ("solver", "edge_reorder") => {
-            toml_bool(val, line)?;
-        }
-        ("run", "strategy") => {
-            let name = toml_str(val, line)?;
-            rc.strategy = parse_strategy(&name).ok_or_else(|| {
-                parse_err(line, &format!("strategy must be sg|v|w, got '{name}'"))
-            })?;
-        }
-        ("run", "levels") => rc.levels = toml_num(val, line)?,
-        ("run", "cycles") => rc.cycles = toml_num(val, line)?,
-        ("run", "nranks") => rc.nranks = toml_num(val, line)?,
-        ("run", "backend") => {
-            let name = toml_str(val, line)?;
-            rc.backend = parse_backend(&name).ok_or_else(|| {
-                parse_err(line, &format!("backend must be delta|hybrid, got '{name}'"))
-            })?;
-        }
-        ("run", "threads") => rc.threads = toml_num(val, line)?,
-        ("run", "checkpoint_every") => rc.checkpoint_every = toml_num(val, line)?,
-        ("run", "fault_timeout_ms") => rc.fault_timeout_ms = toml_num(val, line)?,
-        ("run", "faults") => rc.faults = Some(toml_str(val, line)?),
-        ("mesh", "nx") => rc.mesh.nx = toml_num(val, line)?,
-        ("mesh", "ny") => rc.mesh.ny = toml_num(val, line)?,
-        ("mesh", "nz") => rc.mesh.nz = toml_num(val, line)?,
-        ("mesh", "bump_height") => rc.mesh.bump_height = toml_num(val, line)?,
-        ("mesh", "taper") => rc.mesh.taper = toml_num(val, line)?,
-        ("mesh", "jitter") => rc.mesh.jitter = toml_num(val, line)?,
-        ("mesh", "seed") => rc.mesh.seed = toml_num(val, line)?,
-        ("guard", "max_retries") => guard.max_retries = toml_num(val, line)?,
-        ("guard", "cfl_backoff") => guard.cfl_backoff = toml_num(val, line)?,
-        ("guard", "window") => guard.window = toml_num(val, line)?,
-        ("guard", "divergence_ratio") => guard.divergence_ratio = toml_num(val, line)?,
-        ("guard", "reramp_after") => guard.reramp_after = toml_num(val, line)?,
-        ("guard", "snapshot_every") => guard.snapshot_every = toml_num(val, line)?,
-        ("partition", "method") => {
-            let name = toml_str(val, line)?;
-            part.method = parse_partition_method(&name).ok_or_else(|| {
-                parse_err(
-                    line,
-                    &format!("method must be flat-rsb|multilevel, got '{name}'"),
-                )
-            })?;
-        }
-        ("partition", "coarsen_target") => part.coarsen_target = toml_num(val, line)?,
-        ("partition", "refine_passes") => part.refine_passes = toml_num(val, line)?,
-        ("partition", "mapping") => {
-            let name = toml_str(val, line)?;
-            part.mapping = RankMapping::parse(&name).ok_or_else(|| {
-                parse_err(
-                    line,
-                    &format!("mapping must be identity|topology, got '{name}'"),
-                )
-            })?;
-        }
-        ("partition", "repartition_every") => part.repartition_every = toml_num(val, line)?,
-        ("trace", "enabled") => rc.trace.enabled = toml_bool(val, line)?,
-        ("trace", "capacity") => rc.trace.capacity = toml_num(val, line)?,
-        ("trace", "out") => rc.trace.out = Some(toml_str(val, line)?),
-        ("trace", "summary") => rc.trace.summary = toml_bool(val, line)?,
-        ("trace", "top_n") => rc.trace.top_n = toml_num(val, line)?,
-        ("", _) => {
-            return Err(parse_err(line, "entry before the first [section] header"));
-        }
-        (sec, key) => {
-            return Err(parse_err(line, &format!("unknown key '{key}' in [{sec}]")));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -769,7 +766,7 @@ mod tests {
             ..RunConfig::default()
         };
         let err = rc.validate().unwrap_err();
-        assert!(err.to_string().contains("cfl-backoff"), "{err}");
+        assert!(err.to_string().contains("guard.cfl_backoff"), "{err}");
     }
 
     #[test]
@@ -1020,6 +1017,42 @@ mod tests {
         };
         let err = rc.validate().unwrap_err();
         assert!(err.to_string().contains("repartition_every"), "{err}");
+    }
+
+    #[test]
+    fn set_names_the_key_and_arms_its_section() {
+        let mut rc = RunConfig::default();
+        rc.set("guard.cfl_backoff", "0.25").unwrap();
+        let g = rc.guard.expect("any guard key arms the guard");
+        assert_eq!((g.cfl_backoff, g.max_retries), (0.25, 4));
+        rc.set("partition.method", "ml").unwrap();
+        assert_eq!(
+            rc.partition.as_ref().map(|p| p.method),
+            Some(PartitionMethod::Multilevel)
+        );
+        rc.set("run.strategy", "\"v\"").unwrap();
+        assert_eq!(rc.strategy, Strategy::VCycle);
+
+        for (key, value, says) in [
+            ("solver.warp", "9", "unknown key 'solver.warp'"),
+            ("mesh.nx", "abc", "mesh.nx: cannot parse 'abc'"),
+            ("run.backend", "mpi", "run.backend: must be delta|hybrid"),
+            (
+                "trace.enabled",
+                "yes",
+                "trace.enabled: cannot parse 'yes' as bool",
+            ),
+        ] {
+            let err = RunConfig::default().set(key, value).unwrap_err();
+            assert!(err.to_string().contains(says), "{key}: {err}");
+        }
+        let err = RunConfig::default().arm("hyperdrive").unwrap_err();
+        assert!(err.to_string().contains("[hyperdrive]"), "{err}");
+        // Only the command line may leave a string bare.
+        let err = RunConfig::from_toml("[run]\nstrategy = v\n").unwrap_err();
+        assert!(err.to_string().contains("line 2"), "{err}");
+        let err = RunConfig::from_toml("[mesh]\nnx = \"8\"\n").unwrap_err();
+        assert!(err.to_string().contains("mesh.nx"), "{err}");
     }
 
     #[test]

@@ -52,8 +52,9 @@ fn sample_config(
     rc.solver.cfl = cfl;
     rc.solver.mach = mach;
     rc.mesh.nx = nx;
-    rc.mesh.ny = 4;
-    rc.mesh.nz = 3;
+    // (8, 7) is the default channel's cross-section, which `mesh.nx`
+    // re-derives unless it is read first: a shuffled file must not care.
+    (rc.mesh.ny, rc.mesh.nz) = [(4, 3), (8, 7), (8, 3), (4, 7)][(flags >> 3) as usize % 4];
     rc.mesh.seed = seed;
     if flags & 1 != 0 {
         rc.guard = Some(GuardConfig::default());

@@ -219,15 +219,7 @@ pub struct BumpSpec {
 
 impl Default for BumpSpec {
     fn default() -> Self {
-        BumpSpec {
-            nx: 24,
-            ny: 8,
-            nz: 8,
-            bump_height: 0.10,
-            taper: 0.0,
-            jitter: 0.15,
-            seed: 42,
-        }
+        BumpSpec::channel(24)
     }
 }
 
@@ -241,9 +233,25 @@ impl BumpSpec {
             nx,
             ny: (nx * 7 / 20).max(4),
             nz: (nx * 3 / 10).max(3),
+            bump_height: 0.10,
+            taper: 0.0,
             jitter: 0.12,
-            ..BumpSpec::default()
+            seed: 42,
         }
+    }
+
+    /// Set `nx`. `ny` and `nz` each follow it by [`BumpSpec::channel`]'s
+    /// rule while they still hold that rule's value for the old `nx`; a
+    /// cross-section set by hand stays.
+    pub fn set_nx(&mut self, nx: usize) {
+        let (old, new) = (BumpSpec::channel(self.nx), BumpSpec::channel(nx));
+        if self.ny == old.ny {
+            self.ny = new.ny;
+        }
+        if self.nz == old.nz {
+            self.nz = new.nz;
+        }
+        self.nx = nx;
     }
 
     /// Halve the resolution (used to build coarse multigrid levels), with
@@ -583,5 +591,16 @@ mod tests {
             assert_eq!((s.nx, s.ny, s.nz, s.jitter), (nx, ny, nz, 0.12), "nx={nx}");
             assert_eq!(s.seed, BumpSpec::default().seed);
         }
+        assert_eq!(BumpSpec::default(), BumpSpec::channel(24));
+    }
+
+    #[test]
+    fn set_nx_resizes_only_the_derived_cross_section() {
+        let mut s = BumpSpec::default();
+        s.set_nx(96);
+        assert_eq!(s, BumpSpec::channel(96));
+        s.ny = 8;
+        s.set_nx(40);
+        assert_eq!((s.nx, s.ny, s.nz), (40, 8, 12), "a hand-set ny stays");
     }
 }
