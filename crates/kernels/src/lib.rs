@@ -14,12 +14,13 @@
 //!
 //! * **Edge scatter** where a per-edge quantity is computed once and
 //!   used at both endpoints — the convective flux, the spectral radius,
-//!   JST pass 2, the first-order and Roe dissipation. These are
-//!   processed in **fixed-lane-width chunks**: gather the endpoint data
-//!   of up to [`MAX_LANES`] edges into stack-local lane arrays, run the
-//!   flux arithmetic as straight-line loops over the lanes
-//!   (autovectorizer-friendly: no `[f64; 5]` strided loads, no bounds
-//!   checks), then scatter `±` the result in edge order.
+//!   JST pass 2, the first-order and Roe dissipation. A span is cut
+//!   into chunks of up to [`MAX_LANES`] edges, and each chunk runs
+//!   through one loop in groups: gather the endpoint planes, evaluate the
+//!   kernel's expression tree — written once, generic over the lane type
+//!   of the `lane` module — and scatter `±` the result in edge order. An
+//!   AVX2 host runs the tree over four edges per `__m256d`, any other
+//!   host over one `f64`.
 //! * **Vertex gather** where the edge carries nothing — the two pure
 //!   neighbour sums, residual-averaging accumulation and JST pass 1
 //!   ([`neighbour_sum_verts`], [`jst_gather_verts`]). Routing `Σ_j x_j`
@@ -33,8 +34,9 @@
 //!
 //! # Bit-equivalence contract
 //! Every kernel reproduces the scalar AoS reference arithmetic
-//! **bit for bit**: the per-edge expression trees are identical (IEEE
-//! f64, no reassociation, no FMA contraction), and results are scattered
+//! **bit for bit**: each per-edge expression tree exists once, its `f64`
+//! and four-lane instances follow the same per-op rules (IEEE f64, no
+//! reassociation, no FMA contraction), and results are scattered
 //! in ascending edge order within each span, so every memory slot sees
 //! the same accumulation order as the reference loop. Chunk width
 //! (`lanes`) therefore cannot change any result bit — only how many
@@ -63,9 +65,8 @@
 pub mod gas;
 
 mod edges;
+mod lane;
 mod scatter;
-#[cfg(target_arch = "x86_64")]
-mod simd;
 mod verts;
 
 pub use edges::{
@@ -85,6 +86,6 @@ pub const NVAR: usize = 5;
 /// (the size of the stack-local gather arrays).
 pub const MAX_LANES: usize = 16;
 
-/// Default chunk width: wide enough to fill 512-bit SIMD with headroom,
-/// small enough to keep every lane array in L1.
+/// Default chunk width: two four-edge AVX2 groups per call of the chunk
+/// loop.
 pub const DEFAULT_LANES: usize = 8;

@@ -50,6 +50,7 @@ use std::ops::Range;
 
 use eul3d_mesh::Csr;
 
+use crate::gas::pressure;
 use crate::scatter::ScatterAccess;
 use crate::NVAR;
 
@@ -69,13 +70,8 @@ pub unsafe fn pressure_verts(
     let wp = w.as_ptr();
     for i in range {
         unsafe {
-            let rho = *wp.add(i);
-            let m1 = *wp.add(n + i);
-            let m2 = *wp.add(2 * n + i);
-            let m3 = *wp.add(3 * n + i);
-            let e = *wp.add(4 * n + i);
-            let ke = 0.5 * (m1 * m1 + m2 * m2 + m3 * m3) / rho;
-            s.set(0, i, (gamma - 1.0) * (e - ke));
+            let w = [0, 1, 2, 3, 4].map(|c| *wp.add(c * n + i));
+            s.set(0, i, pressure(gamma, &w));
         }
     }
 }

@@ -75,7 +75,7 @@ fn release_kernels_have_no_bounds_check_panics() {
     #[cfg(target_arch = "x86_64")]
     let required_mods = [
         "eul3d_kernels::edges::",
-        "eul3d_kernels::simd::",
+        "eul3d_kernels::edges::chunk_avx2",
         "eul3d_kernels::verts::jst_gather_verts",
     ];
     #[cfg(not(target_arch = "x86_64"))]

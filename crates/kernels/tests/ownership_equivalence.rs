@@ -5,10 +5,10 @@
 //! `EdgeSpan::Range(0..ne)` call leaves. That is the argument in
 //! `scatter.rs` ("why ownership keeps every bit"), checked.
 //!
-//! Lane width 1 hands the AVX2 chunk bodies one id at a time, so every
-//! edge runs the scalar body; widths 4, 8 and 16 run the vector bodies
-//! wherever the host has AVX2. The reference is always the default
-//! width.
+//! Lane width 1 hands the chunk loop one id at a time, so every edge
+//! runs the `f64` instance of its kernel's tree; widths 4, 8 and 16 run
+//! four-edge groups wherever the host has AVX2. The reference is always
+//! the default width.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -200,5 +200,36 @@ fn every_edge_cut_is_still_the_serial_sweep() {
     }
     for lanes in [1, 4, 8, 16] {
         case.check(&halves, lanes);
+    }
+}
+
+/// A degenerate face (`η = 0`) inside a four-edge group: Roe's vector
+/// instance must leave the bits of width 1 — zeros for that edge, so the
+/// sweep without it — while its three neighbours' lanes are computed.
+#[test]
+fn a_degenerate_roe_face_in_a_group_adds_zeros() {
+    let n = 6;
+    let edges: Vec<[u32; 2]> = (0..9u32).map(|e| [e % 6, (e * 5 + 1) % 6]).collect();
+    let u: Vec<f64> = (0..12 * n + 3 * edges.len())
+        .map(|i| ((i * 29 % 97) as f64 - 48.0) / 49.0)
+        .collect();
+    let mut case = Case::new(n, edges, &u);
+    case.coef[1] = Vec3::ZERO;
+    let roe =
+        |span: &EdgeSpan<'_>, lanes: usize| case.run("roe", |s| case.sweep("roe", span, s, lanes));
+    let all = EdgeSpan::Range(0..case.edges.len());
+    let scalar = roe(&all, 1);
+    let without: Vec<u32> = (0..case.edges.len() as u32).filter(|&e| e != 1).collect();
+    assert_eq!(
+        roe(&EdgeSpan::Ids(&without), 1),
+        scalar,
+        "the face adds zeros"
+    );
+    assert!(
+        scalar[0].iter().any(|&b| b != 0),
+        "the other faces add something"
+    );
+    for lanes in [4, 8] {
+        assert_eq!(roe(&all, lanes), scalar, "lanes {lanes}");
     }
 }

@@ -472,14 +472,20 @@ fn gathered_neighbour_sums_keep_the_edge_loop_histories() {
             ..SolverConfig::default()
         };
         let seq = || MeshSequence::bump_sequence(&spec, 3);
-        let hs = MultigridSolver::new(seq(), cfg, Strategy::WCycle).solve(10);
-        assert!(hs.iter().all(|r| r.is_finite()), "{scheme:?}: {hs:?}");
-        assert_eq!(
-            history_fnv(&hs),
-            serial_fnv,
-            "{scheme:?} serial: {:#034x}",
-            history_fnv(&hs)
-        );
+        // Width 1 sends every edge through the `f64` instance of the
+        // kernels' trees; the default width runs four-edge groups on an
+        // AVX2 host.
+        for lanes in [cfg.lanes, 1] {
+            let cfg = SolverConfig { lanes, ..cfg };
+            let hs = MultigridSolver::new(seq(), cfg, Strategy::WCycle).solve(10);
+            assert!(hs.iter().all(|r| r.is_finite()), "{scheme:?}: {hs:?}");
+            assert_eq!(
+                history_fnv(&hs),
+                serial_fnv,
+                "{scheme:?} serial, lanes {lanes}: {:#034x}",
+                history_fnv(&hs)
+            );
+        }
         // Delta channels and hybrid windows: one transport-agnostic
         // exchange path, so the same bits and the same modeled traffic.
         let setup = DistSetup::new(seq(), 2, 25, 11);
