@@ -28,21 +28,24 @@
 //! preservation in the solver, and it is what the property tests check.
 
 use crate::error::MeshError;
-use crate::topology::{find_edge, TET_EDGES};
+use crate::topology::{edge_index, TET_EDGES};
+use crate::types::Csr;
 use crate::vec3::{tet_volume, tri_area_vec, Vec3};
 
 /// Accumulate the dual-face area vector for every edge.
 ///
-/// `edges` must be the sorted unique list from
-/// [`crate::topology::extract_edges`]; all tets must be positively
-/// oriented. A tet edge absent from `edges` is reported as
-/// [`MeshError::EdgeMissing`] instead of panicking.
+/// `fwd` holds the edges as forward rows
+/// ([`crate::topology::forward_edges`]); each tet edge is found by a scan
+/// of its lower endpoint's row. Tets add their pieces in order, six edges
+/// each in `TET_EDGES` order; all tets must be positively oriented. A tet
+/// edge absent from `fwd` is reported as [`MeshError::EdgeMissing`]
+/// instead of panicking.
 pub fn edge_coefficients(
     coords: &[Vec3],
     tets: &[[u32; 4]],
-    edges: &[[u32; 2]],
+    fwd: &Csr,
 ) -> Result<Vec<Vec3>, MeshError> {
-    let mut coef = vec![Vec3::ZERO; edges.len()];
+    let mut coef = vec![Vec3::ZERO; fwd.items.len()];
     for t in tets {
         let p = [
             coords[t[0] as usize],
@@ -59,11 +62,11 @@ pub fn edge_coefficients(
             let f2 = (pa + pb + pd) / 3.0;
             // Quad (m, f1, g, f2) split into triangles (m, f1, g), (m, g, f2).
             let piece = tri_area_vec(m, f1, g) + tri_area_vec(m, g, f2);
-            let Some(e) = find_edge(edges, a, b) else {
+            let Some(e) = edge_index(fwd, a, b) else {
                 return Err(MeshError::EdgeMissing { a, b });
             };
             // `piece` points a → b; flip when the stored edge is (b, a).
-            if edges[e][0] == a {
+            if a < b {
                 coef[e] += piece;
             } else {
                 coef[e] -= piece;
@@ -119,7 +122,7 @@ pub fn closure_residual(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::{boundary_faces, extract_edges};
+    use crate::topology::{boundary_faces, edge_list, forward_edges, tet_neighbors, vertex_tets};
 
     fn unit_tet() -> (Vec<Vec3>, Vec<[u32; 4]>) {
         (
@@ -136,8 +139,9 @@ mod tests {
     #[test]
     fn unit_tet_edge_coefficient_orientation() {
         let (coords, tets) = unit_tet();
-        let edges = extract_edges(&tets);
-        let coef = edge_coefficients(&coords, &tets, &edges).expect("complete edge list");
+        let fwd = forward_edges(&tets, &vertex_tets(4, &tets));
+        let edges = edge_list(&fwd);
+        let coef = edge_coefficients(&coords, &tets, &fwd).expect("complete edge list");
         for (e, &[a, b]) in edges.iter().enumerate() {
             let dir = coords[b as usize] - coords[a as usize];
             assert!(
@@ -146,7 +150,7 @@ mod tests {
             );
         }
         // Hand-computed value for edge (0,1) of the canonical tet.
-        let e01 = find_edge(&edges, 0, 1).unwrap();
+        let e01 = edge_index(&fwd, 0, 1).unwrap();
         let expect = Vec3::new(1.0 / 12.0, 1.0 / 24.0, 1.0 / 24.0);
         assert!((coef[e01] - expect).norm() < 1e-14);
     }
@@ -154,10 +158,11 @@ mod tests {
     #[test]
     fn missing_edge_is_a_typed_error() {
         let (coords, tets) = unit_tet();
-        let mut edges = extract_edges(&tets);
+        let mut edges = edge_list(&forward_edges(&tets, &vertex_tets(4, &tets)));
         edges.retain(|e| e != &[0, 1]);
+        let fwd = Csr::from_pairs(4, edges.iter().map(|&[a, b]| (a, b)));
         assert_eq!(
-            edge_coefficients(&coords, &tets, &edges),
+            edge_coefficients(&coords, &tets, &fwd),
             Err(MeshError::EdgeMissing { a: 0, b: 1 })
         );
     }
@@ -174,9 +179,12 @@ mod tests {
     #[test]
     fn unit_tet_closure() {
         let (coords, tets) = unit_tet();
-        let edges = extract_edges(&tets);
-        let coef = edge_coefficients(&coords, &tets, &edges).expect("complete edge list");
-        let bf: Vec<(Vec3, [u32; 3])> = boundary_faces(&tets)
+        let vt = vertex_tets(4, &tets);
+        let fwd = forward_edges(&tets, &vt);
+        let edges = edge_list(&fwd);
+        let coef = edge_coefficients(&coords, &tets, &fwd).expect("complete edge list");
+        let nbrs = tet_neighbors(&tets, &vt).expect("one tet is conforming");
+        let bf: Vec<(Vec3, [u32; 3])> = boundary_faces(&tets, &nbrs)
             .into_iter()
             .map(|f| {
                 let s = tri_area_vec(

@@ -18,6 +18,10 @@ pub enum MeshError {
     /// An edge `(a, b)` used by a tet is absent from the edge list
     /// handed to the metric builder.
     EdgeMissing { a: u32, b: u32 },
+    /// A face (sorted vertex triple) held by three or more tetrahedra: the
+    /// tets do not form a conforming mesh, so the face has no one
+    /// neighbour across it.
+    NonConformingFace { face: [u32; 3] },
     /// A vertex no tetrahedron touches: it would carry a zero control
     /// volume and poison the local time step.
     OrphanVertex { vertex: usize },
@@ -41,6 +45,9 @@ impl fmt::Display for MeshError {
             ),
             MeshError::EdgeMissing { a, b } => {
                 write!(f, "tet edge ({a}, {b}) missing from the edge list")
+            }
+            MeshError::NonConformingFace { face } => {
+                write!(f, "face {face:?} is shared by more than two tetrahedra")
             }
             MeshError::OrphanVertex { vertex } => write!(
                 f,

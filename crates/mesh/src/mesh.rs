@@ -3,7 +3,9 @@
 
 use crate::dual::{closure_residual, dual_volumes, edge_coefficients};
 use crate::error::MeshError;
-use crate::topology::{boundary_faces, extract_edges, vertex_degrees};
+use crate::topology::{
+    boundary_faces, edge_list, forward_edges, tet_neighbors, vertex_degrees, vertex_tets,
+};
 use crate::types::{BcKind, BoundaryFace};
 use crate::vec3::{tet_volume, tri_area_vec, Vec3};
 
@@ -31,11 +33,13 @@ impl TetMesh {
     /// Build a mesh (and all derived metrics) from raw vertices and tets.
     ///
     /// Tets with negative volume are repaired by swapping two vertices;
-    /// degenerate (zero-volume) tets, out-of-range vertex references, and
-    /// orphan vertices (no incident tet) are rejected as typed
-    /// [`MeshError`]s instead of panicking. `classify` assigns a boundary
-    /// condition to each boundary face from its centroid and outward unit
-    /// normal.
+    /// degenerate (zero-volume) tets, out-of-range vertex references,
+    /// orphan vertices (no incident tet) and faces held by three or more
+    /// tets are rejected as typed [`MeshError`]s instead of panicking.
+    /// Edges, dual metrics and boundary faces all come from one vertex →
+    /// tet incidence ([`crate::topology::vertex_tets`]). `classify`
+    /// assigns a boundary condition to each boundary face from its
+    /// centroid and outward unit normal.
     pub fn from_tets(
         coords: Vec<Vec3>,
         mut tets: Vec<[u32; 4]>,
@@ -65,17 +69,23 @@ impl TetMesh {
             }
         }
 
-        let edges = extract_edges(&tets);
-        let edge_coef = edge_coefficients(&coords, &tets, &edges)?;
-        let vol = dual_volumes(&coords, &tets, coords.len());
+        let vt = vertex_tets(coords.len(), &tets);
         if !tets.is_empty() {
-            let deg = vertex_degrees(coords.len(), &edges);
-            if let Some(orphan) = deg.iter().position(|&d| d == 0) {
+            if let Some(orphan) = (0..vt.len()).find(|&v| vt.degree(v) == 0) {
                 return Err(MeshError::OrphanVertex { vertex: orphan });
             }
         }
+        let fwd = forward_edges(&tets, &vt);
+        let faces = boundary_faces(&tets, &tet_neighbors(&tets, &vt)?);
+        // The incidence and the neighbours go before the metric arrays
+        // are allocated, which keeps them out of the set-up's peak.
+        drop(vt);
+        let edge_coef = edge_coefficients(&coords, &tets, &fwd)?;
+        let edges = edge_list(&fwd);
+        drop(fwd);
+        let vol = dual_volumes(&coords, &tets, coords.len());
 
-        let bfaces = boundary_faces(&tets)
+        let bfaces = faces
             .into_iter()
             .map(|f| {
                 let a = coords[f[0] as usize];
@@ -245,6 +255,30 @@ mod tests {
         ];
         let err = TetMesh::from_tets(coords, vec![[0, 1, 2, 3]], far);
         assert_eq!(err.err(), Some(MeshError::OrphanVertex { vertex: 4 }));
+    }
+
+    #[test]
+    fn face_shared_by_three_tets_is_a_typed_error() {
+        // Three tets fanned around face (1,2,3): apexes 0 and 5 on one
+        // side of it, 4 on the other.
+        let coords = vec![
+            Vec3::ZERO,
+            Vec3::new(1.0, 0.0, 0.0),
+            Vec3::new(0.0, 1.0, 0.0),
+            Vec3::new(0.0, 0.0, 1.0),
+            Vec3::new(1.0, 1.0, 1.0),
+            Vec3::new(-0.5, -0.5, -0.5),
+        ];
+        let tets = vec![[0, 1, 2, 3], [1, 2, 3, 4], [5, 1, 2, 3]];
+        let err = TetMesh::from_tets(coords.clone(), tets.clone(), far);
+        assert_eq!(
+            err.err(),
+            Some(MeshError::NonConformingFace { face: [1, 2, 3] })
+        );
+        // The first two alone are a conforming mesh.
+        let mesh = TetMesh::from_tets(coords[..5].to_vec(), tets[..2].to_vec(), far)
+            .expect("two tets share one face");
+        assert_eq!(mesh.bfaces.len(), 6);
     }
 
     #[test]

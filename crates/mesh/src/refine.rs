@@ -8,11 +8,9 @@
 //! the nested-vs-unrelated transfer ablation, and (b) mesh families for
 //! grid-convergence studies.
 
-use std::collections::HashMap;
-
 use crate::mesh::TetMesh;
-use crate::topology::find_edge;
-use crate::types::BcKind;
+use crate::topology::edge_index;
+use crate::types::{BcKind, Csr};
 use crate::vec3::Vec3;
 
 /// Uniformly refine a mesh: one new vertex per edge, 8 child tets per
@@ -28,8 +26,11 @@ pub fn refine_uniform(mesh: &TetMesh) -> TetMesh {
         debug_assert_eq!(coords.len(), nold + e);
         coords.push((mesh.coords[a as usize] + mesh.coords[b as usize]) * 0.5);
     }
+    // The sorted edge list as forward rows: row `a` starts at `a`'s first
+    // edge, so a row position is an edge index.
+    let fwd = Csr::from_pairs(nold, mesh.edges.iter().map(|&[a, b]| (a, b)));
     let mid = |a: u32, b: u32| -> u32 {
-        match find_edge(&mesh.edges, a, b) {
+        match edge_index(&fwd, a, b) {
             Some(e) => (nold + e) as u32,
             None => unreachable!("edge {a}-{b} missing from the extracted edge list"),
         }
@@ -77,7 +78,7 @@ pub fn refine_uniform(mesh: &TetMesh) -> TetMesh {
 
     // Child boundary faces inherit the parent face's BC kind. Each
     // parent face (a, b, c) yields exactly four children.
-    let mut kinds: HashMap<[u32; 3], BcKind> = HashMap::with_capacity(mesh.bfaces.len() * 4);
+    let mut kinds: Vec<([u32; 3], BcKind)> = Vec::with_capacity(mesh.bfaces.len() * 4);
     let key = |x: u32, y: u32, z: u32| -> [u32; 3] {
         let mut k = [x, y, z];
         k.sort_unstable();
@@ -92,9 +93,10 @@ pub fn refine_uniform(mesh: &TetMesh) -> TetMesh {
             key(c, mac, mbc),
             key(mab, mac, mbc),
         ] {
-            kinds.insert(child, f.kind);
+            kinds.push((child, f.kind));
         }
     }
+    kinds.sort_unstable_by_key(|&(k, _)| k);
 
     let mut refined = match TetMesh::from_tets(coords, tets, |_, _| BcKind::FarField) {
         Ok(m) => m,
@@ -103,9 +105,9 @@ pub fn refine_uniform(mesh: &TetMesh) -> TetMesh {
     for f in &mut refined.bfaces {
         let mut k = f.v;
         k.sort_unstable();
-        f.kind = match kinds.get(&k) {
-            Some(kind) => *kind,
-            None => unreachable!("child boundary face without a parent"),
+        f.kind = match kinds.binary_search_by_key(&k, |&(k, _)| k) {
+            Ok(i) => kinds[i].1,
+            Err(_) => unreachable!("child boundary face without a parent"),
         };
     }
     refined
