@@ -22,9 +22,10 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use eul3d_bench::{finite_or_exit, CaseSpec};
+use eul3d_core::agglo::Agglomeration;
 use eul3d_core::dist::{run_distributed, DistOptions, DistSetup};
 use eul3d_core::gas::{GAMMA, NVAR};
-use eul3d_core::{ConvergenceHistory, MultigridSolver, SoaState, SolverConfig, Strategy};
+use eul3d_core::{ConvergenceHistory, Grids, MultigridSolver, SoaState, SolverConfig, Strategy};
 use eul3d_delta::{CommClass, CostModel};
 use eul3d_kernels::{EdgeSpan, ScatterAccess};
 use eul3d_mesh::gen::BumpSpec;
@@ -323,10 +324,9 @@ fn main() {
         ]);
     }
     {
-        use eul3d_core::agglo::AggloMultigrid;
-        let mesh = eul3d_mesh::gen::bump_channel(&spec(&case));
-        let mut mg = AggloMultigrid::new(mesh, cfg, Strategy::WCycle, 3);
-        let sizes = format!("{:?}", mg.level_sizes());
+        let agg = Agglomeration::new(eul3d_mesh::gen::bump_channel(&spec(&case)), 3);
+        let mut mg = MultigridSolver::new(Grids::Agglo(agg), cfg, Strategy::WCycle);
+        let sizes = format!("{:?}", mg.levels.iter().map(|l| l.n).collect::<Vec<_>>());
         let h =
             ConvergenceHistory::from_residuals(checked(mg.solve(40), "ablations 8 agglomerated"));
         rows.row(&[

@@ -31,7 +31,7 @@ fn main() {
         hist.last().unwrap()
     );
 
-    let mesh = &mg.seq.meshes[0];
+    let mesh = mg.grids.fine();
     let mach = mach_field(cfg.gamma, mg.state(), mesh.nverts());
     let mmin = mach.iter().cloned().fold(f64::INFINITY, f64::min);
     let mmax = mach.iter().cloned().fold(0.0f64, f64::max);

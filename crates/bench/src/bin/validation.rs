@@ -84,7 +84,7 @@ fn main() {
         let mut t = TextTable::new(&["probe", "p/p∞ measured", "p/p∞ exact", "err %"]);
         let mut worst: f64 = 0.0;
         for (x, y) in [(0.7, 0.25), (0.9, 0.30), (1.1, 0.35)] {
-            let pr = p[nearest(&s.seq.meshes[0], Vec3::new(x, y, 0.2))] / p_inf;
+            let pr = p[nearest(s.grids.fine(), Vec3::new(x, y, 0.2))] / p_inf;
             let err = 100.0 * (pr / pr_exact - 1.0);
             worst = worst.max(err.abs());
             t.row(&[
@@ -94,7 +94,7 @@ fn main() {
                 format!("{err:+.1}"),
             ]);
         }
-        let pr_pre = p[nearest(&s.seq.meshes[0], Vec3::new(-0.3, 0.5, 0.2))] / p_inf;
+        let pr_pre = p[nearest(s.grids.fine(), Vec3::new(-0.3, 0.5, 0.2))] / p_inf;
         t.row(&[
             "(-0.3,0.50) ahead of shock".into(),
             format!("{pr_pre:.4}"),
@@ -140,7 +140,7 @@ fn main() {
             let mut s = single_grid(mesh, cfg);
             s.solve(cycles);
             let ent = entropy_error_field(cfg.gamma, s.state(), s.levels[0].n);
-            let err = l2_norm(&ent, &s.seq.meshes[0].vol);
+            let err = l2_norm(&ent, &s.grids.fine().vol);
             let order = prev.map(|p: f64| (p / err).log2());
             if let Some(o) = order {
                 orders.push(o);

@@ -30,6 +30,7 @@ pub const ALIASES: &[(&str, &str, Scope)] = &[
     ("jitter", "mesh.jitter", Mesh),
     ("seed", "mesh.seed", Mesh),
     ("levels", "run.levels", Solve),
+    ("coarse", "run.coarsening", Solve),
     ("cycles", "run.cycles", Solve),
     ("strategy", "run.strategy", Solve),
     ("scheme", "solver.scheme", Solve),

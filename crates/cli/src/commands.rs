@@ -4,9 +4,10 @@ use std::path::{Path, PathBuf};
 
 use eul3d_core::health::GuardOutcome;
 use eul3d_core::postproc::{cp_field, mach_field, pressure_field};
+use eul3d_core::Coarsening;
 use eul3d_core::{
     ConvergenceHistory, Eul3dError, JobCheckpoint, MultigridSolver, Phase, RunConfig, RunPlan,
-    SoaState, TraceConfig,
+    TraceConfig,
 };
 use eul3d_delta::CostModel;
 use eul3d_mesh::gen::BumpSpec;
@@ -263,7 +264,6 @@ pub fn partition(a: &Args) -> Result<(), String> {
 pub fn solve(a: &Args) -> Result<(), String> {
     let rc = run_config_of(a, Scope::Solve)?;
     let fmg = a.has("fmg");
-    let agglo = a.get_str("coarse").as_deref() == Some("agglo");
     let threads: usize = a.get("threads", 0)?;
     let restart = a.get_str("restart");
     let checkpoint = a.get_str("checkpoint");
@@ -275,74 +275,29 @@ pub fn solve(a: &Args) -> Result<(), String> {
     if restart.is_some() && fmg {
         return Err("--restart and --fmg both set the start state; pass one".into());
     }
-    if guard.is_some() && agglo {
-        return Err("the health guard is incompatible with --coarse agglo".into());
-    }
 
     println!(
-        "solve: nx={} levels={levels} {} cycles={cycles} M={} α={}°{}{} config {:016x}",
+        "solve: nx={} levels={levels} {} cycles={cycles} M={} α={}°{} config {:016x}",
         spec.nx,
         strategy.label(),
         cfg.mach,
         cfg.alpha_deg,
         if fmg { " +FMG" } else { "" },
-        if agglo {
-            " [agglomerated coarse levels]"
-        } else {
-            ""
-        },
         rc.canonical_hash() >> 64
     );
     let t0 = std::time::Instant::now();
     arm_driver_trace(&rc.trace);
-    if agglo {
-        if threads > 0 || restart.is_some() || fmg {
-            return Err("--coarse agglo is incompatible with --threads/--restart/--fmg".into());
-        }
-        let mesh = eul3d_mesh::gen::bump_channel(&spec);
-        let mut mg = eul3d_core::agglo::AggloMultigrid::new(mesh, cfg, strategy, levels);
-        println!("agglomerated levels: {:?} cells", mg.level_sizes());
-        let hist = mg.solve(cycles);
-        let h = ConvergenceHistory::from_residuals(hist.clone());
-        let last = h
-            .residuals
-            .last()
-            .copied()
-            .ok_or("empty residual history")?;
-        println!(
-            "{} cycles in {:.2}s host: residual {:.3e} -> {:.3e} ({:.2} orders)",
-            cycles,
-            t0.elapsed().as_secs_f64(),
-            h.residuals[0],
-            last,
-            h.orders_reduced()
-        );
-        if let Some(path) = checkpoint {
-            save_checkpoint(&path, hist, mg.state())?;
-        }
-        if let Some(path) = vtk {
-            let n = mg.mesh.nverts();
-            let mach = mach_field(cfg.gamma, mg.state(), n);
-            write_vtk_file(PathBuf::from(&path).as_path(), &mg.mesh, &[("mach", &mach)])
-                .map_err(|e| format!("vtk export: {e}"))?;
-            println!("wrote {path}");
-        }
-        return finish_driver_trace(&rc.trace);
-    }
-
-    let seq = MeshSequence::bump_sequence(&spec, levels);
+    let mut mg = MultigridSolver::for_run(&rc, threads).map_err(|e| e.to_string())?;
+    let (family, unit) = match rc.coarsening {
+        Coarsening::Sequence => ("mesh family", "vertices"),
+        Coarsening::Agglo => ("agglomerated levels", "cells"),
+    };
     println!(
-        "mesh family {:?} vertices ({:.2}s preprocessing)",
-        seq.meshes.iter().map(|m| m.nverts()).collect::<Vec<_>>(),
+        "{family} {:?} {unit} ({:.2}s preprocessing)",
+        mg.levels.iter().map(|l| l.n).collect::<Vec<_>>(),
         t0.elapsed().as_secs_f64()
     );
 
-    let mut mg = if threads > 0 {
-        MultigridSolver::new_shared(seq, cfg, strategy, threads)
-            .map_err(|e| format!("shared executor: {e}"))?
-    } else {
-        MultigridSolver::new(seq, cfg, strategy)
-    };
     // Restart and FMG only set the start state; the run loop is the same.
     let mut resume = None;
     if let Some(path) = &restart {
@@ -396,8 +351,13 @@ pub fn solve(a: &Args) -> Result<(), String> {
         println!("note: convergence has stalled (rate ≈ 1)");
     }
 
+    // `--checkpoint`: the committed history and the fine state as one
+    // atomically written frame, the file `--restart` continues from.
     if let Some(path) = checkpoint {
-        save_checkpoint(&path, hist, w)?;
+        JobCheckpoint::new(hist, w)
+            .save(Path::new(&path))
+            .map_err(|e| format!("checkpoint: {e}"))?;
+        println!("checkpointed to {path}");
     }
     if let Some(path) = vtk {
         let mach = mach_field(cfg.gamma, w, nverts);
@@ -405,22 +365,12 @@ pub fn solve(a: &Args) -> Result<(), String> {
         let cp = cp_field(cfg.gamma, cfg.mach, w, nverts);
         write_vtk_file(
             PathBuf::from(&path).as_path(),
-            &mg.seq.meshes[0],
+            mg.grids.fine(),
             &[("mach", &mach), ("pressure", &p), ("cp", &cp)],
         )
         .map_err(|e| format!("vtk export: {e}"))?;
         println!("wrote {path}");
     }
-    Ok(())
-}
-
-/// `--checkpoint`: the committed history and the fine state as one
-/// atomically written frame, the file `--restart` continues from.
-fn save_checkpoint(path: &str, history: Vec<f64>, w: &SoaState) -> Result<(), String> {
-    JobCheckpoint::new(history, w)
-        .save(Path::new(path))
-        .map_err(|e| format!("checkpoint: {e}"))?;
-    println!("checkpointed to {path}");
     Ok(())
 }
 
@@ -456,7 +406,7 @@ pub fn distributed(a: &Args) -> Result<(), String> {
     );
     let seq = MeshSequence::bump_sequence(&spec, levels);
     let t0 = std::time::Instant::now();
-    let setup = DistSetup::for_run(seq, &rc, pseed);
+    let setup = DistSetup::for_run(seq, &rc, pseed).map_err(|e| e.to_string())?;
     let method = rc.get("partition.method");
     let method_label = method
         .as_deref()

@@ -7,7 +7,7 @@
 //!                  [--refine-passes N] [--kl]
 //! eul3d solve      --nx 24 --levels 4 [--strategy sg|v|w] [--scheme jst|roe]
 //!                  [--cycles 100] [--mach 0.675] [--alpha 0.0] [--fmg] [--threads N]
-//!                  [--restart ck] [--checkpoint ck] [--vtk out.vtk]
+//!                  [--restart ck] [--checkpoint ck] [--vtk out.vtk] [--coarse sequence|agglo]
 //! eul3d distributed --nx 24 --levels 4 --ranks 32 [--strategy sg|v|w]
 //!                  [--cycles 100] [--no-incremental]
 //!                  [--backend delta|hybrid] [--threads N]

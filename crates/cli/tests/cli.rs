@@ -252,6 +252,98 @@ fn solve_threads_runs_the_full_cycle_on_the_shared_executor() {
 }
 
 #[test]
+fn agglomerated_solve_is_the_one_run_loop() {
+    // The agglomerated hierarchy takes every flag the mesh sequence
+    // takes: the team gives the serial bits, 5 + 5 restarted cycles the
+    // 10-cycle checkpoint, and the guard and FMG arm as usual.
+    let dir = scratch("agglo");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_owned();
+    let run = |extra: &[&str]| {
+        let base = ["solve", "--coarse", "agglo", "--nx", "8", "--levels", "3"];
+        let (ok, stdout, stderr) = eul3d(&[&base[..], extra].concat());
+        assert!(ok, "{extra:?}: {stderr}");
+        assert!(stdout.contains("agglomerated levels"), "{stdout}");
+        let line = stdout.lines().find(|l| l.contains("orders")).unwrap();
+        (
+            stdout.clone(),
+            line.split_once("host: ").unwrap().1.to_owned(),
+        )
+    };
+    let serial = run(&["--cycles", "4", "--checkpoint", &path("serial")]).1;
+    let team = run(&[
+        "--cycles",
+        "4",
+        "--checkpoint",
+        &path("team"),
+        "--threads",
+        "2",
+    ])
+    .1;
+    assert_eq!(serial, team);
+    let read = |name: &str| std::fs::read(path(name)).unwrap();
+    assert_eq!(read("serial"), read("team"));
+    run(&["--cycles", "10", "--checkpoint", &path("a")]);
+    run(&["--cycles", "5", "--checkpoint", &path("b")]);
+    let out = run(&[
+        "--cycles",
+        "5",
+        "--restart",
+        &path("b"),
+        "--checkpoint",
+        &path("c"),
+    ])
+    .0;
+    assert!(out.contains("restarted from"), "{out}");
+    assert_eq!(read("a"), read("c"), "10 cycles = 5 + 5");
+    assert!(run(&["--cycles", "2", "--guard"])
+        .0
+        .contains("health guard:"));
+    assert!(run(&["--cycles", "2", "--fmg"]).0.contains("+FMG"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn coarsening_is_checked_like_every_key() {
+    // A misspelt kind is the key's error, not a silent mesh sequence.
+    let (ok, _, stderr) = eul3d(&[
+        "solve",
+        "--coarse",
+        "agglomerated",
+        "--nx",
+        "10",
+        "--levels",
+        "3",
+        "--cycles",
+        "2",
+    ]);
+    assert!(!ok, "a misspelt --coarse must be refused");
+    assert!(stderr.contains("must be sequence|agglo"), "{stderr}");
+    // A diverged agglomerated run fails like any other.
+    let (ok, stdout, stderr) = eul3d(&[
+        "solve", "--coarse", "agglo", "--nx", "10", "--levels", "3", "--cycles", "12", "--cfl",
+        "30",
+    ]);
+    assert!(!ok, "a NaN run must not exit 0: {stdout}");
+    assert!(stderr.contains("run diverged"), "{stderr}");
+    // The distributed path partitions a mesh sequence.
+    let (ok, _, stderr) = eul3d(&[
+        "distributed",
+        "--coarse",
+        "agglo",
+        "--nx",
+        "8",
+        "--levels",
+        "2",
+        "--ranks",
+        "2",
+        "--cycles",
+        "2",
+    ]);
+    assert!(!ok, "distributed agglomeration must be refused");
+    assert!(stderr.contains("solve path only"), "{stderr}");
+}
+
+#[test]
 fn distributed_command_runs() {
     let (ok, stdout, stderr) = eul3d(&[
         "distributed",
@@ -758,6 +850,7 @@ fn every_alias_flag_is_its_key_on_the_command_line_and_in_a_file() {
         ("solve", "jitter", "mesh.jitter", "0.05"),
         ("solve", "seed", "mesh.seed", "9"),
         ("solve", "levels", "run.levels", "1"),
+        ("solve", "coarse", "run.coarsening", "agglo"),
         ("solve", "cycles", "run.cycles", "2"),
         ("solve", "strategy", "run.strategy", "v"),
         ("solve", "scheme", "solver.scheme", "roe"),

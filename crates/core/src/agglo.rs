@@ -17,24 +17,27 @@
 //! and the whole construction is a cheap local pass (no spectral solves,
 //! no point-location search). Transfers are trivially local: residual
 //! restriction sums over members, state restriction volume-averages,
-//! prolongation injects (piecewise constant) followed by an optional
+//! prolongation injects (piecewise constant) followed by a
 //! Jacobi smoothing of the corrections on the fine grid. Those three
-//! operators are all this module adds to the cycle: [`AggloMultigrid`]
-//! is a [`Hierarchy`] for the one FAS recursion in [`crate::fas`].
+//! operators (and injection of a whole state, for full multigrid) are
+//! all this module adds to the cycle: [`crate::MultigridSolver`] drives
+//! an [`Agglomeration`] through the one FAS recursion in [`crate::fas`].
 
 use std::collections::HashMap;
 
 use eul3d_mesh::{BcKind, BoundaryFace, TetMesh, Vec3};
 
-use crate::config::SolverConfig;
 use crate::counters::{PhaseCounters, FLOPS_TRANSFER_VERT};
-use crate::executor::{count_vertex_loop, Phase, SerialExecutor};
-use crate::fas::{self, Hierarchy};
+use crate::executor::{count_vertex_loop, Phase};
 use crate::gas::NVAR;
-use crate::level::{eval_total_residual, time_step, LevelState, SolverGrid};
-use crate::multigrid::Strategy;
+use crate::level::{LevelState, SolverGrid};
+use crate::multigrid::LevelGrids;
 use crate::smooth::smooth_residual_serial_soa;
 use crate::soa::SoaState;
+
+/// Jacobi sweeps applied to prolonged corrections (piecewise-constant
+/// injection is rough; 1–2 sweeps recover most of the smoothness).
+const CORRECTION_SMOOTHING: usize = 2;
 
 /// One agglomerated coarse level.
 #[derive(Debug, Clone)]
@@ -166,29 +169,17 @@ pub fn agglomerate<G: SolverGrid + ?Sized>(fine: &G) -> AggloLevel {
     }
 }
 
-/// FAS multigrid on agglomerated levels: the fine grid is a real mesh,
-/// every coarse level an [`AggloLevel`] built by repeated agglomeration.
-pub struct AggloMultigrid {
+/// A fine mesh and the levels agglomerated from it, finest first.
+pub struct Agglomeration {
     pub mesh: TetMesh,
+    /// `coarse[l]` is level `l + 1`; its `assign` maps level `l` onto it.
     pub coarse: Vec<AggloLevel>,
-    pub cfg: SolverConfig,
-    pub strategy: Strategy,
-    /// `states[0]` is the fine grid, `states[l]` lives on `coarse[l-1]`.
-    pub states: Vec<LevelState>,
-    pub counter: PhaseCounters,
-    /// Jacobi sweeps applied to prolonged corrections (piecewise-constant
-    /// injection is rough; 1–2 sweeps recover most of the smoothness).
-    pub correction_smoothing: usize,
 }
 
-impl AggloMultigrid {
-    pub fn new(
-        mesh: TetMesh,
-        cfg: SolverConfig,
-        strategy: Strategy,
-        levels: usize,
-    ) -> AggloMultigrid {
-        assert!(levels >= 1);
+impl Agglomeration {
+    /// `mesh` and up to `levels - 1` levels, each fused from the one
+    /// above.
+    pub fn new(mesh: TetMesh, levels: usize) -> Agglomeration {
         let mut coarse: Vec<AggloLevel> = Vec::new();
         for _ in 1..levels {
             let lvl = match coarse.last() {
@@ -203,96 +194,37 @@ impl AggloMultigrid {
             }
             coarse.push(lvl);
         }
-        let mut states = vec![LevelState::new(&mesh, &cfg)];
-        states.extend(coarse.iter().map(|c| LevelState::new(c, &cfg)));
-        AggloMultigrid {
-            mesh,
-            coarse,
-            cfg,
-            strategy,
-            states,
-            counter: PhaseCounters::default(),
-            correction_smoothing: 2,
+        Agglomeration { mesh, coarse }
+    }
+}
+
+/// `fine[v] = coarse[assign[v]]` for every row of `fine`.
+fn inject(assign: &[u32], coarse: &SoaState, fine: &mut SoaState) {
+    for (v, &c) in assign.iter().enumerate() {
+        for k in 0..NVAR {
+            fine.set(v, k, coarse.get(c as usize, k));
+        }
+    }
+}
+
+/// Transfers are trivially local: `coarse[l].assign` maps every
+/// level-`l` entity to its level-`l + 1` cell.
+impl LevelGrids for Agglomeration {
+    type Grid = dyn SolverGrid;
+
+    /// The mesh itself, or the agglomerated cells of `coarse[l - 1]`.
+    fn grid(&self, l: usize) -> &(dyn SolverGrid + 'static) {
+        match l {
+            0 => &self.mesh,
+            _ => &self.coarse[l - 1],
         }
     }
 
-    pub fn nlevels(&self) -> usize {
-        self.states.len()
-    }
-
-    /// Sizes of all levels, finest first.
-    pub fn level_sizes(&self) -> Vec<usize> {
-        std::iter::once(self.mesh.nverts())
-            .chain(self.coarse.iter().map(|c| c.n))
-            .collect()
-    }
-
-    pub fn state(&self) -> &SoaState {
-        &self.states[0].w
-    }
-
-    pub fn cycle(&mut self) -> f64 {
-        fas::cycle(self, self.strategy, 0, None);
-        self.states[0].density_residual_norm(&self.mesh.vol)
-    }
-
-    pub fn solve(&mut self, n: usize) -> Vec<f64> {
-        (0..n).map(|_| self.cycle()).collect()
-    }
-}
-
-/// The grid level `l` time-steps on: the mesh itself, or the
-/// agglomerated cells of `coarse[l - 1]`.
-fn grid_of<'a>(mesh: &'a TetMesh, coarse: &'a [AggloLevel], l: usize) -> &'a dyn SolverGrid {
-    match l {
-        0 => mesh,
-        _ => &coarse[l - 1],
-    }
-}
-
-/// The agglomerated [`Hierarchy`]: transfers are trivially local —
-/// `coarse[l].assign` maps every level-`l` entity to its level-`l + 1`
-/// cell.
-impl Hierarchy for AggloMultigrid {
-    fn nlevels(&self) -> usize {
-        self.states.len()
-    }
-
-    fn owned(&self, l: usize) -> usize {
-        self.states[l].n
-    }
-
-    fn state(&mut self, l: usize) -> &mut LevelState {
-        &mut self.states[l]
-    }
-
-    fn time_step(&mut self, l: usize) {
-        time_step(
-            grid_of(&self.mesh, &self.coarse, l),
-            &mut self.states[l],
-            &self.cfg,
-            l > 0,
-            &mut SerialExecutor,
-            &mut self.counter,
-        );
-    }
-
-    fn eval_total_residual(&mut self, l: usize) {
-        eval_total_residual(
-            grid_of(&self.mesh, &self.coarse, l),
-            &mut self.states[l],
-            &self.cfg,
-            l > 0,
-            &mut SerialExecutor,
-            &mut self.counter,
-        );
-    }
-
     /// Volume-weighted average over members.
-    fn restrict_state(&mut self, l: usize) {
+    fn restrict_state(&self, l: usize, levels: &mut [LevelState], counter: &mut PhaseCounters) {
         let agg = &self.coarse[l];
-        let fine_vol = grid_of(&self.mesh, &self.coarse, l).grid_vol();
-        let (fine, coarse) = self.states.split_at_mut(l + 1);
+        let fine_vol = self.grid(l).grid_vol();
+        let (fine, coarse) = levels.split_at_mut(l + 1);
         let (fine, coarse) = (&fine[l], &mut coarse[0]);
         coarse.w.fill(0.0);
         for (v, &c) in agg.assign.iter().enumerate() {
@@ -307,19 +239,13 @@ impl Hierarchy for AggloMultigrid {
                 coarse.w.set(c, k, x / cv);
             }
         }
-        count_vertex_loop(
-            &mut self.counter,
-            Phase::Transfer,
-            fine.n,
-            FLOPS_TRANSFER_VERT,
-        );
+        count_vertex_loop(counter, Phase::Transfer, fine.n, FLOPS_TRANSFER_VERT);
     }
 
     /// Conservative member sum.
-    fn restrict_residual(&mut self, l: usize) {
-        let agg = &self.coarse[l];
-        let (fine, coarse) = self.states.split_at_mut(l + 1);
-        for (v, &c) in agg.assign.iter().enumerate() {
+    fn restrict_residual(&self, l: usize, levels: &mut [LevelState], _: &mut PhaseCounters) {
+        let (fine, coarse) = levels.split_at_mut(l + 1);
+        for (v, &c) in self.coarse[l].assign.iter().enumerate() {
             for k in 0..NVAR {
                 coarse[0].corr.add(c as usize, k, fine[l].res.get(v, k));
             }
@@ -328,40 +254,39 @@ impl Hierarchy for AggloMultigrid {
 
     /// Piecewise-constant injection, then Jacobi smoothing of the
     /// correction on the receiving level.
-    fn prolong_correction(&mut self, l: usize) {
-        let agg = &self.coarse[l];
-        let (fine, coarse) = self.states.split_at_mut(l + 1);
+    fn prolong_correction(&self, l: usize, levels: &mut [LevelState], counter: &mut PhaseCounters) {
+        let (fine, coarse) = levels.split_at_mut(l + 1);
         let (fine, coarse) = (&mut fine[l], &coarse[0]);
-        for (v, &c) in agg.assign.iter().enumerate() {
-            for k in 0..NVAR {
-                fine.corr.set(v, k, coarse.corr.get(c as usize, k));
-            }
-        }
-        if self.correction_smoothing > 0 {
-            smooth_residual_serial_soa(
-                &fine.adj,
-                fine.n,
-                &fine.deg,
-                0.5,
-                self.correction_smoothing,
-                &mut fine.corr,
-                &mut fine.r0,
-                &mut fine.acc,
-                self.counter.phase(Phase::Transfer),
-            );
-        }
-        count_vertex_loop(
-            &mut self.counter,
-            Phase::Transfer,
+        inject(&self.coarse[l].assign, &coarse.corr, &mut fine.corr);
+        smooth_residual_serial_soa(
+            &fine.adj,
             fine.n,
-            FLOPS_TRANSFER_VERT,
+            &fine.deg,
+            0.5,
+            CORRECTION_SMOOTHING,
+            &mut fine.corr,
+            &mut fine.r0,
+            &mut fine.acc,
+            counter.phase(Phase::Transfer),
         );
+        count_vertex_loop(counter, Phase::Transfer, fine.n, FLOPS_TRANSFER_VERT);
+    }
+
+    /// Piecewise-constant injection of the whole state.
+    fn prolong_state(&self, l: usize, levels: &mut [LevelState], counter: &mut PhaseCounters) {
+        let (fine, coarse) = levels.split_at_mut(l + 1);
+        inject(&self.coarse[l].assign, &coarse[0].w, &mut fine[l].w);
+        count_vertex_loop(counter, Phase::Transfer, fine[l].n, FLOPS_TRANSFER_VERT);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SolverConfig;
+    use crate::executor::SerialExecutor;
+    use crate::level::time_step;
+    use crate::multigrid::{Grids, MultigridSolver, Strategy};
     use eul3d_mesh::dual::closure_residual;
     use eul3d_mesh::gen::{bump_channel, unit_box, BumpSpec};
 
@@ -432,8 +357,10 @@ mod tests {
             nz: 4,
             ..BumpSpec::default()
         });
-        let mg = AggloMultigrid::new(m, SolverConfig::default(), Strategy::WCycle, 4);
-        let sizes = mg.level_sizes();
+        let agg = Agglomeration::new(m, 4);
+        let sizes: Vec<usize> = (0..=agg.coarse.len())
+            .map(|l| agg.grid(l).grid_nverts())
+            .collect();
         assert!(sizes.len() >= 3, "hierarchy too shallow: {sizes:?}");
         for w in sizes.windows(2) {
             assert!(w[1] < w[0], "levels must shrink: {sizes:?}");
@@ -454,8 +381,8 @@ mod tests {
             ..SolverConfig::default()
         };
         let run = |levels: usize| {
-            let mut mg = AggloMultigrid::new(bump_channel(&spec), cfg, Strategy::WCycle, levels);
-            let h = mg.solve(40);
+            let grids = Grids::Agglo(Agglomeration::new(bump_channel(&spec), levels));
+            let h = MultigridSolver::new(grids, cfg, Strategy::WCycle).solve(40);
             (h[0] / h.last().unwrap()).log10()
         };
         let sg = run(1);
@@ -468,8 +395,8 @@ mod tests {
 
     #[test]
     fn agglomeration_multigrid_freestream_fixed_point() {
-        let m = unit_box(4, 0.2, 5);
-        let mut mg = AggloMultigrid::new(m, SolverConfig::default(), Strategy::VCycle, 3);
+        let grids = Grids::Agglo(Agglomeration::new(unit_box(4, 0.2, 5), 3));
+        let mut mg = MultigridSolver::new(grids, SolverConfig::default(), Strategy::VCycle);
         let r = mg.cycle();
         assert!(
             r < 1e-11,

@@ -8,6 +8,8 @@ use std::sync::Arc;
 use eul3d_mesh::MeshSequence;
 use eul3d_partition::{FlatRsb, MultilevelRsb, PartitionOptions, PartitionedMesh, Partitioner};
 
+use crate::error::{Eul3dError, SolverError};
+use crate::multigrid::Coarsening;
 use crate::runconfig::{PartitionConfig, PartitionMethod, RunConfig};
 
 /// Lanczos iteration cap per Fiedler solve of a configured run (the
@@ -43,16 +45,20 @@ impl DistSetup {
     /// Partition all levels for a configured run over its
     /// [`RunConfig::effective_nranks`]: by its [`PartitionConfig`] policy
     /// (method, multilevel knobs, rank mapping) when it has one, else
-    /// with flat RSB.
-    pub fn for_run(seq: MeshSequence, rc: &RunConfig, seed: u64) -> DistSetup {
+    /// with flat RSB. Agglomerated coarse levels are refused: the ranks
+    /// run on the partitioned mesh sequence.
+    pub fn for_run(seq: MeshSequence, rc: &RunConfig, seed: u64) -> Result<DistSetup, Eul3dError> {
+        if rc.coarsening != Coarsening::Sequence {
+            return Err(SolverError::AggloNotDistributed.into());
+        }
         let nranks = rc.effective_nranks();
-        match &rc.partition {
+        Ok(match &rc.partition {
             Some(policy) => {
                 let opts = partition_options(nranks, LANCZOS_ITERS, seed, policy);
                 Self::from_arc(Arc::new(seq), nranks, partitioner_of(policy.method), &opts)
             }
             None => Self::new(seq, nranks, LANCZOS_ITERS, seed),
-        }
+        })
     }
 
     /// Partition all levels of an already-shared mesh sequence with an
@@ -148,7 +154,13 @@ mod tests {
             partition: Some(policy),
             ..RunConfig::default()
         };
-        let setup = DistSetup::for_run(seq, &rc, 7);
+        let agglo = RunConfig {
+            coarsening: Coarsening::Agglo,
+            ..rc.clone()
+        };
+        let err = DistSetup::for_run(MeshSequence::box_sequence(5, 2, 0.1, 5), &agglo, 7).err();
+        assert_eq!(err, Some(SolverError::AggloNotDistributed.into()));
+        let setup = DistSetup::for_run(seq, &rc, 7).unwrap();
         assert_eq!(setup.pms.len(), 2);
         for (pm, mesh) in setup.pms.iter().zip(&setup.seq.meshes) {
             assert_eq!(pm.nparts, 4);

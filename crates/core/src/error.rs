@@ -18,10 +18,12 @@ use eul3d_parti::PartiError;
 /// Errors raised by solver setup and the health-guarded drivers.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SolverError {
-    /// Edge-colouring validation failed on the shared-memory path.
+    /// The shared-memory executor could not be built: its team, or the
+    /// validation of an edge colouring.
     Coloring(String),
-    /// A mesh sequence with no levels was supplied.
-    EmptyMeshSequence,
+    /// Agglomerated coarse levels were asked of the distributed path,
+    /// which partitions a mesh sequence.
+    AggloNotDistributed,
     /// A [`crate::runconfig::RunConfig`] field failed range validation.
     ConfigOutOfRange {
         /// Dotted field path (e.g. `"solver.mach"`).
@@ -55,8 +57,10 @@ pub enum SolverError {
 impl fmt::Display for SolverError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SolverError::Coloring(msg) => write!(f, "edge colouring invalid: {msg}"),
-            SolverError::EmptyMeshSequence => write!(f, "mesh sequence has no levels"),
+            SolverError::Coloring(msg) => write!(f, "shared executor: {msg}"),
+            SolverError::AggloNotDistributed => {
+                write!(f, "agglomeration runs on the solve path only")
+            }
             SolverError::ConfigOutOfRange {
                 field,
                 value,

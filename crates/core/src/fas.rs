@@ -4,10 +4,10 @@
 //! residuals and corrections move between neighbouring levels.
 //!
 //! Three hierarchies drive it: the paper's sequence of unrelated meshes
-//! ([`crate::multigrid::MultigridSolver`], serial or shared),
-//! agglomerated coarse levels ([`crate::agglo::AggloMultigrid`]), and
-//! one rank's share of a partitioned sequence
-//! ([`crate::dist::DistSolver`]). Everything else — the γ recursion, the
+//! and agglomerated coarse levels (the two kinds of
+//! [`crate::multigrid::Grids`] under
+//! [`crate::multigrid::MultigridSolver`], serial or shared), and one
+//! rank's share of a partitioned sequence ([`crate::dist::DistSolver`]). Everything else — the γ recursion, the
 //! coarsest-visit rule, the forcing function `P = R′ − R(w′)`, the
 //! correction `w − w′` — exists here only.
 //!
@@ -170,10 +170,10 @@ impl<H: Hierarchy> Cycle<'_, H> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agglo::AggloMultigrid;
+    use crate::agglo::Agglomeration;
     use crate::config::SolverConfig;
     use crate::dist::{DistOptions, DistSetup, DistSolver};
-    use crate::multigrid::MultigridSolver;
+    use crate::multigrid::{Grids, MultigridSolver};
     use eul3d_mesh::gen::{bump_channel, BumpSpec};
     use eul3d_mesh::MeshSequence;
     use CycleEvent::*;
@@ -222,10 +222,11 @@ mod tests {
             ),
             (
                 "agglomerated",
-                schedule(
-                    &mut AggloMultigrid::new(bump_channel(&spec()), cfg, strategy, 3),
+                solver_schedule(MultigridSolver::new(
+                    Grids::Agglo(Agglomeration::new(bump_channel(&spec()), 3)),
+                    cfg,
                     strategy,
-                ),
+                )),
             ),
             ("distributed, 2 ranks", ranks.results[0].clone()),
         ]

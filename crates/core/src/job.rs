@@ -266,12 +266,11 @@ fn run_solve_job(
             "fault plans require mode = \"distributed\" (the solve driver has no recovery path)",
         ));
     }
-    let seq = MeshSequence::bump_sequence(&rc.mesh, rc.levels);
+    let mut mg = MultigridSolver::for_run(rc, 0)?;
     cancel.check();
     if rc.trace.enabled {
         obs::install(Box::new(obs::RingTracer::new(rc.trace.capacity)));
     }
-    let mut mg = MultigridSolver::new(seq, rc.solver, rc.strategy);
     let plan = RunPlan {
         cycles: rc.cycles,
         guard: rc.guard.as_ref(),
@@ -299,12 +298,7 @@ fn run_solve_job(
     let nverts = mg.levels[0].n;
     let w = &mg.levels[0].w;
     let aos = w.to_aos();
-    let mesh0 = mg
-        .seq
-        .meshes
-        .first()
-        .ok_or(Eul3dError::Solver(SolverError::EmptyMeshSequence))?;
-    let vtk = render_vtk(mesh0, rc.solver.gamma, w, nverts)?;
+    let vtk = render_vtk(mg.grids.fine(), rc.solver.gamma, w, nverts)?;
     let table = render_table(
         rc,
         JobMode::Solve,
@@ -323,7 +317,7 @@ fn run_dist_job(
 ) -> Result<JobArtifacts, Eul3dError> {
     let seq = MeshSequence::bump_sequence(&rc.mesh, rc.levels);
     cancel.check();
-    let setup = DistSetup::for_run(seq, rc, partition_seed);
+    let setup = DistSetup::for_run(seq, rc, partition_seed)?;
     cancel.check();
 
     let fopts = FaultOptions::for_run(rc)?;
@@ -388,6 +382,7 @@ fn finish(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Coarsening;
 
     fn small_rc(cycles: usize) -> RunConfig {
         RunConfig {
@@ -466,13 +461,25 @@ mod tests {
         // The checkpoint stores only the fine-grid state; this test is
         // the proof that restriction rebuilds every coarse level, so the
         // resumed multigrid run reproduces the uninterrupted one bit for
-        // bit.
-        let mut rc = small_rc(8);
-        rc.checkpoint_every = 2;
+        // bit, on either kind of coarse grid.
+        let tables = [Coarsening::Sequence, Coarsening::Agglo].map(|coarsening| {
+            let rc = RunConfig {
+                checkpoint_every: 2,
+                coarsening,
+                ..small_rc(8)
+            };
+            durable_resume_matches(&rc)
+        });
+        assert_ne!(tables[0], tables[1], "a job runs the hierarchy it asks for");
+    }
+
+    /// Resume `rc`'s job from each of its checkpoints; the uninterrupted
+    /// run's residual table.
+    fn durable_resume_matches(rc: &RunConfig) -> String {
         let token = CancelToken::new();
         let mut full_sink = MemSink::default();
         let base = run_job_durable(
-            &rc,
+            rc,
             JobMode::Solve,
             7,
             &token,
@@ -497,7 +504,7 @@ mod tests {
             };
             let mut seen = Vec::new();
             let resumed = run_job_durable(
-                &rc,
+                rc,
                 JobMode::Solve,
                 7,
                 &token,
@@ -521,6 +528,7 @@ mod tests {
                 .iter()
                 .all(|later| later.cycles_done > ck.cycles_done));
         }
+        base.table
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub use gas::{Freestream, NVAR};
 pub use health::{GuardConfig, GuardOutcome, HealthVerdict, RetryEvent};
 pub use history::ConvergenceHistory;
 pub use job::{run_job, run_job_durable, CancelToken, JobArtifacts, JobMode};
-pub use multigrid::{MultigridSolver, RunPlan, Strategy};
+pub use multigrid::{Coarsening, Grids, MultigridSolver, RunPlan, Strategy};
 pub use runconfig::{fnv1a_128, RunConfig, TraceConfig};
 pub use soa::SoaState;
 

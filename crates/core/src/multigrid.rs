@@ -1,23 +1,26 @@
-//! The FAS multigrid solver on *unrelated* meshes (§2.3): the mesh
-//! sequence as a [`Hierarchy`] for the one cycle in [`crate::fas`] —
-//! state down by direct interpolation, residuals down through the
-//! transpose of the prolongation operator, corrections up by
-//! interpolation — plus the one run loop ([`MultigridSolver::run`]: guard,
-//! resume, durability) and the full-multigrid start-up around it.
+//! The FAS multigrid solver (§2.3) on *unrelated* meshes or agglomerated
+//! cells ([`Grids`]): one [`Hierarchy`] for the cycle in [`crate::fas`]
+//! — on the mesh sequence, state down by direct interpolation, residuals
+//! down through the transpose of the prolongation operator, corrections
+//! up by interpolation — plus the one run loop ([`MultigridSolver::run`]:
+//! guard, resume, durability) and the full-multigrid start-up around it.
 
-use eul3d_mesh::MeshSequence;
+use eul3d_mesh::gen::bump_channel;
+use eul3d_mesh::{MeshSequence, TetMesh};
 use eul3d_obs as obs;
-use eul3d_partition::color_edges;
+use eul3d_partition::coloring::color_edge_list;
 
+use crate::agglo::Agglomeration;
 use crate::ckstore::{DurabilitySink, JobCheckpoint};
 use crate::config::SolverConfig;
 use crate::counters::{PhaseCounters, FLOPS_TRANSFER_VERT};
-use crate::error::SolverError;
+use crate::error::{Eul3dError, SolverError};
 use crate::executor::{count_vertex_loop, Executor, Phase, SerialExecutor};
 use crate::fas::{self, Hierarchy};
 use crate::gas::NVAR;
 use crate::health::{GuardConfig, GuardLoop, GuardOutcome};
-use crate::level::{eval_total_residual, time_step, LevelState};
+use crate::level::{eval_total_residual, time_step, LevelState, SolverGrid};
+use crate::runconfig::RunConfig;
 use crate::shared::{self, SharedExecutor};
 use crate::soa::SoaState;
 
@@ -46,6 +49,50 @@ impl Strategy {
             Strategy::SingleGrid => "single grid",
             Strategy::VCycle => "V-cycle",
             Strategy::WCycle => "W-cycle",
+        }
+    }
+}
+
+/// How a [`MultigridSolver`]'s coarse levels are made.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Coarsening {
+    /// Independent coarser meshes of the same domain (the paper's §2.3).
+    #[default]
+    Sequence,
+    /// Dual control volumes of the fine mesh fused into cells
+    /// ([`crate::agglo`]).
+    Agglo,
+}
+
+/// The grids a [`MultigridSolver`] cycles on, finest first.
+pub enum Grids {
+    /// The paper's sequence of unrelated meshes, with the §2.4
+    /// interpolation operators between them.
+    Sequence(MeshSequence),
+    /// The fine mesh and the levels agglomerated from it.
+    Agglo(Agglomeration),
+}
+
+impl From<MeshSequence> for Grids {
+    fn from(seq: MeshSequence) -> Grids {
+        Grids::Sequence(seq)
+    }
+}
+
+impl Grids {
+    /// The fine mesh, which every kind shares.
+    pub fn fine(&self) -> &TetMesh {
+        match self {
+            Grids::Sequence(seq) => &seq.meshes[0],
+            Grids::Agglo(agg) => &agg.mesh,
+        }
+    }
+
+    /// Every level as the time step sees it, finest first.
+    pub fn levels(&self) -> Vec<&dyn SolverGrid> {
+        match self {
+            Grids::Sequence(seq) => seq.meshes.iter().map(|m| m as &dyn SolverGrid).collect(),
+            Grids::Agglo(agg) => (0..=agg.coarse.len()).map(|l| agg.grid(l)).collect(),
         }
     }
 }
@@ -98,7 +145,7 @@ impl RunPlan<'_> {
 
 /// The multigrid EUL3D solver.
 pub struct MultigridSolver {
-    pub seq: MeshSequence,
+    pub grids: Grids,
     pub cfg: SolverConfig,
     pub strategy: Strategy,
     pub levels: Vec<LevelState>,
@@ -113,14 +160,15 @@ pub struct MultigridSolver {
 }
 
 impl MultigridSolver {
-    pub fn new(seq: MeshSequence, cfg: SolverConfig, strategy: Strategy) -> MultigridSolver {
-        let levels = seq
-            .meshes
-            .iter()
-            .map(|m| LevelState::new(m, &cfg))
+    pub fn new(grids: impl Into<Grids>, cfg: SolverConfig, strategy: Strategy) -> MultigridSolver {
+        let grids = grids.into();
+        let levels = grids
+            .levels()
+            .into_iter()
+            .map(|g| LevelState::new(g, &cfg))
             .collect();
         MultigridSolver {
-            seq,
+            grids,
             cfg,
             strategy,
             levels,
@@ -135,27 +183,43 @@ impl MultigridSolver {
     /// shared-memory path on a team of `ncpus` members. Fails if any
     /// level's edge colouring does not validate.
     pub fn new_shared(
-        seq: MeshSequence,
+        grids: impl Into<Grids>,
         cfg: SolverConfig,
         strategy: Strategy,
         ncpus: usize,
     ) -> Result<MultigridSolver, String> {
+        let grids = grids.into();
         // One resident team for the whole solver: the levels run one
         // after another, never at once.
         let team = shared::build_team(ncpus)?;
-        let execs = seq
-            .meshes
-            .iter()
-            .map(|m| SharedExecutor::with_team(m, color_edges(m), team.clone()))
+        let execs = grids
+            .levels()
+            .into_iter()
+            .map(|g| {
+                let coloring = color_edge_list(g.grid_nverts(), g.grid_edges());
+                SharedExecutor::with_team(g, coloring, team.clone())
+            })
             .collect::<Result<Vec<_>, String>>()?;
-        let mut mg = MultigridSolver::new(seq, cfg, strategy);
+        let mut mg = MultigridSolver::new(grids, cfg, strategy);
         mg.shared = Some(execs);
         Ok(mg)
     }
 
-    /// Number of mesh levels.
-    pub fn nlevels(&self) -> usize {
-        self.seq.levels()
+    /// The solver a configured run asks for: its mesh family under
+    /// `rc.coarsening`, its scheme and strategy — serial for `threads`
+    /// 0, else on a shared-memory team of `threads` members.
+    pub fn for_run(rc: &RunConfig, threads: usize) -> Result<MultigridSolver, Eul3dError> {
+        let grids: Grids = match rc.coarsening {
+            Coarsening::Sequence => MeshSequence::bump_sequence(&rc.mesh, rc.levels).into(),
+            Coarsening::Agglo => {
+                Grids::Agglo(Agglomeration::new(bump_channel(&rc.mesh), rc.levels))
+            }
+        };
+        match threads {
+            0 => Ok(MultigridSolver::new(grids, rc.solver, rc.strategy)),
+            n => MultigridSolver::new_shared(grids, rc.solver, rc.strategy, n)
+                .map_err(|e| SolverError::Coloring(e).into()),
+        }
     }
 
     /// One full cycle of the configured strategy; returns the fine-grid
@@ -163,7 +227,7 @@ impl MultigridSolver {
     pub fn cycle(&mut self) -> f64 {
         self.events.clear();
         self.drive(None);
-        self.levels[0].density_residual_norm(&self.seq.meshes[0].vol)
+        self.levels[0].density_residual_norm(&self.grids.fine().vol)
     }
 
     /// Run `n` cycles, returning the residual history.
@@ -299,41 +363,72 @@ impl MultigridSolver {
     }
 
     /// Run one cycle — or, given `fmg` cycles per level, the FMG start-up
-    /// — on this solver's hierarchy. The only place the executor family
-    /// is chosen; everything below is generic over it.
+    /// — on this solver's hierarchy. The only place the grid kind and the
+    /// executor family are chosen; everything below is generic over them.
     fn drive(&mut self, fmg: Option<usize>) {
         let strategy = self.strategy;
         let events = self.record_events.then_some(&mut self.events);
-        let (seq, cfg, counter) = (&self.seq, &self.cfg, &mut self.counter);
+        let (cfg, counter) = (&self.cfg, &mut self.counter);
         let levels = &mut self.levels[..];
-        match &mut self.shared {
-            Some(execs) => SeqHierarchy {
-                seq,
+        let serial = &mut vec![SerialExecutor; levels.len()];
+        match (&self.grids, &mut self.shared) {
+            (Grids::Sequence(grids), Some(execs)) => Levels {
+                grids,
                 cfg,
                 levels,
                 counter,
                 execs,
             }
-            .run(strategy, fmg, events),
-            None => SeqHierarchy {
-                seq,
+            .start(strategy, fmg, events),
+            (Grids::Sequence(grids), None) => Levels {
+                grids,
                 cfg,
                 levels,
                 counter,
-                execs: &mut vec![SerialExecutor; seq.levels()],
+                execs: serial,
             }
-            .run(strategy, fmg, events),
+            .start(strategy, fmg, events),
+            (Grids::Agglo(grids), Some(execs)) => Levels {
+                grids,
+                cfg,
+                levels,
+                counter,
+                execs,
+            }
+            .start(strategy, fmg, events),
+            (Grids::Agglo(grids), None) => Levels {
+                grids,
+                cfg,
+                levels,
+                counter,
+                execs: serial,
+            }
+            .start(strategy, fmg, events),
         }
     }
 }
 
-/// The mesh-sequence [`Hierarchy`]: a [`MultigridSolver`]'s levels, each
-/// driven through its own executor, with the 4-address/4-weight
-/// interpolation operators of §2.4 between them. Inter-grid transfers
-/// run serially on every backend (they are a small fraction of the work,
-/// and the paper's tables fold them into the cycle).
-struct SeqHierarchy<'a, E> {
-    seq: &'a MeshSequence,
+/// What one kind of coarse grid decides in the cycle: the grid each
+/// level time-steps on, and the transfers between levels `l` and `l + 1`
+/// of `levels` (as [`Hierarchy`] states them). Each transfer charges its
+/// own work; all run serially on every backend (they are a small
+/// fraction of the work, and the paper's tables fold them into the
+/// cycle).
+pub(crate) trait LevelGrids {
+    type Grid: SolverGrid + ?Sized;
+    fn grid(&self, l: usize) -> &Self::Grid;
+    fn restrict_state(&self, l: usize, levels: &mut [LevelState], counter: &mut PhaseCounters);
+    fn restrict_residual(&self, l: usize, levels: &mut [LevelState], counter: &mut PhaseCounters);
+    fn prolong_correction(&self, l: usize, levels: &mut [LevelState], counter: &mut PhaseCounters);
+    /// State up, for full multigrid: set level `l`'s `w` from level
+    /// `l + 1`'s.
+    fn prolong_state(&self, l: usize, levels: &mut [LevelState], counter: &mut PhaseCounters);
+}
+
+/// A [`MultigridSolver`]'s levels on grids `G`, each driven through its
+/// own executor: the [`Hierarchy`] of either kind of coarse grid.
+struct Levels<'a, G, E> {
+    grids: &'a G,
     cfg: &'a SolverConfig,
     levels: &'a mut [LevelState],
     counter: &'a mut PhaseCounters,
@@ -341,62 +436,35 @@ struct SeqHierarchy<'a, E> {
     execs: &'a mut [E],
 }
 
-impl<E: Executor> SeqHierarchy<'_, E> {
-    fn run(
+impl<G: LevelGrids, E: Executor> Levels<'_, G, E> {
+    /// One cycle of `strategy` — or, given `fmg` cycles per level, the
+    /// full-multigrid start-up: the coarsest level relaxes alone (its
+    /// forcing is zero), and every finer one starts from the full state
+    /// (not a correction) of the level below and drives its own
+    /// sub-hierarchy.
+    fn start(
         &mut self,
         strategy: Strategy,
         fmg: Option<usize>,
-        events: Option<&mut Vec<CycleEvent>>,
-    ) {
-        match fmg {
-            Some(cycles_per_level) => self.fmg(strategy, cycles_per_level, events),
-            None => fas::cycle(self, strategy, 0, events),
-        }
-    }
-
-    fn fmg(
-        &mut self,
-        strategy: Strategy,
-        cycles_per_level: usize,
         mut events: Option<&mut Vec<CycleEvent>>,
     ) {
-        let last = self.nlevels() - 1;
-        for l in (0..=last).rev() {
-            // The coarsest level relaxes alone (its forcing is zero);
-            // every finer one starts from the full state (not a
-            // correction) of the level below and drives its own
-            // sub-hierarchy.
-            if l < last {
-                self.transfer(l, l, |seq, fine, coarse, c| {
-                    seq.to_fine[l].interpolate(coarse.w.plane(c), fine.w.plane_mut(c))
-                });
+        let (top, cycles) = match fmg {
+            Some(cycles_per_level) => (self.nlevels() - 1, cycles_per_level),
+            None => (0, 1),
+        };
+        for l in (0..=top).rev() {
+            if l < top {
+                self.grids.prolong_state(l, self.levels, self.counter);
                 self.levels[l].forcing.fill(0.0);
             }
-            for _ in 0..cycles_per_level {
+            for _ in 0..cycles {
                 fas::cycle(self, strategy, l, events.as_deref_mut());
             }
         }
     }
-
-    /// Apply `op(seq, fine, coarse, plane)` to every component plane of
-    /// levels `l` and `l + 1`, charged as one transfer loop over level
-    /// `counted`'s vertices.
-    fn transfer(
-        &mut self,
-        l: usize,
-        counted: usize,
-        op: impl Fn(&MeshSequence, &mut LevelState, &mut LevelState, usize),
-    ) {
-        let (fine, coarse) = self.levels.split_at_mut(l + 1);
-        for c in 0..NVAR {
-            op(self.seq, &mut fine[l], &mut coarse[0], c);
-        }
-        let n = self.levels[counted].n;
-        count_vertex_loop(self.counter, Phase::Transfer, n, FLOPS_TRANSFER_VERT);
-    }
 }
 
-impl<E: Executor> Hierarchy for SeqHierarchy<'_, E> {
+impl<G: LevelGrids, E: Executor> Hierarchy for Levels<'_, G, E> {
     fn nlevels(&self) -> usize {
         self.levels.len()
     }
@@ -411,7 +479,7 @@ impl<E: Executor> Hierarchy for SeqHierarchy<'_, E> {
 
     fn time_step(&mut self, l: usize) {
         time_step(
-            &self.seq.meshes[l],
+            self.grids.grid(l),
             &mut self.levels[l],
             self.cfg,
             l > 0,
@@ -422,7 +490,7 @@ impl<E: Executor> Hierarchy for SeqHierarchy<'_, E> {
 
     fn eval_total_residual(&mut self, l: usize) {
         eval_total_residual(
-            &self.seq.meshes[l],
+            self.grids.grid(l),
             &mut self.levels[l],
             self.cfg,
             l > 0,
@@ -431,23 +499,73 @@ impl<E: Executor> Hierarchy for SeqHierarchy<'_, E> {
         );
     }
 
-    /// Direct interpolation onto coarse vertices.
     fn restrict_state(&mut self, l: usize) {
-        self.transfer(l, l + 1, |seq, fine, coarse, c| {
-            seq.to_coarse[l].interpolate(fine.w.plane(c), coarse.w.plane_mut(c))
+        self.grids.restrict_state(l, self.levels, self.counter);
+    }
+
+    fn restrict_residual(&mut self, l: usize) {
+        self.grids.restrict_residual(l, self.levels, self.counter);
+    }
+
+    fn prolong_correction(&mut self, l: usize) {
+        self.grids.prolong_correction(l, self.levels, self.counter);
+    }
+}
+
+/// Apply `op(fine, coarse, plane)` to every component plane of levels
+/// `l` and `l + 1`, charged as one transfer loop over level `counted`'s
+/// vertices.
+fn transfer(
+    levels: &mut [LevelState],
+    l: usize,
+    counted: usize,
+    counter: &mut PhaseCounters,
+    op: impl Fn(&mut LevelState, &mut LevelState, usize),
+) {
+    let (fine, coarse) = levels.split_at_mut(l + 1);
+    for c in 0..NVAR {
+        op(&mut fine[l], &mut coarse[0], c);
+    }
+    count_vertex_loop(
+        counter,
+        Phase::Transfer,
+        levels[counted].n,
+        FLOPS_TRANSFER_VERT,
+    );
+}
+
+/// The mesh sequence: the 4-address/4-weight interpolation operators of
+/// §2.4 between unrelated meshes.
+impl LevelGrids for MeshSequence {
+    type Grid = TetMesh;
+
+    fn grid(&self, l: usize) -> &TetMesh {
+        &self.meshes[l]
+    }
+
+    /// Direct interpolation onto coarse vertices.
+    fn restrict_state(&self, l: usize, levels: &mut [LevelState], counter: &mut PhaseCounters) {
+        transfer(levels, l, l + 1, counter, |fine, coarse, c| {
+            self.to_coarse[l].interpolate(fine.w.plane(c), coarse.w.plane_mut(c))
         });
     }
 
     /// Transpose of prolongation.
-    fn restrict_residual(&mut self, l: usize) {
-        self.transfer(l, l, |seq, fine, coarse, c| {
-            seq.to_fine[l].restrict_transpose(fine.res.plane(c), coarse.corr.plane_mut(c))
+    fn restrict_residual(&self, l: usize, levels: &mut [LevelState], counter: &mut PhaseCounters) {
+        transfer(levels, l, l, counter, |fine, coarse, c| {
+            self.to_fine[l].restrict_transpose(fine.res.plane(c), coarse.corr.plane_mut(c))
         });
     }
 
-    fn prolong_correction(&mut self, l: usize) {
-        self.transfer(l, l, |seq, fine, coarse, c| {
-            seq.to_fine[l].interpolate(coarse.corr.plane(c), fine.corr.plane_mut(c))
+    fn prolong_correction(&self, l: usize, levels: &mut [LevelState], counter: &mut PhaseCounters) {
+        transfer(levels, l, l, counter, |fine, coarse, c| {
+            self.to_fine[l].interpolate(coarse.corr.plane(c), fine.corr.plane_mut(c))
+        });
+    }
+
+    fn prolong_state(&self, l: usize, levels: &mut [LevelState], counter: &mut PhaseCounters) {
+        transfer(levels, l, l, counter, |fine, coarse, c| {
+            self.to_fine[l].interpolate(coarse.w.plane(c), fine.w.plane_mut(c))
         });
     }
 }
@@ -528,28 +646,47 @@ mod tests {
         );
     }
 
+    /// A 3-level hierarchy of either kind over the same bump channel.
+    fn bump_grids(kind: Coarsening) -> Grids {
+        let spec = BumpSpec {
+            nx: 16,
+            ny: 6,
+            nz: 4,
+            jitter: 0.12,
+            ..BumpSpec::default()
+        };
+        match kind {
+            Coarsening::Sequence => MeshSequence::bump_sequence(&spec, 3).into(),
+            Coarsening::Agglo => Grids::Agglo(Agglomeration::new(bump_channel(&spec), 3)),
+        }
+    }
+
     #[test]
     fn shared_multigrid_matches_serial_multigrid() {
         // The paper's C90 configuration: the whole W-cycle under the
-        // team. Block ownership keeps every accumulation order, so it
-        // is the serial recursion bit for bit.
+        // team, on either kind of coarse grid. Block ownership keeps
+        // every accumulation order, so it is the serial recursion bit
+        // for bit.
         let cfg = SolverConfig {
             mach: 0.5,
             ..SolverConfig::default()
         };
-        let mut serial = MultigridSolver::new(bump_seq(3), cfg, Strategy::WCycle);
-        let hs = serial.solve(4);
-        let mut shared =
-            MultigridSolver::new_shared(bump_seq(3), cfg, Strategy::WCycle, 3).unwrap();
-        let hp = shared.solve(4);
-        for (a, b) in hs.iter().zip(&hp) {
-            assert_eq!(a.to_bits(), b.to_bits(), "residual histories: {a} vs {b}");
+        for (kind, ncpus) in [(Coarsening::Sequence, 3), (Coarsening::Agglo, 2)] {
+            let mut serial = MultigridSolver::new(bump_grids(kind), cfg, Strategy::WCycle);
+            let hs = serial.solve(4);
+            let mut shared =
+                MultigridSolver::new_shared(bump_grids(kind), cfg, Strategy::WCycle, ncpus)
+                    .unwrap();
+            let hp = shared.solve(4);
+            for (a, b) in hs.iter().zip(&hp) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{kind:?} histories: {a} vs {b}");
+            }
+            for (x, y) in serial.state().flat().iter().zip(shared.state().flat()) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{kind:?} states diverge");
+            }
+            // Flop accounting is backend-independent: identical, not close.
+            assert_eq!(serial.counter.flops(), shared.counter.flops(), "{kind:?}");
         }
-        for (x, y) in serial.state().flat().iter().zip(shared.state().flat()) {
-            assert_eq!(x.to_bits(), y.to_bits(), "states diverge");
-        }
-        // Flop accounting is backend-independent: identical, not close.
-        assert_eq!(serial.counter.flops(), shared.counter.flops());
     }
 
     #[test]
@@ -558,19 +695,21 @@ mod tests {
             mach: 0.5,
             ..SolverConfig::default()
         };
-        let cold_start = {
-            let mut mg = MultigridSolver::new(bump_seq(3), cfg, Strategy::WCycle);
-            mg.cycle()
-        };
-        let fmg_start = {
-            let mut mg = MultigridSolver::new(bump_seq(3), cfg, Strategy::WCycle);
-            mg.fmg_init(15);
-            mg.cycle()
-        };
-        assert!(
-            fmg_start < 0.4 * cold_start,
-            "FMG first-cycle residual {fmg_start:.3e} should be far below cold start {cold_start:.3e}"
-        );
+        for kind in [Coarsening::Sequence, Coarsening::Agglo] {
+            let cold_start = {
+                let mut mg = MultigridSolver::new(bump_grids(kind), cfg, Strategy::WCycle);
+                mg.cycle()
+            };
+            let fmg_start = {
+                let mut mg = MultigridSolver::new(bump_grids(kind), cfg, Strategy::WCycle);
+                mg.fmg_init(15);
+                mg.cycle()
+            };
+            assert!(
+                fmg_start < 0.4 * cold_start,
+                "{kind:?}: FMG first-cycle residual {fmg_start:.3e} should be far below cold start {cold_start:.3e}"
+            );
+        }
     }
 
     #[test]

@@ -46,7 +46,7 @@ use crate::config::{Scheme, SolverConfig};
 use crate::dist::DistBackend;
 use crate::error::{Eul3dError, SolverError};
 use crate::health::GuardConfig;
-use crate::multigrid::Strategy;
+use crate::multigrid::{Coarsening, Strategy};
 
 /// Observability configuration of a run.
 #[derive(Debug, Clone, PartialEq)]
@@ -128,8 +128,11 @@ pub struct RunConfig {
     pub solver: SolverConfig,
     /// Multigrid cycling strategy.
     pub strategy: Strategy,
-    /// Mesh levels in the multigrid hierarchy.
+    /// Levels in the multigrid hierarchy.
     pub levels: usize,
+    /// How the coarse levels are made. The distributed path partitions
+    /// a mesh sequence and refuses [`Coarsening::Agglo`].
+    pub coarsening: Coarsening,
     /// Solver cycles to run.
     pub cycles: usize,
     /// The bump-channel mesh family.
@@ -163,6 +166,7 @@ impl Default for RunConfig {
             solver: SolverConfig::default(),
             strategy: Strategy::WCycle,
             levels: 4,
+            coarsening: Coarsening::Sequence,
             cycles: 100,
             mesh: BumpSpec::default(),
             nranks: 32,
@@ -391,6 +395,7 @@ named! {
     DistBackend, "delta|hybrid": Delta = "delta" | "sim", Hybrid = "hybrid";
     PartitionMethod, "flat-rsb|multilevel":
         FlatRsb = "flat-rsb" | "flat", Multilevel = "multilevel" | "ml";
+    Coarsening, "sequence|agglo": Sequence = "sequence", Agglo = "agglo";
 }
 
 impl TomlValue for RankMapping {
@@ -457,6 +462,13 @@ const KEYS: &[Key] = &[
     key!("solver.lanes", solver.lanes),
     key!("run.strategy", strategy),
     key!("run.levels", levels),
+    Key {
+        name: "run.coarsening",
+        // Left out at its default, so every file and cache key written
+        // before the key existed keeps its bytes.
+        get: |rc| (rc.coarsening != Coarsening::Sequence).then(|| rc.coarsening.show())?,
+        set: |rc, v| TomlValue::read(v).map(|c| rc.coarsening = c),
+    },
     key!("run.cycles", cycles),
     key!("run.nranks", nranks),
     key!("run.backend", backend),

@@ -34,6 +34,7 @@ use eul3d_partition::{color_edges, validate_coloring, EdgeColoring};
 
 use crate::counters::PhaseCounters;
 use crate::executor::{EdgeSpan, Executor, HaloOp, Phase, ScatterAccess};
+use crate::level::SolverGrid;
 
 /// The shared-memory execution context: a resident team of `ncpus`
 /// members (the calling thread is one), each member's edge list, and
@@ -108,37 +109,30 @@ impl SharedExecutor {
     /// validated unconditionally: the launch counts of every table come
     /// from it.
     pub fn new(mesh: &TetMesh, ncpus: usize) -> Result<SharedExecutor, String> {
-        Self::with_coloring(mesh, color_edges(mesh), ncpus)
+        Self::with_team(mesh, color_edges(mesh), build_team(ncpus)?)
     }
 
-    /// Build from a caller-supplied colouring (validated against `mesh`).
-    pub fn with_coloring(
-        mesh: &TetMesh,
-        coloring: EdgeColoring,
-        ncpus: usize,
-    ) -> Result<SharedExecutor, String> {
-        Self::with_team(mesh, coloring, build_team(ncpus)?)
-    }
-
-    /// Build on an existing team (one per solver, shared by its levels).
-    /// Only the colour count outlives the validation; the id lists kept
-    /// are the members'.
-    pub(crate) fn with_team(
-        mesh: &TetMesh,
+    /// Build for any grid's edge list (a mesh, or agglomerated cells) on
+    /// an existing team (one per solver, shared by its levels). Only the
+    /// colour count outlives the validation; the id lists kept are the
+    /// members'.
+    pub(crate) fn with_team<G: SolverGrid + ?Sized>(
+        grid: &G,
         coloring: EdgeColoring,
         team: Arc<rayon::ThreadPool>,
     ) -> Result<SharedExecutor, String> {
-        validate_coloring(mesh, &coloring).map_err(|e| format!("invalid edge colouring: {e}"))?;
+        let (edges, faces) = (grid.grid_edges(), grid.grid_bfaces());
+        validate_coloring(edges, &coloring).map_err(|e| format!("invalid edge colouring: {e}"))?;
         let ncpus = team.current_num_threads();
-        let nverts = mesh.nverts();
+        let nverts = grid.grid_nverts();
         Ok(SharedExecutor {
             ncolors: coloring.ncolors(),
             ncpus,
             nverts,
-            nedges: mesh.nedges(),
-            touching: touching_lists(mesh.edges.iter().copied(), nverts, ncpus),
-            touching_faces: touching_lists(mesh.bfaces.iter().map(|f| f.v), nverts, ncpus),
-            nfaces: mesh.bfaces.len(),
+            nedges: edges.len(),
+            touching: touching_lists(edges.iter().copied(), nverts, ncpus),
+            touching_faces: touching_lists(faces.iter().map(|f| f.v), nverts, ncpus),
+            nfaces: faces.len(),
             team,
         })
     }
@@ -558,7 +552,7 @@ mod tests {
         // Merge every edge into one group: guaranteed endpoint conflicts.
         let all: Vec<u32> = (0..mesh.nedges() as u32).collect();
         let bad = EdgeColoring { groups: vec![all] };
-        let err = SharedExecutor::with_coloring(&mesh, bad, 2).err();
+        let err = SharedExecutor::with_team(&mesh, bad, build_team(2).unwrap()).err();
         assert!(
             err.as_deref()
                 .is_some_and(|e| e.contains("invalid edge colouring")),

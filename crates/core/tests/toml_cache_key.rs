@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 
-use eul3d_core::{GuardConfig, RunConfig};
+use eul3d_core::{Coarsening, GuardConfig, RunConfig};
 
 /// Deterministic xorshift for spelling permutations (proptest feeds the
 /// seed, so every case is reproducible from the failure report).
@@ -64,6 +64,9 @@ fn sample_config(
     }
     rc.trace.enabled = flags & 4 != 0;
     rc.trace.capacity = 256 + (flags % 1024) as usize;
+    if flags & 32 != 0 {
+        rc.coarsening = Coarsening::Agglo;
+    }
     rc.validate().expect("sampled config is valid");
     rc
 }
@@ -176,7 +179,7 @@ proptest! {
         mach in 0.1f64..0.9,
         nx in 4usize..16,
         flags in 0u64..u64::MAX,
-        selector in 0u8..9,
+        selector in 0u8..10,
     ) {
         let rc = sample_config(cycles, levels, nranks_pow, cfl, mach, nx, flags, flags);
         let mut m = rc.clone();
@@ -192,6 +195,10 @@ proptest! {
             8 => m.guard = match m.guard {
                 Some(_) => None,
                 None => Some(GuardConfig::default()),
+            },
+            9 => m.coarsening = match m.coarsening {
+                Coarsening::Sequence => Coarsening::Agglo,
+                Coarsening::Agglo => Coarsening::Sequence,
             },
             _ => unreachable!(),
         }
@@ -270,4 +277,24 @@ fn presentation_fields_are_outside_the_identity() {
     let mut deeper = rc.clone();
     deeper.trace.capacity += 1;
     assert_ne!(deeper.canonical_hash(), rc.canonical_hash());
+}
+
+#[test]
+fn coarsening_is_written_only_off_its_default() {
+    // Every file and cache key from before the key existed keeps its
+    // bytes; the agglomerated hierarchy round-trips under `[run]`.
+    let rc = RunConfig::default();
+    assert!(!rc.to_toml().contains("coarsening"), "{}", rc.to_toml());
+    let agglo = RunConfig {
+        coarsening: Coarsening::Agglo,
+        ..RunConfig::default()
+    };
+    assert!(agglo
+        .to_toml()
+        .contains("\n[run]\nstrategy = \"w\"\nlevels = 4\ncoarsening = \"agglo\"\n"));
+    assert_eq!(RunConfig::from_toml(&agglo.to_toml()).unwrap(), agglo);
+    let parsed = RunConfig::from_toml("[run]\ncoarsening = \"sequence\"\n").unwrap();
+    assert_eq!(parsed.canonical_toml(), rc.canonical_toml());
+    let err = RunConfig::from_toml("[run]\ncoarsening = \"agglomerated\"\n").unwrap_err();
+    assert!(err.to_string().contains("must be sequence|agglo"), "{err}");
 }

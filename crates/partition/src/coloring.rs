@@ -74,21 +74,22 @@ pub fn color_edge_list(nverts: usize, edges: &[[u32; 2]]) -> EdgeColoring {
 }
 
 /// Check that a colouring is a valid recurrence-free grouping of exactly
-/// the mesh's edges. Returns `Err` describing the first violation.
-pub fn validate_coloring(mesh: &TetMesh, coloring: &EdgeColoring) -> Result<(), String> {
-    let mut seen = vec![false; mesh.nedges()];
+/// the edges of `edges` (a mesh's, or any grid's). Returns `Err`
+/// describing the first violation.
+pub fn validate_coloring(edges: &[[u32; 2]], coloring: &EdgeColoring) -> Result<(), String> {
+    let mut seen = vec![false; edges.len()];
     for (c, group) in coloring.groups.iter().enumerate() {
         let mut touched: std::collections::HashSet<u32> = std::collections::HashSet::new();
         for &e in group {
             let e = e as usize;
-            if e >= mesh.nedges() {
+            if e >= edges.len() {
                 return Err(format!("group {c} references edge {e} out of range"));
             }
             if seen[e] {
                 return Err(format!("edge {e} appears twice"));
             }
             seen[e] = true;
-            let [a, b] = mesh.edges[e];
+            let [a, b] = edges[e];
             if !touched.insert(a) {
                 return Err(format!("group {c}: vertex {a} touched twice"));
             }
@@ -112,7 +113,7 @@ mod tests {
     fn coloring_is_valid_on_jittered_box() {
         let m = unit_box(6, 0.2, 3);
         let c = color_edges(&m);
-        validate_coloring(&m, &c).unwrap();
+        validate_coloring(&m.edges, &c).unwrap();
         assert_eq!(c.nedges(), m.nedges());
     }
 
@@ -137,7 +138,7 @@ mod tests {
     fn coloring_bump_channel() {
         let m = bump_channel(&BumpSpec::default());
         let c = color_edges(&m);
-        validate_coloring(&m, &c).unwrap();
+        validate_coloring(&m.edges, &c).unwrap();
     }
 
     #[test]
@@ -159,7 +160,7 @@ mod tests {
         let c = color_edges(&m);
         // K4 edge-chromatic number is 3.
         assert_eq!(c.ncolors(), 3);
-        validate_coloring(&m, &c).unwrap();
+        validate_coloring(&m.edges, &c).unwrap();
     }
 
     #[test]
@@ -169,7 +170,7 @@ mod tests {
         // Merge all groups into one: must conflict.
         let all: Vec<u32> = (0..m.nedges() as u32).collect();
         c.groups = vec![all];
-        assert!(validate_coloring(&m, &c).is_err());
+        assert!(validate_coloring(&m.edges, &c).is_err());
     }
 
     #[test]
@@ -177,6 +178,6 @@ mod tests {
         let m = unit_box(2, 0.0, 0);
         let mut c = color_edges(&m);
         c.groups.last_mut().unwrap().pop();
-        assert!(validate_coloring(&m, &c).is_err());
+        assert!(validate_coloring(&m.edges, &c).is_err());
     }
 }

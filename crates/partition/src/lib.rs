@@ -21,7 +21,7 @@
 //! let mesh = unit_box(4, 0.15, 7);
 //! // §3.1: recurrence-free edge groups for the vector/parallel path.
 //! let coloring = color_edges(&mesh);
-//! assert!(validate_coloring(&mesh, &coloring).is_ok());
+//! assert!(validate_coloring(&mesh.edges, &coloring).is_ok());
 //! // §4.1 modernized: multilevel spectral bisection for the
 //! // distributed path, via the Partitioner trait.
 //! let opts = PartitionOptions::new(4).seed(1);

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use eul3d_partition::coloring::color_edge_list;
+use eul3d_partition::coloring::{color_edge_list, validate_coloring};
 use eul3d_partition::reorder::{random_order, rcm_order};
 use eul3d_partition::{
     coarsen, heavy_edge_matching, kl_refine, multilevel_bisect, FlatRsb, MultilevelParams,
@@ -44,19 +44,7 @@ proptest! {
     fn coloring_valid_on_random_graphs(edges in arb_graph(30)) {
         let n = 30;
         let coloring = color_edge_list(n, &edges);
-        // Validate by hand (validate_coloring requires a TetMesh).
-        let mut seen = vec![false; edges.len()];
-        for group in &coloring.groups {
-            let mut touched = std::collections::HashSet::new();
-            for &e in group {
-                prop_assert!(!seen[e as usize]);
-                seen[e as usize] = true;
-                let [a, b] = edges[e as usize];
-                prop_assert!(touched.insert(a), "vertex {a} reused in a group");
-                prop_assert!(touched.insert(b), "vertex {b} reused in a group");
-            }
-        }
-        prop_assert!(seen.iter().all(|&s| s));
+        prop_assert!(validate_coloring(&edges, &coloring).is_ok());
         let mut deg = vec![0usize; n];
         for &[a, b] in &edges {
             deg[a as usize] += 1;

@@ -39,7 +39,7 @@ fn main() {
 
     // 3. Colouring for the vector/shared-memory path.
     let coloring = color_edges(&mesh);
-    validate_coloring(&mesh, &coloring).unwrap();
+    validate_coloring(&mesh.edges, &coloring).unwrap();
     println!(
         "3. colouring: {} groups, sizes {}..{}",
         coloring.ncolors(),

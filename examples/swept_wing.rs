@@ -40,7 +40,7 @@ fn main() {
         (hist[0] / hist.last().unwrap()).log10()
     );
 
-    let mesh = &mg.seq.meshes[0];
+    let mesh = mg.grids.fine();
     let mach = mach_field(cfg.gamma, mg.state(), mesh.nverts());
 
     // Spanwise variation: peak Mach near the thick root vs the thin tip.

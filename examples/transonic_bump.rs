@@ -53,7 +53,7 @@ fn main() {
         (history[0] / history.last().unwrap()).log10()
     );
 
-    let mesh = &mg.seq.meshes[0];
+    let mesh = mg.grids.fine();
     let mach = mach_field(cfg.gamma, mg.state(), mesh.nverts());
     let peak = mach.iter().cloned().fold(0.0f64, f64::max);
     println!(

@@ -10,8 +10,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use eul3d::mesh::gen::{bump_channel, BumpSpec};
-use eul3d::solver::agglo::AggloMultigrid;
-use eul3d::solver::{SolverConfig, Strategy};
+use eul3d::solver::agglo::Agglomeration;
+use eul3d::solver::{Grids, MultigridSolver, SolverConfig, Strategy};
 
 thread_local! {
     /// Allocations (fresh or grown) made by this thread.
@@ -61,8 +61,9 @@ fn steady_state_agglomerated_cycles_are_allocation_free() {
         mach: 0.5,
         ..SolverConfig::default()
     };
-    let mut mg = AggloMultigrid::new(bump_channel(&spec), cfg, Strategy::WCycle, 3);
-    assert!(mg.nlevels() >= 2 && mg.correction_smoothing > 0);
+    let agg = Agglomeration::new(bump_channel(&spec), 3);
+    let mut mg = MultigridSolver::new(Grids::Agglo(agg), cfg, Strategy::WCycle);
+    assert!(mg.levels.len() >= 2);
     let mut last = 0.0;
     for _ in 0..2 {
         last = mg.cycle();

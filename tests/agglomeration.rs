@@ -3,9 +3,9 @@
 
 use eul3d::mesh::gen::{bump_channel, BumpSpec};
 use eul3d::mesh::MeshSequence;
-use eul3d::solver::agglo::AggloMultigrid;
+use eul3d::solver::agglo::Agglomeration;
 use eul3d::solver::postproc::wall_pressure_force;
-use eul3d::solver::{MultigridSolver, SolverConfig, Strategy};
+use eul3d::solver::{Grids, MultigridSolver, SolverConfig, Strategy};
 
 fn spec() -> BumpSpec {
     BumpSpec {
@@ -15,6 +15,15 @@ fn spec() -> BumpSpec {
         jitter: 0.1,
         ..BumpSpec::default()
     }
+}
+
+/// `levels` levels agglomerated from the bump channel of [`spec`].
+fn agglomerated(cfg: SolverConfig, strategy: Strategy, levels: usize) -> MultigridSolver {
+    MultigridSolver::new(
+        Grids::Agglo(Agglomeration::new(bump_channel(&spec()), levels)),
+        cfg,
+        strategy,
+    )
 }
 
 #[test]
@@ -31,7 +40,7 @@ fn agglomeration_mg_reaches_the_same_steady_state() {
     );
     mesh_mg.solve(150);
 
-    let mut agglo_mg = AggloMultigrid::new(bump_channel(&spec()), cfg, Strategy::WCycle, 3);
+    let mut agglo_mg = agglomerated(cfg, Strategy::WCycle, 3);
     agglo_mg.solve(200);
 
     // Same fine mesh (same spec/seed): states directly comparable.
@@ -44,8 +53,8 @@ fn agglomeration_mg_reaches_the_same_steady_state() {
         "agglomeration and mesh-sequence multigrid disagree at convergence: {max:.3e}"
     );
 
-    let fa = wall_pressure_force(&mesh_mg.seq.meshes[0], cfg.gamma, mesh_mg.state());
-    let fb = wall_pressure_force(&agglo_mg.mesh, cfg.gamma, agglo_mg.state());
+    let fa = wall_pressure_force(mesh_mg.grids.fine(), cfg.gamma, mesh_mg.state());
+    let fb = wall_pressure_force(agglo_mg.grids.fine(), cfg.gamma, agglo_mg.state());
     assert!(
         (fa - fb).norm() < 5e-3,
         "wall forces disagree: {fa:?} vs {fb:?}"
@@ -58,11 +67,11 @@ fn agglomeration_mg_transient_stays_physical() {
         mach: 0.675,
         ..SolverConfig::default()
     };
-    let mut mg = AggloMultigrid::new(bump_channel(&spec()), cfg, Strategy::WCycle, 3);
+    let mut mg = agglomerated(cfg, Strategy::WCycle, 3);
     for _ in 0..30 {
         let r = mg.cycle();
         assert!(r.is_finite());
-        for i in 0..mg.mesh.nverts() {
+        for i in 0..mg.grids.fine().nverts() {
             assert!(mg.state().get(i, 0) > 0.05, "density positive");
         }
     }
@@ -80,7 +89,7 @@ fn single_grid_strategy_is_the_single_grid_solver_on_every_hierarchy() {
     };
     let one_level = MeshSequence::from_meshes(vec![bump_channel(&spec())]);
     let reference = MultigridSolver::new(one_level, cfg, Strategy::SingleGrid).solve(6);
-    let agglo = AggloMultigrid::new(bump_channel(&spec()), cfg, Strategy::SingleGrid, 3).solve(6);
+    let agglo = agglomerated(cfg, Strategy::SingleGrid, 3).solve(6);
     let seq = MeshSequence::bump_sequence(&spec(), 3);
     let mesh_seq = MultigridSolver::new(seq, cfg, Strategy::SingleGrid).solve(6);
     for (what, hist) in [("agglomerated", agglo), ("mesh sequence", mesh_seq)] {

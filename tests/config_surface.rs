@@ -7,7 +7,7 @@
 
 use eul3d_core::health::GuardConfig;
 use eul3d_core::runconfig::PartitionConfig;
-use eul3d_core::RunConfig;
+use eul3d_core::{Coarsening, RunConfig};
 use eul3d_mesh::gen::BumpSpec;
 
 #[test]
@@ -23,12 +23,14 @@ fn one_default_mesh_and_one_sizing_rule() {
 
 #[test]
 fn every_key_round_trips_through_the_setter() {
-    // A configuration with every section armed and every optional
-    // string present, so every key has an entry.
+    // A configuration with every section armed, every optional string
+    // present and the coarsening (left out at its default) off its
+    // default, so every key has an entry.
     let mut rich = RunConfig {
         guard: Some(GuardConfig::default()),
         partition: Some(PartitionConfig::default()),
         faults: Some("kill:1@2".into()),
+        coarsening: Coarsening::Agglo,
         ..RunConfig::default()
     };
     rich.trace.out = Some("t.json".into());

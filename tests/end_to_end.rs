@@ -46,8 +46,8 @@ fn multigrid_and_single_grid_agree_at_convergence() {
     );
 
     // Integrated wall force agrees even more tightly.
-    let fa = wall_pressure_force(&sg.seq.meshes[0], cfg.gamma, a);
-    let fb = wall_pressure_force(&mg.seq.meshes[0], cfg.gamma, b);
+    let fa = wall_pressure_force(sg.grids.fine(), cfg.gamma, a);
+    let fb = wall_pressure_force(mg.grids.fine(), cfg.gamma, b);
     assert!((fa - fb).norm() < 5e-3, "wall force {fa:?} vs {fb:?}");
 }
 
@@ -65,7 +65,7 @@ fn transonic_case_develops_and_keeps_a_shock() {
         "transonic W-cycle must converge ≥2 orders: {:?}",
         (hist[0], hist.last().unwrap())
     );
-    let mesh = &mg.seq.meshes[0];
+    let mesh = mg.grids.fine();
     let mach = mach_field(cfg.gamma, mg.state(), mesh.nverts());
     let peak = mach.iter().cloned().fold(0.0f64, f64::max);
     assert!(peak > 1.0, "supersonic pocket expected, peak Mach {peak}");
@@ -109,11 +109,7 @@ fn solution_is_independent_of_strategy_order_of_magnitude() {
         let seq = MeshSequence::bump_sequence(&spec(), 3);
         let mut mg = MultigridSolver::new(seq, cfg, strategy);
         mg.solve(cycles);
-        forces.push(wall_pressure_force(
-            &mg.seq.meshes[0],
-            cfg.gamma,
-            mg.state(),
-        ));
+        forces.push(wall_pressure_force(mg.grids.fine(), cfg.gamma, mg.state()));
     }
     for f in &forces[1..] {
         assert!(

@@ -35,7 +35,7 @@ proptest! {
     fn coloring_always_valid(n in 2usize..6, jitter in 0.0f64..0.25, seed in 0u64..1000) {
         let m = unit_box(n, jitter, seed);
         let c = color_edges(&m);
-        prop_assert!(validate_coloring(&m, &c).is_ok());
+        prop_assert!(validate_coloring(&m.edges, &c).is_ok());
         prop_assert!(c.ncolors() >= m.max_degree());
     }
 

@@ -56,7 +56,7 @@ fn oblique_shock_pressure_ratio_matches_theory() {
 
     // Behind the shock the pressure ratio must match theory within a few
     // percent even on this coarse mesh.
-    let behind = p[nearest(&s.seq.meshes[0], Vec3::new(0.9, 0.3, 0.2))] / p_inf;
+    let behind = p[nearest(s.grids.fine(), Vec3::new(0.9, 0.3, 0.2))] / p_inf;
     assert!(
         (behind / pr_exact - 1.0).abs() < 0.05,
         "post-shock p/p∞ {behind:.4} vs exact {pr_exact:.4}"
@@ -64,7 +64,7 @@ fn oblique_shock_pressure_ratio_matches_theory() {
 
     // Ahead of the shock the flow is undisturbed (supersonic upstream
     // influence is impossible).
-    let ahead = p[nearest(&s.seq.meshes[0], Vec3::new(-0.3, 0.5, 0.2))] / p_inf;
+    let ahead = p[nearest(s.grids.fine(), Vec3::new(-0.3, 0.5, 0.2))] / p_inf;
     assert!(
         (ahead - 1.0).abs() < 0.02,
         "pre-shock p/p∞ {ahead:.4} must stay freestream"
