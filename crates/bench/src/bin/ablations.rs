@@ -17,15 +17,20 @@
 //!    RCM, generator, random-node and random-edge orderings of one mesh
 //!    (the paper: reordering "improved the single node computational rate
 //!    by a factor of two" on the i860's small cache).
+//!
+//! The studies run at half the case's `mesh.nx` on `run.nranks` ranks
+//! and fix their own levels, cycles, strategy and coarse grids.
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use eul3d_bench::{finite_or_exit, CaseSpec};
+use eul3d_bench::{base, configure, exit_2, finite_or_exit};
 use eul3d_core::agglo::Agglomeration;
 use eul3d_core::dist::{run_distributed, DistOptions, DistSetup};
 use eul3d_core::gas::{GAMMA, NVAR};
-use eul3d_core::{ConvergenceHistory, Grids, MultigridSolver, SoaState, SolverConfig, Strategy};
+use eul3d_core::{
+    ConvergenceHistory, Grids, MultigridSolver, RunConfig, SoaState, SolverConfig, Strategy,
+};
 use eul3d_delta::{CommClass, CostModel};
 use eul3d_kernels::{EdgeSpan, ScatterAccess};
 use eul3d_mesh::gen::BumpSpec;
@@ -77,21 +82,25 @@ fn conv_flux_seconds(mesh: &TetMesh, cfg: &SolverConfig) -> f64 {
     best
 }
 
-fn spec(case: &CaseSpec) -> BumpSpec {
+/// The studies' mesh: half the case's resolution.
+fn spec(rc: &RunConfig) -> BumpSpec {
+    let nx = rc.mesh.nx;
     BumpSpec {
-        nx: case.nx / 2,
-        ny: case.nx / 5,
-        nz: case.nx / 6,
+        nx: nx / 2,
+        ny: nx / 5,
+        nz: nx / 6,
         jitter: 0.12,
         ..Default::default()
     }
 }
 
 fn main() {
-    let case = CaseSpec::from_env(40);
-    let cfg: SolverConfig = case.config();
+    let fixed = ["run.levels", "run.cycles", "run.strategy", "run.coarsening"]
+        .map(|key| (key, "fixed by each study"));
+    let (rc, ()) = configure(base(40, Strategy::WCycle), &fixed, |_| ());
+    let cfg = rc.solver;
     let model = CostModel::delta_i860();
-    let nranks = 32;
+    let nranks = rc.nranks;
     // Every solve below reports only a finite history.
     let checked = |history: Vec<f64>, what: &str| {
         finite_or_exit(&history, what);
@@ -99,9 +108,9 @@ fn main() {
     };
     println!(
         "ablations: bump nx={}, M={}, {} cycles where applicable\n",
-        case.nx / 2,
+        rc.mesh.nx / 2,
         cfg.mach,
-        case.cycles
+        rc.cycles
     );
 
     // ---- 1. incremental schedules -------------------------------------
@@ -111,10 +120,11 @@ fn main() {
     );
     let mut rows = TextTable::new(&["variant", "halo MB/cycle", "comm s/cycle", "total s/cycle"]);
     for (name, refetch) in [("fetch-once (paper)", false), ("re-fetch per loop", true)] {
-        let setup = DistSetup::new(MeshSequence::bump_sequence(&spec(&case), 1), nranks, 40, 7);
+        let seq = MeshSequence::bump_sequence(&spec(&rc), 1);
+        let setup = DistSetup::for_run(seq, &rc, 7).unwrap_or_else(|e| exit_2(e));
         let opts = DistOptions {
             refetch_per_loop: refetch,
-            ..DistOptions::default()
+            ..DistOptions::for_run(&rc, 7)
         };
         let r = run_distributed(&setup, cfg, Strategy::SingleGrid, 10, opts);
         finite_or_exit(r.history(), &format!("ablations 1 {name}"));
@@ -140,7 +150,7 @@ fn main() {
         "2) partitioner quality ({} parts) and its comm cost:",
         nranks
     );
-    let mesh = eul3d_mesh::gen::bump_channel(&spec(&case));
+    let mesh = eul3d_mesh::gen::bump_channel(&spec(&rc));
     let mut rows = TextTable::new(&["partitioner", "cut %", "imbalance", "comm s/cycle"]);
     let popts = PartitionOptions::new(nranks).lanczos_iters(40).seed(7);
     let rsb_parts = |p: &dyn Partitioner| {
@@ -162,7 +172,7 @@ fn main() {
     for (name, parts) in parts_of {
         let q = PartitionQuality::compute(&parts, nranks, &mesh.edges);
         let setup = DistSetup::with_partitioner(
-            MeshSequence::bump_sequence(&spec(&case), 1),
+            MeshSequence::bump_sequence(&spec(&rc), 1),
             nranks,
             |_m: &TetMesh| parts.clone(),
         );
@@ -182,7 +192,7 @@ fn main() {
     println!("3) unrelated coarse meshes (paper) vs refinement-nested:");
     let mut rows = TextTable::new(&["sequence", "levels (verts)", "orders/40 W-cycles"]);
     {
-        let seq = MeshSequence::bump_sequence(&spec(&case), 3);
+        let seq = MeshSequence::bump_sequence(&spec(&rc), 3);
         let sizes = format!(
             "{:?}",
             seq.meshes.iter().map(|m| m.nverts()).collect::<Vec<_>>()
@@ -197,9 +207,9 @@ fn main() {
     }
     {
         let base = BumpSpec {
-            nx: case.nx / 8,
-            ny: case.nx / 20 + 2,
-            nz: case.nx / 24 + 2,
+            nx: rc.mesh.nx / 8,
+            ny: rc.mesh.nx / 20 + 2,
+            nz: rc.mesh.nx / 24 + 2,
             jitter: 0.12,
             ..Default::default()
         };
@@ -219,7 +229,7 @@ fn main() {
     let mut rows = TextTable::new(&["start", "flops", "residual after 20 W-cycles"]);
     {
         let mut mg = MultigridSolver::new(
-            MeshSequence::bump_sequence(&spec(&case), 3),
+            MeshSequence::bump_sequence(&spec(&rc), 3),
             cfg,
             Strategy::WCycle,
         );
@@ -232,7 +242,7 @@ fn main() {
     }
     {
         let mut mg = MultigridSolver::new(
-            MeshSequence::bump_sequence(&spec(&case), 3),
+            MeshSequence::bump_sequence(&spec(&rc), 3),
             cfg,
             Strategy::WCycle,
         );
@@ -255,7 +265,7 @@ fn main() {
             ..cfg
         };
         let mut mg = MultigridSolver::new(
-            MeshSequence::bump_sequence(&spec(&case), 3),
+            MeshSequence::bump_sequence(&spec(&rc), 3),
             cfg2,
             Strategy::WCycle,
         );
@@ -276,7 +286,7 @@ fn main() {
     let mut rows = TextTable::new(&["strategy", "orders/40 cycles", "flops", "orders per Gflop"]);
     for strategy in [Strategy::SingleGrid, Strategy::VCycle, Strategy::WCycle] {
         let mut mg =
-            MultigridSolver::new(MeshSequence::bump_sequence(&spec(&case), 3), cfg, strategy);
+            MultigridSolver::new(MeshSequence::bump_sequence(&spec(&rc), 3), cfg, strategy);
         let h = ConvergenceHistory::from_residuals(checked(mg.solve(40), "ablations 6 strategies"));
         rows.row(&[
             strategy.label().into(),
@@ -291,7 +301,7 @@ fn main() {
     println!("7) multigrid depth (W-cycle, 30 cycles):");
     let mut rows = TextTable::new(&["levels", "coarsest verts", "orders", "flops"]);
     for levels in 1..=4usize {
-        let seq = MeshSequence::bump_sequence(&spec(&case), levels);
+        let seq = MeshSequence::bump_sequence(&spec(&rc), levels);
         let coarsest = seq.meshes.last().unwrap().nverts();
         let mut mg = MultigridSolver::new(seq, cfg, Strategy::WCycle);
         let h = ConvergenceHistory::from_residuals(checked(mg.solve(30), "ablations 7 depth"));
@@ -309,7 +319,7 @@ fn main() {
     println!("\n8) coarse-level construction (W-cycle, 40 cycles, ~3 levels):");
     let mut rows = TextTable::new(&["construction", "levels (cells)", "orders", "flops"]);
     {
-        let seq = MeshSequence::bump_sequence(&spec(&case), 3);
+        let seq = MeshSequence::bump_sequence(&spec(&rc), 3);
         let sizes = format!(
             "{:?}",
             seq.meshes.iter().map(|m| m.nverts()).collect::<Vec<_>>()
@@ -324,7 +334,7 @@ fn main() {
         ]);
     }
     {
-        let agg = Agglomeration::new(eul3d_mesh::gen::bump_channel(&spec(&case)), 3);
+        let agg = Agglomeration::new(eul3d_mesh::gen::bump_channel(&spec(&rc)), 3);
         let mut mg = MultigridSolver::new(Grids::Agglo(agg), cfg, Strategy::WCycle);
         let sizes = format!("{:?}", mg.levels.iter().map(|l| l.n).collect::<Vec<_>>());
         let h =

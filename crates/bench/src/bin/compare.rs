@@ -6,22 +6,31 @@
 //! and the Delta comm/comp ratio is ~50% while the C90 rates are
 //! insensitive to strategy. Also reports the §4.2 reordering ablation
 //! via the cost model's unordered node rate.
+//! `--ranks N` sizes the Delta (default 512).
 
-use eul3d_bench::{finite_or_exit, CaseSpec};
+use eul3d_bench::{
+    base, configure, exit_2, finite_or_exit, phase_table, ranks_flag, RANKS_SWEEP, STRATEGY_SWEEP,
+};
 use eul3d_core::dist::{run_distributed, DistOptions, DistSetup};
 use eul3d_core::{MultigridSolver, Strategy};
 use eul3d_delta::CostModel;
+use eul3d_mesh::MeshSequence;
 use eul3d_perf::{Comparison, CrayC90Model, TextTable};
 
 fn main() {
-    let case = CaseSpec::from_env(20);
-    let cfg = case.config();
+    let sweeps = [STRATEGY_SWEEP, RANKS_SWEEP];
+    let (mut rc, ranks) = configure(base(20, Strategy::WCycle), &sweeps, |a| {
+        ranks_flag(a, &[512])
+    });
+    let [nranks] = ranks[..] else {
+        exit_2("compare --ranks takes one rank count")
+    };
+    rc.nranks = nranks;
     let cray = CrayC90Model::default();
     let delta = CostModel::delta_i860();
-    let nranks = *case.ranks.last().unwrap_or(&512);
     println!(
         "compare: bump channel nx={}, {} levels, {} cycles, C90-16 vs Delta-{}\n",
-        case.nx, case.levels, case.cycles, nranks
+        rc.mesh.nx, rc.levels, rc.cycles, nranks
     );
 
     let mut table = TextTable::new(&[
@@ -38,15 +47,17 @@ fn main() {
     for strategy in [Strategy::SingleGrid, Strategy::VCycle, Strategy::WCycle] {
         // Shared-memory side: the real shared executor's work through
         // the C90 model (launches = colour-group loop starts).
-        let mut mg = MultigridSolver::new_shared(case.sequence(), cfg, strategy, 2)
-            .expect("edge colourings must validate");
-        let hist = mg.solve(case.cycles);
+        rc.strategy = strategy;
+        let mut mg = MultigridSolver::for_run(&rc, 2).unwrap_or_else(|e| exit_2(e));
+        let hist = mg.solve(rc.cycles);
         finite_or_exit(&hist, &format!("compare {} shared", strategy.label()));
         let c90 = cray.evaluate(mg.counter.flops(), mg.counter.launches(), 16);
 
         // Distributed side: simulated Delta.
-        let setup = DistSetup::new(case.sequence(), nranks, 40, 7);
-        let result = run_distributed(&setup, cfg, strategy, case.cycles, DistOptions::default());
+        let seq = MeshSequence::bump_sequence(&rc.mesh, rc.levels);
+        let setup = DistSetup::for_run(seq, &rc, 7).unwrap_or_else(|e| exit_2(e));
+        let opts = DistOptions::for_run(&rc, 7);
+        let result = run_distributed(&setup, rc.solver, strategy, rc.cycles, opts);
         finite_or_exit(
             result.history(),
             &format!("compare {} on {nranks} ranks", strategy.label()),
@@ -70,30 +81,13 @@ fn main() {
         ]);
         if strategy == Strategy::WCycle {
             w_comparison = Some((cmp, b));
-            // Sum the executor-layer phase counters over the ranks for
-            // the per-phase comp/comm breakdown below.
-            let mut total = eul3d_core::PhaseCounters::default();
-            for p in result.phase_counters() {
-                total.merge(&p);
-            }
-            w_phases = Some(total);
+            w_phases = Some(phase_table(&result.phase_counters()));
         }
     }
     println!("{}", table.render());
 
     println!("\nW-cycle per-phase breakdown (distributed, summed over ranks):");
-    let mut pt = TextTable::new(&["phase", "flops", "launches", "messages", "bytes", "allocs"]);
-    for r in w_phases.unwrap().rows() {
-        pt.row(&[
-            r.label.to_string(),
-            format!("{:.3e}", r.flops),
-            r.launches.to_string(),
-            r.msgs.to_string(),
-            r.bytes.to_string(),
-            r.allocs.to_string(),
-        ]);
-    }
-    println!("{}", pt.render());
+    println!("{}", w_phases.unwrap());
 
     let (cmp, b) = w_comparison.unwrap();
     println!(

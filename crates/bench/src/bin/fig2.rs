@@ -7,34 +7,35 @@
 //! and prints a summary of orders-of-magnitude reduction and the
 //! single-grid/multigrid speed ratio.
 
-use eul3d_bench::{cycles_to_orders, finite_or_exit, write_csv, CaseSpec};
-use eul3d_core::{MultigridSolver, SolverConfig, Strategy};
+use eul3d_bench::{
+    base, configure, cycles_to_orders, exit_2, finite_or_exit, out_dir, write_csv, STRATEGY_SWEEP,
+};
+use eul3d_core::{MultigridSolver, Strategy};
 
 fn main() {
-    let case = CaseSpec::from_env(100);
-    let cfg: SolverConfig = case.config();
+    let (mut rc, ()) = configure(base(100, Strategy::WCycle), &[STRATEGY_SWEEP], |_| ());
     println!(
         "fig2: bump channel, M={}, {} levels, nx={}, {} MG cycles",
-        cfg.mach, case.levels, case.nx, case.cycles
+        rc.solver.mach, rc.levels, rc.mesh.nx, rc.cycles
     );
 
     // The paper plots 500 cycles for the single grid vs 100 for MG.
-    let sg_cycles = case.cycles * 5;
+    let sg_cycles = rc.cycles * 5;
     let mut histories: Vec<(Strategy, Vec<f64>, f64)> = Vec::new();
     for strategy in [Strategy::SingleGrid, Strategy::VCycle, Strategy::WCycle] {
-        let seq = case.sequence();
+        rc.strategy = strategy;
+        let mut mg = MultigridSolver::for_run(&rc, 0).unwrap_or_else(|e| exit_2(e));
         if histories.is_empty() {
             println!(
                 "  levels: {:?} vertices",
-                seq.meshes.iter().map(|m| m.nverts()).collect::<Vec<_>>()
+                mg.levels.iter().map(|l| l.n).collect::<Vec<_>>()
             );
         }
         let cycles = if strategy == Strategy::SingleGrid {
             sg_cycles
         } else {
-            case.cycles
+            rc.cycles
         };
-        let mut mg = MultigridSolver::new(seq, cfg, strategy);
         let t0 = std::time::Instant::now();
         let hist = mg.solve(cycles);
         let dt = t0.elapsed().as_secs_f64();
@@ -63,7 +64,7 @@ fn main() {
             row
         })
         .collect();
-    let path = case.out_dir().join("fig2_convergence.csv");
+    let path = out_dir().join("fig2_convergence.csv");
     write_csv(
         &path,
         &["cycle", "single_grid", "v_cycle", "w_cycle"],

@@ -6,15 +6,21 @@
 //! Prints the per-level statistics table and exports the second-finest
 //! mesh (like the paper's figure) plus the finest as legacy VTK.
 
-use eul3d_bench::CaseSpec;
+use eul3d_bench::{base, configure, out_dir};
+use eul3d_core::Strategy;
 use eul3d_mesh::stats::MeshStats;
 use eul3d_mesh::vtk::write_vtk_file;
+use eul3d_mesh::MeshSequence;
 use eul3d_perf::TextTable;
 
 fn main() {
-    let case = CaseSpec::from_env(0);
-    let seq = case.sequence();
-    println!("fig3: bump-channel multigrid sequence, nx={} fine", case.nx);
+    let shows = ("run.coarsening", "the mesh sequence fig3 shows");
+    let (rc, ()) = configure(base(1, Strategy::WCycle), &[shows], |_| ());
+    let seq = MeshSequence::bump_sequence(&rc.mesh, rc.levels);
+    println!(
+        "fig3: bump-channel multigrid sequence, nx={} fine",
+        rc.mesh.nx
+    );
 
     let mut t = TextTable::new(&[
         "level", "nodes", "tets", "edges", "bfaces", "max deg", "closure", "valid",
@@ -51,7 +57,7 @@ fn main() {
         100.0 * seq.coarse_overhead_fraction()
     );
 
-    let out = case.out_dir();
+    let out = out_dir();
     let finest = out.join("fig3_finest.vtk");
     write_vtk_file(&finest, &seq.meshes[0], &[]).expect("vtk export");
     println!("wrote {}", finest.display());

@@ -7,23 +7,25 @@
 //! supersonic pocket, and the floor-line Mach distribution whose sharp
 //! drop is the captured shock.
 
-use eul3d_bench::{finite_or_exit, CaseSpec};
+use eul3d_bench::{base, configure, exit_2, finite_or_exit, out_dir};
 use eul3d_core::postproc::{band_histogram, crosses, mach_field, probe_line};
 use eul3d_core::{MultigridSolver, Strategy};
 use eul3d_mesh::vtk::write_vtk_file;
 use eul3d_mesh::Vec3;
 
 fn main() {
-    let case = CaseSpec::from_env(150);
-    let cfg = case.config();
+    let (rc, ()) = configure(base(150, Strategy::WCycle), &[], |_| ());
+    let cfg = rc.solver;
     println!(
-        "fig4: transonic bump, M∞={}, W-cycle, {} cycles, nx={}",
-        cfg.mach, case.cycles, case.nx
+        "fig4: transonic bump, M∞={}, {}, {} cycles, nx={}",
+        cfg.mach,
+        rc.strategy.label(),
+        rc.cycles,
+        rc.mesh.nx
     );
-    let seq = case.sequence();
-    let mut mg = MultigridSolver::new(seq, cfg, Strategy::WCycle);
-    let hist = mg.solve(case.cycles);
-    finite_or_exit(&hist, "fig4 W-cycle");
+    let mut mg = MultigridSolver::for_run(&rc, 0).unwrap_or_else(|e| exit_2(e));
+    let hist = mg.solve(rc.cycles);
+    finite_or_exit(&hist, &format!("fig4 {}", rc.strategy.label()));
     println!(
         "converged {:.2} orders (residual {:.3e} -> {:.3e})",
         (hist[0] / hist.last().unwrap()).log10(),
@@ -69,7 +71,7 @@ fn main() {
         println!("  x={x:6.2}  M={m:.3} {}", "*".repeat((m * 30.0) as usize));
     }
 
-    let out = case.out_dir().join("fig4_mach.vtk");
+    let out = out_dir().join("fig4_mach.vtk");
     let pressure = eul3d_core::postproc::pressure_field(cfg.gamma, mg.state(), mesh.nverts());
     let cp = eul3d_core::postproc::cp_field(cfg.gamma, cfg.mach, mg.state(), mesh.nverts());
     write_vtk_file(

@@ -14,16 +14,14 @@
 //!    simulated-Delta driver: recovery epochs, modeled cost, and the
 //!    pool-allocation tail that must stay flat after a numeric rollback.
 //!
-//! | Variable | Meaning | Default |
-//! |---|---|---|
-//! | `EUL3D_NX` / `EUL3D_LEVELS` / `EUL3D_CYCLES` | healthy-case size | 40 / 4 / 20 |
-//! | `EUL3D_BENCH_OUT` | output path | `BENCH_guard.json` |
-//!
-//! `--smoke` shrinks the healthy case for CI.
+//! The healthy case is `eul3d solve`'s flags and `--config` over the
+//! harness base (20 V-cycles); `--smoke` shrinks it for CI (NX ≤ 16,
+//! ≤ 3 levels, ≤ 10 cycles). `EUL3D_BENCH_OUT` is the output path
+//! (default `BENCH_guard.json`).
 
 use std::time::Instant;
 
-use eul3d_bench::CaseSpec;
+use eul3d_bench::{base, configure, exit_2};
 use eul3d_core::dist::{run_distributed_with_faults, DistOptions, DistSetup, FaultOptions};
 use eul3d_core::executor::Phase;
 use eul3d_core::health::{GuardConfig, GuardOutcome};
@@ -88,30 +86,32 @@ struct CflPoint {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let mut case = CaseSpec::from_env(20);
+    let (mut rc, smoke) = configure(base(20, Strategy::VCycle), &[], |a| a.has("smoke"));
     if smoke {
-        case.nx = case.nx.min(16);
-        case.levels = case.levels.min(3);
-        case.cycles = case.cycles.min(10);
+        rc.mesh.set_nx(rc.mesh.nx.min(16));
+        rc.levels = rc.levels.min(3);
+        rc.cycles = rc.cycles.min(10);
     }
     let out_path =
         std::env::var("EUL3D_BENCH_OUT").unwrap_or_else(|_| "BENCH_guard.json".to_string());
 
     // 1. Steady overhead on a healthy run.
     println!(
-        "guard overhead: bump channel nx={}, {} levels, {} cycles, V cycle",
-        case.nx, case.levels, case.cycles
+        "guard overhead: bump channel nx={}, {} levels, {} cycles, {}",
+        rc.mesh.nx,
+        rc.levels,
+        rc.cycles,
+        rc.strategy.label()
     );
-    let cfg = case.config();
-    let mut bare = MultigridSolver::new(case.sequence(), cfg, Strategy::VCycle);
+    let mut bare = MultigridSolver::for_run(&rc, 0).unwrap_or_else(|e| exit_2(e));
     let t0 = Instant::now();
-    let h_bare = bare.solve(case.cycles);
+    let h_bare = bare.solve(rc.cycles);
     let bare_s = t0.elapsed().as_secs_f64();
 
-    let mut mg_guarded = MultigridSolver::new(case.sequence(), cfg, Strategy::VCycle);
+    let mut mg_guarded = MultigridSolver::for_run(&rc, 0).unwrap_or_else(|e| exit_2(e));
     let t1 = Instant::now();
-    let (h_guard, outcome) = guarded(&mut mg_guarded, case.cycles, &GuardConfig::default())
+    let healthy = rc.guard.unwrap_or_default();
+    let (h_guard, outcome) = guarded(&mut mg_guarded, rc.cycles, &healthy)
         .expect("the healthy case must not trip the guard");
     let guarded_s = t1.elapsed().as_secs_f64();
     assert!(
@@ -222,7 +222,7 @@ fn main() {
     json.push_str("{\n");
     json.push_str(&format!(
         "  \"config\": {{\"nx\": {}, \"levels\": {}, \"cycles\": {}, \"sweep_cycles\": {sweep_cycles}, \"cfl_backoff\": {}, \"smoke\": {smoke}}},\n",
-        case.nx, case.levels, case.cycles, guard.cfl_backoff
+        rc.mesh.nx, rc.levels, rc.cycles, guard.cfl_backoff
     ));
     json.push_str(&format!(
         "  \"overhead\": {{\"unguarded_seconds\": {bare_s:.6e}, \"guarded_seconds\": {guarded_s:.6e}, \"wall_overhead_pct\": {overhead_pct:.3}, \"guard_flop_pct\": {flop_pct:.4}}},\n"

@@ -17,14 +17,18 @@
 //! | `EUL3D_BENCH_REPEATS` | repeats per configuration | 5 |
 //! | `EUL3D_BENCH_OUT` | output path | `BENCH_obs.json` |
 //!
-//! `--smoke` shrinks the case for CI; `--gate PCT` exits nonzero when
-//! the armed-ring overhead exceeds `PCT` percent (the CI gate uses 5).
+//! The case is `eul3d solve`'s flags and `--config` over the harness
+//! base (16 V-cycles; at most 8 under `--smoke`, which shrinks it for
+//! CI); `--ranks N` runs it on N ranks, 2 to 8 (default 8).
+//! `--gate PCT` exits nonzero when the armed-ring overhead exceeds
+//! `PCT` percent (the CI gate uses 5).
 
 use std::time::Instant;
 
-use eul3d_bench::{gate_arg, CaseSpec};
+use eul3d_bench::{base, configure, exit_2, ranks_flag, RANKS_SWEEP};
 use eul3d_core::dist::{run_distributed, DistOptions, DistSetup};
-use eul3d_core::Strategy;
+use eul3d_core::{RunConfig, Strategy};
+use eul3d_mesh::MeshSequence;
 use eul3d_obs as obs;
 use eul3d_obs::Tracer;
 
@@ -34,7 +38,7 @@ const EMIT_ROUNDS: usize = 1_000_000;
 /// volume of the last repeat (zero when disarmed).
 fn time_runs(
     setup: &DistSetup,
-    case: &CaseSpec,
+    rc: &RunConfig,
     repeats: usize,
     capacity: Option<usize>,
 ) -> (f64, u64, u64, Vec<eul3d_core::PhaseCounters>) {
@@ -45,10 +49,10 @@ fn time_runs(
     for _ in 0..repeats {
         let opts = DistOptions {
             trace_capacity: capacity,
-            ..DistOptions::default()
+            ..DistOptions::for_run(rc, eul3d_core::env_seed(7))
         };
         let t0 = Instant::now();
-        let r = run_distributed(setup, case.config(), Strategy::VCycle, case.cycles, opts);
+        let r = run_distributed(setup, rc.solver, rc.strategy, rc.cycles, opts);
         best = best.min(t0.elapsed().as_secs_f64());
         events = r
             .run
@@ -79,9 +83,16 @@ fn emit_ns(tracer: Box<dyn Tracer>) -> f64 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let gate = gate_arg(&args, "--gate");
+    let (mut rc, (smoke, gate, ranks)) =
+        configure(base(16, Strategy::VCycle), &[RANKS_SWEEP], |a| {
+            let gate = a.get_str("gate").map(|v| v.parse::<f64>());
+            (a.has("smoke"), gate, ranks_flag(a, &[8]))
+        });
+    let gate = gate.map(|g| g.unwrap_or_else(|_| exit_2("--gate takes a number")));
+    let nranks = match ranks[..] {
+        [n @ 2..=8] => n,
+        _ => exit_2("obs --ranks takes one rank count from 2 to 8"),
+    };
     let repeats: usize = std::env::var("EUL3D_BENCH_REPEATS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -89,20 +100,25 @@ fn main() {
     let out_path =
         std::env::var("EUL3D_BENCH_OUT").unwrap_or_else(|_| "BENCH_obs.json".to_string());
 
-    let mut case = CaseSpec::from_env(if smoke { 10 } else { 16 });
     if smoke {
-        case.cycles = case.cycles.min(8);
+        rc.cycles = rc.cycles.min(8);
     }
-    let nranks = case.ranks.first().copied().unwrap_or(4).clamp(2, 8);
+    rc.nranks = nranks;
     println!(
-        "obs: bump channel nx={}, {} levels, {} cycles, V cycle on {} simulated ranks, {} repeats",
-        case.nx, case.levels, case.cycles, nranks, repeats
+        "obs: bump channel nx={}, {} levels, {} cycles, {} on {} simulated ranks, {} repeats",
+        rc.mesh.nx,
+        rc.levels,
+        rc.cycles,
+        rc.strategy.label(),
+        nranks,
+        repeats
     );
-    let setup = DistSetup::new(case.sequence(), nranks, 40, eul3d_core::env_seed(7));
+    let seq = MeshSequence::bump_sequence(&rc.mesh, rc.levels);
+    let setup = DistSetup::for_run(seq, &rc, eul3d_core::env_seed(7)).unwrap_or_else(|e| exit_2(e));
 
-    let (t_null, _, _, _) = time_runs(&setup, &case, repeats, None);
+    let (t_null, _, _, _) = time_runs(&setup, &rc, repeats, None);
     let (t_ring, events, dropped, counters) =
-        time_runs(&setup, &case, repeats, Some(obs::DEFAULT_RING_CAPACITY));
+        time_runs(&setup, &rc, repeats, Some(obs::DEFAULT_RING_CAPACITY));
     let overhead_pct = (t_ring - t_null) / t_null * 100.0;
     println!("  disarmed (Null) {t_null:>9.4} s");
     println!("  armed    (Ring) {t_ring:>9.4} s   {events} events, {dropped} dropped");
@@ -121,9 +137,9 @@ fn main() {
 
     let json = format!(
         "{{\n  \"config\": {{\"nx\": {}, \"levels\": {}, \"cycles\": {}, \"nranks\": {}, \"repeats\": {}, \"ring_capacity\": {}, \"smoke\": {}}},\n  \"workload\": {{\"null_seconds\": {:.6e}, \"ring_seconds\": {:.6e}, \"overhead_pct\": {:.3}, \"events\": {}, \"dropped\": {}}},\n  \"emit_ns\": {{\"null\": {:.3}, \"ring\": {:.3}}},\n  \"metrics\": {}\n}}\n",
-        case.nx,
-        case.levels,
-        case.cycles,
+        rc.mesh.nx,
+        rc.levels,
+        rc.cycles,
         nranks,
         repeats,
         obs::DEFAULT_RING_CAPACITY,

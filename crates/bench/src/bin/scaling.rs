@@ -6,28 +6,27 @@
 //! Runs the distributed solver at a geometric ladder of rank counts and
 //! reports modeled comm/comp/total seconds, MFlops, parallel efficiency
 //! and the comm/comp ratio; writes `scaling.csv`.
+//! `--ranks a,b,…` sets the ladder (default 4 to 512 by doubling).
 
-use eul3d_bench::{finite_or_exit, write_csv, CaseSpec};
+use eul3d_bench::{
+    base, configure, exit_2, finite_or_exit, out_dir, ranks_flag, write_csv, RANKS_SWEEP,
+};
 use eul3d_core::dist::{run_distributed, DistOptions, DistSetup};
 use eul3d_core::Strategy;
 use eul3d_delta::CostModel;
+use eul3d_mesh::MeshSequence;
 use eul3d_perf::TextTable;
 
 fn main() {
-    let case = CaseSpec::from_env(10);
-    let cfg = case.config();
+    let ladder = |a: &_| ranks_flag(a, &[4, 8, 16, 32, 64, 128, 256, 512]);
+    let (mut rc, ladder) = configure(base(10, Strategy::VCycle), &[RANKS_SWEEP], ladder);
     let model = CostModel::delta_i860();
-    let ladder: Vec<usize> = std::env::var("EUL3D_RANKS")
-        .ok()
-        .map(|v| v.split(',').filter_map(|s| s.trim().parse().ok()).collect())
-        .unwrap_or_else(|| vec![4, 8, 16, 32, 64, 128, 256, 512]);
-    let strategy = Strategy::VCycle;
     println!(
         "scaling: bump nx={}, {} levels, {} cycles, {} — ranks {:?}\n",
-        case.nx,
-        case.levels,
-        case.cycles,
-        strategy.label(),
+        rc.mesh.nx,
+        rc.levels,
+        rc.cycles,
+        rc.strategy.label(),
         ladder
     );
 
@@ -43,9 +42,11 @@ fn main() {
     let mut csv = Vec::new();
     let mut base: Option<(usize, f64)> = None;
     for &nranks in &ladder {
-        let seq = case.sequence();
-        let setup = DistSetup::new(seq, nranks, 40, 7);
-        let r = run_distributed(&setup, cfg, strategy, case.cycles, DistOptions::default());
+        rc.nranks = nranks;
+        let seq = MeshSequence::bump_sequence(&rc.mesh, rc.levels);
+        let setup = DistSetup::for_run(seq, &rc, 7).unwrap_or_else(|e| exit_2(e));
+        let opts = DistOptions::for_run(&rc, 7);
+        let r = run_distributed(&setup, rc.solver, rc.strategy, rc.cycles, opts);
         finite_or_exit(r.history(), &format!("scaling on {nranks} ranks"));
         let b = model.evaluate(&r.cycle_counters());
         let (n0, t0) = *base.get_or_insert((nranks, b.total_seconds));
@@ -70,7 +71,7 @@ fn main() {
         ]);
     }
     println!("{}", t.render());
-    let path = case.out_dir().join("scaling.csv");
+    let path = out_dir().join("scaling.csv");
     write_csv(
         &path,
         &[
@@ -87,5 +88,5 @@ fn main() {
     println!("wrote {}", path.display());
     println!("\nExpect: total MFlops grow with nodes while efficiency falls and");
     println!("comm/comp climbs — the fixed-size (strong-scaling) regime the");
-    println!("paper describes; a larger EUL3D_NX pushes the crossover right.");
+    println!("paper describes; a larger --nx pushes the crossover right.");
 }

@@ -18,7 +18,7 @@
 //!   ~15-20% at 16 CPUs, wall clock drops ~12x (>99% parallel), all
 //!   three strategies reach similar MFlops.
 
-use eul3d_bench::{finite_or_exit, write_csv, CaseSpec};
+use eul3d_bench::{base, configure, exit_2, finite_or_exit, out_dir, write_csv, STRATEGY_SWEEP};
 use eul3d_core::{MultigridSolver, Strategy};
 use eul3d_perf::{CrayC90Model, TextTable};
 
@@ -53,12 +53,11 @@ fn print_sweep(model: &CrayC90Model, flops: f64, launches: u64) -> Vec<Vec<Strin
 }
 
 fn main() {
-    let case = CaseSpec::from_env(100);
-    let cfg = case.config();
+    let (mut rc, ()) = configure(base(100, Strategy::WCycle), &[STRATEGY_SWEEP], |_| ());
     let model = CrayC90Model::default();
     println!(
         "table1: C90 model over measured work; bump channel nx={}, {} levels, {} cycles, M={}",
-        case.nx, case.levels, case.cycles, cfg.mach
+        rc.mesh.nx, rc.levels, rc.cycles, rc.solver.mach
     );
     println!(
         "model: {} MFlops/CPU, {:.1}% serial, {:.1}% multitask overhead/CPU\n",
@@ -73,24 +72,23 @@ fn main() {
         ("Table 1b: V cycle", Strategy::VCycle),
         ("Table 1c: W cycle", Strategy::WCycle),
     ] {
-        let seq = case.sequence();
-        let fine_nodes = seq.meshes[0].nverts() as f64;
-        let fine_edges = seq.meshes[0].nedges();
-        let ncolors = eul3d_core::shared::SharedExecutor::new(&seq.meshes[0], 2)
-            .expect("edge colouring must validate")
-            .ncolors;
-
         // Run the real shared-memory multigrid (§3.2): launch counts come
         // straight from the executor, which charges the paper's coloured
         // sweep (one launch per colour group).
-        let mut mg = MultigridSolver::new_shared(seq, cfg, strategy, 2)
-            .expect("edge colourings must validate");
+        rc.strategy = strategy;
+        let mut mg = MultigridSolver::for_run(&rc, 2).unwrap_or_else(|e| exit_2(e));
+        let fine = mg.grids.fine();
+        let fine_nodes = fine.nverts() as f64;
+        let fine_edges = fine.nedges();
+        let ncolors = eul3d_core::shared::SharedExecutor::new(fine, 2)
+            .expect("edge colouring must validate")
+            .ncolors;
         let t0 = std::time::Instant::now();
-        let hist = mg.solve(case.cycles);
+        let hist = mg.solve(rc.cycles);
         let host = t0.elapsed().as_secs_f64();
         finite_or_exit(&hist, &format!("table1 {label}"));
         // Normalize to 100 cycles like the paper's tables.
-        let norm = 100.0 / case.cycles as f64;
+        let norm = 100.0 / rc.cycles as f64;
         let flops = mg.counter.flops() * norm;
         let launches = (mg.counter.launches() as f64 * norm) as u64;
 
@@ -132,7 +130,7 @@ fn main() {
         }
     }
 
-    let path = case.out_dir().join("table1_c90.csv");
+    let path = out_dir().join("table1_c90.csv");
     write_csv(
         &path,
         &["strategy", "cpus", "wall_clock_s", "cpu_s", "mflops"],

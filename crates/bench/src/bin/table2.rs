@@ -10,19 +10,26 @@
 //! (coarse grids raise communication/computation); 512 nodes beat 256 in
 //! rate but at lower efficiency; multigrid still wins time-to-solution.
 //!
-//! Flags (env): `EUL3D_NO_INCR=1` re-gathers flow variables before every
-//! loop (disables the §4.3 optimization); `EUL3D_PART=rsb|rcb|random|rsb+kl|prcb`
-//! selects the partitioner (default rsb).
+//! Flags: `--ranks a,b,…` (default 256,512); `--no-incremental`
+//! re-gathers flow variables before every loop (disables the §4.3
+//! optimization); `--partitioner rsb|rcb|random|rsb+kl|prcb` (default
+//! rsb, the only one a `[partition]` section configures).
 
-use eul3d_bench::{finite_or_exit, write_csv, CaseSpec};
+use eul3d_bench::{
+    base, configure, exit_2, finite_or_exit, out_dir, phase_table, ranks_flag, write_csv,
+    RANKS_SWEEP, STRATEGY_SWEEP,
+};
 use eul3d_core::dist::{run_distributed, DistOptions, DistSetup};
-use eul3d_core::Strategy;
+use eul3d_core::{Coarsening, Eul3dError, RunConfig, SolverError, Strategy};
 use eul3d_delta::{CommClass, CostModel};
-use eul3d_mesh::TetMesh;
+use eul3d_mesh::{MeshSequence, TetMesh};
 use eul3d_perf::TextTable;
 
-/// Build the distributed setup with the selected partitioner.
-fn make_setup(seq: eul3d_mesh::MeshSequence, nranks: usize, which: &str) -> DistSetup {
+/// Build the distributed setup with the selected partitioner; `rsb` is
+/// the configured run's own ([`DistSetup::for_run`]).
+fn make_setup(rc: &RunConfig, which: &str) -> DistSetup {
+    let seq = MeshSequence::bump_sequence(&rc.mesh, rc.levels);
+    let nranks = rc.nranks;
     match which {
         "rcb" => DistSetup::with_partitioner(seq, nranks, |m: &TetMesh| {
             eul3d_partition::rcb_partition(&m.coords, nranks)
@@ -46,25 +53,44 @@ fn make_setup(seq: eul3d_mesh::MeshSequence, nranks: usize, which: &str) -> Dist
                 .map(|p| p.min(nranks as u32 - 1))
                 .collect()
         }),
-        _ => DistSetup::new(seq, nranks, 40, 7),
+        _ => DistSetup::for_run(seq, rc, 7).unwrap_or_else(|e| exit_2(e)),
     }
 }
 
 fn main() {
-    let mut case = CaseSpec::from_env(25);
-    // CI default is a smaller machine; the paper's node counts work too
-    // (EUL3D_RANKS=256,512) and are the default.
-    let cfg = case.config();
+    let sweeps = [STRATEGY_SWEEP, RANKS_SWEEP];
+    let (mut rc, (ranks, refetch, partitioner)) =
+        configure(base(25, Strategy::WCycle), &sweeps, |a| {
+            let partitioner = a.get_str("partitioner").unwrap_or_else(|| "rsb".into());
+            (
+                ranks_flag(a, &[256, 512]),
+                a.has("no-incremental"),
+                partitioner,
+            )
+        });
+    if !["rsb", "rcb", "random", "rsb+kl", "prcb"].contains(&partitioner.as_str()) {
+        exit_2(format!(
+            "--partitioner must be rsb|rcb|random|rsb+kl|prcb, got '{partitioner}'"
+        ));
+    }
+    // `DistSetup::for_run` refuses agglomeration; the other
+    // partitioners refuse it here.
+    if partitioner != "rsb" && rc.coarsening != Coarsening::Sequence {
+        exit_2(Eul3dError::from(SolverError::AggloNotDistributed));
+    }
+    if partitioner != "rsb" && rc.partition.is_some() {
+        exit_2(format!(
+            "--partitioner {partitioner}: a [partition] section configures rsb only"
+        ));
+    }
     let model = CostModel::delta_i860();
-    let refetch = std::env::var("EUL3D_NO_INCR").is_ok();
-    let partitioner = std::env::var("EUL3D_PART").unwrap_or_else(|_| "rsb".into());
     println!(
         "table2: simulated Delta; bump channel nx={}, {} levels, {} cycles (normalized to 100), M={}, ranks {:?}, partitioner {}{}",
-        case.nx,
-        case.levels,
-        case.cycles,
-        cfg.mach,
-        case.ranks,
+        rc.mesh.nx,
+        rc.levels,
+        rc.cycles,
+        rc.solver.mach,
+        ranks,
         partitioner,
         if refetch { " [no-incremental ablation]" } else { "" }
     );
@@ -75,9 +101,8 @@ fn main() {
         model.bandwidth_bytes_per_s / 1e6
     );
 
-    let norm = 100.0 / case.cycles as f64;
+    let norm = 100.0 / rc.cycles as f64;
     let mut csv_rows: Vec<Vec<String>> = Vec::new();
-    let ranks = std::mem::take(&mut case.ranks);
     for (label, strategy) in [
         ("Table 2a: single grid", Strategy::SingleGrid),
         ("Table 2b: V cycle", Strategy::VCycle),
@@ -94,14 +119,15 @@ fn main() {
             "intergrid%",
         ]);
         for &nranks in &ranks {
-            let seq = case.sequence();
-            let setup = make_setup(seq, nranks, &partitioner);
+            rc.strategy = strategy;
+            rc.nranks = nranks;
+            let setup = make_setup(&rc, &partitioner);
             let opts = DistOptions {
                 refetch_per_loop: refetch,
-                ..DistOptions::default()
+                ..DistOptions::for_run(&rc, 7)
             };
             let t0 = std::time::Instant::now();
-            let result = run_distributed(&setup, cfg, strategy, case.cycles, opts);
+            let result = run_distributed(&setup, rc.solver, strategy, rc.cycles, opts);
             let host = t0.elapsed().as_secs_f64();
             finite_or_exit(
                 result.history(),
@@ -148,30 +174,14 @@ fn main() {
             // Executor-layer per-phase comp/comm breakdown at the largest
             // machine size.
             if Some(&nranks) == ranks.last() {
-                let mut total = eul3d_core::PhaseCounters::default();
-                for p in result.phase_counters() {
-                    total.merge(&p);
-                }
-                let mut pt =
-                    TextTable::new(&["phase", "flops", "launches", "messages", "bytes", "allocs"]);
-                for r in total.rows() {
-                    pt.row(&[
-                        r.label.to_string(),
-                        format!("{:.3e}", r.flops),
-                        r.launches.to_string(),
-                        r.msgs.to_string(),
-                        r.bytes.to_string(),
-                        r.allocs.to_string(),
-                    ]);
-                }
                 println!("  per-phase breakdown at {nranks} nodes (summed over ranks):");
-                println!("{}", pt.render());
+                println!("{}", phase_table(&result.phase_counters()));
             }
         }
         println!("{}", t.render());
     }
 
-    let path = CaseSpec::from_env(25).out_dir().join("table2_delta.csv");
+    let path = out_dir().join("table2_delta.csv");
     write_csv(
         &path,
         &[

@@ -1,80 +1,117 @@
 //! Shared harness utilities for the table/figure regeneration binaries.
 //!
-//! Every harness accepts environment overrides so the same binaries run
-//! CI-scale by default and paper-scale when resources allow:
-//!
-//! | Variable | Meaning | Default |
-//! |---|---|---|
-//! | `EUL3D_NX` | fine-grid channel cells along x | 40 |
-//! | `EUL3D_LEVELS` | multigrid levels | 4 |
-//! | `EUL3D_CYCLES` | cycles per run | harness-specific |
-//! | `EUL3D_RANKS` | comma list of Delta node counts | `256,512` |
-//! | `EUL3D_MACH` | freestream Mach number | 0.675 |
-//! | `EUL3D_OUT` | output directory for CSV/VTK | `target/experiments` |
+//! Every harness reads its case through the `eul3d` CLI's one
+//! configuration loader ([`eul3d_core::args`]): [`base`] — the CI-scale
+//! case — then `--config run.toml`, then the `solve` command's flags
+//! (`--nx`, `--levels`, `--cycles`, `--mach`, `--coarse`, …) and any
+//! `--set section.key=value`. The same binaries therefore run CI-scale
+//! by default and paper-scale from `examples/paper.toml`. A harness's
+//! own sweep axes are its own flags (`table2 --ranks 256,512`). Output
+//! goes to `EUL3D_OUT` (default `target/experiments`).
 
 use std::path::PathBuf;
 
-use eul3d_core::SolverConfig;
+use eul3d_core::{Args, PhaseCounters, RunConfig, Scope, SolverConfig, Strategy};
 use eul3d_mesh::gen::BumpSpec;
-use eul3d_mesh::MeshSequence;
+use eul3d_perf::TextTable;
 
-/// One benchmark case: geometry, multigrid depth, flow conditions.
-#[derive(Debug, Clone)]
-pub struct CaseSpec {
-    pub nx: usize,
-    pub levels: usize,
-    pub cycles: usize,
-    pub mach: f64,
-    pub alpha_deg: f64,
-    pub ranks: Vec<usize>,
-}
-
-fn env_parse<T: std::str::FromStr>(key: &str, default: T) -> T {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-impl CaseSpec {
-    /// Defaults (CI-scale), with environment overrides.
-    pub fn from_env(default_cycles: usize) -> CaseSpec {
-        let ranks = std::env::var("EUL3D_RANKS")
-            .ok()
-            .map(|v| v.split(',').filter_map(|s| s.trim().parse().ok()).collect())
-            .unwrap_or_else(|| vec![256, 512]);
-        CaseSpec {
-            nx: env_parse("EUL3D_NX", 40),
-            levels: env_parse("EUL3D_LEVELS", 4),
-            cycles: env_parse("EUL3D_CYCLES", default_cycles),
-            mach: env_parse("EUL3D_MACH", 0.675),
-            alpha_deg: 0.0,
-            ranks,
-        }
-    }
-
-    /// Generate the multigrid sequence (includes the §2.4 preprocessing:
-    /// inter-grid search).
-    pub fn sequence(&self) -> MeshSequence {
-        MeshSequence::bump_sequence(&BumpSpec::channel(self.nx), self.levels)
-    }
-
-    /// Solver configuration for this case.
-    pub fn config(&self) -> SolverConfig {
-        SolverConfig {
-            mach: self.mach,
-            alpha_deg: self.alpha_deg,
+/// The harness case: the bump channel at NX = 40, 4 levels, M = 0.675,
+/// `cycles` cycles of `strategy`.
+pub fn base(cycles: usize, strategy: Strategy) -> RunConfig {
+    RunConfig {
+        mesh: BumpSpec::channel(40),
+        levels: 4,
+        cycles,
+        strategy,
+        solver: SolverConfig {
+            mach: 0.675,
             ..SolverConfig::default()
-        }
+        },
+        ..RunConfig::default()
     }
+}
 
-    /// Output directory (created on demand).
-    pub fn out_dir(&self) -> PathBuf {
-        let dir = std::env::var("EUL3D_OUT").unwrap_or_else(|_| "target/experiments".into());
-        let p = PathBuf::from(dir);
-        std::fs::create_dir_all(&p).expect("cannot create output directory");
-        p
+/// The strategy sweep's key, for [`configure`]'s `owned`.
+pub const STRATEGY_SWEEP: (&str, &str) = ("run.strategy", "swept over sg, v and w");
+/// The `--ranks` sweep's key, for [`configure`]'s `owned`.
+pub const RANKS_SWEEP: (&str, &str) = ("run.nranks", "swept by --ranks");
+
+/// Print `e` and exit with status 2: the harnesses' answer to any input
+/// they cannot run.
+pub fn exit_2(e: impl std::fmt::Display) -> ! {
+    eprintln!("error: {e}");
+    std::process::exit(2);
+}
+
+/// This process's configuration: `base` under the `--config` file and
+/// the `solve` flags ([`Args::run_config`]), plus what `own` reads of
+/// the harness's own flags. Keys the harness sets itself (`owned`, each
+/// with how) are refused, and so is any flag neither reads. Every error
+/// exits 2 naming its key or flag.
+pub fn configure<T>(
+    base: RunConfig,
+    owned: &[(&str, &str)],
+    own: impl FnOnce(&Args) -> T,
+) -> (RunConfig, T) {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = Args::parse(&argv).unwrap_or_else(|e| exit_2(e));
+    if let Some(tok) = &args.command {
+        exit_2(format!("unexpected positional argument '{tok}'"));
     }
+    let rc = args
+        .run_config(Scope::Solve, base, owned)
+        .unwrap_or_else(|e| exit_2(e));
+    let flags = own(&args);
+    args.check_unknown().unwrap_or_else(|e| exit_2(e));
+    (rc, flags)
+}
+
+/// `--ranks a,b,…`: the rank counts a harness sweeps (`default` when the
+/// flag is absent). Every entry must parse and be a valid `run.nranks`;
+/// anything else exits 2.
+pub fn ranks_flag(args: &Args, default: &[usize]) -> Vec<usize> {
+    let Some(list) = args.get_str("ranks") else {
+        return default.to_vec();
+    };
+    list.split(',')
+        .map(|s| {
+            let mut rc = RunConfig::default();
+            rc.set("run.nranks", s)
+                .and_then(|()| rc.validate())
+                .map(|()| rc.nranks)
+                .unwrap_or_else(|e| exit_2(format!("--ranks '{list}': {e}")))
+        })
+        .collect()
+}
+
+/// Output directory (created on demand): `EUL3D_OUT`, default
+/// `target/experiments`.
+pub fn out_dir() -> PathBuf {
+    let dir = std::env::var("EUL3D_OUT").unwrap_or_else(|_| "target/experiments".into());
+    let p = PathBuf::from(dir);
+    std::fs::create_dir_all(&p).expect("cannot create output directory");
+    p
+}
+
+/// The per-phase comp/comm table of a distributed run, summed over its
+/// ranks.
+pub fn phase_table(per_rank: &[PhaseCounters]) -> String {
+    let mut total = PhaseCounters::default();
+    for p in per_rank {
+        total.merge(p);
+    }
+    let mut t = TextTable::new(&["phase", "flops", "launches", "messages", "bytes", "allocs"]);
+    for r in total.rows() {
+        t.row(&[
+            r.label.to_string(),
+            format!("{:.3e}", r.flops),
+            r.launches.to_string(),
+            r.msgs.to_string(),
+            r.bytes.to_string(),
+            r.allocs.to_string(),
+        ]);
+    }
+    t.render()
 }
 
 /// Write a simple CSV file: header plus rows.
@@ -92,13 +129,8 @@ pub fn write_csv(path: &std::path::Path, header: &[&str], rows: &[Vec<String>]) 
 /// value exits with status 2 instead of panicking.
 pub fn gate_arg(args: &[String], flag: &str) -> Option<f64> {
     let i = args.iter().position(|a| a == flag)?;
-    match args.get(i + 1).and_then(|v| v.parse().ok()) {
-        Some(v) => Some(v),
-        None => {
-            eprintln!("{flag} takes a number");
-            std::process::exit(2);
-        }
-    }
+    let v = args.get(i + 1).and_then(|v| v.parse().ok());
+    Some(v.unwrap_or_else(|| exit_2(format!("{flag} takes a number"))))
 }
 
 /// Index of the first non-finite entry of a residual history.
@@ -112,14 +144,13 @@ fn first_non_finite(history: &[f64]) -> Option<usize> {
 /// naming the run and the (1-based) cycle, instead of returning.
 pub fn finite_or_exit(history: &[f64], what: &str) {
     if let Some(i) = first_non_finite(history) {
-        eprintln!(
+        exit_2(format!(
             "{what}: residual is {} at cycle {} of {} — the run diverged; not reporting it \
-             (ROADMAP item 1: the mesh sequence does not converge above NX≈90)",
+             (above NX≈90 try more --levels or --set solver.coarse_k2=0.25; ROADMAP item 1)",
             history[i],
             i + 1,
             history.len()
-        );
-        std::process::exit(2);
+        ));
     }
 }
 
@@ -163,10 +194,11 @@ mod tests {
     }
 
     #[test]
-    fn case_spec_defaults() {
-        let c = CaseSpec::from_env(100);
-        assert!(c.nx >= 4);
-        assert!(c.levels >= 1);
-        assert_eq!(c.alpha_deg, 0.0);
+    fn the_base_case_is_the_ci_channel() {
+        let rc = base(25, Strategy::WCycle);
+        rc.validate().unwrap();
+        assert_eq!(rc.mesh, BumpSpec::channel(40));
+        assert_eq!((rc.levels, rc.cycles, rc.solver.mach), (4, 25, 0.675));
+        assert_eq!(rc.solver.alpha_deg, 0.0);
     }
 }

@@ -18,16 +18,18 @@ fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
 
-/// Run a harness binary at the pinned golden case size and return its
-/// normalized stdout. `EUL3D_SEED` is stripped so the CI seed matrix
-/// (which legitimately perturbs solver tests) cannot perturb goldens.
-fn run_normalized(bin: &str) -> String {
+/// The pinned golden case size, as flags.
+const CASE: &[&str] = &["--nx", "10", "--levels", "2", "--cycles", "3"];
+
+/// Run a harness binary at the pinned golden case size (plus its own
+/// `extra` flags) and return its normalized stdout. `EUL3D_SEED` is
+/// stripped so the CI seed matrix (which legitimately perturbs solver
+/// tests) cannot perturb goldens.
+fn run_normalized(bin: &str, extra: &[&str]) -> String {
     let out = Command::new(bin)
+        .args(CASE)
+        .args(extra)
         .env_remove("EUL3D_SEED")
-        .env("EUL3D_NX", "10")
-        .env("EUL3D_LEVELS", "2")
-        .env("EUL3D_CYCLES", "3")
-        .env("EUL3D_RANKS", "3,5")
         .env(
             "EUL3D_OUT",
             std::env::temp_dir().join("eul3d_golden").to_str().unwrap(),
@@ -71,8 +73,8 @@ fn normalize(raw: &str) -> String {
     lines.join("\n") + "\n"
 }
 
-fn check(name: &str, bin: &str) {
-    let got = run_normalized(bin);
+fn check(name: &str, bin: &str, extra: &[&str]) {
+    let got = run_normalized(bin, extra);
     let path = golden_dir().join(name);
     if std::env::var("EUL3D_BLESS").is_ok() {
         std::fs::create_dir_all(golden_dir()).unwrap();
@@ -99,15 +101,23 @@ fn check(name: &str, bin: &str) {
 
 #[test]
 fn table1_matches_golden() {
-    check("table1.txt", env!("CARGO_BIN_EXE_table1"));
+    check("table1.txt", env!("CARGO_BIN_EXE_table1"), &[]);
 }
 
 #[test]
 fn table2_matches_golden() {
-    check("table2.txt", env!("CARGO_BIN_EXE_table2"));
+    check(
+        "table2.txt",
+        env!("CARGO_BIN_EXE_table2"),
+        &["--ranks", "3,5"],
+    );
 }
 
 #[test]
 fn compare_matches_golden() {
-    check("compare.txt", env!("CARGO_BIN_EXE_compare"));
+    check(
+        "compare.txt",
+        env!("CARGO_BIN_EXE_compare"),
+        &["--ranks", "5"],
+    );
 }

@@ -1,34 +1,50 @@
 //! Smoke tests of the table/figure harness binaries at tiny scale: each
-//! must run to completion and emit its structural markers. (Numeric
-//! assertions live in the solver tests; these pin the harness plumbing.)
+//! must run to completion and emit its structural markers, and every
+//! input it cannot run must exit 2 naming the key or flag at fault.
+//! (Numeric assertions live in the solver tests; these pin the harness
+//! plumbing.)
 
 use std::process::Command;
 
-fn run(bin: &str, env: &[(&str, &str)]) -> (bool, String) {
-    let mut cmd = Command::new(bin);
-    cmd.env("EUL3D_NX", "10")
-        .env("EUL3D_LEVELS", "2")
-        .env("EUL3D_CYCLES", "3")
-        .env("EUL3D_RANKS", "3,5")
+/// The tiny case every run below uses, as flags.
+const CASE: &[&str] = &["--nx", "10", "--levels", "2", "--cycles", "3"];
+
+/// Run `bin` with `args`; returns the exit code, stdout and stderr.
+fn run(bin: &str, args: &[&str]) -> (Option<i32>, String, String) {
+    let out = Command::new(bin)
+        .args(args)
         .env(
             "EUL3D_OUT",
             std::env::temp_dir()
                 .join("eul3d_harness_smoke")
                 .to_str()
                 .unwrap(),
-        );
-    for (k, v) in env {
-        cmd.env(k, v);
-    }
-    let out = cmd.output().expect("failed to run harness");
+        )
+        .output()
+        .expect("failed to run harness");
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
-    (out.status.success(), stdout)
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    (out.status.code(), stdout, stderr)
+}
+
+/// `bin` at the tiny case plus `extra` must succeed; returns stdout.
+fn ok(bin: &str, extra: &[&str]) -> String {
+    let (code, out, err) = run(bin, &[CASE, extra].concat());
+    assert_eq!(code, Some(0), "{extra:?}:\n{out}\n{err}");
+    out
+}
+
+/// `bin` with `args` must exit 2 with `needle` in its message.
+fn refused(bin: &str, args: &[&str], needle: &str) {
+    let (code, out, err) = run(bin, args);
+    assert_eq!(code, Some(2), "{args:?}:\n{out}\n{err}");
+    assert!(err.contains(needle), "{args:?}: {err}");
 }
 
 #[test]
 fn fig1_prints_schedules() {
-    let (ok, out) = run(env!("CARGO_BIN_EXE_fig1"), &[]);
-    assert!(ok);
+    let (code, out, _) = run(env!("CARGO_BIN_EXE_fig1"), &[]);
+    assert_eq!(code, Some(0));
     assert!(out.contains("3 levels, V-cycle"));
     assert!(out.contains("5 levels, W-cycle"));
     assert!(out.contains("E0"));
@@ -36,8 +52,7 @@ fn fig1_prints_schedules() {
 
 #[test]
 fn fig2_writes_csv_and_summary() {
-    let (ok, out) = run(env!("CARGO_BIN_EXE_fig2"), &[]);
-    assert!(ok, "{out}");
+    let out = ok(env!("CARGO_BIN_EXE_fig2"), &[]);
     assert!(out.contains("single grid"));
     assert!(out.contains("W-cycle"));
     assert!(out.contains("fig2_convergence.csv"));
@@ -45,52 +60,97 @@ fn fig2_writes_csv_and_summary() {
 
 #[test]
 fn fig3_reports_every_level() {
-    let (ok, out) = run(env!("CARGO_BIN_EXE_fig3"), &[]);
-    assert!(ok, "{out}");
+    let out = ok(env!("CARGO_BIN_EXE_fig3"), &[]);
     assert!(out.contains("level-to-level node ratio"));
     assert!(out.contains("fig3_finest.vtk"));
 }
 
 #[test]
+fn fig3_reads_the_mesh_flags() {
+    let (code, out, err) = run(env!("CARGO_BIN_EXE_fig3"), &["--nx", "10"]);
+    assert_eq!(code, Some(0), "{err}");
+    assert!(out.contains("nx=10 fine"), "{out}");
+}
+
+#[test]
 fn table1_prints_both_scales() {
-    let (ok, out) = run(env!("CARGO_BIN_EXE_table1"), &[]);
-    assert!(ok, "{out}");
+    let out = ok(env!("CARGO_BIN_EXE_table1"), &[]);
     assert!(out.contains("Table 1a"));
     assert!(out.contains("Table 1c"));
     assert!(out.contains("at measured scale"));
     assert!(out.contains("extrapolated to paper scale"));
 }
 
+/// A `--set` key the harness has no flag for still reaches its solver.
+#[test]
+fn table1_reaches_any_key() {
+    let residuals = |out: &str| -> Vec<String> {
+        out.lines()
+            .filter_map(|l| l.split("residual -> ").nth(1))
+            .map(str::to_string)
+            .collect()
+    };
+    let bin = env!("CARGO_BIN_EXE_table1");
+    let plain = residuals(&ok(bin, &[]));
+    let k2 = residuals(&ok(bin, &["--set", "solver.coarse_k2=0.25"]));
+    assert_eq!(plain.len(), 3);
+    assert_eq!(plain[0], k2[0], "the single grid has no coarse level");
+    assert_ne!(plain[1..], k2[1..], "solver.coarse_k2 did not reach table1");
+}
+
 #[test]
 fn table2_prints_cost_breakdown() {
-    let (ok, out) = run(env!("CARGO_BIN_EXE_table2"), &[]);
-    assert!(ok, "{out}");
+    let out = ok(env!("CARGO_BIN_EXE_table2"), &["--ranks", "3,5"]);
     assert!(out.contains("Table 2a"));
     assert!(out.contains("Communication"));
     assert!(out.contains("table2_delta.csv"));
 }
 
 #[test]
-fn table2_partitioner_env_is_honoured() {
-    let (ok, out) = run(env!("CARGO_BIN_EXE_table2"), &[("EUL3D_PART", "rcb")]);
-    assert!(ok, "{out}");
+fn table2_partitioner_flag_is_honoured() {
+    let out = ok(
+        env!("CARGO_BIN_EXE_table2"),
+        &["--ranks", "3", "--partitioner", "rcb"],
+    );
     assert!(out.contains("partitioner rcb"));
+}
+
+/// Values the harness cannot run, and flags it would ignore.
+#[test]
+fn a_bad_case_exits_2_naming_its_key_or_flag() {
+    let table2 = env!("CARGO_BIN_EXE_table2");
+    refused(table2, &["--nx", "19O"], "--nx");
+    refused(table2, &["--ranks", "3,x,5"], "--ranks");
+    refused(table2, &["--ranks", ""], "--ranks");
+    refused(table2, &["--partitioner", "rbc"], "--partitioner");
+    refused(table2, &["--set", "run.nranks=4"], "--ranks");
+    refused(table2, &["--no-incremental", "0"], "takes no value");
+    refused(table2, &["--nx", "--ranks", "3"], "--nx takes a value");
+    let table1 = env!("CARGO_BIN_EXE_table1");
+    refused(table1, &["--cycles", "0"], "cycles");
+    refused(table1, &["--levels", "0"], "levels");
+    refused(table1, &["--strategy", "v"], "run.strategy");
+    refused(table1, &["--ranks", "3"], "unknown flag --ranks");
+}
+
+#[test]
+fn a_distributed_harness_refuses_agglomeration() {
+    let args = [CASE, &["--ranks", "3", "--coarse", "agglo"]].concat();
+    refused(env!("CARGO_BIN_EXE_table2"), &args, "agglomeration");
 }
 
 #[test]
 fn a_gate_without_its_number_exits_2() {
-    let out = Command::new(env!("CARGO_BIN_EXE_partition"))
-        .arg("--gate")
-        .output()
-        .expect("failed to run harness");
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--gate takes a number"));
+    refused(
+        env!("CARGO_BIN_EXE_partition"),
+        &["--gate"],
+        "--gate takes a number",
+    );
 }
 
 #[test]
 fn scaling_emits_the_ladder() {
-    let (ok, out) = run(env!("CARGO_BIN_EXE_scaling"), &[]);
-    assert!(ok, "{out}");
+    let out = ok(env!("CARGO_BIN_EXE_scaling"), &["--ranks", "3,5"]);
     assert!(out.contains("efficiency"));
     assert!(out.contains("scaling.csv"));
 }

@@ -4,10 +4,9 @@ use std::path::{Path, PathBuf};
 
 use eul3d_core::health::GuardOutcome;
 use eul3d_core::postproc::{cp_field, mach_field, pressure_field};
-use eul3d_core::Coarsening;
 use eul3d_core::{
-    ConvergenceHistory, Eul3dError, JobCheckpoint, MultigridSolver, Phase, RunConfig, RunPlan,
-    TraceConfig,
+    Args, Coarsening, ConvergenceHistory, JobCheckpoint, MultigridSolver, Phase, RunConfig,
+    RunPlan, Scope, TraceConfig,
 };
 use eul3d_delta::CostModel;
 use eul3d_mesh::gen::BumpSpec;
@@ -22,42 +21,19 @@ use eul3d_partition::{
 };
 use eul3d_perf::TextTable;
 
-use crate::args::{Args, Scope};
-
-/// Apply the configuration flags `scope` reads, and every `--set`, to
-/// `rc`: each is one [`RunConfig::set`], after the `--config` file.
-fn apply_flags(a: &Args, scope: Scope, rc: &mut RunConfig) -> Result<(), String> {
-    let rows = a.settings(scope)?;
-    let entries: Vec<(&str, &str)> = rows
-        .iter()
-        .map(|(_, k, v)| (k.as_str(), v.as_str()))
-        .collect();
-    rc.set_all(&entries)
-        .map_err(|(i, e)| format!("--{}: {e}", rows[i].0))
-}
-
 /// The mesh of a `mesh` or `partition` command line: the default
 /// channel under the mesh flags.
 fn mesh_spec(a: &Args) -> Result<BumpSpec, String> {
     let mut rc = RunConfig::default();
-    apply_flags(a, Scope::Mesh, &mut rc)?;
+    a.apply(Scope::Mesh, &mut rc)?;
     Ok(rc.mesh)
 }
 
-/// Assemble the [`RunConfig`] for a solve: [`RunConfig::default`], then
-/// a `--config run.toml` file when given, then the flags. The result
-/// passes through the same [`RunConfig::validate`] as library callers,
-/// so every entry point rejects exactly the same inputs.
+/// The [`RunConfig`] of a solve: the one loader ([`Args::run_config`])
+/// over [`RunConfig::default`], then the CLI's own `--guard` and
+/// `--trace*` switches, validated again.
 fn run_config_of(a: &Args, scope: Scope) -> Result<RunConfig, String> {
-    let mut rc = match a.get_str("config") {
-        Some(path) => {
-            let text =
-                std::fs::read_to_string(&path).map_err(|e| format!("--config {path}: {e}"))?;
-            RunConfig::from_toml(&text).map_err(|e| format!("--config {path}: {e}"))?
-        }
-        None => RunConfig::default(),
-    };
-    apply_flags(a, scope, &mut rc)?;
+    let mut rc = a.run_config(scope, RunConfig::default(), &[])?;
     if a.has("guard") {
         rc.arm("guard").map_err(|e| e.to_string())?;
     }
@@ -73,11 +49,7 @@ fn run_config_of(a: &Args, scope: Scope) -> Result<RunConfig, String> {
         rc.trace.enabled = true;
         rc.trace.summary = true;
     }
-    rc.validate().map_err(|e| match e {
-        // The only Delta error `validate` raises is the fault plan's.
-        Eul3dError::Delta(d) => format!("--faults: {d}"),
-        other => other.to_string(),
-    })?;
+    rc.validate().map_err(|e| e.to_string())?;
     Ok(rc)
 }
 

@@ -38,8 +38,10 @@
 //! run-configuration flags: `--config run.toml` loads a config file (see
 //! `examples/run.toml`), and repeatable `--set section.key=value` sets
 //! any of its keys. Each configuration flag is an alias of one key
-//! (`args::ALIASES`); flags apply after the file, and a key given twice
-//! on the command line is an error. The header ends with `config <hash>`
+//! (`eul3d_core::args::ALIASES`); flags apply after the file, and a key
+//! given twice on the command line is an error. The loader lives in
+//! `eul3d_core::args`, which the paper's reproduction bins
+//! (`crates/bench`) share. The header ends with `config <hash>`
 //! (16 hex digits of the canonical hash). Then the tracing flags `--trace out.json` (Chrome `trace_event` JSON, one
 //! lane per rank — open in Perfetto or `chrome://tracing`),
 //! `--trace-summary` (human table), `--trace-capacity N` (ring events
@@ -68,11 +70,10 @@
 //! fresh partition every N cycles (checkpoint, epoch-shifted schedule
 //! rebuild, restore — deterministic, and composable with `--faults`).
 
-mod args;
 mod commands;
 mod service;
 
-use args::Args;
+use eul3d_core::Args;
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();

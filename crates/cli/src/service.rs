@@ -15,7 +15,7 @@ use eul3d_serve::engine::EngineConfig;
 use eul3d_serve::json::JObj;
 use eul3d_serve::{client, server, Request};
 
-use crate::args::Args;
+use eul3d_core::Args;
 
 fn socket_of(a: &Args) -> Result<PathBuf, String> {
     a.get_str("socket")

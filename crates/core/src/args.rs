@@ -1,9 +1,14 @@
-//! A small, dependency-free flag parser: `--key value` and `--switch`
-//! forms, with typed accessors and an unknown-flag check, plus the
-//! alias table that maps configuration flags onto `RunConfig` keys.
+//! The one configuration loader of every command line — the `eul3d`
+//! CLI and the paper's reproduction bins. A small, dependency-free flag
+//! parser (`--key value` and `--switch` forms, typed accessors, an
+//! unknown-flag check), the alias table that maps configuration flags
+//! onto [`RunConfig`] keys, and [`Args::run_config`], which layers a
+//! caller's base, a `--config` file and the flags into one validated
+//! [`RunConfig`].
 
 use std::collections::HashMap;
 
+use crate::{Eul3dError, RunConfig};
 use Scope::{Distributed, Mesh, Solve};
 
 /// Which commands read a configuration flag. A command reads the rows
@@ -65,8 +70,9 @@ pub struct Args {
     switches: Vec<String>,
     /// `--set section.key=value` pairs, in command-line order.
     sets: Vec<(String, String)>,
-    /// Flags consumed by accessors, for unknown-flag reporting.
-    seen: std::cell::RefCell<Vec<String>>,
+    /// Flags consumed by accessors, each with whether it was read as a
+    /// value (`true`) or a switch, for unknown-flag reporting.
+    seen: std::cell::RefCell<Vec<(String, bool)>>,
 }
 
 impl Args {
@@ -107,13 +113,13 @@ impl Args {
         Ok(args)
     }
 
-    fn note(&self, key: &str) {
-        self.seen.borrow_mut().push(key.to_string());
+    fn note(&self, key: &str, value: bool) {
+        self.seen.borrow_mut().push((key.to_string(), value));
     }
 
     /// Typed value with default.
     pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        self.note(key);
+        self.note(key, true);
         match self.values.get(key) {
             None => Ok(default),
             Some(v) => v
@@ -124,13 +130,13 @@ impl Args {
 
     /// Optional string value.
     pub fn get_str(&self, key: &str) -> Option<String> {
-        self.note(key);
+        self.note(key, true);
         self.values.get(key).cloned()
     }
 
     /// Boolean switch.
     pub fn has(&self, key: &str) -> bool {
-        self.note(key);
+        self.note(key, false);
         self.switches.iter().any(|s| s == key)
     }
 
@@ -146,7 +152,7 @@ impl Args {
             }
         }
         if scope > Scope::Mesh {
-            self.note("set");
+            self.note("set", true);
             for (key, v) in &self.sets {
                 rows.push(("set".to_string(), key.clone(), v.clone()));
             }
@@ -159,13 +165,70 @@ impl Args {
         Ok(rows)
     }
 
-    /// After all accessors ran: error on any flag the command ignored.
+    /// Apply the configuration flags `scope` reads, and every `--set`,
+    /// to `rc`: each is one [`RunConfig::set`].
+    pub fn apply(&self, scope: Scope, rc: &mut RunConfig) -> Result<(), String> {
+        let rows = self.settings(scope)?;
+        let entries: Vec<(&str, &str)> = rows
+            .iter()
+            .map(|(_, k, v)| (k.as_str(), v.as_str()))
+            .collect();
+        rc.set_all(&entries)
+            .map_err(|(i, e)| format!("--{}: {e}", rows[i].0))
+    }
+
+    /// The [`RunConfig`] of this command line: `base`, then the
+    /// `--config run.toml` file when given, then [`Args::apply`], then
+    /// the [`RunConfig::validate`] every entry point shares. A key of
+    /// `owned`, which the caller sets itself (paired with how, e.g.
+    /// `"swept by --ranks"`), is refused from every layer.
+    pub fn run_config(
+        &self,
+        scope: Scope,
+        mut rc: RunConfig,
+        owned: &[(&str, &str)],
+    ) -> Result<RunConfig, String> {
+        let refuse = |key: &str, from: String| match owned.iter().find(|o| o.0 == key) {
+            Some((_, how)) => Err(format!("{from}: {key} is {how}")),
+            None => Ok(()),
+        };
+        if let Some(path) = self.get_str("config") {
+            let text =
+                std::fs::read_to_string(&path).map_err(|e| format!("--config {path}: {e}"))?;
+            let keys = rc
+                .merge_toml(&text)
+                .map_err(|e| format!("--config {path}: {e}"))?;
+            for key in keys {
+                refuse(&key, format!("--config {path}"))?;
+            }
+        }
+        for (flag, key, _) in self.settings(scope)? {
+            refuse(&key, format!("--{flag}"))?;
+        }
+        self.apply(scope, &mut rc)?;
+        rc.validate().map_err(|e| match e {
+            // The only Delta error `validate` raises is the fault plan's.
+            Eul3dError::Delta(d) => format!("--faults: {d}"),
+            other => other.to_string(),
+        })?;
+        Ok(rc)
+    }
+
+    /// After all accessors ran: error on any flag the command ignored,
+    /// and on a switch given a value (`--no-incremental 0`) or a value
+    /// flag given none (`--nx --levels 2`), which it would ignore too.
     pub fn check_unknown(&self) -> Result<(), String> {
         let seen = self.seen.borrow();
+        let read_as = |k: &str, value: bool| seen.iter().any(|s| s.0 == k && s.1 == value);
         let set = self.sets.first().map(|_| "set".to_string());
-        for k in self.values.keys().chain(&self.switches).chain(&set) {
-            if !seen.iter().any(|s| s == k) {
-                return Err(format!("unknown flag --{k}"));
+        let values = self.values.keys().chain(&set).map(|k| (k, true));
+        for (k, value) in values.chain(self.switches.iter().map(|k| (k, false))) {
+            if !read_as(k, value) {
+                return Err(match (read_as(k, !value), value) {
+                    (false, _) => format!("unknown flag --{k}"),
+                    (true, true) => format!("--{k} is a switch; it takes no value"),
+                    (true, false) => format!("--{k} takes a value"),
+                });
             }
         }
         Ok(())
@@ -208,6 +271,27 @@ mod tests {
         let a = Args::parse(&sv(&["solve", "--bogus", "1"])).unwrap();
         let _ = a.get::<usize>("nx", 0);
         assert!(a.check_unknown().is_err());
+    }
+
+    #[test]
+    fn a_switch_takes_no_value_and_a_value_flag_needs_one() {
+        let a = Args::parse(&sv(&["distributed", "--no-incremental", "0"])).unwrap();
+        assert!(!a.has("no-incremental"));
+        let err = a.check_unknown().unwrap_err();
+        assert!(err.contains("--no-incremental is a switch"), "{err}");
+
+        let a = Args::parse(&sv(&["solve", "--nx", "--fmg"])).unwrap();
+        assert_eq!(a.get_str("nx"), None);
+        a.has("fmg");
+        assert_eq!(a.check_unknown().unwrap_err(), "--nx takes a value");
+
+        // A flag read both ways (`--trace [out.json]`) takes either form.
+        for argv in [&["solve", "--trace"][..], &["solve", "--trace", "t.json"]] {
+            let a = Args::parse(&sv(argv)).unwrap();
+            a.get_str("trace");
+            a.has("trace");
+            a.check_unknown().unwrap();
+        }
     }
 
     #[test]
@@ -273,10 +357,7 @@ mod tests {
     #[test]
     fn every_alias_names_a_key_of_the_file_format() {
         for (flag, key, _) in ALIASES {
-            assert!(
-                eul3d_core::RunConfig::keys().any(|k| k == *key),
-                "--{flag} -> {key}"
-            );
+            assert!(RunConfig::keys().any(|k| k == *key), "--{flag} -> {key}");
         }
     }
 

@@ -36,6 +36,7 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod agglo;
+pub mod args;
 pub mod boundary;
 pub mod ckstore;
 pub mod config;
@@ -60,6 +61,7 @@ pub mod smooth;
 pub mod soa;
 pub mod timestep;
 
+pub use args::{Args, Scope};
 pub use ckstore::{CheckpointLog, DurabilitySink, JobCheckpoint};
 pub use config::{Scheme, SolverConfig};
 pub use counters::{FlopCounter, PhaseCounters};

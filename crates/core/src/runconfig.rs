@@ -602,17 +602,25 @@ impl RunConfig {
     }
 
     /// Deserialize the TOML subset [`RunConfig::to_toml`] emits (plus
-    /// comments and any key order). Unknown sections or keys are typed
-    /// parse errors, as are malformed values and duplicate keys or
-    /// reopened sections (TOML forbids both; silently last-winning would
-    /// let two visually different files alias one canonical hash, so
-    /// they are line-numbered errors instead). Each entry goes through
-    /// [`RunConfig::set_all`] over [`RunConfig::default`]: absent keys
-    /// keep their defaults, `mesh.nx` applies first, and a `[guard]` or
-    /// `[partition]` header (even empty) arms that section. The result
-    /// is validated.
+    /// comments and any key order): [`RunConfig::merge_toml`] over
+    /// [`RunConfig::default`].
     pub fn from_toml(text: &str) -> Result<RunConfig, Eul3dError> {
         let mut rc = RunConfig::default();
+        rc.merge_toml(text)?;
+        Ok(rc)
+    }
+
+    /// Layer a TOML document over `self` and validate the result;
+    /// returns the `section.key`s the document sets. Unknown sections or
+    /// keys are typed parse errors, as are malformed values and
+    /// duplicate keys or reopened sections (TOML forbids both; silently
+    /// last-winning would let two visually different files alias one
+    /// canonical hash, so they are line-numbered errors instead). Each
+    /// entry goes through [`RunConfig::set_all`]: absent keys keep
+    /// `self`'s values, `mesh.nx` applies first, and a `[guard]` or
+    /// `[partition]` header (even empty) arms that section.
+    pub fn merge_toml(&mut self, text: &str) -> Result<Vec<String>, Eul3dError> {
+        let rc = self;
         let mut section = "";
         // `[section]` or `section.key` -> first-definition line, for
         // duplicate detection.
@@ -673,7 +681,7 @@ impl RunConfig {
         let pairs: Vec<(&str, &str)> = entries.iter().map(|(k, v)| (k.as_str(), *v)).collect();
         rc.set_all(&pairs).map_err(|(i, e)| at_line(e, lines[i]))?;
         rc.validate()?;
-        Ok(rc)
+        Ok(entries.into_iter().map(|(k, _)| k).collect())
     }
 
     /// The canonical serialization underlying [`RunConfig::canonical_hash`]:

@@ -1,13 +1,15 @@
 //! One configuration surface: every entry point starts from one default
 //! mesh, `mesh.nx` sizes the cross-section by one rule whatever the key
 //! order, and every key of the file format reads back through the one
-//! setter the CLI uses too. Library-only and fast.
+//! setter the CLI uses too. The one loader layers a base, a `--config`
+//! file and the flags, and every example file loads. Library-only and
+//! fast.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use eul3d_core::health::GuardConfig;
 use eul3d_core::runconfig::PartitionConfig;
-use eul3d_core::{Coarsening, RunConfig};
+use eul3d_core::{Args, Coarsening, RunConfig, Scope};
 use eul3d_mesh::gen::BumpSpec;
 
 #[test]
@@ -53,4 +55,106 @@ fn every_key_round_trips_through_the_setter() {
     }
     let entries = text.lines().filter(|l| l.contains(" = ")).count();
     assert_eq!(keys, entries, "the file has an entry for no other key");
+}
+
+/// A scratch file holding `text`, unique to this process and `name`.
+fn scratch_file(name: &str, text: &str) -> std::path::PathBuf {
+    let path = std::env::temp_dir().join(format!("eul3d-{}-{name}.toml", std::process::id()));
+    std::fs::write(&path, text).unwrap();
+    path
+}
+
+fn args(argv: &[&str]) -> Args {
+    let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+    Args::parse(&argv).unwrap()
+}
+
+#[test]
+fn the_loader_layers_base_then_file_then_flags() {
+    let base = RunConfig {
+        mesh: BumpSpec::channel(40),
+        cycles: 20,
+        ..RunConfig::default()
+    };
+    let file = scratch_file("layers", "[run]\ncycles = 7\nlevels = 2\n");
+    let path = file.to_str().unwrap();
+
+    // The file omits mesh.nx: the base's NX stays, not the default's.
+    let rc = args(&["--config", path])
+        .run_config(Scope::Solve, base.clone(), &[])
+        .unwrap();
+    assert_eq!(rc.mesh, BumpSpec::channel(40));
+    assert_eq!((rc.cycles, rc.levels), (7, 2));
+
+    // A flag beats the file; `--nx` resizes the base's channel.
+    let a = args(&["--config", path, "--cycles", "9", "--nx", "10"]);
+    let rc = a.run_config(Scope::Solve, base.clone(), &[]).unwrap();
+    assert_eq!((rc.cycles, rc.levels), (9, 2));
+    assert_eq!(rc.mesh, BumpSpec::channel(10));
+    a.check_unknown().unwrap();
+
+    // No file and no flags: the base itself.
+    let rc = args(&[])
+        .run_config(Scope::Solve, base.clone(), &[])
+        .unwrap();
+    assert_eq!(rc, base);
+    std::fs::remove_file(file).unwrap();
+}
+
+#[test]
+fn a_bad_value_names_its_key() {
+    let base = RunConfig::default();
+    let err = args(&["--nx", "19O"])
+        .run_config(Scope::Solve, base.clone(), &[])
+        .unwrap_err();
+    assert!(err.contains("--nx") && err.contains("mesh.nx"), "{err}");
+    let err = args(&["--set", "solver.mach=0,7"])
+        .run_config(Scope::Solve, base.clone(), &[])
+        .unwrap_err();
+    assert!(err.contains("solver.mach"), "{err}");
+    let err = args(&["--cycles", "0"])
+        .run_config(Scope::Solve, base, &[])
+        .unwrap_err();
+    assert!(err.contains("cycles"), "{err}");
+}
+
+#[test]
+fn a_key_the_caller_sweeps_is_refused() {
+    let owned = [("run.nranks", "swept by --ranks")];
+    let err = args(&["--set", "run.nranks=4"])
+        .run_config(Scope::Solve, RunConfig::default(), &owned)
+        .unwrap_err();
+    assert!(
+        err.contains("run.nranks") && err.contains("--ranks"),
+        "{err}"
+    );
+    let file = scratch_file("owned", "[run]\nnranks = 32\n");
+    let err = args(&["--config", file.to_str().unwrap()])
+        .run_config(Scope::Solve, RunConfig::default(), &owned)
+        .unwrap_err();
+    assert!(err.contains("--config") && err.contains("--ranks"), "{err}");
+    std::fs::remove_file(file).unwrap();
+    // Other keys still pass.
+    args(&["--set", "solver.coarse_k2=0.25"])
+        .run_config(Scope::Solve, RunConfig::default(), &owned)
+        .unwrap();
+}
+
+#[test]
+fn every_example_config_parses_and_validates() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples");
+    let mut names = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "toml") {
+            let text = std::fs::read_to_string(&path).unwrap();
+            RunConfig::from_toml(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            names.push(path.file_name().unwrap().to_str().unwrap().to_string());
+        }
+    }
+    names.sort();
+    assert_eq!(
+        names,
+        ["diverging.toml", "paper.toml", "run.toml", "serve.toml"]
+    );
 }
