@@ -369,10 +369,10 @@ pub fn distributed(a: &Args) -> Result<(), String> {
         "distributed: nx={} levels={levels} {} cycles={cycles} on {nranks} {} config {:016x}",
         spec.nx,
         strategy.label(),
-        match (opts.transport(&fopts), hybrid) {
-            (DistBackend::Hybrid, _) => "hybrid threads (shared-memory windows)",
-            (DistBackend::Delta, false) => "simulated ranks",
-            (DistBackend::Delta, true) => "simulated ranks (hybrid falls back to channels)",
+        if hybrid {
+            "hybrid threads (shared-memory windows)"
+        } else {
+            "simulated ranks"
         },
         rc.canonical_hash() >> 64
     );
@@ -448,15 +448,10 @@ pub fn distributed(a: &Args) -> Result<(), String> {
         b.mflops,
         b.comm_to_comp()
     );
-    if r.transport == DistBackend::Hybrid {
+    if hybrid {
         println!(
             "hybrid wall time: {:.3}s on {nranks} threads (vs {:.2}s modeled Delta)",
             r.wall_seconds, b.total_seconds
-        );
-    } else if hybrid {
-        println!(
-            "hybrid backend fell back to the channel transport \
-             (fault plans need it); times above are modeled"
         );
     }
     if rc.trace.enabled {

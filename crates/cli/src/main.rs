@@ -54,8 +54,8 @@
 //! threads exchanging halos through shared-memory windows (`--threads N`
 //! sets the thread count, default one per `--ranks`); the modeled Delta
 //! clock still runs, so the report shows both wall and simulated time.
-//! A fault plan forces the channel transport (faults are injected there),
-//! and `--trace` lanes switch to the real-time clock under `hybrid`.
+//! A fault plan acts on the windows as it acts on the channels, and
+//! `--trace` lanes switch to the real-time clock under `hybrid`.
 //!
 //! `--faults` takes a comma-separated fault plan (e.g.
 //! `kill:1@3+5,corrupt:0>2#0@2`) injected deterministically into the

@@ -164,7 +164,6 @@ impl Executor for DistExecutor<'_> {
 /// targets (gather) and off-rank accumulators (scatter_add).
 pub struct DistLevel {
     pub rm: RankMesh,
-    pub trans: Translation,
     /// Ghost exchange schedule for per-vertex arrays.
     pub halo: Schedule,
     /// Working arrays, laid out exactly as on the other backends.
@@ -198,12 +197,7 @@ impl DistLevel {
         let mut st = LevelState::new(&rm, cfg);
         halo.scatter_add_planes(rank, &mut st.deg, 1);
 
-        DistLevel {
-            trans,
-            halo,
-            st,
-            rm,
-        }
+        DistLevel { halo, st, rm }
     }
 
     pub fn n_owned(&self) -> usize {

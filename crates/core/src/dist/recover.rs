@@ -84,9 +84,9 @@ pub struct FaultOptions {
     /// snapshots the initial state before cycle 1, so there is always a
     /// rollback target once the first commit lands.
     pub checkpoint_every: usize,
-    /// Bounded-receive window used to detect silently lost messages.
-    /// Simulation wall-clock, not cost-model time; only armed when the
-    /// plan is non-empty.
+    /// Bounded wait used to detect silently lost messages and window
+    /// records. Simulation wall-clock, not cost-model time; only armed
+    /// when the plan can drop one.
     pub recv_timeout_ms: u64,
     /// The solver-health guard (`None` = unguarded): every cycle ends
     /// with a state/residual check and one pooled verdict agreement, and
@@ -1032,15 +1032,8 @@ pub fn run_distributed_with_faults(
             checkpoint_every = g.snapshot_every;
         }
     }
-    let transport = opts.transport(fopts);
-    let windows =
-        (transport == DistBackend::Hybrid).then(|| eul3d_delta::WindowRegistry::new(setup.nranks));
-    // Wall-clock stamps belong to runs that overlap for real; a channel
-    // run keeps the modeled clock so its traces stay byte-identical.
-    let opts = DistOptions {
-        real_time_lanes: opts.real_time_lanes && transport == DistBackend::Hybrid,
-        ..opts
-    };
+    let windows = (opts.backend == DistBackend::Hybrid)
+        .then(|| eul3d_delta::WindowRegistry::new(setup.nranks));
     let ctx = Ctx {
         setup,
         cfg,
@@ -1085,11 +1078,7 @@ pub fn run_distributed_with_faults(
             Err(payload) => resume_unwind(payload),
         },
     };
-    let res = DistRunResult {
-        run,
-        wall_seconds,
-        transport,
-    };
+    let res = DistRunResult { run, wall_seconds };
     if let (Some(g), Some(o)) = (fopts.guard, res.guard_outcome()) {
         if let Some((cycle, verdict)) = o.exhausted {
             return Err(SolverError::RetriesExhausted {

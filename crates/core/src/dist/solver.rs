@@ -23,21 +23,22 @@ use super::recover::{run_distributed_with_faults, FaultOptions};
 use super::setup::{DistSetup, LANCZOS_ITERS};
 use super::transfer::TransferLink;
 
-/// Which transport carries the per-cycle halo streams of a distributed
-/// run. The SPMD structure, schedules, and numerics are identical either
-/// way — the backends are bit-equivalent by construction.
+/// Which transport carries the per-cycle record streams of a
+/// distributed run. The SPMD structure, schedules, numerics and fault
+/// model are identical either way — the backends are bit-equivalent by
+/// construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DistBackend {
     /// The simulated Intel Delta: channel mailboxes, modeled wire time
-    /// (the default, and the only transport fault injection understands).
+    /// (the default).
     #[default]
     Delta,
     /// True-parallel shared memory: ranks are still one OS thread each,
-    /// but halo data moves through epoch-stamped shared-memory windows
-    /// with real overlap, and the driver reports wall time alongside the
-    /// modeled clock. Migrations rebuild their schedules on fresh windows;
-    /// a fault plan keeps halo streams on channels (faults are injected
-    /// there), and [`DistRunResult::transport`] records what actually ran.
+    /// but halo data moves through stamped shared-memory windows with
+    /// real overlap, and the driver reports wall time alongside the
+    /// modeled clock. Migrations and recovery epochs rebuild their
+    /// schedules on fresh windows, and a fault plan acts on window
+    /// records as it acts on channel messages.
     Hybrid,
 }
 
@@ -107,11 +108,8 @@ pub struct DistOptions {
     /// Halo transport (see [`DistBackend`]).
     pub backend: DistBackend,
     /// Stamp traced lanes with real wall time instead of the modeled
-    /// clock — shows measured overlap in the trace; stamps are not
-    /// reproducible across runs, so goldens keep this off. Honoured only
-    /// when the run really is on shared-memory windows: a run that fell
-    /// back to channels keeps the modeled clock and its byte-identical
-    /// traces.
+    /// clock — shows measured overlap in a hybrid run's trace; stamps are
+    /// not reproducible across runs, so goldens keep this off.
     pub real_time_lanes: bool,
     /// Mid-run repartition-and-migrate policy (`None` = the partition is
     /// fixed for the whole run, the historical behaviour). On the hybrid
@@ -145,19 +143,6 @@ impl DistOptions {
                 .as_ref()
                 .and_then(|p| RepartitionPolicy::from_config(p, LANCZOS_ITERS, seed)),
             ..DistOptions::default()
-        }
-    }
-
-    /// The halo transport a run with these options and fault context
-    /// really uses. The hybrid backend's shared-memory windows carry
-    /// only fault-free halo streams: fault injection lives in the
-    /// channel transport, so a non-empty plan keeps everything on the
-    /// channels (the recovery machinery then works unchanged).
-    pub fn transport(&self, fopts: &FaultOptions) -> DistBackend {
-        if self.backend == DistBackend::Hybrid && fopts.plan.is_empty() {
-            DistBackend::Hybrid
-        } else {
-            DistBackend::Delta
         }
     }
 }
@@ -226,10 +211,6 @@ pub struct DistRunResult {
     /// modeled Delta clock; on the channel backend it mostly measures
     /// the simulator.
     pub wall_seconds: f64,
-    /// The halo transport the driver actually used: `Hybrid` only when
-    /// it installed shared-memory windows, `Delta` otherwise — including
-    /// a requested hybrid run that fell back to channels.
-    pub transport: DistBackend,
 }
 
 impl DistRunResult {

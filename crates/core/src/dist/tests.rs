@@ -839,9 +839,9 @@ mod hybrid {
     //! The true-parallel hybrid backend: same schedules, same numerics,
     //! different transport. Bit-identical to the channel backend — and
     //! therefore transitively to the serial/shared solvers within their
-    //! established tolerances — plus the wall-clock and fallback
-    //! behaviours that distinguish it. Migrations ride the windows too:
-    //! each era's schedules get fresh ones.
+    //! established tolerances — plus the wall-clock behaviour that
+    //! distinguishes it. Migrations and fault recoveries ride the windows
+    //! too: each new epoch's schedules get fresh ones.
 
     use std::sync::Arc;
 
@@ -861,6 +861,39 @@ mod hybrid {
             backend: DistBackend::Hybrid,
             ..DistOptions::default()
         }
+    }
+
+    /// `opts` with every lane traced, for [`rode_windows`].
+    fn traced(opts: DistOptions) -> DistOptions {
+        DistOptions {
+            trace_capacity: Some(1 << 15),
+            ..opts
+        }
+    }
+
+    /// Did this traced run's halo exchanges ride windows? A windowed
+    /// rank consumes in `exchange_finish`, a span of its own that
+    /// receives and sends nothing; on channels one span does both.
+    fn rode_windows(r: &DistRunResult) -> bool {
+        r.lanes().iter().any(|lane| {
+            let (mut sent, mut received) = (false, false);
+            lane.events.iter().any(|s| match s.ev {
+                obs::Event::PhaseBegin { .. } => {
+                    (sent, received) = (false, false);
+                    false
+                }
+                obs::Event::MsgSend { .. } => {
+                    sent = true;
+                    false
+                }
+                obs::Event::MsgRecv { .. } => {
+                    received = true;
+                    false
+                }
+                obs::Event::PhaseEnd { .. } => received && !sent,
+                _ => false,
+            })
+        })
     }
 
     fn assert_runs_bit_identical(
@@ -1032,11 +1065,11 @@ mod hybrid {
                 repartition,
                 ..DistOptions::default()
             });
-            let hybrid = run(DistOptions {
+            let hybrid = run(traced(DistOptions {
                 repartition,
                 ..hybrid_opts()
-            });
-            assert_eq!(hybrid.transport, DistBackend::Hybrid, "{what}");
+            }));
+            assert!(rode_windows(&hybrid), "{what}");
             assert_runs_bit_identical(&delta, &hybrid, nverts, &what);
 
             let (od, oh) = (
@@ -1074,16 +1107,17 @@ mod hybrid {
             |r: &DistRunResult| -> f64 { r.phase_counters().iter().map(|p| p.flops()).sum() };
         for every in [2, 3] {
             let run = |backend| {
-                let opts = DistOptions {
+                let opts = traced(DistOptions {
                     backend,
                     repartition: Some(policy(every)),
                     ..DistOptions::default()
-                };
+                });
                 run_distributed(&setup, cfg, Strategy::WCycle, 9, opts)
             };
             let (delta, hybrid) = (run(DistBackend::Delta), run(DistBackend::Hybrid));
             let what = format!("every {every}");
-            assert_eq!(hybrid.transport, DistBackend::Hybrid, "{what}: no fallback");
+            assert!(rode_windows(&hybrid), "{what}: halo records ride windows");
+            assert!(!rode_windows(&delta), "{what}: and channels do not");
             assert_runs_bit_identical(&delta, &hybrid, nverts, &what);
             let (cd, ch) = (delta.cycle_counters(), hybrid.cycle_counters());
             for (vid, (d, h)) in cd.iter().zip(&ch).enumerate() {
@@ -1109,7 +1143,7 @@ mod hybrid {
         let labels: Vec<&str> = Phase::ALL.iter().map(|p| p.label()).collect();
         let trace = || {
             let r = run_distributed(&setup, cfg, Strategy::WCycle, 9, opts);
-            assert_eq!(r.transport, DistBackend::Hybrid);
+            assert!(rode_windows(&r));
             obs::chrome_trace(&r.lanes(), &labels)
         };
         let first = trace();
@@ -1124,11 +1158,11 @@ mod hybrid {
     }
 
     #[test]
-    fn hybrid_with_fault_plan_falls_back_to_channels_and_recovers() {
-        // Fault injection lives in the channel transport, so a hybrid
-        // run with a non-empty plan silently runs on channels — and must
-        // therefore reproduce the checkpoint/rollback/adoption story
-        // bit-for-bit, kill and checkpoint machinery included.
+    fn hybrid_with_fault_plan_recovers_on_windows() {
+        // A fault plan acts on window records as on channel messages: the
+        // corrupt record fails its checksum, the kill strikes mid-stream,
+        // and the run reproduces the checkpoint/rollback/adoption story
+        // bit-for-bit on windows, the adopted replica's included.
         let cfg = SolverConfig {
             mach: 0.5,
             ..SolverConfig::default()
@@ -1151,15 +1185,11 @@ mod hybrid {
             cfg,
             Strategy::VCycle,
             cycles,
-            hybrid_opts(),
+            traced(hybrid_opts()),
             &fopts,
         )
         .expect("faulted run completes");
-        assert_eq!(
-            faulted.transport,
-            DistBackend::Delta,
-            "a fault plan falls back"
-        );
+        assert!(rode_windows(&faulted), "a fault plan keeps the windows");
         assert_runs_bit_identical(&clean, &faulted, nverts, "hybrid faulted vs clean");
         assert!(matches!(faulted.run.results[2].fate, RankFate::Died { .. }));
         assert!(

@@ -50,4 +50,4 @@ pub use machine::{check_nranks, run_spmd, MachineRun, MAX_RANKS};
 pub use msg::{checksum, CommClass, CommStats, Payload, RankCounters};
 pub use pool::CommBuffers;
 pub use rank::{mesh_dims, mesh_hops, silence_fault_signal_panics, Rank, COLLECTIVE_TAG_BASE};
-pub use shm::{Wedge, Window, WindowRegistry, DEFAULT_WEDGE_TIMEOUT};
+pub use shm::{Record, Wedge, Window, WindowRegistry, DEFAULT_WEDGE_TIMEOUT};

@@ -668,5 +668,160 @@ mod tests {
             assert_eq!(run.results[0], 42.0, "adopted mailbox must deliver");
             assert!(run.counters[0].recoveries >= 1);
         }
+
+        /// Two ranks whose record streams ride shared-memory windows,
+        /// under the fault plan `spec` and bounded timeout `timeout`.
+        fn windowed<T: Send>(
+            spec: &str,
+            timeout: Duration,
+            body: impl Fn(&mut Rank) -> T + Sync,
+        ) -> MachineRun<T> {
+            let plan = Arc::new(FaultPlan::parse(spec, 2).unwrap());
+            let reg = crate::shm::WindowRegistry::new(2);
+            run_spmd(2, |r| {
+                r.install_windows(reg.clone());
+                r.install_faults(plan.clone(), Some(timeout));
+                r.set_fault_cycle(0);
+                body(r)
+            })
+        }
+
+        fn publish(r: &mut Rank, vals: &[f64]) {
+            r.publish_f64(1 - r.id, 5, CommClass::Halo, vals.len(), |b| {
+                b.extend_from_slice(vals)
+            });
+        }
+
+        fn consume(r: &mut Rank) -> Vec<f64> {
+            r.consume_f64(1 - r.id, 5, <[f64]>::to_vec)
+        }
+
+        #[test]
+        fn shm_window_records_carry_the_channel_fault_model() {
+            // Corrupt: the record fails its checksum at consume.
+            let run = windowed("corrupt:0>1#0", WINDOW, |r| {
+                if r.id == 0 {
+                    publish(r, &[1.0, 2.0]);
+                    return true;
+                }
+                matches!(
+                    caught(|| consume(r)),
+                    FaultSignal::Recover {
+                        epoch: 1,
+                        cause: FaultCause::Corrupt,
+                        ..
+                    }
+                )
+            });
+            assert!(run.results.iter().all(|&ok| ok));
+            // Duplicate: one record, sieved twice, adds no wait.
+            let run = windowed("dup:0>1#0", WINDOW, |r| {
+                if r.id == 0 {
+                    publish(r, &[1.0]);
+                    publish(r, &[2.0]);
+                    return 0.0;
+                }
+                consume(r)[0] + consume(r)[0]
+            });
+            assert_eq!(run.results[1], 3.0);
+            assert_eq!(run.counters[1].dup_discards, 1);
+            // Drop: the next record shows the sequence gap...
+            let run = windowed("drop:0>1#0", WINDOW, |r| {
+                if r.id == 0 {
+                    publish(r, &[1.0]);
+                    publish(r, &[2.0]);
+                    return true;
+                }
+                matches!(
+                    caught(|| consume(r)),
+                    FaultSignal::Recover {
+                        cause: FaultCause::Lost,
+                        ..
+                    }
+                )
+            });
+            assert!(run.results.iter().all(|&ok| ok));
+            // ... and with none to follow, the bounded timeout fires.
+            let run = windowed("drop:0>1#0", Duration::from_millis(50), |r| {
+                if r.id == 0 {
+                    publish(r, &[1.0]);
+                    return true;
+                }
+                matches!(
+                    caught(|| consume(r)),
+                    FaultSignal::Recover {
+                        cause: FaultCause::Timeout,
+                        ..
+                    }
+                )
+            });
+            assert!(run.results.iter().all(|&ok| ok));
+            // Delay: priced on the sender, delivered intact.
+            let run = windowed("delay:0>1#0=500", WINDOW, |r| {
+                if r.id == 0 {
+                    publish(r, &[4.0]);
+                    return 4.0;
+                }
+                consume(r)[0]
+            });
+            assert_eq!(run.results, vec![4.0, 4.0]);
+            assert_eq!(run.counters[0].fault_ticks, 500);
+        }
+
+        #[test]
+        fn shm_dead_publisher_unwinds_a_blocked_consumer() {
+            // Rank 1 dies at its second publish; rank 0, blocked in the
+            // window wait for that record, hears the death notice and
+            // unwinds into recovery instead of waiting out the wedge
+            // timeout. The adopted replica keeps the windows.
+            let run = windowed("kill:1@0+1", WINDOW, |r| {
+                // The barrier keeps the death after the first consume: a
+                // wait that hears the notice first may leave through it
+                // even with the record there, which is just as correct.
+                if r.id == 1 {
+                    publish(r, &[1.0]);
+                    r.barrier();
+                    assert!(matches!(caught(|| publish(r, &[2.0])), FaultSignal::Killed));
+                    r.announce_death();
+                    return true;
+                }
+                assert_eq!(consume(r), vec![1.0]);
+                r.barrier();
+                match caught(|| consume(r)) {
+                    FaultSignal::Recover {
+                        epoch: 1,
+                        dead,
+                        cause: FaultCause::PeerDeath,
+                    } => assert_eq!(dead, vec![1]),
+                    other => panic!("unexpected signal {other:?}"),
+                }
+                r.begin_recovery(1);
+                r.adopt(1).has_windows()
+            });
+            assert!(run.results.iter().all(|&ok| ok));
+        }
+
+        #[test]
+        fn shm_dead_consumer_unwinds_a_blocked_publisher() {
+            // Rank 1 dies at its first consume; rank 0's second publish
+            // finds the window still full and leaves its wait through
+            // the death notice.
+            let run = windowed("kill:1@0", WINDOW, |r| {
+                if r.id == 1 {
+                    assert!(matches!(caught(|| consume(r)), FaultSignal::Killed));
+                    r.announce_death();
+                    return true;
+                }
+                publish(r, &[1.0]);
+                matches!(
+                    caught(|| publish(r, &[2.0])),
+                    FaultSignal::Recover {
+                        cause: FaultCause::PeerDeath,
+                        ..
+                    }
+                )
+            });
+            assert!(run.results.iter().all(|&ok| ok));
+        }
     }
 }

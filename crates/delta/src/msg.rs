@@ -51,6 +51,21 @@ impl Payload {
         }
     }
 
+    /// Flip one payload bit — the corrupt fault, applied after the
+    /// checksum was taken. An empty or control payload has no bit to
+    /// flip: the fault misses.
+    pub(crate) fn corrupt(&mut self) {
+        match self {
+            Payload::F64(v) => corrupt_f64(v),
+            Payload::U32(v) => {
+                if let Some(x) = v.first_mut() {
+                    *x ^= 1;
+                }
+            }
+            _ => {}
+        }
+    }
+
     fn kind(&self) -> &'static str {
         match self {
             Payload::F64(_) => "F64",
@@ -72,9 +87,23 @@ impl Payload {
 /// detected with certainty.
 pub fn checksum(payload: &Payload) -> u64 {
     match payload {
-        Payload::F64(v) => fnv_words(v, f64::to_bits),
+        Payload::F64(v) => checksum_f64(v),
         Payload::U32(v) => fnv_words(v, u64::from),
         _ => 0,
+    }
+}
+
+/// [`checksum`] of an `f64` payload, for records that travel outside a
+/// [`Payload`] (shared-memory windows).
+pub(crate) fn checksum_f64(v: &[f64]) -> u64 {
+    fnv_words(v, f64::to_bits)
+}
+
+/// The corrupt fault on an `f64` payload: flip the lowest bit of its
+/// first word (nothing on an empty one).
+pub(crate) fn corrupt_f64(v: &mut [f64]) {
+    if let Some(x) = v.first_mut() {
+        *x = f64::from_bits(x.to_bits() ^ 1);
     }
 }
 

@@ -12,9 +12,9 @@ use eul3d_obs as obs;
 
 use crate::cost::CostModel;
 use crate::fault::{FaultAction, FaultCause, FaultPlan, FaultSignal, FaultState};
-use crate::msg::{checksum, CommClass, Message, Payload, RankCounters};
+use crate::msg::{checksum, checksum_f64, corrupt_f64, CommClass, Message, Payload, RankCounters};
 use crate::pool::CommBuffers;
-use crate::shm::{Window, WindowRegistry};
+use crate::shm::{Wedge, Window, WindowRegistry};
 
 /// Largest-factor-pair 2-D mesh factorization: returns `(rows, cols)`
 /// with `rows * cols == n`, `rows <= cols`, and `rows` the largest
@@ -64,6 +64,19 @@ pub const COLLECTIVE_TAG_BASE: u32 = 0xF000_0000;
 /// to never reach it.
 pub(crate) const POISON_TAG: u32 = u32::MAX;
 
+/// The transport a record rides. Each numbers its streams apart: a
+/// window counts its own records, even on a tag the channels carried
+/// before the registry was installed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Via {
+    Channel,
+    Window,
+}
+
+/// A directed stream as its sequence numbers count it (see
+/// [`Rank::stream_key`]).
+type StreamKey = (Via, usize, u32);
+
 /// One rank's handle onto the simulated machine. Passed by the SPMD
 /// driver to the rank body; all communication goes through it.
 pub struct Rank {
@@ -109,19 +122,19 @@ pub struct Rank {
     /// every outgoing data message; older epochs are discarded on
     /// receive.
     epoch: u32,
-    /// Next sequence number per outgoing directed stream `(dst, tag)`,
-    /// reset each epoch. Collective tags share one stream per peer.
-    send_seq: HashMap<(usize, u32), u64>,
-    /// Next expected sequence number per incoming stream `(src, tag)`.
-    recv_seq: HashMap<(usize, u32), u64>,
+    /// Next sequence number per outgoing directed stream (see
+    /// [`Rank::stream_key`]), reset each epoch.
+    send_seq: HashMap<StreamKey, u64>,
+    /// Next expected sequence number per incoming stream.
+    recv_seq: HashMap<StreamKey, u64>,
     /// Ranks known to have died (physically — their partitions live on
     /// as adopted virtual ranks after recovery).
     dead: Vec<bool>,
     /// Fault-plan evaluation state; `None` on fault-free runs.
     faults: Option<FaultState>,
-    /// Bounded-receive window; armed only when a fault plan is
-    /// installed, so fault-free runs keep the zero-overhead blocking
-    /// receive.
+    /// Bounded-receive (and window-wait) timeout; armed only when a
+    /// fault plan that can drop is installed, so fault-free runs keep the
+    /// zero-overhead blocking receive.
     recv_timeout: Option<Duration>,
     /// Machine constants used to price this rank's traffic on the
     /// modeled clock (the pluggable `CommCost` seam — the hybrid backend
@@ -180,8 +193,9 @@ impl Rank {
 
     /// Attach the shared-memory window registry (hybrid backend). Every
     /// record stream ([`Rank::publish_f64`] / [`Rank::consume_f64`]) then
-    /// moves through in-place shared-memory publishes; setup messages,
-    /// collectives and checkpoint shipping stay on the channels.
+    /// moves through in-place shared-memory publishes, under a fault plan
+    /// too; setup messages, collectives and checkpoint shipping stay on
+    /// the channels.
     pub fn install_windows(&mut self, reg: Arc<WindowRegistry>) {
         assert_eq!(
             reg.nranks(),
@@ -192,7 +206,8 @@ impl Rank {
     }
 
     /// Do this rank's record streams ride shared-memory windows (where
-    /// work between publish and consume really overlaps)?
+    /// work between publish and consume really overlaps)? The one place
+    /// a run's transport is decided.
     pub fn has_windows(&self) -> bool {
         self.windows.is_some()
     }
@@ -202,11 +217,12 @@ impl Rank {
     /// The transport is the rank's: its shared-memory window when a
     /// registry is installed, else the persistent-buffer channel protocol
     /// ([`Rank::take_pack_f64`] + [`Rank::send_packed_f64`]). Both charge
-    /// the same counters, trace events and modeled wire time, and both
-    /// block only while the stream's previous record is unread, so
-    /// callers never ask which one runs. Pair with [`Rank::consume_f64`]
-    /// on `dst`; every rank publishes all of an exchange's records before
-    /// consuming any (see [`crate::shm`] for why that cannot deadlock).
+    /// the same counters, trace events and modeled wire time, both carry
+    /// the same stamp and the same fault plan, and both block only while
+    /// the stream's previous record is unread, so callers never ask which
+    /// one runs. Pair with [`Rank::consume_f64`] on `dst`; every rank
+    /// publishes all of an exchange's records before consuming any (see
+    /// [`crate::shm`] for why that cannot deadlock).
     pub fn publish_f64<F>(&mut self, dst: usize, tag: u32, class: CommClass, cap: usize, fill: F)
     where
         F: FnOnce(&mut Vec<f64>),
@@ -245,30 +261,32 @@ impl Rank {
     }
 
     /// The window transport of [`Rank::publish_f64`]: `fill` packs into
-    /// the window buffer in place (no message copy), charged exactly
-    /// like the channel send — same counters, same trace events, same
-    /// modeled wire time.
+    /// the window's record in place (no message copy), which is stamped
+    /// and exposed to the fault plan by the code the channel send runs
+    /// ([`Rank::stamp_out`]), and charged exactly like it — same
+    /// counters, same trace events, same modeled wire time.
     fn window_publish_f64<F>(&mut self, dst: usize, tag: u32, class: CommClass, fill: F)
     where
         F: FnOnce(&mut Vec<f64>),
     {
         assert!(dst < self.nranks, "publish to rank {dst} out of range");
         assert_ne!(dst, self.id, "self-publish is a schedule bug");
+        self.tick_fault_op();
         let win = self.window(self.id, dst, tag);
-        let len = match win.publish_with(fill) {
-            Ok(len) => len,
-            // A wedge is not recoverable inside the SPMD region: unwind
-            // with the typed error so the driver boundary surfaces it as
-            // a DeltaError instead of a panic message.
-            Err(w) => std::panic::panic_any(crate::DeltaError::WindowWedged {
-                src: self.id,
-                dst,
-                tag,
-                side: w.side,
-                epoch: w.epoch,
-                timeout_ms: w.timeout_ms,
-            }),
-        };
+        if let Err(w) = win.wait_free(|waited| self.listen(waited)) {
+            self.wedged(self.id, dst, tag, w);
+        }
+        let mut len = 0;
+        win.publish_with(|rec| {
+            fill(&mut rec.data);
+            len = rec.data.len();
+            rec.crc = checksum_f64(&rec.data);
+            let (seq, copies) =
+                self.stamp_out(Via::Window, dst, tag, || corrupt_f64(&mut rec.data));
+            rec.seq = seq;
+            rec.dup = copies == 2;
+            copies > 0
+        });
         let bytes = 8 * len as u64; // Payload::F64 wire accounting
         let hops = self.hops_to(dst);
         self.counters.record_send(class, bytes);
@@ -281,23 +299,31 @@ impl Rank {
         obs::advance_ns(self.cost.send_ns(bytes, hops));
     }
 
-    /// The window transport of [`Rank::consume_f64`]. Receives are
-    /// sender-priced (as on the channel path), so only the event is
-    /// recorded.
+    /// The window transport of [`Rank::consume_f64`]: the record's stamp
+    /// passes the check the channel sieve runs ([`Rank::admit`]) — a
+    /// duplicated record is admitted once and refused once — before
+    /// `read` sees it. Receives are sender-priced (as on the channel
+    /// path), so only the event is recorded.
     fn window_consume_f64<R>(&mut self, src: usize, tag: u32, read: impl FnOnce(&[f64]) -> R) -> R {
         assert!(src < self.nranks, "consume from rank {src} out of range");
+        self.tick_fault_op();
         let win = self.window(src, self.id, tag);
-        let (bytes, r) = match win.consume_with(|buf| (8 * buf.len() as u64, read(buf))) {
-            Ok(pair) => pair,
-            Err(w) => std::panic::panic_any(crate::DeltaError::WindowWedged {
-                src,
-                dst: self.id,
-                tag,
-                side: w.side,
-                epoch: w.epoch,
-                timeout_ms: w.timeout_ms,
-            }),
-        };
+        if let Err(w) = win.wait_ready(|waited| self.listen(waited)) {
+            self.wedged(src, self.id, tag, w);
+        }
+        let (bytes, r) = win.consume_with(|rec| {
+            let crc_ok = || checksum_f64(&rec.data) == rec.crc;
+            if !self.admit(Via::Window, src, tag, rec.seq, crc_ok) {
+                unreachable!(
+                    "window {src}->{} tag {tag} replayed seq {}",
+                    self.id, rec.seq
+                );
+            }
+            if rec.dup {
+                self.admit(Via::Window, src, tag, rec.seq, || true);
+            }
+            (8 * rec.data.len() as u64, read(&rec.data))
+        });
         obs::emit(obs::Event::MsgRecv {
             peer: rid(src),
             tag,
@@ -306,10 +332,49 @@ impl Rank {
         r
     }
 
+    /// What a rank blocked in a window wait does on every yield: sieve
+    /// what reached its mailbox, in receive order, so a peer's death or
+    /// abort notice unwinds the wait into recovery as it would a blocked
+    /// receive (data is stashed for the receive that wants it); and,
+    /// once the plan's bounded timeout has passed, give the record up as
+    /// dropped.
+    fn listen(&mut self, waited: Duration) {
+        loop {
+            let m = match self.replay.pop_front() {
+                Some(m) => m,
+                None => match self.rx.try_recv() {
+                    Ok(m) => m,
+                    Err(_) => break,
+                },
+            };
+            if let Some((s, t, p)) = self.sieve(m) {
+                self.stash.entry((s, t)).or_default().push_back(p);
+            }
+        }
+        if self.recv_timeout.is_some_and(|t| waited >= t) {
+            self.raise_recovery(self.epoch + 1, FaultCause::Timeout);
+        }
+    }
+
+    /// A window wait outlived the wedge timeout. Not recoverable inside
+    /// the SPMD region: unwind with the typed error so the driver
+    /// boundary surfaces it as a [`crate::DeltaError`] instead of a panic
+    /// message.
+    fn wedged(&self, src: usize, dst: usize, tag: u32, w: Wedge) -> ! {
+        panic_any(crate::DeltaError::WindowWedged {
+            src,
+            dst,
+            tag,
+            side: w.side,
+            epoch: w.epoch,
+            timeout_ms: w.timeout_ms,
+        })
+    }
+
     /// Install a fault plan on this rank (SPMD: every rank installs the
     /// same shared plan and evaluates only the entries it originates).
-    /// `timeout` arms the bounded receive used to detect silent message
-    /// loss; it is ignored for an empty plan so fault-free runs stay on
+    /// `timeout` arms the bounded receive (and window wait) used to detect
+    /// silent message loss; it is ignored for an empty plan so fault-free runs stay on
     /// the blocking fast path, and ignored unless the plan can actually
     /// drop a message ([`FaultPlan::may_drop`]) — a wall-clock timeout
     /// is only sound when armed against a modeled drop, never against a
@@ -462,74 +527,79 @@ impl Rank {
         self.counters.add_flops(n);
     }
 
-    /// Directed streams share one sequence counter per `(peer, tag)`;
-    /// collective tags are rotated per operation but consumed in program
-    /// order per peer pair, so they fold onto a single per-peer stream —
-    /// keeping the sequence maps bounded by the communication pattern,
-    /// not the cycle count.
-    fn stream_key(peer: usize, tag: u32) -> (usize, u32) {
-        if tag >= COLLECTIVE_TAG_BASE {
-            (peer, COLLECTIVE_TAG_BASE)
-        } else {
-            (peer, tag)
-        }
+    /// Directed streams share one sequence counter per `(peer, tag)` and
+    /// transport; collective tags are rotated per operation but consumed
+    /// in program order per peer pair, so they fold onto a single
+    /// per-peer stream — keeping the sequence maps bounded by the
+    /// communication pattern, not the cycle count.
+    fn stream_key(via: Via, peer: usize, tag: u32) -> StreamKey {
+        (via, peer, tag.min(COLLECTIVE_TAG_BASE))
     }
 
-    /// The single exit point for every message this rank originates
-    /// (charged sends, uncharged buffer returns, collectives): stamps the
-    /// recovery epoch, the stream sequence number, and the payload
-    /// checksum, then consults the fault plan — which may drop,
-    /// duplicate, corrupt, or delay the message on the wire.
-    fn post(&mut self, dst: usize, tag: u32, payload: Payload) {
+    /// Stamp the next record on outgoing stream `(dst, tag)` and let the
+    /// fault plan act on it: the one body both transports run for every
+    /// record this rank originates. The caller took the payload's
+    /// checksum first; `corrupt` flips a payload bit after it. Returns
+    /// the record's sequence number and how many copies reach the wire:
+    /// 0 when the plan drops it (its sequence number is still consumed,
+    /// so the receiver sees the gap), 2 when it duplicates it.
+    fn stamp_out(
+        &mut self,
+        via: Via,
+        dst: usize,
+        tag: u32,
+        corrupt: impl FnOnce(),
+    ) -> (u64, usize) {
         let seq = {
-            let s = self.send_seq.entry(Self::stream_key(dst, tag)).or_insert(0);
+            let s = self
+                .send_seq
+                .entry(Self::stream_key(via, dst, tag))
+                .or_insert(0);
             let seq = *s;
             *s += 1;
             seq
         };
-        let crc = checksum(&payload);
         let action = match self.faults.as_mut() {
             Some(f) => f.action_for(self.id, dst, tag),
             None => None,
         };
-        let mut payload = payload;
-        match action {
-            Some(FaultAction::Drop) => return, // seq consumed: receiver sees the gap
-            Some(FaultAction::Duplicate) => {
-                let dup = Message {
-                    src: self.id,
-                    tag,
-                    epoch: self.epoch,
-                    seq,
-                    crc,
-                    payload: payload.clone(),
-                };
-                if self.txs[dst].send(dup).is_err() {
-                    unreachable!("receiver hung up");
-                }
-            }
+        let copies = match action {
+            Some(FaultAction::Drop) => 0,
+            Some(FaultAction::Duplicate) => 2,
             Some(FaultAction::Corrupt) => {
-                // Flip one payload bit *after* the checksum was taken.
-                match &mut payload {
-                    Payload::F64(v) if !v.is_empty() => {
-                        v[0] = f64::from_bits(v[0].to_bits() ^ 1);
-                    }
-                    Payload::U32(v) if !v.is_empty() => v[0] ^= 1,
-                    _ => {} // nothing to corrupt: the fault misses
-                }
+                corrupt();
+                1
             }
-            Some(FaultAction::Delay { ticks }) => self.counters.fault_ticks += ticks,
-            None => {}
-        }
-        let sent = self.txs[dst].send(Message {
-            src: self.id,
+            Some(FaultAction::Delay { ticks }) => {
+                self.counters.fault_ticks += ticks;
+                1
+            }
+            None => 1,
+        };
+        (seq, copies)
+    }
+
+    /// The single exit point for every message this rank originates
+    /// (charged sends, uncharged buffer returns, collectives): stamps the
+    /// recovery epoch and the payload checksum, and takes the stream
+    /// sequence number from [`Rank::stamp_out`], which lets the fault
+    /// plan drop, duplicate, corrupt or delay the message on the wire.
+    fn post(&mut self, dst: usize, tag: u32, mut payload: Payload) {
+        let crc = checksum(&payload);
+        let (seq, copies) = self.stamp_out(Via::Channel, dst, tag, || payload.corrupt());
+        let (src, epoch) = (self.id, self.epoch);
+        let message = |payload| Message {
+            src,
             tag,
-            epoch: self.epoch,
+            epoch,
             seq,
             crc,
             payload,
-        });
-        if sent.is_err() {
+        };
+        if copies == 2 && self.txs[dst].send(message(payload.clone())).is_err() {
+            unreachable!("receiver hung up");
+        }
+        if copies > 0 && self.txs[dst].send(message(payload)).is_err() {
             unreachable!("receiver hung up");
         }
     }
@@ -669,25 +739,44 @@ impl Rank {
                     });
                     return None;
                 }
-                let key = Self::stream_key(m.src, m.tag);
-                let want = *self.recv_seq.entry(key).or_insert(0);
-                if m.seq < want {
-                    // A duplicated message we already consumed.
-                    self.counters.dup_discards += 1;
+                let crc_ok = || checksum(&payload) == m.crc;
+                if !self.admit(Via::Channel, m.src, m.tag, m.seq, crc_ok) {
                     self.recycle_payload(payload);
                     return None;
-                }
-                if m.seq > want {
-                    // A message on this stream was lost in flight.
-                    self.raise_recovery(self.epoch + 1, FaultCause::Lost);
-                }
-                self.recv_seq.insert(key, want + 1);
-                if checksum(&payload) != m.crc {
-                    self.raise_recovery(self.epoch + 1, FaultCause::Corrupt);
                 }
                 Some((m.src, m.tag, payload))
             }
         }
+    }
+
+    /// The receive-side stamp check both transports run on every data
+    /// record from `src` on `tag`: a sequence number already seen is a
+    /// duplicate — counted and refused (false); one past the expected
+    /// means a record on the stream was lost in flight, and a checksum
+    /// mismatch (`crc_ok` false) that the payload was corrupted — both
+    /// unwind into recovery.
+    fn admit(
+        &mut self,
+        via: Via,
+        src: usize,
+        tag: u32,
+        seq: u64,
+        crc_ok: impl FnOnce() -> bool,
+    ) -> bool {
+        let key = Self::stream_key(via, src, tag);
+        let want = *self.recv_seq.entry(key).or_insert(0);
+        if seq < want {
+            self.counters.dup_discards += 1;
+            return false;
+        }
+        if seq > want {
+            self.raise_recovery(self.epoch + 1, FaultCause::Lost);
+        }
+        self.recv_seq.insert(key, want + 1);
+        if !crc_ok() {
+            self.raise_recovery(self.epoch + 1, FaultCause::Corrupt);
+        }
+        true
     }
 
     fn recv_payload(&mut self, src: usize, tag: u32) -> Payload {
@@ -887,7 +976,9 @@ impl Rank {
     /// died, not to its replacement. Pool, tag reservations, and stream
     /// counters start empty; the hosting node re-runs schedule
     /// construction for it. Hop accounting keeps `vid`'s mesh position
-    /// (the adopted partition's traffic pattern, not the host's).
+    /// (the adopted partition's traffic pattern, not the host's), and the
+    /// transport stays the host's: a windowed host's replica rides
+    /// windows too.
     pub fn adopt(&self, vid: usize) -> Rank {
         assert!(self.dead[vid], "adopting a live rank");
         assert_ne!(vid, self.id, "a rank cannot adopt itself");
@@ -903,9 +994,8 @@ impl Rank {
         r.dead = self.dead.clone();
         r.recv_timeout = self.recv_timeout;
         r.cost = self.cost;
-        // Windows are deliberately not inherited: adoption only happens
-        // under a fault plan, and fault-injected runs stay entirely on
-        // the modeled channels.
+        // Fresh windows: the recovery epoch shifted every tag.
+        r.windows = self.windows.clone();
         r.faults = self
             .faults
             .as_ref()

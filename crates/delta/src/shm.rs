@@ -27,14 +27,23 @@
 //! *current* one — so every wait points at a peer strictly earlier in
 //! the program, and the least-progressed rank is always runnable.
 //!
-//! Windows carry every schedule record stream of a fault-free run —
-//! halo exchanges, inter-grid transfers and the set-up degree scatter,
-//! all through [`crate::Rank::publish_f64`] / [`crate::Rank::consume_f64`],
-//! across mid-run migrations too (an epoch bump shifts every tag, so a
-//! rebuilt schedule gets fresh windows); the inspector's index messages,
-//! collectives, checkpoints, and every fault-injected run stay on the
-//! modeled message channels (fault injection acts on the modeled wire,
-//! which a shared-memory load bypasses by construction).
+//! Windows carry every schedule record stream of a hybrid run — halo
+//! exchanges, inter-grid transfers and the set-up degree scatter, all
+//! through [`crate::Rank::publish_f64`] / [`crate::Rank::consume_f64`] —
+//! under a fault plan too. Each [`Record`] carries the stamp a channel
+//! message carries, `{seq, crc}`, ahead of its payload, and the rank
+//! runs the same fault and stamp code on it that it runs on a message:
+//! the plan may drop, duplicate, corrupt or delay a record at publish,
+//! and the consumer checks sequence and checksum as the channel sieve
+//! does. No epoch stamp is needed: a recovery or a migration shifts
+//! every schedule tag, so the new epoch's streams open fresh windows and
+//! the old ones are simply abandoned. A duplicate adds no wait: the
+//! consumer sieves the one record twice. A wait listens to the rank's
+//! mailbox (the `poll` hook of [`Window::wait_free`] /
+//! [`Window::wait_ready`]), so a peer's death or abort notice unwinds a
+//! blocked rank into recovery, as it would a blocked receive; a dropped
+//! record is caught by the plan's bounded timeout. The inspector's index
+//! messages, collectives and checkpoints stay on the channels.
 
 use std::cell::UnsafeCell;
 use std::collections::HashMap;
@@ -62,19 +71,36 @@ pub struct Wedge {
     pub timeout_ms: u64,
 }
 
+/// One window record: the stamp a channel message carries — its
+/// position on the stream and the checksum of its payload — ahead of
+/// the payload itself.
+#[derive(Debug, Default)]
+pub struct Record {
+    /// Position on the directed stream within the current epoch.
+    pub seq: u64,
+    /// Checksum of `data` as packed.
+    pub crc: u64,
+    /// The fault plan duplicated the record: the consumer sieves it twice.
+    pub dup: bool,
+    /// The payload.
+    pub data: Vec<f64>,
+}
+
 /// One directed SPSC stream `(src, dst, tag)`. See the module docs for
-/// the ownership protocol.
+/// the ownership protocol. Each side first waits for ownership
+/// ([`Window::wait_free`] / [`Window::wait_ready`]), then acts on the
+/// record ([`Window::publish_with`] / [`Window::consume_with`]).
 pub struct Window {
     /// Epochs published by the writer; bumped with `Release` after the
-    /// buffer is filled.
+    /// record is filled.
     published: AtomicU64,
     /// Epochs consumed by the reader; bumped with `Release` after the
-    /// buffer is read.
+    /// record is read.
     consumed: AtomicU64,
-    /// The shared pack buffer. Exclusively owned by exactly one side in
+    /// The shared record. Exclusively owned by exactly one side in
     /// every state (see module docs), so the `UnsafeCell` access is
     /// data-race free under the counter protocol.
-    buf: UnsafeCell<Vec<f64>>,
+    buf: UnsafeCell<Record>,
     /// How long a wait may spin before reporting a wedge.
     timeout: Duration,
 }
@@ -90,75 +116,105 @@ impl Window {
         Window {
             published: AtomicU64::new(0),
             consumed: AtomicU64::new(0),
-            buf: UnsafeCell::new(Vec::new()),
+            buf: UnsafeCell::new(Record::default()),
             timeout,
         }
     }
 
     /// Spin (with escalating yields) until `ready` holds, or report the
-    /// wedge after the window's timeout. `side` labels which side
-    /// stalled; `epoch` is the epoch it was trying to advance past.
-    fn wait(&self, ready: impl Fn() -> bool, side: &'static str, epoch: u64) -> Result<(), Wedge> {
+    /// wedge after the window's timeout. Every yield hands `poll` the
+    /// time waited so far; it may unwind to abandon the wait. `side`
+    /// labels which side stalled; `epoch` is the epoch it was trying to
+    /// advance past.
+    fn wait(
+        &self,
+        ready: impl Fn() -> bool,
+        mut poll: impl FnMut(Duration),
+        side: &'static str,
+        epoch: u64,
+    ) -> Result<(), Wedge> {
         let mut spins = 0u32;
-        let mut deadline: Option<Instant> = None;
+        let mut start: Option<Instant> = None;
         while !ready() {
             spins += 1;
             if spins < 64 {
                 std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-                let now = Instant::now();
-                match deadline {
-                    None => deadline = Some(now + self.timeout),
-                    Some(d) => {
-                        if now >= d {
-                            return Err(Wedge {
-                                side,
-                                epoch,
-                                timeout_ms: self.timeout.as_millis() as u64,
-                            });
-                        }
-                    }
-                }
+                continue;
             }
+            std::thread::yield_now();
+            let now = Instant::now();
+            let waited = now - *start.get_or_insert(now);
+            if waited >= self.timeout {
+                return Err(Wedge {
+                    side,
+                    epoch,
+                    timeout_ms: self.timeout.as_millis() as u64,
+                });
+            }
+            poll(waited);
         }
         Ok(())
     }
 
-    /// Writer side: wait for the previous epoch to be consumed, let
-    /// `fill` pack the (cleared) buffer, and publish the new epoch.
-    /// Returns the published length, or the wedge if the consumer never
-    /// freed the buffer within the window's timeout (`fill` does not
-    /// run in that case).
-    pub fn publish_with<F: FnOnce(&mut Vec<f64>)>(&self, fill: F) -> Result<usize, Wedge> {
+    /// Writer side: wait until the consumer has freed the record of the
+    /// previous epoch, or report the wedge after the window's timeout.
+    pub fn wait_free(&self, poll: impl FnMut(Duration)) -> Result<(), Wedge> {
         let p = self.published.load(Ordering::Relaxed);
         self.wait(
             || self.consumed.load(Ordering::Acquire) == p,
+            poll,
             "publisher",
             p,
-        )?;
-        // SAFETY: consumed == published, so the writer exclusively owns
-        // the buffer until the Release store below.
-        let buf = unsafe { &mut *self.buf.get() };
-        buf.clear();
-        fill(buf);
-        let len = buf.len();
-        self.published.store(p + 1, Ordering::Release);
-        Ok(len)
+        )
     }
 
-    /// Reader side: wait for an unconsumed epoch, hand the buffer to
-    /// `read`, and return it to the writer. Reports the wedge if no
-    /// epoch arrives within the window's timeout.
-    pub fn consume_with<R, F: FnOnce(&[f64]) -> R>(&self, read: F) -> Result<R, Wedge> {
+    /// Writer side, once [`Window::wait_free`] returned: let `fill` pack
+    /// the cleared record and publish it as the next epoch — unless
+    /// `fill` returns false (the record is lost on the wire, and the
+    /// writer keeps the buffer).
+    pub fn publish_with(&self, fill: impl FnOnce(&mut Record) -> bool) {
+        let p = self.published.load(Ordering::Relaxed);
+        assert_eq!(
+            self.consumed.load(Ordering::Acquire),
+            p,
+            "publish into a window its consumer still owns"
+        );
+        // SAFETY: consumed == published, so the writer exclusively owns
+        // the record until the Release store below.
+        let rec = unsafe { &mut *self.buf.get() };
+        rec.data.clear();
+        rec.dup = false;
+        if fill(rec) {
+            self.published.store(p + 1, Ordering::Release);
+        }
+    }
+
+    /// Reader side: wait for an unconsumed epoch, or report the wedge
+    /// after the window's timeout.
+    pub fn wait_ready(&self, poll: impl FnMut(Duration)) -> Result<(), Wedge> {
         let c = self.consumed.load(Ordering::Relaxed);
-        self.wait(|| self.published.load(Ordering::Acquire) > c, "consumer", c)?;
+        self.wait(
+            || self.published.load(Ordering::Acquire) > c,
+            poll,
+            "consumer",
+            c,
+        )
+    }
+
+    /// Reader side, once [`Window::wait_ready`] returned: hand the
+    /// record to `read` and return it to the writer. A `read` that
+    /// unwinds leaves the record unconsumed.
+    pub fn consume_with<R>(&self, read: impl FnOnce(&Record) -> R) -> R {
+        let c = self.consumed.load(Ordering::Relaxed);
+        assert!(
+            self.published.load(Ordering::Acquire) > c,
+            "consume from a window with nothing published"
+        );
         // SAFETY: published > consumed, so the reader exclusively owns
-        // the buffer until the Release store below.
-        let buf = unsafe { &*self.buf.get() };
-        let r = read(buf);
+        // the record until the Release store below.
+        let r = read(unsafe { &*self.buf.get() });
         self.consumed.store(c + 1, Ordering::Release);
-        Ok(r)
+        r
     }
 
     /// Epochs published so far (diagnostics only).
@@ -224,14 +280,27 @@ mod tests {
     use super::*;
     use std::thread;
 
+    /// Block for ownership, then publish `data` as one record.
+    fn publish(w: &Window, data: &[f64]) -> Result<(), Wedge> {
+        w.wait_free(|_| {})?;
+        w.publish_with(|r| {
+            r.data.extend_from_slice(data);
+            true
+        });
+        Ok(())
+    }
+
+    /// Block for a record, then read it through `read`.
+    fn consume<R>(w: &Window, read: impl FnOnce(&[f64]) -> R) -> Result<R, Wedge> {
+        w.wait_ready(|_| {})?;
+        Ok(w.consume_with(|r| read(&r.data)))
+    }
+
     #[test]
     fn single_epoch_round_trip() {
         let w = Window::new(DEFAULT_WEDGE_TIMEOUT);
-        let n = w
-            .publish_with(|b| b.extend_from_slice(&[1.0, 2.0, 3.0]))
-            .expect("free buffer");
-        assert_eq!(n, 3);
-        let got = w.consume_with(|b| b.to_vec()).expect("published epoch");
+        publish(&w, &[1.0, 2.0, 3.0]).expect("free buffer");
+        let got = consume(&w, <[f64]>::to_vec).expect("published epoch");
         assert_eq!(got, vec![1.0, 2.0, 3.0]);
         assert_eq!(w.epochs(), 1);
     }
@@ -240,27 +309,44 @@ mod tests {
     fn wedged_waits_report_instead_of_panicking() {
         let w = Window::new(Duration::from_millis(30));
         // Consume with no publisher: the reader side wedges.
-        let wedge = w.consume_with(|b| b.len()).expect_err("nothing published");
+        let wedge = consume(&w, <[f64]>::len).expect_err("nothing published");
         assert_eq!(wedge.side, "consumer");
         assert_eq!(wedge.epoch, 0);
         assert!(wedge.timeout_ms >= 30);
         // Publish twice with no consumer: the second publish wedges
-        // (capacity-1 window) and `fill` must not have run.
-        w.publish_with(|b| b.push(1.0))
-            .expect("first epoch is free");
-        let mut filled = false;
-        let wedge = w
-            .publish_with(|b| {
-                filled = true;
-                b.push(2.0);
-            })
-            .expect_err("buffer still owned by the reader");
+        // (capacity-1 window) before it can touch the record.
+        publish(&w, &[1.0]).expect("first epoch is free");
+        let wedge = publish(&w, &[2.0]).expect_err("buffer still owned by the reader");
         assert_eq!(wedge.side, "publisher");
         assert_eq!(wedge.epoch, 1);
-        assert!(!filled, "fill must not run on a wedged publish");
         // The window stays usable: consuming frees the buffer again.
-        assert_eq!(w.consume_with(|b| b.to_vec()).expect("epoch 0"), vec![1.0]);
-        assert_eq!(w.publish_with(|b| b.push(2.0)).expect("freed"), 1);
+        assert_eq!(consume(&w, <[f64]>::to_vec).expect("epoch 0"), vec![1.0]);
+        publish(&w, &[2.0]).expect("freed");
+    }
+
+    #[test]
+    fn a_wait_polls_and_a_polled_unwind_abandons_it() {
+        let w = Window::new(DEFAULT_WEDGE_TIMEOUT);
+        let mut polls = 0;
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            w.wait_ready(|_| {
+                polls += 1;
+                if polls == 3 {
+                    std::panic::panic_any("notice");
+                }
+            })
+        }));
+        assert!(unwound.is_err(), "the poll's unwind leaves the wait");
+        assert_eq!(polls, 3);
+        // A record `fill` declines is lost: nothing is published and the
+        // writer keeps the buffer for the next epoch.
+        w.publish_with(|r| {
+            r.data.push(1.0);
+            false
+        });
+        assert_eq!(w.epochs(), 0);
+        publish(&w, &[2.0]).expect("still free");
+        assert_eq!(consume(&w, <[f64]>::to_vec).expect("epoch 0"), vec![2.0]);
     }
 
     #[test]
@@ -289,7 +375,7 @@ mod tests {
         let r = w.clone();
         let reader = thread::spawn(move || {
             for e in 0..EPOCHS {
-                r.consume_with(|buf| {
+                consume(&r, |buf| {
                     let want = e as f64;
                     let len = (e % 97 + 1) as usize;
                     assert_eq!(buf.len(), len, "epoch {e}: wrong length");
@@ -306,8 +392,11 @@ mod tests {
         });
         for e in 0..EPOCHS {
             let len = (e % 97 + 1) as usize;
-            w.publish_with(|buf| buf.resize(len, e as f64))
-                .expect("no wedge under live traffic");
+            w.wait_free(|_| {}).expect("no wedge under live traffic");
+            w.publish_with(|r| {
+                r.data.resize(len, e as f64);
+                true
+            });
         }
         reader.join().expect("reader panicked");
     }
@@ -337,11 +426,11 @@ mod tests {
                 for e in 0..EPOCHS {
                     for (peer, w) in &outs {
                         let stamp = (me * 1000 + peer * 10) as f64 + e as f64 * 0.001;
-                        w.publish_with(|b| b.resize(5, stamp)).expect("no wedge");
+                        publish(w, &[stamp; 5]).expect("no wedge");
                     }
                     for (peer, w) in &ins {
                         let want = (peer * 1000 + me * 10) as f64 + e as f64 * 0.001;
-                        w.consume_with(|b| {
+                        consume(w, |b| {
                             assert_eq!(b.len(), 5);
                             for &v in b.iter() {
                                 assert_eq!(v.to_bits(), want.to_bits());

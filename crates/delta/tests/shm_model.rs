@@ -25,6 +25,11 @@
 //! To prove the checker has teeth, mutated protocols (publish before
 //! the buffer is fully written — a missing Release edge; consume
 //! without the guard — a missing Acquire edge) must each be *caught*.
+//! A publisher that may die at any step mid-stream models the fault
+//! path: the dead rank's notice lands in the reader's mailbox, and the
+//! reader's wait, which listens to it, must leave through the abort
+//! path in every interleaving — while a mutant wait that ignores the
+//! mailbox must be caught as a deadlock.
 //! A second model checks the exchange-ordering deadlock-freedom claim
 //! from the module docs: publish-all-sends-then-consume is deadlock
 //! free, while consume-first on both sides deadlocks — and the checker
@@ -59,6 +64,21 @@ enum Variant {
     /// Reader touches the buffer without waiting for the guard —
     /// models a missing `Acquire`/guard check.
     ConsumeWithoutGuard,
+    /// The shipped protocol, with a publisher that may die at any step
+    /// and then announce its death to the reader's mailbox.
+    DyingPublisher,
+    /// BUG MODEL: a dying publisher, and a reader whose wait never
+    /// looks at its mailbox.
+    DyingPublisherDeafWait,
+}
+
+impl Variant {
+    fn publisher_dies(self) -> bool {
+        matches!(
+            self,
+            Variant::DyingPublisher | Variant::DyingPublisherDeafWait
+        )
+    }
 }
 
 /// One interleaved machine state. `*_pc` walk the atomic steps:
@@ -79,6 +99,12 @@ struct State {
     /// Epoch markers in the two buffer halves.
     buf_lo: u64,
     buf_hi: u64,
+    /// The publisher died (it takes no further step but the notice).
+    w_dead: bool,
+    /// Its death notice sits in the reader's mailbox.
+    notice: bool,
+    /// The reader left its wait through the abort path.
+    r_aborted: bool,
 }
 
 impl State {
@@ -92,6 +118,9 @@ impl State {
             r_floor: 0,
             buf_lo: UNWRITTEN,
             buf_hi: UNWRITTEN,
+            w_dead: false,
+            notice: false,
+            r_aborted: false,
         }
     }
 
@@ -102,11 +131,22 @@ impl State {
     fn reader_done(&self) -> bool {
         self.r_pc == 0 && self.consumed == EPOCHS
     }
+
+    /// The writer takes no more steps: it finished, or it died and its
+    /// notice is out.
+    fn writer_finished(&self) -> bool {
+        self.writer_done() || self.notice
+    }
+
+    /// The reader takes no more steps: it finished, or it aborted.
+    fn reader_finished(&self) -> bool {
+        self.reader_done() || self.r_aborted
+    }
 }
 
 /// Check the per-state safety invariants; returns a violation message.
 fn safety(s: &State, variant: Variant) -> Option<String> {
-    let w_owns = s.w_pc == 1 || s.w_pc == 2;
+    let w_owns = !s.w_dead && (s.w_pc == 1 || s.w_pc == 2);
     let r_owns = s.r_pc == 1 || s.r_pc == 2;
     if w_owns && r_owns {
         return Some(format!(
@@ -149,8 +189,21 @@ fn safety(s: &State, variant: Variant) -> Option<String> {
 fn successors(s: &State, variant: Variant) -> Vec<State> {
     let mut out = Vec::new();
 
-    // Writer transitions.
-    if !s.writer_done() {
+    // Writer transitions. A dying publisher may die before any step —
+    // mid-fill included, leaving the record unpublished — and its next
+    // step is then the death notice.
+    if s.w_dead {
+        if !s.notice {
+            let mut n = *s;
+            n.notice = true;
+            out.push(n);
+        }
+    } else if !s.writer_done() {
+        if variant.publisher_dies() {
+            let mut n = *s;
+            n.w_dead = true;
+            out.push(n);
+        }
         match s.w_pc {
             0 => {
                 // Guard: load `consumed` with any staleness down to the
@@ -203,7 +256,7 @@ fn successors(s: &State, variant: Variant) -> Vec<State> {
     }
 
     // Reader transitions.
-    if !s.reader_done() {
+    if !s.reader_finished() {
         match s.r_pc {
             0 => {
                 if variant == Variant::ConsumeWithoutGuard {
@@ -217,6 +270,11 @@ fn successors(s: &State, variant: Variant) -> Vec<State> {
                         n.r_floor = loaded;
                         if loaded > s.consumed {
                             n.r_pc = 1;
+                            out.push(n);
+                        } else if s.notice && variant != Variant::DyingPublisherDeafWait {
+                            // A failed guard yields and listens to the
+                            // mailbox: the death notice unwinds the wait.
+                            n.r_aborted = true;
                             out.push(n);
                         } else if loaded != s.r_floor {
                             out.push(n);
@@ -254,8 +312,15 @@ fn explore(variant: Variant) -> Result<(usize, usize), String> {
         if let Some(v) = safety(&s, variant) {
             return Err(v);
         }
-        if s.writer_done() && s.reader_done() {
-            if s.published != EPOCHS || s.consumed != EPOCHS {
+        if s.writer_finished() && s.reader_finished() {
+            if s.w_dead != s.r_aborted {
+                return Err(format!(
+                    "terminal state with a {} publisher and a reader that {}",
+                    if s.w_dead { "dead" } else { "live" },
+                    if s.r_aborted { "aborted" } else { "finished" }
+                ));
+            }
+            if !s.w_dead && (s.published != EPOCHS || s.consumed != EPOCHS) {
                 return Err(format!(
                     "terminal state with published={} consumed={}",
                     s.published, s.consumed
@@ -314,6 +379,25 @@ fn checker_catches_consume_without_guard() {
         v.contains("torn read") || v.contains("mutual exclusion") || v.contains("epoch bound"),
         "wrong violation class: {v}"
     );
+}
+
+#[test]
+fn a_dead_publisher_releases_its_reader_through_the_abort_path() {
+    let (states, terminals) = explore(Variant::DyingPublisher)
+        .unwrap_or_else(|v| panic!("dying-publisher violation found by model checker: {v}"));
+    // Besides the all-done terminal, one terminal per place the
+    // publisher can die: every one of them reached with the reader
+    // aborted (checked in `explore`), none deadlocked.
+    assert!(terminals > 1, "no death explored: {terminals} terminals");
+    let (plain, _) = explore(Variant::Correct).expect("shipped protocol");
+    assert!(states > plain, "deaths add states: {states} vs {plain}");
+}
+
+#[test]
+fn checker_catches_a_wait_deaf_to_the_abort() {
+    let v = explore(Variant::DyingPublisherDeafWait)
+        .expect_err("a wait that ignores the death notice must be caught");
+    assert!(v.contains("deadlock"), "wrong violation class: {v}");
 }
 
 // ---------------------------------------------------------------------

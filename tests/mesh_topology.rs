@@ -149,7 +149,7 @@ fn scan_locate(mesh: &TetMesh, nbrs: &[[u32; 4]], p: Vec3, seed: usize) -> (usiz
 }
 
 /// The operator from `src` onto `dst`'s vertices, and how many of them
-/// fell back to the scan.
+/// needed the scan.
 fn scan_interp(src: &TetMesh, dst: &TetMesh) -> (InterpOps, usize) {
     let nbrs = hashed_neighbors(&src.tets);
     let (mut addr, mut w) = (Vec::new(), Vec::new());

@@ -16,8 +16,8 @@ use eul3d::delta::FaultPlan;
 use eul3d::mesh::gen::BumpSpec;
 use eul3d::mesh::MeshSequence;
 use eul3d::solver::dist::{
-    run_distributed, run_distributed_with_faults, DistBackend, DistOptions, DistSetup,
-    FaultOptions, RepartitionPolicy,
+    run_distributed, run_distributed_with_faults, DistBackend, DistOptions, DistRunResult,
+    DistSetup, FaultOptions, RepartitionPolicy,
 };
 use eul3d::solver::level::{eval_dissipation, smooth_residual, time_step, LevelState};
 use eul3d::solver::runconfig::PartitionMethod;
@@ -26,6 +26,7 @@ use eul3d::solver::{
     fnv1a_128, GuardConfig, MultigridSolver, PhaseCounters, Scheme, SerialExecutor, SolverConfig,
     Strategy,
 };
+use eul3d_obs::Event;
 
 fn spec() -> BumpSpec {
     BumpSpec {
@@ -35,6 +36,41 @@ fn spec() -> BumpSpec {
         jitter: 0.1,
         ..BumpSpec::default()
     }
+}
+
+/// The options of a run on `backend` with every lane traced, so that
+/// [`rode_windows`] can tell which transport ran.
+fn traced(backend: DistBackend) -> DistOptions {
+    DistOptions {
+        backend,
+        trace_capacity: Some(1 << 15),
+        ..DistOptions::default()
+    }
+}
+
+/// Did this traced run's halo exchanges ride windows? A windowed rank
+/// consumes in `exchange_finish`, a span of its own that receives and
+/// sends nothing; on channels one span does both.
+fn rode_windows(r: &DistRunResult) -> bool {
+    r.lanes().iter().any(|lane| {
+        let (mut sent, mut received) = (false, false);
+        lane.events.iter().any(|s| match s.ev {
+            Event::PhaseBegin { .. } => {
+                (sent, received) = (false, false);
+                false
+            }
+            Event::MsgSend { .. } => {
+                sent = true;
+                false
+            }
+            Event::MsgRecv { .. } => {
+                received = true;
+                false
+            }
+            Event::PhaseEnd { .. } => received && !sent,
+            _ => false,
+        })
+    })
 }
 
 fn max_dev(a: &[f64], b: &[f64]) -> f64 {
@@ -195,12 +231,12 @@ fn distributed_w_cycle_matches_serial_multigrid() {
     // shared-memory windows (Hybrid) must each match the serial solver.
     let run = |nranks: usize, backend: DistBackend| -> Vec<f64> {
         let setup = DistSetup::new(MeshSequence::bump_sequence(&spec(), 3), nranks, 25, 11);
-        let opts = DistOptions {
-            backend,
-            ..DistOptions::default()
-        };
-        let dist = run_distributed(&setup, cfg, Strategy::WCycle, cycles, opts);
-        assert_eq!(dist.transport, backend, "the transport asked for must run");
+        let dist = run_distributed(&setup, cfg, Strategy::WCycle, cycles, traced(backend));
+        assert_eq!(
+            rode_windows(&dist),
+            backend == DistBackend::Hybrid,
+            "the transport asked for must run"
+        );
         for (a, b) in hs.iter().zip(dist.history()) {
             assert!(
                 (a - b).abs() < 1e-8 * a.max(1e-30),
@@ -264,11 +300,15 @@ fn guarded_migrating_hybrid_run_gives_the_channel_bits_and_transcript() {
                 lanczos_iters: 20,
                 seed: 7,
             }),
-            ..DistOptions::default()
+            ..traced(backend)
         };
         let r = run_distributed_with_faults(&setup, cfg, Strategy::VCycle, 12, opts, &fopts)
             .expect("the guard recovers the CFL-30 case");
-        assert_eq!(r.transport, backend, "the transport asked for must run");
+        assert_eq!(
+            rode_windows(&r),
+            backend == DistBackend::Hybrid,
+            "the transport asked for must run"
+        );
         let bits: Vec<u64> = r.history().iter().map(|x| x.to_bits()).collect();
         (bits, r.guard_outcome().cloned().expect("guarded"))
     };
@@ -280,11 +320,11 @@ fn guarded_migrating_hybrid_run_gives_the_channel_bits_and_transcript() {
     );
 }
 
-#[test]
-fn corrupted_dropped_and_duplicated_messages_recover_to_the_clean_bits() {
-    // The tier-1 slice of the fault layer: every message fault the plan
-    // names must fire on the channel transport, and the recovered run
-    // must still give the fault-free history and state, bit for bit.
+/// The tier-1 slice of the fault layer: every message fault the plan
+/// names must fire on `backend`'s transport — channel messages, or the
+/// stamped records of shared-memory windows — and the recovered run must
+/// still give the fault-free history and state, bit for bit.
+fn faulted_records_recover_to_the_clean_bits(backend: DistBackend) {
     let spec = BumpSpec {
         nx: 8,
         ny: 4,
@@ -318,27 +358,45 @@ fn corrupted_dropped_and_duplicated_messages_recover_to_the_clean_bits() {
         cfg,
         Strategy::WCycle,
         cycles,
-        DistOptions::default(),
+        traced(backend),
         &fopts,
     )
     .expect("the faulted run recovers");
-    assert_eq!(faulted.transport, DistBackend::Delta);
-    // The corrupt (checksum) and the drop (sequence gap) each force one
-    // recovery epoch on every rank; the duplicate is absorbed by the
-    // receiver's sequence filter.
+    assert_eq!(
+        rode_windows(&faulted),
+        backend == DistBackend::Hybrid,
+        "a fault plan keeps the transport asked for"
+    );
+    // The corrupt (checksum) and the drop (sequence gap or timeout) each
+    // force one recovery epoch on every rank; the duplicate is absorbed
+    // by the receiver's sequence filter.
     for (vid, c) in faulted.run.counters.iter().enumerate() {
-        assert_eq!(c.recoveries, 2, "rank {vid}: recovery epochs");
+        assert_eq!(c.recoveries, 2, "{backend:?} rank {vid}: recovery epochs");
     }
     let dups: u64 = faulted.run.counters.iter().map(|c| c.dup_discards).sum();
-    assert_eq!(dups, 1, "the duplicate must be discarded once");
+    assert_eq!(dups, 1, "{backend:?}: the duplicate must be discarded once");
     assert!(clean.run.counters.iter().all(|c| c.recoveries == 0));
     let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
-    assert_eq!(bits(faulted.history()), bits(clean.history()), "history");
+    assert_eq!(
+        bits(faulted.history()),
+        bits(clean.history()),
+        "{backend:?}: history"
+    );
     assert_eq!(
         bits(&faulted.global_state(nverts)),
         bits(&clean.global_state(nverts)),
-        "final state"
+        "{backend:?}: final state"
     );
+}
+
+#[test]
+fn corrupted_dropped_and_duplicated_messages_recover_to_the_clean_bits() {
+    faulted_records_recover_to_the_clean_bits(DistBackend::Delta);
+}
+
+#[test]
+fn corrupted_dropped_and_duplicated_window_records_recover_to_the_clean_bits() {
+    faulted_records_recover_to_the_clean_bits(DistBackend::Hybrid);
 }
 
 #[test]
@@ -490,12 +548,12 @@ fn gathered_neighbour_sums_keep_the_edge_loop_histories() {
         // exchange path, so the same bits and the same modeled traffic.
         let setup = DistSetup::new(seq(), 2, 25, 11);
         let runs = [DistBackend::Delta, DistBackend::Hybrid].map(|backend| {
-            let opts = DistOptions {
-                backend,
-                ..DistOptions::default()
-            };
-            let dist = run_distributed(&setup, cfg, Strategy::WCycle, 10, opts);
-            assert_eq!(dist.transport, backend, "{scheme:?}: no fallback");
+            let dist = run_distributed(&setup, cfg, Strategy::WCycle, 10, traced(backend));
+            assert_eq!(
+                rode_windows(&dist),
+                backend == DistBackend::Hybrid,
+                "{scheme:?} {backend:?}: the transport asked for must run"
+            );
             assert_eq!(
                 history_fnv(dist.history()),
                 delta_fnv,
