@@ -17,7 +17,7 @@
 
 use eul3d_bench::{
     base, configure, exit_2, finite_or_exit, out_dir, phase_table, ranks_flag, write_csv,
-    RANKS_SWEEP, STRATEGY_SWEEP,
+    RANKS_SWEEP, STRATEGY_SWEEP, UNGUARDED,
 };
 use eul3d_core::dist::{run_distributed, DistOptions, DistSetup};
 use eul3d_core::{Coarsening, Eul3dError, RunConfig, SolverError, Strategy};
@@ -58,7 +58,7 @@ fn make_setup(rc: &RunConfig, which: &str) -> DistSetup {
 }
 
 fn main() {
-    let sweeps = [STRATEGY_SWEEP, RANKS_SWEEP];
+    let sweeps = [STRATEGY_SWEEP, RANKS_SWEEP, UNGUARDED];
     let (mut rc, (ranks, refetch, partitioner)) =
         configure(base(25, Strategy::WCycle), &sweeps, |a| {
             let partitioner = a.get_str("partitioner").unwrap_or_else(|| "rsb".into());

@@ -35,6 +35,21 @@ pub fn base(cycles: usize, strategy: Strategy) -> RunConfig {
 pub const STRATEGY_SWEEP: (&str, &str) = ("run.strategy", "swept over sg, v and w");
 /// The `--ranks` sweep's key, for [`configure`]'s `owned`.
 pub const RANKS_SWEEP: (&str, &str) = ("run.nranks", "swept by --ranks");
+/// The guard's section, for the `owned` of every harness but `guard`.
+pub const UNGUARDED: (&str, &str) = ("[guard]", "read only by the guard harness");
+
+/// Keys no harness run reads, refused by every [`configure`]: the
+/// harnesses price every distributed run on the modeled Delta clock with
+/// one thread per rank, inject no faults and export no traces.
+const UNREAD: &[(&str, &str)] = &[
+    ("run.backend", NOT_READ),
+    ("run.threads", NOT_READ),
+    ("run.faults", NOT_READ),
+    ("run.checkpoint_every", NOT_READ),
+    ("run.fault_timeout_ms", NOT_READ),
+    ("[trace]", NOT_READ),
+];
+const NOT_READ: &str = "not read by the harnesses";
 
 /// Print `e` and exit with status 2: the harnesses' answer to any input
 /// they cannot run.
@@ -45,9 +60,10 @@ pub fn exit_2(e: impl std::fmt::Display) -> ! {
 
 /// This process's configuration: `base` under the `--config` file and
 /// the `solve` flags ([`Args::run_config`]), plus what `own` reads of
-/// the harness's own flags. Keys the harness sets itself (`owned`, each
-/// with how) are refused, and so is any flag neither reads. Every error
-/// exits 2 naming its key or flag.
+/// the harness's own flags. Keys the harness sets itself or ignores
+/// (`owned`, each with how, plus the keys no harness reads) are refused,
+/// and so is any flag neither reads. Every error exits 2 naming its key
+/// or flag.
 pub fn configure<T>(
     base: RunConfig,
     owned: &[(&str, &str)],
@@ -58,8 +74,9 @@ pub fn configure<T>(
     if let Some(tok) = &args.command {
         exit_2(format!("unexpected positional argument '{tok}'"));
     }
+    let refused: Vec<_> = owned.iter().chain(UNREAD).copied().collect();
     let rc = args
-        .run_config(Scope::Solve, base, owned)
+        .run_config(Scope::Solve, base, &refused)
         .unwrap_or_else(|e| exit_2(e));
     let flags = own(&args);
     args.check_unknown().unwrap_or_else(|e| exit_2(e));

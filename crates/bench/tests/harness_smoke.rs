@@ -131,6 +131,31 @@ fn a_bad_case_exits_2_naming_its_key_or_flag() {
     refused(table1, &["--levels", "0"], "levels");
     refused(table1, &["--strategy", "v"], "run.strategy");
     refused(table1, &["--ranks", "3"], "unknown flag --ranks");
+    // Keys no harness run reads, and `[guard]` outside the guard harness.
+    let compare = env!("CARGO_BIN_EXE_compare");
+    let scaling = env!("CARGO_BIN_EXE_scaling");
+    for bin in [table2, compare, scaling] {
+        refused(bin, &["--set", "run.backend=hybrid"], "run.backend");
+    }
+    refused(table2, &["--set", "run.threads=2"], "run.threads");
+    refused(compare, &["--set", "run.faults=kill:1@2"], "run.faults");
+    refused(
+        scaling,
+        &["--set", "run.checkpoint_every=2"],
+        "run.checkpoint_every",
+    );
+    refused(
+        table2,
+        &["--set", "run.fault_timeout_ms=100"],
+        "run.fault_timeout_ms",
+    );
+    refused(table1, &["--trace-capacity", "64"], "trace.capacity");
+    refused(table2, &["--set", "trace.enabled=true"], "trace.enabled");
+    refused(table1, &["--cfl-backoff", "0.25"], "guard.cfl_backoff");
+    let guard = std::env::temp_dir().join(format!("eul3d-harness-{}.toml", std::process::id()));
+    std::fs::write(&guard, "[guard]\n").unwrap();
+    refused(scaling, &["--config", guard.to_str().unwrap()], "[guard]");
+    std::fs::remove_file(guard).unwrap();
 }
 
 #[test]

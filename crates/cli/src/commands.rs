@@ -370,7 +370,7 @@ pub fn distributed(a: &Args) -> Result<(), String> {
         spec.nx,
         strategy.label(),
         if hybrid {
-            "hybrid threads (shared-memory windows)"
+            "hybrid threads"
         } else {
             "simulated ranks"
         },

@@ -50,12 +50,11 @@
 //! `solve --threads N` runs any strategy (and `--fmg`, `--guard`)
 //! through the shared-memory executor on a team of `N` threads.
 //!
-//! `--backend hybrid` runs the distributed solve with ranks as real OS
-//! threads exchanging halos through shared-memory windows (`--threads N`
-//! sets the thread count, default one per `--ranks`); the modeled Delta
-//! clock still runs, so the report shows both wall and simulated time.
-//! A fault plan acts on the windows as it acts on the channels, and
-//! `--trace` lanes switch to the real-time clock under `hybrid`.
+//! Every distributed run exchanges its halo, transfer and checkpoint
+//! records through shared-memory windows, one OS thread per rank.
+//! `--backend hybrid` reports it as real threads: wall time beside the
+//! modeled Delta clock, and `--trace` lanes on the real-time clock
+//! (`--threads N` sets the thread count, default one per `--ranks`).
 //!
 //! `--faults` takes a comma-separated fault plan (e.g.
 //! `kill:1@3+5,corrupt:0>2#0@2`) injected deterministically into the

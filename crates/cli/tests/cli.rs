@@ -393,13 +393,9 @@ fn distributed_with_mid_run_repartitioning() {
             "{stdout}"
         );
         assert!(stdout.contains("modeled Delta cost"), "{stdout}");
-        let windows = backend == "hybrid";
-        assert_eq!(
-            stdout.contains("shared-memory windows"),
-            windows,
-            "{stdout}"
-        );
-        assert_eq!(stdout.contains("hybrid wall time"), windows, "{stdout}");
+        let hybrid = backend == "hybrid";
+        assert_eq!(stdout.contains("hybrid threads"), hybrid, "{stdout}");
+        assert_eq!(stdout.contains("hybrid wall time"), hybrid, "{stdout}");
     }
 
     let (ok, _, stderr) = eul3d(&["distributed", "--nx", "8", "--partition-method", "scotch"]);
@@ -727,11 +723,7 @@ fn fault_recovery_traces_are_byte_identical_across_reruns() {
         let hybrid = backend == "hybrid";
         assert_eq!(stdout.contains("hybrid wall time"), hybrid, "{stdout}");
         let header = stdout.lines().next().unwrap_or_default();
-        assert_eq!(
-            header.contains("on 4 hybrid threads (shared-memory windows)"),
-            hybrid,
-            "{header}"
-        );
+        assert_eq!(header.contains("on 4 hybrid threads"), hybrid, "{header}");
         let trace = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert!(trace.contains("\"recovery\""), "recovery epoch lane");

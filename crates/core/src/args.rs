@@ -180,15 +180,23 @@ impl Args {
     /// The [`RunConfig`] of this command line: `base`, then the
     /// `--config run.toml` file when given, then [`Args::apply`], then
     /// the [`RunConfig::validate`] every entry point shares. A key of
-    /// `owned`, which the caller sets itself (paired with how, e.g.
-    /// `"swept by --ranks"`), is refused from every layer.
+    /// `owned`, which the caller sets itself or does not read (paired
+    /// with how, e.g. `"swept by --ranks"`), is refused from every layer;
+    /// an owned `[section]` refuses its header and every key in it.
     pub fn run_config(
         &self,
         scope: Scope,
         mut rc: RunConfig,
         owned: &[(&str, &str)],
     ) -> Result<RunConfig, String> {
-        let refuse = |key: &str, from: String| match owned.iter().find(|o| o.0 == key) {
+        let covers = |o: &str, key: &str| {
+            o == key
+                || o.strip_prefix('[')
+                    .and_then(|s| s.strip_suffix(']'))
+                    .and_then(|s| key.strip_prefix(s))
+                    .is_some_and(|rest| rest.starts_with('.'))
+        };
+        let refuse = |key: &str, from: String| match owned.iter().find(|o| covers(o.0, key)) {
             Some((_, how)) => Err(format!("{from}: {key} is {how}")),
             None => Ok(()),
         };

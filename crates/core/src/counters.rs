@@ -81,9 +81,9 @@ pub struct PhaseCounters {
     pub comp: [FlopCounter; crate::executor::NPHASES],
     pub comm_msgs: [u64; crate::executor::NPHASES],
     pub comm_bytes: [u64; crate::executor::NPHASES],
-    /// Fresh communication-buffer allocations (pool misses) charged to
-    /// each phase. Non-zero only while pools warm up; a steady-state
-    /// cycle must report zero.
+    /// Fresh communication storage (pool misses and window-record
+    /// growth) charged to each phase. Non-zero only while streams and
+    /// pools warm up; a steady-state cycle must report zero.
     pub comm_allocs: [u64; crate::executor::NPHASES],
 }
 
@@ -137,7 +137,7 @@ impl PhaseCounters {
     }
 
     /// Record `msgs` messages totalling `bytes` (and `allocs` fresh
-    /// pack-buffer allocations) charged to `p`.
+    /// communication allocations) charged to `p`.
     #[inline]
     pub fn add_comm(&mut self, p: crate::executor::Phase, msgs: u64, bytes: u64, allocs: u64) {
         self.comm_msgs[p.index()] += msgs;

@@ -22,17 +22,10 @@ use crate::soa::SoaState;
 /// ghost coherence is PARTI gather/scatter-add, with the traffic charged
 /// to the phase that requested it.
 ///
-/// The executor never picks a transport: the schedule's begin/finish
-/// halves go through the rank's own record streams, shared-memory
-/// windows on a rank carrying a registry ([`Rank::install_windows`], the
-/// hybrid backend) and channel mailboxes otherwise — the same bytes in
-/// the same order at the same modeled cost, so the two are
-/// bit-equivalent. What the transport decides is only how the split is
-/// used: a windowed rank publishes in [`Executor::exchange_begin`] and
-/// consumes in [`Executor::exchange_finish`], so the interior kernels the
-/// solver runs in between overlap the exchange; a channel rank finishes
-/// the exchange inside `begin` (one span, as its pinned modeled traces
-/// record it) and `finish` is a no-op.
+/// Every exchange splits: [`Executor::exchange_begin`] publishes the
+/// schedule's records into the rank's shared-memory windows and
+/// [`Executor::exchange_finish`] consumes the peers', so the interior
+/// kernels the solver runs in between overlap the exchange.
 pub struct DistExecutor<'a> {
     pub rank: &'a mut Rank,
     pub halo: &'a Schedule,
@@ -122,9 +115,6 @@ impl Executor for DistExecutor<'_> {
         stride: usize,
         counters: &mut PhaseCounters,
     ) {
-        if !self.rank.has_windows() {
-            return self.exchange_halo(phase, op, data, stride, counters);
-        }
         let (halo, at) = (self.halo, (1, data.len() / stride));
         self.charged(phase, counters, |rank| match op {
             HaloOp::Gather => halo.gather_begin(rank, data, stride, at),
@@ -140,9 +130,6 @@ impl Executor for DistExecutor<'_> {
         stride: usize,
         counters: &mut PhaseCounters,
     ) {
-        if !self.rank.has_windows() {
-            return;
-        }
         let (halo, at) = (self.halo, (1, data.len() / stride));
         self.charged(phase, counters, |rank| match op {
             HaloOp::Gather => halo.gather_finish(rank, data, stride, at),

@@ -66,8 +66,7 @@ use crate::runconfig::RunConfig;
 
 use super::setup::{partitioner_of, DistSetup};
 use super::solver::{
-    AdoptedOutput, DistBackend, DistOptions, DistRunResult, DistSolver, RankFate, RankOutput,
-    RepartitionPolicy,
+    AdoptedOutput, DistOptions, DistRunResult, DistSolver, RankFate, RankOutput, RepartitionPolicy,
 };
 
 /// Fault-injection, recovery and guard options of a distributed run. The
@@ -386,13 +385,14 @@ fn restore_from(s: &mut DistSolver, w_global: &[f64]) {
 /// Collective checkpoint: gather owned fine-grid state to virtual rank
 /// 0, reassemble the global layout there, broadcast it back, and commit
 /// it into the double-buffered store on every instance. Charged to
-/// [`Phase::Checkpoint`]. Runs over the persistent ping-pong pack-buffer
-/// streams (`ck_tag` up to root, `ck_tag + 1` back down) rather than the
-/// collective primitives: collectives migrate buffer ownership from
-/// sender pool to receiver pool, which slowly churns fresh allocations
-/// when the two directions move different sizes; pack streams return
-/// every buffer to its owner, so steady-state checkpoints allocate
-/// nothing.
+/// [`Phase::Checkpoint`]. Runs over record streams (`ck_tag` up to root,
+/// `ck_tag + 1` back down) rather than the collective primitives:
+/// collectives migrate buffer ownership from sender pool to receiver
+/// pool, which slowly churns fresh allocations when the two directions
+/// move different sizes; a stream's window keeps its record, so
+/// steady-state checkpoints allocate nothing. Each phase publishes before
+/// it consumes: the other ranks publish their shares, then root consumes
+/// them; root publishes the snapshot, then the others consume it.
 fn take_checkpoint(rank: &mut Rank, ctx: &Ctx, st: &mut LoopState, cycle: usize) {
     // The gather must walk the *current era's* ownership map — after a
     // migration, `ctx.setup`'s `owned_globals` no longer describe what
@@ -422,35 +422,34 @@ fn take_checkpoint(rank: &mut Rank, ctx: &Ctx, st: &mut LoopState, cycle: usize)
     if let Some(gl) = guard {
         gl.gs.encode_into(&mut slot.guard);
     }
-    let fine = &s.levels[0];
+    let (fine, tag) = (&s.levels[0], s.ck_tag);
     if rank.id == 0 {
         for (k, &g) in fine.rm.owned_globals.iter().enumerate() {
             let dst = g as usize * NVAR;
             slot.w[dst..dst + NVAR].copy_from_slice(&fine.st.w.get5(k));
         }
         for src in 1..setup.nranks {
-            let part = rank.recv_f64(src, s.ck_tag);
-            for (k, &g) in setup.pms[0].ranks[src].owned_globals.iter().enumerate() {
-                let dst = g as usize * NVAR;
-                slot.w[dst..dst + NVAR].copy_from_slice(&part[k * NVAR..(k + 1) * NVAR]);
-            }
-            rank.return_packed_f64(src, s.ck_tag, part);
+            let owned = &setup.pms[0].ranks[src].owned_globals;
+            rank.consume_f64(src, tag, |part| {
+                for (k, &g) in owned.iter().enumerate() {
+                    let dst = g as usize * NVAR;
+                    slot.w[dst..dst + NVAR].copy_from_slice(&part[k * NVAR..(k + 1) * NVAR]);
+                }
+            });
         }
         for dst in 1..setup.nranks {
-            let mut buf = rank.take_pack_f64(dst, s.ck_tag + 1, nglob);
-            buf.extend_from_slice(&slot.w);
-            rank.send_packed_f64(dst, s.ck_tag + 1, buf, CommClass::Recovery);
+            rank.publish_f64(dst, tag + 1, CommClass::Recovery, nglob, |buf| {
+                buf.extend_from_slice(&slot.w)
+            });
         }
     } else {
         let n_owned = fine.n_owned();
-        let mut buf = rank.take_pack_f64(0, s.ck_tag, n_owned * NVAR);
-        for k in 0..n_owned {
-            buf.extend_from_slice(&fine.st.w.get5(k));
-        }
-        rank.send_packed_f64(0, s.ck_tag, buf, CommClass::Recovery);
-        let got = rank.recv_f64(0, s.ck_tag + 1);
-        slot.w.copy_from_slice(&got);
-        rank.return_packed_f64(0, s.ck_tag + 1, got);
+        rank.publish_f64(0, tag, CommClass::Recovery, n_owned * NVAR, |buf| {
+            for k in 0..n_owned {
+                buf.extend_from_slice(&fine.st.w.get5(k));
+            }
+        });
+        rank.consume_f64(0, tag + 1, |got| slot.w.copy_from_slice(got));
     }
     slot.cycle = Some(cycle);
     obs::emit(obs::Event::CheckpointEnd {
@@ -1032,8 +1031,6 @@ pub fn run_distributed_with_faults(
             checkpoint_every = g.snapshot_every;
         }
     }
-    let windows = (opts.backend == DistBackend::Hybrid)
-        .then(|| eul3d_delta::WindowRegistry::new(setup.nranks));
     let ctx = Ctx {
         setup,
         cfg,
@@ -1049,9 +1046,6 @@ pub fn run_distributed_with_faults(
             fopts.plan.clone(),
             Some(Duration::from_millis(fopts.recv_timeout_ms)),
         );
-        if let Some(reg) = &windows {
-            rank.install_windows(Arc::clone(reg));
-        }
         arm_trace(&opts);
         let collector = Mutex::new(Vec::new());
         let mut out = std::thread::scope(|scope| virtual_loop(rank, &ctx, scope, &collector, None));

@@ -23,22 +23,18 @@ use super::recover::{run_distributed_with_faults, FaultOptions};
 use super::setup::{DistSetup, LANCZOS_ITERS};
 use super::transfer::TransferLink;
 
-/// Which transport carries the per-cycle record streams of a
-/// distributed run. The SPMD structure, schedules, numerics and fault
-/// model are identical either way — the backends are bit-equivalent by
-/// construction.
+/// How a distributed run is reported: which clock its traced lanes may
+/// use and which times the CLI prints. It is not a transport: every run
+/// moves its record streams through stamped shared-memory windows, one
+/// OS thread per rank, so the backends run the same events and give the
+/// same bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DistBackend {
-    /// The simulated Intel Delta: channel mailboxes, modeled wire time
-    /// (the default).
+    /// The simulated Intel Delta: modeled wire time only (the default).
     #[default]
     Delta,
-    /// True-parallel shared memory: ranks are still one OS thread each,
-    /// but halo data moves through stamped shared-memory windows with
-    /// real overlap, and the driver reports wall time alongside the
-    /// modeled clock. Migrations and recovery epochs rebuild their
-    /// schedules on fresh windows, and a fault plan acts on window
-    /// records as it acts on channel messages.
+    /// Ranks as true-parallel threads: the CLI reports wall time
+    /// alongside the modeled clock and stamps traced lanes with it.
     Hybrid,
 }
 
@@ -105,16 +101,20 @@ pub struct DistOptions {
     /// streams come back in [`RankOutput::trace`]. `None` leaves tracing
     /// off (the default).
     pub trace_capacity: Option<usize>,
-    /// Halo transport (see [`DistBackend`]).
+    /// The run's backend (see [`DistBackend`]). Nothing in the solver
+    /// reads it: it stays only because `benchmark/` sets it, and goes
+    /// with that crate's next change.
     pub backend: DistBackend,
     /// Stamp traced lanes with real wall time instead of the modeled
     /// clock — shows measured overlap in a hybrid run's trace; stamps are
-    /// not reproducible across runs, so goldens keep this off.
+    /// not reproducible across runs, so goldens keep this off. It could
+    /// fold into `backend == Hybrid`, but `benchmark/` sets it on its
+    /// own, so it stays until that crate's next change.
     pub real_time_lanes: bool,
     /// Mid-run repartition-and-migrate policy (`None` = the partition is
-    /// fixed for the whole run, the historical behaviour). On the hybrid
-    /// backend each era's rebuilt schedules ride fresh windows: the epoch
-    /// bump shifts every tag, and windows are keyed by tag.
+    /// fixed for the whole run, the historical behaviour). Each era's
+    /// rebuilt schedules ride fresh windows: the epoch bump shifts every
+    /// tag, and windows are keyed by tag.
     pub repartition: Option<RepartitionPolicy>,
 }
 
@@ -207,9 +207,7 @@ pub struct RankOutput {
 pub struct DistRunResult {
     pub run: MachineRun<RankOutput>,
     /// Measured wall time of the SPMD region (thread spawn to join), in
-    /// seconds. Meaningful for comparing hybrid scaling against the
-    /// modeled Delta clock; on the channel backend it mostly measures
-    /// the simulator.
+    /// seconds: the hybrid report, set beside the modeled Delta clock.
     pub wall_seconds: f64,
 }
 

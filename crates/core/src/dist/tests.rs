@@ -836,12 +836,12 @@ mod guard {
 }
 
 mod hybrid {
-    //! The true-parallel hybrid backend: same schedules, same numerics,
-    //! different transport. Bit-identical to the channel backend — and
+    //! The hybrid backend: same schedules, same numerics, same windows,
+    //! another report. Bit-identical to the delta backend — and
     //! therefore transitively to the serial/shared solvers within their
-    //! established tolerances — plus the wall-clock behaviour that
-    //! distinguishes it. Migrations and fault recoveries ride the windows
-    //! too: each new epoch's schedules get fresh ones.
+    //! established tolerances — and event-identical on the modeled
+    //! clock, plus the wall time that distinguishes it. Migrations and
+    //! fault recoveries give each new epoch's schedules fresh windows.
 
     use std::sync::Arc;
 
@@ -863,7 +863,8 @@ mod hybrid {
         }
     }
 
-    /// `opts` with every lane traced, for [`rode_windows`].
+    /// `opts` with every lane traced on the modeled clock, for
+    /// [`assert_same_lanes`].
     fn traced(opts: DistOptions) -> DistOptions {
         DistOptions {
             trace_capacity: Some(1 << 15),
@@ -871,29 +872,29 @@ mod hybrid {
         }
     }
 
-    /// Did this traced run's halo exchanges ride windows? A windowed
-    /// rank consumes in `exchange_finish`, a span of its own that
-    /// receives and sends nothing; on channels one span does both.
-    fn rode_windows(r: &DistRunResult) -> bool {
-        r.lanes().iter().any(|lane| {
-            let (mut sent, mut received) = (false, false);
-            lane.events.iter().any(|s| match s.ev {
-                obs::Event::PhaseBegin { .. } => {
-                    (sent, received) = (false, false);
-                    false
-                }
-                obs::Event::MsgSend { .. } => {
-                    sent = true;
-                    false
-                }
-                obs::Event::MsgRecv { .. } => {
-                    received = true;
-                    false
-                }
-                obs::Event::PhaseEnd { .. } => received && !sent,
-                _ => false,
-            })
-        })
+    /// A traced delta run and a traced hybrid run record the same lanes,
+    /// event for event and stamp for stamp: the backends differ in their
+    /// report, not in what the ranks do.
+    fn assert_same_lanes(delta: &DistRunResult, hybrid: &DistRunResult, what: &str) {
+        let (ld, lh) = (delta.lanes(), hybrid.lanes());
+        assert_eq!(ld.len(), lh.len(), "{what}: lane count");
+        for (d, h) in ld.iter().zip(&lh) {
+            assert!(!d.events.is_empty(), "{what}: {} is traced", d.name);
+            assert_eq!(
+                (&d.name, d.dropped),
+                (&h.name, h.dropped),
+                "{what}: lane {}",
+                d.id
+            );
+            let first = d.events.iter().zip(&h.events).position(|(a, b)| a != b);
+            if let Some(k) = first {
+                panic!(
+                    "{what}: {} parts at event {k}: {:?} vs {:?}",
+                    d.name, d.events[k], h.events[k]
+                );
+            }
+            assert_eq!(d.events.len(), h.events.len(), "{what}: {} length", d.name);
+        }
     }
 
     fn assert_runs_bit_identical(
@@ -983,9 +984,16 @@ mod hybrid {
         let seq = small_seq(2);
         let nverts = seq.meshes[0].nverts();
         let setup = DistSetup::new(seq, 4, 20, pseed());
-        let delta = run_distributed(&setup, cfg, Strategy::VCycle, 4, DistOptions::default());
-        let hybrid = run_distributed(&setup, cfg, Strategy::VCycle, 4, hybrid_opts());
+        let delta = run_distributed(
+            &setup,
+            cfg,
+            Strategy::VCycle,
+            4,
+            traced(DistOptions::default()),
+        );
+        let hybrid = run_distributed(&setup, cfg, Strategy::VCycle, 4, traced(hybrid_opts()));
         assert_runs_bit_identical(&delta, &hybrid, nverts, "vcycle hybrid vs delta");
+        assert_same_lanes(&delta, &hybrid, "vcycle");
         assert!(
             hybrid.wall_seconds > 0.0,
             "the driver must measure the SPMD region"
@@ -1010,25 +1018,13 @@ mod hybrid {
             );
             assert_eq!(d.hops, h.hops, "rank {vid}: hop parity");
         }
-        // Steady-state halo traffic rides the windows: no fresh channel
-        // buffers for it, so hybrid allocates strictly fewer comm
-        // buffers than the channel run.
-        let (ad, ah) = (
-            cd.iter().map(|c| c.comm_allocs).sum::<u64>(),
-            ch.iter().map(|c| c.comm_allocs).sum::<u64>(),
-        );
-        assert!(
-            ah < ad,
-            "windows must shed channel-buffer traffic ({ah} vs {ad})"
-        );
     }
 
     #[test]
     fn hybrid_guard_composes_bit_identically() {
-        // Guard × hybrid (fault-free plan → windows stay on), with and
-        // without migrations: the numeric rollback path must reproduce
-        // the channel backend's guarded run decision-for-decision and
-        // bit-for-bit.
+        // Guard × hybrid, with and without migrations: the numeric
+        // rollback path must reproduce the delta backend's guarded run
+        // decision-for-decision, bit-for-bit and event-for-event.
         let spec = BumpSpec {
             nx: 10,
             ny: 4,
@@ -1061,16 +1057,16 @@ mod hybrid {
         };
         for repartition in [None, Some(policy(3))] {
             let what = format!("guarded hybrid vs delta, repartition {repartition:?}");
-            let delta = run(DistOptions {
+            let delta = run(traced(DistOptions {
                 repartition,
                 ..DistOptions::default()
-            });
+            }));
             let hybrid = run(traced(DistOptions {
                 repartition,
                 ..hybrid_opts()
             }));
-            assert!(rode_windows(&hybrid), "{what}");
             assert_runs_bit_identical(&delta, &hybrid, nverts, &what);
+            assert_same_lanes(&delta, &hybrid, &what);
 
             let (od, oh) = (
                 delta.guard_outcome().expect("outcome"),
@@ -1092,10 +1088,11 @@ mod hybrid {
     }
 
     #[test]
-    fn migrations_ride_the_windows_with_the_channel_bits_and_traffic() {
+    fn migrations_ride_fresh_windows_with_the_delta_bits_traffic_and_lanes() {
         // The epoch bump of a migration shifts every schedule tag, so
         // each era's rebuilt schedules get fresh windows: same bits,
-        // same per-rank cycle traffic, same flops as on channels.
+        // same per-rank cycle traffic, same flops and same lanes on both
+        // backends.
         let cfg = SolverConfig {
             mach: 0.5,
             ..SolverConfig::default()
@@ -1116,9 +1113,8 @@ mod hybrid {
             };
             let (delta, hybrid) = (run(DistBackend::Delta), run(DistBackend::Hybrid));
             let what = format!("every {every}");
-            assert!(rode_windows(&hybrid), "{what}: halo records ride windows");
-            assert!(!rode_windows(&delta), "{what}: and channels do not");
             assert_runs_bit_identical(&delta, &hybrid, nverts, &what);
+            assert_same_lanes(&delta, &hybrid, &what);
             let (cd, ch) = (delta.cycle_counters(), hybrid.cycle_counters());
             for (vid, (d, h)) in cd.iter().zip(&ch).enumerate() {
                 assert_eq!(d.total_messages(), h.total_messages(), "{what}: rank {vid}");
@@ -1143,7 +1139,6 @@ mod hybrid {
         let labels: Vec<&str> = Phase::ALL.iter().map(|p| p.label()).collect();
         let trace = || {
             let r = run_distributed(&setup, cfg, Strategy::WCycle, 9, opts);
-            assert!(rode_windows(&r));
             obs::chrome_trace(&r.lanes(), &labels)
         };
         let first = trace();
@@ -1185,11 +1180,10 @@ mod hybrid {
             cfg,
             Strategy::VCycle,
             cycles,
-            traced(hybrid_opts()),
+            hybrid_opts(),
             &fopts,
         )
         .expect("faulted run completes");
-        assert!(rode_windows(&faulted), "a fault plan keeps the windows");
         assert_runs_bit_identical(&clean, &faulted, nverts, "hybrid faulted vs clean");
         assert!(matches!(faulted.run.results[2].fate, RankFate::Died { .. }));
         assert!(

@@ -2,7 +2,7 @@
 //! 4-address/4-weight interpolation of §2.4, with PARTI schedules moving
 //! the off-rank source values (charged to [`CommClass::Transfer`] — the
 //! traffic the paper found to be "a small fraction of the total
-//! communication costs") over the rank's transport, windows included.
+//! communication costs") as records on the rank's windows.
 //! Owners pack from plane-major fields; the receiving side stages
 //! vertex-major records (`nc` values per buffer slot).
 

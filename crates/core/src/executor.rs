@@ -25,9 +25,8 @@
 //!   block ownership, charged as the §3 edge-coloured sweep the Cray
 //!   autotasking model prices;
 //! * [`crate::dist::DistExecutor`] — §4 PARTI schedules, one instance
-//!   per rank, over whichever halo transport the rank carries: channel
-//!   mailboxes on the simulated Delta, or shared-memory windows with
-//!   real overlap when ranks run as OS threads (the hybrid backend).
+//!   per rank, with halo records on shared-memory windows between ranks
+//!   that run as OS threads (priced on the simulated Delta's clock).
 
 use std::ops::Range;
 
@@ -240,8 +239,8 @@ pub trait Executor {
     /// default) simply perform the whole exchange here, making finish a
     /// no-op — values, counters, and traces are then identical to a
     /// plain [`Executor::exchange_halo`] call. The distributed backend
-    /// on shared-memory windows publishes in `begin` and consumes in
-    /// `finish`.
+    /// publishes into its shared-memory windows in `begin` and consumes
+    /// in `finish`.
     ///
     /// For [`HaloOp::Gather`], `begin` must not modify owned entries and
     /// `finish` fills ghost slots; for [`HaloOp::ScatterAdd`], `begin`

@@ -213,6 +213,11 @@ impl Log {
         if valid_end == 0 || tail.dropped_bytes > 0 {
             file.sync_data()?;
         }
+        if valid_end == 0 {
+            // A file created (or torn at creation) just now: its
+            // directory entry must be durable too.
+            sync_dir_of(path)?;
+        }
         Ok((Log { file }, tail))
     }
 
@@ -228,10 +233,20 @@ impl Log {
     }
 }
 
+/// Make the directory entries of the directory holding `path` durable,
+/// so a crash cannot lose a file created or renamed into it.
+fn sync_dir_of(path: &Path) -> io::Result<()> {
+    let dir = match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()
+}
+
 /// Write `payload` as the single frame of the file at `path`,
-/// atomically: durable under a `.tmp` sibling first, then renamed, so
-/// the file either does not exist or is complete. A failed write removes
-/// its temp file.
+/// atomically: durable under a `.tmp` sibling first, then renamed, and
+/// the rename made durable by syncing the directory, so the file either
+/// does not exist or is complete. A failed write removes its temp file.
 pub fn write_atomic(
     path: &Path,
     magic: &[u8; 8],
@@ -244,7 +259,8 @@ pub fn write_atomic(
         let mut f = File::create(&tmp)?;
         f.write_all(&bytes)?;
         f.sync_data()?;
-        fs::rename(&tmp, path)
+        fs::rename(&tmp, path)?;
+        sync_dir_of(path)
     })();
     if written.is_err() {
         let _ = fs::remove_file(&tmp);

@@ -611,7 +611,8 @@ impl RunConfig {
     }
 
     /// Layer a TOML document over `self` and validate the result;
-    /// returns the `section.key`s the document sets. Unknown sections or
+    /// returns the `[section]` headers it opens and the `section.key`s it
+    /// sets, in document order. Unknown sections or
     /// keys are typed parse errors, as are malformed values and
     /// duplicate keys or reopened sections (TOML forbids both; silently
     /// last-winning would let two visually different files alias one
@@ -625,7 +626,7 @@ impl RunConfig {
         // `[section]` or `section.key` -> first-definition line, for
         // duplicate detection.
         let mut seen: std::collections::HashMap<String, usize> = std::collections::HashMap::new();
-        let (mut entries, mut lines) = (Vec::new(), Vec::new());
+        let (mut entries, mut lines, mut names) = (Vec::new(), Vec::new(), Vec::new());
 
         for (k, raw_line) in text.lines().enumerate() {
             let lineno = k + 1;
@@ -646,6 +647,7 @@ impl RunConfig {
                 }
                 rc.arm(name).map_err(|e| at_line(e, lineno))?;
                 section = name;
+                names.push(format!("[{name}]"));
                 continue;
             }
             let (key, val) = line
@@ -676,12 +678,13 @@ impl RunConfig {
                 v
             };
             entries.push((format!("{section}.{key}"), val));
+            names.push(format!("{section}.{key}"));
             lines.push(lineno);
         }
         let pairs: Vec<(&str, &str)> = entries.iter().map(|(k, v)| (k.as_str(), *v)).collect();
         rc.set_all(&pairs).map_err(|(i, e)| at_line(e, lines[i]))?;
         rc.validate()?;
-        Ok(entries.into_iter().map(|(k, _)| k).collect())
+        Ok(names)
     }
 
     /// The canonical serialization underlying [`RunConfig::canonical_hash`]:

@@ -17,9 +17,8 @@ use crate::msg::{CommClass, RankCounters};
 /// The pluggable communication-cost seam: anything that can price a
 /// message on the wire and a kernel's flops in modeled nanoseconds.
 /// [`CostModel`] is the canonical implementation; executors carry one so
-/// a backend running on real threads (the hybrid backend) can keep
-/// charging the same modeled Delta clock that the channel backend
-/// charges — one run reports both simulated-Delta time and wall time.
+/// a run on real threads keeps charging the modeled Delta clock — one
+/// hybrid run reports both simulated-Delta time and wall time.
 pub trait CommCost {
     /// Modeled ns one message of `bytes` over `hops` occupies its sender.
     fn send_ns(&self, bytes: u64, hops: u64) -> u64;

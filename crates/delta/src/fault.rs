@@ -106,10 +106,9 @@ impl FaultPlan {
     /// seeded:SEED#N@C N pseudo-random message faults in cycles [1, C]
     /// ```
     ///
-    /// `#N` counts every message the sender posts on the stream, the
-    /// uncharged buffer returns of the persistent exchange protocol
-    /// included. A return travels empty, so a `corrupt:` that lands on one
-    /// (or on any empty payload) has no bit to flip: it misses, and no
+    /// `#N` counts every record and message the sender posts to `D`
+    /// (window records and channel messages alike). A `corrupt:` that
+    /// lands on an empty payload has no bit to flip: it misses, and no
     /// recovery follows.
     pub fn parse(spec: &str, nranks: usize) -> Result<FaultPlan, DeltaError> {
         FaultPlan::parse_inner(spec, nranks).map_err(|reason| DeltaError::BadFaultSpec {

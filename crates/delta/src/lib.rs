@@ -2,9 +2,10 @@
 //! Intel Touchstone Delta of §4 of the paper.
 //!
 //! Each **rank** runs the same SPMD closure on its own OS thread with its
-//! own private data, communicating only through typed point-to-point
-//! messages, barriers, and deterministic collectives. Because every
-//! receive names its source and tag, the program is a Kahn process
+//! own private data, communicating only through record streams on
+//! shared-memory windows ([`shm`]), typed point-to-point messages,
+//! barriers, and deterministic collectives. Because every receive names
+//! its source and tag, the program is a Kahn process
 //! network: results are bit-identical across runs regardless of thread
 //! scheduling, even with hundreds of ranks multiplexed onto one core.
 //!

@@ -9,6 +9,7 @@ use crossbeam::channel::unbounded;
 use crate::error::DeltaError;
 use crate::msg::RankCounters;
 use crate::rank::Rank;
+use crate::shm::WindowRegistry;
 
 /// Most ranks (or hybrid threads) one machine supports. Rank ids travel
 /// as `u32` in messages and trace events; capping well below `u32::MAX`
@@ -46,11 +47,13 @@ impl<T> MachineRun<T> {
 
 /// Run `body` on `nranks` simulated ranks and wait for completion.
 ///
-/// Hundreds of ranks are fine on a single-core host: a receive spins
-/// briefly, yields its time slice and then blocks on the channel, so the
-/// scheduler interleaves them; determinism comes
-/// from fully-addressed receives, not timing. Stacks default to 4 MiB —
-/// rank bodies keep their big arrays on the heap.
+/// The ranks share one [`WindowRegistry`], which carries every record
+/// stream ([`Rank::publish_f64`] / [`Rank::consume_f64`]); messages and
+/// collectives ride per-rank channel mailboxes. Hundreds of ranks are
+/// fine on a single-core host: a wait spins briefly, yields its time
+/// slice and then blocks, so the scheduler interleaves them; determinism
+/// comes from fully-addressed receives, not timing. Stacks default to
+/// 4 MiB — rank bodies keep their big arrays on the heap.
 pub fn run_spmd<T, F>(nranks: usize, body: F) -> MachineRun<T>
 where
     T: Send,
@@ -65,6 +68,7 @@ where
     // survivor can adopt a dead rank's channel during fault recovery —
     // and channels stay connected even after a rank's thread exits.
     let rxs_all = Arc::new(rxs.clone());
+    let windows = WindowRegistry::new(nranks);
     let body = &body;
 
     let mut slots: Vec<Option<(T, RankCounters)>> = (0..nranks).map(|_| None).collect();
@@ -74,11 +78,12 @@ where
             let txs = txs.clone();
             let barrier = barrier.clone();
             let rxs_all = rxs_all.clone();
+            let windows = windows.clone();
             let h = std::thread::Builder::new()
                 .name(format!("delta-rank-{id}"))
                 .stack_size(4 << 20)
                 .spawn_scoped(scope, move || {
-                    let mut rank = Rank::new(id, nranks, rx, txs, barrier, rxs_all);
+                    let mut rank = Rank::new(id, nranks, rx, txs, barrier, rxs_all, windows);
                     // A panicking rank poisons its peers so ranks blocked
                     // in a receive abort instead of deadlocking the scope
                     // join; the original panic is then re-raised.
@@ -669,17 +674,15 @@ mod tests {
             assert!(run.counters[0].recoveries >= 1);
         }
 
-        /// Two ranks whose record streams ride shared-memory windows,
-        /// under the fault plan `spec` and bounded timeout `timeout`.
+        /// Two ranks under the fault plan `spec` and bounded timeout
+        /// `timeout`, exchanging records on their windows.
         fn windowed<T: Send>(
             spec: &str,
             timeout: Duration,
             body: impl Fn(&mut Rank) -> T + Sync,
         ) -> MachineRun<T> {
             let plan = Arc::new(FaultPlan::parse(spec, 2).unwrap());
-            let reg = crate::shm::WindowRegistry::new(2);
             run_spmd(2, |r| {
-                r.install_windows(reg.clone());
                 r.install_faults(plan.clone(), Some(timeout));
                 r.set_fault_cycle(0);
                 body(r)
@@ -773,7 +776,7 @@ mod tests {
             // Rank 1 dies at its second publish; rank 0, blocked in the
             // window wait for that record, hears the death notice and
             // unwinds into recovery instead of waiting out the wedge
-            // timeout. The adopted replica keeps the windows.
+            // timeout.
             let run = windowed("kill:1@0+1", WINDOW, |r| {
                 // The barrier keeps the death after the first consume: a
                 // wait that hears the notice first may leave through it
@@ -796,7 +799,7 @@ mod tests {
                     other => panic!("unexpected signal {other:?}"),
                 }
                 r.begin_recovery(1);
-                r.adopt(1).has_windows()
+                true
             });
             assert!(run.results.iter().all(|&ok| ok));
         }

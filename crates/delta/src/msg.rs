@@ -93,8 +93,8 @@ pub fn checksum(payload: &Payload) -> u64 {
     }
 }
 
-/// [`checksum`] of an `f64` payload, for records that travel outside a
-/// [`Payload`] (shared-memory windows).
+/// [`checksum`] of an `f64` payload, for window records, which travel
+/// outside a [`Payload`].
 pub(crate) fn checksum_f64(v: &[f64]) -> u64 {
     fnv_words(v, f64::to_bits)
 }
@@ -191,8 +191,8 @@ pub struct RankCounters {
     /// destination (the Delta was a 16x32 wormhole-routed mesh; hop
     /// counts let the cost model price placement quality).
     pub hops: u64,
-    /// Fresh communication-buffer allocations (pool misses). A warmed-up
-    /// exchange pattern must not grow this.
+    /// Fresh communication storage (pool misses and window-record
+    /// growth). A warmed-up exchange pattern must not grow this.
     pub comm_allocs: u64,
     /// Bytes freshly allocated for communication buffers.
     pub comm_alloc_bytes: u64,

@@ -1,21 +1,22 @@
-//! Reusable communication pack buffers.
+//! Reusable communication buffers of the channel traffic.
 //!
-//! PARTI's schedules are built once and executed thousands of times
-//! (§4.1); the per-execution cost must therefore be pure pack/unpack and
-//! wire traffic, with **zero steady-state heap allocation**. Every rank
-//! owns a [`CommBuffers`] free-list: executors *take* an empty buffer to
-//! pack into, hand it to the network, and *recycle* every received
-//! payload back into the pool once its contents are unpacked. Buffers are
-//! never freed — they circulate through the simulated network, so after a
-//! warm-up exchange the pools of a balanced communication pattern are
-//! self-sustaining and `take` never allocates again.
+//! Record streams keep their storage in their windows ([`crate::shm`]);
+//! what still rides the channels — collectives, the inspector's request
+//! lists — and the inter-grid transfers' staging take their buffers from
+//! here, with **zero steady-state heap allocation** as the goal (PARTI's
+//! schedules are built once and executed thousands of times, §4.1).
+//! Every rank owns a [`CommBuffers`] free-list: a sender *takes* an empty
+//! buffer to pack into and hands it to the network, and a receiver
+//! *recycles* every received payload into its own pool once its contents
+//! are unpacked. Buffers are never freed — they circulate through the
+//! simulated network, so after a warm-up the pools of a balanced
+//! communication pattern are self-sustaining and `take` never allocates
+//! again.
 //!
 //! The pool is deliberately simple: a best-fit scan of a short free-list
-//! (smallest pooled capacity that satisfies the request). Best fit
-//! matters: schedule streams reclaim their own returned buffer just
-//! before re-taking the same size, and an exact-size match must win over
-//! a larger stranger so each stream keeps its buffer instead of slowly
-//! swapping buffers between streams of different sizes. A request that no
+//! (smallest pooled capacity that satisfies the request), so an
+//! exact-size match wins over a larger stranger and buffers do not
+//! slowly drift between requests of different sizes. A request that no
 //! pooled buffer can satisfy allocates a fresh one (and reports the fresh
 //! bytes, so [`crate::RankCounters`] can expose allocation counts to the
 //! per-phase accounting layer); undersized buffers are left in the pool

@@ -1,7 +1,7 @@
-//! The per-rank SPMD context: typed sends/receives, barriers, and
-//! deterministic collectives.
+//! The per-rank SPMD context: record streams on shared-memory windows,
+//! typed sends/receives, barriers, and deterministic collectives.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::panic::panic_any;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
@@ -64,9 +64,11 @@ pub const COLLECTIVE_TAG_BASE: u32 = 0xF000_0000;
 /// to never reach it.
 pub(crate) const POISON_TAG: u32 = u32::MAX;
 
-/// The transport a record rides. Each numbers its streams apart: a
-/// window counts its own records, even on a tag the channels carried
-/// before the registry was installed.
+/// The transport a record rides: schedule records ride the windows,
+/// everything else (inspector requests, collectives, control) the
+/// channels. Each numbers its streams apart, because they share tags:
+/// the inspector's requests ride the channels on a halo schedule's base
+/// tag, the same tag its records then use on the windows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Via {
     Channel,
@@ -106,14 +108,12 @@ pub struct Rank {
     /// Columns of the (nearly square) 2-D mesh the ranks are mapped
     /// onto, row-major — used only for hop accounting.
     mesh_cols: usize,
-    /// Reusable communication pack buffers (see [`crate::pool`]).
+    /// Reusable buffers of collectives and inspector requests (see
+    /// [`crate::pool`]).
     pool: CommBuffers,
     /// Tag ranges claimed by schedules on this rank, for collision
     /// detection at build time.
     reserved_tags: Vec<(u32, u32)>,
-    /// Streams `(dst, tag)` with a lent pack buffer awaiting return
-    /// (see [`Rank::take_pack_f64`]).
-    outstanding: HashSet<(usize, u32)>,
     /// Every rank's receive endpoint (crossbeam receivers are cloneable),
     /// so a surviving node can adopt a dead rank's mailbox during
     /// recovery. Also keeps channels connected after a rank thread exits.
@@ -137,12 +137,11 @@ pub struct Rank {
     /// zero-overhead blocking receive.
     recv_timeout: Option<Duration>,
     /// Machine constants used to price this rank's traffic on the
-    /// modeled clock (the pluggable `CommCost` seam — the hybrid backend
-    /// keeps charging this model while running on real threads).
+    /// modeled clock (the pluggable `CommCost` seam).
     cost: CostModel,
-    /// Shared-memory window registry for the hybrid backend; `None` on
-    /// channel-only runs.
-    windows: Option<Arc<WindowRegistry>>,
+    /// The machine's shared-memory window registry: every record stream
+    /// of this rank rides it.
+    windows: Arc<WindowRegistry>,
     /// Per-rank cache of window streams so the steady state never takes
     /// the registry lock.
     window_cache: HashMap<(usize, usize, u32), Arc<Window>>,
@@ -156,6 +155,7 @@ impl Rank {
         txs: Vec<Sender<Message>>,
         barrier: Arc<Barrier>,
         rxs_all: Arc<Vec<Receiver<Message>>>,
+        windows: Arc<WindowRegistry>,
     ) -> Rank {
         let (_, cols) = mesh_dims(nranks);
         Rank {
@@ -172,7 +172,6 @@ impl Rank {
             mesh_cols: cols,
             pool: CommBuffers::new(),
             reserved_tags: Vec::new(),
-            outstanding: HashSet::new(),
             rxs_all,
             epoch: 0,
             send_seq: HashMap::new(),
@@ -181,7 +180,7 @@ impl Rank {
             faults: None,
             recv_timeout: None,
             cost: CostModel::delta_i860(),
-            windows: None,
+            windows,
             window_cache: HashMap::new(),
         }
     }
@@ -191,81 +190,33 @@ impl Rank {
         self.cost
     }
 
-    /// Attach the shared-memory window registry (hybrid backend). Every
-    /// record stream ([`Rank::publish_f64`] / [`Rank::consume_f64`]) then
-    /// moves through in-place shared-memory publishes, under a fault plan
-    /// too; setup messages, collectives and checkpoint shipping stay on
-    /// the channels.
+    /// Swap in another window registry: every record stream from here on
+    /// moves through its windows, and the cached windows of the old one
+    /// are forgotten, so this rank and its peers meet in the same
+    /// windows. Every rank of the machine must swap at the same point of
+    /// its program.
     pub fn install_windows(&mut self, reg: Arc<WindowRegistry>) {
         assert_eq!(
             reg.nranks(),
             self.nranks,
             "window registry sized for a different machine"
         );
-        self.windows = Some(reg);
-    }
-
-    /// Do this rank's record streams ride shared-memory windows (where
-    /// work between publish and consume really overlaps)? The one place
-    /// a run's transport is decided.
-    pub fn has_windows(&self) -> bool {
-        self.windows.is_some()
+        self.windows = reg;
+        self.window_cache.clear();
     }
 
     /// Publish one record buffer to `dst` on the repeating stream
-    /// `(dst, tag)`; `fill` packs it in place (`cap` values expected).
-    /// The transport is the rank's: its shared-memory window when a
-    /// registry is installed, else the persistent-buffer channel protocol
-    /// ([`Rank::take_pack_f64`] + [`Rank::send_packed_f64`]). Both charge
-    /// the same counters, trace events and modeled wire time, both carry
-    /// the same stamp and the same fault plan, and both block only while
-    /// the stream's previous record is unread, so callers never ask which
-    /// one runs. Pair with [`Rank::consume_f64`] on `dst`; every rank
-    /// publishes all of an exchange's records before consuming any (see
-    /// [`crate::shm`] for why that cannot deadlock).
+    /// `(dst, tag)`: `fill` packs it in place, into the stream's
+    /// shared-memory window (`cap` values expected). The record is stamped
+    /// and exposed to the fault plan by the code a channel send runs
+    /// ([`Rank::stamp_out`]), and charged exactly like one: same
+    /// counters, same trace events, same modeled wire time. Blocks only
+    /// while the stream's previous record is unread. A record whose
+    /// storage grows is charged to the allocation counters, so a warmed-up
+    /// stream allocates nothing. Pair with [`Rank::consume_f64`] on
+    /// `dst`; every rank publishes all of an exchange's records before
+    /// consuming any (see [`crate::shm`] for why that cannot deadlock).
     pub fn publish_f64<F>(&mut self, dst: usize, tag: u32, class: CommClass, cap: usize, fill: F)
-    where
-        F: FnOnce(&mut Vec<f64>),
-    {
-        if self.windows.is_some() {
-            return self.window_publish_f64(dst, tag, class, fill);
-        }
-        let mut buf = self.take_pack_f64(dst, tag, cap);
-        fill(&mut buf);
-        self.send_packed_f64(dst, tag, buf, class);
-    }
-
-    /// Read the next record `src` published on stream `(me, tag)`, in
-    /// place, and hand its storage back to the sender (the window's
-    /// epoch bump, or [`Rank::return_packed_f64`] on channels).
-    pub fn consume_f64<R>(&mut self, src: usize, tag: u32, read: impl FnOnce(&[f64]) -> R) -> R {
-        if self.windows.is_some() {
-            return self.window_consume_f64(src, tag, read);
-        }
-        let buf = self.recv_f64(src, tag);
-        let r = read(&buf);
-        self.return_packed_f64(src, tag, buf);
-        r
-    }
-
-    /// The cached window for directed stream `(src, dst, tag)`.
-    fn window(&mut self, src: usize, dst: usize, tag: u32) -> Arc<Window> {
-        let reg = match self.windows.as_ref() {
-            Some(r) => r,
-            None => unreachable!("window traffic only on a windowed rank"),
-        };
-        self.window_cache
-            .entry((src, dst, tag))
-            .or_insert_with(|| reg.stream(src, dst, tag))
-            .clone()
-    }
-
-    /// The window transport of [`Rank::publish_f64`]: `fill` packs into
-    /// the window's record in place (no message copy), which is stamped
-    /// and exposed to the fault plan by the code the channel send runs
-    /// ([`Rank::stamp_out`]), and charged exactly like it — same
-    /// counters, same trace events, same modeled wire time.
-    fn window_publish_f64<F>(&mut self, dst: usize, tag: u32, class: CommClass, fill: F)
     where
         F: FnOnce(&mut Vec<f64>),
     {
@@ -278,7 +229,10 @@ impl Rank {
         }
         let mut len = 0;
         win.publish_with(|rec| {
+            let had = rec.data.capacity();
+            rec.data.reserve_exact(cap);
             fill(&mut rec.data);
+            self.note_alloc(8 * (rec.data.capacity() - had) as u64);
             len = rec.data.len();
             rec.crc = checksum_f64(&rec.data);
             let (seq, copies) =
@@ -299,12 +253,13 @@ impl Rank {
         obs::advance_ns(self.cost.send_ns(bytes, hops));
     }
 
-    /// The window transport of [`Rank::consume_f64`]: the record's stamp
+    /// Read the next record `src` published on stream `(me, tag)`, in
+    /// place, and hand its storage back to the sender. The record's stamp
     /// passes the check the channel sieve runs ([`Rank::admit`]) — a
     /// duplicated record is admitted once and refused once — before
-    /// `read` sees it. Receives are sender-priced (as on the channel
-    /// path), so only the event is recorded.
-    fn window_consume_f64<R>(&mut self, src: usize, tag: u32, read: impl FnOnce(&[f64]) -> R) -> R {
+    /// `read` sees it. Receives are sender-priced (as on the channels),
+    /// so only the event is recorded.
+    pub fn consume_f64<R>(&mut self, src: usize, tag: u32, read: impl FnOnce(&[f64]) -> R) -> R {
         assert!(src < self.nranks, "consume from rank {src} out of range");
         self.tick_fault_op();
         let win = self.window(src, self.id, tag);
@@ -330,6 +285,15 @@ impl Rank {
             bytes,
         });
         r
+    }
+
+    /// The cached window for directed stream `(src, dst, tag)`.
+    fn window(&mut self, src: usize, dst: usize, tag: u32) -> Arc<Window> {
+        let reg = &self.windows;
+        self.window_cache
+            .entry((src, dst, tag))
+            .or_insert_with(|| reg.stream(src, dst, tag))
+            .clone()
     }
 
     /// What a rank blocked in a window wait does on every yield: sieve
@@ -414,44 +378,8 @@ impl Rank {
         !self.dead[r]
     }
 
-    /// Take a pack buffer for a *repeating* point-to-point stream
-    /// `(dst, tag)` — the channel side of [`Rank::publish_f64`], and what
-    /// checkpoint shipping uses directly. If a buffer lent on this stream
-    /// is still outstanding, block until the receiver returns it (it does
-    /// so right after unpacking, so per-pair FIFO order makes data and
-    /// returned buffers alternate strictly on the stream) and recycle it;
-    /// then take from the pool. After the first execution the same
-    /// buffer ping-pongs forever: zero steady-state allocation even for
-    /// one-directional streams. Models PARTI's persistent send buffers;
-    /// pair with [`Rank::send_packed_f64`] / [`Rank::return_packed_f64`].
-    pub fn take_pack_f64(&mut self, dst: usize, tag: u32, cap: usize) -> Vec<f64> {
-        if self.outstanding.remove(&(dst, tag)) {
-            let returned = self.recv_payload(dst, tag).into_f64();
-            self.pool.recycle_f64(returned);
-        }
-        self.take_f64(cap)
-    }
-
-    /// Send a buffer obtained from [`Rank::take_pack_f64`] on its stream,
-    /// marking it lent until the receiver returns it.
-    pub fn send_packed_f64(&mut self, dst: usize, tag: u32, data: Vec<f64>, class: CommClass) {
-        self.outstanding.insert((dst, tag));
-        self.send_f64(dst, tag, data, class);
-    }
-
-    /// Return a consumed packed buffer to the rank that sent it, on the
-    /// same stream. Pure pool bookkeeping (the real machine reuses a
-    /// persistent send buffer): not charged as traffic, but still
-    /// sequence-stamped — it travels the same wire, so the fault layer
-    /// can target it and the receiver's gap detection must account
-    /// for it.
-    pub fn return_packed_f64(&mut self, src: usize, tag: u32, mut buf: Vec<f64>) {
-        buf.clear();
-        self.post(src, tag, Payload::F64(buf));
-    }
-
-    /// Take an empty pooled `f64` pack buffer with capacity ≥ `cap`. A
-    /// pool miss allocates fresh storage and is charged to the rank's
+    /// Take an empty pooled `f64` buffer with capacity ≥ `cap`. A pool
+    /// miss allocates fresh storage and is charged to the rank's
     /// allocation counters; a warmed-up exchange pattern never misses.
     pub fn take_f64(&mut self, cap: usize) -> Vec<f64> {
         let (buf, fresh) = self.pool.take_f64(cap);
@@ -465,7 +393,7 @@ impl Rank {
         self.pool.recycle_f64(v);
     }
 
-    /// Take an empty pooled `u32` pack buffer with capacity ≥ `cap`.
+    /// Take an empty pooled `u32` buffer with capacity ≥ `cap`.
     pub fn take_u32(&mut self, cap: usize) -> Vec<u32> {
         let (buf, fresh) = self.pool.take_u32(cap);
         self.note_alloc(fresh);
@@ -477,6 +405,8 @@ impl Rank {
         self.pool.recycle_u32(v);
     }
 
+    /// Charge fresh communication storage — a pool miss or a window
+    /// record's growth — to the allocation counters.
     fn note_alloc(&mut self, fresh_bytes: u64) {
         if fresh_bytes > 0 {
             self.counters.comm_allocs += 1;
@@ -484,7 +414,7 @@ impl Rank {
             // Traced only before the first recovery epoch: after a
             // rollback, which buffers the pool recycles depends on the
             // set of messages in flight at the (thread-timing-dependent)
-            // abort point, so post-recovery pool misses would break the
+            // abort point, so post-recovery misses would break the
             // bit-identical-trace guarantee. The counters above always
             // accumulate regardless.
             if self.epoch() == 0 {
@@ -538,7 +468,7 @@ impl Rank {
 
     /// Stamp the next record on outgoing stream `(dst, tag)` and let the
     /// fault plan act on it: the one body both transports run for every
-    /// record this rank originates. The caller took the payload's
+    /// record and message this rank originates. The caller took the payload's
     /// checksum first; `corrupt` flips a payload bit after it. Returns
     /// the record's sequence number and how many copies reach the wire:
     /// 0 when the plan drops it (its sequence number is still consumed,
@@ -579,8 +509,8 @@ impl Rank {
         (seq, copies)
     }
 
-    /// The single exit point for every message this rank originates
-    /// (charged sends, uncharged buffer returns, collectives): stamps the
+    /// The single exit point for every channel message this rank
+    /// originates (sends and collectives): stamps the
     /// recovery epoch and the payload checksum, and takes the stream
     /// sequence number from [`Rank::stamp_out`], which lets the fault
     /// plan drop, duplicate, corrupt or delay the message on the wire.
@@ -873,8 +803,7 @@ impl Rank {
 
     /// Enter recovery epoch `epoch`: discard all buffered pre-recovery
     /// traffic (recycling its storage), reset every stream's sequence
-    /// numbers and the collective counter, forget lent pack buffers, and
-    /// broadcast an `Abort` so peers still computing join the epoch
+    /// numbers and the collective counter, and broadcast an `Abort` so peers still computing join the epoch
     /// instead of timing out one by one. The caller then rebuilds
     /// schedules and restores state collectively.
     pub fn begin_recovery(&mut self, epoch: u32) {
@@ -953,8 +882,8 @@ impl Rank {
     }
 
     /// Shared epoch-entry reset: discard all buffered old-epoch traffic
-    /// (recycling its storage), reset every stream's sequence numbers and
-    /// the collective counter, and forget lent pack buffers.
+    /// (recycling its storage) and reset every stream's sequence numbers
+    /// and the collective counter.
     fn reset_streams(&mut self) {
         let stash = std::mem::take(&mut self.stash);
         for (_, q) in stash {
@@ -964,7 +893,6 @@ impl Rank {
         }
         self.send_seq.clear();
         self.recv_seq.clear();
-        self.outstanding.clear();
         self.collective_seq = 0;
     }
 
@@ -977,8 +905,7 @@ impl Rank {
     /// counters start empty; the hosting node re-runs schedule
     /// construction for it. Hop accounting keeps `vid`'s mesh position
     /// (the adopted partition's traffic pattern, not the host's), and the
-    /// transport stays the host's: a windowed host's replica rides
-    /// windows too.
+    /// replica's records ride the host's window registry.
     pub fn adopt(&self, vid: usize) -> Rank {
         assert!(self.dead[vid], "adopting a live rank");
         assert_ne!(vid, self.id, "a rank cannot adopt itself");
@@ -989,13 +916,12 @@ impl Rank {
             self.txs.clone(),
             self.barrier.clone(),
             self.rxs_all.clone(),
+            self.windows.clone(),
         );
         r.epoch = self.epoch;
         r.dead = self.dead.clone();
         r.recv_timeout = self.recv_timeout;
         r.cost = self.cost;
-        // Fresh windows: the recovery epoch shifted every tag.
-        r.windows = self.windows.clone();
         r.faults = self
             .faults
             .as_ref()

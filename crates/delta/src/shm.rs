@@ -1,9 +1,10 @@
-//! Shared-memory halo windows for the hybrid (threads-as-ranks) backend.
+//! Shared-memory record windows: the one transport of every record
+//! stream.
 //!
 //! A [`Window`] is one directed, single-producer single-consumer stream
-//! `(src, dst, tag)`: the writer packs its SoA send region straight into
-//! the window's buffer and *publishes* it by bumping an epoch counter;
-//! the reader *consumes* it in place (no intermediate message copy) and
+//! `(src, dst, tag)`: the writer packs its record straight into the
+//! window's buffer and *publishes* it by bumping an epoch counter; the
+//! reader *consumes* it in place (no intermediate message copy) and
 //! bumps its own counter to hand the buffer back. The two monotonic
 //! counters are the entire protocol — a capacity-1 seqlock where
 //! `published` and `consumed` double as the epoch stamps:
@@ -20,30 +21,35 @@
 //! ownership is exclusive in every reachable state.
 //!
 //! Deadlock freedom: every rank executes the *same* global sequence of
-//! exchanges (SPMD), and within each exchange publishes all its sends
-//! before consuming any of its receives. A publish can only block on a
-//! peer that has not yet finished the *previous* exchange on that
-//! stream, and a consume only on a peer that has not yet reached the
-//! *current* one — so every wait points at a peer strictly earlier in
-//! the program, and the least-progressed rank is always runnable.
+//! exchanges (SPMD), and within each exchange publishes all its records
+//! before consuming any. A checkpoint is two such exchanges: the other
+//! ranks publish their shares and then root consumes them; root
+//! publishes the snapshot and then the others consume it. A publish can
+//! only block on a peer that has not yet finished the *previous*
+//! exchange on that stream, and a consume only on a peer that has not
+//! yet reached the *current* one — so every wait points at a peer
+//! strictly earlier in the program, and the least-progressed rank is
+//! always runnable.
 //!
-//! Windows carry every schedule record stream of a hybrid run — halo
-//! exchanges, inter-grid transfers and the set-up degree scatter, all
-//! through [`crate::Rank::publish_f64`] / [`crate::Rank::consume_f64`] —
-//! under a fault plan too. Each [`Record`] carries the stamp a channel
-//! message carries, `{seq, crc}`, ahead of its payload, and the rank
-//! runs the same fault and stamp code on it that it runs on a message:
-//! the plan may drop, duplicate, corrupt or delay a record at publish,
-//! and the consumer checks sequence and checksum as the channel sieve
-//! does. No epoch stamp is needed: a recovery or a migration shifts
-//! every schedule tag, so the new epoch's streams open fresh windows and
-//! the old ones are simply abandoned. A duplicate adds no wait: the
-//! consumer sieves the one record twice. A wait listens to the rank's
-//! mailbox (the `poll` hook of [`Window::wait_free`] /
+//! One [`WindowRegistry`] per machine carries every schedule record
+//! stream — halo exchanges, inter-grid transfers, the set-up degree
+//! scatter and checkpoint shipping, all through
+//! [`crate::Rank::publish_f64`] / [`crate::Rank::consume_f64`] — on every
+//! run, under a fault plan too. Each [`Record`] carries the stamp a
+//! channel message carries, `{seq, crc}`, ahead of its payload, and the
+//! rank runs the same fault and stamp code on it that it runs on a
+//! message: the plan may drop, duplicate, corrupt or delay a record at
+//! publish, and the consumer checks sequence and checksum as the channel
+//! sieve does. No epoch stamp is needed: a recovery or a migration
+//! shifts every schedule tag, so the new epoch's streams open fresh
+//! windows and the old ones are simply abandoned. A duplicate adds no
+//! wait: the consumer sieves the one record twice. A wait listens to the
+//! rank's mailbox (the `poll` hook of [`Window::wait_free`] /
 //! [`Window::wait_ready`]), so a peer's death or abort notice unwinds a
 //! blocked rank into recovery, as it would a blocked receive; a dropped
 //! record is caught by the plan's bounded timeout. The inspector's index
-//! messages, collectives and checkpoints stay on the channels.
+//! messages, collectives, replica hand-offs and control notices stay on
+//! the channels.
 
 use std::cell::UnsafeCell;
 use std::collections::HashMap;
@@ -223,8 +229,7 @@ impl Window {
     }
 }
 
-/// Process-wide registry of windows, shared by every rank thread of one
-/// hybrid run. Streams are created on first use under a mutex (setup
+/// Registry of windows, shared by every rank thread of one machine. Streams are created on first use under a mutex (setup
 /// cost only); the steady state goes through each rank's local
 /// `Arc<Window>` cache and never touches the lock.
 pub struct WindowRegistry {

@@ -40,7 +40,8 @@ pub enum Event {
         /// Payload wire bytes.
         bytes: u64,
     },
-    /// The communication-buffer pool missed and allocated fresh storage.
+    /// Communication storage was allocated fresh: a buffer-pool miss, or
+    /// a window record that grew.
     PoolAlloc {
         /// Freshly allocated bytes.
         bytes: u64,

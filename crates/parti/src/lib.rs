@@ -14,9 +14,9 @@
 //! [`Schedule::scatter_add_finish`]); `gather_planes` and
 //! `scatter_add_planes` run both halves on one plane-major field. One
 //! pack loop and one unpack loop serve plane-major fields and
-//! vertex-major staging buffers alike, and the bytes move over whichever
-//! transport the rank carries (channel mailboxes, or shared-memory
-//! windows on the hybrid backend) — the schedule never asks which.
+//! vertex-major staging buffers alike, and the records move through the
+//! rank's shared-memory windows (`Rank::publish_f64` /
+//! `Rank::consume_f64`).
 //!
 //! §4.3's fetch-once behaviour is not a primitive here: a rank's
 //! `DistLevel` (in `eul3d-core`) gathers the flow variables through one

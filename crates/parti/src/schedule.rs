@@ -52,8 +52,8 @@ impl Schedule {
 
     /// **Gather executor, begin half**: pack the owned entries of `src`
     /// (strides `at`) each peer ghosts and publish them as one buffer of
-    /// per-entry records, `nplanes` values each. The transport is the
-    /// rank's ([`Rank::publish_f64`]). Every rank begins an exchange
+    /// per-entry records, `nplanes` values each, into the stream's
+    /// window ([`Rank::publish_f64`]). Every rank begins an exchange
     /// before it finishes it, all in one global order; schedules sharing
     /// a rank reserve disjoint tags, so each stream strictly alternates
     /// publish and consume and reuses one buffer forever.
@@ -91,8 +91,8 @@ impl Schedule {
     }
 
     /// **Scatter-add executor, finish half**: add each peer's records
-    /// into the owned entries of `dst`, in `(peer, record, plane)` order
-    /// on either transport — so the result bits do not depend on it.
+    /// into the owned entries of `dst`, in `(peer, record, plane)` order,
+    /// so the result bits do not depend on when the records arrive.
     pub fn scatter_add_finish(&self, rank: &mut Rank, dst: &mut [f64], nplanes: usize, at: Stride) {
         for (peer, idxs) in &self.sends {
             rank.consume_f64(*peer, self.tag + 1, |buf| {
@@ -171,10 +171,8 @@ fn unpack(buf: &[f64], idxs: &[u32], n: usize, at: Stride, mut put: impl FnMut(u
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
-
     use super::*;
-    use eul3d_delta::{run_spmd, MachineRun, WindowRegistry};
+    use eul3d_delta::run_spmd;
 
     /// Hand-built two-rank schedule: rank 0 owns entries {0,1}, rank 1
     /// owns {0,1}; each has one ghost slot (index 2) mirroring the peer's
@@ -189,38 +187,9 @@ mod tests {
         }
     }
 
-    /// Run `body` on two ranks, over shared-memory windows when
-    /// `windows`, else over channels.
-    fn run_on<T: Send>(windows: bool, body: impl Fn(&mut Rank) -> T + Sync) -> MachineRun<T> {
-        let reg = WindowRegistry::new(2);
-        run_spmd(2, |r| {
-            if windows {
-                r.install_windows(Arc::clone(&reg));
-            }
-            body(r)
-        })
-    }
-
-    /// Run `body` over both transports: the data must be the same bits
-    /// and every rank must be charged the same per-class traffic and
-    /// hops. Returns the channel run.
-    fn on_both_transports(body: impl Fn(&mut Rank) -> Vec<f64> + Sync) -> MachineRun<Vec<f64>> {
-        let (chan, win) = (run_on(false, &body), run_on(true, &body));
-        let bits = |run: &MachineRun<Vec<f64>>| -> Vec<Vec<u64>> {
-            let bits = |v: &Vec<f64>| v.iter().map(|x| x.to_bits()).collect();
-            run.results.iter().map(bits).collect()
-        };
-        assert_eq!(bits(&chan), bits(&win), "transports disagree on the data");
-        for (c, w) in chan.counters.iter().zip(&win.counters) {
-            assert_eq!(c.sent, w.sent, "per-class traffic");
-            assert_eq!(c.hops, w.hops, "hops");
-        }
-        chan
-    }
-
     #[test]
     fn gather_fills_ghosts() {
-        let run = on_both_transports(|r| {
+        let run = run_spmd(2, |r| {
             let sched = mirror_schedule(r.id);
             // 3 vertices × 2 planes; ghost vertex 2 starts at -1.
             let base = r.id as f64 * 100.0;
@@ -236,7 +205,7 @@ mod tests {
 
     #[test]
     fn scatter_add_flushes_and_zeros_ghosts() {
-        let run = on_both_transports(|r| {
+        let run = run_spmd(2, |r| {
             let sched = mirror_schedule(r.id);
             // 3 vertices × 2 planes; ghost accumulator at vertex 2.
             let g = 5.0 + r.id as f64;
@@ -251,37 +220,33 @@ mod tests {
 
     #[test]
     fn executors_are_allocation_free_after_warm_up() {
-        for windows in [false, true] {
-            let run = run_on(windows, |r| {
-                let sched = mirror_schedule(r.id);
-                let mut data = vec![1.0, 2.0, 0.0, 4.0, 5.0, 0.0];
-                let src = vec![4.0, 5.0];
-                let mut into = vec![0.0; 3];
-                let mut staged = vec![0.0, 0.0, 3.0];
-                let mut dst = vec![0.0, 0.0];
-                // One round warms the pool: on channels each send buffer
-                // comes back as the peer's recycled receive buffer.
-                let mut round = |r: &mut Rank| {
-                    sched.gather_planes(r, &mut data, 2);
-                    sched.scatter_add_planes(r, &mut data, 2);
-                    sched.gather_begin(r, &src, 1, (1, 2));
-                    sched.gather_finish(r, &mut into, 1, (1, 1));
-                    staged[2] = 3.0;
-                    sched.scatter_add_begin(r, &mut staged, 1, (1, 1));
-                    sched.scatter_add_finish(r, &mut dst, 1, (1, 2));
-                };
+        let run = run_spmd(2, |r| {
+            let sched = mirror_schedule(r.id);
+            let mut data = vec![1.0, 2.0, 0.0, 4.0, 5.0, 0.0];
+            let src = vec![4.0, 5.0];
+            let mut into = vec![0.0; 3];
+            let mut staged = vec![0.0, 0.0, 3.0];
+            let mut dst = vec![0.0, 0.0];
+            // One round sizes every stream's window record.
+            let mut round = |r: &mut Rank| {
+                sched.gather_planes(r, &mut data, 2);
+                sched.scatter_add_planes(r, &mut data, 2);
+                sched.gather_begin(r, &src, 1, (1, 2));
+                sched.gather_finish(r, &mut into, 1, (1, 1));
+                staged[2] = 3.0;
+                sched.scatter_add_begin(r, &mut staged, 1, (1, 1));
+                sched.scatter_add_finish(r, &mut dst, 1, (1, 2));
+            };
+            round(r);
+            let warm = r.counters.comm_allocs;
+            for _ in 0..20 {
                 round(r);
-                let warm = r.counters.comm_allocs;
-                for _ in 0..20 {
-                    round(r);
-                }
-                (warm, r.counters.comm_allocs)
-            });
-            for &(warm, steady) in &run.results {
-                // Windows pack in place: no pool buffer at all.
-                assert_eq!(warm > 0, !windows, "warm-up pool traffic");
-                assert_eq!(steady, warm, "steady-state executors must not allocate");
             }
+            (warm, r.counters.comm_allocs)
+        });
+        for &(warm, steady) in &run.results {
+            assert!(warm > 0, "warm-up charges the records' storage");
+            assert_eq!(steady, warm, "steady-state executors must not allocate");
         }
     }
 
@@ -289,7 +254,7 @@ mod tests {
     fn gather_planes_into_separate_arrays() {
         // Owners pack from a plane-major source (2 entries × 2 planes);
         // receivers fill a vertex-major staging buffer (3 slots × 2).
-        let run = on_both_transports(|r| {
+        let run = run_spmd(2, |r| {
             let sched = mirror_schedule(r.id);
             let src: Vec<f64> = (0..4).map(|k| (10 * r.id + k) as f64).collect();
             let mut dst = vec![0.0; 6];
@@ -305,7 +270,7 @@ mod tests {
     fn scatter_add_planes_into_separate_arrays() {
         // Vertex-major staged sums (3 slots × 2) flushed into owners'
         // plane-major entries (2 entries × 2 planes).
-        let run = on_both_transports(|r| {
+        let run = run_spmd(2, |r| {
             let sched = mirror_schedule(r.id);
             let g = 7.0 + r.id as f64;
             let mut staged = vec![0.0, 0.0, 0.0, 0.0, g, g + 10.0];
@@ -321,7 +286,7 @@ mod tests {
 
     #[test]
     fn empty_schedule_is_a_noop() {
-        let run = on_both_transports(|r| {
+        let run = run_spmd(2, |r| {
             let s = Schedule::empty(5, CommClass::Halo);
             let mut data = vec![1.0, 2.0];
             s.gather_planes(r, &mut data, 1);

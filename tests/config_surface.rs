@@ -141,6 +141,30 @@ fn a_key_the_caller_sweeps_is_refused() {
 }
 
 #[test]
+fn an_owned_section_refuses_its_header_and_its_keys() {
+    let owned = [("[guard]", "not read here")];
+    let err = args(&["--cfl-backoff", "0.25"])
+        .run_config(Scope::Solve, RunConfig::default(), &owned)
+        .unwrap_err();
+    assert!(err.contains("guard.cfl_backoff"), "{err}");
+    // An empty header arms the section, so it is refused too.
+    let file = scratch_file(
+        "owned_section",
+        "[guard]
+",
+    );
+    let err = args(&["--config", file.to_str().unwrap()])
+        .run_config(Scope::Solve, RunConfig::default(), &owned)
+        .unwrap_err();
+    assert!(err.contains("[guard] is not read here"), "{err}");
+    std::fs::remove_file(file).unwrap();
+    // A section that merely shares the prefix is not covered.
+    args(&["--set", "solver.cfl=2"])
+        .run_config(Scope::Solve, RunConfig::default(), &[("[solve]", "x")])
+        .unwrap();
+}
+
+#[test]
 fn every_example_config_parses_and_validates() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples");
     let mut names = Vec::new();

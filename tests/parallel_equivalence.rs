@@ -26,7 +26,6 @@ use eul3d::solver::{
     fnv1a_128, GuardConfig, MultigridSolver, PhaseCounters, Scheme, SerialExecutor, SolverConfig,
     Strategy,
 };
-use eul3d_obs::Event;
 
 fn spec() -> BumpSpec {
     BumpSpec {
@@ -38,8 +37,8 @@ fn spec() -> BumpSpec {
     }
 }
 
-/// The options of a run on `backend` with every lane traced, so that
-/// [`rode_windows`] can tell which transport ran.
+/// The options of a run on `backend` with every lane traced on the
+/// modeled clock, for [`assert_same_lanes`].
 fn traced(backend: DistBackend) -> DistOptions {
     DistOptions {
         backend,
@@ -48,29 +47,29 @@ fn traced(backend: DistBackend) -> DistOptions {
     }
 }
 
-/// Did this traced run's halo exchanges ride windows? A windowed rank
-/// consumes in `exchange_finish`, a span of its own that receives and
-/// sends nothing; on channels one span does both.
-fn rode_windows(r: &DistRunResult) -> bool {
-    r.lanes().iter().any(|lane| {
-        let (mut sent, mut received) = (false, false);
-        lane.events.iter().any(|s| match s.ev {
-            Event::PhaseBegin { .. } => {
-                (sent, received) = (false, false);
-                false
-            }
-            Event::MsgSend { .. } => {
-                sent = true;
-                false
-            }
-            Event::MsgRecv { .. } => {
-                received = true;
-                false
-            }
-            Event::PhaseEnd { .. } => received && !sent,
-            _ => false,
-        })
-    })
+/// A traced delta run and a traced hybrid run record the same lanes,
+/// event for event and stamp for stamp: the backends differ in their
+/// report, not in what the ranks do.
+fn assert_same_lanes(delta: &DistRunResult, hybrid: &DistRunResult, what: &str) {
+    let (ld, lh) = (delta.lanes(), hybrid.lanes());
+    assert_eq!(ld.len(), lh.len(), "{what}: lane count");
+    for (d, h) in ld.iter().zip(&lh) {
+        assert!(!d.events.is_empty(), "{what}: {} is traced", d.name);
+        assert_eq!(
+            (&d.name, d.dropped),
+            (&h.name, h.dropped),
+            "{what}: lane {}",
+            d.id
+        );
+        let first = d.events.iter().zip(&h.events).position(|(a, b)| a != b);
+        if let Some(k) = first {
+            panic!(
+                "{what}: {} parts at event {k}: {:?} vs {:?}",
+                d.name, d.events[k], h.events[k]
+            );
+        }
+        assert_eq!(d.events.len(), h.events.len(), "{what}: {} length", d.name);
+    }
 }
 
 fn max_dev(a: &[f64], b: &[f64]) -> f64 {
@@ -227,16 +226,10 @@ fn distributed_w_cycle_matches_serial_multigrid() {
     );
     let hs = serial.solve(cycles);
 
-    // One executor drives both halo transports: channels (Delta) and
-    // shared-memory windows (Hybrid) must each match the serial solver.
-    let run = |nranks: usize, backend: DistBackend| -> Vec<f64> {
+    // Both backends must match the serial solver.
+    let run = |nranks: usize, backend: DistBackend| -> DistRunResult {
         let setup = DistSetup::new(MeshSequence::bump_sequence(&spec(), 3), nranks, 25, 11);
         let dist = run_distributed(&setup, cfg, Strategy::WCycle, cycles, traced(backend));
-        assert_eq!(
-            rode_windows(&dist),
-            backend == DistBackend::Hybrid,
-            "the transport asked for must run"
-        );
         for (a, b) in hs.iter().zip(dist.history()) {
             assert!(
                 (a - b).abs() < 1e-8 * a.max(1e-30),
@@ -249,23 +242,26 @@ fn distributed_w_cycle_matches_serial_multigrid() {
             d < 1e-8,
             "W-cycle states on {nranks} {backend:?} ranks: {d:.3e}"
         );
-        dist.history().to_vec()
+        dist
     };
     run(5, DistBackend::Delta);
-    // ... and, on the same partition, agree with each other to the bit.
-    let bits = |h: Vec<f64>| h.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+    // ... and, on the same partition, agree with each other to the bit
+    // and to the event.
+    let bits = |r: &DistRunResult| r.history().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let (delta, hybrid) = (run(2, DistBackend::Delta), run(2, DistBackend::Hybrid));
     assert_eq!(
-        bits(run(2, DistBackend::Delta)),
-        bits(run(2, DistBackend::Hybrid)),
+        bits(&delta),
+        bits(&hybrid),
         "hybrid vs delta residual history"
     );
+    assert_same_lanes(&delta, &hybrid, "clean W-cycle");
 }
 
 #[test]
 fn guarded_migrating_hybrid_run_gives_the_channel_bits_and_transcript() {
     // Windows × migration × guard: a CFL-30 case that the guard must
-    // back off, repartitioned every 3 cycles, on shared-memory windows
-    // and on channels — one history to the bit, one transcript.
+    // back off, repartitioned every 3 cycles, on both backends — one
+    // history to the bit, one transcript, one trace.
     let spec = BumpSpec {
         nx: 10,
         ny: 4,
@@ -302,29 +298,31 @@ fn guarded_migrating_hybrid_run_gives_the_channel_bits_and_transcript() {
             }),
             ..traced(backend)
         };
-        let r = run_distributed_with_faults(&setup, cfg, Strategy::VCycle, 12, opts, &fopts)
-            .expect("the guard recovers the CFL-30 case");
-        assert_eq!(
-            rode_windows(&r),
-            backend == DistBackend::Hybrid,
-            "the transport asked for must run"
-        );
+        run_distributed_with_faults(&setup, cfg, Strategy::VCycle, 12, opts, &fopts)
+            .expect("the guard recovers the CFL-30 case")
+    };
+    let outcome = |r: &DistRunResult| {
         let bits: Vec<u64> = r.history().iter().map(|x| x.to_bits()).collect();
         (bits, r.guard_outcome().cloned().expect("guarded"))
     };
     let (delta, hybrid) = (run(DistBackend::Delta), run(DistBackend::Hybrid));
-    assert!(!delta.1.transcript.is_empty(), "the guard must back off");
+    assert!(
+        !outcome(&delta).1.transcript.is_empty(),
+        "the guard must back off"
+    );
     assert_eq!(
-        delta, hybrid,
+        outcome(&delta),
+        outcome(&hybrid),
         "hybrid vs delta: history bits and guard outcome"
     );
+    assert_same_lanes(&delta, &hybrid, "guarded migrating run");
 }
 
-/// The tier-1 slice of the fault layer: every message fault the plan
-/// names must fire on `backend`'s transport — channel messages, or the
-/// stamped records of shared-memory windows — and the recovered run must
-/// still give the fault-free history and state, bit for bit.
-fn faulted_records_recover_to_the_clean_bits(backend: DistBackend) {
+/// The tier-1 slice of the fault layer: every record fault the plan
+/// names must fire on the stamped records of `backend`'s windows, and
+/// the recovered run must still give the fault-free history and state,
+/// bit for bit. Returns the traced faulted run.
+fn faulted_records_recover_to_the_clean_bits(backend: DistBackend) -> DistRunResult {
     let spec = BumpSpec {
         nx: 8,
         ny: 4,
@@ -362,11 +360,6 @@ fn faulted_records_recover_to_the_clean_bits(backend: DistBackend) {
         &fopts,
     )
     .expect("the faulted run recovers");
-    assert_eq!(
-        rode_windows(&faulted),
-        backend == DistBackend::Hybrid,
-        "a fault plan keeps the transport asked for"
-    );
     // The corrupt (checksum) and the drop (sequence gap or timeout) each
     // force one recovery epoch on every rank; the duplicate is absorbed
     // by the receiver's sequence filter.
@@ -387,6 +380,7 @@ fn faulted_records_recover_to_the_clean_bits(backend: DistBackend) {
         bits(&clean.global_state(nverts)),
         "{backend:?}: final state"
     );
+    faulted
 }
 
 #[test]
@@ -396,7 +390,9 @@ fn corrupted_dropped_and_duplicated_messages_recover_to_the_clean_bits() {
 
 #[test]
 fn corrupted_dropped_and_duplicated_window_records_recover_to_the_clean_bits() {
-    faulted_records_recover_to_the_clean_bits(DistBackend::Hybrid);
+    let delta = faulted_records_recover_to_the_clean_bits(DistBackend::Delta);
+    let hybrid = faulted_records_recover_to_the_clean_bits(DistBackend::Hybrid);
+    assert_same_lanes(&delta, &hybrid, "corrupt/drop/dup plan");
 }
 
 #[test]
@@ -544,16 +540,15 @@ fn gathered_neighbour_sums_keep_the_edge_loop_histories() {
                 history_fnv(&hs)
             );
         }
-        // Delta channels and hybrid windows: one transport-agnostic
-        // exchange path, so the same bits and the same modeled traffic.
+        // Both backends: one exchange path, so the same bits and the
+        // same modeled traffic.
         let setup = DistSetup::new(seq(), 2, 25, 11);
         let runs = [DistBackend::Delta, DistBackend::Hybrid].map(|backend| {
-            let dist = run_distributed(&setup, cfg, Strategy::WCycle, 10, traced(backend));
-            assert_eq!(
-                rode_windows(&dist),
-                backend == DistBackend::Hybrid,
-                "{scheme:?} {backend:?}: the transport asked for must run"
-            );
+            let opts = DistOptions {
+                backend,
+                ..DistOptions::default()
+            };
+            let dist = run_distributed(&setup, cfg, Strategy::WCycle, 10, opts);
             assert_eq!(
                 history_fnv(dist.history()),
                 delta_fnv,
