@@ -59,6 +59,9 @@ fn install_sigterm_handler() {
 /// [--drain-timeout-ms MS]` — host the job engine, blocking until a
 /// client sends `shutdown` or the process receives `SIGTERM` (which
 /// drains: running jobs finish and checkpoint, new work is refused).
+/// `--cache-bytes` bounds the in-memory result cache by the bytes its
+/// entries hold — each a job's Mach field, history and table, not its
+/// VTK text, which is rendered per `--artifacts` request.
 pub fn serve(a: &Args) -> Result<(), String> {
     let path = socket_of(a)?;
     let defaults = EngineConfig::default();

@@ -8,6 +8,7 @@ use eul3d_parti::{localize, Schedule, Translation};
 use eul3d_partition::{PartitionedMesh, RankMesh};
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use crate::config::SolverConfig;
 use crate::counters::{CommMark, PhaseCounters};
@@ -150,7 +151,8 @@ impl Executor for DistExecutor<'_> {
 /// `n_local = n_owned + n_ghost` entries; ghost slots serve as receive
 /// targets (gather) and off-rank accumulators (scatter_add).
 pub struct DistLevel {
-    pub rm: RankMesh,
+    /// This rank's share of the level, shared with the partitioned mesh.
+    pub rm: Arc<RankMesh>,
     /// Ghost exchange schedule for per-vertex arrays.
     pub halo: Schedule,
     /// Working arrays, laid out exactly as on the other backends.
@@ -158,12 +160,12 @@ pub struct DistLevel {
 }
 
 impl DistLevel {
-    /// Build this rank's level: extract its `RankMesh`, localize the halo
+    /// Build this rank's level: share its `RankMesh`, localize the halo
     /// schedule (tag space `[tag, tag+2)`), and initialize freestream
     /// state. Must be called SPMD (every rank, same order).
     pub fn build(rank: &mut Rank, pm: &PartitionedMesh, cfg: &SolverConfig, tag: u32) -> DistLevel {
-        let rm = pm.ranks[rank.id].clone();
-        let trans = Translation::new(pm.owner.clone(), pm.owner_local.clone());
+        let rm = Arc::clone(&pm.ranks[rank.id]);
+        let trans = Translation::new(&pm.owner, &pm.owner_local);
         let n_owned = rm.n_owned();
 
         let slots: Vec<u32> = (0..rm.n_ghost() as u32)
@@ -181,7 +183,7 @@ impl DistLevel {
         // LevelState::new sizes everything by n_local and leaves *partial*
         // degrees (from the rank-local edge list); one setup scatter-add
         // completes them.
-        let mut st = LevelState::new(&rm, cfg);
+        let mut st = LevelState::new(&*rm, cfg);
         halo.scatter_add_planes(rank, &mut st.deg, 1);
 
         DistLevel { halo, st, rm }

@@ -94,8 +94,8 @@ impl TransferLink {
         tag: u32,
     ) -> TransferLink {
         let me = rank.id;
-        let fine_trans = Translation::new(fine_pm.owner.clone(), fine_pm.owner_local.clone());
-        let coarse_trans = Translation::new(coarse_pm.owner.clone(), coarse_pm.owner_local.clone());
+        let fine_trans = Translation::new(&fine_pm.owner, &fine_pm.owner_local);
+        let coarse_trans = Translation::new(&coarse_pm.owner, &coarse_pm.owner_local);
 
         // State restriction: owned coarse vertices read fine sources.
         let (state_terms, fine_buf_len, fine_local, req_f, slots_f) = build_terms(

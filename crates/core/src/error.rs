@@ -52,6 +52,15 @@ pub enum SolverError {
         /// The configured retry budget.
         max_retries: usize,
     },
+    /// A per-vertex field does not fit the mesh it is to be written on.
+    FieldLength {
+        /// Field name (e.g. `"mach"`).
+        field: &'static str,
+        /// Values the field holds.
+        len: usize,
+        /// Vertices the mesh has.
+        nverts: usize,
+    },
 }
 
 impl fmt::Display for SolverError {
@@ -89,6 +98,10 @@ impl fmt::Display for SolverError {
                 }
                 Ok(())
             }
+            SolverError::FieldLength { field, len, nverts } => write!(
+                f,
+                "field `{field}` has {len} values for a mesh of {nverts} vertices"
+            ),
         }
     }
 }

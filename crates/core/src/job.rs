@@ -9,17 +9,20 @@
 //! threads, and process restarts: the residual table prints floats with
 //! Rust's shortest-round-trip formatting (unique per bit pattern), the
 //! Chrome trace rides the modeled clock (reset per job by
-//! `obs::install`), and the VTK export is a pure function of the final
-//! state. That is what lets the service layer treat a cache hit and a
-//! recompute as provably interchangeable.
+//! `obs::install`), and the VTK export is a pure function of the config's
+//! mesh and the final Mach field. That is what lets the service layer
+//! treat a cache hit and a recompute as provably interchangeable, and
+//! keep the Mach field instead of the text: [`render_vtk`] turns it back
+//! into the exact bytes the result hash covers.
 
 use std::panic::panic_any;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use eul3d_delta::FaultSignal;
+use eul3d_mesh::gen::bump_channel;
 use eul3d_mesh::vtk::write_vtk;
-use eul3d_mesh::MeshSequence;
+use eul3d_mesh::{MeshSequence, TetMesh};
 use eul3d_obs as obs;
 
 use crate::ckstore::DurabilitySink;
@@ -28,7 +31,7 @@ use crate::error::{Eul3dError, SolverError};
 use crate::health::GuardOutcome;
 use crate::multigrid::RunPlan;
 use crate::postproc::mach_field;
-use crate::runconfig::fnv1a_128;
+use crate::runconfig::Fnv1a128;
 use crate::{MultigridSolver, Phase, RunConfig};
 
 /// Cooperative cancellation handle for one job. Cloneable; any clone's
@@ -118,12 +121,14 @@ pub struct JobArtifacts {
     /// Stamped event stream of the driver lane (solve) or virtual rank
     /// 0's completed instance (distributed), for wire streaming.
     pub events: Vec<obs::Stamped>,
-    /// ASCII VTK of the final Mach field on the fine mesh.
-    pub vtk: String,
+    /// Local Mach number of the final state at every fine-mesh vertex:
+    /// 8 bytes a vertex, where its ASCII VTK export takes about 170.
+    /// [`render_vtk`] renders that export on request.
+    pub mach: Vec<f64>,
     /// Guard outcome of a guarded run.
     pub guard: Option<GuardOutcome>,
-    /// FNV-1a 128 over table ‖ trace ‖ vtk — the content address of the
-    /// result itself.
+    /// FNV-1a 128 over table ‖ trace ‖ the VTK text [`render_vtk`]
+    /// renders from `mach` — the content address of the result itself.
     pub result_hash: u128,
 }
 
@@ -167,30 +172,40 @@ fn render_table(
 /// Content hash of a state vector: FNV-1a 128 over the little-endian
 /// bit patterns, so two equal hashes mean bit-identical states.
 fn hash_f64s(vals: &[f64]) -> u128 {
-    let mut bytes = Vec::with_capacity(vals.len() * 8);
+    let mut h = Fnv1a128::default();
     for v in vals {
-        bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+        h.update(&v.to_bits().to_le_bytes());
     }
-    fnv1a_128(&bytes)
+    h.finish()
 }
 
-fn render_vtk(
-    mesh: &eul3d_mesh::TetMesh,
-    gamma: f64,
-    w: &crate::SoaState,
-    nverts: usize,
-) -> Result<String, Eul3dError> {
-    let mach = mach_field(gamma, w, nverts);
+/// The ASCII VTK export of a job's final Mach field (a
+/// [`JobArtifacts::mach`]): `mach` on the fine mesh of `rc`, which is
+/// regenerated here. Every job path solves on that mesh, so the text is
+/// byte for byte the one the job's `result_hash` covers. A field that
+/// does not fit the mesh is [`SolverError::FieldLength`], never a VTK
+/// of the wrong mesh.
+pub fn render_vtk(rc: &RunConfig, mach: &[f64]) -> Result<String, Eul3dError> {
     let mut buf = Vec::new();
-    write_vtk(&mut buf, mesh, &[("mach", &mach)])
-        .map_err(|e| config_err(&format!("vtk export failed: {e}")))?;
-    let mut vtk =
-        String::from_utf8(buf).map_err(|_| config_err("vtk export produced non-UTF-8 output"))?;
-    // The text outlives the job in the service's result cache: give the
-    // buffer's growth slack (up to as much again as the text) back now.
-    // Kept, it was the whole run-to-run swing of the service's peak RSS.
-    vtk.shrink_to_fit();
-    Ok(vtk)
+    write_mach_vtk(&mut buf, &bump_channel(&rc.mesh), mach)?;
+    String::from_utf8(buf).map_err(|_| config_err("vtk export produced non-UTF-8 output"))
+}
+
+fn write_mach_vtk(
+    out: &mut impl std::io::Write,
+    mesh: &TetMesh,
+    mach: &[f64],
+) -> Result<(), Eul3dError> {
+    if mach.len() != mesh.nverts() {
+        return Err(SolverError::FieldLength {
+            field: "mach",
+            len: mach.len(),
+            nverts: mesh.nverts(),
+        }
+        .into());
+    }
+    write_vtk(out, mesh, &[("mach", mach)])
+        .map_err(|e| config_err(&format!("vtk export failed: {e}")))
 }
 
 /// Run one job to completion on the calling thread.
@@ -297,16 +312,23 @@ fn run_solve_job(
     };
     let nverts = mg.levels[0].n;
     let w = &mg.levels[0].w;
-    let aos = w.to_aos();
-    let vtk = render_vtk(mg.grids.fine(), rc.solver.gamma, w, nverts)?;
     let table = render_table(
         rc,
         JobMode::Solve,
         &history,
-        hash_f64s(&aos),
+        hash_f64s(&w.to_aos()),
         guard.as_ref(),
     );
-    Ok(finish(history, table, trace_json, events, vtk, guard))
+    let mach = mach_field(rc.solver.gamma, w, nverts);
+    finish(
+        mg.grids.fine(),
+        history,
+        table,
+        trace_json,
+        events,
+        mach,
+        guard,
+    )
 }
 
 fn run_dist_job(
@@ -340,8 +362,6 @@ fn run_dist_job(
     };
     let nverts = setup.seq.meshes[0].nverts();
     let aos = r.global_state(nverts);
-    let w = crate::SoaState::from_aos(&aos, crate::NVAR);
-    let vtk = render_vtk(&setup.seq.meshes[0], rc.solver.gamma, &w, nverts)?;
     let table = render_table(
         rc,
         JobMode::Distributed,
@@ -349,34 +369,45 @@ fn run_dist_job(
         hash_f64s(&aos),
         guard.as_ref(),
     );
-    Ok(finish(history, table, trace_json, events, vtk, guard))
-}
-
-fn finish(
-    history: Vec<f64>,
-    table: String,
-    trace_json: Option<String>,
-    events: Vec<obs::Stamped>,
-    vtk: String,
-    guard: Option<GuardOutcome>,
-) -> JobArtifacts {
-    let mut bytes =
-        Vec::with_capacity(table.len() + trace_json.as_ref().map_or(0, String::len) + vtk.len());
-    bytes.extend_from_slice(table.as_bytes());
-    if let Some(t) = &trace_json {
-        bytes.extend_from_slice(t.as_bytes());
-    }
-    bytes.extend_from_slice(vtk.as_bytes());
-    let result_hash = fnv1a_128(&bytes);
-    JobArtifacts {
+    let w = crate::SoaState::from_aos(&aos, crate::NVAR);
+    let mach = mach_field(rc.solver.gamma, &w, nverts);
+    finish(
+        &setup.seq.meshes[0],
         history,
         table,
         trace_json,
         events,
-        vtk,
+        mach,
         guard,
-        result_hash,
+    )
+}
+
+/// Bundle the artifacts. The VTK of `mach` on `mesh` (the fine mesh the
+/// job solved on) is rendered once, straight into the result hash.
+fn finish(
+    mesh: &TetMesh,
+    history: Vec<f64>,
+    table: String,
+    trace_json: Option<String>,
+    events: Vec<obs::Stamped>,
+    mach: Vec<f64>,
+    guard: Option<GuardOutcome>,
+) -> Result<JobArtifacts, Eul3dError> {
+    let mut h = Fnv1a128::default();
+    h.update(table.as_bytes());
+    if let Some(t) = &trace_json {
+        h.update(t.as_bytes());
     }
+    write_mach_vtk(&mut h, mesh, &mach)?;
+    Ok(JobArtifacts {
+        history,
+        table,
+        trace_json,
+        events,
+        mach,
+        guard,
+        result_hash: h.finish(),
+    })
 }
 
 #[cfg(test)]
@@ -410,13 +441,74 @@ mod tests {
         .unwrap();
         let b = run_job(&rc, JobMode::Solve, 7, &token, &mut |_, _| {}).unwrap();
         assert_eq!(a.table, b.table);
-        assert_eq!(a.vtk, b.vtk);
+        assert_eq!(bits(&a.mach), bits(&b.mach));
         assert_eq!(a.result_hash, b.result_hash);
         assert_eq!(seen.len(), 4);
         assert_eq!(seen[2].1, a.history[2].to_owned());
         assert!(a.table.contains("state_fnv128"));
-        // A cached result must not pin its render buffer's growth slack.
-        assert_eq!(a.vtk.capacity(), a.vtk.len());
+    }
+
+    fn bits(vals: &[f64]) -> Vec<u64> {
+        vals.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `render_vtk` re-renders, from the config and the kept Mach field,
+    /// the very text `result_hash` covers; a field of the wrong length
+    /// is a typed error, not a VTK of the wrong mesh.
+    fn rendered_text_is_the_hashed_text(rc: &RunConfig, mode: JobMode) {
+        let a = run_job(rc, mode, 7, &CancelToken::new(), &mut |_, _| {}).unwrap();
+        let vtk = render_vtk(rc, &a.mach).unwrap();
+        assert!(vtk.starts_with("# vtk DataFile Version 3.0\n"));
+        assert!(vtk.contains("SCALARS mach double 1\n"));
+        let mut h = Fnv1a128::default();
+        h.update(a.table.as_bytes());
+        if let Some(t) = &a.trace_json {
+            h.update(t.as_bytes());
+        }
+        h.update(vtk.as_bytes());
+        assert_eq!(h.finish(), a.result_hash, "{mode:?} {:?}", rc.coarsening);
+        for len in [0, a.mach.len() - 1, a.mach.len() + 1] {
+            let err = render_vtk(rc, &vec![1.0; len]).unwrap_err();
+            assert_eq!(
+                err,
+                Eul3dError::Solver(SolverError::FieldLength {
+                    field: "mach",
+                    len,
+                    nverts: a.mach.len(),
+                })
+            );
+        }
+    }
+
+    #[test]
+    fn sequence_solve_renders_its_hashed_vtk() {
+        let rc = RunConfig {
+            trace: crate::TraceConfig {
+                enabled: true,
+                ..Default::default()
+            },
+            ..small_rc(3)
+        };
+        rendered_text_is_the_hashed_text(&rc, JobMode::Solve);
+    }
+
+    #[test]
+    fn agglomerated_solve_renders_its_hashed_vtk() {
+        let rc = RunConfig {
+            coarsening: Coarsening::Agglo,
+            levels: 3,
+            ..small_rc(3)
+        };
+        rendered_text_is_the_hashed_text(&rc, JobMode::Solve);
+    }
+
+    #[test]
+    fn distributed_job_renders_its_hashed_vtk() {
+        let rc = RunConfig {
+            nranks: 3,
+            ..small_rc(3)
+        };
+        rendered_text_is_the_hashed_text(&rc, JobMode::Distributed);
     }
 
     #[test]
@@ -513,7 +605,12 @@ mod tests {
             )
             .unwrap();
             assert_eq!(resumed.table, base.table, "resume at {}", ck.cycles_done);
-            assert_eq!(resumed.vtk, base.vtk, "resume at {}", ck.cycles_done);
+            assert_eq!(
+                bits(&resumed.mach),
+                bits(&base.mach),
+                "resume at {}",
+                ck.cycles_done
+            );
             assert_eq!(resumed.result_hash, base.result_hash);
             assert_eq!(resumed.history, base.history);
             // Progress replays the committed prefix then streams live.

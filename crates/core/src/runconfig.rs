@@ -723,14 +723,46 @@ impl RunConfig {
 /// (dependency-free, deterministic across platforms — the standard
 /// offset basis and prime).
 pub fn fnv1a_128(bytes: &[u8]) -> u128 {
-    const OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-    const PRIME: u128 = 0x0000000001000000000000000000013B;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= b as u128;
-        h = h.wrapping_mul(PRIME);
+    let mut h = Fnv1a128::default();
+    h.update(bytes);
+    h.finish()
+}
+
+/// [`fnv1a_128`] as an incremental writer: the hash of everything
+/// written so far, so a long text can be hashed as it is rendered
+/// instead of after it is collected.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a128(u128);
+
+impl Default for Fnv1a128 {
+    fn default() -> Fnv1a128 {
+        Fnv1a128(0x6c62272e07bb014262b821756295c58d)
     }
-    h
+}
+
+impl Fnv1a128 {
+    pub fn update(&mut self, bytes: &[u8]) {
+        const PRIME: u128 = 0x0000000001000000000000000000013B;
+        for &b in bytes {
+            self.0 ^= b as u128;
+            self.0 = self.0.wrapping_mul(PRIME);
+        }
+    }
+
+    pub fn finish(&self) -> u128 {
+        self.0
+    }
+}
+
+impl std::io::Write for Fnv1a128 {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.update(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
 }
 
 fn parse_err(line: usize, msg: &str) -> Eul3dError {

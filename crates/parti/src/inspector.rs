@@ -105,7 +105,7 @@ mod tests {
     use eul3d_delta::run_spmd;
 
     /// 8 globals block-distributed over 2 ranks (0..4 on rank 0).
-    fn block_translation() -> Translation {
+    fn block_translation() -> Translation<'static> {
         let parts: Vec<u32> = (0..8).map(|g| (g / 4) as u32).collect();
         Translation::from_parts(&parts, 2)
     }

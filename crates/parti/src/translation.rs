@@ -1,29 +1,36 @@
 //! The translation table: global index → (owner rank, owner-local index).
 //!
-//! PARTI kept these distributed for scale; here the table is replicated
-//! per rank (it is read-only preprocessing output, and the paper's
+//! PARTI kept these distributed for scale; here the table is globally
+//! known (it is read-only preprocessing output, and the paper's
 //! partition assignment is likewise globally known after the sequential
-//! partitioning step).
+//! partitioning step), and every rank borrows the one copy.
+
+use std::borrow::Cow;
 
 /// Ownership map for one distributed index space (one mesh level).
 #[derive(Debug, Clone)]
-pub struct Translation {
+pub struct Translation<'a> {
     /// Global index → owning rank.
-    pub owner: Vec<u32>,
+    pub owner: Cow<'a, [u32]>,
     /// Global index → local index on the owner.
-    pub local: Vec<u32>,
+    pub local: Cow<'a, [u32]>,
 }
 
-impl Translation {
-    pub fn new(owner: Vec<u32>, local: Vec<u32>) -> Translation {
+impl<'a> Translation<'a> {
+    /// Borrow the ownership arrays of a partitioned level (e.g.
+    /// `eul3d_partition::PartitionedMesh::{owner, owner_local}`).
+    pub fn new(owner: &'a [u32], local: &'a [u32]) -> Translation<'a> {
         assert_eq!(owner.len(), local.len());
-        Translation { owner, local }
+        Translation {
+            owner: Cow::Borrowed(owner),
+            local: Cow::Borrowed(local),
+        }
     }
 
     /// Build from a bare partition vector, assigning owner-local indices
     /// in ascending global order (the same convention as
     /// `eul3d_partition::PartitionedMesh`).
-    pub fn from_parts(parts: &[u32], nparts: usize) -> Translation {
+    pub fn from_parts(parts: &[u32], nparts: usize) -> Translation<'static> {
         let mut counters = vec![0u32; nparts];
         let mut local = vec![0u32; parts.len()];
         for (g, &p) in parts.iter().enumerate() {
@@ -31,8 +38,8 @@ impl Translation {
             counters[p as usize] += 1;
         }
         Translation {
-            owner: parts.to_vec(),
-            local,
+            owner: Cow::Owned(parts.to_vec()),
+            local: Cow::Owned(local),
         }
     }
 
@@ -78,6 +85,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn mismatched_lengths_rejected() {
-        Translation::new(vec![0], vec![0, 1]);
+        Translation::new(&[0], &[0, 1]);
     }
 }

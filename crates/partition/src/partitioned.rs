@@ -13,6 +13,8 @@
 //! * local numbering puts the `n_owned` owned vertices first (in global
 //!   order) followed by the ghosts (in ascending global id).
 
+use std::sync::Arc;
+
 use eul3d_mesh::{BoundaryFace, TetMesh, Vec3};
 
 /// One rank's share of the mesh.
@@ -50,10 +52,11 @@ impl RankMesh {
 }
 
 /// The full partitioned mesh: all rank meshes plus the global ownership
-/// ("translation") tables consumed by the PARTI inspector.
+/// ("translation") tables consumed by the PARTI inspector. A rank's
+/// level shares its `RankMesh` instead of copying it.
 #[derive(Debug, Clone)]
 pub struct PartitionedMesh {
-    pub ranks: Vec<RankMesh>,
+    pub ranks: Vec<Arc<RankMesh>>,
     /// Global vertex → owning rank.
     pub owner: Vec<u32>,
     /// Global vertex → local index on its owner.
@@ -138,7 +141,7 @@ impl PartitionedMesh {
                 .map(|&v| mesh.vol[v as usize])
                 .collect();
 
-            ranks.push(RankMesh {
+            ranks.push(Arc::new(RankMesh {
                 rank: r,
                 owned_globals: owned_globals[r].clone(),
                 ghost_globals: ghost_set,
@@ -146,7 +149,7 @@ impl PartitionedMesh {
                 edge_coef,
                 bfaces,
                 vol,
-            });
+            }));
         }
 
         PartitionedMesh {
@@ -159,7 +162,7 @@ impl PartitionedMesh {
 
     /// Total ghost slots across ranks — the replicated-data overhead.
     pub fn total_ghosts(&self) -> usize {
-        self.ranks.iter().map(RankMesh::n_ghost).sum()
+        self.ranks.iter().map(|r| r.n_ghost()).sum()
     }
 }
 

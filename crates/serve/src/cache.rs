@@ -66,7 +66,9 @@ impl JobBlob {
     /// Approximate resident size of this result in bytes — the payload
     /// buffers plus a small fixed allowance for structure overhead. The
     /// byte-budget eviction policy charges entries by this measure; it
-    /// only needs to be stable and roughly proportional, not exact.
+    /// only needs to be stable and roughly proportional, not exact. The
+    /// Mach field costs 8 bytes a fine vertex: its VTK text is rendered
+    /// per request and never cached.
     pub fn approx_bytes(&self) -> usize {
         let a = &self.artifacts;
         let guard = a.guard.as_ref().map_or(0, |g| 64 + g.transcript.len() * 64);
@@ -74,7 +76,7 @@ impl JobBlob {
             + a.table.len()
             + a.trace_json.as_ref().map_or(0, String::len)
             + a.events.len() * std::mem::size_of::<eul3d_obs::Stamped>()
-            + a.vtk.len()
+            + a.mach.len() * 8
             + guard
             + 128
     }
@@ -233,7 +235,7 @@ mod tests {
                 table: tag.to_string(),
                 trace_json: None,
                 events: Vec::new(),
-                vtk: String::new(),
+                mach: Vec::new(),
                 guard: None,
                 result_hash: 1,
             },
@@ -285,6 +287,24 @@ mod tests {
         assert_eq!(c.len(), 1, "budget evicts down to the newest entry");
         assert!(c.peek(CacheKey(2)).is_some());
         assert!(c.evicted_bytes() > 0);
+    }
+
+    /// A served job's entry holds its Mach field, not its VTK text (which
+    /// is 305 KB on this mesh, the benchmark's served job shape): a
+    /// regression guard against caching the rendered export again.
+    #[test]
+    fn a_served_job_is_charged_for_its_field_not_its_text() {
+        let rc = RunConfig::from_toml(
+            "[run]\nstrategy = \"w\"\nlevels = 2\ncycles = 2\n\
+             [mesh]\nnx = 24\nny = 8\nnz = 7\njitter = 0.12\n",
+        )
+        .unwrap();
+        let cancel = eul3d_core::CancelToken::new();
+        let artifacts = eul3d_core::run_job(&rc, JobMode::Solve, 7, &cancel, &mut |_, _| {});
+        let blob = JobBlob {
+            artifacts: artifacts.unwrap(),
+        };
+        assert!(blob.approx_bytes() < 32 * 1024, "{}", blob.approx_bytes());
     }
 
     #[test]

@@ -49,7 +49,8 @@ pub struct EngineConfig {
     pub queue_cap: usize,
     /// Result-cache capacity, in completed jobs.
     pub cache_cap: usize,
-    /// Result-cache byte budget (`None` = bounded by entry count only).
+    /// Result-cache byte budget, charged per entry by
+    /// [`JobBlob::approx_bytes`] (`None` = bounded by entry count only).
     pub cache_bytes: Option<usize>,
     /// Partitioner seed folded into every cache key (pinned at engine
     /// start so identical requests stay identical for the engine's

@@ -46,8 +46,9 @@ pub enum Request {
         mode: JobMode,
         /// Bypass the cache lookup and recompute.
         force: bool,
-        /// Inline the full artifacts (table, trace JSON, VTK) in the
-        /// terminal `done` event.
+        /// Inline the full artifacts (table, trace JSON, and the VTK
+        /// export, rendered for this request) in the terminal `done`
+        /// event.
         artifacts: bool,
     },
     /// Cancel a job by id.
@@ -163,9 +164,10 @@ pub fn ev_progress(job: u64, cycle: u64, residual: f64) -> String {
 /// `done`: terminal success. `cache` says whether the artifacts came
 /// from the content-addressed cache (`"hit"`) or a solve (`"miss"`) —
 /// by the determinism contract that is the *only* byte that may differ
-/// between the two streams. With `artifacts`, the result table, trace
-/// JSON, and VTK export are inlined as escaped strings.
-pub fn ev_done(job: u64, cache_hit: bool, blob: &JobBlob, artifacts: bool) -> String {
+/// between the two streams. With `vtk` — the export rendered for a
+/// submission that asked for artifacts — the result table, trace JSON,
+/// and that VTK text are inlined as escaped strings.
+pub fn ev_done(job: u64, cache_hit: bool, blob: &JobBlob, vtk: Option<&str>) -> String {
     let a = &blob.artifacts;
     let mut line = event("done")
         .u64("job", job)
@@ -181,12 +183,12 @@ pub fn ev_done(job: u64, cache_hit: bool, blob: &JobBlob, artifacts: bool) -> St
             .u64("guard_backoffs", g.transcript.len() as u64)
             .f64("guard_final_cfl", g.final_cfl);
     }
-    if artifacts {
+    if let Some(vtk) = vtk {
         line = line.str("table", &a.table);
         if let Some(t) = &a.trace_json {
             line = line.str("trace", t);
         }
-        line = line.str("vtk", &a.vtk);
+        line = line.str("vtk", vtk);
     }
     line.finish()
 }

@@ -18,6 +18,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
+use eul3d_core::job::render_vtk;
 use eul3d_core::RunConfig;
 use eul3d_obs as obs;
 
@@ -200,6 +201,9 @@ fn serve_connection(stream: UnixStream, engine: &JobEngine) -> ConnOutcome {
                     return ConnOutcome::Served;
                 }
             };
+            // A hit's config is canonically the original's (it is the
+            // cache key), so this submission's own config renders its VTK.
+            let render = artifacts.then(|| rc.clone());
             match engine.submit(JobSpec { rc, mode, force }) {
                 Err(SubmitError::QueueFull { retry_after_ms }) => {
                     send(&mut writer, &ev_rejected(retry_after_ms));
@@ -213,7 +217,8 @@ fn serve_connection(stream: UnixStream, engine: &JobEngine) -> ConnOutcome {
                         // don't burn a worker on an unwatched job.
                         engine.cancel(ticket.job);
                     }
-                    stream_job(&mut writer, engine, &ticket.events, ticket.job, artifacts);
+                    let render = render.as_ref();
+                    stream_job(&mut writer, engine, &ticket.events, ticket.job, render);
                 }
             }
         }
@@ -238,13 +243,15 @@ fn serve_connection(stream: UnixStream, engine: &JobEngine) -> ConnOutcome {
 /// Forward a job's event stream onto the wire until its terminal event.
 /// If the client disconnects mid-stream the job is cancelled (nobody is
 /// listening), but the engine keeps draining the channel so the worker
-/// never blocks.
+/// never blocks. `render` is the submission's config when it asked for
+/// artifacts: `done` then inlines the VTK rendered from it, and a render
+/// failure ends the stream with an `error` line naming it.
 fn stream_job(
     writer: &mut UnixStream,
     engine: &JobEngine,
     events: &std::sync::mpsc::Receiver<JobEvent>,
     job: u64,
-    artifacts: bool,
+    render: Option<&RunConfig>,
 ) {
     let mut alive = true;
     for ev in events.iter() {
@@ -259,11 +266,14 @@ fn stream_job(
                 job,
                 cache_hit,
                 blob,
-            } => (
-                ev_done(*job, *cache_hit, blob, artifacts),
-                true,
-                Some(Arc::clone(blob)),
-            ),
+            } => {
+                let vtk = render.map(|rc| render_vtk(rc, &blob.artifacts.mach));
+                let line = match vtk.transpose() {
+                    Ok(vtk) => ev_done(*job, *cache_hit, blob, vtk.as_deref()),
+                    Err(e) => ev_error(&format!("job {job}: vtk render failed: {e}")),
+                };
+                (line, true, Some(Arc::clone(blob)))
+            }
             JobEvent::Cancelled { job } => (ev_cancelled(*job), true, None),
             JobEvent::Failed { job, msg } => (ev_failed(*job, msg), true, None),
         };
@@ -380,5 +390,53 @@ mod tests {
         let resp = client::request_one(&path, &Request::Cancel { job: 424242 }).unwrap();
         assert!(resp.contains("\"state\":\"unknown\""), "{resp}");
         server.shutdown();
+    }
+
+    /// A stored Mach field that does not fit its config's mesh is still a
+    /// hit, but its VTK is never rendered: a submission asking for
+    /// artifacts gets an `error` line naming the mismatch.
+    #[test]
+    fn a_field_that_misfits_its_mesh_renders_as_an_error_line() {
+        let (path, dir) = (sock("misfit"), sock("misfit-state"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let rc = RunConfig::from_toml(CFG).unwrap();
+        let blob = crate::cache::JobBlob {
+            artifacts: eul3d_core::JobArtifacts {
+                history: vec![1.0],
+                table: String::new(),
+                trace_json: None,
+                events: Vec::new(),
+                mach: vec![0.5; 3],
+                guard: None,
+                result_hash: 1,
+            },
+        };
+        let key = crate::cache::CacheKey::of(&rc, eul3d_core::JobMode::Solve, 7);
+        let store = crate::store::ResultStore::open(&dir).unwrap();
+        store.put(key, &blob).unwrap();
+        let cfg = EngineConfig {
+            workers: 1,
+            seed: 7,
+            state_dir: Some(dir.clone()),
+            ..EngineConfig::default()
+        };
+        let mut server = spawn(&path, cfg).unwrap();
+        let plain = client::submit_and_collect(&path, CFG, "solve", false, false).unwrap();
+        assert!(
+            plain.last().unwrap().contains("\"cache\":\"hit\""),
+            "{plain:?}"
+        );
+        let rendered = client::submit_and_collect(&path, CFG, "solve", false, true).unwrap();
+        let last = rendered.last().unwrap();
+        let o = crate::json::JObj::parse(last).unwrap();
+        assert_eq!(o.str_of("event"), Some("error"), "{last}");
+        assert!(
+            o.str_of("msg")
+                .unwrap()
+                .contains("field `mach` has 3 values"),
+            "{last}"
+        );
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

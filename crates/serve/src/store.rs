@@ -1,17 +1,19 @@
 //! Durable content-addressed result store: one file per completed job
 //! under `<state_dir>/results/<cache-key>.res`, each a single
-//! [`framed`] record (magic `EUL3DRES`, version 2) written atomically,
+//! [`framed`] record (magic `EUL3DRES`, version 3) written atomically,
 //! so a server restart rebuilds its result cache from disk and a
 //! resubmitted finished job is a disk read, not a recompute.
 //!
 //! The payload serializes the *complete* [`JobArtifacts`] bundle —
 //! history bits, residual table, optional Chrome trace, the stamped
-//! event stream (via the `obs::wire` line codec), VTK, guard outcome,
-//! and the result hash — so a blob served from the store is
-//! byte-identical to the blob the original run streamed. Any damage
+//! event stream (via the `obs::wire` line codec), the Mach field's bit
+//! patterns, guard outcome, and the result hash — so a blob served from
+//! the store is bit-identical to the blob the original run streamed,
+//! and the VTK rendered from it on request is byte-identical. Any damage
 //! (torn rename never shows one, but a corrupted disk can) — and any
-//! file of an older version — fails the header, CRC or decode and reads
-//! as "not cached": corruption costs a recompute, never a wrong answer.
+//! file of an older version, such as a v2 file holding VTK text — fails
+//! the header, CRC or decode and reads as "not cached": corruption costs
+//! a recompute, never a wrong answer.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -25,7 +27,7 @@ use eul3d_obs as obs;
 use crate::cache::{CacheKey, JobBlob};
 
 const MAGIC: &[u8; 8] = b"EUL3DRES";
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 
 /// The directory holding one `.res` file per completed job, keyed by
 /// the 32-hex-digit cache key.
@@ -111,7 +113,7 @@ fn get_verdict(d: &mut ByteReader) -> Option<HealthVerdict> {
 }
 
 fn encode_artifacts(a: &JobArtifacts) -> Vec<u8> {
-    let cap = 64 + a.history.len() * 8 + a.table.len() + a.vtk.len();
+    let cap = 64 + (a.history.len() + a.mach.len()) * 8 + a.table.len();
     let mut e = ByteWriter(Vec::with_capacity(cap));
     e.u128(a.result_hash);
     e.f64s(&a.history);
@@ -123,7 +125,7 @@ fn encode_artifacts(a: &JobArtifacts) -> Vec<u8> {
     for ev in &a.events {
         e.bytes(obs::wire::encode(ev).as_bytes());
     }
-    e.bytes(a.vtk.as_bytes());
+    e.f64s(&a.mach);
     put_opt(&mut e, a.guard.as_ref(), |e, g| {
         e.u64(g.transcript.len() as u64);
         for r in &g.transcript {
@@ -155,7 +157,7 @@ fn decode_artifacts(payload: &[u8]) -> Option<JobArtifacts> {
     for _ in 0..nev {
         events.push(obs::wire::decode(d.str()?)?);
     }
-    let vtk = d.str()?.to_string();
+    let mach = d.f64s()?;
     let guard = get_opt(&mut d, |d| {
         let nretries = d.count(8)?;
         let mut transcript = Vec::with_capacity(nretries);
@@ -183,7 +185,7 @@ fn decode_artifacts(payload: &[u8]) -> Option<JobArtifacts> {
         table,
         trace_json,
         events,
-        vtk,
+        mach,
         guard,
         result_hash,
     })
@@ -212,7 +214,7 @@ mod tests {
                     },
                 },
             ],
-            vtk: "# vtk DataFile Version 3.0\n".to_string(),
+            mach: vec![0.675, -0.0, f64::MIN_POSITIVE, 1.25e-300],
             guard: Some(GuardOutcome {
                 transcript: vec![RetryEvent {
                     cycle: 3,
@@ -243,7 +245,8 @@ mod tests {
         for (x, y) in a.events.iter().zip(&b.events) {
             assert_eq!(obs::wire::encode(x), obs::wire::encode(y));
         }
-        assert_eq!(a.vtk, b.vtk);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a.mach), bits(&b.mach));
         assert_eq!(a.result_hash, b.result_hash);
         match (&a.guard, &b.guard) {
             (None, None) => {}
@@ -295,7 +298,7 @@ mod tests {
             table: String::new(),
             trace_json: None,
             events: Vec::new(),
-            vtk: String::new(),
+            mach: Vec::new(),
             guard: None,
             result_hash: 0,
         };

@@ -1,7 +1,7 @@
 //! The determinism contract of the service, end to end: a cached
 //! result and a fresh recompute must be **byte-identical** — result
-//! table, exported Chrome trace, VTK field, and the 128-bit result
-//! hash — including under the adversarial configurations (divergence
+//! table, exported Chrome trace, Mach field (and the VTK rendered from
+//! it on request), and the 128-bit result hash — including under the adversarial configurations (divergence
 //! guard × injected faults) where rollback/replay machinery runs; and a
 //! job that is cancelled mid-run and resubmitted must reproduce the
 //! uncancelled run bit for bit.
@@ -86,7 +86,12 @@ fn assert_blobs_byte_identical(a: &JobBlob, b: &JobBlob, what: &str) {
         a.artifacts.trace_json, b.artifacts.trace_json,
         "{what}: exported trace bytes"
     );
-    assert_eq!(a.artifacts.vtk, b.artifacts.vtk, "{what}: VTK bytes");
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&a.artifacts.mach),
+        bits(&b.artifacts.mach),
+        "{what}: Mach field bits"
+    );
     assert_eq!(
         a.artifacts.events.len(),
         b.artifacts.events.len(),
@@ -274,19 +279,26 @@ fn cancelled_then_resubmitted_reproduces_pristine_run_bit_for_bit() {
     eng.shutdown();
 }
 
+/// A miss, a memory hit and — after a restart on the same state
+/// directory — a store hit inline the same artifact bytes: the VTK each
+/// renders on request from the kept Mach field is the miss's, byte for
+/// byte.
 #[test]
 fn socket_stream_serves_identical_artifact_bytes_from_cache() {
     let mut path = std::env::temp_dir();
     path.push(format!("eul3d-serve-det-{}.sock", std::process::id()));
-    let mut srv = server::spawn(
-        &path,
-        EngineConfig {
+    let state_dir = std::env::temp_dir().join(format!("eul3d-serve-det-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&state_dir);
+    let spawn = || {
+        let cfg = EngineConfig {
             workers: 1,
             seed: env_seed(7),
+            state_dir: Some(state_dir.clone()),
             ..EngineConfig::default()
-        },
-    )
-    .expect("bind");
+        };
+        server::spawn(&path, cfg).expect("bind")
+    };
+    let mut srv = spawn();
     let toml = "[run]\nlevels = 2\ncycles = 4\n[mesh]\nnx = 8\nny = 4\nnz = 3\n\
                 [trace]\nenabled = true\ncapacity = 2048\n";
     let grab = |lines: &[String], field: &str| -> Option<String> {
@@ -295,18 +307,24 @@ fn socket_stream_serves_identical_artifact_bytes_from_cache() {
             (o.str_of("event") == Some("done")).then(|| o.str_of(field).map(String::from))?
         })
     };
-    let miss = client::submit_and_collect(&path, toml, "solve", false, true).expect("miss run");
-    let hit = client::submit_and_collect(&path, toml, "solve", false, true).expect("hit run");
+    let submit = || client::submit_and_collect(&path, toml, "solve", false, true).expect("run");
+    let miss = submit();
+    let hit = submit();
+    srv.shutdown();
+    drop(srv);
+    let mut srv = spawn();
+    let stored = submit();
     assert_eq!(grab(&miss, "cache").as_deref(), Some("miss"));
     assert_eq!(grab(&hit, "cache").as_deref(), Some("hit"));
+    assert_eq!(grab(&stored, "cache").as_deref(), Some("hit"));
+    let vtk = grab(&miss, "vtk").expect("done carries vtk");
+    assert!(vtk.starts_with("# vtk DataFile Version 3.0\n"));
     for field in ["table", "trace", "vtk", "result_hash"] {
         let m = grab(&miss, field);
         assert!(m.is_some(), "done carries {field}");
-        assert_eq!(
-            m,
-            grab(&hit, field),
-            "inlined {field} bytes differ across cache paths"
-        );
+        for (other, path) in [(&hit, "memory hit"), (&stored, "store hit")] {
+            assert_eq!(m, grab(other, field), "inlined {field} of the {path}");
+        }
     }
     // The interleaved tracer lines (the `"ev"` family) must match too.
     let trace_lines = |lines: &[String]| {
@@ -319,5 +337,7 @@ fn socket_stream_serves_identical_artifact_bytes_from_cache() {
     let tm = trace_lines(&miss);
     assert!(!tm.is_empty(), "trace events rode the wire");
     assert_eq!(tm, trace_lines(&hit), "wire trace replay is byte-exact");
+    assert_eq!(tm, trace_lines(&stored), "so is the store's");
     srv.shutdown();
+    let _ = std::fs::remove_dir_all(&state_dir);
 }

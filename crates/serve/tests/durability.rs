@@ -141,7 +141,7 @@ fn assert_identical(a: &JobBlob, b: &JobBlob, what: &str) {
     let bits = |h: &[f64]| h.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(&a.history), bits(&b.history), "{what}: history");
     assert_eq!(a.table, b.table, "{what}: table");
-    assert_eq!(a.vtk, b.vtk, "{what}: vtk");
+    assert_eq!(bits(&a.mach), bits(&b.mach), "{what}: mach");
     assert_eq!(a.trace_json, b.trace_json, "{what}: trace");
 }
 

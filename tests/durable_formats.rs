@@ -10,6 +10,7 @@ use std::fmt::Debug;
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use eul3d_core::framed::{self, ByteWriter};
 use eul3d_core::{CheckpointLog, JobArtifacts, JobCheckpoint, JobMode, RunConfig, TailReport};
 use eul3d_serve::engine::{EngineConfig, JobEngine};
 use eul3d_serve::{CacheKey, JobBlob, Journal, JournalRecord, ResultStore};
@@ -248,7 +249,7 @@ fn blob() -> JobBlob {
             table: "cycle\tresidual\n0\t1.5\n".to_string(),
             trace_json: Some("{\"traceEvents\":[]}".to_string()),
             events: Vec::new(),
-            vtk: "# vtk DataFile Version 3.0\n".to_string(),
+            mach: vec![0.675, -0.0, 1.25],
             guard: None,
             result_hash: 0xDEAD_BEEF_0123_4567_89AB_CDEF_0011_2233,
         },
@@ -282,6 +283,34 @@ fn result_store_reads_any_damaged_file_as_absent() {
     let back = store.get(key).expect("the clean file decodes");
     assert_eq!(back.artifacts.result_hash, blob().artifacts.result_hash);
     assert_eq!(back.artifacts.table, blob().artifacts.table);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A version-2 `.res` file, which held the VTK text where version 3
+/// holds the Mach field, reads as absent (one recompute), and so does
+/// its payload under a version-3 header.
+#[test]
+fn a_version_2_result_file_reads_as_absent() {
+    let dir = scratch("store-v2");
+    let store = ResultStore::open(&dir).expect("open store");
+    let key = CacheKey(9);
+    let path = dir.join("results").join(format!("{key}.res"));
+    let a = blob().artifacts;
+    let mut e = ByteWriter::default();
+    e.u128(a.result_hash);
+    e.f64s(&a.history);
+    e.bytes(a.table.as_bytes());
+    e.u8(1);
+    e.bytes(a.trace_json.as_deref().unwrap_or_default().as_bytes());
+    e.u64(0);
+    e.bytes(b"# vtk DataFile Version 3.0\n");
+    e.u8(0);
+    for version in [2, 3] {
+        framed::write_atomic(&path, b"EUL3DRES", version, &e.0).expect("write");
+        assert!(store.get(key).is_none(), "v2 payload, v{version} header");
+    }
+    store.put(key, &blob()).expect("put");
+    assert!(store.get(key).is_some(), "the current format decodes");
     let _ = fs::remove_dir_all(&dir);
 }
 

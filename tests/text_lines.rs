@@ -92,10 +92,10 @@ fn emitted() -> Vec<(&'static str, String)> {
             protocol::ev_progress(3, 11, 0.1 + 0.2),
             protocol::ev_progress(3, 12, 2.0),
             protocol::ev_progress(3, 13, 1e-7),
-            protocol::ev_done(4, false, &plain, false),
-            protocol::ev_done(4, true, &plain, true),
-            protocol::ev_done(5, false, &guarded, false),
-            protocol::ev_done(5, true, &guarded, true),
+            protocol::ev_done(4, false, &plain, None),
+            protocol::ev_done(4, true, &plain, Some(VTK)),
+            protocol::ev_done(5, false, &guarded, None),
+            protocol::ev_done(5, true, &guarded, Some(VTK)),
             protocol::ev_cancelled(1),
             protocol::ev_failed(1, "solver.mach must be positive\r\n"),
             protocol::ev_stats(&stats),
@@ -217,6 +217,10 @@ fn every_record() -> Vec<JournalRecord> {
     ]
 }
 
+/// The VTK text a `done` line inlines: rendered per request from the
+/// blob's Mach field, which the line itself never prints.
+const VTK: &str = "# vtk DataFile Version 3.0\n";
+
 fn blob(guard: Option<GuardOutcome>, trace_json: Option<String>) -> JobBlob {
     JobBlob {
         artifacts: JobArtifacts {
@@ -224,7 +228,7 @@ fn blob(guard: Option<GuardOutcome>, trace_json: Option<String>) -> JobBlob {
             table: "cycle\tresidual\n0\t1.5\n".to_string(),
             trace_json,
             events: Vec::new(),
-            vtk: "# vtk DataFile Version 3.0\n".to_string(),
+            mach: vec![0.675, 1.25],
             guard,
             result_hash: 0xDEAD_BEEF_0123_4567_89AB_CDEF_0011_2233,
         },
@@ -395,7 +399,7 @@ fn non_finite_floats_are_emitted_as_null() {
         );
         let mut diverged = blob(None, None);
         diverged.artifacts.history.push(bad);
-        let done = protocol::ev_done(1, false, &diverged, false);
+        let done = protocol::ev_done(1, false, &diverged, None);
         assert!(
             done.ends_with("\"cycles\":4,\"final_residual\":null}"),
             "{done}"
