@@ -81,9 +81,9 @@ pub struct PhaseCounters {
     pub comp: [FlopCounter; crate::executor::NPHASES],
     pub comm_msgs: [u64; crate::executor::NPHASES],
     pub comm_bytes: [u64; crate::executor::NPHASES],
-    /// Fresh communication storage (pool misses and window-record
-    /// growth) charged to each phase. Non-zero only while streams and
-    /// pools warm up; a steady-state cycle must report zero.
+    /// Fresh communication storage (window-record and staging-buffer
+    /// growth) charged to each phase. Non-zero only while windows and
+    /// buffers warm up; a steady-state cycle must report zero.
     pub comm_allocs: [u64; crate::executor::NPHASES],
 }
 

@@ -15,9 +15,9 @@
 //!   checkpoint cycles), **rebuild** all PARTI schedules in a fresh,
 //!   epoch-shifted tag space, and **resume** the cycle loop.
 //! * A dead rank's partition is **adopted** by a deterministically
-//!   chosen buddy (the first live virtual id after it): the buddy clones
-//!   the dead rank's mailbox receiver and hosts a replica thread running
-//!   this same loop. The computation graph — who owns which vertices,
+//!   chosen buddy (the first live virtual id after it): the buddy hosts
+//!   a replica thread that takes over the dead rank's windows and inbox
+//!   and runs this same loop. The computation graph — who owns which vertices,
 //!   the order of every collective reduction — is unchanged, so a
 //!   recovered run reproduces the fault-free residual history **bit for
 //!   bit**; only the cost model sees the load imbalance.
@@ -385,14 +385,12 @@ fn restore_from(s: &mut DistSolver, w_global: &[f64]) {
 /// Collective checkpoint: gather owned fine-grid state to virtual rank
 /// 0, reassemble the global layout there, broadcast it back, and commit
 /// it into the double-buffered store on every instance. Charged to
-/// [`Phase::Checkpoint`]. Runs over record streams (`ck_tag` up to root,
-/// `ck_tag + 1` back down) rather than the collective primitives:
-/// collectives migrate buffer ownership from sender pool to receiver
-/// pool, which slowly churns fresh allocations when the two directions
-/// move different sizes; a stream's window keeps its record, so
-/// steady-state checkpoints allocate nothing. Each phase publishes before
-/// it consumes: the other ranks publish their shares, then root consumes
-/// them; root publishes the snapshot, then the others consume it.
+/// [`Phase::Checkpoint`]. Runs over its own record streams (`ck_tag` up
+/// to root, `ck_tag + 1` back down), whose windows keep records sized
+/// for the shares and the snapshot, so steady-state checkpoints allocate
+/// nothing. Each phase publishes before it consumes: the other ranks
+/// publish their shares, then root consumes them; root publishes the
+/// snapshot, then the others consume it.
 fn take_checkpoint(rank: &mut Rank, ctx: &Ctx, st: &mut LoopState, cycle: usize) {
     // The gather must walk the *current era's* ownership map — after a
     // migration, `ctx.setup`'s `owned_globals` no longer describe what
@@ -549,8 +547,8 @@ fn do_step(rank: &mut Rank, ctx: &Ctx, st: &mut LoopState) -> StepAction {
 /// every rank reaches the boundary at the same point of its committed
 /// timeline and takes the silent [`Rank::advance_epoch`] bump — no abort
 /// broadcast, no rollback, no recovery count. A faster peer's new-epoch
-/// rebuild traffic is held by the delta sieve until this rank's own bump
-/// replays it. No trace pause is needed — nothing here is
+/// rebuild records wait in the new epoch's windows until this rank's own
+/// bump gets there. No trace pause is needed — nothing here is
 /// timing-dependent.
 fn do_repartition(
     rank: &mut Rank,
@@ -738,20 +736,25 @@ fn do_recover<'scope, 'env>(
     st.cycle_allocs.truncate(c);
     st.cks.rollback_to(rollback);
     if let Some(ck) = rollback.and_then(|c| st.cks.get(c)) {
+        // One-way hand-off on the checkpoint streams: the replica's only
+        // part is to consume, in this order.
         for &d in &shipped {
-            let mut buf = rank.take_f64(ck.w.len());
-            buf.extend_from_slice(&ck.w);
-            rank.send_f64(d, s.ck_tag, buf, CommClass::Recovery);
-            let mut h = rank.take_f64(st.history.len());
-            h.extend_from_slice(&st.history);
-            rank.send_f64(d, s.ck_tag + 1, h, CommClass::Recovery);
+            let w = &ck.w;
+            rank.publish_f64(d, s.ck_tag, CommClass::Recovery, w.len(), |b| {
+                b.extend_from_slice(w)
+            });
+            let h = &st.history;
+            rank.publish_f64(d, s.ck_tag + 1, CommClass::Recovery, h.len(), |b| {
+                b.extend_from_slice(h)
+            });
             if st.guard.is_some() {
-                // Second message on the ck_tag stream (FIFO after `w`):
-                // the checkpoint's guard state, so the replica replays
-                // the identical CFL schedule.
-                let mut g = rank.take_f64(ck.guard.len());
-                g.extend_from_slice(&ck.guard);
-                rank.send_f64(d, s.ck_tag, g, CommClass::Recovery);
+                // Second record on the ck_tag stream (after `w`): the
+                // checkpoint's guard state, so the replica replays the
+                // identical CFL schedule.
+                let g = &ck.guard;
+                rank.publish_f64(d, s.ck_tag, CommClass::Recovery, g.len(), |b| {
+                    b.extend_from_slice(g)
+                });
             }
         }
     }
@@ -774,12 +777,10 @@ fn do_join(rank: &mut Rank, ctx: &Ctx, st: &mut LoopState, host: usize) {
     let (s, rollback, numeric) = agree_and_rebuild(rank, ctx, st, [f64::NEG_INFINITY; 5]);
     st.history.clear();
     if let Some(c) = rollback {
-        let w = rank.recv_f64(host, s.ck_tag);
-        let h = rank.recv_f64(host, s.ck_tag + 1);
-        st.history.extend_from_slice(&h);
-        rank.recycle_f64(h);
+        let w = rank.consume_f64(host, s.ck_tag, <[f64]>::to_vec);
+        rank.consume_f64(host, s.ck_tag + 1, |h| st.history.extend_from_slice(h));
         let gblob = if st.guard.is_some() {
-            rank.recv_f64(host, s.ck_tag)
+            rank.consume_f64(host, s.ck_tag, <[f64]>::to_vec)
         } else {
             Vec::new()
         };

@@ -336,6 +336,9 @@ pub struct DistSolver {
     /// Reserved tag pair for recovery traffic (checkpoint shipping to
     /// adopted ranks); epoch-shifted like every schedule tag.
     pub ck_tag: u32,
+    /// Staging buffer of the inter-grid transfers, reused by every link
+    /// (its growth is charged to the rank's allocation counters).
+    pub stage: Vec<f64>,
 }
 
 impl DistSolver {
@@ -400,6 +403,7 @@ impl DistSolver {
             refetch_per_loop: opts.refetch_per_loop,
             counter: PhaseCounters::default(),
             ck_tag,
+            stage: Vec::new(),
         }
     }
 
@@ -454,7 +458,7 @@ impl Hierarchy for DistHierarchy<'_> {
         let (fine, coarse) = s.levels.split_at_mut(l + 1);
         let (src, dst) = (fine[l].st.w.flat(), coarse[0].st.w.flat_mut());
         let xfer = s.counter.phase(Phase::Transfer);
-        s.links[l].restrict_state_planes(self.rank, src, dst, NVAR, xfer);
+        s.links[l].restrict_state_planes(self.rank, src, dst, NVAR, &mut s.stage, xfer);
         s.counter.add_comm_since(Phase::Transfer, self.rank, mark);
     }
 
@@ -464,7 +468,7 @@ impl Hierarchy for DistHierarchy<'_> {
         let (fine, coarse) = s.levels.split_at_mut(l + 1);
         let (src, dst) = (fine[l].st.res.flat(), coarse[0].st.corr.flat_mut());
         let xfer = s.counter.phase(Phase::Transfer);
-        s.links[l].restrict_residual_planes(self.rank, src, dst, NVAR, xfer);
+        s.links[l].restrict_residual_planes(self.rank, src, dst, NVAR, &mut s.stage, xfer);
         s.counter.add_comm_since(Phase::Transfer, self.rank, mark);
     }
 
@@ -473,7 +477,7 @@ impl Hierarchy for DistHierarchy<'_> {
         let (fine, coarse) = s.levels.split_at_mut(l + 1);
         let (src, dst) = (coarse[0].st.corr.flat(), fine[l].st.corr.flat_mut());
         let xfer = s.counter.phase(Phase::Transfer);
-        s.links[l].prolong_planes(self.rank, src, dst, NVAR, xfer);
+        s.links[l].prolong_planes(self.rank, src, dst, NVAR, &mut s.stage, xfer);
         s.counter.add_comm_since(Phase::Transfer, self.rank, mark);
     }
 }

@@ -212,10 +212,11 @@ fn roe_scheme_distributed_matches_serial_and_cuts_messages() {
 
 #[test]
 fn steady_state_cycles_are_allocation_free() {
-    // The tentpole property: after warm-up cycles populate every rank's
-    // buffer pool, the entire multigrid cycle — halo gathers/scatters,
-    // inter-grid transfers, monitoring collectives — must perform zero
-    // fresh communication-buffer allocations.
+    // The zero-allocation property: after warm-up cycles size every
+    // rank's window records and staging buffer, the entire multigrid
+    // cycle — halo gathers/scatters, inter-grid transfers, monitoring
+    // collectives — must perform zero fresh communication-buffer
+    // allocations.
     use crate::dist::DistSolver;
     use eul3d_delta::run_spmd;
 
@@ -248,7 +249,7 @@ fn steady_state_cycles_are_allocation_free() {
         )
     });
     for (id, &(warm, steady, warm_phase, steady_phase)) in run.results.iter().enumerate() {
-        assert!(warm > 0, "rank {id}: warm-up must populate the pool");
+        assert!(warm > 0, "rank {id}: warm-up must size the buffers");
         assert_eq!(
             steady,
             warm,
@@ -398,14 +399,13 @@ mod faults {
     #[test]
     fn recovered_run_is_allocation_free_once_rewarmed() {
         // The zero-allocation invariant survives recovery: once the
-        // post-recovery pools re-warm, every remaining cycle (including
-        // its checkpoint and monitor collectives) runs on recycled
-        // buffers. Asserted per instance via the per-cycle allocation
-        // trace — cross-run totals are not comparable because the set of
-        // in-flight stale messages recycled at recovery depends on
-        // thread timing. The huge receive window keeps detection purely
-        // on death notices, so no spurious timeout epochs perturb the
-        // tail.
+        // post-recovery epoch's fresh windows re-warm, every remaining
+        // cycle (including its checkpoint and monitor collectives) runs
+        // on their records. Asserted per instance via the per-cycle
+        // allocation trace — cross-run totals are not comparable because
+        // where the abort catches each rank depends on thread timing.
+        // The huge wait window keeps detection purely on death notices,
+        // so no spurious timeout epochs perturb the tail.
         let cfg = SolverConfig {
             mach: 0.5,
             ..SolverConfig::default()
@@ -921,7 +921,7 @@ mod hybrid {
     #[test]
     fn four_backends_one_answer_single_grid() {
         // The 4-way equivalence: serial and shared agree to round-off;
-        // channel-distributed and hybrid agree *bitwise* (identical
+        // delta and hybrid agree *bitwise* (identical
         // pack/zero/accumulate orders), and both sit within round-off of
         // serial.
         let cfg = SolverConfig {
@@ -974,8 +974,8 @@ mod hybrid {
     fn hybrid_multigrid_matches_delta_bitwise_with_equal_modeled_cost() {
         // Multigrid stresses every stream kind (both halo tags per
         // level, transfers, collectives). Besides bitwise physics, the
-        // *modeled* communication accounting must be identical: window
-        // publishes charge exactly what channel sends charge, so one
+        // *modeled* communication accounting must be identical: both
+        // backends publish the same records at the same charge, so one
         // hybrid run still reports the simulated-Delta cost.
         let cfg = SolverConfig {
             mach: 0.5,
@@ -1154,10 +1154,11 @@ mod hybrid {
 
     #[test]
     fn hybrid_with_fault_plan_recovers_on_windows() {
-        // A fault plan acts on window records as on channel messages: the
-        // corrupt record fails its checksum, the kill strikes mid-stream,
-        // and the run reproduces the checkpoint/rollback/adoption story
-        // bit-for-bit on windows, the adopted replica's included.
+        // A fault plan acts on the hybrid backend's records as on the
+        // delta backend's: the corrupt record fails its checksum, the
+        // kill strikes mid-stream, and the run reproduces the
+        // checkpoint/rollback/adoption story bit-for-bit on windows, the
+        // adopted replica's included.
         let cfg = SolverConfig {
             mach: 0.5,
             ..SolverConfig::default()
@@ -1190,6 +1191,100 @@ mod hybrid {
             faulted.run.results[3].adopted.iter().any(|a| a.vid == 2),
             "rank 3 must adopt rank 2"
         );
+    }
+
+    /// Publishes and consumes rank `r` runs in fault cycle `c` (≥ 2) of
+    /// a clean, traced, unguarded run without checkpoints: its lane's
+    /// record events after the monitor reduction that closes cycle
+    /// `c - 1`, through the one that closes cycle `c` — the only
+    /// collective such a cycle runs.
+    fn ops_in_cycle(run: &DistRunResult, r: usize, c: usize) -> u64 {
+        let lanes = run.lanes();
+        let lane = lanes
+            .iter()
+            .find(|l| l.id as usize == r)
+            .expect("rank lane");
+        assert_eq!(lane.dropped, 0, "the lane must hold the whole run");
+        let (mut closed, mut ops) = (0, 0);
+        for e in &lane.events {
+            let (tag, consumed) = match e.ev {
+                obs::Event::MsgSend { tag, .. } => (tag, false),
+                obs::Event::MsgRecv { tag, .. } => (tag, true),
+                _ => continue,
+            };
+            if closed == c - 1 {
+                ops += 1;
+            }
+            if consumed && tag >= eul3d_delta::COLLECTIVE_TAG_BASE {
+                closed += 1;
+                if closed == c {
+                    return ops;
+                }
+            }
+        }
+        panic!("the run has no cycle {c}")
+    }
+
+    /// Kill rank 1 under `spec` on both backends, with a 2-cycle
+    /// checkpoint cadence: every waiter must unwind through the death
+    /// notice into one recovery epoch (a wedge would fail the run) and
+    /// the run must finish on the clean bits, rank 1 dead after
+    /// `died_after` cycles.
+    fn assert_kill_recovers(spec: impl Fn(&DistRunResult) -> String, died_after: usize) {
+        let cfg = SolverConfig {
+            mach: 0.5,
+            ..SolverConfig::default()
+        };
+        let seq = small_seq(2);
+        let nverts = seq.meshes[0].nverts();
+        let setup = DistSetup::new(seq, 4, 20, pseed());
+        for opts in [DistOptions::default(), hybrid_opts()] {
+            let clean = run_distributed(&setup, cfg, Strategy::VCycle, 5, traced(opts));
+            let spec = spec(&clean);
+            let fopts = FaultOptions {
+                plan: Arc::new(FaultPlan::parse(&spec, 4).expect("valid fault spec")),
+                checkpoint_every: 2,
+                ..FaultOptions::default()
+            };
+            let what = format!("{spec} on {:?}", opts.backend);
+            let faulted =
+                run_distributed_with_faults(&setup, cfg, Strategy::VCycle, 5, opts, &fopts)
+                    .expect("the waiters recover instead of wedging");
+            assert_runs_bit_identical(&clean, &faulted, nverts, &what);
+            assert_eq!(
+                faulted.run.results[1].fate,
+                RankFate::Died { cycle: died_after },
+                "{what}"
+            );
+            for vid in [0usize, 2, 3] {
+                assert_eq!(
+                    faulted.run.counters[vid].recoveries, 1,
+                    "{what}: rank {vid}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_kill_inside_a_collective_unwinds_its_waiters_into_recovery() {
+        // Rank 1 dies at the publish of its part of cycle 4's monitor
+        // reduction (its second-to-last operation of the cycle, which
+        // takes no checkpoint at this cadence): rank 0 waits in the
+        // fan-in, ranks 2 and 3 in the fan-out.
+        assert_kill_recovers(
+            |clean| format!("kill:1@4+{}", ops_in_cycle(clean, 1, 4) - 2),
+            3,
+        );
+    }
+
+    #[test]
+    fn a_kill_inside_the_inspector_all_to_all_unwinds_its_waiters_into_recovery() {
+        // Rank 1's first operations are the request publishes of the
+        // set-up inspector's all-to-all: it dies at its second, with
+        // every peer inside the exchange. Nobody holds a checkpoint yet,
+        // so the survivors and rank 1's replica restart from the
+        // initial state.
+        assert_kill_recovers(|_| "kill:1@0+1".to_string(), 0);
     }
 
     #[test]
@@ -1282,7 +1377,7 @@ mod trace {
             (warm, rank.counters.comm_allocs, t.snapshot().len())
         });
         for (id, &(warm, steady, nevents)) in run.results.iter().enumerate() {
-            assert!(warm > 0, "rank {id}: warm-up must populate the pool");
+            assert!(warm > 0, "rank {id}: warm-up must size the buffers");
             assert_eq!(
                 steady, warm,
                 "rank {id}: tracing must not cost fresh comm buffers"

@@ -4,7 +4,8 @@
 //! traffic the paper found to be "a small fraction of the total
 //! communication costs") as records on the rank's windows.
 //! Owners pack from plane-major fields; the receiving side stages
-//! vertex-major records (`nc` values per buffer slot).
+//! vertex-major records (`nc` values per buffer slot) in a buffer its
+//! caller owns and reuses.
 
 use std::collections::BTreeMap;
 
@@ -140,21 +141,21 @@ impl TransferLink {
 
     /// Interpolate a fine array onto owned coarse vertices (state moves
     /// down): `coarse_out[cv] = Σ w_k fine[addr_k]`. `fine` and
-    /// `coarse_out` hold `nc` contiguous planes; the staging buffer and
-    /// every message are vertex-major (`nc` values per record).
+    /// `coarse_out` hold `nc` contiguous planes; the staging buffer `buf`
+    /// and every record are vertex-major (`nc` values per slot).
     pub fn restrict_state_planes(
         &self,
         rank: &mut Rank,
         fine: &[f64],
         coarse_out: &mut [f64],
         nc: usize,
+        buf: &mut Vec<f64>,
         counter: &mut FlopCounter,
     ) {
         debug_assert!(fine.len().is_multiple_of(nc) && coarse_out.len().is_multiple_of(nc));
         let fplane = fine.len() / nc;
         let cplane = coarse_out.len() / nc;
-        let mut buf = rank.take_f64(self.fine_buf_len * nc);
-        buf.resize(self.fine_buf_len * nc, 0.0);
+        rank.stage_f64(buf, self.fine_buf_len * nc);
         for &(b, l) in &self.fine_local {
             let (b, l) = (b as usize * nc, l as usize);
             for c in 0..nc {
@@ -162,7 +163,7 @@ impl TransferLink {
             }
         }
         self.fine_sched.gather_begin(rank, fine, nc, (1, fplane));
-        self.fine_sched.gather_finish(rank, &mut buf, nc, (nc, 1));
+        self.fine_sched.gather_finish(rank, buf, nc, (nc, 1));
         for &(cv, idxs, w) in &self.state_terms {
             for c in 0..nc {
                 let mut acc = 0.0;
@@ -172,7 +173,6 @@ impl TransferLink {
                 coarse_out[c * cplane + cv as usize] = acc;
             }
         }
-        rank.recycle_f64(buf);
         counter.add(self.state_terms.len(), FLOPS_TRANSFER_VERT);
     }
 
@@ -186,13 +186,13 @@ impl TransferLink {
         fine: &[f64],
         coarse_out: &mut [f64],
         nc: usize,
+        buf: &mut Vec<f64>,
         counter: &mut FlopCounter,
     ) {
         debug_assert!(fine.len().is_multiple_of(nc) && coarse_out.len().is_multiple_of(nc));
         let fplane = fine.len() / nc;
         let cplane = coarse_out.len() / nc;
-        let mut buf = rank.take_f64(self.coarse_buf_len * nc);
-        buf.resize(self.coarse_buf_len * nc, 0.0);
+        rank.stage_f64(buf, self.coarse_buf_len * nc);
         for &(fv, idxs, w) in &self.resid_terms {
             let fv = fv as usize;
             for k in 0..4 {
@@ -208,11 +208,9 @@ impl TransferLink {
                 coarse_out[c * cplane + l] += buf[b + c];
             }
         }
-        self.coarse_sched
-            .scatter_add_begin(rank, &mut buf, nc, (nc, 1));
+        self.coarse_sched.scatter_add_begin(rank, buf, nc, (nc, 1));
         self.coarse_sched
             .scatter_add_finish(rank, coarse_out, nc, (1, cplane));
-        rank.recycle_f64(buf);
         counter.add(self.resid_terms.len(), FLOPS_TRANSFER_VERT);
     }
 
@@ -224,13 +222,13 @@ impl TransferLink {
         coarse: &[f64],
         fine_out: &mut [f64],
         nc: usize,
+        buf: &mut Vec<f64>,
         counter: &mut FlopCounter,
     ) {
         debug_assert!(coarse.len().is_multiple_of(nc) && fine_out.len().is_multiple_of(nc));
         let cplane = coarse.len() / nc;
         let fplane = fine_out.len() / nc;
-        let mut buf = rank.take_f64(self.coarse_buf_len * nc);
-        buf.resize(self.coarse_buf_len * nc, 0.0);
+        rank.stage_f64(buf, self.coarse_buf_len * nc);
         for &(b, l) in &self.coarse_local {
             let (b, l) = (b as usize * nc, l as usize);
             for c in 0..nc {
@@ -239,7 +237,7 @@ impl TransferLink {
         }
         self.coarse_sched
             .gather_begin(rank, coarse, nc, (1, cplane));
-        self.coarse_sched.gather_finish(rank, &mut buf, nc, (nc, 1));
+        self.coarse_sched.gather_finish(rank, buf, nc, (nc, 1));
         for &(fv, idxs, w) in &self.resid_terms {
             let fv = fv as usize;
             for c in 0..nc {
@@ -250,7 +248,6 @@ impl TransferLink {
                 fine_out[c * fplane + fv] = acc;
             }
         }
-        rank.recycle_f64(buf);
         counter.add(self.resid_terms.len(), FLOPS_TRANSFER_VERT);
     }
 }

@@ -106,10 +106,10 @@ impl FaultPlan {
     /// seeded:SEED#N@C N pseudo-random message faults in cycles [1, C]
     /// ```
     ///
-    /// `#N` counts every record and message the sender posts to `D`
-    /// (window records and channel messages alike). A `corrupt:` that
-    /// lands on an empty payload has no bit to flip: it misses, and no
-    /// recovery follows.
+    /// `#N` counts every record the sender posts to `D` (schedule
+    /// records, collective parts and inspector requests alike). A
+    /// `corrupt:` that lands on an empty payload has no bit to flip: it
+    /// misses, and no recovery follows.
     pub fn parse(spec: &str, nranks: usize) -> Result<FaultPlan, DeltaError> {
         FaultPlan::parse_inner(spec, nranks).map_err(|reason| DeltaError::BadFaultSpec {
             spec: spec.to_string(),

@@ -2,17 +2,19 @@
 //! Intel Touchstone Delta of §4 of the paper.
 //!
 //! Each **rank** runs the same SPMD closure on its own OS thread with its
-//! own private data, communicating only through record streams on
-//! shared-memory windows ([`shm`]), typed point-to-point messages,
-//! barriers, and deterministic collectives. Because every receive names
-//! its source and tag, the program is a Kahn process
-//! network: results are bit-identical across runs regardless of thread
-//! scheduling, even with hundreds of ranks multiplexed onto one core.
+//! own private data, communicating only through records on
+//! shared-memory windows ([`shm`]): schedule streams, deterministic
+//! collectives and the inspector's all-to-all alike. Failures travel as
+//! notices into per-rank inboxes that every window wait polls. Because
+//! every consume names its source and window, the program is a Kahn
+//! process network: results are bit-identical across runs regardless of
+//! thread scheduling, even with hundreds of ranks multiplexed onto one
+//! core.
 //!
 //! What the real Delta charged in *time*, this machine charges in
 //! **counters**: every rank accumulates flops (reported by the numerical
-//! kernels) and message/byte counts (recorded by the send path, split by
-//! communication class). The [`cost::CostModel`] then maps those counters
+//! kernels) and message/byte counts (recorded by the publish path, split
+//! by communication class). The [`cost::CostModel`] then maps those counters
 //! to seconds using calibrated i860 + mesh-network constants, producing
 //! the computation/communication breakdown format of Tables 2a–2c.
 
@@ -23,8 +25,9 @@
 //! let run = run_spmd(4, |rank| {
 //!     let next = (rank.id + 1) % rank.nranks;
 //!     let prev = (rank.id + rank.nranks - 1) % rank.nranks;
-//!     rank.send_f64(next, 1, vec![rank.id as f64], CommClass::Halo);
-//!     let got = rank.recv_f64(prev, 1)[0];
+//!     let me = rank.id as f64;
+//!     rank.publish_f64(next, 1, CommClass::Halo, 1, |b| b.push(me));
+//!     let got = rank.consume_f64(prev, 1, |r| r[0]);
 //!     rank.add_flops(100.0);
 //!     rank.all_reduce_sum(&[got])[0]
 //! });
@@ -40,7 +43,6 @@ pub mod error;
 pub mod fault;
 pub mod machine;
 pub mod msg;
-pub mod pool;
 pub mod rank;
 pub mod shm;
 
@@ -48,7 +50,6 @@ pub use cost::{CommCost, CostBreakdown, CostModel};
 pub use error::DeltaError;
 pub use fault::{FaultAction, FaultCause, FaultPlan, FaultSignal, FaultState, KillSpec, MsgFault};
 pub use machine::{check_nranks, run_spmd, MachineRun, MAX_RANKS};
-pub use msg::{checksum, CommClass, CommStats, Payload, RankCounters};
-pub use pool::CommBuffers;
+pub use msg::{CommClass, CommStats, RankCounters};
 pub use rank::{mesh_dims, mesh_hops, silence_fault_signal_panics, Rank, COLLECTIVE_TAG_BASE};
 pub use shm::{Record, Wedge, Window, WindowRegistry, DEFAULT_WEDGE_TIMEOUT};

@@ -1,19 +1,17 @@
 //! The per-rank SPMD context: record streams on shared-memory windows,
-//! typed sends/receives, barriers, and deterministic collectives.
+//! the deterministic collectives and the inspector's all-to-all that
+//! ride them, and the notices that carry failures between ranks.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::panic::panic_any;
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 use std::time::Duration;
-
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 
 use eul3d_obs as obs;
 
 use crate::cost::CostModel;
 use crate::fault::{FaultAction, FaultCause, FaultPlan, FaultSignal, FaultState};
-use crate::msg::{checksum, checksum_f64, corrupt_f64, CommClass, Message, Payload, RankCounters};
-use crate::pool::CommBuffers;
+use crate::msg::{checksum_f64, corrupt_f64, CommClass, Inbox, Notice, RankCounters};
 use crate::shm::{Wedge, Window, WindowRegistry};
 
 /// Largest-factor-pair 2-D mesh factorization: returns `(rows, cols)`
@@ -50,129 +48,78 @@ pub fn mesh_hops(a: usize, b: usize, nranks: usize) -> u64 {
 
 /// Checked rank-id narrowing for wire/trace fields. Infallible once
 /// [`crate::machine::check_nranks`] has admitted the run (the cap is far
-/// below `u32::MAX`); kept checked so a future cap change cannot
+/// below `u32::MAX`); kept checked so a later cap change cannot
 /// silently truncate.
 pub(crate) fn rid(r: usize) -> u32 {
     u32::try_from(r).unwrap_or_else(|_| unreachable!("rank id {r} exceeds u32"))
 }
 
-/// Reserved tag space for collectives; user tags must stay below this.
+/// Reserved tag space for collectives; schedule tags must stay below
+/// it. Window keys from here up belong to control traffic: in epoch `e`
+/// every collective and inspector request from one rank to another
+/// rides the one window keyed `COLLECTIVE_TAG_BASE + e`.
 pub const COLLECTIVE_TAG_BASE: u32 = 0xF000_0000;
-
-/// Tag of the poison message a panicking rank broadcasts so peers blocked
-/// in a receive abort instead of deadlocking. Collective tags are masked
-/// to never reach it.
-pub(crate) const POISON_TAG: u32 = u32::MAX;
-
-/// The transport a record rides: schedule records ride the windows,
-/// everything else (inspector requests, collectives, control) the
-/// channels. Each numbers its streams apart, because they share tags:
-/// the inspector's requests ride the channels on a halo schedule's base
-/// tag, the same tag its records then use on the windows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Via {
-    Channel,
-    Window,
-}
-
-/// A directed stream as its sequence numbers count it (see
-/// [`Rank::stream_key`]).
-type StreamKey = (Via, usize, u32);
 
 /// One rank's handle onto the simulated machine. Passed by the SPMD
 /// driver to the rank body; all communication goes through it.
 pub struct Rank {
     pub id: usize,
     pub nranks: usize,
-    rx: Receiver<Message>,
-    txs: Vec<Sender<Message>>,
-    /// Out-of-order receive buffer: messages that arrived before anyone
-    /// asked for them, keyed by `(src, tag)`.
-    stash: HashMap<(usize, u32), VecDeque<Payload>>,
-    /// Messages from a *future* epoch, held intact until this rank takes
-    /// its own (planned) epoch bump. Only planned migrations produce
-    /// them: a peer that reached the agreed boundary first may start its
-    /// next-epoch rebuild before this rank has finished the old epoch's
-    /// last receives. Fault epochs never land here — their `Abort`
-    /// precedes any new-epoch data on the FIFO channel and sweeps this
-    /// rank forward first.
-    future: VecDeque<Message>,
-    /// Held messages re-queued by [`Rank::advance_epoch`]; drained ahead
-    /// of the wire by the receive loop.
-    replay: VecDeque<Message>,
-    barrier: Arc<Barrier>,
     /// Accounting; read back by the driver after the run.
     pub counters: RankCounters,
-    /// Monotonic counter for internal collective tags.
+    /// Monotonic counter for the logical tags of collectives.
     collective_seq: u32,
     /// Columns of the (nearly square) 2-D mesh the ranks are mapped
     /// onto, row-major — used only for hop accounting.
     mesh_cols: usize,
-    /// Reusable buffers of collectives and inspector requests (see
-    /// [`crate::pool`]).
-    pool: CommBuffers,
     /// Tag ranges claimed by schedules on this rank, for collision
     /// detection at build time.
     reserved_tags: Vec<(u32, u32)>,
-    /// Every rank's receive endpoint (crossbeam receivers are cloneable),
-    /// so a surviving node can adopt a dead rank's mailbox during
-    /// recovery. Also keeps channels connected after a rank thread exits.
-    rxs_all: Arc<Vec<Receiver<Message>>>,
-    /// Current recovery epoch; 0 until the first failure. Stamped on
-    /// every outgoing data message; older epochs are discarded on
-    /// receive.
+    /// Current recovery epoch; 0 until the first failure. Selects the
+    /// control windows; schedule tags shift with it.
     epoch: u32,
-    /// Next sequence number per outgoing directed stream (see
-    /// [`Rank::stream_key`]), reset each epoch.
-    send_seq: HashMap<StreamKey, u64>,
-    /// Next expected sequence number per incoming stream.
-    recv_seq: HashMap<StreamKey, u64>,
+    /// Next sequence number per outgoing window `(dst, key)`, reset
+    /// each epoch.
+    send_seq: HashMap<(usize, u32), u64>,
+    /// Next expected sequence number per incoming window `(src, key)`.
+    recv_seq: HashMap<(usize, u32), u64>,
     /// Ranks known to have died (physically — their partitions live on
     /// as adopted virtual ranks after recovery).
     dead: Vec<bool>,
     /// Fault-plan evaluation state; `None` on fault-free runs.
     faults: Option<FaultState>,
-    /// Bounded-receive (and window-wait) timeout; armed only when a
-    /// fault plan that can drop is installed, so fault-free runs keep the
-    /// zero-overhead blocking receive.
+    /// Bounded window-wait timeout; armed only when a fault plan that
+    /// can drop is installed.
     recv_timeout: Option<Duration>,
     /// Machine constants used to price this rank's traffic on the
     /// modeled clock (the pluggable `CommCost` seam).
     cost: CostModel,
-    /// The machine's shared-memory window registry: every record stream
-    /// of this rank rides it.
+    /// The machine's shared-memory window registry: every record of
+    /// this rank rides it.
     windows: Arc<WindowRegistry>,
-    /// Per-rank cache of window streams so the steady state never takes
-    /// the registry lock.
+    /// Per-rank cache of windows so the steady state never takes the
+    /// registry lock.
     window_cache: HashMap<(usize, usize, u32), Arc<Window>>,
+    /// Every rank's inbox: this rank reads `inboxes[id]` (an adopted
+    /// replica reads the dead rank's) and posts notices to the rest.
+    inboxes: Arc<[Inbox]>,
 }
 
 impl Rank {
     pub(crate) fn new(
         id: usize,
         nranks: usize,
-        rx: Receiver<Message>,
-        txs: Vec<Sender<Message>>,
-        barrier: Arc<Barrier>,
-        rxs_all: Arc<Vec<Receiver<Message>>>,
         windows: Arc<WindowRegistry>,
+        inboxes: Arc<[Inbox]>,
     ) -> Rank {
         let (_, cols) = mesh_dims(nranks);
         Rank {
             id,
             nranks,
-            rx,
-            txs,
-            stash: HashMap::new(),
-            future: VecDeque::new(),
-            replay: VecDeque::new(),
-            barrier,
             counters: RankCounters::default(),
             collective_seq: 0,
             mesh_cols: cols,
-            pool: CommBuffers::new(),
             reserved_tags: Vec::new(),
-            rxs_all,
             epoch: 0,
             send_seq: HashMap::new(),
             recv_seq: HashMap::new(),
@@ -182,6 +129,7 @@ impl Rank {
             cost: CostModel::delta_i860(),
             windows,
             window_cache: HashMap::new(),
+            inboxes,
         }
     }
 
@@ -190,11 +138,11 @@ impl Rank {
         self.cost
     }
 
-    /// Swap in another window registry: every record stream from here on
-    /// moves through its windows, and the cached windows of the old one
-    /// are forgotten, so this rank and its peers meet in the same
-    /// windows. Every rank of the machine must swap at the same point of
-    /// its program.
+    /// Swap in another window registry: every record from here on moves
+    /// through its windows, and the cached windows of the old one are
+    /// forgotten, so this rank and its peers meet in the same windows.
+    /// Every rank of the machine must swap at the same point of its
+    /// program.
     pub fn install_windows(&mut self, reg: Arc<WindowRegistry>) {
         assert_eq!(
             reg.nranks(),
@@ -207,25 +155,63 @@ impl Rank {
 
     /// Publish one record buffer to `dst` on the repeating stream
     /// `(dst, tag)`: `fill` packs it in place, into the stream's
-    /// shared-memory window (`cap` values expected). The record is stamped
-    /// and exposed to the fault plan by the code a channel send runs
-    /// ([`Rank::stamp_out`]), and charged exactly like one: same
-    /// counters, same trace events, same modeled wire time. Blocks only
-    /// while the stream's previous record is unread. A record whose
-    /// storage grows is charged to the allocation counters, so a warmed-up
-    /// stream allocates nothing. Pair with [`Rank::consume_f64`] on
-    /// `dst`; every rank publishes all of an exchange's records before
-    /// consuming any (see [`crate::shm`] for why that cannot deadlock).
+    /// shared-memory window (`cap` values expected). The record is
+    /// stamped, exposed to the fault plan and charged as `class` traffic
+    /// of 8 bytes per value ([`Rank::publish_words`]). Blocks only while
+    /// the stream's previous record is unread. Pair with
+    /// [`Rank::consume_f64`] on `dst`; every rank publishes all of an
+    /// exchange's records before consuming any (see [`crate::shm`] for
+    /// why that cannot deadlock). `tag` must sit below the control
+    /// windows' keys.
     pub fn publish_f64<F>(&mut self, dst: usize, tag: u32, class: CommClass, cap: usize, fill: F)
     where
+        F: FnOnce(&mut Vec<f64>),
+    {
+        assert!(
+            tag < COLLECTIVE_TAG_BASE,
+            "tag collides with collective space"
+        );
+        self.publish_words(dst, tag, tag, class, 8, cap, fill);
+    }
+
+    /// Read the next record `src` published on stream `(me, tag)`, in
+    /// place, and hand its storage back to the sender
+    /// ([`Rank::consume_words`]).
+    pub fn consume_f64<R>(&mut self, src: usize, tag: u32, read: impl FnOnce(&[f64]) -> R) -> R {
+        assert!(
+            tag < COLLECTIVE_TAG_BASE,
+            "tag collides with collective space"
+        );
+        self.consume_words(src, tag, tag, 8, read)
+    }
+
+    /// The one body every record runs on its way out, onto window `key`
+    /// of `(me, dst)`. The fault plan and the trace see the logical
+    /// `tag` (a schedule tag, the rotating tag of a collective, or the
+    /// schedule tag an inspector request serves); the record is charged
+    /// as `class` traffic of `word_bytes` per value: counters, hops,
+    /// trace event and modeled wire time. A record whose storage grows
+    /// is charged to the allocation counters, so a warmed-up window
+    /// allocates nothing.
+    #[allow(clippy::too_many_arguments)]
+    fn publish_words<F>(
+        &mut self,
+        dst: usize,
+        key: u32,
+        tag: u32,
+        class: CommClass,
+        word_bytes: u64,
+        cap: usize,
+        fill: F,
+    ) where
         F: FnOnce(&mut Vec<f64>),
     {
         assert!(dst < self.nranks, "publish to rank {dst} out of range");
         assert_ne!(dst, self.id, "self-publish is a schedule bug");
         self.tick_fault_op();
-        let win = self.window(self.id, dst, tag);
+        let win = self.window(self.id, dst, key);
         if let Err(w) = win.wait_free(|waited| self.listen(waited)) {
-            self.wedged(self.id, dst, tag, w);
+            self.wedged(self.id, dst, key, w);
         }
         let mut len = 0;
         win.publish_with(|rec| {
@@ -235,16 +221,18 @@ impl Rank {
             self.note_alloc(8 * (rec.data.capacity() - had) as u64);
             len = rec.data.len();
             rec.crc = checksum_f64(&rec.data);
-            let (seq, copies) =
-                self.stamp_out(Via::Window, dst, tag, || corrupt_f64(&mut rec.data));
+            let (seq, copies) = self.stamp_out(dst, key, tag, || corrupt_f64(&mut rec.data));
             rec.seq = seq;
             rec.dup = copies == 2;
             copies > 0
         });
-        let bytes = 8 * len as u64; // Payload::F64 wire accounting
+        let bytes = word_bytes * len as u64;
         let hops = self.hops_to(dst);
         self.counters.record_send(class, bytes);
         self.counters.record_hops(hops);
+        // The sender pays the modeled wire time (latency + bytes/bw +
+        // hops), and the event is stamped before the clock advances so
+        // the instant sits at the send's start.
         obs::emit(obs::Event::MsgSend {
             peer: rid(dst),
             tag,
@@ -253,70 +241,110 @@ impl Rank {
         obs::advance_ns(self.cost.send_ns(bytes, hops));
     }
 
-    /// Read the next record `src` published on stream `(me, tag)`, in
-    /// place, and hand its storage back to the sender. The record's stamp
-    /// passes the check the channel sieve runs ([`Rank::admit`]) — a
+    /// The one body every record runs on its way in, from window `key`
+    /// of `(src, me)`. The record's stamp passes [`Rank::admit`] — a
     /// duplicated record is admitted once and refused once — before
-    /// `read` sees it. Receives are sender-priced (as on the channels),
-    /// so only the event is recorded.
-    pub fn consume_f64<R>(&mut self, src: usize, tag: u32, read: impl FnOnce(&[f64]) -> R) -> R {
+    /// `read` sees it. Receives are sender-priced, so only the event is
+    /// recorded (`word_bytes` per value, under the logical `tag`).
+    fn consume_words<R>(
+        &mut self,
+        src: usize,
+        key: u32,
+        tag: u32,
+        word_bytes: u64,
+        read: impl FnOnce(&[f64]) -> R,
+    ) -> R {
         assert!(src < self.nranks, "consume from rank {src} out of range");
         self.tick_fault_op();
-        let win = self.window(src, self.id, tag);
+        let win = self.window(src, self.id, key);
         if let Err(w) = win.wait_ready(|waited| self.listen(waited)) {
-            self.wedged(src, self.id, tag, w);
+            self.wedged(src, self.id, key, w);
         }
-        let (bytes, r) = win.consume_with(|rec| {
+        let (len, r) = win.consume_with(|rec| {
             let crc_ok = || checksum_f64(&rec.data) == rec.crc;
-            if !self.admit(Via::Window, src, tag, rec.seq, crc_ok) {
+            if !self.admit(src, key, rec.seq, crc_ok) {
                 unreachable!(
-                    "window {src}->{} tag {tag} replayed seq {}",
+                    "window {src}->{} key {key} replayed seq {}",
                     self.id, rec.seq
                 );
             }
             if rec.dup {
-                self.admit(Via::Window, src, tag, rec.seq, || true);
+                self.admit(src, key, rec.seq, || true);
             }
-            (8 * rec.data.len() as u64, read(&rec.data))
+            (rec.data.len(), read(&rec.data))
         });
         obs::emit(obs::Event::MsgRecv {
             peer: rid(src),
             tag,
-            bytes,
+            bytes: word_bytes * len as u64,
         });
         r
     }
 
-    /// The cached window for directed stream `(src, dst, tag)`.
-    fn window(&mut self, src: usize, dst: usize, tag: u32) -> Arc<Window> {
+    /// The cached window for directed stream `(src, dst, key)`.
+    fn window(&mut self, src: usize, dst: usize, key: u32) -> Arc<Window> {
         let reg = &self.windows;
         self.window_cache
-            .entry((src, dst, tag))
-            .or_insert_with(|| reg.stream(src, dst, tag))
+            .entry((src, dst, key))
+            .or_insert_with(|| reg.stream(src, dst, key))
             .clone()
     }
 
-    /// What a rank blocked in a window wait does on every yield: sieve
-    /// what reached its mailbox, in receive order, so a peer's death or
-    /// abort notice unwinds the wait into recovery as it would a blocked
-    /// receive (data is stashed for the receive that wants it); and,
-    /// once the plan's bounded timeout has passed, give the record up as
-    /// dropped.
+    /// The control window key of the current epoch.
+    fn control_key(&self) -> u32 {
+        COLLECTIVE_TAG_BASE
+            .checked_add(self.epoch)
+            .unwrap_or_else(|| unreachable!("epoch {} overflows the control keys", self.epoch))
+    }
+
+    /// What a rank blocked in a window wait does on every yield: heed
+    /// the notices in its inbox, oldest first, so a peer's death, abort
+    /// or panic unwinds the wait; and, once the plan's bounded timeout
+    /// has passed, give the record up as dropped.
     fn listen(&mut self, waited: Duration) {
-        loop {
-            let m = match self.replay.pop_front() {
-                Some(m) => m,
-                None => match self.rx.try_recv() {
-                    Ok(m) => m,
-                    Err(_) => break,
-                },
-            };
-            if let Some((s, t, p)) = self.sieve(m) {
-                self.stash.entry((s, t)).or_default().push_back(p);
-            }
+        while let Some(n) = self.inboxes[self.id].take() {
+            self.heed(n);
         }
         if self.recv_timeout.is_some_and(|t| waited >= t) {
             self.raise_recovery(self.epoch + 1, FaultCause::Timeout);
+        }
+    }
+
+    /// Act on one notice: a peer's panic aborts this rank; a peer's
+    /// death or abort that teaches it something unwinds it into
+    /// recovery; a notice it already knows is absorbed.
+    fn heed(&mut self, n: Notice) {
+        match n {
+            Notice::Poison { src } => panic!(
+                "rank {src} panicked; rank {} aborting blocked receive",
+                self.id
+            ),
+            Notice::Dead { src, epoch } => {
+                if !self.dead[src] {
+                    self.dead[src] = true;
+                    self.raise_recovery(epoch.max(self.epoch + 1), FaultCause::PeerDeath);
+                }
+            }
+            Notice::Abort { epoch, dead } => {
+                // Merge the peer's dead-rank view; if it taught us
+                // anything the agreed epoch must move past ours so every
+                // rank rebuilds against the same survivor set.
+                let mut news = false;
+                for d in dead {
+                    if !self.dead[d as usize] {
+                        self.dead[d as usize] = true;
+                        news = true;
+                    }
+                }
+                let target = if news {
+                    (self.epoch + 1).max(epoch)
+                } else {
+                    epoch
+                };
+                if target > self.epoch {
+                    self.raise_recovery(target, FaultCause::PeerAbort);
+                }
+            }
         }
     }
 
@@ -337,11 +365,11 @@ impl Rank {
 
     /// Install a fault plan on this rank (SPMD: every rank installs the
     /// same shared plan and evaluates only the entries it originates).
-    /// `timeout` arms the bounded receive (and window wait) used to detect
-    /// silent message loss; it is ignored for an empty plan so fault-free runs stay on
-    /// the blocking fast path, and ignored unless the plan can actually
-    /// drop a message ([`FaultPlan::may_drop`]) — a wall-clock timeout
-    /// is only sound when armed against a modeled drop, never against a
+    /// `timeout` arms the bounded window wait used to detect silent
+    /// record loss; it is ignored for an empty plan so fault-free runs
+    /// stay on the plain wait, and ignored unless the plan can actually
+    /// drop a record ([`FaultPlan::may_drop`]) — a wall-clock timeout is
+    /// only sound when armed against a modeled drop, never against a
     /// merely-descheduled peer on real preemptible threads.
     pub fn install_faults(&mut self, plan: Arc<FaultPlan>, timeout: Option<Duration>) {
         if plan.is_empty() {
@@ -353,7 +381,7 @@ impl Rank {
     }
 
     /// Announce the solver cycle to the fault layer (kills and
-    /// cycle-gated message faults key off it).
+    /// cycle-gated record faults key off it).
     pub fn set_fault_cycle(&mut self, cycle: u64) {
         if let Some(f) = self.faults.as_mut() {
             f.set_cycle(cycle);
@@ -378,45 +406,29 @@ impl Rank {
         !self.dead[r]
     }
 
-    /// Take an empty pooled `f64` buffer with capacity ≥ `cap`. A pool
-    /// miss allocates fresh storage and is charged to the rank's
-    /// allocation counters; a warmed-up exchange pattern never misses.
-    pub fn take_f64(&mut self, cap: usize) -> Vec<f64> {
-        let (buf, fresh) = self.pool.take_f64(cap);
-        self.note_alloc(fresh);
-        buf
+    /// Size the caller-owned staging buffer `buf` to `len` zeros,
+    /// charging any growth of its storage to the allocation counters as
+    /// a window record's growth is charged: a buffer reused across
+    /// cycles allocates once.
+    pub fn stage_f64(&mut self, buf: &mut Vec<f64>, len: usize) {
+        let had = buf.capacity();
+        buf.clear();
+        buf.reserve_exact(len);
+        buf.resize(len, 0.0);
+        self.note_alloc(8 * (buf.capacity() - had) as u64);
     }
 
-    /// Recycle a consumed `f64` buffer (typically a received payload)
-    /// back into this rank's pool.
-    pub fn recycle_f64(&mut self, v: Vec<f64>) {
-        self.pool.recycle_f64(v);
-    }
-
-    /// Take an empty pooled `u32` buffer with capacity ≥ `cap`.
-    pub fn take_u32(&mut self, cap: usize) -> Vec<u32> {
-        let (buf, fresh) = self.pool.take_u32(cap);
-        self.note_alloc(fresh);
-        buf
-    }
-
-    /// Recycle a consumed `u32` buffer back into this rank's pool.
-    pub fn recycle_u32(&mut self, v: Vec<u32>) {
-        self.pool.recycle_u32(v);
-    }
-
-    /// Charge fresh communication storage — a pool miss or a window
-    /// record's growth — to the allocation counters.
+    /// Charge fresh communication storage — a window record's or a
+    /// staging buffer's growth — to the allocation counters.
     fn note_alloc(&mut self, fresh_bytes: u64) {
         if fresh_bytes > 0 {
             self.counters.comm_allocs += 1;
             self.counters.comm_alloc_bytes += fresh_bytes;
             // Traced only before the first recovery epoch: after a
-            // rollback, which buffers the pool recycles depends on the
-            // set of messages in flight at the (thread-timing-dependent)
-            // abort point, so post-recovery misses would break the
-            // bit-identical-trace guarantee. The counters above always
-            // accumulate regardless.
+            // rollback, which windows a rank has already grown depends
+            // on where the (thread-timing-dependent) abort caught it, so
+            // post-recovery growth would break the bit-identical-trace
+            // guarantee. The counters above always accumulate.
             if self.epoch() == 0 {
                 obs::emit(obs::Event::PoolAlloc { bytes: fresh_bytes });
             }
@@ -457,34 +469,21 @@ impl Rank {
         self.counters.add_flops(n);
     }
 
-    /// Directed streams share one sequence counter per `(peer, tag)` and
-    /// transport; collective tags are rotated per operation but consumed
-    /// in program order per peer pair, so they fold onto a single
-    /// per-peer stream — keeping the sequence maps bounded by the
-    /// communication pattern, not the cycle count.
-    fn stream_key(via: Via, peer: usize, tag: u32) -> StreamKey {
-        (via, peer, tag.min(COLLECTIVE_TAG_BASE))
-    }
-
-    /// Stamp the next record on outgoing stream `(dst, tag)` and let the
-    /// fault plan act on it: the one body both transports run for every
-    /// record and message this rank originates. The caller took the payload's
-    /// checksum first; `corrupt` flips a payload bit after it. Returns
-    /// the record's sequence number and how many copies reach the wire:
-    /// 0 when the plan drops it (its sequence number is still consumed,
-    /// so the receiver sees the gap), 2 when it duplicates it.
+    /// Stamp the next record on outgoing window `(dst, key)` and let the
+    /// fault plan act on it under its logical `tag`. The caller took the
+    /// payload's checksum first; `corrupt` flips a payload bit after it.
+    /// Returns the record's sequence number and how many copies reach
+    /// the wire: 0 when the plan drops it (its sequence number is still
+    /// consumed, so the receiver sees the gap), 2 when it duplicates it.
     fn stamp_out(
         &mut self,
-        via: Via,
         dst: usize,
+        key: u32,
         tag: u32,
         corrupt: impl FnOnce(),
     ) -> (u64, usize) {
         let seq = {
-            let s = self
-                .send_seq
-                .entry(Self::stream_key(via, dst, tag))
-                .or_insert(0);
+            let s = self.send_seq.entry((dst, key)).or_insert(0);
             let seq = *s;
             *s += 1;
             seq
@@ -509,31 +508,6 @@ impl Rank {
         (seq, copies)
     }
 
-    /// The single exit point for every channel message this rank
-    /// originates (sends and collectives): stamps the
-    /// recovery epoch and the payload checksum, and takes the stream
-    /// sequence number from [`Rank::stamp_out`], which lets the fault
-    /// plan drop, duplicate, corrupt or delay the message on the wire.
-    fn post(&mut self, dst: usize, tag: u32, mut payload: Payload) {
-        let crc = checksum(&payload);
-        let (seq, copies) = self.stamp_out(Via::Channel, dst, tag, || payload.corrupt());
-        let (src, epoch) = (self.id, self.epoch);
-        let message = |payload| Message {
-            src,
-            tag,
-            epoch,
-            seq,
-            crc,
-            payload,
-        };
-        if copies == 2 && self.txs[dst].send(message(payload.clone())).is_err() {
-            unreachable!("receiver hung up");
-        }
-        if copies > 0 && self.txs[dst].send(message(payload)).is_err() {
-            unreachable!("receiver hung up");
-        }
-    }
-
     /// Count one communication operation against the fault plan; dies on
     /// the spot (unwinding with [`FaultSignal::Killed`]) if a kill fires.
     fn tick_fault_op(&mut self) {
@@ -542,48 +516,6 @@ impl Rank {
                 panic_any(FaultSignal::Killed);
             }
         }
-    }
-
-    fn send_payload(&mut self, dst: usize, tag: u32, payload: Payload, class: CommClass) {
-        assert!(dst < self.nranks, "send to rank {dst} out of range");
-        assert_ne!(
-            dst, self.id,
-            "self-sends are a bug in schedule construction"
-        );
-        self.tick_fault_op();
-        let bytes = payload.nbytes();
-        let hops = self.hops_to(dst);
-        self.counters.record_send(class, bytes);
-        self.counters.record_hops(hops);
-        // The sender pays the modeled wire time (latency + bytes/bw +
-        // hops), mirroring the cost model, and the event is stamped
-        // before the clock advances so the instant sits at the send's
-        // start.
-        obs::emit(obs::Event::MsgSend {
-            peer: rid(dst),
-            tag,
-            bytes,
-        });
-        obs::advance_ns(self.cost.send_ns(bytes, hops));
-        self.post(dst, tag, payload);
-    }
-
-    /// Send a float buffer to `dst` under `tag`.
-    pub fn send_f64(&mut self, dst: usize, tag: u32, data: Vec<f64>, class: CommClass) {
-        assert!(
-            tag < COLLECTIVE_TAG_BASE,
-            "tag collides with collective space"
-        );
-        self.send_payload(dst, tag, Payload::F64(data), class);
-    }
-
-    /// Send an index buffer to `dst` under `tag`.
-    pub fn send_u32(&mut self, dst: usize, tag: u32, data: Vec<u32>, class: CommClass) {
-        assert!(
-            tag < COLLECTIVE_TAG_BASE,
-            "tag collides with collective space"
-        );
-        self.send_payload(dst, tag, Payload::U32(data), class);
     }
 
     /// Unwind into recovery: epoch `target`, current dead-rank view.
@@ -595,106 +527,14 @@ impl Rank {
         })
     }
 
-    /// Recycle a received payload's storage into this rank's pool
-    /// (control payloads carry no buffers).
-    fn recycle_payload(&mut self, p: Payload) {
-        match p {
-            Payload::F64(v) => self.pool.recycle_f64(v),
-            Payload::U32(v) => self.pool.recycle_u32(v),
-            _ => {}
-        }
-    }
-
-    /// Inspect one message off the wire. Returns the accepted
-    /// `(src, tag, payload)` or `None` if the message was absorbed
-    /// (stale epoch, duplicate, redundant control). Unwinds with a
-    /// [`FaultSignal`] when the message reveals a failure: a peer's death
-    /// or abort announcement, a sequence gap (lost message), or a
-    /// checksum mismatch (corrupted message).
-    fn sieve(&mut self, m: Message) -> Option<(usize, u32, Payload)> {
-        if m.tag == POISON_TAG {
-            panic!(
-                "rank {} panicked; rank {} aborting blocked receive",
-                m.src, self.id
-            );
-        }
-        match m.payload {
-            Payload::Dead { epoch: e } => {
-                if !self.dead[m.src] {
-                    self.dead[m.src] = true;
-                    self.raise_recovery(e.max(self.epoch + 1), FaultCause::PeerDeath);
-                }
-                None
-            }
-            Payload::Abort { epoch: e, dead } => {
-                // Merge the peer's dead-rank view; if it taught us
-                // anything the agreed epoch must move past ours so every
-                // rank rebuilds against the same survivor set.
-                let mut news = false;
-                for d in dead {
-                    if !self.dead[d as usize] {
-                        self.dead[d as usize] = true;
-                        news = true;
-                    }
-                }
-                let target = if news { (self.epoch + 1).max(e) } else { e };
-                if target > self.epoch {
-                    self.raise_recovery(target, FaultCause::PeerAbort);
-                }
-                None
-            }
-            payload => {
-                if m.epoch < self.epoch {
-                    // Pre-recovery traffic still in flight: drop it,
-                    // keeping its buffer.
-                    self.counters.stale_discards += 1;
-                    self.recycle_payload(payload);
-                    return None;
-                }
-                if m.epoch > self.epoch {
-                    // A peer took the planned epoch bump first and its
-                    // rebuild traffic overtook our old epoch's tail.
-                    // Hold the message whole (sequence numbers belong to
-                    // the new epoch's reset streams) until our own
-                    // `advance_epoch` replays it. A *fault* epoch can't
-                    // land here: its abort precedes any data per-channel
-                    // and sweeps us forward on sight.
-                    self.future.push_back(Message {
-                        src: m.src,
-                        tag: m.tag,
-                        epoch: m.epoch,
-                        seq: m.seq,
-                        crc: m.crc,
-                        payload,
-                    });
-                    return None;
-                }
-                let crc_ok = || checksum(&payload) == m.crc;
-                if !self.admit(Via::Channel, m.src, m.tag, m.seq, crc_ok) {
-                    self.recycle_payload(payload);
-                    return None;
-                }
-                Some((m.src, m.tag, payload))
-            }
-        }
-    }
-
-    /// The receive-side stamp check both transports run on every data
-    /// record from `src` on `tag`: a sequence number already seen is a
+    /// The receive-side stamp check every record from window
+    /// `(src, key)` passes: a sequence number already seen is a
     /// duplicate — counted and refused (false); one past the expected
-    /// means a record on the stream was lost in flight, and a checksum
+    /// means a record on the window was lost in flight, and a checksum
     /// mismatch (`crc_ok` false) that the payload was corrupted — both
     /// unwind into recovery.
-    fn admit(
-        &mut self,
-        via: Via,
-        src: usize,
-        tag: u32,
-        seq: u64,
-        crc_ok: impl FnOnce() -> bool,
-    ) -> bool {
-        let key = Self::stream_key(via, src, tag);
-        let want = *self.recv_seq.entry(key).or_insert(0);
+    fn admit(&mut self, src: usize, key: u32, seq: u64, crc_ok: impl FnOnce() -> bool) -> bool {
+        let want = *self.recv_seq.entry((src, key)).or_insert(0);
         if seq < want {
             self.counters.dup_discards += 1;
             return false;
@@ -702,166 +542,85 @@ impl Rank {
         if seq > want {
             self.raise_recovery(self.epoch + 1, FaultCause::Lost);
         }
-        self.recv_seq.insert(key, want + 1);
+        self.recv_seq.insert((src, key), want + 1);
         if !crc_ok() {
             self.raise_recovery(self.epoch + 1, FaultCause::Corrupt);
         }
         true
     }
 
-    fn recv_payload(&mut self, src: usize, tag: u32) -> Payload {
-        self.tick_fault_op();
-        if let Some(q) = self.stash.get_mut(&(src, tag)) {
-            if let Some(p) = q.pop_front() {
-                obs::emit(obs::Event::MsgRecv {
-                    peer: rid(src),
-                    tag,
-                    bytes: p.nbytes(),
-                });
-                return p;
-            }
-        }
-        loop {
-            let m = if let Some(m) = self.replay.pop_front() {
-                m
-            } else {
-                match self.recv_timeout {
-                    None => match self.rx.recv() {
-                        Ok(m) => m,
-                        Err(_) => unreachable!("all senders hung up while receiving"),
-                    },
-                    Some(window) => match self.rx.recv_timeout(window) {
-                        Ok(m) => m,
-                        Err(RecvTimeoutError::Timeout) => {
-                            // Silent loss (or a quiesced network): nothing
-                            // arrived within the detection window. Value-safe
-                            // even if spurious — recovery rolls back to a
-                            // checkpoint either way.
-                            self.raise_recovery(self.epoch + 1, FaultCause::Timeout)
-                        }
-                        Err(RecvTimeoutError::Disconnected) => {
-                            panic!("all senders hung up while receiving")
-                        }
-                    },
-                }
-            };
-            if let Some((s, t, p)) = self.sieve(m) {
-                if s == src && t == tag {
-                    // Receives are sender-priced in the cost model, so
-                    // the event is recorded without advancing the clock.
-                    obs::emit(obs::Event::MsgRecv {
-                        peer: rid(src),
-                        tag,
-                        bytes: p.nbytes(),
-                    });
-                    return p;
-                }
-                self.stash.entry((s, t)).or_default().push_back(p);
+    /// Post `n` to every other rank's inbox.
+    fn notify_peers(&self, n: impl Fn() -> Notice) {
+        for (dst, inbox) in self.inboxes.iter().enumerate() {
+            if dst != self.id {
+                inbox.post(n());
             }
         }
     }
 
-    /// Notify every peer that this rank is going down (called by the SPMD
-    /// driver while unwinding a panic). Best-effort: peers that already
-    /// exited are skipped.
-    pub(crate) fn poison_peers(&mut self) {
-        for dst in 0..self.nranks {
-            if dst != self.id {
-                let _ = self.txs[dst].send(Message {
-                    src: self.id,
-                    tag: POISON_TAG,
-                    epoch: self.epoch,
-                    seq: 0,
-                    crc: 0,
-                    payload: Payload::Poison,
-                });
-            }
-        }
+    /// Notify every peer that this rank is going down (called by
+    /// `run_spmd` while unwinding a panic), so a peer blocked in a wait
+    /// aborts instead of wedging.
+    pub(crate) fn poison_peers(&self) {
+        self.notify_peers(|| Notice::Poison { src: self.id });
     }
 
     /// Announce this rank's (fault-injected) death to every peer. Called
     /// by a recovery-aware driver when the body unwinds with
     /// [`FaultSignal::Killed`]; survivors recover into `epoch() + 1`.
-    /// Un-sequenced control traffic: the wire-level death notice of the
-    /// machine, not a message the dead program "sends".
+    /// Uncharged: the machine's death notice, not a record the dead
+    /// program sends.
     pub fn announce_death(&mut self) {
         self.dead[self.id] = true;
-        let e = self.epoch + 1;
-        for dst in 0..self.nranks {
-            if dst != self.id {
-                let _ = self.txs[dst].send(Message {
-                    src: self.id,
-                    tag: 0,
-                    epoch: e,
-                    seq: 0,
-                    crc: 0,
-                    payload: Payload::Dead { epoch: e },
-                });
-            }
-        }
+        let epoch = self.epoch + 1;
+        self.notify_peers(|| Notice::Dead {
+            src: self.id,
+            epoch,
+        });
     }
 
-    /// Enter recovery epoch `epoch`: discard all buffered pre-recovery
-    /// traffic (recycling its storage), reset every stream's sequence
-    /// numbers and the collective counter, and broadcast an `Abort` so peers still computing join the epoch
-    /// instead of timing out one by one. The caller then rebuilds
-    /// schedules and restores state collectively.
+    /// Enter recovery epoch `epoch`: reset every window's sequence
+    /// numbers and the collective counter (the epoch's control windows
+    /// and shifted schedule tags are fresh windows; the old epoch's are
+    /// abandoned unread), and post an `Abort` so peers still computing
+    /// join the epoch instead of timing out one by one. The caller then
+    /// rebuilds schedules and restores state collectively.
     pub fn begin_recovery(&mut self, epoch: u32) {
         assert!(
             epoch > self.epoch,
             "recovery epoch must advance: {} -> {epoch}",
             self.epoch
         );
-        // Held planned-migration traffic is at most one epoch ahead of
-        // the old epoch; a fault at or past that boundary dooms it (its
-        // sender gets swept into the fault epoch and resends), so it is
-        // discarded like the stash.
-        let future = std::mem::take(&mut self.future);
-        for m in future {
-            self.recycle_payload(m.payload);
-        }
-        let replay = std::mem::take(&mut self.replay);
-        for m in replay {
-            self.recycle_payload(m.payload);
-        }
         self.epoch = epoch;
         self.counters.recoveries += 1;
         self.reset_streams();
         let dead = self.dead_ranks();
-        for dst in 0..self.nranks {
-            if dst != self.id {
-                let abort = Payload::Abort {
-                    epoch,
-                    dead: dead.clone(),
-                };
-                self.counters
-                    .record_send(CommClass::Recovery, abort.nbytes());
-                self.counters.record_hops(self.hops_to(dst));
-                obs::emit(obs::Event::MsgSend {
-                    peer: rid(dst),
-                    tag: 0,
-                    bytes: abort.nbytes(),
-                });
-                obs::advance_ns(self.cost.send_ns(abort.nbytes(), self.hops_to(dst)));
-                let _ = self.txs[dst].send(Message {
-                    src: self.id,
-                    tag: 0,
-                    epoch,
-                    seq: 0,
-                    crc: 0,
-                    payload: abort,
-                });
-            }
+        // Wire size: the epoch word and one word per dead rank.
+        let bytes = 4 + 4 * dead.len() as u64;
+        let me = self.id;
+        for dst in (0..self.nranks).filter(|&d| d != me) {
+            let hops = self.hops_to(dst);
+            self.counters.record_send(CommClass::Recovery, bytes);
+            self.counters.record_hops(hops);
+            obs::emit(obs::Event::MsgSend {
+                peer: rid(dst),
+                tag: 0,
+                bytes,
+            });
+            obs::advance_ns(self.cost.send_ns(bytes, hops));
+            self.inboxes[dst].post(Notice::Abort {
+                epoch,
+                dead: dead.clone(),
+            });
         }
     }
 
     /// Silently advance to `epoch` — the planned-migration variant of
     /// [`Rank::begin_recovery`]. Every rank reaches the same committed
     /// boundary by construction and bumps independently, so there is no
-    /// `Abort` broadcast (nobody needs sweeping), no recovery count, and
-    /// no rollback. Messages a faster peer already sent from the new
-    /// epoch were held by the sieve; they are re-queued here for the new
-    /// epoch's receives.
+    /// `Abort` (nobody needs sweeping), no recovery count, and no
+    /// rollback. A faster peer's new-epoch records wait in the new
+    /// epoch's windows until this rank gets there.
     pub fn advance_epoch(&mut self, epoch: u32) {
         assert!(
             epoch > self.epoch,
@@ -870,54 +629,30 @@ impl Rank {
         );
         self.epoch = epoch;
         self.reset_streams();
-        let future = std::mem::take(&mut self.future);
-        for m in future {
-            assert!(
-                m.epoch == epoch,
-                "held message from epoch {} replayed into epoch {epoch}",
-                m.epoch
-            );
-            self.replay.push_back(m);
-        }
     }
 
-    /// Shared epoch-entry reset: discard all buffered old-epoch traffic
-    /// (recycling its storage) and reset every stream's sequence numbers
-    /// and the collective counter.
+    /// Shared epoch-entry reset: every window's sequence numbers and the
+    /// collective counter start over.
     fn reset_streams(&mut self) {
-        let stash = std::mem::take(&mut self.stash);
-        for (_, q) in stash {
-            for p in q {
-                self.recycle_payload(p);
-            }
-        }
         self.send_seq.clear();
         self.recv_seq.clear();
         self.collective_seq = 0;
     }
 
     /// Build a fresh [`Rank`] handle that takes over dead rank `vid`'s
-    /// mailbox (receivers are cloneable, so the channel survives its
-    /// thread). The instance starts in the current epoch with the current
-    /// dead-rank view and a fault state that treats everything targeting
-    /// `vid` as already consumed — those events happened to the node that
-    /// died, not to its replacement. Pool, tag reservations, and stream
-    /// counters start empty; the hosting node re-runs schedule
-    /// construction for it. Hop accounting keeps `vid`'s mesh position
-    /// (the adopted partition's traffic pattern, not the host's), and the
-    /// replica's records ride the host's window registry.
+    /// windows and inbox. The instance starts in the current epoch with
+    /// the current dead-rank view and a fault state that treats
+    /// everything targeting `vid` as already consumed — those events
+    /// happened to the node that died, not to its replacement. Tag
+    /// reservations and window counters start empty; the hosting node
+    /// re-runs schedule construction for it. Hop accounting keeps
+    /// `vid`'s mesh position (the adopted partition's traffic pattern,
+    /// not the host's), and the replica's records ride the host's window
+    /// registry.
     pub fn adopt(&self, vid: usize) -> Rank {
         assert!(self.dead[vid], "adopting a live rank");
         assert_ne!(vid, self.id, "a rank cannot adopt itself");
-        let mut r = Rank::new(
-            vid,
-            self.nranks,
-            self.rxs_all[vid].clone(),
-            self.txs.clone(),
-            self.barrier.clone(),
-            self.rxs_all.clone(),
-            self.windows.clone(),
-        );
+        let mut r = Rank::new(vid, self.nranks, self.windows.clone(), self.inboxes.clone());
         r.epoch = self.epoch;
         r.dead = self.dead.clone();
         r.recv_timeout = self.recv_timeout;
@@ -929,62 +664,60 @@ impl Rank {
         r
     }
 
-    /// Blocking receive of a float buffer from `src` under `tag`.
-    pub fn recv_f64(&mut self, src: usize, tag: u32) -> Vec<f64> {
-        self.recv_payload(src, tag).into_f64()
-    }
-
-    /// Blocking receive of an index buffer from `src` under `tag`.
-    pub fn recv_u32(&mut self, src: usize, tag: u32) -> Vec<u32> {
-        self.recv_payload(src, tag).into_u32()
-    }
-
-    /// Synchronize all ranks.
-    pub fn barrier(&mut self) {
-        self.counters.syncs += 1;
-        self.barrier.wait();
-    }
-
     fn next_collective_tag(&mut self) -> u32 {
-        // Wraps within the reserved space (modulo keeps the tag strictly
-        // below POISON_TAG); fine because tags are consumed in program
-        // order on every rank (deterministic network).
+        // Wraps within the reserved space; fine because tags are
+        // consumed in program order on every rank (deterministic
+        // network).
         let t = COLLECTIVE_TAG_BASE + (self.collective_seq % 0x0FFF_FFFF);
         self.collective_seq = self.collective_seq.wrapping_add(1);
         t
     }
 
-    /// Pack `vals` into a pooled buffer and send it as collective traffic.
-    fn send_collective(&mut self, dst: usize, tag: u32, vals: &[f64]) {
-        let mut buf = self.take_f64(vals.len());
-        buf.extend_from_slice(vals);
-        self.send_payload(dst, tag, Payload::F64(buf), CommClass::Collective);
+    /// Publish `vals` to `dst` as one collective record on the control
+    /// window.
+    fn post_values(&mut self, dst: usize, tag: u32, vals: &[f64]) {
+        let key = self.control_key();
+        self.publish_words(dst, key, tag, CommClass::Collective, 8, vals.len(), |b| {
+            b.extend_from_slice(vals)
+        });
+    }
+
+    /// Read the next collective record from `src` off the control window.
+    fn take_values<R>(&mut self, src: usize, tag: u32, read: impl FnOnce(&[f64]) -> R) -> R {
+        let key = self.control_key();
+        self.consume_words(src, key, tag, 8, read)
+    }
+
+    /// Deterministic element-wise reduction across ranks, in place: fan
+    /// in to rank 0, which folds the parts in rank order with `combine`,
+    /// then fan the result out. Rank 0 consumes all n−1 parts before it
+    /// publishes any result (see [`crate::shm`]).
+    fn reduce_in_place(&mut self, vals: &mut [f64], what: &str, combine: fn(f64, f64) -> f64) {
+        let tag = self.next_collective_tag();
+        if self.id == 0 {
+            for src in 1..self.nranks {
+                self.take_values(src, tag, |part| {
+                    assert_eq!(part.len(), vals.len(), "{what} length mismatch");
+                    for (a, &p) in vals.iter_mut().zip(part) {
+                        *a = combine(*a, p);
+                    }
+                });
+            }
+            for dst in 1..self.nranks {
+                self.post_values(dst, tag, vals);
+            }
+        } else {
+            self.post_values(0, tag, vals);
+            self.take_values(0, tag, |acc| vals.copy_from_slice(acc));
+        }
     }
 
     /// Deterministic element-wise sum across ranks, in place: gather to
     /// rank 0 in rank order, reduce there, broadcast back. Mirrors the
     /// paper's residual-monitoring global sums. Allocation-free once the
-    /// rank's buffer pool is warm.
+    /// control windows' records are warm.
     pub fn all_reduce_sum_in_place(&mut self, vals: &mut [f64]) {
-        let tag = self.next_collective_tag();
-        if self.id == 0 {
-            for src in 1..self.nranks {
-                let part = self.recv_payload(src, tag).into_f64();
-                assert_eq!(part.len(), vals.len(), "all_reduce length mismatch");
-                for (a, p) in vals.iter_mut().zip(&part) {
-                    *a += p;
-                }
-                self.recycle_f64(part);
-            }
-            for dst in 1..self.nranks {
-                self.send_collective(dst, tag, vals);
-            }
-        } else {
-            self.send_collective(0, tag, vals);
-            let acc = self.recv_payload(0, tag).into_f64();
-            vals.copy_from_slice(&acc);
-            self.recycle_f64(acc);
-        }
+        self.reduce_in_place(vals, "all_reduce", |a, p| a + p);
     }
 
     /// Allocating convenience wrapper over [`Rank::all_reduce_sum_in_place`].
@@ -994,21 +727,31 @@ impl Rank {
         out
     }
 
+    /// Deterministic element-wise max across ranks, in place (same
+    /// pattern as [`Rank::all_reduce_sum_in_place`]).
+    pub fn all_reduce_max_in_place(&mut self, vals: &mut [f64]) {
+        self.reduce_in_place(vals, "all_reduce_max", f64::max);
+    }
+
+    /// Allocating convenience wrapper over [`Rank::all_reduce_max_in_place`].
+    pub fn all_reduce_max(&mut self, vals: &[f64]) -> Vec<f64> {
+        let mut out = vals.to_vec();
+        self.all_reduce_max_in_place(&mut out);
+        out
+    }
+
     /// Broadcast from `root` into `vals` on every rank, in place.
-    /// Allocation-free once the rank's buffer pool is warm.
     pub fn broadcast_in_place(&mut self, root: usize, vals: &mut [f64]) {
         let tag = self.next_collective_tag();
         if self.id == root {
-            for dst in 0..self.nranks {
-                if dst != root {
-                    self.send_collective(dst, tag, vals);
-                }
+            for dst in (0..self.nranks).filter(|&d| d != root) {
+                self.post_values(dst, tag, vals);
             }
         } else {
-            let got = self.recv_payload(root, tag).into_f64();
-            assert_eq!(got.len(), vals.len(), "broadcast length mismatch");
-            vals.copy_from_slice(&got);
-            self.recycle_f64(got);
+            self.take_values(root, tag, |got| {
+                assert_eq!(got.len(), vals.len(), "broadcast length mismatch");
+                vals.copy_from_slice(got);
+            });
         }
     }
 
@@ -1021,7 +764,6 @@ impl Rank {
 
     /// Gather every rank's buffer to `root`, concatenated in rank order
     /// into `out` (cleared first; non-root ranks get it back empty).
-    /// Allocation-free once pools and `out`'s capacity are warm.
     pub fn gather_to_root_into(&mut self, root: usize, vals: &[f64], out: &mut Vec<f64>) {
         let tag = self.next_collective_tag();
         out.clear();
@@ -1030,13 +772,11 @@ impl Rank {
                 if src == root {
                     out.extend_from_slice(vals);
                 } else {
-                    let part = self.recv_payload(src, tag).into_f64();
-                    out.extend_from_slice(&part);
-                    self.recycle_f64(part);
+                    self.take_values(src, tag, |part| out.extend_from_slice(part));
                 }
             }
         } else {
-            self.send_collective(root, tag, vals);
+            self.post_values(root, tag, vals);
         }
     }
 
@@ -1047,35 +787,40 @@ impl Rank {
         out
     }
 
-    /// Deterministic element-wise max across ranks, in place (same
-    /// pattern as [`Rank::all_reduce_sum_in_place`]).
-    pub fn all_reduce_max_in_place(&mut self, vals: &mut [f64]) {
-        let tag = self.next_collective_tag();
-        if self.id == 0 {
-            for src in 1..self.nranks {
-                let part = self.recv_payload(src, tag).into_f64();
-                assert_eq!(part.len(), vals.len(), "all_reduce_max length mismatch");
-                for (a, p) in vals.iter_mut().zip(&part) {
-                    *a = a.max(*p);
-                }
-                self.recycle_f64(part);
+    /// Personalised all-to-all of index lists — the inspector's request
+    /// exchange: publish `lists[p]` to every peer `p` (empty lists too),
+    /// then hand each peer's list for this rank to `read`, in rank
+    /// order. Each list is one record on the control window, charged as
+    /// `class` traffic of 4 bytes per index under the schedule's `tag`.
+    pub fn all_to_all_u32(
+        &mut self,
+        tag: u32,
+        class: CommClass,
+        lists: &[Vec<u32>],
+        mut read: impl FnMut(usize, &[u32]),
+    ) {
+        assert!(
+            tag < COLLECTIVE_TAG_BASE,
+            "tag collides with collective space"
+        );
+        assert_eq!(lists.len(), self.nranks, "one list per rank");
+        let key = self.control_key();
+        for (peer, list) in lists.iter().enumerate() {
+            if peer != self.id {
+                self.publish_words(peer, key, tag, class, 4, list.len(), |b| {
+                    b.extend(list.iter().map(|&g| f64::from(g)))
+                });
             }
-            for dst in 1..self.nranks {
-                self.send_collective(dst, tag, vals);
-            }
-        } else {
-            self.send_collective(0, tag, vals);
-            let acc = self.recv_payload(0, tag).into_f64();
-            vals.copy_from_slice(&acc);
-            self.recycle_f64(acc);
         }
-    }
-
-    /// Allocating convenience wrapper over [`Rank::all_reduce_max_in_place`].
-    pub fn all_reduce_max(&mut self, vals: &[f64]) -> Vec<f64> {
-        let mut out = vals.to_vec();
-        self.all_reduce_max_in_place(&mut out);
-        out
+        let mut got = Vec::new();
+        let me = self.id;
+        for peer in (0..self.nranks).filter(|&p| p != me) {
+            self.consume_words(peer, key, tag, 4, |rec| {
+                got.clear();
+                got.extend(rec.iter().map(|&g| g as u32));
+            });
+            read(peer, &got);
+        }
     }
 }
 

@@ -1,8 +1,7 @@
-//! Shared-memory record windows: the one transport of every record
-//! stream.
+//! Shared-memory record windows: the machine's one transport.
 //!
 //! A [`Window`] is one directed, single-producer single-consumer stream
-//! `(src, dst, tag)`: the writer packs its record straight into the
+//! `(src, dst, key)`: the writer packs its record straight into the
 //! window's buffer and *publishes* it by bumping an epoch counter; the
 //! reader *consumes* it in place (no intermediate message copy) and
 //! bumps its own counter to hand the buffer back. The two monotonic
@@ -22,34 +21,36 @@
 //!
 //! Deadlock freedom: every rank executes the *same* global sequence of
 //! exchanges (SPMD), and within each exchange publishes all its records
-//! before consuming any. A checkpoint is two such exchanges: the other
-//! ranks publish their shares and then root consumes them; root
-//! publishes the snapshot and then the others consume it. A publish can
-//! only block on a peer that has not yet finished the *previous*
-//! exchange on that stream, and a consume only on a peer that has not
-//! yet reached the *current* one — so every wait points at a peer
-//! strictly earlier in the program, and the least-progressed rank is
-//! always runnable.
+//! before consuming any. A checkpoint or a collective is two such
+//! exchanges: the members publish their parts and then the root
+//! consumes them all (fan-in); the root publishes the result to all and
+//! then the members consume it (fan-out). A publish can only block on a
+//! peer that has not yet finished the *previous* exchange on that
+//! window, and a consume only on a peer that has not yet reached the
+//! *current* one — so every wait points at a peer strictly earlier in
+//! the program, and the least-progressed rank is always runnable
+//! (`tests/shm_model.rs` checks both shapes exhaustively).
 //!
-//! One [`WindowRegistry`] per machine carries every schedule record
-//! stream — halo exchanges, inter-grid transfers, the set-up degree
-//! scatter and checkpoint shipping, all through
-//! [`crate::Rank::publish_f64`] / [`crate::Rank::consume_f64`] — on every
-//! run, under a fault plan too. Each [`Record`] carries the stamp a
-//! channel message carries, `{seq, crc}`, ahead of its payload, and the
-//! rank runs the same fault and stamp code on it that it runs on a
-//! message: the plan may drop, duplicate, corrupt or delay a record at
-//! publish, and the consumer checks sequence and checksum as the channel
-//! sieve does. No epoch stamp is needed: a recovery or a migration
-//! shifts every schedule tag, so the new epoch's streams open fresh
-//! windows and the old ones are simply abandoned. A duplicate adds no
-//! wait: the consumer sieves the one record twice. A wait listens to the
-//! rank's mailbox (the `poll` hook of [`Window::wait_free`] /
-//! [`Window::wait_ready`]), so a peer's death or abort notice unwinds a
-//! blocked rank into recovery, as it would a blocked receive; a dropped
-//! record is caught by the plan's bounded timeout. The inspector's index
-//! messages, collectives, replica hand-offs and control notices stay on
-//! the channels.
+//! One [`WindowRegistry`] per machine carries every record of every run,
+//! under a fault plan too. Schedule streams — halo exchanges, inter-grid
+//! transfers, the set-up degree scatter, checkpoint shipping and the
+//! replica hand-off — each have a window keyed by their tag
+//! ([`crate::Rank::publish_f64`] / [`crate::Rank::consume_f64`]). Control
+//! traffic — collectives and the inspector's request lists — shares one
+//! window per directed pair and epoch, keyed
+//! [`crate::COLLECTIVE_TAG_BASE`] + epoch. Each [`Record`] carries a
+//! stamp, `{seq, crc}`, ahead of its payload, numbered per window; the
+//! fault plan may drop, duplicate, corrupt or delay a record at publish,
+//! and the consumer checks sequence and checksum. No epoch stamp is
+//! needed: a recovery or a migration shifts every schedule tag and moves
+//! the control key, so the new epoch's traffic opens fresh windows, the
+//! old ones are simply abandoned, and a faster peer's next-epoch records
+//! wait in their own windows. A duplicate adds no wait: the consumer
+//! sieves the one record twice. A wait polls the rank's inbox of
+//! failure notices (the `poll` hook of [`Window::wait_free`] /
+//! [`Window::wait_ready`]), so a peer's death, abort or panic unwinds a
+//! blocked rank; a dropped record is caught by the plan's bounded
+//! timeout.
 
 use std::cell::UnsafeCell;
 use std::collections::HashMap;
@@ -77,12 +78,11 @@ pub struct Wedge {
     pub timeout_ms: u64,
 }
 
-/// One window record: the stamp a channel message carries — its
-/// position on the stream and the checksum of its payload — ahead of
-/// the payload itself.
+/// One window record: its stamp — its position on the window and the
+/// checksum of its payload — ahead of the payload itself.
 #[derive(Debug, Default)]
 pub struct Record {
-    /// Position on the directed stream within the current epoch.
+    /// Position on the window within the current epoch.
     pub seq: u64,
     /// Checksum of `data` as packed.
     pub crc: u64,

@@ -1,11 +1,19 @@
 //! Property tests of the simulated machine: determinism, FIFO matching,
-//! and collective correctness over randomized traffic.
+//! exact byte accounting and collective correctness over randomized
+//! traffic on the windows.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use proptest::prelude::*;
 
-use eul3d_delta::{run_spmd, CommBuffers, CommClass};
+use eul3d_delta::{run_spmd, CommClass, Rank};
+
+/// Publish `vals` to `dst` as one halo record on stream `tag`.
+fn send(r: &mut Rank, dst: usize, tag: u32, vals: &[f64]) {
+    r.publish_f64(dst, tag, CommClass::Halo, vals.len(), |b| {
+        b.extend_from_slice(vals)
+    });
+}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 10, .. ProptestConfig::default() })]
@@ -38,24 +46,33 @@ proptest! {
         prop_assert_eq!(&run1.results, &run2.results);
     }
 
-    /// Messages with the same (src, tag) are received in send order
-    /// (FIFO), regardless of interleaving with other tags.
+    /// Records on the same (src, tag) stream are consumed in publish
+    /// order (FIFO), regardless of interleaving with another stream —
+    /// whose records the consumer reads later than they were published.
     #[test]
     fn same_tag_messages_are_fifo(count in 1usize..20, noise_tag in 2u32..50) {
         let run = run_spmd(2, move |r| {
             if r.id == 0 {
                 for k in 0..count {
                     if k % 3 == 0 {
-                        r.send_f64(1, noise_tag, vec![-1.0], CommClass::Halo);
+                        send(r, 1, noise_tag, &[-1.0]);
                     }
-                    r.send_f64(1, 1, vec![k as f64], CommClass::Halo);
+                    send(r, 1, 1, &[k as f64]);
                 }
                 Vec::new()
             } else {
-                (0..count).map(|_| r.recv_f64(0, 1)[0]).collect::<Vec<f64>>()
+                let mut got = Vec::new();
+                for k in 0..count {
+                    got.push(r.consume_f64(0, 1, |v| v[0]));
+                    if k % 3 == 0 {
+                        assert_eq!(r.consume_f64(0, noise_tag, |v| v[0]), -1.0);
+                    }
+                }
+                got
             }
         });
         let got = &run.results[1];
+        prop_assert_eq!(got.len(), count);
         for (k, &v) in got.iter().enumerate() {
             prop_assert_eq!(v, k as f64, "FIFO violated at position {}", k);
         }
@@ -69,11 +86,11 @@ proptest! {
         let run = run_spmd(2, move |r| {
             if r.id == 0 {
                 for (k, &l) in lens2.iter().enumerate() {
-                    r.send_f64(1, k as u32 + 1, vec![0.0; l], CommClass::Halo);
+                    send(r, 1, k as u32 + 1, &vec![0.0; l]);
                 }
             } else {
                 for k in 0..lens2.len() {
-                    r.recv_f64(0, k as u32 + 1);
+                    r.consume_f64(0, k as u32 + 1, |_| ());
                 }
             }
         });
@@ -82,59 +99,33 @@ proptest! {
         prop_assert_eq!(run.counters[1].total_messages(), 0);
     }
 
-    /// The buffer pool against a reference best-fit model, over random
-    /// take/recycle traffic: a take returns the smallest adequate pooled
-    /// buffer (never undersized, never a looser fit than the model's),
-    /// fresh-allocation byte accounting matches the model exactly, and
-    /// no buffer is ever lost — after returning everything, the pool
-    /// holds precisely one buffer per fresh allocation it ever made.
+    /// Index lists are charged 4 bytes an index, empty lists included
+    /// as messages, on the sender's inspector class.
     #[test]
-    fn comm_buffers_match_best_fit_reference_model(
-        ops in proptest::collection::vec((0u8..4, 1usize..64), 1..200),
+    fn all_to_all_byte_accounting_is_exact(
+        lens in proptest::collection::vec(0usize..50, 3..4),
     ) {
-        let mut pool = CommBuffers::new();
-        let mut model: Vec<usize> = Vec::new(); // pooled capacities
-        let mut held: Vec<Vec<f64>> = Vec::new();
-        let mut created = 0usize;
-        for &(op, size) in &ops {
-            if op < 3 {
-                // take (biased 3:1 so pools see pressure)
-                let pick = model
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &c)| c >= size)
-                    .min_by_key(|&(_, &c)| c)
-                    .map(|(k, _)| k);
-                let (buf, fresh) = pool.take_f64(size);
-                prop_assert!(buf.is_empty(), "taken buffer must be empty");
-                prop_assert!(buf.capacity() >= size, "undersized buffer handed out");
-                match pick {
-                    Some(k) => {
-                        let cap = model.swap_remove(k);
-                        prop_assert_eq!(fresh, 0, "pool hit must not allocate");
-                        prop_assert_eq!(
-                            buf.capacity(),
-                            cap,
-                            "best fit must hand out the smallest adequate capacity"
-                        );
-                    }
-                    None => {
-                        prop_assert_eq!(fresh, size as u64 * 8, "fresh bytes mis-accounted");
-                        created += 1;
-                    }
-                }
-                held.push(buf);
-            } else if !held.is_empty() {
-                let b = held.swap_remove(size % held.len());
-                model.push(b.capacity());
-                pool.recycle_f64(b);
-            }
-            prop_assert_eq!(pool.pooled(), model.len());
+        let lens2 = lens.clone();
+        let run = run_spmd(3, move |r| {
+            let lists: Vec<Vec<u32>> = (0..3)
+                .map(|q| vec![r.id as u32; lens2[(r.id + q) % 3]])
+                .collect();
+            let mut heard = 0;
+            r.all_to_all_u32(1, CommClass::Inspector, &lists, |_, req| heard += req.len());
+            heard
+        });
+        for (p, c) in run.counters.iter().enumerate() {
+            let idx: usize = (0..3).filter(|&q| q != p).map(|q| lens[(p + q) % 3]).sum();
+            let sent = c.sent[CommClass::Inspector as usize];
+            prop_assert_eq!(sent.messages, 2);
+            prop_assert_eq!(sent.bytes, 4 * idx as u64);
+            prop_assert_eq!(c.total_messages(), 2);
         }
-        for b in held {
-            pool.recycle_f64(b);
-        }
-        prop_assert_eq!(pool.pooled(), created, "buffers were lost or duplicated");
+        let heard: usize = run.results.iter().sum();
+        let sent: usize = (0..3)
+            .map(|p| (0..3).filter(|&q| q != p).map(|q| lens[(p + q) % 3]).sum::<usize>())
+            .sum();
+        prop_assert_eq!(heard, sent);
     }
 
     /// Broadcast delivers the root's payload to everyone for any root.

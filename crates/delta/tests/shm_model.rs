@@ -33,7 +33,13 @@
 //! A second model checks the exchange-ordering deadlock-freedom claim
 //! from the module docs: publish-all-sends-then-consume is deadlock
 //! free, while consume-first on both sides deadlocks — and the checker
-//! must find that deadlock.
+//! must find that deadlock. A third checks the collective shape: a root
+//! that consumes every member's part and then publishes the result to
+//! every member, back to back over capacity-1 windows, is deadlock free
+//! and never hands out a partial result; a member that dies anywhere
+//! releases every waiter through its notice. A root that publishes
+//! before it consumes, and a root whose wait ignores its inbox, must
+//! each be caught.
 //!
 //! This complements the TSan job and the in-crate stress tests: those
 //! sample real schedules under the real memory model; this enumerates
@@ -494,4 +500,238 @@ fn publish_before_consume_ordering_is_deadlock_free() {
 fn consume_first_on_both_ranks_deadlocks_and_the_checker_finds_it() {
     let v = explore_exchange([true, true]).expect_err("both-consume-first must deadlock");
     assert!(v.contains("deadlock"), "{v}");
+}
+
+// ---------------------------------------------------------------------
+// Collective model: a root (rank 0) and MEMBERS members run COLLECTIVES
+// fan-in / fan-out reductions back to back, over one capacity-1 window
+// per directed pair, as `Rank::reduce_in_place` does on the control
+// windows. Each op is atomic here (the single-window model covers
+// intra-op interleaving). A record carries the collective it belongs
+// to, and a result record whether the root had folded every part into
+// it when it was published.
+// ---------------------------------------------------------------------
+
+const MEMBERS: usize = 2;
+const COLLECTIVES: u8 = 2;
+
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Collective {
+    /// The shipped shape: the root consumes all parts, then publishes.
+    Correct,
+    /// BUG MODEL: the root publishes the result before it consumes.
+    PublishFirst,
+    /// The shipped shape, with members that may die before any op.
+    DyingMember,
+    /// BUG MODEL: dying members, and a root whose wait never looks at
+    /// its inbox.
+    DyingMemberDeafRoot,
+}
+
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct CollState {
+    /// Per rank (0 = root): next op within the current collective, and
+    /// collectives finished.
+    pc: [u8; MEMBERS + 1],
+    done: [u8; MEMBERS + 1],
+    /// Member m's part on its way up: 0 = window free, else 1 + the
+    /// collective it belongs to.
+    up: [u8; MEMBERS],
+    /// The root's result on its way down to member m, likewise.
+    down: [u8; MEMBERS],
+    /// The result in `down[m]` had every part folded in.
+    down_complete: [bool; MEMBERS],
+    /// Parts the root has folded into its current collective.
+    parts: u8,
+    dead: [bool; MEMBERS + 1],
+    /// A death or abort notice sits in the rank's inbox.
+    notice: [bool; MEMBERS + 1],
+    aborted: [bool; MEMBERS + 1],
+}
+
+/// The next op of rank `r` in its current collective: (is_publish,
+/// member whose window it touches).
+fn collective_op(s: &CollState, r: usize, variant: Collective) -> (bool, usize) {
+    let pc = s.pc[r] as usize;
+    if r > 0 {
+        return (pc == 0, r - 1);
+    }
+    let publish_first = variant == Collective::PublishFirst;
+    if pc < MEMBERS {
+        (publish_first, pc)
+    } else {
+        (!publish_first, pc - MEMBERS)
+    }
+}
+
+fn finished(s: &CollState, r: usize) -> bool {
+    s.done[r] == COLLECTIVES || s.dead[r] || s.aborted[r]
+}
+
+/// Post a notice to every rank still running but `from`.
+fn notify(n: &mut CollState, from: usize) {
+    for r in 0..=MEMBERS {
+        if r != from && !n.dead[r] {
+            n.notice[r] = true;
+        }
+    }
+}
+
+fn collective_successors(s: &CollState, variant: Collective) -> Result<Vec<CollState>, String> {
+    let mut out = Vec::new();
+    for r in 0..=MEMBERS {
+        if finished(s, r) {
+            continue;
+        }
+        let dying = matches!(
+            variant,
+            Collective::DyingMember | Collective::DyingMemberDeafRoot
+        );
+        if dying && r > 0 {
+            let mut n = *s;
+            n.dead[r] = true;
+            notify(&mut n, r);
+            out.push(n);
+        }
+        let (is_publish, m) = collective_op(s, r, variant);
+        let coll = s.done[r] + 1;
+        let enabled = match (r, is_publish) {
+            (0, true) => s.down[m] == 0,
+            (0, false) => s.up[m] != 0,
+            (_, true) => s.up[m] == 0,
+            (_, false) => s.down[m] != 0,
+        };
+        if !enabled {
+            // A blocked wait polls its inbox: a notice unwinds it.
+            let deaf = variant == Collective::DyingMemberDeafRoot && r == 0;
+            if s.notice[r] && !deaf {
+                let mut n = *s;
+                n.aborted[r] = true;
+                notify(&mut n, r);
+                out.push(n);
+            }
+            continue;
+        }
+        let mut n = *s;
+        match (r, is_publish) {
+            (0, true) => {
+                n.down[m] = coll;
+                n.down_complete[m] = s.parts as usize == MEMBERS;
+            }
+            (0, false) => {
+                if s.up[m] != coll {
+                    return Err(format!(
+                        "crossed collectives: root in {coll} read member {m}'s part of {}",
+                        s.up[m]
+                    ));
+                }
+                n.up[m] = 0;
+                n.parts += 1;
+            }
+            (_, true) => n.up[m] = coll,
+            (_, false) => {
+                if s.down[m] != coll {
+                    return Err(format!(
+                        "crossed collectives: member {m} in {coll} read the result of {}",
+                        s.down[m]
+                    ));
+                }
+                if !s.down_complete[m] {
+                    return Err(format!(
+                        "incomplete reduction: member {m} read collective {coll}'s result \
+                         before the root had folded every part"
+                    ));
+                }
+                n.down[m] = 0;
+            }
+        }
+        n.pc[r] += 1;
+        let ops = if r == 0 { 2 * MEMBERS } else { 2 };
+        if n.pc[r] as usize == ops {
+            n.pc[r] = 0;
+            n.done[r] += 1;
+            if r == 0 {
+                n.parts = 0;
+            }
+        }
+        out.push(n);
+    }
+    Ok(out)
+}
+
+/// Exhaustively explore the collective model; returns the first
+/// violation found, or (states, terminals) on success.
+fn explore_collective(variant: Collective) -> Result<(usize, usize), String> {
+    let initial = CollState {
+        pc: [0; MEMBERS + 1],
+        done: [0; MEMBERS + 1],
+        up: [0; MEMBERS],
+        down: [0; MEMBERS],
+        down_complete: [false; MEMBERS],
+        parts: 0,
+        dead: [false; MEMBERS + 1],
+        notice: [false; MEMBERS + 1],
+        aborted: [false; MEMBERS + 1],
+    };
+    let mut visited: HashSet<CollState> = HashSet::new();
+    let mut stack = vec![initial];
+    let mut terminals = 0usize;
+    while let Some(s) = stack.pop() {
+        if !visited.insert(s) {
+            continue;
+        }
+        if (0..=MEMBERS).all(|r| finished(&s, r)) {
+            let deaths = s.dead.iter().any(|&d| d);
+            if !deaths && (0..=MEMBERS).any(|r| s.done[r] != COLLECTIVES) {
+                return Err("a rank stopped short with nobody dead".to_string());
+            }
+            terminals += 1;
+            continue;
+        }
+        let next = collective_successors(&s, variant)?;
+        if next.is_empty() {
+            return Err(format!(
+                "deadlock: pc={:?} done={:?} up={:?} down={:?} dead={:?} aborted={:?}",
+                s.pc, s.done, s.up, s.down, s.dead, s.aborted
+            ));
+        }
+        stack.extend(next);
+    }
+    Ok((visited.len(), terminals))
+}
+
+#[test]
+fn shm_collective_fan_in_fan_out_is_deadlock_free_and_complete() {
+    let (states, terminals) = explore_collective(Collective::Correct)
+        .unwrap_or_else(|v| panic!("collective violation found by model checker: {v}"));
+    // One straight-line run of two collectives is 2 * (2 * MEMBERS + 2
+    // * MEMBERS) + 1 = 17 states; interleavings must add more.
+    assert!(states > 17, "no concurrency explored: {states} states");
+    assert_eq!(terminals, 1, "all interleavings converge to one terminal");
+}
+
+#[test]
+fn shm_checker_catches_a_root_that_publishes_before_it_consumes() {
+    let v = explore_collective(Collective::PublishFirst)
+        .expect_err("a result published before the fan-in must be caught");
+    assert!(
+        v.contains("incomplete reduction"),
+        "wrong violation class: {v}"
+    );
+}
+
+#[test]
+fn shm_a_dead_member_releases_every_collective_waiter() {
+    let (states, terminals) = explore_collective(Collective::DyingMember)
+        .unwrap_or_else(|v| panic!("dying-member violation found by model checker: {v}"));
+    assert!(terminals > 1, "no death explored: {terminals} terminals");
+    let (plain, _) = explore_collective(Collective::Correct).expect("shipped shape");
+    assert!(states > plain, "deaths add states: {states} vs {plain}");
+}
+
+#[test]
+fn shm_checker_catches_a_root_deaf_to_a_dead_member() {
+    let v = explore_collective(Collective::DyingMemberDeafRoot)
+        .expect_err("a root that ignores its inbox must wedge on a dead member");
+    assert!(v.contains("deadlock"), "wrong violation class: {v}");
 }

@@ -40,8 +40,8 @@ pub enum Event {
         /// Payload wire bytes.
         bytes: u64,
     },
-    /// Communication storage was allocated fresh: a buffer-pool miss, or
-    /// a window record that grew.
+    /// Communication storage was allocated fresh: a window record or a
+    /// staging buffer that grew.
     PoolAlloc {
         /// Freshly allocated bytes.
         bytes: u64,

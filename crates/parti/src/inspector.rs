@@ -59,19 +59,8 @@ pub fn localize(
     // list to every peer, so peers know what to export. Empty lists are
     // sent too — the inspector is a synchronizing all-to-all, exactly
     // once per schedule construction, amortized over many executions.
-    for (peer, req) in want.iter().enumerate() {
-        if peer != me {
-            let mut buf = rank.take_u32(req.len());
-            buf.extend_from_slice(req);
-            rank.send_u32(peer, tag, buf, CommClass::Inspector);
-        }
-    }
     let mut sends: Vec<(usize, Vec<u32>)> = Vec::new();
-    for peer in 0..rank.nranks {
-        if peer == me {
-            continue;
-        }
-        let req = rank.recv_u32(peer, tag);
+    rank.all_to_all_u32(tag, CommClass::Inspector, &want, |peer, req| {
         if !req.is_empty() {
             let locals: Vec<u32> = req
                 .iter()
@@ -82,8 +71,7 @@ pub fn localize(
                 .collect();
             sends.push((peer, locals));
         }
-        rank.recycle_u32(req);
-    }
+    });
 
     let recvs: Vec<(usize, Vec<u32>)> = want_slots
         .into_iter()

@@ -31,14 +31,9 @@ fn epoch_shifted_rebuild_reuses_the_rank() {
         assert!(a1 > b + 3, "epoch 1 must sit above every epoch-0 range");
 
         // The rebuilt schedule's tags carry traffic.
-        let peer = 1 - r.id;
-        let mut buf = r.take_f64(1);
-        buf.push(r.id as f64);
-        r.send_f64(peer, a1, buf, CommClass::Halo);
-        let got = r.recv_f64(peer, a1);
-        let v = got[0];
-        r.recycle_f64(got);
-        v
+        let (peer, me) = (1 - r.id, r.id as f64);
+        r.publish_f64(peer, a1, CommClass::Halo, 1, |b| b.push(me));
+        r.consume_f64(peer, a1, |got| got[0])
     });
     assert_eq!(run.results, vec![1.0, 0.0]);
 }
