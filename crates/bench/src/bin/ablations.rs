@@ -28,6 +28,7 @@ use eul3d_bench::{base, configure, exit_2, finite_or_exit, UNGUARDED};
 use eul3d_core::agglo::Agglomeration;
 use eul3d_core::dist::{run_distributed, DistOptions, DistSetup};
 use eul3d_core::gas::{GAMMA, NVAR};
+use eul3d_core::runconfig::PartitionConfig;
 use eul3d_core::{
     ConvergenceHistory, Grids, MultigridSolver, RunConfig, SoaState, SolverConfig, Strategy,
 };
@@ -36,10 +37,7 @@ use eul3d_kernels::{EdgeSpan, ScatterAccess};
 use eul3d_mesh::gen::BumpSpec;
 use eul3d_mesh::{MeshSequence, TetMesh};
 use eul3d_partition::reorder::{apply_vertex_order, rcm_order, shuffle_edges, shuffle_vertices};
-use eul3d_partition::{
-    kl_refine, random_partition, rcb_partition, FlatRsb, MultilevelRsb, PartitionOptions,
-    PartitionQuality, Partitioner,
-};
+use eul3d_partition::{PartitionMethod, PartitionOptions, PartitionPlan};
 use eul3d_perf::TextTable;
 
 /// Timed sweeps per ordering in study 9; the minimum is reported.
@@ -97,7 +95,11 @@ fn spec(rc: &RunConfig) -> BumpSpec {
 fn main() {
     let fixed = ["run.levels", "run.cycles", "run.strategy", "run.coarsening"]
         .map(|key| (key, "fixed by each study"));
-    let owned = [&fixed[..], &[UNGUARDED]].concat();
+    let owned = [
+        &fixed[..],
+        &[UNGUARDED, ("partition.method", "swept by study 2")],
+    ]
+    .concat();
     let (rc, ()) = configure(base(40, Strategy::WCycle), &owned, |_| ());
     let cfg = rc.solver;
     let model = CostModel::delta_i860();
@@ -151,39 +153,41 @@ fn main() {
         "2) partitioner quality ({} parts) and its comm cost:",
         nranks
     );
-    let mesh = eul3d_mesh::gen::bump_channel(&spec(&rc));
     let mut rows = TextTable::new(&["partitioner", "cut %", "imbalance", "comm s/cycle"]);
-    let popts = PartitionOptions::new(nranks).lanczos_iters(40).seed(7);
-    let rsb_parts = |p: &dyn Partitioner| {
-        p.partition(mesh.nverts(), &mesh.edges, &popts)
-            .unwrap()
-            .assignment
-    };
-    let parts_of: Vec<(&str, Vec<u32>)> = vec![
-        ("rsb", rsb_parts(&FlatRsb)),
-        ("multilevel", rsb_parts(&MultilevelRsb)),
-        ("rsb+kl", {
-            let mut p = rsb_parts(&FlatRsb);
-            kl_refine(mesh.nverts(), &mesh.edges, &mut p, nranks, 1.06, 6);
-            p
-        }),
-        ("rcb", rcb_partition(&mesh.coords, nranks)),
-        ("random", random_partition(mesh.nverts(), nranks, 99)),
-    ];
-    for (name, parts) in parts_of {
-        let q = PartitionQuality::compute(&parts, nranks, &mesh.edges);
-        let setup = DistSetup::with_partitioner(
-            MeshSequence::bump_sequence(&spec(&rc), 1),
-            nranks,
-            |_m: &TetMesh| parts.clone(),
+    for method in [
+        PartitionMethod::FlatRsb,
+        PartitionMethod::Multilevel,
+        PartitionMethod::RsbKl,
+        PartitionMethod::Rcb,
+        PartitionMethod::Random,
+    ] {
+        let name = method.label();
+        let rc = RunConfig {
+            partition: Some(PartitionConfig {
+                method,
+                ..rc.partition.unwrap_or_default()
+            }),
+            ..rc.clone()
+        };
+        let seq = MeshSequence::bump_sequence(&spec(&rc), 1);
+        let setup = DistSetup::for_run(seq, &rc, 7).unwrap_or_else(|e| exit_2(e));
+        let mesh = &setup.seq.meshes[0];
+        let q = PartitionPlan::from_assignment(
+            setup.pms[0].owner.clone(),
+            &mesh.edges,
+            &PartitionOptions::new(nranks),
+            0,
         );
         let r = run_distributed(&setup, cfg, Strategy::SingleGrid, 5, DistOptions::default());
         finite_or_exit(r.history(), &format!("ablations 2 {name}"));
         let b = model.evaluate(&r.cycle_counters());
         rows.row(&[
             name.into(),
-            format!("{:.1}", 100.0 * q.cut_fraction),
-            format!("{:.3}", q.max_imbalance),
+            format!(
+                "{:.1}",
+                100.0 * (q.edge_cut as f64 / mesh.nedges().max(1) as f64)
+            ),
+            format!("{:.3}", q.balance),
             format!("{:.3}", b.comm_seconds / 5.0),
         ]);
     }

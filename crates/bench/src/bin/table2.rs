@@ -2,7 +2,8 @@
 //! 100 cycles split into communication and computation, plus MFlops, at
 //! 256 and 512 nodes for the single-grid, V-cycle and W-cycle strategies.
 //!
-//! Everything but the clock is real: the mesh is RSB-partitioned, each
+//! Everything but the clock is real: the mesh is partitioned (flat RSB,
+//! the paper's method, unless `partition.method` names another), each
 //! rank runs the actual solver on the simulated Delta with PARTI
 //! schedules, and every message and flop is counted. The i860/network
 //! cost model then converts the counts to seconds. Shape targets:
@@ -12,77 +13,26 @@
 //!
 //! Flags: `--ranks a,b,…` (default 256,512); `--no-incremental`
 //! re-gathers flow variables before every loop (disables the §4.3
-//! optimization); `--partitioner rsb|rcb|random|rsb+kl|prcb` (default
-//! rsb, the only one a `[partition]` section configures).
+//! optimization). The partitioner is the case's `partition.method`
+//! (`--set partition.method=rcb`, or a `[partition]` section), like any
+//! other key.
 
 use eul3d_bench::{
     base, configure, exit_2, finite_or_exit, out_dir, phase_table, ranks_flag, write_csv,
     RANKS_SWEEP, STRATEGY_SWEEP, UNGUARDED,
 };
 use eul3d_core::dist::{run_distributed, DistOptions, DistSetup};
-use eul3d_core::{Coarsening, Eul3dError, RunConfig, SolverError, Strategy};
+use eul3d_core::Strategy;
 use eul3d_delta::{CommClass, CostModel};
-use eul3d_mesh::{MeshSequence, TetMesh};
+use eul3d_mesh::MeshSequence;
 use eul3d_perf::TextTable;
-
-/// Build the distributed setup with the selected partitioner; `rsb` is
-/// the configured run's own ([`DistSetup::for_run`]).
-fn make_setup(rc: &RunConfig, which: &str) -> DistSetup {
-    let seq = MeshSequence::bump_sequence(&rc.mesh, rc.levels);
-    let nranks = rc.nranks;
-    match which {
-        "rcb" => DistSetup::with_partitioner(seq, nranks, |m: &TetMesh| {
-            eul3d_partition::rcb_partition(&m.coords, nranks)
-        }),
-        "random" => DistSetup::with_partitioner(seq, nranks, |m: &TetMesh| {
-            eul3d_partition::random_partition(m.nverts(), nranks, 99)
-        }),
-        "rsb+kl" => DistSetup::with_partitioner(seq, nranks, |m: &TetMesh| {
-            use eul3d_partition::{FlatRsb, PartitionOptions, Partitioner};
-            let opts = PartitionOptions::new(nranks).lanczos_iters(40).seed(7);
-            let mut parts = FlatRsb
-                .partition(m.nverts(), &m.edges, &opts)
-                .unwrap()
-                .assignment;
-            eul3d_partition::kl_refine(m.nverts(), &m.edges, &mut parts, nranks, 1.06, 6);
-            parts
-        }),
-        "prcb" => DistSetup::with_partitioner(seq, nranks, |m: &TetMesh| {
-            eul3d_partition::parallel_rcb(&m.coords, nranks.next_power_of_two(), nranks)
-                .into_iter()
-                .map(|p| p.min(nranks as u32 - 1))
-                .collect()
-        }),
-        _ => DistSetup::for_run(seq, rc, 7).unwrap_or_else(|e| exit_2(e)),
-    }
-}
 
 fn main() {
     let sweeps = [STRATEGY_SWEEP, RANKS_SWEEP, UNGUARDED];
-    let (mut rc, (ranks, refetch, partitioner)) =
-        configure(base(25, Strategy::WCycle), &sweeps, |a| {
-            let partitioner = a.get_str("partitioner").unwrap_or_else(|| "rsb".into());
-            (
-                ranks_flag(a, &[256, 512]),
-                a.has("no-incremental"),
-                partitioner,
-            )
-        });
-    if !["rsb", "rcb", "random", "rsb+kl", "prcb"].contains(&partitioner.as_str()) {
-        exit_2(format!(
-            "--partitioner must be rsb|rcb|random|rsb+kl|prcb, got '{partitioner}'"
-        ));
-    }
-    // `DistSetup::for_run` refuses agglomeration; the other
-    // partitioners refuse it here.
-    if partitioner != "rsb" && rc.coarsening != Coarsening::Sequence {
-        exit_2(Eul3dError::from(SolverError::AggloNotDistributed));
-    }
-    if partitioner != "rsb" && rc.partition.is_some() {
-        exit_2(format!(
-            "--partitioner {partitioner}: a [partition] section configures rsb only"
-        ));
-    }
+    let (mut rc, (ranks, refetch)) = configure(base(25, Strategy::WCycle), &sweeps, |a| {
+        (ranks_flag(a, &[256, 512]), a.has("no-incremental"))
+    });
+    let method = rc.partition.unwrap_or_default().method;
     let model = CostModel::delta_i860();
     println!(
         "table2: simulated Delta; bump channel nx={}, {} levels, {} cycles (normalized to 100), M={}, ranks {:?}, partitioner {}{}",
@@ -91,7 +41,7 @@ fn main() {
         rc.cycles,
         rc.solver.mach,
         ranks,
-        partitioner,
+        method.label(),
         if refetch { " [no-incremental ablation]" } else { "" }
     );
     println!(
@@ -121,7 +71,8 @@ fn main() {
         for &nranks in &ranks {
             rc.strategy = strategy;
             rc.nranks = nranks;
-            let setup = make_setup(&rc, &partitioner);
+            let seq = MeshSequence::bump_sequence(&rc.mesh, rc.levels);
+            let setup = DistSetup::for_run(seq, &rc, 7).unwrap_or_else(|e| exit_2(e));
             let opts = DistOptions {
                 refetch_per_loop: refetch,
                 ..DistOptions::for_run(&rc, 7)

@@ -107,10 +107,10 @@ fn table2_prints_cost_breakdown() {
 }
 
 #[test]
-fn table2_partitioner_flag_is_honoured() {
+fn table2_partition_method_is_honoured() {
     let out = ok(
         env!("CARGO_BIN_EXE_table2"),
-        &["--ranks", "3", "--partitioner", "rcb"],
+        &["--ranks", "3", "--set", "partition.method=rcb"],
     );
     assert!(out.contains("partitioner rcb"));
 }
@@ -122,7 +122,18 @@ fn a_bad_case_exits_2_naming_its_key_or_flag() {
     refused(table2, &["--nx", "19O"], "--nx");
     refused(table2, &["--ranks", "3,x,5"], "--ranks");
     refused(table2, &["--ranks", ""], "--ranks");
-    refused(table2, &["--partitioner", "rbc"], "--partitioner");
+    refused(
+        table2,
+        &["--set", "partition.method=rbc"],
+        "partition.method",
+    );
+    // prcb cuts a power-of-two part count; it must not merge parts to
+    // fit three ranks.
+    refused(
+        table2,
+        &["--ranks", "3", "--set", "partition.method=prcb"],
+        "nparts",
+    );
     refused(table2, &["--set", "run.nranks=4"], "--ranks");
     refused(table2, &["--no-incremental", "0"], "takes no value");
     refused(table2, &["--nx", "--ranks", "3"], "--nx takes a value");

@@ -2,6 +2,7 @@
 
 use std::path::{Path, PathBuf};
 
+use eul3d_core::dist::{partition_options, LANCZOS_ITERS};
 use eul3d_core::health::GuardOutcome;
 use eul3d_core::postproc::{cp_field, mach_field, pressure_field};
 use eul3d_core::{
@@ -14,15 +15,10 @@ use eul3d_mesh::stats::MeshStats;
 use eul3d_mesh::vtk::write_vtk_file;
 use eul3d_mesh::MeshSequence;
 use eul3d_obs as obs;
-use eul3d_partition::rcb::rcb_partition;
-use eul3d_partition::{
-    kl_refine, parallel_rcb, random_partition, FlatRsb, MultilevelRsb, PartitionOptions,
-    PartitionQuality, Partitioner, RankMapping,
-};
 use eul3d_perf::TextTable;
 
-/// The mesh of a `mesh` or `partition` command line: the default
-/// channel under the mesh flags.
+/// The mesh of a `mesh` command line: the default channel under the
+/// mesh flags.
 fn mesh_spec(a: &Args) -> Result<BumpSpec, String> {
     let mut rc = RunConfig::default();
     a.apply(Scope::Mesh, &mut rc)?;
@@ -138,98 +134,55 @@ pub fn mesh(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-pub fn partition(a: &Args) -> Result<(), String> {
-    let spec = mesh_spec(a)?;
-    let parts_n: usize = a.get("parts", 16)?;
-    let method = a.get_str("method").unwrap_or_else(|| "flat-rsb".into());
-    let mapping_s = a.get_str("mapping").unwrap_or_else(|| "identity".into());
-    let coarsen_target: usize = a.get("coarsen-target", 64)?;
-    let refine_passes: usize = a.get("refine-passes", 4)?;
-    let kl = a.has("kl");
-    a.check_unknown()?;
-    let mapping = RankMapping::parse(&mapping_s)
-        .ok_or_else(|| format!("--mapping must be identity|topology, got '{mapping_s}'"))?;
+/// Keys `eul3d partition` does not read: everything but the mesh and
+/// the partitioner's own.
+const PARTITION_UNREAD: &[(&str, &str)] = &[
+    (
+        "[run]",
+        "not read by partition (--parts sets the part count)",
+    ),
+    ("[solver]", "not read by partition"),
+    ("[guard]", "not read by partition"),
+    ("[trace]", "not read by partition"),
+    ("partition.repartition_every", "not read by partition"),
+];
 
-    let mesh = eul3d_mesh::gen::bump_channel(&spec);
-    // The spectral methods go through the `Partitioner` trait and report
-    // the full plan quality (hop volumes, Fiedler work, wall time); the
-    // geometric/random baselines keep the legacy cut/balance report.
-    let spectral: Option<&dyn Partitioner> = match method.as_str() {
-        "flat-rsb" | "rsb" => Some(&FlatRsb),
-        "multilevel" | "ml" => Some(&MultilevelRsb),
-        _ => None,
-    };
+pub fn partition(a: &Args) -> Result<(), String> {
+    let rc = a.run_config(Scope::Distributed, RunConfig::default(), PARTITION_UNREAD)?;
+    let parts_n: usize = a.get("parts", 16)?;
+    a.check_unknown()?;
+    let policy = rc.partition.unwrap_or_default();
+    let opts = partition_options(parts_n, LANCZOS_ITERS, eul3d_core::env_seed(7), &policy);
+
+    let mesh = eul3d_mesh::gen::bump_channel(&rc.mesh);
     let t0 = std::time::Instant::now();
-    let (mut parts, plan) = if let Some(p) = spectral {
-        let opts = PartitionOptions::new(parts_n)
-            .seed(eul3d_core::env_seed(7))
-            .coarsen_target(coarsen_target)
-            .refine_passes(refine_passes)
-            .mapping(mapping);
-        let plan = p
-            .partition(mesh.nverts(), &mesh.edges, &opts)
-            .map_err(|e| e.to_string())?;
-        (plan.assignment.clone(), Some(plan))
-    } else {
-        if mapping != RankMapping::Identity {
-            return Err(format!(
-                "--mapping {mapping_s} needs a spectral method (flat-rsb|multilevel)"
-            ));
-        }
-        let parts = match method.as_str() {
-            "rcb" => rcb_partition(&mesh.coords, parts_n),
-            "random" => random_partition(mesh.nverts(), parts_n, 7),
-            "prcb" => {
-                if !parts_n.is_power_of_two() {
-                    return Err("--method prcb needs a power-of-two --parts".into());
-                }
-                parallel_rcb(&mesh.coords, parts_n, 8)
-            }
-            other => {
-                return Err(format!(
-                    "--method must be flat-rsb|multilevel|rcb|random|prcb, got '{other}'"
-                ))
-            }
-        };
-        (parts, None)
-    };
+    let plan = policy
+        .method
+        .partition(&mesh, &opts)
+        .map_err(|e| e.to_string())?;
     let seconds = t0.elapsed().as_secs_f64();
-    if kl {
-        let moved = kl_refine(mesh.nverts(), &mesh.edges, &mut parts, parts_n, 1.06, 8);
-        println!("KL refinement moved {moved} vertices");
-    }
-    let q = PartitionQuality::compute(&parts, parts_n, &mesh.edges);
-    let label = match spectral {
-        Some(p) => p.name(),
-        None => method.as_str(),
-    };
     println!(
-        "{} vertices into {parts_n} parts via {label}{}:",
+        "{} vertices into {parts_n} parts via {}:",
         mesh.nverts(),
-        if kl { "+kl" } else { "" }
+        policy.method.label()
     );
     println!(
         "  cut edges      {} ({:.1}%)",
-        q.cut_edges,
-        100.0 * q.cut_fraction
+        plan.edge_cut,
+        100.0 * (plan.edge_cut as f64 / mesh.nedges().max(1) as f64)
     );
-    println!("  max imbalance  {:.3}", q.max_imbalance);
-    println!("  boundary verts {}", q.boundary_vertices);
-    println!("  surface/volume {:.3}", q.mean_surface_to_volume);
-    if let Some(plan) = &plan {
-        // Post-KL the cut/balance lines above reflect the refined
-        // assignment; the plan block reports what the partitioner itself
-        // produced.
-        println!("  comm volume    {}", plan.comm_volume);
-        println!(
-            "  hop volume     {} ({}; identity {})",
-            plan.hop_volume,
-            mapping.label(),
-            plan.hop_volume_identity
-        );
-        println!("  fiedler iters  {}", plan.fiedler_iterations);
-        println!("  partition time {seconds:.3}s");
-    }
+    println!("  max imbalance  {:.3}", plan.balance);
+    println!("  boundary verts {}", plan.boundary_vertices);
+    println!("  surface/volume {:.3}", plan.surface_to_volume);
+    println!("  comm volume    {}", plan.comm_volume);
+    println!(
+        "  hop volume     {} ({}; identity {})",
+        plan.hop_volume,
+        policy.mapping.label(),
+        plan.hop_volume_identity
+    );
+    println!("  fiedler iters  {}", plan.fiedler_iterations);
+    println!("  partition time {seconds:.3}s");
     Ok(())
 }
 
@@ -379,10 +332,7 @@ pub fn distributed(a: &Args) -> Result<(), String> {
     let seq = MeshSequence::bump_sequence(&spec, levels);
     let t0 = std::time::Instant::now();
     let setup = DistSetup::for_run(seq, &rc, pseed).map_err(|e| e.to_string())?;
-    let method = rc.get("partition.method");
-    let method_label = method
-        .as_deref()
-        .map_or("flat-rsb", |m| m.trim_matches('"'));
+    let method_label = rc.partition.unwrap_or_default().method.label();
     println!(
         "{method_label} partitioning of all levels: {:.2}s",
         t0.elapsed().as_secs_f64()
@@ -391,8 +341,8 @@ pub fn distributed(a: &Args) -> Result<(), String> {
     if let Some(pol) = &opts.repartition {
         println!(
             "mid-run repartition every {} cycles ({method_label}, {} mapping)",
-            pol.every,
-            pol.mapping.label()
+            pol.every(),
+            pol.config.mapping.label()
         );
     }
     let t1 = std::time::Instant::now();

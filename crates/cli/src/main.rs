@@ -2,9 +2,9 @@
 //!
 //! ```text
 //! eul3d mesh       --nx 24 [--levels 1] [--taper 0.0] [--vtk out.vtk]
-//! eul3d partition  --nx 24 --parts 16 [--method flat-rsb|multilevel|rcb|random|prcb]
-//!                  [--mapping identity|topology] [--coarsen-target N]
-//!                  [--refine-passes N] [--kl]
+//! eul3d partition  --nx 24 --parts 16
+//!                  [--partition-method flat-rsb|multilevel|rsb+kl|rcb|random|prcb]
+//!                  [--partition-mapping identity|topology]
 //! eul3d solve      --nx 24 --levels 4 [--strategy sg|v|w] [--scheme jst|roe]
 //!                  [--cycles 100] [--mach 0.675] [--alpha 0.0] [--fmg] [--threads N]
 //!                  [--restart ck] [--checkpoint ck] [--vtk out.vtk] [--coarse sequence|agglo]
@@ -12,7 +12,7 @@
 //!                  [--cycles 100] [--no-incremental]
 //!                  [--backend delta|hybrid] [--threads N]
 //!                  [--faults SPEC] [--checkpoint-every N] [--fault-timeout-ms MS]
-//!                  [--partition-method flat-rsb|multilevel]
+//!                  [--partition-method flat-rsb|multilevel|rsb+kl|rcb|random|prcb]
 //!                  [--partition-mapping identity|topology] [--repartition-every N]
 //! eul3d serve      --socket /tmp/eul3d.sock [--workers N] [--queue N]
 //!                  [--cache N] [--cache-bytes B] [--seed N]
@@ -34,10 +34,11 @@
 //! `--drain-timeout-ms`), new submissions are refused, and anything
 //! still unfinished resumes on the next start.
 //!
-//! `solve` and `distributed` additionally take the consolidated
-//! run-configuration flags: `--config run.toml` loads a config file (see
+//! `partition`, `solve` and `distributed` additionally take the
+//! consolidated run-configuration flags: `--config run.toml` loads a config file (see
 //! `examples/run.toml`), and repeatable `--set section.key=value` sets
-//! any of its keys. Each configuration flag is an alias of one key
+//! any of its keys (`partition` reads the `[mesh]` and `[partition]`
+//! keys and refuses the rest). Each configuration flag is an alias of one key
 //! (`eul3d_core::args::ALIASES`); flags apply after the file, and a key
 //! given twice on the command line is an error. The loader lives in
 //! `eul3d_core::args`, which the paper's reproduction bins
@@ -63,8 +64,9 @@
 //! residuals. `EUL3D_SEED` overrides the partitioner seed.
 //!
 //! `--partition-method`/`--partition-mapping` (or a `[partition]`
-//! section in `--config run.toml`) pick the partitioner and the
-//! part→rank placement for the distributed solve;
+//! section in `--config run.toml`, or `--set partition.coarsen_target=N`
+//! and the other `[partition]` keys) pick the partitioner and the
+//! part→rank placement for `partition` and the distributed solve;
 //! `--repartition-every N` additionally migrates the whole run onto a
 //! fresh partition every N cycles (checkpoint, epoch-shifted schedule
 //! rebuild, restore — deterministic, and composable with `--faults`).

@@ -36,65 +36,87 @@ fn partition_command_all_methods() {
         "rsb",
         "multilevel",
         "ml",
+        "rsb+kl",
         "rcb",
         "random",
         "prcb",
     ] {
-        let (ok, stdout, stderr) =
-            eul3d(&["partition", "--nx", "8", "--parts", "4", "--method", method]);
+        let (ok, stdout, stderr) = eul3d(&[
+            "partition",
+            "--nx",
+            "8",
+            "--parts",
+            "4",
+            "--partition-method",
+            method,
+        ]);
         assert!(ok, "method {method} failed: {stderr}");
         assert!(stdout.contains("cut edges"), "{stdout}");
+        assert!(stdout.contains("comm volume"), "{stdout}");
     }
-    let (ok, _, stderr) = eul3d(&["partition", "--nx", "8", "--method", "metis"]);
+    // The same key through `--set`, and a misspelling names the key.
+    let (ok, stdout, _) = eul3d(&["partition", "--nx", "8", "--set", "partition.method=rcb"]);
+    assert!(ok && stdout.contains("via rcb"), "{stdout}");
+    let (ok, _, stderr) = eul3d(&["partition", "--nx", "8", "--partition-method", "metis"]);
     assert!(!ok, "unknown method must be rejected");
-    assert!(stderr.contains("flat-rsb|multilevel"), "{stderr}");
-}
-
-#[test]
-fn partition_command_reports_plan_quality() {
-    // Spectral methods print the full plan block: comm volume, mapped vs
-    // identity hop volume, Fiedler work, and partition wall time.
-    let (ok, stdout, stderr) = eul3d(&[
-        "partition",
-        "--nx",
-        "10",
-        "--parts",
-        "8",
-        "--method",
-        "multilevel",
-        "--mapping",
-        "topology",
-        "--coarsen-target",
-        "32",
-    ]);
-    assert!(ok, "{stderr}");
-    assert!(stdout.contains("via multilevel"), "{stdout}");
-    for line in [
-        "cut edges",
-        "max imbalance",
-        "comm volume",
-        "hop volume",
-        "(topology; identity",
-        "fiedler iters",
-        "partition time",
-    ] {
-        assert!(stdout.contains(line), "missing '{line}' in: {stdout}");
-    }
-
-    // The geometric baselines have no spectral plan to map.
+    assert!(
+        stderr.contains("partition.method") && stderr.contains("flat-rsb|multilevel"),
+        "{stderr}"
+    );
+    // prcb cuts only a power-of-two part count.
     let (ok, _, stderr) = eul3d(&[
         "partition",
         "--nx",
         "8",
-        "--method",
-        "rcb",
-        "--mapping",
-        "topology",
+        "--parts",
+        "6",
+        "--set",
+        "partition.method=prcb",
     ]);
-    assert!(!ok, "topology mapping needs a spectral method");
-    assert!(stderr.contains("spectral"), "{stderr}");
+    assert!(!ok);
+    assert!(stderr.contains("nparts"), "{stderr}");
+    // Keys the command does not read are refused, not ignored.
+    let (ok, _, stderr) = eul3d(&["partition", "--nx", "8", "--levels", "2"]);
+    assert!(!ok);
+    assert!(stderr.contains("run.levels"), "{stderr}");
+}
 
-    let (ok, _, stderr) = eul3d(&["partition", "--nx", "8", "--mapping", "torus"]);
+#[test]
+fn partition_command_reports_plan_quality() {
+    // Every method prints the full plan block: comm volume, mapped vs
+    // identity hop volume, Fiedler work, and partition wall time.
+    for method in ["multilevel", "rcb"] {
+        let (ok, stdout, stderr) = eul3d(&[
+            "partition",
+            "--nx",
+            "10",
+            "--parts",
+            "8",
+            "--partition-method",
+            method,
+            "--partition-mapping",
+            "topology",
+            "--set",
+            "partition.coarsen_target=32",
+        ]);
+        assert!(ok, "{stderr}");
+        assert!(stdout.contains(&format!("via {method}")), "{stdout}");
+        for line in [
+            "cut edges",
+            "max imbalance",
+            "boundary verts",
+            "surface/volume",
+            "comm volume",
+            "hop volume",
+            "(topology; identity",
+            "fiedler iters",
+            "partition time",
+        ] {
+            assert!(stdout.contains(line), "missing '{line}' in: {stdout}");
+        }
+    }
+
+    let (ok, _, stderr) = eul3d(&["partition", "--nx", "8", "--partition-mapping", "torus"]);
     assert!(!ok);
     assert!(stderr.contains("identity|topology"), "{stderr}");
 }

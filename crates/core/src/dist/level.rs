@@ -141,10 +141,6 @@ impl Executor for DistExecutor<'_> {
     fn comm_cost(&self) -> eul3d_delta::CostModel {
         self.rank.cost_model()
     }
-
-    fn reduce_sum(&mut self, phase: Phase, vals: &mut [f64], counters: &mut PhaseCounters) {
-        self.charged(phase, counters, |rank| rank.all_reduce_sum_in_place(vals));
-    }
 }
 
 /// Per-rank state of one level. Every per-vertex array of `st` has

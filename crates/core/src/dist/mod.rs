@@ -17,7 +17,7 @@ mod transfer;
 
 pub use level::{DistExecutor, DistLevel};
 pub use recover::{run_distributed_with_faults, FaultOptions};
-pub use setup::{partition_options, partitioner_of, DistSetup};
+pub use setup::{partition_options, DistSetup, LANCZOS_ITERS};
 pub use solver::{
     run_distributed, AdoptedOutput, DistBackend, DistOptions, DistRunResult, DistSolver, RankFate,
     RankOutput, RepartitionPolicy,

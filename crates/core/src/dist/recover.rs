@@ -53,7 +53,6 @@ use std::time::Duration;
 
 use eul3d_delta::{run_spmd, CommClass, DeltaError, FaultPlan, FaultSignal, Rank, RankCounters};
 use eul3d_obs as obs;
-use eul3d_partition::PartitionOptions;
 
 use crate::config::SolverConfig;
 use crate::counters::{CommMark, PhaseCounters};
@@ -64,7 +63,7 @@ use crate::health::{GuardConfig, GuardLoop, GuardState, HealthVerdict};
 use crate::multigrid::Strategy;
 use crate::runconfig::RunConfig;
 
-use super::setup::{partitioner_of, DistSetup};
+use super::setup::DistSetup;
 use super::solver::{
     AdoptedOutput, DistOptions, DistRunResult, DistSolver, RankFate, RankOutput, RepartitionPolicy,
 };
@@ -162,18 +161,11 @@ impl PlanCache {
         slots
             .entry(era)
             .or_insert_with(|| {
-                let opts = PartitionOptions::new(base.nranks)
-                    .lanczos_iters(pol.lanczos_iters)
-                    .seed(pol.seed.wrapping_add(era as u64))
-                    .coarsen_target(pol.coarsen_target)
-                    .refine_passes(pol.refine_passes)
-                    .mapping(pol.mapping);
-                Arc::new(DistSetup::from_arc(
-                    base.seq.clone(),
-                    base.nranks,
-                    partitioner_of(pol.method),
-                    &opts,
-                ))
+                let opts = pol.options(base.nranks, era);
+                let setup = DistSetup::partitioned(base.seq.clone(), pol.config.method, &opts);
+                // A method refuses only its part count, which
+                // `DistSetup::for_run` already checked for era 0.
+                Arc::new(setup.unwrap_or_else(|e| panic!("era {era} plan: {e}")))
             })
             .clone()
     }
@@ -472,7 +464,7 @@ fn do_step(rank: &mut Rank, ctx: &Ctx, st: &mut LoopState) -> StepAction {
     // the restored state is identical either way.
     let mut repartitioned = false;
     if let Some(pol) = ctx.opts.repartition {
-        if c > 0 && c.is_multiple_of(pol.every) && st.era < pol.era_of(c) {
+        if c > 0 && c.is_multiple_of(pol.every()) && st.era < pol.era_of(c) {
             do_repartition(rank, ctx, st, c, &pol);
             repartitioned = true;
         }

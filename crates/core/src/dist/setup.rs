@@ -6,23 +6,15 @@
 use std::sync::Arc;
 
 use eul3d_mesh::MeshSequence;
-use eul3d_partition::{FlatRsb, MultilevelRsb, PartitionOptions, PartitionedMesh, Partitioner};
+use eul3d_partition::{PartitionError, PartitionMethod, PartitionOptions, PartitionedMesh};
 
 use crate::error::{Eul3dError, SolverError};
 use crate::multigrid::Coarsening;
-use crate::runconfig::{PartitionConfig, PartitionMethod, RunConfig};
+use crate::runconfig::{PartitionConfig, RunConfig};
 
 /// Lanczos iteration cap per Fiedler solve of a configured run (the
 /// partitioner's historical default).
-pub(super) const LANCZOS_ITERS: usize = 40;
-
-/// The statically-dispatched partitioner for a configured method.
-pub fn partitioner_of(method: PartitionMethod) -> &'static dyn Partitioner {
-    match method {
-        PartitionMethod::FlatRsb => &FlatRsb,
-        PartitionMethod::Multilevel => &MultilevelRsb,
-    }
-}
+pub const LANCZOS_ITERS: usize = 40;
 
 /// Everything the SPMD ranks need, shared read-only.
 pub struct DistSetup {
@@ -39,68 +31,51 @@ impl DistSetup {
         let opts = PartitionOptions::new(nranks)
             .lanczos_iters(lanczos_iters)
             .seed(seed);
-        Self::from_arc(Arc::new(seq), nranks, &FlatRsb, &opts)
+        Self::partitioned(Arc::new(seq), PartitionMethod::FlatRsb, &opts)
+            .unwrap_or_else(|e| panic!("partition options rejected: {e}"))
     }
 
     /// Partition all levels for a configured run over its
-    /// [`RunConfig::effective_nranks`]: by its [`PartitionConfig`] policy
-    /// (method, multilevel knobs, rank mapping) when it has one, else
-    /// with flat RSB. Agglomerated coarse levels are refused: the ranks
-    /// run on the partitioned mesh sequence.
+    /// [`RunConfig::effective_nranks`] by its [`PartitionConfig`] policy
+    /// (method, multilevel knobs, rank mapping; flat RSB without one).
+    /// Agglomerated coarse levels are refused: the ranks run on the
+    /// partitioned mesh sequence.
     pub fn for_run(seq: MeshSequence, rc: &RunConfig, seed: u64) -> Result<DistSetup, Eul3dError> {
         if rc.coarsening != Coarsening::Sequence {
             return Err(SolverError::AggloNotDistributed.into());
         }
-        let nranks = rc.effective_nranks();
-        Ok(match &rc.partition {
-            Some(policy) => {
-                let opts = partition_options(nranks, LANCZOS_ITERS, seed, policy);
-                Self::from_arc(Arc::new(seq), nranks, partitioner_of(policy.method), &opts)
-            }
-            None => Self::new(seq, nranks, LANCZOS_ITERS, seed),
-        })
+        let policy = rc.partition.unwrap_or_default();
+        let opts = partition_options(rc.effective_nranks(), LANCZOS_ITERS, seed, &policy);
+        Self::partitioned(Arc::new(seq), policy.method, &opts)
+            .map_err(|e| SolverError::Partition(e).into())
     }
 
-    /// Partition all levels of an already-shared mesh sequence with an
-    /// arbitrary [`Partitioner`] — the entry point mid-run
+    /// Partition every level of an already-shared mesh sequence into
+    /// `opts.nparts` ranks with `method` — also the entry mid-run
     /// repartitioning uses to rebuild the per-rank layout without
     /// copying the meshes.
-    pub fn from_arc(
+    pub fn partitioned(
         seq: Arc<MeshSequence>,
-        nranks: usize,
-        partitioner: &dyn Partitioner,
+        method: PartitionMethod,
         opts: &PartitionOptions,
-    ) -> DistSetup {
+    ) -> Result<DistSetup, PartitionError> {
         let pms = seq
             .meshes
             .iter()
             .map(|m| {
-                let plan = partitioner
-                    .partition(m.nverts(), &m.edges, opts)
-                    .unwrap_or_else(|e| panic!("partition options rejected: {e}"));
-                Arc::new(PartitionedMesh::build(m, &plan.assignment, nranks))
+                let plan = method.partition(m, opts)?;
+                Ok(Arc::new(PartitionedMesh::build(
+                    m,
+                    &plan.assignment,
+                    opts.nparts,
+                )))
             })
-            .collect();
-        DistSetup { seq, pms, nranks }
-    }
-
-    /// Partition with a caller-supplied partitioner (e.g. RCB or random,
-    /// for the partitioning ablation).
-    pub fn with_partitioner(
-        seq: MeshSequence,
-        nranks: usize,
-        partitioner: impl Fn(&eul3d_mesh::TetMesh) -> Vec<u32>,
-    ) -> DistSetup {
-        let pms = seq
-            .meshes
-            .iter()
-            .map(|m| Arc::new(PartitionedMesh::build(m, &partitioner(m), nranks)))
-            .collect();
-        DistSetup {
-            seq: Arc::new(seq),
+            .collect::<Result<_, PartitionError>>()?;
+        Ok(DistSetup {
+            seq,
             pms,
-            nranks,
-        }
+            nranks: opts.nparts,
+        })
     }
 
     pub fn levels(&self) -> usize {
@@ -108,7 +83,7 @@ impl DistSetup {
     }
 }
 
-/// Translate a [`PartitionConfig`] into validated [`PartitionOptions`].
+/// Translate a [`PartitionConfig`] into [`PartitionOptions`].
 pub fn partition_options(
     nranks: usize,
     lanczos_iters: usize,
@@ -142,40 +117,43 @@ mod tests {
 
     #[test]
     fn policy_setup_partitions_every_level() {
-        let seq = MeshSequence::box_sequence(5, 2, 0.1, 5);
-        let policy = PartitionConfig {
-            method: PartitionMethod::Multilevel,
-            coarsen_target: 16,
-            mapping: RankMapping::Topology,
-            ..PartitionConfig::default()
-        };
-        let rc = RunConfig {
-            nranks: 4,
-            partition: Some(policy),
-            ..RunConfig::default()
-        };
-        let agglo = RunConfig {
-            coarsening: Coarsening::Agglo,
-            ..rc.clone()
-        };
-        let err = DistSetup::for_run(MeshSequence::box_sequence(5, 2, 0.1, 5), &agglo, 7).err();
-        assert_eq!(err, Some(SolverError::AggloNotDistributed.into()));
-        let setup = DistSetup::for_run(seq, &rc, 7).unwrap();
-        assert_eq!(setup.pms.len(), 2);
-        for (pm, mesh) in setup.pms.iter().zip(&setup.seq.meshes) {
-            assert_eq!(pm.nparts, 4);
-            let owned: usize = pm.ranks.iter().map(|r| r.n_owned()).sum();
-            assert_eq!(owned, mesh.nverts());
+        for method in PartitionMethod::ALL {
+            let seq = MeshSequence::box_sequence(5, 2, 0.1, 5);
+            let policy = PartitionConfig {
+                method,
+                coarsen_target: 16,
+                mapping: RankMapping::Topology,
+                ..PartitionConfig::default()
+            };
+            let rc = RunConfig {
+                nranks: 4,
+                partition: Some(policy),
+                ..RunConfig::default()
+            };
+            let agglo = RunConfig {
+                coarsening: Coarsening::Agglo,
+                ..rc.clone()
+            };
+            let err = DistSetup::for_run(MeshSequence::box_sequence(5, 2, 0.1, 5), &agglo, 7).err();
+            assert_eq!(err, Some(SolverError::AggloNotDistributed.into()));
+            let setup = DistSetup::for_run(seq, &rc, 7).unwrap();
+            assert_eq!(setup.pms.len(), 2);
+            for (pm, mesh) in setup.pms.iter().zip(&setup.seq.meshes) {
+                assert_eq!(pm.nparts, 4);
+                let owned: usize = pm.ranks.iter().map(|r| r.n_owned()).sum();
+                assert_eq!(owned, mesh.nverts(), "{}", method.label());
+            }
         }
     }
 
     #[test]
-    fn from_arc_shares_the_sequence_and_changes_with_the_seed() {
+    fn partitioned_shares_the_sequence_and_changes_with_the_seed() {
         let seq = Arc::new(MeshSequence::box_sequence(5, 2, 0.1, 4));
         let opts_a = PartitionOptions::new(4).lanczos_iters(30).seed(1);
         let opts_b = PartitionOptions::new(4).lanczos_iters(30).seed(2);
-        let a = DistSetup::from_arc(seq.clone(), 4, &FlatRsb, &opts_a);
-        let b = DistSetup::from_arc(seq.clone(), 4, &FlatRsb, &opts_b);
+        let flat = PartitionMethod::FlatRsb;
+        let a = DistSetup::partitioned(seq.clone(), flat, &opts_a).unwrap();
+        let b = DistSetup::partitioned(seq.clone(), flat, &opts_b).unwrap();
         assert!(Arc::ptr_eq(&a.seq, &b.seq), "meshes are shared, not copied");
         assert_ne!(
             a.pms[0].owner, b.pms[0].owner,
@@ -185,11 +163,22 @@ mod tests {
     }
 
     #[test]
-    fn custom_partitioner_is_used() {
-        let seq = MeshSequence::box_sequence(4, 2, 0.0, 0);
-        let setup = DistSetup::with_partitioner(seq, 2, |m| {
-            (0..m.nverts() as u32).map(|v| v % 2).collect()
-        });
-        assert_eq!(setup.pms[0].nparts, 2);
+    fn prcb_at_three_ranks_is_refused_naming_nparts() {
+        let rc = RunConfig {
+            nranks: 3,
+            partition: Some(PartitionConfig {
+                method: PartitionMethod::Prcb,
+                ..PartitionConfig::default()
+            }),
+            ..RunConfig::default()
+        };
+        let err = DistSetup::for_run(MeshSequence::box_sequence(4, 1, 0.0, 0), &rc, 7)
+            .err()
+            .expect("prcb cuts only a power-of-two part count");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("partition.method") && msg.contains("nparts"),
+            "{msg}"
+        );
     }
 }

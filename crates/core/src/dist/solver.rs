@@ -6,7 +6,7 @@ use eul3d_delta::{MachineRun, Rank, RankCounters};
 use eul3d_obs as obs;
 use eul3d_parti::TagAllocator;
 
-use eul3d_partition::RankMapping;
+use eul3d_partition::PartitionOptions;
 
 use crate::config::SolverConfig;
 use crate::counters::{CommMark, PhaseCounters};
@@ -16,11 +16,11 @@ use crate::gas::NVAR;
 use crate::health::GuardOutcome;
 use crate::level::{eval_total_residual, time_step, LevelState};
 use crate::multigrid::Strategy;
-use crate::runconfig::{PartitionConfig, PartitionMethod, RunConfig};
+use crate::runconfig::{PartitionConfig, RunConfig};
 
 use super::level::DistLevel;
 use super::recover::{run_distributed_with_faults, FaultOptions};
-use super::setup::{DistSetup, LANCZOS_ITERS};
+use super::setup::{partition_options, DistSetup, LANCZOS_ITERS};
 use super::transfer::TransferLink;
 
 /// How a distributed run is reported: which clock its traced lanes may
@@ -48,16 +48,10 @@ pub enum DistBackend {
 /// cycle, which keeps reruns (and post-fault replays) byte-identical.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RepartitionPolicy {
-    /// Committed-cycle cadence (> 0).
-    pub every: usize,
-    /// Partitioner used for migration-era plans.
-    pub method: PartitionMethod,
-    /// Multilevel: stop coarsening at this many vertices.
-    pub coarsen_target: usize,
-    /// Multilevel: refinement sweeps per level while uncoarsening.
-    pub refine_passes: usize,
-    /// Part→rank placement of each era's plan.
-    pub mapping: RankMapping,
+    /// The run's partition policy: the method, its knobs and mapping
+    /// cut every era's plan, and `repartition_every` (> 0) is the
+    /// committed-cycle cadence.
+    pub config: PartitionConfig,
     /// Lanczos iteration cap per Fiedler solve.
     pub lanczos_iters: usize,
     /// Base seed; era `k` partitions with `seed + k`.
@@ -68,26 +62,33 @@ impl RepartitionPolicy {
     /// Build from a run's [`PartitionConfig`]; `None` when the config
     /// does not arm mid-run repartitioning.
     pub fn from_config(
-        policy: &PartitionConfig,
+        config: &PartitionConfig,
         lanczos_iters: usize,
         seed: u64,
     ) -> Option<RepartitionPolicy> {
-        (policy.repartition_every > 0).then_some(RepartitionPolicy {
-            every: policy.repartition_every,
-            method: policy.method,
-            coarsen_target: policy.coarsen_target,
-            refine_passes: policy.refine_passes,
-            mapping: policy.mapping,
+        (config.repartition_every > 0).then_some(RepartitionPolicy {
+            config: *config,
             lanczos_iters,
             seed,
         })
+    }
+
+    /// Committed cycles between migrations.
+    pub fn every(&self) -> usize {
+        self.config.repartition_every
     }
 
     /// The migration era the cycle *after* `committed` runs in: cycles
     /// `(k·every, (k+1)·every]` run in era `k`, so a run restored to
     /// `committed` cycles resumes in era `committed / every`.
     pub fn era_of(&self, committed: usize) -> usize {
-        committed / self.every
+        committed / self.every()
+    }
+
+    /// The options era `era`'s plan over `nranks` ranks is cut with.
+    pub fn options(&self, nranks: usize, era: usize) -> PartitionOptions {
+        let seed = self.seed.wrapping_add(era as u64);
+        partition_options(nranks, self.lanczos_iters, seed, &self.config)
     }
 }
 

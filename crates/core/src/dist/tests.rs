@@ -1501,15 +1501,17 @@ mod repartition {
 
     use super::*;
     use crate::dist::{run_distributed_with_faults, FaultOptions, RankFate, RepartitionPolicy};
-    use crate::runconfig::PartitionMethod;
+    use crate::runconfig::{PartitionConfig, PartitionMethod};
 
     pub(super) fn policy(every: usize) -> RepartitionPolicy {
         RepartitionPolicy {
-            every,
-            method: PartitionMethod::Multilevel,
-            coarsen_target: 16,
-            refine_passes: 4,
-            mapping: RankMapping::Topology,
+            config: PartitionConfig {
+                method: PartitionMethod::Multilevel,
+                coarsen_target: 16,
+                refine_passes: 4,
+                mapping: RankMapping::Topology,
+                repartition_every: every,
+            },
             lanczos_iters: 20,
             seed: pseed(),
         }

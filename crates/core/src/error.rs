@@ -14,6 +14,7 @@ use crate::health::{HealthVerdict, RetryEvent};
 use eul3d_delta::DeltaError;
 use eul3d_mesh::MeshError;
 use eul3d_parti::PartiError;
+use eul3d_partition::PartitionError;
 
 /// Errors raised by solver setup and the health-guarded drivers.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,6 +25,9 @@ pub enum SolverError {
     /// Agglomerated coarse levels were asked of the distributed path,
     /// which partitions a mesh sequence.
     AggloNotDistributed,
+    /// The configured `partition.method` refused its options (e.g.
+    /// `prcb` at a rank count that is not a power of two).
+    Partition(PartitionError),
     /// A [`crate::runconfig::RunConfig`] field failed range validation.
     ConfigOutOfRange {
         /// Dotted field path (e.g. `"solver.mach"`).
@@ -70,6 +74,7 @@ impl fmt::Display for SolverError {
             SolverError::AggloNotDistributed => {
                 write!(f, "agglomeration runs on the solve path only")
             }
+            SolverError::Partition(e) => write!(f, "partition.method: {e}"),
             SolverError::ConfigOutOfRange {
                 field,
                 value,

@@ -16,8 +16,7 @@
 //! * [`Executor::for_vertex_spans`] — an owned-index-range vertex map
 //!   over plane-major targets;
 //! * [`Executor::exchange_halo`] — ghost coherence (a no-op in a single
-//!   address space, a PARTI gather/scatter-add on the distributed path);
-//! * [`Executor::reduce_sum`] — a global reduction for monitoring.
+//!   address space, a PARTI gather/scatter-add on the distributed path).
 //!
 //! Backends:
 //! * [`SerialExecutor`] — plain loops (the sequential reference);
@@ -293,11 +292,6 @@ pub trait Executor {
         let access = ScatterAccess::new(targets);
         f(range, &access);
     }
-
-    /// Sum `vals` element-wise across every participant of this
-    /// execution, in place (a no-op for single-address-space backends, an
-    /// allocation-free pooled all-reduce on the distributed path).
-    fn reduce_sum(&mut self, phase: Phase, vals: &mut [f64], counters: &mut PhaseCounters);
 }
 
 /// The sequential reference backend: plain loops, nothing to exchange.
@@ -330,8 +324,6 @@ impl Executor for SerialExecutor {
         _counters: &mut PhaseCounters,
     ) {
     }
-
-    fn reduce_sum(&mut self, _phase: Phase, _vals: &mut [f64], _counters: &mut PhaseCounters) {}
 }
 
 /// Charge an edge loop of `nedges` edges to `phase`: uniform flop count
@@ -422,13 +414,5 @@ mod tests {
             assert_eq!(p.index(), k);
             assert!(!p.label().is_empty());
         }
-    }
-
-    #[test]
-    fn reduce_sum_is_identity_serially() {
-        let mut c = PhaseCounters::default();
-        let mut vals = [1.0, 2.0];
-        SerialExecutor.reduce_sum(Phase::Monitor, &mut vals, &mut c);
-        assert_eq!(vals, [1.0, 2.0]);
     }
 }

@@ -40,6 +40,7 @@
 
 use eul3d_mesh::gen::BumpSpec;
 use eul3d_obs::DEFAULT_RING_CAPACITY;
+pub use eul3d_partition::PartitionMethod;
 use eul3d_partition::RankMapping;
 
 use crate::config::{Scheme, SolverConfig};
@@ -75,24 +76,12 @@ impl Default for TraceConfig {
     }
 }
 
-/// Which partitioner cuts the mesh for the distributed path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PartitionMethod {
-    /// Flat recursive spectral bisection — the paper's §4.1 method and
-    /// the historical default.
-    #[default]
-    FlatRsb,
-    /// Multilevel RSB: coarsen by heavy-edge matching, bisect the small
-    /// graph spectrally, project back with boundary refinement.
-    Multilevel,
-}
-
 /// Partitioning policy of a run: which partitioner cuts the mesh, its
 /// multilevel knobs, how parts are placed on ranks, and the optional
 /// mid-run repartition cadence. Absent (`None` on [`RunConfig`]) means
 /// the historical behaviour: flat RSB, identity placement, no mid-run
 /// repartitioning.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartitionConfig {
     /// The partitioner.
     pub method: PartitionMethod,
@@ -393,9 +382,20 @@ named! {
     Strategy, "sg|v|w": SingleGrid = "sg" | "single", VCycle = "v", WCycle = "w";
     Scheme, "jst|roe": CentralJst = "jst", RoeUpwind = "roe";
     DistBackend, "delta|hybrid": Delta = "delta" | "sim", Hybrid = "hybrid";
-    PartitionMethod, "flat-rsb|multilevel":
-        FlatRsb = "flat-rsb" | "flat", Multilevel = "multilevel" | "ml";
     Coarsening, "sequence|agglo": Sequence = "sequence", Agglo = "agglo";
+}
+
+impl TomlValue for PartitionMethod {
+    fn show(&self) -> Option<String> {
+        Some(format!("\"{}\"", self.label()))
+    }
+    fn read(v: &str) -> Result<PartitionMethod, String> {
+        let s = unquote(v)?;
+        PartitionMethod::parse(&s).ok_or_else(|| {
+            let names: Vec<&str> = PartitionMethod::ALL.iter().map(|m| m.label()).collect();
+            format!("must be {}, got '{s}'", names.join("|"))
+        })
+    }
 }
 
 impl TomlValue for RankMapping {
@@ -1072,6 +1072,15 @@ mod tests {
         };
         let err = rc.validate().unwrap_err();
         assert!(err.to_string().contains("repartition_every"), "{err}");
+
+        // Every method is a value of the one key, under its own name.
+        for method in PartitionMethod::ALL {
+            let mut rc = RunConfig::default();
+            rc.set("partition.method", method.label()).unwrap();
+            let text = rc.to_toml();
+            assert_eq!(RunConfig::from_toml(&text).unwrap(), rc, "{text}");
+            assert_eq!(rc.partition.map(|p| p.method), Some(method));
+        }
     }
 
     #[test]

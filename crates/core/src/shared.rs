@@ -223,10 +223,6 @@ impl Executor for SharedExecutor {
     ) {
         // Single address space: nothing to exchange.
     }
-
-    fn reduce_sum(&mut self, _phase: Phase, _vals: &mut [f64], _counters: &mut PhaseCounters) {
-        // Single address space: the local values already are the sum.
-    }
 }
 
 #[cfg(test)]

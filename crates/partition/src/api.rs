@@ -1,18 +1,124 @@
-//! The partitioner API: a [`Partitioner`] trait over validated
-//! [`PartitionOptions`], returning a [`PartitionPlan`] that carries the
+//! The partitioner API. [`PartitionMethod`] names every method, and
+//! [`PartitionMethod::partition`] is the one entry that turns a mesh and
+//! validated [`PartitionOptions`] into a [`PartitionPlan`]: the
 //! assignment together with its quality accounting (edge-cut, comm
-//! volume, balance, hop-weighted volume, Fiedler iterations).
+//! volume, balance, partition surface, hop-weighted volume, Fiedler
+//! iterations). Every method's assignment goes through
+//! [`PartitionPlan::from_assignment`], so every method gets the same
+//! report and the same part→rank mapping.
 //!
-//! Two implementations exist: [`FlatRsb`] (the paper's 1992 algorithm;
-//! the `table2` golden pins its assignment) and [`MultilevelRsb`]
-//! (coarsen → coarse Fiedler → refine, the parRSB recipe).
+//! The graph-only spectral methods also implement the [`Partitioner`]
+//! trait: [`FlatRsb`] (the paper's 1992 algorithm; the `table2` golden
+//! pins its assignment) and [`MultilevelRsb`] (coarsen → coarse Fiedler
+//! → refine, the parRSB recipe).
 
 use std::fmt;
 
+use eul3d_mesh::TetMesh;
+
+use crate::kl::kl_refine;
 use crate::mapping::{comm_matrix, hop_volume, topology_mapping, total_comm_volume};
-use crate::multilevel::{multilevel_bisect, MultilevelParams, WeightedGraph};
-use crate::quality::PartitionQuality;
-use crate::rsb::rsb_with_stats;
+use crate::multilevel::multilevel_rsb;
+use crate::parallel::parallel_rcb;
+use crate::rcb::rcb_partition;
+use crate::rsb::rsb;
+
+/// KL refinement after flat RSB (`rsb+kl`): part-size cap over ideal,
+/// and passes.
+const KL_TOL: f64 = 1.06;
+const KL_PASSES: usize = 6;
+
+/// Simulated ranks of a `prcb` run. Its assignment does not depend on
+/// the rank count, so a fixed small machine bounds the thread count.
+const PRCB_RANKS: usize = 8;
+
+/// Which partitioner cuts the mesh.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum PartitionMethod {
+    /// Flat recursive spectral bisection — the paper's §4.1 method and
+    /// the default.
+    #[default]
+    FlatRsb,
+    /// Multilevel RSB: coarsen by heavy-edge matching, bisect the small
+    /// graph spectrally, project back with boundary refinement.
+    Multilevel,
+    /// Flat RSB followed by Kernighan–Lin boundary refinement.
+    RsbKl,
+    /// Recursive coordinate bisection, the geometric baseline.
+    Rcb,
+    /// Uniform-random assignment from the options' seed.
+    Random,
+    /// RCB run SPMD on the simulated machine (power-of-two part counts).
+    Prcb,
+}
+
+impl PartitionMethod {
+    /// Every method, in the order the CLI and docs list them.
+    pub const ALL: [PartitionMethod; 6] = [
+        PartitionMethod::FlatRsb,
+        PartitionMethod::Multilevel,
+        PartitionMethod::RsbKl,
+        PartitionMethod::Rcb,
+        PartitionMethod::Random,
+        PartitionMethod::Prcb,
+    ];
+
+    /// Parse the CLI/TOML spelling, aliases included.
+    pub fn parse(s: &str) -> Option<PartitionMethod> {
+        let s = match s {
+            "flat" | "rsb" => "flat-rsb",
+            "ml" => "multilevel",
+            s => s,
+        };
+        Self::ALL.into_iter().find(|m| m.label() == s)
+    }
+
+    /// The CLI/TOML spelling.
+    pub fn label(&self) -> &'static str {
+        match self {
+            PartitionMethod::FlatRsb => "flat-rsb",
+            PartitionMethod::Multilevel => "multilevel",
+            PartitionMethod::RsbKl => "rsb+kl",
+            PartitionMethod::Rcb => "rcb",
+            PartitionMethod::Random => "random",
+            PartitionMethod::Prcb => "prcb",
+        }
+    }
+
+    /// Partition `mesh` into `opts.nparts` parts, or reject the options
+    /// (`prcb` takes only a power-of-two part count).
+    pub fn partition(
+        self,
+        mesh: &TetMesh,
+        opts: &PartitionOptions,
+    ) -> Result<PartitionPlan, PartitionError> {
+        opts.validate()?;
+        let (nverts, edges, nparts) = (mesh.nverts(), &mesh.edges[..], opts.nparts);
+        let (assignment, iters) = match self {
+            PartitionMethod::FlatRsb => rsb(nverts, edges, nparts, opts.lanczos_iters, opts.seed),
+            PartitionMethod::Multilevel => multilevel_rsb(nverts, edges, opts),
+            PartitionMethod::RsbKl => {
+                let (mut parts, iters) = rsb(nverts, edges, nparts, opts.lanczos_iters, opts.seed);
+                kl_refine(nverts, edges, &mut parts, nparts, KL_TOL, KL_PASSES);
+                (parts, iters)
+            }
+            PartitionMethod::Rcb => (rcb_partition(&mesh.coords, nparts), 0),
+            PartitionMethod::Random => (crate::random_partition(nverts, nparts, opts.seed), 0),
+            PartitionMethod::Prcb => {
+                if !nparts.is_power_of_two() {
+                    return Err(PartitionError {
+                        field: "nparts",
+                        reason: format!("prcb needs a power of two, got {nparts}"),
+                    });
+                }
+                (parallel_rcb(&mesh.coords, nparts, PRCB_RANKS), 0)
+            }
+        };
+        Ok(PartitionPlan::from_assignment(
+            assignment, edges, opts, iters,
+        ))
+    }
+}
 
 /// How partitions are assigned to machine ranks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -78,9 +184,6 @@ pub struct PartitionOptions {
     pub seed: u64,
     /// Lanczos iteration cap per Fiedler solve.
     pub lanczos_iters: usize,
-    /// Fiedler residual tolerance; `0.0` disables early stopping (the
-    /// historical fixed-iteration behaviour).
-    pub tolerance: f64,
     /// Multilevel: stop coarsening at this many vertices.
     pub coarsen_target: usize,
     /// Multilevel: refinement sweeps per level while uncoarsening.
@@ -93,13 +196,12 @@ pub struct PartitionOptions {
 
 impl PartitionOptions {
     /// Defaults matching the historical call sites: 40 Lanczos
-    /// iterations, no tolerance, identity mapping.
+    /// iterations, identity mapping.
     pub fn new(nparts: usize) -> PartitionOptions {
         PartitionOptions {
             nparts,
             seed: 7,
             lanczos_iters: 40,
-            tolerance: 0.0,
             coarsen_target: 64,
             refine_passes: 4,
             balance_tol: 1.10,
@@ -116,12 +218,6 @@ impl PartitionOptions {
     /// Set the Lanczos iteration cap.
     pub fn lanczos_iters(mut self, iters: usize) -> Self {
         self.lanczos_iters = iters;
-        self
-    }
-
-    /// Set the Fiedler residual tolerance (0.0 = run to the cap).
-    pub fn tolerance(mut self, tol: f64) -> Self {
-        self.tolerance = tol;
         self
     }
 
@@ -158,9 +254,6 @@ impl PartitionOptions {
         if self.lanczos_iters < 2 {
             return err("lanczos_iters", "must be at least 2".into());
         }
-        if !(self.tolerance >= 0.0 && self.tolerance < 1.0) {
-            return err("tolerance", format!("{} not in [0, 1)", self.tolerance));
-        }
         if self.coarsen_target < 2 {
             return err("coarsen_target", "must be at least 2".into());
         }
@@ -190,6 +283,10 @@ pub struct PartitionPlan {
     pub comm_volume: u64,
     /// Largest part size over the ideal size (1.0 = perfectly balanced).
     pub balance: f64,
+    /// Vertices on at least one cut edge (the partition surface).
+    pub boundary_vertices: usize,
+    /// Mean over parts of the part's boundary vertices over its size.
+    pub surface_to_volume: f64,
     /// Modeled hop-weighted comm volume of the final placement on the
     /// simulated Delta's 2-D mesh.
     pub hop_volume: u64,
@@ -200,10 +297,12 @@ pub struct PartitionPlan {
 }
 
 impl PartitionPlan {
-    /// Assemble a plan from a raw assignment: computes quality metrics,
-    /// applies the mapping policy (relabelling parts onto ranks), and
-    /// records both hop volumes.
-    fn from_assignment(
+    /// Assemble a plan from a raw assignment: applies the mapping policy
+    /// (relabelling parts onto ranks), records both hop volumes and
+    /// counts the quality of the final assignment (§4.1: "the criteria
+    /// for this partitioning is to reduce the volume of interprocessor
+    /// data communication and also to ensure good load-balancing").
+    pub fn from_assignment(
         mut assignment: Vec<u32>,
         edges: &[[u32; 2]],
         opts: &PartitionOptions,
@@ -224,13 +323,43 @@ impl PartitionPlan {
                 hop_volume(&mat, nparts, &perm, hops)
             }
         };
-        let q = PartitionQuality::compute(&assignment, nparts, edges);
+
+        let mut sizes = vec![0usize; nparts];
+        for &p in &assignment {
+            sizes[p as usize] += 1;
+        }
+        let ideal = assignment.len() as f64 / nparts as f64;
+        let balance = sizes.iter().copied().max().unwrap_or(0) as f64 / ideal.max(1e-300);
+        let mut edge_cut = 0usize;
+        let mut on_boundary = vec![false; assignment.len()];
+        for &[a, b] in edges {
+            if assignment[a as usize] != assignment[b as usize] {
+                edge_cut += 1;
+                on_boundary[a as usize] = true;
+                on_boundary[b as usize] = true;
+            }
+        }
+        let mut bverts = vec![0usize; nparts];
+        for (v, &onb) in on_boundary.iter().enumerate() {
+            if onb {
+                bverts[assignment[v] as usize] += 1;
+            }
+        }
+        let surface_to_volume = bverts
+            .iter()
+            .zip(&sizes)
+            .map(|(&b, &s)| if s > 0 { b as f64 / s as f64 } else { 0.0 })
+            .sum::<f64>()
+            / nparts as f64;
+
         PartitionPlan {
             assignment,
             nparts,
-            edge_cut: q.cut_edges,
+            edge_cut,
             comm_volume: total_comm_volume(&mat, nparts),
-            balance: q.max_imbalance,
+            balance,
+            boundary_vertices: bverts.iter().sum(),
+            surface_to_volume,
             hop_volume: hop_volume_final,
             hop_volume_identity,
             fiedler_iterations,
@@ -261,7 +390,7 @@ pub struct FlatRsb;
 
 impl Partitioner for FlatRsb {
     fn name(&self) -> &'static str {
-        "flat-rsb"
+        PartitionMethod::FlatRsb.label()
     }
 
     fn partition(
@@ -271,14 +400,7 @@ impl Partitioner for FlatRsb {
         opts: &PartitionOptions,
     ) -> Result<PartitionPlan, PartitionError> {
         opts.validate()?;
-        let (assignment, iters) = rsb_with_stats(
-            nverts,
-            edges,
-            opts.nparts,
-            opts.lanczos_iters,
-            opts.tolerance,
-            opts.seed,
-        );
+        let (assignment, iters) = rsb(nverts, edges, opts.nparts, opts.lanczos_iters, opts.seed);
         Ok(PartitionPlan::from_assignment(
             assignment, edges, opts, iters,
         ))
@@ -295,7 +417,7 @@ pub struct MultilevelRsb;
 
 impl Partitioner for MultilevelRsb {
     fn name(&self) -> &'static str {
-        "multilevel"
+        PartitionMethod::Multilevel.label()
     }
 
     fn partition(
@@ -305,75 +427,17 @@ impl Partitioner for MultilevelRsb {
         opts: &PartitionOptions,
     ) -> Result<PartitionPlan, PartitionError> {
         opts.validate()?;
-        let params = MultilevelParams {
-            coarsen_target: opts.coarsen_target,
-            refine_passes: opts.refine_passes,
-            balance_tol: opts.balance_tol,
-            lanczos_iters: opts.lanczos_iters,
-            tolerance: opts.tolerance,
-            seed: opts.seed,
-        };
-        let mut parts = vec![0u32; nverts];
-        let mut fiedler_iters = 0usize;
-        if opts.nparts > 1 && nverts > 0 {
-            let all: Vec<u32> = (0..nverts as u32).collect();
-            let mut local_of = vec![0u32; nverts];
-            let mut stack = vec![(all, edges.to_vec(), 0u32, opts.nparts)];
-            while let Some((verts, sub_edges, base, np)) = stack.pop() {
-                if np == 1 || verts.len() <= 1 {
-                    for &v in &verts {
-                        parts[v as usize] = base;
-                    }
-                    continue;
-                }
-                let np_left = np / 2;
-                let np_right = np - np_left;
-
-                // Local renumbering of the induced subgraph through the
-                // shared dense scratch map (each bisection overwrites
-                // exactly the slots of its own vertices, and its edges
-                // touch no others).
-                let n = verts.len();
-                for (l, &gv) in verts.iter().enumerate() {
-                    local_of[gv as usize] = l as u32;
-                }
-                let local_edges: Vec<[u32; 2]> = sub_edges
-                    .iter()
-                    .map(|&[a, b]| [local_of[a as usize], local_of[b as usize]])
-                    .collect();
-                let g = WeightedGraph::unit_from_edges(n, &local_edges);
-                let (side, iters) = multilevel_bisect(&g, np_left, np_right, &params);
-                fiedler_iters += iters;
-
-                let mut left = Vec::new();
-                let mut right = Vec::new();
-                for (l, &gv) in verts.iter().enumerate() {
-                    if side[l] {
-                        left.push(gv);
-                    } else {
-                        right.push(gv);
-                    }
-                }
-                let mut le = Vec::new();
-                let mut re = Vec::new();
-                for &[a, b] in &local_edges {
-                    match (side[a as usize], side[b as usize]) {
-                        (true, true) => le.push([verts[a as usize], verts[b as usize]]),
-                        (false, false) => re.push([verts[a as usize], verts[b as usize]]),
-                        _ => {}
-                    }
-                }
-                stack.push((left, le, base, np_left));
-                stack.push((right, re, base + np_left as u32, np_right));
-            }
-        }
+        let (assignment, iters) = multilevel_rsb(nverts, edges, opts);
         Ok(PartitionPlan::from_assignment(
-            parts,
-            edges,
-            opts,
-            fiedler_iters,
+            assignment, edges, opts, iters,
         ))
     }
+}
+
+/// The plan of a given assignment under identity placement.
+#[cfg(test)]
+pub(crate) fn recount(parts: &[u32], nparts: usize, edges: &[[u32; 2]]) -> PartitionPlan {
+    PartitionPlan::from_assignment(parts.to_vec(), edges, &PartitionOptions::new(nparts), 0)
 }
 
 #[cfg(test)]
@@ -384,14 +448,113 @@ mod tests {
     #[test]
     fn plans_are_deterministic() {
         let m = unit_box(4, 0.2, 11);
-        for p in [&FlatRsb as &dyn Partitioner, &MultilevelRsb] {
-            let opts = PartitionOptions::new(6)
-                .seed(5)
-                .mapping(RankMapping::Topology);
-            let a = p.partition(m.nverts(), &m.edges, &opts).unwrap();
-            let b = p.partition(m.nverts(), &m.edges, &opts).unwrap();
-            assert_eq!(a, b, "{} not deterministic", p.name());
+        for method in PartitionMethod::ALL {
+            for nparts in [2usize, 4, 8] {
+                let opts = PartitionOptions::new(nparts)
+                    .seed(5)
+                    .mapping(RankMapping::Topology);
+                let a = method.partition(&m, &opts).unwrap();
+                let b = method.partition(&m, &opts).unwrap();
+                assert_eq!(a, b, "{} not deterministic", method.label());
+            }
         }
+    }
+
+    #[test]
+    fn the_trait_and_the_method_entry_agree() {
+        let m = unit_box(5, 0.1, 6);
+        let opts = PartitionOptions::new(4).seed(3);
+        let pairs = [
+            (&FlatRsb as &dyn Partitioner, PartitionMethod::FlatRsb),
+            (&MultilevelRsb, PartitionMethod::Multilevel),
+        ];
+        for (p, method) in pairs {
+            assert_eq!(p.name(), method.label());
+            let via_trait = p.partition(m.nverts(), &m.edges, &opts).unwrap();
+            assert_eq!(via_trait, method.partition(&m, &opts).unwrap());
+        }
+    }
+
+    /// Every quality field counted again from the edges, the slow way.
+    fn assert_recounts(plan: &PartitionPlan, edges: &[[u32; 2]], what: &str) {
+        let parts = &plan.assignment;
+        let nparts = plan.nparts;
+        let cut: Vec<&[u32; 2]> = edges
+            .iter()
+            .filter(|[a, b]| parts[*a as usize] != parts[*b as usize])
+            .collect();
+        assert_eq!(plan.edge_cut, cut.len(), "{what}: edge_cut");
+        let size = |p: u32| parts.iter().filter(|&&q| q == p).count();
+        let largest = (0..nparts as u32).map(size).max().unwrap();
+        let ideal = parts.len() as f64 / nparts as f64;
+        assert!(
+            (plan.balance - largest as f64 / ideal).abs() < 1e-12,
+            "{what}: balance"
+        );
+        // Ghost copies: the other parts adjacent to each vertex.
+        let mut ghosts = 0u64;
+        let mut boundary = 0usize;
+        let mut per_part = vec![0usize; nparts];
+        for v in 0..parts.len() {
+            let mut others: Vec<u32> = edges
+                .iter()
+                .filter_map(|&[a, b]| match (a as usize == v, b as usize == v) {
+                    (true, _) => Some(parts[b as usize]),
+                    (_, true) => Some(parts[a as usize]),
+                    _ => None,
+                })
+                .filter(|&q| q != parts[v])
+                .collect();
+            others.sort_unstable();
+            others.dedup();
+            ghosts += others.len() as u64;
+            if !others.is_empty() {
+                boundary += 1;
+                per_part[parts[v] as usize] += 1;
+            }
+        }
+        assert_eq!(plan.comm_volume, ghosts, "{what}: comm_volume");
+        assert_eq!(
+            plan.boundary_vertices, boundary,
+            "{what}: boundary_vertices"
+        );
+        let s2v = (0..nparts)
+            .map(|p| match size(p as u32) {
+                0 => 0.0,
+                n => per_part[p] as f64 / n as f64,
+            })
+            .sum::<f64>()
+            / nparts as f64;
+        assert!(
+            (plan.surface_to_volume - s2v).abs() < 1e-12,
+            "{what}: surface_to_volume"
+        );
+    }
+
+    #[test]
+    fn every_plan_field_matches_a_direct_recount() {
+        let m = unit_box(4, 0.15, 3);
+        for method in PartitionMethod::ALL {
+            for nparts in [2usize, 4, 8] {
+                let opts = PartitionOptions::new(nparts).mapping(RankMapping::Topology);
+                let plan = method.partition(&m, &opts).unwrap();
+                assert_recounts(&plan, &m.edges, method.label());
+            }
+        }
+        // Hand cases: the path 0-1-2-3 split evenly and unevenly, and a
+        // single part with no cut at all.
+        let path = [[0u32, 1], [1, 2], [2, 3]];
+        let even = recount(&[0, 0, 1, 1], 2, &path);
+        assert_recounts(&even, &path, "even path");
+        assert_eq!((even.edge_cut, even.boundary_vertices), (1, 2));
+        assert!((even.balance - 1.0).abs() < 1e-12);
+        assert!((even.surface_to_volume - 0.5).abs() < 1e-12);
+        let uneven = recount(&[0, 0, 0, 1], 2, &path);
+        assert_recounts(&uneven, &path, "uneven path");
+        assert!((uneven.balance - 1.5).abs() < 1e-12);
+        let whole = recount(&[0; 5], 1, &[[0, 1], [2, 3], [3, 4]]);
+        assert_recounts(&whole, &[[0, 1], [2, 3], [3, 4]], "one part");
+        assert_eq!((whole.edge_cut, whole.boundary_vertices), (0, 0));
     }
 
     #[test]
@@ -431,13 +594,13 @@ mod tests {
     #[test]
     fn topology_mapping_never_worse_than_identity() {
         let m = unit_box(6, 0.1, 1);
-        for p in [&FlatRsb as &dyn Partitioner, &MultilevelRsb] {
+        for method in PartitionMethod::ALL {
             let opts = PartitionOptions::new(16).mapping(RankMapping::Topology);
-            let plan = p.partition(m.nverts(), &m.edges, &opts).unwrap();
+            let plan = method.partition(&m, &opts).unwrap();
             assert!(
                 plan.hop_volume <= plan.hop_volume_identity,
                 "{}: {} > identity {}",
-                p.name(),
+                method.label(),
                 plan.hop_volume,
                 plan.hop_volume_identity
             );
@@ -479,34 +642,19 @@ mod tests {
         let bad = PartitionOptions::new(0);
         let err = FlatRsb.partition(m.nverts(), &m.edges, &bad).unwrap_err();
         assert_eq!(err.field, "nparts");
-        let bad = PartitionOptions::new(4).tolerance(2.0);
+        let bad = PartitionOptions::new(4).lanczos_iters(1);
         let err = FlatRsb.partition(m.nverts(), &m.edges, &bad).unwrap_err();
-        assert_eq!(err.field, "tolerance");
-        assert!(err.to_string().contains("tolerance"));
+        assert_eq!(err.field, "lanczos_iters");
+        assert!(err.to_string().contains("lanczos_iters"));
         let bad = PartitionOptions::new(4).balance_tol(0.5);
         assert!(MultilevelRsb.partition(m.nverts(), &m.edges, &bad).is_err());
-    }
-
-    #[test]
-    fn tolerance_stops_early_and_is_reported() {
-        let m = unit_box(6, 0.1, 3);
-        let full = FlatRsb
-            .partition(m.nverts(), &m.edges, &PartitionOptions::new(2))
-            .unwrap();
-        let early = FlatRsb
-            .partition(
-                m.nverts(),
-                &m.edges,
-                &PartitionOptions::new(2).tolerance(1e-3),
-            )
-            .unwrap();
-        assert!(
-            early.fiedler_iterations < full.fiedler_iterations,
-            "tolerance should cut iterations: {} vs {}",
-            early.fiedler_iterations,
-            full.fiedler_iterations
-        );
-        // The split quality must stay in the same class.
-        assert!(early.balance < 1.1);
+        // prcb cuts only a power-of-two part count.
+        for nparts in [3usize, 5, 6] {
+            let err = PartitionMethod::Prcb
+                .partition(&m, &PartitionOptions::new(nparts))
+                .unwrap_err();
+            assert_eq!(err.field, "nparts");
+            assert!(err.reason.contains(&nparts.to_string()), "{err}");
+        }
     }
 }

@@ -90,7 +90,7 @@ pub fn kl_refine(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quality::PartitionQuality;
+    use crate::api::recount;
     use crate::{random_partition, FlatRsb, PartitionOptions, Partitioner};
     use eul3d_mesh::gen::unit_box;
 
@@ -99,17 +99,17 @@ mod tests {
         let m = unit_box(6, 0.15, 2);
         let nparts = 4;
         let mut parts = random_partition(m.nverts(), nparts, 3);
-        let before = PartitionQuality::compute(&parts, nparts, &m.edges);
+        let before = recount(&parts, nparts, &m.edges);
         let moved = kl_refine(m.nverts(), &m.edges, &mut parts, nparts, 1.30, 12);
-        let after = PartitionQuality::compute(&parts, nparts, &m.edges);
+        let after = recount(&parts, nparts, &m.edges);
         assert!(moved > 0);
         assert!(
-            after.cut_edges < before.cut_edges / 2,
+            after.edge_cut < before.edge_cut / 2,
             "KL should at least halve a random cut: {} -> {}",
-            before.cut_edges,
-            after.cut_edges
+            before.edge_cut,
+            after.edge_cut
         );
-        assert!(after.max_imbalance <= 1.35, "{:?}", after.max_imbalance);
+        assert!(after.balance <= 1.35, "{:?}", after.balance);
     }
 
     #[test]
@@ -120,11 +120,11 @@ mod tests {
             .partition(m.nverts(), &m.edges, &PartitionOptions::new(nparts).seed(1))
             .unwrap()
             .assignment;
-        let before = PartitionQuality::compute(&parts, nparts, &m.edges);
+        let before = recount(&parts, nparts, &m.edges);
         kl_refine(m.nverts(), &m.edges, &mut parts, nparts, 1.10, 8);
-        let after = PartitionQuality::compute(&parts, nparts, &m.edges);
-        assert!(after.cut_edges <= before.cut_edges);
-        assert!(after.max_imbalance < 1.15);
+        let after = recount(&parts, nparts, &m.edges);
+        assert!(after.edge_cut <= before.edge_cut);
+        assert!(after.balance < 1.15);
     }
 
     #[test]
@@ -135,10 +135,10 @@ mod tests {
         let edges: Vec<[u32; 2]> = (0..n - 1).map(|i| [i as u32, i as u32 + 1]).collect();
         let mut parts: Vec<u32> = (0..n).map(|i| (i % 2) as u32).collect();
         kl_refine(n, &edges, &mut parts, 2, 1.10, 20);
-        let q = PartitionQuality::compute(&parts, 2, &edges);
-        assert!(q.max_imbalance <= 1.15, "{}", q.max_imbalance);
+        let q = recount(&parts, 2, &edges);
+        assert!(q.balance <= 1.15, "{}", q.balance);
         // An alternating partition cuts every edge; KL should fix most.
-        assert!(q.cut_edges < 10, "cut {}", q.cut_edges);
+        assert!(q.edge_cut < 10, "cut {}", q.edge_cut);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //!   Cray Y-MP C90;
 //! * **mesh partitioning** — recursive *spectral* bisection
 //!   (Pothen–Simon–Liou), the method the paper uses for the Touchstone
-//!   Delta, plus recursive coordinate bisection and random assignment as
-//!   ablation baselines;
+//!   Delta, plus its multilevel and KL-refined variants, and recursive
+//!   coordinate bisection (serial and SPMD) and random assignment as
+//!   ablation baselines, all named by one [`PartitionMethod`];
 //! * **node and edge reordering** — the cache optimizations of §4.2 that
 //!   doubled the single-node i860 rate;
 //! * **partitioned-mesh construction** — per-rank local meshes with ghost
@@ -15,7 +16,7 @@
 //! ```
 //! use eul3d_mesh::gen::unit_box;
 //! use eul3d_partition::{
-//!     color_edges, validate_coloring, MultilevelRsb, PartitionOptions, Partitioner,
+//!     color_edges, validate_coloring, PartitionMethod, PartitionOptions,
 //! };
 //!
 //! let mesh = unit_box(4, 0.15, 7);
@@ -23,29 +24,29 @@
 //! let coloring = color_edges(&mesh);
 //! assert!(validate_coloring(&mesh.edges, &coloring).is_ok());
 //! // §4.1 modernized: multilevel spectral bisection for the
-//! // distributed path, via the Partitioner trait.
+//! // distributed path.
 //! let opts = PartitionOptions::new(4).seed(1);
-//! let plan = MultilevelRsb.partition(mesh.nverts(), &mesh.edges, &opts).unwrap();
+//! let plan = PartitionMethod::Multilevel.partition(&mesh, &opts).unwrap();
 //! assert!(plan.balance < 1.2);
 //! assert!(plan.edge_cut > 0);
 //! ```
 
 pub mod api;
+mod bisection;
 pub mod coloring;
 pub mod kl;
 pub mod mapping;
 pub mod multilevel;
 pub mod parallel;
 pub mod partitioned;
-pub mod quality;
 pub mod rcb;
 pub mod reorder;
 pub mod rsb;
 pub mod spectral;
 
 pub use api::{
-    FlatRsb, MultilevelRsb, PartitionError, PartitionOptions, PartitionPlan, Partitioner,
-    RankMapping,
+    FlatRsb, MultilevelRsb, PartitionError, PartitionMethod, PartitionOptions, PartitionPlan,
+    Partitioner, RankMapping,
 };
 pub use coloring::{color_edges, validate_coloring, EdgeColoring};
 pub use kl::kl_refine;
@@ -56,9 +57,8 @@ pub use multilevel::{
 };
 pub use parallel::parallel_rcb;
 pub use partitioned::{PartitionedMesh, RankMesh};
-pub use quality::PartitionQuality;
 pub use rcb::rcb_partition;
-pub use spectral::{fiedler_vector, fiedler_vector_tol, FiedlerSolve};
+pub use spectral::{fiedler_vector, FiedlerSolve};
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};

@@ -16,7 +16,9 @@
 //! The spectral work thus happens on O(coarsen_target) vertices
 //! regardless of mesh size; everything else is linear passes.
 
+use crate::bisection::{recursive_bisection, Split};
 use crate::spectral::lanczos_fiedler;
+use crate::PartitionOptions;
 
 /// A compact undirected graph in CSR form with integer vertex and edge
 /// weights — the aggregate of a finer graph under a matching. Weights
@@ -390,6 +392,42 @@ pub fn rebalance_bisection(
     moves
 }
 
+/// The multilevel-RSB partition behind [`crate::MultilevelRsb`]: every
+/// bisection of the recursion is a [`multilevel_bisect`] of the induced
+/// subgraph. Returns the part id of every vertex and the summed Lanczos
+/// iterations.
+pub(crate) fn multilevel_rsb(
+    nverts: usize,
+    edges: &[[u32; 2]],
+    opts: &PartitionOptions,
+) -> (Vec<u32>, usize) {
+    let params = MultilevelParams {
+        coarsen_target: opts.coarsen_target,
+        refine_passes: opts.refine_passes,
+        balance_tol: opts.balance_tol,
+        lanczos_iters: opts.lanczos_iters,
+        seed: opts.seed,
+    };
+    recursive_bisection(
+        nverts,
+        edges,
+        opts.nparts,
+        |verts, local_edges, w_left, w_right| {
+            let g = WeightedGraph::unit_from_edges(verts.len(), local_edges);
+            let (side, iterations) = multilevel_bisect(&g, w_left, w_right, &params);
+            let (mut order, right): (Vec<u32>, Vec<u32>) =
+                (0..verts.len() as u32).partition(|&l| side[l as usize]);
+            let cut = order.len();
+            order.extend(right);
+            Split {
+                order,
+                cut,
+                iterations,
+            }
+        },
+    )
+}
+
 /// Tuning knobs of one multilevel bisection (shared across the whole
 /// recursive partition).
 #[derive(Debug, Clone, Copy)]
@@ -402,8 +440,6 @@ pub struct MultilevelParams {
     pub balance_tol: f64,
     /// Lanczos iteration cap for the coarse-graph Fiedler solve.
     pub lanczos_iters: usize,
-    /// Fiedler residual tolerance (0.0 = run to the cap).
-    pub tolerance: f64,
     /// Seed for the Lanczos start vector.
     pub seed: u64,
 }
@@ -454,7 +490,6 @@ pub fn multilevel_bisect(
         nc,
         |x, y| coarsest.laplacian_matvec(x, y),
         p.lanczos_iters,
-        p.tolerance,
         p.seed,
     );
     let f = &solve.vector;
@@ -541,7 +576,6 @@ mod tests {
             refine_passes: 4,
             balance_tol: 1.1,
             lanczos_iters: 40,
-            tolerance: 0.0,
             seed: 7,
         }
     }

@@ -177,7 +177,7 @@ fn split_round(rank: &mut Rank, mine: &[Vec3], labels: &mut [u32], ngroups: usiz
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quality::PartitionQuality;
+    use crate::api::recount;
     use crate::rcb::rcb_partition;
     use eul3d_mesh::gen::unit_box;
 
@@ -185,8 +185,8 @@ mod tests {
     fn parallel_rcb_balances_and_covers() {
         let m = unit_box(6, 0.15, 3);
         let parts = parallel_rcb(&m.coords, 8, 4);
-        let q = PartitionQuality::compute(&parts, 8, &m.edges);
-        assert!(q.max_imbalance < 1.10, "imbalance {}", q.max_imbalance);
+        let q = recount(&parts, 8, &m.edges);
+        assert!(q.balance < 1.10, "imbalance {}", q.balance);
         for p in 0..8u32 {
             assert!(parts.contains(&p), "part {p} empty");
         }
@@ -197,13 +197,13 @@ mod tests {
         let m = unit_box(6, 0.15, 5);
         let pp = parallel_rcb(&m.coords, 8, 5);
         let sp = rcb_partition(&m.coords, 8);
-        let qp = PartitionQuality::compute(&pp, 8, &m.edges);
-        let qs = PartitionQuality::compute(&sp, 8, &m.edges);
+        let qp = recount(&pp, 8, &m.edges);
+        let qs = recount(&sp, 8, &m.edges);
         assert!(
-            (qp.cut_edges as f64) < 1.4 * qs.cut_edges as f64,
+            (qp.edge_cut as f64) < 1.4 * qs.edge_cut as f64,
             "parallel cut {} vs serial {}",
-            qp.cut_edges,
-            qs.cut_edges
+            qp.edge_cut,
+            qs.edge_cut
         );
     }
 

@@ -5,30 +5,16 @@
 
 use eul3d_mesh::Vec3;
 
+use crate::bisection::{recursive_bisection, Split};
+
 /// Partition vertices (given their coordinates) into `nparts` pieces by
 /// recursive coordinate bisection.
 pub fn rcb_partition(coords: &[Vec3], nparts: usize) -> Vec<u32> {
-    assert!(nparts >= 1);
-    let mut parts = vec![0u32; coords.len()];
-    if nparts == 1 || coords.is_empty() {
-        return parts;
-    }
-    let all: Vec<u32> = (0..coords.len() as u32).collect();
-    let mut stack = vec![(all, 0u32, nparts)];
-    while let Some((verts, base, np)) = stack.pop() {
-        if np == 1 || verts.len() <= 1 {
-            for &v in &verts {
-                parts[v as usize] = base;
-            }
-            continue;
-        }
-        let np_left = np / 2;
-        let np_right = np - np_left;
-
+    let split = |verts: &[u32], _: &[[u32; 2]], np_left: usize, np_right: usize| {
         // Longest axis of the subset's bounding box.
         let mut lo = Vec3::new(f64::INFINITY, f64::INFINITY, f64::INFINITY);
         let mut hi = -lo;
-        for &v in &verts {
+        for &v in verts {
             lo = lo.min(coords[v as usize]);
             hi = hi.max(coords[v as usize]);
         }
@@ -40,35 +26,36 @@ pub fn rcb_partition(coords: &[Vec3], nparts: usize) -> Vec<u32> {
         } else {
             2
         };
-
-        let mut order = verts;
+        let at = |l: u32| coords[verts[l as usize] as usize].axis(axis);
+        let mut order: Vec<u32> = (0..verts.len() as u32).collect();
         order.sort_by(|&a, &b| {
-            coords[a as usize]
-                .axis(axis)
-                .partial_cmp(&coords[b as usize].axis(axis))
+            at(a)
+                .partial_cmp(&at(b))
                 .unwrap()
-                .then(a.cmp(&b))
+                .then(verts[a as usize].cmp(&verts[b as usize]))
         });
-        let cut = order.len() * np_left / np;
-        let right = order.split_off(cut);
-        stack.push((order, base, np_left));
-        stack.push((right, base + np_left as u32, np_right));
-    }
-    parts
+        Split {
+            cut: order.len() * np_left / (np_left + np_right),
+            order,
+            iterations: 0,
+        }
+    };
+    // Geometry needs no edges: every subset's induced edge list is empty.
+    recursive_bisection(coords.len(), &[], nparts, split).0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quality::PartitionQuality;
+    use crate::api::recount;
     use eul3d_mesh::gen::unit_box;
 
     #[test]
     fn rcb_is_balanced() {
         let m = unit_box(6, 0.2, 4);
         let p = rcb_partition(&m.coords, 8);
-        let q = PartitionQuality::compute(&p, 8, &m.edges);
-        assert!(q.max_imbalance < 1.05, "{q:?}");
+        let q = recount(&p, 8, &m.edges);
+        assert!(q.balance < 1.05, "{q:?}");
     }
 
     #[test]
@@ -93,9 +80,9 @@ mod tests {
     fn rcb_cut_quality_beats_random() {
         let m = unit_box(6, 0.15, 5);
         let p = rcb_partition(&m.coords, 4);
-        let q = PartitionQuality::compute(&p, 4, &m.edges);
+        let q = recount(&p, 4, &m.edges);
         let pr = crate::random_partition(m.nverts(), 4, 2);
-        let qr = PartitionQuality::compute(&pr, 4, &m.edges);
-        assert!(q.cut_edges < qr.cut_edges);
+        let qr = recount(&pr, 4, &m.edges);
+        assert!(q.edge_cut < qr.edge_cut);
     }
 }

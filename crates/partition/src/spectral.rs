@@ -131,10 +131,9 @@ fn orthogonalize(x: &mut [f64], q: &[f64]) {
     }
 }
 
-/// A Fiedler solve with its convergence accounting: the (Ritz) vector
-/// plus the number of Lanczos iterations that were actually run, so
-/// callers (and the partition plan) can report where the iteration cap
-/// bound the work and where the tolerance stopped it early.
+/// A Fiedler solve with its work accounting: the (Ritz) vector plus
+/// the number of Lanczos iterations run, which the partition plan
+/// reports.
 #[derive(Debug, Clone)]
 pub struct FiedlerSolve {
     /// The approximate Fiedler vector.
@@ -144,33 +143,15 @@ pub struct FiedlerSolve {
 }
 
 /// Approximate the Fiedler vector (eigenvector of the second-smallest
-/// Laplacian eigenvalue) of a graph by Lanczos steps with full
-/// reorthogonalization and deflation of the constant null vector.
-///
-/// Runs at most `iters` steps; `tol = 0.0` always runs to the cap (the
-/// historical fixed-count behaviour), while `tol > 0.0` stops as soon as
-/// the Ritz-pair residual bound `β·|s_k|` drops below `tol` relative to
-/// the Ritz value — the iteration cap remains the fallback.
+/// Laplacian eigenvalue) of a graph by `iters` Lanczos steps (fewer on
+/// breakdown) with full reorthogonalization and deflation of the
+/// constant null vector.
 ///
 /// On disconnected graphs this returns a vector separating components
 /// (an exact zero eigenvector orthogonal to 1), which still produces a
 /// sensible bisection. Graphs with < 3 vertices get a trivial ±pattern.
-pub fn fiedler_vector_tol(g: &Graph, iters: usize, tol: f64, seed: u64) -> FiedlerSolve {
-    lanczos_fiedler(
-        g.nverts(),
-        |x, y| g.laplacian_matvec(x, y),
-        iters,
-        tol,
-        seed,
-    )
-}
-
-/// Fixed-iteration-count Fiedler vector — `fiedler_vector_tol` with the
-/// tolerance disabled. Kept as the exact-compatibility entry point: the
-/// flat-RSB golden histories depend on this running precisely `iters`
-/// Lanczos steps (modulo breakdown).
 pub fn fiedler_vector(g: &Graph, iters: usize, seed: u64) -> Vec<f64> {
-    fiedler_vector_tol(g, iters, 0.0, seed).vector
+    lanczos_fiedler(g.nverts(), |x, y| g.laplacian_matvec(x, y), iters, seed).vector
 }
 
 /// The shared Lanczos driver: `matvec` applies the (possibly weighted)
@@ -180,7 +161,6 @@ pub(crate) fn lanczos_fiedler(
     n: usize,
     matvec: impl Fn(&[f64], &mut [f64]),
     iters: usize,
-    tol: f64,
     seed: u64,
 ) -> FiedlerSolve {
     if n == 0 {
@@ -243,17 +223,6 @@ pub(crate) fn lanczos_fiedler(
         if beta < 1e-12 {
             break;
         }
-        // Tolerance-based early stop: the Ritz pair (θ, y) of the
-        // projected tridiagonal T_k has residual ‖L y − θ y‖ = β·|s_k|
-        // (last component of the projected eigenvector), the classical
-        // Lanczos bound. Guarded by `tol > 0.0` so the legacy
-        // fixed-count path executes bit-identically.
-        if tol > 0.0 && alphas.len() >= 3 {
-            let (theta, s_last) = min_ritz_edge(&alphas, &betas);
-            if beta * s_last.abs() <= tol * theta.abs().max(tol) {
-                break;
-            }
-        }
         betas.push(beta);
         for (vi, wi) in v.iter_mut().zip(&w) {
             *vi = wi / beta;
@@ -287,26 +256,6 @@ pub(crate) fn lanczos_fiedler(
         vector: fiedler,
         iterations: k,
     }
-}
-
-/// Smallest Ritz value of the tridiagonal `T_k` built from `alphas` /
-/// `betas`, plus the last component of its projected eigenvector —
-/// the two numbers the Lanczos residual bound needs.
-fn min_ritz_edge(alphas: &[f64], betas: &[f64]) -> (f64, f64) {
-    let k = alphas.len();
-    let mut t = vec![vec![0.0; k]; k];
-    for i in 0..k {
-        t[i][i] = alphas[i];
-        if i + 1 < k {
-            t[i][i + 1] = betas[i];
-            t[i + 1][i] = betas[i];
-        }
-    }
-    let (evals, evecs) = jacobi_eigen(t);
-    let best = (0..k)
-        .min_by(|&i, &j| evals[i].partial_cmp(&evals[j]).unwrap())
-        .unwrap();
-    (evals[best], evecs[k - 1][best])
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@ use eul3d_partition::coloring::{color_edge_list, validate_coloring};
 use eul3d_partition::reorder::{random_order, rcm_order};
 use eul3d_partition::{
     coarsen, heavy_edge_matching, kl_refine, multilevel_bisect, FlatRsb, MultilevelParams,
-    MultilevelRsb, PartitionOptions, PartitionQuality, Partitioner, WeightedGraph,
+    MultilevelRsb, PartitionOptions, PartitionPlan, Partitioner, WeightedGraph,
 };
 
 /// A connected random graph: spanning tree + `extra` random edges.
@@ -61,9 +61,12 @@ proptest! {
         let opts = PartitionOptions::new(nparts).lanczos_iters(25).seed(3);
         let plan = FlatRsb.partition(n, &edges, &opts).unwrap();
         prop_assert_eq!(plan.assignment.len(), n);
-        let q = PartitionQuality::compute(&plan.assignment, nparts, &edges);
-        prop_assert!(q.max_imbalance < 1.4, "imbalance {}", q.max_imbalance);
-        prop_assert_eq!(plan.edge_cut, q.cut_edges);
+        let cut = edges
+            .iter()
+            .filter(|&&[a, b]| plan.assignment[a as usize] != plan.assignment[b as usize])
+            .count();
+        prop_assert!(plan.balance < 1.4, "imbalance {}", plan.balance);
+        prop_assert_eq!(plan.edge_cut, cut);
     }
 
     /// Heavy-edge matching is a valid matching: an involution whose
@@ -121,7 +124,6 @@ proptest! {
             refine_passes: 4,
             balance_tol: 1.10,
             lanczos_iters: 30,
-            tolerance: 0.0,
             seed,
         };
         let (side, _iters) = multilevel_bisect(&g, 1, 1, &p);
@@ -173,10 +175,11 @@ proptest! {
         let n = 36;
         let nparts = 3;
         let mut parts = eul3d_partition::random_partition(n, nparts, seed);
-        let before = PartitionQuality::compute(&parts, nparts, &edges);
+        let opts = PartitionOptions::new(nparts);
+        let before = PartitionPlan::from_assignment(parts.clone(), &edges, &opts, 0);
         kl_refine(n, &edges, &mut parts, nparts, 1.4, 6);
-        let after = PartitionQuality::compute(&parts, nparts, &edges);
-        prop_assert!(after.cut_edges <= before.cut_edges);
+        let after = PartitionPlan::from_assignment(parts.clone(), &edges, &opts, 0);
+        prop_assert!(after.edge_cut <= before.edge_cut);
         for p in 0..nparts as u32 {
             prop_assert!(parts.contains(&p));
         }

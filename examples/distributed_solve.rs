@@ -10,7 +10,7 @@
 use eul3d::delta::{CommClass, CostModel};
 use eul3d::mesh::gen::BumpSpec;
 use eul3d::mesh::MeshSequence;
-use eul3d::partition::PartitionQuality;
+use eul3d::partition::{PartitionOptions, PartitionPlan};
 use eul3d::solver::dist::{run_distributed, DistOptions, DistSetup};
 use eul3d::solver::{SolverConfig, Strategy};
 
@@ -38,11 +38,13 @@ fn main() {
         t0.elapsed().as_secs_f64()
     );
     for (l, pm) in setup.pms.iter().enumerate() {
-        let q = PartitionQuality::compute(&pm.owner, nranks, &setup.seq.meshes[l].edges);
+        let edges = &setup.seq.meshes[l].edges;
+        let opts = PartitionOptions::new(nranks);
+        let q = PartitionPlan::from_assignment(pm.owner.clone(), edges, &opts, 0);
         println!(
             "  level {l}: cut {:.1}% of edges, imbalance {:.2}, {} total ghosts",
-            100.0 * q.cut_fraction,
-            q.max_imbalance,
+            100.0 * (q.edge_cut as f64 / edges.len() as f64),
+            q.balance,
             pm.total_ghosts()
         );
     }

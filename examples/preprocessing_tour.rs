@@ -12,9 +12,7 @@ use eul3d::mesh::gen::{bump_channel, BumpSpec};
 use eul3d::mesh::stats::MeshStats;
 use eul3d::mesh::InterpOps;
 use eul3d::partition::reorder::{apply_vertex_order, mean_edge_span, rcm_order, shuffle_vertices};
-use eul3d::partition::{
-    color_edges, validate_coloring, FlatRsb, PartitionOptions, PartitionQuality, Partitioner,
-};
+use eul3d::partition::{color_edges, validate_coloring, FlatRsb, PartitionOptions, Partitioner};
 
 fn main() {
     // 1. Mesh generation (stand-in for the advancing-front generator).
@@ -53,12 +51,11 @@ fn main() {
     let plan = FlatRsb
         .partition(mesh.nverts(), &mesh.edges, &opts)
         .unwrap();
-    let q = PartitionQuality::compute(&plan.assignment, nparts, &mesh.edges);
     println!(
         "4. RSB into {nparts}: cut {:.1}% of edges, imbalance {:.3}, surface/volume {:.2}",
-        100.0 * q.cut_fraction,
-        q.max_imbalance,
-        q.mean_surface_to_volume
+        100.0 * (plan.edge_cut as f64 / mesh.nedges() as f64),
+        plan.balance,
+        plan.surface_to_volume
     );
 
     // 5. Node/edge reordering (§4.2).

@@ -20,7 +20,7 @@ use eul3d::solver::dist::{
     DistSetup, FaultOptions, RepartitionPolicy,
 };
 use eul3d::solver::level::{eval_dissipation, smooth_residual, time_step, LevelState};
-use eul3d::solver::runconfig::PartitionMethod;
+use eul3d::solver::runconfig::{PartitionConfig, PartitionMethod};
 use eul3d::solver::shared::SharedExecutor;
 use eul3d::solver::{
     fnv1a_128, GuardConfig, MultigridSolver, PhaseCounters, Scheme, SerialExecutor, SolverConfig,
@@ -288,11 +288,13 @@ fn guarded_migrating_hybrid_run_gives_the_channel_bits_and_transcript() {
         let opts = DistOptions {
             backend,
             repartition: Some(RepartitionPolicy {
-                every: 3,
-                method: PartitionMethod::Multilevel,
-                coarsen_target: 16,
-                refine_passes: 4,
-                mapping: eul3d::partition::RankMapping::Topology,
+                config: PartitionConfig {
+                    method: PartitionMethod::Multilevel,
+                    coarsen_target: 16,
+                    refine_passes: 4,
+                    mapping: eul3d::partition::RankMapping::Topology,
+                    repartition_every: 3,
+                },
                 lanczos_iters: 20,
                 seed: 7,
             }),
@@ -423,9 +425,12 @@ fn partitioner_choice_does_not_change_the_answer() {
     let seq_a = MeshSequence::bump_sequence(&spec(), 1);
     let nverts = seq_a.meshes[0].nverts();
     let setup_rsb = DistSetup::new(seq_a, 4, 25, 3);
-    let setup_rand = DistSetup::with_partitioner(MeshSequence::bump_sequence(&spec(), 1), 4, |m| {
-        eul3d::partition::random_partition(m.nverts(), 4, 99)
-    });
+    let setup_rand = DistSetup::partitioned(
+        Arc::new(MeshSequence::bump_sequence(&spec(), 1)),
+        PartitionMethod::Random,
+        &eul3d::partition::PartitionOptions::new(4).seed(99),
+    )
+    .unwrap();
     let a = run_distributed(
         &setup_rsb,
         cfg,
