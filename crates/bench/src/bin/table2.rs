@@ -34,6 +34,17 @@ fn main() {
     });
     let method = rc.partition.unwrap_or_default().method;
     let model = CostModel::delta_i860();
+    // One partition per machine size, shared by the three strategies (the
+    // setup reads no strategy); a size the partitioner refuses exits 2
+    // before anything is printed.
+    let setups: Vec<DistSetup> = ranks
+        .iter()
+        .map(|&nranks| {
+            rc.nranks = nranks;
+            let seq = MeshSequence::bump_sequence(&rc.mesh, rc.levels);
+            DistSetup::for_run(seq, &rc, 7).unwrap_or_else(|e| exit_2(e))
+        })
+        .collect();
     println!(
         "table2: simulated Delta; bump channel nx={}, {} levels, {} cycles (normalized to 100), M={}, ranks {:?}, partitioner {}{}",
         rc.mesh.nx,
@@ -68,17 +79,13 @@ fn main() {
             "comm/comp",
             "intergrid%",
         ]);
-        for &nranks in &ranks {
-            rc.strategy = strategy;
-            rc.nranks = nranks;
-            let seq = MeshSequence::bump_sequence(&rc.mesh, rc.levels);
-            let setup = DistSetup::for_run(seq, &rc, 7).unwrap_or_else(|e| exit_2(e));
+        for (&nranks, setup) in ranks.iter().zip(&setups) {
             let opts = DistOptions {
                 refetch_per_loop: refetch,
                 ..DistOptions::for_run(&rc, 7)
             };
             let t0 = std::time::Instant::now();
-            let result = run_distributed(&setup, rc.solver, strategy, rc.cycles, opts);
+            let result = run_distributed(setup, rc.solver, strategy, rc.cycles, opts);
             let host = t0.elapsed().as_secs_f64();
             finite_or_exit(
                 result.history(),

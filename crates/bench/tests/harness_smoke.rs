@@ -128,12 +128,14 @@ fn a_bad_case_exits_2_naming_its_key_or_flag() {
         "partition.method",
     );
     // prcb cuts a power-of-two part count; it must not merge parts to
-    // fit three ranks.
+    // fit three ranks, and the refusal comes before the header.
     refused(
         table2,
         &["--ranks", "3", "--set", "partition.method=prcb"],
         "nparts",
     );
+    let (_, out, _) = run(table2, &["--ranks", "3", "--set", "partition.method=prcb"]);
+    assert_eq!(out, "", "a refused partition prints nothing");
     refused(table2, &["--set", "run.nranks=4"], "--ranks");
     refused(table2, &["--no-incremental", "0"], "takes no value");
     refused(table2, &["--nx", "--ranks", "3"], "--nx takes a value");

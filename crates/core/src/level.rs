@@ -36,6 +36,7 @@ use crate::counters::{
 };
 use crate::executor::{
     count_edge_loop, count_vertex_loop, count_vertex_loop_with, Executor, HaloOp, Phase,
+    MAX_SCATTER_TARGETS,
 };
 use crate::gas::NVAR;
 use crate::smooth::degrees_from_edges;
@@ -271,23 +272,49 @@ fn gather_flow_and_pressures<E: Executor + ?Sized>(
     }
 }
 
-/// Complete the deferred scatter-add of `st.diss` begun by
-/// [`eval_dissipation_begin`]. Must run before anything reads the owned
-/// entries of `st.diss`, and — because the dissipation and convection
-/// scatters share one schedule stream — before the convection scatter
-/// is issued.
-fn finish_dissipation_scatter<E: Executor + ?Sized>(
-    st: &mut LevelState,
-    exec: &mut E,
-    counters: &mut PhaseCounters,
-) {
-    exec.exchange_finish(
-        Phase::Dissipation,
-        HaloOp::ScatterAdd,
-        st.diss.flat_mut(),
-        NVAR,
-        counters,
-    );
+/// The outputs of one flow sweep ([`eval_flow`]).
+#[derive(Debug, Clone, Copy)]
+struct Outputs {
+    /// The dissipation operator `D` into `st.diss`.
+    diss: bool,
+    /// The convective operator `Q` into `st.q`, boundary fluxes included.
+    conv: bool,
+    /// The spectral radii into `st.lam`, and from them the local time
+    /// steps `st.dt`.
+    radii: bool,
+}
+
+/// The dissipation a level evaluates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum DissKind {
+    /// JST: pass 1 (a vertex gather) and the sensor, then pass 2 in the
+    /// flow sweep.
+    Jst,
+    /// First order, on coarse levels when `coarse_first_order` is set.
+    FirstOrder,
+    /// Roe matrix dissipation: no pass 1, no sensor.
+    Roe,
+}
+
+impl DissKind {
+    fn of(cfg: &SolverConfig, is_coarse: bool) -> DissKind {
+        if cfg.scheme == crate::config::Scheme::RoeUpwind {
+            DissKind::Roe
+        } else if is_coarse && cfg.coarse_first_order {
+            DissKind::FirstOrder
+        } else {
+            DissKind::Jst
+        }
+    }
+
+    /// Flops per edge of the paper's loop the flow sweep stands for.
+    fn flops_per_edge(self) -> f64 {
+        match self {
+            DissKind::Jst => FLOPS_DISS_P2_EDGE,
+            DissKind::FirstOrder => FLOPS_DISS_FO_EDGE,
+            DissKind::Roe => FLOPS_DISS_ROE_EDGE,
+        }
+    }
 }
 
 /// Evaluate the dissipation operator into `st.diss` (fresh). Assumes
@@ -300,103 +327,48 @@ pub fn eval_dissipation<G: SolverGrid + ?Sized, E: Executor + ?Sized>(
     exec: &mut E,
     counters: &mut PhaseCounters,
 ) {
-    eval_dissipation_begin(mesh, st, cfg, is_coarse, exec, counters);
-    finish_dissipation_scatter(st, exec, counters);
+    let out = Outputs {
+        diss: true,
+        conv: false,
+        radii: false,
+    };
+    eval_flow(mesh, st, cfg, is_coarse, exec, counters, out);
 }
 
-/// [`eval_dissipation`] with its *final* ghost scatter left in the begun
-/// state, so the convection edge loop can overlap the in-flight halo
-/// (the intermediate Laplacian/sensor/ν exchanges of the JST path are
-/// synchronous — their results feed pass 2 immediately). Pair with
-/// [`finish_dissipation_scatter`].
-fn eval_dissipation_begin<G: SolverGrid + ?Sized, E: Executor + ?Sized>(
+/// Evaluate the convective operator into `st.q` (fresh), including
+/// boundary fluxes. Boundary faces follow the edge sweep under the same
+/// ownership rule; each face is *charged* once (by exactly one rank on
+/// the distributed path), so the rank-summed face counts still match
+/// the serial reference.
+pub fn eval_convection<G: SolverGrid + ?Sized, E: Executor + ?Sized>(
     mesh: &G,
     st: &mut LevelState,
     cfg: &SolverConfig,
-    is_coarse: bool,
     exec: &mut E,
     counters: &mut PhaseCounters,
 ) {
-    exec.refetch(&mut st.w, counters);
-    st.diss.fill(0.0);
-    let edges = mesh.grid_edges();
-    let coef = mesh.grid_edge_coef();
-    let gamma = cfg.gamma;
-    let (n, lanes) = (st.n, cfg.lanes);
+    let out = Outputs {
+        diss: false,
+        conv: true,
+        radii: false,
+    };
+    eval_flow(mesh, st, cfg, false, exec, counters, out);
+}
 
-    if cfg.scheme == crate::config::Scheme::RoeUpwind {
-        // One pass, no sensor: the Laplacian/ν ghost exchanges of the
-        // JST path disappear entirely.
-        {
-            let (w, p) = (&st.w, &st.p);
-            exec.for_edge_spans(edges.len(), &mut [st.diss.flat_mut()], |span, s| {
-                // SAFETY: endpoint-only writes (executor conflict
-                // contract); array sizes checked by the level layout.
-                unsafe { kn::roe_diss_edges(span, edges, coef, gamma, w.flat(), p, n, s, lanes) }
-            });
-        }
-        count_edge_loop(
-            counters,
-            Phase::Dissipation,
-            exec,
-            edges.len(),
-            FLOPS_DISS_ROE_EDGE,
-        );
-        exec.exchange_begin(
-            Phase::Dissipation,
-            HaloOp::ScatterAdd,
-            st.diss.flat_mut(),
-            NVAR,
-            counters,
-        );
-        return;
-    }
-
-    if is_coarse && cfg.coarse_first_order {
-        let k = cfg.coarse_k2;
-        {
-            let (w, p) = (&st.w, &st.p);
-            exec.for_edge_spans(edges.len(), &mut [st.diss.flat_mut()], |span, s| {
-                // SAFETY: endpoint-only writes (executor conflict
-                // contract).
-                unsafe {
-                    kn::first_order_diss_edges(
-                        span,
-                        edges,
-                        coef,
-                        gamma,
-                        k,
-                        w.flat(),
-                        p,
-                        n,
-                        s,
-                        lanes,
-                    )
-                }
-            });
-        }
-        count_edge_loop(
-            counters,
-            Phase::Dissipation,
-            exec,
-            edges.len(),
-            FLOPS_DISS_FO_EDGE,
-        );
-        exec.exchange_begin(
-            Phase::Dissipation,
-            HaloOp::ScatterAdd,
-            st.diss.flat_mut(),
-            NVAR,
-            counters,
-        );
-        return;
-    }
-
-    // JST pass 1: undivided Laplacian + pressure-sensor accumulators,
-    // gathered per vertex over every local slot (ghost slots hold the
-    // partial sums of the rank-local edges, exactly as the edge loop
-    // left them). Charged below as the edge loop the paper's machines
-    // run.
+/// JST pass 1 and the shock sensor: the undivided Laplacian and the
+/// pressure-sensor accumulators, gathered per vertex over every local
+/// slot (ghost slots hold the partial sums of the rank-local edges,
+/// exactly as the edge loop left them) and charged as the edge loop the
+/// paper's machines run; then ν on owned vertices and the ghost copies
+/// of L and ν the flow sweep reads. Every exchange here is synchronous:
+/// its result feeds the sweep at once.
+fn jst_pass1<E: Executor + ?Sized>(
+    st: &mut LevelState,
+    nedges: usize,
+    exec: &mut E,
+    counters: &mut PhaseCounters,
+) {
+    let n = st.n;
     {
         let (w, p, adj) = (&st.w, &st.p, &st.adj);
         let (lapl, sens) = (&mut st.lapl, &mut st.sens);
@@ -410,7 +382,7 @@ fn eval_dissipation_begin<G: SolverGrid + ?Sized, E: Executor + ?Sized>(
         counters,
         Phase::Dissipation,
         exec,
-        edges.len(),
+        nedges,
         FLOPS_DISS_P1_EDGE,
     );
     exec.exchange_halo(
@@ -446,121 +418,175 @@ fn eval_dissipation_begin<G: SolverGrid + ?Sized, E: Executor + ?Sized>(
         counters,
     );
     exec.exchange_halo(Phase::Dissipation, HaloOp::Gather, &mut st.nu, 1, counters);
-
-    // JST pass 2: switched Laplacian/biharmonic blend.
-    exec.refetch(&mut st.w, counters);
-    {
-        let (w, p, lapl, nu) = (&st.w, &st.p, &st.lapl, &st.nu);
-        let (k2, k4) = (cfg.k2, cfg.k4);
-        exec.for_edge_spans(edges.len(), &mut [st.diss.flat_mut()], |span, s| {
-            // SAFETY: endpoint-only writes (executor conflict contract).
-            unsafe {
-                kn::jst_pass2_edges(
-                    span,
-                    edges,
-                    coef,
-                    gamma,
-                    k2,
-                    k4,
-                    w.flat(),
-                    p,
-                    lapl.flat(),
-                    nu,
-                    n,
-                    s,
-                    lanes,
-                )
-            }
-        });
-    }
-    count_edge_loop(
-        counters,
-        Phase::Dissipation,
-        exec,
-        edges.len(),
-        FLOPS_DISS_P2_EDGE,
-    );
-    exec.exchange_begin(
-        Phase::Dissipation,
-        HaloOp::ScatterAdd,
-        st.diss.flat_mut(),
-        NVAR,
-        counters,
-    );
 }
 
-/// Evaluate the convective operator into `st.q` (fresh), including
-/// boundary fluxes. Boundary faces follow the edge sweep under the same
-/// ownership rule; each face is *charged* once (by exactly one rank on
-/// the distributed path), so the rank-summed face counts still match
-/// the serial reference.
-pub fn eval_convection<G: SolverGrid + ?Sized, E: Executor + ?Sized>(
+/// **The** flow sweep of a stage: every edge output `out` asks for —
+/// dissipation, convection, spectral radii — in one pass over the edges
+/// ([`kn::flow_edges`]), after JST pass 1 where the scheme has one.
+///
+/// The paper's machines run one loop per output, and that is what is
+/// charged: after the sweep each output is counted as its own edge loop
+/// ([`count_edge_loop`]), and every halo operation keeps its phase and
+/// its place in the schedule streams — the `lam` scatter and the local
+/// time steps, then the `diss` scatter begun, the boundary fluxes while
+/// it is in flight, the `diss` scatter finished, and last the `q`
+/// scatter (both scatters ride one schedule stream, so issuing `q`'s
+/// first would misorder their epochs). Under the §4.3 refetch ablation
+/// the executor re-gathers `w` once per paper loop, as many times as
+/// the unfused loops did.
+fn eval_flow<G: SolverGrid + ?Sized, E: Executor + ?Sized>(
     mesh: &G,
     st: &mut LevelState,
     cfg: &SolverConfig,
+    is_coarse: bool,
     exec: &mut E,
     counters: &mut PhaseCounters,
+    out: Outputs,
 ) {
-    eval_convection_inner(mesh, st, cfg, exec, counters, false);
-}
-
-/// [`eval_convection`] with an optional deferred-dissipation completion:
-/// when `finish_diss` is set, the dissipation scatter begun by
-/// [`eval_dissipation_begin`] is finished *after* the convection edge
-/// loop and boundary faces (maximizing overlap) but *before* the
-/// convection scatter is issued — both scatters ride the same schedule
-/// stream, so issuing convection's first would misorder their epochs.
-fn eval_convection_inner<G: SolverGrid + ?Sized, E: Executor + ?Sized>(
-    mesh: &G,
-    st: &mut LevelState,
-    cfg: &SolverConfig,
-    exec: &mut E,
-    counters: &mut PhaseCounters,
-    finish_diss: bool,
-) {
-    exec.refetch(&mut st.w, counters);
-    st.q.fill(0.0);
     let edges = mesh.grid_edges();
     let coef = mesh.grid_edge_coef();
-    let (n, lanes) = (st.n, cfg.lanes);
+    let (n, lanes, gamma) = (st.n, cfg.lanes, cfg.gamma);
+    let kind = out.diss.then(|| DissKind::of(cfg, is_coarse));
+    if let Some(kind) = kind {
+        exec.refetch(&mut st.w, counters);
+        st.diss.fill(0.0);
+        if kind == DissKind::Jst {
+            jst_pass1(st, edges.len(), exec, counters);
+            exec.refetch(&mut st.w, counters);
+        }
+    }
+    if out.conv {
+        st.q.fill(0.0);
+    }
+    if out.radii {
+        st.lam.fill(0.0);
+    }
     {
-        let (w, p) = (&st.w, &st.p);
-        exec.for_edge_spans(edges.len(), &mut [st.q.flat_mut()], |span, s| {
-            // SAFETY: endpoint-only writes (executor conflict contract).
-            unsafe { kn::conv_flux_edges(span, edges, coef, w.flat(), p, n, s, lanes) }
+        let diss = match kind {
+            None => kn::Dissipation::None,
+            Some(DissKind::Jst) => kn::Dissipation::Jst {
+                k2: cfg.k2,
+                k4: cfg.k4,
+                lapl: st.lapl.flat(),
+                nu: &st.nu,
+            },
+            Some(DissKind::FirstOrder) => kn::Dissipation::FirstOrder {
+                kdiss: cfg.coarse_k2,
+            },
+            Some(DissKind::Roe) => kn::Dissipation::Roe,
+        };
+        let f = kn::FlowSweep {
+            coef,
+            gamma,
+            w: st.w.flat(),
+            p: &st.p,
+            n,
+            diss,
+            conv: out.conv,
+            radii: out.radii,
+        };
+        // Packed in the kernel's target order, on the stack: a
+        // steady-state cycle allocates nothing.
+        let mut targets: [&mut [f64]; MAX_SCATTER_TARGETS] = Default::default();
+        let wanted = [
+            out.diss.then_some(st.diss.flat_mut()),
+            out.conv.then_some(st.q.flat_mut()),
+            out.radii.then_some(&mut st.lam[..]),
+        ];
+        let mut k = 0;
+        for t in wanted.into_iter().flatten() {
+            targets[k] = t;
+            k += 1;
+        }
+        exec.for_edge_spans(edges.len(), &mut targets[..k], |span, s| {
+            // SAFETY: endpoint-only writes (executor conflict contract);
+            // targets packed and sized as `FlowSweep` documents.
+            unsafe { kn::flow_edges(span, edges, &f, s, lanes) }
         });
     }
-    count_edge_loop(
-        counters,
-        Phase::Convection,
-        exec,
-        edges.len(),
-        FLOPS_CONV_EDGE,
-    );
 
-    let fs = cfg.freestream();
-    let bfaces = mesh.grid_bfaces();
-    {
-        let (w, p, gamma) = (&st.w, &st.p, cfg.gamma);
-        exec.for_face_spans(bfaces.len(), &mut [st.q.flat_mut()], |span, s| {
-            // SAFETY: owned face vertices only (executor conflict
-            // contract); faces and planes sized by the level layout.
-            unsafe { boundary_residual_soa(span, bfaces, w, p, &fs, gamma, s) }
-        });
+    if out.radii {
+        // Local time steps from the stage-0 state, held for the step.
+        count_edge_loop(counters, Phase::Radii, exec, edges.len(), FLOPS_RADII_EDGE);
+        let bfaces = mesh.grid_bfaces();
+        {
+            let (w, p) = (&st.w, &st.p);
+            exec.for_face_spans(bfaces.len(), &mut [&mut st.lam[..]], |span, s| {
+                // SAFETY: owned face vertices only (executor conflict
+                // contract).
+                unsafe { radii_bfaces_soa(span, bfaces, w, p, gamma, s) }
+            });
+        }
+        counters
+            .phase(Phase::Radii)
+            .add(bfaces.len(), FLOPS_RADII_EDGE);
+        exec.exchange_halo(Phase::Radii, HaloOp::ScatterAdd, &mut st.lam, 1, counters);
+        let owned = exec.owned(st.n);
+        {
+            let vol = mesh.grid_vol();
+            let (lam, cfl) = (&st.lam, cfg.cfl);
+            exec.for_vertex_spans(owned, &mut [&mut st.dt[..]], |range, s| {
+                // SAFETY: disjoint ranges (executor contract).
+                unsafe { kn::local_dt_verts(range, cfl, vol, lam, s) }
+            });
+        }
+        count_vertex_loop(counters, Phase::Radii, owned, FLOPS_DT_VERT);
     }
-    charge_boundary_faces(st.bface_counts, counters.phase(Phase::Boundary));
-
-    if finish_diss {
-        finish_dissipation_scatter(st, exec, counters);
+    if let Some(kind) = kind {
+        count_edge_loop(
+            counters,
+            Phase::Dissipation,
+            exec,
+            edges.len(),
+            kind.flops_per_edge(),
+        );
+        exec.exchange_begin(
+            Phase::Dissipation,
+            HaloOp::ScatterAdd,
+            st.diss.flat_mut(),
+            NVAR,
+            counters,
+        );
     }
-
-    exec.exchange_halo(
-        Phase::Convection,
-        HaloOp::ScatterAdd,
-        st.q.flat_mut(),
-        NVAR,
-        counters,
-    );
+    if out.conv {
+        exec.refetch(&mut st.w, counters);
+        count_edge_loop(
+            counters,
+            Phase::Convection,
+            exec,
+            edges.len(),
+            FLOPS_CONV_EDGE,
+        );
+        let fs = cfg.freestream();
+        let bfaces = mesh.grid_bfaces();
+        {
+            let (w, p) = (&st.w, &st.p);
+            exec.for_face_spans(bfaces.len(), &mut [st.q.flat_mut()], |span, s| {
+                // SAFETY: owned face vertices only (executor conflict
+                // contract); faces and planes sized by the level layout.
+                unsafe { boundary_residual_soa(span, bfaces, w, p, &fs, gamma, s) }
+            });
+        }
+        charge_boundary_faces(st.bface_counts, counters.phase(Phase::Boundary));
+    }
+    if out.diss {
+        exec.exchange_finish(
+            Phase::Dissipation,
+            HaloOp::ScatterAdd,
+            st.diss.flat_mut(),
+            NVAR,
+            counters,
+        );
+    }
+    if out.conv {
+        exec.exchange_halo(
+            Phase::Convection,
+            HaloOp::ScatterAdd,
+            st.q.flat_mut(),
+            NVAR,
+            counters,
+        );
+    }
 }
 
 /// Assemble `res = Q − D + P` on owned vertices.
@@ -662,8 +688,12 @@ pub fn eval_total_residual<G: SolverGrid + ?Sized, E: Executor + ?Sized>(
     counters: &mut PhaseCounters,
 ) {
     gather_flow_and_pressures(cfg.gamma, st, exec, counters);
-    eval_dissipation_begin(mesh, st, cfg, is_coarse, exec, counters);
-    eval_convection_inner(mesh, st, cfg, exec, counters, true);
+    let out = Outputs {
+        diss: true,
+        conv: true,
+        radii: false,
+    };
+    eval_flow(mesh, st, cfg, is_coarse, exec, counters, out);
     assemble_residual(st, exec, counters);
 }
 
@@ -686,58 +716,21 @@ pub fn time_step<G: SolverGrid + ?Sized, E: Executor + ?Sized>(
     debug_assert_eq!(owned, mesh.grid_vol().len());
     st.w0.copy_owned_from(&st.w, owned);
     let nstages = cfg.nstages();
-    let (n, lanes) = (st.n, cfg.lanes);
+    let n = st.n;
     for (stage, &alpha) in cfg.rk_alpha.iter().enumerate().take(nstages) {
         // One gather of the flow variables per stage (§4.3), reused by
         // every edge loop unless the executor is set to refetch; the
         // owned pressure loop overlaps the in-flight halo.
         gather_flow_and_pressures(cfg.gamma, st, exec, counters);
 
-        if stage == 0 {
-            // Local time steps from the stage-0 state, held for the step.
-            st.lam.iter_mut().for_each(|x| *x = 0.0);
-            let edges = mesh.grid_edges();
-            let coef = mesh.grid_edge_coef();
-            let gamma = cfg.gamma;
-            {
-                let (w, p) = (&st.w, &st.p);
-                exec.for_edge_spans(edges.len(), &mut [&mut st.lam[..]], |span, s| {
-                    // SAFETY: endpoint-only writes (executor conflict
-                    // contract).
-                    unsafe {
-                        kn::radii_edges_soa(span, edges, coef, gamma, w.flat(), p, n, s, lanes)
-                    }
-                });
-            }
-            count_edge_loop(counters, Phase::Radii, exec, edges.len(), FLOPS_RADII_EDGE);
-            let bfaces = mesh.grid_bfaces();
-            {
-                let (w, p) = (&st.w, &st.p);
-                exec.for_face_spans(bfaces.len(), &mut [&mut st.lam[..]], |span, s| {
-                    // SAFETY: owned face vertices only (executor
-                    // conflict contract).
-                    unsafe { radii_bfaces_soa(span, bfaces, w, p, gamma, s) }
-                });
-            }
-            counters
-                .phase(Phase::Radii)
-                .add(bfaces.len(), FLOPS_RADII_EDGE);
-            exec.exchange_halo(Phase::Radii, HaloOp::ScatterAdd, &mut st.lam, 1, counters);
-            {
-                let vol = mesh.grid_vol();
-                let lam = &st.lam;
-                let cfl = cfg.cfl;
-                exec.for_vertex_spans(owned, &mut [&mut st.dt[..]], |range, s| {
-                    // SAFETY: disjoint ranges (executor contract).
-                    unsafe { kn::local_dt_verts(range, cfl, vol, lam, s) }
-                });
-            }
-            count_vertex_loop(counters, Phase::Radii, owned, FLOPS_DT_VERT);
-        }
-        if stage <= 1 {
-            eval_dissipation_begin(mesh, st, cfg, is_coarse, exec, counters);
-        }
-        eval_convection_inner(mesh, st, cfg, exec, counters, stage <= 1);
+        // Dissipation at the first two stages, frozen after; the local
+        // time steps from the stage-0 state, held for the step.
+        let out = Outputs {
+            diss: stage <= 1,
+            conv: true,
+            radii: stage == 0,
+        };
+        eval_flow(mesh, st, cfg, is_coarse, exec, counters, out);
         assemble_residual(st, exec, counters);
         smooth_residual(mesh, st, cfg, exec, counters);
 

@@ -18,9 +18,7 @@ pub use eul3d_kernels::gas::roe_dissipation_flux;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::{Executor, SerialExecutor};
-    use crate::gas::{pressure, Freestream, GAMMA, NVAR};
-    use crate::soa::SoaState;
+    use crate::gas::{pressure, Freestream, GAMMA};
     use eul3d_mesh::Vec3;
 
     #[test]
@@ -86,43 +84,5 @@ mod tests {
         for c in 0..5 {
             assert!((3.0 * d1[c] - d3[c]).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn edge_loop_conserves_totals() {
-        use eul3d_mesh::gen::unit_box;
-        let m = unit_box(3, 0.15, 8);
-        let n = m.nverts();
-        let fs = Freestream::new(GAMMA, 0.6, 0.0);
-        let mut w = SoaState::new(n, NVAR);
-        let mut p = vec![0.0; n];
-        for (i, pi) in p.iter_mut().enumerate() {
-            let row: [f64; 5] =
-                std::array::from_fn(|c| fs.w[c] * (1.0 + 0.05 * ((i * 7 + c) % 11) as f64 / 11.0));
-            w.set5(i, &row);
-            *pi = pressure(GAMMA, &row);
-        }
-        let mut diss = SoaState::new(n, NVAR);
-        SerialExecutor.for_edge_spans(m.nedges(), &mut [diss.flat_mut()], |span, s| {
-            // SAFETY: single-threaded; arrays sized by the mesh.
-            unsafe {
-                eul3d_kernels::roe_diss_edges(
-                    span,
-                    &m.edges,
-                    &m.edge_coef,
-                    GAMMA,
-                    w.flat(),
-                    &p,
-                    n,
-                    s,
-                    eul3d_kernels::DEFAULT_LANES,
-                )
-            }
-        });
-        for c in 0..NVAR {
-            let total: f64 = diss.plane(c).iter().sum();
-            assert!(total.abs() < 1e-10, "component {c}: {total}");
-        }
-        assert!(diss.flat().iter().any(|&x| x != 0.0));
     }
 }

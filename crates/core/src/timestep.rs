@@ -37,76 +37,3 @@ pub unsafe fn radii_bfaces_soa(
         }
     });
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::executor::{Executor, SerialExecutor};
-    use crate::gas::{Freestream, GAMMA, NVAR};
-    use eul3d_kernels as kn;
-    use eul3d_mesh::gen::unit_box;
-    use eul3d_mesh::TetMesh;
-
-    /// Local time steps (CFL 1) of uniform flow at `mach` on `m`.
-    fn uniform_flow_dt(m: &TetMesh, mach: f64) -> Vec<f64> {
-        let n = m.nverts();
-        let fs = Freestream::new(GAMMA, mach, 0.0);
-        let mut w = SoaState::new(n, NVAR);
-        w.fill_rows(&fs.w);
-        let p = vec![fs.p; n];
-        let mut lam = vec![0.0; n];
-        SerialExecutor.for_edge_spans(m.nedges(), &mut [&mut lam], |span, s| {
-            // SAFETY: single-threaded; arrays sized by the mesh.
-            unsafe {
-                kn::radii_edges_soa(
-                    span,
-                    &m.edges,
-                    &m.edge_coef,
-                    GAMMA,
-                    w.flat(),
-                    &p,
-                    n,
-                    s,
-                    kn::DEFAULT_LANES,
-                )
-            }
-        });
-        SerialExecutor.for_face_spans(m.bfaces.len(), &mut [&mut lam], |span, s| {
-            // SAFETY: single-threaded; arrays sized by the mesh.
-            unsafe { radii_bfaces_soa(span, &m.bfaces, &w, &p, GAMMA, s) }
-        });
-        let mut dt = vec![0.0; n];
-        SerialExecutor.for_vertex_spans(n, &mut [&mut dt], |r, s| {
-            // SAFETY: single-threaded; `vol`, `lam`, `dt` hold n values.
-            unsafe { kn::local_dt_verts(r, 1.0, &m.vol, &lam, s) }
-        });
-        dt
-    }
-
-    #[test]
-    fn dt_scales_inversely_with_wavespeed() {
-        let m = unit_box(3, 0.1, 1);
-        let slow = uniform_flow_dt(&m, 0.2);
-        let fast = uniform_flow_dt(&m, 2.0);
-        for (s, f) in slow.iter().zip(&fast) {
-            assert!(*s > 0.0 && *f > 0.0);
-            assert!(f < s, "faster flow must reduce the permissible step");
-        }
-    }
-
-    #[test]
-    fn dt_grows_with_cell_size() {
-        // "the permissible time step is much greater, since it is
-        // proportional to the cell size" (§2.3): a coarser mesh of the
-        // same domain gets larger steps.
-        let mean_dt = |cells: usize| -> f64 {
-            let m = unit_box(cells, 0.0, 0);
-            uniform_flow_dt(&m, 0.675).iter().sum::<f64>() / m.nverts() as f64
-        };
-        let ratio = mean_dt(3) / mean_dt(6);
-        assert!(
-            ratio > 1.5 && ratio < 3.0,
-            "halving h should roughly halve dt, got ratio {ratio}"
-        );
-    }
-}

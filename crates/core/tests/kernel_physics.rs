@@ -4,11 +4,13 @@
 //! and the JST / first-order artificial dissipation `D(w)` ("a blend of
 //! Laplacian and biharmonic operators … assembled in a two-pass loop
 //! over the edges" — pass 1, a pure neighbour sum, runs as a vertex
-//! gather here).
+//! gather here), the Roe dissipation, and the spectral radii behind the
+//! local time steps.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use eul3d_core::gas::{pressure, Freestream, GAMMA, NVAR};
+use eul3d_core::timestep::radii_bfaces_soa;
 use eul3d_core::{Executor, SerialExecutor, SoaState};
 use eul3d_kernels as kn;
 use eul3d_mesh::gen::unit_box;
@@ -227,4 +229,97 @@ fn first_order_dissipation_smooths_and_conserves() {
     });
     assert!(plane_total(&diss, 0).abs() < 1e-10);
     assert!(diss.flat().iter().any(|&x| x != 0.0));
+}
+
+#[test]
+fn roe_dissipation_conserves_totals() {
+    let m = unit_box(3, 0.15, 8);
+    let n = m.nverts();
+    let fs = Freestream::new(GAMMA, 0.6, 0.0);
+    let mut w = SoaState::new(n, NVAR);
+    let mut p = vec![0.0; n];
+    for (i, pi) in p.iter_mut().enumerate() {
+        let row: [f64; 5] =
+            std::array::from_fn(|c| fs.w[c] * (1.0 + 0.05 * ((i * 7 + c) % 11) as f64 / 11.0));
+        w.set5(i, &row);
+        *pi = pressure(GAMMA, &row);
+    }
+    let mut diss = SoaState::new(n, NVAR);
+    SerialExecutor.for_edge_spans(m.nedges(), &mut [diss.flat_mut()], |span, s| unsafe {
+        kn::roe_diss_edges(
+            span,
+            &m.edges,
+            &m.edge_coef,
+            GAMMA,
+            w.flat(),
+            &p,
+            n,
+            s,
+            LANES,
+        )
+    });
+    for c in 0..NVAR {
+        let total = plane_total(&diss, c);
+        assert!(total.abs() < 1e-10, "component {c}: {total}");
+    }
+    assert!(diss.flat().iter().any(|&x| x != 0.0));
+}
+
+/// Local time steps (CFL 1) of uniform flow at `mach` on `m`: edge and
+/// boundary-face spectral radii, then `Δt = V / Λ`.
+fn uniform_flow_dt(m: &TetMesh, mach: f64) -> Vec<f64> {
+    let n = m.nverts();
+    let fs = Freestream::new(GAMMA, mach, 0.0);
+    let mut w = SoaState::new(n, NVAR);
+    w.fill_rows(&fs.w);
+    let p = vec![fs.p; n];
+    let mut lam = vec![0.0; n];
+    SerialExecutor.for_edge_spans(m.nedges(), &mut [&mut lam], |span, s| unsafe {
+        kn::radii_edges_soa(
+            span,
+            &m.edges,
+            &m.edge_coef,
+            GAMMA,
+            w.flat(),
+            &p,
+            n,
+            s,
+            LANES,
+        )
+    });
+    SerialExecutor.for_face_spans(m.bfaces.len(), &mut [&mut lam], |span, s| unsafe {
+        radii_bfaces_soa(span, &m.bfaces, &w, &p, GAMMA, s)
+    });
+    let mut dt = vec![0.0; n];
+    SerialExecutor.for_vertex_spans(n, &mut [&mut dt], |r, s| unsafe {
+        kn::local_dt_verts(r, 1.0, &m.vol, &lam, s)
+    });
+    dt
+}
+
+#[test]
+fn dt_scales_inversely_with_wavespeed() {
+    let m = unit_box(3, 0.1, 1);
+    let slow = uniform_flow_dt(&m, 0.2);
+    let fast = uniform_flow_dt(&m, 2.0);
+    for (s, f) in slow.iter().zip(&fast) {
+        assert!(*s > 0.0 && *f > 0.0);
+        assert!(f < s, "faster flow must reduce the permissible step");
+    }
+}
+
+#[test]
+fn dt_grows_with_cell_size() {
+    // "the permissible time step is much greater, since it is
+    // proportional to the cell size" (§2.3): a coarser mesh of the
+    // same domain gets larger steps.
+    let mean_dt = |cells: usize| -> f64 {
+        let m = unit_box(cells, 0.0, 0);
+        uniform_flow_dt(&m, 0.675).iter().sum::<f64>() / m.nverts() as f64
+    };
+    let ratio = mean_dt(3) / mean_dt(6);
+    assert!(
+        ratio > 1.5 && ratio < 3.0,
+        "halving h should roughly halve dt, got ratio {ratio}"
+    );
 }

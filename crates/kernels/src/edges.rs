@@ -1,4 +1,6 @@
-//! Lane-chunked SoA edge kernels, one body each.
+//! Lane-chunked SoA edge kernels, one body each — and one body, `Flow`,
+//! for every kernel that reads the flow, so one sweep can write all of
+//! their outputs.
 //!
 //! Every kernel iterates its [`EdgeSpan`] in chunks of at most `lanes`
 //! edge ids (see [`MAX_LANES`]) and hands each chunk to [`chunk`], the
@@ -320,7 +322,7 @@ unsafe fn sweep<B: EdgeBody>(
 /// The inputs of the kernels that read the flow: face vectors, `γ`, the
 /// plane-major state `w` (`5n`) and its pressure `p` (`n`).
 #[derive(Clone, Copy)]
-struct Flow<'a> {
+struct FlowIn<'a> {
     coef: &'a [Vec3],
     gamma: f64,
     w: *const f64,
@@ -328,68 +330,167 @@ struct Flow<'a> {
     n: usize,
 }
 
-impl<'a> Flow<'a> {
-    fn new(coef: &'a [Vec3], gamma: f64, w: &[f64], p: &[f64], n: usize) -> Flow<'a> {
-        let (w, p) = (w.as_ptr(), p.as_ptr());
-        Flow {
-            coef,
-            gamma,
-            w,
-            p,
-            n,
-        }
-    }
+/// What a flow sweep gathers once per edge: the face vector `η`, then
+/// both endpoints' state and pressure.
+struct Edge<L: Lane> {
+    eta: [L; 3],
+    wa: [L; NVAR],
+    wb: [L; NVAR],
+    pa: L,
+    pb: L,
+}
 
-    /// The face vectors, then both endpoints' state and pressure.
-    ///
+impl FlowIn<'_> {
     /// # Safety
     /// The module contract, for the edges of `g`.
     #[inline(always)]
-    #[allow(clippy::type_complexity)]
-    unsafe fn gather<L: Lane>(self, g: &Group<L>) -> ([L; 3], [L; NVAR], [L; NVAR], L, L) {
+    unsafe fn gather<L: Lane>(self, g: &Group<L>) -> Edge<L> {
         // SAFETY: forwarded.
         unsafe {
             let eta = g.eta(self.coef);
             let (wa, wb) = g.planes(self.w, self.n);
             let (pa, pb) = g.values(self.p);
-            (eta, wa, wb, pa, pb)
+            Edge {
+                eta,
+                wa,
+                wb,
+                pa,
+                pb,
+            }
         }
     }
 
     /// The edge's spectral radius: the endpoints' [`radius`] averaged.
     #[inline(always)]
-    fn lambda<L: Lane>(self, eta: [L; 3], wa: [L; NVAR], wb: [L; NVAR], pa: L, pb: L) -> L {
-        let (gamma, norm) = (L::splat(self.gamma), norm(eta));
-        L::splat(0.5) * (radius(gamma, wa, pa, eta, norm) + radius(gamma, wb, pb, eta, norm))
+    fn lambda<L: Lane>(self, x: &Edge<L>) -> L {
+        let (gamma, norm) = (L::splat(self.gamma), norm(x.eta));
+        L::splat(0.5)
+            * (radius(gamma, x.wa, x.pa, x.eta, norm) + radius(gamma, x.wb, x.pb, x.eta, norm))
     }
 }
 
-#[derive(Clone, Copy)]
-struct ConvFlux<'a>(Flow<'a>);
+/// The dissipation a [`Flow`] sweep writes: its per-edge tree over the
+/// gathered edge and the edge's spectral radius `λ`.
+trait Diss: Copy {
+    /// Whether the sweep writes a dissipation target at all.
+    const WRITES: bool = true;
+    /// Whether the tree reads `λ`.
+    const LAMBDA: bool;
 
-impl EdgeBody for ConvFlux<'_> {
+    /// # Safety
+    /// The module contract, for the edges of `g`.
+    unsafe fn flux<L: Lane>(self, g: &Group<L>, n: usize, x: &Edge<L>, lam: L) -> [L; NVAR];
+}
+
+/// No dissipation: the sweep writes convection and/or radii only.
+#[derive(Clone, Copy)]
+struct NoDiss;
+
+impl Diss for NoDiss {
+    const WRITES: bool = false;
+    const LAMBDA: bool = false;
+
     #[inline(always)]
-    unsafe fn run<L: Lane, const M: bool>(self, g: &Group<L>, s: Epilogue<'_, '_, M>) {
+    unsafe fn flux<L: Lane>(self, _: &Group<L>, _: usize, _: &Edge<L>, _: L) -> [L; NVAR] {
+        [L::splat(0.0); NVAR]
+    }
+}
+
+/// JST pass 2.
+#[derive(Clone, Copy)]
+struct Jst {
+    k2: f64,
+    k4: f64,
+    lapl: *const f64,
+    nu: *const f64,
+}
+
+impl Diss for Jst {
+    const LAMBDA: bool = true;
+
+    #[inline(always)]
+    unsafe fn flux<L: Lane>(self, g: &Group<L>, n: usize, x: &Edge<L>, lam: L) -> [L; NVAR] {
         // SAFETY: forwarded.
         unsafe {
-            let (eta, wa, wb, pa, pb) = self.0.gather(g);
-            let (fa, fb, half) = (flux(wa, pa, eta), flux(wb, pb, eta), L::splat(0.5));
-            g.add_sub(s, 0, self.0.n, each!(k => half * (fa[k] + fb[k])));
+            let (nua, nub) = g.values(self.nu);
+            let eps2 = L::splat(self.k2) * nua.max(nub);
+            let eps4 = (L::splat(self.k4) - eps2).max(L::splat(0.0));
+            let (la, lb) = g.planes(self.lapl, n);
+            each!(k => lam * (eps2 * (x.wb[k] - x.wa[k]) - eps4 * (lb[k] - la[k])))
         }
     }
 }
 
+/// First-order coarse-level dissipation.
 #[derive(Clone, Copy)]
-struct Radii<'a>(Flow<'a>);
+struct FirstOrder {
+    kdiss: f64,
+}
 
-impl EdgeBody for Radii<'_> {
+impl Diss for FirstOrder {
+    const LAMBDA: bool = true;
+
+    #[inline(always)]
+    unsafe fn flux<L: Lane>(self, _: &Group<L>, _: usize, x: &Edge<L>, lam: L) -> [L; NVAR] {
+        let kl = L::splat(self.kdiss) * lam;
+        each!(k => kl * (x.wb[k] - x.wa[k]))
+    }
+}
+
+/// Roe matrix dissipation.
+#[derive(Clone, Copy)]
+struct Roe {
+    gamma: f64,
+}
+
+impl Diss for Roe {
+    const LAMBDA: bool = false;
+
+    #[inline(always)]
+    unsafe fn flux<L: Lane>(self, _: &Group<L>, _: usize, x: &Edge<L>, _: L) -> [L; NVAR] {
+        roe(self.gamma, x.wa, x.wb, x.pa, x.pb, x.eta)
+    }
+}
+
+/// **The** flow edge body: gather `η, w_a, w_b, p_a, p_b` once, compute
+/// `λ` once if anything reads it, then scatter each output into its own
+/// target — the dissipation `D` (when `D` writes), the convective flux
+/// (`CONV`), the spectral radius (`RADII`), in that target order. Every
+/// target is a separate array, so writing several from one pass leaves
+/// each slot the accumulation order of the sweep that writes it alone.
+#[derive(Clone, Copy)]
+struct Flow<'a, D, const CONV: bool, const RADII: bool> {
+    input: FlowIn<'a>,
+    diss: D,
+}
+
+impl<D: Diss, const CONV: bool, const RADII: bool> EdgeBody for Flow<'_, D, CONV, RADII> {
     #[inline(always)]
     unsafe fn run<L: Lane, const M: bool>(self, g: &Group<L>, s: Epilogue<'_, '_, M>) {
+        let n = self.input.n;
         // SAFETY: forwarded.
         unsafe {
-            let (eta, wa, wb, pa, pb) = self.0.gather(g);
-            let lam = self.0.lambda(eta, wa, wb, pa, pb);
-            g.add_pair(s, 0, self.0.n, [lam], [lam]);
+            let x = self.input.gather(g);
+            let lam = if D::LAMBDA || RADII {
+                self.input.lambda(&x)
+            } else {
+                L::splat(0.0)
+            };
+            if D::WRITES {
+                g.add_sub(s, 0, n, self.diss.flux(g, n, &x, lam));
+            }
+            let t = D::WRITES as usize;
+            if CONV {
+                let (fa, fb, half) = (
+                    flux(x.wa, x.pa, x.eta),
+                    flux(x.wb, x.pb, x.eta),
+                    L::splat(0.5),
+                );
+                g.add_sub(s, t, n, each!(k => half * (fa[k] + fb[k])));
+            }
+            if RADII {
+                g.add_pair(s, t + CONV as usize, n, [lam], [lam]);
+            }
         }
     }
 }
@@ -416,64 +517,6 @@ impl EdgeBody for JstPass1 {
 }
 
 #[derive(Clone, Copy)]
-struct JstPass2<'a> {
-    flow: Flow<'a>,
-    k2: f64,
-    k4: f64,
-    lapl: *const f64,
-    nu: *const f64,
-}
-
-impl EdgeBody for JstPass2<'_> {
-    #[inline(always)]
-    unsafe fn run<L: Lane, const M: bool>(self, g: &Group<L>, s: Epilogue<'_, '_, M>) {
-        // SAFETY: forwarded.
-        unsafe {
-            let (eta, wa, wb, pa, pb) = self.flow.gather(g);
-            let lam = self.flow.lambda(eta, wa, wb, pa, pb);
-            let (nua, nub) = g.values(self.nu);
-            let eps2 = L::splat(self.k2) * nua.max(nub);
-            let eps4 = (L::splat(self.k4) - eps2).max(L::splat(0.0));
-            let (la, lb) = g.planes(self.lapl, self.flow.n);
-            let d = each!(k => lam * (eps2 * (wb[k] - wa[k]) - eps4 * (lb[k] - la[k])));
-            g.add_sub(s, 0, self.flow.n, d);
-        }
-    }
-}
-
-#[derive(Clone, Copy)]
-struct FirstOrder<'a> {
-    flow: Flow<'a>,
-    kdiss: f64,
-}
-
-impl EdgeBody for FirstOrder<'_> {
-    #[inline(always)]
-    unsafe fn run<L: Lane, const M: bool>(self, g: &Group<L>, s: Epilogue<'_, '_, M>) {
-        // SAFETY: forwarded.
-        unsafe {
-            let (eta, wa, wb, pa, pb) = self.flow.gather(g);
-            let kl = L::splat(self.kdiss) * self.flow.lambda(eta, wa, wb, pa, pb);
-            g.add_sub(s, 0, self.flow.n, each!(k => kl * (wb[k] - wa[k])));
-        }
-    }
-}
-
-#[derive(Clone, Copy)]
-struct RoeDiss<'a>(Flow<'a>);
-
-impl EdgeBody for RoeDiss<'_> {
-    #[inline(always)]
-    unsafe fn run<L: Lane, const M: bool>(self, g: &Group<L>, s: Epilogue<'_, '_, M>) {
-        // SAFETY: forwarded.
-        unsafe {
-            let (eta, wa, wb, pa, pb) = self.0.gather(g);
-            g.add_sub(s, 0, self.0.n, roe(self.0.gamma, wa, wb, pa, pb, eta));
-        }
-    }
-}
-
-#[derive(Clone, Copy)]
 struct SmoothAccumulate {
     res: *const f64,
     n: usize,
@@ -495,8 +538,183 @@ impl EdgeBody for SmoothAccumulate {
     }
 }
 
+/// The dissipation a flow sweep writes into its first target (`diss`,
+/// plane-major `5n`), with its coefficients.
+#[derive(Debug, Clone, Copy)]
+pub enum Dissipation<'a> {
+    /// None: the sweep writes no dissipation target.
+    None,
+    /// JST pass 2: the switched Laplacian/biharmonic blend
+    /// `d = λ [ε₂ (w_b − w_a) − ε₄ (L_b − L_a)]`, with
+    /// `ε₂ = k2 · max(ν_a, ν_b)` and `ε₄ = max(k4 − ε₂, 0)` under the
+    /// lane module's `max`; `lapl` `≥ 5n`, `nu` `≥ n`.
+    Jst {
+        k2: f64,
+        k4: f64,
+        lapl: &'a [f64],
+        nu: &'a [f64],
+    },
+    /// First-order coarse-level dissipation `d = k λ (w_b − w_a)`.
+    FirstOrder { kdiss: f64 },
+    /// Roe matrix dissipation `½|Â|(w_b − w_a)|η|`:
+    /// [`crate::gas::roe_dissipation_flux`]'s tree per edge, its branches
+    /// (entropy fix, degenerate faces) selected lane by lane.
+    Roe,
+}
+
+/// One flow sweep: the flow it reads and the outputs it writes. The
+/// targets are packed in the order dissipation (unless
+/// [`Dissipation::None`]), convective flux `q` (when `conv`, plane-major
+/// `5n`), spectral radii `lam` (when `radii`, scalar `n`).
+#[derive(Debug, Clone, Copy)]
+pub struct FlowSweep<'a> {
+    pub coef: &'a [Vec3],
+    pub gamma: f64,
+    /// Plane-major state, `5n`.
+    pub w: &'a [f64],
+    /// Pressure, `n`.
+    pub p: &'a [f64],
+    pub n: usize,
+    pub diss: Dissipation<'a>,
+    /// Central convective fluxes `½(F_a + F_b)·η`, `+` at `a`, `−` at `b`.
+    pub conv: bool,
+    /// Spectral-radius accumulation `Λ_a += λ_ab`, `Λ_b += λ_ab`.
+    pub radii: bool,
+}
+
+/// Every output of `f` in one pass over `span`: each edge's flow is
+/// gathered once and its `λ` computed once, whatever reads them. Each
+/// target receives exactly the bits the sweep writing it alone leaves
+/// (`tests/ownership_equivalence.rs`).
+///
+/// # Safety
+/// See the module contract. The targets are packed and sized as
+/// [`FlowSweep`] documents.
+pub unsafe fn flow_edges(
+    span: &EdgeSpan<'_>,
+    edges: &[[u32; 2]],
+    f: &FlowSweep<'_>,
+    s: &ScatterAccess,
+    lanes: usize,
+) {
+    let n = f.n;
+    debug_assert!(f.w.len() >= NVAR * n && f.p.len() >= n);
+    let input = FlowIn {
+        coef: f.coef,
+        gamma: f.gamma,
+        w: f.w.as_ptr(),
+        p: f.p.as_ptr(),
+        n,
+    };
+    // SAFETY: forwarded.
+    unsafe {
+        match f.diss {
+            Dissipation::None => outputs(input, NoDiss, f, span, edges, s, lanes),
+            Dissipation::Jst { k2, k4, lapl, nu } => {
+                debug_assert!(lapl.len() >= NVAR * n && nu.len() >= n);
+                let (lapl, nu) = (lapl.as_ptr(), nu.as_ptr());
+                outputs(input, Jst { k2, k4, lapl, nu }, f, span, edges, s, lanes)
+            }
+            Dissipation::FirstOrder { kdiss } => {
+                outputs(input, FirstOrder { kdiss }, f, span, edges, s, lanes)
+            }
+            Dissipation::Roe => {
+                let roe = Roe { gamma: f.gamma };
+                outputs(input, roe, f, span, edges, s, lanes)
+            }
+        }
+    }
+}
+
+/// [`flow_edges`] for one dissipation kind: the instance of [`Flow`]
+/// with `f`'s outputs.
+///
+/// # Safety
+/// As [`flow_edges`].
+#[inline(always)]
+unsafe fn outputs<D: Diss>(
+    input: FlowIn<'_>,
+    diss: D,
+    f: &FlowSweep<'_>,
+    span: &EdgeSpan<'_>,
+    edges: &[[u32; 2]],
+    s: &ScatterAccess,
+    lanes: usize,
+) {
+    let n = f.n;
+    let sizes = [(D::WRITES, NVAR * n), (f.conv, NVAR * n), (f.radii, n)];
+    for (t, len) in sizes
+        .iter()
+        .filter_map(|&(on, len)| on.then_some(len))
+        .enumerate()
+    {
+        debug_assert!(s.len_of(t) >= len, "flow target {t} holds fewer than {len}");
+    }
+    // SAFETY: forwarded.
+    unsafe {
+        match (f.conv, f.radii) {
+            (false, false) => sweep(
+                Flow::<D, false, false> { input, diss },
+                span,
+                edges,
+                s,
+                lanes,
+            ),
+            (true, false) => sweep(
+                Flow::<D, true, false> { input, diss },
+                span,
+                edges,
+                s,
+                lanes,
+            ),
+            (false, true) => sweep(
+                Flow::<D, false, true> { input, diss },
+                span,
+                edges,
+                s,
+                lanes,
+            ),
+            (true, true) => sweep(Flow::<D, true, true> { input, diss }, span, edges, s, lanes),
+        }
+    }
+}
+
+/// [`flow_edges`] from the argument list of the single-output entries.
+///
+/// # Safety
+/// As [`flow_edges`].
+#[allow(clippy::too_many_arguments)]
+unsafe fn one_output(
+    span: &EdgeSpan<'_>,
+    edges: &[[u32; 2]],
+    coef: &[Vec3],
+    gamma: f64,
+    w: &[f64],
+    p: &[f64],
+    n: usize,
+    diss: Dissipation<'_>,
+    conv: bool,
+    radii: bool,
+    s: &ScatterAccess,
+    lanes: usize,
+) {
+    let f = FlowSweep {
+        coef,
+        gamma,
+        w,
+        p,
+        n,
+        diss,
+        conv,
+        radii,
+    };
+    // SAFETY: forwarded.
+    unsafe { flow_edges(span, edges, &f, s, lanes) }
+}
+
 /// Central convective fluxes `½(F_a + F_b)·η`, accumulated `+` at `a`
-/// and `−` at `b` into target 0 (`q`, plane-major `5n`).
+/// and `−` at `b` into target 0 (`q`, plane-major `5n`): the
+/// convection-only [`flow_edges`].
 ///
 /// # Safety
 /// See the module contract. Target 0 must be `≥ 5n` long.
@@ -511,15 +729,18 @@ pub unsafe fn conv_flux_edges(
     s: &ScatterAccess,
     lanes: usize,
 ) {
-    debug_assert!(w.len() >= NVAR * n && p.len() >= n && s.len_of(0) >= NVAR * n);
     // The convective flux does not read γ.
-    let flow = Flow::new(coef, 0.0, w, p, n);
+    let none = Dissipation::None;
     // SAFETY: forwarded.
-    unsafe { sweep(ConvFlux(flow), span, edges, s, lanes) }
+    unsafe { one_output(span, edges, coef, 0.0, w, p, n, none, true, false, s, lanes) }
 }
 
 /// Spectral-radius accumulation `Λ_a += λ_ab`, `Λ_b += λ_ab` into target
-/// 0 (`lam`, scalar `n`).
+/// 0 (`lam`, scalar `n`): the radii-only [`flow_edges`].
+///
+/// **Reference oracle + referee probe target, not on the solver path**,
+/// like every single-output flow entry here: the solver writes these
+/// outputs through one [`flow_edges`] pass per stage.
 ///
 /// # Safety
 /// See the module contract. Target 0 must be `≥ n` long.
@@ -535,10 +756,13 @@ pub unsafe fn radii_edges_soa(
     s: &ScatterAccess,
     lanes: usize,
 ) {
-    debug_assert!(w.len() >= NVAR * n && p.len() >= n && s.len_of(0) >= n);
-    let flow = Flow::new(coef, gamma, w, p, n);
+    let none = Dissipation::None;
     // SAFETY: forwarded.
-    unsafe { sweep(Radii(flow), span, edges, s, lanes) }
+    unsafe {
+        one_output(
+            span, edges, coef, gamma, w, p, n, none, false, true, s, lanes,
+        )
+    }
 }
 
 /// JST pass 1 as an edge scatter: undivided Laplacian of `w` into
@@ -572,10 +796,8 @@ pub unsafe fn jst_pass1_edges(
     unsafe { sweep(body, span, edges, s, lanes) }
 }
 
-/// JST pass 2: switched Laplacian/biharmonic blend
-/// `d = λ [ε₂ (w_b − w_a) − ε₄ (L_b − L_a)]` into target 0 (`diss`,
-/// plane-major `5n`), with `ε₂ = k2 · max(ν_a, ν_b)` and
-/// `ε₄ = max(k4 − ε₂, 0)` under the lane module's `max`.
+/// JST pass 2 ([`Dissipation::Jst`]) alone into target 0 (`diss`,
+/// plane-major `5n`).
 ///
 /// # Safety
 /// See the module contract. `lapl` `≥ 5n`, `nu` `≥ n`, target 0 `≥ 5n`.
@@ -595,22 +817,17 @@ pub unsafe fn jst_pass2_edges(
     s: &ScatterAccess,
     lanes: usize,
 ) {
-    debug_assert!(w.len() >= NVAR * n && lapl.len() >= NVAR * n);
-    debug_assert!(p.len() >= n && nu.len() >= n && s.len_of(0) >= NVAR * n);
-    let flow = Flow::new(coef, gamma, w, p, n);
-    let body = JstPass2 {
-        flow,
-        k2,
-        k4,
-        lapl: lapl.as_ptr(),
-        nu: nu.as_ptr(),
-    };
+    let jst = Dissipation::Jst { k2, k4, lapl, nu };
     // SAFETY: forwarded.
-    unsafe { sweep(body, span, edges, s, lanes) }
+    unsafe {
+        one_output(
+            span, edges, coef, gamma, w, p, n, jst, false, false, s, lanes,
+        )
+    }
 }
 
-/// First-order coarse-level dissipation `d = k λ (w_b − w_a)` into
-/// target 0 (`diss`, plane-major `5n`).
+/// First-order coarse-level dissipation ([`Dissipation::FirstOrder`])
+/// alone into target 0 (`diss`, plane-major `5n`).
 ///
 /// # Safety
 /// See the module contract. Target 0 `≥ 5n`.
@@ -627,16 +844,17 @@ pub unsafe fn first_order_diss_edges(
     s: &ScatterAccess,
     lanes: usize,
 ) {
-    debug_assert!(w.len() >= NVAR * n && p.len() >= n && s.len_of(0) >= NVAR * n);
-    let flow = Flow::new(coef, gamma, w, p, n);
+    let fo = Dissipation::FirstOrder { kdiss };
     // SAFETY: forwarded.
-    unsafe { sweep(FirstOrder { flow, kdiss }, span, edges, s, lanes) }
+    unsafe {
+        one_output(
+            span, edges, coef, gamma, w, p, n, fo, false, false, s, lanes,
+        )
+    }
 }
 
-/// Roe matrix dissipation `½|Â|(w_b − w_a)|η|` into target 0 (`diss`,
-/// plane-major `5n`): [`crate::gas::roe_dissipation_flux`]'s tree per
-/// edge, its branches (entropy fix, degenerate faces) selected lane by
-/// lane.
+/// Roe matrix dissipation ([`Dissipation::Roe`]) alone into target 0
+/// (`diss`, plane-major `5n`).
 ///
 /// # Safety
 /// See the module contract. Target 0 `≥ 5n`.
@@ -652,10 +870,13 @@ pub unsafe fn roe_diss_edges(
     s: &ScatterAccess,
     lanes: usize,
 ) {
-    debug_assert!(w.len() >= NVAR * n && p.len() >= n && s.len_of(0) >= NVAR * n);
-    let flow = Flow::new(coef, gamma, w, p, n);
+    let roe = Dissipation::Roe;
     // SAFETY: forwarded.
-    unsafe { sweep(RoeDiss(flow), span, edges, s, lanes) }
+    unsafe {
+        one_output(
+            span, edges, coef, gamma, w, p, n, roe, false, false, s, lanes,
+        )
+    }
 }
 
 /// Residual-averaging neighbour accumulation `acc_a += r̄_b`,

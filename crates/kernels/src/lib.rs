@@ -20,7 +20,15 @@
 //!   kernel's expression tree — written once, generic over the lane type
 //!   of the `lane` module — and scatter `±` the result in edge order. An
 //!   AVX2 host runs the tree over four edges per `__m256d`, any other
-//!   host over one `f64`.
+//!   host over one `f64`. The kernels that read the flow are one body:
+//!   [`flow_edges`] gathers an edge's face vector, state and pressure
+//!   once and writes any of dissipation (JST pass 2, first order or
+//!   Roe), convective flux and spectral radius in the same pass — the
+//!   solver's one edge sweep per stage. The single-output entries
+//!   ([`conv_flux_edges`], [`jst_pass2_edges`], [`first_order_diss_edges`],
+//!   [`roe_diss_edges`], [`radii_edges_soa`]) are instances of it, kept
+//!   as **oracles and probe targets: the solver calls [`flow_edges`]
+//!   alone**.
 //! * **Vertex gather** where the edge carries nothing — the two pure
 //!   neighbour sums, residual-averaging accumulation and JST pass 1
 //!   ([`neighbour_sum_verts`], [`jst_gather_verts`]). Routing `Σ_j x_j`
@@ -70,8 +78,8 @@ mod scatter;
 mod verts;
 
 pub use edges::{
-    conv_flux_edges, first_order_diss_edges, jst_pass1_edges, jst_pass2_edges, radii_edges_soa,
-    roe_diss_edges, smooth_accumulate_edges,
+    conv_flux_edges, first_order_diss_edges, flow_edges, jst_pass1_edges, jst_pass2_edges,
+    radii_edges_soa, roe_diss_edges, smooth_accumulate_edges, Dissipation, FlowSweep,
 };
 pub use scatter::{EdgeSpan, ScatterAccess, MAX_SCATTER_TARGETS};
 pub use verts::{

@@ -24,9 +24,9 @@
 use std::marker::PhantomData;
 use std::ops::Range;
 
-/// Maximum number of target arrays one edge loop may scatter into
-/// (the JST Laplacian pass writes two: `lapl` and `sens`).
-pub const MAX_SCATTER_TARGETS: usize = 2;
+/// Maximum number of target arrays one edge loop may scatter into (the
+/// stage-0 flow sweep writes three: `diss`, `q` and `lam`).
+pub const MAX_SCATTER_TARGETS: usize = 3;
 
 /// A raw shared view of the scatter-target arrays of one edge loop.
 ///

@@ -9,14 +9,21 @@
 //! runs the `f64` instance of its kernel's tree; widths 4, 8 and 16 run
 //! four-edge groups wherever the host has AVX2. The reference is always
 //! the default width.
+//!
+//! The fused flow sweep (`flow_edges`) is held to the same standard
+//! against the single-output kernels run one after another: every
+//! dissipation kind, with and without convection and radii, at lane
+//! widths 1, 3, 8 and 16, through an unrestricted view and through
+//! views restricted to two and three vertex blocks.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::ops::Range;
 
 use eul3d_kernels::{
-    conv_flux_edges, first_order_diss_edges, jst_pass1_edges, jst_pass2_edges, radii_edges_soa,
-    roe_diss_edges, smooth_accumulate_edges, EdgeSpan, ScatterAccess, DEFAULT_LANES, NVAR,
+    conv_flux_edges, first_order_diss_edges, flow_edges, jst_pass1_edges, jst_pass2_edges,
+    radii_edges_soa, roe_diss_edges, smooth_accumulate_edges, Dissipation, EdgeSpan, FlowSweep,
+    ScatterAccess, DEFAULT_LANES, NVAR,
 };
 use eul3d_mesh::Vec3;
 use proptest::prelude::*;
@@ -31,6 +38,13 @@ const KERNELS: [&str; 7] = [
     "smooth_accumulate",
 ];
 const GAMMA: f64 = 1.4;
+const K2: f64 = 0.5;
+const K4: f64 = 0.0625;
+const KDISS: f64 = 0.06;
+
+/// The dissipation kinds of the flow sweep, by the name of the kernel
+/// that writes each alone (`None`: no dissipation target).
+const DISSIPATIONS: [Option<&str>; 4] = [None, Some("jst_pass2"), Some("first_order"), Some("roe")];
 
 /// One edge loop's inputs: a physical state (positive density and
 /// pressure, so no kernel produces a NaN whose payload could differ
@@ -93,10 +107,10 @@ impl Case {
                 "radii" => radii_edges_soa(span, edges, coef, GAMMA, w, p, n, s, lanes),
                 "jst_pass1" => jst_pass1_edges(span, edges, w, p, n, s, lanes),
                 "jst_pass2" => jst_pass2_edges(
-                    span, edges, coef, GAMMA, 0.5, 0.0625, w, p, &self.lapl, &self.nu, n, s, lanes,
+                    span, edges, coef, GAMMA, K2, K4, w, p, &self.lapl, &self.nu, n, s, lanes,
                 ),
                 "first_order" => {
-                    first_order_diss_edges(span, edges, coef, GAMMA, 0.06, w, p, n, s, lanes)
+                    first_order_diss_edges(span, edges, coef, GAMMA, KDISS, w, p, n, s, lanes)
                 }
                 "roe" => roe_diss_edges(span, edges, coef, GAMMA, w, p, n, s, lanes),
                 _ => smooth_accumulate_edges(span, edges, w, n, s, lanes),
@@ -118,6 +132,117 @@ impl Case {
         bufs.iter().map(bits).collect()
     }
 
+    /// `blocks` of `0..n`, each with the ascending ids of the edges
+    /// touching it.
+    fn owners(&self, blocks: &[Range<usize>]) -> Vec<(Range<usize>, Vec<u32>)> {
+        blocks
+            .iter()
+            .map(|block| {
+                let touching = (0u32..)
+                    .zip(&self.edges)
+                    .filter(|(_, e)| e.iter().any(|&v| block.contains(&(v as usize))))
+                    .map(|(id, _)| id)
+                    .collect();
+                (block.clone(), touching)
+            })
+            .collect()
+    }
+
+    /// The flow sweep writing `diss` (by kernel name), `conv` and `radii`.
+    fn flow(&self, diss: Option<&str>, conv: bool, radii: bool) -> FlowSweep<'_> {
+        let diss = match diss {
+            None => Dissipation::None,
+            Some("jst_pass2") => Dissipation::Jst {
+                k2: K2,
+                k4: K4,
+                lapl: &self.lapl,
+                nu: &self.nu,
+            },
+            Some("first_order") => Dissipation::FirstOrder { kdiss: KDISS },
+            Some(_) => Dissipation::Roe,
+        };
+        FlowSweep {
+            coef: &self.coef,
+            gamma: GAMMA,
+            w: &self.w,
+            p: &self.p,
+            n: self.n,
+            diss,
+            conv,
+            radii,
+        }
+    }
+
+    /// The fused sweep of `f` as bits of its packed targets: one span
+    /// through an unrestricted view (`blocks` empty), or one owner sweep
+    /// per block.
+    fn fused(&self, f: &FlowSweep<'_>, blocks: &[Range<usize>], lanes: usize) -> Vec<Vec<u64>> {
+        let sizes = [
+            (!matches!(f.diss, Dissipation::None), NVAR),
+            (f.conv, NVAR),
+            (f.radii, 1),
+        ];
+        let mut bufs: Vec<Vec<f64>> = sizes
+            .iter()
+            .filter(|(on, _)| *on)
+            .map(|(_, planes)| vec![0.0; planes * self.n])
+            .collect();
+        {
+            let mut refs: Vec<&mut [f64]> = bufs.iter_mut().map(|b| b.as_mut_slice()).collect();
+            let s = ScatterAccess::new(&mut refs);
+            // SAFETY: single-threaded; planes sized `nc * n`, endpoints
+            // `< n`, span ids index `edges` and `coef`, targets packed
+            // and sized as `FlowSweep` documents.
+            unsafe {
+                if blocks.is_empty() {
+                    let all = EdgeSpan::Range(0..self.edges.len());
+                    flow_edges(&all, &self.edges, f, &s, lanes);
+                }
+                for (block, touching) in self.owners(blocks) {
+                    let own = s.restricted(block);
+                    flow_edges(&EdgeSpan::Ids(&touching), &self.edges, f, &own, lanes);
+                }
+            }
+        }
+        let bits = |b: &Vec<f64>| b.iter().map(|x| x.to_bits()).collect();
+        bufs.iter().map(bits).collect()
+    }
+
+    /// The same targets from the single-output kernels, one serial
+    /// sweep after another.
+    fn unfused(&self, diss: Option<&str>, conv: bool, radii: bool) -> Vec<Vec<u64>> {
+        let kernels = [diss, conv.then_some("conv_flux"), radii.then_some("radii")];
+        kernels
+            .into_iter()
+            .flatten()
+            .flat_map(|kernel| {
+                self.run(kernel, |s| {
+                    let all = EdgeSpan::Range(0..self.edges.len());
+                    self.sweep(kernel, &all, s, DEFAULT_LANES)
+                })
+            })
+            .collect()
+    }
+
+    /// Every fused instance through an unrestricted view and through
+    /// each split of `splits`, against the unfused kernels.
+    fn check_fused(&self, splits: &[Vec<Range<usize>>], lanes: usize) {
+        for diss in DISSIPATIONS {
+            for (conv, radii) in [(false, false), (true, false), (false, true), (true, true)] {
+                if diss.is_none() && !conv && !radii {
+                    continue;
+                }
+                let want = self.unfused(diss, conv, radii);
+                let f = self.flow(diss, conv, radii);
+                let what = format!("{diss:?}, conv {conv}, radii {radii}, lanes {lanes}");
+                assert_eq!(self.fused(&f, &[], lanes), want, "{what}");
+                for blocks in splits {
+                    assert_eq!(self.fused(&f, blocks, lanes), want, "{what}: {blocks:?}");
+                }
+            }
+        }
+    }
+
     /// Every kernel: one serial span against one owner sweep per block.
     fn check(&self, blocks: &[Range<usize>], lanes: usize) {
         for kernel in KERNELS {
@@ -126,13 +251,8 @@ impl Case {
                 self.sweep(kernel, &all, s, DEFAULT_LANES)
             });
             let owned = self.run(kernel, |s| {
-                for block in blocks {
-                    let touching: Vec<u32> = (0u32..)
-                        .zip(&self.edges)
-                        .filter(|(_, e)| e.iter().any(|&v| block.contains(&(v as usize))))
-                        .map(|(id, _)| id)
-                        .collect();
-                    let own = s.restricted(block.clone());
+                for (block, touching) in self.owners(blocks) {
+                    let own = s.restricted(block);
                     self.sweep(kernel, &EdgeSpan::Ids(&touching), &own, lanes);
                 }
             });
@@ -174,6 +294,29 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    #[test]
+    fn one_flow_sweep_leaves_the_bits_of_one_sweep_per_output(
+        n in 1usize..47,
+        raw in collection::vec((0u32..1000, 0u32..1000), 0..160),
+        sorted in 0u8..2,
+        cuts in (0usize..48, 0usize..48),
+        lanes in 0usize..4,
+        u in collection::vec(-1.0f64..1.0, 12 * 47 + 3 * 160),
+    ) {
+        let mut edges: Vec<[u32; 2]> =
+            raw.iter().map(|&(a, b)| [a % n as u32, b % n as u32]).collect();
+        if sorted == 1 {
+            edges.sort_unstable();
+        }
+        let case = Case::new(n, edges, &u);
+        let splits = [blocks_of(n, &[cuts.0]), blocks_of(n, &[cuts.0, cuts.1])];
+        case.check_fused(&splits, [1, 3, 8, 16][lanes]);
+    }
+}
+
 /// A vertex order with no locality: every edge joins the two halves, so
 /// both owners compute every edge and each keeps one endpoint of it.
 #[test]
@@ -198,8 +341,12 @@ fn every_edge_cut_is_still_the_serial_sweep() {
         let cut = |e: &[u32; 2]| b.contains(&(e[0] as usize)) != b.contains(&(e[1] as usize));
         assert!(case.edges.iter().all(cut));
     }
+    let thirds = blocks_of(n, &[13, 26]);
     for lanes in [1, 4, 8, 16] {
         case.check(&halves, lanes);
+    }
+    for lanes in [1, 3, 8, 16] {
+        case.check_fused(&[halves.to_vec(), thirds.clone()], lanes);
     }
 }
 
@@ -231,5 +378,10 @@ fn a_degenerate_roe_face_in_a_group_adds_zeros() {
     );
     for lanes in [4, 8] {
         assert_eq!(roe(&all, lanes), scalar, "lanes {lanes}");
+    }
+    // Fused with convection and radii, which read the zero face too.
+    let splits = [blocks_of(n, &[3]), blocks_of(n, &[2, 4])];
+    for lanes in [1, 3, 8, 16] {
+        case.check_fused(&splits, lanes);
     }
 }

@@ -142,8 +142,12 @@ fn state_stays_physical_through_the_transient() {
 /// A service job keeps its final Mach field, not the VTK text: from the
 /// config and that field, `render_vtk` rebuilds the very bytes the job's
 /// result hash covers (table ‖ trace ‖ VTK), and the hash of
-/// `examples/serve.toml` is the one its VTK-caching builds served. The
-/// agglomerated and distributed paths are checked in `core::job`.
+/// `examples/serve.toml` is pinned. (The VTK-caching builds served
+/// `d139ebd7…fb00`: the same table and VTK, and a trace with the same
+/// spans and end stamp whose stage-0 radii/dt spans came before JST
+/// pass 1 instead of after it, when radii had an edge sweep of their
+/// own.) The agglomerated and distributed paths are checked in
+/// `core::job`.
 #[test]
 fn a_job_re_renders_the_vtk_its_result_hash_covers() {
     use eul3d::solver::job::{render_vtk, run_job, CancelToken, JobMode};
@@ -151,7 +155,7 @@ fn a_job_re_renders_the_vtk_its_result_hash_covers() {
 
     let rc = RunConfig::from_toml(include_str!("../examples/serve.toml")).unwrap();
     let a = run_job(&rc, JobMode::Solve, 7, &CancelToken::new(), &mut |_, _| {}).unwrap();
-    assert_eq!(a.result_hash, 0xd139ebd7da54dc8f44972643bf60fb00);
+    assert_eq!(a.result_hash, 0x6f7ed1b1b8e936816a86ee9ff5c63c48);
     let vtk = render_vtk(&rc, &a.mach).unwrap();
     let mut h = Fnv1a128::default();
     h.update(a.table.as_bytes());
