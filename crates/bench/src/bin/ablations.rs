@@ -24,7 +24,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use eul3d_bench::{base, configure, exit_2, finite_or_exit, UNGUARDED};
+use eul3d_bench::{base, configure, exit_2, finite_or_exit};
 use eul3d_core::agglo::Agglomeration;
 use eul3d_core::dist::{run_distributed, DistOptions, DistSetup};
 use eul3d_core::gas::{GAMMA, NVAR};
@@ -95,11 +95,7 @@ fn spec(rc: &RunConfig) -> BumpSpec {
 fn main() {
     let fixed = ["run.levels", "run.cycles", "run.strategy", "run.coarsening"]
         .map(|key| (key, "fixed by each study"));
-    let owned = [
-        &fixed[..],
-        &[UNGUARDED, ("partition.method", "swept by study 2")],
-    ]
-    .concat();
+    let owned = [&fixed[..], &[("partition.method", "swept by study 2")]].concat();
     let (rc, ()) = configure(base(40, Strategy::WCycle), &owned, |_| ());
     let cfg = rc.solver;
     let model = CostModel::delta_i860();

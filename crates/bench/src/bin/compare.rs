@@ -10,7 +10,6 @@
 
 use eul3d_bench::{
     base, configure, exit_2, finite_or_exit, phase_table, ranks_flag, RANKS_SWEEP, STRATEGY_SWEEP,
-    UNGUARDED,
 };
 use eul3d_core::dist::{run_distributed, DistOptions, DistSetup};
 use eul3d_core::{MultigridSolver, Strategy};
@@ -19,7 +18,7 @@ use eul3d_mesh::MeshSequence;
 use eul3d_perf::{Comparison, CrayC90Model, TextTable};
 
 fn main() {
-    let sweeps = [STRATEGY_SWEEP, RANKS_SWEEP, UNGUARDED];
+    let sweeps = [STRATEGY_SWEEP, RANKS_SWEEP];
     let (mut rc, ranks) = configure(base(20, Strategy::WCycle), &sweeps, |a| {
         ranks_flag(a, &[512])
     });

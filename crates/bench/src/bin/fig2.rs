@@ -9,16 +9,11 @@
 
 use eul3d_bench::{
     base, configure, cycles_to_orders, exit_2, finite_or_exit, out_dir, write_csv, STRATEGY_SWEEP,
-    UNGUARDED,
 };
 use eul3d_core::{MultigridSolver, Strategy};
 
 fn main() {
-    let (mut rc, ()) = configure(
-        base(100, Strategy::WCycle),
-        &[STRATEGY_SWEEP, UNGUARDED],
-        |_| (),
-    );
+    let (mut rc, ()) = configure(base(100, Strategy::WCycle), &[STRATEGY_SWEEP], |_| ());
     println!(
         "fig2: bump channel, M={}, {} levels, nx={}, {} MG cycles",
         rc.solver.mach, rc.levels, rc.mesh.nx, rc.cycles

@@ -6,7 +6,7 @@
 //! Prints the per-level statistics table and exports the second-finest
 //! mesh (like the paper's figure) plus the finest as legacy VTK.
 
-use eul3d_bench::{base, configure, out_dir, UNGUARDED};
+use eul3d_bench::{base, configure, out_dir};
 use eul3d_core::Strategy;
 use eul3d_mesh::stats::MeshStats;
 use eul3d_mesh::vtk::write_vtk_file;
@@ -15,7 +15,7 @@ use eul3d_perf::TextTable;
 
 fn main() {
     let shows = ("run.coarsening", "the mesh sequence fig3 shows");
-    let (rc, ()) = configure(base(1, Strategy::WCycle), &[shows, UNGUARDED], |_| ());
+    let (rc, ()) = configure(base(1, Strategy::WCycle), &[shows], |_| ());
     let seq = MeshSequence::bump_sequence(&rc.mesh, rc.levels);
     println!(
         "fig3: bump-channel multigrid sequence, nx={} fine",

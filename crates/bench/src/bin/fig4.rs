@@ -7,14 +7,14 @@
 //! supersonic pocket, and the floor-line Mach distribution whose sharp
 //! drop is the captured shock.
 
-use eul3d_bench::{base, configure, exit_2, finite_or_exit, out_dir, UNGUARDED};
+use eul3d_bench::{base, configure, exit_2, finite_or_exit, out_dir};
 use eul3d_core::postproc::{band_histogram, crosses, mach_field, probe_line};
 use eul3d_core::{MultigridSolver, Strategy};
 use eul3d_mesh::vtk::write_vtk_file;
 use eul3d_mesh::Vec3;
 
 fn main() {
-    let (rc, ()) = configure(base(150, Strategy::WCycle), &[UNGUARDED], |_| ());
+    let (rc, ()) = configure(base(150, Strategy::WCycle), &[], |_| ());
     let cfg = rc.solver;
     println!(
         "fig4: transonic bump, M∞={}, {}, {} cycles, nx={}",

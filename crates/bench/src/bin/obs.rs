@@ -25,7 +25,7 @@
 
 use std::time::Instant;
 
-use eul3d_bench::{base, configure, exit_2, ranks_flag, RANKS_SWEEP, UNGUARDED};
+use eul3d_bench::{base, configure, exit_2, ranks_flag, RANKS_SWEEP};
 use eul3d_core::dist::{run_distributed, DistOptions, DistSetup};
 use eul3d_core::{RunConfig, Strategy};
 use eul3d_mesh::MeshSequence;
@@ -84,7 +84,7 @@ fn emit_ns(tracer: Box<dyn Tracer>) -> f64 {
 
 fn main() {
     let (mut rc, (smoke, gate, ranks)) =
-        configure(base(16, Strategy::VCycle), &[RANKS_SWEEP, UNGUARDED], |a| {
+        configure(base(16, Strategy::VCycle), &[RANKS_SWEEP], |a| {
             let gate = a.get_str("gate").map(|v| v.parse::<f64>());
             (a.has("smoke"), gate, ranks_flag(a, &[8]))
         });

@@ -9,7 +9,7 @@
 //! `--ranks a,b,…` sets the ladder (default 4 to 512 by doubling).
 
 use eul3d_bench::{
-    base, configure, exit_2, finite_or_exit, out_dir, ranks_flag, write_csv, RANKS_SWEEP, UNGUARDED,
+    base, configure, exit_2, finite_or_exit, out_dir, ranks_flag, write_csv, RANKS_SWEEP,
 };
 use eul3d_core::dist::{run_distributed, DistOptions, DistSetup};
 use eul3d_core::Strategy;
@@ -19,11 +19,7 @@ use eul3d_perf::TextTable;
 
 fn main() {
     let ladder = |a: &_| ranks_flag(a, &[4, 8, 16, 32, 64, 128, 256, 512]);
-    let (mut rc, ladder) = configure(
-        base(10, Strategy::VCycle),
-        &[RANKS_SWEEP, UNGUARDED],
-        ladder,
-    );
+    let (mut rc, ladder) = configure(base(10, Strategy::VCycle), &[RANKS_SWEEP], ladder);
     let model = CostModel::delta_i860();
     println!(
         "scaling: bump nx={}, {} levels, {} cycles, {} — ranks {:?}\n",

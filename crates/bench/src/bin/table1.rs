@@ -18,9 +18,7 @@
 //!   ~15-20% at 16 CPUs, wall clock drops ~12x (>99% parallel), all
 //!   three strategies reach similar MFlops.
 
-use eul3d_bench::{
-    base, configure, exit_2, finite_or_exit, out_dir, write_csv, STRATEGY_SWEEP, UNGUARDED,
-};
+use eul3d_bench::{base, configure, exit_2, finite_or_exit, out_dir, write_csv, STRATEGY_SWEEP};
 use eul3d_core::{MultigridSolver, Strategy};
 use eul3d_perf::{CrayC90Model, TextTable};
 
@@ -55,11 +53,7 @@ fn print_sweep(model: &CrayC90Model, flops: f64, launches: u64) -> Vec<Vec<Strin
 }
 
 fn main() {
-    let (mut rc, ()) = configure(
-        base(100, Strategy::WCycle),
-        &[STRATEGY_SWEEP, UNGUARDED],
-        |_| (),
-    );
+    let (mut rc, ()) = configure(base(100, Strategy::WCycle), &[STRATEGY_SWEEP], |_| ());
     let model = CrayC90Model::default();
     println!(
         "table1: C90 model over measured work; bump channel nx={}, {} levels, {} cycles, M={}",

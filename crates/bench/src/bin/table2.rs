@@ -19,7 +19,7 @@
 
 use eul3d_bench::{
     base, configure, exit_2, finite_or_exit, out_dir, phase_table, ranks_flag, write_csv,
-    RANKS_SWEEP, STRATEGY_SWEEP, UNGUARDED,
+    RANKS_SWEEP, STRATEGY_SWEEP,
 };
 use eul3d_core::dist::{run_distributed, DistOptions, DistSetup};
 use eul3d_core::Strategy;
@@ -28,7 +28,7 @@ use eul3d_mesh::MeshSequence;
 use eul3d_perf::TextTable;
 
 fn main() {
-    let sweeps = [STRATEGY_SWEEP, RANKS_SWEEP, UNGUARDED];
+    let sweeps = [STRATEGY_SWEEP, RANKS_SWEEP];
     let (mut rc, (ranks, refetch)) = configure(base(25, Strategy::WCycle), &sweeps, |a| {
         (ranks_flag(a, &[256, 512]), a.has("no-incremental"))
     });

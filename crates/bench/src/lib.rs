@@ -35,12 +35,11 @@ pub fn base(cycles: usize, strategy: Strategy) -> RunConfig {
 pub const STRATEGY_SWEEP: (&str, &str) = ("run.strategy", "swept over sg, v and w");
 /// The `--ranks` sweep's key, for [`configure`]'s `owned`.
 pub const RANKS_SWEEP: (&str, &str) = ("run.nranks", "swept by --ranks");
-/// The guard's section, for the `owned` of every harness but `guard`.
-pub const UNGUARDED: (&str, &str) = ("[guard]", "read only by the guard harness");
 
 /// Keys no harness run reads, refused by every [`configure`]: the
 /// harnesses price every distributed run on the modeled Delta clock with
-/// one thread per rank, inject no faults and export no traces.
+/// one thread per rank, inject no faults, export no traces and arm no
+/// guard.
 const UNREAD: &[(&str, &str)] = &[
     ("run.backend", NOT_READ),
     ("run.threads", NOT_READ),
@@ -48,6 +47,7 @@ const UNREAD: &[(&str, &str)] = &[
     ("run.checkpoint_every", NOT_READ),
     ("run.fault_timeout_ms", NOT_READ),
     ("[trace]", NOT_READ),
+    ("[guard]", NOT_READ),
 ];
 const NOT_READ: &str = "not read by the harnesses";
 

@@ -144,7 +144,7 @@ fn a_bad_case_exits_2_naming_its_key_or_flag() {
     refused(table1, &["--levels", "0"], "levels");
     refused(table1, &["--strategy", "v"], "run.strategy");
     refused(table1, &["--ranks", "3"], "unknown flag --ranks");
-    // Keys no harness run reads, and `[guard]` outside the guard harness.
+    // Keys no harness run reads, `[guard]` among them.
     let compare = env!("CARGO_BIN_EXE_compare");
     let scaling = env!("CARGO_BIN_EXE_scaling");
     for bin in [table2, compare, scaling] {

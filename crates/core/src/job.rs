@@ -16,8 +16,9 @@
 //! into the exact bytes the result hash covers.
 
 use std::panic::panic_any;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 use eul3d_delta::FaultSignal;
 use eul3d_mesh::gen::bump_channel;
@@ -35,35 +36,81 @@ use crate::runconfig::Fnv1a128;
 use crate::{MultigridSolver, Phase, RunConfig};
 
 /// Cooperative cancellation handle for one job. Cloneable; any clone's
-/// [`CancelToken::cancel`] makes the next [`CancelToken::check`] on the
-/// solver thread unwind via [`FaultSignal::Killed`] — the exact
-/// non-local exit the fault-injection recovery driver uses — which the
-/// job runner catches with `catch_unwind`. Cancellation is therefore
-/// only observed at committed-cycle boundaries, so a cancelled job
-/// never leaves a torn solver state behind.
+/// [`CancelToken::cancel`], or the deadline set by
+/// [`CancelToken::arm_deadline`] passing, makes the next
+/// [`CancelToken::check`] on the solver thread unwind via
+/// [`FaultSignal::Killed`] — the exact non-local exit the
+/// fault-injection recovery driver uses — which the job runner catches
+/// with `catch_unwind`. Cancellation is therefore only observed at
+/// committed-cycle boundaries, so a cancelled job never leaves a torn
+/// solver state behind. The first cause observed sticks:
+/// [`CancelToken::overran`] says whether it was the deadline.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
-    flag: Arc<AtomicBool>,
+    inner: Arc<TokenState>,
 }
 
+#[derive(Debug, Default)]
+struct TokenState {
+    /// `LIVE`, `CANCELLED` or `OVERRAN`; leaves `LIVE` at most once.
+    cause: AtomicU8,
+    deadline: OnceLock<Instant>,
+}
+
+const LIVE: u8 = 0;
+const CANCELLED: u8 = 1;
+const OVERRAN: u8 = 2;
+
 impl CancelToken {
-    /// A fresh, un-cancelled token.
+    /// A fresh, un-cancelled token with no deadline.
     pub fn new() -> CancelToken {
         CancelToken::default()
     }
 
     /// Request cancellation. Idempotent; safe from any thread.
     pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Release);
+        self.settle(CANCELLED);
     }
 
-    /// Whether cancellation has been requested.
+    /// Cancel the job once `limit` has passed from now. Only the first
+    /// call arms it.
+    pub fn arm_deadline(&self, limit: Duration) {
+        let _ = self.inner.deadline.set(Instant::now() + limit);
+    }
+
+    /// Whether cancellation has been requested or the deadline passed.
     pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Acquire)
+        if self.inner.cause.load(Ordering::Acquire) != LIVE {
+            return true;
+        }
+        let overdue = self
+            .inner
+            .deadline
+            .get()
+            .is_some_and(|&d| Instant::now() >= d);
+        if overdue {
+            self.settle(OVERRAN);
+        }
+        overdue
+    }
+
+    /// Whether the deadline, not [`CancelToken::cancel`], cancelled the
+    /// job.
+    pub fn overran(&self) -> bool {
+        self.inner.cause.load(Ordering::Acquire) == OVERRAN
+    }
+
+    /// Record `cause` unless another cause got there first.
+    fn settle(&self, cause: u8) {
+        let _ = self
+            .inner
+            .cause
+            .compare_exchange(LIVE, cause, Ordering::AcqRel, Ordering::Acquire);
     }
 
     /// Unwind with [`FaultSignal::Killed`] if cancellation was
-    /// requested. Called by the job runner between committed cycles.
+    /// requested or the deadline passed. Called by the job runner
+    /// between committed cycles.
     pub fn check(&self) {
         if self.is_cancelled() {
             // The process-wide hook keeps expected unwinds silent.
@@ -528,6 +575,27 @@ mod tests {
             err.downcast_ref::<FaultSignal>().is_some(),
             "payload must be the FaultSignal unwind"
         );
+    }
+
+    #[test]
+    fn the_first_cause_sticks() {
+        let overran = CancelToken::new();
+        assert!(!overran.is_cancelled(), "no deadline armed");
+        overran.arm_deadline(Duration::ZERO);
+        overran.arm_deadline(Duration::from_secs(3600));
+        assert!(
+            overran.is_cancelled() && overran.overran(),
+            "the first arm counts"
+        );
+        overran.cancel();
+        assert!(overran.overran());
+
+        let cancelled = CancelToken::new();
+        cancelled.arm_deadline(Duration::from_secs(3600));
+        assert!(!cancelled.is_cancelled(), "the deadline is an hour away");
+        cancelled.cancel();
+        cancelled.arm_deadline(Duration::ZERO);
+        assert!(cancelled.is_cancelled() && !cancelled.overran());
     }
 
     /// Collects every checkpoint and hands out a scripted resume point —

@@ -853,6 +853,42 @@ mod tests {
     }
 
     #[test]
+    fn guard_outcome_across_target_cfls_on_the_stretched_case() {
+        // The backoff cost of each target CFL over 12 V-cycles: the
+        // stable targets run untouched; CFL 30 trips at cycle 3, backs
+        // off once to 7.5 and replays 3 cycles; CFL 60 trips at cycle 0
+        // and lands at 15 with nothing to replay.
+        let guard = GuardConfig {
+            cfl_backoff: 0.25,
+            reramp_after: 100,
+            ..GuardConfig::default()
+        };
+        for (cfl, backoffs, replayed, final_cfl) in [
+            (2.8, 0, 0, 2.8),
+            (10.0, 0, 0, 10.0),
+            (30.0, 1, 3, 7.5),
+            (60.0, 1, 0, 15.0),
+        ] {
+            let cfg = SolverConfig {
+                cfl,
+                ..aggressive_cfg()
+            };
+            let mut mg = MultigridSolver::new(stretched_seq(), cfg, Strategy::VCycle);
+            let (history, outcome) = guarded(&mut mg, 12, &guard)
+                .unwrap_or_else(|e| panic!("cfl {cfl} must recover: {e}"));
+            assert!(
+                history.iter().all(|x| x.is_finite()),
+                "cfl {cfl}: {history:?}"
+            );
+            let t = &outcome.transcript;
+            assert_eq!(t.len(), backoffs, "cfl {cfl}: backoffs");
+            let replays: usize = t.iter().map(|e| e.cycle - e.rollback_to.unwrap_or(0)).sum();
+            assert_eq!(replays, replayed, "cfl {cfl}: replayed cycles");
+            assert_eq!(outcome.final_cfl, final_cfl, "cfl {cfl}: final CFL");
+        }
+    }
+
+    #[test]
     fn guard_exhausts_retries_into_a_typed_error() {
         // A backoff factor this timid cannot rescue CFL 30 in two tries
         // (30 -> 28.5 -> 27.1, all far beyond the stability limit).

@@ -143,8 +143,9 @@ impl ResultCache {
         }
     }
 
-    /// Peek without touching the hit/miss counters (used by the
-    /// dequeue-time re-check so one submission never counts twice).
+    /// Peek without touching the hit/miss counters (the engine's one
+    /// lookup, at submit and again at dequeue, so one submission never
+    /// counts twice).
     pub fn peek(&self, key: CacheKey) -> Option<Arc<JobBlob>> {
         self.map.get(&key.0).map(Arc::clone)
     }

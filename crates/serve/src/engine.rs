@@ -11,14 +11,17 @@
 //!      │                │                 │  └─ run_job err ► Failed
 //!      │ queue full     │ cancel          │ cancel → FaultSignal unwind
 //!      ▼                ▼                 ▼
-//!   rejected        Cancelled         Cancelled
+//!   rejected        Cancelled         Cancelled (Failed past the deadline)
 //! ```
 //!
 //! A submission whose key is already cached skips the queue entirely
 //! (state goes straight to `Done`, the common case under heavy
-//! identical traffic); a forced submission (`force`) always computes.
-//! Every job reaches exactly one terminal state and its event stream
-//! ends with exactly one terminal event — the concurrency suite drives
+//! identical traffic), and a queued one is served the same way when an
+//! identical job finished while it waited; a forced submission (`force`)
+//! always computes. A job's cancel token also carries its deadline,
+//! armed when the job leaves the queue. Every job reaches exactly one
+//! terminal state, through `Inner::end`, and its event stream ends
+//! with exactly one terminal event — the concurrency suite drives
 //! interleaved submit/cancel/resubmit storms against these invariants.
 
 use std::collections::{HashMap, VecDeque};
@@ -28,7 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use eul3d_core::ckstore::{CheckpointLog, DurabilitySink, JobCheckpoint};
 use eul3d_core::{run_job_durable, CancelToken, JobMode, RunConfig};
@@ -66,9 +69,11 @@ pub struct EngineConfig {
     /// interrupted jobs, which resume from their last durable
     /// checkpoint. `None` keeps the engine fully in-memory.
     pub state_dir: Option<PathBuf>,
-    /// Per-job wall-clock deadline. A job still running this long after
-    /// it started is cancelled at its next committed-cycle boundary and
-    /// reported as `Failed` with a deadline message. `None` = no limit.
+    /// Per-job wall-clock deadline, counted from when the job leaves the
+    /// queue (queue wait never counts). The job's cancel token carries
+    /// it: a job still running this long is stopped at its next
+    /// committed-cycle boundary and reported as `Failed` with a deadline
+    /// message. `None` = no limit.
     pub deadline_ms: Option<u64>,
 }
 
@@ -235,6 +240,7 @@ pub struct EngineStats {
     pub cache_evicted_bytes: u64,
 }
 
+#[derive(Clone)]
 struct Job {
     spec: JobSpec,
     key: CacheKey,
@@ -243,12 +249,18 @@ struct Job {
     /// Present until a terminal event is emitted; dropping it ends the
     /// subscriber's stream.
     tx: Option<Sender<JobEvent>>,
-    /// When the job left the queue (deadline accounting).
-    started_at: Option<Instant>,
-    /// Set by the deadline watchdog: the cancellation about to land is a
-    /// deadline overrun, not a client cancel, and must terminalize as
-    /// `Failed`.
-    deadline_hit: bool,
+}
+
+impl Job {
+    fn queued(spec: JobSpec, key: CacheKey, tx: Option<Sender<JobEvent>>) -> Job {
+        Job {
+            spec,
+            key,
+            state: JobState::Queued,
+            cancel: CancelToken::new(),
+            tx,
+        }
+    }
 }
 
 /// The durability backends of a state-dir-configured engine.
@@ -342,6 +354,103 @@ impl Inner {
             Err(p) => p.into_inner(),
         }
     }
+
+    /// The cached result for `key`: memory first, then the durable
+    /// store, whose hit is promoted into memory. Counts nothing.
+    fn lookup(&self, st: &mut EngineState, key: CacheKey) -> Option<Arc<JobBlob>> {
+        st.cache.peek(key).or_else(|| {
+            let blob = self.durable.as_ref()?.store.get(key)?;
+            st.cache.insert(key, Arc::clone(&blob));
+            Some(blob)
+        })
+    }
+
+    /// Serve job `id` from the cache: replay the committed history as
+    /// progress (so hit and miss streams line up), then end it
+    /// `Done { cache_hit: true }`. `journaled` says whether the job's
+    /// submission is in the journal, and so whether its `done` goes
+    /// there too.
+    fn serve_hit(&self, st: &mut EngineState, id: u64, blob: Arc<JobBlob>, journaled: bool) {
+        if let Some(tx) = st.jobs.get(&id).and_then(|j| j.tx.as_ref()) {
+            for (c, &r) in blob.artifacts.history.iter().enumerate() {
+                let _ = tx.send(JobEvent::Progress {
+                    job: id,
+                    cycle: c as u64,
+                    residual: r,
+                });
+            }
+        }
+        let done = JobEvent::Done {
+            job: id,
+            cache_hit: true,
+            blob,
+        };
+        self.end(st, done, journaled);
+    }
+
+    /// The one way a job ends, with `terminal` (`Done`, `Cancelled` or
+    /// `Failed`): set its state, bump one counter, journal the terminal
+    /// record when `journaled` (a shutdown interrupts work, it does not
+    /// retract it: those jobs get no record and resume on the next
+    /// start), remove the checkpoint log of a job that ran after that
+    /// record, and send the terminal event, which ends the stream.
+    fn end(&self, st: &mut EngineState, terminal: JobEvent, journaled: bool) {
+        let (id, state, record) = match &terminal {
+            JobEvent::Done { job, blob, .. } => (
+                *job,
+                JobState::Done,
+                JournalRecord::Done {
+                    job: *job,
+                    result_hash: blob.artifacts.result_hash,
+                },
+            ),
+            JobEvent::Cancelled { job } => (
+                *job,
+                JobState::Cancelled,
+                JournalRecord::Cancelled { job: *job },
+            ),
+            JobEvent::Failed { job, msg } => (
+                *job,
+                JobState::Failed,
+                JournalRecord::Failed {
+                    job: *job,
+                    error: msg.clone(),
+                },
+            ),
+            JobEvent::Started { .. } | JobEvent::Progress { .. } => {
+                unreachable!("a job ends with a terminal event")
+            }
+        };
+        let Some(j) = st.jobs.get_mut(&id) else {
+            return;
+        };
+        let ran = j.state == JobState::Running;
+        j.state = state;
+        let (key, tx) = (j.key, j.tx.take());
+        *match state {
+            JobState::Done => &mut st.done,
+            JobState::Cancelled => &mut st.cancelled,
+            _ => &mut st.failed,
+        } += 1;
+        if ran {
+            st.running -= 1;
+        }
+        if let Some(d) = self.durable.as_ref().filter(|_| journaled) {
+            d.journal(&record);
+            // Only a job that ran wrote its key's checkpoint log.
+            if ran {
+                let _ = std::fs::remove_file(d.ck_path(key));
+            }
+        }
+        if let Some(tx) = tx {
+            let _ = tx.send(terminal);
+        }
+        // `drain` waits on the condvar for the queue and the workers to
+        // empty.
+        if st.draining {
+            self.cv.notify_all();
+        }
+    }
 }
 
 /// The engine: spawn with [`JobEngine::start`], drive with
@@ -353,22 +462,12 @@ pub struct JobEngine {
 }
 
 impl JobEngine {
-    /// Start the worker pool. Panics if the configured `state_dir`
-    /// cannot be initialized — use [`JobEngine::try_start`] to handle
-    /// that as an error.
-    pub fn start(cfg: EngineConfig) -> JobEngine {
-        match JobEngine::try_start(cfg) {
-            Ok(e) => e,
-            Err(e) => panic!("engine start failed: cannot initialize state dir: {e}"),
-        }
-    }
-
     /// Start the worker pool. With a `state_dir` configured, opens (or
     /// recovers) the write-ahead journal and the result store, truncates
     /// any crash-damaged tails, and resubmits every journaled job that
     /// never reached a terminal record — those jobs rerun internally
     /// (no subscriber) and resume from their last durable checkpoint.
-    pub fn try_start(cfg: EngineConfig) -> std::io::Result<JobEngine> {
+    pub fn start(cfg: EngineConfig) -> std::io::Result<JobEngine> {
         let mut pending = Vec::new();
         let mut next_id = 1u64;
         let durable = match &cfg.state_dir {
@@ -422,31 +521,18 @@ impl JobEngine {
         // Re-enqueue interrupted jobs before any worker exists, so the
         // recovered queue order matches the journaled submission order.
         {
-            let mut st = match inner.state.lock() {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
+            let mut st = inner.lock();
             for p in pending {
                 match RunConfig::from_toml(&p.config) {
                     Ok(rc) => {
+                        let spec = JobSpec {
+                            rc,
+                            mode: p.mode,
+                            force: p.force,
+                        };
                         st.submitted += 1;
                         st.queue.push_back(p.job);
-                        st.jobs.insert(
-                            p.job,
-                            Job {
-                                spec: JobSpec {
-                                    rc,
-                                    mode: p.mode,
-                                    force: p.force,
-                                },
-                                key: p.key,
-                                state: JobState::Queued,
-                                cancel: CancelToken::new(),
-                                tx: None,
-                                started_at: None,
-                                deadline_hit: false,
-                            },
-                        );
+                        st.jobs.insert(p.job, Job::queued(spec, p.key, None));
                     }
                     Err(e) => {
                         // A journaled config that no longer parses (a
@@ -462,7 +548,7 @@ impl JobEngine {
                 }
             }
         }
-        let mut workers = (0..inner.cfg.workers.max(1))
+        let workers = (0..inner.cfg.workers.max(1))
             .map(|k| {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
@@ -471,18 +557,6 @@ impl JobEngine {
             })
             .collect::<Result<Vec<_>, _>>()
             .unwrap_or_default();
-        if inner.cfg.deadline_ms.is_some() {
-            let wd = Arc::clone(&inner);
-            if let Ok(h) = std::thread::Builder::new()
-                .name("eul3d-serve-deadline".to_string())
-                .spawn(move || deadline_loop(&wd))
-            {
-                workers.push(h);
-            }
-        }
-        if !inner.lock().queue.is_empty() {
-            inner.cv.notify_all();
-        }
         Ok(JobEngine {
             inner,
             workers: Mutex::new(workers),
@@ -504,62 +578,29 @@ impl JobEngine {
         if st.shutdown || st.draining {
             return Err(SubmitError::ShuttingDown);
         }
-        // Cache fast path: identical requests cost one lookup (falling
-        // back to the durable result store on a memory miss) and are
-        // immune to backpressure.
-        if !spec.force {
-            let found = match st.cache.peek(key) {
-                Some(blob) => Some(blob),
-                None => self.inner.durable.as_ref().and_then(|d| {
-                    let blob = d.store.get(key)?;
-                    st.cache.insert(key, Arc::clone(&blob));
-                    Some(blob)
-                }),
-            };
-            if found.is_some() {
-                st.cache.count_hit();
-            } else {
-                st.cache.count_forced_miss();
-            }
-            if let Some(blob) = found {
-                let job = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-                st.submitted += 1;
-                st.done += 1;
-                for (c, &r) in blob.artifacts.history.iter().enumerate() {
-                    let _ = tx.send(JobEvent::Progress {
-                        job,
-                        cycle: c as u64,
-                        residual: r,
-                    });
-                }
-                let _ = tx.send(JobEvent::Done {
-                    job,
-                    cache_hit: true,
-                    blob,
-                });
-                st.jobs.insert(
-                    job,
-                    Job {
-                        spec,
-                        key,
-                        state: JobState::Done,
-                        cancel: CancelToken::new(),
-                        tx: None,
-                        started_at: None,
-                        deadline_hit: false,
-                    },
-                );
-                return Ok(SubmitTicket {
-                    job,
-                    key,
-                    events: rx,
-                });
-            }
+        // Cache fast path: identical requests cost one lookup and are
+        // immune to backpressure. The submission was never journaled,
+        // so neither is its `done`.
+        let hit = if spec.force {
+            None
         } else {
-            // A forced submission is an intentional miss: account it so
-            // hit-rate metrics reflect actual solve work.
-            st.cache.count_forced_miss();
+            self.inner.lookup(&mut st, key)
+        };
+        if let Some(blob) = hit {
+            st.cache.count_hit();
+            let job = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
+            st.submitted += 1;
+            st.jobs.insert(job, Job::queued(spec, key, Some(tx)));
+            self.inner.serve_hit(&mut st, job, blob, false);
+            return Ok(SubmitTicket {
+                job,
+                key,
+                events: rx,
+            });
         }
+        // A miss, or a forced submission (an intentional miss): account
+        // it so hit-rate metrics reflect actual solve work.
+        st.cache.count_forced_miss();
         if st.queue.len() >= self.inner.cfg.queue_cap {
             st.rejected += 1;
             let retry_after_ms =
@@ -581,18 +622,7 @@ impl JobEngine {
                 config: spec.rc.canonical_toml(),
             });
         }
-        st.jobs.insert(
-            job,
-            Job {
-                spec,
-                key,
-                state: JobState::Queued,
-                cancel: CancelToken::new(),
-                tx: Some(tx),
-                started_at: None,
-                deadline_hit: false,
-            },
-        );
+        st.jobs.insert(job, Job::queued(spec, key, Some(tx)));
         drop(st);
         self.inner.cv.notify_one();
         Ok(SubmitTicket {
@@ -605,20 +635,13 @@ impl JobEngine {
     /// Cancel a job by id.
     pub fn cancel(&self, job: u64) -> CancelOutcome {
         let mut st = self.inner.lock();
-        let Some(j) = st.jobs.get_mut(&job) else {
+        let Some(j) = st.jobs.get(&job) else {
             return CancelOutcome::Unknown;
         };
         match j.state {
             JobState::Queued => {
-                j.state = JobState::Cancelled;
-                if let Some(tx) = j.tx.take() {
-                    let _ = tx.send(JobEvent::Cancelled { job });
-                }
-                st.cancelled += 1;
                 st.queue.retain(|&q| q != job);
-                if let Some(d) = &self.inner.durable {
-                    d.journal(&JournalRecord::Cancelled { job });
-                }
+                self.inner.end(&mut st, JobEvent::Cancelled { job }, true);
                 CancelOutcome::WasQueued
             }
             JobState::Running => {
@@ -659,26 +682,15 @@ impl JobEngine {
     /// `false` means the timeout expired and the remainder was cancelled
     /// (their checkpoints survive for the next start to resume).
     pub fn drain(&self, timeout: Duration) -> bool {
-        {
+        let drained = {
             let mut st = self.inner.lock();
             st.draining = true;
-        }
-        let deadline = Instant::now() + timeout;
-        loop {
-            {
-                let st = self.inner.lock();
-                if st.queue.is_empty() && st.running == 0 {
-                    break;
-                }
-            }
-            if Instant::now() >= deadline {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        let drained = {
-            let st = self.inner.lock();
-            st.queue.is_empty() && st.running == 0
+            let busy = |st: &mut EngineState| !st.queue.is_empty() || st.running > 0;
+            let (mut st, _) = match self.inner.cv.wait_timeout_while(st, timeout, busy) {
+                Ok(r) => r,
+                Err(p) => p.into_inner(),
+            };
+            !busy(&mut st)
         };
         self.shutdown();
         drained
@@ -691,19 +703,12 @@ impl JobEngine {
             let mut st = self.inner.lock();
             if !st.shutdown {
                 st.shutdown = true;
-                // Queued jobs terminate as cancelled without running.
-                // Deliberately NOT journaled as terminal: on a durable
-                // engine the next start replays their `submitted`
-                // records and finishes them (shutdown interrupts work,
-                // it does not retract it).
+                // Queued jobs end cancelled without running, and without
+                // a terminal record: on a durable engine the next start
+                // replays their `submitted` records and finishes them.
                 while let Some(id) = st.queue.pop_front() {
-                    if let Some(j) = st.jobs.get_mut(&id) {
-                        j.state = JobState::Cancelled;
-                        if let Some(tx) = j.tx.take() {
-                            let _ = tx.send(JobEvent::Cancelled { job: id });
-                        }
-                        st.cancelled += 1;
-                    }
+                    self.inner
+                        .end(&mut st, JobEvent::Cancelled { job: id }, false);
                 }
                 // Running jobs stop at their next cycle boundary.
                 for j in st.jobs.values() {
@@ -733,93 +738,69 @@ impl Drop for JobEngine {
     }
 }
 
-fn worker_loop(inner: &Inner) {
+/// The next job for this worker to run, marked running with its
+/// deadline armed; queued jobs an identical finished job now answers
+/// are served from the cache on the way. `None` once shut down.
+fn next_job(inner: &Inner) -> Option<(u64, Job)> {
+    let mut st = inner.lock();
     loop {
-        // Wait for work or shutdown.
-        let (job, spec, key, token, tx) = {
-            let mut st = inner.lock();
-            let id = loop {
-                if let Some(id) = st.queue.pop_front() {
-                    break id;
-                }
-                if st.shutdown {
-                    return;
-                }
-                st = match inner.cv.wait(st) {
-                    Ok(g) => g,
-                    Err(p) => p.into_inner(),
-                };
-            };
-            let Some(j) = st.jobs.get(&id) else {
-                continue;
-            };
-            // Dequeue-time re-check: an identical job may have finished
-            // while this one waited — serve it from the cache (or the
-            // durable store) without touching a worker slot (peek: the
-            // submit-time lookup already counted this request's miss).
-            let hit = if j.spec.force {
-                None
-            } else {
-                let jkey = j.key;
-                match st.cache.peek(jkey) {
-                    Some(blob) => Some(blob),
-                    None => inner.durable.as_ref().and_then(|d| {
-                        let blob = d.store.get(jkey)?;
-                        st.cache.insert(jkey, Arc::clone(&blob));
-                        Some(blob)
-                    }),
-                }
-            };
-            if let Some(blob) = hit {
-                st.done += 1;
-                // Terminalize the journaled submission: without this, a
-                // job that crashed between its result landing in the
-                // store and its `done` record would be resubmitted on
-                // every restart.
-                if let Some(d) = &inner.durable {
-                    d.journal(&JournalRecord::Done {
-                        job: id,
-                        result_hash: blob.artifacts.result_hash,
-                    });
-                }
-                if let Some(j) = st.jobs.get_mut(&id) {
-                    j.state = JobState::Done;
-                    if let Some(tx) = j.tx.take() {
-                        for (c, &r) in blob.artifacts.history.iter().enumerate() {
-                            let _ = tx.send(JobEvent::Progress {
-                                job: id,
-                                cycle: c as u64,
-                                residual: r,
-                            });
-                        }
-                        let _ = tx.send(JobEvent::Done {
-                            job: id,
-                            cache_hit: true,
-                            blob,
-                        });
-                    }
-                }
-                continue;
+        let Some(id) = st.queue.pop_front() else {
+            if st.shutdown {
+                return None;
             }
-            st.running += 1;
-            let Some(j) = st.jobs.get_mut(&id) else {
-                st.running -= 1;
-                continue;
+            st = match inner.cv.wait(st) {
+                Ok(g) => g,
+                Err(p) => p.into_inner(),
             };
-            j.state = JobState::Running;
-            j.started_at = Some(Instant::now());
-            let tx = j.tx.take();
-            (id, j.spec.clone(), j.key, j.cancel.clone(), tx)
+            continue;
         };
+        let Some(j) = st.jobs.get(&id) else {
+            continue;
+        };
+        // Dequeue-time re-check: an identical job may have finished
+        // while this one waited (the submit-time lookup already counted
+        // this request's miss).
+        let (force, key) = (j.spec.force, j.key);
+        let hit = if force {
+            None
+        } else {
+            inner.lookup(&mut st, key)
+        };
+        if let Some(blob) = hit {
+            // Journal its `done`: otherwise a job that crashed between
+            // its store write and its `done` record would be resubmitted
+            // on every restart.
+            inner.serve_hit(&mut st, id, blob, true);
+            continue;
+        }
+        let Some(j) = st.jobs.get_mut(&id) else {
+            continue;
+        };
+        j.state = JobState::Running;
+        if let Some(ms) = inner.cfg.deadline_ms {
+            j.cancel.arm_deadline(Duration::from_millis(ms));
+        }
+        let next = (id, j.clone());
+        st.running += 1;
+        return Some(next);
+    }
+}
 
+fn worker_loop(inner: &Inner) {
+    while let Some((job, running)) = next_job(inner) {
+        let Job {
+            spec,
+            key,
+            cancel: token,
+            tx,
+            ..
+        } = running;
         if let Some(d) = &inner.durable {
             d.journal(&JournalRecord::Started { job });
         }
         if let Some(tx) = &tx {
             let _ = tx.send(JobEvent::Started { job });
         }
-        let seed = inner.cfg.seed;
-        let progress_tx = tx.clone();
         // The durability sink: per-key CRC-framed checkpoint log plus
         // journal breadcrumbs. An unopenable log (damaged beyond the
         // tail-truncation recovery, e.g. a foreign file at its path)
@@ -840,11 +821,11 @@ fn worker_loop(inner: &Inner) {
             run_job_durable(
                 &spec.rc,
                 spec.mode,
-                seed,
+                inner.cfg.seed,
                 &token,
                 &mut |cycle, residual| {
-                    if let Some(ptx) = &progress_tx {
-                        let _ = ptx.send(JobEvent::Progress {
+                    if let Some(tx) = &tx {
+                        let _ = tx.send(JobEvent::Progress {
                             job,
                             cycle,
                             residual,
@@ -858,20 +839,10 @@ fn worker_loop(inner: &Inner) {
         // disarm; drop any leftover tracer so the next job on this
         // thread starts clean (install() also resets the lane clock).
         drop(obs::take());
+        drop(tx);
 
         let mut st = inner.lock();
-        let shutting_down = st.shutdown || st.draining;
-        let deadline_hit = st.jobs.get(&job).is_some_and(|j| j.deadline_hit);
-        // Journal the terminal record and clean the checkpoint log.
-        // `None` terminal = an interrupted (shutdown-cancelled) job:
-        // journal nothing so the next start resumes it from the log.
-        let terminalize = |term: Option<JournalRecord>| {
-            if let (Some(d), Some(rec)) = (&inner.durable, term) {
-                d.journal(&rec);
-                let _ = std::fs::remove_file(d.ck_path(key));
-            }
-        };
-        let (state, event) = match result {
+        let (terminal, journaled) = match result {
             Ok(Ok(artifacts)) => {
                 // Persist to the store *before* the `done` record: a
                 // crash between the two replays the job, which then
@@ -880,115 +851,44 @@ fn worker_loop(inner: &Inner) {
                 if let Some(d) = &inner.durable {
                     let _ = d.store.put(key, &blob);
                 }
-                terminalize(Some(JournalRecord::Done {
-                    job,
-                    result_hash: blob.artifacts.result_hash,
-                }));
                 st.cache.insert(key, Arc::clone(&blob));
-                st.done += 1;
-                (
-                    JobState::Done,
-                    JobEvent::Done {
-                        job,
-                        cache_hit: false,
-                        blob,
-                    },
-                )
-            }
-            Ok(Err(e)) => {
-                st.failed += 1;
-                terminalize(Some(JournalRecord::Failed {
+                let done = JobEvent::Done {
                     job,
-                    error: e.to_string(),
-                }));
-                (
-                    JobState::Failed,
-                    JobEvent::Failed {
-                        job,
-                        msg: e.to_string(),
-                    },
-                )
+                    cache_hit: false,
+                    blob,
+                };
+                (done, true)
+            }
+            Ok(Err(e)) => (
+                JobEvent::Failed {
+                    job,
+                    msg: e.to_string(),
+                },
+                true,
+            ),
+            Err(payload) if payload.is::<FaultSignal>() && token.is_cancelled() => {
+                if token.overran() {
+                    let ms = inner.cfg.deadline_ms.unwrap_or(0);
+                    let msg = format!("deadline exceeded: job ran past {ms} ms");
+                    (JobEvent::Failed { job, msg }, true)
+                } else {
+                    // A shutdown-induced cancellation is an
+                    // interruption, not a verdict: leave the journal
+                    // open so the job resumes on the next start.
+                    (JobEvent::Cancelled { job }, !(st.shutdown || st.draining))
+                }
             }
             Err(payload) => {
-                if payload.downcast_ref::<FaultSignal>().is_some() && token.is_cancelled() {
-                    if deadline_hit {
-                        let ms = inner.cfg.deadline_ms.unwrap_or(0);
-                        let msg = format!("deadline exceeded: job ran past {ms} ms");
-                        st.failed += 1;
-                        terminalize(Some(JournalRecord::Failed {
-                            job,
-                            error: msg.clone(),
-                        }));
-                        (JobState::Failed, JobEvent::Failed { job, msg })
-                    } else {
-                        st.cancelled += 1;
-                        // A shutdown-induced cancellation is an
-                        // interruption, not a verdict: leave the journal
-                        // open so the job resumes on the next start.
-                        terminalize((!shutting_down).then_some(JournalRecord::Cancelled { job }));
-                        (JobState::Cancelled, JobEvent::Cancelled { job })
-                    }
-                } else {
-                    st.failed += 1;
-                    let msg = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "solver panicked".to_string());
-                    let msg = format!("solver panicked: {msg}");
-                    terminalize(Some(JournalRecord::Failed {
-                        job,
-                        error: msg.clone(),
-                    }));
-                    (JobState::Failed, JobEvent::Failed { job, msg })
-                }
+                let msg = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| (*s).to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "solver panicked".to_string());
+                let msg = format!("solver panicked: {msg}");
+                (JobEvent::Failed { job, msg }, true)
             }
         };
-        st.running -= 1;
-        if let Some(j) = st.jobs.get_mut(&job) {
-            j.state = state;
-        }
-        drop(st);
-        if let Some(tx) = tx {
-            let _ = tx.send(event);
-        }
-        // tx drops here: the subscriber's stream ends after the
-        // terminal event.
-    }
-}
-
-/// The deadline watchdog: scans running jobs every 25 ms and cancels
-/// any that outlived `deadline_ms`; the worker terminalizes them as
-/// `Failed` (deadline message) at their next committed-cycle boundary.
-fn deadline_loop(inner: &Inner) {
-    let Some(ms) = inner.cfg.deadline_ms else {
-        return;
-    };
-    let limit = Duration::from_millis(ms);
-    loop {
-        {
-            let mut st = inner.lock();
-            if st.shutdown {
-                return;
-            }
-            let overdue: Vec<u64> = st
-                .jobs
-                .iter()
-                .filter(|(_, j)| {
-                    j.state == JobState::Running
-                        && !j.deadline_hit
-                        && j.started_at.is_some_and(|t| t.elapsed() > limit)
-                })
-                .map(|(&id, _)| id)
-                .collect();
-            for id in overdue {
-                if let Some(j) = st.jobs.get_mut(&id) {
-                    j.deadline_hit = true;
-                    j.cancel.cancel();
-                }
-            }
-        }
-        std::thread::sleep(Duration::from_millis(25));
+        inner.end(&mut st, terminal, journaled);
     }
 }
 
@@ -1036,7 +936,8 @@ mod tests {
         let eng = JobEngine::start(EngineConfig {
             workers: 1,
             ..EngineConfig::default()
-        });
+        })
+        .unwrap();
         let t1 = eng.submit(spec(3, false)).unwrap();
         let evs = drain(&t1);
         let Some(JobEvent::Done {
@@ -1078,7 +979,8 @@ mod tests {
             workers: 1,
             queue_cap: 1,
             ..EngineConfig::default()
-        });
+        })
+        .unwrap();
         let _hog = eng.submit(spec(400, false)).unwrap();
         // Give the worker a moment to take the hog off the queue, then
         // fill the single queue slot.
@@ -1101,7 +1003,8 @@ mod tests {
         let eng = JobEngine::start(EngineConfig {
             workers: 1,
             ..EngineConfig::default()
-        });
+        })
+        .unwrap();
         let hog = eng.submit(spec(500, false)).unwrap();
         let queued = eng.submit(spec(501, false)).unwrap();
         assert_eq!(eng.cancel(queued.job), CancelOutcome::WasQueued);
@@ -1128,11 +1031,32 @@ mod tests {
     }
 
     #[test]
+    fn drain_returns_when_the_last_job_ends() {
+        let eng = JobEngine::start(EngineConfig {
+            workers: 1,
+            ..EngineConfig::default()
+        })
+        .unwrap();
+        let running = eng.submit(spec(40, false)).unwrap();
+        let queued = eng.submit(spec(41, false)).unwrap();
+        let t0 = std::time::Instant::now();
+        assert!(eng.drain(Duration::from_secs(60)), "both jobs finish");
+        assert!(
+            t0.elapsed() < Duration::from_secs(30),
+            "the ending job wakes drain, not its timeout"
+        );
+        for t in [&running, &queued] {
+            assert!(matches!(drain(t).last(), Some(JobEvent::Done { .. })));
+        }
+    }
+
+    #[test]
     fn invalid_config_fails_typed() {
         let eng = JobEngine::start(EngineConfig {
             workers: 1,
             ..EngineConfig::default()
-        });
+        })
+        .unwrap();
         let mut s = spec(3, false);
         s.rc.solver.mach = -1.0;
         let t = eng.submit(s).unwrap();

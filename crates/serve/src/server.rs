@@ -48,7 +48,7 @@ pub fn spawn(path: &Path, cfg: EngineConfig) -> std::io::Result<ServerHandle> {
     }
     let listener = UnixListener::bind(path)?;
     let stop = Arc::new(AtomicBool::new(false));
-    let engine = Arc::new(JobEngine::try_start(cfg)?);
+    let engine = Arc::new(JobEngine::start(cfg)?);
     let accept_thread = {
         let stop = Arc::clone(&stop);
         let engine = Arc::clone(&engine);

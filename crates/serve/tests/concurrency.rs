@@ -68,14 +68,17 @@ fn drain(t: &SubmitTicket) -> (&'static str, Option<String>) {
 
 #[test]
 fn interleaved_submit_cancel_resubmit_leaks_nothing_and_stays_deterministic() {
-    let eng = Arc::new(JobEngine::start(EngineConfig {
-        workers: 3,
-        queue_cap: 64,
-        cache_cap: 64,
-        seed: env_seed(7),
-        retry_after_ms_per_queued: 5,
-        ..EngineConfig::default()
-    }));
+    let eng = Arc::new(
+        JobEngine::start(EngineConfig {
+            workers: 3,
+            queue_cap: 64,
+            cache_cap: 64,
+            seed: env_seed(7),
+            retry_after_ms_per_queued: 5,
+            ..EngineConfig::default()
+        })
+        .expect("engine starts"),
+    );
     let pool = config_pool();
 
     // Phase 1: the storm. Each client round-robins the config pool;
@@ -178,14 +181,17 @@ fn interleaved_submit_cancel_resubmit_leaks_nothing_and_stays_deterministic() {
 fn backpressure_storm_rejects_cleanly_without_losing_accepted_jobs() {
     // One worker, tiny queue: most submissions bounce, but every
     // *accepted* job must still terminate and be accounted for.
-    let eng = Arc::new(JobEngine::start(EngineConfig {
-        workers: 1,
-        queue_cap: 2,
-        cache_cap: 8,
-        seed: env_seed(7),
-        retry_after_ms_per_queued: 5,
-        ..EngineConfig::default()
-    }));
+    let eng = Arc::new(
+        JobEngine::start(EngineConfig {
+            workers: 1,
+            queue_cap: 2,
+            cache_cap: 8,
+            seed: env_seed(7),
+            retry_after_ms_per_queued: 5,
+            ..EngineConfig::default()
+        })
+        .expect("engine starts"),
+    );
     let pool = config_pool();
     let (accepted, rejected): (u64, u64) = std::thread::scope(|s| {
         let handles: Vec<_> = (0..CLIENTS)

@@ -32,6 +32,7 @@ fn engine(workers: usize) -> JobEngine {
         retry_after_ms_per_queued: 10,
         ..EngineConfig::default()
     })
+    .expect("engine starts")
 }
 
 /// The adversarial configuration: distributed guarded run with an

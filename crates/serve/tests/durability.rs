@@ -150,7 +150,7 @@ fn restart_resumes_interrupted_job_to_byte_identical_result() {
     // Baseline: the same submission, never interrupted.
     let base_dir = tmpdir("resume-base");
     let base = {
-        let eng = JobEngine::try_start(engine_cfg(&base_dir)).unwrap();
+        let eng = JobEngine::start(engine_cfg(&base_dir)).unwrap();
         let blob = run_to_done(&eng, spec());
         eng.shutdown();
         blob
@@ -163,7 +163,7 @@ fn restart_resumes_interrupted_job_to_byte_identical_result() {
 
     // Restart. The engine must resubmit job 1, resume it from cycle 8,
     // and complete it with artifacts identical to the baseline.
-    let eng = JobEngine::try_start(engine_cfg(&dir)).unwrap();
+    let eng = JobEngine::start(engine_cfg(&dir)).unwrap();
     wait_done(&eng, 1);
     eng.shutdown();
 
@@ -185,7 +185,7 @@ fn restart_resumes_interrupted_job_to_byte_identical_result() {
     );
 
     // A third start finds nothing pending and serves the key from disk.
-    let eng = JobEngine::try_start(engine_cfg(&dir)).unwrap();
+    let eng = JobEngine::start(engine_cfg(&dir)).unwrap();
     assert_eq!(eng.stats().queued, 0, "no pending work after done");
     let hit = run_to_done(&eng, spec());
     assert_identical(&base, &hit, "store hit vs uninterrupted");
@@ -197,12 +197,12 @@ fn restart_resumes_interrupted_job_to_byte_identical_result() {
 fn completed_results_survive_restart_as_store_hits() {
     let dir = tmpdir("store-hit");
     let first = {
-        let eng = JobEngine::try_start(engine_cfg(&dir)).unwrap();
+        let eng = JobEngine::start(engine_cfg(&dir)).unwrap();
         let blob = run_to_done(&eng, spec());
         eng.shutdown();
         blob
     };
-    let eng = JobEngine::try_start(engine_cfg(&dir)).unwrap();
+    let eng = JobEngine::start(engine_cfg(&dir)).unwrap();
     let again = run_to_done(&eng, spec());
     assert_identical(&first, &again, "across restart");
     let s = eng.stats();
@@ -240,13 +240,13 @@ fn a_journal_from_a_build_that_wrote_edge_reorder_still_replays() {
             .unwrap();
         journal.append(&JournalRecord::Started { job: 1 }).unwrap();
     }
-    let eng = JobEngine::try_start(engine_cfg(&dir)).unwrap();
+    let eng = JobEngine::start(engine_cfg(&dir)).unwrap();
     wait_done(&eng, 1);
     assert_eq!(eng.stats().failed, 0, "{}", journal_text(&dir));
     let replayed = ResultStore::open(&dir).unwrap().get(key).expect("stored");
     eng.shutdown();
     let fresh_dir = tmpdir("old-key-fresh");
-    let fresh = JobEngine::try_start(engine_cfg(&fresh_dir)).unwrap();
+    let fresh = JobEngine::start(engine_cfg(&fresh_dir)).unwrap();
     assert_identical(&replayed, &run_to_done(&fresh, spec()), "replayed vs fresh");
     fresh.shutdown();
 }
@@ -271,7 +271,7 @@ fn cancelled_jobs_do_not_resume_on_restart() {
             .append(&JournalRecord::Cancelled { job: 1 })
             .unwrap();
     }
-    let eng = JobEngine::try_start(engine_cfg(&dir)).unwrap();
+    let eng = JobEngine::start(engine_cfg(&dir)).unwrap();
     let s = eng.stats();
     assert_eq!((s.queued, s.running), (0, 0), "cancelled job stays dead");
     eng.shutdown();
@@ -284,7 +284,7 @@ fn cancelled_jobs_do_not_resume_on_restart() {
 #[test]
 fn drain_refuses_new_work_and_reports_drained() {
     let dir = tmpdir("drain");
-    let eng = JobEngine::try_start(engine_cfg(&dir)).unwrap();
+    let eng = JobEngine::start(engine_cfg(&dir)).unwrap();
     let blob = run_to_done(&eng, spec());
     assert!(!blob.artifacts.history.is_empty());
     assert!(
@@ -305,7 +305,7 @@ fn deadline_terminates_overrunning_jobs_as_failed() {
         deadline_ms: Some(1),
         ..engine_cfg(&dir)
     };
-    let eng = JobEngine::try_start(cfg).unwrap();
+    let eng = JobEngine::start(cfg).unwrap();
     // Big enough to outlive a 1 ms deadline by orders of magnitude.
     let slow = "[run]\nlevels = 2\ncycles = 400\n[mesh]\nnx = 16\nny = 8\nnz = 6\n";
     let spec = JobSpec {
@@ -332,4 +332,120 @@ fn deadline_terminates_overrunning_jobs_as_failed() {
         "deadline failure is journaled"
     );
     eng.shutdown();
+}
+
+/// A job's events up to its terminal one, which comes last.
+fn stream_of(ticket: &eul3d_serve::SubmitTicket) -> Vec<JobEvent> {
+    let mut evs = Vec::new();
+    for ev in ticket.events.iter() {
+        let terminal = !matches!(ev, JobEvent::Started { .. } | JobEvent::Progress { .. });
+        evs.push(ev);
+        if terminal {
+            return evs;
+        }
+    }
+    panic!("stream ended without a terminal event");
+}
+
+fn started(evs: &[JobEvent]) -> bool {
+    evs.iter().any(|e| matches!(e, JobEvent::Started { .. }))
+}
+
+#[test]
+fn the_deadline_counts_from_dequeue_not_from_submission() {
+    let dir = tmpdir("deadline-queue");
+    let deadline_ms = 500;
+    let cfg = EngineConfig {
+        deadline_ms: Some(deadline_ms),
+        ..engine_cfg(&dir)
+    };
+    let eng = JobEngine::start(cfg).unwrap();
+    // The long job overruns the deadline by orders of magnitude; the
+    // short one waits behind it on the lone worker.
+    let long = "[run]\nlevels = 2\ncycles = 20000\n[mesh]\nnx = 10\nny = 5\nnz = 4\n";
+    let short = "[run]\nlevels = 2\ncycles = 3\n[mesh]\nnx = 8\nny = 4\nnz = 3\n";
+    let job = |toml: &str| JobSpec {
+        rc: RunConfig::from_toml(toml).unwrap(),
+        mode: JobMode::Solve,
+        force: false,
+    };
+    let submitted = Instant::now();
+    let long = eng.submit(job(long)).expect("submit long");
+    let short = eng.submit(job(short)).expect("submit short");
+
+    let evs = stream_of(&long);
+    let Some(JobEvent::Failed { msg, .. }) = evs.last() else {
+        panic!("the long job must fail on its deadline, got {evs:?}");
+    };
+    assert!(msg.contains("deadline"), "{msg}");
+    let waited = submitted.elapsed();
+    assert!(
+        waited >= Duration::from_millis(deadline_ms),
+        "the short job waited {waited:?}, less than the deadline"
+    );
+    let evs = stream_of(&short);
+    assert!(
+        matches!(
+            evs.last(),
+            Some(JobEvent::Done {
+                cache_hit: false,
+                ..
+            })
+        ),
+        "queue wait must not count against the deadline, got {evs:?}"
+    );
+    assert!(started(&evs));
+    let s = eng.stats();
+    assert_eq!((s.done, s.failed, s.cancelled), (1, 1, 0));
+    eng.shutdown();
+}
+
+#[test]
+fn a_twin_queued_while_its_result_computes_is_a_journaled_dequeue_hit() {
+    let dir = tmpdir("dequeue-hit");
+    let eng = JobEngine::start(engine_cfg(&dir)).unwrap();
+    // One worker: the twin waits in the queue while the first copy
+    // computes, so its submit-time lookup misses.
+    let first = eng.submit(spec()).expect("submit first");
+    let twin = eng.submit(spec()).expect("submit twin");
+    assert_eq!(eng.stats().cache_misses, 2, "the twin missed at submit");
+
+    let evs = stream_of(&first);
+    assert!(matches!(
+        evs.last(),
+        Some(JobEvent::Done {
+            cache_hit: false,
+            ..
+        })
+    ));
+    assert!(started(&evs));
+    let evs = stream_of(&twin);
+    assert!(!started(&evs), "a dequeue hit never starts: {evs:?}");
+    let Some(JobEvent::Done {
+        cache_hit: true,
+        blob,
+        ..
+    }) = evs.last()
+    else {
+        panic!("the twin must be served from the cache, got {evs:?}");
+    };
+    assert_eq!(
+        evs.len(),
+        blob.artifacts.history.len() + 1,
+        "history replayed"
+    );
+
+    let s = eng.stats();
+    assert_eq!((s.done, s.cache_hits, s.cache_misses), (2, 0, 2));
+    eng.shutdown();
+    let j = journal_text(&dir);
+    let rec = |name: &str, job: u64| format!("\"rec\":\"{name}\",\"job\":{job}");
+    assert!(j.contains(&rec("started", first.job)), "{j}");
+    assert!(!j.contains(&rec("started", twin.job)), "{j}");
+    for job in [first.job, twin.job] {
+        assert!(
+            j.contains(&rec("done", job)),
+            "job {job} journals done: {j}"
+        );
+    }
 }

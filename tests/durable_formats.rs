@@ -410,7 +410,7 @@ fn a_flipped_config_digit_drops_the_submission_instead_of_changing_it() {
     assert!(replay.records.is_empty() && replay.pending_jobs().is_empty());
 
     fs::write(&path, &bytes).expect("plant damage again");
-    let engine = JobEngine::try_start(EngineConfig {
+    let engine = JobEngine::start(EngineConfig {
         workers: 1,
         seed: 7,
         state_dir: Some(dir.clone()),
@@ -437,7 +437,7 @@ fn a_damaged_journal_header_is_set_aside_and_the_engine_starts_empty() {
     let err = Journal::open(&dir).expect_err("not a journal any more");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
 
-    let engine = JobEngine::try_start(EngineConfig {
+    let engine = JobEngine::start(EngineConfig {
         workers: 1,
         state_dir: Some(dir.clone()),
         ..EngineConfig::default()
