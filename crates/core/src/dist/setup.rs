@@ -1,10 +1,12 @@
-//! Sequential preprocessing for a distributed run: partition every mesh
-//! level (recursive spectral bisection by default, §4.1) and build the
-//! per-rank mesh pieces. Like the paper's, this phase is sequential and
-//! its cost is amortized over many flow solutions.
+//! Preprocessing for a distributed run: partition every mesh level
+//! (recursive spectral bisection by default, §4.1) and build the
+//! per-rank mesh pieces. Like the paper's, this phase runs before the
+//! ranks start and its cost is amortized over many flow solutions; the
+//! finest level is partitioned beside the coarser ones.
 
 use std::sync::Arc;
 
+use eul3d_mesh::par::map_levels;
 use eul3d_mesh::MeshSequence;
 use eul3d_partition::{PartitionError, PartitionMethod, PartitionOptions, PartitionedMesh};
 
@@ -59,18 +61,18 @@ impl DistSetup {
         method: PartitionMethod,
         opts: &PartitionOptions,
     ) -> Result<DistSetup, PartitionError> {
-        let pms = seq
-            .meshes
-            .iter()
-            .map(|m| {
-                let plan = method.partition(m, opts)?;
-                Ok(Arc::new(PartitionedMesh::build(
-                    m,
-                    &plan.assignment,
-                    opts.nparts,
-                )))
-            })
-            .collect::<Result<_, PartitionError>>()?;
+        // Each level is partitioned on its own, the finest beside the
+        // coarser ones.
+        let pms = map_levels(seq.finest().nverts(), seq.meshes.iter().collect(), |m| {
+            let plan = method.partition(m, opts)?;
+            Ok(Arc::new(PartitionedMesh::build(
+                m,
+                &plan.assignment,
+                opts.nparts,
+            )))
+        })
+        .into_iter()
+        .collect::<Result<_, PartitionError>>()?;
         Ok(DistSetup {
             seq,
             pms,

@@ -47,8 +47,9 @@ use crate::timestep::radii_bfaces_soa;
 /// coefficients, tagged boundary faces, and control volumes. Implemented
 /// by [`TetMesh`], by agglomerated coarse levels
 /// ([`crate::agglo::AggloLevel`]), and by the per-rank local meshes of
-/// the distributed path ([`RankMesh`]).
-pub trait SolverGrid {
+/// the distributed path ([`RankMesh`]). Grids are plain data, shared
+/// read-only by the set-up's two threads.
+pub trait SolverGrid: Sync {
     fn grid_edges(&self) -> &[[u32; 2]];
     fn grid_edge_coef(&self) -> &[Vec3];
     fn grid_bfaces(&self) -> &[BoundaryFace];

@@ -6,6 +6,7 @@
 //! guard, resume, durability) and the full-multigrid start-up around it.
 
 use eul3d_mesh::gen::bump_channel;
+use eul3d_mesh::par::map_levels;
 use eul3d_mesh::{MeshSequence, TetMesh};
 use eul3d_obs as obs;
 use eul3d_partition::coloring::color_edge_list;
@@ -192,17 +193,25 @@ impl MultigridSolver {
         // One resident team for the whole solver: the levels run one
         // after another, never at once.
         let team = shared::build_team(ncpus)?;
-        let execs = grids
-            .levels()
-            .into_iter()
-            .map(|g| {
-                let coloring = color_edge_list(g.grid_nverts(), g.grid_edges());
-                SharedExecutor::with_team(g, coloring, team.clone())
-            })
-            .collect::<Result<Vec<_>, String>>()?;
+        // Each level's colouring, its check and the members' lists, the
+        // finest level beside the coarser ones.
+        let fine_verts = grids.fine().nverts();
+        let execs = map_levels(fine_verts, grids.levels(), |g| {
+            let coloring = color_edge_list(g.grid_nverts(), g.grid_edges());
+            SharedExecutor::with_team(g, coloring, team.clone())
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, String>>()?;
         let mut mg = MultigridSolver::new(grids, cfg, strategy);
         mg.shared = Some(execs);
         Ok(mg)
+    }
+
+    /// The colour count of every level's edge colouring on the shared
+    /// path, finest first; `None` for a serial solver.
+    pub fn edge_colors(&self) -> Option<Vec<usize>> {
+        let execs = self.shared.as_ref()?;
+        Some(execs.iter().map(|e| e.ncolors).collect())
     }
 
     /// The solver a configured run asks for: its mesh family under

@@ -290,6 +290,25 @@ pub fn bump_profile(x: f64, height: f64) -> f64 {
 /// With `taper > 0` the bump tapers in the spanwise direction, producing a
 /// genuinely three-dimensional "wing-like" flow.
 pub fn bump_channel(spec: &BumpSpec) -> TetMesh {
+    let lat = bump_lattice(spec);
+    match TetMesh::from_tets(lat.coords, lat.tets, classify_channel) {
+        Ok(m) => m,
+        Err(e) => unreachable!("bump-channel generator produced an invalid mesh: {e}"),
+    }
+}
+
+/// [`bump_channel`] with the face-neighbour table its build found, for a
+/// point locator over the mesh to take over.
+pub(crate) fn bump_channel_with_neighbors(spec: &BumpSpec) -> (TetMesh, Vec<[u32; 4]>) {
+    let lat = bump_lattice(spec);
+    match TetMesh::from_tets_with_neighbors(lat.coords, lat.tets, classify_channel) {
+        Ok(built) => built,
+        Err(e) => unreachable!("bump-channel generator produced an invalid mesh: {e}"),
+    }
+}
+
+/// The jittered, bump-sheared lattice of [`bump_channel`].
+fn bump_lattice(spec: &BumpSpec) -> Lattice {
     let xs = cluster1d(spec.nx, CHANNEL_X.0, CHANNEL_X.1, 0.5, 0.6);
     let ys = cluster1d(spec.ny, 0.0, CHANNEL_HEIGHT, 0.0, 0.4);
     let zs = cluster1d(spec.nz, 0.0, CHANNEL_DEPTH, 0.5, 0.0);
@@ -300,10 +319,7 @@ pub fn bump_channel(spec: &BumpSpec) -> TetMesh {
         let h = bump_profile(p.x, spec.bump_height) * (1.0 - spec.taper * p.z / CHANNEL_DEPTH);
         p.y += h * (1.0 - p.y / CHANNEL_HEIGHT);
     }
-    match TetMesh::from_tets(lat.coords, lat.tets, classify_channel) {
-        Ok(m) => m,
-        Err(e) => unreachable!("bump-channel generator produced an invalid mesh: {e}"),
-    }
+    lat
 }
 
 /// Parameters of the supersonic wedge (compression-ramp) channel: flow

@@ -32,6 +32,7 @@
 pub mod dual;
 pub mod error;
 pub mod gen;
+pub mod par;
 pub mod refine;
 pub mod search;
 pub mod sequence;

@@ -42,9 +42,31 @@ impl TetMesh {
     /// centroid and outward unit normal.
     pub fn from_tets(
         coords: Vec<Vec3>,
-        mut tets: Vec<[u32; 4]>,
+        tets: Vec<[u32; 4]>,
         classify: impl Fn(Vec3, Vec3) -> BcKind,
     ) -> Result<TetMesh, MeshError> {
+        Self::build(coords, tets, classify, false).map(|(mesh, _)| mesh)
+    }
+
+    /// [`TetMesh::from_tets`], also handing back the face-neighbour
+    /// table ([`tet_neighbors`]) the boundary faces were found from, so
+    /// a point locator over the mesh need not rebuild it.
+    pub(crate) fn from_tets_with_neighbors(
+        coords: Vec<Vec3>,
+        tets: Vec<[u32; 4]>,
+        classify: impl Fn(Vec3, Vec3) -> BcKind,
+    ) -> Result<(TetMesh, Vec<[u32; 4]>), MeshError> {
+        Self::build(coords, tets, classify, true)
+    }
+
+    /// The one build behind both constructors: the neighbour table comes
+    /// back empty unless `keep_neighbors` asks for it.
+    fn build(
+        coords: Vec<Vec3>,
+        mut tets: Vec<[u32; 4]>,
+        classify: impl Fn(Vec3, Vec3) -> BcKind,
+        keep_neighbors: bool,
+    ) -> Result<(TetMesh, Vec<[u32; 4]>), MeshError> {
         // Validate indices, then orient all tets positively.
         for t in &mut tets {
             for &vtx in t.iter() {
@@ -76,10 +98,13 @@ impl TetMesh {
             }
         }
         let fwd = forward_edges(&tets, &vt);
-        let faces = boundary_faces(&tets, &tet_neighbors(&tets, &vt)?);
-        // The incidence and the neighbours go before the metric arrays
-        // are allocated, which keeps them out of the set-up's peak.
+        let nbrs = tet_neighbors(&tets, &vt)?;
+        let faces = boundary_faces(&tets, &nbrs);
+        // The incidence, and the neighbours unless kept, go before the
+        // metric arrays are allocated, which keeps them out of the
+        // set-up's peak.
         drop(vt);
+        let nbrs = if keep_neighbors { nbrs } else { Vec::new() };
         let edge_coef = edge_coefficients(&coords, &tets, &fwd)?;
         let edges = edge_list(&fwd);
         drop(fwd);
@@ -102,14 +127,15 @@ impl TetMesh {
             })
             .collect();
 
-        Ok(TetMesh {
+        let mesh = TetMesh {
             coords,
             tets,
             edges,
             edge_coef,
             bfaces,
             vol,
-        })
+        };
+        Ok((mesh, nbrs))
     }
 
     /// Check that every vertex's median-dual surface closes: the

@@ -31,8 +31,15 @@ pub fn barycentric(mesh: &TetMesh, t: usize, p: Vec3) -> [f64; 4] {
 /// spatial locality (as successive mesh vertices do).
 pub struct Locator<'m> {
     mesh: &'m TetMesh,
+    tables: SearchTables,
+}
+
+/// What a [`Locator`] builds over its mesh, held apart from the mesh so
+/// a multigrid sequence can keep a level's tables while it moves the
+/// level's mesh: the face neighbours the walk steps across, and the tet
+/// centroids by cell for the nearest-centroid fallback.
+pub(crate) struct SearchTables {
     nbrs: Vec<[u32; 4]>,
-    /// Tet centroids by cell, for the nearest-centroid fallback.
     grid: CentroidGrid,
 }
 
@@ -50,14 +57,9 @@ pub struct Located {
 
 impl<'m> Locator<'m> {
     pub fn new(mesh: &'m TetMesh) -> Self {
-        let nbrs = match tet_neighbors(&mesh.tets, &vertex_tets(mesh.nverts(), &mesh.tets)) {
-            Ok(nbrs) => nbrs,
-            Err(e) => unreachable!("TetMesh::from_tets accepted a non-conforming mesh: {e}"),
-        };
         Locator {
             mesh,
-            nbrs,
-            grid: CentroidGrid::new(mesh),
+            tables: SearchTables::with_neighbors(mesh, face_neighbors(mesh)),
         }
     }
 
@@ -67,12 +69,37 @@ impl<'m> Locator<'m> {
     /// rare cycle on a boundary) falls back to the nearest-centroid tet
     /// with clamped weights. The mesh must have at least one tet.
     pub fn locate(&self, p: Vec3, seed: usize) -> Located {
+        self.tables.locate(self.mesh, p, seed)
+    }
+}
+
+/// The face-neighbour table of a finished mesh, found afresh.
+pub(crate) fn face_neighbors(mesh: &TetMesh) -> Vec<[u32; 4]> {
+    match tet_neighbors(&mesh.tets, &vertex_tets(mesh.nverts(), &mesh.tets)) {
+        Ok(nbrs) => nbrs,
+        Err(e) => unreachable!("TetMesh::from_tets accepted a non-conforming mesh: {e}"),
+    }
+}
+
+impl SearchTables {
+    /// The tables of `mesh` over its face-neighbour table `nbrs` (as
+    /// [`crate::topology::tet_neighbors`] builds it), which they keep.
+    pub(crate) fn with_neighbors(mesh: &TetMesh, nbrs: Vec<[u32; 4]>) -> SearchTables {
+        debug_assert_eq!(nbrs.len(), mesh.ntets());
+        SearchTables {
+            nbrs,
+            grid: CentroidGrid::new(mesh),
+        }
+    }
+
+    /// [`Locator::locate`] over `mesh`, the mesh these tables index.
+    pub(crate) fn locate(&self, mesh: &TetMesh, p: Vec3, seed: usize) -> Located {
         const EPS: f64 = -1e-12;
-        let mut t = seed.min(self.mesh.ntets() - 1);
+        let mut t = seed.min(mesh.ntets() - 1);
         let mut steps = 0usize;
-        let max_steps = self.mesh.ntets();
+        let max_steps = mesh.ntets();
         loop {
-            let bary = barycentric(self.mesh, t, p);
+            let bary = barycentric(mesh, t, p);
             let mut worst = 0;
             for k in 1..4 {
                 if bary[k] < bary[worst] {
@@ -91,7 +118,7 @@ impl<'m> Locator<'m> {
             let next = self.nbrs[t][worst];
             steps += 1;
             if next == u32::MAX || steps > max_steps {
-                return self.fallback(p);
+                return self.fallback(mesh, p);
             }
             t = next as usize;
         }
@@ -99,11 +126,11 @@ impl<'m> Locator<'m> {
 
     /// Fallback: the nearest-centroid tet (lowest index on a tie), with
     /// clamped weights.
-    fn fallback(&self, p: Vec3) -> Located {
-        let Some(best) = self.grid.nearest(self.mesh, p) else {
+    fn fallback(&self, mesh: &TetMesh, p: Vec3) -> Located {
+        let Some(best) = self.grid.nearest(mesh, p) else {
             unreachable!("mesh has no tets")
         };
-        let bary = barycentric(self.mesh, best, p);
+        let bary = barycentric(mesh, best, p);
         Located {
             tet: best,
             bary: clamp_bary(bary),
@@ -331,7 +358,7 @@ mod tests {
         let (loc, c) = (Locator::new(m), centroids(m));
         for &p in points {
             assert_eq!(
-                loc.grid.nearest(m, p),
+                loc.tables.grid.nearest(m, p),
                 brute_nearest(&c, p),
                 "nearest centroid of {p:?}"
             );

@@ -4,8 +4,10 @@
 //! directions — exactly the preprocessing the paper performs once per mesh
 //! family and amortizes over many flow solutions.
 
-use crate::gen::{bump_channel, unit_box, BumpSpec};
+use crate::gen::{bump_channel, bump_channel_with_neighbors, unit_box, BumpSpec};
 use crate::mesh::TetMesh;
+use crate::par::join;
+use crate::search::{face_neighbors, SearchTables};
 use crate::transfer::InterpOps;
 
 /// A fine-to-coarse sequence of meshes plus transfer operators.
@@ -29,21 +31,26 @@ pub struct MeshSequence {
     pub to_fine: Vec<InterpOps>,
 }
 
+/// The levels below the finest, built on the helper thread: their
+/// meshes, the operators between them, and the search tables of the
+/// first, which the operator onto the finest level still needs.
+#[derive(Default)]
+struct Coarse {
+    meshes: Vec<TetMesh>,
+    to_coarse: Vec<InterpOps>,
+    to_fine: Vec<InterpOps>,
+    head: Option<SearchTables>,
+}
+
 impl MeshSequence {
     /// Assemble a sequence from already-generated meshes, finest first.
     pub fn from_meshes(meshes: Vec<TetMesh>) -> MeshSequence {
         assert!(!meshes.is_empty());
-        let mut to_coarse = Vec::new();
-        let mut to_fine = Vec::new();
-        for l in 0..meshes.len() - 1 {
-            to_coarse.push(InterpOps::build(&meshes[l], &meshes[l + 1]));
-            to_fine.push(InterpOps::build(&meshes[l + 1], &meshes[l]));
-        }
-        MeshSequence {
-            meshes,
-            to_coarse,
-            to_fine,
-        }
+        let fine_verts = meshes[0].nverts();
+        MeshSequence::link(fine_verts, meshes, |mesh| {
+            let nbrs = face_neighbors(&mesh);
+            (mesh, nbrs)
+        })
     }
 
     /// A bump-channel sequence with `levels` meshes, finest resolution
@@ -56,7 +63,89 @@ impl MeshSequence {
             let next = specs[l - 1].coarsened();
             specs.push(next);
         }
-        MeshSequence::from_meshes(specs.iter().map(bump_channel).collect())
+        let fine_verts = (spec.nx + 1) * (spec.ny + 1) * (spec.nz + 1);
+        // Each level's search tables take over the face neighbours its
+        // mesh build found.
+        MeshSequence::link(fine_verts, specs, |spec| bump_channel_with_neighbors(&spec))
+    }
+
+    /// Build every level from its source with `level` (its mesh and
+    /// face-neighbour table, from which the one set of search tables
+    /// both of its operators walk is built) and the operators between
+    /// adjacent levels. The finest level (of `fine_verts` vertices) is
+    /// built on the calling thread and the coarser ones, with the
+    /// operators between them, beside it (see [`join`]); then the two
+    /// operators between the finest level and the next are built side by
+    /// side, the finest level's tables on the way. Every operator is one
+    /// sequential walk, so the result does not depend on the split.
+    fn link<S: Send>(
+        fine_verts: usize,
+        sources: Vec<S>,
+        level: impl Fn(S) -> (TetMesh, Vec<[u32; 4]>) + Sync,
+    ) -> MeshSequence {
+        let mut sources = sources.into_iter();
+        let Some(finest) = sources.next() else {
+            unreachable!("a sequence has at least one level")
+        };
+        let ((fine, fine_nbrs), coarse) = join(
+            fine_verts,
+            || level(finest),
+            || MeshSequence::coarse(sources, &level),
+        );
+        let mut seq = MeshSequence {
+            meshes: vec![fine],
+            to_coarse: Vec::new(),
+            to_fine: Vec::new(),
+        };
+        if let (Some(next), Some(next_tables)) = (coarse.meshes.first(), &coarse.head) {
+            let fine = &seq.meshes[0];
+            let (down, up) = join(
+                fine_verts,
+                || {
+                    let tables = SearchTables::with_neighbors(fine, fine_nbrs);
+                    InterpOps::located(fine, &tables, next)
+                },
+                || InterpOps::located(next, next_tables, fine),
+            );
+            seq.to_coarse.push(down);
+            seq.to_fine.push(up);
+        }
+        seq.meshes.extend(coarse.meshes);
+        seq.to_coarse.extend(coarse.to_coarse);
+        seq.to_fine.extend(coarse.to_fine);
+        seq
+    }
+
+    /// The levels below the finest, coarsening one after another.
+    fn coarse<S>(
+        sources: impl Iterator<Item = S>,
+        level: &impl Fn(S) -> (TetMesh, Vec<[u32; 4]>),
+    ) -> Coarse {
+        let mut c = Coarse::default();
+        // The tables of the last level built, until the next one is.
+        let mut last: Option<SearchTables> = None;
+        for source in sources {
+            let (mesh, nbrs) = level(source);
+            let tables = SearchTables::with_neighbors(&mesh, nbrs);
+            if let (Some(prev), Some(prev_tables)) = (c.meshes.last(), &last) {
+                c.to_coarse
+                    .push(InterpOps::located(prev, prev_tables, &mesh));
+                c.to_fine.push(InterpOps::located(&mesh, &tables, prev));
+            }
+            // Both operators of the level before are built, so its tables
+            // go, except the first coarse level's: the operator onto the
+            // finest level still walks them.
+            let done = last.replace(tables);
+            if c.head.is_none() {
+                c.head = done;
+            }
+            c.meshes.push(mesh);
+        }
+        // With one coarse level, its tables are the last built.
+        if c.head.is_none() {
+            c.head = last;
+        }
+        c
     }
 
     /// A **nested** sequence built by uniform refinement of a coarse

@@ -14,7 +14,7 @@
 //!   value (conservative scatter of residuals to the coarse grid).
 
 use crate::mesh::TetMesh;
-use crate::search::Locator;
+use crate::search::{face_neighbors, SearchTables};
 
 /// Interpolation operator from a *source* mesh onto the vertices of a
 /// *destination* mesh: `addr[v]` are four source-vertex indices and
@@ -33,12 +33,21 @@ impl InterpOps {
     /// the whole pass nearly linear (the paper prices it at one or two
     /// flow-solution cycles).
     pub fn build(src: &TetMesh, dst: &TetMesh) -> InterpOps {
-        let loc = Locator::new(src);
+        let tables = SearchTables::with_neighbors(src, face_neighbors(src));
+        InterpOps::located(src, &tables, dst)
+    }
+
+    /// [`InterpOps::build`] over search tables already built for `src`
+    /// (a multigrid sequence builds one set per level for both of the
+    /// level's operators). The walk stays one sequential pass: each
+    /// query seeds from the previous hit, and a point on a face shared by
+    /// two tets lands in whichever the walk reaches first.
+    pub(crate) fn located(src: &TetMesh, tables: &SearchTables, dst: &TetMesh) -> InterpOps {
         let mut addr = Vec::with_capacity(dst.nverts());
         let mut w = Vec::with_capacity(dst.nverts());
         let mut seed = 0usize;
         for &p in &dst.coords {
-            let r = loc.locate(p, seed);
+            let r = tables.locate(src, p, seed);
             seed = r.tet;
             addr.push(src.tets[r.tet]);
             w.push(r.bary);

@@ -75,11 +75,13 @@ pub fn color_edge_list(nverts: usize, edges: &[[u32; 2]]) -> EdgeColoring {
 
 /// Check that a colouring is a valid recurrence-free grouping of exactly
 /// the edges of `edges` (a mesh's, or any grid's). Returns `Err`
-/// describing the first violation.
+/// describing the first violation. One pass over the groups: a vertex is
+/// stamped with the group that last touched it.
 pub fn validate_coloring(edges: &[[u32; 2]], coloring: &EdgeColoring) -> Result<(), String> {
+    let nverts = edges.iter().map(|&[a, b]| a.max(b) as usize + 1).max();
+    let mut stamp = vec![usize::MAX; nverts.unwrap_or(0)];
     let mut seen = vec![false; edges.len()];
     for (c, group) in coloring.groups.iter().enumerate() {
-        let mut touched: std::collections::HashSet<u32> = std::collections::HashSet::new();
         for &e in group {
             let e = e as usize;
             if e >= edges.len() {
@@ -89,12 +91,10 @@ pub fn validate_coloring(edges: &[[u32; 2]], coloring: &EdgeColoring) -> Result<
                 return Err(format!("edge {e} appears twice"));
             }
             seen[e] = true;
-            let [a, b] = edges[e];
-            if !touched.insert(a) {
-                return Err(format!("group {c}: vertex {a} touched twice"));
-            }
-            if !touched.insert(b) {
-                return Err(format!("group {c}: vertex {b} touched twice"));
+            for v in edges[e] {
+                if std::mem::replace(&mut stamp[v as usize], c) == c {
+                    return Err(format!("group {c}: vertex {v} touched twice"));
+                }
             }
         }
     }
@@ -179,5 +179,54 @@ mod tests {
         let mut c = color_edges(&m);
         c.groups.last_mut().unwrap().pop();
         assert!(validate_coloring(&m.edges, &c).is_err());
+    }
+
+    /// A path 0-1-2-3 and one triangle 4-5-6: edges 0..=2 and 3..=5.
+    const EDGES: [[u32; 2]; 6] = [[0, 1], [1, 2], [2, 3], [4, 5], [5, 6], [4, 6]];
+
+    fn check(groups: &[&[u32]]) -> Result<(), String> {
+        let c = EdgeColoring {
+            groups: groups.iter().map(|g| g.to_vec()).collect(),
+        };
+        validate_coloring(&EDGES, &c)
+    }
+
+    #[test]
+    fn validator_accepts_a_proper_colouring() {
+        assert_eq!(check(&[&[0, 2, 3], &[1, 4], &[5]]), Ok(()));
+    }
+
+    #[test]
+    fn validator_names_an_edge_out_of_range() {
+        let err = check(&[&[0, 2, 3], &[1, 6, 4], &[5]]);
+        assert_eq!(err, Err("group 1 references edge 6 out of range".into()));
+    }
+
+    #[test]
+    fn validator_names_an_edge_coloured_twice() {
+        let err = check(&[&[0, 2, 3], &[1, 4], &[5, 3]]);
+        assert_eq!(err, Err("edge 3 appears twice".into()));
+    }
+
+    #[test]
+    fn validator_names_a_vertex_touched_twice_in_a_group() {
+        // Edges 2 = [2, 3] and 1 = [1, 2] share vertex 2, the second
+        // endpoint of the edge that finds the clash.
+        assert_eq!(
+            check(&[&[0, 3], &[2, 1, 4], &[5]]),
+            Err("group 1: vertex 2 touched twice".into())
+        );
+        // Edges 3 = [4, 5] and 5 = [4, 6] share vertex 4, a first
+        // endpoint; a vertex used in an earlier group is no clash.
+        assert_eq!(
+            check(&[&[0, 2, 4], &[1, 3, 5]]),
+            Err("group 1: vertex 4 touched twice".into())
+        );
+    }
+
+    #[test]
+    fn validator_names_the_first_edge_never_coloured() {
+        let err = check(&[&[0, 2], &[1, 4], &[5]]);
+        assert_eq!(err, Err("edge 3 never coloured".into()));
     }
 }

@@ -24,7 +24,7 @@
 //! with exactly one terminal event — the concurrency suite drives
 //! interleaved submit/cancel/resubmit storms against these invariants.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -249,6 +249,10 @@ struct Job {
     /// Present until a terminal event is emitted; dropping it ends the
     /// subscriber's stream.
     tx: Option<Sender<JobEvent>>,
+    /// Set when the job starts running and no other running job holds
+    /// its key's checkpoint log: only the holder writes the log, and
+    /// only the holder removes it when it ends.
+    holds_log: bool,
 }
 
 impl Job {
@@ -259,6 +263,7 @@ impl Job {
             state: JobState::Queued,
             cancel: CancelToken::new(),
             tx,
+            holds_log: false,
         }
     }
 }
@@ -329,6 +334,9 @@ struct EngineState {
     /// Drain mode: refuse new submissions but keep computing what is
     /// already queued or running (graceful SIGTERM handling).
     draining: bool,
+    /// Keys whose checkpoint log a running job holds (a `force`
+    /// resubmission can run beside its identical twin).
+    held_logs: HashSet<CacheKey>,
     submitted: u64,
     rejected: u64,
     done: u64,
@@ -336,7 +344,7 @@ struct EngineState {
     failed: u64,
 }
 
-struct Inner {
+pub(crate) struct Inner {
     cfg: EngineConfig,
     state: Mutex<EngineState>,
     cv: Condvar,
@@ -392,8 +400,9 @@ impl Inner {
     /// `Failed`): set its state, bump one counter, journal the terminal
     /// record when `journaled` (a shutdown interrupts work, it does not
     /// retract it: those jobs get no record and resume on the next
-    /// start), remove the checkpoint log of a job that ran after that
-    /// record, and send the terminal event, which ends the stream.
+    /// start), release the checkpoint log the job held and remove it
+    /// after that record, and send the terminal event, which ends the
+    /// stream.
     fn end(&self, st: &mut EngineState, terminal: JobEvent, journaled: bool) {
         let (id, state, record) = match &terminal {
             JobEvent::Done { job, blob, .. } => (
@@ -426,7 +435,10 @@ impl Inner {
         };
         let ran = j.state == JobState::Running;
         j.state = state;
-        let (key, tx) = (j.key, j.tx.take());
+        let (key, tx, held) = (j.key, j.tx.take(), std::mem::take(&mut j.holds_log));
+        if held {
+            st.held_logs.remove(&key);
+        }
         *match state {
             JobState::Done => &mut st.done,
             JobState::Cancelled => &mut st.cancelled,
@@ -437,8 +449,8 @@ impl Inner {
         }
         if let Some(d) = self.durable.as_ref().filter(|_| journaled) {
             d.journal(&record);
-            // Only a job that ran wrote its key's checkpoint log.
-            if ran {
+            // Only the job that held its key's checkpoint log wrote it.
+            if held {
                 let _ = std::fs::remove_file(d.ck_path(key));
             }
         }
@@ -467,7 +479,22 @@ impl JobEngine {
     /// any crash-damaged tails, and resubmits every journaled job that
     /// never reached a terminal record — those jobs rerun internally
     /// (no subscriber) and resume from their last durable checkpoint.
+    /// If a worker thread cannot be spawned, the workers already
+    /// started are shut down and joined and the spawn's error returned.
     pub fn start(cfg: EngineConfig) -> std::io::Result<JobEngine> {
+        JobEngine::start_with(cfg, |k, inner| {
+            std::thread::Builder::new()
+                .name(format!("eul3d-serve-worker-{k}"))
+                .spawn(move || worker_loop(&inner))
+        })
+    }
+
+    /// [`JobEngine::start`] with worker `k` spawned by `spawn(k, inner)`,
+    /// which must run [`worker_loop`] on `inner`.
+    pub(crate) fn start_with(
+        cfg: EngineConfig,
+        mut spawn: impl FnMut(usize, Arc<Inner>) -> std::io::Result<JoinHandle<()>>,
+    ) -> std::io::Result<JobEngine> {
         let mut pending = Vec::new();
         let mut next_id = 1u64;
         let durable = match &cfg.state_dir {
@@ -507,6 +534,7 @@ impl JobEngine {
                 running: 0,
                 shutdown: false,
                 draining: false,
+                held_logs: HashSet::new(),
                 submitted: 0,
                 rejected: 0,
                 done: 0,
@@ -548,19 +576,25 @@ impl JobEngine {
                 }
             }
         }
-        let workers = (0..inner.cfg.workers.max(1))
-            .map(|k| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("eul3d-serve-worker-{k}"))
-                    .spawn(move || worker_loop(&inner))
-            })
-            .collect::<Result<Vec<_>, _>>()
-            .unwrap_or_default();
-        Ok(JobEngine {
+        let engine = JobEngine {
             inner,
-            workers: Mutex::new(workers),
-        })
+            workers: Mutex::new(Vec::new()),
+        };
+        for k in 0..engine.inner.cfg.workers.max(1) {
+            match spawn(k, Arc::clone(&engine.inner)) {
+                Ok(worker) => match engine.workers.lock() {
+                    Ok(mut w) => w.push(worker),
+                    Err(p) => p.into_inner().push(worker),
+                },
+                Err(e) => {
+                    // Stop and join the workers already running; queued
+                    // jobs stay journaled for the next start.
+                    engine.shutdown();
+                    return Err(e);
+                }
+            }
+        }
+        Ok(engine)
     }
 
     /// The engine's pinned partitioner seed (folded into cache keys).
@@ -773,10 +807,14 @@ fn next_job(inner: &Inner) -> Option<(u64, Job)> {
             inner.serve_hit(&mut st, id, blob, true);
             continue;
         }
+        // Through a plain reference the job and the held logs are
+        // separate borrows.
+        let st = &mut *st;
         let Some(j) = st.jobs.get_mut(&id) else {
             continue;
         };
         j.state = JobState::Running;
+        j.holds_log = inner.durable.is_some() && st.held_logs.insert(key);
         if let Some(ms) = inner.cfg.deadline_ms {
             j.cancel.arm_deadline(Duration::from_millis(ms));
         }
@@ -786,13 +824,14 @@ fn next_job(inner: &Inner) -> Option<(u64, Job)> {
     }
 }
 
-fn worker_loop(inner: &Inner) {
+pub(crate) fn worker_loop(inner: &Inner) {
     while let Some((job, running)) = next_job(inner) {
         let Job {
             spec,
             key,
             cancel: token,
             tx,
+            holds_log,
             ..
         } = running;
         if let Some(d) = &inner.durable {
@@ -804,8 +843,9 @@ fn worker_loop(inner: &Inner) {
         // The durability sink: per-key CRC-framed checkpoint log plus
         // journal breadcrumbs. An unopenable log (damaged beyond the
         // tail-truncation recovery, e.g. a foreign file at its path)
-        // degrades the job to non-durable instead of failing it.
-        let mut sink = inner.durable.as_ref().and_then(|d| {
+        // degrades the job to non-durable instead of failing it, and so
+        // does a log another running job holds.
+        let mut sink = inner.durable.as_ref().filter(|_| holds_log).and_then(|d| {
             let path = d.ck_path(key);
             let opened = CheckpointLog::open(&path).ok().or_else(|| {
                 let _ = std::fs::remove_file(&path);
@@ -929,6 +969,37 @@ mod tests {
             }
         }
         out
+    }
+
+    #[test]
+    fn a_failed_worker_spawn_joins_the_started_workers_and_is_returned() {
+        use std::sync::atomic::AtomicBool;
+        let joined = Arc::new(AtomicBool::new(false));
+        let seen = Arc::clone(&joined);
+        let started = JobEngine::start_with(
+            EngineConfig {
+                workers: 3,
+                ..EngineConfig::default()
+            },
+            move |k, inner| {
+                if k == 1 {
+                    return Err(std::io::Error::other("no thread for worker 1"));
+                }
+                let seen = Arc::clone(&seen);
+                std::thread::Builder::new().spawn(move || {
+                    worker_loop(&inner);
+                    seen.store(true, Ordering::SeqCst);
+                })
+            },
+        );
+        let Err(e) = started else {
+            panic!("a failed spawn must fail the start");
+        };
+        assert_eq!(e.to_string(), "no thread for worker 1");
+        assert!(
+            joined.load(Ordering::SeqCst),
+            "worker 0 was stopped and joined before the error returned"
+        );
     }
 
     #[test]

@@ -449,3 +449,57 @@ fn a_twin_queued_while_its_result_computes_is_a_journaled_dequeue_hit() {
         );
     }
 }
+
+#[test]
+fn a_forced_twin_running_beside_its_original_leaves_the_checkpoint_log_alone() {
+    let dir = tmpdir("forced-twin");
+    let eng = JobEngine::start(EngineConfig {
+        workers: 2,
+        ..engine_cfg(&dir)
+    })
+    .unwrap();
+    // Long enough to be cancelled mid-run, checkpointing every cycle.
+    let long = "[run]\nlevels = 2\ncycles = 20000\ncheckpoint_every = 1\n\
+                [mesh]\nnx = 10\nny = 5\nnz = 4\n";
+    let job = |force: bool| JobSpec {
+        rc: RunConfig::from_toml(long).unwrap(),
+        mode: JobMode::Solve,
+        force,
+    };
+    let log = dir.join("ck").join(format!(
+        "{}.cklog",
+        CacheKey::of(&job(false).rc, JobMode::Solve, SEED)
+    ));
+    // The queue is first in, first out: the original starts first and
+    // takes the key's log.
+    let original = eng.submit(job(false)).expect("submit original");
+    let twin = eng.submit(job(true)).expect("submit twin");
+    let rec = |name: &str, job: u64| format!("\"rec\":\"{name}\",\"job\":{job}");
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while eng.stats().running < 2
+        || !journal_text(&dir).contains(&rec("checkpointed", original.job))
+    {
+        assert!(Instant::now() < deadline, "both jobs never ran at once");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    eng.cancel(twin.job);
+    let evs = stream_of(&twin);
+    assert!(started(&evs), "the twin ran: {evs:?}");
+    assert!(matches!(evs.last(), Some(JobEvent::Cancelled { .. })));
+    assert!(
+        log.exists(),
+        "the twin's end removed the log its running original writes"
+    );
+
+    eng.cancel(original.job);
+    let evs = stream_of(&original);
+    assert!(matches!(evs.last(), Some(JobEvent::Cancelled { .. })));
+    assert!(!log.exists(), "the holder removes its log when it ends");
+    eng.shutdown();
+    let j = journal_text(&dir);
+    assert!(
+        !j.contains(&rec("checkpointed", twin.job)),
+        "only the log's holder checkpoints: {j}"
+    );
+}
