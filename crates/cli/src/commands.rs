@@ -4,6 +4,7 @@ use std::path::{Path, PathBuf};
 
 use eul3d_core::dist::{partition_options, LANCZOS_ITERS};
 use eul3d_core::health::GuardOutcome;
+use eul3d_core::job::render_trace;
 use eul3d_core::postproc::{cp_field, mach_field, pressure_field};
 use eul3d_core::{
     Args, Coarsening, ConvergenceHistory, JobCheckpoint, MultigridSolver, Phase, RunConfig,
@@ -49,33 +50,11 @@ fn run_config_of(a: &Args, scope: Scope) -> Result<RunConfig, String> {
     Ok(rc)
 }
 
-/// Arm the driver thread with a ring tracer when tracing is enabled
-/// (the distributed path instead arms each simulated rank's thread).
-fn arm_driver_trace(t: &TraceConfig) {
-    if t.enabled {
-        obs::install(Box::new(obs::RingTracer::new(t.capacity)));
-    }
-}
-
-/// Collect the driver-thread lane armed by [`arm_driver_trace`] and
-/// export it.
-fn finish_driver_trace(t: &TraceConfig) -> Result<(), String> {
-    if !t.enabled {
-        return Ok(());
-    }
-    match obs::Lane::take_driver() {
-        Some(lane) => export_trace(&[lane], t),
-        None => Ok(()),
-    }
-}
-
 /// Write the Chrome `trace_event` JSON and/or print the summary table,
 /// per the trace configuration.
 fn export_trace(lanes: &[obs::Lane], t: &TraceConfig) -> Result<(), String> {
-    let labels = Phase::labels();
     if let Some(path) = &t.out {
-        std::fs::write(path, obs::chrome_trace(lanes, &labels))
-            .map_err(|e| format!("--trace {path}: {e}"))?;
+        std::fs::write(path, render_trace(lanes)).map_err(|e| format!("--trace {path}: {e}"))?;
         println!(
             "wrote trace {path} ({} lane(s), {} event(s))",
             lanes.len(),
@@ -83,7 +62,7 @@ fn export_trace(lanes: &[obs::Lane], t: &TraceConfig) -> Result<(), String> {
         );
     }
     if t.summary {
-        print!("{}", obs::summary_table(lanes, &labels, t.top_n));
+        print!("{}", obs::summary_table(lanes, &Phase::labels(), t.top_n));
     }
     Ok(())
 }
@@ -211,7 +190,10 @@ pub fn solve(a: &Args) -> Result<(), String> {
         rc.canonical_hash() >> 64
     );
     let t0 = std::time::Instant::now();
-    arm_driver_trace(&rc.trace);
+    if rc.trace.enabled {
+        // The driver thread's lane; `distributed` arms each rank's.
+        obs::install(Box::new(obs::RingTracer::new(rc.trace.capacity)));
+    }
     let mut mg = MultigridSolver::for_run(&rc, threads).map_err(|e| e.to_string())?;
     let (family, unit) = match rc.coarsening {
         Coarsening::Sequence => ("mesh family", "vertices"),
@@ -250,7 +232,9 @@ pub fn solve(a: &Args) -> Result<(), String> {
     let (w, nverts, flops) = (&mg.levels[0].w, mg.levels[0].n, mg.counter.flops());
     // Export before the divergence check so a failing run still leaves
     // its trace behind for inspection.
-    finish_driver_trace(&rc.trace)?;
+    if let Some(lane) = rc.trace.enabled.then(obs::Lane::take_driver).flatten() {
+        export_trace(&[lane], &rc.trace)?;
+    }
 
     // This invocation's cycles; the checkpoint keeps the whole history.
     let h = ConvergenceHistory::from_residuals(hist[start..].to_vec());

@@ -60,8 +60,9 @@ fn install_sigterm_handler() {
 /// client sends `shutdown` or the process receives `SIGTERM` (which
 /// drains: running jobs finish and checkpoint, new work is refused).
 /// `--cache-bytes` bounds the in-memory result cache by the bytes its
-/// entries hold — each a job's Mach field, history and table, not its
-/// VTK text, which is rendered per `--artifacts` request.
+/// entries hold — each a job's Mach field, trace lanes, history and
+/// table, not its VTK or trace text, which are rendered per
+/// `--artifacts` request.
 pub fn serve(a: &Args) -> Result<(), String> {
     let path = socket_of(a)?;
     let defaults = EngineConfig::default();

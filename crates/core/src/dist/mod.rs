@@ -19,8 +19,8 @@ pub use level::{DistExecutor, DistLevel};
 pub use recover::{run_distributed_with_faults, FaultOptions};
 pub use setup::{partition_options, DistSetup, LANCZOS_ITERS};
 pub use solver::{
-    run_distributed, AdoptedOutput, DistBackend, DistOptions, DistRunResult, DistSolver, RankFate,
-    RankOutput, RepartitionPolicy,
+    rank0_lane, run_distributed, AdoptedOutput, DistBackend, DistOptions, DistRunResult,
+    DistSolver, RankFate, RankOutput, RepartitionPolicy,
 };
 pub use transfer::TransferLink;
 

@@ -618,24 +618,17 @@ fn spawn_replica<'scope, 'env>(
 /// solver, the agreed rollback cycle (`None` = restart from initial
 /// conditions) and the agreed numeric verdict, if any.
 ///
-/// With repartitioning armed, the agreement must run BEFORE the
-/// rebuild: the agreed cycle selects which migration era's plan every
-/// instance rebuilds against. Without it, keep the historical
-/// build-then-agree order so fault-only runs are byte-identical to
-/// before. The policy is a run-wide constant, so every instance picks
-/// the same order and the epoch's collective sequence stays
-/// machine-consistent.
+/// The agreement runs BEFORE the rebuild: under repartitioning the
+/// agreed cycle selects which migration era's plan every instance
+/// rebuilds against.
 fn agree_and_rebuild(
     rank: &mut Rank,
     ctx: &Ctx,
     st: &mut LoopState,
     mut v: [f64; 5],
 ) -> (DistSolver, Option<usize>, Option<(usize, HealthVerdict)>) {
-    let build = |rank: &mut Rank, setup: &DistSetup| {
-        DistSolver::build_epoch(rank, setup, ctx.cfg, ctx.strategy, ctx.opts, rank.epoch())
-    };
-    let s = if let Some(pol) = ctx.opts.repartition {
-        rank.all_reduce_max_in_place(&mut v);
+    rank.all_reduce_max_in_place(&mut v);
+    if let Some(pol) = ctx.opts.repartition {
         let target = if v[0].is_finite() {
             pol.era_of(-v[0] as usize)
         } else {
@@ -644,12 +637,9 @@ fn agree_and_rebuild(
         if target != st.era {
             enter_era(ctx, st, &pol, target);
         }
-        build(rank, st.era_setup.as_deref().unwrap_or(ctx.setup))
-    } else {
-        let s = build(rank, ctx.setup);
-        rank.all_reduce_max_in_place(&mut v);
-        s
-    };
+    }
+    let setup = st.era_setup.as_deref().unwrap_or(ctx.setup);
+    let s = DistSolver::build_epoch(rank, setup, ctx.cfg, ctx.strategy, ctx.opts, rank.epoch());
     let numeric = (v[1] > 0.0).then(|| (v[2] as usize, HealthVerdict::decode([v[3], v[4]])));
     (s, v[0].is_finite().then(|| -v[0] as usize), numeric)
 }

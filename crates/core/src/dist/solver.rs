@@ -324,6 +324,17 @@ impl DistRunResult {
     }
 }
 
+/// The lane of virtual rank 0's completed instance among lanes named as
+/// [`DistRunResult::lanes`] names them: lane 0 unless that primary died,
+/// else the replica that adopted it (a replica's own kills are consumed,
+/// so it completes). A serial driver's one lane is lane 0 too.
+pub fn rank0_lane(lanes: &[obs::Lane]) -> Option<&obs::Lane> {
+    let died = lanes.first()?.name.contains(" (died@");
+    lanes
+        .iter()
+        .find(|l| !died || l.name.starts_with("rank 0 (adopted by "))
+}
+
 /// One rank's full solver: levels plus transfer links.
 pub struct DistSolver {
     pub levels: Vec<DistLevel>,

@@ -8,12 +8,13 @@
 //! returned [`JobArtifacts`] are **byte-identical** across runs, worker
 //! threads, and process restarts: the residual table prints floats with
 //! Rust's shortest-round-trip formatting (unique per bit pattern), the
-//! Chrome trace rides the modeled clock (reset per job by
+//! trace lanes ride the modeled clock (reset per job by
 //! `obs::install`), and the VTK export is a pure function of the config's
 //! mesh and the final Mach field. That is what lets the service layer
 //! treat a cache hit and a recompute as provably interchangeable, and
-//! keep the Mach field instead of the text: [`render_vtk`] turns it back
-//! into the exact bytes the result hash covers.
+//! keep data instead of text: [`render_trace`] turns the lanes, and
+//! [`render_vtk`] the Mach field, back into the exact bytes the result
+//! hash covers.
 
 use std::panic::panic_any;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -162,21 +163,36 @@ pub struct JobArtifacts {
     /// final-state content hash, so two byte-identical tables imply
     /// bit-identical states.
     pub table: String,
-    /// Chrome `trace_event` JSON of the run's lanes, when the config
-    /// arms tracing (byte-identical across reruns on the modeled clock).
-    pub trace_json: Option<String>,
-    /// Stamped event stream of the driver lane (solve) or virtual rank
-    /// 0's completed instance (distributed), for wire streaming.
-    pub events: Vec<obs::Stamped>,
+    /// The trace lanes the run recorded when the config arms tracing:
+    /// the driver lane of a solve, every virtual-rank instance of a
+    /// distributed run ([`crate::dist::DistRunResult::lanes`]); empty
+    /// otherwise. [`render_trace`] renders their Chrome JSON on request.
+    pub lanes: Vec<obs::Lane>,
     /// Local Mach number of the final state at every fine-mesh vertex:
     /// 8 bytes a vertex, where its ASCII VTK export takes about 170.
     /// [`render_vtk`] renders that export on request.
     pub mach: Vec<f64>,
     /// Guard outcome of a guarded run.
     pub guard: Option<GuardOutcome>,
-    /// FNV-1a 128 over table ‖ trace ‖ the VTK text [`render_vtk`]
-    /// renders from `mach` — the content address of the result itself.
+    /// FNV-1a 128 over table ‖ the trace [`JobArtifacts::trace`]
+    /// renders ‖ the VTK text [`render_vtk`] renders from `mach` — the
+    /// content address of the result itself.
     pub result_hash: u128,
+}
+
+impl JobArtifacts {
+    /// The Chrome trace of a traced run's lanes; `None` when the run was
+    /// not traced.
+    pub fn trace(&self) -> Option<String> {
+        (!self.lanes.is_empty()).then(|| render_trace(&self.lanes))
+    }
+}
+
+/// Chrome `trace_event` JSON of `lanes` with the solver's phase labels:
+/// the one rendering of a job's trace, byte-identical for identical
+/// lanes.
+pub fn render_trace(lanes: &[obs::Lane]) -> String {
+    obs::chrome_trace(lanes, &Phase::labels())
 }
 
 fn config_err(msg: &str) -> Eul3dError {
@@ -346,17 +362,7 @@ fn run_solve_job(
         on_cycle(c as u64, r);
         cancel.check();
     })?;
-    let (events, trace_json) = if rc.trace.enabled {
-        match obs::Lane::take_driver() {
-            Some(lane) => {
-                let json = obs::chrome_trace(std::slice::from_ref(&lane), &Phase::labels());
-                (lane.events, Some(json))
-            }
-            None => (Vec::new(), None),
-        }
-    } else {
-        (Vec::new(), None)
-    };
+    let lanes = rc.trace.enabled.then(obs::Lane::take_driver).flatten();
     let nverts = mg.levels[0].n;
     let w = &mg.levels[0].w;
     let table = render_table(
@@ -371,8 +377,7 @@ fn run_solve_job(
         mg.grids.fine(),
         history,
         table,
-        trace_json,
-        events,
+        lanes.into_iter().collect(),
         mach,
         guard,
     )
@@ -399,13 +404,10 @@ fn run_dist_job(
         on_cycle(c as u64, res);
     }
     let guard = r.guard_outcome().cloned();
-    let (events, trace_json) = if rc.trace.enabled {
-        let lanes = r.lanes();
-        let json = obs::chrome_trace(&lanes, &Phase::labels());
-        let ev0 = r.instance(0).map(|o| o.trace.clone()).unwrap_or_default();
-        (ev0, Some(json))
+    let lanes = if rc.trace.enabled {
+        r.lanes()
     } else {
-        (Vec::new(), None)
+        Vec::new()
     };
     let nverts = setup.seq.meshes[0].nverts();
     let aos = r.global_state(nverts);
@@ -418,43 +420,36 @@ fn run_dist_job(
     );
     let w = crate::SoaState::from_aos(&aos, crate::NVAR);
     let mach = mach_field(rc.solver.gamma, &w, nverts);
-    finish(
-        &setup.seq.meshes[0],
-        history,
-        table,
-        trace_json,
-        events,
-        mach,
-        guard,
-    )
+    finish(&setup.seq.meshes[0], history, table, lanes, mach, guard)
 }
 
-/// Bundle the artifacts. The VTK of `mach` on `mesh` (the fine mesh the
-/// job solved on) is rendered once, straight into the result hash.
+/// Bundle the artifacts. The trace of `lanes` and the VTK of `mach` on
+/// `mesh` (the fine mesh the job solved on) are rendered once, straight
+/// into the result hash.
 fn finish(
     mesh: &TetMesh,
     history: Vec<f64>,
     table: String,
-    trace_json: Option<String>,
-    events: Vec<obs::Stamped>,
+    lanes: Vec<obs::Lane>,
     mach: Vec<f64>,
     guard: Option<GuardOutcome>,
 ) -> Result<JobArtifacts, Eul3dError> {
-    let mut h = Fnv1a128::default();
-    h.update(table.as_bytes());
-    if let Some(t) = &trace_json {
-        h.update(t.as_bytes());
-    }
-    write_mach_vtk(&mut h, mesh, &mach)?;
-    Ok(JobArtifacts {
+    let mut a = JobArtifacts {
         history,
         table,
-        trace_json,
-        events,
+        lanes,
         mach,
         guard,
-        result_hash: h.finish(),
-    })
+        result_hash: 0,
+    };
+    let mut h = Fnv1a128::default();
+    h.update(a.table.as_bytes());
+    if let Some(t) = a.trace() {
+        h.update(t.as_bytes());
+    }
+    write_mach_vtk(&mut h, mesh, &a.mach)?;
+    a.result_hash = h.finish();
+    Ok(a)
 }
 
 #[cfg(test)]
@@ -499,9 +494,10 @@ mod tests {
         vals.iter().map(|v| v.to_bits()).collect()
     }
 
-    /// `render_vtk` re-renders, from the config and the kept Mach field,
-    /// the very text `result_hash` covers; a field of the wrong length
-    /// is a typed error, not a VTK of the wrong mesh.
+    /// `render_trace` re-renders, from the kept lanes, and `render_vtk`,
+    /// from the config and the kept Mach field, the very text
+    /// `result_hash` covers; a field of the wrong length is a typed
+    /// error, not a VTK of the wrong mesh.
     fn rendered_text_is_the_hashed_text(rc: &RunConfig, mode: JobMode) {
         let a = run_job(rc, mode, 7, &CancelToken::new(), &mut |_, _| {}).unwrap();
         let vtk = render_vtk(rc, &a.mach).unwrap();
@@ -509,8 +505,8 @@ mod tests {
         assert!(vtk.contains("SCALARS mach double 1\n"));
         let mut h = Fnv1a128::default();
         h.update(a.table.as_bytes());
-        if let Some(t) = &a.trace_json {
-            h.update(t.as_bytes());
+        if !a.lanes.is_empty() {
+            h.update(render_trace(&a.lanes).as_bytes());
         }
         h.update(vtk.as_bytes());
         assert_eq!(h.finish(), a.result_hash, "{mode:?} {:?}", rc.coarsening);
@@ -553,6 +549,10 @@ mod tests {
     fn distributed_job_renders_its_hashed_vtk() {
         let rc = RunConfig {
             nranks: 3,
+            trace: crate::TraceConfig {
+                enabled: true,
+                ..Default::default()
+            },
             ..small_rc(3)
         };
         rendered_text_is_the_hashed_text(&rc, JobMode::Distributed);

@@ -9,7 +9,7 @@ use crate::tracer::{Event, Shape, Stamped};
 
 /// One trace lane: a rank (distributed) or the driver thread
 /// (serial/shared), with the events its tracer retained.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Lane {
     /// Lane id — the Chrome `tid` (virtual rank id, or 0 for a serial
     /// driver).

@@ -67,18 +67,18 @@ impl JobBlob {
     /// buffers plus a small fixed allowance for structure overhead. The
     /// byte-budget eviction policy charges entries by this measure; it
     /// only needs to be stable and roughly proportional, not exact. The
-    /// Mach field costs 8 bytes a fine vertex: its VTK text is rendered
+    /// Mach field costs 8 bytes a fine vertex and a trace lane one
+    /// stamped event an event: their VTK and Chrome text are rendered
     /// per request and never cached.
     pub fn approx_bytes(&self) -> usize {
         let a = &self.artifacts;
         let guard = a.guard.as_ref().map_or(0, |g| 64 + g.transcript.len() * 64);
-        a.history.len() * 8
-            + a.table.len()
-            + a.trace_json.as_ref().map_or(0, String::len)
-            + a.events.len() * std::mem::size_of::<eul3d_obs::Stamped>()
-            + a.mach.len() * 8
-            + guard
-            + 128
+        let lanes: usize = a
+            .lanes
+            .iter()
+            .map(|l| 64 + l.name.len() + l.events.len() * size_of::<eul3d_obs::Stamped>())
+            .sum();
+        a.history.len() * 8 + a.table.len() + lanes + a.mach.len() * 8 + guard + 128
     }
 }
 
@@ -234,8 +234,7 @@ mod tests {
             artifacts: JobArtifacts {
                 history: vec![1.0],
                 table: tag.to_string(),
-                trace_json: None,
-                events: Vec::new(),
+                lanes: Vec::new(),
                 mach: Vec::new(),
                 guard: None,
                 result_hash: 1,
@@ -291,21 +290,39 @@ mod tests {
     }
 
     /// A served job's entry holds its Mach field, not its VTK text (which
-    /// is 305 KB on this mesh, the benchmark's served job shape): a
-    /// regression guard against caching the rendered export again.
+    /// is 305 KB on this mesh, the benchmark's served job shape), and a
+    /// traced job's entry its lanes, charged per event, not their Chrome
+    /// JSON: a regression guard against caching a rendered export again.
     #[test]
     fn a_served_job_is_charged_for_its_field_not_its_text() {
-        let rc = RunConfig::from_toml(
-            "[run]\nstrategy = \"w\"\nlevels = 2\ncycles = 2\n\
-             [mesh]\nnx = 24\nny = 8\nnz = 7\njitter = 0.12\n",
-        )
-        .unwrap();
-        let cancel = eul3d_core::CancelToken::new();
-        let artifacts = eul3d_core::run_job(&rc, JobMode::Solve, 7, &cancel, &mut |_, _| {});
-        let blob = JobBlob {
-            artifacts: artifacts.unwrap(),
+        let toml = "[run]\nstrategy = \"w\"\nlevels = 2\ncycles = 2\n\
+                    [mesh]\nnx = 24\nny = 8\nnz = 7\njitter = 0.12\n";
+        let blob = |toml: &str| {
+            let rc = RunConfig::from_toml(toml).unwrap();
+            let cancel = eul3d_core::CancelToken::new();
+            let artifacts = eul3d_core::run_job(&rc, JobMode::Solve, 7, &cancel, &mut |_, _| {});
+            JobBlob {
+                artifacts: artifacts.unwrap(),
+            }
         };
-        assert!(blob.approx_bytes() < 32 * 1024, "{}", blob.approx_bytes());
+        let plain = blob(toml);
+        assert!(plain.approx_bytes() < 32 * 1024, "{}", plain.approx_bytes());
+
+        let traced = blob(&format!("{toml}[trace]\nenabled = true\n"));
+        let [lane] = &traced.artifacts.lanes[..] else {
+            panic!("a traced solve keeps its driver lane");
+        };
+        let per_event = size_of::<eul3d_obs::Stamped>();
+        assert_eq!(
+            traced.approx_bytes() - plain.approx_bytes(),
+            64 + lane.name.len() + lane.events.len() * per_event
+        );
+        let json = traced.artifacts.trace().unwrap().len();
+        assert!(
+            lane.events.len() * per_event < json / 2,
+            "{} events, {json} JSON bytes",
+            lane.events.len()
+        );
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //!   (`trace-*` below), `done`, `cancelled`, `failed`, `stats`,
 //!   `cancel`, `shutdown`;
 //! * **trace events** (server → client) carry `"ev"` — these are raw
-//!   [`eul3d_obs::wire`] lines replayed from the job's tracer, so a
-//!   client can pipe them straight into the same decoder the rest of
-//!   the workspace uses.
+//!   [`eul3d_obs::wire`] lines of one result lane
+//!   ([`eul3d_core::dist::rank0_lane`]), so a client can pipe them
+//!   straight into the same decoder the rest of the workspace uses.
 //!
 //! `jq 'select(.event)'` / `jq 'select(.ev)'` therefore split a
 //! captured stream without any framing beyond newlines.
@@ -46,8 +46,8 @@ pub enum Request {
         mode: JobMode,
         /// Bypass the cache lookup and recompute.
         force: bool,
-        /// Inline the full artifacts (table, trace JSON, and the VTK
-        /// export, rendered for this request) in the terminal `done`
+        /// Inline the full artifacts (table, and the trace JSON and VTK
+        /// export rendered for this request) in the terminal `done`
         /// event.
         artifacts: bool,
     },
@@ -165,9 +165,15 @@ pub fn ev_progress(job: u64, cycle: u64, residual: f64) -> String {
 /// from the content-addressed cache (`"hit"`) or a solve (`"miss"`) —
 /// by the determinism contract that is the *only* byte that may differ
 /// between the two streams. With `vtk` — the export rendered for a
-/// submission that asked for artifacts — the result table, trace JSON,
-/// and that VTK text are inlined as escaped strings.
-pub fn ev_done(job: u64, cache_hit: bool, blob: &JobBlob, vtk: Option<&str>) -> String {
+/// submission that asked for artifacts — the result table, the `trace`
+/// rendered with it and that VTK text are inlined as escaped strings.
+pub fn ev_done(
+    job: u64,
+    cache_hit: bool,
+    blob: &JobBlob,
+    trace: Option<&str>,
+    vtk: Option<&str>,
+) -> String {
     let a = &blob.artifacts;
     let mut line = event("done")
         .u64("job", job)
@@ -185,7 +191,7 @@ pub fn ev_done(job: u64, cache_hit: bool, blob: &JobBlob, vtk: Option<&str>) -> 
     }
     if let Some(vtk) = vtk {
         line = line.str("table", &a.table);
-        if let Some(t) = &a.trace_json {
+        if let Some(t) = trace {
             line = line.str("trace", t);
         }
         line = line.str("vtk", vtk);

@@ -18,6 +18,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
+use eul3d_core::dist::rank0_lane;
 use eul3d_core::job::render_vtk;
 use eul3d_core::RunConfig;
 use eul3d_obs as obs;
@@ -244,8 +245,8 @@ fn serve_connection(stream: UnixStream, engine: &JobEngine) -> ConnOutcome {
 /// If the client disconnects mid-stream the job is cancelled (nobody is
 /// listening), but the engine keeps draining the channel so the worker
 /// never blocks. `render` is the submission's config when it asked for
-/// artifacts: `done` then inlines the VTK rendered from it, and a render
-/// failure ends the stream with an `error` line naming it.
+/// artifacts: `done` then inlines the trace and VTK rendered for it, and
+/// a render failure ends the stream with an `error` line naming it.
 fn stream_job(
     writer: &mut UnixStream,
     engine: &JobEngine,
@@ -267,9 +268,12 @@ fn stream_job(
                 cache_hit,
                 blob,
             } => {
-                let vtk = render.map(|rc| render_vtk(rc, &blob.artifacts.mach));
-                let line = match vtk.transpose() {
-                    Ok(vtk) => ev_done(*job, *cache_hit, blob, vtk.as_deref()),
+                let a = &blob.artifacts;
+                let line = match render.map(|rc| render_vtk(rc, &a.mach)).transpose() {
+                    Ok(vtk) => {
+                        let trace = vtk.as_ref().and_then(|_| a.trace());
+                        ev_done(*job, *cache_hit, blob, trace.as_deref(), vtk.as_deref())
+                    }
                     Err(e) => ev_error(&format!("job {job}: vtk render failed: {e}")),
                 };
                 (line, true, Some(Arc::clone(blob)))
@@ -278,11 +282,10 @@ fn stream_job(
             JobEvent::Failed { job, msg } => (ev_failed(*job, msg), true, None),
         };
         if alive {
-            // The tracer's committed events ride just ahead of `done`,
-            // encoded with the workspace wire codec — identically for
-            // hits and misses.
-            if let Some(blob) = &blob {
-                for s in &blob.artifacts.events {
+            // The driver's or rank 0's lane rides just ahead of `done`,
+            // identically for hits and misses.
+            if let Some(lane) = blob.as_ref().and_then(|b| rank0_lane(&b.artifacts.lanes)) {
+                for s in &lane.events {
                     if !send(writer, &obs::wire::encode(s)) {
                         alive = false;
                         break;
@@ -404,8 +407,7 @@ mod tests {
             artifacts: eul3d_core::JobArtifacts {
                 history: vec![1.0],
                 table: String::new(),
-                trace_json: None,
-                events: Vec::new(),
+                lanes: Vec::new(),
                 mach: vec![0.5; 3],
                 guard: None,
                 result_hash: 1,

@@ -1,19 +1,19 @@
 //! Durable content-addressed result store: one file per completed job
 //! under `<state_dir>/results/<cache-key>.res`, each a single
-//! [`framed`] record (magic `EUL3DRES`, version 3) written atomically,
+//! [`framed`] record (magic `EUL3DRES`, version 4) written atomically,
 //! so a server restart rebuilds its result cache from disk and a
 //! resubmitted finished job is a disk read, not a recompute.
 //!
-//! The payload serializes the *complete* [`JobArtifacts`] bundle —
-//! history bits, residual table, optional Chrome trace, the stamped
-//! event stream (via the `obs::wire` line codec), the Mach field's bit
+//! The payload serializes the *complete* [`JobArtifacts`] bundle, data
+//! not text: history bits, residual table, each trace lane (id, name,
+//! dropped count, its events as `obs::wire` lines), the Mach field's bit
 //! patterns, guard outcome, and the result hash — so a blob served from
-//! the store is bit-identical to the blob the original run streamed,
-//! and the VTK rendered from it on request is byte-identical. Any damage
-//! (torn rename never shows one, but a corrupted disk can) — and any
-//! file of an older version, such as a v2 file holding VTK text — fails
-//! the header, CRC or decode and reads as "not cached": corruption costs
-//! a recompute, never a wrong answer.
+//! the store is bit-identical to the blob the original run streamed, and
+//! the trace and VTK rendered from it on request are byte-identical. Any
+//! damage (torn rename never shows one, but a corrupted disk can) — and
+//! any file of an older version, such as a v3 file holding trace text —
+//! fails the header, CRC or decode and reads as "not cached": corruption
+//! costs a recompute, never a wrong answer.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -27,7 +27,7 @@ use eul3d_obs as obs;
 use crate::cache::{CacheKey, JobBlob};
 
 const MAGIC: &[u8; 8] = b"EUL3DRES";
-const VERSION: u32 = 3;
+const VERSION: u32 = 4;
 
 /// The directory holding one `.res` file per completed job, keyed by
 /// the 32-hex-digit cache key.
@@ -118,12 +118,13 @@ fn encode_artifacts(a: &JobArtifacts) -> Vec<u8> {
     e.u128(a.result_hash);
     e.f64s(&a.history);
     e.bytes(a.table.as_bytes());
-    put_opt(&mut e, a.trace_json.as_deref(), |e, s| {
-        e.bytes(s.as_bytes())
-    });
-    e.u64(a.events.len() as u64);
-    for ev in &a.events {
-        e.bytes(obs::wire::encode(ev).as_bytes());
+    e.u64(a.lanes.len() as u64);
+    for lane in &a.lanes {
+        e.u64(lane.id.into());
+        e.bytes(lane.name.as_bytes());
+        e.u64(lane.dropped);
+        let lines: Vec<String> = lane.events.iter().map(obs::wire::encode).collect();
+        e.bytes(lines.join("\n").as_bytes());
     }
     e.f64s(&a.mach);
     put_opt(&mut e, a.guard.as_ref(), |e, g| {
@@ -150,12 +151,19 @@ fn decode_artifacts(payload: &[u8]) -> Option<JobArtifacts> {
     let result_hash = d.u128()?;
     let history = d.f64s()?;
     let table = d.str()?.to_string();
-    let trace_json = get_opt(&mut d, |d| d.str().map(str::to_string))?;
-    // Every event and retry record is at least its own length prefix.
-    let nev = d.count(8)?;
-    let mut events = Vec::with_capacity(nev);
-    for _ in 0..nev {
-        events.push(obs::wire::decode(d.str()?)?);
+    // Every lane is at least its id, dropped count and two length
+    // prefixes; every retry record at least its cycle.
+    let nlanes = d.count(32)?;
+    let mut lanes = Vec::with_capacity(nlanes);
+    for _ in 0..nlanes {
+        let (id, name, dropped) = (u32::try_from(d.u64()?).ok()?, d.str()?, d.u64()?);
+        let events = d.str()?.lines().map(obs::wire::decode);
+        lanes.push(obs::Lane {
+            id,
+            name: name.to_string(),
+            events: events.collect::<Option<_>>()?,
+            dropped,
+        });
     }
     let mach = d.f64s()?;
     let guard = get_opt(&mut d, |d| {
@@ -183,8 +191,7 @@ fn decode_artifacts(payload: &[u8]) -> Option<JobArtifacts> {
     Some(JobArtifacts {
         history,
         table,
-        trace_json,
-        events,
+        lanes,
         mach,
         guard,
         result_hash,
@@ -199,19 +206,31 @@ mod tests {
         JobArtifacts {
             history: vec![1.5, 0.25, -0.0, f64::MIN_POSITIVE],
             table: "cycle\tresidual\n0\t1.5\n".to_string(),
-            trace_json: Some("{\"traceEvents\":[]}".to_string()),
-            events: vec![
-                obs::Stamped {
-                    ts_ns: 12,
-                    ev: obs::Event::PhaseBegin { phase: 2 },
+            lanes: vec![
+                obs::Lane {
+                    id: 0,
+                    name: "rank 0 (died@3)".to_string(),
+                    events: vec![
+                        obs::Stamped {
+                            ts_ns: 12,
+                            ev: obs::Event::PhaseBegin { phase: 2 },
+                        },
+                        obs::Stamped {
+                            ts_ns: 99,
+                            ev: obs::Event::MsgSend {
+                                peer: 1,
+                                tag: 7,
+                                bytes: 4096,
+                            },
+                        },
+                    ],
+                    dropped: 5,
                 },
-                obs::Stamped {
-                    ts_ns: 99,
-                    ev: obs::Event::MsgSend {
-                        peer: 1,
-                        tag: 7,
-                        bytes: 4096,
-                    },
+                obs::Lane {
+                    id: 1,
+                    name: "rank \"1\"\n".to_string(),
+                    events: Vec::new(),
+                    dropped: 0,
                 },
             ],
             mach: vec![0.675, -0.0, f64::MIN_POSITIVE, 1.25e-300],
@@ -240,11 +259,7 @@ mod tests {
     fn assert_artifacts_eq(a: &JobArtifacts, b: &JobArtifacts) {
         assert_eq!(a.history, b.history);
         assert_eq!(a.table, b.table);
-        assert_eq!(a.trace_json, b.trace_json);
-        assert_eq!(a.events.len(), b.events.len());
-        for (x, y) in a.events.iter().zip(&b.events) {
-            assert_eq!(obs::wire::encode(x), obs::wire::encode(y));
-        }
+        assert_eq!(a.lanes, b.lanes);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&a.mach), bits(&b.mach));
         assert_eq!(a.result_hash, b.result_hash);
@@ -296,8 +311,7 @@ mod tests {
         let min = JobArtifacts {
             history: Vec::new(),
             table: String::new(),
-            trace_json: None,
-            events: Vec::new(),
+            lanes: Vec::new(),
             mach: Vec::new(),
             guard: None,
             result_hash: 0,

@@ -15,11 +15,17 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use eul3d_core::dist::{
+    rank0_lane, run_distributed_with_faults, DistOptions, DistSetup, FaultOptions,
+};
+use eul3d_core::job::render_trace;
 use eul3d_core::{env_seed, JobMode, RunConfig};
-use eul3d_serve::cache::JobBlob;
+use eul3d_mesh::MeshSequence;
+use eul3d_obs::{wire, Stamped};
+use eul3d_serve::cache::{CacheKey, JobBlob};
 use eul3d_serve::engine::{EngineConfig, JobEngine, JobEvent, JobSpec, SubmitTicket};
 use eul3d_serve::json::JObj;
-use eul3d_serve::{client, server};
+use eul3d_serve::{client, server, ResultStore};
 
 const RECV_TIMEOUT: Duration = Duration::from_secs(180);
 
@@ -38,16 +44,21 @@ fn engine(workers: usize) -> JobEngine {
 /// The adversarial configuration: distributed guarded run with an
 /// injected rank kill, checkpointing, and tracing — the full
 /// rollback/recovery/replay machinery is live.
+const GUARDED_FAULT_TOML: &str = "[solver]\ncfl = 30.0\nmach = 0.5\n\
+     [run]\nlevels = 2\ncycles = 8\nnranks = 4\n\
+     checkpoint_every = 2\nfaults = \"kill:1@5\"\n\
+     [mesh]\nnx = 10\nny = 4\nnz = 3\ntaper = 0.6\njitter = 0.1\n\
+     [guard]\nmax_retries = 4\ncfl_backoff = 0.25\n\
+     [trace]\nenabled = true\ncapacity = 4096\n";
+
 fn guarded_fault_config() -> RunConfig {
-    RunConfig::from_toml(
-        "[solver]\ncfl = 30.0\nmach = 0.5\n\
-         [run]\nlevels = 2\ncycles = 8\nnranks = 4\n\
-         checkpoint_every = 2\nfaults = \"kill:1@5\"\n\
-         [mesh]\nnx = 10\nny = 4\nnz = 3\ntaper = 0.6\njitter = 0.1\n\
-         [guard]\nmax_retries = 4\ncfl_backoff = 0.25\n\
-         [trace]\nenabled = true\ncapacity = 4096\n",
-    )
-    .expect("fixture config parses")
+    RunConfig::from_toml(GUARDED_FAULT_TOML).expect("fixture config parses")
+}
+
+/// The same run with the kill moved to virtual rank 0, the rank whose
+/// lane a result streams: a replica adopts it and finishes the run.
+fn rank0_fault_toml() -> String {
+    GUARDED_FAULT_TOML.replace("kill:1@5", "kill:0@5")
 }
 
 fn small_config(cycles: usize) -> RunConfig {
@@ -83,28 +94,17 @@ fn drain(t: &SubmitTicket) -> (Vec<JobEvent>, Option<Arc<JobBlob>>) {
 
 fn assert_blobs_byte_identical(a: &JobBlob, b: &JobBlob, what: &str) {
     assert_eq!(a.artifacts.table, b.artifacts.table, "{what}: table bytes");
+    assert_eq!(a.artifacts.lanes, b.artifacts.lanes, "{what}: trace lanes");
     assert_eq!(
-        a.artifacts.trace_json, b.artifacts.trace_json,
-        "{what}: exported trace bytes"
+        a.artifacts.trace(),
+        b.artifacts.trace(),
+        "{what}: rendered trace bytes"
     );
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(
         bits(&a.artifacts.mach),
         bits(&b.artifacts.mach),
         "{what}: Mach field bits"
-    );
-    assert_eq!(
-        a.artifacts.events.len(),
-        b.artifacts.events.len(),
-        "{what}: event counts"
-    );
-    assert!(
-        a.artifacts
-            .events
-            .iter()
-            .zip(&b.artifacts.events)
-            .all(|(x, y)| x == y),
-        "{what}: traced event streams"
     );
     assert_eq!(
         a.artifacts.result_hash, b.artifacts.result_hash,
@@ -144,7 +144,7 @@ fn guarded_fault_injected_job_caches_byte_identically() {
         "guard outcome rides in the artifacts"
     );
     assert!(
-        miss.artifacts.trace_json.is_some() && !miss.artifacts.events.is_empty(),
+        rank0_lane(&miss.artifacts.lanes).is_some_and(|l| !l.events.is_empty()),
         "tracing was live"
     );
 
@@ -340,5 +340,90 @@ fn socket_stream_serves_identical_artifact_bytes_from_cache() {
     assert_eq!(tm, trace_lines(&hit), "wire trace replay is byte-exact");
     assert_eq!(tm, trace_lines(&stored), "so is the store's");
     srv.shutdown();
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+/// When rank 0 dies, the streamed `"ev"` lines are its replica's lane —
+/// `DistRunResult::instance(0)`, not the dead primary's — and a miss, a
+/// memory hit and a store hit after a restart agree on the lanes, the
+/// trace rendered from them and the result hash.
+#[test]
+fn a_result_streams_the_replica_of_a_dead_rank_0() {
+    let toml = rank0_fault_toml();
+    let rc = RunConfig::from_toml(&toml).expect("fixture config parses");
+    let seed = env_seed(7);
+    let direct = {
+        let seq = MeshSequence::bump_sequence(&rc.mesh, rc.levels);
+        let setup = DistSetup::for_run(seq, &rc, seed).expect("setup");
+        let fopts = FaultOptions::for_run(&rc).expect("fault plan");
+        let opts = DistOptions::for_run(&rc, seed);
+        run_distributed_with_faults(&setup, rc.solver, rc.strategy, rc.cycles, opts, &fopts)
+            .expect("the replica finishes the run")
+    };
+    let lanes = direct.lanes();
+    assert!(
+        lanes[0].name.starts_with("rank 0 (died@"),
+        "{}",
+        lanes[0].name
+    );
+    let replica = &direct.instance(0).expect("rank 0 completed").trace;
+    let wire_of = |evs: &[Stamped]| evs.iter().map(wire::encode).collect::<Vec<_>>();
+    assert_ne!(wire_of(replica), wire_of(&lanes[0].events));
+
+    let mut path = std::env::temp_dir();
+    path.push(format!("eul3d-serve-rank0-{}.sock", std::process::id()));
+    let state_dir = std::env::temp_dir().join(format!("eul3d-serve-rank0-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&state_dir);
+    let spawn = || {
+        let cfg = EngineConfig {
+            workers: 1,
+            seed,
+            state_dir: Some(state_dir.clone()),
+            ..EngineConfig::default()
+        };
+        server::spawn(&path, cfg).expect("bind")
+    };
+    let submit = || client::submit_and_collect(&path, &toml, "distributed", false, true).unwrap();
+    let mut srv = spawn();
+    let (miss, hit) = (submit(), submit());
+    srv.shutdown();
+    drop(srv);
+    let mut srv = spawn();
+    let stored = submit();
+    srv.shutdown();
+
+    let key = CacheKey::of(&rc, JobMode::Distributed, seed);
+    let kept = ResultStore::open(&state_dir)
+        .unwrap()
+        .get(key)
+        .expect("the result was stored");
+    assert_eq!(kept.artifacts.lanes, lanes, "stored lanes");
+    let trace = render_trace(&lanes);
+    let done = |lines: &[String]| {
+        let o = JObj::parse(lines.last().expect("a done line")).unwrap();
+        assert_eq!(o.str_of("event"), Some("done"), "{:?}", lines.last());
+        let field = |f: &str| o.str_of(f).map(String::from);
+        (field("cache"), field("result_hash"), field("trace"))
+    };
+    let hash = Some(format!("{:032x}", kept.artifacts.result_hash));
+    for (lines, cache, what) in [
+        (&miss, "miss", "miss"),
+        (&hit, "hit", "memory hit"),
+        (&stored, "hit", "store hit"),
+    ] {
+        let (c, h, t) = done(lines);
+        assert_eq!(c.as_deref(), Some(cache), "{what}");
+        assert_eq!(h, hash, "{what}: result_hash");
+        assert!(
+            t.as_deref() == Some(trace.as_str()),
+            "{what}: rendered trace"
+        );
+        let streamed: Vec<String> = lines
+            .iter()
+            .filter(|l| JObj::parse(l).is_ok_and(|o| o.str_of("ev").is_some()))
+            .cloned()
+            .collect();
+        assert_eq!(streamed, wire_of(replica), "{what}: the replica's lane");
+    }
     let _ = std::fs::remove_dir_all(&state_dir);
 }

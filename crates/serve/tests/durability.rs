@@ -142,7 +142,7 @@ fn assert_identical(a: &JobBlob, b: &JobBlob, what: &str) {
     assert_eq!(bits(&a.history), bits(&b.history), "{what}: history");
     assert_eq!(a.table, b.table, "{what}: table");
     assert_eq!(bits(&a.mach), bits(&b.mach), "{what}: mach");
-    assert_eq!(a.trace_json, b.trace_json, "{what}: trace");
+    assert_eq!(a.lanes, b.lanes, "{what}: trace lanes");
 }
 
 #[test]

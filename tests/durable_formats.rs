@@ -11,7 +11,9 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use eul3d_core::framed::{self, ByteWriter};
+use eul3d_core::job::render_trace;
 use eul3d_core::{CheckpointLog, JobArtifacts, JobCheckpoint, JobMode, RunConfig, TailReport};
+use eul3d_obs::{wire, Event, Lane, Stamped};
 use eul3d_serve::engine::{EngineConfig, JobEngine};
 use eul3d_serve::{CacheKey, JobBlob, Journal, JournalRecord, ResultStore};
 
@@ -242,13 +244,37 @@ fn journal_never_replays_an_altered_record_under_any_mask() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A result with two trace lanes, the first of which dropped events.
 fn blob() -> JobBlob {
+    let ev = |ts_ns, ev| Stamped { ts_ns, ev };
     JobBlob {
         artifacts: JobArtifacts {
             history: vec![1.5, 0.25, -0.0],
             table: "cycle\tresidual\n0\t1.5\n".to_string(),
-            trace_json: Some("{\"traceEvents\":[]}".to_string()),
-            events: Vec::new(),
+            lanes: vec![
+                Lane {
+                    id: 0,
+                    name: "rank 0 (died@1)".to_string(),
+                    events: vec![
+                        ev(3, Event::PhaseBegin { phase: 1 }),
+                        ev(9, Event::PhaseEnd { phase: 1 }),
+                    ],
+                    dropped: 2,
+                },
+                Lane {
+                    id: 1,
+                    name: "rank 0 (adopted by 1)".to_string(),
+                    events: vec![ev(
+                        12,
+                        Event::MsgSend {
+                            peer: 1,
+                            tag: 7,
+                            bytes: 40,
+                        },
+                    )],
+                    dropped: 0,
+                },
+            ],
             mach: vec![0.675, -0.0, 1.25],
             guard: None,
             result_hash: 0xDEAD_BEEF_0123_4567_89AB_CDEF_0011_2233,
@@ -283,12 +309,13 @@ fn result_store_reads_any_damaged_file_as_absent() {
     let back = store.get(key).expect("the clean file decodes");
     assert_eq!(back.artifacts.result_hash, blob().artifacts.result_hash);
     assert_eq!(back.artifacts.table, blob().artifacts.table);
+    assert_eq!(back.artifacts.lanes, blob().artifacts.lanes);
     let _ = fs::remove_dir_all(&dir);
 }
 
 /// A version-2 `.res` file, which held the VTK text where version 3
 /// holds the Mach field, reads as absent (one recompute), and so does
-/// its payload under a version-3 header.
+/// its payload under a later header.
 #[test]
 fn a_version_2_result_file_reads_as_absent() {
     let dir = scratch("store-v2");
@@ -301,16 +328,49 @@ fn a_version_2_result_file_reads_as_absent() {
     e.f64s(&a.history);
     e.bytes(a.table.as_bytes());
     e.u8(1);
-    e.bytes(a.trace_json.as_deref().unwrap_or_default().as_bytes());
+    e.bytes(b"{\"traceEvents\":[]}");
     e.u64(0);
     e.bytes(b"# vtk DataFile Version 3.0\n");
     e.u8(0);
-    for version in [2, 3] {
+    for version in [2, 3, 4] {
         framed::write_atomic(&path, b"EUL3DRES", version, &e.0).expect("write");
         assert!(store.get(key).is_none(), "v2 payload, v{version} header");
     }
     store.put(key, &blob()).expect("put");
     assert!(store.get(key).is_some(), "the current format decodes");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A version-3 `.res` file, which held the Chrome trace text and the
+/// streamed lane's wire lines where version 4 holds every lane, reads
+/// as absent (one recompute), and so does its payload under a version-4
+/// header.
+#[test]
+fn a_version_3_result_file_reads_as_absent() {
+    let dir = scratch("store-v3");
+    let store = ResultStore::open(&dir).expect("open store");
+    let key = CacheKey(11);
+    let path = dir.join("results").join(format!("{key}.res"));
+    let a = blob().artifacts;
+    let mut e = ByteWriter::default();
+    e.u128(a.result_hash);
+    e.f64s(&a.history);
+    e.bytes(a.table.as_bytes());
+    e.u8(1);
+    e.bytes(render_trace(&a.lanes).as_bytes());
+    e.u64(a.lanes[1].events.len() as u64);
+    for s in &a.lanes[1].events {
+        e.bytes(wire::encode(s).as_bytes());
+    }
+    e.f64s(&a.mach);
+    e.u8(0);
+    for version in [3, 4] {
+        framed::write_atomic(&path, b"EUL3DRES", version, &e.0).expect("write");
+        assert!(store.get(key).is_none(), "v3 payload, v{version} header");
+    }
+    store.put(key, &blob()).expect("put");
+    let back = store.get(key).expect("the current format decodes");
+    assert_eq!(back.artifacts.lanes, a.lanes);
     let _ = fs::remove_dir_all(&dir);
 }
 

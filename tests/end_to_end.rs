@@ -139,9 +139,10 @@ fn state_stays_physical_through_the_transient() {
     }
 }
 
-/// A service job keeps its final Mach field, not the VTK text: from the
-/// config and that field, `render_vtk` rebuilds the very bytes the job's
-/// result hash covers (table ‖ trace ‖ VTK), and the hash of
+/// A service job keeps its trace lanes and final Mach field, not their
+/// text: from the lanes `render_trace`, and from the config and that
+/// field `render_vtk`, rebuild the very bytes the job's result hash
+/// covers (table ‖ trace ‖ VTK), and the hash of
 /// `examples/serve.toml` is pinned. (The VTK-caching builds served
 /// `d139ebd7…fb00`: the same table and VTK, and a trace with the same
 /// spans and end stamp whose stage-0 radii/dt spans came before JST
@@ -150,7 +151,7 @@ fn state_stays_physical_through_the_transient() {
 /// `core::job`.
 #[test]
 fn a_job_re_renders_the_vtk_its_result_hash_covers() {
-    use eul3d::solver::job::{render_vtk, run_job, CancelToken, JobMode};
+    use eul3d::solver::job::{render_trace, render_vtk, run_job, CancelToken, JobMode};
     use eul3d::solver::runconfig::{Fnv1a128, RunConfig};
 
     let rc = RunConfig::from_toml(include_str!("../examples/serve.toml")).unwrap();
@@ -159,7 +160,7 @@ fn a_job_re_renders_the_vtk_its_result_hash_covers() {
     let vtk = render_vtk(&rc, &a.mach).unwrap();
     let mut h = Fnv1a128::default();
     h.update(a.table.as_bytes());
-    h.update(a.trace_json.as_deref().unwrap().as_bytes());
+    h.update(render_trace(&a.lanes).as_bytes());
     h.update(vtk.as_bytes());
     assert_eq!(h.finish(), a.result_hash);
 }

@@ -67,22 +67,20 @@ fn emitted() -> Vec<(&'static str, String)> {
         cache_bytes: 11,
         cache_evicted_bytes: 12,
     };
-    let plain = blob(None, None);
-    let guarded = blob(
-        Some(GuardOutcome {
-            transcript: vec![RetryEvent {
-                cycle: 5,
-                rollback_to: Some(4),
-                verdict: HealthVerdict::Diverging { ratio: 60.0 },
-                cfl_before: 30.0,
-                cfl_after: 7.5,
-            }],
-            final_cfl: 7.5,
-            target_cfl: 30.0,
-            exhausted: None,
-        }),
-        Some("{\"traceEvents\": [\n]}\n".to_string()),
-    );
+    let plain = blob(None);
+    let guarded = blob(Some(GuardOutcome {
+        transcript: vec![RetryEvent {
+            cycle: 5,
+            rollback_to: Some(4),
+            verdict: HealthVerdict::Diverging { ratio: 60.0 },
+            cfl_before: 30.0,
+            cfl_after: 7.5,
+        }],
+        final_cfl: 7.5,
+        target_cfl: 30.0,
+        exhausted: None,
+    }));
+    let trace = Some("{\"traceEvents\": [\n]}\n");
     out.extend(
         [
             protocol::ev_accepted(1, CacheKey(0xabc)),
@@ -92,10 +90,10 @@ fn emitted() -> Vec<(&'static str, String)> {
             protocol::ev_progress(3, 11, 0.1 + 0.2),
             protocol::ev_progress(3, 12, 2.0),
             protocol::ev_progress(3, 13, 1e-7),
-            protocol::ev_done(4, false, &plain, None),
-            protocol::ev_done(4, true, &plain, Some(VTK)),
-            protocol::ev_done(5, false, &guarded, None),
-            protocol::ev_done(5, true, &guarded, Some(VTK)),
+            protocol::ev_done(4, false, &plain, None, None),
+            protocol::ev_done(4, true, &plain, None, Some(VTK)),
+            protocol::ev_done(5, false, &guarded, None, None),
+            protocol::ev_done(5, true, &guarded, trace, Some(VTK)),
             protocol::ev_cancelled(1),
             protocol::ev_failed(1, "solver.mach must be positive\r\n"),
             protocol::ev_stats(&stats),
@@ -221,13 +219,12 @@ fn every_record() -> Vec<JournalRecord> {
 /// blob's Mach field, which the line itself never prints.
 const VTK: &str = "# vtk DataFile Version 3.0\n";
 
-fn blob(guard: Option<GuardOutcome>, trace_json: Option<String>) -> JobBlob {
+fn blob(guard: Option<GuardOutcome>) -> JobBlob {
     JobBlob {
         artifacts: JobArtifacts {
             history: vec![1.5, 0.25, 0.1 + 0.2],
             table: "cycle\tresidual\n0\t1.5\n".to_string(),
-            trace_json,
-            events: Vec::new(),
+            lanes: Vec::new(),
             mach: vec![0.675, 1.25],
             guard,
             result_hash: 0xDEAD_BEEF_0123_4567_89AB_CDEF_0011_2233,
@@ -397,9 +394,9 @@ fn non_finite_floats_are_emitted_as_null() {
             line,
             "{\"event\":\"progress\",\"job\":1,\"cycle\":2,\"residual\":null}"
         );
-        let mut diverged = blob(None, None);
+        let mut diverged = blob(None);
         diverged.artifacts.history.push(bad);
-        let done = protocol::ev_done(1, false, &diverged, None);
+        let done = protocol::ev_done(1, false, &diverged, None, None);
         assert!(
             done.ends_with("\"cycles\":4,\"final_residual\":null}"),
             "{done}"
