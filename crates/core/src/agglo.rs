@@ -247,7 +247,7 @@ impl LevelGrids for Agglomeration {
         let (fine, coarse) = levels.split_at_mut(l + 1);
         for (v, &c) in self.coarse[l].assign.iter().enumerate() {
             for k in 0..NVAR {
-                coarse[0].corr.add(c as usize, k, fine[l].res.get(v, k));
+                coarse[0].w0.add(c as usize, k, fine[l].res.get(v, k));
             }
         }
     }
@@ -257,16 +257,18 @@ impl LevelGrids for Agglomeration {
     fn prolong_correction(&self, l: usize, levels: &mut [LevelState], counter: &mut PhaseCounters) {
         let (fine, coarse) = levels.split_at_mut(l + 1);
         let (fine, coarse) = (&mut fine[l], &coarse[0]);
-        inject(&self.coarse[l].assign, &coarse.corr, &mut fine.corr);
+        inject(&self.coarse[l].assign, &coarse.w0, &mut fine.w0);
+        // Between time steps `r0` and `lapl` hold nothing live: the
+        // Jacobi scratch.
         smooth_residual_serial_soa(
             &fine.adj,
             fine.n,
             &fine.deg,
             0.5,
             CORRECTION_SMOOTHING,
-            &mut fine.corr,
+            &mut fine.w0,
             &mut fine.r0,
-            &mut fine.acc,
+            &mut fine.lapl,
             counter.phase(Phase::Transfer),
         );
         count_vertex_loop(counter, Phase::Transfer, fine.n, FLOPS_TRANSFER_VERT);

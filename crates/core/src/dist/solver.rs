@@ -478,7 +478,7 @@ impl Hierarchy for DistHierarchy<'_> {
     fn restrict_residual(&mut self, l: usize) {
         let (s, mark) = (&mut *self.s, CommMark::of(self.rank));
         let (fine, coarse) = s.levels.split_at_mut(l + 1);
-        let (src, dst) = (fine[l].st.res.flat(), coarse[0].st.corr.flat_mut());
+        let (src, dst) = (fine[l].st.res.flat(), coarse[0].st.w0.flat_mut());
         let xfer = s.counter.phase(Phase::Transfer);
         s.links[l].restrict_residual_planes(self.rank, src, dst, NVAR, &mut s.stage, xfer);
         s.counter.add_comm_since(Phase::Transfer, self.rank, mark);
@@ -487,7 +487,7 @@ impl Hierarchy for DistHierarchy<'_> {
     fn prolong_correction(&mut self, l: usize) {
         let (s, mark) = (&mut *self.s, CommMark::of(self.rank));
         let (fine, coarse) = s.levels.split_at_mut(l + 1);
-        let (src, dst) = (coarse[0].st.corr.flat(), fine[l].st.corr.flat_mut());
+        let (src, dst) = (coarse[0].st.w0.flat(), fine[l].st.w0.flat_mut());
         let xfer = s.counter.phase(Phase::Transfer);
         s.links[l].prolong_planes(self.rank, src, dst, NVAR, &mut s.stage, xfer);
         s.counter.add_comm_since(Phase::Transfer, self.rank, mark);

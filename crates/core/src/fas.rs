@@ -14,6 +14,10 @@
 //! All per-vertex loops cover the level's *owned prefix* plane by plane.
 //! On single-address-space hierarchies that prefix is the whole level, so
 //! the loops touch the same elements in the same order as flat ones.
+//!
+//! Residuals and corrections travel in each level's `w0`
+//! ([`LevelState::w0`]): the stage reference is live only inside a time
+//! step, and no transfer runs inside one.
 
 use crate::gas::NVAR;
 use crate::level::LevelState;
@@ -42,11 +46,11 @@ pub trait Hierarchy {
     fn restrict_state(&mut self, l: usize);
 
     /// Residuals down, conservatively: accumulate level `l`'s `res` into
-    /// level `l + 1`'s (pre-zeroed) `corr`.
+    /// level `l + 1`'s (pre-zeroed) correction buffer `w0`.
     fn restrict_residual(&mut self, l: usize);
 
-    /// Corrections up: set level `l`'s owned `corr` from level `l + 1`'s
-    /// `corr`.
+    /// Corrections up: set level `l`'s owned correction (in `w0`) from
+    /// level `l + 1`'s.
     fn prolong_correction(&mut self, l: usize);
 }
 
@@ -120,7 +124,7 @@ impl<H: Hierarchy> Cycle<'_, H> {
         let coarse = self.h.state(l + 1);
         coarse.w_ref.copy_owned_from(&coarse.w, nc);
         for c in 0..NVAR {
-            coarse.corr.plane_mut(c)[..nc].fill(0.0);
+            coarse.w0.plane_mut(c)[..nc].fill(0.0);
         }
         self.h.restrict_residual(l);
 
@@ -131,7 +135,7 @@ impl<H: Hierarchy> Cycle<'_, H> {
         for c in 0..NVAR {
             for ((f, &cr), &r) in coarse.forcing.plane_mut(c)[..nc]
                 .iter_mut()
-                .zip(&coarse.corr.plane(c)[..nc])
+                .zip(&coarse.w0.plane(c)[..nc])
                 .zip(&coarse.res.plane(c)[..nc])
             {
                 *f = cr - r;
@@ -145,7 +149,7 @@ impl<H: Hierarchy> Cycle<'_, H> {
         let nc = self.h.owned(l + 1);
         let coarse = self.h.state(l + 1);
         for c in 0..NVAR {
-            for ((d, &a), &b) in coarse.corr.plane_mut(c)[..nc]
+            for ((d, &a), &b) in coarse.w0.plane_mut(c)[..nc]
                 .iter_mut()
                 .zip(&coarse.w.plane(c)[..nc])
                 .zip(&coarse.w_ref.plane(c)[..nc])
@@ -159,7 +163,7 @@ impl<H: Hierarchy> Cycle<'_, H> {
         for c in 0..NVAR {
             for (w, &d) in fine.w.plane_mut(c)[..nf]
                 .iter_mut()
-                .zip(&fine.corr.plane(c)[..nf])
+                .zip(&fine.w0.plane(c)[..nf])
             {
                 *w += d;
             }

@@ -22,6 +22,8 @@
 //! flops per edge, same launches per colour), because [`PhaseCounters`]
 //! feeds the C90 and i860 machine models, not the host.
 
+use std::ops::Range;
+
 use eul3d_kernels as kn;
 use eul3d_mesh::topology::vertex_vertex_adjacency;
 use eul3d_mesh::{BoundaryFace, Csr, TetMesh, Vec3};
@@ -99,34 +101,42 @@ impl SolverGrid for RankMesh {
 /// plane-major [`SoaState`]s; scalars are plain `Vec<f64>`. Sized by
 /// [`SolverGrid::grid_nverts`], so on the distributed path every array
 /// carries ghost slots after the owned prefix.
+///
+/// Four buffers carry two roles each, at phases that never overlap
+/// (DESIGN.md §9 tabulates them): `res`, `lapl`, `r0` and `w0`. Each role
+/// is written before it is read.
 #[derive(Debug, Clone)]
 pub struct LevelState {
     /// Per-vertex slot count of this level (owned + ghost).
     pub n: usize,
     /// Conserved variables (5 planes).
     pub w: SoaState,
-    /// Stage-reference state `w^(0)` (5 planes).
+    /// Stage-reference state `w^(0)` (5 planes), live inside a time
+    /// step. Between steps it is the multigrid correction buffer
+    /// ([`crate::fas`]): the restricted residual until the coarse
+    /// forcing is formed, then the correction `w − w'` and its
+    /// prolongation.
     pub w0: SoaState,
     /// Pressures (n).
     pub p: Vec<f64>,
-    /// Undivided Laplacian of `w` (5 planes).
+    /// Undivided Laplacian of `w` (5 planes), live from JST pass 1 to
+    /// the stage's flow sweep. After the sweep it is the neighbour-sum
+    /// buffer of residual averaging (and of the agglomerated correction
+    /// smoothing).
     pub lapl: SoaState,
-    /// Pressure-sensor accumulators (2 planes: Σ(p_j−p_i), Σ(p_j+p_i)).
-    pub sens: SoaState,
     /// Shock sensor ν (n).
     pub nu: Vec<f64>,
     /// Frozen dissipation `D` (5 planes).
     pub diss: SoaState,
-    /// Convective residual `Q` (5 planes).
-    pub q: SoaState,
-    /// Total (smoothed) residual `R = Q − D + P` (5 planes).
+    /// Convective flux sums `Q` (5 planes: edges, boundary faces and the
+    /// ghost scatter-add) from the flow sweep until assembly; then the
+    /// total (smoothed) residual `R = Q − D + P`.
     pub res: SoaState,
-    /// Unsmoothed residual baseline for the Jacobi sweeps (5 planes).
+    /// Unsmoothed residual `R` (5 planes), the Jacobi baseline, from
+    /// assembly to the last averaging pass. Until the next assembly its
+    /// planes [`LevelState::SENS`] hold the pressure-sensor sums and its
+    /// plane [`LevelState::LAM`] the spectral-radius sums Λ.
     pub r0: SoaState,
-    /// Smoothing scratch (5 planes).
-    pub acc: SoaState,
-    /// Spectral-radius sums Λ (n).
-    pub lam: Vec<f64>,
     /// Local time steps (n).
     pub dt: Vec<f64>,
     /// Vertex degrees for residual averaging (n). Built from the local
@@ -145,11 +155,16 @@ pub struct LevelState {
     pub forcing: SoaState,
     /// Restricted state `w'` (5 planes), the correction baseline.
     pub w_ref: SoaState,
-    /// Transfer scratch (5 planes).
-    pub corr: SoaState,
 }
 
 impl LevelState {
+    /// The planes of [`LevelState::r0`] that hold the pressure-sensor
+    /// sums `Σ(p_j−p_i), Σ(p_j+p_i)` from JST pass 1 to the sensor.
+    pub const SENS: Range<usize> = 0..2;
+    /// The plane of [`LevelState::r0`] that holds the spectral-radius
+    /// sums Λ from the stage-0 flow sweep to the local time steps.
+    pub const LAM: usize = 2;
+
     /// Fresh state at uniform freestream.
     pub fn new<G: SolverGrid + ?Sized>(mesh: &G, cfg: &SolverConfig) -> LevelState {
         let n = mesh.grid_nverts();
@@ -162,22 +177,44 @@ impl LevelState {
             w,
             p: vec![0.0; n],
             lapl: SoaState::new(n, NVAR),
-            sens: SoaState::new(n, 2),
             nu: vec![0.0; n],
             diss: SoaState::new(n, NVAR),
-            q: SoaState::new(n, NVAR),
             res: SoaState::new(n, NVAR),
             r0: SoaState::new(n, NVAR),
-            acc: SoaState::new(n, NVAR),
-            lam: vec![0.0; n],
             dt: vec![0.0; n],
             deg: degrees_from_edges(mesh.grid_edges(), n),
             adj: vertex_vertex_adjacency(n, mesh.grid_edges()),
             bface_counts: boundary_face_counts(mesh.grid_bfaces()),
             forcing: SoaState::new(n, NVAR),
             w_ref: SoaState::new(n, NVAR),
-            corr: SoaState::new(n, NVAR),
         }
+    }
+
+    /// Every per-vertex `f64` array of the level, in field order: the
+    /// one list of its buffers.
+    pub fn arrays(&self) -> [&[f64]; 12] {
+        [
+            self.w.flat(),
+            self.w0.flat(),
+            &self.p,
+            self.lapl.flat(),
+            &self.nu,
+            self.diss.flat(),
+            self.res.flat(),
+            self.r0.flat(),
+            &self.dt,
+            &self.deg,
+            self.forcing.flat(),
+            self.w_ref.flat(),
+        ]
+    }
+
+    /// Heap bytes of the level's working arrays: every array of
+    /// [`LevelState::arrays`] plus the adjacency.
+    pub fn heap_bytes(&self) -> usize {
+        let f64s: usize = self.arrays().iter().map(|a| a.len()).sum();
+        let u32s = self.adj.offsets.len() + self.adj.items.len();
+        f64s * std::mem::size_of::<f64>() + u32s * std::mem::size_of::<u32>()
     }
 
     /// RMS of the density residual normalized by dual volume — the
@@ -278,10 +315,11 @@ fn gather_flow_and_pressures<E: Executor + ?Sized>(
 struct Outputs {
     /// The dissipation operator `D` into `st.diss`.
     diss: bool,
-    /// The convective operator `Q` into `st.q`, boundary fluxes included.
+    /// The convective operator `Q` into `st.res`, boundary fluxes
+    /// included.
     conv: bool,
-    /// The spectral radii into `st.lam`, and from them the local time
-    /// steps `st.dt`.
+    /// The spectral radii into plane [`LevelState::LAM`] of `st.r0`, and
+    /// from them the local time steps `st.dt`.
     radii: bool,
 }
 
@@ -336,7 +374,7 @@ pub fn eval_dissipation<G: SolverGrid + ?Sized, E: Executor + ?Sized>(
     eval_flow(mesh, st, cfg, is_coarse, exec, counters, out);
 }
 
-/// Evaluate the convective operator into `st.q` (fresh), including
+/// Evaluate the convective operator into `st.res` (fresh), including
 /// boundary fluxes. Boundary faces follow the edge sweep under the same
 /// ownership rule; each face is *charged* once (by exactly one rank on
 /// the distributed path), so the rank-summed face counts still match
@@ -357,7 +395,8 @@ pub fn eval_convection<G: SolverGrid + ?Sized, E: Executor + ?Sized>(
 }
 
 /// JST pass 1 and the shock sensor: the undivided Laplacian and the
-/// pressure-sensor accumulators, gathered per vertex over every local
+/// pressure-sensor sums (planes [`LevelState::SENS`] of `st.r0`),
+/// gathered per vertex over every local
 /// slot (ghost slots hold the partial sums of the rank-local edges,
 /// exactly as the edge loop left them) and charged as the edge loop the
 /// paper's machines run; then ν on owned vertices and the ghost copies
@@ -372,8 +411,8 @@ fn jst_pass1<E: Executor + ?Sized>(
     let n = st.n;
     {
         let (w, p, adj) = (&st.w, &st.p, &st.adj);
-        let (lapl, sens) = (&mut st.lapl, &mut st.sens);
-        exec.for_vertex_spans(n, &mut [lapl.flat_mut(), sens.flat_mut()], |range, s| {
+        let (lapl, sens) = (st.lapl.flat_mut(), st.r0.planes_mut(LevelState::SENS));
+        exec.for_vertex_spans(n, &mut [lapl, sens], |range, s| {
             // SAFETY: disjoint ranges (executor contract); `adj` was
             // built over these `n` slots from the level's edge list.
             unsafe { kn::jst_gather_verts(range, adj, w.flat(), p, n, s) }
@@ -396,7 +435,7 @@ fn jst_pass1<E: Executor + ?Sized>(
     exec.exchange_halo(
         Phase::Dissipation,
         HaloOp::ScatterAdd,
-        st.sens.flat_mut(),
+        st.r0.planes_mut(LevelState::SENS),
         2,
         counters,
     );
@@ -405,10 +444,10 @@ fn jst_pass1<E: Executor + ?Sized>(
     // reference), then ghost copies of L and ν for pass 2.
     {
         let owned = exec.owned(st.n);
-        let sens = &st.sens;
+        let sens = st.r0.planes(LevelState::SENS);
         exec.for_vertex_spans(owned, &mut [&mut st.nu[..]], |range, s| {
             // SAFETY: disjoint ranges (executor contract).
-            unsafe { kn::sensor_verts(range, sens.flat(), n, s) }
+            unsafe { kn::sensor_verts(range, sens, n, s) }
         });
     }
     exec.exchange_halo(
@@ -430,8 +469,8 @@ fn jst_pass1<E: Executor + ?Sized>(
 /// ([`count_edge_loop`]), and every halo operation keeps its phase and
 /// its place in the schedule streams — the `lam` scatter and the local
 /// time steps, then the `diss` scatter begun, the boundary fluxes while
-/// it is in flight, the `diss` scatter finished, and last the `q`
-/// scatter (both scatters ride one schedule stream, so issuing `q`'s
+/// it is in flight, the `diss` scatter finished, and last the `Q`
+/// scatter (both scatters ride one schedule stream, so issuing `Q`'s
 /// first would misorder their epochs). Under the §4.3 refetch ablation
 /// the executor re-gathers `w` once per paper loop, as many times as
 /// the unfused loops did.
@@ -457,10 +496,10 @@ fn eval_flow<G: SolverGrid + ?Sized, E: Executor + ?Sized>(
         }
     }
     if out.conv {
-        st.q.fill(0.0);
+        st.res.fill(0.0);
     }
     if out.radii {
-        st.lam.fill(0.0);
+        st.r0.plane_mut(LevelState::LAM).fill(0.0);
     }
     {
         let diss = match kind {
@@ -491,8 +530,8 @@ fn eval_flow<G: SolverGrid + ?Sized, E: Executor + ?Sized>(
         let mut targets: [&mut [f64]; MAX_SCATTER_TARGETS] = Default::default();
         let wanted = [
             out.diss.then_some(st.diss.flat_mut()),
-            out.conv.then_some(st.q.flat_mut()),
-            out.radii.then_some(&mut st.lam[..]),
+            out.conv.then_some(st.res.flat_mut()),
+            out.radii.then_some(st.r0.plane_mut(LevelState::LAM)),
         ];
         let mut k = 0;
         for t in wanted.into_iter().flatten() {
@@ -512,7 +551,8 @@ fn eval_flow<G: SolverGrid + ?Sized, E: Executor + ?Sized>(
         let bfaces = mesh.grid_bfaces();
         {
             let (w, p) = (&st.w, &st.p);
-            exec.for_face_spans(bfaces.len(), &mut [&mut st.lam[..]], |span, s| {
+            let lam = st.r0.plane_mut(LevelState::LAM);
+            exec.for_face_spans(bfaces.len(), &mut [lam], |span, s| {
                 // SAFETY: owned face vertices only (executor conflict
                 // contract).
                 unsafe { radii_bfaces_soa(span, bfaces, w, p, gamma, s) }
@@ -521,11 +561,12 @@ fn eval_flow<G: SolverGrid + ?Sized, E: Executor + ?Sized>(
         counters
             .phase(Phase::Radii)
             .add(bfaces.len(), FLOPS_RADII_EDGE);
-        exec.exchange_halo(Phase::Radii, HaloOp::ScatterAdd, &mut st.lam, 1, counters);
+        let lam = st.r0.plane_mut(LevelState::LAM);
+        exec.exchange_halo(Phase::Radii, HaloOp::ScatterAdd, lam, 1, counters);
         let owned = exec.owned(st.n);
         {
             let vol = mesh.grid_vol();
-            let (lam, cfl) = (&st.lam, cfg.cfl);
+            let (lam, cfl) = (st.r0.plane(LevelState::LAM), cfg.cfl);
             exec.for_vertex_spans(owned, &mut [&mut st.dt[..]], |range, s| {
                 // SAFETY: disjoint ranges (executor contract).
                 unsafe { kn::local_dt_verts(range, cfl, vol, lam, s) }
@@ -562,7 +603,7 @@ fn eval_flow<G: SolverGrid + ?Sized, E: Executor + ?Sized>(
         let bfaces = mesh.grid_bfaces();
         {
             let (w, p) = (&st.w, &st.p);
-            exec.for_face_spans(bfaces.len(), &mut [st.q.flat_mut()], |span, s| {
+            exec.for_face_spans(bfaces.len(), &mut [st.res.flat_mut()], |span, s| {
                 // SAFETY: owned face vertices only (executor conflict
                 // contract); faces and planes sized by the level layout.
                 unsafe { boundary_residual_soa(span, bfaces, w, p, &fs, gamma, s) }
@@ -583,31 +624,55 @@ fn eval_flow<G: SolverGrid + ?Sized, E: Executor + ?Sized>(
         exec.exchange_halo(
             Phase::Convection,
             HaloOp::ScatterAdd,
-            st.q.flat_mut(),
+            st.res.flat_mut(),
             NVAR,
             counters,
         );
     }
 }
 
-/// Assemble `res = Q − D + P` on owned vertices.
-pub fn assemble_residual<E: Executor + ?Sized>(
+/// Whether a stage runs implicit residual averaging.
+fn averages(cfg: &SolverConfig) -> bool {
+    cfg.smooth_passes > 0 && cfg.smooth_eps != 0.0
+}
+
+/// Assemble `R = Q − D + P` on owned vertices into `st.r0`, the Jacobi
+/// baseline [`smooth_residual`] starts from, reading the flux sums `Q`
+/// the flow sweep left in `st.res`.
+fn assemble_baseline<E: Executor + ?Sized>(
     st: &mut LevelState,
     exec: &mut E,
     counters: &mut PhaseCounters,
 ) {
     let owned = exec.owned(st.n);
     let n = st.n;
-    let (q, diss, forcing) = (&st.q, &st.diss, &st.forcing);
-    exec.for_vertex_spans(owned, &mut [st.res.flat_mut()], |range, s| {
+    let (q, diss, forcing) = (&st.res, &st.diss, &st.forcing);
+    exec.for_vertex_spans(owned, &mut [st.r0.flat_mut()], |range, s| {
         // SAFETY: disjoint ranges (executor contract).
         unsafe { kn::assemble_verts(range, q.flat(), diss.flat(), forcing.flat(), n, s) }
     });
     count_vertex_loop(counters, Phase::Assemble, owned, FLOPS_ASSEMBLE_VERT);
 }
 
+/// Assemble `R = Q − D + P` on owned vertices into `st.res`, from the
+/// flux sums `Q` the flow sweep left there. The kernel cannot read and
+/// write one buffer, so it writes `st.r0` and the two buffers trade
+/// places: `res` holds `R` with nothing copied, and `r0` the spent `Q`.
+pub fn assemble_residual<E: Executor + ?Sized>(
+    st: &mut LevelState,
+    exec: &mut E,
+    counters: &mut PhaseCounters,
+) {
+    assemble_baseline(st, exec, counters);
+    std::mem::swap(&mut st.res, &mut st.r0);
+}
+
 /// Implicit residual averaging: `passes` Jacobi sweeps of
-/// `(I − εΔ) R̄ = R` in place over the owned prefix of `st.res`.
+/// `(I − εΔ) R̄ = R` over the owned prefix, from the baseline `R` that
+/// assembly wrote into `st.r0`, into `st.res`. The first pass gathers
+/// its neighbours from `st.r0` itself, later passes from `st.res`; the
+/// neighbour sums land in `st.lapl`, whose Laplacian the flow sweep has
+/// already consumed.
 pub fn smooth_residual<G: SolverGrid + ?Sized, E: Executor + ?Sized>(
     mesh: &G,
     st: &mut LevelState,
@@ -615,29 +680,29 @@ pub fn smooth_residual<G: SolverGrid + ?Sized, E: Executor + ?Sized>(
     exec: &mut E,
     counters: &mut PhaseCounters,
 ) {
-    if cfg.smooth_passes == 0 || cfg.smooth_eps == 0.0 {
+    if !averages(cfg) {
         return;
     }
     let owned = exec.owned(st.n);
-    st.r0.copy_owned_from(&st.res, owned);
     let edges = mesh.grid_edges();
     let eps = cfg.smooth_eps;
     let n = st.n;
-    for _ in 0..cfg.smooth_passes {
+    for pass in 0..cfg.smooth_passes {
+        let src = if pass == 0 { &mut st.r0 } else { &mut st.res };
         // A begin/finish pair, not one `exchange_halo`: the window
         // transport emits a span for each and traces are pinned to
         // that; the gather needs every ghost, so nothing overlaps.
         exec.exchange_begin(
             Phase::Smooth,
             HaloOp::Gather,
-            st.res.flat_mut(),
+            src.flat_mut(),
             NVAR,
             counters,
         );
         exec.exchange_finish(
             Phase::Smooth,
             HaloOp::Gather,
-            st.res.flat_mut(),
+            src.flat_mut(),
             NVAR,
             counters,
         );
@@ -645,11 +710,11 @@ pub fn smooth_residual<G: SolverGrid + ?Sized, E: Executor + ?Sized>(
         // rank-local partial sums the scatter-add below flushes),
         // charged as the edge loop the paper's machines run.
         {
-            let (res, adj) = (&st.res, &st.adj);
-            exec.for_vertex_spans(n, &mut [st.acc.flat_mut()], |range, s| {
+            let (src, adj) = (&*src, &st.adj);
+            exec.for_vertex_spans(n, &mut [st.lapl.flat_mut()], |range, s| {
                 // SAFETY: disjoint ranges (executor contract); `adj` was
                 // built over these `n` slots from the level's edge list.
-                unsafe { kn::neighbour_sum_verts(range, adj, res.flat(), n, s) }
+                unsafe { kn::neighbour_sum_verts(range, adj, src.flat(), n, s) }
             });
         }
         count_edge_loop(
@@ -662,12 +727,12 @@ pub fn smooth_residual<G: SolverGrid + ?Sized, E: Executor + ?Sized>(
         exec.exchange_halo(
             Phase::Smooth,
             HaloOp::ScatterAdd,
-            st.acc.flat_mut(),
+            st.lapl.flat_mut(),
             NVAR,
             counters,
         );
         {
-            let (r0, acc, deg) = (&st.r0, &st.acc, &st.deg);
+            let (r0, acc, deg) = (&st.r0, &st.lapl, &st.deg);
             exec.for_vertex_spans(owned, &mut [st.res.flat_mut()], |range, s| {
                 // SAFETY: disjoint ranges (executor contract).
                 unsafe { kn::smooth_update_verts(range, r0.flat(), acc.flat(), deg, eps, n, s) }
@@ -732,8 +797,12 @@ pub fn time_step<G: SolverGrid + ?Sized, E: Executor + ?Sized>(
             radii: stage == 0,
         };
         eval_flow(mesh, st, cfg, is_coarse, exec, counters, out);
-        assemble_residual(st, exec, counters);
-        smooth_residual(mesh, st, cfg, exec, counters);
+        if averages(cfg) {
+            assemble_baseline(st, exec, counters);
+            smooth_residual(mesh, st, cfg, exec, counters);
+        } else {
+            assemble_residual(st, exec, counters);
+        }
 
         {
             let vol = mesh.grid_vol();

@@ -464,7 +464,12 @@ impl<G: LevelGrids, E: Executor> Levels<'_, G, E> {
         for l in (0..=top).rev() {
             if l < top {
                 self.grids.prolong_state(l, self.levels, self.counter);
-                self.levels[l].forcing.fill(0.0);
+                // The finest forcing is zero from construction and
+                // nothing writes it: filling it would only make its
+                // pages resident.
+                if l > 0 {
+                    self.levels[l].forcing.fill(0.0);
+                }
             }
             for _ in 0..cycles {
                 fas::cycle(self, strategy, l, events.as_deref_mut());
@@ -562,13 +567,13 @@ impl LevelGrids for MeshSequence {
     /// Transpose of prolongation.
     fn restrict_residual(&self, l: usize, levels: &mut [LevelState], counter: &mut PhaseCounters) {
         transfer(levels, l, l, counter, |fine, coarse, c| {
-            self.to_fine[l].restrict_transpose(fine.res.plane(c), coarse.corr.plane_mut(c))
+            self.to_fine[l].restrict_transpose(fine.res.plane(c), coarse.w0.plane_mut(c))
         });
     }
 
     fn prolong_correction(&self, l: usize, levels: &mut [LevelState], counter: &mut PhaseCounters) {
         transfer(levels, l, l, counter, |fine, coarse, c| {
-            self.to_fine[l].interpolate(coarse.corr.plane(c), fine.corr.plane_mut(c))
+            self.to_fine[l].interpolate(coarse.w0.plane(c), fine.w0.plane_mut(c))
         });
     }
 

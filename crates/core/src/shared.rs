@@ -246,29 +246,11 @@ mod tests {
         st
     }
 
-    /// Every plane of a level state, as bit patterns.
+    /// Every array of a level state ([`LevelState::arrays`]), as bit
+    /// patterns.
     fn state_bits(st: &LevelState) -> Vec<Vec<u64>> {
-        let planes: [&[f64]; 17] = [
-            st.w.flat(),
-            st.w0.flat(),
-            &st.p,
-            st.lapl.flat(),
-            st.sens.flat(),
-            &st.nu,
-            st.diss.flat(),
-            st.q.flat(),
-            st.res.flat(),
-            st.r0.flat(),
-            st.acc.flat(),
-            &st.lam,
-            &st.dt,
-            &st.deg,
-            st.forcing.flat(),
-            st.w_ref.flat(),
-            st.corr.flat(),
-        ];
         let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect();
-        planes.into_iter().map(bits).collect()
+        st.arrays().into_iter().map(bits).collect()
     }
 
     /// `steps` time steps from `start` on `exec`, as [`state_bits`].

@@ -30,8 +30,8 @@ pub fn degrees_from_edges(edges: &[[u32; 2]], n: usize) -> Vec<f64> {
 }
 
 /// Sequential Jacobi sweeps over a plane-major field: `passes` in-place
-/// sweeps on the first `n_owned` rows of `res`, with the level's `r0`
-/// and `acc` planes as scratch and its adjacency `adj` for the
+/// sweeps on the first `n_owned` rows of `res`, with `r0` and `acc`
+/// as scratch and the level's adjacency `adj` for the
 /// neighbour sums. Same math and accumulation order as the
 /// executor-driven smoothing in [`crate::level`], used where no
 /// `Executor` is in play (agglomerated correction smoothing).

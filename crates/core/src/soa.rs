@@ -14,11 +14,12 @@
 //! [`SoaState::set_row`], …), and anything per-component through the
 //! plane accessors.
 
+use std::ops::Range;
+
 use crate::gas::NVAR;
 
 /// One plane-major per-vertex field: `nc` contiguous planes of `n`
-/// values each. The conserved variables use `nc = 5`; the JST sensor
-/// accumulators use `nc = 2`.
+/// values each. The conserved variables use `nc = 5`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SoaState {
     data: Vec<f64>,
@@ -100,6 +101,18 @@ impl SoaState {
     #[inline(always)]
     pub fn plane_mut(&mut self, c: usize) -> &mut [f64] {
         &mut self.data[c * self.n..(c + 1) * self.n]
+    }
+
+    /// Component planes `cs` (contiguous, length `cs.len() * n`).
+    #[inline(always)]
+    pub fn planes(&self, cs: Range<usize>) -> &[f64] {
+        &self.data[cs.start * self.n..cs.end * self.n]
+    }
+
+    /// Mutable component planes `cs`.
+    #[inline(always)]
+    pub fn planes_mut(&mut self, cs: Range<usize>) -> &mut [f64] {
+        &mut self.data[cs.start * self.n..cs.end * self.n]
     }
 
     /// Component `c` of vertex `i`.

@@ -593,7 +593,9 @@ fn shared_neighbour_sums_are_the_serial_bits() {
     // owner-writes edge sweep adds into each slot in ascending edge
     // order: no accumulation-order freedom anywhere. `smooth_residual`
     // and both JST passes under the team are the serial bits for any
-    // member count.
+    // member count. Averaging runs first: it starts from the baseline
+    // the last stage left in `r0`, and pass 1 then writes the sensor
+    // sums into `r0` and the Laplacian over averaging's neighbour sums.
     let mesh = MeshSequence::bump_sequence(&spec(), 1).meshes.remove(0);
     let cfg = SolverConfig {
         mach: 0.55,
@@ -612,20 +614,20 @@ fn shared_neighbour_sums_are_the_serial_bits() {
         (
             bits(st.res.flat()),
             bits(st.lapl.flat()),
-            bits(st.sens.flat()),
+            bits(st.r0.planes(LevelState::SENS)),
             bits(st.diss.flat()),
         )
     };
     let serial = run(&mut |st, c| {
-        eval_dissipation(&mesh, st, &cfg, false, &mut SerialExecutor, c);
         smooth_residual(&mesh, st, &cfg, &mut SerialExecutor, c);
+        eval_dissipation(&mesh, st, &cfg, false, &mut SerialExecutor, c);
     });
     assert!(serial.0.iter().any(|&b| b != 0) && serial.1.iter().any(|&b| b != 0));
     for ncpus in [1, 2, 3] {
         let mut exec = SharedExecutor::new(&mesh, ncpus).expect("valid colouring");
         let shared = run(&mut |st, c| {
-            eval_dissipation(&mesh, st, &cfg, false, &mut exec, c);
             smooth_residual(&mesh, st, &cfg, &mut exec, c);
+            eval_dissipation(&mesh, st, &cfg, false, &mut exec, c);
         });
         assert_eq!(shared.0, serial.0, "res, {ncpus} members");
         assert_eq!(shared.1, serial.1, "lapl, {ncpus} members");
