@@ -72,15 +72,6 @@ impl Default for SolverConfig {
 }
 
 impl SolverConfig {
-    /// The paper's transonic case: M∞ = 0.768, α = 1.116°.
-    pub fn paper_case() -> SolverConfig {
-        SolverConfig {
-            mach: 0.768,
-            alpha_deg: 1.116,
-            ..SolverConfig::default()
-        }
-    }
-
     /// Freestream implied by this configuration.
     pub fn freestream(&self) -> Freestream {
         Freestream::new(self.gamma, self.mach, self.alpha_deg)
@@ -103,13 +94,5 @@ mod tests {
         assert_eq!(c.rk_alpha[4], 1.0, "final stage must complete the step");
         assert!(c.k2 > c.k4);
         assert_eq!(c.nstages(), 5);
-    }
-
-    #[test]
-    fn paper_case_freestream() {
-        let c = SolverConfig::paper_case();
-        let fs = c.freestream();
-        assert!((fs.mach - 0.768).abs() < 1e-15);
-        assert!((fs.alpha_deg - 1.116).abs() < 1e-15);
     }
 }

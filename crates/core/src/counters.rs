@@ -64,10 +64,6 @@ impl FlopCounter {
         self.flops += o.flops;
         self.launches += o.launches;
     }
-
-    pub fn reset(&mut self) {
-        *self = FlopCounter::default();
-    }
 }
 
 /// Uniform per-phase computation/communication breakdown reported by
@@ -187,14 +183,6 @@ impl PhaseCounters {
         self.comm_allocs.iter().sum()
     }
 
-    /// Collapse into a single [`FlopCounter`] (legacy consumers).
-    pub fn total(&self) -> FlopCounter {
-        FlopCounter {
-            flops: self.flops(),
-            launches: self.launches(),
-        }
-    }
-
     pub fn merge(&mut self, o: &PhaseCounters) {
         for (a, b) in self.comp.iter_mut().zip(&o.comp) {
             a.merge(b);
@@ -284,7 +272,7 @@ mod tests {
         let mut d = PhaseCounters::default();
         d.merge(&c);
         assert_eq!(d.flops(), c.flops());
-        assert_eq!(d.total().launches, 2);
+        assert_eq!(d.launches(), 2);
         assert_eq!(d.allocs(), 2);
 
         let rows = d.rows();
@@ -311,7 +299,5 @@ mod tests {
         let mut d = FlopCounter::default();
         d.merge(&c);
         assert_eq!(d.flops, c.flops);
-        c.reset();
-        assert_eq!(c.flops, 0.0);
     }
 }

@@ -31,19 +31,18 @@
 //! the agreed rollback target is restorable everywhere even when a fault
 //! lands in the middle of a checkpoint.
 //!
-//! The same rollback path doubles as the **numeric** recovery of the
-//! solver-health guard (`DESIGN.md` §7): after every cycle each rank
-//! scans its owned state, merges in the residual-divergence diagnosis,
-//! and the machine agrees on the worst verdict with one pooled
-//! `all_reduce_max` over [`HealthVerdict::encode`]. A bad verdict drives
-//! the very same recovery state machine — epoch bump, schedule rebuild
-//! in a shifted tag space, checkpoint rollback — with one deliberate
-//! difference in what happens to the guard state itself: a *fault*
-//! recovery restores [`GuardState`] from the checkpoint (so the replay
-//! re-derives the identical CFL schedule, keeping bit-for-bit
-//! composition with fault injection), while a *numeric* rollback keeps
-//! the freshly backed-off state (so repeated failures compound the
-//! backoff instead of livelocking on an identical replay).
+//! The solver-health guard (`DESIGN.md` §7) rolls back without a
+//! recovery epoch: after every cycle each rank scans its owned state,
+//! merges in the residual-divergence diagnosis, and the machine agrees
+//! on the worst verdict with one pooled `all_reduce_max` over
+//! [`HealthVerdict::encode`]. On a bad verdict every rank rejects the
+//! cycle through the serial driver's [`GuardLoop::reject`] and restores
+//! the newest checkpoint in place — every rank holds the same one, and
+//! no record is in flight once the reduction returns — keeping its
+//! schedules and windows. The backed-off guard state stays in memory;
+//! a *fault* recovery restores [`GuardState`] from the checkpoint, so
+//! the replay re-derives the identical CFL schedule and composes with
+//! fault injection bit for bit.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -88,8 +87,8 @@ pub struct FaultOptions {
     pub recv_timeout_ms: u64,
     /// The solver-health guard (`None` = unguarded): every cycle ends
     /// with a state/residual check and one pooled verdict agreement, and
-    /// a bad verdict backs the CFL off and rolls every rank back through
-    /// the recovery epochs faults use.
+    /// a bad verdict backs the CFL off and every rank restores the
+    /// newest checkpoint in place.
     pub guard: Option<GuardConfig>,
 }
 
@@ -206,7 +205,7 @@ impl CkStore {
         self.slots.iter().find(|s| s.cycle == Some(cycle))
     }
 
-    /// Drop any committed generation at exactly `cycle`. A numeric
+    /// Drop any committed generation at exactly `cycle`. A guard
     /// rollback replays the rollback cycle, which re-commits a
     /// checkpoint at the same cycle number but with an *updated* guard
     /// transcript; invalidating the stale twin first keeps `get`
@@ -275,11 +274,6 @@ impl CkStore {
 enum StepAction {
     /// Keep cycling.
     Continue,
-    /// The guard agreed on a bad verdict at this cycle: enter a
-    /// numeric-rollback recovery epoch. The backoff itself is applied
-    /// inside the epoch's rollback agreement (see [`commit_epoch`]), so
-    /// the detection cycle and verdict travel with the transition.
-    Numeric(usize, HealthVerdict),
     /// Done — the run completed, or the guard exhausted its retries
     /// (recorded in `LoopState::exhausted`; every rank agrees).
     Stop,
@@ -478,6 +472,7 @@ fn do_step(rank: &mut Rank, ctx: &Ctx, st: &mut LoopState) -> StepAction {
         cycle,
         history,
         cycle_allocs,
+        cks,
         guard,
         exhausted,
         ..
@@ -506,21 +501,24 @@ fn do_step(rank: &mut Rank, ctx: &Ctx, st: &mut LoopState) -> StepAction {
         s.counter.add_comm_since(Phase::Guard, rank, mark);
         let agreed = HealthVerdict::decode(enc);
         if agreed.is_bad() {
-            obs::emit(obs::Event::GuardVerdict {
-                cycle: c as u64,
-                severity: agreed.severity(),
-            });
-            // The failed cycle is discarded: neither its residual nor its
-            // alloc snapshot is recorded, and `cycle` does not advance.
-            // The backoff is NOT applied here: a peer that entered the
-            // epoch through an abort instead of this return value must
-            // end up with the identical guard state, so the application
-            // is deferred to the epoch's rollback agreement.
-            if gl.spent() {
+            // Every rank now holds the verdict and the same newest
+            // checkpoint, and no record is in flight: each restores that
+            // checkpoint in place, as the serial driver restores its
+            // snapshot. The schedules and windows stay.
+            let Some(to) = cks.latest() else {
+                unreachable!("a guarded run checkpoints before its first cycle")
+            };
+            if !gl.reject(c, agreed, to, history) {
                 *exhausted = Some((c, agreed));
                 return StepAction::Stop;
             }
-            return StepAction::Numeric(c, agreed);
+            let Some(ck) = cks.get(to) else {
+                unreachable!("the newest checkpoint is committed")
+            };
+            restore_from(s, &ck.w);
+            cycle_allocs.truncate(to);
+            *cycle = to;
+            return StepAction::Continue;
         }
         gl.keep(r);
     }
@@ -612,11 +610,10 @@ fn spawn_replica<'scope, 'env>(
 
 /// The collective core of a recovery epoch, run identically by survivors
 /// ([`do_recover`]) and freshly adopted replicas ([`do_join`]): max-reduce
-/// this instance's contribution `v` (element 0 the negated newest
-/// restorable cycle, elements 1..5 the piggybacked numeric verdict) and
-/// rebuild every schedule in the epoch's tag space. Returns the rebuilt
-/// solver, the agreed rollback cycle (`None` = restart from initial
-/// conditions) and the agreed numeric verdict, if any.
+/// this instance's contribution `v` (the negated newest restorable
+/// cycle) and rebuild every schedule in the epoch's tag space. Returns
+/// the rebuilt solver and the agreed rollback cycle (`None` = restart
+/// from initial conditions).
 ///
 /// The agreement runs BEFORE the rebuild: under repartitioning the
 /// agreed cycle selects which migration era's plan every instance
@@ -625,12 +622,14 @@ fn agree_and_rebuild(
     rank: &mut Rank,
     ctx: &Ctx,
     st: &mut LoopState,
-    mut v: [f64; 5],
-) -> (DistSolver, Option<usize>, Option<(usize, HealthVerdict)>) {
+    v: f64,
+) -> (DistSolver, Option<usize>) {
+    let mut v = [v];
     rank.all_reduce_max_in_place(&mut v);
+    let rollback = v[0].is_finite().then(|| -v[0] as usize);
     if let Some(pol) = ctx.opts.repartition {
-        let target = if v[0].is_finite() {
-            pol.era_of(-v[0] as usize)
+        let target = if let Some(c) = rollback {
+            pol.era_of(c)
         } else {
             0
         };
@@ -640,8 +639,7 @@ fn agree_and_rebuild(
     }
     let setup = st.era_setup.as_deref().unwrap_or(ctx.setup);
     let s = DistSolver::build_epoch(rank, setup, ctx.cfg, ctx.strategy, ctx.opts, rank.epoch());
-    let numeric = (v[1] > 0.0).then(|| (v[2] as usize, HealthVerdict::decode([v[3], v[4]])));
-    (s, v[0].is_finite().then(|| -v[0] as usize), numeric)
+    (s, rollback)
 }
 
 /// Enter recovery epoch `e`: abort peers, adopt newly dead partitions
@@ -649,20 +647,11 @@ fn agree_and_rebuild(
 /// space, agree on the rollback target, restore, and ship the agreed
 /// checkpoint (plus residual history and guard state) to replicas
 /// spawned here.
-///
-/// `verdict` is set when this instance entered the epoch through its
-/// own guard agreement (a numeric rollback). It is folded into the
-/// rollback-agreement reduction so that instances swept into the same
-/// epoch by a peer's abort — which never saw the verdict — apply the
-/// identical backoff: the guard state is always rebuilt from the
-/// checkpoint blob plus the *agreed* event, never from whichever
-/// in-memory state a given entry path happened to hold.
 fn do_recover<'scope, 'env>(
     rank: &mut Rank,
     ctx: &'scope Ctx<'scope>,
     st: &mut LoopState,
     e: u32,
-    verdict: Option<(usize, HealthVerdict)>,
     scope: &'scope Scope<'scope, 'env>,
     collector: &'scope Mutex<Vec<AdoptedOutput>>,
 ) {
@@ -694,22 +683,11 @@ fn do_recover<'scope, 'env>(
     // cycles. An instance with nothing to offer forces a restart from
     // initial conditions (+inf -> agreed = -inf); replicas spawned this
     // epoch contribute -inf (unconstraining) and get the result shipped.
-    // Elements 1..5 piggyback the numeric verdict (flag, detection
-    // cycle, encoded verdict): the max over ranks recovers it on every
-    // instance, whichever way each one entered the epoch.
-    let mut v = [f64::NEG_INFINITY; 5];
-    v[0] = match st.cks.latest() {
+    let v = match st.cks.latest() {
         Some(c) => -(c as f64),
         None => f64::INFINITY,
     };
-    if let Some((c, vd)) = verdict {
-        let enc = vd.encode();
-        v[1] = 1.0;
-        v[2] = c as f64;
-        v[3] = enc[0];
-        v[4] = enc[1];
-    }
-    let (s, rollback, numeric) = agree_and_rebuild(rank, ctx, st, v);
+    let (s, rollback) = agree_and_rebuild(rank, ctx, st, v);
     // Without a usable checkpoint anywhere the (deterministic) run
     // restarts from the freshly built initial state.
     let c = rollback.unwrap_or(0);
@@ -740,7 +718,7 @@ fn do_recover<'scope, 'env>(
             }
         }
     }
-    commit_epoch(rank, st, s, rollback, numeric, mark);
+    commit_epoch(rank, st, s, rollback, mark);
 }
 
 /// A freshly adopted replica joins the recovery epoch in progress:
@@ -755,8 +733,8 @@ fn do_join(rank: &mut Rank, ctx: &Ctx, st: &mut LoopState, host: usize) {
     // is installed.
     obs::pause();
     // The replica's contribution constrains nothing: it takes whatever
-    // rollback target and verdict the survivors agree on.
-    let (s, rollback, numeric) = agree_and_rebuild(rank, ctx, st, [f64::NEG_INFINITY; 5]);
+    // rollback target the survivors agree on.
+    let (s, rollback) = agree_and_rebuild(rank, ctx, st, f64::NEG_INFINITY);
     st.history.clear();
     if let Some(c) = rollback {
         let w = rank.consume_f64(host, s.ck_tag, <[f64]>::to_vec);
@@ -774,29 +752,22 @@ fn do_join(rank: &mut Rank, ctx: &Ctx, st: &mut LoopState, host: usize) {
     st.cycle_allocs.clear();
     st.cycle_allocs.resize(st.cycle, rank.counters.comm_allocs);
     st.setup_counters = Some(rank.counters.clone());
-    commit_epoch(rank, st, s, rollback, numeric, mark);
+    commit_epoch(rank, st, s, rollback, mark);
 }
 
 /// The tail of every recovery epoch, survivor's or replica's, once the
 /// rollback cycle is agreed: restore the rebuilt solver from its
-/// checkpoint, rebuild the guard and put the solver on the guard's CFL,
-/// rewind the paused lane to the checkpoint's mark (the origin without
-/// one) and record the epoch on the committed timeline, charge the
-/// epoch's traffic since `mark`, and install the solver.
-///
-/// The guard is rebuilt from the rollback checkpoint's blob, replaying
-/// the `on_clean` progression of the clean cycles between checkpoint and
-/// detection and — when the epoch carries an agreed bad verdict —
-/// applying the backoff. Every instance does this identically however it
-/// entered the epoch (its own verdict, a peer's abort arriving first, or
-/// a fresh adoption), which keeps the CFL schedule machine-wide uniform
-/// under any interleaving of numeric and fault recoveries.
+/// checkpoint, restore the guard from the checkpoint's blob and put the
+/// solver on its CFL, rewind the paused lane to the checkpoint's mark
+/// (the origin without one) and record the epoch on the committed
+/// timeline, charge the epoch's traffic since `mark`, and install the
+/// solver. Every instance restores the same blob however it entered the
+/// epoch, so the replay re-applies the same backoffs at the same cycles.
 fn commit_epoch(
     rank: &mut Rank,
     st: &mut LoopState,
     mut s: DistSolver,
     rollback: Option<usize>,
-    numeric: Option<(usize, HealthVerdict)>,
     mark: CommMark,
 ) {
     let ck = rollback.map(|c| {
@@ -810,12 +781,6 @@ fn commit_epoch(
         gl.gs = ck
             .and_then(|ck| GuardState::decode(&ck.guard, &gl.cfg))
             .unwrap_or_else(|| GuardState::new(gl.gs.ctl.target, &gl.cfg));
-        if let Some((detect, vd)) = numeric {
-            for _ in rollback.unwrap_or(0)..detect {
-                gl.gs.ctl.on_clean();
-            }
-            gl.gs.back_off(detect, rollback, vd);
-        }
         gl.monitor.rebuild(&st.history);
         s.cfg.cfl = gl.gs.ctl.current;
     }
@@ -823,20 +788,6 @@ fn commit_epoch(
     obs::resume();
     let epoch = rank.epoch();
     obs::emit(obs::Event::RecoveryBegin { epoch });
-    // A numeric epoch's verdict and CFL change were first emitted in
-    // rewound work or while recording was paused: record them again.
-    if let Some((c, vd)) = numeric {
-        obs::emit(obs::Event::GuardVerdict {
-            cycle: c as u64,
-            severity: vd.severity(),
-        });
-        if let Some(ev) = st.guard.as_ref().and_then(|gl| gl.gs.transcript.last()) {
-            obs::emit(obs::Event::CflChange {
-                from_bits: ev.cfl_before.to_bits(),
-                to_bits: ev.cfl_after.to_bits(),
-            });
-        }
-    }
     obs::emit(obs::Event::RecoveryEnd { epoch });
     if let Some(c) = rollback {
         st.cks.set_mark(c, obs::mark());
@@ -878,25 +829,20 @@ fn virtual_loop<'scope, 'env>(
             st.handled[d] = !rank.live(d);
         }
     }
-    // A pending recovery epoch, carrying the agreed verdict when it is
-    // a numeric (guard-initiated) rollback rather than a fault recovery.
-    let mut pending: Option<(u32, Option<(usize, HealthVerdict)>)> = None;
+    let mut pending: Option<u32> = None;
     let mut join = join_from;
-    // Recovery epochs before a fault plan counts as livelocking; numeric
-    // rollbacks consume epochs too, so the guard's retries come on top.
-    let backstop = ctx
-        .guard
-        .map_or(8, |g| (g.max_retries as u64).saturating_add(8));
+    // Recovery epochs before a fault plan counts as livelocking.
+    const BACKSTOP: u64 = 8;
     loop {
-        if pending.is_some() && rank.counters.recoveries >= backstop {
+        if pending.is_some() && rank.counters.recoveries >= BACKSTOP {
             panic!(
-                "virtual rank {} exceeded {backstop} recovery epochs: fault plan livelocks",
+                "virtual rank {} exceeded {BACKSTOP} recovery epochs: fault plan livelocks",
                 rank.id
             );
         }
         let res = catch_unwind(AssertUnwindSafe(|| {
-            if let Some((e, verdict)) = pending.take() {
-                do_recover(rank, ctx, &mut st, e, verdict, scope, collector);
+            if let Some(e) = pending.take() {
+                do_recover(rank, ctx, &mut st, e, scope, collector);
             } else if let Some(host) = join.take() {
                 do_join(rank, ctx, &mut st, host);
             } else if st.solver.is_none() {
@@ -918,15 +864,6 @@ fn virtual_loop<'scope, 'env>(
         match res {
             Ok(StepAction::Stop) => break,
             Ok(StepAction::Continue) => {}
-            Ok(StepAction::Numeric(c, vd)) => {
-                // Every rank agreed on the bad verdict through the
-                // pooled reduction; ranks that process the result before
-                // a peer's abort reaches them land here, the rest are
-                // swept in by the abort — the rollback agreement then
-                // redistributes the verdict so both entry paths apply
-                // the identical backoff.
-                pending = Some((rank.epoch() + 1, Some((c, vd))));
-            }
             Err(payload) => match payload.downcast::<FaultSignal>() {
                 Ok(sig) => match *sig {
                     FaultSignal::Killed => {
@@ -953,7 +890,7 @@ fn virtual_loop<'scope, 'env>(
                         };
                     }
                     FaultSignal::Recover { epoch, .. } => {
-                        pending = Some((epoch.max(rank.epoch() + 1), None));
+                        pending = Some(epoch.max(rank.epoch() + 1));
                     }
                 },
                 Err(other) => resume_unwind(other),
@@ -991,9 +928,10 @@ fn virtual_loop<'scope, 'env>(
 /// bit-identical residual history of the fault-free run. Under a guard
 /// ([`FaultOptions::guard`]), every cycle ends with a state/residual
 /// health check and one pooled verdict agreement; a bad verdict backs the
-/// CFL off and rolls every rank back through the same recovery epochs. A
-/// guarded run with no checkpoint cadence takes the guard's
-/// `snapshot_every`, so there is always a rollback target.
+/// CFL off and every rank restores the newest checkpoint in place, as the
+/// serial driver restores its snapshot. A guarded run with no checkpoint
+/// cadence takes the guard's `snapshot_every`, so there is always a
+/// rollback target.
 ///
 /// Fails on an invalid guard, on exhausted guard retries
 /// ([`SolverError::RetriesExhausted`], transcript included) and on a

@@ -108,9 +108,10 @@ pub struct DistOptions {
     pub backend: DistBackend,
     /// Stamp traced lanes with real wall time instead of the modeled
     /// clock — shows measured overlap in a hybrid run's trace; stamps are
-    /// not reproducible across runs, so goldens keep this off. It could
-    /// fold into `backend == Hybrid`, but `benchmark/` sets it on its
-    /// own, so it stays until that crate's next change.
+    /// not reproducible across runs, so goldens keep this off. It is not
+    /// `backend == Hybrid`: the CLI sets it only for a traced hybrid run,
+    /// and a hybrid job of the service keeps the modeled clock so that
+    /// its result hash reproduces.
     pub real_time_lanes: bool,
     /// Mid-run repartition-and-migrate policy (`None` = the partition is
     /// fixed for the whole run, the historical behaviour). Each era's

@@ -654,7 +654,7 @@ mod guard {
         //  * kill at cycle 2, before the guard trips at cycle 4 — fault
         //    rollback first, then the numeric backoff is re-detected
         //    during the replay;
-        //  * kill at cycle 7, after the backoff epoch — the cycle-5
+        //  * kill at cycle 7, after the backoff — the cycle-5
         //    checkpoint's guard blob (carrying the retry event and the
         //    backed-off CFL) must survive the fault rollback.
         let seq = stretched_seq();
@@ -665,15 +665,12 @@ mod guard {
         let oc = clean.guard_outcome().expect("outcome");
         assert_eq!(oc.transcript.len(), 1, "exactly one backoff epoch");
         for c in &clean.run.counters {
-            assert_eq!(c.recoveries, 1, "the numeric rollback is one epoch");
+            assert_eq!(c.recoveries, 0, "a guard rollback opens no epoch");
         }
 
-        // `host_epochs` is the adopting buddy's merged recovery count:
-        // its own two epochs plus, when the kill lands *before* the
-        // guard trips, the adopted replica's re-detected numeric epoch.
-        for (spec, victim, host_epochs, order) in [
-            ("kill:2@2+9", 2usize, 3u64, "kill before the guard trips"),
-            ("kill:1@7+9", 1usize, 2u64, "kill after the backoff epoch"),
+        for (spec, victim, order) in [
+            ("kill:2@2+9", 2usize, "kill before the guard trips"),
+            ("kill:1@7+9", 1usize, "kill after the backoff"),
         ] {
             let faulted = guarded(&setup, &killing_faults(spec, 4))
                 .unwrap_or_else(|e| panic!("{order}: guarded faulted run fails: {e}"));
@@ -723,33 +720,99 @@ mod guard {
                 "{order}: the same outcome, to the bit"
             );
 
-            // Survivors see both epochs: the numeric rollback and the
-            // fault recovery. The buddy hosting the replica (first live
-            // vid after the victim) additionally merges the replica's
-            // own epoch count.
-            let host = victim + 1;
+            // Survivors see one epoch, the fault recovery: the guard
+            // rollback opens none, and the replica merged into its
+            // hosting buddy joins that epoch without opening another.
             for (vid, c) in faulted.run.counters.iter().enumerate() {
-                if vid == victim {
-                    continue;
+                if vid != victim {
+                    assert_eq!(c.recoveries, 1, "{order}: rank {vid} epochs");
                 }
-                let want = if vid == host { host_epochs } else { 2 };
-                assert_eq!(c.recoveries, want, "{order}: rank {vid} epochs");
             }
+        }
+    }
+
+    #[test]
+    fn a_guard_rollback_restores_in_place_without_an_epoch() {
+        // The pooled reduction gives every rank the verdict and every
+        // rank holds the same newest checkpoint, so each restores it in
+        // place: no recovery epoch, no recovery traffic, and no second
+        // set of windows — the rejecting run allocates what a guarded
+        // run that never trips does.
+        use eul3d_obs as obs;
+
+        use crate::dist::DistBackend;
+        use crate::executor::Phase;
+
+        let setup = DistSetup::new(stretched_seq(), 4, 20, pseed());
+        for backend in [DistBackend::Delta, DistBackend::Hybrid] {
+            let run = |cfl: f64| {
+                let opts = DistOptions {
+                    backend,
+                    trace_capacity: Some(1 << 15),
+                    ..DistOptions::default()
+                };
+                let cfg = SolverConfig {
+                    cfl,
+                    ..aggressive_cfg()
+                };
+                run_distributed_with_faults(
+                    &setup,
+                    cfg,
+                    Strategy::VCycle,
+                    12,
+                    opts,
+                    &quiet_faults(),
+                )
+                .expect("guarded run completes")
+            };
+            let (tripped, calm) = (run(30.0), run(7.5));
+            let o = tripped.guard_outcome().expect("outcome");
+            assert_eq!(o.transcript.len(), 1, "{backend:?}: one backoff");
+            assert!(calm.guard_outcome().expect("outcome").transcript.is_empty());
+            for (vid, c) in tripped.run.counters.iter().enumerate() {
+                assert_eq!(c.recoveries, 0, "{backend:?} rank {vid}: epochs");
+            }
+            for (vid, p) in tripped.phase_counters().iter().enumerate() {
+                let msgs = p.comm_msgs[Phase::Recovery.index()];
+                assert_eq!(msgs, 0, "{backend:?} rank {vid}: recovery messages");
+            }
+            for lane in tripped.lanes() {
+                let has = |ev: fn(&obs::Event) -> bool| lane.events.iter().any(|s| ev(&s.ev));
+                let name = &lane.name;
+                assert!(
+                    !has(|e| matches!(e, obs::Event::RecoveryBegin { .. })),
+                    "{name}"
+                );
+                assert!(
+                    has(|e| matches!(e, obs::Event::GuardVerdict { .. })),
+                    "{name}"
+                );
+                assert!(has(|e| matches!(e, obs::Event::CflChange { .. })), "{name}");
+            }
+            let last = |r: &DistRunResult| -> Vec<u64> {
+                let allocs = r.run.results.iter().map(|o| o.cycle_allocs.last().copied());
+                allocs.map(|a| a.expect("12 cycles")).collect()
+            };
+            assert_eq!(
+                last(&tripped),
+                last(&calm),
+                "{backend:?}: fresh allocations"
+            );
         }
     }
 
     #[test]
     fn guarded_recovery_keeps_cycles_allocation_free() {
         // The zero-steady-state-allocation invariant survives both
-        // recovery kinds: after the numeric rollback (clean run) and
-        // after numeric + fault recovery (killed run), the per-cycle
+        // rollback kinds: after the guard rollback (clean run) and
+        // after guard + fault recovery (killed run), the per-cycle
         // allocation trace is flat over the tail of the run.
         let cycles = 12;
         let setup = DistSetup::new(stretched_seq(), 4, 20, pseed());
 
         for (fopts, label) in [
-            (quiet_faults(), "numeric rollback only"),
-            (killing_faults("kill:1@7+9", 4), "numeric + fault recovery"),
+            (quiet_faults(), "guard rollback only"),
+            (killing_faults("kill:1@7+9", 4), "guard + fault recovery"),
         ] {
             let r = guarded(&setup, &fopts).unwrap_or_else(|e| panic!("{label}: run fails: {e}"));
             let mut completed = 0;
@@ -1022,7 +1085,7 @@ mod hybrid {
 
     #[test]
     fn hybrid_guard_composes_bit_identically() {
-        // Guard × hybrid, with and without migrations: the numeric
+        // Guard × hybrid, with and without migrations: the guard
         // rollback path must reproduce the delta backend's guarded run
         // decision-for-decision, bit-for-bit and event-for-event.
         let spec = BumpSpec {

@@ -67,8 +67,9 @@ pub enum Phase {
     Checkpoint,
     /// Fault recovery: abort propagation, schedule rebuild, rollback.
     Recovery,
-    /// Solver-health guard: finite/positivity scans, divergence checks,
-    /// verdict agreement, and numeric rollback/backoff bookkeeping.
+    /// Solver-health guard: finite/positivity scans, divergence checks
+    /// and the verdict agreement. A rejected cycle's in-place restore
+    /// moves no data between ranks.
     Guard,
 }
 

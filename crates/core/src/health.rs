@@ -18,7 +18,7 @@
 //! * [`check_state`] — the finite/positivity scan over conserved
 //!   variables;
 //! * `GuardLoop` — guard state + monitor as both cycle loops drive them:
-//!   score a finished cycle, keep a clean one.
+//!   score a finished cycle, keep a clean one, reject a bad one.
 //!
 //! Drivers live elsewhere: [`crate::multigrid::MultigridSolver::run`]
 //! (with [`crate::multigrid::RunPlan::guard`] set) for the serial/shared
@@ -422,9 +422,9 @@ impl std::fmt::Display for RetryEvent {
 /// * **fault recovery** restores `GuardState` from the checkpoint so a
 ///   replayed rank re-applies the same backoffs at the same cycles —
 ///   bit-identical composition with fault injection;
-/// * **numeric rollback** deliberately does *not* restore it, so
-///   backoff compounds across attempts instead of livelocking on an
-///   identical replay.
+/// * **guard rollback** (`GuardLoop::reject`, every driver) keeps the
+///   in-memory state it just backed off, so backoff compounds across
+///   attempts instead of livelocking on an identical replay.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GuardState {
     pub ctl: CflController,
@@ -570,9 +570,30 @@ impl GuardLoop {
         self.gs.ctl.on_clean();
     }
 
-    /// Whether every retry is spent, so the next bad verdict ends the run.
-    pub(crate) fn spent(&self) -> bool {
-        self.gs.retries_used() >= self.cfg.max_retries
+    /// Reject cycle `cycle` on its bad `verdict`, the one rollback rule
+    /// of every driver. Emits the verdict; when every retry is spent
+    /// returns `false` and the run ends. Otherwise backs the CFL off,
+    /// truncates `history` to the `to` cycles the caller's snapshot
+    /// holds, rebuilds the divergence monitor over them and returns
+    /// `true`: the caller then restores its state to that snapshot.
+    pub(crate) fn reject(
+        &mut self,
+        cycle: usize,
+        verdict: HealthVerdict,
+        to: usize,
+        history: &mut Vec<f64>,
+    ) -> bool {
+        obs::emit(obs::Event::GuardVerdict {
+            cycle: cycle as u64,
+            severity: verdict.severity(),
+        });
+        if self.gs.retries_used() >= self.cfg.max_retries {
+            return false;
+        }
+        self.gs.back_off(cycle, Some(to), verdict);
+        history.truncate(to);
+        self.monitor.rebuild(history);
+        true
     }
 
     /// What the run reports; `exhausted` is the failure it gave up on.

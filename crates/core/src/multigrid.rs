@@ -8,7 +8,6 @@
 use eul3d_mesh::gen::bump_channel;
 use eul3d_mesh::par::map_levels;
 use eul3d_mesh::{MeshSequence, TetMesh};
-use eul3d_obs as obs;
 use eul3d_partition::coloring::color_edge_list;
 
 use crate::agglo::Agglomeration;
@@ -314,11 +313,7 @@ impl MultigridSolver {
                 let fine = &self.levels[0];
                 let verdict = gl.score(self.cfg.gamma, &fine.w, fine.n, r, &mut self.counter);
                 if verdict.is_bad() {
-                    obs::emit(obs::Event::GuardVerdict {
-                        cycle: c as u64,
-                        severity: verdict.severity(),
-                    });
-                    if gl.spent() {
+                    if !gl.reject(c, verdict, *snap_cycle, &mut history) {
                         self.cfg.cfl = target_cfl;
                         return Err(SolverError::RetriesExhausted {
                             cycle: c,
@@ -327,10 +322,7 @@ impl MultigridSolver {
                             max_retries: gl.cfg.max_retries,
                         });
                     }
-                    gl.gs.back_off(c, Some(*snap_cycle), verdict);
                     self.levels[0].w.copy_from(snap_w);
-                    history.truncate(*snap_cycle);
-                    gl.monitor.rebuild(&history);
                     continue;
                 }
                 gl.keep(r);

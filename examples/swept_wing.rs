@@ -30,7 +30,11 @@ fn main() {
     );
 
     // The paper's freestream: M∞ = 0.768, α = 1.116°.
-    let cfg = SolverConfig::paper_case();
+    let cfg = SolverConfig {
+        mach: 0.768,
+        alpha_deg: 1.116,
+        ..SolverConfig::default()
+    };
     let mut mg = MultigridSolver::new(seq, cfg, Strategy::WCycle);
     let hist = mg.solve(100);
     println!(

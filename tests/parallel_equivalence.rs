@@ -318,6 +318,13 @@ fn guarded_migrating_hybrid_run_gives_the_channel_bits_and_transcript() {
         "hybrid vs delta: history bits and guard outcome"
     );
     assert_same_lanes(&delta, &hybrid, "guarded migrating run");
+    // A migration and a guard rollback are both silent: neither opens a
+    // recovery epoch.
+    for (what, r) in [("delta", &delta), ("hybrid", &hybrid)] {
+        for (id, c) in r.run.counters.iter().enumerate() {
+            assert_eq!(c.recoveries, 0, "{what} rank {id}: recovery epochs");
+        }
+    }
 }
 
 /// The tier-1 slice of the fault layer: every record fault the plan
