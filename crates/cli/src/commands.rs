@@ -223,6 +223,7 @@ pub fn solve(a: &Args) -> Result<(), String> {
         cycles: start + cycles,
         guard: guard.as_ref(),
         resume,
+        checkpoint_every: rc.checkpoint_every,
         durability: None,
     };
     let (hist, outcome) = mg.run(plan, &mut |_, _| {}).map_err(|e| e.to_string())?;

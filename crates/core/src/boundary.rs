@@ -203,7 +203,7 @@ mod tests {
         let fs = Freestream::new(GAMMA, 0.675, 1.5);
         let w = uniform_state(n, &fs);
         let mut p = vec![0.0; n];
-        SerialExecutor.for_vertex_spans(n, &mut [&mut p], |r, s| {
+        SerialExecutor.for_vertex_range(0..n, &mut [&mut p], |r, s| {
             // SAFETY: single-threaded; `w` holds 5n values, `p` holds n.
             unsafe { eul3d_kernels::pressure_verts(r, GAMMA, w.flat(), n, s) }
         });

@@ -7,12 +7,11 @@ use eul3d_obs as obs;
 use eul3d_parti::{localize, Schedule, Translation};
 use eul3d_partition::{PartitionedMesh, RankMesh};
 
-use std::ops::Range;
 use std::sync::Arc;
 
 use crate::config::SolverConfig;
 use crate::counters::{CommMark, PhaseCounters};
-use crate::executor::{EdgeSpan, Executor, HaloOp, Phase, ScatterAccess};
+use crate::executor::{Executor, HaloOp, Phase};
 use crate::gas::NVAR;
 use crate::level::LevelState;
 use crate::soa::SoaState;
@@ -37,26 +36,43 @@ pub struct DistExecutor<'a> {
 }
 
 impl DistExecutor<'_> {
-    /// Run `f` against the rank and charge the message/byte/allocation
-    /// delta it produced to `phase`, wrapped in an observability phase
-    /// span (the enclosed sends advance the lane clock, giving the span
-    /// its modeled wire duration).
-    fn charged<R>(
+    /// The one exchange body: the `(begin, finish)` halves of `op` on
+    /// the halo schedule (a whole exchange runs both), in one
+    /// observability phase span — the enclosed sends advance the lane
+    /// clock, giving the span its modeled wire duration — with the
+    /// message/byte/allocation delta charged to `phase`.
+    fn exchange(
         &mut self,
+        (begin, finish): (bool, bool),
         phase: Phase,
+        op: HaloOp,
+        data: &mut [f64],
+        stride: usize,
         counters: &mut PhaseCounters,
-        f: impl FnOnce(&mut Rank) -> R,
-    ) -> R {
-        let mark = CommMark::of(self.rank);
-        obs::emit(obs::Event::PhaseBegin {
-            phase: phase.index() as u8,
-        });
-        let out = f(self.rank);
-        obs::emit(obs::Event::PhaseEnd {
-            phase: phase.index() as u8,
-        });
-        counters.add_comm_since(phase, self.rank, mark);
-        out
+    ) {
+        let (halo, rank, at) = (self.halo, &mut *self.rank, (1, data.len() / stride));
+        let (mark, p) = (CommMark::of(rank), phase.index() as u8);
+        obs::emit(obs::Event::PhaseBegin { phase: p });
+        match op {
+            HaloOp::Gather => {
+                if begin {
+                    halo.gather_begin(rank, data, stride, at);
+                }
+                if finish {
+                    halo.gather_finish(rank, data, stride, at);
+                }
+            }
+            HaloOp::ScatterAdd => {
+                if begin {
+                    halo.scatter_add_begin(rank, data, stride, at);
+                }
+                if finish {
+                    halo.scatter_add_finish(rank, data, stride, at);
+                }
+            }
+        }
+        obs::emit(obs::Event::PhaseEnd { phase: p });
+        counters.add_comm_since(phase, rank, mark);
     }
 }
 
@@ -77,22 +93,6 @@ impl Executor for DistExecutor<'_> {
         }
     }
 
-    fn for_edge_spans<F>(&mut self, nedges: usize, targets: &mut [&mut [f64]], f: F)
-    where
-        F: Fn(&EdgeSpan<'_>, &ScatterAccess) + Sync,
-    {
-        let access = ScatterAccess::new(targets);
-        f(&EdgeSpan::Range(0..nedges), &access);
-    }
-
-    fn for_vertex_spans<F>(&mut self, nverts: usize, targets: &mut [&mut [f64]], f: F)
-    where
-        F: Fn(Range<usize>, &ScatterAccess) + Sync,
-    {
-        let access = ScatterAccess::new(targets);
-        f(0..nverts, &access);
-    }
-
     fn exchange_halo(
         &mut self,
         phase: Phase,
@@ -101,11 +101,7 @@ impl Executor for DistExecutor<'_> {
         stride: usize,
         counters: &mut PhaseCounters,
     ) {
-        let halo = self.halo;
-        self.charged(phase, counters, |rank| match op {
-            HaloOp::Gather => halo.gather_planes(rank, data, stride),
-            HaloOp::ScatterAdd => halo.scatter_add_planes(rank, data, stride),
-        });
+        self.exchange((true, true), phase, op, data, stride, counters);
     }
 
     fn exchange_begin(
@@ -116,11 +112,7 @@ impl Executor for DistExecutor<'_> {
         stride: usize,
         counters: &mut PhaseCounters,
     ) {
-        let (halo, at) = (self.halo, (1, data.len() / stride));
-        self.charged(phase, counters, |rank| match op {
-            HaloOp::Gather => halo.gather_begin(rank, data, stride, at),
-            HaloOp::ScatterAdd => halo.scatter_add_begin(rank, data, stride, at),
-        });
+        self.exchange((true, false), phase, op, data, stride, counters);
     }
 
     fn exchange_finish(
@@ -131,15 +123,7 @@ impl Executor for DistExecutor<'_> {
         stride: usize,
         counters: &mut PhaseCounters,
     ) {
-        let (halo, at) = (self.halo, (1, data.len() / stride));
-        self.charged(phase, counters, |rank| match op {
-            HaloOp::Gather => halo.gather_finish(rank, data, stride, at),
-            HaloOp::ScatterAdd => halo.scatter_add_finish(rank, data, stride, at),
-        });
-    }
-
-    fn comm_cost(&self) -> eul3d_delta::CostModel {
-        self.rank.cost_model()
+        self.exchange((false, true), phase, op, data, stride, counters);
     }
 }
 

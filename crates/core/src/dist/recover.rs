@@ -58,7 +58,7 @@ use crate::counters::{CommMark, PhaseCounters};
 use crate::error::{Eul3dError, SolverError};
 use crate::executor::Phase;
 use crate::gas::NVAR;
-use crate::health::{GuardConfig, GuardLoop, GuardState, HealthVerdict};
+use crate::health::{rollback_every, GuardConfig, GuardLoop, GuardState, HealthVerdict};
 use crate::multigrid::Strategy;
 use crate::runconfig::RunConfig;
 
@@ -76,10 +76,10 @@ pub struct FaultOptions {
     /// The machine-wide fault plan (shared; each rank evaluates only the
     /// events it originates).
     pub plan: Arc<FaultPlan>,
-    /// Checkpoint cadence in cycles (0 = never, or the guard's
-    /// `snapshot_every` on a guarded run). A cadence of `k` also
-    /// snapshots the initial state before cycle 1, so there is always a
-    /// rollback target once the first commit lands.
+    /// Checkpoint cadence in cycles (0 = never, or
+    /// [`crate::health::rollback_every`]'s 5 on a guarded run). A
+    /// cadence of `k` also snapshots the initial state before cycle 1,
+    /// so there is always a rollback target once the first commit lands.
     pub checkpoint_every: usize,
     /// Bounded wait used to detect silently lost messages and window
     /// records. Simulation wall-clock, not cost-model time; only armed
@@ -831,14 +831,15 @@ fn virtual_loop<'scope, 'env>(
     }
     let mut pending: Option<u32> = None;
     let mut join = join_from;
-    // Recovery epochs before a fault plan counts as livelocking.
+    // Recovery epochs before a fault plan counts as livelocking; the
+    // typed unwind reaches the caller as an error, as a wedge does.
     const BACKSTOP: u64 = 8;
     loop {
         if pending.is_some() && rank.counters.recoveries >= BACKSTOP {
-            panic!(
-                "virtual rank {} exceeded {BACKSTOP} recovery epochs: fault plan livelocks",
-                rank.id
-            );
+            std::panic::panic_any(DeltaError::RecoveryLivelock {
+                rank: rank.id,
+                epochs: BACKSTOP,
+            });
         }
         let res = catch_unwind(AssertUnwindSafe(|| {
             if let Some(e) = pending.take() {
@@ -929,14 +930,16 @@ fn virtual_loop<'scope, 'env>(
 /// ([`FaultOptions::guard`]), every cycle ends with a state/residual
 /// health check and one pooled verdict agreement; a bad verdict backs the
 /// CFL off and every rank restores the newest checkpoint in place, as the
-/// serial driver restores its snapshot. A guarded run with no checkpoint
-/// cadence takes the guard's `snapshot_every`, so there is always a
-/// rollback target.
+/// serial driver restores its snapshot. A guarded run checkpoints every
+/// [`rollback_every`] cycles, the serial driver's snapshot cadence, so
+/// there is always a rollback target and both drivers roll back to the
+/// same cycle.
 ///
 /// Fails on an invalid guard, on exhausted guard retries
 /// ([`SolverError::RetriesExhausted`], transcript included) and on a
-/// typed rank failure such as a wedged shared-memory window
-/// ([`Eul3dError::Delta`]); any other rank panic keeps unwinding.
+/// typed rank failure — a wedged shared-memory window, a fault plan
+/// that livelocks recovery ([`Eul3dError::Delta`]); any other rank panic
+/// keeps unwinding.
 pub fn run_distributed_with_faults(
     setup: &DistSetup,
     cfg: SolverConfig,
@@ -948,9 +951,7 @@ pub fn run_distributed_with_faults(
     let mut checkpoint_every = fopts.checkpoint_every;
     if let Some(g) = &fopts.guard {
         g.validate()?;
-        if checkpoint_every == 0 {
-            checkpoint_every = g.snapshot_every;
-        }
+        checkpoint_every = rollback_every(checkpoint_every);
     }
     let ctx = Ctx {
         setup,

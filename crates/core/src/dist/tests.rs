@@ -558,7 +558,7 @@ mod guard {
 
     /// Fault-free, guarded options with a receive window large enough
     /// that detection rests purely on death notices — no timeout epochs.
-    /// No checkpoint cadence: the guard's `snapshot_every` takes over.
+    /// No checkpoint cadence: [`crate::health::rollback_every`]'s 5.
     fn quiet_faults() -> FaultOptions {
         FaultOptions {
             recv_timeout_ms: 60_000,

@@ -5,18 +5,23 @@
 //!
 //! The five-stage Runge–Kutta step, residual assembly, dissipation,
 //! convection and smoothing in [`crate::level`] are written **once**,
-//! generic over an [`Executor`] that provides the four capabilities the
-//! kernels actually need:
+//! generic over an [`Executor`]. Every method has a default — the
+//! sequential reference, so [`SerialExecutor`] overrides nothing — and a
+//! backend overrides only what it varies:
 //!
-//! * [`Executor::for_edge_spans`] — an ownership-managed edge loop
-//!   handing each kernel invocation an [`EdgeSpan`] (a contiguous range,
-//!   or the list of edges touching one owner's vertex block) plus
-//!   scatter-add access to the per-vertex planes it owns
-//!   ([`Executor::for_face_spans`]: the same for boundary faces);
-//! * [`Executor::for_vertex_spans`] — an owned-index-range vertex map
-//!   over plane-major targets;
-//! * [`Executor::exchange_halo`] — ghost coherence (a no-op in a single
-//!   address space, a PARTI gather/scatter-add on the distributed path).
+//! | method | serial | shared | distributed |
+//! |---|---|---|---|
+//! | [`owned`](Executor::owned) — authoritative prefix | all | all | owned slots |
+//! | [`edge_launches`](Executor::edge_launches) — C90 launches | 1 | colours | 1 |
+//! | [`refetch`](Executor::refetch) — §4.3 ablation | no-op | no-op | gather |
+//! | [`for_edge_spans`](Executor::for_edge_spans) | one span | member lists | one span |
+//! | [`for_face_spans`](Executor::for_face_spans) | one span | member lists | one span |
+//! | [`for_vertex_range`](Executor::for_vertex_range) | one span | member blocks | one span |
+//! | [`exchange_halo`](Executor::exchange_halo), [`exchange_begin`](Executor::exchange_begin), [`exchange_finish`](Executor::exchange_finish) | no-op | no-op | PARTI windows |
+//!
+//! Every backend's modeled time is priced by the one Delta cost model
+//! ([`eul3d_delta::CostModel::delta_i860`]) in [`count_edge_loop`] and
+//! [`count_vertex_loop`].
 //!
 //! Backends:
 //! * [`SerialExecutor`] — plain loops (the sequential reference);
@@ -29,6 +34,7 @@
 
 use std::ops::Range;
 
+use eul3d_delta::CostModel;
 use eul3d_obs as obs;
 
 pub use eul3d_kernels::{EdgeSpan, ScatterAccess, MAX_SCATTER_TARGETS};
@@ -192,7 +198,11 @@ pub trait Executor {
     /// [`eul3d_kernels`] edge kernels and must write nothing else.
     fn for_edge_spans<F>(&mut self, nedges: usize, targets: &mut [&mut [f64]], f: F)
     where
-        F: Fn(&EdgeSpan<'_>, &ScatterAccess) + Sync;
+        F: Fn(&EdgeSpan<'_>, &ScatterAccess) + Sync,
+    {
+        let access = ScatterAccess::new(targets);
+        f(&EdgeSpan::Range(0..nedges), &access);
+    }
 
     /// Boundary-face loop: call `f(span, scatter)` for one or more face
     /// spans such that every vertex of every face in `0..nfaces` is
@@ -209,14 +219,20 @@ pub trait Executor {
         f(&EdgeSpan::Range(0..nfaces), &access);
     }
 
-    /// Vertex map over owned index ranges: call `f(range, scatter)` for
-    /// one or more disjoint sub-ranges that together cover `0..nverts`
-    /// exactly once. `f` writes per-vertex results into the plane-major
-    /// `targets` through [`ScatterAccess::set`] and may read any
-    /// captured shared state.
-    fn for_vertex_spans<F>(&mut self, nverts: usize, targets: &mut [&mut [f64]], f: F)
+    /// Vertex map over `range` (`0..n`, the owned prefix, or the ghost
+    /// tail `owned..n` a split loop finishes after its gather): call
+    /// `f(r, scatter)` for disjoint sub-ranges that together cover
+    /// `range` exactly once. `f` writes per-vertex results into the
+    /// plane-major `targets` through [`ScatterAccess::set`] and may read
+    /// any captured shared state. Default: one span; the shared backend
+    /// hands each member one block.
+    fn for_vertex_range<F>(&mut self, range: Range<usize>, targets: &mut [&mut [f64]], f: F)
     where
-        F: Fn(Range<usize>, &ScatterAccess) + Sync;
+        F: Fn(Range<usize>, &ScatterAccess) + Sync,
+    {
+        let access = ScatterAccess::new(targets);
+        f(range, &access);
+    }
 
     /// Ghost exchange on a plane-major per-vertex array (`stride`
     /// planes of `data.len() / stride` values each; `stride == 1` for
@@ -225,12 +241,13 @@ pub trait Executor {
     /// `phase`.
     fn exchange_halo(
         &mut self,
-        phase: Phase,
-        op: HaloOp,
-        data: &mut [f64],
-        stride: usize,
-        counters: &mut PhaseCounters,
-    );
+        _phase: Phase,
+        _op: HaloOp,
+        _data: &mut [f64],
+        _stride: usize,
+        _counters: &mut PhaseCounters,
+    ) {
+    }
 
     /// Begin a split halo exchange: initiate the outgoing half so that
     /// independent interior work can run before [`Executor::exchange_finish`]
@@ -271,61 +288,13 @@ pub trait Executor {
         _counters: &mut PhaseCounters,
     ) {
     }
-
-    /// The cost model pricing this execution's modeled time (the
-    /// pluggable `CommCost` seam — see [`eul3d_delta::cost::CommCost`]).
-    /// The hybrid backend reports real wall time *alongside* the modeled
-    /// Delta clock this model keeps alive.
-    fn comm_cost(&self) -> eul3d_delta::CostModel {
-        eul3d_delta::CostModel::delta_i860()
-    }
-
-    /// Vertex map over an arbitrary sub-range `range` (not necessarily
-    /// starting at zero): call `f(r, scatter)` for disjoint sub-ranges
-    /// covering `range` exactly once. Used for loops split at the
-    /// owned/ghost boundary so ghost work can run after a gather
-    /// finishes while the owned part overlapped it. Default: one span;
-    /// the shared backend chunks it over its pool.
-    fn for_vertex_range<F>(&mut self, range: Range<usize>, targets: &mut [&mut [f64]], f: F)
-    where
-        F: Fn(Range<usize>, &ScatterAccess) + Sync,
-    {
-        let access = ScatterAccess::new(targets);
-        f(range, &access);
-    }
 }
 
 /// The sequential reference backend: plain loops, nothing to exchange.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SerialExecutor;
 
-impl Executor for SerialExecutor {
-    fn for_edge_spans<F>(&mut self, nedges: usize, targets: &mut [&mut [f64]], f: F)
-    where
-        F: Fn(&EdgeSpan<'_>, &ScatterAccess) + Sync,
-    {
-        let access = ScatterAccess::new(targets);
-        f(&EdgeSpan::Range(0..nedges), &access);
-    }
-
-    fn for_vertex_spans<F>(&mut self, nverts: usize, targets: &mut [&mut [f64]], f: F)
-    where
-        F: Fn(Range<usize>, &ScatterAccess) + Sync,
-    {
-        let access = ScatterAccess::new(targets);
-        f(0..nverts, &access);
-    }
-
-    fn exchange_halo(
-        &mut self,
-        _phase: Phase,
-        _op: HaloOp,
-        _data: &mut [f64],
-        _stride: usize,
-        _counters: &mut PhaseCounters,
-    ) {
-    }
-}
+impl Executor for SerialExecutor {}
 
 /// Charge an edge loop of `nedges` edges to `phase`: uniform flop count
 /// (`nedges × per_edge` — identical across backends for the same global
@@ -343,36 +312,17 @@ pub fn count_edge_loop<E: Executor + ?Sized>(
     let c: &mut FlopCounter = counters.phase(phase);
     c.flops += flops;
     c.launches += exec.edge_launches();
-    obs::span_ns(phase.index() as u8, exec.comm_cost().comp_ns(flops));
+    obs::span_ns(phase.index() as u8, CostModel::delta_i860().comp_ns(flops));
 }
 
-/// Charge a vertex loop of `items` vertices to `phase` (with the same
-/// observability span as [`count_edge_loop`]), priced by the default
-/// Delta cost model.
+/// Charge a vertex loop of `items` vertices to `phase`, with the same
+/// observability span as [`count_edge_loop`].
 pub fn count_vertex_loop(counters: &mut PhaseCounters, phase: Phase, items: usize, per_vert: f64) {
-    count_vertex_loop_with(
-        counters,
-        phase,
-        items,
-        per_vert,
-        &eul3d_delta::CostModel::delta_i860(),
-    );
-}
-
-/// [`count_vertex_loop`] priced by an explicit cost model (the executor
-/// seam: callers holding an [`Executor`] pass `&exec.comm_cost()`).
-pub fn count_vertex_loop_with(
-    counters: &mut PhaseCounters,
-    phase: Phase,
-    items: usize,
-    per_vert: f64,
-    cost: &eul3d_delta::CostModel,
-) {
     let flops = items as f64 * per_vert;
     let c = counters.phase(phase);
     c.flops += flops;
     c.launches += 1;
-    obs::span_ns(phase.index() as u8, cost.comp_ns(flops));
+    obs::span_ns(phase.index() as u8, CostModel::delta_i860().comp_ns(flops));
 }
 
 #[cfg(test)]
@@ -398,9 +348,9 @@ mod tests {
     }
 
     #[test]
-    fn serial_executor_vertex_spans_cover_range() {
+    fn serial_executor_vertex_range_covers_range() {
         let mut plane = vec![0.0; 3];
-        SerialExecutor.for_vertex_spans(3, &mut [&mut plane], |range, s| {
+        SerialExecutor.for_vertex_range(0..3, &mut [&mut plane], |range, s| {
             for i in range {
                 // SAFETY: single-threaded execution.
                 unsafe { s.set(0, i, i as f64) };

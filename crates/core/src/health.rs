@@ -175,10 +175,6 @@ pub struct GuardConfig {
     /// Consecutive clean cycles before one re-ramp step toward the
     /// target CFL.
     pub reramp_after: usize,
-    /// Rollback-snapshot cadence for the serial/shared drivers; the
-    /// distributed driver's checkpoint cadence when its fault options
-    /// set none.
-    pub snapshot_every: usize,
 }
 
 impl Default for GuardConfig {
@@ -189,7 +185,6 @@ impl Default for GuardConfig {
             window: 8,
             divergence_ratio: 50.0,
             reramp_after: 10,
-            snapshot_every: 5,
         }
     }
 }
@@ -212,7 +207,6 @@ impl GuardConfig {
         for (field, n) in [
             ("guard.max_retries", self.max_retries),
             ("guard.window", self.window),
-            ("guard.snapshot_every", self.snapshot_every),
             ("guard.reramp_after", self.reramp_after),
         ] {
             if n == 0 {
@@ -227,6 +221,17 @@ impl GuardConfig {
             );
         }
         Ok(())
+    }
+}
+
+/// A guarded run's rollback cadence in cycles: its `checkpoint_every`,
+/// or 5 without checkpoints. The serial driver snapshots and the
+/// distributed one checkpoints at it, so both roll back to one cycle.
+pub fn rollback_every(checkpoint_every: usize) -> usize {
+    if checkpoint_every == 0 {
+        5
+    } else {
+        checkpoint_every
     }
 }
 
@@ -781,13 +786,6 @@ mod tests {
                 "guard.max_retries",
             ),
             (GuardConfig { window: 0, ..d }, "guard.window"),
-            (
-                GuardConfig {
-                    snapshot_every: 0,
-                    ..d
-                },
-                "guard.snapshot_every",
-            ),
             (
                 GuardConfig {
                     reramp_after: 0,

@@ -353,10 +353,11 @@ fn run_solve_job(
         cycles: rc.cycles,
         guard: rc.guard.as_ref(),
         resume: None,
+        checkpoint_every: rc.checkpoint_every,
         // The one policy: no sink under a guard or a trace.
         durability: durability
             .filter(|_| rc.guard.is_none() && !rc.trace.enabled)
-            .map(|sink| (sink as &mut dyn DurabilitySink, rc.checkpoint_every)),
+            .map(|sink| sink as &mut dyn DurabilitySink),
     };
     let (history, guard) = mg.run(plan, &mut |c, r| {
         on_cycle(c as u64, r);

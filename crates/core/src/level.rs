@@ -12,8 +12,8 @@
 //! The hot per-vertex fields live in plane-major [`SoaState`] arrays and
 //! the loops call the kernels of [`eul3d_kernels`]: lane-chunked edge
 //! scatters through [`Executor::for_edge_spans`] where an edge quantity
-//! is computed once and used twice, vertex gathers through
-//! [`Executor::for_vertex_spans`] and the level's adjacency
+//! is computed once and used twice, vertex maps and gathers through
+//! [`Executor::for_vertex_range`] and the level's adjacency
 //! ([`LevelState::adj`]) for the two pure neighbour sums (residual
 //! averaging, JST pass 1) — see that crate's docs for the
 //! bit-equivalence contract that keeps all three backends producing the
@@ -37,8 +37,7 @@ use crate::counters::{
     FLOPS_SMOOTH_EDGE, FLOPS_SMOOTH_VERT, FLOPS_UPDATE_VERT,
 };
 use crate::executor::{
-    count_edge_loop, count_vertex_loop, count_vertex_loop_with, Executor, HaloOp, Phase,
-    MAX_SCATTER_TARGETS,
+    count_edge_loop, count_vertex_loop, Executor, HaloOp, Phase, MAX_SCATTER_TARGETS,
 };
 use crate::gas::NVAR;
 use crate::smooth::degrees_from_edges;
@@ -251,7 +250,7 @@ pub fn compute_pressures_exec<E: Executor + ?Sized>(
 ) {
     let owned = exec.owned(st.n);
     let (n, w) = (st.n, &st.w);
-    exec.for_vertex_spans(st.n, &mut [&mut st.p[..]], |range, s| {
+    exec.for_vertex_range(0..st.n, &mut [&mut st.p[..]], |range, s| {
         // SAFETY: plane sizes match, ranges are disjoint (executor
         // contract).
         unsafe { kn::pressure_verts(range, gamma, w.flat(), n, s) }
@@ -282,7 +281,6 @@ fn gather_flow_and_pressures<E: Executor + ?Sized>(
         NVAR,
         counters,
     );
-    let cost = exec.comm_cost();
     let n = st.n;
     {
         let w = &st.w;
@@ -292,7 +290,7 @@ fn gather_flow_and_pressures<E: Executor + ?Sized>(
             unsafe { kn::pressure_verts(range, gamma, w.flat(), n, s) }
         });
     }
-    count_vertex_loop_with(counters, Phase::Pressure, owned, FLOPS_PRESSURE_VERT, &cost);
+    count_vertex_loop(counters, Phase::Pressure, owned, FLOPS_PRESSURE_VERT);
     exec.exchange_finish(
         Phase::Exchange,
         HaloOp::Gather,
@@ -412,7 +410,7 @@ fn jst_pass1<E: Executor + ?Sized>(
     {
         let (w, p, adj) = (&st.w, &st.p, &st.adj);
         let (lapl, sens) = (st.lapl.flat_mut(), st.r0.planes_mut(LevelState::SENS));
-        exec.for_vertex_spans(n, &mut [lapl, sens], |range, s| {
+        exec.for_vertex_range(0..n, &mut [lapl, sens], |range, s| {
             // SAFETY: disjoint ranges (executor contract); `adj` was
             // built over these `n` slots from the level's edge list.
             unsafe { kn::jst_gather_verts(range, adj, w.flat(), p, n, s) }
@@ -445,7 +443,7 @@ fn jst_pass1<E: Executor + ?Sized>(
     {
         let owned = exec.owned(st.n);
         let sens = st.r0.planes(LevelState::SENS);
-        exec.for_vertex_spans(owned, &mut [&mut st.nu[..]], |range, s| {
+        exec.for_vertex_range(0..owned, &mut [&mut st.nu[..]], |range, s| {
             // SAFETY: disjoint ranges (executor contract).
             unsafe { kn::sensor_verts(range, sens, n, s) }
         });
@@ -567,7 +565,7 @@ fn eval_flow<G: SolverGrid + ?Sized, E: Executor + ?Sized>(
         {
             let vol = mesh.grid_vol();
             let (lam, cfl) = (st.r0.plane(LevelState::LAM), cfg.cfl);
-            exec.for_vertex_spans(owned, &mut [&mut st.dt[..]], |range, s| {
+            exec.for_vertex_range(0..owned, &mut [&mut st.dt[..]], |range, s| {
                 // SAFETY: disjoint ranges (executor contract).
                 unsafe { kn::local_dt_verts(range, cfl, vol, lam, s) }
             });
@@ -647,7 +645,7 @@ fn assemble_baseline<E: Executor + ?Sized>(
     let owned = exec.owned(st.n);
     let n = st.n;
     let (q, diss, forcing) = (&st.res, &st.diss, &st.forcing);
-    exec.for_vertex_spans(owned, &mut [st.r0.flat_mut()], |range, s| {
+    exec.for_vertex_range(0..owned, &mut [st.r0.flat_mut()], |range, s| {
         // SAFETY: disjoint ranges (executor contract).
         unsafe { kn::assemble_verts(range, q.flat(), diss.flat(), forcing.flat(), n, s) }
     });
@@ -711,7 +709,7 @@ pub fn smooth_residual<G: SolverGrid + ?Sized, E: Executor + ?Sized>(
         // charged as the edge loop the paper's machines run.
         {
             let (src, adj) = (&*src, &st.adj);
-            exec.for_vertex_spans(n, &mut [st.lapl.flat_mut()], |range, s| {
+            exec.for_vertex_range(0..n, &mut [st.lapl.flat_mut()], |range, s| {
                 // SAFETY: disjoint ranges (executor contract); `adj` was
                 // built over these `n` slots from the level's edge list.
                 unsafe { kn::neighbour_sum_verts(range, adj, src.flat(), n, s) }
@@ -733,7 +731,7 @@ pub fn smooth_residual<G: SolverGrid + ?Sized, E: Executor + ?Sized>(
         );
         {
             let (r0, acc, deg) = (&st.r0, &st.lapl, &st.deg);
-            exec.for_vertex_spans(owned, &mut [st.res.flat_mut()], |range, s| {
+            exec.for_vertex_range(0..owned, &mut [st.res.flat_mut()], |range, s| {
                 // SAFETY: disjoint ranges (executor contract).
                 unsafe { kn::smooth_update_verts(range, r0.flat(), acc.flat(), deg, eps, n, s) }
             });
@@ -807,7 +805,7 @@ pub fn time_step<G: SolverGrid + ?Sized, E: Executor + ?Sized>(
         {
             let vol = mesh.grid_vol();
             let (w0, res, dt) = (&st.w0, &st.res, &st.dt);
-            exec.for_vertex_spans(owned, &mut [st.w.flat_mut()], |range, s| {
+            exec.for_vertex_range(0..owned, &mut [st.w.flat_mut()], |range, s| {
                 // SAFETY: disjoint ranges (executor contract).
                 unsafe { kn::rk_update_verts(range, alpha, w0.flat(), res.flat(), dt, vol, n, s) }
             });

@@ -18,7 +18,7 @@ use crate::error::{Eul3dError, SolverError};
 use crate::executor::{count_vertex_loop, Executor, Phase, SerialExecutor};
 use crate::fas::{self, Hierarchy};
 use crate::gas::NVAR;
-use crate::health::{GuardConfig, GuardLoop, GuardOutcome};
+use crate::health::{rollback_every, GuardConfig, GuardLoop, GuardOutcome};
 use crate::level::{eval_total_residual, time_step, LevelState, SolverGrid};
 use crate::runconfig::RunConfig;
 use crate::shared::{self, SharedExecutor};
@@ -119,7 +119,7 @@ pub struct RunPlan<'a> {
     /// The solver-health guard: after every cycle the fine state is
     /// scanned for non-finite / non-physical entries and the residual
     /// checked for divergence; a bad verdict rolls the fine state back
-    /// to the last snapshot (every `snapshot_every` cycles) and backs
+    /// to the last snapshot (every [`rollback_every`] cycles) and backs
     /// the CFL off by `cfl_backoff`, up to `max_retries` times. After
     /// `reramp_after` clean cycles the CFL steps back toward the target.
     pub guard: Option<&'a GuardConfig>,
@@ -128,9 +128,12 @@ pub struct RunPlan<'a> {
     /// if it passes [`JobCheckpoint::fit`] — a misfit runs from the
     /// current state (callers that must refuse one check it first).
     pub resume: Option<JobCheckpoint>,
-    /// Persist a [`JobCheckpoint`] through the sink every `.1`
-    /// committed cycles (0 = never).
-    pub durability: Option<(&'a mut dyn DurabilitySink, usize)>,
+    /// The run's `checkpoint_every`: the sink's cadence (0 = never)
+    /// and, through [`rollback_every`], the guard's.
+    pub checkpoint_every: usize,
+    /// Persist a [`JobCheckpoint`] through this sink every
+    /// `checkpoint_every` committed cycles.
+    pub durability: Option<&'a mut dyn DurabilitySink>,
 }
 
 impl RunPlan<'_> {
@@ -266,6 +269,7 @@ impl MultigridSolver {
             cycles: n,
             guard,
             resume,
+            checkpoint_every,
             mut durability,
         } = plan;
         if let Some(g) = guard {
@@ -273,11 +277,7 @@ impl MultigridSolver {
         }
         let mut history = Vec::with_capacity(n);
         let resume = resume
-            .or_else(|| {
-                durability
-                    .as_mut()
-                    .and_then(|(sink, _)| sink.resume_point())
-            })
+            .or_else(|| durability.as_mut().and_then(|sink| sink.resume_point()))
             .filter(|ck| ck.fit(self.levels[0].n, n).is_ok());
         if let Some(ck) = resume {
             self.levels[0].w = SoaState::from_aos(&ck.w, NVAR);
@@ -285,7 +285,7 @@ impl MultigridSolver {
                 on_cycle(c, r);
             }
             history.extend_from_slice(&ck.history);
-            if let Some((sink, _)) = durability.as_mut() {
+            if let Some(sink) = durability.as_mut() {
                 sink.resumed(ck.cycles_done);
             }
         }
@@ -299,10 +299,11 @@ impl MultigridSolver {
             gl.monitor.rebuild(&history);
             (gl, (self.levels[0].w.clone(), history.len()))
         });
+        let snap_every = rollback_every(checkpoint_every);
         while history.len() < n {
             let c = history.len();
             if let Some((gl, (snap_w, snap_cycle))) = &mut guarded {
-                if c.is_multiple_of(gl.cfg.snapshot_every) {
+                if c.is_multiple_of(snap_every) {
                     snap_w.copy_from(&self.levels[0].w);
                     *snap_cycle = c;
                 }
@@ -332,9 +333,9 @@ impl MultigridSolver {
             // observed `on_cycle(c)`, cycle c is durable — the service's
             // journal relies on exactly that ordering. The final cycle is
             // never checkpointed (completion is the terminal record).
-            if let Some((sink, every)) = durability.as_mut() {
+            if let Some(sink) = durability.as_mut() {
                 let done = c + 1;
-                if *every > 0 && done.is_multiple_of(*every) && done < n {
+                if checkpoint_every > 0 && done.is_multiple_of(checkpoint_every) && done < n {
                     sink.checkpoint(&JobCheckpoint::new(history.clone(), &self.levels[0].w));
                 }
             }

@@ -49,12 +49,17 @@ use crate::error::{Eul3dError, SolverError};
 use crate::health::GuardConfig;
 use crate::multigrid::{Coarsening, Strategy};
 
+/// Largest `trace.capacity` a run configuration accepts: 2^22 events, a
+/// 128 MiB ring a lane at 32 bytes an event. Rings are reserved whole at
+/// the start, so a larger value could ask for more memory than a host has.
+pub const MAX_TRACE_CAPACITY: usize = 1 << 22;
+
 /// Observability configuration of a run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceConfig {
     /// Arm a [`eul3d_obs::RingTracer`] on every lane.
     pub enabled: bool,
-    /// Ring capacity in events per lane.
+    /// Ring capacity in events per lane (at most [`MAX_TRACE_CAPACITY`]).
     pub capacity: usize,
     /// Write the Chrome `trace_event` JSON here after the run.
     pub out: Option<String>,
@@ -136,7 +141,9 @@ pub struct RunConfig {
     pub threads: usize,
     /// Solver-health guard (`None` = unguarded).
     pub guard: Option<GuardConfig>,
-    /// Distributed checkpoint cadence in cycles (0 = never).
+    /// Checkpoint cadence in cycles (0 = never) of distributed runs and
+    /// solve jobs; guarded runs of both roll back at
+    /// [`crate::health::rollback_every`] of it.
     pub checkpoint_every: usize,
     /// Fault plan spec (the `--faults` grammar), `None` = fault-free.
     pub faults: Option<String>,
@@ -228,11 +235,18 @@ impl RunConfig {
                 "each mesh dimension needs at least 2 cells",
             ));
         }
-        if self.trace.enabled && self.trace.capacity == 0 {
+        if self.trace.enabled && !(1..=MAX_TRACE_CAPACITY).contains(&self.trace.capacity) {
             return Err(range_err(
                 "trace.capacity",
+                self.trace.capacity as f64,
+                "events per lane must be in 1..=2^22: each ring is reserved whole",
+            ));
+        }
+        if self.fault_timeout_ms == 0 {
+            return Err(range_err(
+                "run.fault_timeout_ms",
                 0.0,
-                "the ring needs room for at least one event",
+                "must be at least 1: a zero receive window expires on every wait",
             ));
         }
         if let Some(g) = &self.guard {
@@ -495,7 +509,6 @@ const KEYS: &[Key] = &[
     key!("guard.window", guard?.window),
     key!("guard.divergence_ratio", guard?.divergence_ratio),
     key!("guard.reramp_after", guard?.reramp_after),
-    key!("guard.snapshot_every", guard?.snapshot_every),
     key!("partition.method", partition?.method),
     key!("partition.coarsen_target", partition?.coarsen_target),
     key!("partition.refine_passes", partition?.refine_passes),
@@ -541,6 +554,12 @@ impl RunConfig {
         // journals written by earlier builds still carry the line.
         if key == "solver.edge_reorder" {
             return <bool as TomlValue>::read(value).map(drop).map_err(fail);
+        }
+        // Replaced by `run.checkpoint_every`, the one rollback cadence
+        // (`health::rollback_every`); a guard it named stays armed.
+        if key == "guard.snapshot_every" {
+            self.arm("guard")?;
+            return <usize as TomlValue>::read(value).map(drop).map_err(fail);
         }
         let k = KEYS
             .iter()
@@ -854,6 +873,55 @@ mod tests {
         assert!(RunConfig::from_toml("[solver]\nedge_reorder = 3\n").is_err());
         let err = RunConfig::from_toml("[solver]\nlanes = 0\n").unwrap_err();
         assert!(err.to_string().contains("solver.lanes"), "{err}");
+    }
+
+    #[test]
+    fn validate_bounds_trace_capacity_and_fault_timeout() {
+        let traced = |capacity| RunConfig {
+            trace: TraceConfig {
+                enabled: true,
+                capacity,
+                ..TraceConfig::default()
+            },
+            ..RunConfig::default()
+        };
+        traced(MAX_TRACE_CAPACITY).validate().unwrap();
+        for bad in [0, MAX_TRACE_CAPACITY + 1, 1 << 60] {
+            let err = traced(bad).validate().unwrap_err();
+            assert!(err.to_string().contains("trace.capacity"), "{bad}: {err}");
+        }
+        // The bound's 128 MiB a lane is 32 bytes an event.
+        assert_eq!(std::mem::size_of::<eul3d_obs::Stamped>(), 32);
+
+        let timeout = |fault_timeout_ms| RunConfig {
+            fault_timeout_ms,
+            ..RunConfig::default()
+        };
+        timeout(1).validate().unwrap();
+        let err = timeout(0).validate().unwrap_err();
+        assert!(err.to_string().contains("run.fault_timeout_ms"), "{err}");
+        let err = RunConfig::from_toml("[run]\nfault_timeout_ms = 0\n").unwrap_err();
+        assert!(err.to_string().contains("run.fault_timeout_ms"), "{err}");
+    }
+
+    #[test]
+    fn the_retired_snapshot_cadence_still_reads() {
+        // `guard.snapshot_every` gave way to `run.checkpoint_every`: no
+        // longer written, still accepted (earlier builds' journals carry
+        // it), still arming the guard it names.
+        let rc = RunConfig {
+            guard: Some(GuardConfig::default()),
+            ..RunConfig::default()
+        };
+        assert!(!rc.to_toml().contains("snapshot_every"));
+        let old = rc
+            .to_toml()
+            .replace("[guard]\n", "[guard]\nsnapshot_every = 5\n");
+        assert_ne!(old, rc.to_toml());
+        assert_eq!(RunConfig::from_toml(&old).unwrap().to_toml(), rc.to_toml());
+        let armed = RunConfig::from_toml("[guard]\nsnapshot_every = 3\n").unwrap();
+        assert_eq!(armed.guard, Some(GuardConfig::default()));
+        assert!(RunConfig::from_toml("[guard]\nsnapshot_every = -1\n").is_err());
     }
 
     #[test]

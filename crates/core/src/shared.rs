@@ -32,8 +32,7 @@ use std::sync::Arc;
 use eul3d_mesh::TetMesh;
 use eul3d_partition::{color_edges, validate_coloring, EdgeColoring};
 
-use crate::counters::PhaseCounters;
-use crate::executor::{EdgeSpan, Executor, HaloOp, Phase, ScatterAccess};
+use crate::executor::{EdgeSpan, Executor, ScatterAccess};
 use crate::level::SolverGrid;
 
 /// The shared-memory execution context: a resident team of `ncpus`
@@ -152,24 +151,6 @@ impl SharedExecutor {
             f(&EdgeSpan::Ids(&lists[t]), &own);
         });
     }
-
-    /// One dispatch of a vertex loop: member `t` maps block `t` of
-    /// `range`.
-    fn vertex_blocks<F>(&self, range: Range<usize>, targets: &mut [&mut [f64]], f: F)
-    where
-        F: Fn(Range<usize>, &ScatterAccess) + Sync,
-    {
-        if range.is_empty() {
-            return;
-        }
-        let access = ScatterAccess::new(targets);
-        self.team.broadcast(|member| {
-            let block = block_of(&range, self.ncpus, member.index());
-            if !block.is_empty() {
-                f(block, &access);
-            }
-        });
-    }
 }
 
 impl Executor for SharedExecutor {
@@ -199,29 +180,21 @@ impl Executor for SharedExecutor {
         self.owner_sweep(&self.touching_faces, targets, f);
     }
 
-    fn for_vertex_spans<F>(&mut self, nverts: usize, targets: &mut [&mut [f64]], f: F)
-    where
-        F: Fn(Range<usize>, &ScatterAccess) + Sync,
-    {
-        self.vertex_blocks(0..nverts, targets, f);
-    }
-
+    /// One dispatch: member `t` maps block `t` of `range`.
     fn for_vertex_range<F>(&mut self, range: Range<usize>, targets: &mut [&mut [f64]], f: F)
     where
         F: Fn(Range<usize>, &ScatterAccess) + Sync,
     {
-        self.vertex_blocks(range, targets, f);
-    }
-
-    fn exchange_halo(
-        &mut self,
-        _phase: Phase,
-        _op: HaloOp,
-        _data: &mut [f64],
-        _stride: usize,
-        _counters: &mut PhaseCounters,
-    ) {
-        // Single address space: nothing to exchange.
+        if range.is_empty() {
+            return;
+        }
+        let access = ScatterAccess::new(targets);
+        self.team.broadcast(|member| {
+            let block = block_of(&range, self.ncpus, member.index());
+            if !block.is_empty() {
+                f(block, &access);
+            }
+        });
     }
 }
 
@@ -229,6 +202,7 @@ impl Executor for SharedExecutor {
 mod tests {
     use super::*;
     use crate::config::{Scheme, SolverConfig};
+    use crate::counters::PhaseCounters;
     use crate::executor::SerialExecutor;
     use crate::level::{time_step, LevelState};
     use crate::{MultigridSolver, Strategy};
@@ -351,6 +325,35 @@ mod tests {
                     "{:?}, coarse {is_coarse}, ncpus = {ncpus}",
                     cfg.scheme
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn vertex_range_visits_each_index_once() {
+        // The one vertex hook: every index of the range once, nothing
+        // outside it — whole level, ghost tail, empty, shorter than the
+        // team.
+        let mesh = unit_box(3, 0.1, 4);
+        let n = mesh.nverts();
+        let owned = n - 5;
+        for ncpus in 1..=4 {
+            let mut exec = SharedExecutor::new(&mesh, ncpus).unwrap();
+            for range in [0..n, owned..n, 7..7, 0..0, 3..4, 10..12, n - 3..n] {
+                let visits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                exec.for_vertex_range(range.clone(), &mut [], |r, _| {
+                    r.for_each(|i| {
+                        visits[i].fetch_add(1, Ordering::Relaxed);
+                    })
+                });
+                for (i, v) in visits.iter().enumerate() {
+                    let want = range.contains(&i) as usize;
+                    assert_eq!(
+                        v.load(Ordering::Relaxed),
+                        want,
+                        "{ncpus} members, {range:?}, index {i}"
+                    );
+                }
             }
         }
     }

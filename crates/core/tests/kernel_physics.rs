@@ -36,7 +36,7 @@ fn uniform_box(cells: usize, seed: u64) -> (TetMesh, SoaState, Vec<f64>) {
 fn pressures(w: &SoaState) -> Vec<f64> {
     let n = w.n();
     let mut p = vec![0.0; n];
-    SerialExecutor.for_vertex_spans(n, &mut [&mut p], |r, s| unsafe {
+    SerialExecutor.for_vertex_range(0..n, &mut [&mut p], |r, s| unsafe {
         kn::pressure_verts(r, GAMMA, w.flat(), n, s)
     });
     p
@@ -57,11 +57,13 @@ fn laplacian_and_sensor(m: &TetMesh, w: &SoaState, p: &[f64]) -> (SoaState, Vec<
     let mut lapl = SoaState::new(n, NVAR);
     let mut sens = SoaState::new(n, 2);
     let adj = vertex_vertex_adjacency(n, &m.edges);
-    SerialExecutor.for_vertex_spans(n, &mut [lapl.flat_mut(), sens.flat_mut()], |r, s| unsafe {
-        kn::jst_gather_verts(r, &adj, w.flat(), p, n, s)
-    });
+    SerialExecutor.for_vertex_range(
+        0..n,
+        &mut [lapl.flat_mut(), sens.flat_mut()],
+        |r, s| unsafe { kn::jst_gather_verts(r, &adj, w.flat(), p, n, s) },
+    );
     let mut nu = vec![0.0; n];
-    SerialExecutor.for_vertex_spans(n, &mut [&mut nu], |r, s| unsafe {
+    SerialExecutor.for_vertex_range(0..n, &mut [&mut nu], |r, s| unsafe {
         kn::sensor_verts(r, sens.flat(), n, s)
     });
     (lapl, nu)
@@ -291,7 +293,7 @@ fn uniform_flow_dt(m: &TetMesh, mach: f64) -> Vec<f64> {
         radii_bfaces_soa(span, &m.bfaces, &w, &p, GAMMA, s)
     });
     let mut dt = vec![0.0; n];
-    SerialExecutor.for_vertex_spans(n, &mut [&mut dt], |r, s| unsafe {
+    SerialExecutor.for_vertex_range(0..n, &mut [&mut dt], |r, s| unsafe {
         kn::local_dt_verts(r, 1.0, &m.vol, &lam, s)
     });
     dt

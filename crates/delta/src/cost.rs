@@ -11,29 +11,12 @@
 //!   additively);
 //! * **MFlops** = machine-total flops / total seconds, "obtained by
 //!   counting the number of operations in each loop" (§4.4).
+//!
+//! [`CostModel::delta_i860`] also drives the traced lanes' modeled clock
+//! on every backend: each [`crate::Rank`] send advances it by
+//! [`CostModel::send_ns`], each charged kernel loop by [`CostModel::comp_ns`].
 
 use crate::msg::{CommClass, RankCounters};
-
-/// The pluggable communication-cost seam: anything that can price a
-/// message on the wire and a kernel's flops in modeled nanoseconds.
-/// [`CostModel`] is the canonical implementation; executors carry one so
-/// a run on real threads keeps charging the modeled Delta clock — one
-/// hybrid run reports both simulated-Delta time and wall time.
-pub trait CommCost {
-    /// Modeled ns one message of `bytes` over `hops` occupies its sender.
-    fn send_ns(&self, bytes: u64, hops: u64) -> u64;
-    /// Modeled ns a kernel of `flops` operations takes on one rank.
-    fn comp_ns(&self, flops: f64) -> u64;
-}
-
-impl CommCost for CostModel {
-    fn send_ns(&self, bytes: u64, hops: u64) -> u64 {
-        CostModel::send_ns(self, bytes, hops)
-    }
-    fn comp_ns(&self, flops: f64) -> u64 {
-        CostModel::comp_ns(self, flops)
-    }
-}
 
 /// Calibrated machine constants. Defaults approximate a Touchstone Delta
 /// node: an i860 sustaining ~3 MFlops on irregular edge loops *after* the

@@ -35,6 +35,10 @@ pub enum DeltaError {
         /// The timeout that expired, in milliseconds.
         timeout_ms: u64,
     },
+    /// Virtual rank `rank` entered `epochs` recovery epochs, the
+    /// backstop: the fault plan (or a receive timeout too short for an
+    /// honest wait) keeps triggering recovery, and no cycle commits.
+    RecoveryLivelock { rank: usize, epochs: u64 },
 }
 
 impl fmt::Display for DeltaError {
@@ -58,6 +62,10 @@ impl fmt::Display for DeltaError {
                 f,
                 "shared-memory window {src}->{dst} tag {tag} wedged: {side} stalled at \
                  epoch {epoch} for {timeout_ms} ms (mismatched publish/consume sequence)"
+            ),
+            DeltaError::RecoveryLivelock { rank, epochs } => write!(
+                f,
+                "virtual rank {rank} exceeded {epochs} recovery epochs: fault plan livelocks"
             ),
         }
     }

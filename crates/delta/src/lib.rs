@@ -46,7 +46,7 @@ pub mod msg;
 pub mod rank;
 pub mod shm;
 
-pub use cost::{CommCost, CostBreakdown, CostModel};
+pub use cost::{CostBreakdown, CostModel};
 pub use error::DeltaError;
 pub use fault::{FaultAction, FaultCause, FaultPlan, FaultSignal, FaultState, KillSpec, MsgFault};
 pub use machine::{check_nranks, run_spmd, MachineRun, MAX_RANKS};

@@ -91,9 +91,6 @@ pub struct Rank {
     /// Bounded window-wait timeout; armed only when a fault plan that
     /// can drop is installed.
     recv_timeout: Option<Duration>,
-    /// Machine constants used to price this rank's traffic on the
-    /// modeled clock (the pluggable `CommCost` seam).
-    cost: CostModel,
     /// The machine's shared-memory window registry: every record of
     /// this rank rides it.
     windows: Arc<WindowRegistry>,
@@ -126,16 +123,10 @@ impl Rank {
             dead: vec![false; nranks],
             faults: None,
             recv_timeout: None,
-            cost: CostModel::delta_i860(),
             windows,
             window_cache: HashMap::new(),
             inboxes,
         }
-    }
-
-    /// The cost model pricing this rank's modeled wire time.
-    pub fn cost_model(&self) -> CostModel {
-        self.cost
     }
 
     /// Swap in another window registry: every record from here on moves
@@ -238,7 +229,7 @@ impl Rank {
             tag,
             bytes,
         });
-        obs::advance_ns(self.cost.send_ns(bytes, hops));
+        obs::advance_ns(CostModel::delta_i860().send_ns(bytes, hops));
     }
 
     /// The one body every record runs on its way in, from window `key`
@@ -607,7 +598,7 @@ impl Rank {
                 tag: 0,
                 bytes,
             });
-            obs::advance_ns(self.cost.send_ns(bytes, hops));
+            obs::advance_ns(CostModel::delta_i860().send_ns(bytes, hops));
             self.inboxes[dst].post(Notice::Abort {
                 epoch,
                 dead: dead.clone(),
@@ -656,7 +647,6 @@ impl Rank {
         r.epoch = self.epoch;
         r.dead = self.dead.clone();
         r.recv_timeout = self.recv_timeout;
-        r.cost = self.cost;
         r.faults = self
             .faults
             .as_ref()

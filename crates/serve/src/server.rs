@@ -395,6 +395,36 @@ mod tests {
         server.shutdown();
     }
 
+    /// A trace ring past `trace.capacity`'s bound would be reserved
+    /// whole in the server's own process: the submission is refused with
+    /// an `error` line naming the key, and no job is queued.
+    #[test]
+    fn an_oversized_trace_ring_is_refused_before_any_job_runs() {
+        let path = sock("ring");
+        let cfg = EngineConfig {
+            workers: 1,
+            ..EngineConfig::default()
+        };
+        let mut server = spawn(&path, cfg).unwrap();
+        let config = format!(
+            "[trace]\nenabled = true\ncapacity = {}\n",
+            eul3d_core::runconfig::MAX_TRACE_CAPACITY + 1
+        );
+        let resp = client::submit_and_collect(&path, &config, "solve", false, false).unwrap();
+        assert_eq!(resp.len(), 1, "{resp:?}");
+        let o = crate::json::JObj::parse(&resp[0]).unwrap();
+        assert_eq!(o.str_of("event"), Some("error"), "{resp:?}");
+        assert!(
+            o.str_of("msg").unwrap().contains("trace.capacity"),
+            "{resp:?}"
+        );
+        let stats = client::request_one(&path, &Request::Stats).unwrap();
+        let o = crate::json::JObj::parse(&stats).unwrap();
+        assert_eq!(o.u64_of("submitted"), Some(0), "{stats}");
+        assert_eq!(o.u64_of("cache_misses"), Some(0), "{stats}");
+        server.shutdown();
+    }
+
     /// A stored Mach field that does not fit its config's mesh is still a
     /// hit, but its VTK is never rendered: a submission asking for
     /// artifacts gets an `error` line naming the mismatch.

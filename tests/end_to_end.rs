@@ -164,3 +164,45 @@ fn a_job_re_renders_the_vtk_its_result_hash_covers() {
     h.update(vtk.as_bytes());
     assert_eq!(h.finish(), a.result_hash);
 }
+
+/// One guarded configuration rolls back to the same cycles in both job
+/// modes: the serial driver snapshots, and the distributed driver
+/// checkpoints, at the run's one `checkpoint_every` cadence — with a
+/// cadence set and without one.
+#[test]
+fn a_guarded_config_rolls_back_alike_in_solve_and_distributed_mode() {
+    use eul3d::solver::job::{run_job, CancelToken, JobMode};
+    use eul3d::solver::runconfig::RunConfig;
+
+    let toml = "[run]\nstrategy = \"v\"\nlevels = 2\ncycles = 12\nnranks = 4\n\
+                [mesh]\nnx = 10\nny = 4\nnz = 3\ntaper = 0.6\njitter = 0.1\n\
+                [solver]\ncfl = 30.0\nmach = 0.5\n\
+                [guard]\ncfl_backoff = 0.25\n";
+    for every in [2, 0] {
+        let mut rc = RunConfig::from_toml(toml).unwrap();
+        rc.checkpoint_every = every;
+        let rollbacks = |mode| {
+            let a = run_job(&rc, mode, 0, &CancelToken::new(), &mut |_, _| {}).unwrap();
+            let outcome = a.guard.expect("an armed guard reports");
+            let t: Vec<_> = outcome
+                .transcript
+                .iter()
+                .map(|e| (e.cycle, e.rollback_to))
+                .collect();
+            (t, a.history)
+        };
+        let (solve, hs) = rollbacks(JobMode::Solve);
+        let (dist, hd) = rollbacks(JobMode::Distributed);
+        assert!(
+            !solve.is_empty(),
+            "checkpoint_every {every}: the case must back off"
+        );
+        assert_eq!(solve, dist, "checkpoint_every {every}");
+        // The rank-summed norm rounds differently; the runs end alike.
+        let (rs, rd) = (hs[hs.len() - 1], hd[hd.len() - 1]);
+        assert!(
+            (rs - rd).abs() <= 1e-12 * rs,
+            "checkpoint_every {every}: {rs} vs {rd}"
+        );
+    }
+}

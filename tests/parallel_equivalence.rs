@@ -642,3 +642,35 @@ fn shared_neighbour_sums_are_the_serial_bits() {
         assert_eq!(shared.3, serial.3, "diss, {ncpus} members");
     }
 }
+
+/// A zero receive window expires on every wait, so each recovery epoch
+/// detects a fresh loss and never commits a cycle: the backstop ends the
+/// run with a typed error, not a panic.
+#[test]
+fn a_livelocking_fault_plan_is_a_typed_error() {
+    let spec = BumpSpec {
+        nx: 6,
+        ny: 3,
+        nz: 3,
+        ..BumpSpec::default()
+    };
+    let setup = DistSetup::new(MeshSequence::bump_sequence(&spec, 1), 2, 20, 7);
+    let fopts = FaultOptions {
+        plan: Arc::new(FaultPlan::parse("drop:0>1#5", 2).unwrap()),
+        checkpoint_every: 1,
+        recv_timeout_ms: 0,
+        ..FaultOptions::default()
+    };
+    let cfg = SolverConfig::default();
+    let opts = DistOptions::default();
+    let err = run_distributed_with_faults(&setup, cfg, Strategy::SingleGrid, 4, opts, &fopts).err();
+    assert!(
+        matches!(
+            err,
+            Some(eul3d::solver::Eul3dError::Delta(
+                eul3d::delta::DeltaError::RecoveryLivelock { epochs: 8, .. }
+            ))
+        ),
+        "{err:?}"
+    );
+}
